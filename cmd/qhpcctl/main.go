@@ -50,16 +50,13 @@ func main() {
 		var info *mqss.DeviceInfo
 		var err error
 		if len(args) > 1 {
-			// Fleet servers host several backends; name one explicitly.
 			info, err = client.FleetDevice(ctx, args[1])
 		} else {
+			// The sole backend; a larger roster errors naming its devices.
 			info, err = client.Device(ctx)
 		}
 		if err != nil {
 			log.Fatal(err)
-		}
-		if info.Properties.Name == "" {
-			log.Fatal("empty device response — against a fleet server, use `qhpcctl device <name>` (see `qhpcctl fleet status` for the roster)")
 		}
 		fmt.Printf("device: %s (%d qubits, twin=%v)\n", info.Properties.Name,
 			info.Properties.NumQubits, info.Properties.DigitalTwin)
@@ -90,8 +87,8 @@ func main() {
 		shots := fs.Int("shots", 1000, "shots")
 		user := fs.String("user", "cli", "submitting user")
 		static := fs.Bool("static", false, "static placement instead of fidelity-aware JIT")
-		device := fs.String("device", "", "fleet servers: pin the job to one backend")
-		policy := fs.String("policy", "", "fleet servers: routing policy override")
+		device := fs.String("device", "", "pin the job to one backend")
+		policy := fs.String("policy", "", "routing policy override")
 		if err := fs.Parse(args[1:]); err != nil {
 			log.Fatal(err)
 		}
@@ -180,9 +177,8 @@ func main() {
 		shots := fs.Int("shots", 100, "shots per job")
 		qubits := fs.Int("qubits", 4, "GHZ circuit size")
 		batch := fs.Bool("batch", false, "submit each client's jobs as one streamed batch")
-		fleetMode := fs.Bool("fleet", false, "use the fleet routing API (streamed batches with routing envelopes)")
-		device := fs.String("device", "", "fleet mode: pin all jobs to one device")
-		policy := fs.String("policy", "", "fleet mode: routing policy override")
+		device := fs.String("device", "", "pin all jobs to one device")
+		policy := fs.String("policy", "", "routing policy override")
 		simMode := fs.Bool("sim", false, "run the in-process execution-engine bench (no server; compares naive vs compiled shot loop)")
 		jsonOut := fs.String("json", "", "write machine-readable bench results to this file")
 		if err := fs.Parse(args[1:]); err != nil {
@@ -194,7 +190,7 @@ func main() {
 			// would misreport what was measured.
 			set := map[string]bool{}
 			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			for _, name := range []string{"clients", "batch", "fleet", "device", "policy"} {
+			for _, name := range []string{"clients", "batch", "device", "policy"} {
 				if set[name] {
 					log.Fatalf("bench -sim is in-process; -%s does not apply (supported: -jobs, -shots, -qubits, -json)", name)
 				}
@@ -218,7 +214,7 @@ func main() {
 		}
 		runBench(*server, benchConfig{
 			clients: *clients, jobs: *jobs, shots: *shots, qubits: *qubits,
-			batch: *batch, fleet: *fleetMode, device: *device, policy: *policy,
+			batch: *batch, device: *device, policy: *policy,
 			jsonOut: *jsonOut,
 		})
 	case "trace":
@@ -496,8 +492,8 @@ func jobCommand(ctx context.Context, client *mqss.Client, args []string) {
 		priority := fs.Int("priority", 0, "queue priority (higher dispatches first)")
 		deadline := fs.Float64("deadline-ms", 0, "dispatch deadline in ms from submission (0 = none)")
 		static := fs.Bool("static", false, "static placement instead of fidelity-aware JIT")
-		device := fs.String("device", "", "fleet servers: pin the job to one backend")
-		policy := fs.String("policy", "", "fleet servers: routing policy override")
+		device := fs.String("device", "", "pin the job to one backend")
+		policy := fs.String("policy", "", "routing policy override")
 		idemKey := fs.String("idempotency-key", "", "replay-safe submission key")
 		wait := fs.Bool("wait", false, "block until the job is terminal and print the result")
 		if err := fs.Parse(args[1:]); err != nil {
@@ -629,9 +625,7 @@ func printFleetStatus(m *fleet.Metrics) {
 type benchConfig struct {
 	clients, jobs, shots, qubits int
 	batch                        bool
-	// fleet uses the routed batch API and reports the per-device job
-	// distribution; device/policy pass through as routing controls.
-	fleet          bool
+	// device/policy pass through as routing controls.
 	device, policy string
 	jsonOut        string
 }
@@ -653,8 +647,8 @@ type benchJSON struct {
 }
 
 // runBench drives N concurrent clients against a running qhpcd and reports
-// job throughput plus the client-observed latency distribution — the load
-// harness for the QRM dispatch pipeline and the fleet scheduler.
+// job throughput, the client-observed latency distribution and the
+// per-device job distribution — the load harness for the fleet scheduler.
 func runBench(server string, cfg benchConfig) {
 	if cfg.clients < 1 || cfg.jobs < 1 {
 		log.Fatal("bench needs -clients >= 1 and -jobs >= 1")
@@ -677,12 +671,11 @@ func runBench(server string, cfg benchConfig) {
 			for i := range reqs {
 				reqs[i] = qrm.Request{Circuit: ghz, Shots: cfg.shots, User: user}
 			}
-			switch {
-			case cfg.fleet:
+			route := mqss.RouteOptions{Device: cfg.device, Policy: cfg.policy}
+			if cfg.batch {
 				delivered := 0
 				batchStart := time.Now()
-				_, err := cl.StreamBatchRouted(context.Background(), reqs,
-					mqss.RouteOptions{Device: cfg.device, Policy: cfg.policy},
+				_, err := cl.StreamBatchRouted(context.Background(), reqs, route,
 					func(j *fleet.Job) {
 						lat := time.Since(batchStart)
 						mu.Lock()
@@ -697,42 +690,25 @@ func runBench(server string, cfg benchConfig) {
 				if err != nil {
 					log.Printf("bench client %d: %v", c, err)
 					mu.Lock()
-					failures += cfg.jobs - delivered
-					mu.Unlock()
-				}
-			case cfg.batch:
-				delivered := 0
-				batchStart := time.Now()
-				_, err := cl.StreamBatch(context.Background(), reqs, func(j *qrm.Job) {
-					lat := time.Since(batchStart)
-					mu.Lock()
-					delivered++
-					latencies = append(latencies, lat)
-					if j.Status != qrm.StatusDone {
-						failures++
-					}
-					mu.Unlock()
-				})
-				if err != nil {
-					log.Printf("bench client %d: %v", c, err)
-					mu.Lock()
 					// Only jobs the stream never delivered count as extra
 					// failures; delivered ones were already tallied above.
 					failures += cfg.jobs - delivered
 					mu.Unlock()
 				}
-			default:
-				for i := 0; i < cfg.jobs; i++ {
-					jobStart := time.Now()
-					j, err := cl.Run(context.Background(), qrm.Request{Circuit: ghz, Shots: cfg.shots, User: user})
-					lat := time.Since(jobStart)
-					mu.Lock()
-					latencies = append(latencies, lat)
-					if err != nil || j.Status != qrm.StatusDone {
-						failures++
-					}
-					mu.Unlock()
+				return
+			}
+			for _, req := range reqs {
+				jobStart := time.Now()
+				j, err := cl.RunRouted(context.Background(), req, route)
+				lat := time.Since(jobStart)
+				mu.Lock()
+				latencies = append(latencies, lat)
+				if err != nil || j.Status != fleet.JobDone {
+					failures++
+				} else {
+					byDevice[j.Device]++
 				}
+				mu.Unlock()
 			}
 		}(c)
 	}
@@ -752,9 +728,6 @@ func runBench(server string, cfg benchConfig) {
 	if cfg.batch {
 		mode = "streamed batches"
 	}
-	if cfg.fleet {
-		mode = "fleet-routed batches"
-	}
 	fmt.Printf("bench: %d clients x %d jobs (%s), GHZ(%d) x %d shots\n",
 		cfg.clients, cfg.jobs, mode, cfg.qubits, cfg.shots)
 	fmt.Printf("  wall time:    %v\n", elapsed.Round(time.Millisecond))
@@ -762,7 +735,7 @@ func runBench(server string, cfg benchConfig) {
 	fmt.Printf("  latency:      p50 %v, p95 %v, max %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
 	fmt.Printf("  failures:     %d/%d\n", failures, total)
-	if cfg.fleet && len(byDevice) > 0 {
+	if len(byDevice) > 0 {
 		fmt.Printf("  by device:\n")
 		names := make([]string, 0, len(byDevice))
 		for name := range byDevice {
@@ -774,21 +747,9 @@ func runBench(server string, cfg benchConfig) {
 		}
 	}
 
-	cl := mqss.NewRemoteClient(server, nil)
-	if cfg.fleet {
-		if m, err := cl.FleetMetrics(context.Background()); err == nil {
-			fmt.Printf("server fleet: %d devices, %d routed, %d migrated, %d completed\n",
-				len(m.Devices), m.Routed, m.Migrated, m.Completed)
-		}
-	} else if m, err := cl.Metrics(context.Background()); err == nil {
-		fmt.Printf("server pipeline: %d workers, %d completed, max queue depth %d\n",
-			m.Workers, m.Completed, m.MaxQueueDepth)
-		fmt.Printf("  transpile cache: %d hits / %d misses (%.0f%% hit ratio)\n",
-			m.CacheHits, m.CacheMisses, 100*m.HitRatio())
-		fmt.Printf("  server e2e: p50 %.2f ms, p95 %.2f ms\n",
-			m.E2EMs.Quantile(0.50), m.E2EMs.Quantile(0.95))
-		fmt.Printf("  sim engine: %d fast-path, %d branch-tree jobs (%.3f leaves/shot), %d dist-cache hits\n",
-			m.SimFastPathJobs, m.SimBranchTreeJobs, m.BranchLeavesPerShot(), m.SimDistCacheHits)
+	if m, err := mqss.NewRemoteClient(server, nil).FleetMetrics(context.Background()); err == nil {
+		fmt.Printf("server fleet: %d devices, %d routed, %d migrated, %d completed\n",
+			len(m.Devices), m.Routed, m.Migrated, m.Completed)
 	}
 
 	if cfg.jsonOut != "" {
@@ -891,10 +852,10 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: qhpcctl [-server URL] <command>
 commands:
   device [name]                        show device properties and live calibration
-                                       (fleet servers: name one backend)
+                                       (name one backend when the server has several)
   submit [-shots N] [-user U] [-device D] [-policy P] f.qasm
-                                       submit an OpenQASM circuit and wait; -device/-policy
-                                       route on fleet servers
+                                       submit an OpenQASM circuit and wait; -device pins
+                                       a backend, -policy overrides routing
   job <id>                             show one job (legacy v1 record)
   job submit [-shots N] [-user U] [-priority N] [-deadline-ms N]
              [-device D] [-policy P] [-idempotency-key K] [-wait] f.qasm
@@ -907,11 +868,11 @@ commands:
                                        per-stage start offsets, durations, and
                                        % of total wall time (docs/OBSERVABILITY.md)
   history [-user U] [-offset N] [-limit N]   page through job history
-  fleet [status]                       show per-device fleet status (fleet servers)
+  fleet [status]                       show per-device fleet status
   bench [-clients N] [-jobs N] [-shots N] [-qubits N] [-batch]
-        [-fleet] [-device D] [-policy P] [-sim] [-json FILE]
-                                       drive concurrent load and report throughput/latency;
-                                       -fleet uses the routed API, -json writes results,
+        [-device D] [-policy P] [-sim] [-json FILE]
+                                       drive concurrent load and report throughput/latency
+                                       and the per-device job split; -json writes results,
                                        -sim runs the in-process execution-engine bench
                                        (naive vs compiled shot loop, BENCH_sim.json shape)
   scenarios list                       list the registered fault scenarios

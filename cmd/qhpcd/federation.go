@@ -6,14 +6,6 @@ import (
 	"strings"
 )
 
-// snapshotFleetRefusal is the -snapshot refusal in fleet mode. Fleet jobs
-// span devices (migrations, parking), so a per-manager snapshot would
-// silently capture one shard — refuse loudly and point at the flag that
-// actually persists a fleet.
-const snapshotFleetRefusal = "-snapshot applies to single-device mode only; " +
-	"fleet jobs span devices, so a one-manager snapshot would silently drop the rest — " +
-	"use -data-dir for crash-durable fleet persistence instead"
-
 // parsePeers parses the -peers flag: a comma-separated list of id=url
 // entries naming every OTHER federation member, e.g.
 //

@@ -1,22 +1,8 @@
 package main
 
 import (
-	"strings"
 	"testing"
 )
-
-// The -snapshot refusal in fleet mode must tell the operator what to run
-// instead, not just say no: it names -data-dir, the flag that actually
-// persists a fleet.
-func TestSnapshotFleetRefusalIsActionable(t *testing.T) {
-	if !strings.Contains(snapshotFleetRefusal, "-data-dir") {
-		t.Fatalf("refusal does not point at -data-dir: %q", snapshotFleetRefusal)
-	}
-	if !strings.Contains(snapshotFleetRefusal, "-snapshot") ||
-		!strings.Contains(snapshotFleetRefusal, "single-device") {
-		t.Fatalf("refusal lost its context: %q", snapshotFleetRefusal)
-	}
-}
 
 func TestParsePeers(t *testing.T) {
 	peers, err := parsePeers(" node-b = http://h2:8080/ , node-c=http://h3:8080 ")

@@ -6,8 +6,7 @@
 //
 //	qhpcd [-addr :8080] [-seed 1] [-twin] [-redundant] [-workers 4]
 //	      [-devices 1] [-fleet-policy best-fidelity] [-maintenance-days 0]
-//	      [-pprof-addr localhost:6060] [-engine-stats-every 30s]
-//	      [-snapshot /var/lib/qhpcd/qrm.json]
+//	      [-pprof-addr localhost:6060]
 //	      [-data-dir /var/lib/qhpcd/store] [-wal-sync group] [-wal-compact-every 1m]
 //	      [-tenant-rate 0] [-tenant-burst 0] [-tenant-queue 0] [-queue-high-water 0]
 //	      [-node-id node-a] [-self-url http://host1:8080] [-peers node-b=http://host2:8080]
@@ -31,10 +30,10 @@
 // directory, and accepted jobs come back — terminal ones with their results,
 // queued/running ones re-queued under their original IDs.
 //
-// With -devices N > 1 the daemon serves a simulated multi-QPU fleet: the
-// center's primary QPU plus N-1 heterogeneous siblings (different grid
-// shapes, seeds and drift histories), fronted by the calibration-aware
-// fleet scheduler. Clients pin with ?device= and steer routing with
+// Every deployment is a fleet behind the calibration-aware fleet scheduler:
+// -devices 1 (the default) serves the center's primary QPU alone, -devices N
+// adds N-1 simulated heterogeneous siblings (different grid shapes, seeds
+// and drift histories). Clients pin with ?device= and steer routing with
 // ?policy=; `qhpcctl fleet` shows the roster.
 package main
 
@@ -57,7 +56,6 @@ import (
 	"repro/internal/facility"
 	"repro/internal/federation"
 	"repro/internal/fleet"
-	"repro/internal/mqss"
 	"repro/internal/tenant"
 )
 
@@ -67,8 +65,8 @@ func main() {
 	twin := flag.Bool("twin", false, "serve the noiseless digital twin instead of the noisy QPU")
 	redundant := flag.Bool("redundant", true, "redundant power and cooling feeds (lesson 3)")
 	nodes := flag.Int("nodes", 64, "classical cluster node count")
-	workers := flag.Int("workers", 4, "dispatch workers per device (0 = synchronous per-request execution, single-device mode only)")
-	devices := flag.Int("devices", 1, "fleet size; > 1 serves the multi-QPU fleet scheduler")
+	workers := flag.Int("workers", 4, "dispatch workers per device (>= 1)")
+	devices := flag.Int("devices", 1, "fleet size: the center's primary QPU plus N-1 simulated siblings")
 	policyFlag := flag.String("fleet-policy", string(fleet.PolicyBestFidelity),
 		"fleet routing policy: best-fidelity, least-loaded, or round-robin")
 	maintDays := flag.Float64("maintenance-days", 0,
@@ -77,10 +75,6 @@ func main() {
 		"simulated days per wall-clock second driving the fleet maintenance clock (0 = frozen; defaults to 1 when -maintenance-days is set)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-	engineStatsEvery := flag.Duration("engine-stats-every", 0,
-		"log execution-engine counters (fast path, shot-branching leaves/shot, dist-cache hits) at this interval; 0 = disabled, single-device mode only")
-	snapshotPath := flag.String("snapshot", "",
-		"write the QRM job store to this file on graceful shutdown (single-device mode; restore with LoadSnapshot/RequeueInterrupted tooling)")
 	dataDir := flag.String("data-dir", "",
 		"crash-durable job store directory (WAL + snapshots); on restart the daemon replays it and re-queues interrupted work (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "group",
@@ -106,6 +100,9 @@ func main() {
 	fedDeadAfter := flag.Duration("fed-dead-after", 0,
 		"declare a silent peer dead after this long (default 3x -fed-heartbeat)")
 	flag.Parse()
+	if *workers < 1 {
+		log.Fatalf("qhpcd: -workers must be >= 1, got %d (every device runs a live dispatch pool)", *workers)
+	}
 
 	if *pprofAddr != "" {
 		// The profiling endpoints live on their own listener (the pprof
@@ -162,116 +159,51 @@ func main() {
 
 	admission := tenant.Admission{MaxTenantQueue: *tenantQueue, HighWater: *queueHighWater}
 
-	var mqssServer *mqss.Server
-	// drain runs after the listener stops accepting: finish or park the
-	// backend's remaining work so no accepted job is silently dropped.
-	var drain func()
-	// fleetSched escapes the fleet branch so the federation bootstrap can
-	// stamp its ID base and node identity.
-	var fleetSched *fleet.Scheduler
-	if *devices > 1 {
-		policy, err := fleet.ParsePolicy(*policyFlag)
+	policy, err := fleet.ParsePolicy(*policyFlag)
+	if err != nil {
+		log.Fatalf("qhpcd: %v", err)
+	}
+	f, err := center.BuildFleet(core.FleetConfig{
+		Devices: *devices, WorkersPerDevice: *workers,
+		Policy: policy, MaintenanceEveryDays: *maintDays,
+	})
+	if err != nil {
+		log.Fatalf("qhpcd: building fleet: %v", err)
+	}
+	if admission.Enabled() {
+		f.SetAdmission(admission)
+	}
+	if store != nil {
+		f.AttachStore(store)
+		rs, err := f.Restore(recovery.FleetJobs)
 		if err != nil {
-			log.Fatalf("qhpcd: %v", err)
+			log.Fatalf("qhpcd: restoring jobs: %v", err)
 		}
-		w := *workers
-		if w < 1 {
-			w = 4 // fleet devices always run live pools
-		}
-		if *engineStatsEvery > 0 {
-			fmt.Fprintf(os.Stderr, "qhpcd: -engine-stats-every applies to single-device mode only; use GET /api/v1/fleet for per-device counters\n")
-		}
-		if *snapshotPath != "" {
-			log.Fatalf("qhpcd: %s", snapshotFleetRefusal)
-		}
-		f, err := center.BuildFleet(core.FleetConfig{
-			Devices: *devices, WorkersPerDevice: w,
-			Policy: policy, MaintenanceEveryDays: *maintDays,
-		})
-		if err != nil {
-			log.Fatalf("qhpcd: building fleet: %v", err)
-		}
-		if admission.Enabled() {
-			f.SetAdmission(admission)
-		}
-		if store != nil {
-			if len(recovery.QRMJobs) > 0 {
-				log.Printf("qhpcd: %s holds %d single-device job records; they are preserved but a fleet daemon cannot re-queue them", *dataDir, len(recovery.QRMJobs))
+		store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
+		fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
+			rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
+	}
+	mqssServer := center.RESTHandler()
+	fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
+		*devices, policy, *workers, f.Devices())
+	fmt.Fprintf(os.Stderr, "qhpcd: fleet endpoints: POST /api/v1/jobs[?device=&policy=], POST /api/v1/jobs/batch[?stream=1&device=&policy=], GET /api/v1/fleet\n")
+	// Maintenance windows live on the simulation clock; a frozen clock
+	// would make -maintenance-days a no-op, so it defaults on.
+	rate := *simRate
+	if rate == 0 && *maintDays > 0 {
+		rate = 1
+	}
+	if rate > 0 {
+		fmt.Fprintf(os.Stderr, "qhpcd: simulation clock at %.3g days/s (maintenance windows will drain devices on schedule)\n", rate)
+		go func() {
+			const tick = 250 * time.Millisecond
+			day := 0.0
+			for range time.Tick(tick) {
+				day += rate * tick.Seconds()
+				f.AdvanceTo(day)
+				f.PublishMetrics(nil, day*86400)
 			}
-			f.AttachStore(store)
-			rs, err := f.Restore(recovery.FleetJobs)
-			if err != nil {
-				log.Fatalf("qhpcd: restoring fleet jobs: %v", err)
-			}
-			store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
-			fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
-				rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
-		}
-		drain = f.Stop
-		fleetSched = f
-		mqssServer = center.FleetRESTHandler(f)
-		fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
-			*devices, policy, w, f.Devices())
-		fmt.Fprintf(os.Stderr, "qhpcd: fleet endpoints: POST /api/v1/jobs[?device=&policy=], POST /api/v1/jobs/batch[?stream=1&device=&policy=], GET /api/v1/fleet\n")
-		// Maintenance windows live on the simulation clock; a frozen clock
-		// would make -maintenance-days a no-op, so it defaults on.
-		rate := *simRate
-		if rate == 0 && *maintDays > 0 {
-			rate = 1
-		}
-		if rate > 0 {
-			fmt.Fprintf(os.Stderr, "qhpcd: simulation clock at %.3g days/s (maintenance windows will drain devices on schedule)\n", rate)
-			go func() {
-				const tick = 250 * time.Millisecond
-				day := 0.0
-				for range time.Tick(tick) {
-					day += rate * tick.Seconds()
-					f.AdvanceTo(day)
-					f.PublishMetrics(nil, day*86400)
-				}
-			}()
-		}
-	} else {
-		if admission.Enabled() {
-			center.QRM.SetAdmission(admission)
-		}
-		if store != nil {
-			if len(recovery.FleetJobs) > 0 {
-				log.Printf("qhpcd: %s holds %d fleet job records; they are preserved but a single-device daemon cannot re-queue them", *dataDir, len(recovery.FleetJobs))
-			}
-			center.QRM.AttachStore(store)
-			rs, err := center.QRM.Restore(recovery.QRMJobs)
-			if err != nil {
-				log.Fatalf("qhpcd: restoring jobs: %v", err)
-			}
-			store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
-			fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
-				rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
-		}
-		if *workers > 0 {
-			if err := center.StartPipeline(*workers); err != nil {
-				log.Fatalf("qhpcd: starting dispatch pipeline: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "qhpcd: dispatch pipeline running with %d workers (QPU admission-gated)\n", *workers)
-		}
-		if *engineStatsEvery > 0 {
-			// Operator-visible view of the per-job strategy pick: how many
-			// jobs rode the fast path vs the shot-branching tree, how hard
-			// the tree amortized (leaves/shot), and how often noiseless jobs
-			// skipped simulation entirely. The same counters are in the
-			// /api/v1/metrics JSON; this is the tail -f version.
-			go func(every time.Duration) {
-				for range time.Tick(every) {
-					m := center.QRM.Metrics()
-					fmt.Fprintf(os.Stderr,
-						"qhpcd: engine: compile %d hit/%d miss, fast-path %d jobs (%d dist-cache), branch-tree %d jobs %.3f leaves/shot\n",
-						m.SimCompileHits, m.SimCompileMisses, m.SimFastPathJobs,
-						m.SimDistCacheHits, m.SimBranchTreeJobs, m.BranchLeavesPerShot())
-				}
-			}(*engineStatsEvery)
-		}
-		mqssServer = center.RESTHandler()
-		drain = center.StopPipeline
+		}()
 	}
 	if *tenantRate > 0 {
 		burst := *tenantBurst
@@ -316,15 +248,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("qhpcd: federation: %v", err)
 		}
-		if fleetSched != nil {
-			fleetSched.SetIDBase(fed.SelfBase())
-			fleetSched.SetIDLimit(fed.SelfLimit())
-			fleetSched.SetNodeID(*nodeID)
-		} else {
-			center.QRM.SetIDBase(fed.SelfBase())
-			center.QRM.SetIDLimit(fed.SelfLimit())
-			center.QRM.SetNodeID(*nodeID)
-		}
+		f.SetIDBase(fed.SelfBase())
+		f.SetIDLimit(fed.SelfLimit())
+		f.SetNodeID(*nodeID)
 		mqssServer.AttachFederation(fed)
 		fed.Start()
 		fmt.Fprintf(os.Stderr, "qhpcd: federation member %q (%d nodes, id range base %d): peers %s\n",
@@ -340,8 +266,8 @@ func main() {
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections, ends
 	// active v2 watch streams cleanly (mqss.Server.Close), waits for
-	// in-flight handlers, then drains the dispatch backend so accepted jobs
-	// finish (single device) or park safely (fleet Stop).
+	// in-flight handlers, then stops the fleet: in-flight jobs finish, queued
+	// ones settle failed, and with -data-dir their records are on disk.
 	srv := &http.Server{Addr: *addr, Handler: mqssServer}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -363,21 +289,7 @@ func main() {
 			log.Printf("qhpcd: shutdown: %v", err)
 		}
 		cancel()
-		if drain != nil {
-			drain()
-		}
-		if *snapshotPath != "" {
-			// Write-on-close durability: after the pipeline has drained, the
-			// job store is quiescent — persist it so restart tooling
-			// (LoadSnapshot + RequeueInterrupted) can pick up where this
-			// process left off. WAL-style continuous persistence stays a
-			// roadmap item; this is the shutdown half.
-			if err := center.QRM.SaveSnapshotFile(*snapshotPath); err != nil {
-				log.Printf("qhpcd: snapshot: %v", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "qhpcd: job store snapshot written to %s\n", *snapshotPath)
-			}
-		}
+		f.Stop()
 		if store != nil {
 			// The backend is quiescent: fold the WAL into one snapshot so the
 			// next start replays a single file, then fsync-close the journal.

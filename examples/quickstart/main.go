@@ -62,12 +62,7 @@ func main() {
 
 	// 3b. The v2 async access model the remote path is actually built on:
 	//     submit-and-go, then watch the lifecycle stream until the terminal
-	//     state arrives (202 + Location under the hood). Async needs the
-	//     dispatch pipeline running — the production qhpcd configuration.
-	if err := center.StartPipeline(2); err != nil {
-		log.Fatal(err)
-	}
-	defer center.StopPipeline()
+	//     state arrives (202 + Location under the hood).
 	handle, err := remote.Submit(ctx, mqss.SubmitRequest{
 		Circuit: circuit.GHZ(5), Shots: 500, User: "quickstart",
 	}, "quickstart-demo-1")

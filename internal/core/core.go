@@ -2,8 +2,9 @@
 // co-located, loosely-integrated HPC+QC center. A Center owns the facility
 // (power, cooling water), the cryogenic plant, the 20-qubit QPU with its
 // calibration lifecycle, the DCDB-style telemetry store, the QDMI device
-// handle, the batch scheduler with the QPU as a resource, the QRM, and the
-// MQSS client/REST layer. Commissioning follows the paper's sequence: site
+// handle, the batch scheduler with the QPU as a resource, the fleet
+// scheduler (whose first device is that QPU), and the MQSS client/REST
+// layer. Commissioning follows the paper's sequence: site
 // survey (§2.1) → installation and cooldown (§2.5) → calibration and
 // benchmark verification (§3.2) → user operations (§4).
 package core
@@ -15,6 +16,7 @@ import (
 	"repro/internal/cryo"
 	"repro/internal/device"
 	"repro/internal/facility"
+	"repro/internal/fleet"
 	"repro/internal/hpc"
 	"repro/internal/mqss"
 	"repro/internal/qdmi"
@@ -74,8 +76,13 @@ type Center struct {
 	Store  *telemetry.Store
 	Poll   *telemetry.Poller
 	HPC    *hpc.Scheduler
-	QRM    *qrm.Manager
 	Policy *calib.Policy
+
+	// fleet is the one scheduler both access paths land in, built once by
+	// BuildFleet (Fleet builds the one-device default on first use);
+	// primary is the manager it owns over QPU — the only one the QPU has.
+	fleet   *fleet.Scheduler
+	primary *qrm.Manager
 
 	simTime float64 // seconds
 }
@@ -115,12 +122,10 @@ func New(cfg Config) (*Center, error) {
 		Store:  store,
 		Poll:   poller,
 		HPC:    sched,
-		QRM:    qrm.NewManager(dev),
 		Policy: calib.DefaultPolicy(),
 	}
 	// The QPU is not a schedulable resource until commissioned.
 	c.HPC.SetQPUOnline(false)
-	c.QRM.SetOnline(false)
 
 	// Register facility collectors so DCDB sees cryo and power data (Fig 3).
 	poller.Register(telemetry.FuncCollector{
@@ -134,13 +139,6 @@ func New(cfg Config) (*Center, error) {
 				"water_temp_c": c.Water.Temperature(),
 			}
 		},
-	})
-	// Dispatch-pipeline health: queue depth, in-flight jobs, cache
-	// effectiveness, tail latency — the §3.1 "without altering workflows"
-	// dissemination extended to the QRM.
-	poller.Register(telemetry.FuncCollector{
-		Name: "qrm-pipeline",
-		Fn:   func() map[string]float64 { return c.QRM.Metrics().Gauges() },
 	})
 	return c, nil
 }
@@ -216,7 +214,9 @@ func (c *Center) Advance(dt float64) {
 	c.QPU.AdvanceDrift(dt / 3600)
 	c.Policy.Advance(dt / 3600)
 	c.HPC.Advance(dt)
-	c.QRM.SetTime(c.simTime)
+	if c.primary != nil {
+		c.primary.SetTime(c.simTime)
+	}
 	c.Poll.Poll(c.simTime)
 
 	switch c.phase {
@@ -226,14 +226,12 @@ func (c *Center) Advance(dt float64) {
 			c.QPU.Recalibrate(true)
 			c.Policy.Ran(calib.ProcedureFull)
 			c.phase = PhaseOperational
-			c.HPC.SetQPUOnline(true)
-			c.QRM.SetOnline(true)
+			c.setQPUOnline(true)
 		}
 	case PhaseOperational:
 		if !coolingOK || !c.Cryo.AtBase() {
 			c.phase = PhaseOutage
-			c.HPC.SetQPUOnline(false)
-			c.QRM.SetOnline(false)
+			c.setQPUOnline(false)
 		} else {
 			proc := c.Policy.Decide(c.QPU.Calibration().AgeHours, nil)
 			if proc != calib.ProcedureNone {
@@ -252,34 +250,52 @@ func (c *Center) Advance(dt float64) {
 				c.Policy.Ran(calib.ProcedureFull)
 			}
 			c.phase = PhaseOperational
-			c.HPC.SetQPUOnline(true)
-			c.QRM.SetOnline(true)
+			c.setQPUOnline(true)
 		}
+	}
+}
+
+// setQPUOnline is the single control point for the primary QPU's
+// availability (lesson 2): it flips the batch scheduler's QPU resource and
+// the fleet's routing state together. Offline is a fleet-level Fail — the
+// QPU's queued jobs migrate to siblings, or park until Recover when there
+// are none, and new submissions are accepted and routed the same way.
+// Before the fleet exists there is nothing to flip; BuildFleet reads the
+// phase when it runs.
+func (c *Center) setQPUOnline(online bool) {
+	c.HPC.SetQPUOnline(online)
+	if c.fleet == nil {
+		return
+	}
+	// Fail/Recover only reject unknown names; the primary is registered.
+	if online {
+		_ = c.fleet.Recover(c.QPU.Name())
+	} else {
+		_ = c.fleet.Fail(c.QPU.Name())
 	}
 }
 
 // Operational reports whether the QPU is serving jobs.
 func (c *Center) Operational() bool { return c.phase == PhaseOperational }
 
-// LocalClient returns the in-HPC accelerator client.
-func (c *Center) LocalClient() *mqss.Client { return mqss.NewLocalClient(c.QRM) }
-
-// StartPipeline launches the QRM's concurrent dispatch pipeline with
-// nWorkers workers, admission-gated on the HPC scheduler's QPU slot so
-// concurrent dispatch workers serialize their device round-trips through
-// the cluster's single quantum resource.
-func (c *Center) StartPipeline(nWorkers int) error {
-	c.QRM.SetGate(c.HPC.QPUGate())
-	return c.QRM.Start(nWorkers)
+// Fleet returns the center's scheduler, building the default one-device
+// fleet over the primary QPU if BuildFleet has not run yet.
+func (c *Center) Fleet() *fleet.Scheduler {
+	if c.fleet == nil {
+		if _, err := c.BuildFleet(FleetConfig{Devices: 1}); err != nil {
+			// A static, valid config: only a bug can fail it.
+			panic(fmt.Sprintf("core: building the default one-device fleet: %v", err))
+		}
+	}
+	return c.fleet
 }
 
-// StopPipeline shuts the dispatch pipeline down, letting in-flight jobs
-// finish. Queued jobs remain queued.
-func (c *Center) StopPipeline() { c.QRM.Stop() }
+// LocalClient returns the in-HPC accelerator client.
+func (c *Center) LocalClient() *mqss.Client { return mqss.NewLocalClient(c.Fleet()) }
 
 // RESTHandler returns the MQSS REST server exposing this center's stack
 // (an http.Handler; keep the concrete type for graceful-shutdown Close).
-func (c *Center) RESTHandler() *mqss.Server { return mqss.NewServer(c.QRM, c.QDMI) }
+func (c *Center) RESTHandler() *mqss.Server { return mqss.NewFleetServer(c.Fleet()) }
 
 // RunHealthCheck executes the §3.2 GHZ ladder.
 func (c *Center) RunHealthCheck(sizes []int, shots int) (*calib.HealthCheck, error) {

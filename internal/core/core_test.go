@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/facility"
+	"repro/internal/mqss"
 	"repro/internal/qrm"
 )
 
@@ -65,7 +65,7 @@ func TestLifecyclePhases(t *testing.T) {
 		t.Errorf("phase after install = %s", c.Phase())
 	}
 	// QPU must be offline during commissioning.
-	if c.HPC.QPUOnline() || c.QRM.Online() {
+	if c.HPC.QPUOnline() || c.Fleet().ActiveDevices() != 0 {
 		t.Error("QPU online before commissioning finished")
 	}
 }
@@ -102,15 +102,8 @@ func TestRESTPathThroughCenter(t *testing.T) {
 	c := commissioned(t, Config{Seed: 4, DigitalTwin: true})
 	srv := httptest.NewServer(c.RESTHandler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/api/v1/device")
+	info, err := mqss.NewRemoteClient(srv.URL, srv.Client()).Device(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var info struct {
-		Fidelity1Q float64 `json:"fidelity_1q"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
 	if info.Fidelity1Q < 0.99 {
@@ -131,6 +124,7 @@ func TestHealthCheckThroughCenter(t *testing.T) {
 
 func TestOutageTakesQPUOfflineAndRecovers(t *testing.T) {
 	c := commissioned(t, Config{Seed: 6, DigitalTwin: true})
+	defer c.Fleet().Stop()
 	// Kill the only water feed: cooling stops, QPU warms, center -> outage.
 	c.Water.Feeds()[0].Fail()
 	for i := 0; i < 4; i++ {
@@ -139,7 +133,7 @@ func TestOutageTakesQPUOfflineAndRecovers(t *testing.T) {
 	if c.Phase() != PhaseOutage {
 		t.Fatalf("phase = %s, want outage", c.Phase())
 	}
-	if c.HPC.QPUOnline() || c.QRM.Online() {
+	if c.HPC.QPUOnline() || c.Fleet().ActiveDevices() != 0 {
 		t.Error("QPU should be offline during outage")
 	}
 	// Repair; recovery takes hours-days of re-cooling.
@@ -152,7 +146,7 @@ func TestOutageTakesQPUOfflineAndRecovers(t *testing.T) {
 	if !c.Operational() {
 		t.Fatal("center did not recover within a week")
 	}
-	if !c.HPC.QPUOnline() || !c.QRM.Online() {
+	if !c.HPC.QPUOnline() || c.Fleet().ActiveDevices() != 1 {
 		t.Error("QPU should be back online after recovery")
 	}
 }

@@ -5,18 +5,19 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/mqss"
 	"repro/internal/ops"
 	"repro/internal/qdmi"
+	"repro/internal/telemetry"
 )
 
 // Multi-QPU integration: the paper's MQSS/QDMI split (§2.6) exists so one
-// HPC-side scheduler can serve many heterogeneous backends. BuildFleet grows
-// the commissioned center into that shape: the center's primary QPU becomes
-// fleet device 0 and N-1 simulated siblings with different grid shapes,
-// seeds (hence calibration quality), and drift histories join it. The fleet
-// registers as a DCDB collector on the center's poller, so per-device
-// routing telemetry lands in the same store as cryo and power data.
+// HPC-side scheduler can serve many heterogeneous backends. BuildFleet puts
+// the center into that shape: the center's primary QPU becomes fleet device
+// 0 — the fleet owns its only dispatch manager — and N-1 simulated siblings
+// with different grid shapes, seeds (hence calibration quality), and drift
+// histories join it. The fleet registers as a DCDB collector on the
+// center's poller, so per-device routing telemetry lands in the same store
+// as cryo and power data.
 
 // FleetConfig parameterizes BuildFleet.
 type FleetConfig struct {
@@ -43,11 +44,16 @@ var siblingShapes = []struct{ rows, cols int }{
 	{4, 4}, {3, 4}, {5, 5}, {3, 3}, {4, 5},
 }
 
-// BuildFleet assembles a fleet scheduler over the center's QPU plus
-// simulated siblings. The center must be commissioned first (the primary
-// device joins the fleet online). The returned scheduler owns its device
-// pools; call Stop on shutdown.
+// BuildFleet assembles the center's fleet scheduler over its QPU plus
+// simulated siblings; it is the scheduler LocalClient and RESTHandler serve
+// and Advance takes the primary offline in, so it can be built only once.
+// While the center is not operational the primary joins failed (siblings
+// still serve). The returned scheduler owns its device pools; call Stop on
+// shutdown.
 func (c *Center) BuildFleet(cfg FleetConfig) (*fleet.Scheduler, error) {
+	if c.fleet != nil {
+		return nil, fmt.Errorf("core: fleet already built (%d devices)", len(c.fleet.Devices()))
+	}
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("core: fleet needs >= 1 devices, got %d", cfg.Devices)
 	}
@@ -110,17 +116,24 @@ func (c *Center) BuildFleet(cfg FleetConfig) (*fleet.Scheduler, error) {
 			}
 		}
 	}
-	// DCDB integration (Fig. 3): the fleet's gauges ride the center poller.
+	primary, err := f.DeviceManager(c.QPU.Name())
+	if err != nil {
+		f.Stop()
+		return nil, err
+	}
+	// DCDB integration (Fig. 3): the fleet's gauges ride the center poller,
+	// and so does the primary's dispatch-pipeline health (queue depth, cache
+	// effectiveness, tail latency) — the §3.1 "without altering workflows"
+	// dissemination extended to the QRM.
 	c.Poll.Register(f)
+	c.Poll.Register(telemetry.FuncCollector{
+		Name: "qrm-pipeline",
+		Fn:   func() map[string]float64 { return primary.Metrics().Gauges() },
+	})
+	c.fleet, c.primary = f, primary
+	primary.SetTime(c.simTime)
+	if !c.Operational() {
+		c.setQPUOnline(false)
+	}
 	return f, nil
-}
-
-// FleetRESTHandler returns an HTTP handler serving the fleet REST API.
-func (c *Center) FleetRESTHandler(f *fleet.Scheduler) *mqss.Server {
-	return mqss.NewFleetServer(f)
-}
-
-// LocalFleetClient returns the in-HPC accelerator client over a fleet.
-func (c *Center) LocalFleetClient(f *fleet.Scheduler) *mqss.Client {
-	return mqss.NewLocalFleetClient(f)
 }

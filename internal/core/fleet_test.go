@@ -63,7 +63,7 @@ func TestCenterBuildFleet(t *testing.T) {
 	}
 
 	// Work flows end to end through the fleet client.
-	client := c.LocalFleetClient(f)
+	client := c.LocalClient()
 	j, err := client.RunRouted(context.Background(), qrm.Request{Circuit: circuit.GHZ(4), Shots: 20, User: "core"}, mqss.RouteOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -2,18 +2,22 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/hybrid"
+	"repro/internal/mqss"
 	"repro/internal/qrm"
 )
 
 // End-to-end integration: a VQE loop through the full center stack — the
 // tightly-coupled accelerator mode that §2.6 motivates. Every energy
-// evaluation is a quantum job that flows client → QRM → JIT transpile →
-// device, exactly as a production hybrid workflow would.
+// evaluation is a quantum job that flows client → fleet → QRM → JIT
+// transpile → device, exactly as a production hybrid workflow would.
 func TestVQEThroughCenterStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
@@ -58,12 +62,12 @@ func TestVQEThroughCenterStack(t *testing.T) {
 		t.Errorf("stack VQE energy %.4f, want within 0.15 of %.4f", res.Value, exact)
 	}
 	// The QRM saw every energy evaluation as jobs.
-	page, err := c.QRM.History("vqe", 0, 1)
+	page, err := c.Fleet().History("vqe", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if page.Total < res.Evaluations {
-		t.Errorf("QRM recorded %d jobs for %d evaluations", page.Total, res.Evaluations)
+		t.Errorf("scheduler recorded %d jobs for %d evaluations", page.Total, res.Evaluations)
 	}
 }
 
@@ -110,10 +114,12 @@ func TestHybridCoSchedulingWithCalibrationSlot(t *testing.T) {
 }
 
 // The §4 batch + pagination workflow through the REST layer is covered in
-// internal/mqss; here we confirm the center's QRM enforces the offline gate
-// during an outage end to end.
+// internal/mqss; here we confirm the center keeps work off the offline QPU
+// during an outage end to end. With no sibling to migrate to, a submission
+// is accepted and parks (DESIGN.md "Outage semantics") — nothing executes.
 func TestJobsRejectedDuringOutage(t *testing.T) {
 	c := commissioned(t, Config{Seed: 22, DigitalTwin: true})
+	defer c.Fleet().Stop()
 	c.Power.Feeds()[0].Fail()
 	for i := 0; i < 4; i++ {
 		c.Advance(3600)
@@ -121,8 +127,79 @@ func TestJobsRejectedDuringOutage(t *testing.T) {
 	if c.Phase() != PhaseOutage {
 		t.Fatalf("phase = %s", c.Phase())
 	}
-	_, err := c.LocalClient().Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(3), Shots: 10, User: "x"})
-	if err == nil {
-		t.Error("job submission during outage should fail")
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	_, err := c.LocalClient().Run(ctx, qrm.Request{Circuit: circuit.GHZ(3), Shots: 10, User: "x"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("run during outage: err = %v, want the wait to time out with the job parked", err)
+	}
+	m := c.Fleet().Metrics()
+	if m.ParkedNow != 1 || m.Devices[0].QRM.Submitted != 0 {
+		t.Errorf("parked = %d, jobs on the offline QPU = %d; want 1 parked, 0 dispatched",
+			m.ParkedNow, m.Devices[0].QRM.Submitted)
+	}
+}
+
+// Regression: BuildFleet used to wrap the primary QPU in a second manager
+// that Advance never took offline, so a fleet kept executing on a QPU the
+// center had declared down. One scheduler now serves every path: an outage
+// fails the primary in the fleet RESTHandler serves, a job submitted
+// meanwhile parks, and it completes after recovery.
+func TestOutageParksRESTJobsUntilRecovery(t *testing.T) {
+	c := commissioned(t, Config{Seed: 23, DigitalTwin: true})
+	f, err := c.BuildFleet(FleetConfig{Devices: 1, WorkersPerDevice: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	if c.Fleet() != f {
+		t.Fatal("the center serves a different scheduler than BuildFleet returned")
+	}
+	if _, err := c.BuildFleet(FleetConfig{Devices: 2}); err == nil {
+		t.Fatal("a second BuildFleet must fail: the primary QPU gets exactly one manager")
+	}
+	srv := httptest.NewServer(c.RESTHandler())
+	defer srv.Close()
+	client := mqss.NewRemoteClient(srv.URL, srv.Client())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req := mqss.SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "outage"}
+
+	warm, err := client.Submit(ctx, req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := warm.Wait(ctx); err != nil || j.State != mqss.StateDone {
+		t.Fatalf("pre-outage job: %+v, %v", j, err)
+	}
+
+	c.Power.Feeds()[0].Fail()
+	for i := 0; i < 4; i++ {
+		c.Advance(3600)
+	}
+	if c.Phase() != PhaseOutage {
+		t.Fatalf("phase = %s, want outage", c.Phase())
+	}
+	h, err := client.Submit(ctx, req, "")
+	if err != nil {
+		t.Fatalf("submit during outage should be accepted and parked: %v", err)
+	}
+	time.Sleep(100 * time.Millisecond) // a job routed to the dead QPU would have finished by now
+	if j, err := h.Poll(ctx); err != nil || j.State != mqss.StateQueued {
+		t.Fatalf("job during outage: %+v, %v; want queued", j, err)
+	}
+	if n := f.Metrics().Devices[0].QRM.Submitted; n != 1 {
+		t.Fatalf("offline QPU's manager saw %d jobs, want only the pre-outage one", n)
+	}
+
+	c.Power.Feeds()[0].Restore()
+	for hours := 0; !c.Operational() && hours < 24*7; hours++ {
+		c.Advance(3600)
+	}
+	if !c.Operational() {
+		t.Fatal("center did not recover within a week")
+	}
+	if j, err := h.Wait(ctx); err != nil || j.State != mqss.StateDone {
+		t.Fatalf("parked job after recovery: %+v, %v; want done", j, err)
 	}
 }

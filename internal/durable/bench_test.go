@@ -1,12 +1,12 @@
 package durable
 
-// The durability cost harness: the fleet bench's single-device workload
+// The durability cost harness: the fleet bench's one-device workload
 // (GHZ jobs, 2 ms control-electronics round trip, 4 workers) run once
 // without a store and once per WAL sync mode, interleaved so machine drift
 // hits both sides equally. The "durability" section lands in
 // BENCH_fleet.json next to the throughput rows, and the group-commit ratio
 // is a release gate: if journaling every transition costs more than 10% of
-// single-device throughput, the group-commit path has regressed.
+// one-device throughput, the group-commit path has regressed.
 
 import (
 	"context"
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
 	"repro/internal/telemetry"
@@ -57,44 +58,44 @@ func TestDurabilityBenchArtifact(t *testing.T) {
 	)
 	circs := []*circuit.Circuit{circuit.GHZ(3), circuit.GHZ(4), circuit.GHZ(5), circuit.GHZ(6)}
 
-	// One timed load against a fresh manager; mode "" means no store.
+	// One timed load against a fresh one-device fleet; mode "" means no store.
 	runLoad := func(mode SyncMode) float64 {
 		qpu, err := device.New(device.Config{Name: "bench-wal", Rows: 4, Cols: 5, Seed: 1, DigitalTwin: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		qpu.SetExecLatency(execLatency)
-		m := qrm.NewManager(qdmi.NewDevice(qpu, nil))
+		f := fleet.New(fleet.PolicyBestFidelity, nil)
+		if err := f.AddDevice("bench-wal", qdmi.NewDevice(qpu, nil), workers); err != nil {
+			t.Fatal(err)
+		}
 		if mode != "" {
 			st, _, err := Open(t.TempDir(), Options{Sync: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			m.AttachStore(st)
+			f.AttachStore(st)
 		}
-		if err := m.Start(workers); err != nil {
-			t.Fatal(err)
-		}
-		defer m.Stop()
+		defer f.Stop()
 
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
 		start := time.Now()
 		ids := make([]int, jobs)
 		for i := 0; i < jobs; i++ {
-			id, err := m.Submit(qrm.Request{Circuit: circs[i%len(circs)], Shots: 10, User: "bench-wal"})
+			id, err := f.Submit(qrm.Request{Circuit: circs[i%len(circs)], Shots: 10, User: "bench-wal"}, fleet.SubmitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids[i] = id
 		}
 		for _, id := range ids {
-			j, err := m.AwaitTerminal(ctx, id)
+			j, err := f.WaitContext(ctx, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if j.Status != qrm.StatusDone {
+			if j.Status != fleet.JobDone {
 				t.Fatalf("job %d ended %s: %s", id, j.Status, j.Error)
 			}
 		}

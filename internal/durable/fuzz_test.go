@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/qrm"
+	"repro/internal/fleet"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the replay path as a journal
@@ -14,7 +14,8 @@ import (
 // short -fuzz smoke on top of the checked-in corpus below.
 func FuzzWALReplay(f *testing.F) {
 	// Seed corpus: a clean segment, its torn and bit-flipped variants, and
-	// the degenerate shapes the frame reader branches on.
+	// the degenerate shapes the frame reader branches on. The 'Q' frame is a
+	// legacy single-device record, so the corpus covers the upgrade decode.
 	var clean []byte
 	clean = appendFrame(clean, 1, []byte(`Q{"job":{"id":1,"status":"queued"}}`))
 	clean = appendFrame(clean, 2, []byte(`I{"key":"k","job_id":1}`))
@@ -38,13 +39,13 @@ func FuzzWALReplay(f *testing.F) {
 			// I/O errors are legal; panics and hangs are the bug class.
 			return
 		}
-		for _, j := range rec.QRMJobs {
+		for _, j := range rec.FleetJobs {
 			if j == nil {
 				t.Fatal("replay surfaced a nil job")
 			}
 		}
 		// The store must stay writable after swallowing garbage.
-		st.JournalQRMJob(&qrm.Job{ID: 999, Status: qrm.StatusQueued})
+		st.JournalFleetJob(&fleet.Job{ID: 999, Status: fleet.JobPending})
 		if err := st.Close(); err != nil {
 			t.Fatalf("close after garbage replay: %v", err)
 		}

@@ -1,0 +1,49 @@
+package durable
+
+import (
+	"encoding/json"
+
+	"repro/internal/fleet"
+	"repro/internal/qrm"
+)
+
+// legacyFleetJob decodes the body of a 'Q' record — the job upsert a
+// single-device daemon journaled before every deployment became a fleet —
+// into the fleet record that replaces it. The job keeps its original ID.
+// Work the crash caught in flight (queued, compiling, running) becomes
+// pending so fleet.Scheduler.Restore re-queues it; terminal jobs carry
+// their device-level record as the result, with interrupted surfacing as
+// the retryable restart failure.
+func legacyFleetJob(body []byte) (fleetJobRecord, bool) {
+	var r struct {
+		SubmitUnixMs int64 `json:"submit_unix_ms"`
+		Job          *struct {
+			qrm.Job
+			Node string `json:"node"`
+		} `json:"job"`
+	}
+	if json.Unmarshal(body, &r) != nil || r.Job == nil {
+		return fleetJobRecord{}, false
+	}
+	src := r.Job.Job
+	j := &fleet.Job{
+		ID: src.ID, Request: src.Request, BatchID: src.Request.BatchID,
+		Node: r.Job.Node, Error: src.Error,
+	}
+	switch src.Status {
+	case qrm.StatusDone:
+		j.Status = fleet.JobDone
+	case qrm.StatusCancelled:
+		j.Status = fleet.JobCancelled
+	case qrm.StatusFailed:
+		j.Status = fleet.JobFailed
+	case qrm.StatusInterrupted:
+		j.Status, j.Error = fleet.JobFailed, qrm.ErrInterruptedMsg
+	default:
+		j.Status, j.Error = fleet.JobPending, ""
+	}
+	if j.Status != fleet.JobPending {
+		j.Result = &src
+	}
+	return fleetJobRecord{SubmitUnixMs: r.SubmitUnixMs, Job: j}, true
+}

@@ -1,0 +1,98 @@
+package durable
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/fleet"
+	"repro/internal/qrm"
+)
+
+// TestLegacyQRMRecordsUpgrade replays a data dir written by a single-device
+// daemon (hand-framed 'Q' records): every job must come back as a fleet
+// record under its original ID, in-flight work re-queues, terminal work
+// stays terminal, and one Compact leaves no 'Q' payload on disk.
+func TestLegacyQRMRecordsUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	var seg []byte
+	for i, body := range []string{
+		`Q{"submit_unix_ms":4242,"job":{"id":1,"status":"queued","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u","batch_id":3},"submit_time":0}}`,
+		`Q{"job":{"id":2,"status":"running","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"},"compiled_gates":4,"submit_time":0,"node":"node-a"}}`,
+		`Q{"job":{"id":3,"status":"done","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"},"counts":{"0":3,"1":2},"duration_us":12,"submit_time":0,"end_time":1}}`,
+		`Q{"job":{"id":4,"status":"interrupted","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"},"submit_time":0,"end_time":1}}`,
+	} {
+		seg = appendFrame(seg, uint64(i+1), []byte(body))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, rec, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[int]*fleet.Job{}
+	for _, j := range rec.FleetJobs {
+		byID[j.ID] = j
+	}
+	if len(rec.FleetJobs) != 4 || len(byID) != 4 {
+		t.Fatalf("recovered %d jobs (%d distinct), want 4", len(rec.FleetJobs), len(byID))
+	}
+	if j := byID[1]; j.Status != fleet.JobPending || j.Result != nil || j.SubmitUnixMs != 4242 ||
+		j.BatchID != 3 || j.Request.Shots != 5 || j.Request.Circuit == nil {
+		t.Errorf("queued job converted wrong: %+v", j)
+	}
+	if j := byID[2]; j.Status != fleet.JobPending || j.Result != nil || j.Node != "node-a" {
+		t.Errorf("running job converted wrong: %+v", j)
+	}
+	if j := byID[3]; j.Status != fleet.JobDone || j.Result == nil ||
+		j.Result.Counts[0] != 3 || j.Result.Counts[1] != 2 || j.Result.DurationUs != 12 {
+		t.Errorf("done job converted wrong: %+v (result %+v)", j, j.Result)
+	}
+	if j := byID[4]; j.Status != fleet.JobFailed || j.Error != qrm.ErrInterruptedMsg {
+		t.Errorf("interrupted job converted wrong: %+v", j)
+	}
+
+	// No devices registered: the two re-queued jobs park instead of running.
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	defer f.Stop()
+	f.AttachStore(st)
+	rs, err := f.Restore(rec.FleetJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Requeued != 2 || rs.Terminal != 2 || rs.Expired != 0 {
+		t.Fatalf("restore stats = %+v, want 2 re-queued + 2 terminal", rs)
+	}
+
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readFrames(data, func(_ uint64, payload []byte) {
+			if len(payload) > 0 && payload[0] == recLegacyQRMJob {
+				t.Errorf("%s still holds a 'Q' record after compaction", ent.Name())
+			}
+		})
+	}
+	st2, rec2, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if len(rec2.FleetJobs) != 4 {
+		t.Fatalf("reopen after compaction recovered %d jobs, want 4", len(rec2.FleetJobs))
+	}
+}

@@ -10,26 +10,20 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/qrm"
 )
 
 // Record kinds: the first payload byte tags how the JSON body decodes.
 const (
-	recQRMJob   = 'Q' // qrmJobRecord — single-device manager job upsert
-	recFleetJob = 'F' // fleetJobRecord — fleet scheduler job upsert
-	recIdem     = 'I' // idemRecord — idempotency-key → job-ID binding
-	recMeta     = 'M' // metaRecord — snapshot header
+	recLegacyQRMJob = 'Q' // read-only: pre-fleet single-device job upsert (legacyFleetJob)
+	recFleetJob     = 'F' // fleetJobRecord — fleet scheduler job upsert
+	recIdem         = 'I' // idemRecord — idempotency-key → job-ID binding
+	recMeta         = 'M' // metaRecord — snapshot header
 )
 
-// qrmJobRecord wraps a manager job for the journal. SubmitUnixMs rides
+// fleetJobRecord wraps a fleet job for the journal. SubmitUnixMs rides
 // outside the job because the v1 wire shape excludes it (json:"-"): the
 // dispatch deadline must keep its original budget across a restart without
 // changing what GET /api/v1/jobs returns.
-type qrmJobRecord struct {
-	SubmitUnixMs int64    `json:"submit_unix_ms,omitempty"`
-	Job          *qrm.Job `json:"job"`
-}
-
 type fleetJobRecord struct {
 	SubmitUnixMs int64      `json:"submit_unix_ms,omitempty"`
 	Job          *fleet.Job `json:"job"`
@@ -61,9 +55,9 @@ type ReplayStats struct {
 	DurationMs   float64       `json:"duration_ms"`
 }
 
-// RestoreOutcome is what the schedulers did with the recovered jobs; the
+// RestoreOutcome is what the scheduler did with the recovered jobs; the
 // store only learns it via NoteRestore (replay hands jobs over, the
-// managers decide requeue vs. expire).
+// scheduler decides requeue vs. expire).
 type RestoreOutcome struct {
 	Terminal int `json:"terminal"`
 	Requeued int `json:"requeued"`
@@ -71,10 +65,8 @@ type RestoreOutcome struct {
 }
 
 // Recovery is the materialized state Open rebuilt from snapshot + WAL,
-// ready to hand to qrm.Manager.Restore / fleet.Scheduler.Restore and the
-// mqss idempotency cache.
+// ready to hand to fleet.Scheduler.Restore and the mqss idempotency cache.
 type Recovery struct {
-	QRMJobs   []*qrm.Job
 	FleetJobs []*fleet.Job
 	Idem      map[string]int
 	Stats     ReplayStats
@@ -103,15 +95,13 @@ type Stats struct {
 
 // Store is the crash-durable job store: a WAL of job-record upserts plus a
 // last-write-wins materialized view that periodic compaction snapshots.
-// One Store serves at most one scheduler (single-device manager or fleet)
-// plus the mqss idempotency cache.
+// One Store serves one fleet scheduler plus the mqss idempotency cache.
 type Store struct {
 	dir string
 	w   *wal
 
 	mu          sync.Mutex
-	qrmJobs     map[int][]byte // latest journal payload per job, kind byte included
-	fleetJobs   map[int][]byte
+	fleetJobs   map[int][]byte // latest journal payload per job, kind byte included
 	idem        map[string]int
 	abandoned   bool
 	snapshotLSN uint64
@@ -124,7 +114,7 @@ type Store struct {
 
 // Open replays snapshot-then-WAL from dir (creating it when missing) and
 // returns the store with a fresh active segment plus everything the
-// schedulers need to restore. Torn-tail handling: replay stops cleanly at
+// scheduler needs to restore. Torn-tail handling: replay stops cleanly at
 // the first short or corrupt record of a segment and continues with the
 // next segment — new records always land in a fresh segment, so bytes after
 // a torn tail can only be pre-crash garbage.
@@ -142,7 +132,6 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	start := time.Now()
 	s := &Store{
 		dir:       dir,
-		qrmJobs:   make(map[int][]byte),
 		fleetJobs: make(map[int][]byte),
 		idem:      make(map[string]int),
 	}
@@ -189,13 +178,6 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	for k, v := range s.idem {
 		rec.Idem[k] = v
 	}
-	for _, payload := range s.qrmJobs {
-		var r qrmJobRecord
-		if json.Unmarshal(payload[1:], &r) == nil && r.Job != nil {
-			r.Job.SubmitUnixMs = r.SubmitUnixMs
-			rec.QRMJobs = append(rec.QRMJobs, r.Job)
-		}
-	}
 	for _, payload := range s.fleetJobs {
 		var r fleetJobRecord
 		if json.Unmarshal(payload[1:], &r) == nil && r.Job != nil {
@@ -215,10 +197,15 @@ func (s *Store) applyPayload(payload []byte) {
 	}
 	body := payload[1:]
 	switch payload[0] {
-	case recQRMJob:
-		var r qrmJobRecord
-		if json.Unmarshal(body, &r) == nil && r.Job != nil {
-			s.qrmJobs[r.Job.ID] = append([]byte(nil), payload...)
+	case recLegacyQRMJob:
+		// Upgrade path: a data dir written by a single-device daemon holds
+		// 'Q' records. Each folds into the one job map as the equivalent
+		// fleet record under its original ID, so Restore re-queues it and
+		// the next Compact rewrites it as 'F'.
+		if r, ok := legacyFleetJob(body); ok {
+			if fbody, err := json.Marshal(r); err == nil {
+				s.fleetJobs[r.Job.ID] = append([]byte{recFleetJob}, fbody...)
+			}
 		}
 	case recFleetJob:
 		var r fleetJobRecord
@@ -267,13 +254,6 @@ func (s *Store) journal(kind byte, rec interface{}, upsert func(payload []byte))
 	return lsn
 }
 
-// JournalQRMJob journals the current state of a single-device manager job.
-// Implements qrm.JobStore.
-func (s *Store) JournalQRMJob(j *qrm.Job) uint64 {
-	return s.journal(recQRMJob, qrmJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j},
-		func(payload []byte) { s.qrmJobs[j.ID] = payload })
-}
-
 // JournalFleetJob journals the current state of a fleet job — placement,
 // migrations, parking, and terminal results all flow through here.
 // Implements fleet.JobStore.
@@ -298,7 +278,7 @@ func (s *Store) WaitDurable(lsn uint64) {
 	}
 }
 
-// NoteRestore records what the schedulers did with the recovered jobs, for
+// NoteRestore records what the scheduler did with the recovered jobs, for
 // the admin endpoint and metrics.
 func (s *Store) NoteRestore(terminal, requeued, expired int) {
 	s.mu.Lock()
@@ -328,9 +308,6 @@ func (s *Store) Compact() error {
 	}
 
 	buf := appendFrame(nil, snapLSN, metaPayload(snapLSN))
-	for _, payload := range s.qrmJobs {
-		buf = appendFrame(buf, snapLSN, payload)
-	}
 	for _, payload := range s.fleetJobs {
 		buf = appendFrame(buf, snapLSN, payload)
 	}

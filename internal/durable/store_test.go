@@ -14,7 +14,7 @@ import (
 	"repro/internal/qrm"
 )
 
-// TestStoreRoundtrip journals all three record kinds, closes, and reopens:
+// TestStoreRoundtrip journals both record kinds, closes, and reopens:
 // Recovery must hand back exactly the latest upsert of each.
 func TestStoreRoundtrip(t *testing.T) {
 	dir := t.TempDir()
@@ -22,12 +22,12 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.QRMJobs) != 0 || len(rec.FleetJobs) != 0 || len(rec.Idem) != 0 {
+	if len(rec.FleetJobs) != 0 || len(rec.Idem) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
-	st.JournalQRMJob(&qrm.Job{ID: 1, Status: qrm.StatusQueued, SubmitUnixMs: 1111})
-	st.JournalQRMJob(&qrm.Job{ID: 2, Status: qrm.StatusQueued})
-	lsn := st.JournalQRMJob(&qrm.Job{ID: 1, Status: qrm.StatusDone, SubmitUnixMs: 1111})
+	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending, SubmitUnixMs: 1111})
+	st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending})
+	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobDone, SubmitUnixMs: 1111})
 	st.JournalFleetJob(&fleet.Job{ID: 7, Status: fleet.JobRouted, Device: "dev-0"})
 	st.JournalIdem("key-a", 1)
 	st.WaitDurable(lsn)
@@ -39,23 +39,23 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec2.QRMJobs) != 2 {
-		t.Fatalf("recovered %d qrm jobs, want 2", len(rec2.QRMJobs))
+	if len(rec2.FleetJobs) != 3 {
+		t.Fatalf("recovered %d jobs, want 3", len(rec2.FleetJobs))
 	}
-	byID := map[int]*qrm.Job{}
-	for _, j := range rec2.QRMJobs {
+	byID := map[int]*fleet.Job{}
+	for _, j := range rec2.FleetJobs {
 		byID[j.ID] = j
 	}
-	// Last-write-wins: job 1's terminal upsert shadows the queued one, and
+	// Last-write-wins: job 1's terminal upsert shadows the pending one, and
 	// the out-of-band SubmitUnixMs survives the json:"-" tag via the wrapper.
-	if j := byID[1]; j == nil || j.Status != qrm.StatusDone || j.SubmitUnixMs != 1111 {
+	if j := byID[1]; j == nil || j.Status != fleet.JobDone || j.SubmitUnixMs != 1111 {
 		t.Fatalf("job 1 recovered wrong: %+v", byID[1])
 	}
-	if j := byID[2]; j == nil || j.Status != qrm.StatusQueued {
+	if j := byID[2]; j == nil || j.Status != fleet.JobPending {
 		t.Fatalf("job 2 recovered wrong: %+v", byID[2])
 	}
-	if len(rec2.FleetJobs) != 1 || rec2.FleetJobs[0].ID != 7 || rec2.FleetJobs[0].Device != "dev-0" {
-		t.Fatalf("fleet jobs recovered wrong: %+v", rec2.FleetJobs)
+	if j := byID[7]; j == nil || j.Status != fleet.JobRouted || j.Device != "dev-0" {
+		t.Fatalf("job 7 recovered wrong: %+v", byID[7])
 	}
 	if rec2.Idem["key-a"] != 1 {
 		t.Fatalf("idem recovered wrong: %+v", rec2.Idem)
@@ -75,7 +75,7 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 10; i++ {
-		st.JournalQRMJob(&qrm.Job{ID: i, Status: qrm.StatusDone})
+		st.JournalFleetJob(&fleet.Job{ID: i, Status: fleet.JobDone})
 	}
 	st.JournalIdem("k", 3)
 	if err := st.Compact(); err != nil {
@@ -89,7 +89,7 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatalf("compact stats wrong: %+v", stats)
 	}
 	// A post-compaction record must land in the fresh segment and survive.
-	st.JournalQRMJob(&qrm.Job{ID: 11, Status: qrm.StatusQueued})
+	st.JournalFleetJob(&fleet.Job{ID: 11, Status: fleet.JobPending})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestStoreCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.QRMJobs) != 11 {
-		t.Fatalf("recovered %d jobs after compact+reopen, want 11", len(rec.QRMJobs))
+	if len(rec.FleetJobs) != 11 {
+		t.Fatalf("recovered %d jobs after compact+reopen, want 11", len(rec.FleetJobs))
 	}
 	if rec.Idem["k"] != 3 {
 		t.Fatalf("idem lost across compaction: %+v", rec.Idem)
@@ -131,34 +131,33 @@ func copyDir(t *testing.T, src string) string {
 }
 
 // TestCrashPointProperty is the crash-point property test: run a real
-// single-device manager against the store, abandon it mid-flight (kill -9),
+// one-device fleet against the store, abandon it mid-flight (kill -9),
 // then truncate the WAL at EVERY byte offset inside the final record and
 // replay each truncation. At every cut: replay must not panic, every acked
 // job must be recovered exactly once (conservation — the submit ack waited
 // for durability, and only the final record is cut), jobs whose terminal
 // record survived must restore as terminal (never double-run), and a fresh
-// manager must accept the restore. Runs under -race in the regular suite.
+// scheduler must accept the restore. Runs under -race in the regular suite.
 func TestCrashPointProperty(t *testing.T) {
 	dir := t.TempDir()
 	qpu, err := device.New(device.Config{Name: "crash-0", Rows: 4, Cols: 5, Seed: 11, DigitalTwin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := qdmi.NewDevice(qpu, nil)
-	m := qrm.NewManager(dev)
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice("crash-0", qdmi.NewDevice(qpu, nil), 2); err != nil {
+		t.Fatal(err)
+	}
 	st, _, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AttachStore(st)
-	if err := m.Start(2); err != nil {
-		t.Fatal(err)
-	}
+	f.AttachStore(st)
 
 	const jobs = 8
 	var ids []int
 	for i := 0; i < jobs; i++ {
-		id, err := m.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 4, User: "crash"})
+		id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 4, User: "crash"}, fleet.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +169,13 @@ func TestCrashPointProperty(t *testing.T) {
 	defer cancel()
 	awaited := map[int]bool{}
 	for _, id := range ids[:jobs/2] {
-		if _, err := m.AwaitTerminal(ctx, id); err != nil {
+		if _, err := f.WaitContext(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 		awaited[id] = true
 	}
 	st.Abandon() // the kill: nothing from here reaches disk
-	m.Stop()
+	f.Stop()
 	st.Close()
 
 	// Locate the final frame of the last journal segment.
@@ -215,7 +214,7 @@ func TestCrashPointProperty(t *testing.T) {
 			t.Fatalf("cut at %d: open failed: %v", cut, err)
 		}
 		seen := map[int]bool{}
-		for _, j := range rec.QRMJobs {
+		for _, j := range rec.FleetJobs {
 			if seen[j.ID] {
 				t.Fatalf("cut at %d: job %d recovered twice", cut, j.ID)
 			}
@@ -230,8 +229,11 @@ func TestCrashPointProperty(t *testing.T) {
 		if len(seen) != jobs {
 			t.Fatalf("cut at %d: recovered %d jobs, want %d", cut, len(seen), jobs)
 		}
-		m2 := qrm.NewManager(dev)
-		rs, err := m2.Restore(rec.QRMJobs)
+		// No devices registered: re-queued jobs park instead of executing,
+		// so each trial only exercises the restore bookkeeping.
+		f2 := fleet.New(fleet.PolicyBestFidelity, nil)
+		rs, err := f2.Restore(rec.FleetJobs)
+		f2.Stop()
 		if err != nil {
 			t.Fatalf("cut at %d: restore failed: %v", cut, err)
 		}
@@ -241,9 +243,9 @@ func TestCrashPointProperty(t *testing.T) {
 		// Never double-run: a job whose terminal record survived the cut must
 		// restore as terminal, not re-enter the queue.
 		terminalRecovered := 0
-		for _, j := range rec.QRMJobs {
+		for _, j := range rec.FleetJobs {
 			switch j.Status {
-			case qrm.StatusDone, qrm.StatusFailed, qrm.StatusCancelled, qrm.StatusInterrupted:
+			case fleet.JobDone, fleet.JobFailed, fleet.JobCancelled:
 				terminalRecovered++
 			}
 		}
@@ -264,8 +266,8 @@ func TestCrashPointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	for _, j := range rec.QRMJobs {
-		if awaited[j.ID] && j.Status != qrm.StatusDone {
+	for _, j := range rec.FleetJobs {
+		if awaited[j.ID] && j.Status != fleet.JobDone {
 			t.Errorf("awaited job %d recovered as %s, want done", j.ID, j.Status)
 		}
 	}
@@ -278,9 +280,9 @@ func TestStoreAbandonSwallowsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := st.JournalQRMJob(&qrm.Job{ID: 1, Status: qrm.StatusQueued})
+	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending})
 	st.Abandon()
-	if got := st.JournalQRMJob(&qrm.Job{ID: 2, Status: qrm.StatusQueued}); got != lsn {
+	if got := st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending}); got != lsn {
 		t.Fatalf("journal after abandon advanced the lsn: %d -> %d", lsn, got)
 	}
 	st.WaitDurable(lsn + 50) // must not hang

@@ -1,5 +1,5 @@
-// Package durable is the crash-durable job store behind the QRM and fleet
-// schedulers: an append-only write-ahead log of job-lifecycle records plus
+// Package durable is the crash-durable job store behind the fleet
+// scheduler: an append-only write-ahead log of job-lifecycle records plus
 // periodic snapshot compaction. Every transition the event bus publishes
 // (submit, claim, running, terminal, park, migrate, idempotency-key binding)
 // is journaled as a full upsert of the job's record, so replay is a trivial
@@ -118,9 +118,8 @@ func readFrames(data []byte, fn func(lsn uint64, payload []byte)) (skipped int64
 }
 
 // fsyncDir flushes a directory's entry table so a just-created, renamed, or
-// deleted file survives power loss. Satellite fix shared with
-// qrm.SaveSnapshotFile: rename is atomic against torn writes but not
-// durable until the directory itself is synced.
+// deleted file survives power loss: rename is atomic against torn writes
+// but not durable until the directory itself is synced.
 func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -108,9 +108,9 @@ type Node struct {
 	lastSeen  map[string]time.Time // peer ID -> last successful contact
 	started   bool
 	startedAt time.Time // when the heartbeat loop began
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stop      chan struct{}
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
 
 	spread           atomic.Uint64 // keyless-submission spread counter
 	heartbeatsSent   atomic.Uint64

@@ -219,12 +219,11 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 
 // Events returns the fleet's job event bus: fleet-scoped job IDs, with
 // routing decisions, parking, migrations, and terminal states republished
-// as transitions — the feed the v2 watch endpoint serves in fleet mode.
+// as transitions — the feed the v2 watch endpoint serves.
 func (s *Scheduler) Events() *qrm.EventBus { return s.bus }
 
 // JobStore is the durability boundary behind the fleet scheduler (declared
-// locally so fleet stays free of a durable import; qrm.JobStore is the
-// single-device twin). Every fleet transition — submission, placement,
+// locally so fleet stays free of a durable import). Every fleet transition — submission, placement,
 // parking, migration, terminal — is journaled as an upsert of the job's
 // full record; internal/durable's WAL-backed Store implements it.
 type JobStore interface {
@@ -460,9 +459,12 @@ func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 	st, lsn := s.jstore, s.walTail
 	s.mu.Unlock()
 	if st != nil {
-		// Ack-after-durable (see qrm.Manager.submit): the routing decision
-		// above already journaled, so waiting on the tail LSN covers both
-		// the submission and its first placement.
+		// Ack-after-durable: the ID is not returned until the submit record
+		// is on stable storage, so a 202 implies the job survives kill -9.
+		// The routing decision above already journaled, so waiting on the
+		// tail LSN covers both the submission and its first placement; the
+		// wait is outside s.mu so group commit batches concurrent submitters
+		// behind one fsync.
 		st.WaitDurable(lsn)
 	}
 	return j.ID, nil

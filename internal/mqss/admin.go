@@ -59,7 +59,7 @@ type StoreRestoredStatus struct {
 // idempotency cache journals new key bindings (and is seeded with the
 // bindings recovered at startup, so a retry that straddles the restart
 // replays its original job instead of re-executing). The scheduler side
-// (qrm/fleet AttachStore + Restore) is wired separately by the daemon.
+// (fleet AttachStore + Restore) is wired separately by the daemon.
 func (s *Server) AttachStore(st *durable.Store, recoveredIdem map[string]int) {
 	s.store = st
 	if st == nil {

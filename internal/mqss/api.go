@@ -1,12 +1,10 @@
 package mqss
 
-// This file defines the v2 API surface: one unified job resource replacing
-// the two incompatible v1 shapes (qrm.Job for single-device servers,
-// fleet.Job envelopes for fleets). A v2 job has an opaque string ID, a
-// six-state lifecycle (queued → routed → running → done/failed/cancelled),
-// device placement, timing, counts, and a structured error envelope — the
-// same record whether the backend is one QRM or a multi-QPU fleet. The v1
-// endpoints remain as byte-compatible shims over the same submission core.
+// This file defines the v2 API surface: one unified job resource over the
+// fleet scheduler's records. A v2 job has an opaque string ID, a six-state
+// lifecycle (queued → routed → running → done/failed/cancelled), device
+// placement, timing, counts, and a structured error envelope. The v1
+// endpoints remain as shims over the same scheduler calls.
 
 import (
 	"encoding/base64"
@@ -105,9 +103,9 @@ type Job struct {
 	// dispatch budget in wall-clock ms from submission.
 	Priority   int     `json:"priority,omitempty"`
 	DeadlineMs float64 `json:"deadline_ms,omitempty"`
-	// Migrations counts drain/failover re-routes (fleet backends).
+	// Migrations counts drain/failover re-routes.
 	Migrations int `json:"migrations,omitempty"`
-	// Score is the router's fidelity estimate at placement (fleet backends).
+	// Score is the router's fidelity estimate at placement.
 	Score float64 `json:"score,omitempty"`
 	// Pinned names the backend the submission was pinned to, if any.
 	Pinned string `json:"pinned,omitempty"`
@@ -154,7 +152,7 @@ type SubmitRequest struct {
 	// StaticPlacement selects static over fidelity-aware JIT placement.
 	StaticPlacement bool `json:"static_placement,omitempty"`
 	// Device pins the job to one fleet backend; Policy overrides the fleet
-	// routing policy. Both are rejected on single-device servers.
+	// routing policy.
 	Device string `json:"device,omitempty"`
 	Policy string `json:"policy,omitempty"`
 }
@@ -235,28 +233,9 @@ func decodeCursor(s string) (int, error) {
 
 // --- Lifecycle mappings -------------------------------------------------
 
-// stateFromQRM maps the QRM's internal statuses onto the v2 machine:
-// "compiling" means a worker claimed the job (routed), "interrupted" is a
-// retryable failure.
-func stateFromQRM(s qrm.JobStatus) JobState {
-	switch s {
-	case qrm.StatusQueued:
-		return StateQueued
-	case qrm.StatusCompiling:
-		return StateRouted
-	case qrm.StatusRunning:
-		return StateRunning
-	case qrm.StatusDone:
-		return StateDone
-	case qrm.StatusCancelled:
-		return StateCancelled
-	default: // failed, interrupted
-		return StateFailed
-	}
-}
-
-// stateFromFleet maps fleet statuses; a routed job's refinement to
-// "running" comes from the device-level record when available.
+// stateFromFleet maps fleet statuses (job records and the bus events the
+// watch streams relay); a routed job's refinement to "running" comes from
+// the device-level record when available.
 func stateFromFleet(s fleet.JobStatus) JobState {
 	switch s {
 	case fleet.JobPending:
@@ -272,36 +251,15 @@ func stateFromFleet(s fleet.JobStatus) JobState {
 	}
 }
 
-// stateFromEvent maps a bus status string (qrm or fleet vocabulary) onto
-// the v2 machine for watch streams.
-func stateFromEvent(to string) JobState {
-	switch to {
-	case string(qrm.StatusQueued), string(fleet.JobPending):
-		return StateQueued
-	case string(qrm.StatusCompiling), string(fleet.JobRouted):
-		return StateRouted
-	case string(qrm.StatusRunning):
-		return StateRunning
-	case string(qrm.StatusDone):
-		return StateDone
-	case string(qrm.StatusCancelled):
-		return StateCancelled
-	default:
-		return StateFailed
-	}
-}
-
 // jobErrorEnvelope classifies a failed backend record into the envelope.
 func jobErrorEnvelope(status qrm.JobStatus, msg string) *APIError {
 	// Crash-recovery expiry is keyed on the message, not the status: the
-	// qrm path surfaces it as interrupted, the fleet path as failed, and
-	// both must yield the same retryable "interrupted" code.
+	// fleet surfaces it as a plain failed job.
 	if msg == qrm.ErrInterruptedMsg {
 		return &APIError{Code: CodeInterrupted, Message: msg, Retryable: true}
 	}
 	// Load shedding is keyed the same way: the queue surfaces the job as
-	// failed on both backends, and the envelope tells clients to back off
-	// and resubmit.
+	// failed, and the envelope tells clients to back off and resubmit.
 	if msg == qrm.ErrShedMsg {
 		return &APIError{Code: CodeShed, Message: msg, Retryable: true}
 	}
@@ -318,37 +276,6 @@ func jobErrorEnvelope(status qrm.JobStatus, msg string) *APIError {
 		return &APIError{Code: CodeExecutionFailed, Message: msg}
 	}
 	return nil
-}
-
-// v2FromQRM lifts a single-device record into the unified resource.
-func v2FromQRM(j *qrm.Job, device string, withRequest bool) *Job {
-	out := &Job{
-		ID:            FormatJobID(j.ID),
-		State:         stateFromQRM(j.Status),
-		Device:        device,
-		User:          j.Request.User,
-		Shots:         j.Request.Shots,
-		Priority:      j.Request.Priority,
-		DeadlineMs:    j.Request.DeadlineMs,
-		CompiledGates: j.CompiledGates,
-		CZCount:       j.CZCount,
-		Layout:        j.Layout,
-		CompileStats:  j.CompileStats,
-		Counts:        j.Counts,
-		DurationUs:    j.DurationUs,
-		SubmitTime:    j.SubmitTime,
-		EndTime:       j.EndTime,
-		Recovered:     j.Recovered,
-		Node:          j.Node,
-	}
-	if j.Status == qrm.StatusFailed || j.Status == qrm.StatusInterrupted {
-		out.Error = jobErrorEnvelope(j.Status, j.Error)
-	}
-	if withRequest {
-		req := j.Request
-		out.Request = &req
-	}
-	return out
 }
 
 // v2FromFleet lifts a fleet envelope into the unified resource. devRec is
@@ -410,7 +337,7 @@ func v2FromFleet(j *fleet.Job, devRec *qrm.Job, withRequest bool) *Job {
 	return out
 }
 
-// toQRMJob lowers a v2 job back onto the legacy single-device record — the
+// toQRMJob lowers a v2 job back onto the flat device-level record — the
 // client-side compat shim behind Run against a v2 server.
 func (j *Job) toQRMJob() *qrm.Job {
 	id, _ := ParseJobID(j.ID)

@@ -72,7 +72,6 @@ func TestV2SubmitWatchBenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := NewFleetServer(f)
-	server.AutoRun = false
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 	// One watch stream per in-flight job needs more conns than the default

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,10 +20,9 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
-	"repro/internal/telemetry/trace"
 )
 
-// AccessPath describes how a job reached the QRM.
+// AccessPath describes how a job reached the scheduler.
 type AccessPath string
 
 const (
@@ -35,8 +35,8 @@ const (
 // Client is the MQSS client of Fig. 2: "without requiring any code
 // modifications from the user, the client automatically detects whether a
 // job originates inside or outside an HPC environment and routes it
-// accordingly". Inside the HPC environment the client holds a direct QRM
-// handle; outside, it holds only a REST endpoint.
+// accordingly". Inside the HPC environment the client holds a direct handle
+// on the fleet scheduler; outside, it holds only a REST endpoint.
 //
 // Every method takes a context.Context: cancellation and deadlines
 // propagate into HTTP round-trips, long-polls, watch streams, and local
@@ -45,9 +45,7 @@ const (
 // and the batch helpers remain as compatibility shims built on the same
 // machinery.
 type Client struct {
-	// Direct QRM handle; non-nil when running inside the HPC environment.
-	local *qrm.Manager
-	// Direct fleet handle; non-nil for in-HPC access to a multi-QPU fleet.
+	// Direct fleet handle; non-nil when running inside the HPC environment.
 	localFleet *fleet.Scheduler
 	// REST endpoint for remote access.
 	baseURL string
@@ -55,15 +53,8 @@ type Client struct {
 }
 
 // NewLocalClient returns a client wired for in-HPC accelerator-style
-// submission.
-func NewLocalClient(m *qrm.Manager) *Client {
-	return &Client{local: m}
-}
-
-// NewLocalFleetClient returns an in-HPC client over a multi-QPU fleet
-// scheduler: submissions go through calibration-aware routing instead of a
-// single QRM.
-func NewLocalFleetClient(f *fleet.Scheduler) *Client {
+// submission straight into the fleet scheduler.
+func NewLocalClient(f *fleet.Scheduler) *Client {
 	return &Client{localFleet: f}
 }
 
@@ -75,10 +66,10 @@ func NewRemoteClient(baseURL string, httpc *http.Client) *Client {
 	return &Client{baseURL: baseURL, httpc: httpc}
 }
 
-// NewAutoClient performs the routing decision: if a local QRM is reachable
-// (non-nil), the HPC path is used; otherwise the REST path. This mirrors the
-// client-side auto-detection the paper describes.
-func NewAutoClient(local *qrm.Manager, baseURL string, httpc *http.Client) *Client {
+// NewAutoClient performs the routing decision: if a local scheduler is
+// reachable (non-nil), the HPC path is used; otherwise the REST path. This
+// mirrors the client-side auto-detection the paper describes.
+func NewAutoClient(local *fleet.Scheduler, baseURL string, httpc *http.Client) *Client {
 	if local != nil {
 		return NewLocalClient(local)
 	}
@@ -87,7 +78,7 @@ func NewAutoClient(local *qrm.Manager, baseURL string, httpc *http.Client) *Clie
 
 // Path reports which access path this client uses.
 func (c *Client) Path() AccessPath {
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return PathHPC
 	}
 	return PathREST
@@ -197,25 +188,11 @@ func retryableAPIError(err error) *APIError {
 // it).
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, idempotencyKey string) (*JobHandle, error) {
 	if c.localFleet != nil {
-		opts := fleet.SubmitOptions{Device: req.Device}
-		if req.Policy != "" {
-			pol := fleet.Policy(req.Policy)
-			if err := pol.Validate(); err != nil {
-				return nil, err
-			}
-			opts.Policy = pol
-		}
-		id, err := c.localFleet.Submit(req.qrmRequest(), opts)
+		opts, err := RouteOptions{Device: req.Device, Policy: req.Policy}.submitOptions()
 		if err != nil {
 			return nil, err
 		}
-		return &JobHandle{c: c, ID: FormatJobID(id), id: id, req: &req, idemKey: idempotencyKey}, nil
-	}
-	if c.local != nil {
-		if req.Device != "" || req.Policy != "" {
-			return nil, fmt.Errorf("mqss: device/policy routing requires a fleet client")
-		}
-		id, err := c.local.Submit(req.qrmRequest())
+		id, err := c.localFleet.Submit(req.qrmRequest(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -328,9 +305,7 @@ const waitPollInterval = 30 * time.Second
 
 // Wait blocks until the job reaches a terminal state (or ctx ends) and
 // returns the terminal record. Remotely it long-polls; locally it rides the
-// pipeline's completion signal, falling back to synchronously driving the
-// QRM when no dispatch workers are running (the tightly-coupled
-// accelerator mode). Jobs that terminate with a retryable envelope (shed
+// scheduler's completion signal. Jobs that terminate with a retryable envelope (shed
 // by admission control, interrupted by a restart) are transparently
 // resubmitted — the caller sees one slow wait, not an error.
 func (h *JobHandle) Wait(ctx context.Context) (*Job, error) {
@@ -352,21 +327,12 @@ func (h *JobHandle) Wait(ctx context.Context) (*Job, error) {
 // waitOnce brings the handle's current submission to a terminal record.
 func (h *JobHandle) waitOnce(ctx context.Context) (*Job, error) {
 	c := h.c
-	switch {
-	case c.localFleet != nil:
+	if c.localFleet != nil {
 		fj, err := c.localFleet.WaitContext(ctx, h.id)
 		if err != nil {
 			return nil, err
 		}
 		j := v2FromFleet(fj, nil, true)
-		h.last = j
-		return j, nil
-	case c.local != nil:
-		rec, err := c.waitLocal(ctx, h.id)
-		if err != nil {
-			return nil, err
-		}
-		j := v2FromQRM(rec, "", true)
 		h.last = j
 		return j, nil
 	}
@@ -386,56 +352,12 @@ func (h *JobHandle) waitOnce(ctx context.Context) (*Job, error) {
 	}
 }
 
-// waitLocal brings a local QRM job to a terminal state: pipeline wait when
-// workers run, synchronous Step-driving otherwise.
-func (c *Client) waitLocal(ctx context.Context, id int) (*qrm.Job, error) {
-	if c.local.Running() {
-		return c.local.WaitJobContext(ctx, id)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		j, err := c.local.Step()
-		if err != nil {
-			return nil, err
-		}
-		if j == nil {
-			break
-		}
-		if j.ID == id {
-			return c.local.Job(id)
-		}
-	}
-	// The queue drained without dispatching our job (e.g. cancelled or
-	// already terminal); report whatever record exists.
-	j, err := c.local.Job(id)
-	if err != nil {
-		return nil, err
-	}
-	if !qrmTerminal(j.Status) {
-		return nil, fmt.Errorf("mqss: job %d left non-terminal (%s) with no dispatch workers", id, j.Status)
-	}
-	return j, nil
-}
-
-func qrmTerminal(s qrm.JobStatus) bool {
-	switch s {
-	case qrm.StatusDone, qrm.StatusFailed, qrm.StatusInterrupted, qrm.StatusCancelled:
-		return true
-	}
-	return false
-}
-
 // Cancel requests cancellation: queued/parked jobs cancel immediately,
 // in-flight jobs settle cancelled at the pipeline's next stage boundary.
 func (h *JobHandle) Cancel(ctx context.Context) error {
 	c := h.c
-	switch {
-	case c.localFleet != nil:
+	if c.localFleet != nil {
 		return c.localFleet.Cancel(h.id)
-	case c.local != nil:
-		return c.local.Cancel(h.id)
 	}
 	_, err := c.doJSON(ctx, http.MethodDelete, pathV2Jobs+"/"+h.ID, nil, nil, nil,
 		http.StatusAccepted)
@@ -466,7 +388,7 @@ func (h *JobHandle) Watch(ctx context.Context, fn func(JobEvent)) (*Job, error) 
 
 func (h *JobHandle) watchOnce(ctx context.Context, fn func(JobEvent)) (*Job, error) {
 	c := h.c
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return h.watchLocal(ctx, fn)
 	}
 	for {
@@ -537,14 +459,7 @@ func (h *JobHandle) watchStreamOnce(ctx context.Context, fn func(JobEvent)) (boo
 
 // watchLocal follows the in-process event bus.
 func (h *JobHandle) watchLocal(ctx context.Context, fn func(JobEvent)) (*Job, error) {
-	c := h.c
-	var bus *qrm.EventBus
-	if c.localFleet != nil {
-		bus = c.localFleet.Events()
-	} else {
-		bus = c.local.Events()
-	}
-	sub := bus.Subscribe(h.id, 32)
+	sub := h.c.localFleet.Events().Subscribe(h.id, 32)
 	defer sub.Close()
 
 	job, err := h.Poll(ctx)
@@ -557,25 +472,13 @@ func (h *JobHandle) watchLocal(ctx context.Context, fn func(JobEvent)) (*Job, er
 	if job.State.Terminal() {
 		return job, nil
 	}
-	if c.local != nil && !c.local.Running() {
-		// No dispatch workers: drive the queue ourselves so the watch can
-		// ever terminate (accelerator-mode semantics, same as Wait).
-		go func() {
-			for {
-				j, err := c.local.Step()
-				if err != nil || j == nil {
-					return
-				}
-			}
-		}()
-	}
 	for {
 		select {
 		case ev, ok := <-sub.Events():
 			if !ok {
 				return nil, fmt.Errorf("mqss: event bus closed while watching job %s", h.ID)
 			}
-			state := stateFromEvent(ev.To)
+			state := stateFromFleet(fleet.JobStatus(ev.To))
 			if fn != nil {
 				fn(JobEvent{
 					Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
@@ -608,13 +511,6 @@ func (c *Client) V2Job(ctx context.Context, id string) (*Job, error) {
 		}
 		return v2FromFleet(fj, devRec, true), nil
 	}
-	if c.local != nil {
-		j, err := c.local.Job(n)
-		if err != nil {
-			return nil, err
-		}
-		return v2FromQRM(j, "", true), nil
-	}
 	var job Job
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Jobs+"/"+id, nil, &job, nil, http.StatusOK); err != nil {
 		return nil, err
@@ -630,29 +526,16 @@ func (c *Client) V2JobTrace(ctx context.Context, id string) (*JobTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.local != nil || c.localFleet != nil {
-		var tr *trace.Trace
-		var state JobState
-		if c.localFleet != nil {
-			fj, err := c.localFleet.Job(n)
-			if err != nil {
-				return nil, err
-			}
-			state = v2FromFleet(fj, nil, false).State
-			tr = c.localFleet.Trace(n)
-		} else {
-			j, err := c.local.Job(n)
-			if err != nil {
-				return nil, err
-			}
-			state = v2FromQRM(j, "", false).State
-			tr = c.local.Trace(n)
+	if c.localFleet != nil {
+		fj, err := c.localFleet.Job(n)
+		if err != nil {
+			return nil, err
 		}
-		snap := tr.Snapshot()
+		snap := c.localFleet.Trace(n).Snapshot()
 		if snap == nil {
 			return nil, fmt.Errorf("mqss: no trace retained for job %s", id)
 		}
-		return &JobTrace{JobID: id, State: state, Snapshot: *snap}, nil
+		return &JobTrace{JobID: id, State: stateFromFleet(fj.Status), Snapshot: *snap}, nil
 	}
 	var jt JobTrace
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Jobs+"/"+id+"/trace", nil, &jt, nil, http.StatusOK); err != nil {
@@ -665,7 +548,7 @@ func (c *Client) V2JobTrace(ctx context.Context, id string) (*JobTrace, error) {
 // (GET /api/v2/admin/store). Local clients talk straight to the scheduler
 // and bypass the HTTP layer that owns the store, so this is remote-only.
 func (c *Client) StoreStatus(ctx context.Context) (*StoreStatus, error) {
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return nil, fmt.Errorf("mqss: StoreStatus requires a remote client (the durable store is owned by the server process)")
 	}
 	var st StoreStatus
@@ -680,7 +563,7 @@ func (c *Client) StoreStatus(ctx context.Context) (*StoreStatus, error) {
 // counters, and the configured limits. Remote-only, like StoreStatus — the
 // limiter lives in the HTTP layer.
 func (c *Client) TenantsStatus(ctx context.Context) (*TenantsStatus, error) {
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return nil, fmt.Errorf("mqss: TenantsStatus requires a remote client (the rate limiter is owned by the server process)")
 	}
 	var ts TenantsStatus
@@ -701,7 +584,7 @@ type ListOptions struct {
 // ListJobs pages through the v2 job listing, newest first; thread the
 // returned NextCursor back in to continue.
 func (c *Client) ListJobs(ctx context.Context, opts ListOptions) (*JobPage, error) {
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return nil, fmt.Errorf("mqss: local clients page the scheduler directly (ListJobs)")
 	}
 	q := url.Values{}
@@ -735,12 +618,11 @@ func (c *Client) ListJobs(ctx context.Context, opts ListOptions) (*JobPage, erro
 // --- v1 compatibility shims ---------------------------------------------
 
 // Run submits a job and waits for completion, whichever path is in use —
-// the synchronous convenience call, now a shim over the async Submit/Wait
-// machinery. On a fleet client the job goes through calibration-aware
-// routing and the result comes back in the legacy single-device shape
-// (device record keyed by the fleet job ID) — "without requiring any code
-// modifications from the user". Use RunRouted for the full routing
-// envelope.
+// the synchronous convenience call, a shim over the async Submit/Wait
+// machinery. The job goes through calibration-aware routing and the result
+// comes back as the flat device-level record keyed by the fleet job ID —
+// "without requiring any code modifications from the user". Use RunRouted
+// for the full routing envelope.
 func (c *Client) Run(ctx context.Context, req qrm.Request) (*qrm.Job, error) {
 	if c.localFleet != nil {
 		j, err := c.RunRouted(ctx, req, RouteOptions{})
@@ -776,35 +658,15 @@ func submitFromRequest(req qrm.Request) SubmitRequest {
 	}
 }
 
-// decodeJobPayload decodes a job record that may be either the single-device
-// shape (qrm.Job) or a fleet envelope (fleet.Job, carrying the device record
-// under "result") — a legacy client pointed at a fleet server transparently
-// gets the flattened device record, keeping "no code modifications from the
-// user" true across deployment shapes.
+// decodeJobPayload decodes a v1 job record — the fleet envelope carrying
+// the device record under "result" — into the flat device-level shape the
+// v1 client calls return.
 func decodeJobPayload(data []byte) (*qrm.Job, error) {
-	var probe struct {
-		Device string          `json:"device"`
-		Result json.RawMessage `json:"result"`
-		Status string          `json:"status"`
-	}
-	// A fleet envelope carries a device/result, or — for a job parked with
-	// no eligible backend, which has neither — one of the fleet-only status
-	// values ("pending"/"routed" are not qrm statuses). Probe errors fall
-	// through to the strict qrm.Job decode below.
-	if json.Unmarshal(data, &probe) == nil &&
-		(probe.Device != "" || len(probe.Result) > 0 ||
-			probe.Status == string(fleet.JobPending) || probe.Status == string(fleet.JobRouted)) {
-		var fj fleet.Job
-		if err := json.Unmarshal(data, &fj); err != nil {
-			return nil, fmt.Errorf("mqss: decoding fleet job: %w", err)
-		}
-		return flattenFleetJob(&fj), nil
-	}
-	var job qrm.Job
-	if err := json.Unmarshal(data, &job); err != nil {
+	var fj fleet.Job
+	if err := json.Unmarshal(data, &fj); err != nil {
 		return nil, fmt.Errorf("mqss: decoding job: %w", err)
 	}
-	return &job, nil
+	return flattenFleetJob(&fj), nil
 }
 
 // RunBatch submits several circuits as one batch and returns the completed
@@ -833,56 +695,7 @@ func (c *Client) StreamBatch(ctx context.Context, reqs []qrm.Request, onJob func
 		}
 		return out, nil
 	}
-	if c.local != nil {
-		return c.streamBatchLocal(reqs, onJob)
-	}
 	return c.streamBatchRemote(ctx, reqs, onJob)
-}
-
-func (c *Client) streamBatchLocal(reqs []qrm.Request, onJob func(*qrm.Job)) ([]*qrm.Job, error) {
-	_, ids, err := c.local.SubmitBatch(reqs)
-	if err != nil {
-		return nil, err
-	}
-	byID := make(map[int]*qrm.Job, len(ids))
-	if c.local.Running() {
-		// Pipeline mode: deliver jobs in completion order.
-		var firstErr error
-		c.local.WaitEach(ids, func(id int, j *qrm.Job, err error) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if onJob != nil {
-				onJob(j)
-			}
-			byID[id] = j
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	} else {
-		if _, err := c.local.Drain(); err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			j, err := c.local.Job(id)
-			if err != nil {
-				return nil, err
-			}
-			if onJob != nil {
-				onJob(j)
-			}
-			byID[id] = j
-		}
-	}
-	out := make([]*qrm.Job, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, byID[id])
-	}
-	return out, nil
 }
 
 func (c *Client) streamBatchRemote(ctx context.Context, reqs []qrm.Request, onJob func(*qrm.Job)) ([]*qrm.Job, error) {
@@ -938,24 +751,6 @@ func (c *Client) streamBatchRemote(ctx context.Context, reqs []qrm.Request, onJo
 	return out, nil
 }
 
-// Metrics fetches the server's dispatch-pipeline metrics snapshot over REST.
-// Fleet clients/servers expose a fleet-shaped snapshot instead: use
-// FleetMetrics.
-func (c *Client) Metrics(ctx context.Context) (*qrm.Metrics, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: fleet client; use FleetMetrics")
-	}
-	if c.local != nil {
-		snap := c.local.Metrics()
-		return &snap, nil
-	}
-	var snap qrm.Metrics
-	if _, err := c.doJSON(ctx, http.MethodGet, pathMetrics, nil, &snap, nil, http.StatusOK); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
 // Job fetches a job record by ID (legacy v1 shape; see V2Job for the
 // unified resource).
 func (c *Client) Job(ctx context.Context, id int) (*qrm.Job, error) {
@@ -965,9 +760,6 @@ func (c *Client) Job(ctx context.Context, id int) (*qrm.Job, error) {
 			return nil, err
 		}
 		return flattenFleetJob(j), nil
-	}
-	if c.local != nil {
-		return c.local.Job(id)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s%s/%d", c.baseURL, pathJobs, id), nil)
@@ -1002,12 +794,9 @@ func (c *Client) History(ctx context.Context, user string, offset, limit int) (*
 		}
 		return page, nil
 	}
-	if c.local != nil {
-		return c.local.History(user, offset, limit)
-	}
 	path := fmt.Sprintf("%s?offset=%d&limit=%d&user=%s", pathJobs, offset, limit, url.QueryEscape(user))
-	// Decode with raw job entries so a fleet server's envelope records can
-	// be flattened per job (see decodeJobPayload).
+	// Decode with raw job entries so each envelope record is flattened per
+	// job (see decodeJobPayload).
 	var raw struct {
 		Jobs    []json.RawMessage `json:"jobs"`
 		Total   int               `json:"total"`
@@ -1041,17 +830,26 @@ type DeviceInfo struct {
 	Calibration     *device.Calibration `json:"calibration,omitempty"`
 }
 
-// Device fetches device properties over REST. (Local clients should use
-// their QDMI handle directly.)
+// Device fetches the properties of a one-device deployment's sole backend
+// over REST; against a larger roster it errors naming the devices (use
+// FleetDevice). (Local clients should use their QDMI handle directly.)
 func (c *Client) Device(ctx context.Context) (*DeviceInfo, error) {
-	if c.local != nil {
+	if c.localFleet != nil {
 		return nil, fmt.Errorf("mqss: local clients query QDMI directly")
 	}
-	var info DeviceInfo
-	if _, err := c.doJSON(ctx, http.MethodGet, pathDevice, nil, &info, nil, http.StatusOK); err != nil {
+	var roster map[string]*DeviceInfo
+	if _, err := c.doJSON(ctx, http.MethodGet, pathDevice, nil, &roster, nil, http.StatusOK); err != nil {
 		return nil, err
 	}
-	return &info, nil
+	names := make([]string, 0, len(roster))
+	for name := range roster {
+		names = append(names, name)
+	}
+	if len(names) != 1 {
+		sort.Strings(names)
+		return nil, fmt.Errorf("mqss: server has %d devices %v; name one with FleetDevice", len(names), names)
+	}
+	return roster[names[0]], nil
 }
 
 // RouteOptions tune a fleet submission: pin a device and/or override the
@@ -1073,9 +871,8 @@ func (o RouteOptions) submitOptions() (fleet.SubmitOptions, error) {
 	return opts, nil
 }
 
-// flattenFleetJob converts a fleet job into the legacy single-device record
-// shape: the device-level result re-keyed under the fleet job ID, so
-// single-device call sites work unchanged against a fleet.
+// flattenFleetJob converts a fleet job into the flat device-level record
+// shape: the device-level result re-keyed under the fleet job ID.
 func flattenFleetJob(j *fleet.Job) *qrm.Job {
 	if j == nil {
 		return nil
@@ -1100,8 +897,8 @@ func flattenFleetJob(j *fleet.Job) *qrm.Job {
 // RunRouted submits a job through the fleet scheduler and waits for it to
 // settle (including any drain/failover migrations), returning the full
 // fleet record: which device ran it, the routing score, migration count,
-// and the device-level result. Valid against a fleet client or server —
-// remotely it is a shim over the v2 submit/wait machinery.
+// and the device-level result. Remotely it is a shim over the v2
+// submit/wait machinery.
 func (c *Client) RunRouted(ctx context.Context, req qrm.Request, opts RouteOptions) (*fleet.Job, error) {
 	if c.localFleet != nil {
 		so, err := opts.submitOptions()
@@ -1113,9 +910,6 @@ func (c *Client) RunRouted(ctx context.Context, req qrm.Request, opts RouteOptio
 			return nil, err
 		}
 		return c.localFleet.WaitContext(ctx, id)
-	}
-	if c.local != nil {
-		return nil, fmt.Errorf("mqss: single-device client; use Run")
 	}
 	sreq := submitFromRequest(req)
 	sreq.Device = opts.Device
@@ -1170,9 +964,6 @@ func (c *Client) StreamBatchRouted(ctx context.Context, reqs []qrm.Request, opts
 			out = append(out, byID[id])
 		}
 		return out, nil
-	}
-	if c.local != nil {
-		return nil, fmt.Errorf("mqss: single-device client; use StreamBatch")
 	}
 	body, err := json.Marshal(reqs)
 	if err != nil {
@@ -1237,9 +1028,6 @@ func (c *Client) FleetMetrics(ctx context.Context) (*fleet.Metrics, error) {
 		m := c.localFleet.Metrics()
 		return &m, nil
 	}
-	if c.local != nil {
-		return nil, fmt.Errorf("mqss: single-device client has no fleet")
-	}
 	var m fleet.Metrics
 	if _, err := c.doJSON(ctx, http.MethodGet, pathFleet, nil, &m, nil, http.StatusOK); err != nil {
 		return nil, err
@@ -1250,7 +1038,7 @@ func (c *Client) FleetMetrics(ctx context.Context) (*fleet.Metrics, error) {
 // FleetDevice fetches one fleet backend's device info (properties plus the
 // full calibration record including couplers).
 func (c *Client) FleetDevice(ctx context.Context, name string) (*DeviceInfo, error) {
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return nil, fmt.Errorf("mqss: local clients query QDMI directly")
 	}
 	var info DeviceInfo

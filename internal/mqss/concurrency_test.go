@@ -10,47 +10,23 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/device"
+	"repro/internal/fleet"
+	"repro/internal/qdmi"
 	"repro/internal/qrm"
 )
 
-// newRunningStack builds a stack with the dispatch pipeline started.
-func newRunningStack(t *testing.T, seed int64, workers int) (*qrm.Manager, *httptest.Server) {
+// newRunningStack serves a one-device twin fleet with the given pool size.
+func newRunningStack(t *testing.T, seed int64, workers int) (*fleet.Scheduler, *httptest.Server) {
 	t.Helper()
-	m, dev := newStack(seed)
-	if err := m.Start(workers); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
-	srv := httptest.NewServer(NewServer(m, dev))
+	f := oneDeviceFleet(t, device.NewTwin20Q(seed), nil, workers)
+	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
-	return m, srv
-}
-
-func TestServerFallsBackWhenPipelineStops(t *testing.T) {
-	// The pipeline/synchronous choice is per request: a server built while
-	// the pipeline ran must still execute jobs after the pipeline stops.
-	m, dev := newStack(40)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(m, dev))
-	defer srv.Close()
-	c := NewRemoteClient(srv.URL, srv.Client())
-	if j, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(2), Shots: 5}); err != nil || j.Status != qrm.StatusDone {
-		t.Fatalf("pipeline-mode job = %+v, %v", j, err)
-	}
-	m.Stop()
-	j, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Status != qrm.StatusDone {
-		t.Errorf("post-stop job = %s, want done via AutoRun fallback", j.Status)
-	}
+	return f, srv
 }
 
 func TestWaitJobUnblocksOnStop(t *testing.T) {
-	m, _ := newStack(46)
+	m := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(46), nil))
 	if err := m.Start(1); err != nil {
 		t.Fatal(err)
 	}
@@ -148,29 +124,10 @@ func TestBatchStreamFalseValuesDisableStreaming(t *testing.T) {
 	}
 }
 
-func TestBatchStreamWithoutPipelineFallsBack(t *testing.T) {
-	m, dev := newStack(43)
-	srv := httptest.NewServer(NewServer(m, dev))
-	defer srv.Close()
-	c := NewRemoteClient(srv.URL, srv.Client())
-	jobs, err := c.RunBatch(context.Background(), []qrm.Request{
-		{Circuit: circuit.GHZ(2), Shots: 10},
-		{Circuit: circuit.GHZ(3), Shots: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if j.Status != qrm.StatusDone {
-			t.Errorf("fallback job %d = %s", j.ID, j.Status)
-		}
-	}
-}
-
 // TestBatchEndpointConcurrentClients is the mqss half of the -race
 // workout: many clients hammer the batch endpoint of one running pipeline.
 func TestBatchEndpointConcurrentClients(t *testing.T) {
-	m, srv := newRunningStack(t, 44, 8)
+	f, srv := newRunningStack(t, 44, 8)
 	const clients = 6
 	const perBatch = 5
 	var wg sync.WaitGroup
@@ -201,7 +158,7 @@ func TestBatchEndpointConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	snap := m.Metrics()
+	snap := f.Metrics()
 	if snap.Completed != clients*perBatch {
 		t.Errorf("completed = %d, want %d", snap.Completed, clients*perBatch)
 	}
@@ -213,12 +170,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(3), Shots: 10, User: "m"}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Metrics(context.Background())
+	fm, err := c.FleetMetrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fm.Completed != 1 || fm.Submitted != 1 || len(fm.Devices) != 1 {
+		t.Fatalf("fleet metrics = %+v", fm)
+	}
+	snap := fm.Devices[0].QRM
 	if snap.Workers != 2 || snap.Completed != 1 || snap.Submitted != 1 {
-		t.Errorf("metrics = %+v", snap)
+		t.Errorf("device pipeline metrics = %+v", snap)
 	}
 	if snap.E2EMs.Count != 1 {
 		t.Errorf("e2e histogram count = %d, want 1", snap.E2EMs.Count)

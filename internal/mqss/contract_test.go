@@ -129,24 +129,27 @@ func contractDo(t *testing.T, srv *httptest.Server, method, path string, body in
 }
 
 func TestContractV1(t *testing.T) {
-	_, server := pacedStack(t, 80, 0, 0) // synchronous AutoRun: deterministic shapes
-	srv := httptest.NewServer(server)
+	// One worker on one twin device: deterministic shapes.
+	f := newTestFleet(t, map[string]*qdmi.Device{
+		"alpha": twinDev(t, "alpha", 4, 5, 80),
+	}, 1)
+	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
 
 	req := map[string]interface{}{
 		"circuit": circuit.GHZ(3), "shots": 20, "user": "contract",
 	}
-	status, body := contractDo(t, srv, http.MethodPost, "/api/v1/jobs", req, nil)
+	status, body := contractDo(t, srv, http.MethodPost, "/api/v1/jobs?device=alpha", req, nil)
 	if status != http.StatusCreated {
 		t.Fatalf("v1 submit = %d\n%s", status, body)
 	}
-	checkGolden(t, "v1_submit", body)
+	checkGolden(t, "v1_fleet_submit", body)
 
 	_, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs/1", nil, nil)
-	checkGolden(t, "v1_job", body)
+	checkGolden(t, "v1_fleet_job", body)
 
 	_, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs?limit=2", nil, nil)
-	checkGolden(t, "v1_history", body)
+	checkGolden(t, "v1_fleet_history", body)
 
 	status, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs/424242", nil, nil)
 	if status != http.StatusNotFound {
@@ -167,29 +170,35 @@ func TestContractV1(t *testing.T) {
 	checkGolden(t, "v1_error_method", body)
 
 	_, body = contractDo(t, srv, http.MethodGet, "/api/v1/metrics", nil, nil)
-	checkGolden(t, "v1_metrics", body)
+	checkGolden(t, "v1_fleet_metrics", body)
 
 	_, body = contractDo(t, srv, http.MethodGet, "/healthz", nil, nil)
-	checkGolden(t, "v1_healthz", body)
+	checkGolden(t, "v1_fleet_healthz", body)
 }
 
 func TestContractV2(t *testing.T) {
-	_, server := pacedStack(t, 81, 0, 0)
+	f, server := pacedStack(t, 81, 0, 1)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 
 	sreq := SubmitRequest{Circuit: circuit.GHZ(3), Shots: 20, User: "contract", Priority: 1}
 
-	// Async accept: 202 + Location + non-terminal body.
-	server.AutoRun = false
+	// Async accept: 202 + Location + non-terminal body. The device is
+	// drained so the job parks (queued, no placement yet) instead of racing
+	// the worker.
+	if err := f.Drain(pacedDevice); err != nil {
+		t.Fatal(err)
+	}
 	status, body := contractDo(t, srv, http.MethodPost, "/api/v2/jobs", sreq, nil)
 	if status != http.StatusAccepted {
 		t.Fatalf("v2 submit = %d\n%s", status, body)
 	}
 	checkGolden(t, "v2_submit_accepted", body)
 
-	// Completed record via wait long-poll (AutoRun drains).
-	server.AutoRun = true
+	// Completed record via wait long-poll.
+	if err := f.Resume(pacedDevice); err != nil {
+		t.Fatal(err)
+	}
 	status, body = contractDo(t, srv, http.MethodPost, "/api/v2/jobs?wait=10s", sreq, nil)
 	if status != http.StatusOK {
 		t.Fatalf("v2 submit?wait = %d\n%s", status, body)
@@ -233,7 +242,7 @@ func TestContractV2(t *testing.T) {
 // and attribute keys are API surface (qhpcctl trace and dashboards parse
 // them); timings are zeroed by canonicalization like every other numeric.
 func TestContractV2Trace(t *testing.T) {
-	_, server := pacedStack(t, 83, 0, 0)
+	_, server := pacedStack(t, 83, 0, 1)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 
@@ -266,21 +275,13 @@ func TestContractV2Fleet(t *testing.T) {
 		t.Fatalf("v2 fleet submit = %d\n%s", status, body)
 	}
 	checkGolden(t, "v2_fleet_job_done", body)
-
-	// v1 fleet envelope stays intact for legacy clients.
-	req := map[string]interface{}{"circuit": circuit.GHZ(3), "shots": 10, "user": "contract"}
-	status, body = contractDo(t, srv, http.MethodPost, "/api/v1/jobs?device=alpha", req, nil)
-	if status != http.StatusCreated {
-		t.Fatalf("v1 fleet submit = %d\n%s", status, body)
-	}
-	checkGolden(t, "v1_fleet_submit", body)
 }
 
 // TestContractV2Admission pins the admission-control wire surface: the
 // uniform envelopes for malformed query parameters, the 429 rate-limit
 // refusal (with its Retry-After header), and the admin tenants snapshot.
 func TestContractV2Admission(t *testing.T) {
-	_, server := pacedStack(t, 84, 0, 0)
+	_, server := pacedStack(t, 84, 0, 1)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 

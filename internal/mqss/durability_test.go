@@ -163,7 +163,7 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	}
 
 	// The local client has no store plumbing — it must say so, not lie.
-	if _, err := NewLocalFleetClient(f2).StoreStatus(ctx); err == nil {
+	if _, err := NewLocalClient(f2).StoreStatus(ctx); err == nil {
 		t.Error("local client StoreStatus should error")
 	}
 }

@@ -97,7 +97,7 @@ func (s *Server) handleV2Federation(w http.ResponseWriter, r *http.Request) {
 // (GET /api/v2/federation/status). Remote-only, like StoreStatus — the
 // federation layer lives in the server process.
 func (c *Client) FederationStatus(ctx context.Context) (*federation.Status, error) {
-	if c.local != nil || c.localFleet != nil {
+	if c.localFleet != nil {
 		return nil, fmt.Errorf("mqss: FederationStatus requires a remote client (federation is owned by the server process)")
 	}
 	var st federation.Status

@@ -203,7 +203,7 @@ func TestFleetServerDrainDuringStream(t *testing.T) {
 		t.Fatal("no job migrated during the mid-stream drain")
 	}
 	// The local fleet client sees the same stack.
-	local := NewLocalFleetClient(f)
+	local := NewLocalClient(f)
 	if local.Path() != PathHPC {
 		t.Fatalf("local fleet client path %s", local.Path())
 	}

@@ -7,6 +7,7 @@ package mqss
 // here, not in a dashboard review six weeks later.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -98,31 +99,37 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("every exported metric must be documented: %v", err)
 	}
 
-	// Single-device stack, one job through it so pipeline counters move.
-	// A (generous) rate limit is attached so the tenant throttle families
-	// are exercised too.
-	_, server := pacedStack(t, 92, 0, 0)
-	server.SetTenantLimits(1000, 100)
-	srv := httptest.NewServer(server)
-	t.Cleanup(srv.Close)
+	// A 1-device and a 3-device server from the same helper, one job through
+	// each so pipeline counters move: a single-QPU deployment is just a
+	// smaller roster, so the family sets must be identical. A (generous)
+	// rate limit is attached so the tenant throttle families are exercised.
 	sreq := SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "prom"}
-	if status, body := contractDo(t, srv, http.MethodPost, "/api/v2/jobs?wait=10s", sreq, nil); status != http.StatusOK {
-		t.Fatalf("submit = %d\n%s", status, body)
+	scrapeFleet := func(devices int) map[string]bool {
+		devs := map[string]*qdmi.Device{}
+		for i := 0; i < devices; i++ {
+			name := fmt.Sprintf("dev-%d", i)
+			devs[name] = twinDev(t, name, 4, 5, 92+int64(i))
+		}
+		server := NewFleetServer(newTestFleet(t, devs, 1))
+		server.SetTenantLimits(1000, 100)
+		srv := httptest.NewServer(server)
+		t.Cleanup(srv.Close)
+		if status, body := contractDo(t, srv, http.MethodPost, "/api/v2/jobs?wait=10s", sreq, nil); status != http.StatusOK {
+			t.Fatalf("%d-device submit = %d\n%s", devices, status, body)
+		}
+		return checkExposition(t, scrapeMetrics(t, srv))
 	}
-	families := checkExposition(t, scrapeMetrics(t, srv))
-
-	// Fleet stack: adds the fleet/device families over the same pipeline.
-	f := newTestFleet(t, map[string]*qdmi.Device{
-		"alpha": twinDev(t, "alpha", 4, 5, 93),
-		"beta":  twinDev(t, "beta", 4, 5, 94),
-	}, 1)
-	fsrv := httptest.NewServer(NewFleetServer(f))
-	t.Cleanup(fsrv.Close)
-	if status, body := contractDo(t, fsrv, http.MethodPost, "/api/v2/jobs?wait=10s", sreq, nil); status != http.StatusOK {
-		t.Fatalf("fleet submit = %d\n%s", status, body)
+	families := scrapeFleet(1)
+	three := scrapeFleet(3)
+	for name := range three {
+		if _, ok := families[name]; !ok {
+			t.Errorf("family %s exported by the 3-device server only", name)
+		}
 	}
-	for name := range checkExposition(t, scrapeMetrics(t, fsrv)) {
-		families[name] = true
+	for name := range families {
+		if _, ok := three[name]; !ok {
+			t.Errorf("family %s exported by the 1-device server only", name)
+		}
 	}
 
 	// Store-backed fleet stack: adds the qhpc_wal_* families.

@@ -9,22 +9,36 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
 	"repro/internal/telemetry"
 )
 
-// newStack builds a full twin-device stack and returns the pieces.
-func newStack(seed int64) (*qrm.Manager, *qdmi.Device) {
+// oneDeviceFleet builds the single-QPU deployment shape: a fleet whose only
+// device is qpu, registered under its own name. The pool stops with the
+// test.
+func oneDeviceFleet(t *testing.T, qpu *device.QPU, store *telemetry.Store, workers int) *fleet.Scheduler {
+	t.Helper()
+	f := fleet.New(fleet.PolicyBestFidelity, store)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, store), workers); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Stop)
+	return f
+}
+
+// newStack builds a full twin-device stack with a telemetry store. One
+// worker: jobs run in submission order, so twin counts are deterministic.
+func newStack(t *testing.T, seed int64) *fleet.Scheduler {
+	t.Helper()
 	store := telemetry.NewStore(0)
-	dev := qdmi.NewDevice(device.NewTwin20Q(seed), store)
 	store.Append("fidelity_1q", 0, 0.999)
-	return qrm.NewManager(dev), dev
+	return oneDeviceFleet(t, device.NewTwin20Q(seed), store, 1)
 }
 
 func TestLocalClientPath(t *testing.T) {
-	m, _ := newStack(1)
-	c := NewLocalClient(m)
+	c := NewLocalClient(newStack(t, 1))
 	if c.Path() != PathHPC {
 		t.Errorf("path = %s, want hpc", c.Path())
 	}
@@ -41,8 +55,7 @@ func TestLocalClientPath(t *testing.T) {
 }
 
 func TestRemoteClientPath(t *testing.T) {
-	m, dev := newStack(2)
-	srv := httptest.NewServer(NewServer(m, dev))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 2)))
 	defer srv.Close()
 	c := NewRemoteClient(srv.URL, srv.Client())
 	if c.Path() != PathREST {
@@ -73,12 +86,11 @@ func TestRemoteClientPath(t *testing.T) {
 }
 
 func TestAutoClientRouting(t *testing.T) {
-	m, _ := newStack(3)
-	if NewAutoClient(m, "", nil).Path() != PathHPC {
-		t.Error("auto client with local QRM should pick the HPC path")
+	if NewAutoClient(newStack(t, 3), "", nil).Path() != PathHPC {
+		t.Error("auto client with a local scheduler should pick the HPC path")
 	}
 	if NewAutoClient(nil, "http://example", nil).Path() != PathREST {
-		t.Error("auto client without local QRM should pick the REST path")
+		t.Error("auto client without a local scheduler should pick the REST path")
 	}
 }
 
@@ -86,12 +98,10 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 	// The same job via HPC path and REST path on identical twin devices
 	// must produce identical histograms up to sampling noise — the "no
 	// code modifications" promise of the client.
-	mLocal, _ := newStack(4)
-	mRemote, devRemote := newStack(4)
-	srv := httptest.NewServer(NewServer(mRemote, devRemote))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 4)))
 	defer srv.Close()
 
-	local := NewLocalClient(mLocal)
+	local := NewLocalClient(newStack(t, 4))
 	remote := NewRemoteClient(srv.URL, srv.Client())
 	req := qrm.Request{Circuit: circuit.GHZ(5), Shots: 2000, User: "x"}
 	jl, err := local.Run(context.Background(), req)
@@ -110,8 +120,7 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 }
 
 func TestRemoteBatch(t *testing.T) {
-	m, dev := newStack(5)
-	srv := httptest.NewServer(NewServer(m, dev))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 5)))
 	defer srv.Close()
 	c := NewRemoteClient(srv.URL, srv.Client())
 	jobs, err := c.RunBatch(context.Background(), []qrm.Request{
@@ -135,8 +144,7 @@ func TestRemoteBatch(t *testing.T) {
 }
 
 func TestLocalBatch(t *testing.T) {
-	m, _ := newStack(6)
-	c := NewLocalClient(m)
+	c := NewLocalClient(newStack(t, 6))
 	jobs, err := c.RunBatch(context.Background(), []qrm.Request{
 		{Circuit: circuit.GHZ(2), Shots: 10},
 		{Circuit: circuit.GHZ(2), Shots: 10},
@@ -150,8 +158,7 @@ func TestLocalBatch(t *testing.T) {
 }
 
 func TestRemoteHistoryPagination(t *testing.T) {
-	m, dev := newStack(7)
-	srv := httptest.NewServer(NewServer(m, dev))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 7)))
 	defer srv.Close()
 	c := NewRemoteClient(srv.URL, srv.Client())
 	for i := 0; i < 7; i++ {
@@ -169,8 +176,8 @@ func TestRemoteHistoryPagination(t *testing.T) {
 }
 
 func TestRemoteDeviceInfo(t *testing.T) {
-	m, dev := newStack(8)
-	srv := httptest.NewServer(NewServer(m, dev))
+	f := newStack(t, 8)
+	srv := httptest.NewServer(NewFleetServer(f))
 	defer srv.Close()
 	c := NewRemoteClient(srv.URL, srv.Client())
 	info, err := c.Device(context.Background())
@@ -187,14 +194,23 @@ func TestRemoteDeviceInfo(t *testing.T) {
 		t.Error("coupling map missing")
 	}
 	// Local clients don't implement Device().
-	if _, err := NewLocalClient(m).Device(context.Background()); err == nil {
+	if _, err := NewLocalClient(f).Device(context.Background()); err == nil {
 		t.Error("local Device() should direct users to QDMI")
+	}
+	// Against a larger roster Device() refuses to guess and names the devices.
+	multi := httptest.NewServer(NewFleetServer(newTestFleet(t, map[string]*qdmi.Device{
+		"alpha": twinDev(t, "alpha", 4, 5, 1),
+		"beta":  twinDev(t, "beta", 3, 3, 2),
+	}, 1)))
+	defer multi.Close()
+	_, err = NewRemoteClient(multi.URL, multi.Client()).Device(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "alpha") || !strings.Contains(err.Error(), "beta") {
+		t.Errorf("Device() against two backends: err = %v, want the roster named", err)
 	}
 }
 
 func TestServerErrorPaths(t *testing.T) {
-	m, dev := newStack(9)
-	srv := httptest.NewServer(NewServer(m, dev))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 9)))
 	defer srv.Close()
 	c := srv.Client()
 
@@ -237,8 +253,7 @@ func TestServerErrorPaths(t *testing.T) {
 }
 
 func TestTelemetryEndpoint(t *testing.T) {
-	m, dev := newStack(10)
-	srv := httptest.NewServer(NewServer(m, dev))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 10)))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/api/v1/telemetry/fidelity_1q")
 	if err != nil {
@@ -251,8 +266,7 @@ func TestTelemetryEndpoint(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	m, dev := newStack(11)
-	srv := httptest.NewServer(NewServer(m, dev))
+	srv := httptest.NewServer(NewFleetServer(newStack(t, 11)))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {

@@ -58,15 +58,6 @@ func requestIDFrom(r *http.Request) string {
 	return v
 }
 
-// jobTrace returns the backend's retained trace for a job id (nil when
-// unknown, untraced, or evicted).
-func (s *Server) jobTrace(id int) *trace.Trace {
-	if s.fleet != nil {
-		return s.fleet.Trace(id)
-	}
-	return s.qrm.Trace(id)
-}
-
 // JobTrace is the GET /api/v2/jobs/{id}/trace resource: the job identity
 // plus its span tree.
 type JobTrace struct {
@@ -89,7 +80,7 @@ func (s *Server) v2Trace(w http.ResponseWriter, r *http.Request, id int) {
 		writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
 		return
 	}
-	snap := s.jobTrace(id).Snapshot()
+	snap := s.fleet.Trace(id).Snapshot()
 	if snap == nil {
 		writeV2Error(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("no trace retained for job %s (tracing off, or evicted from the retention ring)", job.ID), false)
@@ -107,41 +98,33 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pw := telemetry.NewPromWriter()
-	if s.fleet != nil {
-		fm := s.fleet.Metrics()
-		pw.Counter("qhpc_fleet_jobs_submitted_total", "Jobs accepted by the fleet scheduler.", nil, float64(fm.Submitted))
-		pw.Counter("qhpc_fleet_jobs_routed_total", "Routing decisions that placed a job on a device.", nil, float64(fm.Routed))
-		pw.Counter("qhpc_fleet_jobs_migrated_total", "Drain/failover re-routes.", nil, float64(fm.Migrated))
-		pw.Counter("qhpc_fleet_park_events_total", "Times a job parked waiting for an eligible device.", nil, float64(fm.ParkEvents))
-		pw.Gauge("qhpc_fleet_parked_now", "Jobs currently parked.", nil, float64(fm.ParkedNow))
-		pw.Counter("qhpc_fleet_jobs_completed_total", "Fleet jobs settled done.", nil, float64(fm.Completed))
-		pw.Counter("qhpc_fleet_jobs_failed_total", "Fleet jobs settled failed.", nil, float64(fm.Failed))
-		pw.Counter("qhpc_fleet_jobs_cancelled_total", "Fleet jobs settled cancelled.", nil, float64(fm.Cancelled))
-		pw.Counter("qhpc_fleet_jobs_shed_total", "Fleet jobs evicted by admission control under overload.", nil, float64(fm.Shed))
-		pw.Histogram("qhpc_fleet_route_score", "Fidelity estimate of each routing decision.", nil, fm.ScoreHist)
-		promBus(pw, "fleet", s.fleet.Events().Stats())
-		retained, drops := s.fleet.TraceStats()
-		promTraces(pw, "fleet", retained, drops)
-		for _, d := range fm.Devices {
-			labels := telemetry.Labels{{"device", d.Name}}
-			pw.Gauge("qhpc_device_active", "1 when the device accepts routed work.", labels, boolGauge(d.State == "active"))
-			pw.Counter("qhpc_device_jobs_routed_total", "Jobs routed to this device.", labels, float64(d.Routed))
-			pw.Counter("qhpc_device_jobs_migrated_out_total", "Jobs migrated off this device.", labels, float64(d.MigratedOut))
-			pw.Gauge("qhpc_device_fidelity_1q", "Mean single-qubit gate fidelity (live calibration).", labels, d.MeanF1Q)
-			pw.Gauge("qhpc_device_fidelity_cz", "Mean CZ gate fidelity (live calibration).", labels, d.MeanFCZ)
-			promQRM(pw, d.Name, d.QRM)
-			if mgr, err := s.fleet.DeviceManager(d.Name); err == nil {
-				promBus(pw, d.Name, mgr.Events().Stats())
-				ret, dr := mgr.TraceStats()
-				promTraces(pw, d.Name, ret, dr)
-			}
+	fm := s.fleet.Metrics()
+	pw.Counter("qhpc_fleet_jobs_submitted_total", "Jobs accepted by the fleet scheduler.", nil, float64(fm.Submitted))
+	pw.Counter("qhpc_fleet_jobs_routed_total", "Routing decisions that placed a job on a device.", nil, float64(fm.Routed))
+	pw.Counter("qhpc_fleet_jobs_migrated_total", "Drain/failover re-routes.", nil, float64(fm.Migrated))
+	pw.Counter("qhpc_fleet_park_events_total", "Times a job parked waiting for an eligible device.", nil, float64(fm.ParkEvents))
+	pw.Gauge("qhpc_fleet_parked_now", "Jobs currently parked.", nil, float64(fm.ParkedNow))
+	pw.Counter("qhpc_fleet_jobs_completed_total", "Fleet jobs settled done.", nil, float64(fm.Completed))
+	pw.Counter("qhpc_fleet_jobs_failed_total", "Fleet jobs settled failed.", nil, float64(fm.Failed))
+	pw.Counter("qhpc_fleet_jobs_cancelled_total", "Fleet jobs settled cancelled.", nil, float64(fm.Cancelled))
+	pw.Counter("qhpc_fleet_jobs_shed_total", "Fleet jobs evicted by admission control under overload.", nil, float64(fm.Shed))
+	pw.Histogram("qhpc_fleet_route_score", "Fidelity estimate of each routing decision.", nil, fm.ScoreHist)
+	promBus(pw, "fleet", s.fleet.Events().Stats())
+	retained, drops := s.fleet.TraceStats()
+	promTraces(pw, "fleet", retained, drops)
+	for _, d := range fm.Devices {
+		labels := telemetry.Labels{{"device", d.Name}}
+		pw.Gauge("qhpc_device_active", "1 when the device accepts routed work.", labels, boolGauge(d.State == "active"))
+		pw.Counter("qhpc_device_jobs_routed_total", "Jobs routed to this device.", labels, float64(d.Routed))
+		pw.Counter("qhpc_device_jobs_migrated_out_total", "Jobs migrated off this device.", labels, float64(d.MigratedOut))
+		pw.Gauge("qhpc_device_fidelity_1q", "Mean single-qubit gate fidelity (live calibration).", labels, d.MeanF1Q)
+		pw.Gauge("qhpc_device_fidelity_cz", "Mean CZ gate fidelity (live calibration).", labels, d.MeanFCZ)
+		promQRM(pw, d.Name, d.QRM)
+		if mgr, err := s.fleet.DeviceManager(d.Name); err == nil {
+			promBus(pw, d.Name, mgr.Events().Stats())
+			ret, dr := mgr.TraceStats()
+			promTraces(pw, d.Name, ret, dr)
 		}
-	} else {
-		name := s.deviceName()
-		promQRM(pw, name, s.qrm.Metrics())
-		promBus(pw, name, s.qrm.Events().Stats())
-		retained, drops := s.qrm.TraceStats()
-		promTraces(pw, name, retained, drops)
 	}
 	promTenants(pw, s.tenantsStatus(), s.limiter != nil)
 	if s.store != nil {

@@ -3,10 +3,10 @@
 // detects whether a job originates inside or outside the HPC environment
 // and routes it to the appropriate interface — the in-process HPC path for
 // tightly-coupled accelerator-style loops (VQE), or the REST API for remote
-// asynchronous access. Both paths land in the same QRM — or, in fleet mode,
-// in the multi-QPU fleet scheduler, which routes each job to the best
-// backend (calibration-aware) and migrates work around maintenance windows
-// and device faults.
+// asynchronous access. Both paths land in the same fleet scheduler, which
+// routes each job to the best backend (calibration-aware) and migrates work
+// around maintenance windows and device faults; a single-QPU deployment is
+// a one-device fleet.
 package mqss
 
 import (
@@ -22,7 +22,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
-	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
@@ -38,12 +37,9 @@ const (
 )
 
 // Server exposes the stack over HTTP — the REST access mode of Fig. 2. It
-// serves either a single QRM (NewServer) or a multi-QPU fleet scheduler
-// (NewFleetServer); the API surface is the same, with fleet mode adding
-// `?device=` pinning, a `?policy=` routing knob, and GET /api/v1/fleet.
+// fronts one fleet scheduler: `?device=` pins a backend, `?policy=` steers
+// routing, and GET /api/v1/fleet shows the roster.
 type Server struct {
-	qrm   *qrm.Manager
-	dev   *qdmi.Device
 	fleet *fleet.Scheduler
 	mux   *http.ServeMux
 
@@ -67,31 +63,11 @@ type Server struct {
 	// long-lived (per-request cancellation rides the inbound context).
 	fed       *federation.Node
 	fedClient *http.Client
-	// AutoRun executes jobs synchronously on submission whenever the QRM's
-	// dispatch pipeline is not running, which keeps the remote path
-	// self-contained in tests and examples. With the pipeline started
-	// (qrm.Manager.Start), handlers instead submit and wait on the shared
-	// worker pool — the pipeline/fallback choice is made per request, so a
-	// pipeline stopped after the server was built degrades to synchronous
-	// execution instead of leaving jobs queued forever. Set AutoRun false
-	// only for a deliberately asynchronous submit-and-poll server. Fleet
-	// mode always has live worker pools; there AutoRun only selects between
-	// wait-for-result (true) and submit-and-poll (false) responses.
-	AutoRun bool
 }
 
-// NewServer builds the single-device REST front end.
-func NewServer(m *qrm.Manager, dev *qdmi.Device) *Server {
-	s := &Server{qrm: m, dev: dev, AutoRun: true,
-		closing: make(chan struct{}), idem: newIdemCache(0)}
-	s.routes()
-	return s
-}
-
-// NewFleetServer builds the fleet REST front end over a multi-QPU scheduler.
+// NewFleetServer builds the REST front end over a fleet scheduler.
 func NewFleetServer(f *fleet.Scheduler) *Server {
-	s := &Server{fleet: f, AutoRun: true,
-		closing: make(chan struct{}), idem: newIdemCache(0)}
+	s := &Server{fleet: f, closing: make(chan struct{}), idem: newIdemCache(0)}
 	s.routes()
 	return s
 }
@@ -99,8 +75,8 @@ func NewFleetServer(f *fleet.Scheduler) *Server {
 // Close begins a graceful wind-down of the server's long-lived responses:
 // every active v2 watch stream emits a final "server-closing" event and
 // returns, so an enclosing http.Server.Shutdown stops blocking on them.
-// Close is idempotent and does not touch the backend (stop the QRM
-// pipeline or fleet separately).
+// Close is idempotent and does not touch the backend (stop the fleet
+// separately).
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.closing) })
 }
@@ -111,7 +87,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc(pathJobs+"/", s.handleJobByID)
 	s.mux.HandleFunc(pathJobsBatch, s.handleBatch)
 	s.mux.HandleFunc(pathDevice, s.handleDevice)
-	s.mux.HandleFunc(pathFleet, s.handleFleet)
+	s.mux.HandleFunc(pathFleet, s.handleMetrics)
 	s.mux.HandleFunc(pathTelemetry, s.handleTelemetry)
 	s.mux.HandleFunc(pathMetrics, s.handleMetrics)
 	s.mux.HandleFunc(pathHealthz, s.handleHealthz)
@@ -127,26 +103,6 @@ func (s *Server) routes() {
 // removes the limiter (the default: everything admitted).
 func (s *Server) SetTenantLimits(rate float64, burst int) {
 	s.limiter = tenant.NewLimiter(rate, burst)
-}
-
-// complete brings a submitted job to a terminal state using whichever
-// dispatch mode is active: WaitJob against the running pipeline, or a
-// synchronous Drain when AutoRun covers for the missing workers. If the
-// pipeline stops out from under a wait, the job fell back to the queue and
-// the Drain fallback picks it up (Drain waits out an in-progress shutdown).
-// With AutoRun disabled the server is deliberately asynchronous: the
-// handler returns the queued record immediately and the client polls.
-func (s *Server) complete(id int) error {
-	if !s.AutoRun {
-		return nil
-	}
-	if s.qrm.Running() {
-		if _, err := s.qrm.WaitJob(id); err == nil {
-			return nil
-		}
-	}
-	_, err := s.qrm.Drain()
-	return err
 }
 
 // ServeHTTP implements http.Handler.
@@ -188,28 +144,11 @@ func v1BadID(w http.ResponseWriter, idStr string) {
 	writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", idStr))
 }
 
-// submitCore is the one submission entry point both API versions share:
-// the v2 handler reaches it through the idempotency cache, the v1 handlers
-// call it directly — v1 is a shim over the same core, not a second path.
-func (s *Server) submitCore(req qrm.Request, opts fleet.SubmitOptions) (int, error) {
-	if s.fleet != nil {
-		return s.fleet.Submit(req, opts)
-	}
-	return s.qrm.Submit(req)
-}
-
 // submitOptions extracts the fleet routing controls from the query string:
 // `?device=` pins a backend, `?policy=` overrides the routing policy.
 func submitOptions(r *http.Request) (fleet.SubmitOptions, error) {
-	opts := fleet.SubmitOptions{Device: r.URL.Query().Get("device")}
-	if p := r.URL.Query().Get("policy"); p != "" {
-		pol := fleet.Policy(p)
-		if err := pol.Validate(); err != nil {
-			return opts, err
-		}
-		opts.Policy = pol
-	}
-	return opts, nil
+	q := r.URL.Query()
+	return RouteOptions{Device: q.Get("device"), Policy: q.Get("policy")}.submitOptions()
 }
 
 // handleJobs: POST = submit, GET = paginated history.
@@ -221,20 +160,19 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		if s.fleet != nil {
-			s.submitFleetJob(w, r, req)
+		opts, err := submitOptions(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		id, err := s.submitCore(req, fleet.SubmitOptions{})
+		id, err := s.fleet.Submit(req, opts)
 		if err != nil {
 			writeError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		if err := s.complete(id); err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		job, err := s.qrm.Job(id)
+		// v1 submission is synchronous: the response is the settled record
+		// (submit-and-poll is what v2 is).
+		job, err := s.fleet.Wait(id)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -244,16 +182,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		offset := queryInt(r, "offset", 0)
 		limit := queryInt(r, "limit", 20)
 		user := r.URL.Query().Get("user")
-		if s.fleet != nil {
-			page, err := s.fleet.History(user, offset, limit)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, page)
-			return
-		}
-		page, err := s.qrm.History(user, offset, limit)
+		page, err := s.fleet.History(user, offset, limit)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -262,35 +191,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	default:
 		v1MethodNotAllowed(w, r.Method)
 	}
-}
-
-// submitFleetJob routes one POSTed job through the fleet scheduler.
-func (s *Server) submitFleetJob(w http.ResponseWriter, r *http.Request, req qrm.Request) {
-	opts, err := submitOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := s.submitCore(req, opts)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if s.AutoRun {
-		job, err := s.fleet.Wait(id)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, job)
-		return
-	}
-	job, err := s.fleet.Job(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, job)
 }
 
 // handleJobByID: GET /api/v1/jobs/{id}.
@@ -305,16 +205,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		v1BadID(w, idStr)
 		return
 	}
-	if s.fleet != nil {
-		job, err := s.fleet.Job(id)
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, job)
-		return
-	}
-	job, err := s.qrm.Job(id)
+	job, err := s.fleet.Job(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -324,10 +215,10 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 
 // handleBatch: POST a list of requests as one batch. With ?stream=1 the
 // response is NDJSON: a header line {"batch_id","job_ids"} followed by one
-// completed job record per line *in completion order* — against a running
-// dispatch pipeline, clients see results as the workers finish them instead
-// of waiting for the slowest job in the batch. In fleet mode the batch is
-// routed job-by-job (it may span devices) and honours ?device= / ?policy=.
+// completed job record per line *in completion order* — clients see results
+// as the workers finish them instead of waiting for the slowest job in the
+// batch. The batch is routed job-by-job (it may span devices) and honours
+// ?device= / ?policy=.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		v1MethodNotAllowed(w, r.Method)
@@ -342,44 +233,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("stream"); v != "" && v != "0" && v != "false" {
 		stream = true
 	}
-	if s.fleet != nil {
-		opts, err := submitOptions(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		batch, ids, err := s.fleet.SubmitBatch(reqs, opts)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		if stream {
-			s.streamFleetBatch(w, batch, ids)
-			return
-		}
-		for _, id := range ids {
-			if _, err := s.fleet.Wait(id); err != nil {
-				writeError(w, http.StatusServiceUnavailable, err)
-				return
-			}
-		}
-		writeJSON(w, http.StatusCreated, map[string]interface{}{
-			"batch_id": batch,
-			"job_ids":  ids,
-		})
+	opts, err := submitOptions(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	batch, ids, err := s.qrm.SubmitBatch(reqs)
+	batch, ids, err := s.fleet.SubmitBatch(reqs, opts)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	if stream {
-		s.streamBatch(w, batch, ids)
+		s.streamFleetBatch(w, batch, ids)
 		return
 	}
 	for _, id := range ids {
-		if err := s.complete(id); err != nil {
+		if _, err := s.fleet.Wait(id); err != nil {
 			writeError(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -403,46 +272,12 @@ func ndjsonWriter(w http.ResponseWriter) (*json.Encoder, func()) {
 	}
 }
 
-// streamBatch writes the NDJSON batch response, flushing each completed job
-// as it lands. A client that disconnects mid-stream only loses its copy of
-// the results: encodes onto the dead connection fail silently, the
-// remaining jobs still complete server-side, and the handler returns once
-// every job has settled.
-func (s *Server) streamBatch(w http.ResponseWriter, batch int, ids []int) {
-	enc, flush := ndjsonWriter(w)
-	_ = enc.Encode(map[string]interface{}{"batch_id": batch, "job_ids": ids})
-	flush()
-
-	emit := func(j *qrm.Job) {
-		if j == nil {
-			return
-		}
-		_ = enc.Encode(j)
-		flush()
-	}
-	if s.qrm.Running() {
-		s.qrm.WaitEach(ids, func(id int, j *qrm.Job, err error) {
-			if err != nil {
-				// Degraded path (e.g. pipeline stopped mid-batch): report
-				// whatever record exists.
-				j, _ = s.qrm.Job(id)
-			}
-			emit(j)
-		})
-		return
-	}
-	if s.AutoRun {
-		_, _ = s.qrm.Drain()
-	}
-	for _, id := range ids {
-		j, _ := s.qrm.Job(id)
-		emit(j)
-	}
-}
-
-// streamFleetBatch is the fleet-mode NDJSON stream: one fleet job record per
-// line in completion order, each carrying its routing envelope (device,
-// migrations, score) plus the device-level result.
+// streamFleetBatch writes the NDJSON batch response: one fleet job record
+// per line in completion order, each carrying its routing envelope (device,
+// migrations, score) plus the device-level result. A client that
+// disconnects mid-stream only loses its copy of the results: encodes onto
+// the dead connection fail silently, the remaining jobs still complete
+// server-side, and the handler returns once every job has settled.
 func (s *Server) streamFleetBatch(w http.ResponseWriter, batch int, ids []int) {
 	enc, flush := ndjsonWriter(w)
 	_ = enc.Encode(map[string]interface{}{"batch_id": batch, "job_ids": ids})
@@ -459,30 +294,12 @@ func (s *Server) streamFleetBatch(w http.ResponseWriter, batch int, ids []int) {
 	})
 }
 
-// handleMetrics: GET the dispatch-pipeline metrics snapshot (queue depth,
-// outcome counters, cache effectiveness, stage latency histograms) — or, in
-// fleet mode, the fleet snapshot with per-device breakdowns.
+// handleMetrics: GET /api/v1/metrics and /api/v1/fleet — the fleet snapshot
+// (routing counters, score histograms) with per-device pipeline breakdowns
+// (queue depth, outcome counters, cache effectiveness, stage latencies).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		v1MethodNotAllowed(w, r.Method)
-		return
-	}
-	if s.fleet != nil {
-		writeJSON(w, http.StatusOK, s.fleet.Metrics())
-		return
-	}
-	writeJSON(w, http.StatusOK, s.qrm.Metrics())
-}
-
-// handleFleet: GET /api/v1/fleet — the fleet status snapshot (404 on a
-// single-device server).
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		v1MethodNotAllowed(w, r.Method)
-		return
-	}
-	if s.fleet == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("not a fleet server"))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.fleet.Metrics())
@@ -505,16 +322,12 @@ func deviceInfoJSON(dev *qdmi.Device) map[string]interface{} {
 }
 
 // handleDevice: GET device properties + live calibration (QDMI
-// pass-through; §4 users asked for coupling maps and transparency). Fleet
-// mode: `?device=` selects one backend; without it, every backend is
-// returned keyed by name.
+// pass-through; §4 users asked for coupling maps and transparency).
+// `?device=` selects one backend; without it, every backend is returned
+// keyed by name.
 func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		v1MethodNotAllowed(w, r.Method)
-		return
-	}
-	if s.fleet == nil {
-		writeJSON(w, http.StatusOK, deviceInfoJSON(s.dev))
 		return
 	}
 	if name := r.URL.Query().Get("device"); name != "" {
@@ -537,14 +350,6 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// telemetryStore returns whichever store backs this server.
-func (s *Server) telemetryStore() *telemetry.Store {
-	if s.fleet != nil {
-		return s.fleet.Store()
-	}
-	return s.dev.Store()
-}
-
 // handleTelemetry: GET /api/v1/telemetry/{sensor} — transparent telemetry
 // dissemination (§3.1).
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
@@ -552,7 +357,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		v1MethodNotAllowed(w, r.Method)
 		return
 	}
-	store := s.telemetryStore()
+	store := s.fleet.Store()
 	if store == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("telemetry store not attached"))
 		return
@@ -573,22 +378,14 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.fleet != nil {
-		active := s.fleet.ActiveDevices()
-		status := "ok"
-		if active == 0 {
-			status = "fleet-offline"
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"status": status, "active_devices": active,
-		})
-		return
-	}
+	active := s.fleet.ActiveDevices()
 	status := "ok"
-	if !s.qrm.Online() {
-		status = "qpu-offline"
+	if active == 0 {
+		status = "fleet-offline"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": status})
+	writeJSON(w, http.StatusOK, map[string]interface{}{
+		"status": status, "active_devices": active,
+	})
 }
 
 func queryInt(r *http.Request, key string, def int) int {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
 )
@@ -21,23 +22,16 @@ import (
 // wedge the server or lose the batch, and a server-side job failure must
 // surface through StreamBatch as a failed record, not a broken stream.
 
-func newPacedStack(t *testing.T, latency time.Duration, workers int) (*qrm.Manager, *device.QPU, *httptest.Server) {
+func newPacedStack(t *testing.T, latency time.Duration, workers int) (*fleet.Scheduler, *device.QPU, *httptest.Server) {
 	t.Helper()
 	qpu := device.NewTwin20Q(7)
 	if latency > 0 {
 		qpu.SetExecLatency(latency)
 	}
-	dev := qdmi.NewDevice(qpu, nil)
-	m := qrm.NewManager(dev)
-	if err := m.Start(workers); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(m, dev))
-	t.Cleanup(func() {
-		srv.Close()
-		m.Stop()
-	})
-	return m, qpu, srv
+	f := oneDeviceFleet(t, qpu, nil, workers)
+	srv := httptest.NewServer(NewFleetServer(f))
+	t.Cleanup(srv.Close)
+	return f, qpu, srv
 }
 
 func batchBody(t *testing.T, n, shots int) *bytes.Reader {
@@ -55,7 +49,7 @@ func batchBody(t *testing.T, n, shots int) *bytes.Reader {
 
 func TestStreamBatchClientDisconnectMidStream(t *testing.T) {
 	const jobs = 12
-	m, _, srv := newPacedStack(t, 5*time.Millisecond, 2)
+	f, _, srv := newPacedStack(t, 5*time.Millisecond, 2)
 
 	resp, err := http.Post(srv.URL+"/api/v1/jobs/batch?stream=1", "application/json",
 		batchBody(t, jobs, 5))
@@ -84,7 +78,7 @@ func TestStreamBatchClientDisconnectMidStream(t *testing.T) {
 	// wedged handler would leave the queue non-empty forever.
 	done := make(chan struct{})
 	go func() {
-		m.WaitIdle()
+		f.WaitSettled()
 		close(done)
 	}()
 	select {
@@ -92,7 +86,7 @@ func TestStreamBatchClientDisconnectMidStream(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not settle the batch after client disconnect")
 	}
-	snap := m.Metrics()
+	snap := f.Metrics()
 	if snap.Completed != jobs {
 		t.Fatalf("completed %d of %d after disconnect", snap.Completed, jobs)
 	}

@@ -204,13 +204,16 @@ func TestClientConvergesAcrossRestartInterruption(t *testing.T) {
 
 // TestWFQFairnessUnderOverload is the fairness property test: K tenants
 // with unequal offered load (one at triple share) submit through the real
-// HTTP stack into a backlogged single-worker pipeline. Weighted-fair
+// HTTP stack into a backlogged single-worker device. Weighted-fair
 // claiming with equal weights must give each tenant an equal completion
 // share while everyone is backlogged — the hog's extra load waits, and no
 // tenant's share collapses to zero.
 func TestWFQFairnessUnderOverload(t *testing.T) {
-	m, server := pacedStack(t, 95, 2*time.Millisecond, 0)
-	server.AutoRun = false // build the backlog first, then start the pipeline
+	f, server := pacedStack(t, 95, 200*time.Millisecond, 1)
+	// Build the backlog first: with the device drained every job parks.
+	if err := f.Drain(pacedDevice); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 	client := NewRemoteClient(srv.URL, srv.Client())
@@ -236,13 +239,24 @@ func TestWFQFairnessUnderOverload(t *testing.T) {
 	// The event bus firehose records true completion order (the simulation
 	// clock stamps identical jobs with identical EndTimes, so records alone
 	// cannot order them).
-	sub := m.Events().Subscribe(0, 4096)
-	defer sub.Close()
-	if err := m.Start(1); err != nil {
+	m, err := f.DeviceManager(pacedDevice)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
-	m.WaitIdle()
+	dev, err := f.DeviceHandle(pacedDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := m.Events().Subscribe(0, 4096)
+	defer sub.Close()
+	// Resume routes the whole backlog into the device queue before it
+	// returns; the one job the worker may claim meanwhile is held by the
+	// long latency, which then drops so the full backlog drains under WFQ.
+	if err := f.Resume(pacedDevice); err != nil {
+		t.Fatal(err)
+	}
+	dev.QPU().SetExecLatency(2 * time.Millisecond)
+	f.WaitSettled()
 
 	var finished []string // tenant per completion, in completion order
 	deadline := time.After(10 * time.Second)

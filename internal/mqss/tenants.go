@@ -48,20 +48,12 @@ type TenantStatus struct {
 	RetryAfterSec int      `json:"retry_after,omitempty"`
 }
 
-// tenantsStatus assembles the admin snapshot from whichever backend this
-// server fronts plus the HTTP-edge limiter.
+// tenantsStatus assembles the admin snapshot from the fleet's queue
+// accounting plus the HTTP-edge limiter.
 func (s *Server) tenantsStatus() TenantsStatus {
-	var usage []tenant.Usage
-	var adm tenant.Admission
-	if s.fleet != nil {
-		usage = s.fleet.TenantUsage()
-		adm = s.fleet.Admission()
-	} else {
-		usage = s.qrm.TenantUsage()
-		adm = s.qrm.Admission()
-	}
+	adm := s.fleet.Admission()
 	rows := map[string]*TenantStatus{}
-	for _, u := range usage {
+	for _, u := range s.fleet.TenantUsage() {
 		cp := TenantStatus{Usage: u}
 		rows[u.User] = &cp
 	}

@@ -66,69 +66,17 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// deviceName is the single-device server's backend name ("" in fleet mode,
-// where each job record carries its own placement).
-func (s *Server) deviceName() string {
-	if s.dev != nil {
-		return s.dev.QPU().Name()
-	}
-	return ""
-}
-
 // v2JobRecord fetches the unified record for a backend job ID.
 func (s *Server) v2JobRecord(id int, withRequest bool) (*Job, error) {
-	if s.fleet != nil {
-		fj, err := s.fleet.Job(id)
-		if err != nil {
-			return nil, err
-		}
-		var devRec *qrm.Job
-		if fj.Status == fleet.JobRouted {
-			devRec, _ = s.fleet.DeviceRecord(id)
-		}
-		return v2FromFleet(fj, devRec, withRequest), nil
-	}
-	j, err := s.qrm.Job(id)
+	fj, err := s.fleet.Job(id)
 	if err != nil {
 		return nil, err
 	}
-	return v2FromQRM(j, s.deviceName(), withRequest), nil
-}
-
-// v2Settle drives the job toward a terminal state within ctx: in pipeline
-// (or fleet) mode it waits on the workers; on a pipeline-less single-device
-// server AutoRun covers with a synchronous drain, preserving the v1
-// self-contained-server behavior for ?wait= callers. Returning without the
-// job terminal is not an error — the caller reports the current state.
-func (s *Server) v2Settle(ctx context.Context, id int) {
-	if s.fleet != nil {
-		_, _ = s.fleet.WaitContext(ctx, id)
-		return
+	var devRec *qrm.Job
+	if fj.Status == fleet.JobRouted {
+		devRec, _ = s.fleet.DeviceRecord(id)
 	}
-	if !s.qrm.Running() && s.AutoRun {
-		// Drive the queue one job at a time so the caller's wait budget is
-		// honored between device round-trips — a deep queue behind this job
-		// must not pin the handler past its ?wait= (a whole-queue Drain
-		// would). Work stops at the budget; the job stays queued for the
-		// next request.
-		for ctx.Err() == nil {
-			if rec, err := s.qrm.Job(id); err != nil || qrmTerminal(rec.Status) {
-				return // already settled (e.g. a concurrent cancel)
-			}
-			j, err := s.qrm.Step()
-			if err != nil || j == nil {
-				return
-			}
-			if j.ID == id {
-				return
-			}
-		}
-		return
-	}
-	// Running pipeline — or a deliberately asynchronous server (AutoRun
-	// off, no workers): wait out the budget either way. Someone may drain
-	// the queue or start the pipeline while we block.
-	_, _ = s.qrm.AwaitTerminal(ctx, id)
+	return v2FromFleet(fj, devRec, withRequest), nil
 }
 
 // handleV2Jobs: POST = async submit, GET = cursor-paginated listing.
@@ -159,11 +107,6 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 	wait, err := parseWait(r)
 	if err != nil {
 		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
-		return
-	}
-	if s.fleet == nil && (req.Device != "" || req.Policy != "") {
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest,
-			"device/policy routing requires a fleet server", false)
 		return
 	}
 	// Federation: place the job by rendezvous hash on (tenant,
@@ -205,46 +148,37 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var opts fleet.SubmitOptions
-	if s.fleet != nil {
-		opts = fleet.SubmitOptions{Device: req.Device}
-		if req.Policy != "" {
-			pol := fleet.Policy(req.Policy)
-			if err := pol.Validate(); err != nil {
-				writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
-				return
-			}
-			opts.Policy = pol
-		}
+	opts, err := RouteOptions{Device: req.Device, Policy: req.Policy}.submitOptions()
+	if err != nil {
+		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
+		return
 	}
 	id, replayed, err := s.idem.do(r.Header.Get("Idempotency-Key"), func() (int, error) {
-		return s.submitCore(req.qrmRequest(), opts)
+		return s.fleet.Submit(req.qrmRequest(), opts)
 	})
 	if err != nil {
-		status, code, retryable := http.StatusUnprocessableEntity, CodeUnprocessable, false
-		if strings.Contains(err.Error(), "offline") {
-			status, code, retryable = http.StatusServiceUnavailable, CodeUnavailable, true
-		}
-		writeV2Error(w, status, code, err.Error(), retryable)
+		writeV2Error(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error(), false)
 		return
 	}
 	if rid := requestIDFrom(r); rid != "" && !replayed {
 		// Correlate the HTTP request with the server-side trace: the root
 		// span carries the id the client saw in X-Request-ID. Replays keep
 		// the original submission's id.
-		s.jobTrace(id).Root().SetAttr("request_id", rid)
+		s.fleet.Trace(id).Root().SetAttr("request_id", rid)
 	}
 	if from := r.Header.Get(federation.HeaderForwardedFrom); s.fed != nil && from != "" && !replayed {
 		// The submission hopped nodes: record the cross-node leg on the
 		// owner's trace so `qhpcctl trace` shows where the job entered
 		// the federation.
-		leg := s.jobTrace(id).Root().StartChild("fed-forward",
+		leg := s.fleet.Trace(id).Root().StartChild("fed-forward",
 			trace.Str("from_node", from), trace.Str("to_node", s.fed.Self()))
 		leg.End()
 	}
 	if wait > 0 {
+		// Returning without the job terminal is not an error — the response
+		// reports the current state.
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		s.v2Settle(ctx, id)
+		_, _ = s.fleet.WaitContext(ctx, id)
 		cancel()
 	}
 	job, err := s.v2JobRecord(id, true)
@@ -267,8 +201,8 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 
 // v2List: GET /api/v2/jobs?user=&state=&cursor=&limit= — newest first,
 // opaque continuation cursor. state accepts a comma-separated set of v2
-// states ("running" matches routed fleet jobs too: the fleet does not track
-// the device-level run phase in its own records).
+// states ("running" matches routed jobs too: the fleet does not track the
+// device-level run phase in its own records).
 func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit := 20
@@ -304,65 +238,31 @@ func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 			states = append(states, st)
 		}
 	}
-	user := q.Get("user")
 
+	var filter map[fleet.JobStatus]bool
+	if states != nil {
+		filter = make(map[fleet.JobStatus]bool)
+		for _, st := range states {
+			switch st {
+			case StateQueued:
+				filter[fleet.JobPending] = true
+			case StateRouted, StateRunning:
+				filter[fleet.JobRouted] = true
+			case StateDone:
+				filter[fleet.JobDone] = true
+			case StateFailed:
+				filter[fleet.JobFailed] = true
+			case StateCancelled:
+				filter[fleet.JobCancelled] = true
+			}
+		}
+	}
 	page := &JobPage{Jobs: []*Job{}}
 	var lastID int
-	var more bool
-	if s.fleet != nil {
-		var filter map[fleet.JobStatus]bool
-		if states != nil {
-			filter = make(map[fleet.JobStatus]bool)
-			for _, st := range states {
-				switch st {
-				case StateQueued:
-					filter[fleet.JobPending] = true
-				case StateRouted, StateRunning:
-					filter[fleet.JobRouted] = true
-				case StateDone:
-					filter[fleet.JobDone] = true
-				case StateFailed:
-					filter[fleet.JobFailed] = true
-				case StateCancelled:
-					filter[fleet.JobCancelled] = true
-				}
-			}
-		}
-		jobs, m := s.fleet.ListJobs(user, filter, before, limit)
-		for _, fj := range jobs {
-			page.Jobs = append(page.Jobs, v2FromFleet(fj, nil, false))
-			lastID = fj.ID
-		}
-		more = m
-	} else {
-		var filter map[qrm.JobStatus]bool
-		if states != nil {
-			filter = make(map[qrm.JobStatus]bool)
-			for _, st := range states {
-				switch st {
-				case StateQueued:
-					filter[qrm.StatusQueued] = true
-				case StateRouted:
-					filter[qrm.StatusCompiling] = true
-				case StateRunning:
-					filter[qrm.StatusRunning] = true
-				case StateDone:
-					filter[qrm.StatusDone] = true
-				case StateFailed:
-					filter[qrm.StatusFailed] = true
-					filter[qrm.StatusInterrupted] = true
-				case StateCancelled:
-					filter[qrm.StatusCancelled] = true
-				}
-			}
-		}
-		jobs, m := s.qrm.ListJobs(user, filter, before, limit)
-		dev := s.deviceName()
-		for _, j := range jobs {
-			page.Jobs = append(page.Jobs, v2FromQRM(j, dev, false))
-			lastID = j.ID
-		}
-		more = m
+	jobs, more := s.fleet.ListJobs(q.Get("user"), filter, before, limit)
+	for _, fj := range jobs {
+		page.Jobs = append(page.Jobs, v2FromFleet(fj, nil, false))
+		lastID = fj.ID
 	}
 	if more && lastID > 0 {
 		page.NextCursor = encodeCursor(lastID)
@@ -434,7 +334,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 	}
 	if wait > 0 && !job.State.Terminal() {
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		s.v2Settle(ctx, id)
+		_, _ = s.fleet.WaitContext(ctx, id)
 		cancel()
 		if job, err = s.v2JobRecord(id, true); err != nil {
 			writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
@@ -449,13 +349,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 // cancelled at the pipeline's next stage boundary — 202 covers both, with
 // the current record in the body.
 func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
-	var err error
-	if s.fleet != nil {
-		err = s.fleet.Cancel(id)
-	} else {
-		err = s.qrm.Cancel(id)
-	}
-	if err != nil {
+	if err := s.fleet.Cancel(id); err != nil {
 		switch {
 		case strings.Contains(err.Error(), "no job"):
 			writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
@@ -483,13 +377,7 @@ func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
 // transition can appear twice (snapshot + live); consumers key on state,
 // not event count.
 func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
-	var bus *qrm.EventBus
-	if s.fleet != nil {
-		bus = s.fleet.Events()
-	} else {
-		bus = s.qrm.Events()
-	}
-	sub := bus.Subscribe(id, 32)
+	sub := s.fleet.Events().Subscribe(id, 32)
 	defer sub.Close()
 
 	job, err := s.v2JobRecord(id, false)
@@ -537,7 +425,7 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 			if !ok {
 				return // bus closed (backend shutting down)
 			}
-			state := stateFromEvent(ev.To)
+			state := stateFromFleet(fleet.JobStatus(ev.To))
 			emit(JobEvent{
 				Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
 				State: state, Device: ev.Device, Reason: ev.Reason,

@@ -15,27 +15,25 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
-	"repro/internal/qrm"
 )
 
-// pacedStack builds a twin-device QRM with a wall-clock execution latency
-// and a running dispatch pipeline — wide enough in-flight windows to race
-// watches and cancellations into.
-func pacedStack(t *testing.T, seed int64, latency time.Duration, workers int) (*qrm.Manager, *Server) {
+// pacedDevice is the name pacedStack's sole device registers under.
+const pacedDevice = "garnet-20-twin"
+
+// pacedStack builds a one-device twin fleet with a wall-clock execution
+// latency — wide enough in-flight windows to race watches and cancellations
+// into. With one worker, jobs run in submission order and twin counts are
+// deterministic.
+func pacedStack(t *testing.T, seed int64, latency time.Duration, workers int) (*fleet.Scheduler, *Server) {
 	t.Helper()
 	qpu := device.NewTwin20Q(seed)
 	if latency > 0 {
 		qpu.SetExecLatency(latency)
 	}
-	m := qrm.NewManager(qdmi.NewDevice(qpu, nil))
-	if workers > 0 {
-		if err := m.Start(workers); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(m.Stop)
-	}
-	return m, NewServer(m, qdmi.NewDevice(qpu, nil))
+	f := oneDeviceFleet(t, qpu, nil, workers)
+	return f, NewFleetServer(f)
 }
 
 func postV2(t *testing.T, srv *httptest.Server, path string, body interface{}, header map[string]string) *http.Response {
@@ -134,10 +132,13 @@ func TestV2SubmitWaitReturns200(t *testing.T) {
 }
 
 func TestV2LongPollTimeoutKeepsJobQueued(t *testing.T) {
-	// No pipeline and AutoRun off: nothing will execute, so the long-poll
-	// must time out and report the job still queued — not hang, not error.
-	m, server := pacedStack(t, 52, 0, 0)
-	server.AutoRun = false
+	// The only device is drained: the job parks and nothing will execute, so
+	// the long-poll must time out and report it still queued — not hang,
+	// not error.
+	f, server := pacedStack(t, 52, 0, 1)
+	if err := f.Drain(pacedDevice); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 
@@ -161,8 +162,8 @@ func TestV2LongPollTimeoutKeepsJobQueued(t *testing.T) {
 	if job := decodeV2Job(t, resp2.Body); job.State != StateQueued {
 		t.Errorf("state after timeout = %s, want queued", job.State)
 	}
-	if n := m.PendingCount(); n != 1 {
-		t.Errorf("queue depth = %d, want 1 (long-poll must not consume the job)", n)
+	if n := f.Metrics().ParkedNow; n != 1 {
+		t.Errorf("parked jobs = %d, want 1 (long-poll must not consume the job)", n)
 	}
 }
 
@@ -216,6 +217,11 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	resp = postV2(t, srv, "/api/v2/jobs", SubmitRequest{
 		Circuit: circuit.GHZ(2), Shots: 5, Device: "nope",
 	}, nil)
+	check(t, resp, 422, CodeUnprocessable, false)
+
+	resp = postV2(t, srv, "/api/v2/jobs", SubmitRequest{
+		Circuit: circuit.GHZ(2), Shots: 5, Policy: "warp",
+	}, nil)
 	check(t, resp, 400, CodeInvalidRequest, false)
 
 	// Cancel of a terminal job → conflict.
@@ -228,7 +234,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 }
 
 func TestV2IdempotencyReplay(t *testing.T) {
-	m, server := pacedStack(t, 54, 0, 2)
+	f, server := pacedStack(t, 54, 0, 2)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 
@@ -258,13 +264,13 @@ func TestV2IdempotencyReplay(t *testing.T) {
 	if third.ID == first.ID {
 		t.Error("distinct keys must not dedupe")
 	}
-	if snap := m.Metrics(); snap.Submitted != 2 {
+	if snap := f.Metrics(); snap.Submitted != 2 {
 		t.Errorf("submitted = %d, want 2 (one per distinct key)", snap.Submitted)
 	}
 }
 
 func TestV2IdempotencyConcurrentSameKey(t *testing.T) {
-	m, server := pacedStack(t, 55, 0, 2)
+	f, server := pacedStack(t, 55, 0, 2)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 
@@ -290,13 +296,13 @@ func TestV2IdempotencyConcurrentSameKey(t *testing.T) {
 			t.Fatalf("concurrent same-key submissions diverged: %v", ids)
 		}
 	}
-	if snap := m.Metrics(); snap.Submitted != 1 {
+	if snap := f.Metrics(); snap.Submitted != 1 {
 		t.Errorf("submitted = %d, want exactly 1 (no double execution)", snap.Submitted)
 	}
 }
 
 func TestV2ListCursorPagination(t *testing.T) {
-	_, server := pacedStack(t, 56, 0, 0) // AutoRun sync keeps jobs deterministic
+	_, server := pacedStack(t, 56, 0, 1)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 	users := []string{"alice", "bob"}
@@ -566,22 +572,20 @@ func TestV2ConcurrentWatchersCancelStress(t *testing.T) {
 }
 
 func TestV2DeadlineExceededEnvelope(t *testing.T) {
-	m, server := pacedStack(t, 61, 0, 0)
-	server.AutoRun = false
+	// One paced worker: the filler holds it well past the second job's 1 ms
+	// dispatch budget, so that job expires in the device queue.
+	f, server := pacedStack(t, 61, 30*time.Millisecond, 1)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 
-	resp := postV2(t, srv, "/api/v2/jobs", SubmitRequest{
+	resp := postV2(t, srv, "/api/v2/jobs", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5}, nil)
+	resp.Body.Close()
+	resp = postV2(t, srv, "/api/v2/jobs", SubmitRequest{
 		Circuit: circuit.GHZ(2), Shots: 5, DeadlineMs: 1,
 	}, nil)
 	job := decodeV2Job(t, resp.Body)
 	resp.Body.Close()
-	time.Sleep(10 * time.Millisecond)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	m.WaitIdle()
+	f.WaitSettled()
 
 	resp2, err := srv.Client().Get(srv.URL + "/api/v2/jobs/" + job.ID)
 	if err != nil {

@@ -278,10 +278,18 @@ func TestConcurrentDispatchStress(t *testing.T) {
 		m.SetOnline(false)
 		time.Sleep(2 * time.Millisecond)
 		m.SetOnline(true)
-		requeued, _ := m.RequeueInterrupted()
 		mu.Lock()
-		ids = append(ids, requeued...)
+		interrupted := append([]int(nil), ids...)
 		mu.Unlock()
+		for _, id := range interrupted {
+			if j, err := m.Job(id); err == nil && j.Status == StatusInterrupted {
+				if nid, err := m.Submit(j.Request); err == nil {
+					mu.Lock()
+					ids = append(ids, nid)
+					mu.Unlock()
+				}
+			}
+		}
 	}()
 
 	wg.Wait()

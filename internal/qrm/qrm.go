@@ -4,8 +4,10 @@
 // QDMI target at dispatch time, executes on the QPU, and maintains a
 // paginated job history (the dashboard feature §4's FAQ process produced).
 // Batch jobs — a §4 user request — group multiple circuits under one handle,
-// and interrupted jobs can be requeued after an outage ("more robust job
-// restart tools after system outages").
+// and an outage interrupts queued jobs so the fleet scheduler above can
+// re-route or park them ("more robust job restart tools after system
+// outages"). Job identity, durability and federation ID blocks belong to
+// that scheduler; a Manager is one device's queue, cache and worker pool.
 //
 // Dispatch runs in one of two modes. The synchronous mode (Step/Drain)
 // executes one job at a time on the caller's goroutine — the tightly-coupled
@@ -81,21 +83,6 @@ type Job struct {
 	SubmitTime float64 `json:"submit_time"`
 	EndTime    float64 `json:"end_time,omitempty"`
 
-	// SubmitUnixMs is the wall-clock submission instant in Unix
-	// milliseconds. It is excluded from the v1 wire shape; the durable job
-	// store persists it alongside the record so dispatch deadlines keep
-	// their original budget across a process restart.
-	SubmitUnixMs int64 `json:"-"`
-	// Recovered marks a job restored from the durable store after a
-	// restart; the v2 API surfaces it so clients can tell a replayed job
-	// from a fresh one.
-	Recovered bool `json:"recovered,omitempty"`
-	// Node is the federation ownership stamp: the node that minted this
-	// job's ID and whose durable store is authoritative for it. Empty on
-	// standalone deployments and in WAL records written before
-	// federation existed — replay treats the missing field as "".
-	Node string `json:"node,omitempty"`
-
 	// done is closed when the job reaches a terminal status; WaitJob and
 	// the streaming batch endpoints block on it. Copies made for callers
 	// share the channel (it is reference-like), which is exactly right.
@@ -129,6 +116,11 @@ const ErrDeadlineMsg = "deadline exceeded before dispatch"
 // {code:"shed"} envelope off it. Shed jobs are accepted, counted, and
 // terminated — never silently dropped — so conservation counters balance.
 const ErrShedMsg = "shed: queue over admission high-water mark"
+
+// ErrInterruptedMsg is the error recorded on jobs whose dispatch deadline
+// passed while the process was down (fleet.Scheduler.Restore); the v2 API
+// keys the retryable {code:"interrupted"} envelope off it.
+const ErrInterruptedMsg = "interrupted by restart: dispatch deadline passed during recovery"
 
 // expired reports whether the job's dispatch deadline has passed.
 func (j *Job) expired() bool {
@@ -180,9 +172,7 @@ type Manager struct {
 
 	dev       *qdmi.Device
 	nextID    int
-	idLimit   int // last mintable ID, inclusive (0 = unbounded; federation block end)
 	nextBatch int
-	nodeID    string // federation ownership stamp for new jobs ("" standalone)
 	queue     fairQueue
 	jobs      map[int]*Job // all jobs ever, by ID
 	order     []int        // submission order for pagination
@@ -205,12 +195,6 @@ type Manager struct {
 	metrics  metrics
 	bus      *EventBus // lifecycle transitions for watch subscribers
 
-	// Durable job store (nil = in-memory only). walTail is the LSN of the
-	// most recent record this manager journaled; submit reads it under
-	// m.mu and waits for durability after unlocking.
-	store   JobStore
-	walTail uint64
-
 	// Trace retention: a FIFO of the last traceCap terminal job IDs whose
 	// traces this manager owns. Eviction drops the job's trace reference;
 	// in-flight snapshot readers keep evicted traces alive via their own
@@ -225,16 +209,6 @@ type Manager struct {
 type slotGate interface {
 	Acquire()
 	Release()
-}
-
-// JobStore is the durability boundary behind the manager (declared locally,
-// like slotGate, to keep qrm free of a durable import): every lifecycle
-// transition is journaled as an upsert of the job's full record, and Submit
-// acks only after WaitDurable confirms its record reached stable storage.
-// internal/durable's WAL-backed Store implements it.
-type JobStore interface {
-	JournalQRMJob(j *Job) (lsn uint64)
-	WaitDurable(lsn uint64)
 }
 
 // NewManager builds a QRM over a QDMI device handle.
@@ -257,25 +231,9 @@ func NewManager(dev *qdmi.Device) *Manager {
 // lifecycle transition (queued, compiling, running, terminal) as it happens.
 func (m *Manager) Events() *EventBus { return m.bus }
 
-// AttachStore installs the durable job store: every subsequent transition
-// is journaled and Submit acks only after its record is durable. Pass nil
-// to detach (the fault lab uses this to freeze a "dead" process's store).
-// Attach before the first submission — replayed history comes in through
-// Restore, not the journal.
-func (m *Manager) AttachStore(st JobStore) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.store = st
-}
-
 // publishLocked emits a lifecycle event. Caller holds m.mu; the bus has its
 // own lock and never calls back into the manager, so this cannot deadlock.
-// With a store attached the transition is journaled first — the WAL is the
-// authoritative copy of exactly the stream the bus publishes.
 func (m *Manager) publishLocked(j *Job, from JobStatus, reason string) {
-	if m.store != nil {
-		m.walTail = m.store.JournalQRMJob(j)
-	}
 	m.bus.Publish(Event{
 		JobID:  j.ID,
 		From:   string(from),
@@ -430,37 +388,6 @@ func (m *Manager) SetTime(t float64) {
 	m.now = t
 }
 
-// SetIDBase raises the ID counter so every future job ID is > base.
-// Federated deployments partition the global ID space between nodes
-// this way; the call composes with Restore, which also only ever raises
-// the counter, so replaying an old WAL can never re-mint an ID.
-func (m *Manager) SetIDBase(base int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if base > m.nextID {
-		m.nextID = base
-	}
-}
-
-// SetIDLimit caps the ID counter: submissions are refused once every ID
-// up to limit (inclusive) has been minted. Federated deployments set it
-// to the end of this node's ID block — spilling past it would land IDs
-// in the next member's block and silently misroute owner lookups, so
-// exhaustion is a hard refusal, not a wrap. Zero means unbounded.
-func (m *Manager) SetIDLimit(limit int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.idLimit = limit
-}
-
-// SetNodeID stamps every future job record with the owning federation
-// node. Empty (the default) means standalone.
-func (m *Manager) SetNodeID(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nodeID = id
-}
-
 // Submit enqueues one job and returns its ID. The job gets its own trace
 // (retained at terminal in the manager's ring); layers that already carry
 // a trace — the fleet scheduler — use SubmitObserved instead.
@@ -494,16 +421,10 @@ func (m *Manager) submit(req Request, parent *trace.Span) (int, error) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("qrm: QPU offline (maintenance or outage)")
 	}
-	if m.idLimit > 0 && m.nextID >= m.idLimit {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("qrm: job-ID space exhausted: this node's federation ID block ends at %d; minting past it would misroute owner lookups", m.idLimit)
-	}
 	m.nextID++
-	now := time.Now()
 	j := &Job{
 		ID: m.nextID, Status: StatusQueued, Request: req, SubmitTime: m.now,
-		done: make(chan struct{}), submitWall: now, SubmitUnixMs: now.UnixMilli(),
-		Node: m.nodeID,
+		done: make(chan struct{}), submitWall: time.Now(),
 	}
 	if parent != nil {
 		j.tr, j.span = parent.Trace(), parent
@@ -523,15 +444,7 @@ func (m *Manager) submit(req Request, parent *trace.Span) (int, error) {
 	m.publishLocked(j, "", "")
 	m.shedOverLimitLocked(req.User)
 	m.cond.Broadcast()
-	st, lsn := m.store, m.walTail
 	m.mu.Unlock()
-	if st != nil {
-		// Ack-after-durable: the ID is not returned until the submit record
-		// is on stable storage, so a 202 implies the job survives kill -9.
-		// Waiting happens outside m.mu — group commit batches concurrent
-		// submitters behind one fsync without serializing the pipeline.
-		st.WaitDurable(lsn)
-	}
 	return j.ID, nil
 }
 
@@ -825,29 +738,4 @@ func (m *Manager) ListJobs(user string, states map[JobStatus]bool, beforeID, lim
 		jobs = append(jobs, &cp)
 	}
 	return jobs, false
-}
-
-// RequeueInterrupted resubmits every interrupted job (outage recovery
-// tooling, §4) and returns the new job IDs.
-func (m *Manager) RequeueInterrupted() ([]int, error) {
-	m.mu.Lock()
-	var interrupted []*Job
-	for _, id := range m.order {
-		if j := m.jobs[id]; j.Status == StatusInterrupted {
-			interrupted = append(interrupted, j)
-		}
-	}
-	m.mu.Unlock()
-	ids := make([]int, 0, len(interrupted))
-	for _, j := range interrupted {
-		id, err := m.Submit(j.Request)
-		if err != nil {
-			return ids, fmt.Errorf("qrm: requeueing job %d: %w", j.ID, err)
-		}
-		m.mu.Lock()
-		j.Status = StatusCancelled // superseded by the requeued copy
-		m.mu.Unlock()
-		ids = append(ids, id)
-	}
-	return ids, nil
 }

