@@ -72,7 +72,7 @@ func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, in
 		return nil, 0, err
 	}
 	b.live = 1
-	err = b.run(st, 0, 0, shots)
+	err = b.run(st, 0, shots)
 	quantum.ReleaseState(st)
 	quantum.ReleaseState(b.tail)
 	if err != nil {
@@ -81,64 +81,52 @@ func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, in
 	return b.counts, b.leaves, nil
 }
 
-// run evolves one subtree: st carries n shots and is positioned at op opIdx,
-// noise site noiseIdx within it (the op's unitary has already been applied
-// iff noiseIdx > 0). Reaching the end of the program makes st a leaf.
-func (b *branchExec) run(st *quantum.State, opIdx, noiseIdx, n int) error {
-	ops := b.cj.noisy
-	for i := opIdx; i < len(ops); i++ {
-		op := &ops[i]
-		if i > opIdx || noiseIdx == 0 {
-			if err := applyProgOp(st, &op.op); err != nil {
+// run evolves one subtree: st carries n shots and is positioned before step
+// from. Reaching the end of the program makes st a leaf.
+func (b *branchExec) run(st *quantum.State, from, n int) error {
+	steps := b.cj.noisy
+	for i := from; i < len(steps); i++ {
+		s := &steps[i]
+		if n == 1 || !s.hasNoise() {
+			// Nothing to split: a bare gate, or a single shot, whose split
+			// degenerates to the per-shot draw, early exit and all.
+			if err := s.applyShot(st, b.rng); err != nil {
 				return err
 			}
+			continue
 		}
-		j0 := 0
-		if i == opIdx {
-			j0 = noiseIdx
-		}
-		for j := j0; j < len(op.noise); j++ {
-			na := &op.noise[j]
-			if n == 1 {
-				// A single shot cannot branch: the split degenerates to the
-				// per-shot draw, early exit and all.
-				if err := st.ApplyChannel(na.q, na.ch, b.rng); err != nil {
-					return err
-				}
-				continue
-			}
-			var err error
-			if n, err = b.splitAt(st, i, j, n); err != nil {
-				return err
-			}
+		var err error
+		if n, err = b.splitAt(st, i, n); err != nil {
+			return err
 		}
 	}
 	return b.sampleLeaf(st, n)
 }
 
 // splitAt distributes the subtree's n shots across the Kraus branches of
-// noise site (opIdx, siteIdx) — one independent uniform draw per shot, the
+// the noise site at step idx — one independent uniform draw per shot, the
 // exact multinomial split — recurses into forked states for the minority
 // branches, applies the most-populated branch to st in place, and returns
-// the count continuing there. Branch weights are computed lazily:
-// the cumulative weight only grows until it covers the largest draw seen,
-// so the dominant near-identity branch usually costs one weight pass no
-// matter how many operators the composed channel holds.
-func (b *branchExec) splitAt(st *quantum.State, opIdx, siteIdx, n int) (int, error) {
-	na := &b.cj.noisy[opIdx].noise[siteIdx]
-	ks := na.ch.Kraus
+// the count continuing there. st arrives before the step's gate: the
+// weights come from one density pass over it, each fork copies it and
+// applies its own fused gate·Kraus matrix. Branch weights are taken lazily,
+// heaviest-first: the cumulative weight only grows until it covers the
+// largest draw seen.
+func (b *branchExec) splitAt(st *quantum.State, idx, n int) (int, error) {
+	step := &b.cj.noisy[idx]
+	ks := step.ch.Kraus
+	rho, err := step.density(st)
+	if err != nil {
+		return 0, err
+	}
 	var w [maxKrausBranches]float64
 	var bins [maxKrausBranches]int
 	computed, acc := 0, 0.0
 	for s := 0; s < n; s++ {
 		r := b.rng.Float64()
 		for acc <= r && computed < len(ks) {
-			wt, err := st.KrausWeight(na.q, ks[computed])
-			if err != nil {
-				return 0, err
-			}
-			w[computed] = wt
-			acc += wt
+			w[computed] = rho.Weight(ks[computed])
+			acc += w[computed]
 			computed++
 		}
 		chosen := -1
@@ -177,7 +165,7 @@ func (b *branchExec) splitAt(st *quantum.State, opIdx, siteIdx, n int) (int, err
 			continue
 		}
 		if b.live >= branchStateBudget {
-			if err := b.replayShots(st, opIdx, siteIdx, bi, w[bi], bins[bi]); err != nil {
+			if err := b.replayShots(st, idx, bi, w[bi], bins[bi]); err != nil {
 				return 0, err
 			}
 			continue
@@ -187,9 +175,9 @@ func (b *branchExec) splitAt(st *quantum.State, opIdx, siteIdx, n int) (int, err
 			return 0, err
 		}
 		b.live++
-		err = fork.ApplyKraus(na.q, ks[bi], w[bi])
+		err = step.applyBranch(fork, bi, w[bi])
 		if err == nil {
-			err = b.run(fork, opIdx, siteIdx+1, bins[bi])
+			err = b.run(fork, idx+1, bins[bi])
 		}
 		quantum.ReleaseState(fork)
 		b.live--
@@ -197,7 +185,7 @@ func (b *branchExec) splitAt(st *quantum.State, opIdx, siteIdx, n int) (int, err
 			return 0, err
 		}
 	}
-	if err := st.ApplyKraus(na.q, ks[keep], w[keep]); err != nil {
+	if err := step.applyBranch(st, keep, w[keep]); err != nil {
 		return 0, err
 	}
 	return bins[keep], nil
@@ -207,8 +195,7 @@ func (b *branchExec) splitAt(st *quantum.State, opIdx, siteIdx, n int) (int, err
 // time from the fork point, each rewinding the shared tail scratch to the
 // checkpoint and finishing the program with per-shot Monte-Carlo draws —
 // the exactness guarantee costs nothing, only the prefix sharing stops.
-func (b *branchExec) replayShots(src *quantum.State, opIdx, siteIdx, branch int, weight float64, n int) error {
-	na := &b.cj.noisy[opIdx].noise[siteIdx]
+func (b *branchExec) replayShots(src *quantum.State, idx, branch int, weight float64, n int) error {
 	if b.tail == nil {
 		t, err := quantum.AcquireState(src.NumQubits())
 		if err != nil {
@@ -216,28 +203,18 @@ func (b *branchExec) replayShots(src *quantum.State, opIdx, siteIdx, branch int,
 		}
 		b.tail = t
 	}
-	ops := b.cj.noisy
+	steps := b.cj.noisy
 	for s := 0; s < n; s++ {
 		st := b.tail
 		if err := st.Set(src); err != nil {
 			return err
 		}
-		if err := st.ApplyKraus(na.q, na.ch.Kraus[branch], weight); err != nil {
+		if err := steps[idx].applyBranch(st, branch, weight); err != nil {
 			return err
 		}
-		for i := opIdx; i < len(ops); i++ {
-			op := &ops[i]
-			j0 := siteIdx + 1
-			if i > opIdx {
-				j0 = 0
-				if err := applyProgOp(st, &op.op); err != nil {
-					return err
-				}
-			}
-			for j := j0; j < len(op.noise); j++ {
-				if err := st.ApplyChannel(op.noise[j].q, op.noise[j].ch, b.rng); err != nil {
-					return err
-				}
+		for i := idx + 1; i < len(steps); i++ {
+			if err := steps[i].applyShot(st, b.rng); err != nil {
+				return err
 			}
 		}
 		b.leaves++

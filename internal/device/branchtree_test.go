@@ -1,9 +1,12 @@
 package device
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
@@ -43,42 +46,106 @@ func assertChiSquareEquivalent(t *testing.T, label string, a, b map[int]int) {
 	}
 }
 
+// bareFlushCircuit holds a single-qubit run that is flushed bare — a gate
+// with no noise site — before a CZ: RZ(π) between two PRX(π/2, π/2) turns
+// their product from a bit flip into the identity, so dropping the flushed
+// gate would move nearly all the mass from |00> to |01>.
+func bareFlushCircuit() *circuit.Circuit {
+	c := circuit.New(2, "bare-flush")
+	c.PRX(0, math.Pi/2, math.Pi/2)
+	c.RZ(0, math.Pi)
+	c.CZ(0, 1)
+	c.PRX(0, math.Pi/2, math.Pi/2)
+	c.PRX(1, math.Pi/3, 0)
+	return c
+}
+
 // TestBranchTreeChiSquareEquivalence is the acceptance-criteria check: at
 // fixed seeds, the shot-branching tree, the per-shot trajectory loop, and
-// ExecuteNaive draw from the same outcome distribution.
+// ExecuteNaive draw from the same outcome distribution — on fused PRX
+// sites, on the noise-only sites after a CZ, on a bare flushed gate, and
+// with the state budget squeezed so every fork replays shot by shot.
 func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 	const shots = 4000
+	defer func(old int) { branchStateBudget = old }(branchStateBudget)
+	for _, c := range []*circuit.Circuit{NativeGHZLine(5), bareFlushCircuit(), NativeRandom45(6, 3, 11)} {
+		naive, err := New20Q(55).ExecuteNaive(c, shots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The per-shot loop over the same compiled program, driven directly so
+		// the strategy pick cannot reroute it.
+		cj, _, err := New20Q(55).compiledFor(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perShot, err := cj.runTrajectories(shots, shotFanoutWidth(shots, cj.compactQubits), rand.New(rand.NewSource(99)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertChiSquareEquivalent(t, c.Name+": per-shot vs naive", perShot, naive.Counts)
+
+		for _, budget := range []int{32, 1} {
+			branchStateBudget = budget
+			treeQPU := New20Q(55)
+			tree, err := treeQPU.Execute(c, shots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := treeQPU.ExecStats(); st.BranchTreeJobs != 1 {
+				t.Fatalf("%s: stats = %+v, want the job on the branch tree", c.Name, st)
+			}
+			label := fmt.Sprintf("%s (budget %d): ", c.Name, budget)
+			assertChiSquareEquivalent(t, label+"branch tree vs naive", tree.Counts, naive.Counts)
+			assertChiSquareEquivalent(t, label+"branch tree vs per-shot", tree.Counts, perShot)
+		}
+	}
+}
+
+// TestBranchTreeSingleShotSubtrees drives the tree where it degenerates:
+// few shots per job on a badly drifted calibration, so most leaves carry a
+// single shot and the n == 1 subtrees (per-shot fused sites inside the tree)
+// do the work. The pooled histogram must still match the per-shot loop and
+// ExecuteNaive.
+func TestBranchTreeSingleShotSubtrees(t *testing.T) {
+	const jobs, shots = 400, 8
 	c := NativeGHZLine(5)
-
-	treeQPU := New20Q(55)
-	tree, err := treeQPU.Execute(c, shots)
+	drifted := func() *QPU {
+		qpu := New20Q(57)
+		qpu.AdvanceDrift(24 * 60)
+		return qpu
+	}
+	cj, _, err := drifted().compiledFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := treeQPU.ExecStats(); st.BranchTreeJobs != 1 {
-		t.Fatalf("stats = %+v, want the job on the branch tree", st)
+	rng := rand.New(rand.NewSource(3))
+	pooled, leaves := map[int]int{}, 0
+	for j := 0; j < jobs; j++ {
+		counts, l, err := cj.runBranchTree(shots, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves += l
+		for o, n := range counts {
+			pooled[o] += n
+		}
 	}
-
-	naive, err := New20Q(55).ExecuteNaive(c, shots)
+	// More leaves than half the shots: by pigeonhole some leaf — in fact
+	// most — held exactly one shot.
+	if 2*leaves <= jobs*shots {
+		t.Fatalf("%d leaves over %d shots: the calibration is too clean to reach single-shot subtrees", leaves, jobs*shots)
+	}
+	perShot, err := cj.runShotBlock(jobs*shots, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The per-shot loop over the same compiled program, driven directly so
-	// the strategy pick cannot reroute it.
-	qpu := New20Q(55)
-	cj, _, err := qpu.compiledFor(c)
+	naive, err := drifted().ExecuteNaive(c, jobs*shots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perShot, err := cj.runTrajectories(shots, shotFanoutWidth(shots, cj.compactQubits), rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	assertChiSquareEquivalent(t, "branch tree vs naive", tree.Counts, naive.Counts)
-	assertChiSquareEquivalent(t, "branch tree vs per-shot", tree.Counts, perShot)
-	assertChiSquareEquivalent(t, "per-shot vs naive", perShot, naive.Counts)
+	assertChiSquareEquivalent(t, "single-shot subtrees vs per-shot", pooled, perShot)
+	assertChiSquareEquivalent(t, "single-shot subtrees vs naive", pooled, naive.Counts)
 }
 
 // TestBranchTreeConservesShots is the multinomial-split conservation
@@ -159,6 +226,22 @@ func TestNoisyExecutionDeterministic(t *testing.T) {
 		t.Errorf("same-seed branch-tree runs differ: %v vs %v", a, b)
 	}
 
+	// Host independence: a 14-qubit register runs the fanned-out gate
+	// kernels, and the branch weights come from a reduction over the state;
+	// neither may let GOMAXPROCS into the counts.
+	wide := NativeRandom45(14, 2, 5)
+	runWide := func(procs int) map[int]int {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := New20Q(72).Execute(wide, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Counts
+	}
+	if a, b := runWide(1), runWide(2); !reflect.DeepEqual(a, b) {
+		t.Errorf("same-seed counts differ between GOMAXPROCS 1 and 2: %v vs %v", a, b)
+	}
+
 	// The multi-worker per-shot path, driven directly at a fixed width.
 	qpu := New20Q(71)
 	cj, _, err := qpu.compiledFor(c)
@@ -224,6 +307,85 @@ func TestNoisyHotPathAllocs(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Errorf("branch tree: %.0f allocs per 200-shot job, want <= 16 (measured 7)", allocs)
+	}
+}
+
+// freshAngleAnsatze returns n 5-qubit depth-4 PRX/CZ ansatz circuits with
+// independent random angles — the hybrid-loop job shape, every one a
+// program-cache miss.
+func freshAngleAnsatze(n int, seed int64) []*circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	circs := make([]*circuit.Circuit, n)
+	for i := range circs {
+		c := circuit.New(5, "ansatz")
+		for l := 0; l < 4; l++ {
+			for q := 0; q < 5; q++ {
+				c.PRX(q, 2*math.Pi*rng.Float64(), 0)
+			}
+			for q := l % 2; q+1 < 5; q += 2 {
+				c.CZ(q, q+1)
+			}
+		}
+		circs[i] = c
+	}
+	return circs
+}
+
+// TestConcurrentCompilesShareNoiseMemo: pipeline workers compile different
+// circuits on one device at once, all filling and reading the noise-channel
+// memo from cold — run under -race in CI.
+func TestConcurrentCompilesShareNoiseMemo(t *testing.T) {
+	const workers, each = 4, 8
+	circs := freshAngleAnsatze(workers*each, 3)
+	qpu := New20Q(82)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(mine []*circuit.Circuit) {
+			for _, c := range mine {
+				if _, err := qpu.ExecuteCtx(context.Background(), c, 20); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(circs[w*each : (w+1)*each])
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	// One PRX channel per qubit, two CZ channels per coupler used.
+	qpu.progMu.Lock()
+	n := len(qpu.noiseChannels)
+	qpu.progMu.Unlock()
+	if n == 0 || n > 5+2*4 {
+		t.Errorf("noise memo holds %d channels after %d jobs on 5 qubits, want 1..13", n, workers*each)
+	}
+}
+
+// TestFreshAngleCompileAllocs gates the compile-miss path of a hybrid loop:
+// every job is a 5-qubit ansatz with fresh angles, so the program cache
+// misses each call while the per-device noise-channel memo stays warm.
+func TestFreshAngleCompileAllocs(t *testing.T) {
+	const runs = 20
+	circs := freshAngleAnsatze(runs+2, 2)
+	qpu := New20Q(81)
+	ctx := context.Background()
+	next := 0
+	exec := func() {
+		if _, err := qpu.ExecuteCtx(ctx, circs[next], 100); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	exec() // warm the noise memo and the state pool
+	allocs := testing.AllocsPerRun(runs, exec)
+	if st := qpu.ExecStats(); st.CompileHits != 0 {
+		t.Fatalf("stats = %+v, want every job a compile miss", st)
+	}
+	if allocs > 400 {
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 400 (measured 92; 710 before the noise-channel memo)", allocs)
 	}
 }
 

@@ -22,21 +22,78 @@ import (
 // state is simulated exactly once and all shots are drawn from it, turning
 // an O(shots x gates) loop into O(gates + shots).
 
-// noiseApp is one precomputed Kraus-channel application site: channel
+// trajKind discriminates the steps of a trajectory program.
+type trajKind uint8
+
+const (
+	// stepCZ applies CZ to (q, q2) — the only two-qubit gate a native
+	// circuit holds.
+	stepCZ trajKind = iota
+	// stepGate applies the unitary m to q with no noise after it: an RZ run
+	// cut off by a CZ or the circuit end, or a PRX on an error-free qubit.
+	stepGate
+	// stepNoise applies the channel ch to q: the sites that follow a CZ.
+	stepNoise
+	// stepGateNoise applies m and then ch to q as one fused noise site
+	// (every PRX of a noisy device).
+	stepGateNoise
+)
+
+// trajStep is one step of the trajectory program: a precomputed unitary, a
+// calibration-derived noise channel, or both on the same qubit. Channel
 // parameters are a pure function of the calibration snapshot, so the
 // exp(-t/T1)-style math runs at compile time, not once per shot per gate.
-type noiseApp struct {
-	q  int // compact state index
-	ch quantum.Channel
+// Error-free single-qubit runs (RZ is virtual) are fused into the next PRX's
+// matrix, which preserves the trajectory distribution exactly.
+//
+// A noise site costs one read pass and one write pass over the state: the
+// branch weights come from the qubit's reduced density matrix — carried
+// through the step's gate in O(1) — and the gate, the chosen Kraus operator
+// and its renormalization apply as the single matrix (K/√w)·U.
+type trajStep struct {
+	kind  trajKind
+	q, q2 int // compact state indices; q2 is the second CZ qubit
+	m     quantum.Matrix2
+	ch    quantum.Channel
 }
 
-// noisyOp is one hardware gate of the trajectory program: a precomputed
-// unitary plus the noise channels that follow it. Error-free single-qubit
-// runs (RZ is virtual) are fused into the next noisy gate's matrix, which
-// preserves the trajectory distribution exactly.
-type noisyOp struct {
-	op    quantum.ProgOp
-	noise []noiseApp
+func (s *trajStep) hasNoise() bool { return len(s.ch.Kraus) > 0 }
+
+// applyShot advances a single trajectory through the step, drawing the
+// site's Kraus branch from rng — shared by the per-shot loop, the branch
+// tree's one-shot subtrees, and its replay fallback.
+func (s *trajStep) applyShot(st *quantum.State, rng *rand.Rand) error {
+	switch s.kind {
+	case stepCZ:
+		return st.ApplyCZ(s.q, s.q2)
+	case stepGate:
+		return st.Apply1Q(s.q, s.m)
+	case stepNoise:
+		return st.ApplyChannel(s.q, s.ch, rng)
+	default:
+		return st.ApplyGateChannel(s.q, s.m, s.ch, rng)
+	}
+}
+
+// density returns the site qubit's reduced density matrix as the channel
+// sees it: read from st, which is still the pre-gate state, and carried
+// through the step's gate.
+func (s *trajStep) density(st *quantum.State) (quantum.QubitDensity, error) {
+	rho, err := st.QubitDensity(s.q)
+	if err == nil && s.kind == stepGateNoise {
+		rho = rho.After(s.m)
+	}
+	return rho, err
+}
+
+// applyBranch applies the step with its channel resolved to Kraus branch bi
+// of weight w: the fused (K/√w)·U on the pre-gate state.
+func (s *trajStep) applyBranch(st *quantum.State, bi int, w float64) error {
+	k := s.ch.Kraus[bi]
+	if s.kind == stepGateNoise {
+		k = quantum.Mul2(k, s.m)
+	}
+	return st.ApplyKraus(s.q, k, w)
 }
 
 // compiledJob is a circuit lowered against one calibration snapshot:
@@ -50,7 +107,7 @@ type compiledJob struct {
 	unitary *quantum.Program
 	// noisy is the trajectory program (per-shot path); empty when the
 	// calibration contributes no gate or decoherence error.
-	noisy []noisyOp
+	noisy []trajStep
 	// readout is the classical confusion model, nil when every qubit reads
 	// out perfectly.
 	readout *quantum.ReadoutModel
@@ -385,15 +442,17 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 	// shape the strategy pick reads — and detect the noiseless case.
 	noiseSites := 0
 	for i := range cj.noisy {
-		for _, na := range cj.noisy[i].noise {
-			noiseSites++
-			if len(na.ch.Kraus) > maxKrausBranches {
-				cj.branchEst = math.Inf(1) // too wide for the tree's scratch
-				return cj, nil
-			}
-			if off := 1 - na.ch.DominantWeight(); off > 0 {
-				cj.branchEst += off
-			}
+		s := &cj.noisy[i]
+		if !s.hasNoise() {
+			continue
+		}
+		noiseSites++
+		if len(s.ch.Kraus) > maxKrausBranches {
+			cj.branchEst = math.Inf(1) // too wide for the tree's scratch
+			return cj, nil
+		}
+		if off := 1 - s.ch.DominantWeight(); off > 0 {
+			cj.branchEst += off
 		}
 	}
 	if noiseSites > 0 {
@@ -409,53 +468,49 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 // into the following PRX matrix (RZ is error-free, so fusion does not move
 // any noise site); runs cut off by a CZ or the circuit end flush as bare
 // unitaries.
-func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, calib *Calibration) ([]noisyOp, error) {
-	ops := make([]noisyOp, 0, len(compact.Gates))
-	pending := make([]*quantum.Matrix2, compact.NumQubits)
-	fuse := func(q int, m quantum.Matrix2) quantum.Matrix2 {
-		if pending[q] != nil {
-			m = quantum.Mul2(m, *pending[q])
-			pending[q] = nil
-		}
-		return m
-	}
+func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, calib *Calibration) ([]trajStep, error) {
+	steps := make([]trajStep, 0, len(compact.Gates))
+	pending := make([]quantum.Matrix2, compact.NumQubits)
+	has := make([]bool, compact.NumQubits)
 	flush := func(q int) {
-		if pending[q] == nil {
-			return
+		if has[q] {
+			steps = append(steps, trajStep{kind: stepGate, q: q, m: pending[q]})
+			has[q] = false
 		}
-		ops = append(ops, noisyOp{op: quantum.ProgOp{Kind: quantum.ProgOp1Q, Q1: q, M2: *pending[q]}})
-		pending[q] = nil
 	}
 	for _, g := range compact.Gates {
 		switch g.Name {
 		case circuit.OpRZ:
-			m := quantum.RZ(g.Params[0])
 			q := g.Qubits[0]
-			if pending[q] != nil {
-				fused := quantum.Mul2(m, *pending[q])
-				pending[q] = &fused
-			} else {
-				pending[q] = &m
+			m := quantum.RZ(g.Params[0])
+			if has[q] {
+				m = quantum.Mul2(m, pending[q])
 			}
+			pending[q], has[q] = m, true
 		case circuit.OpPRX:
 			q := g.Qubits[0]
-			pq := toPhysical[q]
-			ops = append(ops, noisyOp{
-				op:    quantum.ProgOp{Kind: quantum.ProgOp1Q, Q1: q, M2: fuse(q, quantum.PRX(g.Params[0], g.Params[1]))},
-				noise: d.gateNoiseChannels(q, pq, 1-calib.Qubits[pq].F1Q, PRXDurationUs, calib),
-			})
+			step := trajStep{kind: stepGate, q: q, m: quantum.PRX(g.Params[0], g.Params[1])}
+			if has[q] {
+				step.m = quantum.Mul2(step.m, pending[q])
+				has[q] = false
+			}
+			qc := calib.Qubits[toPhysical[q]]
+			if ch := d.gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2); len(ch.Kraus) > 0 {
+				step.kind, step.ch = stepGateNoise, ch
+			}
+			steps = append(steps, step)
 		case circuit.OpCZ:
 			a, b := g.Qubits[0], g.Qubits[1]
 			flush(a)
 			flush(b)
-			pa, pb := toPhysical[a], toPhysical[b]
-			errRate := (1 - calib.FCZ(pa, pb)) / 2
-			noise := d.gateNoiseChannels(a, pa, errRate, CZDurationUs, calib)
-			noise = append(noise, d.gateNoiseChannels(b, pb, errRate, CZDurationUs, calib)...)
-			ops = append(ops, noisyOp{
-				op:    quantum.ProgOp{Kind: quantum.ProgOp2Q, Q1: a, Q2: b, M4: quantum.CZ},
-				noise: noise,
-			})
+			steps = append(steps, trajStep{kind: stepCZ, q: a, q2: b})
+			errRate := (1 - calib.FCZ(toPhysical[a], toPhysical[b])) / 2
+			for _, q := range [2]int{a, b} {
+				qc := calib.Qubits[toPhysical[q]]
+				if ch := d.gateNoiseChannel(errRate, CZDurationUs, qc.T1, qc.T2); len(ch.Kraus) > 0 {
+					steps = append(steps, trajStep{kind: stepNoise, q: q, ch: ch})
+				}
+			}
 		default:
 			return nil, fmt.Errorf("device: non-native gate %q reached executor", g.Name)
 		}
@@ -463,40 +518,64 @@ func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, c
 	for q := 0; q < compact.NumQubits; q++ {
 		flush(q)
 	}
-	return ops, nil
+	return steps, nil
 }
 
-// gateNoiseChannels precomputes the channels applyGateNoise would build per
-// shot — depolarizing gate error plus T1/T2 decoherence for the gate
-// duration — and composes them into a single channel, so the shot loop
-// pays one Kraus selection per gate site instead of three. Channels with
-// zero strength are dropped (they are identity). Twin devices get none.
-func (d *QPU) gateNoiseChannels(q, physQ int, errRate, durUs float64, calib *Calibration) []noiseApp {
+// noiseKey is everything a gate's composed noise channel depends on.
+type noiseKey struct{ errRate, durUs, t1, t2 float64 }
+
+// maxNoiseChannels bounds the per-device channel memo. One calibration holds
+// at most a PRX entry per qubit and two CZ entries per coupler (82 on the
+// 20-qubit grid); past the bound the memo restarts empty, which drops the
+// superseded epochs' entries with it.
+const maxNoiseChannels = 1024
+
+// gateNoiseChannel returns the channel applyGateNoise would build per shot
+// — depolarizing gate error plus T1/T2 decoherence for the gate duration —
+// composed into a single channel, so the shot loop pays one Kraus selection
+// per gate site instead of three. Channels with zero strength are dropped
+// (they are identity); a channel with no Kraus operators means no noise at
+// all, which is what twin devices get. The composition is a pure function
+// of its four inputs, so it is memoised per device: a circuit with fresh
+// angles misses the program cache on every job, but its gates sit on the
+// same few qubits and couplers as the job before.
+func (d *QPU) gateNoiseChannel(errRate, durUs, t1, t2 float64) quantum.Channel {
 	if d.twin {
-		return nil
+		return quantum.Channel{}
+	}
+	key := noiseKey{errRate, durUs, t1, t2}
+	d.progMu.Lock()
+	ch, ok := d.noiseChannels[key]
+	d.progMu.Unlock()
+	if ok {
+		return ch
 	}
 	var chs []quantum.Channel
 	if errRate > 0 {
 		chs = append(chs, quantum.Depolarizing(errRate))
 	}
-	qc := calib.Qubits[physQ]
-	if gamma := 1 - math.Exp(-durUs/qc.T1); gamma > 0 {
+	if gamma := 1 - math.Exp(-durUs/t1); gamma > 0 {
 		chs = append(chs, quantum.AmplitudeDamping(gamma))
 	}
 	// Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1).
-	if tphiInv := 1/qc.T2 - 1/(2*qc.T1); tphiInv > 0 {
+	if tphiInv := 1/t2 - 1/(2*t1); tphiInv > 0 {
 		if lambda := 1 - math.Exp(-durUs*tphiInv); lambda > 0 {
 			chs = append(chs, quantum.PhaseDamping(lambda))
 		}
 	}
-	if len(chs) == 0 {
-		return nil
+	if len(chs) > 0 {
+		ch = chs[0]
+		for _, next := range chs[1:] {
+			ch = quantum.Compose(ch, next)
+		}
 	}
-	composite := chs[0]
-	for _, ch := range chs[1:] {
-		composite = quantum.Compose(composite, ch)
+	d.progMu.Lock()
+	if d.noiseChannels == nil || len(d.noiseChannels) >= maxNoiseChannels {
+		d.noiseChannels = make(map[noiseKey]quantum.Channel)
 	}
-	return []noiseApp{{q: q, ch: composite}}
+	d.noiseChannels[key] = ch
+	d.progMu.Unlock()
+	return ch
 }
 
 // nonTrivialReadout returns r, or nil when every qubit's confusion
@@ -702,30 +781,11 @@ func (cj *compiledJob) runShotBlock(shots int, rng *rand.Rand) (map[int]int, err
 	for shot := 0; shot < shots; shot++ {
 		st.Reset()
 		for i := range cj.noisy {
-			op := &cj.noisy[i]
-			if err := applyProgOp(st, &op.op); err != nil {
+			if err := cj.noisy[i].applyShot(st, rng); err != nil {
 				return nil, err
-			}
-			for _, na := range op.noise {
-				if err := st.ApplyChannel(na.q, na.ch, rng); err != nil {
-					return nil, err
-				}
 			}
 		}
 		cj.tally(counts, st.SampleBitstring(rng), rng)
 	}
 	return counts, nil
-}
-
-// applyProgOp applies one precompiled trajectory unitary — shared by the
-// per-shot loop, the branch tree, and its replay fallback.
-func applyProgOp(st *quantum.State, op *quantum.ProgOp) error {
-	switch op.Kind {
-	case quantum.ProgOp1Q:
-		return st.Apply1Q(op.Q1, op.M2)
-	case quantum.ProgOp2Q:
-		return st.Apply2Q(op.Q1, op.Q2, op.M4)
-	default:
-		return fmt.Errorf("device: unexpected trajectory op kind %d", op.Kind)
-	}
 }

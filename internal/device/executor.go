@@ -63,6 +63,9 @@ type QPU struct {
 	// compilation never serializes against calibration reads.
 	progMu sync.Mutex
 	progs  map[progKey]*progEntry
+	// noiseChannels memoises the composed per-gate noise channels the
+	// compile step derives from calibration values (engine.go), under progMu.
+	noiseChannels map[noiseKey]quantum.Channel
 }
 
 // Config configures a QPU.

@@ -118,7 +118,7 @@ type SimBenchRow struct {
 	Jobs   int    `json:"jobs"`
 	// Reruns is how many independent measurements the row's numbers are the
 	// median of; SpreadPct is (max-min)/median of the compiled jobs/s
-	// samples (0 when Reruns is 1).
+	// samples.
 	Reruns    int     `json:"reruns"`
 	SpreadPct float64 `json:"spread_pct,omitempty"`
 
@@ -161,10 +161,10 @@ type SimBenchConfig struct {
 	NoiselessJobs int // jobs on the twin workload (default 64)
 	NoisyJobs     int // jobs on the noisy workload (default 24)
 	Shots         int // shots per job (default 200)
-	// Reruns repeats each baseline GHZ row this many times and reports the
-	// median (default 3), so the CI speedup gates compare medians instead of
-	// single noisy samples. The wide rows always run once: they exist to
-	// exercise the wide-state kernels, not to gate.
+	// Reruns repeats every row this many times and reports the median with
+	// its spread (default 3), so the CI speedup gates — and the wide rows'
+	// before/after latencies — compare medians instead of single noisy
+	// samples.
 	Reruns int
 }
 
@@ -227,8 +227,8 @@ func RunSimBench(cfg SimBenchConfig) (*SimBenchArtifact, error) {
 	}
 	art := &SimBenchArtifact{
 		Harness: "go test ./internal/device -run TestSimBenchArtifact -sim.bench",
-		Workload: fmt.Sprintf("GHZ(%d) x %d shots: %d noiseless jobs (twin), %d noisy jobs (fresh calibration), medians over %d reruns; wide rows (1 run): GHZ(10) x %d noisy jobs, rand-16q x %d shots x 1 noisy job",
-			cfg.Qubits, cfg.Shots, cfg.NoiselessJobs, cfg.NoisyJobs, cfg.Reruns, wideJobs, randShots),
+		Workload: fmt.Sprintf("GHZ(%d) x %d shots: %d noiseless jobs (twin), %d noisy jobs (fresh calibration); wide rows: GHZ(10) x %d noisy jobs, rand-16q x %d shots x 1 noisy job; every row the median of %d reruns",
+			cfg.Qubits, cfg.Shots, cfg.NoiselessJobs, cfg.NoisyJobs, wideJobs, randShots, cfg.Reruns),
 	}
 	workloads := []struct {
 		name     string
@@ -246,13 +246,9 @@ func RunSimBench(cfg SimBenchConfig) (*SimBenchArtifact, error) {
 		{name: "noisy-rand16", noisy: true, circ: NativeRandom45(16, 4, 7), qubits: 16, shots: randShots, jobs: 1, mk: New20Q},
 	}
 	for _, w := range workloads {
-		reruns := cfg.Reruns
-		if !w.baseline {
-			reruns = 1 // wide rows exercise kernels; only baselines gate
-		}
-		row := SimBenchRow{Name: w.name, Noisy: w.noisy, Qubits: w.qubits, Shots: w.shots, Jobs: w.jobs, Reruns: reruns}
+		row := SimBenchRow{Name: w.name, Noisy: w.noisy, Qubits: w.qubits, Shots: w.shots, Jobs: w.jobs, Reruns: cfg.Reruns}
 		var naiveJPS, naiveP50, naiveP95, compJPS, compP50, compP95 []float64
-		for r := 0; r < reruns; r++ {
+		for r := 0; r < cfg.Reruns; r++ {
 			// Fresh devices per path and per rerun so cache warmth and RNG
 			// draws stay comparable; the same seed keeps calibration
 			// identical, so reruns measure timing noise only.

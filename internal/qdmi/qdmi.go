@@ -38,9 +38,14 @@ type Interface interface {
 // Device implements Interface over a QPU, optionally publishing calibration
 // metrics into a telemetry store (the DCDB/QDMI integration of Fig. 3).
 type Device struct {
-	mu    sync.Mutex
 	qpu   *device.QPU
 	store *telemetry.Store
+
+	// mu guards the memoised target: one per calibration epoch, shared by
+	// every transpile of that epoch (the transpiler only reads it).
+	mu          sync.Mutex
+	target      *transpile.Target
+	targetEpoch uint64
 }
 
 // NewDevice wraps a QPU. store may be nil (no telemetry publication).
@@ -72,11 +77,20 @@ func (d *Device) Target() *transpile.Target {
 // calibration epoch it was built from, as one consistent snapshot — the
 // pair the QRM's transpile cache keys on. Reading them separately would
 // allow a drift advance between the reads to cache a target under the
-// wrong epoch.
+// wrong epoch. The target is built once per epoch and shared: callers must
+// not modify it.
 func (d *Device) TargetWithEpoch() (*transpile.Target, uint64) {
+	epoch := d.qpu.CalibEpoch()
+	d.mu.Lock()
+	t := d.target
+	hit := t != nil && d.targetEpoch == epoch
+	d.mu.Unlock()
+	if hit {
+		return t, epoch
+	}
 	calib, epoch := d.qpu.CalibrationWithEpoch()
 	topo := d.qpu.Topology()
-	t := &transpile.Target{
+	t = &transpile.Target{
 		NumQubits: topo.NumQubits(),
 		Edges:     topo.Edges(),
 		F1Q:       make([]float64, topo.NumQubits()),
@@ -90,6 +104,11 @@ func (d *Device) TargetWithEpoch() (*transpile.Target, uint64) {
 	for _, e := range topo.Edges() {
 		t.FCZ[e] = calib.FCZ(e[0], e[1])
 	}
+	d.mu.Lock()
+	if d.target == nil || epoch >= d.targetEpoch {
+		d.target, d.targetEpoch = t, epoch
+	}
+	d.mu.Unlock()
 	return t, epoch
 }
 

@@ -54,6 +54,31 @@ func TestTargetCarriesLiveFidelities(t *testing.T) {
 	}
 }
 
+// TestTargetMemoisedPerEpoch: within one calibration epoch every caller
+// shares one Target; a drift advance or a recalibration yields a new one
+// under the new epoch.
+func TestTargetMemoisedPerEpoch(t *testing.T) {
+	qpu := device.New20Q(4)
+	d := NewDevice(qpu, nil)
+	first, e1 := d.TargetWithEpoch()
+	if again, e := d.TargetWithEpoch(); again != first || e != e1 {
+		t.Errorf("second call in epoch %d returned a different target (epoch %d)", e1, e)
+	}
+	qpu.AdvanceDrift(1)
+	drifted, e2 := d.TargetWithEpoch()
+	if drifted == first || e2 == e1 {
+		t.Errorf("AdvanceDrift kept the memoised target (epochs %d -> %d)", e1, e2)
+	}
+	qpu.Recalibrate(false)
+	recal, e3 := d.TargetWithEpoch()
+	if recal == drifted || e3 == e2 {
+		t.Errorf("Recalibrate kept the memoised target (epochs %d -> %d)", e2, e3)
+	}
+	if again, _ := d.TargetWithEpoch(); again != recal {
+		t.Error("memo did not settle on the recalibrated target")
+	}
+}
+
 func TestTargetUsableByTranspiler(t *testing.T) {
 	d := NewDevice(device.New20Q(3), nil)
 	res, err := transpile.Transpile(circuit.GHZ(8), d.Target(), transpile.Options{

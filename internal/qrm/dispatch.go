@@ -260,8 +260,8 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 	// the cache: batch workloads resubmitting the same circuit (the VQE
 	// measurement loop) compile once per calibration epoch. Only the epoch
 	// (one uint64) is read up front for the key; the full target snapshot —
-	// a calibration clone under the device lock — is built in the miss path
-	// only, so the ~95%+ of jobs served from cache skip it. If a drift tick
+	// a calibration clone under the device lock, which QDMI builds once per
+	// epoch — is fetched in the miss path only. If a drift tick
 	// lands between the epoch read and the snapshot, the entry holds a
 	// *newer*-epoch compile under the older key, which is harmless: epochs
 	// only advance, so later jobs never read this entry, and same-flight

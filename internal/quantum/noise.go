@@ -3,6 +3,7 @@ package quantum
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"sort"
 )
@@ -80,21 +81,22 @@ func Depolarizing(p float64) Channel {
 	pp := clamp01(p)
 	s0 := complex(math.Sqrt(1-pp), 0)
 	sp := complex(math.Sqrt(pp/3), 0)
-	scale := func(m Matrix2, f complex128) Matrix2 {
-		var out Matrix2
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				out[i][j] = m[i][j] * f
-			}
-		}
-		return out
-	}
 	return Channel{
 		Name: "depolarizing",
 		Kraus: []Matrix2{
-			scale(I2, s0), scale(X, sp), scale(Y, sp), scale(Z, sp),
+			scale2(I2, s0), scale2(X, sp), scale2(Y, sp), scale2(Z, sp),
 		},
 	}
+}
+
+// scale2 returns f·m.
+func scale2(m Matrix2, f complex128) Matrix2 {
+	for i := range m {
+		for j := range m[i] {
+			m[i][j] *= f
+		}
+	}
+	return m
 }
 
 func clamp01(x float64) float64 {
@@ -152,31 +154,112 @@ func frobNorm2(m Matrix2) float64 {
 	return sum
 }
 
+// QubitDensity is the reduced density matrix of one qubit of a pure state,
+// ρ = [[P0, conj(C)], [C, P1]] with C = Σ conj(a0)·a1 over the amplitude
+// pairs that differ only in that qubit. It is everything a noise site needs
+// from the 2^n amplitudes: every Kraus branch weight of the site, and the
+// effect of a single-qubit gate applied first, follow from it in O(1).
+type QubitDensity struct {
+	P0, P1 float64
+	C      complex128
+}
+
+// QubitDensity reads qubit q's reduced density matrix in one read-only pass
+// of real arithmetic. The sum runs serially in index order on every host:
+// it feeds trajectory branch choices, which must not depend on GOMAXPROCS.
+func (s *State) QubitDensity(q int) (QubitDensity, error) {
+	if err := s.checkQubit(q); err != nil {
+		return QubitDensity{}, err
+	}
+	bit := 1 << uint(q)
+	var p0, p1, cr, ci float64
+	amps := s.amps
+	for base := 0; base < len(amps); base += 2 * bit {
+		for i := base; i < base+bit; i++ {
+			a0, a1 := amps[i], amps[i+bit]
+			r0, i0, r1, i1 := real(a0), imag(a0), real(a1), imag(a1)
+			p0 += r0*r0 + i0*i0
+			p1 += r1*r1 + i1*i1
+			cr += r0*r1 + i0*i1
+			ci += r0*i1 - i0*r1
+		}
+	}
+	return QubitDensity{P0: p0, P1: p1, C: complex(cr, ci)}, nil
+}
+
+// After returns the density after applying the single-qubit operator u to
+// the qubit, ρ' = UρU† — how a gate ahead of a noise site is carried
+// through without touching the state.
+func (d QubitDensity) After(u Matrix2) QubitDensity {
+	r00, r01, r10, r11 := complex(d.P0, 0), cmplx.Conj(d.C), d.C, complex(d.P1, 0)
+	m00 := u[0][0]*r00 + u[0][1]*r10
+	m01 := u[0][0]*r01 + u[0][1]*r11
+	m10 := u[1][0]*r00 + u[1][1]*r10
+	m11 := u[1][0]*r01 + u[1][1]*r11
+	return QubitDensity{
+		P0: real(m00*cmplx.Conj(u[0][0]) + m01*cmplx.Conj(u[0][1])),
+		P1: real(m10*cmplx.Conj(u[1][0]) + m11*cmplx.Conj(u[1][1])),
+		C:  m10*cmplx.Conj(u[0][0]) + m11*cmplx.Conj(u[0][1]),
+	}
+}
+
+// Weight returns the trajectory branch weight ||K|ψ>||² = Tr(K†K·ρ) of
+// Kraus operator k on the qubit: G00·P0 + G11·P1 + 2·Re(G01·C), G = K†K.
+// G is expanded by hand (as is UρU† in After): on a 5-qubit state this O(1)
+// arithmetic is as large as the pass over the amplitudes, and going through
+// Mul2/Dagger2 cost a noisy GHZ(5) job ~20 %.
+func (d QubitDensity) Weight(k Matrix2) float64 {
+	g00 := abs2(k[0][0]) + abs2(k[1][0])
+	g11 := abs2(k[0][1]) + abs2(k[1][1])
+	g01 := cmplx.Conj(k[0][0])*k[0][1] + cmplx.Conj(k[1][0])*k[1][1]
+	w := g00*d.P0 + g11*d.P1 + 2*real(g01*d.C)
+	if w < 0 {
+		return 0 // cancellation on a zero-weight branch
+	}
+	return w
+}
+
+func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
+
 // ApplyChannel applies a single-qubit channel to qubit q using the quantum
 // trajectory (Monte-Carlo wavefunction) method: Kraus operator K_i is chosen
 // with probability ||K_i|ψ>||² and the state is renormalized. Averaging over
 // trajectories reproduces the density-matrix evolution.
 //
-// Branch selection draws r once and walks the Kraus list, stopping at the
-// first operator whose cumulative weight exceeds r — for realistic noise
-// the first (near-identity) branch almost always wins, so only one weight
-// is computed. The renormalization reuses the selected branch weight
-// (||K|ψ>||² is the post-application squared norm by definition) instead
-// of a full norm pass.
+// The site costs one read pass (QubitDensity) and one write pass: branch
+// selection draws r once and walks the Kraus list, stopping at the first
+// operator whose cumulative weight exceeds r, and the chosen operator is
+// applied with the renormalization 1/√w folded into its matrix.
 func (s *State) ApplyChannel(q int, ch Channel, rng *rand.Rand) error {
-	if err := s.checkQubit(q); err != nil {
+	return s.applySite(q, nil, ch, rng)
+}
+
+// ApplyGateChannel is Apply1Q(q, u) followed by ApplyChannel(q, ch, rng) as
+// one noise site: the gate is carried through the qubit's density for the
+// branch weights and applied fused with the chosen operator, (K/√w)·U, so
+// the pair costs the same two passes as the channel alone. It consumes the
+// same single rng draw and picks the same branch.
+func (s *State) ApplyGateChannel(q int, u Matrix2, ch Channel, rng *rand.Rand) error {
+	return s.applySite(q, &u, ch, rng)
+}
+
+func (s *State) applySite(q int, u *Matrix2, ch Channel, rng *rand.Rand) error {
+	rho, err := s.QubitDensity(q)
+	if err != nil {
 		return err
 	}
 	if len(ch.Kraus) == 0 {
 		return fmt.Errorf("quantum: channel %q has no Kraus operators", ch.Name)
+	}
+	if u != nil {
+		rho = rho.After(*u)
 	}
 	r := rng.Float64()
 	acc := 0.0
 	chosen, chosenP := -1, 0.0
 	best, bestP := 0, -1.0
 	for i := range ch.Kraus {
-		// p_i = ||K_i |ψ>||², the trajectory branch weight.
-		p := s.branchProbability(q, ch.Kraus[i])
+		p := rho.Weight(ch.Kraus[i])
 		if p > bestP {
 			best, bestP = i, p
 		}
@@ -196,54 +279,23 @@ func (s *State) ApplyChannel(q int, ch Channel, rng *rand.Rand) error {
 		}
 		chosen, chosenP = best, bestP
 	}
-	return s.ApplyKraus(q, ch.Kraus[chosen], chosenP)
-}
-
-// KrausWeight returns the trajectory branch weight ||K|ψ>||² of a single
-// Kraus operator on qubit q — the quantity the shot-branching engine
-// computes once per subtree instead of once per shot.
-func (s *State) KrausWeight(q int, k Matrix2) (float64, error) {
-	if err := s.checkQubit(q); err != nil {
-		return 0, err
+	k := ch.Kraus[chosen]
+	if u != nil {
+		k = Mul2(k, *u)
 	}
-	return s.branchProbability(q, k), nil
+	return s.ApplyKraus(q, k, chosenP)
 }
 
-// ApplyKraus applies one Kraus operator to qubit q and renormalizes by the
-// caller-supplied branch weight w = ||K|ψ>||² (as returned by KrausWeight
-// on the pre-application state). Together with KrausWeight it decomposes
-// ApplyChannel so shot-branching can pick the branch for a whole block of
-// shots from one set of weights.
+// ApplyKraus applies one Kraus operator to qubit q renormalized by the
+// caller-supplied branch weight w = ||K|ψ>||² (QubitDensity.Weight on the
+// pre-application state), as the single matrix K/√w. With QubitDensity it
+// decomposes ApplyChannel so shot-branching can pick the branch for a whole
+// block of shots from one set of weights.
 func (s *State) ApplyKraus(q int, k Matrix2, weight float64) error {
 	if weight < 1e-300 {
 		return fmt.Errorf("quantum: Kraus branch weight %g too small to renormalize", weight)
 	}
-	if err := s.Apply1Q(q, k); err != nil {
-		return err
-	}
-	inv := complex(1/math.Sqrt(weight), 0)
-	for i := range s.amps {
-		s.amps[i] *= inv
-	}
-	return nil
-}
-
-// branchProbability returns ||K|ψ>||² for a single-qubit operator K on q.
-func (s *State) branchProbability(q int, k Matrix2) float64 {
-	bit := 1 << uint(q)
-	sum := 0.0
-	for i0 := 0; i0 < len(s.amps); i0++ {
-		if i0&bit != 0 {
-			continue
-		}
-		i1 := i0 | bit
-		a0, a1 := s.amps[i0], s.amps[i1]
-		b0 := k[0][0]*a0 + k[0][1]*a1
-		b1 := k[1][0]*a0 + k[1][1]*a1
-		sum += real(b0)*real(b0) + imag(b0)*imag(b0)
-		sum += real(b1)*real(b1) + imag(b1)*imag(b1)
-	}
-	return sum
+	return s.Apply1Q(q, scale2(k, complex(1/math.Sqrt(weight), 0)))
 }
 
 // ReadoutModel is a per-qubit classical confusion model: P10[q] is the

@@ -213,8 +213,8 @@ func TestAssignmentFidelityOutOfRange(t *testing.T) {
 }
 
 // TestKrausForkPrimitivesMatchChannel checks the shot-branching
-// decomposition of ApplyChannel: computing every branch weight with
-// KrausWeight, picking a branch, and applying it with ApplyKraus must
+// decomposition of ApplyChannel: computing every branch weight from the
+// qubit's density, picking a branch, and applying it with ApplyKraus must
 // reproduce the channel's trajectory ensemble — weights sum to 1 (trace
 // preservation) and each branch lands on a normalized state.
 func TestKrausForkPrimitivesMatchChannel(t *testing.T) {
@@ -226,12 +226,13 @@ func TestKrausForkPrimitivesMatchChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := Compose(Depolarizing(0.1), AmplitudeDamping(0.2))
+	rho, err := base.QubitDensity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0.0
 	for _, k := range ch.Kraus {
-		w, err := base.KrausWeight(1, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := rho.Weight(k)
 		if w < 0 {
 			t.Fatalf("negative branch weight %g", w)
 		}
@@ -253,8 +254,8 @@ func TestKrausForkPrimitivesMatchChannel(t *testing.T) {
 	if err := base.Clone().ApplyKraus(0, I2, 0); err == nil {
 		t.Error("ApplyKraus accepted a zero branch weight")
 	}
-	if _, err := base.KrausWeight(7, I2); err == nil {
-		t.Error("KrausWeight accepted an out-of-range qubit")
+	if _, err := base.QubitDensity(7); err == nil {
+		t.Error("QubitDensity accepted an out-of-range qubit")
 	}
 }
 

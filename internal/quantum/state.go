@@ -313,6 +313,29 @@ func applySmall2Q(amps []complex128, m *Matrix4, b1, b2, lowBit, highBit, quarte
 	}
 }
 
+// ApplyCZ applies the controlled-Z gate to qubits a and b by negating the
+// quarter of amplitudes with both bits set — equivalent to
+// Apply2Q(a, b, CZ) without the sixteen complex multiplies per four
+// amplitudes. It runs inline at every size: a quarter-state sign flip stays
+// cheaper than one fanned-out generic pass.
+func (s *State) ApplyCZ(a, b int) error {
+	if err := s.checkQubit(a); err != nil {
+		return err
+	}
+	if err := s.checkQubit(b); err != nil {
+		return err
+	}
+	if a == b {
+		return fmt.Errorf("quantum: two-qubit gate needs distinct qubits, got %d twice", a)
+	}
+	// (i+1)|mask steps through exactly the indices with both bits set.
+	mask := 1<<uint(a) | 1<<uint(b)
+	for i := mask; i < len(s.amps); i = (i + 1) | mask {
+		s.amps[i] = -s.amps[i]
+	}
+	return nil
+}
+
 // parallelFor splits [0, n) across workers and waits for completion.
 func parallelFor(n int, f func(lo, hi int)) {
 	w := numWorkers()

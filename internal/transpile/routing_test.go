@@ -128,3 +128,24 @@ func TestRoutingStrategyStrings(t *testing.T) {
 		t.Error("routing strategy names wrong")
 	}
 }
+
+// TestSharedTargetConcurrentTranspile: QDMI hands every compile of a
+// calibration epoch the same Target, so concurrent Transpile calls on one
+// fresh Target (adjacency not yet built) must be race-free — run under
+// -race in CI.
+func TestSharedTargetConcurrentTranspile(t *testing.T) {
+	tgt := degradedCouplerTarget()
+	ghz := circuit.New(4, "far").H(0).CNOT(0, 3)
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func() {
+			_, err := Transpile(ghz, tgt, Options{Placement: PlaceFidelityAware})
+			errs <- err
+		}()
+	}
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

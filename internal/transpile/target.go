@@ -11,11 +11,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Target describes the hardware a circuit is compiled for: connectivity and
 // (optionally) live per-qubit and per-coupler fidelities delivered through
-// the QDMI interface.
+// the QDMI interface. The transpiler only reads a Target, so one may be
+// shared by concurrent Transpile calls (QDMI hands every compile of a
+// calibration epoch the same one); do not copy a Target after first use.
 type Target struct {
 	NumQubits int
 	Edges     [][2]int
@@ -25,7 +28,8 @@ type Target struct {
 	FRead []float64
 	FCZ   map[[2]int]float64
 
-	adj map[int][]int
+	adjOnce sync.Once
+	adj     map[int][]int
 }
 
 // Validate checks the target's internal consistency.
@@ -66,19 +70,18 @@ func (t *Target) Connected(a, b int) bool {
 
 // adjacency builds (once) and returns the adjacency map.
 func (t *Target) adjacency() map[int][]int {
-	if t.adj != nil {
-		return t.adj
-	}
-	adj := make(map[int][]int, t.NumQubits)
-	for _, e := range t.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	for q := range adj {
-		sort.Ints(adj[q])
-	}
-	t.adj = adj
-	return adj
+	t.adjOnce.Do(func() {
+		adj := make(map[int][]int, t.NumQubits)
+		for _, e := range t.Edges {
+			adj[e[0]] = append(adj[e[0]], e[1])
+			adj[e[1]] = append(adj[e[1]], e[0])
+		}
+		for q := range adj {
+			sort.Ints(adj[q])
+		}
+		t.adj = adj
+	})
+	return t.adj
 }
 
 // shortestPath returns a minimal-hop path from a to b over the target.
