@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -14,7 +15,9 @@ import (
 	"repro/internal/cryo"
 	"repro/internal/device"
 	"repro/internal/facility"
+	"repro/internal/fleet"
 	"repro/internal/hybrid"
+	"repro/internal/mqss"
 	"repro/internal/netmodel"
 	"repro/internal/ops"
 	"repro/internal/qdmi"
@@ -189,19 +192,23 @@ func BenchmarkSection22PowerProfile(b *testing.B) {
 // --- E7: Figure 2 — MQSS routing, HPC path vs REST path. ---
 
 func BenchmarkFigure2MQSSRoutingHPCPath(b *testing.B) {
-	m := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(1), nil))
+	// The in-HPC client of Fig. 2: a local MQSS client on the scheduler, no
+	// HTTP in between.
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	defer f.Stop()
+	if err := f.AddDevice("twin", qdmi.NewDevice(device.NewTwin20Q(1), nil), 1); err != nil {
+		b.Fatal(err)
+	}
+	client := mqss.NewLocalClient(f)
 	ghz := circuit.GHZ(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := m.Submit(qrm.Request{Circuit: ghz, Shots: 10, User: "bench"})
+		j, err := client.Run(context.Background(), qrm.Request{Circuit: ghz, Shots: 10, User: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Drain(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Job(id); err != nil {
-			b.Fatal(err)
+		if j.Status != qrm.StatusDone {
+			b.Fatalf("job %d: %s (%s)", j.ID, j.Status, j.Error)
 		}
 	}
 }
@@ -493,26 +500,26 @@ func benchmarkDispatchThroughput(b *testing.B, workers int) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		reqs := make([]qrm.Request, 0, len(circuits)*repeats)
+		hs := make([]qrm.Handle, 0, len(circuits)*repeats)
 		for r := 0; r < repeats; r++ {
 			for _, c := range circuits {
-				reqs = append(reqs, qrm.Request{Circuit: c, Shots: 20, User: "bench"})
+				h, err := m.Submit(qrm.Request{Circuit: c, Shots: 20, User: "bench"}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hs = append(hs, h)
 			}
 		}
-		_, ids, err := m.SubmitBatch(reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, id := range ids {
-			j, err := m.WaitJob(id)
+		for _, h := range hs {
+			j, err := h.Wait(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
 			if j.Status != qrm.StatusDone {
-				b.Fatalf("job %d: %s (%s)", id, j.Status, j.Error)
+				b.Fatalf("job %d: %s (%s)", j.ID, j.Status, j.Error)
 			}
 		}
-		jobs += len(ids)
+		jobs += len(hs)
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,6 +36,12 @@ func main() {
 	// 2. Training on the digital twin (Use -> Modify), then hardware.
 	twin := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(5), nil))
 	hardware := qrm.NewManager(qdmi.NewDevice(device.New20Q(5), nil))
+	for _, m := range []*qrm.Manager{twin, hardware} {
+		if err := m.Start(1); err != nil {
+			log.Fatal(err)
+		}
+		defer m.Stop()
+	}
 	user := "chem-group"
 
 	if err := reg.CanSubmit(user, true); err != nil {
@@ -45,15 +52,8 @@ func main() {
 	}
 	fmt.Println("\ntwin practice (Use-Modify stages):")
 	for i := 0; i < 6; i++ {
-		id, err := twin.Submit(qrm.Request{Circuit: circuit.GHZ(3 + i%3), Shots: 200, User: user})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := twin.Drain(); err != nil {
-			log.Fatal(err)
-		}
-		j, _ := twin.Job(id)
-		fmt.Printf("  twin job %d: %s (%d outcomes)\n", id, j.Status, len(j.Counts))
+		j := run(twin, qrm.Request{Circuit: circuit.GHZ(3 + i%3), Shots: 200, User: user})
+		fmt.Printf("  twin job %d: %s (%d outcomes)\n", j.ID, j.Status, len(j.Counts))
 		reg.RecordJob(user, false)
 	}
 	if err := reg.Advance(user); err != nil { // modify -> create
@@ -64,15 +64,8 @@ func main() {
 	}
 	u, _ := reg.Lookup(user)
 	fmt.Printf("\n%s reached stage %q (mentor %s) — hardware unlocked\n", user, u.Stage, u.Mentor)
-	id, err := hardware.Submit(qrm.Request{Circuit: circuit.GHZ(5), Shots: 500, User: user})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := hardware.Drain(); err != nil {
-		log.Fatal(err)
-	}
-	j, _ := hardware.Job(id)
-	fmt.Printf("hardware job %d: %s — %s\n", id, j.Status, j.CompileStats)
+	j := run(hardware, qrm.Request{Circuit: circuit.GHZ(5), Shots: 500, User: user})
+	fmt.Printf("hardware job %d: %s — %s\n", j.ID, j.Status, j.CompileStats)
 	reg.RecordJob(user, true)
 	reg.SubmitReport(user)
 
@@ -95,4 +88,17 @@ func main() {
 	st := reg.Stats()
 	fmt.Printf("\ncohort: %d users, %d at create stage, %d reports filed, %d twin + %d hardware jobs\n",
 		st.Users, st.AtCreateStage, st.ReportsFiled, st.TwinJobs, st.HardwareJobs)
+}
+
+// run submits one job to a device's QRM and waits for its terminal record.
+func run(m *qrm.Manager, req qrm.Request) *qrm.Job {
+	h, err := m.Submit(req, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	j, err := h.Wait(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return j
 }

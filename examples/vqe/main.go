@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,6 +31,10 @@ func main() {
 
 	// Stage 1 (onboarding practice, §4): run against the digital twin.
 	twinQRM := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(11), nil))
+	if err := twinQRM.Start(1); err != nil {
+		log.Fatal(err)
+	}
+	defer twinQRM.Stop()
 	twinRunner := qrmRunner{m: twinQRM, user: "vqe-twin"}
 	vqeTwin := &hybrid.VQE{
 		Hamiltonian: h2, Ansatz: ansatz, Runner: twinRunner,
@@ -83,13 +88,9 @@ func main() {
 	fmt.Printf("Final energy (averaged over %d repeats): E = %.4f Hartree (error %+.4f)\n",
 		finalReps, sum/finalReps, sum/finalReps-exact)
 
-	page, err := qpuQRM.History("vqe-qpu", 0, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
 	metrics := qpuQRM.Metrics()
 	fmt.Printf("\nQRM executed %d quantum jobs for the noisy run (%d workers).\n",
-		page.Total, metrics.Workers)
+		metrics.Completed, metrics.Workers)
 	fmt.Printf("Transpile cache: %d hits / %d misses; e2e p95 %.2f ms.\n",
 		metrics.CacheHits, metrics.CacheMisses, metrics.E2EMs.Quantile(0.95))
 	fmt.Println("Chemical-accuracy work would add error mitigation — the §4 training topic.")
@@ -103,25 +104,16 @@ type qrmRunner struct {
 }
 
 func (r qrmRunner) Run(c *circuit.Circuit, shots int) (map[int]int, error) {
-	id, err := r.m.Submit(qrm.Request{Circuit: c, Shots: shots, User: r.user})
+	h, err := r.m.Submit(qrm.Request{Circuit: c, Shots: shots, User: r.user}, nil)
 	if err != nil {
 		return nil, err
 	}
-	var job *qrm.Job
-	if r.m.Running() {
-		// Pipeline mode: the dispatch workers own execution.
-		job, err = r.m.WaitJob(id)
-	} else {
-		if _, err = r.m.Drain(); err != nil {
-			return nil, err
-		}
-		job, err = r.m.Job(id)
-	}
+	job, err := h.Wait(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	if job.Status != qrm.StatusDone {
-		return nil, fmt.Errorf("job %d failed: %s", id, job.Error)
+		return nil, fmt.Errorf("job %d failed: %s", job.ID, job.Error)
 	}
 	// Project physical outcomes back onto logical qubits via the layout.
 	logicalCounts := make(map[int]int, len(job.Counts))

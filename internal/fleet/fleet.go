@@ -100,6 +100,10 @@ type Job struct {
 
 	policy Policy
 	done   chan struct{}
+	// handle is the job on its current device's QRM, held for the life of
+	// the on-device leg: monitor waits on it, Cancel and DeviceRecord go
+	// through it, finalizeLocked and migrateLocked drop it (zero otherwise).
+	handle qrm.Handle
 
 	// tr is the job's span tree, owned (and retained at terminal) by the
 	// scheduler. rootSpan is its root; parkSpan covers a parked interval.
@@ -193,8 +197,10 @@ type Scheduler struct {
 	jstore  JobStore
 	walTail uint64
 
-	// Trace retention ring for terminal fleet jobs (see qrm.Manager's —
-	// same FIFO-eviction scheme, fleet-scoped IDs).
+	// Trace retention: a FIFO of the last traceCap terminal job IDs.
+	// Eviction drops the job's trace reference; in-flight snapshot readers
+	// keep evicted traces alive via their own pointer, so no coordination
+	// beyond s.mu is needed.
 	traceRing     []int
 	traceCap      int
 	traceSpanDrop uint64
@@ -211,7 +217,7 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 		store:     store,
 		scoreHist: scoreHistogram(),
 		bus:       qrm.NewEventBus(),
-		traceCap:  qrm.DefaultTraceRetention,
+		traceCap:  DefaultTraceRetention,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -417,6 +423,13 @@ func (s *Scheduler) maxWidthLocked() int {
 // Submit validates and accepts one job, routing it to the best eligible
 // device (or parking it when none is). The job ID is fleet-scoped.
 func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
+	return s.submit(req, opts, 0)
+}
+
+// submit is Submit for a member of fleet batch `batch` (0 = standalone). The
+// batch is on the record before its first journal write, so every WAL record
+// of the job carries it and Restore can rebuild the batch counter.
+func (s *Scheduler) submit(req qrm.Request, opts SubmitOptions, batch int) (int, error) {
 	if req.Circuit == nil {
 		return 0, fmt.Errorf("fleet: request has no circuit")
 	}
@@ -444,7 +457,7 @@ func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 	}
 	s.nextID++
 	j := &Job{
-		ID: s.nextID, Status: JobPending, Request: req,
+		ID: s.nextID, Status: JobPending, Request: req, BatchID: batch,
 		Pinned: opts.Device, policy: policy, done: make(chan struct{}),
 		SubmitUnixMs: time.Now().UnixMilli(), Node: s.nodeID,
 	}
@@ -508,13 +521,10 @@ func (s *Scheduler) SubmitBatch(reqs []qrm.Request, opts SubmitOptions) (int, []
 	ids := make([]int, 0, len(reqs))
 	for i := range reqs {
 		reqs[i].BatchID = batch
-		id, err := s.Submit(reqs[i], opts)
+		id, err := s.submit(reqs[i], opts, batch)
 		if err != nil {
 			return batch, ids, fmt.Errorf("fleet: batch item %d: %w", i, err)
 		}
-		s.mu.Lock()
-		s.jobs[id].BatchID = batch
-		s.mu.Unlock()
 		ids = append(ids, id)
 	}
 	return batch, ids, nil
@@ -553,7 +563,7 @@ func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) 
 		// The on-device leg nests the device QRM's queue-wait/compile/
 		// execute spans; its QRM ends it at the device-terminal state.
 		leg := j.rootSpan.StartChild("on-device", trace.Str("device", e.name))
-		localID, err := e.mgr.SubmitObserved(req, leg)
+		h, err := e.mgr.Submit(req, leg)
 		if err != nil {
 			// The device flipped offline between scoring and submission;
 			// exclude it for this attempt and retry.
@@ -568,7 +578,8 @@ func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) 
 		from := j.Status
 		j.Status = JobRouted
 		j.Device = e.name
-		j.LocalID = localID
+		j.LocalID = h.ID()
+		j.handle = h
 		j.Score = score
 		s.publishLocked(j, from, reason)
 		e.routed++
@@ -576,7 +587,7 @@ func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) 
 		e.scoreHist.Observe(score)
 		s.scoreHist.Observe(score)
 		s.wg.Add(1)
-		go s.monitor(j, e, localID)
+		go s.monitor(j, e, h)
 		return
 	}
 }
@@ -584,9 +595,9 @@ func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) 
 // monitor follows one routed job to its device-level terminal state and
 // decides the fleet-level outcome: finalize, or migrate to a sibling when
 // the device was drained or failed out from under it.
-func (s *Scheduler) monitor(j *Job, e *deviceEntry, localID int) {
+func (s *Scheduler) monitor(j *Job, e *deviceEntry, h qrm.Handle) {
 	defer s.wg.Done()
-	rec, err := e.mgr.WaitJob(localID)
+	rec, err := h.Wait(context.Background())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if terminal(j.Status) {
@@ -635,6 +646,7 @@ func (s *Scheduler) monitor(j *Job, e *deviceEntry, localID int) {
 // migrateLocked re-routes a displaced job, excluding the device it came from
 // for this attempt.
 func (s *Scheduler) migrateLocked(j *Job, from *deviceEntry) {
+	j.handle = qrm.Handle{}
 	j.Migrations++
 	from.migratedOut++
 	s.migrated++
@@ -649,6 +661,7 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg st
 	delete(s.parked, j.ID)
 	from := j.Status
 	j.Status = st
+	j.handle = qrm.Handle{}
 	j.Result = rec
 	j.Error = errMsg
 	j.parkSpan.End()
@@ -676,6 +689,10 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg st
 	close(j.done)
 	s.cond.Broadcast()
 }
+
+// DefaultTraceRetention bounds how many terminal-job traces the scheduler
+// keeps for GET /jobs/{id}/trace.
+const DefaultTraceRetention = 256
 
 // retainTraceLocked pushes a terminal job's trace into the retention ring,
 // evicting the oldest when full. Caller holds s.mu.
@@ -796,13 +813,12 @@ func (s *Scheduler) DeviceRecord(id int) (*qrm.Job, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("fleet: no job %d", id)
 	}
-	e := s.devices[j.Device]
-	localID := j.LocalID
+	h, routed := j.handle, j.Status == JobRouted
 	s.mu.Unlock()
-	if e == nil || localID == 0 {
+	if !routed {
 		return nil, fmt.Errorf("fleet: job %d not routed to a device", id)
 	}
-	return e.mgr.Job(localID)
+	return h.Record(), nil
 }
 
 // ListJobs returns up to limit fleet job copies with ID strictly below
@@ -860,7 +876,7 @@ func (s *Scheduler) WaitEach(ids []int, fn func(id int, j *Job, err error)) {
 // Cancel cancels a parked job immediately, and propagates cancellation of a
 // routed job into its device's dispatch pipeline: still-queued device jobs
 // cancel at once, in-flight ones are flagged and terminate cancelled at the
-// next stage boundary (qrm.Manager.Cancel semantics). The fleet record
+// next stage boundary (qrm.Handle.Cancel semantics). The fleet record
 // settles as cancelled either way.
 func (s *Scheduler) Cancel(id int) error {
 	s.mu.Lock()
@@ -876,11 +892,7 @@ func (s *Scheduler) Cancel(id int) error {
 		s.finalizeLocked(j, JobCancelled, nil, "")
 		return nil
 	}
-	e := s.devices[j.Device]
-	if e == nil {
-		return fmt.Errorf("fleet: job %d routed to unknown device %q", id, j.Device)
-	}
-	if err := e.mgr.Cancel(j.LocalID); err != nil {
+	if err := j.handle.Cancel(); err != nil {
 		return fmt.Errorf("fleet: job %d: %w", id, err)
 	}
 	// The monitor will observe the device-level cancellation, but settle the
@@ -964,8 +976,7 @@ func (s *Scheduler) DeviceHandle(name string) (*qdmi.Device, error) {
 	return e.dev, nil
 }
 
-// WaitSettled blocks until no job is pending or routed — the fleet analogue
-// of qrm.Manager.WaitIdle.
+// WaitSettled blocks until no job is pending or routed.
 func (s *Scheduler) WaitSettled() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -534,6 +534,48 @@ func TestHistoryPagination(t *testing.T) {
 	if p2, _ := s.History("nobody", 0, 3); p2.Total != 0 {
 		t.Fatalf("user filter leaked %d jobs", p2.Total)
 	}
+	if last, err := s.History("", 3, 3); err != nil || len(last.Jobs) != 2 || last.HasMore {
+		t.Fatalf("last page = %+v, %v; want 2 jobs, no more", last, err)
+	}
+	if beyond, err := s.History("", 100, 3); err != nil || len(beyond.Jobs) != 0 || beyond.Total != 5 {
+		t.Fatalf("page beyond the end = %+v, %v; want empty with total 5", beyond, err)
+	}
+	if _, err := s.History("", -1, 3); err == nil {
+		t.Error("negative offset should fail")
+	}
+	if _, err := s.History("", 0, 0); err == nil {
+		t.Error("zero limit should fail")
+	}
+}
+
+func TestSubmitBatch(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 1, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	first, ids, err := s.SubmitBatch([]qrm.Request{req(2, 5), req(3, 5), req(4, 5)}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == 0 || len(ids) != 3 {
+		t.Fatalf("batch = %d, ids = %v", first, ids)
+	}
+	for _, id := range ids {
+		j, err := s.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.BatchID != first || j.Request.BatchID != first {
+			t.Errorf("job %d batch = %d (request %d), want %d", id, j.BatchID, j.Request.BatchID, first)
+		}
+	}
+	if second, _, err := s.SubmitBatch([]qrm.Request{req(2, 5)}, SubmitOptions{}); err != nil || second == first {
+		t.Errorf("second batch = %d, %v; want a fresh ID", second, err)
+	}
+	if _, _, err := s.SubmitBatch(nil, SubmitOptions{}); err == nil {
+		t.Error("empty batch should fail")
+	}
 }
 
 func TestStopFailsOutstandingWork(t *testing.T) {

@@ -671,7 +671,7 @@ func decodeJobPayload(data []byte) (*qrm.Job, error) {
 
 // RunBatch submits several circuits as one batch and returns the completed
 // jobs in submission order. Results are consumed as they complete (streamed
-// per-job over the HPC path's WaitJob or the REST path's NDJSON endpoint).
+// per-job over the HPC path's fleet waits or the REST path's NDJSON endpoint).
 func (c *Client) RunBatch(ctx context.Context, reqs []qrm.Request) ([]*qrm.Job, error) {
 	return c.StreamBatch(ctx, reqs, nil)
 }
@@ -781,14 +781,25 @@ func (c *Client) Job(ctx context.Context, id int) (*qrm.Job, error) {
 	return decodeJobPayload(data)
 }
 
+// HistoryPage is a page of flat job records (most recent first) — §4: "many
+// users found it difficult to navigate large job histories on the dashboard,
+// which led us to implement more efficient pagination".
+type HistoryPage struct {
+	Jobs    []*qrm.Job `json:"jobs"`
+	Total   int        `json:"total"`
+	Offset  int        `json:"offset"`
+	Limit   int        `json:"limit"`
+	HasMore bool       `json:"has_more"`
+}
+
 // History fetches a page of job history.
-func (c *Client) History(ctx context.Context, user string, offset, limit int) (*qrm.Page, error) {
+func (c *Client) History(ctx context.Context, user string, offset, limit int) (*HistoryPage, error) {
 	if c.localFleet != nil {
 		fp, err := c.localFleet.History(user, offset, limit)
 		if err != nil {
 			return nil, err
 		}
-		page := &qrm.Page{Total: fp.Total, Offset: fp.Offset, Limit: fp.Limit, HasMore: fp.HasMore}
+		page := &HistoryPage{Total: fp.Total, Offset: fp.Offset, Limit: fp.Limit, HasMore: fp.HasMore}
 		for _, j := range fp.Jobs {
 			page.Jobs = append(page.Jobs, flattenFleetJob(j))
 		}
@@ -807,7 +818,7 @@ func (c *Client) History(ctx context.Context, user string, offset, limit int) (*
 	if _, err := c.doJSON(ctx, http.MethodGet, path, nil, &raw, nil, http.StatusOK); err != nil {
 		return nil, err
 	}
-	page := &qrm.Page{Total: raw.Total, Offset: raw.Offset, Limit: raw.Limit, HasMore: raw.HasMore}
+	page := &HistoryPage{Total: raw.Total, Offset: raw.Offset, Limit: raw.Limit, HasMore: raw.HasMore}
 	for _, data := range raw.Jobs {
 		j, err := decodeJobPayload(data)
 		if err != nil {

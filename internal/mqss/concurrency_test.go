@@ -31,25 +31,25 @@ func TestWaitJobUnblocksOnStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flood the single worker so at least one job is still queued when we
-	// stop, then verify a blocked WaitJob returns an error instead of
+	// stop, then verify a blocked Wait returns an error instead of
 	// hanging.
-	var ids []int
+	var hs []qrm.Handle
 	for i := 0; i < 30; i++ {
-		id, err := m.Submit(qrm.Request{Circuit: circuit.GHZ(4), Shots: 50})
+		h, err := m.Submit(qrm.Request{Circuit: circuit.GHZ(4), Shots: 50}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		hs = append(hs, h)
 	}
-	waited := make(chan error, len(ids))
-	for _, id := range ids {
-		go func(id int) {
-			_, err := m.WaitJob(id)
+	waited := make(chan error, len(hs))
+	for _, h := range hs {
+		go func(h qrm.Handle) {
+			_, err := h.Wait(context.Background())
 			waited <- err
-		}(id)
+		}(h)
 	}
 	m.Stop()
-	for range ids {
+	for range hs {
 		<-waited // must all return, error or not — a hang fails the test timeout
 	}
 }

@@ -109,9 +109,9 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("qhpc_fleet_jobs_cancelled_total", "Fleet jobs settled cancelled.", nil, float64(fm.Cancelled))
 	pw.Counter("qhpc_fleet_jobs_shed_total", "Fleet jobs evicted by admission control under overload.", nil, float64(fm.Shed))
 	pw.Histogram("qhpc_fleet_route_score", "Fidelity estimate of each routing decision.", nil, fm.ScoreHist)
-	promBus(pw, "fleet", s.fleet.Events().Stats())
+	promBus(pw, s.fleet.Events().Stats())
 	retained, drops := s.fleet.TraceStats()
-	promTraces(pw, "fleet", retained, drops)
+	promTraces(pw, retained, drops)
 	for _, d := range fm.Devices {
 		labels := telemetry.Labels{{"device", d.Name}}
 		pw.Gauge("qhpc_device_active", "1 when the device accepts routed work.", labels, boolGauge(d.State == "active"))
@@ -120,11 +120,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		pw.Gauge("qhpc_device_fidelity_1q", "Mean single-qubit gate fidelity (live calibration).", labels, d.MeanF1Q)
 		pw.Gauge("qhpc_device_fidelity_cz", "Mean CZ gate fidelity (live calibration).", labels, d.MeanFCZ)
 		promQRM(pw, d.Name, d.QRM)
-		if mgr, err := s.fleet.DeviceManager(d.Name); err == nil {
-			promBus(pw, d.Name, mgr.Events().Stats())
-			ret, dr := mgr.TraceStats()
-			promTraces(pw, d.Name, ret, dr)
-		}
 	}
 	promTenants(pw, s.tenantsStatus(), s.limiter != nil)
 	if s.store != nil {
@@ -234,17 +229,17 @@ func promTenants(pw *telemetry.PromWriter, ts TenantsStatus, limited bool) {
 	}
 }
 
-// promBus renders one event bus's health; bus is "fleet" or a device name.
-func promBus(pw *telemetry.PromWriter, bus string, st qrm.BusStats) {
-	l := telemetry.Labels{{"bus", bus}}
+// promBus renders the health of the job event bus; there is one, the fleet's.
+func promBus(pw *telemetry.PromWriter, st qrm.BusStats) {
+	l := telemetry.Labels{{"bus", "fleet"}}
 	pw.Counter("qhpc_bus_events_published_total", "Lifecycle events published on the job event bus.", l, float64(st.Published))
 	pw.Counter("qhpc_bus_events_dropped_total", "Event deliveries dropped on full subscriber buffers (summed across subscribers, including closed ones).", l, float64(st.DroppedTotal))
 	pw.Gauge("qhpc_bus_subscribers", "Currently attached bus subscriptions.", l, float64(st.Subscribers))
 }
 
-// promTraces renders trace-retention health; scope is "fleet" or a device.
-func promTraces(pw *telemetry.PromWriter, scope string, retained int, spanDrops uint64) {
-	l := telemetry.Labels{{"scope", scope}}
+// promTraces renders the health of the scheduler's trace-retention ring.
+func promTraces(pw *telemetry.PromWriter, retained int, spanDrops uint64) {
+	l := telemetry.Labels{{"scope", "fleet"}}
 	pw.Gauge("qhpc_traces_retained", "Terminal-job traces currently held in the retention ring.", l, float64(retained))
 	pw.Counter("qhpc_trace_spans_dropped_total", "Spans lost to per-job slab exhaustion, summed at terminal.", l, float64(spanDrops))
 }

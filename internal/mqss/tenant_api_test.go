@@ -239,15 +239,11 @@ func TestWFQFairnessUnderOverload(t *testing.T) {
 	// The event bus firehose records true completion order (the simulation
 	// clock stamps identical jobs with identical EndTimes, so records alone
 	// cannot order them).
-	m, err := f.DeviceManager(pacedDevice)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dev, err := f.DeviceHandle(pacedDevice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Events().Subscribe(0, 4096)
+	sub := f.Events().Subscribe(0, 4096)
 	defer sub.Close()
 	// Resume routes the whole backlog into the device queue before it
 	// returns; the one job the worker may claim meanwhile is held by the
@@ -266,7 +262,7 @@ func TestWFQFairnessUnderOverload(t *testing.T) {
 			if ev.To != "done" {
 				continue
 			}
-			j, err := m.Job(ev.JobID)
+			j, err := f.Job(ev.JobID)
 			if err != nil {
 				t.Fatal(err)
 			}

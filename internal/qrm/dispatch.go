@@ -12,18 +12,16 @@ import (
 	"repro/internal/transpile"
 )
 
-// This file is the asynchronous dispatch pipeline: a worker pool that
-// overlaps JIT compilation and QPU round-trips for independent jobs, the
-// concurrency the serialized Step loop cannot provide under batch load.
-// Workers claim the highest-priority queued job, compile it through the
-// shared transpile cache (cache.go), optionally pass the HPC QPU-slot
-// admission gate, execute, and release waiters. The QPU itself stays
-// correct under concurrent Execute calls (the device snapshots calibration
-// under its own lock), so the pipeline needs no global serialization.
+// This file is the dispatch pipeline: a worker pool that overlaps JIT
+// compilation and QPU round-trips for independent jobs. Workers claim the
+// next job under weighted-fair queueing, compile it through the shared
+// transpile cache (cache.go), execute, and release the handle's waiters.
+// The QPU itself stays correct under concurrent Execute calls (the device
+// snapshots calibration under its own lock), so the pipeline needs no global
+// serialization.
 
 // Start launches nWorkers dispatch workers. It is an error to start an
-// already-running pipeline. Synchronous Step/Drain calls are rejected while
-// the pipeline runs; use WaitJob / WaitIdle instead.
+// already-running pipeline.
 func (m *Manager) Start(nWorkers int) error {
 	if nWorkers < 1 {
 		return fmt.Errorf("qrm: worker count must be >= 1, got %d", nWorkers)
@@ -82,112 +80,6 @@ func (m *Manager) Stop() {
 	m.mu.Unlock()
 }
 
-// Running reports whether the dispatch pipeline is active.
-func (m *Manager) Running() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.workers > 0 && !m.stopping
-}
-
-// Workers returns the configured worker count (0 when stopped).
-func (m *Manager) Workers() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.workers
-}
-
-// WaitJob blocks until the job reaches a terminal status and returns its
-// record. It requires the pipeline to be running (or the job to already be
-// terminal) — in synchronous mode nothing would ever complete the job. If
-// the pipeline stops while the job is still queued, WaitJob returns an
-// error instead of blocking forever; the job stays queued for a restart.
-func (m *Manager) WaitJob(id int) (*Job, error) {
-	return m.WaitJobContext(context.Background(), id)
-}
-
-// WaitJobContext is WaitJob with caller-controlled cancellation: it
-// returns the context's error as soon as ctx is done, leaving the job
-// untouched on the pipeline. WaitJob is this with a background context.
-func (m *Manager) WaitJobContext(ctx context.Context, id int) (*Job, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("qrm: no job %d", id)
-	}
-	// A queued job needs live workers to ever complete. An in-flight job
-	// (compiling/running) is safe to wait on even during a shutdown: Stop
-	// lets dispatched jobs finish before closing stopCh.
-	if j.Status == StatusQueued && (m.workers == 0 || m.stopping) {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("qrm: job %d pending but no dispatch workers running", id)
-	}
-	ch := j.done
-	stopCh := m.stopCh
-	m.mu.Unlock()
-	select {
-	case <-ch:
-		return m.Job(id)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-stopCh:
-		// Stop closes stopCh only after in-flight jobs complete; recheck in
-		// case ours was one of them.
-		select {
-		case <-ch:
-			return m.Job(id)
-		default:
-			return nil, fmt.Errorf("qrm: pipeline stopped with job %d still queued", id)
-		}
-	}
-}
-
-// AwaitTerminal blocks until the job reaches a terminal status or ctx
-// ends, regardless of pipeline state — the long-poll primitive. Unlike
-// WaitJob it does not error on a queued job with no workers: it simply
-// waits out the caller's budget (someone else may drain the queue or start
-// the pipeline meanwhile) and returns the current record either way.
-func (m *Manager) AwaitTerminal(ctx context.Context, id int) (*Job, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("qrm: no job %d", id)
-	}
-	ch := j.done
-	m.mu.Unlock()
-	select {
-	case <-ch:
-	case <-ctx.Done():
-	}
-	return m.Job(id)
-}
-
-// WaitEach waits for every listed job concurrently and invokes fn once per
-// job *in completion order* — the primitive behind per-job batch streaming
-// (mqss server NDJSON responses and client-side StreamBatch both build on
-// it). fn runs on the caller's goroutine, so it needs no locking; err is
-// the WaitJob error for that id (e.g. the pipeline stopped with the job
-// still queued) with j nil.
-func (m *Manager) WaitEach(ids []int, fn func(id int, j *Job, err error)) {
-	type waited struct {
-		id  int
-		j   *Job
-		err error
-	}
-	ch := make(chan waited, len(ids))
-	for _, id := range ids {
-		go func(id int) {
-			j, err := m.WaitJob(id)
-			ch <- waited{id: id, j: j, err: err}
-		}(id)
-	}
-	for range ids {
-		w := <-ch
-		fn(w.id, w.j, w.err)
-	}
-}
-
 // Load returns the queue depth and in-flight count in one lock acquisition —
 // the cheap load signal fleet routing reads per decision (Metrics would
 // snapshot four histograms per call).
@@ -195,16 +87,6 @@ func (m *Manager) Load() (queued, inflight int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.queue.Len(), m.inflight
-}
-
-// WaitIdle blocks until the queue is empty and no job is in flight — the
-// pipeline-mode analogue of Drain.
-func (m *Manager) WaitIdle() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.queue.Len() > 0 || m.inflight > 0 {
-		m.cond.Wait()
-	}
 }
 
 // workerLoop is one dispatch worker: claim, compile, execute, repeat.
@@ -232,13 +114,11 @@ func (m *Manager) workerLoop() {
 
 		m.mu.Lock()
 		m.inflight--
-		m.cond.Broadcast() // wake WaitIdle and idle workers
 		m.mu.Unlock()
 	}
 }
 
-// dispatchOne compiles and executes one claimed job. Shared by the
-// synchronous Step path and the pipeline workers; the job is already off
+// dispatchOne compiles and executes one claimed job; the job is already off
 // the queue in StatusCompiling. The body runs under pprof labels (job id,
 // device) so CPU profiles of the dispatch pipeline attribute by job.
 func (m *Manager) dispatchOne(j *Job) {
@@ -313,15 +193,8 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 		return
 	}
 	j.Status = StatusRunning
-	m.publishLocked(j, StatusCompiling, "")
-	gate := m.gate
 	m.mu.Unlock()
 
-	// Admission: the HPC scheduler owns the QPU; claim a slot for the
-	// duration of the hardware round-trip.
-	if gate != nil {
-		gate.Acquire()
-	}
 	execStart := time.Now()
 	execSpan := j.span.StartChild("execute",
 		trace.Int("shots", j.Request.Shots), trace.Int("gates", j.CompiledGates))
@@ -329,9 +202,6 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 	out, err := m.dev.QPU().ExecuteCtx(execCtx, res.Circuit, j.Request.Shots)
 	execSpan.End()
 	execMs := float64(time.Since(execStart).Microseconds()) / 1000
-	if gate != nil {
-		gate.Release()
-	}
 	m.mu.Lock()
 	m.metrics.exec.Observe(execMs)
 	m.mu.Unlock()

@@ -1,6 +1,7 @@
 package qrm
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
-	"repro/internal/hpc"
 	"repro/internal/qdmi"
 	"repro/internal/telemetry"
 )
@@ -25,53 +25,29 @@ func TestStartValidation(t *testing.T) {
 	if err := m.Start(2); err == nil {
 		t.Error("double start should fail")
 	}
-	if !m.Running() || m.Workers() != 2 {
-		t.Errorf("running=%v workers=%d", m.Running(), m.Workers())
-	}
-}
-
-func TestStepRejectedWhilePipelineRuns(t *testing.T) {
-	m := newManager(21)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	if _, err := m.Step(); err == nil {
-		t.Error("Step should be rejected while the pipeline runs")
-	}
-	if _, err := m.Drain(); err == nil {
-		t.Error("Drain should be rejected while the pipeline runs")
+	if w := m.Metrics().Workers; w != 2 {
+		t.Errorf("workers = %d, want 2", w)
 	}
 }
 
 func TestPipelineCompletesJobs(t *testing.T) {
 	m := newManager(22)
-	if err := m.Start(4); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	ids := make([]int, 0, 20)
+	start(t, m, 4)
+	hs := make([]Handle, 0, 20)
 	for i := 0; i < 20; i++ {
-		id, err := m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 20, User: "pipe"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		hs = append(hs, submit(t, m, Request{Circuit: circuit.GHZ(3), Shots: 20, User: "pipe"}))
 	}
-	for _, id := range ids {
-		j, err := m.WaitJob(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, h := range hs {
+		j := await(t, h)
 		if j.Status != StatusDone {
-			t.Fatalf("job %d = %s (%s)", id, j.Status, j.Error)
+			t.Fatalf("job %d = %s (%s)", j.ID, j.Status, j.Error)
 		}
 		total := 0
 		for _, c := range j.Counts {
 			total += c
 		}
 		if total != 20 {
-			t.Errorf("job %d counts = %d, want 20", id, total)
+			t.Errorf("job %d counts = %d, want 20", j.ID, total)
 		}
 	}
 	snap := m.Metrics()
@@ -82,44 +58,33 @@ func TestPipelineCompletesJobs(t *testing.T) {
 
 func TestWaitJobWithoutWorkers(t *testing.T) {
 	m := newManager(23)
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err != nil {
+	h := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
+	if _, err := h.Wait(context.Background()); err == nil {
+		t.Error("Wait on a pending job without workers should fail fast")
+	}
+	// Once the job is terminal, Wait returns its record with or without a pool.
+	if err := m.Start(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WaitJob(id); err == nil {
-		t.Error("WaitJob on a pending job without workers should fail fast")
-	}
-	if _, err := m.WaitJob(404); err == nil {
-		t.Error("WaitJob on an unknown job should fail")
-	}
-	// After synchronous completion, WaitJob returns immediately.
-	if _, err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	j, err := m.WaitJob(id)
+	await(t, h)
+	m.Stop()
+	j, err := h.Wait(context.Background())
 	if err != nil || j.Status != StatusDone {
-		t.Errorf("terminal WaitJob = %+v, %v", j, err)
+		t.Errorf("terminal Wait = %+v, %v", j, err)
 	}
 }
 
 func TestTranspileCacheHitsOnRepeatedCircuits(t *testing.T) {
 	qpu := device.NewTwin20Q(24)
 	m := NewManager(qdmi.NewDevice(qpu, nil))
-	if err := m.Start(2); err != nil {
-		t.Fatal(err)
+	start(t, m, 2)
+	hs := make([]Handle, 10)
+	for i := range hs {
+		hs[i] = submit(t, m, Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"})
 	}
-	defer m.Stop()
-	reqs := make([]Request, 10)
-	for i := range reqs {
-		reqs[i] = Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"}
-	}
-	_, ids, err := m.SubmitBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		if j, err := m.WaitJob(id); err != nil || j.Status != StatusDone {
-			t.Fatalf("job %d: %+v, %v", id, j, err)
+	for _, h := range hs {
+		if j := await(t, h); j.Status != StatusDone {
+			t.Fatalf("job %d: %+v", j.ID, j)
 		}
 	}
 	snap := m.Metrics()
@@ -132,13 +97,7 @@ func TestTranspileCacheHitsOnRepeatedCircuits(t *testing.T) {
 
 	// A calibration-epoch bump must invalidate the cache.
 	qpu.AdvanceDrift(1)
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.WaitJob(id); err != nil {
-		t.Fatal(err)
-	}
+	await(t, submit(t, m, Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"}))
 	if snap := m.Metrics(); snap.CacheMisses != 2 {
 		t.Errorf("cache misses after drift = %d, want 2", snap.CacheMisses)
 	}
@@ -146,63 +105,21 @@ func TestTranspileCacheHitsOnRepeatedCircuits(t *testing.T) {
 
 func TestCacheKeyDistinguishesPlacement(t *testing.T) {
 	m := newManager(25)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	a, _ := m.Submit(Request{Circuit: circuit.GHZ(4), Shots: 5})
-	b, _ := m.Submit(Request{Circuit: circuit.GHZ(4), Shots: 5, StaticPlacement: true})
-	for _, id := range []int{a, b} {
-		if _, err := m.WaitJob(id); err != nil {
-			t.Fatal(err)
-		}
-	}
+	start(t, m, 1)
+	a := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 5})
+	b := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 5, StaticPlacement: true})
+	await(t, a)
+	await(t, b)
 	if snap := m.Metrics(); snap.CacheMisses != 2 {
 		t.Errorf("misses = %d, want 2 (per-placement cache keys)", snap.CacheMisses)
-	}
-}
-
-func TestPipelineWithQPUGate(t *testing.T) {
-	sched, err := hpc.NewScheduler(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newManager(26)
-	m.SetGate(sched.QPUGate())
-	if err := m.Start(8); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	ids := make([]int, 0, 16)
-	for i := 0; i < 16; i++ {
-		id, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		j, err := m.WaitJob(id)
-		if err != nil || j.Status != StatusDone {
-			t.Fatalf("gated job %d = %+v, %v", id, j, err)
-		}
-	}
-	if sched.QPUGate().InUse() != 0 {
-		t.Error("gate slots leaked")
 	}
 }
 
 func TestPublishMetrics(t *testing.T) {
 	m := newManager(27)
 	store := telemetry.NewStore(0)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	id, _ := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if _, err := m.WaitJob(id); err != nil {
-		t.Fatal(err)
-	}
+	start(t, m, 1)
+	await(t, submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5}))
 	m.PublishMetrics(store, 42)
 	for _, sensor := range []string{"qrm_queue_depth", "qrm_inflight", "qrm_completed", "qrm_cache_hit_ratio", "qrm_e2e_p95_ms"} {
 		if _, ok := store.Latest(sensor); !ok {
@@ -217,15 +134,12 @@ func TestPublishMetrics(t *testing.T) {
 // the manager must quiesce.
 func TestConcurrentDispatchStress(t *testing.T) {
 	m := newManager(28)
-	if err := m.Start(16); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	start(t, m, 16)
 
 	const nSubmitters = 4
 	const jobsPerSubmitter = 50 // 200 total
 	var mu sync.Mutex
-	var ids []int
+	var hs []Handle
 
 	var wg sync.WaitGroup
 	for s := 0; s < nSubmitters; s++ {
@@ -234,17 +148,17 @@ func TestConcurrentDispatchStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(s)))
 			for i := 0; i < jobsPerSubmitter; i++ {
-				id, err := m.Submit(Request{
+				h, err := m.Submit(Request{
 					Circuit:  circuit.GHZ(2 + rng.Intn(3)),
 					Shots:    1 + rng.Intn(5),
 					Priority: rng.Intn(3),
 					User:     "stress",
-				})
+				}, nil)
 				if err != nil {
 					continue // offline window: the interrupter owns this race
 				}
 				mu.Lock()
-				ids = append(ids, id)
+				hs = append(hs, h)
 				mu.Unlock()
 			}
 		}(s)
@@ -257,14 +171,14 @@ func TestConcurrentDispatchStress(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 60; i++ {
 			mu.Lock()
-			n := len(ids)
-			var id int
+			n := len(hs)
+			var h Handle
 			if n > 0 {
-				id = ids[rng.Intn(n)]
+				h = hs[rng.Intn(n)]
 			}
 			mu.Unlock()
-			if id != 0 {
-				_ = m.Cancel(id) // most will already be done; that's the point
+			if n > 0 {
+				_ = h.Cancel() // most will already be done; that's the point
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -279,13 +193,13 @@ func TestConcurrentDispatchStress(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		m.SetOnline(true)
 		mu.Lock()
-		interrupted := append([]int(nil), ids...)
+		interrupted := append([]Handle(nil), hs...)
 		mu.Unlock()
-		for _, id := range interrupted {
-			if j, err := m.Job(id); err == nil && j.Status == StatusInterrupted {
-				if nid, err := m.Submit(j.Request); err == nil {
+		for _, h := range interrupted {
+			if j := h.Record(); j.Status == StatusInterrupted {
+				if nh, err := m.Submit(j.Request, nil); err == nil {
 					mu.Lock()
-					ids = append(ids, nid)
+					hs = append(hs, nh)
 					mu.Unlock()
 				}
 			}
@@ -293,17 +207,13 @@ func TestConcurrentDispatchStress(t *testing.T) {
 	}()
 
 	wg.Wait()
-	m.WaitIdle()
 
 	mu.Lock()
 	defer mu.Unlock()
-	for _, id := range ids {
-		j, err := m.Job(id)
-		if err != nil {
-			t.Fatalf("job %d: %v", id, err)
-		}
+	for _, h := range hs {
+		j := await(t, h)
 		if !terminalStatus(j.Status) {
-			t.Errorf("job %d stuck in %s", id, j.Status)
+			t.Errorf("job %d stuck in %s", j.ID, j.Status)
 		}
 		if j.Status == StatusDone {
 			total := 0
@@ -311,10 +221,13 @@ func TestConcurrentDispatchStress(t *testing.T) {
 				total += c
 			}
 			if total != j.Request.Shots {
-				t.Errorf("job %d counts = %d, want %d", id, total, j.Request.Shots)
+				t.Errorf("job %d counts = %d, want %d", j.ID, total, j.Request.Shots)
 			}
 		}
 	}
+	// A worker closes Done under the lock and drops its in-flight count
+	// under the next one; the pool is quiet once Stop has joined it.
+	m.Stop()
 	snap := m.Metrics()
 	if snap.QueueDepth != 0 || snap.Inflight != 0 {
 		t.Errorf("not quiesced: %+v", snap)
@@ -330,7 +243,7 @@ func TestConcurrentStopsDoNotPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 10})
+		submit(t, m, Request{Circuit: circuit.GHZ(3), Shots: 10})
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -341,8 +254,8 @@ func TestConcurrentStopsDoNotPanic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Running() {
-		t.Error("manager still running after concurrent Stops")
+	if w := m.Metrics().Workers; w != 0 {
+		t.Errorf("workers = %d after concurrent Stops, want 0", w)
 	}
 	// The pool restarts cleanly afterwards.
 	if err := m.Start(1); err != nil {
@@ -354,31 +267,20 @@ func TestConcurrentStopsDoNotPanic(t *testing.T) {
 func TestStopKeepsQueuedJobsAndRestarts(t *testing.T) {
 	m := newManager(29)
 	// Submit while stopped: stays queued.
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
 	if err := m.Start(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WaitJob(id); err != nil {
-		t.Fatal(err)
-	}
+	await(t, h)
 	m.Stop()
 	m.Stop() // idempotent
-	id2, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err != nil {
-		t.Fatal(err)
+	h2 := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
+	if queued, _ := m.Load(); queued != 1 {
+		t.Errorf("pending = %d, want 1", queued)
 	}
-	if m.PendingCount() != 1 {
-		t.Errorf("pending = %d, want 1", m.PendingCount())
-	}
-	if err := m.Start(2); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	if j, err := m.WaitJob(id2); err != nil || j.Status != StatusDone {
-		t.Errorf("restarted pipeline job = %+v, %v", j, err)
+	start(t, m, 2)
+	if j := await(t, h2); j.Status != StatusDone {
+		t.Errorf("restarted pipeline job = %+v", j)
 	}
 }
 
@@ -388,16 +290,14 @@ func TestStopKeepsQueuedJobsAndRestarts(t *testing.T) {
 // hits the cached outcome distribution.
 func TestEngineMetricsSurfaceBranchTree(t *testing.T) {
 	noisy := NewManager(qdmi.NewDevice(device.New20Q(44), nil))
-	if err := noisy.Start(2); err != nil {
-		t.Fatal(err)
-	}
-	defer noisy.Stop()
+	start(t, noisy, 2)
+	var hs []Handle
 	for i := 0; i < 6; i++ {
-		if _, err := noisy.Submit(Request{Circuit: circuit.GHZ(4), Shots: 100, User: "tree"}); err != nil {
-			t.Fatal(err)
-		}
+		hs = append(hs, submit(t, noisy, Request{Circuit: circuit.GHZ(4), Shots: 100, User: "tree"}))
 	}
-	noisy.WaitIdle()
+	for _, h := range hs {
+		await(t, h)
+	}
 	snap := noisy.Metrics()
 	if snap.SimBranchTreeJobs != 6 || snap.SimBranchTreeShots != 600 {
 		t.Errorf("branch-tree counters = %d jobs / %d shots, want 6 / 600 (%+v)",
@@ -411,16 +311,14 @@ func TestEngineMetricsSurfaceBranchTree(t *testing.T) {
 	}
 
 	twin := newManager(45)
-	if err := twin.Start(2); err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Stop()
+	start(t, twin, 2)
+	hs = hs[:0]
 	for i := 0; i < 5; i++ {
-		if _, err := twin.Submit(Request{Circuit: circuit.GHZ(4), Shots: 100, User: "dist"}); err != nil {
-			t.Fatal(err)
-		}
+		hs = append(hs, submit(t, twin, Request{Circuit: circuit.GHZ(4), Shots: 100, User: "dist"}))
 	}
-	twin.WaitIdle()
+	for _, h := range hs {
+		await(t, h)
+	}
 	snap = twin.Metrics()
 	if snap.SimDistCacheHits != 4 {
 		t.Errorf("dist-cache hits = %d, want 4 (first job simulates, four sample)", snap.SimDistCacheHits)

@@ -2,21 +2,20 @@ package qrm
 
 import "sync"
 
-// This file is the job event bus behind the v2 watch API: every lifecycle
-// transition a Manager (or, one level up, the fleet scheduler) makes is
+// This file is the job event bus behind the v2 watch API. The fleet
+// scheduler owns the one instance: every lifecycle transition it makes is
 // published as an Event, and subscribers — REST watch streams, local
 // JobHandle.Watch, tests — receive it without polling the job record. The
 // bus is deliberately lossy for slow consumers: Publish never blocks the
-// dispatch pipeline, so a subscriber that stops draining its channel drops
-// events (counted per subscription) instead of wedging a worker.
+// publisher, so a subscriber that stops draining its channel drops events
+// (counted per subscription) instead of wedging the scheduler.
 
-// Event is one job lifecycle transition. From/To are status strings rather
-// than JobStatus so the fleet scheduler can republish its own lifecycle
-// (pending/routed/migrated) through the same bus.
+// Event is one job lifecycle transition. From/To are the fleet's status
+// strings (pending/routed/done/failed/cancelled).
 type Event struct {
 	// Seq is the bus-assigned publication order (monotonic, starts at 1).
 	Seq uint64 `json:"seq"`
-	// JobID is the publisher-scoped job ID (QRM-local or fleet-scoped).
+	// JobID is the fleet-scoped job ID.
 	JobID int `json:"job_id"`
 	// From is the status the job left ("" for the submission event).
 	From string `json:"from,omitempty"`
@@ -25,7 +24,7 @@ type Event struct {
 	// Device names the backend involved, when the publisher knows it.
 	Device string `json:"device,omitempty"`
 	// Reason qualifies the transition (e.g. "migrated", "parked",
-	// "deadline", "cancel-requested").
+	// "unparked", "recovered").
 	Reason string `json:"reason,omitempty"`
 	// Time is the publisher's simulation clock at the transition.
 	Time float64 `json:"time"`

@@ -35,48 +35,6 @@ func drainEvents(sub *Subscription) []Event {
 	}
 }
 
-func TestEventBusLifecycleSequence(t *testing.T) {
-	m := newManager(40)
-	sub := m.Events().Subscribe(0, 64)
-	defer sub.Close()
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 10, User: "ev"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.WaitJob(id); err != nil {
-		t.Fatal(err)
-	}
-	// The terminal event is published before WaitJob unblocks (same lock
-	// section closes done), but channel delivery is async; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	var states []string
-	for time.Now().Before(deadline) {
-		states = states[:0]
-		for _, ev := range drainEvents(sub) {
-			if ev.JobID == id {
-				states = append(states, ev.To)
-			}
-		}
-		if len(states) >= 4 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	want := []string{"queued", "compiling", "running", "done"}
-	if len(states) != len(want) {
-		t.Fatalf("event states = %v, want %v", states, want)
-	}
-	for i := range want {
-		if states[i] != want[i] {
-			t.Fatalf("event %d = %s, want %s (all: %v)", i, states[i], want[i], states)
-		}
-	}
-}
-
 func TestEventBusFilteredSubscriptionAndSeq(t *testing.T) {
 	bus := NewEventBus()
 	all := bus.Subscribe(0, 8)
@@ -121,24 +79,15 @@ func TestEventBusSlowSubscriberDrops(t *testing.T) {
 
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	m := newManager(41)
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5, DeadlineMs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	okID, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	late := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5, DeadlineMs: 1})
+	ok := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
 	time.Sleep(10 * time.Millisecond) // let the 1 ms dispatch budget lapse
-	if _, err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	j, _ := m.Job(id)
-	if j.Status != StatusFailed || j.Error != ErrDeadlineMsg {
+	start(t, m, 1)
+	if j := await(t, late); j.Status != StatusFailed || j.Error != ErrDeadlineMsg {
 		t.Errorf("expired job = %s (%q), want failed with deadline message", j.Status, j.Error)
 	}
-	if ok, _ := m.Job(okID); ok.Status != StatusDone {
-		t.Errorf("deadline-free job = %s, want done", ok.Status)
+	if j := await(t, ok); j.Status != StatusDone {
+		t.Errorf("deadline-free job = %s, want done", j.Status)
 	}
 	if snap := m.Metrics(); snap.Expired != 1 || snap.Failed != 1 {
 		t.Errorf("expired=%d failed=%d, want 1/1", snap.Expired, snap.Failed)
@@ -147,18 +96,12 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 
 func TestCancelInFlight(t *testing.T) {
 	m := newPacedManager(42, 50*time.Millisecond)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start(t, m, 1)
+	h := submit(t, m, Request{Circuit: circuit.GHZ(3), Shots: 10})
 	// Wait for the worker to claim the job (it leaves the queue).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		j, _ := m.Job(id)
+		j := h.Record()
 		if j.Status == StatusCompiling || j.Status == StatusRunning {
 			break
 		}
@@ -167,81 +110,32 @@ func TestCancelInFlight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := m.Cancel(id); err != nil {
+	if err := h.Cancel(); err != nil {
 		t.Fatalf("in-flight cancel: %v", err)
 	}
-	j, err := m.WaitJob(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := await(t, h)
 	if j.Status != StatusCancelled {
 		t.Errorf("status = %s, want cancelled (in-flight cancel must win)", j.Status)
 	}
 	if len(j.Counts) != 0 {
 		t.Error("cancelled job must not carry results")
 	}
-	if err := m.Cancel(id); err == nil {
+	if err := h.Cancel(); err == nil {
 		t.Error("cancel of a terminal job should error")
 	}
-	if err := m.Cancel(999); err == nil {
-		t.Error("cancel of an unknown job should error")
-	}
 }
 
-func TestWaitJobContextCancellation(t *testing.T) {
+func TestHandleWaitHonoursContext(t *testing.T) {
 	m := newPacedManager(43, 50*time.Millisecond)
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	id, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start(t, m, 1)
+	h := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := m.WaitJobContext(ctx, id); err != context.DeadlineExceeded {
-		t.Errorf("WaitJobContext = %v, want context.DeadlineExceeded", err)
+	if _, err := h.Wait(ctx); err != context.DeadlineExceeded {
+		t.Errorf("Wait = %v, want context.DeadlineExceeded", err)
 	}
 	// The job itself is untouched and completes normally.
-	if j, err := m.WaitJob(id); err != nil || j.Status != StatusDone {
-		t.Errorf("job after abandoned wait = %+v, %v", j, err)
-	}
-}
-
-func TestListJobsCursor(t *testing.T) {
-	m := newManager(44)
-	users := []string{"a", "b"}
-	for i := 0; i < 7; i++ {
-		if _, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 5, User: users[i%2]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Newest first, cursor walk in pages of 3: 7,6,5 | 4,3,2 | 1.
-	var seen []int
-	before := 0
-	for {
-		jobs, more := m.ListJobs("", nil, before, 3)
-		for _, j := range jobs {
-			seen = append(seen, j.ID)
-		}
-		if !more {
-			break
-		}
-		before = jobs[len(jobs)-1].ID
-	}
-	if len(seen) != 7 || seen[0] != 7 || seen[6] != 1 {
-		t.Fatalf("cursor walk = %v", seen)
-	}
-	// User filter with states.
-	jobs, more := m.ListJobs("a", map[JobStatus]bool{StatusQueued: true}, 0, 10)
-	if len(jobs) != 4 || more {
-		t.Errorf("filtered list = %d jobs (more=%v), want 4", len(jobs), more)
-	}
-	if _, err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if jobs, _ := m.ListJobs("", map[JobStatus]bool{StatusQueued: true}, 0, 10); len(jobs) != 0 {
-		t.Errorf("queued filter after drain = %d jobs, want 0", len(jobs))
+	if j := await(t, h); j.Status != StatusDone {
+		t.Errorf("job after abandoned wait = %+v", j)
 	}
 }

@@ -1,23 +1,19 @@
 // Package qrm is the Quantum Resource Manager of Fig. 2: the second-level
-// scheduler that sits between the MQSS client and the device. It keeps a
-// prioritized job queue, JIT-compiles each job against the device's live
-// QDMI target at dispatch time, executes on the QPU, and maintains a
-// paginated job history (the dashboard feature §4's FAQ process produced).
-// Batch jobs — a §4 user request — group multiple circuits under one handle,
-// and an outage interrupts queued jobs so the fleet scheduler above can
-// re-route or park them ("more robust job restart tools after system
-// outages"). Job identity, durability and federation ID blocks belong to
-// that scheduler; a Manager is one device's queue, cache and worker pool.
+// scheduler that sits between the MQSS client and one device. A Manager is
+// that device's weighted-fair queue (wfq.go), transpile cache (cache.go),
+// worker pool (dispatch.go) and counters: it JIT-compiles each job against
+// the device's live QDMI target at dispatch time, executes it on the QPU, and
+// an outage interrupts queued jobs so the fleet scheduler above can re-route
+// or park them ("more robust job restart tools after system outages").
 //
-// Dispatch runs in one of two modes. The synchronous mode (Step/Drain)
-// executes one job at a time on the caller's goroutine — the tightly-coupled
-// accelerator loop. The pipeline mode (Start/Stop, dispatch.go) runs a
-// worker pool so JIT compilation and QPU round-trips for independent jobs
-// overlap, with a transpile cache keyed on circuit fingerprint + calibration
-// epoch deduplicating compilation across batch jobs with repeated circuits.
+// Submit returns a Handle to the one party that waits on the job. A job is
+// reachable from the Manager only while it sits in the queue or in a worker's
+// hands; job identity, retention, history, listing, traces, events,
+// durability and federation ID blocks all belong to fleet.Scheduler.
 package qrm
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -83,9 +79,7 @@ type Job struct {
 	SubmitTime float64 `json:"submit_time"`
 	EndTime    float64 `json:"end_time,omitempty"`
 
-	// done is closed when the job reaches a terminal status; WaitJob and
-	// the streaming batch endpoints block on it. Copies made for callers
-	// share the channel (it is reference-like), which is exactly right.
+	// done is closed when the job reaches a terminal status.
 	done chan struct{}
 	// submitWall is the wall-clock submission instant, used only for the
 	// pipeline latency metrics; job records keep simulation time.
@@ -94,17 +88,12 @@ type Job struct {
 	// dispatch pipeline honors it at the next stage boundary.
 	cancelReq bool
 
-	// tr is the job's span tree; span is the span this manager's pipeline
-	// stages nest under (the trace root for directly-submitted jobs, the
-	// fleet's per-device leg for observed submissions). trOwned marks
-	// traces this manager created and therefore retains at terminal;
-	// fleet-observed jobs leave retention to the scheduler. qwSpan covers
-	// submit-to-claim. All nil when tracing is disabled; every use is
-	// nil-safe.
-	tr      *trace.Trace
-	span    *trace.Span
-	qwSpan  *trace.Span
-	trOwned bool
+	// span is the submitter's span the pipeline stages nest under (the
+	// fleet's per-device leg); qwSpan covers submit-to-claim. The submitter
+	// owns the trace; terminateLocked ends both and drops the references.
+	// Nil when untraced; every use is nil-safe.
+	span   *trace.Span
+	qwSpan *trace.Span
 }
 
 // ErrDeadlineMsg is the error recorded on jobs that expired in the queue;
@@ -165,17 +154,14 @@ func (q *jobQueue) Pop() interface{} {
 	return j
 }
 
-// Manager is the QRM.
+// Manager is the QRM of one device.
 type Manager struct {
 	mu   sync.Mutex
-	cond *sync.Cond // signalled on submit, completion, stop, online flips
+	cond *sync.Cond // signalled on submit, stop, online flips
 
-	dev       *qdmi.Device
-	nextID    int
-	nextBatch int
-	queue     fairQueue
-	jobs      map[int]*Job // all jobs ever, by ID
-	order     []int        // submission order for pagination
+	dev    *qdmi.Device
+	nextID int
+	queue  fairQueue
 
 	// admission bounds the queue (zero values = unbounded, the default);
 	// crossing a bound sheds the most sheddable queued job with ErrShedMsg.
@@ -189,69 +175,22 @@ type Manager struct {
 	stopping bool
 	inflight int
 	wg       sync.WaitGroup
-	stopCh   chan struct{} // closed when the pipeline shuts down; unblocks WaitJob
+	stopCh   chan struct{} // closed when the pipeline shuts down; unblocks Handle.Wait
 	cache    *transpileCache
-	gate     slotGate // optional QPU admission gate (hpc co-scheduling)
 	metrics  metrics
-	bus      *EventBus // lifecycle transitions for watch subscribers
-
-	// Trace retention: a FIFO of the last traceCap terminal job IDs whose
-	// traces this manager owns. Eviction drops the job's trace reference;
-	// in-flight snapshot readers keep evicted traces alive via their own
-	// pointer, so no coordination beyond m.mu is needed.
-	traceRing     []int
-	traceCap      int
-	traceSpanDrop uint64 // spans lost to slab exhaustion, summed at terminal
-}
-
-// slotGate is the admission interface the HPC co-scheduler's QPU gate
-// satisfies (hpc.Gate); declared locally to keep qrm free of an hpc import.
-type slotGate interface {
-	Acquire()
-	Release()
 }
 
 // NewManager builds a QRM over a QDMI device handle.
 func NewManager(dev *qdmi.Device) *Manager {
 	m := &Manager{
-		dev:      dev,
-		queue:    newFairQueue(),
-		jobs:     make(map[int]*Job),
-		online:   true,
-		cache:    newTranspileCache(),
-		bus:      NewEventBus(),
-		traceCap: DefaultTraceRetention,
+		dev:    dev,
+		queue:  newFairQueue(),
+		online: true,
+		cache:  newTranspileCache(),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.metrics.init()
 	return m
-}
-
-// Events returns the manager's job event bus. Subscriptions see every
-// lifecycle transition (queued, compiling, running, terminal) as it happens.
-func (m *Manager) Events() *EventBus { return m.bus }
-
-// publishLocked emits a lifecycle event. Caller holds m.mu; the bus has its
-// own lock and never calls back into the manager, so this cannot deadlock.
-func (m *Manager) publishLocked(j *Job, from JobStatus, reason string) {
-	m.bus.Publish(Event{
-		JobID:  j.ID,
-		From:   string(from),
-		To:     string(j.Status),
-		Device: m.dev.QPU().Name(),
-		Reason: reason,
-		Time:   m.now,
-	})
-}
-
-// SetGate installs a QPU-slot admission gate (typically the HPC scheduler's
-// hpc.Gate) that pipeline workers acquire around device execution, keeping
-// the dispatch pipeline from oversubscribing the co-scheduled quantum
-// resource. Pass nil to remove. Must be called before Start.
-func (m *Manager) SetGate(g slotGate) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gate = g
 }
 
 // SetOnline marks the QPU available; taking it offline interrupts queued
@@ -271,13 +210,12 @@ func (m *Manager) SetOnline(online bool) {
 }
 
 // terminateLocked moves a job to a terminal status exactly once, stamping
-// the end time and releasing every WaitJob blocked on it. No-op when the
-// job is already terminal.
+// the end time and releasing every waiter on its handle. No-op when the job
+// is already terminal.
 func (m *Manager) terminateLocked(j *Job, s JobStatus) {
 	if terminalStatus(j.Status) {
 		return
 	}
-	from := j.Status
 	j.Status = s
 	j.EndTime = m.now
 	// Per-tenant accounting: terminateLocked is the single terminal choke
@@ -298,80 +236,19 @@ func (m *Manager) terminateLocked(j *Job, s JobStatus) {
 	case StatusInterrupted:
 		ts.Interrupted++
 	}
-	if j.done != nil {
-		close(j.done)
-	}
-	// Close out the trace: queue-wait ends here for jobs that never reached
+	close(j.done)
+	// Close out the spans: queue-wait ends here for jobs that never reached
 	// a worker (cancelled/expired/interrupted in the queue — End is
-	// idempotent, so claimed jobs are unaffected), and the job's span gets
-	// its outcome. Owned traces enter the retention ring.
+	// idempotent, so claimed jobs are unaffected), and the submitter's span
+	// gets its outcome. The trace is the submitter's to retain; a finished
+	// job must not pin it.
 	j.qwSpan.End()
 	if j.Error != "" {
 		j.span.End(trace.Str("outcome", string(s)), trace.Str("error", j.Error))
 	} else {
 		j.span.End(trace.Str("outcome", string(s)))
 	}
-	if j.trOwned && j.tr != nil {
-		m.retainTraceLocked(j)
-	}
-	m.publishLocked(j, from, "")
-}
-
-// DefaultTraceRetention bounds how many terminal-job traces a manager
-// keeps for GET /jobs/{id}/trace.
-const DefaultTraceRetention = 256
-
-// retainTraceLocked pushes a terminal job into the trace ring, evicting
-// the oldest retained trace when full. Caller holds m.mu.
-func (m *Manager) retainTraceLocked(j *Job) {
-	m.traceSpanDrop += j.tr.Dropped()
-	if m.traceCap < 1 {
-		j.tr, j.span, j.qwSpan = nil, nil, nil
-		return
-	}
-	if len(m.traceRing) >= m.traceCap {
-		old := m.traceRing[0]
-		m.traceRing = m.traceRing[1:]
-		if oj, ok := m.jobs[old]; ok {
-			oj.tr, oj.span, oj.qwSpan = nil, nil, nil
-		}
-	}
-	m.traceRing = append(m.traceRing, j.ID)
-}
-
-// SetTraceRetention resizes the terminal-trace ring (0 disables retention).
-// Shrinking evicts oldest-first immediately.
-func (m *Manager) SetTraceRetention(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.traceCap = n
-	for len(m.traceRing) > n {
-		old := m.traceRing[0]
-		m.traceRing = m.traceRing[1:]
-		if oj, ok := m.jobs[old]; ok {
-			oj.tr, oj.span, oj.qwSpan = nil, nil, nil
-		}
-	}
-}
-
-// Trace returns the job's span tree, or nil when the job is unknown, was
-// never traced, or its trace has been evicted from the retention ring.
-// The returned trace is safe to snapshot concurrently with eviction.
-func (m *Manager) Trace(id int) *trace.Trace {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		return j.tr
-	}
-	return nil
-}
-
-// TraceStats reports retained-trace count and total spans lost to per-job
-// slab exhaustion across terminal jobs — the /metrics gauges.
-func (m *Manager) TraceStats() (retained int, spanDrops uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.traceRing), m.traceSpanDrop
+	j.span, j.qwSpan = nil, nil
 }
 
 // Online reports availability.
@@ -388,122 +265,122 @@ func (m *Manager) SetTime(t float64) {
 	m.now = t
 }
 
-// Submit enqueues one job and returns its ID. The job gets its own trace
-// (retained at terminal in the manager's ring); layers that already carry
-// a trace — the fleet scheduler — use SubmitObserved instead.
-func (m *Manager) Submit(req Request) (int, error) {
-	return m.submit(req, nil)
-}
-
-// SubmitObserved enqueues one job whose pipeline spans (queue-wait,
-// compile, execute) nest under parent instead of a fresh trace root. The
-// caller owns the trace's retention; this manager only appends to it.
-func (m *Manager) SubmitObserved(req Request, parent *trace.Span) (int, error) {
-	return m.submit(req, parent)
-}
-
-func (m *Manager) submit(req Request, parent *trace.Span) (int, error) {
+// Submit enqueues one job and returns the handle its submitter waits on.
+// The pipeline's queue-wait, compile and execute spans nest under parent,
+// whose trace the submitter owns (nil = untraced).
+func (m *Manager) Submit(req Request, parent *trace.Span) (Handle, error) {
 	if req.Circuit == nil {
-		return 0, fmt.Errorf("qrm: request has no circuit")
+		return Handle{}, fmt.Errorf("qrm: request has no circuit")
 	}
 	if err := req.Circuit.Validate(); err != nil {
-		return 0, fmt.Errorf("qrm: invalid circuit: %w", err)
+		return Handle{}, fmt.Errorf("qrm: invalid circuit: %w", err)
 	}
 	if req.Shots < 1 {
-		return 0, fmt.Errorf("qrm: shots must be >= 1, got %d", req.Shots)
+		return Handle{}, fmt.Errorf("qrm: shots must be >= 1, got %d", req.Shots)
 	}
 	if req.Circuit.NumQubits > m.dev.Properties().NumQubits {
-		return 0, fmt.Errorf("qrm: circuit needs %d qubits, device has %d",
+		return Handle{}, fmt.Errorf("qrm: circuit needs %d qubits, device has %d",
 			req.Circuit.NumQubits, m.dev.Properties().NumQubits)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !m.online {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("qrm: QPU offline (maintenance or outage)")
+		return Handle{}, fmt.Errorf("qrm: QPU offline (maintenance or outage)")
 	}
 	m.nextID++
 	j := &Job{
 		ID: m.nextID, Status: StatusQueued, Request: req, SubmitTime: m.now,
 		done: make(chan struct{}), submitWall: time.Now(),
+		span: parent, qwSpan: parent.StartChild("queue-wait"),
 	}
-	if parent != nil {
-		j.tr, j.span = parent.Trace(), parent
-	} else {
-		j.tr = trace.New("job",
-			trace.Int("job_id", j.ID), trace.Str("user", req.User))
-		j.span = j.tr.Root()
-		j.trOwned = j.tr != nil
-	}
-	j.qwSpan = j.span.StartChild("queue-wait")
-	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
 	m.queue.push(j)
 	m.metrics.submitted++
 	m.queue.stats(req.User).Submitted++
 	m.metrics.observeQueueDepth(m.queue.Len())
-	m.publishLocked(j, "", "")
 	m.shedOverLimitLocked(req.User)
 	m.cond.Broadcast()
-	m.mu.Unlock()
-	return j.ID, nil
+	return Handle{m: m, j: j}, nil
 }
 
-// SubmitBatch enqueues several circuits under one batch ID (a §4 user
-// request). It returns the batch ID and per-circuit job IDs.
-func (m *Manager) SubmitBatch(reqs []Request) (int, []int, error) {
-	if len(reqs) == 0 {
-		return 0, nil, fmt.Errorf("qrm: empty batch")
-	}
-	m.mu.Lock()
-	m.nextBatch++
-	batch := m.nextBatch
-	m.mu.Unlock()
-	ids := make([]int, 0, len(reqs))
-	for i := range reqs {
-		reqs[i].BatchID = batch
-		id, err := m.Submit(reqs[i])
-		if err != nil {
-			return batch, ids, fmt.Errorf("qrm: batch item %d: %w", i, err)
-		}
-		ids = append(ids, id)
-	}
-	return batch, ids, nil
+// Handle is the submitter's reference to one accepted job — the only way to
+// reach it: the Manager keeps no table of jobs, so dropping the handle (once
+// the job is out of the queue and the workers' hands) frees the job. It is
+// a small value, copied freely; the zero Handle refers to no job.
+type Handle struct {
+	m *Manager
+	j *Job
 }
 
-// Cancel cancels a job. A still-queued job is cancelled immediately; a job
+// ID is the job's device-local ID.
+func (h Handle) ID() int { return h.j.ID }
+
+// Done is closed when the job reaches a terminal status.
+func (h Handle) Done() <-chan struct{} { return h.j.done }
+
+// Record returns a copy of the job record as it stands now; once Done is
+// closed it no longer changes. The copy is plain data — it carries no trace
+// or channel references, so keeping it pins nothing of the pipeline.
+func (h Handle) Record() *Job {
+	h.m.mu.Lock()
+	defer h.m.mu.Unlock()
+	cp := *h.j
+	cp.done, cp.span, cp.qwSpan = nil, nil, nil
+	return &cp
+}
+
+// Cancel cancels the job. A still-queued job is cancelled immediately; a job
 // already claimed by a dispatch worker (compiling or running) has the
 // cancellation *requested* — the pipeline honors it at the next stage
 // boundary (before the QPU round-trip, or when recording the result), so
 // Cancel returning nil means the job will terminate cancelled, not that it
-// already has. Terminal and unknown jobs return an error.
-func (m *Manager) Cancel(id int) error {
+// already has. A terminal job returns an error.
+func (h Handle) Cancel() error {
+	m, j := h.m, h.j
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return fmt.Errorf("qrm: no job %d", id)
-	}
 	if terminalStatus(j.Status) {
-		return fmt.Errorf("qrm: job %d already %s", id, j.Status)
+		return fmt.Errorf("qrm: job %d already %s", j.ID, j.Status)
 	}
-	if m.queue.remove(id) != nil {
+	if m.queue.remove(j.ID) != nil {
 		m.terminateLocked(j, StatusCancelled)
 		m.metrics.cancelled++
-		m.cond.Broadcast() // the queue may now be idle; wake WaitIdle
 		return nil
 	}
-	// In flight: flag it for the worker. The event lets watchers see the
-	// request even though the status has not changed yet.
-	j.cancelReq = true
-	m.publishLocked(j, j.Status, "cancel-requested")
+	j.cancelReq = true // in flight: flag it for the worker
 	return nil
 }
 
-// PendingCount returns the queue length.
-func (m *Manager) PendingCount() int {
+// Wait blocks until the job reaches a terminal status and returns its
+// record, or until ctx ends (the job stays on the pipeline untouched). A
+// queued job needs live workers to ever complete: with the pool stopped —
+// or stopping while the job is still queued — Wait returns an error instead
+// of blocking forever; the job stays queued for a restart.
+func (h Handle) Wait(ctx context.Context) (*Job, error) {
+	m, j := h.m, h.j
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queue.Len()
+	// An in-flight job (compiling/running) is safe to wait on even during a
+	// shutdown: Stop lets dispatched jobs finish before closing stopCh.
+	if j.Status == StatusQueued && (m.workers == 0 || m.stopping) {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("qrm: job %d pending but no dispatch workers running", j.ID)
+	}
+	stopCh := m.stopCh
+	m.mu.Unlock()
+	select {
+	case <-j.done:
+		return h.Record(), nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-stopCh:
+		// Stop closes stopCh only after in-flight jobs complete; recheck in
+		// case ours was one of them.
+		select {
+		case <-j.done:
+			return h.Record(), nil
+		default:
+			return nil, fmt.Errorf("qrm: pipeline stopped with job %d still queued", j.ID)
+		}
+	}
 }
 
 // SetAdmission installs queue-depth bounds (tenant.Admission zero values
@@ -547,9 +424,8 @@ func (m *Manager) shedOverLimitLocked(user string) {
 	}
 }
 
-// shedLocked terminates one queued job with the retryable shed error.
-// The job stays in history and its terminal event publishes normally, so
-// waiters and watch streams see it fail loudly rather than vanish.
+// shedLocked terminates one queued job with the retryable shed error, so
+// its waiter sees it fail loudly rather than vanish.
 func (m *Manager) shedLocked(j *Job) {
 	if j == nil {
 		return
@@ -558,7 +434,6 @@ func (m *Manager) shedLocked(j *Job) {
 	j.Error = ErrShedMsg
 	m.terminateLocked(j, StatusFailed)
 	m.metrics.shed++
-	m.cond.Broadcast() // the queue may now be idle; wake WaitIdle
 }
 
 // claimLocked pops queued jobs until it finds a dispatchable one, failing
@@ -574,62 +449,14 @@ func (m *Manager) claimLocked() *Job {
 			m.terminateLocked(j, StatusFailed)
 			m.metrics.expired++
 			m.metrics.failed++
-			m.cond.Broadcast() // the queue may now be idle; wake WaitIdle
 			continue
 		}
 		j.Status = StatusCompiling
 		j.qwSpan.End()
 		m.metrics.queueWait.Observe(float64(time.Since(j.submitWall).Microseconds()) / 1000)
-		m.publishLocked(j, StatusQueued, "")
 		return j
 	}
 	return nil
-}
-
-// Step dispatches and executes the highest-priority queued job, JIT-compiling
-// it against the live QDMI target first. It returns the completed job, or
-// nil if the queue is empty. Step is the synchronous mode; while the worker
-// pipeline is running it returns an error (use WaitJob instead).
-func (m *Manager) Step() (*Job, error) {
-	m.mu.Lock()
-	for m.stopping && m.workers > 0 {
-		// A Stop is draining the pool; wait it out so callers falling back
-		// to synchronous dispatch don't get a spurious error.
-		m.cond.Wait()
-	}
-	if m.workers > 0 {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("qrm: pipeline running; submit and WaitJob instead of Step")
-	}
-	if !m.online {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("qrm: QPU offline")
-	}
-	j := m.claimLocked()
-	if j == nil {
-		m.mu.Unlock()
-		return nil, nil
-	}
-	m.mu.Unlock()
-
-	m.dispatchOne(j)
-	return j, nil
-}
-
-// Drain executes queued jobs until the queue is empty, returning how many
-// jobs ran. Synchronous mode only; with the pipeline running use WaitIdle.
-func (m *Manager) Drain() (int, error) {
-	n := 0
-	for {
-		j, err := m.Step()
-		if err != nil {
-			return n, err
-		}
-		if j == nil {
-			return n, nil
-		}
-		n++
-	}
 }
 
 func (m *Manager) finish(j *Job, counts map[int]int, durUs float64, err error) {
@@ -653,89 +480,4 @@ func (m *Manager) finish(j *Job, counts map[int]int, durUs float64, err error) {
 	m.terminateLocked(j, StatusDone)
 	m.metrics.completed++
 	m.metrics.e2e.Observe(float64(time.Since(j.submitWall).Microseconds()) / 1000)
-}
-
-// Job returns a copy of the job record.
-func (m *Manager) Job(id int) (*Job, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("qrm: no job %d", id)
-	}
-	cp := *j
-	return &cp, nil
-}
-
-// Page is a paginated slice of job history — §4: "many users found it
-// difficult to navigate large job histories on the dashboard, which led us
-// to implement more efficient pagination".
-type Page struct {
-	Jobs    []*Job `json:"jobs"`
-	Total   int    `json:"total"`
-	Offset  int    `json:"offset"`
-	Limit   int    `json:"limit"`
-	HasMore bool   `json:"has_more"`
-}
-
-// History returns a page of jobs (most recent first), optionally filtered
-// by user.
-func (m *Manager) History(user string, offset, limit int) (*Page, error) {
-	if offset < 0 || limit < 1 {
-		return nil, fmt.Errorf("qrm: bad pagination offset=%d limit=%d", offset, limit)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var ids []int
-	for i := len(m.order) - 1; i >= 0; i-- {
-		j := m.jobs[m.order[i]]
-		if user == "" || j.Request.User == user {
-			ids = append(ids, j.ID)
-		}
-	}
-	total := len(ids)
-	if offset >= total {
-		return &Page{Total: total, Offset: offset, Limit: limit}, nil
-	}
-	endIdx := offset + limit
-	if endIdx > total {
-		endIdx = total
-	}
-	page := &Page{Total: total, Offset: offset, Limit: limit, HasMore: endIdx < total}
-	for _, id := range ids[offset:endIdx] {
-		cp := *m.jobs[id]
-		page.Jobs = append(page.Jobs, &cp)
-	}
-	return page, nil
-}
-
-// ListJobs returns up to limit job copies with ID strictly below beforeID
-// (0 = start from the newest), newest first, filtered by user ("" = any)
-// and status set (nil = any) — the cursor primitive behind the v2 paginated
-// listing: the caller threads the last returned ID back in as beforeID.
-// more reports whether older matching jobs remain.
-func (m *Manager) ListJobs(user string, states map[JobStatus]bool, beforeID, limit int) (jobs []*Job, more bool) {
-	if limit < 1 {
-		limit = 20
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := len(m.order) - 1; i >= 0; i-- {
-		j := m.jobs[m.order[i]]
-		if beforeID > 0 && j.ID >= beforeID {
-			continue
-		}
-		if user != "" && j.Request.User != user {
-			continue
-		}
-		if states != nil && !states[j.Status] {
-			continue
-		}
-		if len(jobs) == limit {
-			return jobs, true
-		}
-		cp := *j
-		jobs = append(jobs, &cp)
-	}
-	return jobs, false
 }

@@ -86,33 +86,26 @@ func TestFairQueueAgingBreaksPriorityLockout(t *testing.T) {
 func TestShedPerTenantBound(t *testing.T) {
 	m := newManager(31)
 	m.SetAdmission(tenant.Admission{MaxTenantQueue: 2})
-	ids := make([]int, 4)
-	for i := range ids {
-		id, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 10, User: "a"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
+	hs := make([]Handle, 4)
+	for i := range hs {
+		hs[i] = submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, User: "a"})
 	}
-	if m.PendingCount() != 2 {
-		t.Fatalf("queue depth = %d, want 2", m.PendingCount())
+	if queued, _ := m.Load(); queued != 2 {
+		t.Fatalf("queue depth = %d, want 2", queued)
 	}
 	// The overflowing submissions (newest first) were shed, not silently
 	// dropped: terminal failed records with the shed error.
-	for _, id := range ids[2:] {
-		j, err := m.Job(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.Status != StatusFailed || j.Error != ErrShedMsg {
-			t.Fatalf("overflow job %d = %s %q, want shed", id, j.Status, j.Error)
+	for _, h := range hs[2:] {
+		if j := h.Record(); j.Status != StatusFailed || j.Error != ErrShedMsg {
+			t.Fatalf("overflow job %d = %s %q, want shed", j.ID, j.Status, j.Error)
 		}
 	}
 	if got := m.Metrics().Shed; got != 2 {
 		t.Fatalf("metrics shed = %d, want 2", got)
 	}
-	if _, err := m.Drain(); err != nil {
-		t.Fatal(err)
+	start(t, m, 1)
+	for _, h := range hs[:2] {
+		await(t, h)
 	}
 	// Conservation: every submission is accounted exactly once.
 	u := m.TenantUsage()
@@ -128,33 +121,30 @@ func TestShedPerTenantBound(t *testing.T) {
 func TestShedGlobalHighWaterEvictsLowestPriority(t *testing.T) {
 	m := newManager(32)
 	m.SetAdmission(tenant.Admission{HighWater: 2})
-	lowA, _ := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 10, User: "x", Priority: 0})
-	lowB, _ := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 10, User: "y", Priority: 0})
-	high, _ := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 10, User: "z", Priority: 9})
+	lowA := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, User: "x", Priority: 0})
+	lowB := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, User: "y", Priority: 0})
+	high := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, User: "z", Priority: 9})
 	// The high-priority submission pushed the queue over the mark; the
 	// victim must be the lowest-priority newest job, not the arrival.
-	if j, _ := m.Job(lowB); j.Status != StatusFailed || j.Error != ErrShedMsg {
+	if j := lowB.Record(); j.Status != StatusFailed || j.Error != ErrShedMsg {
 		t.Fatalf("expected lowB shed, got %s %q", j.Status, j.Error)
 	}
-	for _, id := range []int{lowA, high} {
-		if j, _ := m.Job(id); j.Status != StatusQueued {
-			t.Fatalf("job %d should still be queued, got %s", id, j.Status)
+	for _, h := range []Handle{lowA, high} {
+		if j := h.Record(); j.Status != StatusQueued {
+			t.Fatalf("job %d should still be queued, got %s", j.ID, j.Status)
 		}
 	}
-	if m.PendingCount() != 2 {
-		t.Fatalf("queue depth = %d, want 2", m.PendingCount())
+	if queued, _ := m.Load(); queued != 2 {
+		t.Fatalf("queue depth = %d, want 2", queued)
 	}
 }
 
 func TestAdmissionDisabledByDefault(t *testing.T) {
 	m := newManager(33)
 	for i := 0; i < 50; i++ {
-		if _, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 10, User: "a"}); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, User: "a"})
 	}
-	if m.PendingCount() != 50 || m.Metrics().Shed != 0 {
-		t.Fatalf("default config must not shed: depth=%d shed=%d",
-			m.PendingCount(), m.Metrics().Shed)
+	if queued, _ := m.Load(); queued != 50 || m.Metrics().Shed != 0 {
+		t.Fatalf("default config must not shed: depth=%d shed=%d", queued, m.Metrics().Shed)
 	}
 }
