@@ -203,12 +203,12 @@ func BenchmarkFigure2MQSSRoutingHPCPath(b *testing.B) {
 	ghz := circuit.GHZ(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, err := client.Run(context.Background(), qrm.Request{Circuit: ghz, Shots: 10, User: "bench"})
+		j, err := client.Run(context.Background(), mqss.SubmitRequest{Circuit: ghz, Shots: 10, User: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if j.Status != qrm.StatusDone {
-			b.Fatalf("job %d: %s (%s)", j.ID, j.Status, j.Error)
+		if j.State != mqss.StateDone {
+			b.Fatalf("job %s: %s (%v)", j.ID, j.State, j.Error)
 		}
 	}
 }

@@ -1,21 +1,19 @@
 // Command qhpcctl is the operator/user CLI for a running qhpcd: it submits
-// OpenQASM circuits, inspects jobs and device state, and pages through job
-// history — the dashboard operations §4's early users relied on.
+// OpenQASM circuits, inspects jobs and device state, and pages through the
+// job listing — the dashboard operations §4's early users relied on.
 //
 // Usage:
 //
 //	qhpcctl -server http://localhost:8080 device
-//	qhpcctl -server http://localhost:8080 submit -shots 500 -user alice circuit.qasm
-//	qhpcctl -server http://localhost:8080 job 17
-//	qhpcctl -server http://localhost:8080 job submit -shots 500 -wait circuit.qasm
+//	qhpcctl -server http://localhost:8080 job submit -shots 500 -user alice -wait circuit.qasm
+//	qhpcctl -server http://localhost:8080 job status j-17
 //	qhpcctl -server http://localhost:8080 job watch j-17
 //	qhpcctl -server http://localhost:8080 job cancel j-17
-//	qhpcctl -server http://localhost:8080 history -user alice -offset 0 -limit 10
+//	qhpcctl -server http://localhost:8080 job list -user alice -limit 10
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -23,14 +21,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/mqss"
-	"repro/internal/qrm"
 	"repro/internal/quantum"
 	"repro/internal/scenario"
 	"repro/internal/telemetry/trace"
@@ -82,81 +76,11 @@ func main() {
 				fmt.Printf("  q%d-q%d: %.4f\n", e[0], e[1], info.Calibration.FCZ(e[0], e[1]))
 			}
 		}
-	case "submit":
-		fs := flag.NewFlagSet("submit", flag.ExitOnError)
-		shots := fs.Int("shots", 1000, "shots")
-		user := fs.String("user", "cli", "submitting user")
-		static := fs.Bool("static", false, "static placement instead of fidelity-aware JIT")
-		device := fs.String("device", "", "pin the job to one backend")
-		policy := fs.String("policy", "", "routing policy override")
-		if err := fs.Parse(args[1:]); err != nil {
-			log.Fatal(err)
-		}
-		if fs.NArg() != 1 {
-			log.Fatal("submit needs exactly one .qasm file")
-		}
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			log.Fatal(err)
-		}
-		c, err := circuit.ParseQASM(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("parsing %s: %v", fs.Arg(0), err)
-		}
-		req := qrm.Request{Circuit: c, Shots: *shots, User: *user, StaticPlacement: *static}
-		if *device != "" || *policy != "" {
-			fj, err := client.RunRouted(ctx, req, mqss.RouteOptions{Device: *device, Policy: *policy})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("routed to %s (score %.4f, %d migrations)\n", fj.Device, fj.Score, fj.Migrations)
-			if fj.Result != nil {
-				res := *fj.Result
-				res.ID = fj.ID
-				printJob(&res)
-			} else {
-				fmt.Printf("job #%d: %s %s\n", fj.ID, fj.Status, fj.Error)
-			}
-			break
-		}
-		job, err := client.Run(ctx, req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printJob(job)
 	case "job":
 		if len(args) < 2 {
-			log.Fatal("job needs a subcommand (submit/status/watch/cancel) or an ID")
-		}
-		// Back-compat: `qhpcctl job 17` still fetches the legacy record.
-		if id, err := strconv.Atoi(args[1]); err == nil {
-			job, err := client.Job(ctx, id)
-			if err != nil {
-				log.Fatal(err)
-			}
-			printJob(job)
-			break
+			log.Fatal("job needs a subcommand (submit/status/watch/cancel/list)")
 		}
 		jobCommand(ctx, client, args[1:])
-	case "history":
-		fs := flag.NewFlagSet("history", flag.ExitOnError)
-		user := fs.String("user", "", "filter by user")
-		offset := fs.Int("offset", 0, "page offset")
-		limit := fs.Int("limit", 10, "page size")
-		if err := fs.Parse(args[1:]); err != nil {
-			log.Fatal(err)
-		}
-		page, err := client.History(ctx, *user, *offset, *limit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("jobs %d-%d of %d (has more: %v)\n",
-			page.Offset+1, page.Offset+len(page.Jobs), page.Total, page.HasMore)
-		for _, j := range page.Jobs {
-			fmt.Printf("  #%-4d %-12s user=%-10s circuit=%q shots=%d\n",
-				j.ID, j.Status, j.Request.User, j.Request.Circuit.Name, j.Request.Shots)
-		}
 	case "fleet":
 		sub := "status"
 		if len(args) > 1 {
@@ -170,53 +94,6 @@ func main() {
 			log.Fatal(err)
 		}
 		printFleetStatus(m)
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		clients := fs.Int("clients", 8, "concurrent clients")
-		jobs := fs.Int("jobs", 10, "jobs per client")
-		shots := fs.Int("shots", 100, "shots per job")
-		qubits := fs.Int("qubits", 4, "GHZ circuit size")
-		batch := fs.Bool("batch", false, "submit each client's jobs as one streamed batch")
-		device := fs.String("device", "", "pin all jobs to one device")
-		policy := fs.String("policy", "", "routing policy override")
-		simMode := fs.Bool("sim", false, "run the in-process execution-engine bench (no server; compares naive vs compiled shot loop)")
-		jsonOut := fs.String("json", "", "write machine-readable bench results to this file")
-		if err := fs.Parse(args[1:]); err != nil {
-			log.Fatal(err)
-		}
-		if *simMode {
-			// -sim runs in process against a local device pair: the
-			// server-load controls don't apply, and silently ignoring them
-			// would misreport what was measured.
-			set := map[string]bool{}
-			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			for _, name := range []string{"clients", "batch", "device", "policy"} {
-				if set[name] {
-					log.Fatalf("bench -sim is in-process; -%s does not apply (supported: -jobs, -shots, -qubits, -json)", name)
-				}
-			}
-			// Zero values keep the harness defaults (the BENCH_sim.json
-			// artifact configuration), so a bare `bench -sim` reproduces the
-			// tracked workload; the bench subcommand's own flag defaults
-			// must not override it.
-			p := simBenchParams{jsonOut: *jsonOut}
-			if set["jobs"] {
-				p.jobs = *jobs
-			}
-			if set["shots"] {
-				p.shots = *shots
-			}
-			if set["qubits"] {
-				p.qubits = *qubits
-			}
-			runSimBench(p)
-			break
-		}
-		runBench(*server, benchConfig{
-			clients: *clients, jobs: *jobs, shots: *shots, qubits: *qubits,
-			batch: *batch, device: *device, policy: *policy,
-			jsonOut: *jsonOut,
-		})
 	case "trace":
 		jt, err := client.V2JobTrace(ctx, v2ID(args[1:]))
 		if err != nil {
@@ -481,8 +358,9 @@ func humanBytes(n uint64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// jobCommand is the v2 async job group: submit returns immediately with a
-// handle (or -wait blocks), status/watch/cancel operate on the opaque ID.
+// jobCommand is the job group: submit returns immediately with a handle (or
+// -wait blocks), status/watch/cancel operate on the opaque ID, list pages
+// the history.
 func jobCommand(ctx context.Context, client *mqss.Client, args []string) {
 	switch args[0] {
 	case "submit":
@@ -560,8 +438,35 @@ func jobCommand(ctx context.Context, client *mqss.Client, args []string) {
 			log.Fatal(err)
 		}
 		fmt.Printf("cancel requested: job %s now %s\n", job.ID, job.State)
+	case "list":
+		fs := flag.NewFlagSet("job list", flag.ExitOnError)
+		user := fs.String("user", "", "filter by user")
+		state := fs.String("state", "", "filter by state (comma-separated: queued,routed,running,done,failed,cancelled)")
+		limit := fs.Int("limit", 10, "page size")
+		cursor := fs.String("cursor", "", "continue from a previous page's next_cursor")
+		if err := fs.Parse(args[1:]); err != nil {
+			log.Fatal(err)
+		}
+		opts := mqss.ListOptions{User: *user, Limit: *limit, Cursor: *cursor}
+		if *state != "" {
+			// The server validates the names (400 invalid_request).
+			for _, v := range strings.Split(*state, ",") {
+				opts.States = append(opts.States, mqss.JobState(strings.TrimSpace(v)))
+			}
+		}
+		page, err := client.ListJobs(ctx, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, j := range page.Jobs {
+			fmt.Printf("  %-12s %-10s user=%-10s device=%-22s shots=%d\n",
+				j.ID, j.State, j.User, j.Device, j.Shots)
+		}
+		if page.NextCursor != "" {
+			fmt.Printf("next_cursor: %s\n", page.NextCursor)
+		}
 	default:
-		log.Fatalf("unknown job subcommand %q (want: submit, status, watch, cancel)", args[0])
+		log.Fatalf("unknown job subcommand %q (want: submit, status, watch, cancel, list)", args[0])
 	}
 }
 
@@ -577,11 +482,12 @@ func v2ID(args []string) string {
 	return args[0]
 }
 
-// printV2Job renders the unified v2 record.
+// printV2Job renders the job record; counts print as logical-order
+// bitstrings, most frequent first.
 func printV2Job(j *mqss.Job) {
 	fmt.Printf("job %s: %s", j.ID, j.State)
 	if j.Device != "" {
-		fmt.Printf(" on %s", j.Device)
+		fmt.Printf(" on %s (score %.4f)", j.Device, j.Score)
 	}
 	if j.Migrations > 0 {
 		fmt.Printf(" (%d migrations)", j.Migrations)
@@ -595,15 +501,31 @@ func printV2Job(j *mqss.Job) {
 		return
 	}
 	fmt.Printf("  compiled: %d gates (%d CZ) — %s\n", j.CompiledGates, j.CZCount, j.CompileStats)
+	fmt.Printf("  layout (logical->physical): %v\n", j.Layout)
 	fmt.Printf("  duration: %.1f ms on control electronics\n", j.DurationUs/1000)
-	shown := 0
+	// Project physical outcomes onto the placed logical qubits, merging
+	// outcomes that differ only on unplaced qubits (readout noise there).
+	logical := make(map[int]int)
 	for outcome, count := range j.Counts {
-		if shown >= 8 {
-			fmt.Printf("  ... %d more outcomes\n", len(j.Counts)-8)
+		l := 0
+		for i, p := range j.Layout {
+			if outcome&(1<<uint(p)) != 0 {
+				l |= 1 << uint(i)
+			}
+		}
+		logical[l] += count
+	}
+	keys := make([]int, 0, len(logical))
+	for l := range logical {
+		keys = append(keys, l)
+	}
+	sort.Slice(keys, func(a, b int) bool { return logical[keys[a]] > logical[keys[b]] })
+	for i, l := range keys {
+		if i >= 8 {
+			fmt.Printf("  ... %d more outcomes\n", len(keys)-8)
 			break
 		}
-		fmt.Printf("  outcome %d: %d\n", outcome, count)
-		shown++
+		fmt.Printf("  |%s> %d\n", quantum.FormatBitstring(l, len(j.Layout)), logical[l])
 	}
 }
 
@@ -621,260 +543,26 @@ func printFleetStatus(m *fleet.Metrics) {
 	}
 }
 
-// benchConfig parameterizes the load harness.
-type benchConfig struct {
-	clients, jobs, shots, qubits int
-	batch                        bool
-	// device/policy pass through as routing controls.
-	device, policy string
-	jsonOut        string
-}
-
-// benchJSON is the machine-readable bench record (-json flag) — the same
-// shape BENCH_fleet.json tracks across PRs.
-type benchJSON struct {
-	Mode       string         `json:"mode"`
-	Clients    int            `json:"clients"`
-	JobsPerCli int            `json:"jobs_per_client"`
-	Shots      int            `json:"shots"`
-	Qubits     int            `json:"qubits"`
-	WallMs     float64        `json:"wall_ms"`
-	JobsPerSec float64        `json:"jobs_per_sec"`
-	P50Ms      float64        `json:"p50_ms"`
-	P95Ms      float64        `json:"p95_ms"`
-	Failures   int            `json:"failures"`
-	ByDevice   map[string]int `json:"by_device,omitempty"`
-}
-
-// runBench drives N concurrent clients against a running qhpcd and reports
-// job throughput, the client-observed latency distribution and the
-// per-device job distribution — the load harness for the fleet scheduler.
-func runBench(server string, cfg benchConfig) {
-	if cfg.clients < 1 || cfg.jobs < 1 {
-		log.Fatal("bench needs -clients >= 1 and -jobs >= 1")
-	}
-	ghz := circuit.GHZ(cfg.qubits)
-	var mu sync.Mutex
-	var latencies []time.Duration
-	var failures int
-	byDevice := map[string]int{}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl := mqss.NewRemoteClient(server, nil)
-			user := fmt.Sprintf("bench-%d", c)
-			reqs := make([]qrm.Request, cfg.jobs)
-			for i := range reqs {
-				reqs[i] = qrm.Request{Circuit: ghz, Shots: cfg.shots, User: user}
-			}
-			route := mqss.RouteOptions{Device: cfg.device, Policy: cfg.policy}
-			if cfg.batch {
-				delivered := 0
-				batchStart := time.Now()
-				_, err := cl.StreamBatchRouted(context.Background(), reqs, route,
-					func(j *fleet.Job) {
-						lat := time.Since(batchStart)
-						mu.Lock()
-						delivered++
-						latencies = append(latencies, lat)
-						byDevice[j.Device]++
-						if j.Status != fleet.JobDone {
-							failures++
-						}
-						mu.Unlock()
-					})
-				if err != nil {
-					log.Printf("bench client %d: %v", c, err)
-					mu.Lock()
-					// Only jobs the stream never delivered count as extra
-					// failures; delivered ones were already tallied above.
-					failures += cfg.jobs - delivered
-					mu.Unlock()
-				}
-				return
-			}
-			for _, req := range reqs {
-				jobStart := time.Now()
-				j, err := cl.RunRouted(context.Background(), req, route)
-				lat := time.Since(jobStart)
-				mu.Lock()
-				latencies = append(latencies, lat)
-				if err != nil || j.Status != fleet.JobDone {
-					failures++
-				} else {
-					byDevice[j.Device]++
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	total := cfg.clients * cfg.jobs
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i]
-	}
-	mode := "sequential submits"
-	if cfg.batch {
-		mode = "streamed batches"
-	}
-	fmt.Printf("bench: %d clients x %d jobs (%s), GHZ(%d) x %d shots\n",
-		cfg.clients, cfg.jobs, mode, cfg.qubits, cfg.shots)
-	fmt.Printf("  wall time:    %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("  throughput:   %.1f jobs/s\n", float64(total)/elapsed.Seconds())
-	fmt.Printf("  latency:      p50 %v, p95 %v, max %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
-	fmt.Printf("  failures:     %d/%d\n", failures, total)
-	if len(byDevice) > 0 {
-		fmt.Printf("  by device:\n")
-		names := make([]string, 0, len(byDevice))
-		for name := range byDevice {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("    %-24s %d jobs\n", name, byDevice[name])
-		}
-	}
-
-	if m, err := mqss.NewRemoteClient(server, nil).FleetMetrics(context.Background()); err == nil {
-		fmt.Printf("server fleet: %d devices, %d routed, %d migrated, %d completed\n",
-			len(m.Devices), m.Routed, m.Migrated, m.Completed)
-	}
-
-	if cfg.jsonOut != "" {
-		rec := benchJSON{
-			Mode: mode, Clients: cfg.clients, JobsPerCli: cfg.jobs,
-			Shots: cfg.shots, Qubits: cfg.qubits,
-			WallMs:     float64(elapsed.Microseconds()) / 1000,
-			JobsPerSec: float64(total) / elapsed.Seconds(),
-			P50Ms:      float64(pct(0.50).Microseconds()) / 1000,
-			P95Ms:      float64(pct(0.95).Microseconds()) / 1000,
-			Failures:   failures,
-		}
-		if len(byDevice) > 0 {
-			rec.ByDevice = byDevice
-		}
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(cfg.jsonOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", cfg.jsonOut)
-	}
-}
-
-// simBenchParams parameterizes the in-process execution-engine bench.
-// jobs == 0 keeps the harness defaults (the artifact configuration).
-type simBenchParams struct {
-	shots, qubits, jobs int
-	jsonOut             string
-}
-
-// runSimBench runs the device-level execution-engine harness (the one
-// behind BENCH_sim.json) in process — no daemon needed — and reports the
-// naive-vs-compiled speedups.
-func runSimBench(p simBenchParams) {
-	art, err := device.RunSimBench(device.SimBenchConfig{
-		Shots: p.shots, Qubits: p.qubits,
-		NoiselessJobs: p.jobs, NoisyJobs: p.jobs,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sim bench: %s\n", art.Workload)
-	for _, row := range art.Rows {
-		fmt.Printf("  %-14s naive %8.0f jobs/s (p50 %7.3f ms)  ->  compiled %8.0f jobs/s (p50 %7.3f ms, p95 %7.3f ms)  %5.1fx",
-			row.Name, row.NaiveJobsPerSec, row.NaiveP50Ms,
-			row.CompiledJobsPerSec, row.CompiledP50Ms, row.CompiledP95Ms, row.Speedup)
-		if row.BranchLeavesPerShot > 0 {
-			fmt.Printf("  [%.3f leaves/shot]", row.BranchLeavesPerShot)
-		}
-		if row.DistCacheHits > 0 {
-			fmt.Printf("  [%d dist-cache hits]", row.DistCacheHits)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("  speedup: %.1fx noiseless (fast path), %.1fx noisy (shot-branching path)\n",
-		art.SpeedupNoiseless, art.SpeedupNoisy)
-	if p.jsonOut != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(p.jsonOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", p.jsonOut)
-	}
-}
-
-func printJob(j *qrm.Job) {
-	fmt.Printf("job #%d: %s\n", j.ID, j.Status)
-	if j.Error != "" {
-		fmt.Printf("  error: %s\n", j.Error)
-		return
-	}
-	fmt.Printf("  compiled: %d gates (%d CZ) — %s\n", j.CompiledGates, j.CZCount, j.CompileStats)
-	fmt.Printf("  layout (logical->physical): %v\n", j.Layout)
-	fmt.Printf("  duration: %.1f ms on control electronics\n", j.DurationUs/1000)
-	n := j.Request.Circuit.NumQubits
-	shown := 0
-	for outcome, count := range j.Counts {
-		if shown >= 8 {
-			fmt.Printf("  ... %d more outcomes\n", len(j.Counts)-8)
-			break
-		}
-		logical := 0
-		for i, p := range j.Layout {
-			if outcome&(1<<uint(p)) != 0 {
-				logical |= 1 << uint(i)
-			}
-		}
-		fmt.Printf("  |%s> %d\n", quantum.FormatBitstring(logical, n), count)
-		shown++
-	}
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: qhpcctl [-server URL] <command>
 commands:
   device [name]                        show device properties and live calibration
                                        (name one backend when the server has several)
-  submit [-shots N] [-user U] [-device D] [-policy P] f.qasm
-                                       submit an OpenQASM circuit and wait; -device pins
-                                       a backend, -policy overrides routing
-  job <id>                             show one job (legacy v1 record)
   job submit [-shots N] [-user U] [-priority N] [-deadline-ms N]
              [-device D] [-policy P] [-idempotency-key K] [-wait] f.qasm
-                                       async v2 submission: returns the job handle
-                                       immediately (-wait blocks for the result)
-  job status <j-id>                    show the unified v2 job record
+                                       submit an OpenQASM circuit: returns the job handle
+                                       immediately (-wait blocks for the result); -device
+                                       pins a backend, -policy overrides routing
+  job status <j-id>                    show the job record
   job watch <j-id>                     stream lifecycle events until terminal
   job cancel <j-id>                    cancel (propagates into the pipeline)
+  job list [-user U] [-state S] [-limit N] [-cursor C]
+                                       page through the job listing, newest first;
+                                       prints next_cursor while older jobs remain
   trace <j-id>                         render the job's span tree as a waterfall:
                                        per-stage start offsets, durations, and
                                        % of total wall time (docs/OBSERVABILITY.md)
-  history [-user U] [-offset N] [-limit N]   page through job history
   fleet [status]                       show per-device fleet status
-  bench [-clients N] [-jobs N] [-shots N] [-qubits N] [-batch]
-        [-device D] [-policy P] [-sim] [-json FILE]
-                                       drive concurrent load and report throughput/latency
-                                       and the per-device job split; -json writes results,
-                                       -sim runs the in-process execution-engine bench
-                                       (naive vs compiled shot loop, BENCH_sim.json shape)
   scenarios list                       list the registered fault scenarios
   scenarios run [-name X] [-runs N] [-json FILE] [-negative-control]
                                        run the fault-scenario lab in process and apply

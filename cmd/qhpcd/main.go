@@ -186,7 +186,7 @@ func main() {
 	mqssServer := center.RESTHandler()
 	fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
 		*devices, policy, *workers, f.Devices())
-	fmt.Fprintf(os.Stderr, "qhpcd: fleet endpoints: POST /api/v1/jobs[?device=&policy=], POST /api/v1/jobs/batch[?stream=1&device=&policy=], GET /api/v1/fleet\n")
+	fmt.Fprintf(os.Stderr, "qhpcd: routing: a submission's \"device\" pins a backend, \"policy\" overrides the fleet policy; GET /api/v1/fleet shows the roster\n")
 	// Maintenance windows live on the simulation clock; a frozen clock
 	// would make -maintenance-days a no-op, so it defaults on.
 	rate := *simRate
@@ -260,8 +260,8 @@ func main() {
 		log.Fatalf("qhpcd: -peers requires -node-id (this node needs a name its peers agree on)")
 	}
 	fmt.Fprintf(os.Stderr, "qhpcd: serving MQSS REST API on %s\n", *addr)
-	fmt.Fprintf(os.Stderr, "qhpcd: endpoints: POST /api/v1/jobs, POST /api/v1/jobs/batch[?stream=1], GET /api/v1/jobs, GET /api/v1/device, GET /api/v1/telemetry/, GET /api/v1/metrics, GET /healthz\n")
-	fmt.Fprintf(os.Stderr, "qhpcd: v2 endpoints: POST /api/v2/jobs[?wait=], GET /api/v2/jobs[?user=&state=&cursor=], GET /api/v2/jobs/{id}[?wait=], GET /api/v2/jobs/{id}/events, GET /api/v2/jobs/{id}/trace, DELETE /api/v2/jobs/{id}\n")
+	fmt.Fprintf(os.Stderr, "qhpcd: read-only endpoints: GET /api/v1/device, GET /api/v1/fleet, GET /api/v1/metrics, GET /api/v1/telemetry/, GET /healthz\n")
+	fmt.Fprintf(os.Stderr, "qhpcd: job endpoints: POST /api/v2/jobs[?wait=], GET /api/v2/jobs[?user=&state=&cursor=], GET /api/v2/jobs/{id}[?wait=], GET /api/v2/jobs/{id}/events, GET /api/v2/jobs/{id}/trace, DELETE /api/v2/jobs/{id}\n")
 	fmt.Fprintf(os.Stderr, "qhpcd: observability: GET /metrics (Prometheus text), `qhpcctl trace <j-id>` for span waterfalls (docs/OBSERVABILITY.md)\n")
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections, ends

@@ -77,7 +77,7 @@ func main() {
 	reg.Ask(onboarding.CatSubmission, "Can I submit circuits in a batch?")
 	reg.Ask(onboarding.CatSystemInfo, "Where do I find the qubit coupling map?")
 	reg.Answer(onboarding.CatTracking, "How do I navigate my job history?",
-		"Use GET /api/v1/jobs?offset=&limit= — pagination was added for exactly this.")
+		"Use GET /api/v2/jobs?user=&limit= and follow next_cursor — cursor pagination was added for exactly this.")
 
 	fmt.Println("\ntop user friction (drives the engineering backlog):")
 	for _, cat := range onboarding.Categories() {

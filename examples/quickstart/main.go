@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/facility"
 	"repro/internal/mqss"
-	"repro/internal/qrm"
 	"repro/internal/quantum"
 )
 
@@ -40,12 +39,13 @@ func main() {
 
 	// 2. The HPC path: tightly-coupled, in-process (accelerator mode).
 	local := center.LocalClient()
-	job, err := local.Run(ctx, qrm.Request{Circuit: circuit.GHZ(5), Shots: 1000, User: "quickstart"})
+	req := mqss.SubmitRequest{Circuit: circuit.GHZ(5), Shots: 1000, User: "quickstart"}
+	job, err := local.Run(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("HPC path (%s): job %d %s, compiled to %d native gates (%d CZ)\n",
-		local.Path(), job.ID, job.Status, job.CompiledGates, job.CZCount)
+	fmt.Printf("HPC path (%s): job %s %s, compiled to %d native gates (%d CZ)\n",
+		local.Path(), job.ID, job.State, job.CompiledGates, job.CZCount)
 	printHistogram(job.Counts, 5, job.Layout)
 
 	// 3. The remote path: the same job over the REST API — no code changes
@@ -53,30 +53,30 @@ func main() {
 	srv := httptest.NewServer(center.RESTHandler())
 	defer srv.Close()
 	remote := mqss.NewRemoteClient(srv.URL, srv.Client())
-	rjob, err := remote.Run(ctx, qrm.Request{Circuit: circuit.GHZ(5), Shots: 1000, User: "quickstart"})
+	rjob, err := remote.Run(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nREST path (%s): job %d %s\n", remote.Path(), rjob.ID, rjob.Status)
+	fmt.Printf("\nREST path (%s): job %s %s\n", remote.Path(), rjob.ID, rjob.State)
 	printHistogram(rjob.Counts, 5, rjob.Layout)
 
-	// 3b. The v2 async access model the remote path is actually built on:
-	//     submit-and-go, then watch the lifecycle stream until the terminal
-	//     state arrives (202 + Location under the hood).
+	// 3b. The async access model Run is built on: submit-and-go, then watch
+	//     the lifecycle stream until the terminal state arrives (202 +
+	//     Location under the hood).
 	handle, err := remote.Submit(ctx, mqss.SubmitRequest{
 		Circuit: circuit.GHZ(5), Shots: 500, User: "quickstart",
 	}, "quickstart-demo-1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nv2 async: accepted job %s; watching lifecycle:\n", handle.ID)
+	fmt.Printf("\nasync: accepted job %s; watching lifecycle:\n", handle.ID)
 	final, err := handle.Watch(ctx, func(ev mqss.JobEvent) {
 		fmt.Printf("  -> %s %s\n", ev.State, ev.Reason)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("v2 async: job %s finished %s in %.1f ms\n", final.ID, final.State, final.DurationUs/1000)
+	fmt.Printf("async: job %s finished %s in %.1f ms\n", final.ID, final.State, final.DurationUs/1000)
 
 	// 4. Live device data through QDMI, as the training sessions teach.
 	calib := center.QDMI.Calibration()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/facility"
 	"repro/internal/mqss"
-	"repro/internal/qrm"
 )
 
 func candidates() []facility.Site {
@@ -86,12 +85,12 @@ func TestCommissionAndRunJobs(t *testing.T) {
 		t.Fatal("center not operational")
 	}
 	client := c.LocalClient()
-	job, err := client.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(5), Shots: 500, User: "early-user"})
+	job, err := client.Run(context.Background(), mqss.SubmitRequest{Circuit: circuit.GHZ(5), Shots: 500, User: "early-user"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != qrm.StatusDone {
-		t.Fatalf("job = %s (%s)", job.Status, job.Error)
+	if job.State != mqss.StateDone {
+		t.Fatalf("job = %s (%v)", job.State, job.Error)
 	}
 	if len(job.Counts) != 2 {
 		t.Errorf("twin GHZ outcomes = %d", len(job.Counts))

@@ -8,7 +8,6 @@ import (
 	"repro/internal/facility"
 	"repro/internal/fleet"
 	"repro/internal/mqss"
-	"repro/internal/qrm"
 )
 
 func commissionedCenter(t *testing.T) *Center {
@@ -64,11 +63,11 @@ func TestCenterBuildFleet(t *testing.T) {
 
 	// Work flows end to end through the fleet client.
 	client := c.LocalClient()
-	j, err := client.RunRouted(context.Background(), qrm.Request{Circuit: circuit.GHZ(4), Shots: 20, User: "core"}, mqss.RouteOptions{})
+	j, err := client.Run(context.Background(), mqss.SubmitRequest{Circuit: circuit.GHZ(4), Shots: 20, User: "core"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Status != fleet.JobDone || len(j.Result.Counts) == 0 {
+	if j.State != mqss.StateDone || j.Device == "" || len(j.Counts) == 0 {
 		t.Fatalf("fleet job through center: %+v", j)
 	}
 

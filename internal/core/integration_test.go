@@ -11,7 +11,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/hybrid"
 	"repro/internal/mqss"
-	"repro/internal/qrm"
 )
 
 // End-to-end integration: a VQE loop through the full center stack — the
@@ -24,7 +23,7 @@ func TestVQEThroughCenterStack(t *testing.T) {
 	}
 	c := commissioned(t, Config{Seed: 20, DigitalTwin: true})
 	runner := hybrid.RunnerFunc(func(cc *circuit.Circuit, shots int) (map[int]int, error) {
-		job, err := c.LocalClient().Run(context.Background(), qrm.Request{Circuit: cc, Shots: shots, User: "vqe"})
+		job, err := c.LocalClient().Run(context.Background(), mqss.SubmitRequest{Circuit: cc, Shots: shots, User: "vqe"})
 		if err != nil {
 			return nil, err
 		}
@@ -62,12 +61,8 @@ func TestVQEThroughCenterStack(t *testing.T) {
 		t.Errorf("stack VQE energy %.4f, want within 0.15 of %.4f", res.Value, exact)
 	}
 	// The QRM saw every energy evaluation as jobs.
-	page, err := c.Fleet().History("vqe", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Total < res.Evaluations {
-		t.Errorf("scheduler recorded %d jobs for %d evaluations", page.Total, res.Evaluations)
+	if n := int(c.Fleet().Metrics().Submitted); n < res.Evaluations {
+		t.Errorf("scheduler recorded %d jobs for %d evaluations", n, res.Evaluations)
 	}
 }
 
@@ -129,7 +124,7 @@ func TestJobsRejectedDuringOutage(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	_, err := c.LocalClient().Run(ctx, qrm.Request{Circuit: circuit.GHZ(3), Shots: 10, User: "x"})
+	_, err := c.LocalClient().Run(ctx, mqss.SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "x"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("run during outage: err = %v, want the wait to time out with the job parked", err)
 	}

@@ -27,8 +27,7 @@ func legacyFleetJob(body []byte) (fleetJobRecord, bool) {
 	}
 	src := r.Job.Job
 	j := &fleet.Job{
-		ID: src.ID, Request: src.Request, BatchID: src.Request.BatchID,
-		Node: r.Job.Node, Error: src.Error,
+		ID: src.ID, Request: src.Request, Node: r.Job.Node, Error: src.Error,
 	}
 	switch src.Status {
 	case qrm.StatusDone:

@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,7 +42,7 @@ func TestLegacyQRMRecordsUpgrade(t *testing.T) {
 		t.Fatalf("recovered %d jobs (%d distinct), want 4", len(rec.FleetJobs), len(byID))
 	}
 	if j := byID[1]; j.Status != fleet.JobPending || j.Result != nil || j.SubmitUnixMs != 4242 ||
-		j.BatchID != 3 || j.Request.Shots != 5 || j.Request.Circuit == nil {
+		j.Request.Shots != 5 || j.Request.Circuit == nil {
 		t.Errorf("queued job converted wrong: %+v", j)
 	}
 	if j := byID[2]; j.Status != fleet.JobPending || j.Result != nil || j.Node != "node-a" {
@@ -94,5 +96,49 @@ func TestLegacyQRMRecordsUpgrade(t *testing.T) {
 	defer st2.Close()
 	if len(rec2.FleetJobs) != 4 {
 		t.Fatalf("reopen after compaction recovered %d jobs, want 4", len(rec2.FleetJobs))
+	}
+}
+
+// TestLegacyBatchRecordsReplay: WAL records written while jobs still had a
+// batch ID — an 'F' record from /api/v1/jobs/batch and a 'Q' record — replay
+// to the same job as before, minus the field.
+func TestLegacyBatchRecordsReplay(t *testing.T) {
+	dir := t.TempDir()
+	var seg []byte
+	for i, body := range []string{
+		`F{"submit_unix_ms":77,"job":{"id":1,"status":"done","device":"alpha","local_id":1,"score":0.9,"batch_id":2,"request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u","batch_id":2},"result":{"id":1,"status":"done","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u","batch_id":2},"counts":{"0":4,"3":1},"submit_time":0}}}`,
+		`Q{"job":{"id":2,"status":"done","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u","batch_id":2},"counts":{"0":5},"submit_time":0}}`,
+	} {
+		seg = appendFrame(seg, uint64(i+1), []byte(body))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if len(rec.FleetJobs) != 2 {
+		t.Fatalf("recovered %d jobs, want 2", len(rec.FleetJobs))
+	}
+	for _, j := range rec.FleetJobs {
+		if j.Status != fleet.JobDone || j.Request.User != "u" || j.Request.Shots != 5 ||
+			j.Result == nil || len(j.Result.Counts) == 0 {
+			t.Errorf("job %d replayed wrong: %+v (result %+v)", j.ID, j, j.Result)
+		}
+		if j.ID == 1 && (j.Device != "alpha" || j.Score != 0.9 || j.SubmitUnixMs != 77 ||
+			j.Result.Counts[0] != 4 || j.Result.Counts[3] != 1) {
+			t.Errorf("'F' record replayed wrong: %+v (result %+v)", j, j.Result)
+		}
+	}
+	for _, j := range rec.FleetJobs {
+		data, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte("batch_id")) {
+			t.Errorf("job %d still encodes batch_id: %s", j.ID, data)
+		}
 	}
 }

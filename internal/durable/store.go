@@ -21,9 +21,9 @@ const (
 )
 
 // fleetJobRecord wraps a fleet job for the journal. SubmitUnixMs rides
-// outside the job because the v1 wire shape excludes it (json:"-"): the
-// dispatch deadline must keep its original budget across a restart without
-// changing what GET /api/v1/jobs returns.
+// outside the job because fleet.Job's JSON shape excludes it (json:"-"); the
+// store persists it so the dispatch deadline keeps its original budget
+// across a restart.
 type fleetJobRecord struct {
 	SubmitUnixMs int64      `json:"submit_unix_ms,omitempty"`
 	Job          *fleet.Job `json:"job"`

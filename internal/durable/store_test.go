@@ -273,83 +273,6 @@ func TestCrashPointProperty(t *testing.T) {
 	}
 }
 
-// TestBatchIDSurvivesRestart: a batch member is stamped with its batch ID
-// before its first journal write, so a job that settles while SubmitBatch is
-// still waiting on the group commit keeps batch_id in its terminal record,
-// and a restarted scheduler does not hand the same batch ID out again.
-func TestBatchIDSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	newFleet := func(st *Store) *fleet.Scheduler {
-		qpu, err := device.New(device.Config{Name: "batch-0", Rows: 4, Cols: 5, Seed: 12, DigitalTwin: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := fleet.New(fleet.PolicyBestFidelity, nil)
-		if err := f.AddDevice("batch-0", qdmi.NewDevice(qpu, nil), 2); err != nil {
-			t.Fatal(err)
-		}
-		f.AttachStore(st)
-		return f
-	}
-	batchOf := func(n int) []qrm.Request {
-		reqs := make([]qrm.Request, n)
-		for i := range reqs {
-			reqs[i] = qrm.Request{Circuit: circuit.GHZ(3), Shots: 4, User: "batch"}
-		}
-		return reqs
-	}
-
-	st, _, err := Open(dir, Options{Sync: SyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFleet(st)
-	want := map[int]int{} // job ID -> batch ID
-	lastBatch := 0
-	for b := 0; b < 3; b++ {
-		batch, ids, err := f.SubmitBatch(batchOf(6), fleet.SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			want[id] = batch
-		}
-		lastBatch = batch
-	}
-	f.WaitSettled()
-	f.Stop()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, rec, err := Open(dir, Options{Sync: SyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if len(rec.FleetJobs) != len(want) {
-		t.Fatalf("recovered %d jobs, want %d", len(rec.FleetJobs), len(want))
-	}
-	for _, j := range rec.FleetJobs {
-		if j.BatchID != want[j.ID] {
-			t.Errorf("job %d recovered with batch_id %d, want %d", j.ID, j.BatchID, want[j.ID])
-		}
-	}
-	f2 := newFleet(st2)
-	defer f2.Stop()
-	if _, err := f2.Restore(rec.FleetJobs); err != nil {
-		t.Fatal(err)
-	}
-	batch, _, err := f2.SubmitBatch(batchOf(2), fleet.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch <= lastBatch {
-		t.Errorf("batch ID %d reused after restart (last before restart: %d)", batch, lastBatch)
-	}
-	f2.WaitSettled()
-}
-
 // TestStoreAbandonSwallowsJournal pins the post-kill contract: journals are
 // swallowed (stable LSN), WaitDurable returns, Close is safe.
 func TestStoreAbandonSwallowsJournal(t *testing.T) {

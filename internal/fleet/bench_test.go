@@ -69,17 +69,20 @@ func runFleetLoadTenants(tb testing.TB, devices, jobs, tenants int) (jobsPerSec,
 		ids = append(ids, id)
 	}
 	latencies := make([]float64, 0, jobs)
-	s.WaitEach(ids, func(id int, j *Job, err error) {
+	// Waited in submission order: a job that finishes ahead of an earlier
+	// one is timed when its turn comes, as a caller looping over Wait sees it.
+	for _, id := range ids {
+		j, err := s.Wait(id)
 		if err != nil {
 			tb.Errorf("job %d: %v", id, err)
-			return
+			continue
 		}
 		if j.Status != JobDone {
 			tb.Errorf("job %d: %s (%s)", id, j.Status, j.Error)
-			return
+			continue
 		}
 		latencies = append(latencies, float64(time.Since(starts[id]).Microseconds())/1000)
-	})
+	}
 	elapsed := time.Since(start)
 	sort.Float64s(latencies)
 	q := func(p float64) float64 {

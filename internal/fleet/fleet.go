@@ -79,7 +79,6 @@ type Job struct {
 	// Score is the fidelity estimate the router computed for the chosen
 	// device at the last routing decision.
 	Score   float64     `json:"score,omitempty"`
-	BatchID int         `json:"batch_id,omitempty"`
 	Pinned  string      `json:"pinned,omitempty"`
 	Request qrm.Request `json:"request"`
 	// Result is the terminal device-level record (counts, layout, timings).
@@ -162,14 +161,13 @@ type Scheduler struct {
 	order   []string // registration order; round-robin walks it
 	rr      int
 
-	nextID    int
-	idLimit   int // last mintable ID, inclusive (0 = unbounded; federation block end)
-	nextBatch int
-	nodeID    string // federation ownership stamp for new jobs ("" standalone)
-	jobs      map[int]*Job
-	jobOrder  []int
-	parked    map[int]*Job
-	nowDay    float64 // maintenance clock, last AdvanceTo day
+	nextID   int
+	idLimit  int    // last mintable ID, inclusive (0 = unbounded; federation block end)
+	nodeID   string // federation ownership stamp for new jobs ("" standalone)
+	jobs     map[int]*Job
+	jobOrder []int
+	parked   map[int]*Job
+	nowDay   float64 // maintenance clock, last AdvanceTo day
 
 	store     *telemetry.Store
 	scoreHist *telemetry.Histogram
@@ -423,13 +421,6 @@ func (s *Scheduler) maxWidthLocked() int {
 // Submit validates and accepts one job, routing it to the best eligible
 // device (or parking it when none is). The job ID is fleet-scoped.
 func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
-	return s.submit(req, opts, 0)
-}
-
-// submit is Submit for a member of fleet batch `batch` (0 = standalone). The
-// batch is on the record before its first journal write, so every WAL record
-// of the job carries it and Restore can rebuild the batch counter.
-func (s *Scheduler) submit(req qrm.Request, opts SubmitOptions, batch int) (int, error) {
 	if req.Circuit == nil {
 		return 0, fmt.Errorf("fleet: request has no circuit")
 	}
@@ -457,7 +448,7 @@ func (s *Scheduler) submit(req qrm.Request, opts SubmitOptions, batch int) (int,
 	}
 	s.nextID++
 	j := &Job{
-		ID: s.nextID, Status: JobPending, Request: req, BatchID: batch,
+		ID: s.nextID, Status: JobPending, Request: req,
 		Pinned: opts.Device, policy: policy, done: make(chan struct{}),
 		SubmitUnixMs: time.Now().UnixMilli(), Node: s.nodeID,
 	}
@@ -506,28 +497,6 @@ func (s *Scheduler) admitLocked(req qrm.Request, opts SubmitOptions) error {
 			req.Circuit.NumQubits, w)
 	}
 	return nil
-}
-
-// SubmitBatch accepts several requests under one fleet batch ID; each job is
-// routed independently (the batch may span devices).
-func (s *Scheduler) SubmitBatch(reqs []qrm.Request, opts SubmitOptions) (int, []int, error) {
-	if len(reqs) == 0 {
-		return 0, nil, fmt.Errorf("fleet: empty batch")
-	}
-	s.mu.Lock()
-	s.nextBatch++
-	batch := s.nextBatch
-	s.mu.Unlock()
-	ids := make([]int, 0, len(reqs))
-	for i := range reqs {
-		reqs[i].BatchID = batch
-		id, err := s.submit(reqs[i], opts, batch)
-		if err != nil {
-			return batch, ids, fmt.Errorf("fleet: batch item %d: %w", i, err)
-		}
-		ids = append(ids, id)
-	}
-	return batch, ids, nil
 }
 
 // routeLocked places j on the best eligible device, excluding the listed
@@ -849,28 +818,6 @@ func (s *Scheduler) ListJobs(user string, states map[JobStatus]bool, beforeID, l
 		jobs = append(jobs, &cp)
 	}
 	return jobs, false
-}
-
-// WaitEach waits for every listed job concurrently and invokes fn once per
-// job in completion order — the streaming primitive the fleet REST endpoints
-// build on. fn runs on the caller's goroutine.
-func (s *Scheduler) WaitEach(ids []int, fn func(id int, j *Job, err error)) {
-	type waited struct {
-		id  int
-		j   *Job
-		err error
-	}
-	ch := make(chan waited, len(ids))
-	for _, id := range ids {
-		go func(id int) {
-			j, err := s.Wait(id)
-			ch <- waited{id: id, j: j, err: err}
-		}(id)
-	}
-	for range ids {
-		w := <-ch
-		fn(w.id, w.j, w.err)
-	}
 }
 
 // Cancel cancels a parked job immediately, and propagates cancellation of a

@@ -502,82 +502,6 @@ func TestTelemetryPublishing(t *testing.T) {
 	}
 }
 
-func TestHistoryPagination(t *testing.T) {
-	s := New(PolicyBestFidelity, nil)
-	defer s.Stop()
-	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 1, 0), 2); err != nil {
-		t.Fatal(err)
-	}
-	var ids []int
-	for i := 0; i < 5; i++ {
-		id, err := s.Submit(req(2, 5), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		if _, err := s.Wait(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	page, err := s.History("", 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Total != 5 || len(page.Jobs) != 3 || !page.HasMore {
-		t.Fatalf("page: total=%d len=%d more=%v", page.Total, len(page.Jobs), page.HasMore)
-	}
-	if page.Jobs[0].ID != ids[4] {
-		t.Fatalf("history not most-recent-first: first is %d", page.Jobs[0].ID)
-	}
-	if p2, _ := s.History("nobody", 0, 3); p2.Total != 0 {
-		t.Fatalf("user filter leaked %d jobs", p2.Total)
-	}
-	if last, err := s.History("", 3, 3); err != nil || len(last.Jobs) != 2 || last.HasMore {
-		t.Fatalf("last page = %+v, %v; want 2 jobs, no more", last, err)
-	}
-	if beyond, err := s.History("", 100, 3); err != nil || len(beyond.Jobs) != 0 || beyond.Total != 5 {
-		t.Fatalf("page beyond the end = %+v, %v; want empty with total 5", beyond, err)
-	}
-	if _, err := s.History("", -1, 3); err == nil {
-		t.Error("negative offset should fail")
-	}
-	if _, err := s.History("", 0, 0); err == nil {
-		t.Error("zero limit should fail")
-	}
-}
-
-func TestSubmitBatch(t *testing.T) {
-	s := New(PolicyBestFidelity, nil)
-	defer s.Stop()
-	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 1, 0), 2); err != nil {
-		t.Fatal(err)
-	}
-	first, ids, err := s.SubmitBatch([]qrm.Request{req(2, 5), req(3, 5), req(4, 5)}, SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == 0 || len(ids) != 3 {
-		t.Fatalf("batch = %d, ids = %v", first, ids)
-	}
-	for _, id := range ids {
-		j, err := s.Wait(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.BatchID != first || j.Request.BatchID != first {
-			t.Errorf("job %d batch = %d (request %d), want %d", id, j.BatchID, j.Request.BatchID, first)
-		}
-	}
-	if second, _, err := s.SubmitBatch([]qrm.Request{req(2, 5)}, SubmitOptions{}); err != nil || second == first {
-		t.Errorf("second batch = %d, %v; want a fresh ID", second, err)
-	}
-	if _, _, err := s.SubmitBatch(nil, SubmitOptions{}); err == nil {
-		t.Error("empty batch should fail")
-	}
-}
-
 func TestStopFailsOutstandingWork(t *testing.T) {
 	a := mkdev(t, "a", 2, 2, 1, 30*time.Millisecond)
 	s := New(PolicyBestFidelity, nil)

@@ -167,43 +167,3 @@ func (s *Scheduler) StateOf(name string) (DeviceState, error) {
 	}
 	return e.state, nil
 }
-
-// Page is a paginated slice of fleet job history (most recent first).
-type Page struct {
-	Jobs    []*Job `json:"jobs"`
-	Total   int    `json:"total"`
-	Offset  int    `json:"offset"`
-	Limit   int    `json:"limit"`
-	HasMore bool   `json:"has_more"`
-}
-
-// History pages through fleet jobs (most recent first), optionally filtered
-// by submitting user.
-func (s *Scheduler) History(user string, offset, limit int) (*Page, error) {
-	if offset < 0 || limit < 1 {
-		return nil, fmt.Errorf("fleet: bad pagination offset=%d limit=%d", offset, limit)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var ids []int
-	for i := len(s.jobOrder) - 1; i >= 0; i-- {
-		j := s.jobs[s.jobOrder[i]]
-		if user == "" || j.Request.User == user {
-			ids = append(ids, j.ID)
-		}
-	}
-	total := len(ids)
-	if offset >= total {
-		return &Page{Total: total, Offset: offset, Limit: limit}, nil
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	page := &Page{Total: total, Offset: offset, Limit: limit, HasMore: end < total}
-	for _, id := range ids[offset:end] {
-		cp := *s.jobs[id]
-		page.Jobs = append(page.Jobs, &cp)
-	}
-	return page, nil
-}

@@ -62,9 +62,6 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		if j.ID > s.nextID {
 			s.nextID = j.ID
 		}
-		if j.BatchID > s.nextBatch {
-			s.nextBatch = j.BatchID
-		}
 		s.jobs[j.ID] = j
 		s.jobOrder = append(s.jobOrder, j.ID)
 

@@ -3,8 +3,8 @@ package mqss
 // This file defines the v2 API surface: one unified job resource over the
 // fleet scheduler's records. A v2 job has an opaque string ID, a six-state
 // lifecycle (queued → routed → running → done/failed/cancelled), device
-// placement, timing, counts, and a structured error envelope. The v1
-// endpoints remain as shims over the same scheduler calls.
+// placement, timing, counts, and a structured error envelope. It is the only
+// job API: the v1 job routes answer 410 Gone.
 
 import (
 	"encoding/base64"
@@ -169,16 +169,39 @@ func (r SubmitRequest) qrmRequest() qrm.Request {
 	}
 }
 
+// submitOptions lowers the submission's routing controls onto the fleet's
+// submit options, rejecting an unknown policy.
+func (r SubmitRequest) submitOptions() (fleet.SubmitOptions, error) {
+	opts := fleet.SubmitOptions{Device: r.Device}
+	if r.Policy != "" {
+		p := fleet.Policy(r.Policy)
+		if err := p.Validate(); err != nil {
+			return opts, err
+		}
+		opts.Policy = p
+	}
+	return opts, nil
+}
+
 // JobEvent is one line of a v2 watch stream: the job entered State (on
 // Device, when known). Reason annotates routing decisions ("migrated",
-// "parked", "unparked") and cancellation requests ("cancel-requested",
-// which reports the *current* state, not a transition).
+// "parked", "unparked").
 type JobEvent struct {
 	Seq    uint64   `json:"seq,omitempty"`
 	JobID  string   `json:"job_id"`
 	State  JobState `json:"state"`
 	Device string   `json:"device,omitempty"`
 	Reason string   `json:"reason,omitempty"`
+}
+
+// jobEventFrom translates one fleet bus event into its watch-stream line —
+// the single qrm.Event → JobEvent mapping behind the server's events
+// endpoint and the local client's Watch.
+func jobEventFrom(ev qrm.Event) JobEvent {
+	return JobEvent{
+		Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
+		State: stateFromFleet(fleet.JobStatus(ev.To)), Device: ev.Device, Reason: ev.Reason,
+	}
 }
 
 // JobPage is one cursor-paginated slice of the v2 job listing, newest
@@ -335,96 +358,4 @@ func v2FromFleet(j *fleet.Job, devRec *qrm.Job, withRequest bool) *Job {
 		out.Request = &req
 	}
 	return out
-}
-
-// toQRMJob lowers a v2 job back onto the flat device-level record — the
-// client-side compat shim behind Run against a v2 server.
-func (j *Job) toQRMJob() *qrm.Job {
-	id, _ := ParseJobID(j.ID)
-	out := &qrm.Job{
-		ID:            id,
-		Status:        j.qrmStatus(),
-		CompiledGates: j.CompiledGates,
-		CZCount:       j.CZCount,
-		Layout:        j.Layout,
-		CompileStats:  j.CompileStats,
-		Counts:        j.Counts,
-		DurationUs:    j.DurationUs,
-		SubmitTime:    j.SubmitTime,
-		EndTime:       j.EndTime,
-	}
-	if j.Error != nil {
-		out.Error = j.Error.Message
-	}
-	if j.Request != nil {
-		out.Request = *j.Request
-	} else {
-		out.Request = qrm.Request{
-			Shots: j.Shots, User: j.User,
-			Priority: j.Priority, DeadlineMs: j.DeadlineMs,
-		}
-	}
-	return out
-}
-
-// qrmStatus maps the v2 state back onto the legacy status vocabulary.
-func (j *Job) qrmStatus() qrm.JobStatus {
-	switch j.State {
-	case StateQueued:
-		return qrm.StatusQueued
-	case StateRouted:
-		return qrm.StatusCompiling
-	case StateRunning:
-		return qrm.StatusRunning
-	case StateDone:
-		return qrm.StatusDone
-	case StateCancelled:
-		return qrm.StatusCancelled
-	default:
-		if j.Error != nil && j.Error.Code == CodeUnavailable {
-			return qrm.StatusInterrupted
-		}
-		return qrm.StatusFailed
-	}
-}
-
-// toFleetJob lowers a v2 job back onto the legacy fleet envelope — the
-// compat shim behind RunRouted against a v2 server.
-func (j *Job) toFleetJob() *fleet.Job {
-	id, _ := ParseJobID(j.ID)
-	out := &fleet.Job{
-		ID:         id,
-		Status:     j.fleetStatus(),
-		Device:     j.Device,
-		Migrations: j.Migrations,
-		Score:      j.Score,
-		Pinned:     j.Pinned,
-	}
-	if j.Error != nil {
-		out.Error = j.Error.Message
-	}
-	if j.Request != nil {
-		out.Request = *j.Request
-	}
-	if j.State.Terminal() && j.State != StateCancelled {
-		rec := j.toQRMJob()
-		out.Result = rec
-	}
-	return out
-}
-
-// fleetStatus maps the v2 state back onto the fleet status vocabulary.
-func (j *Job) fleetStatus() fleet.JobStatus {
-	switch j.State {
-	case StateQueued:
-		return fleet.JobPending
-	case StateRouted, StateRunning:
-		return fleet.JobRouted
-	case StateDone:
-		return fleet.JobDone
-	case StateCancelled:
-		return fleet.JobCancelled
-	default:
-		return fleet.JobFailed
-	}
 }

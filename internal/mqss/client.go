@@ -40,10 +40,9 @@ const (
 //
 // Every method takes a context.Context: cancellation and deadlines
 // propagate into HTTP round-trips, long-polls, watch streams, and local
-// pipeline waits alike. Submit is the v2 entry point — async submission
-// returning a JobHandle with Wait/Poll/Watch/Cancel — while Run, RunRouted
-// and the batch helpers remain as compatibility shims built on the same
-// machinery.
+// pipeline waits alike. Submit is the entry point — async submission
+// returning a JobHandle with Wait/Poll/Watch/Cancel — and Run is Submit +
+// Wait. Both paths speak the same Job resource.
 type Client struct {
 	// Direct fleet handle; non-nil when running inside the HPC environment.
 	localFleet *fleet.Scheduler
@@ -188,7 +187,7 @@ func retryableAPIError(err error) *APIError {
 // it).
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, idempotencyKey string) (*JobHandle, error) {
 	if c.localFleet != nil {
-		opts, err := RouteOptions{Device: req.Device, Policy: req.Policy}.submitOptions()
+		opts, err := req.submitOptions()
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +446,7 @@ func (h *JobHandle) watchStreamOnce(ctx context.Context, fn func(JobEvent)) (boo
 		if fn != nil {
 			fn(ev)
 		}
-		if ev.State.Terminal() && ev.Reason != "cancel-requested" {
+		if ev.State.Terminal() {
 			return true, nil
 		}
 	}
@@ -478,14 +477,11 @@ func (h *JobHandle) watchLocal(ctx context.Context, fn func(JobEvent)) (*Job, er
 			if !ok {
 				return nil, fmt.Errorf("mqss: event bus closed while watching job %s", h.ID)
 			}
-			state := stateFromFleet(fleet.JobStatus(ev.To))
+			jev := jobEventFrom(ev)
 			if fn != nil {
-				fn(JobEvent{
-					Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
-					State: state, Device: ev.Device, Reason: ev.Reason,
-				})
+				fn(jev)
 			}
-			if state.Terminal() && ev.Reason != "cancel-requested" {
+			if jev.State.Terminal() {
 				return h.Poll(ctx)
 			}
 		case <-ctx.Done():
@@ -615,218 +611,15 @@ func (c *Client) ListJobs(ctx context.Context, opts ListOptions) (*JobPage, erro
 	return &page, nil
 }
 
-// --- v1 compatibility shims ---------------------------------------------
-
-// Run submits a job and waits for completion, whichever path is in use —
-// the synchronous convenience call, a shim over the async Submit/Wait
-// machinery. The job goes through calibration-aware routing and the result
-// comes back as the flat device-level record keyed by the fleet job ID —
-// "without requiring any code modifications from the user". Use RunRouted
-// for the full routing envelope.
-func (c *Client) Run(ctx context.Context, req qrm.Request) (*qrm.Job, error) {
-	if c.localFleet != nil {
-		j, err := c.RunRouted(ctx, req, RouteOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return flattenFleetJob(j), nil
-	}
-	h, err := c.Submit(ctx, submitFromRequest(req), "")
+// Run submits a job and waits for its terminal record — Submit + Wait,
+// identical on the HPC and REST paths: "without requiring any code
+// modifications from the user".
+func (c *Client) Run(ctx context.Context, req SubmitRequest) (*Job, error) {
+	h, err := c.Submit(ctx, req, "")
 	if err != nil {
 		return nil, err
 	}
-	job, err := h.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := job.toQRMJob()
-	if out.Request.Circuit == nil {
-		out.Request.Circuit = req.Circuit
-	}
-	return out, nil
-}
-
-// submitFromRequest lifts a legacy request onto the v2 submission shape.
-func submitFromRequest(req qrm.Request) SubmitRequest {
-	return SubmitRequest{
-		Circuit:         req.Circuit,
-		Shots:           req.Shots,
-		User:            req.User,
-		Priority:        req.Priority,
-		DeadlineMs:      req.DeadlineMs,
-		StaticPlacement: req.StaticPlacement,
-	}
-}
-
-// decodeJobPayload decodes a v1 job record — the fleet envelope carrying
-// the device record under "result" — into the flat device-level shape the
-// v1 client calls return.
-func decodeJobPayload(data []byte) (*qrm.Job, error) {
-	var fj fleet.Job
-	if err := json.Unmarshal(data, &fj); err != nil {
-		return nil, fmt.Errorf("mqss: decoding job: %w", err)
-	}
-	return flattenFleetJob(&fj), nil
-}
-
-// RunBatch submits several circuits as one batch and returns the completed
-// jobs in submission order. Results are consumed as they complete (streamed
-// per-job over the HPC path's fleet waits or the REST path's NDJSON endpoint).
-func (c *Client) RunBatch(ctx context.Context, reqs []qrm.Request) ([]*qrm.Job, error) {
-	return c.StreamBatch(ctx, reqs, nil)
-}
-
-// StreamBatch submits a batch and invokes onJob for every job *as it
-// completes* — the per-job completion streaming of the dispatch pipeline.
-// It returns all completed jobs in submission order. onJob may be nil.
-func (c *Client) StreamBatch(ctx context.Context, reqs []qrm.Request, onJob func(*qrm.Job)) ([]*qrm.Job, error) {
-	if c.localFleet != nil {
-		var flatOn func(*fleet.Job)
-		if onJob != nil {
-			flatOn = func(j *fleet.Job) { onJob(flattenFleetJob(j)) }
-		}
-		jobs, err := c.StreamBatchRouted(ctx, reqs, RouteOptions{}, flatOn)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*qrm.Job, len(jobs))
-		for i, j := range jobs {
-			out[i] = flattenFleetJob(j)
-		}
-		return out, nil
-	}
-	return c.streamBatchRemote(ctx, reqs, onJob)
-}
-
-func (c *Client) streamBatchRemote(ctx context.Context, reqs []qrm.Request, onJob func(*qrm.Job)) ([]*qrm.Job, error) {
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: encoding batch: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.baseURL+pathJobsBatch+"?stream=1", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("mqss: building batch request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: POST %s: %w", pathJobsBatch, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, decodeError(resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var header struct {
-		BatchID int   `json:"batch_id"`
-		JobIDs  []int `json:"job_ids"`
-	}
-	if err := dec.Decode(&header); err != nil {
-		return nil, fmt.Errorf("mqss: decoding batch header: %w", err)
-	}
-	byID := make(map[int]*qrm.Job, len(header.JobIDs))
-	for range header.JobIDs {
-		var line json.RawMessage
-		if err := dec.Decode(&line); err != nil {
-			return nil, fmt.Errorf("mqss: decoding streamed job: %w", err)
-		}
-		job, err := decodeJobPayload(line)
-		if err != nil {
-			return nil, err
-		}
-		if onJob != nil {
-			onJob(job)
-		}
-		byID[job.ID] = job
-	}
-	out := make([]*qrm.Job, 0, len(header.JobIDs))
-	for _, id := range header.JobIDs {
-		j, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("mqss: job %d missing from batch stream", id)
-		}
-		out = append(out, j)
-	}
-	return out, nil
-}
-
-// Job fetches a job record by ID (legacy v1 shape; see V2Job for the
-// unified resource).
-func (c *Client) Job(ctx context.Context, id int) (*qrm.Job, error) {
-	if c.localFleet != nil {
-		j, err := c.localFleet.Job(id)
-		if err != nil {
-			return nil, err
-		}
-		return flattenFleetJob(j), nil
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s%s/%d", c.baseURL, pathJobs, id), nil)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: building job request: %w", err)
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: GET job %d: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: reading job %d: %w", id, err)
-	}
-	return decodeJobPayload(data)
-}
-
-// HistoryPage is a page of flat job records (most recent first) — §4: "many
-// users found it difficult to navigate large job histories on the dashboard,
-// which led us to implement more efficient pagination".
-type HistoryPage struct {
-	Jobs    []*qrm.Job `json:"jobs"`
-	Total   int        `json:"total"`
-	Offset  int        `json:"offset"`
-	Limit   int        `json:"limit"`
-	HasMore bool       `json:"has_more"`
-}
-
-// History fetches a page of job history.
-func (c *Client) History(ctx context.Context, user string, offset, limit int) (*HistoryPage, error) {
-	if c.localFleet != nil {
-		fp, err := c.localFleet.History(user, offset, limit)
-		if err != nil {
-			return nil, err
-		}
-		page := &HistoryPage{Total: fp.Total, Offset: fp.Offset, Limit: fp.Limit, HasMore: fp.HasMore}
-		for _, j := range fp.Jobs {
-			page.Jobs = append(page.Jobs, flattenFleetJob(j))
-		}
-		return page, nil
-	}
-	path := fmt.Sprintf("%s?offset=%d&limit=%d&user=%s", pathJobs, offset, limit, url.QueryEscape(user))
-	// Decode with raw job entries so each envelope record is flattened per
-	// job (see decodeJobPayload).
-	var raw struct {
-		Jobs    []json.RawMessage `json:"jobs"`
-		Total   int               `json:"total"`
-		Offset  int               `json:"offset"`
-		Limit   int               `json:"limit"`
-		HasMore bool              `json:"has_more"`
-	}
-	if _, err := c.doJSON(ctx, http.MethodGet, path, nil, &raw, nil, http.StatusOK); err != nil {
-		return nil, err
-	}
-	page := &HistoryPage{Total: raw.Total, Offset: raw.Offset, Limit: raw.Limit, HasMore: raw.HasMore}
-	for _, data := range raw.Jobs {
-		j, err := decodeJobPayload(data)
-		if err != nil {
-			return nil, err
-		}
-		page.Jobs = append(page.Jobs, j)
-	}
-	return page, nil
+	return h.Wait(ctx)
 }
 
 // DeviceInfo is the REST device summary. Calibration carries the full
@@ -861,174 +654,6 @@ func (c *Client) Device(ctx context.Context) (*DeviceInfo, error) {
 		return nil, fmt.Errorf("mqss: server has %d devices %v; name one with FleetDevice", len(names), names)
 	}
 	return roster[names[0]], nil
-}
-
-// RouteOptions tune a fleet submission: pin a device and/or override the
-// routing policy for this call.
-type RouteOptions struct {
-	Device string
-	Policy string
-}
-
-func (o RouteOptions) submitOptions() (fleet.SubmitOptions, error) {
-	opts := fleet.SubmitOptions{Device: o.Device}
-	if o.Policy != "" {
-		p := fleet.Policy(o.Policy)
-		if err := p.Validate(); err != nil {
-			return opts, err
-		}
-		opts.Policy = p
-	}
-	return opts, nil
-}
-
-// flattenFleetJob converts a fleet job into the flat device-level record
-// shape: the device-level result re-keyed under the fleet job ID.
-func flattenFleetJob(j *fleet.Job) *qrm.Job {
-	if j == nil {
-		return nil
-	}
-	if j.Result != nil {
-		cp := *j.Result
-		cp.ID = j.ID
-		return &cp
-	}
-	status := qrm.StatusQueued
-	switch j.Status {
-	case fleet.JobDone:
-		status = qrm.StatusDone
-	case fleet.JobFailed:
-		status = qrm.StatusFailed
-	case fleet.JobCancelled:
-		status = qrm.StatusCancelled
-	}
-	return &qrm.Job{ID: j.ID, Status: status, Request: j.Request, Error: j.Error}
-}
-
-// RunRouted submits a job through the fleet scheduler and waits for it to
-// settle (including any drain/failover migrations), returning the full
-// fleet record: which device ran it, the routing score, migration count,
-// and the device-level result. Remotely it is a shim over the v2
-// submit/wait machinery.
-func (c *Client) RunRouted(ctx context.Context, req qrm.Request, opts RouteOptions) (*fleet.Job, error) {
-	if c.localFleet != nil {
-		so, err := opts.submitOptions()
-		if err != nil {
-			return nil, err
-		}
-		id, err := c.localFleet.Submit(req, so)
-		if err != nil {
-			return nil, err
-		}
-		return c.localFleet.WaitContext(ctx, id)
-	}
-	sreq := submitFromRequest(req)
-	sreq.Device = opts.Device
-	sreq.Policy = opts.Policy
-	h, err := c.Submit(ctx, sreq, "")
-	if err != nil {
-		return nil, err
-	}
-	job, err := h.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := job.toFleetJob()
-	if out.Request.Circuit == nil {
-		out.Request.Circuit = req.Circuit
-	}
-	return out, nil
-}
-
-// StreamBatchRouted submits a batch through the fleet and invokes onJob for
-// every job as it settles, in completion order; the batch may span devices.
-// It returns all fleet records in submission order. onJob may be nil.
-func (c *Client) StreamBatchRouted(ctx context.Context, reqs []qrm.Request, opts RouteOptions, onJob func(*fleet.Job)) ([]*fleet.Job, error) {
-	if c.localFleet != nil {
-		so, err := opts.submitOptions()
-		if err != nil {
-			return nil, err
-		}
-		_, ids, err := c.localFleet.SubmitBatch(reqs, so)
-		if err != nil {
-			return nil, err
-		}
-		byID := make(map[int]*fleet.Job, len(ids))
-		var firstErr error
-		c.localFleet.WaitEach(ids, func(id int, j *fleet.Job, err error) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if onJob != nil {
-				onJob(j)
-			}
-			byID[id] = j
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		out := make([]*fleet.Job, 0, len(ids))
-		for _, id := range ids {
-			out = append(out, byID[id])
-		}
-		return out, nil
-	}
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: encoding batch: %w", err)
-	}
-	q := url.Values{"stream": {"1"}}
-	if opts.Device != "" {
-		q.Set("device", opts.Device)
-	}
-	if opts.Policy != "" {
-		q.Set("policy", opts.Policy)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.baseURL+pathJobsBatch+"?"+q.Encode(), bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("mqss: building batch request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("mqss: POST %s: %w", pathJobsBatch, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, decodeError(resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var header struct {
-		BatchID int   `json:"batch_id"`
-		JobIDs  []int `json:"job_ids"`
-	}
-	if err := dec.Decode(&header); err != nil {
-		return nil, fmt.Errorf("mqss: decoding batch header: %w", err)
-	}
-	byID := make(map[int]*fleet.Job, len(header.JobIDs))
-	for range header.JobIDs {
-		var job fleet.Job
-		if err := dec.Decode(&job); err != nil {
-			return nil, fmt.Errorf("mqss: decoding streamed fleet job: %w", err)
-		}
-		if onJob != nil {
-			onJob(&job)
-		}
-		byID[job.ID] = &job
-	}
-	out := make([]*fleet.Job, 0, len(header.JobIDs))
-	for _, id := range header.JobIDs {
-		j, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("mqss: job %d missing from batch stream", id)
-		}
-		out = append(out, j)
-	}
-	return out, nil
 }
 
 // FleetMetrics fetches the fleet status/metrics snapshot (GET

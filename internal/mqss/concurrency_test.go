@@ -2,11 +2,8 @@ package mqss
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuit"
@@ -57,117 +54,51 @@ func TestWaitJobUnblocksOnStop(t *testing.T) {
 func TestSubmitAgainstRunningPipeline(t *testing.T) {
 	_, srv := newRunningStack(t, 41, 2)
 	c := NewRemoteClient(srv.URL, srv.Client())
-	job, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(4), Shots: 50, User: "async"})
+	job, err := c.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(4), Shots: 50, User: "async"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != qrm.StatusDone {
-		t.Fatalf("status = %s (%s)", job.Status, job.Error)
-	}
-}
-
-func TestBatchStreamDeliversPerJobCompletions(t *testing.T) {
-	_, srv := newRunningStack(t, 42, 4)
-	c := NewRemoteClient(srv.URL, srv.Client())
-	reqs := make([]qrm.Request, 8)
-	for i := range reqs {
-		reqs[i] = qrm.Request{Circuit: circuit.GHZ(2 + i%3), Shots: 10, User: "stream"}
-	}
-	var streamed int32
-	jobs, err := c.StreamBatch(context.Background(), reqs, func(j *qrm.Job) {
-		atomic.AddInt32(&streamed, 1)
-		if j.Status != qrm.StatusDone {
-			t.Errorf("streamed job %d status %s", j.ID, j.Status)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 8 || streamed != 8 {
-		t.Fatalf("jobs = %d, streamed = %d, want 8/8", len(jobs), streamed)
-	}
-	// Returned order is submission order even though delivery was
-	// completion-ordered.
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].ID <= jobs[i-1].ID {
-			t.Errorf("jobs not in submission order: %d after %d", jobs[i].ID, jobs[i-1].ID)
-		}
-	}
-	for _, j := range jobs {
-		if j.Request.BatchID == 0 {
-			t.Error("batch ID missing on streamed job")
-		}
-	}
-}
-
-func TestBatchStreamFalseValuesDisableStreaming(t *testing.T) {
-	_, srv := newRunningStack(t, 47, 2)
-	body := `[{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5}]`
-	for _, v := range []string{"0", "false"} {
-		resp, err := srv.Client().Post(srv.URL+"/api/v1/jobs/batch?stream="+v,
-			"application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var created struct {
-			BatchID int   `json:"batch_id"`
-			JobIDs  []int `json:"job_ids"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&created)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("stream=%s: %v", v, err)
-		}
-		if created.BatchID == 0 || len(created.JobIDs) != 1 {
-			t.Errorf("stream=%s: plain batch response = %+v", v, created)
-		}
+	if job.State != StateDone {
+		t.Fatalf("state = %s (%v)", job.State, job.Error)
 	}
 }
 
 // TestBatchEndpointConcurrentClients is the mqss half of the -race
-// workout: many clients hammer the batch endpoint of one running pipeline.
+// workout: eight remote clients each Run a string of jobs against one
+// running pipeline at once.
 func TestBatchEndpointConcurrentClients(t *testing.T) {
 	f, srv := newRunningStack(t, 44, 8)
-	const clients = 6
-	const perBatch = 5
+	const clients = 8
+	const perClient = 5
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c := NewRemoteClient(srv.URL, srv.Client())
-			reqs := make([]qrm.Request, perBatch)
-			for k := range reqs {
-				reqs[k] = qrm.Request{Circuit: circuit.GHZ(2 + (i+k)%3), Shots: 5, User: "swarm"}
-			}
-			jobs, err := c.RunBatch(context.Background(), reqs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for _, j := range jobs {
-				if j.Status != qrm.StatusDone {
-					t.Errorf("client %d job %d = %s (%s)", i, j.ID, j.Status, j.Error)
+			for k := 0; k < perClient; k++ {
+				j, err := c.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(2 + (i+k)%3), Shots: 5, User: "swarm"})
+				if err != nil {
+					t.Errorf("client %d: %v", i, err)
+					return
+				}
+				if j.State != StateDone {
+					t.Errorf("client %d job %s = %s (%v)", i, j.ID, j.State, j.Error)
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
 	snap := f.Metrics()
-	if snap.Completed != clients*perBatch {
-		t.Errorf("completed = %d, want %d", snap.Completed, clients*perBatch)
+	if snap.Completed != clients*perClient {
+		t.Errorf("completed = %d, want %d", snap.Completed, clients*perClient)
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, srv := newRunningStack(t, 45, 2)
 	c := NewRemoteClient(srv.URL, srv.Client())
-	if _, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(3), Shots: 10, User: "m"}); err != nil {
+	if _, err := c.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "m"}); err != nil {
 		t.Fatal(err)
 	}
 	fm, err := c.FleetMetrics(context.Background())

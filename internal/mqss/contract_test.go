@@ -137,33 +137,35 @@ func TestContractV1(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	req := map[string]interface{}{
-		"circuit": circuit.GHZ(3), "shots": 20, "user": "contract",
+		"circuit": circuit.GHZ(3), "shots": 20, "user": "contract", "device": "alpha",
 	}
-	status, body := contractDo(t, srv, http.MethodPost, "/api/v1/jobs?device=alpha", req, nil)
-	if status != http.StatusCreated {
-		t.Fatalf("v1 submit = %d\n%s", status, body)
+	// The job that gives the read-only routes something to report goes in
+	// over v2 — the only submit route there is.
+	status, body := contractDo(t, srv, http.MethodPost, "/api/v2/jobs?wait=10s", req, nil)
+	if status != http.StatusOK {
+		t.Fatalf("v2 submit = %d\n%s", status, body)
 	}
-	checkGolden(t, "v1_fleet_submit", body)
 
-	_, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs/1", nil, nil)
-	checkGolden(t, "v1_fleet_job", body)
+	// The removed v1 job routes: one tombstone body for every method and
+	// sub-path.
+	for _, probe := range [][2]string{
+		{http.MethodPost, "/api/v1/jobs"}, {http.MethodGet, "/api/v1/jobs/1"},
+		{http.MethodGet, "/api/v1/jobs?limit=2"}, {http.MethodPost, "/api/v1/jobs/batch?stream=1"},
+	} {
+		status, body = contractDo(t, srv, probe[0], probe[1], req, nil)
+		if status != http.StatusGone {
+			t.Errorf("%s %s = %d, want 410", probe[0], probe[1], status)
+		}
+		checkGolden(t, "v1_jobs_gone", body)
+	}
 
-	_, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs?limit=2", nil, nil)
-	checkGolden(t, "v1_fleet_history", body)
-
-	status, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs/424242", nil, nil)
+	status, body = contractDo(t, srv, http.MethodGet, "/api/v1/device?device=nope", nil, nil)
 	if status != http.StatusNotFound {
-		t.Errorf("unknown job = %d", status)
+		t.Errorf("unknown device = %d", status)
 	}
 	checkGolden(t, "v1_error_not_found", body)
 
-	status, body = contractDo(t, srv, http.MethodGet, "/api/v1/jobs/zzz", nil, nil)
-	if status != http.StatusBadRequest {
-		t.Errorf("bad id = %d", status)
-	}
-	checkGolden(t, "v1_error_bad_id", body)
-
-	status, body = contractDo(t, srv, http.MethodDelete, "/api/v1/jobs", nil, nil)
+	status, body = contractDo(t, srv, http.MethodDelete, "/api/v1/device", nil, nil)
 	if status != http.StatusMethodNotAllowed {
 		t.Errorf("bad method = %d", status)
 	}

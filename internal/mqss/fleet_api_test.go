@@ -3,6 +3,7 @@ package mqss
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
-	"repro/internal/qrm"
 )
 
 // httpGetJSON fetches a URL and decodes the JSON object response.
@@ -60,23 +60,30 @@ func TestFleetServerEndToEnd(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewRemoteClient(srv.URL, nil)
 
+	ctx := context.Background()
+	run := func(n int, device, policy string) (*Job, error) {
+		return client.Run(ctx, SubmitRequest{Circuit: circuit.GHZ(n), Shots: 5, User: "u", Device: device, Policy: policy})
+	}
+	wantCode := func(what string, err error, code string) {
+		t.Helper()
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != code {
+			t.Fatalf("%s: err = %v, want %s", what, err, code)
+		}
+	}
+
 	// Routed submit with the policy knob.
-	j, err := client.RunRouted(context.Background(), qrm.Request{Circuit: circuit.GHZ(3), Shots: 10, User: "u"},
-		RouteOptions{Policy: "least-loaded"})
+	j, err := run(3, "", "least-loaded")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Status != "done" || j.Device == "" || j.Result == nil {
+	if j.State != StateDone || j.Device == "" || len(j.Counts) == 0 {
 		t.Fatalf("routed job: %+v", j)
-	}
-	if len(j.Result.Counts) == 0 {
-		t.Fatal("routed job has no counts")
 	}
 
 	// Device pin: a 16-qubit circuit fits alpha (20q) only; pin it anyway
-	// and check the envelope honours it.
-	j2, err := client.RunRouted(context.Background(), qrm.Request{Circuit: circuit.GHZ(16), Shots: 5, User: "u"},
-		RouteOptions{Device: "alpha"})
+	// and check the record honours it.
+	j2, err := run(16, "alpha", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,41 +91,31 @@ func TestFleetServerEndToEnd(t *testing.T) {
 		t.Fatalf("pin ignored: device=%q pinned=%q", j2.Device, j2.Pinned)
 	}
 
-	// Pinning a too-small device is a 422.
-	if _, err := client.RunRouted(context.Background(), qrm.Request{Circuit: circuit.GHZ(16), Shots: 5, User: "u"},
-		RouteOptions{Device: "beta"}); err == nil {
-		t.Fatal("pinning a 16q circuit to a 9q device should fail")
-	}
-	// Unknown policy is a 400.
-	if _, err := client.RunRouted(context.Background(), qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "u"},
-		RouteOptions{Policy: "fastest"}); err == nil {
-		t.Fatal("unknown policy should fail")
-	}
+	// Pinning a too-small device, a circuit wider than every device, and an
+	// unknown device are 422s; an unknown policy is a 400.
+	_, err = run(16, "beta", "")
+	wantCode("16q circuit pinned to a 9q device", err, CodeUnprocessable)
+	_, err = run(21, "", "")
+	wantCode("21q circuit on a 20q fleet", err, CodeUnprocessable)
+	_, err = run(2, "gamma", "")
+	wantCode("unknown device", err, CodeUnprocessable)
+	_, err = run(2, "", "fastest")
+	wantCode("unknown policy", err, CodeInvalidRequest)
 
-	// Batch stream across the fleet.
-	reqs := make([]qrm.Request, 6)
-	for i := range reqs {
-		reqs[i] = qrm.Request{Circuit: circuit.GHZ(3), Shots: 5, User: "u"}
-	}
-	order := make([]int, 0, len(reqs))
-	jobs, err := client.StreamBatchRouted(context.Background(), reqs, RouteOptions{Policy: "round-robin"}, func(j *fleet.Job) {
-		order = append(order, j.ID)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 6 || len(order) != 6 {
-		t.Fatalf("batch: %d jobs, %d streamed", len(jobs), len(order))
-	}
+	// Round-robin spreads a string of jobs across the fleet.
 	seen := map[string]int{}
-	for _, j := range jobs {
-		if j.Status != "done" {
-			t.Fatalf("batch job %d: %s (%s)", j.ID, j.Status, j.Error)
+	for i := 0; i < 6; i++ {
+		rj, err := run(3, "", "round-robin")
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[j.Device]++
+		if rj.State != StateDone {
+			t.Fatalf("round-robin job %s: %s (%v)", rj.ID, rj.State, rj.Error)
+		}
+		seen[rj.Device]++
 	}
 	if len(seen) != 2 {
-		t.Fatalf("round-robin batch used %v, want both devices", seen)
+		t.Fatalf("round-robin jobs used %v, want both devices", seen)
 	}
 
 	// Fleet metrics snapshot over REST.
@@ -144,15 +141,6 @@ func TestFleetServerEndToEnd(t *testing.T) {
 	if info.Calibration.FCZ(0, 1) <= 0 {
 		t.Fatal("coupler CZ fidelity missing after the REST round trip")
 	}
-
-	// The legacy polling endpoint resolves fleet job IDs.
-	legacy, err := client.Job(context.Background(), j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.ID != j.ID || legacy.Status != qrm.StatusDone {
-		t.Fatalf("legacy lookup of fleet job: %+v", legacy)
-	}
 }
 
 func TestFleetServerDrainDuringStream(t *testing.T) {
@@ -167,18 +155,16 @@ func TestFleetServerDrainDuringStream(t *testing.T) {
 	if err := f.Drain("beta"); err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]qrm.Request, 10)
-	for i := range reqs {
-		reqs[i] = qrm.Request{Circuit: circuit.GHZ(3), Shots: 5, User: "u"}
+	ctx := context.Background()
+	handles := make([]*JobHandle, 10)
+	for i := range handles {
+		h, err := client.Submit(ctx, SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: "u"}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
 	}
-	errCh := make(chan error, 1)
-	jobsCh := make(chan []*fleet.Job, 1)
-	go func() {
-		jobs, err := client.StreamBatchRouted(context.Background(), reqs, RouteOptions{}, nil)
-		jobsCh <- jobs
-		errCh <- err
-	}()
-	// Mid-stream: drain the loaded device and bring its sibling up.
+	// Mid-flight: drain the loaded device and bring its sibling up.
 	time.Sleep(8 * time.Millisecond)
 	if err := f.Drain("alpha"); err != nil {
 		t.Fatal(err)
@@ -186,87 +172,33 @@ func TestFleetServerDrainDuringStream(t *testing.T) {
 	if err := f.Resume("beta"); err != nil {
 		t.Fatal(err)
 	}
-	jobs := <-jobsCh
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
 	migrated := 0
-	for _, j := range jobs {
-		if j.Status != "done" {
-			t.Fatalf("job %d lost across the drain: %s (%s)", j.ID, j.Status, j.Error)
+	for _, h := range handles {
+		j, err := h.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("job %s lost across the drain: %s (%v)", j.ID, j.State, j.Error)
 		}
 		if j.Migrations > 0 {
 			migrated++
 		}
 	}
 	if migrated == 0 {
-		t.Fatal("no job migrated during the mid-stream drain")
+		t.Fatal("no job migrated during the mid-flight drain")
 	}
 	// The local fleet client sees the same stack.
 	local := NewLocalClient(f)
 	if local.Path() != PathHPC {
 		t.Fatalf("local fleet client path %s", local.Path())
 	}
-	j, err := local.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "u"})
+	j, err := local.Run(ctx, SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "u"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Status != qrm.StatusDone || len(j.Counts) == 0 {
+	if j.State != StateDone || len(j.Counts) == 0 {
 		t.Fatalf("local fleet Run: %+v", j)
-	}
-}
-
-func TestLegacyClientAgainstFleetServer(t *testing.T) {
-	// "Without requiring any code modifications from the user": a client
-	// written for the single-device API must work unchanged against a fleet
-	// server — Run, StreamBatch, Job, and History all flatten the fleet
-	// envelope into device-level records keyed by the fleet job ID.
-	f := newTestFleet(t, map[string]*qdmi.Device{
-		"alpha": twinDev(t, "alpha", 4, 5, 1),
-		"beta":  twinDev(t, "beta", 3, 3, 2),
-	}, 2)
-	srv := httptest.NewServer(NewFleetServer(f))
-	t.Cleanup(srv.Close)
-	client := NewRemoteClient(srv.URL, nil)
-
-	j, err := client.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(3), Shots: 20, User: "legacy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Status != qrm.StatusDone || len(j.Counts) == 0 || j.CompiledGates == 0 {
-		t.Fatalf("legacy Run against fleet lost the device record: %+v", j)
-	}
-	got, err := client.Job(context.Background(), j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != j.ID || len(got.Counts) == 0 {
-		t.Fatalf("legacy Job lookup: %+v", got)
-	}
-	reqs := []qrm.Request{
-		{Circuit: circuit.GHZ(2), Shots: 10, User: "legacy"},
-		{Circuit: circuit.GHZ(4), Shots: 10, User: "legacy"},
-	}
-	jobs, err := client.StreamBatch(context.Background(), reqs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bj := range jobs {
-		if bj.Status != qrm.StatusDone || len(bj.Counts) == 0 {
-			t.Fatalf("legacy StreamBatch job: %+v", bj)
-		}
-	}
-	page, err := client.History(context.Background(), "legacy", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Total != 3 {
-		t.Fatalf("history total %d, want 3", page.Total)
-	}
-	for _, hj := range page.Jobs {
-		if len(hj.Counts) == 0 {
-			t.Fatalf("history entry lost counts: %+v", hj)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mqss
 import (
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
-	"repro/internal/qrm"
 	"repro/internal/telemetry"
 )
 
@@ -42,12 +42,12 @@ func TestLocalClientPath(t *testing.T) {
 	if c.Path() != PathHPC {
 		t.Errorf("path = %s, want hpc", c.Path())
 	}
-	job, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(4), Shots: 100, User: "local"})
+	job, err := c.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(4), Shots: 100, User: "local"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != qrm.StatusDone {
-		t.Fatalf("status = %s (%s)", job.Status, job.Error)
+	if job.State != StateDone {
+		t.Fatalf("state = %s (%v)", job.State, job.Error)
 	}
 	if len(job.Counts) != 2 {
 		t.Errorf("twin GHZ outcomes = %d", len(job.Counts))
@@ -61,12 +61,12 @@ func TestRemoteClientPath(t *testing.T) {
 	if c.Path() != PathREST {
 		t.Errorf("path = %s, want rest", c.Path())
 	}
-	job, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(3), Shots: 50, User: "remote"})
+	job, err := c.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(3), Shots: 50, User: "remote"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Status != qrm.StatusDone {
-		t.Fatalf("status = %s (%s)", job.Status, job.Error)
+	if job.State != StateDone {
+		t.Fatalf("state = %s (%v)", job.State, job.Error)
 	}
 	total := 0
 	for _, n := range job.Counts {
@@ -76,11 +76,11 @@ func TestRemoteClientPath(t *testing.T) {
 		t.Errorf("shots = %d, want 50", total)
 	}
 	// Fetch the same job by ID.
-	again, err := c.Job(context.Background(), job.ID)
+	again, err := c.V2Job(context.Background(), job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.ID != job.ID || again.Status != qrm.StatusDone {
+	if again.ID != job.ID || again.State != StateDone {
 		t.Errorf("refetched job = %+v", again)
 	}
 }
@@ -103,12 +103,12 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 
 	local := NewLocalClient(newStack(t, 4))
 	remote := NewRemoteClient(srv.URL, srv.Client())
-	req := qrm.Request{Circuit: circuit.GHZ(5), Shots: 2000, User: "x"}
+	req := SubmitRequest{Circuit: circuit.GHZ(5), Shots: 2000, User: "x"}
 	jl, err := local.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := remote.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(5), Shots: 2000, User: "x"})
+	jr, err := remote.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,62 +116,6 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 	fr := float64(jr.Counts[0]) / 2000
 	if math.Abs(fl-0.5) > 0.05 || math.Abs(fr-0.5) > 0.05 {
 		t.Errorf("GHZ P(0) local %.3f remote %.3f, want ~0.5 each", fl, fr)
-	}
-}
-
-func TestRemoteBatch(t *testing.T) {
-	srv := httptest.NewServer(NewFleetServer(newStack(t, 5)))
-	defer srv.Close()
-	c := NewRemoteClient(srv.URL, srv.Client())
-	jobs, err := c.RunBatch(context.Background(), []qrm.Request{
-		{Circuit: circuit.GHZ(2), Shots: 10, User: "b"},
-		{Circuit: circuit.GHZ(3), Shots: 10, User: "b"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 2 {
-		t.Fatalf("jobs = %d", len(jobs))
-	}
-	for _, j := range jobs {
-		if j.Status != qrm.StatusDone {
-			t.Errorf("job %d status %s", j.ID, j.Status)
-		}
-		if j.Request.BatchID == 0 {
-			t.Error("batch ID not set")
-		}
-	}
-}
-
-func TestLocalBatch(t *testing.T) {
-	c := NewLocalClient(newStack(t, 6))
-	jobs, err := c.RunBatch(context.Background(), []qrm.Request{
-		{Circuit: circuit.GHZ(2), Shots: 10},
-		{Circuit: circuit.GHZ(2), Shots: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 2 || jobs[0].Status != qrm.StatusDone {
-		t.Errorf("local batch = %+v", jobs)
-	}
-}
-
-func TestRemoteHistoryPagination(t *testing.T) {
-	srv := httptest.NewServer(NewFleetServer(newStack(t, 7)))
-	defer srv.Close()
-	c := NewRemoteClient(srv.URL, srv.Client())
-	for i := 0; i < 7; i++ {
-		if _, err := c.Run(context.Background(), qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "pag"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	page, err := c.History(context.Background(), "pag", 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Total != 7 || len(page.Jobs) != 3 || !page.HasMore {
-		t.Errorf("page = %+v", page)
 	}
 }
 
@@ -214,35 +158,26 @@ func TestServerErrorPaths(t *testing.T) {
 	defer srv.Close()
 	c := srv.Client()
 
-	// Bad JSON submit.
+	// A v1 submit — malformed or not — is gone, not a 400.
 	resp, err := c.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("bad JSON status = %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("v1 submit status = %d, want 410", resp.StatusCode)
 	}
-	// Unknown job.
-	resp, err = c.Get(srv.URL + "/api/v1/jobs/424242")
+	// Unknown device.
+	resp, err = c.Get(srv.URL + "/api/v1/device?device=nope")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
-		t.Errorf("unknown job status = %d, want 404", resp.StatusCode)
-	}
-	// Bad job id.
-	resp, err = c.Get(srv.URL + "/api/v1/jobs/not-a-number")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("bad id status = %d, want 400", resp.StatusCode)
+		t.Errorf("unknown device status = %d, want 404", resp.StatusCode)
 	}
 	// Wrong method.
-	resp, err = c.Head(srv.URL + "/api/v1/jobs")
+	resp, err = c.Head(srv.URL + "/api/v1/device")
 	if err != nil {
 		t.Fatal(err)
 	}

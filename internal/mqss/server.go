@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -21,24 +20,23 @@ import (
 	"repro/internal/federation"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
-	"repro/internal/qrm"
 	"repro/internal/tenant"
 )
 
-// API paths.
+// API paths. The v1 routes that remain are read-only; jobs live under
+// /api/v2/jobs only (pathV2Jobs), and the old v1 job paths answer 410.
 const (
-	pathJobs      = "/api/v1/jobs"
-	pathJobsBatch = "/api/v1/jobs/batch"
-	pathDevice    = "/api/v1/device"
-	pathFleet     = "/api/v1/fleet"
-	pathTelemetry = "/api/v1/telemetry/"
-	pathMetrics   = "/api/v1/metrics"
-	pathHealthz   = "/healthz"
+	pathV1JobsGone = "/api/v1/jobs"
+	pathDevice     = "/api/v1/device"
+	pathFleet      = "/api/v1/fleet"
+	pathTelemetry  = "/api/v1/telemetry/"
+	pathMetrics    = "/api/v1/metrics"
+	pathHealthz    = "/healthz"
 )
 
 // Server exposes the stack over HTTP — the REST access mode of Fig. 2. It
-// fronts one fleet scheduler: `?device=` pins a backend, `?policy=` steers
-// routing, and GET /api/v1/fleet shows the roster.
+// fronts one fleet scheduler: a submission's `device` pins a backend, its
+// `policy` steers routing, and GET /api/v1/fleet shows the roster.
 type Server struct {
 	fleet *fleet.Scheduler
 	mux   *http.ServeMux
@@ -83,9 +81,8 @@ func (s *Server) Close() {
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc(pathJobs, s.handleJobs)
-	s.mux.HandleFunc(pathJobs+"/", s.handleJobByID)
-	s.mux.HandleFunc(pathJobsBatch, s.handleBatch)
+	s.mux.HandleFunc(pathV1JobsGone, handleV1JobsGone)
+	s.mux.HandleFunc(pathV1JobsGone+"/", handleV1JobsGone)
 	s.mux.HandleFunc(pathDevice, s.handleDevice)
 	s.mux.HandleFunc(pathFleet, s.handleMetrics)
 	s.mux.HandleFunc(pathTelemetry, s.handleTelemetry)
@@ -139,159 +136,11 @@ func v1MethodNotAllowed(w http.ResponseWriter, method string) {
 	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", method))
 }
 
-// v1BadID is the single malformed-job-ID path for v1 handlers.
-func v1BadID(w http.ResponseWriter, idStr string) {
-	writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", idStr))
-}
-
-// submitOptions extracts the fleet routing controls from the query string:
-// `?device=` pins a backend, `?policy=` overrides the routing policy.
-func submitOptions(r *http.Request) (fleet.SubmitOptions, error) {
-	q := r.URL.Query()
-	return RouteOptions{Device: q.Get("device"), Policy: q.Get("policy")}.submitOptions()
-}
-
-// handleJobs: POST = submit, GET = paginated history.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req qrm.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		opts, err := submitOptions(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		id, err := s.fleet.Submit(req, opts)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		// v1 submission is synchronous: the response is the settled record
-		// (submit-and-poll is what v2 is).
-		job, err := s.fleet.Wait(id)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, job)
-	case http.MethodGet:
-		offset := queryInt(r, "offset", 0)
-		limit := queryInt(r, "limit", 20)
-		user := r.URL.Query().Get("user")
-		page, err := s.fleet.History(user, offset, limit)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, page)
-	default:
-		v1MethodNotAllowed(w, r.Method)
-	}
-}
-
-// handleJobByID: GET /api/v1/jobs/{id}.
-func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		v1MethodNotAllowed(w, r.Method)
-		return
-	}
-	idStr := strings.TrimPrefix(r.URL.Path, pathJobs+"/")
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		v1BadID(w, idStr)
-		return
-	}
-	job, err := s.fleet.Job(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
-}
-
-// handleBatch: POST a list of requests as one batch. With ?stream=1 the
-// response is NDJSON: a header line {"batch_id","job_ids"} followed by one
-// completed job record per line *in completion order* — clients see results
-// as the workers finish them instead of waiting for the slowest job in the
-// batch. The batch is routed job-by-job (it may span devices) and honours
-// ?device= / ?policy=.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		v1MethodNotAllowed(w, r.Method)
-		return
-	}
-	var reqs []qrm.Request
-	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch: %w", err))
-		return
-	}
-	stream := false
-	if v := r.URL.Query().Get("stream"); v != "" && v != "0" && v != "false" {
-		stream = true
-	}
-	opts, err := submitOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	batch, ids, err := s.fleet.SubmitBatch(reqs, opts)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if stream {
-		s.streamFleetBatch(w, batch, ids)
-		return
-	}
-	for _, id := range ids {
-		if _, err := s.fleet.Wait(id); err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-	}
-	writeJSON(w, http.StatusCreated, map[string]interface{}{
-		"batch_id": batch,
-		"job_ids":  ids,
-	})
-}
-
-// ndjsonWriter prepares an NDJSON streaming response.
-func ndjsonWriter(w http.ResponseWriter) (*json.Encoder, func()) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusCreated)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	return enc, func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// streamFleetBatch writes the NDJSON batch response: one fleet job record
-// per line in completion order, each carrying its routing envelope (device,
-// migrations, score) plus the device-level result. A client that
-// disconnects mid-stream only loses its copy of the results: encodes onto
-// the dead connection fail silently, the remaining jobs still complete
-// server-side, and the handler returns once every job has settled.
-func (s *Server) streamFleetBatch(w http.ResponseWriter, batch int, ids []int) {
-	enc, flush := ndjsonWriter(w)
-	_ = enc.Encode(map[string]interface{}{"batch_id": batch, "job_ids": ids})
-	flush()
-	s.fleet.WaitEach(ids, func(id int, j *fleet.Job, err error) {
-		if err != nil {
-			j, _ = s.fleet.Job(id)
-		}
-		if j == nil {
-			return
-		}
-		_ = enc.Encode(j)
-		flush()
-	})
+// handleV1JobsGone is the tombstone for the removed v1 job routes (submit,
+// read, history, batch): every method answers 410 and names the v2 resource,
+// so nothing can create or read a job around v2's admission control.
+func handleV1JobsGone(w http.ResponseWriter, _ *http.Request) {
+	writeError(w, http.StatusGone, fmt.Errorf("the v1 job API is gone: use %s (docs/API.md)", pathV2Jobs))
 }
 
 // handleMetrics: GET /api/v1/metrics and /api/v1/fleet — the fleet snapshot
@@ -386,16 +235,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status": status, "active_devices": active,
 	})
-}
-
-func queryInt(r *http.Request, key string, def int) int {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
 }

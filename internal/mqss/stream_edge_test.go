@@ -2,9 +2,7 @@ package mqss
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,13 +12,12 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/qdmi"
-	"repro/internal/qrm"
 )
 
 // Streaming edge cases: a client that walks away mid-NDJSON-stream must not
-// wedge the server or lose the batch, and a server-side job failure must
-// surface through StreamBatch as a failed record, not a broken stream.
+// wedge the server or lose its jobs, and a server-side job failure must
+// reach the caller as a failed record with its error envelope, not as a
+// broken call.
 
 func newPacedStack(t *testing.T, latency time.Duration, workers int) (*fleet.Scheduler, *device.QPU, *httptest.Server) {
 	t.Helper()
@@ -34,48 +31,40 @@ func newPacedStack(t *testing.T, latency time.Duration, workers int) (*fleet.Sch
 	return f, qpu, srv
 }
 
-func batchBody(t *testing.T, n, shots int) *bytes.Reader {
-	t.Helper()
-	reqs := make([]qrm.Request, n)
-	for i := range reqs {
-		reqs[i] = qrm.Request{Circuit: circuit.GHZ(3), Shots: shots, User: "edge"}
-	}
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewReader(body)
-}
-
-func TestStreamBatchClientDisconnectMidStream(t *testing.T) {
+func TestWatchClientDisconnectMidStream(t *testing.T) {
 	const jobs = 12
 	f, _, srv := newPacedStack(t, 5*time.Millisecond, 2)
 
-	resp, err := http.Post(srv.URL+"/api/v1/jobs/batch?stream=1", "application/json",
-		batchBody(t, jobs, 5))
+	client := NewRemoteClient(srv.URL, srv.Client())
+	var last *JobHandle
+	for i := 0; i < jobs; i++ {
+		h, err := client.Submit(context.Background(), SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: "edge"}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = h
+	}
+	// Watch the job at the back of the queue, read exactly the opening
+	// snapshot line, then hang up with the job (and most of the queue)
+	// still in flight.
+	resp, err := http.Get(srv.URL + "/api/v2/jobs/" + last.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusCreated {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	// Read the header line and exactly one completed job, then hang up with
-	// most of the batch still streaming.
-	br := bufio.NewReader(resp.Body)
-	header, err := br.ReadString('\n')
+	first, err := bufio.NewReader(resp.Body).ReadString('\n')
 	if err != nil {
-		t.Fatalf("reading header: %v", err)
+		t.Fatalf("reading snapshot event: %v", err)
 	}
-	if !strings.Contains(header, "job_ids") {
-		t.Fatalf("header line: %s", header)
-	}
-	if _, err := br.ReadString('\n'); err != nil {
-		t.Fatalf("reading first job: %v", err)
+	if !strings.Contains(first, `"reason":"snapshot"`) || strings.Contains(first, `"state":"done"`) {
+		t.Fatalf("opening event: %s", first)
 	}
 	resp.Body.Close() // abrupt disconnect
 
-	// The server must keep executing the batch and settle every job; a
-	// wedged handler would leave the queue non-empty forever.
+	// The server must keep executing and settle every job; a wedged handler
+	// would leave the queue non-empty forever.
 	done := make(chan struct{})
 	go func() {
 		f.WaitSettled()
@@ -84,7 +73,7 @@ func TestStreamBatchClientDisconnectMidStream(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("server did not settle the batch after client disconnect")
+		t.Fatal("server did not settle the jobs after client disconnect")
 	}
 	snap := f.Metrics()
 	if snap.Completed != jobs {
@@ -105,80 +94,49 @@ func TestStreamBatchClientDisconnectMidStream(t *testing.T) {
 	}
 }
 
-func TestStreamBatchSurfacesServerSideJobFailure(t *testing.T) {
-	_, qpu, srv := newPacedStack(t, 0, 1)
-	// One worker executes in submission order; fault exactly the first
-	// execution so precisely one job fails server-side.
-	qpu.InjectFaults(1)
-
-	client := NewRemoteClient(srv.URL, nil)
-	reqs := make([]qrm.Request, 3)
-	for i := range reqs {
-		reqs[i] = qrm.Request{Circuit: circuit.GHZ(3), Shots: 5, User: "edge"}
-	}
-	var streamed []*qrm.Job
-	jobs, err := client.StreamBatch(context.Background(), reqs, func(j *qrm.Job) { streamed = append(streamed, j) })
-	if err != nil {
-		t.Fatalf("StreamBatch with a failing job should still deliver the batch: %v", err)
-	}
-	if len(jobs) != 3 || len(streamed) != 3 {
-		t.Fatalf("delivered %d jobs, streamed %d, want 3/3", len(jobs), len(streamed))
-	}
-	failed, done := 0, 0
-	for _, j := range jobs {
-		switch j.Status {
-		case qrm.StatusFailed:
-			failed++
-			if j.Error == "" || !strings.Contains(j.Error, "fault") {
-				t.Fatalf("failed job without a usable error: %q", j.Error)
+// TestRunSurfacesJobFailureEnvelope: a genuine job failure on a healthy
+// device comes back from Run as a failed record carrying the structured
+// envelope — same on the HPC and the REST path — and the jobs around it
+// still finish.
+func TestRunSurfacesJobFailureEnvelope(t *testing.T) {
+	for _, path := range []AccessPath{PathHPC, PathREST} {
+		t.Run(string(path), func(t *testing.T) {
+			f, qpu, srv := newPacedStack(t, 0, 1)
+			client := NewRemoteClient(srv.URL, srv.Client())
+			if path == PathHPC {
+				client = NewLocalClient(f)
 			}
-			if len(j.Counts) != 0 {
-				t.Fatalf("failed job carries counts: %v", j.Counts)
+			// One worker executes in submission order; fault exactly the
+			// first execution so precisely one job fails.
+			qpu.InjectFaults(1)
+			failed, done := 0, 0
+			for i := 0; i < 3; i++ {
+				j, err := client.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: "edge"})
+				if err != nil {
+					t.Fatalf("Run of a failing job should return its record: %v", err)
+				}
+				switch j.State {
+				case StateFailed:
+					failed++
+					if j.Error == nil || j.Error.Code != CodeExecutionFailed || j.Error.Retryable ||
+						!strings.Contains(j.Error.Message, "fault") {
+						t.Fatalf("failed job without a usable envelope: %+v", j.Error)
+					}
+					if len(j.Counts) != 0 {
+						t.Fatalf("failed job carries counts: %v", j.Counts)
+					}
+				case StateDone:
+					done++
+					if len(j.Counts) == 0 {
+						t.Fatalf("done job %s has no counts", j.ID)
+					}
+				default:
+					t.Fatalf("job %s in non-terminal state %s", j.ID, j.State)
+				}
 			}
-		case qrm.StatusDone:
-			done++
-			if len(j.Counts) == 0 {
-				t.Fatalf("done job %d has no counts", j.ID)
+			if failed != 1 || done != 2 {
+				t.Fatalf("failed=%d done=%d, want 1 failed / 2 done", failed, done)
 			}
-		default:
-			t.Fatalf("job %d in non-terminal state %s", j.ID, j.Status)
-		}
-	}
-	if failed != 1 || done != 2 {
-		t.Fatalf("failed=%d done=%d, want 1 failed / 2 done", failed, done)
-	}
-}
-
-func TestStreamBatchFleetSurfacesFailureEnvelope(t *testing.T) {
-	// Fleet-mode variant: a genuine job failure on a healthy device arrives
-	// through the routed stream as a failed fleet record with the device-
-	// level result attached.
-	qpu := device.NewTwin20Q(9)
-	dev := qdmi.NewDevice(qpu, nil)
-	f := newTestFleet(t, map[string]*qdmi.Device{"solo": dev}, 1)
-	srv := httptest.NewServer(NewFleetServer(f))
-	t.Cleanup(srv.Close)
-
-	qpu.InjectFaults(1)
-	client := NewRemoteClient(srv.URL, nil)
-	reqs := []qrm.Request{
-		{Circuit: circuit.GHZ(3), Shots: 5, User: "edge"},
-		{Circuit: circuit.GHZ(3), Shots: 5, User: "edge"},
-	}
-	jobs, err := client.StreamBatchRouted(context.Background(), reqs, RouteOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, j := range jobs {
-		if j.Status == "failed" {
-			failed++
-			if j.Error == "" || j.Result == nil {
-				t.Fatalf("fleet failure without error/result: %+v", j)
-			}
-		}
-	}
-	if failed != 1 {
-		t.Fatalf("failed=%d, want 1", failed)
+		})
 	}
 }

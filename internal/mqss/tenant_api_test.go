@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,6 +62,53 @@ func TestClientAbsorbsRateLimit(t *testing.T) {
 	}
 	if row.Allowed != 4 || row.Submitted != 4 || row.Completed != 4 {
 		t.Errorf("admitted accounting wrong: %+v", row)
+	}
+}
+
+// TestNoUnmeteredSubmitRoute: the token bucket guards the only way in. With
+// a tenant's bucket exhausted, a POST of a valid submission to every route
+// the server registers outside /api/v2/jobs — the tombstoned v1 job paths
+// included — creates no job, and /api/v2/jobs itself refuses with 429.
+func TestNoUnmeteredSubmitRoute(t *testing.T) {
+	f, server := pacedStack(t, 97, 0, 1)
+	server.SetTenantLimits(0.001, 1) // one token, then ~17 min to the next
+	srv := httptest.NewServer(server)
+	t.Cleanup(srv.Close)
+
+	one := `{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"user":"hog"}`
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if st := post(pathV2Jobs, one); st != http.StatusAccepted {
+		t.Fatalf("first submit = %d, want 202", st)
+	}
+	if st := post(pathV2Jobs, one); st != http.StatusTooManyRequests {
+		t.Fatalf("over-quota v2 submit = %d, want 429", st)
+	}
+	for _, path := range []string{"/api/v1/jobs", "/api/v1/jobs?policy=round-robin", "/api/v1/jobs/1"} {
+		if st := post(path, one); st != http.StatusGone {
+			t.Errorf("POST %s = %d, want 410", path, st)
+		}
+	}
+	for _, path := range []string{"/api/v1/jobs/batch", "/api/v1/jobs/batch?stream=1"} {
+		if st := post(path, "["+one+"]"); st != http.StatusGone {
+			t.Errorf("POST %s = %d, want 410", path, st)
+		}
+	}
+	for _, path := range []string{
+		pathDevice, pathFleet, pathTelemetry, pathMetrics, pathHealthz, pathMetricsProm,
+		pathV2AdminStore, pathV2AdminTenants, pathV2Federation + "/status",
+	} {
+		post(path, one) // whatever it answers, the counter below must not move
+	}
+	if n := f.Metrics().Submitted; n != 1 {
+		t.Fatalf("scheduler saw %d submissions, want only the admitted one", n)
 	}
 }
 

@@ -148,7 +148,7 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	opts, err := RouteOptions{Device: req.Device, Policy: req.Policy}.submitOptions()
+	opts, err := req.submitOptions()
 	if err != nil {
 		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
 		return
@@ -425,12 +425,9 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 			if !ok {
 				return // bus closed (backend shutting down)
 			}
-			state := stateFromFleet(fleet.JobStatus(ev.To))
-			emit(JobEvent{
-				Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
-				State: state, Device: ev.Device, Reason: ev.Reason,
-			})
-			if state.Terminal() && ev.Reason != "cancel-requested" {
+			jev := jobEventFrom(ev)
+			emit(jev)
+			if jev.State.Terminal() {
 				return
 			}
 		case <-r.Context().Done():

@@ -45,8 +45,6 @@ type Request struct {
 	Priority int              `json:"priority"`
 	// User identifies the submitter (for history filtering).
 	User string `json:"user"`
-	// BatchID groups circuits submitted together (0 = standalone).
-	BatchID int `json:"batch_id,omitempty"`
 	// DeadlineMs is a wall-clock dispatch budget in milliseconds from
 	// submission: a job still queued when it expires is failed with
 	// ErrDeadlineMsg instead of being dispatched (0 = no deadline). The
