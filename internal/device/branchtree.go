@@ -1,29 +1,42 @@
 package device
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/quantum"
 )
 
 // This file is the shot-branching trajectory engine: instead of re-evolving
-// the statevector once per shot (runShotBlock), a *count* of shots is
-// propagated down a trajectory tree. At each compiled noise site the
-// subtree's shots are split multinomially across the Kraus branches using
-// exact state-dependent weights; only branches that actually receive shots
-// fork a pooled copy-on-write state, and every unique leaf state
-// bulk-samples its shots through the O(1) Walker alias sampler. At
-// realistic calibration error rates nearly every shot rides the dominant
-// (near-identity) branch at every site, so a 200-shot job evolves a handful
-// of trajectories instead of 200.
+// the statevector once per shot, a *count* of shots is propagated down a
+// trajectory tree. At each compiled noise site the subtree's shots are split
+// multinomially across the Kraus branches using exact state-dependent
+// weights; only branches that actually receive shots fork a pooled
+// copy-on-write state, and every unique leaf state bulk-samples its shots
+// through the O(1) Walker alias sampler. At realistic calibration error
+// rates nearly every shot rides the dominant (near-identity) branch at every
+// site, so a 200-shot job evolves a handful of trajectories instead of 200.
+// The per-shot loop (runShotBlock) is the same walk with one shot per tree.
 //
 // Exactness: binning each shot with an independent uniform draw against the
 // exact branch weights is literally the per-shot categorical draw of the
 // Monte-Carlo wavefunction method — the tree merely groups shots by shared
 // Kraus prefix, so the sampled trajectory ensemble (and hence the outcome
-// distribution) is identical to runShotBlock's. The equivalence tests pin
-// this with chi-square checks against both the per-shot loop and
-// ExecuteNaive.
+// distribution) is that of one trajectory per shot. The equivalence tests
+// pin this with chi-square checks against ExecuteNaive.
+//
+// Deferral: the first Kraus operator's weight Tr(K0†K0·ρ) is at least
+// λmin(K0†K0) on every normalised state — a constant of the channel, the
+// site's floor — and the branch walk gives every draw under the first weight
+// to branch 0. A draw under the floor is therefore on branch 0 without the
+// state being read, and its operator need not be applied either: it waits,
+// multiplied into the qubit's pending operator, until a CZ, an exact site or
+// the leaf needs that qubit's amplitudes. The state's norm falls meanwhile
+// (the operators wait unrenormalised); an exact site divides the density it
+// reads by its trace, which makes its weights those of the normalised state,
+// and leaves the state normalised. Draws are consumed one per shot per site
+// in program order either way, so deferral changes what a site costs and
+// never which branch a shot takes.
 
 const (
 	// branchTreeMinShots is the strategy floor: below it there is no
@@ -34,138 +47,292 @@ const (
 	// (compiledJob.branchEst) above which trajectories stop sharing
 	// prefixes and the shot-fanout loop wins.
 	maxBranchEventsPerShot = 1.0
-	// maxKrausBranches is the largest composed-channel fan-out the tree's
-	// stack scratch supports (depolarizing × amp-damp × phase-damp = 16).
-	// Wider channels fall back to the shot-fanout path via branchEst.
+	// maxKrausBranches is the widest channel a site's stack scratch holds,
+	// which is the widest gateNoiseChannel composes (depolarizing × amp-damp
+	// × phase-damp = 16); compileJob refuses anything wider.
 	maxKrausBranches = 16
 )
 
-// branchStateBudget caps the live states (root + forks along one DFS path)
-// a branch-tree job may hold. Beyond it, branches replay their shots one at
-// a time from the checkpoint — exact, just slower. A variable so tests can
-// squeeze it to force the fallback.
-var branchStateBudget = 32
+// defaultBranchStateBudget caps the live states (root + forks along one DFS
+// path) a branch-tree job may hold. Beyond it, branches replay their shots
+// one at a time from the checkpoint — exact, just slower. It is the value of
+// compiledJob.stateBudget outside tests.
+const defaultBranchStateBudget = 32
 
-// branchExec is the per-job state of one branch-tree execution: the scratch
-// buffers live here so the recursion allocates nothing per node.
+// minDeferredNorm bounds how far deferral lets a state's norm² fall before
+// pending renormalises it. A run of floor-accepted sites leaves norm² at or
+// above the product of their floors, and the chance of a run that long is
+// that same product, so the bound is not reached in practice; it is there so
+// underflow is unreachable by construction, 200 decades above the 1e-300
+// guards of the exact path.
+const minDeferredNorm = 1e-100
+
+// pending is the deferred single-qubit work of one live state: per qubit,
+// the product of the bare gates and floor-accepted Kraus operators applied
+// since the state's amplitudes for that qubit were last written. Deferral is
+// what makes a noise site on branch 0 free: the operators commute with
+// everything on other qubits, so they are multiplied together in O(1) and
+// applied as one pass when a CZ, an exact site or the leaf needs the qubit.
+type pending struct {
+	m    [quantum.MaxQubits]quantum.Matrix2
+	mask uint32 // bit q set: m[q] is waiting (quantum.MaxQubits < 32)
+	// floor is the product of the floors of the sites accepted since the
+	// state was last normalised: a lower bound on its norm².
+	floor float64
+	// next serves the states forked off this one's. The walk is depth-first,
+	// so at most one of them is live at a time: the chain grows to the
+	// deepest fork the job reaches and is reused from there on.
+	next *pending
+}
+
+func (p *pending) reset() { p.mask, p.floor = 0, 1 }
+
+// child returns the emptied pending of a state forked off p's.
+func (p *pending) child() *pending {
+	if p.next == nil {
+		p.next = new(pending)
+	}
+	p.next.reset()
+	return p.next
+}
+
+// push defers m on qubit q.
+func (p *pending) push(q int, m quantum.Matrix2) {
+	if p.mask&(1<<uint(q)) != 0 {
+		m = quantum.Mul2(m, p.m[q])
+	}
+	p.m[q], p.mask = m, p.mask|1<<uint(q)
+}
+
+// flush applies qubit q's waiting operator, if any, to st.
+func (p *pending) flush(st *quantum.State, q int) error {
+	if p.mask&(1<<uint(q)) == 0 {
+		return nil
+	}
+	p.mask &^= 1 << uint(q)
+	return st.Apply1Q(q, p.m[q])
+}
+
+func (p *pending) flushAll(st *quantum.State) error {
+	for q := 0; p.mask != 0; q++ {
+		if err := p.flush(st, q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// accept defers a noise site all of whose draws fell under its floor: every
+// shot of the state is on Kraus branch 0, whose operator joins the qubit's
+// pending product unrenormalised.
+func (p *pending) accept(st *quantum.State, s *trajStep) error {
+	p.push(s.q, s.accept)
+	if p.floor *= s.floor; p.floor >= minDeferredNorm {
+		return nil
+	}
+	if err := p.flushAll(st); err != nil {
+		return err
+	}
+	p.floor = 1
+	return st.Normalize()
+}
+
+// runStats is what a noisy execution reports besides its histogram: the
+// unique leaf states it sampled (on the tree the leaves/shots ratio is the
+// redundancy-collapse metric; a per-shot block has one per shot) and how its
+// noise sites were resolved — in O(1) under the floor, or exactly, from the
+// qubit's density.
+type runStats struct {
+	leaves, exactSites, deferredSites int
+}
+
+// branchExec is the state of one noisy execution — a branch-tree job, or one
+// worker's block of per-shot trajectories, which is the same walk with one
+// shot per tree. The scratch buffers live here so the recursion allocates
+// nothing per node.
 type branchExec struct {
 	cj     *compiledJob
 	rng    *rand.Rand
 	counts map[int]int
 
-	live   int // states currently held (root + outstanding forks)
-	leaves int // unique leaf states sampled
+	live int // states currently held (root + outstanding forks)
+	runStats
 
+	root    pending        // the pending operators of the root state
 	tail    *quantum.State // lazily acquired checkpoint-replay scratch
 	samples []int          // leaf bulk-sampling scratch
 }
 
-// runBranchTree executes shots noisy trajectory shots by shot-branching and
-// returns the histogram plus the number of unique leaf states it sampled
-// (the leaves/shots ratio is the engine's redundancy-collapse metric). The
+func (cj *compiledJob) newExec(shots int, rng *rand.Rand) *branchExec {
+	return &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots))}
+}
+
+// start empties the root pending for a fresh |0...0> state.
+func (b *branchExec) start() *pending {
+	b.root.reset()
+	return &b.root
+}
+
+// runBranchTree executes shots noisy trajectory shots by shot-branching. The
 // walk is a single-goroutine DFS drawing from one rng stream, so a fixed
 // seed reproduces identical counts on any host.
-func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, int, error) {
-	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots))}
+func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
+	b := cj.newExec(shots, rng)
 	st, err := quantum.AcquireState(cj.compactQubits)
 	if err != nil {
-		return nil, 0, err
+		return nil, runStats{}, err
 	}
 	b.live = 1
-	err = b.run(st, 0, shots)
+	err = b.run(st, b.start(), 0, shots)
 	quantum.ReleaseState(st)
 	quantum.ReleaseState(b.tail)
 	if err != nil {
-		return nil, 0, err
+		return nil, runStats{}, err
 	}
-	return b.counts, b.leaves, nil
+	return b.counts, b.runStats, nil
 }
 
-// run evolves one subtree: st carries n shots and is positioned before step
-// from. Reaching the end of the program makes st a leaf.
-func (b *branchExec) run(st *quantum.State, from, n int) error {
+// run evolves one subtree: st, with p its pending operators, carries n shots
+// and is positioned before step from. Reaching the end of the program makes
+// st a leaf. It is the one routine every noisy shot goes through — tree
+// blocks, their single-shot tails (n == 1: the split degenerates to the
+// per-shot draw), the replay fallback and the per-shot loop.
+func (b *branchExec) run(st *quantum.State, p *pending, from, n int) error {
 	steps := b.cj.noisy
 	for i := from; i < len(steps); i++ {
 		s := &steps[i]
-		if n == 1 || !s.hasNoise() {
-			// Nothing to split: a bare gate, or a single shot, whose split
-			// degenerates to the per-shot draw, early exit and all.
-			if err := s.applyShot(st, b.rng); err != nil {
-				return err
-			}
-			continue
-		}
 		var err error
-		if n, err = b.splitAt(st, i, n); err != nil {
+		switch s.kind {
+		case stepCZ:
+			if err = p.flush(st, s.q); err == nil {
+				err = p.flush(st, s.q2)
+			}
+			if err == nil {
+				err = st.ApplyCZ(s.q, s.q2)
+			}
+		case stepGate:
+			p.push(s.q, s.m)
+		default:
+			n, err = b.site(st, p, i, n)
+		}
+		if err != nil {
 			return err
 		}
+	}
+	if err := p.flushAll(st); err != nil {
+		return err
 	}
 	return b.sampleLeaf(st, n)
 }
 
-// splitAt distributes the subtree's n shots across the Kraus branches of
-// the noise site at step idx — one independent uniform draw per shot, the
-// exact multinomial split — recurses into forked states for the minority
-// branches, applies the most-populated branch to st in place, and returns
-// the count continuing there. st arrives before the step's gate: the
-// weights come from one density pass over it, each fork copies it and
-// applies its own fused gate·Kraus matrix. Branch weights are taken lazily,
-// heaviest-first: the cumulative weight only grows until it covers the
-// largest draw seen.
-func (b *branchExec) splitAt(st *quantum.State, idx, n int) (int, error) {
-	step := &b.cj.noisy[idx]
-	ks := step.ch.Kraus
-	rho, err := step.density(st)
-	if err != nil {
-		return 0, err
+// exactSite is a noise site resolved from the state: the site qubit's
+// density as the channel sees it, and what it takes to apply a branch.
+type exactSite struct {
+	step *trajStep
+	// rho is the qubit's reduced density after op, normalised; trace is what
+	// it was divided by — the norm² the state will have once op is applied.
+	rho   quantum.QubitDensity
+	trace float64
+	// op is everything still to be applied to the qubit ahead of the Kraus
+	// operator: its pending product, then the step's gate.
+	op quantum.Matrix2
+}
+
+// resolve reads the site at step from st. The density of one qubit depends
+// on the unrenormalised operators waiting on the others, so those are
+// flushed; the site qubit's own are carried through the density in O(1) and
+// stay unapplied, to be fused with the chosen Kraus operator. p is left
+// empty, floor product included: the branch applied next normalises st.
+func (b *branchExec) resolve(st *quantum.State, p *pending, step *trajStep) (exactSite, error) {
+	x := exactSite{step: step, op: quantum.I2}
+	if bit := uint32(1) << uint(step.q); p.mask&bit != 0 {
+		x.op, p.mask = p.m[step.q], p.mask&^bit
 	}
-	var w [maxKrausBranches]float64
-	var bins [maxKrausBranches]int
-	computed, acc := 0, 0.0
+	if step.kind == stepGateNoise {
+		x.op = quantum.Mul2(step.m, x.op)
+	}
+	if err := p.flushAll(st); err != nil {
+		return x, err
+	}
+	p.reset()
+	rho, err := st.QubitDensity(step.q)
+	if err != nil {
+		return x, err
+	}
+	if x.rho, x.trace = rho.After(x.op).Normalized(); x.trace < 1e-300 {
+		return x, fmt.Errorf("device: state norm² %g too small to take branch weights from", x.trace)
+	}
+	return x, nil
+}
+
+// apply puts st — a copy of the state resolve read — on Kraus branch bi of
+// normalised weight w, as the one matrix K·op/√(w·trace): st comes out
+// normalised whatever norm deferral had left it with.
+func (x *exactSite) apply(st *quantum.State, bi int, w float64) error {
+	return st.ApplyKraus(x.step.q, quantum.Mul2(x.step.ch.Kraus[bi], x.op), w*x.trace)
+}
+
+// site takes the subtree's n shots through the noise site at step idx — one
+// independent uniform draw per shot, in shot order — and returns the count
+// continuing on st.
+//
+// While the draws stay under the site's floor every shot is on branch 0 and
+// nothing is read: the site is deferred into p. The first draw at or above
+// the floor makes the site exact: the draws are binned by the exact
+// multinomial split against the state-dependent weights (taken lazily,
+// heaviest-first: the cumulative weight only grows until it covers the
+// largest draw seen — the draws already accepted are under the floor, hence
+// under the first weight), minority branches recurse into forked states,
+// and the most-populated branch continues on st in place.
+func (b *branchExec) site(st *quantum.State, p *pending, idx, n int) (int, error) {
+	step := &b.cj.noisy[idx]
+	var (
+		wbuf  [maxKrausBranches]float64
+		bins  [maxKrausBranches]int
+		w     = wbuf[:0]
+		x     exactSite
+		exact bool
+		err   error
+	)
 	for s := 0; s < n; s++ {
 		r := b.rng.Float64()
-		for acc <= r && computed < len(ks) {
-			w[computed] = rho.Weight(ks[computed])
-			acc += w[computed]
-			computed++
-		}
-		chosen := -1
-		c := 0.0
-		for bi := 0; bi < computed; bi++ {
-			c += w[bi]
-			if r < c {
-				chosen = bi
-				break
+		if !exact {
+			if r < step.floor {
+				bins[0]++
+				continue
 			}
-		}
-		if chosen < 0 {
-			// Rounding pushed r past the total weight; fall back to the
-			// heaviest computed branch (the ApplyChannel convention).
-			chosen = 0
-			for bi := 1; bi < computed; bi++ {
-				if w[bi] > w[chosen] {
-					chosen = bi
-				}
+			if x, err = b.resolve(st, p, step); err != nil {
+				return 0, err
 			}
+			exact = true
 		}
-		bins[chosen]++
+		var bi int
+		if bi, w, err = step.ch.Branch(x.rho, r, w); err != nil {
+			return 0, err
+		}
+		bins[bi]++
 	}
+	if !exact {
+		b.deferredSites++
+		return n, p.accept(st, step)
+	}
+	b.exactSites++
 	// The most-populated branch continues on st in place — forking it
 	// instead would grow the DFS depth (and the live-state count) by one at
 	// every noise site of the dominant trajectory, when it only needs to
 	// grow at actual deviation points.
 	keep := 0
-	for bi := 1; bi < computed; bi++ {
+	for bi := 1; bi < len(w); bi++ {
 		if bins[bi] > bins[keep] {
 			keep = bi
 		}
 	}
-	for bi := 0; bi < computed; bi++ {
+	for bi := range w {
 		if bins[bi] == 0 || bi == keep {
 			continue
 		}
-		if b.live >= branchStateBudget {
-			if err := b.replayShots(st, idx, bi, w[bi], bins[bi]); err != nil {
+		if b.live >= b.cj.stateBudget {
+			if err := b.replayShots(st, p, &x, idx, bi, w[bi], bins[bi]); err != nil {
 				return 0, err
 			}
 			continue
@@ -175,9 +342,9 @@ func (b *branchExec) splitAt(st *quantum.State, idx, n int) (int, error) {
 			return 0, err
 		}
 		b.live++
-		err = step.applyBranch(fork, bi, w[bi])
+		err = x.apply(fork, bi, w[bi])
 		if err == nil {
-			err = b.run(fork, idx+1, bins[bi])
+			err = b.run(fork, p.child(), idx+1, bins[bi])
 		}
 		quantum.ReleaseState(fork)
 		b.live--
@@ -185,17 +352,14 @@ func (b *branchExec) splitAt(st *quantum.State, idx, n int) (int, error) {
 			return 0, err
 		}
 	}
-	if err := step.applyBranch(st, keep, w[keep]); err != nil {
-		return 0, err
-	}
-	return bins[keep], nil
+	return bins[keep], x.apply(st, keep, w[keep])
 }
 
 // replayShots is the state-budget fallback: the branch's shots run one at a
 // time from the fork point, each rewinding the shared tail scratch to the
-// checkpoint and finishing the program with per-shot Monte-Carlo draws —
-// the exactness guarantee costs nothing, only the prefix sharing stops.
-func (b *branchExec) replayShots(src *quantum.State, idx, branch int, weight float64, n int) error {
+// checkpoint and finishing the program as a one-shot subtree — the
+// exactness guarantee costs nothing, only the prefix sharing stops.
+func (b *branchExec) replayShots(src *quantum.State, p *pending, x *exactSite, idx, branch int, weight float64, n int) error {
 	if b.tail == nil {
 		t, err := quantum.AcquireState(src.NumQubits())
 		if err != nil {
@@ -203,22 +367,16 @@ func (b *branchExec) replayShots(src *quantum.State, idx, branch int, weight flo
 		}
 		b.tail = t
 	}
-	steps := b.cj.noisy
 	for s := 0; s < n; s++ {
-		st := b.tail
-		if err := st.Set(src); err != nil {
+		if err := b.tail.Set(src); err != nil {
 			return err
 		}
-		if err := steps[idx].applyBranch(st, branch, weight); err != nil {
+		if err := x.apply(b.tail, branch, weight); err != nil {
 			return err
 		}
-		for i := idx + 1; i < len(steps); i++ {
-			if err := steps[i].applyShot(st, b.rng); err != nil {
-				return err
-			}
+		if err := b.run(b.tail, p.child(), idx+1, 1); err != nil {
+			return err
 		}
-		b.leaves++
-		b.cj.tally(b.counts, st.SampleBitstring(b.rng), b.rng)
 	}
 	return nil
 }

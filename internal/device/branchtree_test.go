@@ -67,7 +67,6 @@ func bareFlushCircuit() *circuit.Circuit {
 // with the state budget squeezed so every fork replays shot by shot.
 func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 	const shots = 4000
-	defer func(old int) { branchStateBudget = old }(branchStateBudget)
 	for _, c := range []*circuit.Circuit{NativeGHZLine(5), bareFlushCircuit(), NativeRandom45(6, 3, 11)} {
 		naive, err := New20Q(55).ExecuteNaive(c, shots)
 		if err != nil {
@@ -79,15 +78,15 @@ func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perShot, err := cj.runTrajectories(shots, shotFanoutWidth(shots, cj.compactQubits), rand.New(rand.NewSource(99)))
+		perShot, _, err := cj.runTrajectories(shots, shotFanoutWidth(shots, cj.compactQubits), rand.New(rand.NewSource(99)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertChiSquareEquivalent(t, c.Name+": per-shot vs naive", perShot, naive.Counts)
 
-		for _, budget := range []int{32, 1} {
-			branchStateBudget = budget
+		for _, budget := range []int{defaultBranchStateBudget, 1} {
 			treeQPU := New20Q(55)
+			squeezeStateBudget(t, treeQPU, c, budget)
 			tree, err := treeQPU.Execute(c, shots)
 			if err != nil {
 				t.Fatal(err)
@@ -100,6 +99,17 @@ func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 			assertChiSquareEquivalent(t, label+"branch tree vs per-shot", tree.Counts, perShot)
 		}
 	}
+}
+
+// squeezeStateBudget compiles c on qpu and sets the job's branch-tree state
+// budget, so the Execute calls that follow (program-cache hits) run with it.
+func squeezeStateBudget(t *testing.T, qpu *QPU, c *circuit.Circuit, budget int) {
+	t.Helper()
+	cj, _, err := qpu.compiledFor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cj.stateBudget = budget
 }
 
 // TestBranchTreeSingleShotSubtrees drives the tree where it degenerates:
@@ -126,7 +136,7 @@ func TestBranchTreeSingleShotSubtrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaves += l
+		leaves += l.leaves
 		for o, n := range counts {
 			pooled[o] += n
 		}
@@ -136,7 +146,7 @@ func TestBranchTreeSingleShotSubtrees(t *testing.T) {
 	if 2*leaves <= jobs*shots {
 		t.Fatalf("%d leaves over %d shots: the calibration is too clean to reach single-shot subtrees", leaves, jobs*shots)
 	}
-	perShot, err := cj.runShotBlock(jobs*shots, rand.New(rand.NewSource(4)))
+	perShot, _, err := cj.runShotBlock(jobs*shots, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +188,11 @@ func TestBranchTreeConservesShots(t *testing.T) {
 // fork goes through the per-shot replay path, then checks the fallback is
 // still exact: shots conserved and the distribution unchanged.
 func TestBranchTreeBudgetFallback(t *testing.T) {
-	old := branchStateBudget
-	branchStateBudget = 1
-	defer func() { branchStateBudget = old }()
 	const shots = 3000
 	c := NativeGHZLine(5)
-	res, err := New20Q(21).Execute(c, shots)
+	qpu := New20Q(21)
+	squeezeStateBudget(t, qpu, c, 1)
+	res, err := qpu.Execute(c, shots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +261,11 @@ func TestNoisyExecutionDeterministic(t *testing.T) {
 	if w < 2 {
 		t.Fatalf("width %d does not exercise the fan-out", w)
 	}
-	m1, err := cj.runTrajectories(200, w, rand.New(rand.NewSource(5)))
+	m1, _, err := cj.runTrajectories(200, w, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := cj.runTrajectories(200, w, rand.New(rand.NewSource(5)))
+	m2, _, err := cj.runTrajectories(200, w, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +294,11 @@ func TestNoisyHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	if _, err := cj.runShotBlock(200, rng); err != nil { // warm the state pool
+	if _, _, err := cj.runShotBlock(200, rng); err != nil { // warm the state pool
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := cj.runShotBlock(200, rng); err != nil {
+		if _, _, err := cj.runShotBlock(200, rng); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -297,6 +306,12 @@ func TestNoisyHotPathAllocs(t *testing.T) {
 		t.Errorf("per-shot loop: %.0f allocs per 200-shot job, want <= 8 (measured 4)", allocs)
 	}
 
+	if raceEnabled {
+		// Under -race sync.Pool drops a share of the released fork states at
+		// random, and every drop is a fresh state later: the tree's count
+		// is only a property of the engine without it.
+		return
+	}
 	if _, _, err := cj.runBranchTree(200, rng); err != nil { // warm forks
 		t.Fatal(err)
 	}
@@ -306,7 +321,7 @@ func TestNoisyHotPathAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 16 {
-		t.Errorf("branch tree: %.0f allocs per 200-shot job, want <= 16 (measured 7)", allocs)
+		t.Errorf("branch tree: %.0f allocs per 200-shot job, want <= 16 (measured 6)", allocs)
 	}
 }
 

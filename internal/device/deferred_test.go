@@ -1,0 +1,261 @@
+package device
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/quantum"
+)
+
+// The pinned fixtures below were recorded at the commit before noise sites
+// were deferred (489ba55, one density read and one dense write per site),
+// with this file's circuits, device seed and rng seed. Deferral changes what
+// a site costs, never what it decides: draw order, weight order and fork
+// order are the parent's, so the seeded histograms and leaf totals are too.
+// The two tree fixtures share one seed on purpose — at budget 1 two forks
+// that carried more than one shot replay shot by shot, which moves three
+// outcomes and adds two leaves.
+
+var pinnedWideTree = map[int]int{
+	199: 1, 306: 1, 478: 1, 481: 1, 1035: 1, 1156: 1, 1213: 1, 1379: 1, 1569: 1, 1692: 1,
+	1828: 1, 2233: 1, 2240: 1, 2253: 1, 2558: 1, 2798: 1, 3177: 1, 3193: 1, 3203: 1, 3231: 1,
+	3233: 1, 3239: 1, 3260: 1, 3292: 1, 3297: 1, 3299: 1, 3303: 1, 3314: 1, 3321: 1, 3353: 1,
+	3425: 1, 3426: 1, 3427: 2, 3459: 1, 3483: 1, 3577: 1, 3633: 1, 3668: 1, 3673: 1, 3689: 1,
+	3777: 1, 3791: 1, 3804: 1, 3815: 1, 3818: 1, 3872: 1, 3873: 1, 3946: 1, 3951: 1,
+}
+
+var pinnedWideReplay = map[int]int{
+	199: 1, 306: 1, 416: 1, 481: 1, 1035: 1, 1156: 1, 1213: 1, 1379: 1, 1569: 1, 1692: 1,
+	1828: 1, 2233: 1, 2240: 1, 2253: 1, 2328: 1, 2798: 1, 3177: 1, 3193: 1, 3203: 1, 3231: 1,
+	3233: 1, 3239: 1, 3260: 1, 3292: 1, 3297: 1, 3299: 1, 3303: 1, 3314: 1, 3321: 1, 3353: 1,
+	3425: 1, 3426: 1, 3427: 2, 3459: 1, 3483: 1, 3577: 1, 3599: 1, 3633: 1, 3673: 1, 3689: 1,
+	3777: 1, 3791: 1, 3804: 1, 3815: 1, 3818: 1, 3872: 1, 3873: 1, 3946: 1, 3951: 1,
+}
+
+var pinnedGHZShotBlock = map[int]int{
+	0: 92, 1: 2, 3: 1, 6: 1, 7: 1, 8: 3, 15: 6, 16: 1, 23: 5, 27: 1, 29: 5, 30: 3, 31: 79,
+}
+
+const pinnedRNGSeed = 33
+
+// pinnedWideJob compiles the 12-qubit depth-4 random circuit of the
+// wide-circuit fixtures on a fresh seeded device.
+func pinnedWideJob(t *testing.T) *compiledJob {
+	t.Helper()
+	cj, _, err := New20Q(101).compiledFor(NativeRandom45(12, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cj
+}
+
+// TestSeededCountsMatchParent is the "same decisions as the parent" gate:
+// the tree, the replay fallback and the per-shot loop reproduce the
+// histograms and leaf totals the per-site engine gave under the same seeds.
+func TestSeededCountsMatchParent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int
+		counts map[int]int
+		leaves int
+	}{
+		{"tree", defaultBranchStateBudget, pinnedWideTree, 12},
+		{"replay", 1, pinnedWideReplay, 14},
+	} {
+		cj := pinnedWideJob(t)
+		cj.stateBudget = tc.budget
+		counts, stats, err := cj.runBranchTree(50, rand.New(rand.NewSource(pinnedRNGSeed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(counts, tc.counts) {
+			t.Errorf("%s: counts = %v, want the parent's %v", tc.name, counts, tc.counts)
+		}
+		if stats.leaves != tc.leaves {
+			t.Errorf("%s: %d leaves, want the parent's %d", tc.name, stats.leaves, tc.leaves)
+		}
+		if stats.deferredSites == 0 || stats.exactSites == 0 {
+			t.Errorf("%s: %d deferred / %d exact sites, want both kinds on a fresh calibration", tc.name, stats.deferredSites, stats.exactSites)
+		}
+	}
+	cj, _, err := New20Q(101).compiledFor(NativeGHZLine(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, _, err := cj.runShotBlock(200, rand.New(rand.NewSource(pinnedRNGSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(counts, pinnedGHZShotBlock) {
+		t.Errorf("shot block: counts = %v, want the parent's %v", counts, pinnedGHZShotBlock)
+	}
+}
+
+// TestZeroFloorsGiveSameCounts forces every site exact — a floor of zero
+// accepts no draw — and checks the deferred run of the same seed made the
+// same decisions: accepting a draw under the floor is the exact site's own
+// answer, not an approximation of it.
+func TestZeroFloorsGiveSameCounts(t *testing.T) {
+	for _, budget := range []int{defaultBranchStateBudget, 1} {
+		deferred, exact := pinnedWideJob(t), pinnedWideJob(t)
+		deferred.stateBudget, exact.stateBudget = budget, budget
+		for i := range exact.noisy {
+			exact.noisy[i].floor = 0
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			got, gs, err := deferred.runBranchTree(50, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ws, err := exact.runBranchTree(50, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ws.deferredSites != 0 {
+				t.Fatalf("zero floors still deferred %d sites", ws.deferredSites)
+			}
+			if !reflect.DeepEqual(got, want) || gs.leaves != ws.leaves {
+				t.Errorf("budget %d seed %d: deferred run %v (%d leaves), all-exact run %v (%d leaves)",
+					budget, seed, got, gs.leaves, want, ws.leaves)
+			}
+		}
+	}
+}
+
+// TestFloorBoundsFirstBranchWeight is the property deferral rests on: on any
+// normalised state, behind any gate, the first Kraus operator's weight is at
+// least the channel's floor — for every channel gateNoiseChannel builds on a
+// fresh and on a badly drifted calibration, and for strong composed
+// 16-branch channels.
+func TestFloorBoundsFirstBranchWeight(t *testing.T) {
+	var chans []quantum.Channel
+	for _, drift := range []float64{0, 24 * 60} {
+		qpu := New20Q(7)
+		if drift > 0 {
+			qpu.AdvanceDrift(drift)
+		}
+		calib := qpu.Calibration()
+		for q, qc := range calib.Qubits {
+			chans = append(chans, qpu.gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2))
+			for _, nb := range qpu.Topology().Neighbors(q) {
+				chans = append(chans, qpu.gateNoiseChannel((1-calib.FCZ(q, nb))/2, CZDurationUs, qc.T1, qc.T2))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20; i++ {
+		chans = append(chans, quantum.Compose(quantum.Compose(
+			quantum.Depolarizing(rng.Float64()), quantum.AmplitudeDamping(rng.Float64())), quantum.PhaseDamping(rng.Float64())))
+	}
+	for _, ch := range chans {
+		if len(ch.Kraus) == 0 {
+			t.Fatal("gateNoiseChannel built an empty channel on a noisy device")
+		}
+		floor := ch.Floor()
+		if floor <= 0 || floor > 1 {
+			t.Fatalf("%s: floor %g outside (0, 1]", ch.Name, floor)
+		}
+		for trial := 0; trial < 50; trial++ {
+			st := quantum.MustNewState(3)
+			for q := 0; q < 3; q++ {
+				st.Apply1Q(q, quantum.PRX(7*rng.Float64(), 7*rng.Float64()))
+				st.ApplyCZ(q, (q+1)%3)
+			}
+			q := rng.Intn(3)
+			rho, err := st.QubitDensity(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := quantum.Mul2(quantum.RZ(7*rng.Float64()), quantum.PRX(7*rng.Float64(), 7*rng.Float64()))
+			if w0 := rho.After(u).Weight(ch.Kraus[0]); w0 < floor-1e-12 {
+				t.Errorf("%s (%d branches): Weight(K0) = %.15g under the floor %.15g", ch.Name, len(ch.Kraus), w0, floor)
+			}
+		}
+	}
+}
+
+// TestPendingRenormalisesBeforeUnderflow pushes sites with an absurdly low
+// floor straight onto a pending: the running floor product crosses
+// minDeferredNorm on the fourth, which must flush every waiting operator and
+// hand back a unit-norm state instead of letting the norm sink further.
+func TestPendingRenormalisesBeforeUnderflow(t *testing.T) {
+	st := quantum.MustNewState(2)
+	if err := st.Apply1Q(0, quantum.H); err != nil {
+		t.Fatal(err)
+	}
+	p := new(pending)
+	p.reset()
+	weak := trajStep{kind: stepNoise, q: 0, floor: 1e-30}
+	weak.accept[0][0], weak.accept[1][1] = 1e-15, 1e-15
+	p.push(1, quantum.X)
+	for i := 1; i <= 4; i++ {
+		if err := p.accept(st, &weak); err != nil {
+			t.Fatal(err)
+		}
+		if i < 4 && (p.mask != 0b11 || math.Abs(st.Norm()-1) > 1e-12) {
+			t.Fatalf("after %d sites: mask %b, norm %g — nothing should have been applied yet", i, p.mask, st.Norm())
+		}
+	}
+	if p.mask != 0 || p.floor != 1 {
+		t.Errorf("after the guard fired: mask %b, floor product %g, want an empty pending", p.mask, p.floor)
+	}
+	if n := st.Norm(); math.Abs(n-1) > 1e-12 {
+		t.Errorf("norm %g after the guard fired, want 1", n)
+	}
+	// (H on qubit 0, then X on qubit 1) of |00>, the scalar 1e-60 divided out.
+	for idx, want := range []float64{0, 0, math.Sqrt2 / 2, math.Sqrt2 / 2} {
+		if got := st.Amplitude(idx); math.Abs(real(got)-want) > 1e-12 || math.Abs(imag(got)) > 1e-12 {
+			t.Errorf("amplitude %d = %v, want %g", idx, got, want)
+		}
+	}
+}
+
+// TestExactSiteRefusesVanishedState covers the trace guard of the exact
+// path: a state whose norm² has fallen under 1e-300 has no branch weights to
+// take, and the site says so instead of dividing by it.
+func TestExactSiteRefusesVanishedState(t *testing.T) {
+	cj, _, err := New20Q(101).compiledFor(NativeGHZLine(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := cj.newExec(1, rand.New(rand.NewSource(1)))
+	st := quantum.MustNewState(cj.compactQubits)
+	var tiny quantum.Matrix2
+	tiny[0][0], tiny[1][1] = 1e-160, 1e-160
+	if err := st.Apply1Q(0, tiny); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cj.noisy {
+		if s := &cj.noisy[i]; s.hasNoise() {
+			if _, err := b.resolve(st, b.start(), s); err == nil {
+				t.Error("resolve took branch weights from a state of norm² 1e-320")
+			}
+			return
+		}
+	}
+	t.Fatal("GHZ(2) compiled without a noise site")
+}
+
+// TestTreeJobAllocs bounds the allocations of a wide tree job: the pending
+// operators hang off branchExec — the root's inside it, one more per fork
+// depth reached, made once — not off each fork's frame.
+func TestTreeJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops released fork states at random (see TestNoisyHotPathAllocs)")
+	}
+	cj := pinnedWideJob(t)
+	rng := rand.New(rand.NewSource(1))
+	if _, _, err := cj.runBranchTree(50, rng); err != nil { // warm the state pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := cj.runBranchTree(50, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Errorf("12q x 50-shot tree job: %.0f allocs, want <= 12 (measured 6)", allocs)
+	}
+}

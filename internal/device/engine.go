@@ -46,54 +46,32 @@ const (
 // Error-free single-qubit runs (RZ is virtual) are fused into the next PRX's
 // matrix, which preserves the trajectory distribution exactly.
 //
-// A noise site costs one read pass and one write pass over the state: the
-// branch weights come from the qubit's reduced density matrix — carried
-// through the step's gate in O(1) — and the gate, the chosen Kraus operator
-// and its renormalization apply as the single matrix (K/√w)·U.
+// What a step costs at run time is decided by branchExec (branchtree.go):
+// bare gates, and noise sites whose draws all fall under the channel's
+// compile-time floor, multiply an O(1) matrix into the qubit's pending
+// operator and touch no amplitude; only a CZ, a draw at or above the floor
+// and the end of the program pass over the state.
 type trajStep struct {
 	kind  trajKind
 	q, q2 int // compact state indices; q2 is the second CZ qubit
 	m     quantum.Matrix2
 	ch    quantum.Channel
+	// floor is ch.Floor(): a draw below it is on Kraus branch 0 whatever the
+	// state. accept is what such a site does to the qubit — K0, or K0·m on a
+	// fused site — left unrenormalised.
+	floor  float64
+	accept quantum.Matrix2
 }
 
 func (s *trajStep) hasNoise() bool { return len(s.ch.Kraus) > 0 }
 
-// applyShot advances a single trajectory through the step, drawing the
-// site's Kraus branch from rng — shared by the per-shot loop, the branch
-// tree's one-shot subtrees, and its replay fallback.
-func (s *trajStep) applyShot(st *quantum.State, rng *rand.Rand) error {
-	switch s.kind {
-	case stepCZ:
-		return st.ApplyCZ(s.q, s.q2)
-	case stepGate:
-		return st.Apply1Q(s.q, s.m)
-	case stepNoise:
-		return st.ApplyChannel(s.q, s.ch, rng)
-	default:
-		return st.ApplyGateChannel(s.q, s.m, s.ch, rng)
+// noiseSite completes a step that carries channel ch: its floor and the
+// operator of a floor-accepted draw.
+func (s *trajStep) noiseSite(ch quantum.Channel) {
+	s.ch, s.floor, s.accept = ch, ch.Floor(), ch.Kraus[0]
+	if s.kind == stepGate {
+		s.kind, s.accept = stepGateNoise, quantum.Mul2(s.accept, s.m)
 	}
-}
-
-// density returns the site qubit's reduced density matrix as the channel
-// sees it: read from st, which is still the pre-gate state, and carried
-// through the step's gate.
-func (s *trajStep) density(st *quantum.State) (quantum.QubitDensity, error) {
-	rho, err := st.QubitDensity(s.q)
-	if err == nil && s.kind == stepGateNoise {
-		rho = rho.After(s.m)
-	}
-	return rho, err
-}
-
-// applyBranch applies the step with its channel resolved to Kraus branch bi
-// of weight w: the fused (K/√w)·U on the pre-gate state.
-func (s *trajStep) applyBranch(st *quantum.State, bi int, w float64) error {
-	k := s.ch.Kraus[bi]
-	if s.kind == stepGateNoise {
-		k = quantum.Mul2(k, s.m)
-	}
-	return st.ApplyKraus(s.q, k, w)
 }
 
 // compiledJob is a circuit lowered against one calibration snapshot:
@@ -120,8 +98,12 @@ type compiledJob struct {
 	// events per shot, summed over noise sites (quantum.DominantWeight). It
 	// is the workload-shape signal of the per-job strategy pick: low values
 	// mean shots overwhelmingly share one trajectory and the branch tree
-	// collapses the redundancy; +Inf marks programs the tree cannot run.
+	// collapses the redundancy.
 	branchEst float64
+	// stateBudget caps the live states a branch-tree run of this job may
+	// hold (defaultBranchStateBudget; a field so a test can squeeze its own
+	// job onto the replay path).
+	stateBudget int
 
 	// distOnce/dist cache the noiseless final outcome distribution as an
 	// alias sampler, built on the first execution. Because compiledJob is
@@ -266,7 +248,7 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	// shot-branching tree; everything else takes the per-shot fan-out.
 	var (
 		counts   map[int]int
-		leaves   int
+		stats    runStats
 		distHit  bool
 		width    int
 		treePath = !cj.noiseless && cj.useBranchTree(shots)
@@ -277,12 +259,14 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 		counts, distHit, err = cj.runFast(shots, rng)
 		simSpan.End(trace.Str("strategy", "fast-path"), trace.Bool("dist_cache", distHit))
 	case treePath:
-		counts, leaves, err = cj.runBranchTree(shots, rng)
-		simSpan.End(trace.Str("strategy", "branch-tree"), trace.Int("leaves", leaves))
+		counts, stats, err = cj.runBranchTree(shots, rng)
+		simSpan.End(trace.Str("strategy", "branch-tree"), trace.Int("leaves", stats.leaves),
+			trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
 	default:
 		width = shotFanoutWidth(shots, cj.compactQubits)
-		counts, err = cj.runTrajectories(shots, width, rng)
-		simSpan.End(trace.Str("strategy", "shot-fanout"), trace.Int("width", width))
+		counts, stats, err = cj.runTrajectories(shots, width, rng)
+		simSpan.End(trace.Str("strategy", "shot-fanout"), trace.Int("width", width),
+			trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
 	}
 	if err != nil {
 		return nil, err
@@ -310,7 +294,7 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	case treePath:
 		d.execStats.BranchTreeJobs++
 		d.execStats.BranchTreeShots += uint64(shots)
-		d.execStats.BranchLeaves += uint64(leaves)
+		d.execStats.BranchLeaves += uint64(stats.leaves)
 	default:
 		d.execStats.TrajectoryJobs++
 		d.execStats.TrajectoryShots += uint64(shots)
@@ -423,6 +407,7 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 	cj := &compiledJob{
 		toPhysical:   toPhysical,
 		durPerShotUs: d.estimateDurationUs(c, 1),
+		stateBudget:  defaultBranchStateBudget,
 	}
 	if !d.twin {
 		cj.readout = nonTrivialReadout(readoutModel(calib, c.NumQubits))
@@ -448,8 +433,7 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 		}
 		noiseSites++
 		if len(s.ch.Kraus) > maxKrausBranches {
-			cj.branchEst = math.Inf(1) // too wide for the tree's scratch
-			return cj, nil
+			return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
 		}
 		if off := 1 - s.ch.DominantWeight(); off > 0 {
 			cj.branchEst += off
@@ -496,7 +480,7 @@ func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, c
 			}
 			qc := calib.Qubits[toPhysical[q]]
 			if ch := d.gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2); len(ch.Kraus) > 0 {
-				step.kind, step.ch = stepGateNoise, ch
+				step.noiseSite(ch)
 			}
 			steps = append(steps, step)
 		case circuit.OpCZ:
@@ -508,7 +492,9 @@ func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, c
 			for _, q := range [2]int{a, b} {
 				qc := calib.Qubits[toPhysical[q]]
 				if ch := d.gateNoiseChannel(errRate, CZDurationUs, qc.T1, qc.T2); len(ch.Kraus) > 0 {
-					steps = append(steps, trajStep{kind: stepNoise, q: q, ch: ch})
+					step := trajStep{kind: stepNoise, q: q}
+					step.noiseSite(ch)
+					steps = append(steps, step)
 				}
 			}
 		default:
@@ -695,9 +681,9 @@ const (
 // shotFanoutWidth pins the trajectory fan-out to a pure function of the
 // workload, never of the host: the same seed must yield identical counts on
 // every machine, which GOMAXPROCS-derived widths broke. Wide registers run
-// single-worker because their gate kernels already fan out across cores
-// (quantum.parallelThreshold); nesting shot parallelism on top would
-// oversubscribe.
+// single-worker because their dense single-qubit passes already fan out
+// across cores (quantum.parallelThreshold; the density read and the CZ sign
+// flip stay serial); nesting shot parallelism on top would oversubscribe.
 func shotFanoutWidth(shots, compactQubits int) int {
 	if compactQubits >= 14 {
 		return 1
@@ -716,7 +702,7 @@ func shotFanoutWidth(shots, compactQubits int) int {
 // pooled states, fanned out across workers goroutines (shotFanoutWidth).
 // Workers draw their seeds from the job RNG in order, so the fan-out is
 // deterministic for a fixed seed.
-func (cj *compiledJob) runTrajectories(shots, workers int, rng *rand.Rand) (map[int]int, error) {
+func (cj *compiledJob) runTrajectories(shots, workers int, rng *rand.Rand) (map[int]int, runStats, error) {
 	if workers > shots {
 		workers = shots
 	}
@@ -728,6 +714,7 @@ func (cj *compiledJob) runTrajectories(shots, workers int, rng *rand.Rand) (map[
 		seeds[i] = rng.Int63()
 	}
 	results := make([]map[int]int, workers)
+	stats := make([]runStats, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	base, extra := shots/workers, shots%workers
@@ -739,53 +726,44 @@ func (cj *compiledJob) runTrajectories(shots, workers int, rng *rand.Rand) (map[
 		wg.Add(1)
 		go func(w, n int) {
 			defer wg.Done()
-			results[w], errs[w] = cj.runShotBlock(n, rand.New(rand.NewSource(seeds[w])))
+			results[w], stats[w], errs[w] = cj.runShotBlock(n, rand.New(rand.NewSource(seeds[w])))
 		}(w, n)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, runStats{}, err
 		}
 	}
-	merged := results[0]
-	for _, m := range results[1:] {
-		for outcome, n := range m {
+	merged, total := results[0], stats[0]
+	for w := 1; w < workers; w++ {
+		for outcome, n := range results[w] {
 			merged[outcome] += n
 		}
+		total.leaves += stats[w].leaves
+		total.exactSites += stats[w].exactSites
+		total.deferredSites += stats[w].deferredSites
 	}
-	return merged, nil
+	return merged, total, nil
 }
 
 // runShotBlock executes a block of trajectory shots on one pooled state,
-// reset in place between shots. Nothing allocates inside the loop: the
-// matrices and channels are precompiled, sampling is single-draw, and the
-// counts map is reused across shots.
-func (cj *compiledJob) runShotBlock(shots int, rng *rand.Rand) (map[int]int, error) {
-	counts := make(map[int]int, cj.countsHint(shots))
-	if cj.compactQubits == 0 {
-		for shot := 0; shot < shots; shot++ {
-			outcome := 0
-			if cj.readout != nil {
-				outcome = cj.readout.Corrupt(outcome, rng)
-			}
-			counts[outcome]++
-		}
-		return counts, nil
-	}
+// reset in place between shots: each shot is a one-shot tree (branchExec.run
+// with n = 1). Nothing allocates inside the loop: the matrices and channels
+// are precompiled, sampling is single-draw, and the counts map and the
+// pending operators are reused across shots.
+func (cj *compiledJob) runShotBlock(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
+	b := cj.newExec(shots, rng)
 	st, err := quantum.AcquireState(cj.compactQubits)
 	if err != nil {
-		return nil, err
+		return nil, runStats{}, err
 	}
 	defer quantum.ReleaseState(st)
 	for shot := 0; shot < shots; shot++ {
 		st.Reset()
-		for i := range cj.noisy {
-			if err := cj.noisy[i].applyShot(st, rng); err != nil {
-				return nil, err
-			}
+		if err := b.run(st, b.start(), 0, 1); err != nil {
+			return nil, runStats{}, err
 		}
-		cj.tally(counts, st.SampleBitstring(rng), rng)
 	}
-	return counts, nil
+	return b.counts, b.runStats, nil
 }

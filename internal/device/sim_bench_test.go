@@ -12,14 +12,30 @@ var (
 	simBenchOut = flag.String("sim.bench.out", "BENCH_sim.json", "output path for the sim bench artifact")
 )
 
+// checkedInSimBench is the repository's artifact, seen from this package.
+const checkedInSimBench = "../../BENCH_sim.json"
+
 // TestSimBenchArtifact measures the naive per-shot loop against the
 // compiled execution engine and writes BENCH_sim.json. Gated behind
 // -sim.bench so the regular test run stays timing-free; CI runs it as the
 // sim-bench smoke step and fails loudly if the noiseless fast path drops
 // below 3x the naive loop or the noisy shot-branching path below 6x.
+//
+// It also fails if a noisy row's branch_leaves_per_shot differs from the
+// checked-in artifact: the rows run fixed circuits on fixed seeds, so the
+// leaf counts repeat exactly, and a change that moves one has altered the
+// tree — which shots branch where — not its cost. Such a change is made on
+// purpose or not at all; on purpose, it regenerates the artifact.
 func TestSimBenchArtifact(t *testing.T) {
 	if !*simBench {
 		t.Skip("pass -sim.bench to run the execution-engine bench harness")
+	}
+	// Read before the run writes: -sim.bench.out may name the same file.
+	var checkedIn SimBenchArtifact
+	if data, err := os.ReadFile(checkedInSimBench); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &checkedIn); err != nil {
+		t.Fatalf("%s: %v", checkedInSimBench, err)
 	}
 	art, err := RunSimBench(SimBenchConfig{})
 	if err != nil {
@@ -39,6 +55,16 @@ func TestSimBenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s (noiseless %.1fx, noisy %.1fx)", *simBenchOut, art.SpeedupNoiseless, art.SpeedupNoisy)
+	leaves := map[string]float64{}
+	for _, row := range checkedIn.Rows {
+		leaves[row.Name] = row.BranchLeavesPerShot
+	}
+	for _, row := range art.Rows {
+		if want, ok := leaves[row.Name]; row.Noisy && (!ok || row.BranchLeavesPerShot != want) {
+			t.Errorf("%s: branch_leaves_per_shot = %v, checked-in %s says %v — the trajectory tree itself changed",
+				row.Name, row.BranchLeavesPerShot, checkedInSimBench, want)
+		}
+	}
 	if art.SpeedupNoiseless < 3 {
 		t.Fatalf("execution-engine regression: noiseless fast path %.2fx over naive loop, want >= 3x",
 			art.SpeedupNoiseless)

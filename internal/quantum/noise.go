@@ -143,6 +143,25 @@ func (c Channel) DominantWeight() float64 {
 	return best
 }
 
+// Floor returns λmin(K0†K0) of the channel's first Kraus operator: a lower
+// bound, known at compile time, on that operator's branch weight
+// Tr(K0†K0·ρ) on every normalised state. The branch walk (Channel.Branch)
+// picks branch 0 for every draw r below its weight, so a draw below the
+// floor is on branch 0 whatever the state is — the trajectory engine accepts
+// such draws without reading the state.
+func (c Channel) Floor() float64 {
+	if len(c.Kraus) == 0 {
+		return 0
+	}
+	g00, g11, g01 := gram(c.Kraus[0])
+	// The smaller eigenvalue of the Hermitian 2x2 matrix [[g00 g01] [g01* g11]].
+	f := (g00+g11)/2 - math.Hypot((g00-g11)/2, cmplx.Abs(g01))
+	if f < 0 {
+		return 0 // rounding on a singular K0
+	}
+	return f
+}
+
 // frobNorm2 is the squared Frobenius norm of m.
 func frobNorm2(m Matrix2) float64 {
 	sum := 0.0
@@ -203,15 +222,22 @@ func (d QubitDensity) After(u Matrix2) QubitDensity {
 	}
 }
 
+// Normalized returns d divided by its trace, and the trace. The density read
+// from an unnormalised state |φ> is <φ|φ> times that of the normalised one,
+// so this is how branch weights are taken from a state whose norm a run of
+// unrenormalised Kraus operators has lowered.
+func (d QubitDensity) Normalized() (QubitDensity, float64) {
+	t := d.P0 + d.P1
+	return QubitDensity{P0: d.P0 / t, P1: d.P1 / t, C: d.C / complex(t, 0)}, t
+}
+
 // Weight returns the trajectory branch weight ||K|ψ>||² = Tr(K†K·ρ) of
 // Kraus operator k on the qubit: G00·P0 + G11·P1 + 2·Re(G01·C), G = K†K.
 // G is expanded by hand (as is UρU† in After): on a 5-qubit state this O(1)
 // arithmetic is as large as the pass over the amplitudes, and going through
 // Mul2/Dagger2 cost a noisy GHZ(5) job ~20 %.
 func (d QubitDensity) Weight(k Matrix2) float64 {
-	g00 := abs2(k[0][0]) + abs2(k[1][0])
-	g11 := abs2(k[0][1]) + abs2(k[1][1])
-	g01 := cmplx.Conj(k[0][0])*k[0][1] + cmplx.Conj(k[1][0])*k[1][1]
+	g00, g11, g01 := gram(k)
 	w := g00*d.P0 + g11*d.P1 + 2*real(g01*d.C)
 	if w < 0 {
 		return 0 // cancellation on a zero-weight branch
@@ -219,7 +245,53 @@ func (d QubitDensity) Weight(k Matrix2) float64 {
 	return w
 }
 
+// gram returns G = K†K, Hermitian: its real diagonal and G01.
+func gram(k Matrix2) (g00, g11 float64, g01 complex128) {
+	g00 = abs2(k[0][0]) + abs2(k[1][0])
+	g11 = abs2(k[0][1]) + abs2(k[1][1])
+	g01 = cmplx.Conj(k[0][0])*k[0][1] + cmplx.Conj(k[1][0])*k[1][1]
+	return
+}
+
 func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
+
+// Branch resolves one uniform draw r against the channel's branch weights on
+// the normalised density rho: the first Kraus operator whose cumulative
+// weight exceeds r. It is the one branch walk of the repository — the drawn
+// noise site of ApplyChannel and every site the trajectory engine cannot
+// accept under the floor go through it. w caches the weights taken so far, a
+// prefix of the Kraus list; the walk extends it only until it covers r, and
+// returns it so a block of draws at one site shares the weights. When
+// rounding pushes r past the total weight the heaviest branch is returned.
+func (c Channel) Branch(rho QubitDensity, r float64, w []float64) (int, []float64, error) {
+	acc := 0.0
+	for i := range c.Kraus {
+		if i == len(w) {
+			w = append(w, rho.Weight(c.Kraus[i]))
+		}
+		acc += w[i]
+		if r < acc {
+			return i, w, nil
+		}
+	}
+	best := -1
+	for i, p := range w {
+		if best < 0 || p > w[best] {
+			best = i
+		}
+	}
+	if best < 0 || w[best] < 1e-300 {
+		// No operators at all, or numerically impossible for a
+		// trace-preserving channel on a normalised state.
+		return 0, w, fmt.Errorf("quantum: channel %q produced no viable branch", c.Name)
+	}
+	return best, w, nil
+}
+
+// maxStackBranches sizes the weight cache applySite keeps on its stack: the
+// widest channel the device composes (depolarizing x amplitude damping x
+// phase damping). Wider channels still work; their cache moves to the heap.
+const maxStackBranches = 16
 
 // ApplyChannel applies a single-qubit channel to qubit q using the quantum
 // trajectory (Monte-Carlo wavefunction) method: Kraus operator K_i is chosen
@@ -227,9 +299,9 @@ func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
 // trajectories reproduces the density-matrix evolution.
 //
 // The site costs one read pass (QubitDensity) and one write pass: branch
-// selection draws r once and walks the Kraus list, stopping at the first
-// operator whose cumulative weight exceeds r, and the chosen operator is
-// applied with the renormalization 1/√w folded into its matrix.
+// selection draws r once and walks the Kraus list (Channel.Branch), and the
+// chosen operator is applied with the renormalization 1/√w folded into its
+// matrix.
 func (s *State) ApplyChannel(q int, ch Channel, rng *rand.Rand) error {
 	return s.applySite(q, nil, ch, rng)
 }
@@ -254,36 +326,16 @@ func (s *State) applySite(q int, u *Matrix2, ch Channel, rng *rand.Rand) error {
 	if u != nil {
 		rho = rho.After(*u)
 	}
-	r := rng.Float64()
-	acc := 0.0
-	chosen, chosenP := -1, 0.0
-	best, bestP := 0, -1.0
-	for i := range ch.Kraus {
-		p := rho.Weight(ch.Kraus[i])
-		if p > bestP {
-			best, bestP = i, p
-		}
-		acc += p
-		if r < acc {
-			chosen, chosenP = i, p
-			break
-		}
-	}
-	if chosen < 0 {
-		// Rounding pushed r past the total weight; fall back to the
-		// heaviest branch.
-		if bestP < 1e-300 {
-			// Numerically impossible for a trace-preserving channel on a
-			// normalized state.
-			return fmt.Errorf("quantum: channel %q produced no viable branch", ch.Name)
-		}
-		chosen, chosenP = best, bestP
+	var buf [maxStackBranches]float64
+	chosen, w, err := ch.Branch(rho, rng.Float64(), buf[:0])
+	if err != nil {
+		return err
 	}
 	k := ch.Kraus[chosen]
 	if u != nil {
 		k = Mul2(k, *u)
 	}
-	return s.ApplyKraus(q, k, chosenP)
+	return s.ApplyKraus(q, k, w[chosen])
 }
 
 // ApplyKraus applies one Kraus operator to qubit q renormalized by the

@@ -293,3 +293,78 @@ func TestAcquireStateCopyForksIndependently(t *testing.T) {
 		t.Error("AcquireStateCopy accepted nil")
 	}
 }
+
+// TestBranchWalkAndFloor pins the drawn-site primitive: Floor is λmin(K0†K0)
+// on the channels whose spectrum is known in closed form; Branch bins a draw
+// by cumulative weight, extends its weight cache only as far as the draw
+// needs, reuses it across draws, falls back to the heaviest branch when
+// rounding leaves r past the total, and refuses a site with no viable
+// branch; on an unnormalised state the trace-normalised density gives the
+// weights of the normalised one.
+func TestBranchWalkAndFloor(t *testing.T) {
+	for _, tc := range []struct {
+		ch   Channel
+		want float64
+	}{
+		{Depolarizing(0.03), 0.97},
+		{AmplitudeDamping(0.2), 0.8},
+		{PhaseDamping(0.36), 0.9},
+		{Compose(Depolarizing(0.03), AmplitudeDamping(0.2)), 0.97 * 0.8},
+		{Channel{Name: "empty"}, 0},
+	} {
+		if got := tc.ch.Floor(); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: Floor = %.15g, want %.15g", tc.ch.Name, got, tc.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	s := randomState(3, rng)
+	rho, err := s.QubitDensity(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := Compose(Depolarizing(0.3), AmplitudeDamping(0.4))
+	var all []float64
+	for _, k := range ch.Kraus {
+		all = append(all, rho.Weight(k))
+	}
+	var w []float64
+	bi, w, err := ch.Branch(rho, all[0]/2, w)
+	if err != nil || bi != 0 || len(w) != 1 {
+		t.Fatalf("draw under the first weight: branch %d, %d weights cached, err %v; want branch 0 from one weight", bi, len(w), err)
+	}
+	bi, w, err = ch.Branch(rho, all[0]+all[1]+all[2]/2, w)
+	if err != nil || bi != 2 || len(w) != 3 {
+		t.Fatalf("draw inside the third weight: branch %d, %d weights cached, err %v", bi, len(w), err)
+	}
+	if bi, _, _ = ch.Branch(rho, all[0]/2, w); bi != 0 {
+		t.Errorf("a later small draw on the longer cache picked branch %d, want 0", bi)
+	}
+	heaviest := 0
+	for i, p := range all {
+		if p > all[heaviest] {
+			heaviest = i
+		}
+	}
+	if bi, w, err = ch.Branch(rho, 1.5, w); err != nil || bi != heaviest || len(w) != len(all) {
+		t.Errorf("draw past the total weight: branch %d (err %v), want the heaviest, %d", bi, err, heaviest)
+	}
+	if _, _, err := ch.Branch(QubitDensity{}, 0.5, nil); err == nil {
+		t.Error("Branch picked a branch on a zero density")
+	}
+
+	scaled := s.Clone()
+	for i := range scaled.amps {
+		scaled.amps[i] *= 1e-40
+	}
+	raw, _ := scaled.QubitDensity(1)
+	norm, trace := raw.Normalized()
+	if math.Abs(trace/1e-80-1) > 1e-9 {
+		t.Errorf("trace = %g, want the norm² 1e-80", trace)
+	}
+	for i, k := range ch.Kraus {
+		if got := norm.Weight(k); math.Abs(got-all[i]) > 1e-12 {
+			t.Errorf("branch %d: weight %.15g from the normalised density, %.15g on the unit state", i, got, all[i])
+		}
+	}
+}

@@ -114,6 +114,59 @@ func TestApplyCZMatchesGenericKernel(t *testing.T) {
 	}
 }
 
+// TestApply1QKernelsMatchPairFormula pins both single-qubit kernels to the
+// per-pair definition a0' = m00·a0 + m01·a1, a1' = m10·a0 + m11·a1 with
+// exact equality (== does not tell a zero's sign): the block walk on every
+// qubit of a serial and of a fanned-out register, the real-diagonal fast
+// path, and chunks that start and end inside a block.
+func TestApply1QKernelsMatchPairFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	reference := func(amps []complex128, q, lo, hi int, m Matrix2) {
+		bit := 1 << uint(q)
+		for p := lo; p < hi; p++ {
+			i0 := ((p &^ (bit - 1)) << 1) | (p & (bit - 1))
+			a0, a1 := amps[i0], amps[i0|bit]
+			amps[i0] = m[0][0]*a0 + m[0][1]*a1
+			amps[i0|bit] = m[1][0]*a0 + m[1][1]*a1
+		}
+	}
+	mats := map[string]Matrix2{
+		"dense":         randomMatrix2(rng),
+		"real-diagonal": {{complex(0.9995, 0), 0}, {0, complex(0.9990, 0)}},
+		"diagonal":      RZ(1.3), // complex entries: stays on the dense path
+	}
+	for _, n := range []int{1, 2, 5, 15} { // 15 qubits: above parallelThreshold
+		for name, m := range mats {
+			for q := 0; q < n; q++ {
+				s := randomState(n, rng)
+				want := s.Clone()
+				if err := s.Apply1Q(q, m); err != nil {
+					t.Fatal(err)
+				}
+				reference(want.amps, q, 0, len(want.amps)/2, m)
+				if d := maxAmpDiff(s, want); d != 0 {
+					t.Errorf("n=%d q=%d %s: kernel differs from the pair formula by %g", n, q, name, d)
+				}
+			}
+		}
+	}
+	for name, m := range mats {
+		for q := 0; q < 5; q++ {
+			for trial := 0; trial < 8; trial++ {
+				s := randomState(5, rng)
+				want := s.Clone()
+				lo := rng.Intn(16)
+				hi := lo + rng.Intn(17-lo)
+				apply1QPairs(s.amps, 1<<uint(q), lo, hi, &m)
+				reference(want.amps, q, lo, hi, m)
+				if d := maxAmpDiff(s, want); d != 0 {
+					t.Errorf("q=%d %s pairs [%d, %d): chunk differs from the pair formula by %g", q, name, lo, hi, d)
+				}
+			}
+		}
+	}
+}
+
 // TestApplyGateChannelMatchesSequential checks the fused noise site against
 // its definition: under the same seed, ApplyGateChannel picks the branch
 // Apply1Q-then-ApplyChannel picks, lands on the same amplitudes, and leaves
@@ -197,5 +250,34 @@ func BenchmarkNoiseSite(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkApply1Q times the single-qubit kernel on its two matrix shapes —
+// a dense gate·Kraus product and the real-diagonal Kraus operator that
+// follows a CZ — on the lowest, a middle and the highest qubit, where the
+// pair stride differs.
+func BenchmarkApply1Q(b *testing.B) {
+	shapes := []struct {
+		name string
+		m    Matrix2
+	}{
+		{"dense", Mul2(AmplitudeDamping(0.0005).Kraus[0], PRX(0.7, 1.9))},
+		{"real-diagonal", scale2(AmplitudeDamping(0.0005).Kraus[0], 0.9995)},
+	}
+	for _, n := range []int{12, 16} {
+		for _, sh := range shapes {
+			for _, q := range []int{0, 5, 11} {
+				b.Run(fmt.Sprintf("%dq/%s/q%d", n, sh.name, q), func(b *testing.B) {
+					s := benchState(n)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := s.Apply1Q(q, sh.m); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

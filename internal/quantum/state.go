@@ -5,9 +5,12 @@
 // noise layer (quantum-trajectory Kraus channels plus readout confusion)
 // reproduces the imperfections that calibration exists to manage.
 //
-// Gate kernels fan out across goroutines for large states, so 20-qubit
-// workloads use the host's cores; small states stay single-threaded to avoid
-// scheduling overhead.
+// The dense kernels (Apply1Q, Apply2Q, ApplyToffoli) fan out across
+// goroutines from 2^14 amplitudes up, so 20-qubit workloads use the host's
+// cores; smaller states stay single-threaded to avoid scheduling overhead.
+// Two passes are serial at every size: QubitDensity, whose sums feed
+// trajectory branch choices and must not depend on the host, and the ApplyCZ
+// sign flip.
 package quantum
 
 import (
@@ -190,28 +193,21 @@ func (s *State) checkQubit(q int) error {
 	return nil
 }
 
-// Apply1Q applies a single-qubit unitary m (row-major [ [m00 m01], [m10 m11] ])
-// to qubit q.
+// Apply1Q applies a single-qubit operator m (row-major [ [m00 m01], [m10 m11] ])
+// to qubit q. The operator need not be unitary: the trajectory engine passes
+// renormalised Kraus products through here.
 func (s *State) Apply1Q(q int, m Matrix2) error {
 	if err := s.checkQubit(q); err != nil {
 		return err
 	}
 	bit := 1 << uint(q)
-	dim := len(s.amps)
-	half := dim / 2
-	if dim < parallelThreshold {
+	half := len(s.amps) / 2
+	if len(s.amps) < parallelThreshold {
 		// Small states run the kernel inline, in a function free of escaping
-		// closures: an fanned-out variant in the same frame would force the
+		// closures: a fanned-out variant in the same frame would force the
 		// matrix to the heap on every call, which dominates the pooled,
 		// otherwise allocation-free shot loop.
-		for base := 0; base < half; base++ {
-			// Iterate over indices with qubit q == 0 only.
-			i0 := ((base &^ (bit - 1)) << 1) | (base & (bit - 1))
-			i1 := i0 | bit
-			a0, a1 := s.amps[i0], s.amps[i1]
-			s.amps[i0] = m[0][0]*a0 + m[0][1]*a1
-			s.amps[i1] = m[1][0]*a0 + m[1][1]*a1
-		}
+		apply1QPairs(s.amps, bit, 0, half, &m)
 		return nil
 	}
 	s.apply1QParallel(bit, half, m)
@@ -221,15 +217,65 @@ func (s *State) Apply1Q(q int, m Matrix2) error {
 // apply1QParallel fans the single-qubit kernel out across workers. It lives
 // in its own frame so the escaping closure only costs on large states.
 func (s *State) apply1QParallel(bit, half int, m Matrix2) {
-	parallelFor(half, func(lo, hi int) {
-		for base := lo; base < hi; base++ {
-			i0 := ((base &^ (bit - 1)) << 1) | (base & (bit - 1))
-			i1 := i0 | bit
-			a0, a1 := s.amps[i0], s.amps[i1]
-			s.amps[i0] = m[0][0]*a0 + m[0][1]*a1
-			s.amps[i1] = m[1][0]*a0 + m[1][1]*a1
+	parallelFor(half, func(lo, hi int) { apply1QPairs(s.amps, bit, lo, hi, &m) })
+}
+
+// apply1QPairs applies m to the amplitude pairs lo..hi-1 of the qubit whose
+// index bit is bit; pair p joins amplitude i0 — p with a zero inserted at the
+// qubit's position — and i0|bit. The pairs lie in blocks: bit consecutive low
+// amplitudes, then their bit partners, so the block loop walks two equally
+// long slices and does no index arithmetic or bounds check per amplitude. A
+// chunk of a fanned-out pass may start or end inside a block.
+//
+// A real diagonal m — the dominant Kraus operator that follows a CZ — takes
+// two real multiplies per amplitude instead of the dense row; on every
+// amplitude both paths compute what m00·a0 + m01·a1 computes, up to the sign
+// of a zero.
+func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
+	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
+	diag := m01 == 0 && m10 == 0 && imag(m00) == 0 && imag(m11) == 0
+	d0, d1 := real(m00), real(m11)
+	if bit < 4 {
+		// Blocks of one or two amplitudes cost more to set up than to walk:
+		// the two lowest qubits index each pair instead.
+		for p := lo; p < hi; p++ {
+			i0 := (p&^(bit-1))<<1 | p&(bit-1)
+			a0, a1 := amps[i0], amps[i0|bit]
+			if diag {
+				amps[i0] = complex(d0*real(a0), d0*imag(a0))
+				amps[i0|bit] = complex(d1*real(a1), d1*imag(a1))
+			} else {
+				amps[i0] = m00*a0 + m01*a1
+				amps[i0|bit] = m10*a0 + m11*a1
+			}
 		}
-	})
+		return
+	}
+	for p := lo; p < hi; {
+		off := p & (bit - 1)
+		run := bit - off
+		if run > hi-p {
+			run = hi - p
+		}
+		i0 := (p-off)<<1 | off
+		zeros := amps[i0 : i0+run]
+		ones := amps[i0+bit:][:run]
+		if diag {
+			for i, a := range zeros {
+				zeros[i] = complex(d0*real(a), d0*imag(a))
+			}
+			for i, a := range ones {
+				ones[i] = complex(d1*real(a), d1*imag(a))
+			}
+		} else {
+			for i, a0 := range zeros {
+				a1 := ones[i]
+				zeros[i] = m00*a0 + m01*a1
+				ones[i] = m10*a0 + m11*a1
+			}
+		}
+		p += run
+	}
 }
 
 // Apply2Q applies a two-qubit unitary m (4x4, row-major, basis order
