@@ -219,7 +219,7 @@ func main() {
 			admission.MaxTenantQueue, admission.HighWater)
 	}
 	if store != nil {
-		mqssServer.AttachStore(store, recovery.Idem)
+		mqssServer.AttachStore(store)
 		if *walCompactEvery > 0 {
 			go func(every time.Duration) {
 				for range time.Tick(every) {

@@ -16,7 +16,9 @@ import (
 // through the O(1) Walker alias sampler. At realistic calibration error
 // rates nearly every shot rides the dominant (near-identity) branch at every
 // site, so a 200-shot job evolves a handful of trajectories instead of 200.
-// The per-shot loop (runShotBlock) is the same walk with one shot per tree.
+// Every noisy job takes this walk: with few shots, or noise heavy enough
+// that no two shots share a prefix, the split degenerates to one trajectory
+// per shot — the per-shot Monte-Carlo loop, with nothing to pick between.
 //
 // Exactness: binning each shot with an independent uniform draw against the
 // exact branch weights is literally the per-shot categorical draw of the
@@ -38,20 +40,10 @@ import (
 // in program order either way, so deferral changes what a site costs and
 // never which branch a shot takes.
 
-const (
-	// branchTreeMinShots is the strategy floor: below it there is no
-	// redundancy to amortize and the per-shot loop is cheaper.
-	branchTreeMinShots = 8
-	// maxBranchEventsPerShot gates the strategy pick on workload shape: the
-	// compile-time estimate of off-dominant branch events per shot
-	// (compiledJob.branchEst) above which trajectories stop sharing
-	// prefixes and the shot-fanout loop wins.
-	maxBranchEventsPerShot = 1.0
-	// maxKrausBranches is the widest channel a site's stack scratch holds,
-	// which is the widest gateNoiseChannel composes (depolarizing × amp-damp
-	// × phase-damp = 16); compileJob refuses anything wider.
-	maxKrausBranches = 16
-)
+// maxKrausBranches is the widest channel a site's stack scratch holds, which
+// is the widest gateNoiseChannel composes (depolarizing × amp-damp ×
+// phase-damp = 16); compileJob refuses anything wider.
+const maxKrausBranches = 16
 
 // defaultBranchStateBudget caps the live states (root + forks along one DFS
 // path) a branch-tree job may hold. Beyond it, branches replay their shots
@@ -138,18 +130,15 @@ func (p *pending) accept(st *quantum.State, s *trajStep) error {
 }
 
 // runStats is what a noisy execution reports besides its histogram: the
-// unique leaf states it sampled (on the tree the leaves/shots ratio is the
-// redundancy-collapse metric; a per-shot block has one per shot) and how its
-// noise sites were resolved — in O(1) under the floor, or exactly, from the
-// qubit's density.
+// unique leaf states it sampled (the leaves/shots ratio is the
+// redundancy-collapse metric) and how its noise sites were resolved — in
+// O(1) under the floor, or exactly, from the qubit's density.
 type runStats struct {
 	leaves, exactSites, deferredSites int
 }
 
-// branchExec is the state of one noisy execution — a branch-tree job, or one
-// worker's block of per-shot trajectories, which is the same walk with one
-// shot per tree. The scratch buffers live here so the recursion allocates
-// nothing per node.
+// branchExec is the state of one noisy execution. The scratch buffers live
+// here so the recursion allocates nothing per node.
 type branchExec struct {
 	cj     *compiledJob
 	rng    *rand.Rand
@@ -163,27 +152,17 @@ type branchExec struct {
 	samples []int          // leaf bulk-sampling scratch
 }
 
-func (cj *compiledJob) newExec(shots int, rng *rand.Rand) *branchExec {
-	return &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots))}
-}
-
-// start empties the root pending for a fresh |0...0> state.
-func (b *branchExec) start() *pending {
-	b.root.reset()
-	return &b.root
-}
-
 // runBranchTree executes shots noisy trajectory shots by shot-branching. The
 // walk is a single-goroutine DFS drawing from one rng stream, so a fixed
 // seed reproduces identical counts on any host.
 func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
-	b := cj.newExec(shots, rng)
+	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots)), live: 1}
 	st, err := quantum.AcquireState(cj.compactQubits)
 	if err != nil {
 		return nil, runStats{}, err
 	}
-	b.live = 1
-	err = b.run(st, b.start(), 0, shots)
+	b.root.reset()
+	err = b.run(st, &b.root, 0, shots)
 	quantum.ReleaseState(st)
 	quantum.ReleaseState(b.tail)
 	if err != nil {
@@ -196,7 +175,7 @@ func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, ru
 // and is positioned before step from. Reaching the end of the program makes
 // st a leaf. It is the one routine every noisy shot goes through — tree
 // blocks, their single-shot tails (n == 1: the split degenerates to the
-// per-shot draw), the replay fallback and the per-shot loop.
+// per-shot draw) and the replay fallback.
 func (b *branchExec) run(st *quantum.State, p *pending, from, n int) error {
 	steps := b.cj.noisy
 	for i := from; i < len(steps); i++ {

@@ -61,10 +61,10 @@ func bareFlushCircuit() *circuit.Circuit {
 }
 
 // TestBranchTreeChiSquareEquivalence is the acceptance-criteria check: at
-// fixed seeds, the shot-branching tree, the per-shot trajectory loop, and
-// ExecuteNaive draw from the same outcome distribution — on fused PRX
-// sites, on the noise-only sites after a CZ, on a bare flushed gate, and
-// with the state budget squeezed so every fork replays shot by shot.
+// fixed seeds, the shot-branching tree and ExecuteNaive draw from the same
+// outcome distribution — on fused PRX sites, on the noise-only sites after a
+// CZ, on a bare flushed gate, and with the state budget squeezed so every
+// fork replays shot by shot.
 func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 	const shots = 4000
 	for _, c := range []*circuit.Circuit{NativeGHZLine(5), bareFlushCircuit(), NativeRandom45(6, 3, 11)} {
@@ -72,18 +72,6 @@ func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The per-shot loop over the same compiled program, driven directly so
-		// the strategy pick cannot reroute it.
-		cj, _, err := New20Q(55).compiledFor(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perShot, _, err := cj.runTrajectories(shots, shotFanoutWidth(shots, cj.compactQubits), rand.New(rand.NewSource(99)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertChiSquareEquivalent(t, c.Name+": per-shot vs naive", perShot, naive.Counts)
-
 		for _, budget := range []int{defaultBranchStateBudget, 1} {
 			treeQPU := New20Q(55)
 			squeezeStateBudget(t, treeQPU, c, budget)
@@ -94,11 +82,75 @@ func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 			if st := treeQPU.ExecStats(); st.BranchTreeJobs != 1 {
 				t.Fatalf("%s: stats = %+v, want the job on the branch tree", c.Name, st)
 			}
-			label := fmt.Sprintf("%s (budget %d): ", c.Name, budget)
-			assertChiSquareEquivalent(t, label+"branch tree vs naive", tree.Counts, naive.Counts)
-			assertChiSquareEquivalent(t, label+"branch tree vs per-shot", tree.Counts, perShot)
+			assertChiSquareEquivalent(t, fmt.Sprintf("%s (budget %d): branch tree vs naive", c.Name, budget), tree.Counts, naive.Counts)
 		}
 	}
+}
+
+// inflatedErrorQPU is a device whose calibration makes every noise site a
+// coin toss: 15 % single-qubit and 30 % CZ gate error, so a shot leaves the
+// dominant trajectory several times per circuit and no two share a prefix.
+func inflatedErrorQPU(seed int64) *QPU {
+	qpu := New20Q(seed)
+	qpu.mu.Lock()
+	for q := range qpu.calib.Qubits {
+		qpu.calib.Qubits[q].F1Q = 0.85
+	}
+	for e, cc := range qpu.calib.Couplers {
+		cc.FCZ = 0.7
+		qpu.calib.Couplers[e] = cc
+	}
+	qpu.mu.Unlock()
+	return qpu
+}
+
+// TestDegenerateTreesChiSquareEquivalence covers the two job shapes with no
+// prefix sharing to exploit — a handful of shots, and noise heavy enough
+// that every shot parts ways — which ride the same tree as everything else:
+// its split degenerates to one trajectory per shot, and the pooled
+// histogram must still be ExecuteNaive's.
+func TestDegenerateTreesChiSquareEquivalence(t *testing.T) {
+	c := NativeGHZLine(5)
+
+	const jobs, few = 1000, 4
+	qpu := New20Q(58)
+	pooled := map[int]int{}
+	for j := 0; j < jobs; j++ {
+		res, err := qpu.Execute(c, few)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, n := range res.Counts {
+			pooled[o] += n
+		}
+	}
+	if st := qpu.ExecStats(); st.BranchTreeJobs != jobs || st.BranchTreeShots != jobs*few {
+		t.Fatalf("stats = %+v, want all %d %d-shot jobs on the branch tree", st, jobs, few)
+	}
+	naive, err := New20Q(58).ExecuteNaive(c, jobs*few)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertChiSquareEquivalent(t, "4-shot jobs vs naive", pooled, naive.Counts)
+
+	const shots = 4000
+	heavy := inflatedErrorQPU(59)
+	res, err := heavy.Execute(c, shots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := heavy.ExecStats()
+	if st.BranchTreeJobs != 1 {
+		t.Fatalf("stats = %+v, want the inflated-error job on the branch tree", st)
+	}
+	if 2*st.BranchLeaves <= shots {
+		t.Fatalf("%d leaves over %d shots: the calibration is too clean to stop the shots sharing trajectories", st.BranchLeaves, shots)
+	}
+	naive, err = inflatedErrorQPU(59).ExecuteNaive(c, shots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertChiSquareEquivalent(t, "inflated-error calibration vs naive", res.Counts, naive.Counts)
 }
 
 // squeezeStateBudget compiles c on qpu and sets the job's branch-tree state
@@ -115,8 +167,7 @@ func squeezeStateBudget(t *testing.T, qpu *QPU, c *circuit.Circuit, budget int) 
 // TestBranchTreeSingleShotSubtrees drives the tree where it degenerates:
 // few shots per job on a badly drifted calibration, so most leaves carry a
 // single shot and the n == 1 subtrees (per-shot fused sites inside the tree)
-// do the work. The pooled histogram must still match the per-shot loop and
-// ExecuteNaive.
+// do the work. The pooled histogram must still match ExecuteNaive.
 func TestBranchTreeSingleShotSubtrees(t *testing.T) {
 	const jobs, shots = 400, 8
 	c := NativeGHZLine(5)
@@ -146,15 +197,10 @@ func TestBranchTreeSingleShotSubtrees(t *testing.T) {
 	if 2*leaves <= jobs*shots {
 		t.Fatalf("%d leaves over %d shots: the calibration is too clean to reach single-shot subtrees", leaves, jobs*shots)
 	}
-	perShot, _, err := cj.runShotBlock(jobs*shots, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	naive, err := drifted().ExecuteNaive(c, jobs*shots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertChiSquareEquivalent(t, "single-shot subtrees vs per-shot", pooled, perShot)
 	assertChiSquareEquivalent(t, "single-shot subtrees vs naive", pooled, naive.Counts)
 }
 
@@ -210,19 +256,9 @@ func TestBranchTreeBudgetFallback(t *testing.T) {
 	assertChiSquareEquivalent(t, "budget-1 tree vs naive", res.Counts, naive.Counts)
 }
 
-// TestNoisyExecutionDeterministic pins the reproducibility satellite: the
-// fan-out width is a pure function of the workload (never the host), and a
-// fixed seed yields byte-identical histograms run over run.
+// TestNoisyExecutionDeterministic pins the reproducibility satellite: a
+// fixed seed yields byte-identical histograms run over run, on any host.
 func TestNoisyExecutionDeterministic(t *testing.T) {
-	// Width function: host-independent by construction, spot-check values.
-	for _, tc := range []struct{ shots, qubits, want int }{
-		{7, 5, 1}, {32, 5, 1}, {64, 5, 2}, {200, 5, 6}, {10000, 5, 8}, {10000, 14, 1},
-	} {
-		if got := shotFanoutWidth(tc.shots, tc.qubits); got != tc.want {
-			t.Errorf("shotFanoutWidth(%d, %d) = %d, want %d", tc.shots, tc.qubits, got, tc.want)
-		}
-	}
-
 	c := NativeGHZLine(5)
 	run := func() map[int]int {
 		res, err := New20Q(70).Execute(c, 200)
@@ -250,72 +286,27 @@ func TestNoisyExecutionDeterministic(t *testing.T) {
 	if a, b := runWide(1), runWide(2); !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed counts differ between GOMAXPROCS 1 and 2: %v vs %v", a, b)
 	}
-
-	// The multi-worker per-shot path, driven directly at a fixed width.
-	qpu := New20Q(71)
-	cj, _, err := qpu.compiledFor(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := shotFanoutWidth(200, cj.compactQubits)
-	if w < 2 {
-		t.Fatalf("width %d does not exercise the fan-out", w)
-	}
-	m1, _, err := cj.runTrajectories(200, w, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := cj.runTrajectories(200, w, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Errorf("same-seed fan-out runs differ: %v vs %v", m1, m2)
-	}
-
-	// The width of a fan-out job lands in ExecStats.
-	if _, err := qpu.Execute(c, branchTreeMinShots-1); err != nil {
-		t.Fatal(err)
-	}
-	if st := qpu.ExecStats(); st.ShotWorkers != 1 {
-		t.Errorf("ShotWorkers = %d, want 1 for a %d-shot job", st.ShotWorkers, branchTreeMinShots-1)
-	}
 }
 
-// TestNoisyHotPathAllocs gates the zero-alloc property of both noisy
-// execution paths with testing.AllocsPerRun so it cannot silently rot: the
-// per-shot loop stays within its PR-3 envelope and the branch tree, pooled
-// forks and all, stays within a small multiple of it.
+// TestNoisyHotPathAllocs gates the allocation envelope of the noisy path
+// with testing.AllocsPerRun so it cannot silently rot: a branch-tree job,
+// pooled forks and all, stays within a small constant.
 func TestNoisyHotPathAllocs(t *testing.T) {
-	c := NativeGHZLine(5)
-	qpu := New20Q(80)
-	cj, _, err := qpu.compiledFor(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	if _, _, err := cj.runShotBlock(200, rng); err != nil { // warm the state pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := cj.runShotBlock(200, rng); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 8 {
-		t.Errorf("per-shot loop: %.0f allocs per 200-shot job, want <= 8 (measured 4)", allocs)
-	}
-
 	if raceEnabled {
 		// Under -race sync.Pool drops a share of the released fork states at
 		// random, and every drop is a fresh state later: the tree's count
 		// is only a property of the engine without it.
-		return
+		t.Skip("sync.Pool drops released fork states at random under -race")
 	}
-	if _, _, err := cj.runBranchTree(200, rng); err != nil { // warm forks
+	cj, _, err := New20Q(80).compiledFor(NativeGHZLine(5))
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs = testing.AllocsPerRun(10, func() {
+	rng := rand.New(rand.NewSource(1))
+	if _, _, err := cj.runBranchTree(200, rng); err != nil { // warm the state pool and forks
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
 		if _, _, err := cj.runBranchTree(200, rng); err != nil {
 			t.Fatal(err)
 		}

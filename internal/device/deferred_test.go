@@ -34,10 +34,6 @@ var pinnedWideReplay = map[int]int{
 	3777: 1, 3791: 1, 3804: 1, 3815: 1, 3818: 1, 3872: 1, 3873: 1, 3946: 1, 3951: 1,
 }
 
-var pinnedGHZShotBlock = map[int]int{
-	0: 92, 1: 2, 3: 1, 6: 1, 7: 1, 8: 3, 15: 6, 16: 1, 23: 5, 27: 1, 29: 5, 30: 3, 31: 79,
-}
-
 const pinnedRNGSeed = 33
 
 // pinnedWideJob compiles the 12-qubit depth-4 random circuit of the
@@ -52,8 +48,8 @@ func pinnedWideJob(t *testing.T) *compiledJob {
 }
 
 // TestSeededCountsMatchParent is the "same decisions as the parent" gate:
-// the tree, the replay fallback and the per-shot loop reproduce the
-// histograms and leaf totals the per-site engine gave under the same seeds.
+// the tree and the replay fallback reproduce the histograms and leaf totals
+// the per-site engine gave under the same seeds.
 func TestSeededCountsMatchParent(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -79,17 +75,6 @@ func TestSeededCountsMatchParent(t *testing.T) {
 		if stats.deferredSites == 0 || stats.exactSites == 0 {
 			t.Errorf("%s: %d deferred / %d exact sites, want both kinds on a fresh calibration", tc.name, stats.deferredSites, stats.exactSites)
 		}
-	}
-	cj, _, err := New20Q(101).compiledFor(NativeGHZLine(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, _, err := cj.runShotBlock(200, rand.New(rand.NewSource(pinnedRNGSeed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(counts, pinnedGHZShotBlock) {
-		t.Errorf("shot block: counts = %v, want the parent's %v", counts, pinnedGHZShotBlock)
 	}
 }
 
@@ -220,7 +205,8 @@ func TestExactSiteRefusesVanishedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := cj.newExec(1, rand.New(rand.NewSource(1)))
+	b := &branchExec{cj: cj, rng: rand.New(rand.NewSource(1))}
+	b.root.reset()
 	st := quantum.MustNewState(cj.compactQubits)
 	var tiny quantum.Matrix2
 	tiny[0][0], tiny[1][1] = 1e-160, 1e-160
@@ -229,7 +215,7 @@ func TestExactSiteRefusesVanishedState(t *testing.T) {
 	}
 	for i := range cj.noisy {
 		if s := &cj.noisy[i]; s.hasNoise() {
-			if _, err := b.resolve(st, b.start(), s); err == nil {
+			if _, err := b.resolve(st, &b.root, s); err == nil {
 				t.Error("resolve took branch weights from a state of norm² 1e-320")
 			}
 			return

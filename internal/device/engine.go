@@ -94,12 +94,6 @@ type compiledJob struct {
 	// per-sample, still applies).
 	noiseless bool
 
-	// branchEst is the compile-time estimate of off-dominant Kraus branch
-	// events per shot, summed over noise sites (quantum.DominantWeight). It
-	// is the workload-shape signal of the per-job strategy pick: low values
-	// mean shots overwhelmingly share one trajectory and the branch tree
-	// collapses the redundancy.
-	branchEst float64
 	// stateBudget caps the live states a branch-tree run of this job may
 	// hold (defaultBranchStateBudget; a field so a test can squeeze its own
 	// job onto the replay path).
@@ -144,16 +138,15 @@ const maxCompiledJobs = 256
 // and which path shots took. Exposed so the QRM pipeline metrics (and
 // benches) can see engine behaviour without instrumenting the hot loop.
 type ExecStats struct {
-	CompileHits     uint64 `json:"compile_hits"`
-	CompileMisses   uint64 `json:"compile_misses"`
-	FastPathJobs    uint64 `json:"fast_path_jobs"`
-	TrajectoryJobs  uint64 `json:"trajectory_jobs"`
-	FastPathShots   uint64 `json:"fast_path_shots"`
-	TrajectoryShots uint64 `json:"trajectory_shots"`
+	CompileHits   uint64 `json:"compile_hits"`
+	CompileMisses uint64 `json:"compile_misses"`
+	FastPathJobs  uint64 `json:"fast_path_jobs"`
+	FastPathShots uint64 `json:"fast_path_shots"`
 
-	// Shot-branching: jobs/shots routed to the trajectory tree, and the
-	// unique leaf states those shots collapsed into — leaves/shots is the
-	// redundancy the tree removed (1.0 would be per-shot simulation).
+	// Shot-branching: the noisy jobs/shots, all of which ride the trajectory
+	// tree, and the unique leaf states those shots collapsed into —
+	// leaves/shots is the redundancy the tree removed (1.0 would be
+	// per-shot simulation).
 	BranchTreeJobs  uint64 `json:"branch_tree_jobs"`
 	BranchTreeShots uint64 `json:"branch_tree_shots"`
 	BranchLeaves    uint64 `json:"branch_leaves"`
@@ -161,10 +154,6 @@ type ExecStats struct {
 	// because the compiled program's outcome distribution was already
 	// cached (pure-sampling jobs).
 	DistCacheHits uint64 `json:"dist_cache_hits"`
-	// ShotWorkers is the fan-out width of the most recent shot-fanout job —
-	// a pure function of the workload, recorded so reproducibility issues
-	// are visible rather than host-dependent.
-	ShotWorkers uint64 `json:"shot_workers"`
 }
 
 // LeavesPerShot returns the mean unique-leaf fraction of branch-tree shots:
@@ -198,17 +187,17 @@ func (d *QPU) ExecStats() ExecStats {
 //   - measured bits flip through the per-qubit readout confusion model.
 //
 // Compilation is cached by circuit fingerprint + calibration epoch, so a
-// batch of identical jobs (the VQE measurement loop) compiles once. All
-// execution strategies derive their randomness deterministically from the
-// seeded device RNG, and any fan-out width is a pure function of the
-// workload — a fixed seed reproduces identical counts on any host.
+// batch of identical jobs (the VQE measurement loop) compiles once. Both
+// execution strategies make every draw from one goroutine, on one stream
+// derived from the seeded device RNG — a fixed seed reproduces identical
+// counts on any host.
 func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 	return d.ExecuteCtx(context.Background(), c, shots)
 }
 
 // ExecuteCtx is Execute with a caller context carrying an optional trace
 // span: the engine records child spans for its compile lookup, the
-// simulation strategy it picked (with strategy/leaves/width attributes),
+// simulation strategy it picked (with strategy/leaves attributes),
 // and the control-electronics pacing sleep. With no span in ctx the
 // overhead is a few nil checks.
 func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*Result, error) {
@@ -242,30 +231,22 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 		return nil, err
 	}
 
-	// Per-job strategy pick, from workload shape rather than a fixed code
-	// path: noiseless programs sample a cached distribution; noisy jobs
-	// with enough shots and a dominant-trajectory noise profile ride the
-	// shot-branching tree; everything else takes the per-shot fan-out.
+	// Strategy pick: noiseless programs sample a cached distribution, noisy
+	// ones ride the shot-branching tree — whatever their shot count or noise
+	// level; a tree of one shot, or one whose shots all part ways, is the
+	// per-shot Monte-Carlo loop.
 	var (
-		counts   map[int]int
-		stats    runStats
-		distHit  bool
-		width    int
-		treePath = !cj.noiseless && cj.useBranchTree(shots)
+		counts  map[int]int
+		stats   runStats
+		distHit bool
 	)
 	_, simSpan := trace.StartSpan(ctx, "simulate")
-	switch {
-	case cj.noiseless:
+	if cj.noiseless {
 		counts, distHit, err = cj.runFast(shots, rng)
 		simSpan.End(trace.Str("strategy", "fast-path"), trace.Bool("dist_cache", distHit))
-	case treePath:
+	} else {
 		counts, stats, err = cj.runBranchTree(shots, rng)
 		simSpan.End(trace.Str("strategy", "branch-tree"), trace.Int("leaves", stats.leaves),
-			trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
-	default:
-		width = shotFanoutWidth(shots, cj.compactQubits)
-		counts, stats, err = cj.runTrajectories(shots, width, rng)
-		simSpan.End(trace.Str("strategy", "shot-fanout"), trace.Int("width", width),
 			trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
 	}
 	if err != nil {
@@ -284,31 +265,19 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	} else {
 		d.execStats.CompileMisses++
 	}
-	switch {
-	case cj.noiseless:
+	if cj.noiseless {
 		d.execStats.FastPathJobs++
 		d.execStats.FastPathShots += uint64(shots)
 		if distHit {
 			d.execStats.DistCacheHits++
 		}
-	case treePath:
+	} else {
 		d.execStats.BranchTreeJobs++
 		d.execStats.BranchTreeShots += uint64(shots)
 		d.execStats.BranchLeaves += uint64(stats.leaves)
-	default:
-		d.execStats.TrajectoryJobs++
-		d.execStats.TrajectoryShots += uint64(shots)
-		d.execStats.ShotWorkers = uint64(width)
 	}
 	d.mu.Unlock()
 	return &Result{Counts: counts, Shots: shots, DurationUs: cj.durPerShotUs * float64(shots)}, nil
-}
-
-// useBranchTree is the noisy-path strategy pick: shot-branching pays when
-// there are shots to amortize and the compile-time branch estimate says
-// trajectories will mostly share the dominant Kraus prefix.
-func (cj *compiledJob) useBranchTree(shots int) bool {
-	return shots >= branchTreeMinShots && cj.branchEst <= maxBranchEventsPerShot
 }
 
 // compiledFor returns the compiled job for the circuit against the current
@@ -423,8 +392,8 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 	if cj.noisy, err = d.compileTrajectoryOps(compact, toPhysical, calib); err != nil {
 		return nil, err
 	}
-	// Sum the off-dominant branch estimate over noise sites — the workload
-	// shape the strategy pick reads — and detect the noiseless case.
+	// Refuse channels wider than a site's scratch, and detect the noiseless
+	// case.
 	noiseSites := 0
 	for i := range cj.noisy {
 		s := &cj.noisy[i]
@@ -434,9 +403,6 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 		noiseSites++
 		if len(s.ch.Kraus) > maxKrausBranches {
 			return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
-		}
-		if off := 1 - s.ch.DominantWeight(); off > 0 {
-			cj.branchEst += off
 		}
 	}
 	if noiseSites > 0 {
@@ -669,101 +635,4 @@ func (cj *compiledJob) tally(counts map[int]int, sample int, rng *rand.Rand) {
 		outcome = cj.readout.Corrupt(outcome, rng)
 	}
 	counts[outcome]++
-}
-
-// shotFanoutWorkers scales the per-shot fan-out width; ~32 shots per worker
-// keep the goroutine and merge overhead negligible.
-const (
-	shotsPerFanoutWorker = 32
-	maxFanoutWorkers     = 8
-)
-
-// shotFanoutWidth pins the trajectory fan-out to a pure function of the
-// workload, never of the host: the same seed must yield identical counts on
-// every machine, which GOMAXPROCS-derived widths broke. Wide registers run
-// single-worker because their dense single-qubit passes already fan out
-// across cores (quantum.parallelThreshold; the density read and the CZ sign
-// flip stay serial); nesting shot parallelism on top would oversubscribe.
-func shotFanoutWidth(shots, compactQubits int) int {
-	if compactQubits >= 14 {
-		return 1
-	}
-	w := shots / shotsPerFanoutWorker
-	if w > maxFanoutWorkers {
-		w = maxFanoutWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runTrajectories is the noisy per-shot path: Monte-Carlo trajectories over
-// pooled states, fanned out across workers goroutines (shotFanoutWidth).
-// Workers draw their seeds from the job RNG in order, so the fan-out is
-// deterministic for a fixed seed.
-func (cj *compiledJob) runTrajectories(shots, workers int, rng *rand.Rand) (map[int]int, runStats, error) {
-	if workers > shots {
-		workers = shots
-	}
-	if workers <= 1 {
-		return cj.runShotBlock(shots, rng)
-	}
-	seeds := make([]int64, workers)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	results := make([]map[int]int, workers)
-	stats := make([]runStats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	base, extra := shots/workers, shots%workers
-	for w := 0; w < workers; w++ {
-		n := base
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], stats[w], errs[w] = cj.runShotBlock(n, rand.New(rand.NewSource(seeds[w])))
-		}(w, n)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, runStats{}, err
-		}
-	}
-	merged, total := results[0], stats[0]
-	for w := 1; w < workers; w++ {
-		for outcome, n := range results[w] {
-			merged[outcome] += n
-		}
-		total.leaves += stats[w].leaves
-		total.exactSites += stats[w].exactSites
-		total.deferredSites += stats[w].deferredSites
-	}
-	return merged, total, nil
-}
-
-// runShotBlock executes a block of trajectory shots on one pooled state,
-// reset in place between shots: each shot is a one-shot tree (branchExec.run
-// with n = 1). Nothing allocates inside the loop: the matrices and channels
-// are precompiled, sampling is single-draw, and the counts map and the
-// pending operators are reused across shots.
-func (cj *compiledJob) runShotBlock(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
-	b := cj.newExec(shots, rng)
-	st, err := quantum.AcquireState(cj.compactQubits)
-	if err != nil {
-		return nil, runStats{}, err
-	}
-	defer quantum.ReleaseState(st)
-	for shot := 0; shot < shots; shot++ {
-		st.Reset()
-		if err := b.run(st, b.start(), 0, 1); err != nil {
-			return nil, runStats{}, err
-		}
-	}
-	return b.counts, b.runStats, nil
 }

@@ -84,7 +84,7 @@ func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
 		t.Errorf("perfect-calibration GHZ fidelity = %g, want exactly 1", f)
 	}
 	st := qpu.ExecStats()
-	if st.FastPathJobs != 1 || st.TrajectoryJobs != 0 {
+	if st.FastPathJobs != 1 || st.BranchTreeJobs != 0 {
 		t.Errorf("stats = %+v, want the job on the fast path", st)
 	}
 	if st.FastPathShots != 2000 {
@@ -95,23 +95,22 @@ func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
 func TestNoisyStrategyPick(t *testing.T) {
 	qpu := New20Q(31)
 	// A dominant-trajectory noisy job with shots to amortize rides the
-	// branch tree; a tiny job stays on the per-shot trajectory loop.
+	// branch tree, and so does a tiny one: there is one noisy path.
 	if _, err := qpu.Execute(NativeGHZLine(4), 100); err != nil {
 		t.Fatal(err)
 	}
 	st := qpu.ExecStats()
-	if st.BranchTreeJobs != 1 || st.TrajectoryJobs != 0 || st.FastPathJobs != 0 {
+	if st.BranchTreeJobs != 1 || st.FastPathJobs != 0 {
 		t.Errorf("stats = %+v, want the 100-shot job on the branch tree", st)
 	}
 	if st.BranchLeaves == 0 || st.BranchLeaves >= st.BranchTreeShots {
 		t.Errorf("branch leaves = %d over %d shots, want 0 < leaves < shots", st.BranchLeaves, st.BranchTreeShots)
 	}
-	if _, err := qpu.Execute(NativeGHZLine(4), branchTreeMinShots-1); err != nil {
+	if _, err := qpu.Execute(NativeGHZLine(4), 7); err != nil {
 		t.Fatal(err)
 	}
-	st = qpu.ExecStats()
-	if st.TrajectoryJobs != 1 || st.BranchTreeJobs != 1 {
-		t.Errorf("stats = %+v, want the %d-shot job on the per-shot path", st, branchTreeMinShots-1)
+	if st = qpu.ExecStats(); st.BranchTreeJobs != 2 || st.BranchTreeShots != 107 {
+		t.Errorf("stats = %+v, want the 7-shot job on the branch tree too", st)
 	}
 }
 

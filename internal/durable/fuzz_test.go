@@ -15,7 +15,9 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	// Seed corpus: a clean segment, its torn and bit-flipped variants, and
 	// the degenerate shapes the frame reader branches on. The 'Q' frame is a
-	// legacy single-device record, so the corpus covers the upgrade decode.
+	// legacy single-device record and the 'I' frames are legacy key bindings
+	// (nothing writes either any more), so the corpus covers both upgrade
+	// decodes; the 'F' frame is the shape that carries the key today.
 	var clean []byte
 	clean = appendFrame(clean, 1, []byte(`Q{"job":{"id":1,"status":"queued"}}`))
 	clean = appendFrame(clean, 2, []byte(`I{"key":"k","job_id":1}`))
@@ -28,6 +30,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F}) // huge declared length, no body
 	f.Add(appendFrame(nil, 7, nil))       // empty payload (no kind byte)
+	f.Add(appendFrame(nil, 1, []byte(`I{"key":"k","job_id":1}`)))
+	f.Add(appendFrame(nil, 1, []byte(`F{"job":{"id":1,"status":"pending","idem_key":"k"}}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -46,3 +46,17 @@ func legacyFleetJob(body []byte) (fleetJobRecord, bool) {
 	}
 	return fleetJobRecord{SubmitUnixMs: r.SubmitUnixMs, Job: j}, true
 }
+
+// idemRecord is the body of an 'I' record — the Idempotency-Key → job-ID
+// binding the HTTP layer journaled on its own before the key became a field
+// of the job (fleet.Job.IdemKey, inside the 'F' record).
+type idemRecord struct {
+	Key   string `json:"key"`
+	JobID int    `json:"job_id"`
+}
+
+func legacyIdemRecord(body []byte) (idemRecord, bool) {
+	var r idemRecord
+	ok := json.Unmarshal(body, &r) == nil && r.Key != "" && r.JobID > 0
+	return r, ok
+}

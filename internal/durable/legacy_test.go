@@ -7,9 +7,31 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fleet"
 	"repro/internal/qrm"
 )
+
+// assertNoRecordKind fails when any snapshot or journal file in dir still
+// holds a record of the given kind.
+func assertNoRecordKind(t *testing.T, dir string, kind byte) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readFrames(data, func(_ uint64, payload []byte) {
+			if len(payload) > 0 && payload[0] == kind {
+				t.Errorf("%s still holds a %q record after compaction", ent.Name(), kind)
+			}
+		})
+	}
+}
 
 // TestLegacyQRMRecordsUpgrade replays a data dir written by a single-device
 // daemon (hand-framed 'Q' records): every job must come back as a fleet
@@ -74,21 +96,7 @@ func TestLegacyQRMRecordsUpgrade(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readFrames(data, func(_ uint64, payload []byte) {
-			if len(payload) > 0 && payload[0] == recLegacyQRMJob {
-				t.Errorf("%s still holds a 'Q' record after compaction", ent.Name())
-			}
-		})
-	}
+	assertNoRecordKind(t, dir, recLegacyQRMJob)
 	st2, rec2, err := Open(dir, Options{Sync: SyncOff})
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +105,75 @@ func TestLegacyQRMRecordsUpgrade(t *testing.T) {
 	if len(rec2.FleetJobs) != 4 {
 		t.Fatalf("reopen after compaction recovered %d jobs, want 4", len(rec2.FleetJobs))
 	}
+}
+
+// TestLegacyIdemRecordsUpgrade opens testdata/parent-keyed — a data dir
+// written by the last commit that journaled Idempotency-Key bindings as
+// their own 'I' records (v2 keyed submits, one compaction, more keyed
+// submits: 'I' frames in the snapshot and in the journal, each journal one
+// followed by a keyless terminal 'F' of its job). Every binding must come
+// back on its job, a retry of each key must replay the original ID, and one
+// Compact must leave no 'I' frame on disk.
+func TestLegacyIdemRecordsUpgrade(t *testing.T) {
+	want := map[int]string{1: "snap-key-1", 2: "", 3: "snap-key-2", 4: "wal-key-1", 5: "wal-key-2"}
+	dir := copyDir(t, filepath.Join("testdata", "parent-keyed"))
+	sawIdem := map[string]bool{}
+	for _, name := range []string{snapshotName, segmentName(2)} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readFrames(data, func(_ uint64, payload []byte) {
+			sawIdem[name] = sawIdem[name] || payload[0] == recLegacyIdem
+		})
+	}
+	if !sawIdem[snapshotName] || !sawIdem[segmentName(2)] {
+		t.Fatalf("fixture lost its 'I' frames: %v", sawIdem)
+	}
+
+	check := func(stage string, rec *Recovery) {
+		t.Helper()
+		if len(rec.FleetJobs) != len(want) {
+			t.Fatalf("%s: recovered %d jobs, want %d", stage, len(rec.FleetJobs), len(want))
+		}
+		for _, j := range rec.FleetJobs {
+			if j.IdemKey != want[j.ID] || j.Status != fleet.JobDone {
+				t.Errorf("%s: job %d recovered %s with key %q, want done with %q", stage, j.ID, j.Status, j.IdemKey, want[j.ID])
+			}
+		}
+		f := fleet.New(fleet.PolicyBestFidelity, nil)
+		defer f.Stop()
+		if _, err := f.Restore(rec.FleetJobs); err != nil {
+			t.Fatal(err)
+		}
+		for id, key := range want {
+			if key == "" {
+				continue
+			}
+			got, replayed, err := f.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4}, fleet.SubmitOptions{IdemKey: key})
+			if err != nil || !replayed || got != id {
+				t.Errorf("%s: retry of %q = job %d replayed %v (%v), want job %d replayed", stage, key, got, replayed, err, id)
+			}
+		}
+	}
+	st, rec, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("upgrade open", rec)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoRecordKind(t, dir, recLegacyIdem)
+	st2, rec2, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	check("reopen after compaction", rec2)
 }
 
 // TestLegacyBatchRecordsReplay: WAL records written while jobs still had a

@@ -16,7 +16,7 @@ import (
 const (
 	recLegacyQRMJob = 'Q' // read-only: pre-fleet single-device job upsert (legacyFleetJob)
 	recFleetJob     = 'F' // fleetJobRecord — fleet scheduler job upsert
-	recIdem         = 'I' // idemRecord — idempotency-key → job-ID binding
+	recLegacyIdem   = 'I' // read-only: key → job-ID binding from before Job.IdemKey (legacyIdemRecord)
 	recMeta         = 'M' // metaRecord — snapshot header
 )
 
@@ -27,11 +27,6 @@ const (
 type fleetJobRecord struct {
 	SubmitUnixMs int64      `json:"submit_unix_ms,omitempty"`
 	Job          *fleet.Job `json:"job"`
-}
-
-type idemRecord struct {
-	Key   string `json:"key"`
-	JobID int    `json:"job_id"`
 }
 
 type metaRecord struct {
@@ -65,10 +60,10 @@ type RestoreOutcome struct {
 }
 
 // Recovery is the materialized state Open rebuilt from snapshot + WAL,
-// ready to hand to fleet.Scheduler.Restore and the mqss idempotency cache.
+// ready to hand to fleet.Scheduler.Restore (each job carries its own
+// Idempotency-Key binding).
 type Recovery struct {
 	FleetJobs []*fleet.Job
-	Idem      map[string]int
 	Stats     ReplayStats
 }
 
@@ -95,14 +90,13 @@ type Stats struct {
 
 // Store is the crash-durable job store: a WAL of job-record upserts plus a
 // last-write-wins materialized view that periodic compaction snapshots.
-// One Store serves one fleet scheduler plus the mqss idempotency cache.
+// One Store serves one fleet scheduler.
 type Store struct {
 	dir string
 	w   *wal
 
 	mu          sync.Mutex
 	fleetJobs   map[int][]byte // latest journal payload per job, kind byte included
-	idem        map[string]int
 	abandoned   bool
 	snapshotLSN uint64
 	compactions uint64
@@ -133,15 +127,15 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	s := &Store{
 		dir:       dir,
 		fleetJobs: make(map[int][]byte),
-		idem:      make(map[string]int),
 	}
 	var lastLSN uint64
+	legacyIdem := make(map[int]string) // job ID -> key, from 'I' records
 	apply := func(lsn uint64, payload []byte) {
 		if lsn > lastLSN {
 			lastLSN = lsn
 		}
 		s.replay.Records++
-		s.applyPayload(payload)
+		s.applyPayload(payload, legacyIdem)
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
 		s.replay.SkippedBytes += readFrames(data, apply)
@@ -174,24 +168,33 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	}
 	s.w = w
 
-	rec := &Recovery{Idem: make(map[string]int, len(s.idem)), Stats: s.replay}
-	for k, v := range s.idem {
-		rec.Idem[k] = v
-	}
-	for _, payload := range s.fleetJobs {
+	rec := &Recovery{Stats: s.replay}
+	for id, payload := range s.fleetJobs {
 		var r fleetJobRecord
-		if json.Unmarshal(payload[1:], &r) == nil && r.Job != nil {
-			r.Job.SubmitUnixMs = r.SubmitUnixMs
-			rec.FleetJobs = append(rec.FleetJobs, r.Job)
+		if json.Unmarshal(payload[1:], &r) != nil || r.Job == nil {
+			continue
 		}
+		if key := legacyIdem[id]; key != "" && r.Job.IdemKey == "" {
+			// Upgrade path: fold the 'I' binding onto its job, in the view
+			// too, so the next Compact writes it inside the 'F' record and
+			// no 'I' frame outlives the snapshot.
+			r.Job.IdemKey = key
+			if body, err := json.Marshal(r); err == nil {
+				s.fleetJobs[id] = append([]byte{recFleetJob}, body...)
+			}
+		}
+		r.Job.SubmitUnixMs = r.SubmitUnixMs
+		rec.FleetJobs = append(rec.FleetJobs, r.Job)
 	}
 	return s, rec, nil
 }
 
 // applyPayload folds one journal record into the materialized view.
 // Unknown kinds and undecodable bodies are skipped — replay never errors on
-// record content, only framing decides where a segment ends.
-func (s *Store) applyPayload(payload []byte) {
+// record content, only framing decides where a segment ends. Legacy 'I'
+// bindings collect in legacyIdem: later 'F' records of the same job, written
+// before jobs carried their key, would otherwise overwrite the fold.
+func (s *Store) applyPayload(payload []byte, legacyIdem map[int]string) {
 	if len(payload) == 0 {
 		return
 	}
@@ -212,10 +215,9 @@ func (s *Store) applyPayload(payload []byte) {
 		if json.Unmarshal(body, &r) == nil && r.Job != nil {
 			s.fleetJobs[r.Job.ID] = append([]byte(nil), payload...)
 		}
-	case recIdem:
-		var r idemRecord
-		if json.Unmarshal(body, &r) == nil && r.Key != "" {
-			s.idem[r.Key] = r.JobID
+	case recLegacyIdem:
+		if r, ok := legacyIdemRecord(body); ok {
+			legacyIdem[r.JobID] = r.Key
 		}
 	case recMeta:
 		var r metaRecord
@@ -225,16 +227,19 @@ func (s *Store) applyPayload(payload []byte) {
 	}
 }
 
-// journal marshals, appends, and materializes one record under the store
-// lock (LSN order therefore matches state order), returning the record's
-// LSN for WaitDurable.
-func (s *Store) journal(kind byte, rec interface{}, upsert func(payload []byte)) uint64 {
-	body, err := json.Marshal(rec)
+// JournalFleetJob journals the current state of a fleet job — submission
+// (with its Idempotency-Key binding), placement, migrations, parking, and
+// terminal results all flow through here. The record is appended and
+// materialized under the store lock (LSN order therefore matches state
+// order); the returned LSN is what WaitDurable takes. Implements
+// fleet.JobStore.
+func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
+	body, err := json.Marshal(fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		// Every journaled type is plain data; a marshal failure is a bug,
-		// not an operational condition. Count it and keep serving.
+		// A job is plain data; a marshal failure is a bug, not an
+		// operational condition. Count it and keep serving.
 		s.dropped++
 		if s.dropped == 1 {
 			log.Printf("durable: dropping journal record: %v", err)
@@ -245,28 +250,10 @@ func (s *Store) journal(kind byte, rec interface{}, upsert func(payload []byte))
 		return s.w.lastLSNSnapshot()
 	}
 	payload := make([]byte, 0, len(body)+1)
-	payload = append(payload, kind)
+	payload = append(payload, recFleetJob)
 	payload = append(payload, body...)
-	lsn := s.w.append(payload)
-	if upsert != nil {
-		upsert(payload)
-	}
-	return lsn
-}
-
-// JournalFleetJob journals the current state of a fleet job — placement,
-// migrations, parking, and terminal results all flow through here.
-// Implements fleet.JobStore.
-func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
-	return s.journal(recFleetJob, fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j},
-		func(payload []byte) { s.fleetJobs[j.ID] = payload })
-}
-
-// JournalIdem journals an idempotency-key binding so replayed submissions
-// dedup across a restart.
-func (s *Store) JournalIdem(key string, jobID int) uint64 {
-	return s.journal(recIdem, idemRecord{Key: key, JobID: jobID},
-		func([]byte) { s.idem[key] = jobID })
+	s.fleetJobs[j.ID] = payload
+	return s.w.append(payload)
 }
 
 // WaitDurable blocks until the record at lsn is on stable storage per the
@@ -310,13 +297,6 @@ func (s *Store) Compact() error {
 	buf := appendFrame(nil, snapLSN, metaPayload(snapLSN))
 	for _, payload := range s.fleetJobs {
 		buf = appendFrame(buf, snapLSN, payload)
-	}
-	for key, id := range s.idem {
-		body, merr := json.Marshal(idemRecord{Key: key, JobID: id})
-		if merr != nil {
-			continue
-		}
-		buf = appendFrame(buf, snapLSN, append([]byte{recIdem}, body...))
 	}
 	if err := writeFileDurable(s.dir, snapshotName, buf); err != nil {
 		return fmt.Errorf("durable: writing snapshot: %w", err)

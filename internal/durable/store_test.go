@@ -14,22 +14,22 @@ import (
 	"repro/internal/qrm"
 )
 
-// TestStoreRoundtrip journals both record kinds, closes, and reopens:
-// Recovery must hand back exactly the latest upsert of each.
+// TestStoreRoundtrip journals job upserts, closes, and reopens: Recovery
+// must hand back exactly the latest upsert of each job, its
+// Idempotency-Key binding included.
 func TestStoreRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	st, rec, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.FleetJobs) != 0 || len(rec.Idem) != 0 {
+	if len(rec.FleetJobs) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
-	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending, SubmitUnixMs: 1111})
+	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending, SubmitUnixMs: 1111, IdemKey: "key-a"})
 	st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending})
-	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobDone, SubmitUnixMs: 1111})
-	st.JournalFleetJob(&fleet.Job{ID: 7, Status: fleet.JobRouted, Device: "dev-0"})
-	st.JournalIdem("key-a", 1)
+	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobDone, SubmitUnixMs: 1111, IdemKey: "key-a"})
+	lsn := st.JournalFleetJob(&fleet.Job{ID: 7, Status: fleet.JobRouted, Device: "dev-0"})
 	st.WaitDurable(lsn)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -57,8 +57,8 @@ func TestStoreRoundtrip(t *testing.T) {
 	if j := byID[7]; j == nil || j.Status != fleet.JobRouted || j.Device != "dev-0" {
 		t.Fatalf("job 7 recovered wrong: %+v", byID[7])
 	}
-	if rec2.Idem["key-a"] != 1 {
-		t.Fatalf("idem recovered wrong: %+v", rec2.Idem)
+	if byID[1].IdemKey != "key-a" || byID[2].IdemKey != "" || byID[7].IdemKey != "" {
+		t.Fatalf("idem bindings recovered wrong: 1=%q 2=%q 7=%q", byID[1].IdemKey, byID[2].IdemKey, byID[7].IdemKey)
 	}
 	if rec2.Stats.Records == 0 || rec2.Stats.SkippedBytes != 0 {
 		t.Fatalf("replay stats wrong: %+v", rec2.Stats)
@@ -75,9 +75,12 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 10; i++ {
-		st.JournalFleetJob(&fleet.Job{ID: i, Status: fleet.JobDone})
+		j := &fleet.Job{ID: i, Status: fleet.JobDone}
+		if i == 3 {
+			j.IdemKey = "k"
+		}
+		st.JournalFleetJob(j)
 	}
-	st.JournalIdem("k", 3)
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +104,14 @@ func TestStoreCompact(t *testing.T) {
 	if len(rec.FleetJobs) != 11 {
 		t.Fatalf("recovered %d jobs after compact+reopen, want 11", len(rec.FleetJobs))
 	}
-	if rec.Idem["k"] != 3 {
-		t.Fatalf("idem lost across compaction: %+v", rec.Idem)
+	for _, j := range rec.FleetJobs {
+		want := ""
+		if j.ID == 3 {
+			want = "k"
+		}
+		if j.IdemKey != want {
+			t.Fatalf("job %d idem binding across compaction = %q, want %q", j.ID, j.IdemKey, want)
+		}
 	}
 	if rec.Stats.SnapshotLSN == 0 {
 		t.Fatalf("reopen did not see the snapshot: %+v", rec.Stats)

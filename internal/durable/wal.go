@@ -1,9 +1,10 @@
 // Package durable is the crash-durable job store behind the fleet
 // scheduler: an append-only write-ahead log of job-lifecycle records plus
 // periodic snapshot compaction. Every transition the event bus publishes
-// (submit, claim, running, terminal, park, migrate, idempotency-key binding)
-// is journaled as a full upsert of the job's record, so replay is a trivial
-// last-write-wins fold and a snapshot/journal overlap is harmless. The §4
+// (submit, route, park, migrate, terminal) is journaled as a full upsert of
+// the job's record — Idempotency-Key binding included, it is a field of the
+// job — so replay is a trivial last-write-wins fold and a snapshot/journal
+// overlap is harmless. The §4
 // user request behind it — "more robust job restart tools after system
 // outages" — needs submission durability above all: Submit acks only after
 // the job's first record is fsync'd (see WaitDurable), so a 202 implies the

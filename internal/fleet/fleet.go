@@ -96,9 +96,17 @@ type Job struct {
 	// standalone deployments and in pre-federation WAL records — replay
 	// treats the missing field as "".
 	Node string `json:"node,omitempty"`
+	// IdemKey is the Idempotency-Key the job was submitted under ("" for a
+	// keyless submission). It travels in the job's own journal record, so
+	// the binding and the job reach disk in one frame.
+	IdemKey string `json:"idem_key,omitempty"`
 
 	policy Policy
 	done   chan struct{}
+	// ackLSN is the journal LSN a submitter waits on before acking this job:
+	// its submit record (which carries IdemKey) and first placement. Zero on
+	// recovered jobs — they were on disk before this process started.
+	ackLSN uint64
 	// handle is the job on its current device's QRM, held for the life of
 	// the on-device leg: monitor waits on it, Cancel and DeviceRecord go
 	// through it, finalizeLocked and migrateLocked drop it (zero otherwise).
@@ -121,7 +129,17 @@ type SubmitOptions struct {
 	Device string
 	// Policy overrides the scheduler default for this job.
 	Policy Policy
+	// IdemKey makes the submission replay-safe: a second submission under
+	// the same key, within the dedup window, returns the first one's job
+	// instead of minting another. Empty never dedups.
+	IdemKey string
 }
+
+// idemWindow bounds the Idempotency-Key dedup window. At production
+// submission rates this is a few minutes of keys; memory stays O(bound)
+// forever. A key older than the window simply submits fresh, which is the
+// documented contract ("at-most-once within the dedup window").
+const idemWindow = 1024
 
 // deviceEntry is one registered backend.
 type deviceEntry struct {
@@ -169,6 +187,11 @@ type Scheduler struct {
 	parked   map[int]*Job
 	nowDay   float64 // maintenance clock, last AdvanceTo day
 
+	// The Idempotency-Key dedup window: key -> job ID for the newest
+	// idemWindow keyed jobs, idemOrder their IDs in FIFO eviction order.
+	idem      map[string]int
+	idemOrder []int
+
 	store     *telemetry.Store
 	scoreHist *telemetry.Histogram
 	bus       *qrm.EventBus // fleet-scoped lifecycle events (routing, migrations)
@@ -190,8 +213,9 @@ type Scheduler struct {
 	wg     sync.WaitGroup // per-job monitor goroutines
 
 	// Durable job store (nil = in-memory only). walTail is the LSN of the
-	// most recent record journaled under s.mu; Submit waits on it after
-	// unlocking so a returned ID implies the submission is on disk.
+	// most recent record journaled under s.mu; a new job takes it as its
+	// ackLSN, which Submit waits on after unlocking so a returned ID implies
+	// the submission is on disk.
 	jstore  JobStore
 	walTail uint64
 
@@ -212,6 +236,7 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 		devices:   make(map[string]*deviceEntry),
 		jobs:      make(map[int]*Job),
 		parked:    make(map[int]*Job),
+		idem:      make(map[string]int),
 		store:     store,
 		scoreHist: scoreHistogram(),
 		bus:       qrm.NewEventBus(),
@@ -227,9 +252,10 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 func (s *Scheduler) Events() *qrm.EventBus { return s.bus }
 
 // JobStore is the durability boundary behind the fleet scheduler (declared
-// locally so fleet stays free of a durable import). Every fleet transition — submission, placement,
-// parking, migration, terminal — is journaled as an upsert of the job's
-// full record; internal/durable's WAL-backed Store implements it.
+// locally so fleet stays free of a durable import). Every fleet transition —
+// submission, placement, parking, migration, terminal — is journaled as an
+// upsert of the job's full record, Idempotency-Key binding included;
+// internal/durable's WAL-backed Store implements it.
 type JobStore interface {
 	JournalFleetJob(j *Job) (lsn uint64)
 	WaitDurable(lsn uint64)
@@ -421,36 +447,71 @@ func (s *Scheduler) maxWidthLocked() int {
 // Submit validates and accepts one job, routing it to the best eligible
 // device (or parking it when none is). The job ID is fleet-scoped.
 func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
+	id, _, err := s.SubmitKeyed(req, opts)
+	return id, err
+}
+
+// SubmitKeyed is Submit that also reports whether opts.IdemKey replayed an
+// earlier submission: replayed means the returned ID is the job that key
+// was first bound to and nothing new was minted. Only successful
+// submissions bind — a refused one created no job, so there is nothing to
+// protect from duplication, and binding a transient refusal would turn a
+// retryable response into a permanently replayed failure.
+func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, replayed bool, err error) {
 	if req.Circuit == nil {
-		return 0, fmt.Errorf("fleet: request has no circuit")
+		return 0, false, fmt.Errorf("fleet: request has no circuit")
 	}
 	if err := req.Circuit.Validate(); err != nil {
-		return 0, fmt.Errorf("fleet: invalid circuit: %w", err)
+		return 0, false, fmt.Errorf("fleet: invalid circuit: %w", err)
 	}
 	if req.Shots < 1 {
-		return 0, fmt.Errorf("fleet: shots must be >= 1, got %d", req.Shots)
+		return 0, false, fmt.Errorf("fleet: shots must be >= 1, got %d", req.Shots)
 	}
 	policy := s.policy
 	if opts.Policy != "" {
 		if err := opts.Policy.Validate(); err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		policy = opts.Policy
 	}
 	s.mu.Lock()
-	if s.idLimit > 0 && s.nextID >= s.idLimit {
+	var j *Job
+	if bound, ok := s.idem[opts.IdemKey]; ok { // "" is never bound
+		j, replayed = s.jobs[bound], true
+	} else if j, err = s.mintLocked(req, opts, policy); err != nil {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("fleet: job-ID space exhausted: this node's federation ID block ends at %d; minting past it would misroute owner lookups", s.idLimit)
+		return 0, false, err
+	}
+	st, lsn := s.jstore, j.ackLSN
+	s.mu.Unlock()
+	if st != nil {
+		// Ack-after-durable: the ID is not returned until the submit record
+		// — which carries the key binding — is on stable storage, so a 202
+		// implies the job survives kill -9 still bound to its key. The
+		// routing decision journaled too, so the one LSN covers the
+		// submission and its first placement, and a replay waits on the LSN
+		// its original waited on, so it is never acked ahead of it. The wait
+		// is outside s.mu so group commit batches concurrent submitters,
+		// keyed or not, behind one fsync.
+		st.WaitDurable(lsn)
+	}
+	return j.ID, replayed, nil
+}
+
+// mintLocked admits req, mints its job, binds opts.IdemKey to it and routes
+// it. Caller holds s.mu and has found the key unbound.
+func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Policy) (*Job, error) {
+	if s.idLimit > 0 && s.nextID >= s.idLimit {
+		return nil, fmt.Errorf("fleet: job-ID space exhausted: this node's federation ID block ends at %d; minting past it would misroute owner lookups", s.idLimit)
 	}
 	if err := s.admitLocked(req, opts); err != nil {
-		s.mu.Unlock()
-		return 0, err
+		return nil, err
 	}
 	s.nextID++
 	j := &Job{
 		ID: s.nextID, Status: JobPending, Request: req,
 		Pinned: opts.Device, policy: policy, done: make(chan struct{}),
-		SubmitUnixMs: time.Now().UnixMilli(), Node: s.nodeID,
+		SubmitUnixMs: time.Now().UnixMilli(), Node: s.nodeID, IdemKey: opts.IdemKey,
 	}
 	j.tr = trace.New("job",
 		trace.Int("job_id", j.ID), trace.Str("user", req.User))
@@ -458,20 +519,30 @@ func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
 	s.submitted++
+	s.bindLocked(j)
 	s.publishLocked(j, "", "")
 	s.routeLocked(j, nil, "")
-	st, lsn := s.jstore, s.walTail
-	s.mu.Unlock()
-	if st != nil {
-		// Ack-after-durable: the ID is not returned until the submit record
-		// is on stable storage, so a 202 implies the job survives kill -9.
-		// The routing decision above already journaled, so waiting on the
-		// tail LSN covers both the submission and its first placement; the
-		// wait is outside s.mu so group commit batches concurrent submitters
-		// behind one fsync.
-		st.WaitDurable(lsn)
+	j.ackLSN = s.walTail
+	return j, nil
+}
+
+// bindLocked enters a keyed job into the dedup window, evicting the oldest
+// binding past idemWindow. Caller holds s.mu.
+func (s *Scheduler) bindLocked(j *Job) {
+	if j.IdemKey == "" {
+		return
 	}
-	return j.ID, nil
+	s.idem[j.IdemKey] = j.ID
+	s.idemOrder = append(s.idemOrder, j.ID)
+	for len(s.idemOrder) > idemWindow {
+		// A key that aged out and was submitted fresh is carried by two
+		// recovered jobs; evicting the older one must not unbind the newer.
+		old := s.idemOrder[0]
+		if key := s.jobs[old].IdemKey; s.idem[key] == old {
+			delete(s.idem, key)
+		}
+		s.idemOrder = s.idemOrder[1:]
+	}
 }
 
 // admitLocked runs Submit's validation against the registry. Caller holds

@@ -25,7 +25,9 @@ type RestoreStats struct {
 // their dispatch deadline fail with the retryable interrupted error
 // instead. Every restored job is marked Recovered and republished (reason
 // "recovered"), so re-attached watch streams and the fresh WAL segment see
-// the post-restart state. Devices must be registered (AddDevice) before
+// the post-restart state. The Idempotency-Key dedup window is rebuilt from
+// the jobs' IdemKey in job-ID order, so the newest idemWindow keys survive.
+// Devices must be registered (AddDevice) before
 // calling, otherwise everything recovered parks.
 func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 	var stats RestoreStats
@@ -64,6 +66,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		}
 		s.jobs[j.ID] = j
 		s.jobOrder = append(s.jobOrder, j.ID)
+		s.bindLocked(j)
 
 		if terminal(j.Status) {
 			close(j.done)

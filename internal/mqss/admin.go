@@ -55,19 +55,11 @@ type StoreRestoredStatus struct {
 }
 
 // AttachStore wires the durable job store into the HTTP layer: the admin
-// endpoint and qhpc_wal_* metric families start reporting, and the v2
-// idempotency cache journals new key bindings (and is seeded with the
-// bindings recovered at startup, so a retry that straddles the restart
-// replays its original job instead of re-executing). The scheduler side
-// (fleet AttachStore + Restore) is wired separately by the daemon.
-func (s *Server) AttachStore(st *durable.Store, recoveredIdem map[string]int) {
+// endpoint and qhpc_wal_* metric families start reporting. Journaling and
+// recovery — Idempotency-Key bindings included — are the scheduler's
+// (fleet AttachStore + Restore), wired separately by the daemon.
+func (s *Server) AttachStore(st *durable.Store) {
 	s.store = st
-	if st == nil {
-		s.idem.setJournal(nil)
-		return
-	}
-	s.idem.seed(recoveredIdem)
-	s.idem.setJournal(func(key string, jobID int) { st.JournalIdem(key, jobID) })
 }
 
 func (s *Server) handleV2AdminStore(w http.ResponseWriter, r *http.Request) {

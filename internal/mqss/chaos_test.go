@@ -10,7 +10,7 @@ import (
 	"repro/internal/qdmi"
 )
 
-// TestIdempotentReplayOfJobFailedMidMigration pins the idempotency cache's
+// TestIdempotentReplayOfJobFailedMidMigration pins the dedup window's
 // behavior on the ugliest terminal path: a job that was interrupted by a
 // device failure, migrated, and then failed for real on the failover
 // target. Replaying the same Idempotency-Key must return that same failed

@@ -86,20 +86,21 @@ func (c *Client) Path() AccessPath {
 // --- HTTP plumbing ------------------------------------------------------
 
 // doJSON issues one request with an optional JSON body and decodes the
-// response into out (ignored when out is nil). wantStatus lists acceptable
-// status codes; anything else decodes as an API error.
-func (c *Client) doJSON(ctx context.Context, method, path string, body, out interface{}, header http.Header, wantStatus ...int) (int, error) {
+// response into out (ignored when out is nil), returning the response
+// headers. wantStatus lists acceptable status codes; anything else decodes
+// as an API error.
+func (c *Client) doJSON(ctx context.Context, method, path string, body, out interface{}, header http.Header, wantStatus ...int) (http.Header, error) {
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			return 0, fmt.Errorf("mqss: encoding request: %w", err)
+			return nil, fmt.Errorf("mqss: encoding request: %w", err)
 		}
 		rd = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, rd)
 	if err != nil {
-		return 0, fmt.Errorf("mqss: building request: %w", err)
+		return nil, fmt.Errorf("mqss: building request: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -111,7 +112,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out inte
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("mqss: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("mqss: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	ok := false
@@ -122,14 +123,14 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out inte
 		}
 	}
 	if !ok {
-		return resp.StatusCode, decodeError(resp)
+		return nil, decodeError(resp)
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("mqss: decoding %s response: %w", path, err)
+			return nil, fmt.Errorf("mqss: decoding %s response: %w", path, err)
 		}
 	}
-	return resp.StatusCode, nil
+	return resp.Header, nil
 }
 
 // --- v2: async submission and the job handle ----------------------------
@@ -182,30 +183,33 @@ func retryableAPIError(err error) *APIError {
 
 // Submit accepts one job for asynchronous execution and returns its handle
 // immediately — the v2 access model: submit, then Wait, Poll, Watch, or
-// Cancel. idempotencyKey may be empty; a non-empty key makes remote retries
-// safe (the server replays the original submission instead of duplicating
-// it).
+// Cancel. idempotencyKey may be empty; a non-empty key makes retries safe on
+// either path (the scheduler replays the original submission instead of
+// duplicating it, and the handle says so in Replayed).
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, idempotencyKey string) (*JobHandle, error) {
 	if c.localFleet != nil {
 		opts, err := req.submitOptions()
 		if err != nil {
 			return nil, err
 		}
-		id, err := c.localFleet.Submit(req.qrmRequest(), opts)
+		opts.IdemKey = idempotencyKey
+		id, replayed, err := c.localFleet.SubmitKeyed(req.qrmRequest(), opts)
 		if err != nil {
 			return nil, err
 		}
-		return &JobHandle{c: c, ID: FormatJobID(id), id: id, req: &req, idemKey: idempotencyKey}, nil
+		return &JobHandle{c: c, ID: FormatJobID(id), id: id, Replayed: replayed, req: &req, idemKey: idempotencyKey}, nil
 	}
 	var hdr http.Header
 	if idempotencyKey != "" {
 		hdr = http.Header{"Idempotency-Key": {idempotencyKey}}
 	}
 	var job Job
+	var replayed bool
 	for attempt := 0; ; attempt++ {
-		_, err := c.doJSON(ctx, http.MethodPost, pathV2Jobs, req, &job, hdr,
+		rh, err := c.doJSON(ctx, http.MethodPost, pathV2Jobs, req, &job, hdr,
 			http.StatusAccepted, http.StatusOK)
 		if err == nil {
+			replayed = rh.Get("Idempotency-Replayed") == "true"
 			break
 		}
 		// 429 rate_limited and 503 offline arrive before a job exists, so a
@@ -223,7 +227,7 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest, idempotencyKey s
 	if err != nil {
 		return nil, fmt.Errorf("mqss: server returned %w", err)
 	}
-	return &JobHandle{c: c, ID: job.ID, id: id, last: &job, req: &req, idemKey: idempotencyKey}, nil
+	return &JobHandle{c: c, ID: job.ID, id: id, Replayed: replayed, last: &job, req: &req, idemKey: idempotencyKey}, nil
 }
 
 // Handle rebuilds a JobHandle from an opaque job ID (as returned by Submit,
@@ -242,6 +246,9 @@ type JobHandle struct {
 	c  *Client
 	ID string // opaque v2 job ID
 	id int    // backend-scoped numeric ID
+	// Replayed reports that Submit's idempotency key was already bound:
+	// this handle is the original job, nothing new was submitted.
+	Replayed bool
 
 	// last is the most recent record an operation observed (may be nil).
 	last *Job

@@ -2,8 +2,12 @@ package mqss
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,14 +15,19 @@ import (
 	"repro/internal/durable"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 )
 
 // durableStack builds a fleet server backed by a crash-durable store in
 // dir, restoring whatever a previous incarnation left there (cold start on
 // an empty dir).
 func durableStack(t *testing.T, dir string) (*fleet.Scheduler, *Server, *httptest.Server, *durable.Store) {
+	return durableStackSync(t, dir, durable.SyncAlways)
+}
+
+func durableStackSync(t *testing.T, dir string, mode durable.SyncMode) (*fleet.Scheduler, *Server, *httptest.Server, *durable.Store) {
 	t.Helper()
-	st, opened, err := durable.Open(dir, durable.Options{Sync: durable.SyncAlways})
+	st, opened, err := durable.Open(dir, durable.Options{Sync: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func durableStack(t *testing.T, dir string) (*fleet.Scheduler, *Server, *httptes
 	}
 	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	server := NewFleetServer(f)
-	server.AttachStore(st, opened.Idem)
+	server.AttachStore(st)
 	hs := httptest.NewServer(server)
 	return f, server, hs, st
 }
@@ -102,6 +111,134 @@ func TestIdempotencyAcrossRestart(t *testing.T) {
 	resp.Body.Close()
 	if other.ID == first.ID {
 		t.Error("distinct key deduped against the recovered job")
+	}
+}
+
+// TestCrashPrefixKeepsKeyBound is the crash-prefix property for the
+// Idempotency-Key binding: keyed submits through the v2 handler on a
+// group-commit store, then a reopen from EVERY frame-boundary prefix of the
+// journal. At each prefix a recovered job must still be bound to its key —
+// the binding travels in the job's own record, so there is no prefix that
+// holds the job without it (a crash at such a prefix would mint a second job
+// for the retry and run the work twice).
+func TestCrashPrefixKeepsKeyBound(t *testing.T) {
+	dir := t.TempDir()
+	f, server, hs, st := durableStackSync(t, dir, durable.SyncGroup)
+	keyOf := map[int]string{}
+	for i := 0; i < 6; i++ {
+		key := fmt.Sprintf("prefix-key-%d", i)
+		resp := postV2(t, hs, "/api/v2/jobs?wait=10s",
+			SubmitRequest{Circuit: circuit.GHZ(2), Shots: 4, User: "prefix"},
+			map[string]string{"Idempotency-Key": key})
+		job := decodeV2Job(t, resp.Body)
+		resp.Body.Close()
+		id, err := ParseJobID(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyOf[id] = key
+	}
+	server.Close()
+	hs.Close()
+	f.Stop()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one journal segment, got %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame = [length u32][crc u32][lsn u64][payload]; walk the boundaries.
+	cuts := []int{0}
+	for off := 0; off+16 <= len(data); {
+		off += 16 + int(binary.LittleEndian.Uint32(data[off:]))
+		cuts = append(cuts, off)
+	}
+	if last := cuts[len(cuts)-1]; last != len(data) || len(cuts) < 1+3*len(keyOf) {
+		t.Fatalf("journal framing: %d boundaries ending at %d of %d bytes", len(cuts), last, len(data))
+	}
+	recoveredAtSomePrefix := 0
+	for _, cut := range cuts {
+		trial := t.TempDir()
+		if err := os.WriteFile(filepath.Join(trial, filepath.Base(segs[0])), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st2, rec, err := durable.Open(trial, durable.Options{Sync: durable.SyncOff})
+		if err != nil {
+			t.Fatalf("prefix %d: %v", cut, err)
+		}
+		// No devices: recovered work parks, and a key that fails to replay
+		// is refused outright instead of minting a job.
+		f2 := fleet.New(fleet.PolicyBestFidelity, nil)
+		if _, err := f2.Restore(rec.FleetJobs); err != nil {
+			t.Fatalf("prefix %d: restore: %v", cut, err)
+		}
+		for _, j := range rec.FleetJobs {
+			recoveredAtSomePrefix++
+			if j.IdemKey != keyOf[j.ID] {
+				t.Errorf("prefix %d: job %d recovered with key %q, want %q", cut, j.ID, j.IdemKey, keyOf[j.ID])
+				continue
+			}
+			id, replayed, err := f2.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4},
+				fleet.SubmitOptions{IdemKey: keyOf[j.ID]})
+			if err != nil || !replayed || id != j.ID {
+				t.Errorf("prefix %d: retry of %q = job %d replayed %v (%v), want job %d replayed",
+					cut, keyOf[j.ID], id, replayed, err, j.ID)
+			}
+		}
+		f2.Stop()
+		st2.Close()
+	}
+	if recoveredAtSomePrefix == 0 {
+		t.Fatal("no prefix recovered any job; the property was never exercised")
+	}
+}
+
+// TestRestartKeepsNewestKeys journals more keys than the dedup window holds
+// and reboots: exactly the newest window's worth must replay, and the older
+// ones submit fresh — the survivors are the newest keys, not a sample.
+func TestRestartKeepsNewestKeys(t *testing.T) {
+	const window, extra = 1024, 200
+	dir := t.TempDir()
+	f1, server1, hs1, st1 := durableStackSync(t, dir, durable.SyncOff)
+	req := SubmitRequest{Circuit: circuit.GHZ(2), Shots: 1, User: "window"}
+	key := func(i int) map[string]string {
+		return map[string]string{"Idempotency-Key": fmt.Sprintf("window-key-%d", i)}
+	}
+	ids := make([]string, window+extra)
+	for i := range ids {
+		resp := postV2(t, hs1, "/api/v2/jobs", req, key(i))
+		ids[i] = decodeV2Job(t, resp.Body).ID
+		resp.Body.Close()
+	}
+	f1.WaitSettled()
+	server1.Close()
+	hs1.Close()
+	f1.Stop()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f2, server2, hs2, _ := durableStackSync(t, dir, durable.SyncOff)
+	defer func() { server2.Close(); hs2.Close(); f2.Stop() }()
+	// Newest first: a fresh submission binds its key and would push the
+	// oldest surviving one out of the window.
+	for i := len(ids) - 1; i >= 0; i-- {
+		resp := postV2(t, hs2, "/api/v2/jobs", req, key(i))
+		got := decodeV2Job(t, resp.Body).ID
+		replayed := resp.Header.Get("Idempotency-Replayed") == "true"
+		resp.Body.Close()
+		switch newest := i >= extra; {
+		case newest && (!replayed || got != ids[i]):
+			t.Fatalf("key %d (inside the window): job %s replayed %v, want %s replayed", i, got, replayed, ids[i])
+		case !newest && (replayed || got == ids[i]):
+			t.Fatalf("key %d (older than the window): replayed job %s", i, got)
+		}
 	}
 }
 

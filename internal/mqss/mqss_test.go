@@ -119,6 +119,45 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 	}
 }
 
+// TestBothPathsDedup: the Idempotency-Key contract is the scheduler's, so
+// the HPC path and the REST path honour it alike — the same key twice is
+// one job, and the second handle says it was replayed.
+func TestBothPathsDedup(t *testing.T) {
+	for _, name := range []string{"local", "remote"} {
+		f := newStack(t, 5)
+		c := NewLocalClient(f)
+		if name == "remote" {
+			srv := httptest.NewServer(NewFleetServer(f))
+			defer srv.Close()
+			c = NewRemoteClient(srv.URL, srv.Client())
+		}
+		ctx := context.Background()
+		req := SubmitRequest{Circuit: circuit.GHZ(3), Shots: 20, User: "dedup"}
+		first, err := c.Submit(ctx, req, "same-key")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		second, err := c.Submit(ctx, req, "same-key")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if first.Replayed || !second.Replayed || second.ID != first.ID {
+			t.Errorf("%s: first %s replayed %v, second %s replayed %v; want one job, second replayed",
+				name, first.ID, first.Replayed, second.ID, second.Replayed)
+		}
+		other, err := c.Submit(ctx, req, "")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if other.Replayed || other.ID == first.ID {
+			t.Errorf("%s: keyless submission deduped onto %s", name, first.ID)
+		}
+		if n := f.Metrics().Submitted; n != 2 {
+			t.Errorf("%s: scheduler saw %d submissions, want 2", name, n)
+		}
+	}
+}
+
 func TestRemoteDeviceInfo(t *testing.T) {
 	f := newStack(t, 8)
 	srv := httptest.NewServer(NewFleetServer(f))

@@ -45,15 +45,13 @@ type Server struct {
 	// graceful http.Server.Shutdown can drain their handlers.
 	closing   chan struct{}
 	closeOnce sync.Once
-	// idem is the bounded Idempotency-Key dedup cache behind v2 submission.
-	idem *idemCache
 	// limiter is the per-tenant token-bucket admission gate in front of v2
 	// submission (nil = unlimited, the default). Refusals answer 429 with
 	// Retry-After and the retryable rate_limited envelope.
 	limiter *tenant.Limiter
 	// store is the durable job store attached via AttachStore (nil =
-	// in-memory only); it backs /api/v2/admin/store, the qhpc_wal_* metric
-	// families, and idempotency-key journaling.
+	// in-memory only); it backs /api/v2/admin/store and the qhpc_wal_*
+	// metric families.
 	store *durable.Store
 	// fed is the federation membership attached via AttachFederation
 	// (nil = standalone). fedClient carries proxied requests to owner
@@ -65,7 +63,7 @@ type Server struct {
 
 // NewFleetServer builds the REST front end over a fleet scheduler.
 func NewFleetServer(f *fleet.Scheduler) *Server {
-	s := &Server{fleet: f, closing: make(chan struct{}), idem: newIdemCache(0)}
+	s := &Server{fleet: f, closing: make(chan struct{})}
 	s.routes()
 	return s
 }

@@ -183,7 +183,7 @@ func slowDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.S
 	}
 	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	server := NewFleetServer(f)
-	server.AttachStore(st, opened.Idem)
+	server.AttachStore(st)
 	return f, server, st
 }
 

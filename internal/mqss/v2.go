@@ -153,9 +153,8 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
 		return
 	}
-	id, replayed, err := s.idem.do(r.Header.Get("Idempotency-Key"), func() (int, error) {
-		return s.fleet.Submit(req.qrmRequest(), opts)
-	})
+	opts.IdemKey = r.Header.Get("Idempotency-Key")
+	id, replayed, err := s.fleet.SubmitKeyed(req.qrmRequest(), opts)
 	if err != nil {
 		writeV2Error(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error(), false)
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,6 +299,95 @@ func TestV2IdempotencyConcurrentSameKey(t *testing.T) {
 	}
 	if snap := f.Metrics(); snap.Submitted != 1 {
 		t.Errorf("submitted = %d, want exactly 1 (no double execution)", snap.Submitted)
+	}
+}
+
+// gatedStore is a fleet.JobStore whose WaitDurable parks every caller until
+// open is called — an fsync that takes as long as the test needs.
+type gatedStore struct {
+	lsn     atomic.Uint64
+	waiting atomic.Int32
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedStore) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gatedStore) JournalFleetJob(*fleet.Job) uint64 { return g.lsn.Add(1) }
+func (g *gatedStore) WaitDurable(uint64) {
+	g.waiting.Add(1)
+	<-g.release
+}
+
+// waitFor polls until n submitters are parked inside WaitDurable.
+func (g *gatedStore) waitFor(t *testing.T, n int32) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); g.waiting.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d submitters inside WaitDurable, want %d: a lock is held across the fsync wait", g.waiting.Load(), n)
+		}
+	}
+}
+
+// TestKeyedSubmitsShareTheDurabilityWait pins that no lock is held across
+// the fsync wait: keyed submitters under different keys must be able to sit
+// in WaitDurable together (that is what lets group commit batch them), and
+// a same-key replay waits there too — it is never acked ahead of its
+// original.
+func TestKeyedSubmitsShareTheDurabilityWait(t *testing.T) {
+	f, server := pacedStack(t, 57, 0, 2)
+	gate := &gatedStore{release: make(chan struct{})}
+	f.AttachStore(gate)
+	srv := httptest.NewServer(server)
+	t.Cleanup(srv.Close)
+	t.Cleanup(gate.open) // runs first: a failed test must not leave srv.Close waiting on parked handlers
+
+	type ack struct {
+		id       string
+		replayed bool
+	}
+	acks := make(chan ack, 4)
+	post := func(key string) {
+		resp := postV2(t, srv, "/api/v2/jobs", SubmitRequest{
+			Circuit: circuit.GHZ(2), Shots: 5, User: "fsync",
+		}, map[string]string{"Idempotency-Key": key})
+		id := decodeV2Job(t, resp.Body).ID
+		resp.Body.Close()
+		acks <- ack{id, resp.Header.Get("Idempotency-Replayed") == "true"}
+	}
+	go post("key-a")
+	go post("key-b")
+	gate.waitFor(t, 2)
+	go post("key-a") // a retry while the original's fsync is still pending
+	gate.waitFor(t, 3)
+	select {
+	case a := <-acks:
+		t.Fatalf("job %s (replayed %v) acked before its record was durable", a.id, a.replayed)
+	case <-time.After(50 * time.Millisecond):
+	}
+	gate.open()
+
+	byID := map[string][]bool{}
+	for i := 0; i < 3; i++ {
+		a := <-acks
+		byID[a.id] = append(byID[a.id], a.replayed)
+	}
+	if len(byID) != 2 {
+		t.Fatalf("three submissions under two keys made %d jobs: %v", len(byID), byID)
+	}
+	replays := 0
+	for _, flags := range byID {
+		for _, r := range flags {
+			if r {
+				replays++
+			}
+		}
+	}
+	if replays != 1 {
+		t.Fatalf("want exactly one replayed ack, got %d: %v", replays, byID)
+	}
+	if snap := f.Metrics(); snap.Submitted != 2 {
+		t.Errorf("submitted = %d, want 2", snap.Submitted)
 	}
 }
 

@@ -40,7 +40,7 @@ func pacedDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.
 	}
 	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	server := NewFleetServer(f)
-	server.AttachStore(st, opened.Idem)
+	server.AttachStore(st)
 	hs := httptest.NewServer(server)
 	return f, server, hs, st
 }

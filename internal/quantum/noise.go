@@ -128,21 +128,6 @@ func Compose(a, b Channel) Channel {
 	return Channel{Name: a.Name + "*" + b.Name, Kraus: ks}
 }
 
-// DominantWeight returns the channel's heaviest branch weight on the
-// maximally mixed state, max_i ||K_i||_F²/2. It is the compile-time
-// estimate behind the execution engine's per-job strategy pick: 1 minus it
-// approximates how often a shot leaves the dominant trajectory at this
-// noise site, before any state is available to compute exact weights.
-func (c Channel) DominantWeight() float64 {
-	best := 0.0
-	for _, k := range c.Kraus {
-		if w := frobNorm2(k) / 2; w > best {
-			best = w
-		}
-	}
-	return best
-}
-
 // Floor returns λmin(K0†K0) of the channel's first Kraus operator: a lower
 // bound, known at compile time, on that operator's branch weight
 // Tr(K0†K0·ρ) on every normalised state. The branch walk (Channel.Branch)

@@ -203,7 +203,7 @@ func (e *Env) EnableDurability() error {
 	e.dataDir = dir
 	e.Store = st
 	e.Fleet.AttachStore(st)
-	e.srv.AttachStore(st, nil)
+	e.srv.AttachStore(st)
 	return nil
 }
 
@@ -242,7 +242,7 @@ func (e *Env) Crash() error {
 	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	e.Store = st
 	e.srv = mqss.NewFleetServer(e.Fleet)
-	e.srv.AttachStore(st, rec.Idem)
+	e.srv.AttachStore(st)
 	e.applyAdmission()
 
 	var l net.Listener

@@ -130,7 +130,7 @@ func (e *Env) buildPeer(p *FedPeer, idx int) error {
 	}
 	p.Fleet.AttachStore(st)
 	p.srv = mqss.NewFleetServer(p.Fleet)
-	p.srv.AttachStore(st, nil)
+	p.srv.AttachStore(st)
 	e.applyPeerAdmission(p)
 	p.hs = httptest.NewServer(p.srv)
 	p.Client = mqss.NewRemoteClient(p.hs.URL, p.hs.Client())
@@ -223,7 +223,7 @@ func (e *Env) CrashPeer(idx int) error {
 	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	p.store, p.LastRestore = st, rs
 	p.srv = mqss.NewFleetServer(p.Fleet)
-	p.srv.AttachStore(st, rec.Idem)
+	p.srv.AttachStore(st)
 	e.applyPeerAdmission(p)
 	if p.fed, err = federation.New(p.cfg); err != nil {
 		return err
