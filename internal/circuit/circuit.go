@@ -67,28 +67,34 @@ type Gate struct {
 
 // Validate checks arity and parameter count.
 func (g Gate) Validate(numQubits int) error {
-	spec, ok := opSpecs[g.Name]
+	return validate(g.Name, g.Params, g.Qubits, numQubits)
+}
+
+// validate takes the gate's fields apart so the operand slices of a builder
+// call stay on the caller's stack (only the name reaches an error value).
+func validate(name string, params []float64, qubits []int, numQubits int) error {
+	spec, ok := opSpecs[name]
 	if !ok {
-		return fmt.Errorf("circuit: unknown gate %q", g.Name)
+		return fmt.Errorf("circuit: unknown gate %q", name)
 	}
-	if g.Name == OpBarrier {
+	if name == OpBarrier {
 		return nil // barrier may name any subset of qubits
 	}
-	if len(g.Qubits) != spec.qubits {
-		return fmt.Errorf("circuit: gate %q wants %d qubits, got %d", g.Name, spec.qubits, len(g.Qubits))
+	if len(qubits) != spec.qubits {
+		return fmt.Errorf("circuit: gate %q wants %d qubits, got %d", name, spec.qubits, len(qubits))
 	}
-	if len(g.Params) != spec.params {
-		return fmt.Errorf("circuit: gate %q wants %d params, got %d", g.Name, spec.params, len(g.Params))
+	if len(params) != spec.params {
+		return fmt.Errorf("circuit: gate %q wants %d params, got %d", name, spec.params, len(params))
 	}
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	for i, q := range qubits {
 		if q < 0 || q >= numQubits {
-			return fmt.Errorf("circuit: gate %q qubit %d out of range [0, %d)", g.Name, q, numQubits)
+			return fmt.Errorf("circuit: gate %q qubit %d out of range [0, %d)", name, q, numQubits)
 		}
-		if seen[q] {
-			return fmt.Errorf("circuit: gate %q uses qubit %d twice", g.Name, q)
+		for _, p := range qubits[:i] {
+			if p == q {
+				return fmt.Errorf("circuit: gate %q uses qubit %d twice", name, q)
+			}
 		}
-		seen[q] = true
 	}
 	return nil
 }
@@ -124,11 +130,33 @@ type Circuit struct {
 	Name      string `json:"name,omitempty"`
 	NumQubits int    `json:"num_qubits"`
 	Gates     []Gate `json:"gates"`
+
+	// qubits and params are the arenas Append carves gate operands from, so
+	// a built or copied circuit costs a few allocations, not two per gate.
+	// Nil arenas are valid: the gates of a literal or a decoded circuit own
+	// their slices.
+	qubits []int
+	params []float64
 }
 
 // New returns an empty circuit over n qubits.
 func New(n int, name string) *Circuit {
 	return &Circuit{Name: name, NumQubits: n}
+}
+
+// NewLike returns an empty circuit over n qubits with src's name and room for
+// src's gates: a pass whose output is about the size of its input allocates
+// once per circuit.
+func NewLike(src *Circuit, n int) *Circuit {
+	qubits, params := 0, 0
+	for i := range src.Gates {
+		qubits += len(src.Gates[i].Qubits)
+		params += len(src.Gates[i].Params)
+	}
+	return &Circuit{
+		Name: src.Name, NumQubits: n, Gates: make([]Gate, 0, len(src.Gates)),
+		qubits: make([]int, 0, qubits), params: make([]float64, 0, params),
+	}
 }
 
 // Validate checks every gate against the register size.
@@ -146,79 +174,84 @@ func (c *Circuit) Validate() error {
 
 // Clone returns a deep copy.
 func (c *Circuit) Clone() *Circuit {
-	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits, Gates: make([]Gate, len(c.Gates))}
-	for i, g := range c.Gates {
-		ng := Gate{Name: g.Name, Qubits: append([]int(nil), g.Qubits...)}
-		if len(g.Params) > 0 {
-			ng.Params = append([]float64(nil), g.Params...)
-		}
-		out.Gates[i] = ng
+	out := NewLike(c, c.NumQubits)
+	for _, g := range c.Gates {
+		out.Append(g.Name, g.Params, g.Qubits...)
 	}
 	return out
+}
+
+// Append adds a gate without validating it — for passes that rewrite a
+// circuit validated at their door; AddGate is the checked form. The operands
+// are copied: the new gate shares no storage with params or qubits.
+func (c *Circuit) Append(name string, params []float64, qubits ...int) {
+	c.Gates = append(c.Gates, Gate{Name: name, Qubits: carve(&c.qubits, qubits), Params: carve(&c.params, params)})
+}
+
+// carve copies src into the arena's spare capacity and returns the copy capped
+// to its own length, so an append on one gate reallocates instead of writing
+// into its neighbour. A full arena is replaced, not regrown: earlier gates keep
+// the chunk they point into.
+func carve[T any](arena *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	if len(src) > cap(*arena)-len(*arena) {
+		*arena = make([]T, 0, max(2*cap(*arena), 16, len(src)))
+	}
+	start := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
 // append validates and adds a gate, panicking on programmer error — the
 // builder methods are meant for statically-correct construction; use
 // AddGate for data-driven paths.
-func (c *Circuit) append(g Gate) *Circuit {
-	if err := g.Validate(c.NumQubits); err != nil {
+func (c *Circuit) append(name string, params []float64, qubits ...int) *Circuit {
+	if err := validate(name, params, qubits, c.NumQubits); err != nil {
 		panic(err)
 	}
-	c.Gates = append(c.Gates, g)
+	c.Append(name, params, qubits...)
 	return c
 }
 
-// AddGate validates and appends a gate, returning an error on bad input.
+// AddGate validates and appends a copy of g, returning an error on bad input.
 func (c *Circuit) AddGate(g Gate) error {
 	if err := g.Validate(c.NumQubits); err != nil {
 		return err
 	}
-	c.Gates = append(c.Gates, g)
+	c.Append(g.Name, g.Params, g.Qubits...)
 	return nil
 }
 
 // Builder methods. Each returns the circuit for chaining.
 
-func (c *Circuit) H(q int) *Circuit    { return c.append(Gate{Name: OpH, Qubits: []int{q}}) }
-func (c *Circuit) X(q int) *Circuit    { return c.append(Gate{Name: OpX, Qubits: []int{q}}) }
-func (c *Circuit) Y(q int) *Circuit    { return c.append(Gate{Name: OpY, Qubits: []int{q}}) }
-func (c *Circuit) Z(q int) *Circuit    { return c.append(Gate{Name: OpZ, Qubits: []int{q}}) }
-func (c *Circuit) S(q int) *Circuit    { return c.append(Gate{Name: OpS, Qubits: []int{q}}) }
-func (c *Circuit) Sdag(q int) *Circuit { return c.append(Gate{Name: OpSdag, Qubits: []int{q}}) }
-func (c *Circuit) T(q int) *Circuit    { return c.append(Gate{Name: OpT, Qubits: []int{q}}) }
-func (c *Circuit) Tdag(q int) *Circuit { return c.append(Gate{Name: OpTdag, Qubits: []int{q}}) }
+func (c *Circuit) H(q int) *Circuit    { return c.append(OpH, nil, q) }
+func (c *Circuit) X(q int) *Circuit    { return c.append(OpX, nil, q) }
+func (c *Circuit) Y(q int) *Circuit    { return c.append(OpY, nil, q) }
+func (c *Circuit) Z(q int) *Circuit    { return c.append(OpZ, nil, q) }
+func (c *Circuit) S(q int) *Circuit    { return c.append(OpS, nil, q) }
+func (c *Circuit) Sdag(q int) *Circuit { return c.append(OpSdag, nil, q) }
+func (c *Circuit) T(q int) *Circuit    { return c.append(OpT, nil, q) }
+func (c *Circuit) Tdag(q int) *Circuit { return c.append(OpTdag, nil, q) }
 
-func (c *Circuit) RX(q int, theta float64) *Circuit {
-	return c.append(Gate{Name: OpRX, Qubits: []int{q}, Params: []float64{theta}})
-}
-func (c *Circuit) RY(q int, theta float64) *Circuit {
-	return c.append(Gate{Name: OpRY, Qubits: []int{q}, Params: []float64{theta}})
-}
-func (c *Circuit) RZ(q int, theta float64) *Circuit {
-	return c.append(Gate{Name: OpRZ, Qubits: []int{q}, Params: []float64{theta}})
-}
+func (c *Circuit) RX(q int, theta float64) *Circuit { return c.append(OpRX, []float64{theta}, q) }
+func (c *Circuit) RY(q int, theta float64) *Circuit { return c.append(OpRY, []float64{theta}, q) }
+func (c *Circuit) RZ(q int, theta float64) *Circuit { return c.append(OpRZ, []float64{theta}, q) }
 func (c *Circuit) PRX(q int, theta, phi float64) *Circuit {
-	return c.append(Gate{Name: OpPRX, Qubits: []int{q}, Params: []float64{theta, phi}})
+	return c.append(OpPRX, []float64{theta, phi}, q)
 }
 func (c *Circuit) U3(q int, theta, phi, lambda float64) *Circuit {
-	return c.append(Gate{Name: OpU3, Qubits: []int{q}, Params: []float64{theta, phi, lambda}})
+	return c.append(OpU3, []float64{theta, phi, lambda}, q)
 }
-func (c *Circuit) CZ(a, b int) *Circuit { return c.append(Gate{Name: OpCZ, Qubits: []int{a, b}}) }
+func (c *Circuit) CZ(a, b int) *Circuit { return c.append(OpCZ, nil, a, b) }
 func (c *Circuit) CRZ(control, target int, theta float64) *Circuit {
-	return c.append(Gate{Name: OpCRZ, Qubits: []int{control, target}, Params: []float64{theta}})
+	return c.append(OpCRZ, []float64{theta}, control, target)
 }
-func (c *Circuit) CCX(c1, c2, target int) *Circuit {
-	return c.append(Gate{Name: OpCCX, Qubits: []int{c1, c2, target}})
-}
-func (c *Circuit) CNOT(control, target int) *Circuit {
-	return c.append(Gate{Name: OpCNOT, Qubits: []int{control, target}})
-}
-func (c *Circuit) SWAP(a, b int) *Circuit {
-	return c.append(Gate{Name: OpSWAP, Qubits: []int{a, b}})
-}
-func (c *Circuit) Barrier(qs ...int) *Circuit {
-	return c.append(Gate{Name: OpBarrier, Qubits: qs})
-}
+func (c *Circuit) CCX(c1, c2, target int) *Circuit   { return c.append(OpCCX, nil, c1, c2, target) }
+func (c *Circuit) CNOT(control, target int) *Circuit { return c.append(OpCNOT, nil, control, target) }
+func (c *Circuit) SWAP(a, b int) *Circuit            { return c.append(OpSWAP, nil, a, b) }
+func (c *Circuit) Barrier(qs ...int) *Circuit        { return c.append(OpBarrier, nil, qs...) }
 
 // GHZ builds the n-qubit GHZ preparation circuit used as the standardized
 // health check (§3.2).

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -112,6 +113,41 @@ func TestCloneIsDeep(t *testing.T) {
 	cl.Gates[0].Qubits[0] = 1
 	if c.Gates[0].Params[0] != 1.5 || c.Gates[0].Qubits[0] != 0 {
 		t.Error("clone shares backing arrays with original")
+	}
+}
+
+// TestGateStorageIsPerGate: gates built into a circuit share two arenas, but
+// each owns its span — growing one gate's slices cannot land in the next
+// gate, across arena chunks too, and AddGate keeps no reference to the slices
+// it was handed.
+func TestGateStorageIsPerGate(t *testing.T) {
+	c := New(3, "arena")
+	for i := 0; i < 40; i++ { // 120 operands and 80 parameters: several chunks
+		c.PRX(i%3, float64(i), 0.5).CZ(i%3, (i+1)%3)
+	}
+	src := Gate{Name: OpRZ, Qubits: []int{1}, Params: []float64{0.25}}
+	if err := c.AddGate(src); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(c.Gates)
+	src.Qubits[0], src.Params[0] = 2, 9
+	for i, g := range c.Gates {
+		_ = append(g.Qubits, 99)
+		_ = append(g.Params, 99)
+		if got := fmt.Sprint(c.Gates); got != want {
+			t.Fatalf("appending to gate %d (or writing to AddGate's argument) changed the circuit:\n%s\nwas\n%s", i, got, want)
+		}
+	}
+	cl := c.Clone()
+	if got := fmt.Sprint(cl.Gates); got != want {
+		t.Fatalf("clone differs:\n%s\nwant\n%s", got, want)
+	}
+	for _, g := range cl.Gates {
+		_ = append(g.Qubits, 99)
+		g.Qubits[0] = 2 - g.Qubits[0]
+	}
+	if got := fmt.Sprint(c.Gates); got != want {
+		t.Errorf("writing to a clone changed its source:\n%s\nwas\n%s", got, want)
 	}
 }
 

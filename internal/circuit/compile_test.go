@@ -29,7 +29,7 @@ func randomCircuit(rng *rand.Rand, n, gates int) *Circuit {
 			if len(g.Params) == 0 {
 				g.Params = nil
 			}
-			c.append(g)
+			c.append(g.Name, g.Params, g.Qubits...)
 		case r < 0.85 && n >= 2:
 			name := twoQ[rng.Intn(len(twoQ))]
 			a := rng.Intn(n)
@@ -41,7 +41,7 @@ func randomCircuit(rng *rand.Rand, n, gates int) *Circuit {
 			if len(g.Params) == 0 {
 				g.Params = nil
 			}
-			c.append(g)
+			c.append(g.Name, g.Params, g.Qubits...)
 		case r < 0.92 && n >= 3:
 			qs := rng.Perm(n)[:3]
 			c.CCX(qs[0], qs[1], qs[2])

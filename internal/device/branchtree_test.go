@@ -372,8 +372,14 @@ func TestConcurrentCompilesShareNoiseMemo(t *testing.T) {
 
 // TestFreshAngleCompileAllocs gates the compile-miss path of a hybrid loop:
 // every job is a 5-qubit ansatz with fresh angles, so the program cache
-// misses each call while the per-device noise-channel memo stays warm.
+// misses each call while the per-device noise-channel memo stays warm. What
+// is left is per circuit, not per gate: the calibration snapshot, the
+// compact circuit and its arenas, the trajectory program at its final
+// length, the readout model, the tree's bookkeeping and the result.
 func TestFreshAngleCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states and generators at random under -race")
+	}
 	const runs = 20
 	circs := freshAngleAnsatze(runs+2, 2)
 	qpu := New20Q(81)
@@ -390,8 +396,8 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 	if st := qpu.ExecStats(); st.CompileHits != 0 {
 		t.Fatalf("stats = %+v, want every job a compile miss", st)
 	}
-	if allocs > 400 {
-		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 400 (measured 92; 710 before the noise-channel memo)", allocs)
+	if allocs > 36 {
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 36 (measured 29; 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
 	}
 }
 

@@ -81,10 +81,11 @@ type compiledJob struct {
 	compactQubits int   // simulated register size; 0 when no qubit is touched
 	toPhysical    []int // compact index -> physical qubit
 
-	// unitary is the fully fused pure program (noiseless path).
+	// unitary is the fully fused pure program; nil unless noiseless, whose
+	// fast path is its only reader.
 	unitary *quantum.Program
-	// noisy is the trajectory program (per-shot path); empty when the
-	// calibration contributes no gate or decoherence error.
+	// noisy is the trajectory program the branch tree walks; nil when the
+	// calibration contributes no gate or decoherence error (noiseless).
 	noisy []trajStep
 	// readout is the classical confusion model, nil when every qubit reads
 	// out perfectly.
@@ -216,9 +217,14 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 		}
 		return nil, fmt.Errorf("device: %s: control electronics fault (injected)", d.name)
 	}
-	rng := rand.New(rand.NewSource(d.rng.Int63()))
+	seed := d.rng.Int63()
 	latency := d.execLatency
 	d.mu.Unlock()
+	// A pooled generator re-seeded with the job's draw yields the stream a
+	// fresh rand.NewSource(seed) would, without its 5 KB source per job.
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(seed)
 
 	_, compileSpan := trace.StartSpan(ctx, "engine-compile")
 	cj, hit, err := d.compiledFor(c)
@@ -280,6 +286,8 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	return &Result{Counts: counts, Shots: shots, DurationUs: cj.durPerShotUs * float64(shots)}, nil
 }
 
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // compiledFor returns the compiled job for the circuit against the current
 // calibration, compiling at most once across concurrent callers
 // (single-flight, like the QRM transpile cache). hit reports whether this
@@ -333,22 +341,23 @@ func (d *QPU) compiledFor(c *circuit.Circuit) (cj *compiledJob, hit bool, err er
 	return e.cj, false, e.err
 }
 
-// evictProgsLocked keeps the program cache bounded: completed entries from
-// superseded epochs go first (their calibration no longer exists), then
-// any completed entry — in both passes only until the cache is back under
-// its bound, so a full current-epoch working set is not flushed wholesale.
-// In-flight entries survive — evicting them would break single-flight.
+// evictProgsLocked keeps the program cache bounded. A full cache drops every
+// completed entry of a superseded epoch (their calibration no longer exists)
+// and then, if that was not enough, completed entries down to half the bound:
+// a loop of fresh-angle jobs keeps the cache full, and evicting one entry per
+// miss would walk all of it on every miss. In-flight entries survive —
+// evicting them would break single-flight.
 func (d *QPU) evictProgsLocked(currentEpoch uint64) {
+	if len(d.progs) < maxCompiledJobs {
+		return
+	}
 	for k, e := range d.progs {
-		if len(d.progs) < maxCompiledJobs {
-			return
-		}
 		if k.epoch != currentEpoch && e.completed() {
 			delete(d.progs, k)
 		}
 	}
 	for k, e := range d.progs {
-		if len(d.progs) < maxCompiledJobs {
+		if len(d.progs) <= maxCompiledJobs/2 {
 			return
 		}
 		if e.completed() {
@@ -367,12 +376,11 @@ func (e *progEntry) completed() bool {
 }
 
 // compileJob lowers a validated native circuit against a calibration
-// snapshot into a compiledJob.
+// snapshot into a compiledJob. The trajectory program comes first: whether it
+// holds a channel decides which of the two programs the job runs, and only
+// that one is kept.
 func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, error) {
-	compact, toPhysical, err := compactCircuit(c)
-	if err != nil {
-		return nil, err
-	}
+	compact, toPhysical := compactCircuit(c)
 	cj := &compiledJob{
 		toPhysical:   toPhysical,
 		durPerShotUs: d.estimateDurationUs(c, 1),
@@ -386,30 +394,27 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 		return cj, nil
 	}
 	cj.compactQubits = compact.NumQubits
-	if cj.unitary, err = circuit.Compile(compact); err != nil {
-		return nil, err
-	}
-	if cj.noisy, err = d.compileTrajectoryOps(compact, toPhysical, calib); err != nil {
+	noisy, err := d.compileTrajectoryOps(compact, toPhysical, calib)
+	if err != nil {
 		return nil, err
 	}
 	// Refuse channels wider than a site's scratch, and detect the noiseless
 	// case.
-	noiseSites := 0
-	for i := range cj.noisy {
-		s := &cj.noisy[i]
-		if !s.hasNoise() {
-			continue
-		}
-		noiseSites++
-		if len(s.ch.Kraus) > maxKrausBranches {
-			return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
+	for i := range noisy {
+		if s := &noisy[i]; s.hasNoise() {
+			if len(s.ch.Kraus) > maxKrausBranches {
+				return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
+			}
+			cj.noisy = noisy // at least one channel: trajectories needed
 		}
 	}
-	if noiseSites > 0 {
-		return cj, nil // at least one channel: trajectories needed
+	if cj.noisy != nil {
+		return cj, nil
 	}
 	cj.noiseless = true
-	cj.noisy = nil
+	if cj.unitary, err = circuit.Compile(compact); err != nil {
+		return nil, err
+	}
 	return cj, nil
 }
 
@@ -417,11 +422,36 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 // matrices with their calibration-derived channels. Virtual RZ runs fuse
 // into the following PRX matrix (RZ is error-free, so fusion does not move
 // any noise site); runs cut off by a CZ or the circuit end flush as bare
-// unitaries.
+// unitaries. A first pass over the gates counts the steps — a PRX is one, a
+// CZ one plus a site per qubit, an RZ run one only where it flushes — so the
+// program is allocated at its final length on a noisy device.
 func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, calib *Calibration) ([]trajStep, error) {
-	steps := make([]trajStep, 0, len(compact.Gates))
 	pending := make([]quantum.Matrix2, compact.NumQubits)
 	has := make([]bool, compact.NumQubits)
+	n := 0
+	countFlush := func(q int) {
+		if has[q] {
+			n++
+			has[q] = false
+		}
+	}
+	for _, g := range compact.Gates {
+		switch g.Name {
+		case circuit.OpRZ:
+			has[g.Qubits[0]] = true
+		case circuit.OpPRX:
+			n++
+			has[g.Qubits[0]] = false
+		case circuit.OpCZ:
+			n += 3
+			countFlush(g.Qubits[0])
+			countFlush(g.Qubits[1])
+		}
+	}
+	for q := range has {
+		countFlush(q)
+	}
+	steps := make([]trajStep, 0, n)
 	flush := func(q int) {
 		if has[q] {
 			steps = append(steps, trajStep{kind: stepGate, q: q, m: pending[q]})

@@ -59,11 +59,10 @@ func TestNoisyCompiledMatchesNaiveStatistically(t *testing.T) {
 	}
 }
 
-func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
-	qpu := New20Q(30)
-	// A hypothetically perfect calibration: no gate, decoherence, or readout
-	// error. The engine must detect it and take the simulate-once path even
-	// though the device is not a twin.
+// perfectCalibrationQPU is a non-twin device under a hypothetically perfect
+// calibration: no gate, decoherence, or readout error.
+func perfectCalibrationQPU(seed int64) *QPU {
+	qpu := New20Q(seed)
 	qpu.mu.Lock()
 	for q := range qpu.calib.Qubits {
 		qpu.calib.Qubits[q].F1Q = 1
@@ -76,6 +75,13 @@ func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
 		qpu.calib.Couplers[e] = cc
 	}
 	qpu.mu.Unlock()
+	return qpu
+}
+
+// The engine must detect a perfect calibration and take the simulate-once
+// path even though the device is not a twin.
+func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
+	qpu := perfectCalibrationQPU(30)
 	res, err := qpu.Execute(NativeGHZLine(5), 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +95,85 @@ func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
 	}
 	if st.FastPathShots != 2000 {
 		t.Errorf("fast-path shots = %d, want 2000", st.FastPathShots)
+	}
+}
+
+// TestCompileJobKeepsOnlyTheProgramItRuns: a compiled job holds the fused
+// unitary program exactly when it is noiseless (the fast path and its cached
+// distribution are that program's only readers) and the trajectory program
+// exactly when it is not.
+func TestCompileJobKeepsOnlyTheProgramItRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		qpu       *QPU
+		noiseless bool
+	}{
+		{"twin", NewTwin20Q(33), true},
+		{"zero-error calibration", perfectCalibrationQPU(33), true},
+		{"noisy", New20Q(33), false},
+	} {
+		c := NativeGHZLine(5)
+		cj, _, err := tc.qpu.compiledFor(c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if cj.noiseless != tc.noiseless || (cj.unitary != nil) != tc.noiseless || (cj.noisy != nil) == tc.noiseless {
+			t.Errorf("%s: noiseless=%v unitary=%v noisy=%d steps, want the unitary iff noiseless and the trajectory program iff not",
+				tc.name, cj.noiseless, cj.unitary != nil, len(cj.noisy))
+		}
+		if len(cj.noisy) != cap(cj.noisy) {
+			t.Errorf("%s: trajectory program holds %d steps in room for %d, want it allocated at its final length", tc.name, len(cj.noisy), cap(cj.noisy))
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := tc.qpu.Execute(c, 50); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		st := tc.qpu.ExecStats()
+		if want := map[bool]uint64{true: 2, false: 0}[tc.noiseless]; st.DistCacheHits != want {
+			t.Errorf("%s: dist-cache hits = %d over three jobs, want %d", tc.name, st.DistCacheHits, want)
+		}
+	}
+}
+
+// TestProgramCacheEvictionIsAmortised: a hybrid loop misses the program
+// cache on every job, so the cache is full for good after maxCompiledJobs of
+// them. Evicting must not walk the whole cache per miss: over N misses past
+// the bound, the entries walked (a full walk for each miss that evicted) stay
+// O(N). An in-flight entry is never the one to go.
+func TestProgramCacheEvictionIsAmortised(t *testing.T) {
+	const past = 2 * maxCompiledJobs
+	circs := freshAngleAnsatze(maxCompiledJobs+past, 4)
+	qpu := New20Q(34)
+	inFlight := progKey{fingerprint: 1, epoch: qpu.CalibEpoch()}
+	qpu.progs = map[progKey]*progEntry{inFlight: {ready: make(chan struct{})}}
+	size := func() int {
+		qpu.progMu.Lock()
+		defer qpu.progMu.Unlock()
+		return len(qpu.progs)
+	}
+	walks := 0
+	for i, c := range circs {
+		before := size()
+		if _, hit, err := qpu.compiledFor(c); err != nil || hit {
+			t.Fatalf("job %d: hit=%v err=%v, want a miss", i, hit, err)
+		}
+		after := size()
+		if after > maxCompiledJobs {
+			t.Fatalf("cache holds %d programs after job %d, bound is %d", after, i, maxCompiledJobs)
+		}
+		if after <= before {
+			walks++
+		}
+	}
+	if walked := walks * maxCompiledJobs; walked > 4*past {
+		t.Errorf("%d misses evicted, walking ~%d entries over %d misses past the bound: want at most %d (amortised O(1) per miss)",
+			walks, walked, past, 4*past)
+	}
+	qpu.progMu.Lock()
+	defer qpu.progMu.Unlock()
+	if qpu.progs[inFlight] == nil {
+		t.Error("an in-flight entry was evicted: single-flight broken")
 	}
 }
 

@@ -293,10 +293,7 @@ func (d *QPU) ExecuteNaive(c *circuit.Circuit, shots int) (*Result, error) {
 	// qubits stay |0> and only see readout noise. The compact circuit is
 	// semantically identical — outcomes are re-expanded to physical bit
 	// positions before readout corruption.
-	compact, toPhysical, err := compactCircuit(c)
-	if err != nil {
-		return nil, err
-	}
+	compact, toPhysical := compactCircuit(c)
 
 	counts := make(map[int]int)
 	var readout *quantum.ReadoutModel
@@ -336,47 +333,46 @@ func (d *QPU) ExecuteNaive(c *circuit.Circuit, shots int) (*Result, error) {
 	return &Result{Counts: counts, Shots: shots, DurationUs: dur}, nil
 }
 
-// compactCircuit rewrites c onto a register containing only the qubits it
-// touches. It returns the compact circuit and the compact→physical index
-// map, or (nil, nil) when the circuit touches no qubits.
-func compactCircuit(c *circuit.Circuit) (*circuit.Circuit, []int, error) {
-	used := map[int]bool{}
+// compactCircuit rewrites a validated c onto a register containing only the
+// qubits it touches. It returns the compact circuit and the compact→physical
+// index map, or (nil, nil) when the circuit touches no qubits.
+func compactCircuit(c *circuit.Circuit) (*circuit.Circuit, []int) {
+	// toCompact[q] is q's compact index plus one; zero marks an untouched qubit.
+	toCompact := make([]int, c.NumQubits)
+	used := 0
 	for _, g := range c.Gates {
 		if g.Name == circuit.OpBarrier {
 			continue
 		}
 		for _, q := range g.Qubits {
-			used[q] = true
+			if toCompact[q] == 0 {
+				toCompact[q] = 1
+				used++
+			}
 		}
 	}
-	if len(used) == 0 {
-		return nil, nil, nil
+	if used == 0 {
+		return nil, nil
 	}
-	toPhysical := make([]int, 0, len(used))
-	for q := 0; q < c.NumQubits; q++ {
-		if used[q] {
+	toPhysical := make([]int, 0, used)
+	for q, u := range toCompact {
+		if u != 0 {
 			toPhysical = append(toPhysical, q)
+			toCompact[q] = len(toPhysical)
 		}
 	}
-	toCompact := make(map[int]int, len(toPhysical))
-	for i, p := range toPhysical {
-		toCompact[p] = i
-	}
-	out := circuit.New(len(toPhysical), c.Name)
+	out := circuit.NewLike(c, used)
 	for _, g := range c.Gates {
 		if g.Name == circuit.OpBarrier {
 			continue // barriers carry no execution semantics here
 		}
-		ng := g
-		ng.Qubits = make([]int, len(g.Qubits))
-		for i, q := range g.Qubits {
-			ng.Qubits[i] = toCompact[q]
-		}
-		if err := out.AddGate(ng); err != nil {
-			return nil, nil, err
+		out.Append(g.Name, g.Params, g.Qubits...)
+		qs := out.Gates[len(out.Gates)-1].Qubits
+		for i, q := range qs {
+			qs[i] = toCompact[q] - 1
 		}
 	}
-	return out, toPhysical, nil
+	return out, toPhysical
 }
 
 // runShot applies the compact circuit with trajectory noise onto st.

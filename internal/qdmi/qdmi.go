@@ -40,6 +40,9 @@ type Interface interface {
 type Device struct {
 	qpu   *device.QPU
 	store *telemetry.Store
+	// props is built once: the topology is immutable, and the scheduler reads
+	// the width of every device on each submit.
+	props Properties
 
 	// mu guards the memoised target: one per calibration epoch, shared by
 	// every transpile of that epoch (the transpiler only reads it).
@@ -50,19 +53,18 @@ type Device struct {
 
 // NewDevice wraps a QPU. store may be nil (no telemetry publication).
 func NewDevice(qpu *device.QPU, store *telemetry.Store) *Device {
-	return &Device{qpu: qpu, store: store}
+	return &Device{qpu: qpu, store: store, props: Properties{
+		Name:        qpu.Name(),
+		NumQubits:   qpu.NumQubits(),
+		NativeOps:   []string{"prx", "rz", "cz", "measure"},
+		CouplingMap: qpu.Topology().CouplingMap(),
+		DigitalTwin: qpu.IsTwin(),
+	}}
 }
 
-// Properties implements Interface.
-func (d *Device) Properties() Properties {
-	return Properties{
-		Name:        d.qpu.Name(),
-		NumQubits:   d.qpu.NumQubits(),
-		NativeOps:   []string{"prx", "rz", "cz", "measure"},
-		CouplingMap: d.qpu.Topology().CouplingMap(),
-		DigitalTwin: d.qpu.IsTwin(),
-	}
-}
+// Properties implements Interface. Every call returns the same NativeOps
+// slice and CouplingMap: callers must not modify them.
+func (d *Device) Properties() Properties { return d.props }
 
 // Target implements Interface: it snapshots the live calibration so that the
 // transpiler's fidelity-aware placement sees the device as it is now — the

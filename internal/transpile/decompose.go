@@ -24,7 +24,12 @@ func Decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	out := circuit.New(c.NumQubits, c.Name)
+	return decompose(c)
+}
+
+// decompose is Decompose for a circuit its caller has validated.
+func decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
+	out := circuit.NewLike(c, c.NumQubits)
 	for _, g := range c.Gates {
 		if err := lowerGate(out, g); err != nil {
 			return nil, err
@@ -38,11 +43,14 @@ func lowerGate(out *circuit.Circuit, g circuit.Gate) error {
 		out.RZ(q, math.Pi)
 		out.PRX(q, math.Pi/2, math.Pi/2)
 	}
+	emitCNOT := func(c, t int) {
+		emitH(t)
+		out.CZ(c, t)
+		emitH(t)
+	}
 	switch g.Name {
-	case circuit.OpBarrier:
-		return out.AddGate(g)
-	case circuit.OpPRX, circuit.OpRZ, circuit.OpCZ:
-		return out.AddGate(g)
+	case circuit.OpBarrier, circuit.OpPRX, circuit.OpRZ, circuit.OpCZ:
+		out.Append(g.Name, g.Params, g.Qubits...)
 	case circuit.OpH:
 		emitH(g.Qubits[0])
 	case circuit.OpX:
@@ -70,55 +78,38 @@ func lowerGate(out *circuit.Circuit, g circuit.Gate) error {
 		out.PRX(q, g.Params[0], math.Pi/2)
 		out.RZ(q, g.Params[1])
 	case circuit.OpCNOT:
-		c, t := g.Qubits[0], g.Qubits[1]
-		emitH(t)
-		out.CZ(c, t)
-		emitH(t)
+		emitCNOT(g.Qubits[0], g.Qubits[1])
 	case circuit.OpCRZ:
 		// CRZ(θ) = [RZ(θ/2) on t] · CNOT · [RZ(-θ/2) on t] · CNOT.
 		c, t := g.Qubits[0], g.Qubits[1]
 		theta := g.Params[0]
 		out.RZ(t, theta/2)
-		emitH(t)
-		out.CZ(c, t)
-		emitH(t)
+		emitCNOT(c, t)
 		out.RZ(t, -theta/2)
-		emitH(t)
-		out.CZ(c, t)
-		emitH(t)
+		emitCNOT(c, t)
 	case circuit.OpCCX:
-		// Canonical 6-CNOT Toffoli, expressed over IR gates and lowered
-		// recursively so only native gates are emitted.
-		a, b2, t := g.Qubits[0], g.Qubits[1], g.Qubits[2]
-		sub := []circuit.Gate{
-			{Name: circuit.OpH, Qubits: []int{t}},
-			{Name: circuit.OpCNOT, Qubits: []int{b2, t}},
-			{Name: circuit.OpTdag, Qubits: []int{t}},
-			{Name: circuit.OpCNOT, Qubits: []int{a, t}},
-			{Name: circuit.OpT, Qubits: []int{t}},
-			{Name: circuit.OpCNOT, Qubits: []int{b2, t}},
-			{Name: circuit.OpTdag, Qubits: []int{t}},
-			{Name: circuit.OpCNOT, Qubits: []int{a, t}},
-			{Name: circuit.OpT, Qubits: []int{b2}},
-			{Name: circuit.OpT, Qubits: []int{t}},
-			{Name: circuit.OpH, Qubits: []int{t}},
-			{Name: circuit.OpCNOT, Qubits: []int{a, b2}},
-			{Name: circuit.OpT, Qubits: []int{a}},
-			{Name: circuit.OpTdag, Qubits: []int{b2}},
-			{Name: circuit.OpCNOT, Qubits: []int{a, b2}},
-		}
-		for _, sg := range sub {
-			if err := lowerGate(out, sg); err != nil {
-				return err
-			}
-		}
+		// Canonical 6-CNOT Toffoli: H(t), then T/T† (RZ(±π/4)) between CNOTs.
+		a, b, t := g.Qubits[0], g.Qubits[1], g.Qubits[2]
+		emitH(t)
+		emitCNOT(b, t)
+		out.RZ(t, -math.Pi/4)
+		emitCNOT(a, t)
+		out.RZ(t, math.Pi/4)
+		emitCNOT(b, t)
+		out.RZ(t, -math.Pi/4)
+		emitCNOT(a, t)
+		out.RZ(b, math.Pi/4)
+		out.RZ(t, math.Pi/4)
+		emitH(t)
+		emitCNOT(a, b)
+		out.RZ(a, math.Pi/4)
+		out.RZ(b, -math.Pi/4)
+		emitCNOT(a, b)
 	case circuit.OpSWAP:
 		a, b := g.Qubits[0], g.Qubits[1]
-		for _, pair := range [][2]int{{a, b}, {b, a}, {a, b}} {
-			emitH(pair[1])
-			out.CZ(pair[0], pair[1])
-			emitH(pair[1])
-		}
+		emitCNOT(a, b)
+		emitCNOT(b, a)
+		emitCNOT(a, b)
 	default:
 		return fmt.Errorf("transpile: no decomposition for gate %q", g.Name)
 	}

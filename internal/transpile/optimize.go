@@ -19,77 +19,59 @@ const angleEps = 1e-12
 //   - adjacent identical CZ pairs cancel (CZ² = I).
 //
 // "Consecutive" means no intervening gate touches the involved qubits.
-// Barriers block all merging across them.
+// Barriers block all merging across them. The input is only read: every pass
+// writes a circuit of its own.
 func Optimize(c *circuit.Circuit) *circuit.Circuit {
-	cur := c.Clone()
 	for {
-		next, changed := optimizeOnce(cur)
+		next, changed := optimizeOnce(c)
 		if !changed {
 			return next
 		}
-		cur = next
+		c = next
 	}
 }
 
 func optimizeOnce(c *circuit.Circuit) (*circuit.Circuit, bool) {
-	out := circuit.New(c.NumQubits, c.Name)
+	out := circuit.NewLike(c, c.NumQubits)
 	// lastGate[q] is the index in out.Gates of the last gate touching q,
 	// or -1.
 	lastGate := make([]int, c.NumQubits)
 	for i := range lastGate {
 		lastGate[i] = -1
 	}
-	deleted := map[int]bool{}
+	// A cancelled gate stays in out as a nameless tombstone, so the indices in
+	// lastGate hold, until the compaction below; nothing reads one, because
+	// cancelling clears lastGate for every qubit the gate touched.
+	cancelled := 0
+	cancel := func(li int) {
+		for _, q := range out.Gates[li].Qubits {
+			lastGate[q] = -1
+		}
+		out.Gates[li].Name = ""
+		cancelled++
+	}
 	changed := false
 
-	touch := func(idx int, qubits []int) {
-		for _, q := range qubits {
-			lastGate[q] = idx
-		}
-	}
-
 	for _, g := range c.Gates {
-		if g.Name == circuit.OpBarrier {
-			idx := len(out.Gates)
-			out.Gates = append(out.Gates, g)
-			if len(g.Qubits) == 0 {
-				for q := range lastGate {
-					lastGate[q] = idx
-				}
-			} else {
-				touch(idx, g.Qubits)
+		idx := len(out.Gates)
+		if g.Name == circuit.OpBarrier && len(g.Qubits) == 0 {
+			out.Append(g.Name, g.Params)
+			for q := range lastGate {
+				lastGate[q] = idx
 			}
 			continue
 		}
 		switch g.Name {
-		case circuit.OpRZ:
-			q := g.Qubits[0]
-			if li := lastGate[q]; li >= 0 && !deleted[li] && out.Gates[li].Name == circuit.OpRZ && out.Gates[li].Qubits[0] == q {
-				sum := normAngle(out.Gates[li].Params[0] + g.Params[0])
+		case circuit.OpRZ, circuit.OpPRX:
+			// Params[0] is the rotation angle of both; a PRX also has to
+			// agree on its phase axis to merge.
+			if li := lastGate[g.Qubits[0]]; li >= 0 && out.Gates[li].Name == g.Name &&
+				(g.Name == circuit.OpRZ || math.Abs(normAngle(out.Gates[li].Params[1]-g.Params[1])) < angleEps) {
 				changed = true
-				if math.Abs(sum) < angleEps {
-					deleted[li] = true
-					lastGate[q] = -1
+				if sum := normAngle(out.Gates[li].Params[0] + g.Params[0]); math.Abs(sum) < angleEps {
+					cancel(li)
 				} else {
-					out.Gates[li].Params = []float64{sum}
-				}
-				continue
-			}
-			if math.Abs(normAngle(g.Params[0])) < angleEps {
-				changed = true
-				continue
-			}
-		case circuit.OpPRX:
-			q := g.Qubits[0]
-			if li := lastGate[q]; li >= 0 && !deleted[li] && out.Gates[li].Name == circuit.OpPRX && out.Gates[li].Qubits[0] == q &&
-				math.Abs(normAngle(out.Gates[li].Params[1]-g.Params[1])) < angleEps {
-				sum := normAngle(out.Gates[li].Params[0] + g.Params[0])
-				changed = true
-				if math.Abs(sum) < angleEps {
-					deleted[li] = true
-					lastGate[q] = -1
-				} else {
-					out.Gates[li].Params = []float64{sum, out.Gates[li].Params[1]}
+					out.Gates[li].Params[0] = sum
 				}
 				continue
 			}
@@ -98,32 +80,29 @@ func optimizeOnce(c *circuit.Circuit) (*circuit.Circuit, bool) {
 				continue
 			}
 		case circuit.OpCZ:
-			a, b := g.Qubits[0], g.Qubits[1]
-			la, lb := lastGate[a], lastGate[b]
-			if la >= 0 && la == lb && !deleted[la] && out.Gates[la].Name == circuit.OpCZ &&
-				sameEdge(out.Gates[la].Qubits, g.Qubits) {
-				deleted[la] = true
-				lastGate[a], lastGate[b] = -1, -1
+			la, lb := lastGate[g.Qubits[0]], lastGate[g.Qubits[1]]
+			if la >= 0 && la == lb && out.Gates[la].Name == circuit.OpCZ && sameEdge(out.Gates[la].Qubits, g.Qubits) {
+				cancel(la)
 				changed = true
 				continue
 			}
 		}
-		idx := len(out.Gates)
-		out.Gates = append(out.Gates, g)
-		touch(idx, g.Qubits)
+		out.Append(g.Name, g.Params, g.Qubits...)
+		for _, q := range g.Qubits {
+			lastGate[q] = idx
+		}
 	}
 
-	if len(deleted) == 0 && !changed {
-		return out, false
-	}
-	final := circuit.New(c.NumQubits, c.Name)
-	for i, g := range out.Gates {
-		if deleted[i] {
-			continue
+	if cancelled > 0 {
+		kept := out.Gates[:0]
+		for _, g := range out.Gates {
+			if g.Name != "" {
+				kept = append(kept, g)
+			}
 		}
-		final.Gates = append(final.Gates, g)
+		out.Gates = kept
 	}
-	return final, true
+	return out, changed
 }
 
 func sameEdge(a, b []int) bool {

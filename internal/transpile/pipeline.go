@@ -40,8 +40,10 @@ func (s Stats) String() string {
 }
 
 // Transpile runs the full pipeline: decompose → place → route → decompose
-// (lowering routing SWAPs) → optimize. The result is a native circuit over
-// the physical register, executable by the device.
+// (only when routing inserted SWAPs to lower) → optimize. The circuit is
+// validated here, once; the passes trust what they are handed and what they
+// build. The result is a native circuit over the physical register,
+// executable by the device.
 func Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -55,7 +57,7 @@ func Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
 		Input2Q:    c.TwoQubitCount(),
 	}
 
-	lowered, err := Decompose(c)
+	lowered, err := decompose(c)
 	if err != nil {
 		return nil, err
 	}
@@ -63,13 +65,15 @@ func Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	routed, err := RouteWith(lowered, t, layout, opts.Routing)
+	routed, err := routeWith(lowered, t, layout, opts.Routing)
 	if err != nil {
 		return nil, err
 	}
-	native, err := Decompose(routed.Circuit)
-	if err != nil {
-		return nil, err
+	native := routed.Circuit
+	if routed.SwapsInserted > 0 {
+		if native, err = decompose(native); err != nil {
+			return nil, err
+		}
 	}
 	final := native
 	if !opts.SkipOptimize {

@@ -50,6 +50,11 @@ func RouteWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	return routeWith(c, t, layout, strategy)
+}
+
+// routeWith is RouteWith for a circuit its caller has validated.
+func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStrategy) (*RouteResult, error) {
 	if len(layout) < c.NumQubits {
 		return nil, fmt.Errorf("transpile: layout covers %d qubits, circuit needs %d", len(layout), c.NumQubits)
 	}
@@ -57,24 +62,12 @@ func RouteWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 	copy(phys, layout)
 	inv := phys.Inverse(t.NumQubits)
 
-	out := circuit.New(t.NumQubits, c.Name)
+	out := circuit.NewLike(c, t.NumQubits)
 	swaps := 0
 	for i, g := range c.Gates {
-		switch len(g.Qubits) {
-		case 0:
-			if err := out.AddGate(g); err != nil {
-				return nil, err
-			}
-		case 1:
-			ng := g
-			ng.Qubits = []int{phys[g.Qubits[0]]}
-			if err := out.AddGate(ng); err != nil {
-				return nil, err
-			}
-		case 2:
+		if len(g.Qubits) == 2 {
 			a, b := g.Qubits[0], g.Qubits[1]
-			pa, pb := phys[a], phys[b]
-			if !t.Connected(pa, pb) {
+			if pa, pb := phys[a], phys[b]; !t.Connected(pa, pb) {
 				var path []int
 				var err error
 				if strategy == RouteFidelityWeighted {
@@ -88,9 +81,7 @@ func RouteWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 				// Walk pa along the path until adjacent to pb.
 				for step := 0; step < len(path)-2; step++ {
 					from, to := path[step], path[step+1]
-					if err := out.AddGate(circuit.Gate{Name: circuit.OpSWAP, Qubits: []int{from, to}}); err != nil {
-						return nil, err
-					}
+					out.Append(circuit.OpSWAP, nil, from, to)
 					swaps++
 					// Update the logical<->physical maps.
 					la, lb := inv[from], inv[to]
@@ -102,26 +93,17 @@ func RouteWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 					}
 					inv[from], inv[to] = lb, la
 				}
-				pa, pb = phys[a], phys[b]
-				if !t.Connected(pa, pb) {
+				if pa, pb = phys[a], phys[b]; !t.Connected(pa, pb) {
 					return nil, fmt.Errorf("transpile: gate %d: routing failed to make %d,%d adjacent", i, pa, pb)
 				}
 			}
-			ng := g
-			ng.Qubits = []int{pa, pb}
-			if err := out.AddGate(ng); err != nil {
-				return nil, err
-			}
-		default:
-			// Barrier over named qubits: remap each.
-			ng := g
-			ng.Qubits = make([]int, len(g.Qubits))
-			for j, q := range g.Qubits {
-				ng.Qubits[j] = phys[q]
-			}
-			if err := out.AddGate(ng); err != nil {
-				return nil, err
-			}
+		}
+		// Every operand (a barrier may name any number) moves to where its
+		// logical qubit now lives.
+		out.Append(g.Name, g.Params, g.Qubits...)
+		qs := out.Gates[len(out.Gates)-1].Qubits
+		for j, q := range qs {
+			qs[j] = phys[q]
 		}
 	}
 	return &RouteResult{
