@@ -32,6 +32,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(appendFrame(nil, 7, nil))       // empty payload (no kind byte)
 	f.Add(appendFrame(nil, 1, []byte(`I{"key":"k","job_id":1}`)))
 	f.Add(appendFrame(nil, 1, []byte(`F{"job":{"id":1,"status":"pending","idem_key":"k"}}`)))
+	// Status spellings: "pending" is what queued was called before the
+	// lifecycle had one spelling (it must re-queue), and a status nobody ever
+	// wrote must re-queue too — never pass for terminal.
+	f.Add(appendFrame(nil, 1, []byte(`F{"submit_unix_ms":7,"job":{"id":2,"status":"pending","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"}}}`)))
+	f.Add(appendFrame(nil, 1, []byte(`F{"job":{"id":3,"status":"finished?","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"}}}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -43,13 +48,28 @@ func FuzzWALReplay(f *testing.F) {
 			// I/O errors are legal; panics and hangs are the bug class.
 			return
 		}
+		history := 0
 		for _, j := range rec.FleetJobs {
 			if j == nil {
 				t.Fatal("replay surfaced a nil job")
 			}
+			if j.Status == "pending" {
+				t.Fatalf("job %d replayed with the legacy spelling", j.ID)
+			}
+			if s := j.Status; j.ID > 0 && (s == fleet.JobDone || s == fleet.JobFailed || s == fleet.JobCancelled) {
+				history++
+			}
+		}
+		// Only the three terminal spellings are history; whatever else a
+		// frame claims, the scheduler re-queues it (no devices: it parks).
+		sched := fleet.New(fleet.PolicyBestFidelity, nil)
+		rs, err := sched.Restore(rec.FleetJobs)
+		sched.Stop()
+		if err != nil || rs.Terminal != history {
+			t.Fatalf("restore = %+v (%v), want %d terminal", rs, err, history)
 		}
 		// The store must stay writable after swallowing garbage.
-		st.JournalFleetJob(&fleet.Job{ID: 999, Status: fleet.JobPending})
+		st.JournalFleetJob(&fleet.Job{ID: 999, Status: fleet.JobQueued})
 		if err := st.Close(); err != nil {
 			t.Fatalf("close after garbage replay: %v", err)
 		}

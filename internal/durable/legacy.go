@@ -11,7 +11,7 @@ import (
 // single-device daemon journaled before every deployment became a fleet —
 // into the fleet record that replaces it. The job keeps its original ID.
 // Work the crash caught in flight (queued, compiling, running) becomes
-// pending so fleet.Scheduler.Restore re-queues it; terminal jobs carry
+// queued so fleet.Scheduler.Restore re-queues it; terminal jobs carry
 // their device-level record as the result, with interrupted surfacing as
 // the retryable restart failure.
 func legacyFleetJob(body []byte) (fleetJobRecord, bool) {
@@ -29,19 +29,14 @@ func legacyFleetJob(body []byte) (fleetJobRecord, bool) {
 	j := &fleet.Job{
 		ID: src.ID, Request: src.Request, Node: r.Job.Node, Error: src.Error,
 	}
-	switch src.Status {
-	case qrm.StatusDone:
-		j.Status = fleet.JobDone
-	case qrm.StatusCancelled:
-		j.Status = fleet.JobCancelled
-	case qrm.StatusFailed:
-		j.Status = fleet.JobFailed
-	case qrm.StatusInterrupted:
+	// done, failed and cancelled are spelled alike on a device leg and a job.
+	j.Status = fleet.JobStatus(src.Status)
+	if src.Status == qrm.StatusInterrupted {
 		j.Status, j.Error = fleet.JobFailed, qrm.ErrInterruptedMsg
-	default:
-		j.Status, j.Error = fleet.JobPending, ""
+	} else if !j.Status.Terminal() {
+		j.Status, j.Error = fleet.JobQueued, ""
 	}
-	if j.Status != fleet.JobPending {
+	if j.Status.Terminal() {
 		j.Result = &src
 	}
 	return fleetJobRecord{SubmitUnixMs: r.SubmitUnixMs, Job: j}, true

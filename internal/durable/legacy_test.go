@@ -63,11 +63,11 @@ func TestLegacyQRMRecordsUpgrade(t *testing.T) {
 	if len(rec.FleetJobs) != 4 || len(byID) != 4 {
 		t.Fatalf("recovered %d jobs (%d distinct), want 4", len(rec.FleetJobs), len(byID))
 	}
-	if j := byID[1]; j.Status != fleet.JobPending || j.Result != nil || j.SubmitUnixMs != 4242 ||
+	if j := byID[1]; j.Status != fleet.JobQueued || j.Result != nil || j.SubmitUnixMs != 4242 ||
 		j.Request.Shots != 5 || j.Request.Circuit == nil {
 		t.Errorf("queued job converted wrong: %+v", j)
 	}
-	if j := byID[2]; j.Status != fleet.JobPending || j.Result != nil || j.Node != "node-a" {
+	if j := byID[2]; j.Status != fleet.JobQueued || j.Result != nil || j.Node != "node-a" {
 		t.Errorf("running job converted wrong: %+v", j)
 	}
 	if j := byID[3]; j.Status != fleet.JobDone || j.Result == nil ||
@@ -216,6 +216,88 @@ func TestLegacyBatchRecordsReplay(t *testing.T) {
 		}
 		if bytes.Contains(data, []byte("batch_id")) {
 			t.Errorf("job %d still encodes batch_id: %s", j.ID, data)
+		}
+	}
+}
+
+// TestLegacyPendingSpelling opens testdata/parent-keyed — written when a
+// queued job was journaled as "pending" — cut at the two frames a kill -9
+// could have left job 5 in flight on: its "pending" submit record and its
+// "routed" placement. Either way the store must open, job 5 must re-queue
+// under its own ID with the status spelled "queued", the keys must still
+// replay, and one Compact must leave no "pending" on disk.
+func TestLegacyPendingSpelling(t *testing.T) {
+	src := filepath.Join("testdata", "parent-keyed")
+	journal, err := os.ReadFile(filepath.Join(src, segmentName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame ends, and which of them close an in-flight record of job 5.
+	var cuts []int
+	off := 0
+	readFrames(journal, func(lsn uint64, payload []byte) {
+		off += len(appendFrame(nil, lsn, payload))
+		for _, st := range []string{"pending", "routed"} {
+			if bytes.HasPrefix(payload, []byte(`F{"submit_unix_ms":1790911298343,"job":{"id":5,"status":"`+st+`"`)) {
+				cuts = append(cuts, off)
+			}
+		}
+	})
+	if len(cuts) != 2 || !bytes.Contains(journal[:cuts[0]], []byte(`"status":"pending"`)) {
+		t.Fatalf("fixture lost its in-flight frames of job 5 (cuts %v)", cuts)
+	}
+	for i, cut := range cuts {
+		dir := copyDir(t, src)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(2)), journal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, rec, err := Open(dir, Options{Sync: SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []fleet.JobStatus{fleet.JobQueued, fleet.JobRouted}[i]
+		for _, j := range rec.FleetJobs {
+			if j.ID == 5 && j.Status != want {
+				t.Errorf("cut %d: job 5 replayed as %q, want %q", i, j.Status, want)
+			} else if j.ID != 5 && j.Status != fleet.JobDone {
+				t.Errorf("cut %d: job %d replayed as %q, want done", i, j.ID, j.Status)
+			}
+		}
+		// No devices: the re-queued job parks, which is all this test needs.
+		f := fleet.New(fleet.PolicyBestFidelity, nil)
+		f.AttachStore(st)
+		rs, err := f.Restore(rec.FleetJobs)
+		if err != nil || rs.Requeued != 1 || rs.Terminal != 4 {
+			t.Fatalf("cut %d: restore = %+v (%v), want 1 re-queued + 4 terminal", i, rs, err)
+		}
+		if j, err := f.Job(5); err != nil || j.Status != fleet.JobQueued || !j.Recovered {
+			t.Errorf("cut %d: job 5 after restore = %+v (%v), want queued and recovered", i, j, err)
+		}
+		if id, replayed, err := f.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4}, fleet.SubmitOptions{IdemKey: "wal-key-1"}); err != nil || !replayed || id != 4 {
+			t.Errorf("cut %d: retry of wal-key-1 = job %d replayed %v (%v), want job 4 replayed", i, id, replayed, err)
+		}
+		if m := f.Metrics(); m.IllegalTransitions != 0 {
+			t.Errorf("cut %d: IllegalTransitions = %d, want 0", i, m.IllegalTransitions)
+		}
+		if err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		f.Stop()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(data, []byte("pending")) {
+				t.Errorf("cut %d: %s still says \"pending\" after compaction", i, ent.Name())
+			}
 		}
 	}
 }

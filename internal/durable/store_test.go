@@ -26,8 +26,8 @@ func TestStoreRoundtrip(t *testing.T) {
 	if len(rec.FleetJobs) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
-	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending, SubmitUnixMs: 1111, IdemKey: "key-a"})
-	st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending})
+	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobQueued, SubmitUnixMs: 1111, IdemKey: "key-a"})
+	st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobQueued})
 	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobDone, SubmitUnixMs: 1111, IdemKey: "key-a"})
 	lsn := st.JournalFleetJob(&fleet.Job{ID: 7, Status: fleet.JobRouted, Device: "dev-0"})
 	st.WaitDurable(lsn)
@@ -51,7 +51,7 @@ func TestStoreRoundtrip(t *testing.T) {
 	if j := byID[1]; j == nil || j.Status != fleet.JobDone || j.SubmitUnixMs != 1111 {
 		t.Fatalf("job 1 recovered wrong: %+v", byID[1])
 	}
-	if j := byID[2]; j == nil || j.Status != fleet.JobPending {
+	if j := byID[2]; j == nil || j.Status != fleet.JobQueued {
 		t.Fatalf("job 2 recovered wrong: %+v", byID[2])
 	}
 	if j := byID[7]; j == nil || j.Status != fleet.JobRouted || j.Device != "dev-0" {
@@ -92,7 +92,7 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatalf("compact stats wrong: %+v", stats)
 	}
 	// A post-compaction record must land in the fresh segment and survive.
-	st.JournalFleetJob(&fleet.Job{ID: 11, Status: fleet.JobPending})
+	st.JournalFleetJob(&fleet.Job{ID: 11, Status: fleet.JobQueued})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +289,9 @@ func TestStoreAbandonSwallowsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending})
+	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobQueued})
 	st.Abandon()
-	if got := st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending}); got != lsn {
+	if got := st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobQueued}); got != lsn {
 		t.Fatalf("journal after abandon advanced the lsn: %d -> %d", lsn, got)
 	}
 	st.WaitDurable(lsn + 50) // must not hang

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/qrm"
 )
 
 // TestNoDoubleClaimUnderFailoverAndDrain is the claim-conservation
@@ -57,7 +55,7 @@ func runClaimChaos(t *testing.T, seed int64) {
 	}
 
 	sub := s.Events().Subscribe(0, 1<<14)
-	var events []qrm.Event
+	var events []Event
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
@@ -132,7 +130,7 @@ func runClaimChaos(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatalf("job %d: %v", id, err)
 		}
-		if !terminal(j.Status) {
+		if !j.Status.Terminal() {
 			t.Fatalf("job %d non-terminal after Wait: %s", id, j.Status)
 		}
 		counts[j.Status]++
@@ -171,22 +169,15 @@ func runClaimChaos(t *testing.T, seed int64) {
 	if n := sub.Dropped(); n != 0 {
 		t.Fatalf("event collector dropped %d; widen the buffer (accounting needs every event)", n)
 	}
-	terminalSeq := map[int]uint64{}
+	audit := newLifecycleAudit(t, nil)
 	for _, ev := range events {
-		if at, seen := terminalSeq[ev.JobID]; seen && ev.Seq > at {
-			t.Errorf("job %d: event %q→%q (seq %d) after its terminal event (seq %d)",
-				ev.JobID, ev.From, ev.To, ev.Seq, at)
-		}
-		switch JobStatus(ev.To) {
-		case JobDone, JobFailed, JobCancelled:
-			if _, dup := terminalSeq[ev.JobID]; dup {
-				t.Errorf("job %d: second terminal event %q→%q", ev.JobID, ev.From, ev.To)
-			}
-			terminalSeq[ev.JobID] = ev.Seq
-		}
+		audit.observe(ev)
 	}
-	if len(terminalSeq) != total {
-		t.Errorf("terminal events for %d jobs, want %d", len(terminalSeq), total)
+	if len(audit.settled) != total {
+		t.Errorf("terminal events for %d jobs, want %d", len(audit.settled), total)
+	}
+	if m.IllegalTransitions != 0 {
+		t.Errorf("IllegalTransitions = %d, want 0", m.IllegalTransitions)
 	}
 	t.Logf("seed %d: %d done, %d failed, %d migrations, %d events",
 		seed, m.Completed, m.Failed, m.Migrated, len(events))

@@ -1,26 +1,25 @@
-package qrm
+package fleet
 
 import "sync"
 
-// This file is the job event bus behind the v2 watch API. The fleet
-// scheduler owns the one instance: every lifecycle transition it makes is
-// published as an Event, and subscribers — REST watch streams, local
+// This file is the job event bus behind the v2 watch API. The scheduler
+// owns the one instance: transitionLocked publishes every lifecycle
+// transition as an Event, and subscribers — REST watch streams, local
 // JobHandle.Watch, tests — receive it without polling the job record. The
 // bus is deliberately lossy for slow consumers: Publish never blocks the
 // publisher, so a subscriber that stops draining its channel drops events
 // (counted per subscription) instead of wedging the scheduler.
 
-// Event is one job lifecycle transition. From/To are the fleet's status
-// strings (pending/routed/done/failed/cancelled).
+// Event is one job lifecycle transition, an edge of the lifecycle table.
 type Event struct {
 	// Seq is the bus-assigned publication order (monotonic, starts at 1).
 	Seq uint64 `json:"seq"`
 	// JobID is the fleet-scoped job ID.
 	JobID int `json:"job_id"`
 	// From is the status the job left ("" for the submission event).
-	From string `json:"from,omitempty"`
+	From JobStatus `json:"from,omitempty"`
 	// To is the status the job entered.
-	To string `json:"to"`
+	To JobStatus `json:"to"`
 	// Device names the backend involved, when the publisher knows it.
 	Device string `json:"device,omitempty"`
 	// Reason qualifies the transition (e.g. "migrated", "parked",
@@ -150,13 +149,6 @@ func (b *EventBus) Publish(ev Event) {
 			b.droppedTotal++
 		}
 	}
-}
-
-// Subscribers reports the live subscription count.
-func (b *EventBus) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
 }
 
 // Close shuts the bus down, closing every subscriber channel. Further

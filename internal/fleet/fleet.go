@@ -48,32 +48,15 @@ const (
 	DeviceFailed DeviceState = "failed"
 )
 
-// JobStatus tracks a fleet job. A job is terminal in done/failed/cancelled;
-// pending jobs are parked waiting for an eligible device, routed jobs sit on
-// some device's QRM queue (or are executing there).
-type JobStatus string
-
-const (
-	JobPending   JobStatus = "pending"
-	JobRouted    JobStatus = "routed"
-	JobDone      JobStatus = "done"
-	JobFailed    JobStatus = "failed"
-	JobCancelled JobStatus = "cancelled"
-)
-
-func terminal(s JobStatus) bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
-
-// Job is the fleet's record of one submission: the routing envelope plus,
-// once terminal, the device-level record under Result.
+// Job is the fleet's record of one submission: the routing envelope plus
+// the device-level record under Result — final once the job is terminal,
+// the live leg on the copy Scheduler.Job returns of a routed job.
 type Job struct {
-	ID     int       `json:"id"`
+	ID int `json:"id"`
+	// Status is written by transitionLocked only (lifecycle.go).
 	Status JobStatus `json:"status"`
 	// Device is the backend currently (or finally) holding the job.
 	Device string `json:"device,omitempty"`
-	// LocalID is the job's ID in that device's QRM.
-	LocalID int `json:"local_id,omitempty"`
 	// Migrations counts drain/failover re-routes this job survived.
 	Migrations int `json:"migrations,omitempty"`
 	// Score is the fidelity estimate the router computed for the chosen
@@ -81,7 +64,7 @@ type Job struct {
 	Score   float64     `json:"score,omitempty"`
 	Pinned  string      `json:"pinned,omitempty"`
 	Request qrm.Request `json:"request"`
-	// Result is the terminal device-level record (counts, layout, timings).
+	// Result is the device-level record (counts, layout, timings).
 	Result *qrm.Job `json:"result,omitempty"`
 	Error  string   `json:"error,omitempty"`
 
@@ -108,8 +91,8 @@ type Job struct {
 	// recovered jobs — they were on disk before this process started.
 	ackLSN uint64
 	// handle is the job on its current device's QRM, held for the life of
-	// the on-device leg: monitor waits on it, Cancel and DeviceRecord go
-	// through it, finalizeLocked and migrateLocked drop it (zero otherwise).
+	// the on-device leg: monitor waits on it, Cancel and Job go through it,
+	// finalizeLocked and migrateLocked drop it (zero otherwise).
 	handle qrm.Handle
 
 	// tr is the job's span tree, owned (and retained at terminal) by the
@@ -194,7 +177,7 @@ type Scheduler struct {
 
 	store     *telemetry.Store
 	scoreHist *telemetry.Histogram
-	bus       *qrm.EventBus // fleet-scoped lifecycle events (routing, migrations)
+	bus       *EventBus // every lifecycle transition (transitionLocked)
 
 	submitted uint64
 	routed    uint64
@@ -204,6 +187,7 @@ type Scheduler struct {
 	failures  uint64
 	cancelled uint64
 	shed      uint64
+	illegal   uint64 // transitions taken that the lifecycle table does not list
 
 	// admission is forwarded to every device manager (current and future);
 	// zero values = unbounded, the default.
@@ -239,17 +223,16 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 		idem:      make(map[string]int),
 		store:     store,
 		scoreHist: scoreHistogram(),
-		bus:       qrm.NewEventBus(),
+		bus:       NewEventBus(),
 		traceCap:  DefaultTraceRetention,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Events returns the fleet's job event bus: fleet-scoped job IDs, with
-// routing decisions, parking, migrations, and terminal states republished
-// as transitions — the feed the v2 watch endpoint serves.
-func (s *Scheduler) Events() *qrm.EventBus { return s.bus }
+// Events returns the job event bus: one event per lifecycle transition, the
+// feed the v2 watch endpoint serves.
+func (s *Scheduler) Events() *EventBus { return s.bus }
 
 // JobStore is the durability boundary behind the fleet scheduler (declared
 // locally so fleet stays free of a durable import). Every fleet transition —
@@ -269,25 +252,6 @@ func (s *Scheduler) AttachStore(st JobStore) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jstore = st
-}
-
-// publishLocked emits one fleet lifecycle event, stamped with the fleet's
-// maintenance clock (simulation seconds; 0 until AdvanceTo first ticks).
-// Caller holds s.mu. With a store attached the transition is journaled
-// first — placement and migration records survive a crash because exactly
-// the stream the bus publishes is what the WAL replays.
-func (s *Scheduler) publishLocked(j *Job, from JobStatus, reason string) {
-	if s.jstore != nil {
-		s.walTail = s.jstore.JournalFleetJob(j)
-	}
-	s.bus.Publish(qrm.Event{
-		JobID:  j.ID,
-		From:   string(from),
-		To:     string(j.Status),
-		Device: j.Device,
-		Reason: reason,
-		Time:   s.nowDay * 86400,
-	})
 }
 
 // AddDevice registers a backend under a unique name and starts its private
@@ -509,7 +473,7 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 	}
 	s.nextID++
 	j := &Job{
-		ID: s.nextID, Status: JobPending, Request: req,
+		ID: s.nextID, Request: req,
 		Pinned: opts.Device, policy: policy, done: make(chan struct{}),
 		SubmitUnixMs: time.Now().UnixMilli(), Node: s.nodeID, IdemKey: opts.IdemKey,
 	}
@@ -520,7 +484,7 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 	s.jobOrder = append(s.jobOrder, j.ID)
 	s.submitted++
 	s.bindLocked(j)
-	s.publishLocked(j, "", "")
+	s.transitionLocked(j, JobQueued, "")
 	s.routeLocked(j, nil, "")
 	j.ackLSN = s.walTail
 	return j, nil
@@ -588,15 +552,12 @@ func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) 
 	for {
 		e, score, ok := s.pickLocked(j, exclude)
 		if !ok {
-			from := j.Status
-			j.Status = JobPending
 			j.Device = ""
-			j.LocalID = 0
 			s.parked[j.ID] = j
 			s.parkEvts++
 			routeSpan.End(trace.Str("outcome", "parked"))
 			j.parkSpan = j.rootSpan.StartChild("parked")
-			s.publishLocked(j, from, "parked")
+			s.transitionLocked(j, JobQueued, "parked")
 			return
 		}
 		req := j.Request
@@ -615,13 +576,10 @@ func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) 
 			continue
 		}
 		routeSpan.End(trace.Str("device", e.name))
-		from := j.Status
-		j.Status = JobRouted
 		j.Device = e.name
-		j.LocalID = h.ID()
 		j.handle = h
 		j.Score = score
-		s.publishLocked(j, from, reason)
+		s.transitionLocked(j, JobRouted, reason)
 		e.routed++
 		s.routed++
 		e.scoreHist.Observe(score)
@@ -640,7 +598,7 @@ func (s *Scheduler) monitor(j *Job, e *deviceEntry, h qrm.Handle) {
 	rec, err := h.Wait(context.Background())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if terminal(j.Status) {
+	if j.Status.Terminal() {
 		return // fleet-level Cancel or Stop already settled it
 	}
 	if err != nil {
@@ -683,24 +641,24 @@ func (s *Scheduler) monitor(j *Job, e *deviceEntry, h qrm.Handle) {
 	}
 }
 
-// migrateLocked re-routes a displaced job, excluding the device it came from
-// for this attempt.
+// migrateLocked re-routes a displaced job. Its old device is not excluded:
+// drained, failed or offline it is ineligible anyway, and if it was resumed
+// before this monitor got the lock, excluding it would park a pinned (or
+// single-device) job beside an active device with nothing left to wake it.
 func (s *Scheduler) migrateLocked(j *Job, from *deviceEntry) {
 	j.handle = qrm.Handle{}
 	j.Migrations++
 	from.migratedOut++
 	s.migrated++
-	s.routeLocked(j, map[string]bool{from.name: true}, "migrated")
+	s.routeLocked(j, nil, "migrated")
 }
 
 // finalizeLocked settles a fleet job exactly once.
 func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg string) {
-	if terminal(j.Status) {
+	if j.Status.Terminal() {
 		return
 	}
 	delete(s.parked, j.ID)
-	from := j.Status
-	j.Status = st
 	j.handle = qrm.Handle{}
 	j.Result = rec
 	j.Error = errMsg
@@ -713,7 +671,7 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg st
 	if j.tr != nil {
 		s.retainTraceLocked(j)
 	}
-	s.publishLocked(j, from, "")
+	s.transitionLocked(j, st, "")
 	switch st {
 	case JobDone:
 		s.completed++
@@ -805,16 +763,33 @@ func (s *Scheduler) dispatchParkedLocked() {
 	}
 }
 
-// Job returns a copy of the fleet job record.
+// Job returns a copy of the fleet job record. A routed job comes back
+// refined from its live device leg (read after s.mu is released — Manager.mu
+// is never taken under it): Result is the leg's record as it stands and
+// Status reads running once a dispatch worker is executing it.
 func (s *Scheduler) Job(id int) (*Job, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return nil, fmt.Errorf("fleet: no job %d", id)
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w %d", ErrNoJob, id)
 	}
-	cp := *j
-	return &cp, nil
+	cp, h := *j, j.handle
+	s.mu.Unlock()
+	if cp.Status != JobRouted {
+		return &cp, nil
+	}
+	return refined(cp, h.Record()), nil
+}
+
+// refined relabels a private copy of a routed job from its device leg. It
+// takes the job by value: what it writes can never be a scheduler record.
+func refined(cp Job, leg *qrm.Job) *Job {
+	cp.Result = leg
+	if leg.Status == qrm.StatusRunning {
+		cp.Status = JobRunning
+	}
+	return &cp
 }
 
 // Wait blocks until the job settles (done, failed, or cancelled — possibly
@@ -830,7 +805,7 @@ func (s *Scheduler) WaitContext(ctx context.Context, id int) (*Job, error) {
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("fleet: no job %d", id)
+		return nil, fmt.Errorf("%w %d", ErrNoJob, id)
 	}
 	ch := j.done
 	s.mu.Unlock()
@@ -842,29 +817,11 @@ func (s *Scheduler) WaitContext(ctx context.Context, id int) (*Job, error) {
 	}
 }
 
-// DeviceRecord returns the live device-level record behind a routed fleet
-// job — the refinement the v2 API uses to report "running" instead of just
-// "routed" while the device pool works the job. Errors when the job is not
-// currently routed to a device.
-func (s *Scheduler) DeviceRecord(id int) (*qrm.Job, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("fleet: no job %d", id)
-	}
-	h, routed := j.handle, j.Status == JobRouted
-	s.mu.Unlock()
-	if !routed {
-		return nil, fmt.Errorf("fleet: job %d not routed to a device", id)
-	}
-	return h.Record(), nil
-}
-
 // ListJobs returns up to limit fleet job copies with ID strictly below
 // beforeID (0 = newest first), filtered by user and status set (nil = any);
 // more reports whether older matches remain. The cursor primitive behind
-// the v2 paginated listing.
+// the v2 paginated listing. Pages carry the stored status — no device leg is
+// read — so a filter naming running matches routed jobs.
 func (s *Scheduler) ListJobs(user string, states map[JobStatus]bool, beforeID, limit int) (jobs []*Job, more bool) {
 	if limit < 1 {
 		limit = 20
@@ -879,7 +836,7 @@ func (s *Scheduler) ListJobs(user string, states map[JobStatus]bool, beforeID, l
 		if user != "" && j.Request.User != user {
 			continue
 		}
-		if states != nil && !states[j.Status] {
+		if states != nil && !states[j.Status] && !(j.Status == JobRouted && states[JobRunning]) {
 			continue
 		}
 		if len(jobs) == limit {
@@ -901,20 +858,19 @@ func (s *Scheduler) Cancel(id int) error {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return fmt.Errorf("fleet: no job %d", id)
+		return fmt.Errorf("%w %d", ErrNoJob, id)
 	}
-	if terminal(j.Status) {
-		return fmt.Errorf("fleet: job %d already %s", id, j.Status)
+	if j.Status.Terminal() {
+		return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, j.Status)
 	}
-	if j.Status == JobPending {
-		s.finalizeLocked(j, JobCancelled, nil, "")
-		return nil
+	if j.Status == JobRouted {
+		if err := j.handle.Cancel(); err != nil {
+			// The leg settled and its monitor has not taken s.mu yet.
+			return fmt.Errorf("fleet: job %d %w settled on its device: %v", id, ErrJobTerminal, err)
+		}
 	}
-	if err := j.handle.Cancel(); err != nil {
-		return fmt.Errorf("fleet: job %d: %w", id, err)
-	}
-	// The monitor will observe the device-level cancellation, but settle the
-	// fleet record now so the caller sees it immediately.
+	// A routed job's monitor will observe the device-level cancellation, but
+	// settle the fleet record now so the caller sees it immediately.
 	s.finalizeLocked(j, JobCancelled, nil, "")
 	return nil
 }
@@ -994,14 +950,14 @@ func (s *Scheduler) DeviceHandle(name string) (*qdmi.Device, error) {
 	return e.dev, nil
 }
 
-// WaitSettled blocks until no job is pending or routed.
+// WaitSettled blocks until no job is queued or routed.
 func (s *Scheduler) WaitSettled() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		busy := false
 		for _, j := range s.jobs {
-			if !terminal(j.Status) {
+			if !j.Status.Terminal() {
 				busy = true
 				break
 			}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -332,7 +333,7 @@ func TestParkedJobsDispatchOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Status != JobPending {
+	if j.Status != JobQueued {
 		t.Fatalf("job on a fully drained fleet should park, got %s", j.Status)
 	}
 	if m := s.Metrics(); m.ParkedNow != 1 {
@@ -364,7 +365,7 @@ func TestPinnedJobWaitsForItsDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, _ := s.Job(id); j.Status != JobPending {
+	if j, _ := s.Job(id); j.Status != JobQueued {
 		t.Fatalf("pinned job should park while its device drains, got %s", j.Status)
 	}
 	if err := s.Resume("a"); err != nil {
@@ -523,7 +524,7 @@ func TestStopFailsOutstandingWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !terminal(j.Status) {
+		if !j.Status.Terminal() {
 			t.Fatalf("job %d left non-terminal after Stop: %s", id, j.Status)
 		}
 	}
@@ -555,5 +556,50 @@ func TestSetIDLimitRefusesAtBlockEnd(t *testing.T) {
 	}
 	if _, err := s.Submit(req(2, 1), SubmitOptions{}); err == nil || !strings.Contains(err.Error(), "job-ID space exhausted") {
 		t.Fatalf("submit past the block end: err = %v, want job-ID space exhausted", err)
+	}
+}
+
+// TestResumeBeforeMonitorDoesNotStrandJobs: a device is drained and resumed
+// before the monitors of the jobs the drain interrupted get the scheduler
+// lock (held across both here; in production a plain race). The jobs must
+// go back onto the resumed device — they used to exclude it, find no
+// sibling, and park beside an active device until some later Resume.
+func TestResumeBeforeMonitorDoesNotStrandJobs(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("solo", mkdev(t, "solo", 2, 2, 1, 20*time.Millisecond), 1); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for i := 0; i < 4; i++ {
+		id, err := s.Submit(req(2, 5), SubmitOptions{Device: "solo"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	s.mu.Lock()
+	e := s.devices["solo"]
+	e.state = DeviceDraining
+	e.mgr.SetOnline(false) // interrupts the queued jobs; their monitors now wait on s.mu
+	time.Sleep(5 * time.Millisecond)
+	if err := s.resumeLocked("solo"); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, id := range ids {
+		j, err := s.WaitContext(ctx, id)
+		if err != nil {
+			m := s.Metrics()
+			t.Fatalf("job %d stranded (%v): %d parked with the device %s", id, err, m.ParkedNow, m.Devices[0].State)
+		}
+		if j.Status != JobDone {
+			t.Errorf("job %d = %s (%s), want done", id, j.Status, j.Error)
+		}
+	}
+	if m := s.Metrics(); m.Migrated == 0 {
+		t.Error("no job was interrupted by the drain; the test did not exercise the race")
 	}
 }

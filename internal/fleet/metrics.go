@@ -48,6 +48,8 @@ type Metrics struct {
 	Failed     uint64 `json:"failed"`
 	Cancelled  uint64 `json:"cancelled"`
 	Shed       uint64 `json:"shed"`
+	// IllegalTransitions counts moves outside the lifecycle table: a bug if > 0.
+	IllegalTransitions uint64 `json:"illegal_transitions,omitempty"`
 
 	// ScoreHist buckets fidelity estimates across all routing decisions.
 	ScoreHist telemetry.HistogramSnapshot `json:"score_hist"`
@@ -67,6 +69,8 @@ func (s *Scheduler) Metrics() Metrics {
 		Failed:     s.failures,
 		Cancelled:  s.cancelled,
 		Shed:       s.shed,
+
+		IllegalTransitions: s.illegal,
 	}
 	type pending struct {
 		e *deviceEntry

@@ -17,7 +17,7 @@ type RestoreStats struct {
 }
 
 // Restore loads recovered fleet job records into an empty scheduler.
-// Terminal jobs become history; jobs that were pending or routed when the
+// Terminal jobs become history; jobs that were queued or routed when the
 // process died are re-routed from scratch under their *original* IDs — the
 // pre-crash device placement is only a hint that died with the device
 // pools, so recovery reruns the scoring loop, and a job whose terminal
@@ -68,21 +68,20 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		s.jobOrder = append(s.jobOrder, j.ID)
 		s.bindLocked(j)
 
-		if terminal(j.Status) {
+		if j.Status.Terminal() {
 			close(j.done)
 			stats.Terminal++
 			continue
 		}
 
-		from := j.Status
-		j.Status = JobPending
 		j.Device = ""
-		j.LocalID = 0
 		j.Result = nil
 		j.Error = ""
 		s.submitted++
 		if j.Request.DeadlineMs > 0 &&
 			float64(nowMs-j.SubmitUnixMs) > j.Request.DeadlineMs {
+			// Straight from the status it crashed in: an expired job is never
+			// re-queued, so it takes no "recovered" edge.
 			s.finalizeLocked(j, JobFailed, nil, qrm.ErrInterruptedMsg)
 			stats.Expired++
 			continue
@@ -90,7 +89,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		j.tr = trace.New("job",
 			trace.Int("job_id", j.ID), trace.Str("user", j.Request.User))
 		j.rootSpan = j.tr.Root()
-		s.publishLocked(j, from, "recovered")
+		s.transitionLocked(j, JobQueued, "recovered")
 		s.routeLocked(j, nil, "recovered")
 		stats.Requeued++
 	}

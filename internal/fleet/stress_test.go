@@ -144,6 +144,9 @@ func TestFleetStressDrainFailoverNoLostJobs(t *testing.T) {
 	if m.ParkedNow != 0 {
 		t.Fatalf("parked_now=%d after settle", m.ParkedNow)
 	}
+	if m.IllegalTransitions != 0 {
+		t.Errorf("IllegalTransitions = %d, want 0", m.IllegalTransitions)
+	}
 	// The chaos window must actually have exercised migration; with 240
 	// paced jobs against drains of loaded devices this is structural, not
 	// timing luck.

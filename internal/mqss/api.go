@@ -1,10 +1,10 @@
 package mqss
 
 // This file defines the v2 API surface: one unified job resource over the
-// fleet scheduler's records. A v2 job has an opaque string ID, a six-state
-// lifecycle (queued → routed → running → done/failed/cancelled), device
-// placement, timing, counts, and a structured error envelope. It is the only
-// job API: the v1 job routes answer 410 Gone.
+// fleet scheduler's records. A v2 job has an opaque string ID, the
+// scheduler's lifecycle state (queued | routed | running | done | failed |
+// cancelled), device placement, timing, counts, and a structured error
+// envelope. It is the only job API: the v1 job routes answer 410 Gone.
 
 import (
 	"encoding/base64"
@@ -19,34 +19,18 @@ import (
 	"repro/internal/transpile"
 )
 
-// JobState is the v2 lifecycle state machine. Transitions only move
-// rightward: queued → routed → running → one of done/failed/cancelled
-// (migrations may bounce a fleet job from routed back to queued while it
-// parks, which the watch stream reports with reason "parked").
-type JobState string
+// JobState is the scheduler's job status, served as-is: the lifecycle and
+// its legal moves are fleet's transition table (DESIGN.md §Job lifecycle).
+type JobState = fleet.JobStatus
 
 const (
-	StateQueued    JobState = "queued"
-	StateRouted    JobState = "routed"
-	StateRunning   JobState = "running"
-	StateDone      JobState = "done"
-	StateFailed    JobState = "failed"
-	StateCancelled JobState = "cancelled"
+	StateQueued    = fleet.JobQueued
+	StateRouted    = fleet.JobRouted
+	StateRunning   = fleet.JobRunning
+	StateDone      = fleet.JobDone
+	StateFailed    = fleet.JobFailed
+	StateCancelled = fleet.JobCancelled
 )
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// ParseJobState validates a user-supplied state filter.
-func ParseJobState(v string) (JobState, error) {
-	switch s := JobState(v); s {
-	case StateQueued, StateRouted, StateRunning, StateDone, StateFailed, StateCancelled:
-		return s, nil
-	}
-	return "", fmt.Errorf("unknown job state %q", v)
-}
 
 // Error codes of the structured envelope. Retryability is part of the
 // contract: clients retry `retryable` errors with backoff and surface the
@@ -194,13 +178,12 @@ type JobEvent struct {
 	Reason string   `json:"reason,omitempty"`
 }
 
-// jobEventFrom translates one fleet bus event into its watch-stream line —
-// the single qrm.Event → JobEvent mapping behind the server's events
-// endpoint and the local client's Watch.
-func jobEventFrom(ev qrm.Event) JobEvent {
+// jobEventFrom renders one fleet bus event as its watch-stream line, for
+// the server's events endpoint and the local client's Watch.
+func jobEventFrom(ev fleet.Event) JobEvent {
 	return JobEvent{
 		Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
-		State: stateFromFleet(fleet.JobStatus(ev.To)), Device: ev.Device, Reason: ev.Reason,
+		State: ev.To, Device: ev.Device, Reason: ev.Reason,
 	}
 }
 
@@ -254,60 +237,33 @@ func decodeCursor(s string) (int, error) {
 	return id, nil
 }
 
-// --- Lifecycle mappings -------------------------------------------------
+// --- Job records -------------------------------------------------------
 
-// stateFromFleet maps fleet statuses (job records and the bus events the
-// watch streams relay); a routed job's refinement to "running" comes from
-// the device-level record when available.
-func stateFromFleet(s fleet.JobStatus) JobState {
-	switch s {
-	case fleet.JobPending:
-		return StateQueued
-	case fleet.JobRouted:
-		return StateRouted
-	case fleet.JobDone:
-		return StateDone
-	case fleet.JobCancelled:
-		return StateCancelled
-	default:
-		return StateFailed
-	}
+// failureEnvelopes classifies the failures the pipeline itself produces, by
+// the message it records on the job.
+var failureEnvelopes = map[string]APIError{
+	qrm.ErrInterruptedMsg: {Code: CodeInterrupted, Retryable: true},
+	qrm.ErrShedMsg:        {Code: CodeShed, Retryable: true},
+	qrm.ErrDeadlineMsg:    {Code: CodeDeadlineExceeded, Retryable: true},
 }
 
-// jobErrorEnvelope classifies a failed backend record into the envelope.
-func jobErrorEnvelope(status qrm.JobStatus, msg string) *APIError {
-	// Crash-recovery expiry is keyed on the message, not the status: the
-	// fleet surfaces it as a plain failed job.
-	if msg == qrm.ErrInterruptedMsg {
-		return &APIError{Code: CodeInterrupted, Message: msg, Retryable: true}
+// jobErrorEnvelope is the envelope of a failed job whose error reads msg;
+// a message not in the table is the device rejecting or failing the circuit.
+func jobErrorEnvelope(msg string) *APIError {
+	env := failureEnvelopes[msg]
+	if env.Code == "" {
+		env.Code = CodeExecutionFailed
 	}
-	// Load shedding is keyed the same way: the queue surfaces the job as
-	// failed, and the envelope tells clients to back off and resubmit.
-	if msg == qrm.ErrShedMsg {
-		return &APIError{Code: CodeShed, Message: msg, Retryable: true}
-	}
-	switch status {
-	case qrm.StatusInterrupted:
-		if msg == "" {
-			msg = "job interrupted by an outage or drain"
-		}
-		return &APIError{Code: CodeUnavailable, Message: msg, Retryable: true}
-	case qrm.StatusFailed:
-		if msg == qrm.ErrDeadlineMsg {
-			return &APIError{Code: CodeDeadlineExceeded, Message: msg, Retryable: true}
-		}
-		return &APIError{Code: CodeExecutionFailed, Message: msg}
-	}
-	return nil
+	env.Message = msg
+	return &env
 }
 
-// v2FromFleet lifts a fleet envelope into the unified resource. devRec is
-// the optional live device-level record for a routed job (refines the
-// state to running and carries compile artefacts before the job settles).
-func v2FromFleet(j *fleet.Job, devRec *qrm.Job, withRequest bool) *Job {
+// v2FromFleet lifts a fleet record (as Scheduler.Job returns it: a routed
+// job already refined from its device leg) into the unified resource.
+func v2FromFleet(j *fleet.Job, withRequest bool) *Job {
 	out := &Job{
 		ID:         FormatJobID(j.ID),
-		State:      stateFromFleet(j.Status),
+		State:      j.Status,
 		Device:     j.Device,
 		User:       j.Request.User,
 		Shots:      j.Request.Shots,
@@ -319,20 +275,7 @@ func v2FromFleet(j *fleet.Job, devRec *qrm.Job, withRequest bool) *Job {
 		Recovered:  j.Recovered,
 		Node:       j.Node,
 	}
-	rec := j.Result
-	if rec == nil && devRec != nil {
-		rec = devRec
-		if !out.State.Terminal() {
-			// Refine routed → running/queued from the device pipeline's view.
-			switch devRec.Status {
-			case qrm.StatusRunning:
-				out.State = StateRunning
-			case qrm.StatusCompiling:
-				out.State = StateRouted
-			}
-		}
-	}
-	if rec != nil {
+	if rec := j.Result; rec != nil {
 		out.CompiledGates = rec.CompiledGates
 		out.CZCount = rec.CZCount
 		out.Layout = rec.Layout
@@ -343,15 +286,7 @@ func v2FromFleet(j *fleet.Job, devRec *qrm.Job, withRequest bool) *Job {
 		out.EndTime = rec.EndTime
 	}
 	if out.State == StateFailed {
-		status := qrm.StatusFailed
-		msg := j.Error
-		if rec != nil && rec.Status == qrm.StatusInterrupted {
-			status = qrm.StatusInterrupted
-		}
-		if msg == "" && rec != nil {
-			msg = rec.Error
-		}
-		out.Error = jobErrorEnvelope(status, msg)
+		out.Error = jobErrorEnvelope(j.Error)
 	}
 	if withRequest {
 		req := j.Request

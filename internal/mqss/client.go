@@ -19,7 +19,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
-	"repro/internal/qrm"
 )
 
 // AccessPath describes how a job reached the scheduler.
@@ -338,7 +337,7 @@ func (h *JobHandle) waitOnce(ctx context.Context) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := v2FromFleet(fj, nil, true)
+		j := v2FromFleet(fj, true)
 		h.last = j
 		return j, nil
 	}
@@ -508,11 +507,7 @@ func (c *Client) V2Job(ctx context.Context, id string) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		var devRec *qrm.Job
-		if fj.Status == fleet.JobRouted {
-			devRec, _ = c.localFleet.DeviceRecord(n)
-		}
-		return v2FromFleet(fj, devRec, true), nil
+		return v2FromFleet(fj, true), nil
 	}
 	var job Job
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Jobs+"/"+id, nil, &job, nil, http.StatusOK); err != nil {
@@ -538,7 +533,7 @@ func (c *Client) V2JobTrace(ctx context.Context, id string) (*JobTrace, error) {
 		if snap == nil {
 			return nil, fmt.Errorf("mqss: no trace retained for job %s", id)
 		}
-		return &JobTrace{JobID: id, State: stateFromFleet(fj.Status), Snapshot: *snap}, nil
+		return &JobTrace{JobID: id, State: fj.Status, Snapshot: *snap}, nil
 	}
 	var jt JobTrace
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Jobs+"/"+id+"/trace", nil, &jt, nil, http.StatusOK); err != nil {

@@ -37,6 +37,7 @@ func durableStackSync(t *testing.T, dir string, mode durable.SyncMode) (*fleet.S
 			t.Fatal(err)
 		}
 	}
+	stopAndAuditAtCleanup(t, f)
 	f.AttachStore(st)
 	rs, err := f.Restore(opened.FleetJobs)
 	if err != nil {
@@ -246,7 +247,7 @@ func TestRestartKeepsNewestKeys(t *testing.T) {
 // not save: the v2 error envelope must be {code:"interrupted"} and
 // retryable, keyed off the qrm restore error message.
 func TestInterruptedEnvelope(t *testing.T) {
-	env := jobErrorEnvelope("failed", "interrupted by restart: dispatch deadline passed during recovery")
+	env := jobErrorEnvelope("interrupted by restart: dispatch deadline passed during recovery")
 	if env == nil || env.Code != CodeInterrupted || !env.Retryable {
 		t.Fatalf("interrupted envelope wrong: %+v", env)
 	}

@@ -38,8 +38,20 @@ func newTestFleet(t *testing.T, devs map[string]*qdmi.Device, workers int) *flee
 			t.Fatal(err)
 		}
 	}
-	t.Cleanup(f.Stop)
+	stopAndAuditAtCleanup(t, f)
 	return f
+}
+
+// stopAndAuditAtCleanup stops the fleet when the test ends and holds it to
+// the lifecycle table: whatever the test did to its jobs, every move they
+// made must have been a listed edge.
+func stopAndAuditAtCleanup(t *testing.T, f *fleet.Scheduler) {
+	t.Cleanup(func() {
+		f.Stop() // idempotent: tests that stop the fleet themselves are fine
+		if n := f.Metrics().IllegalTransitions; n != 0 {
+			t.Errorf("IllegalTransitions = %d, want 0: a job moved outside fleet's lifecycle table", n)
+		}
+	})
 }
 
 func twinDev(t *testing.T, name string, rows, cols int, seed int64) *qdmi.Device {

@@ -24,7 +24,7 @@ func oneDeviceFleet(t *testing.T, qpu *device.QPU, store *telemetry.Store, worke
 	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, store), workers); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.Stop)
+	stopAndAuditAtCleanup(t, f)
 	return f
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/federation"
+	"repro/internal/fleet"
 	"repro/internal/qrm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
@@ -77,7 +78,7 @@ func (s *Server) v2Trace(w http.ResponseWriter, r *http.Request, id int) {
 	}
 	job, err := s.v2JobRecord(id, false)
 	if err != nil {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
+		writeFleetError(w, err)
 		return
 	}
 	snap := s.fleet.Trace(id).Snapshot()
@@ -108,6 +109,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("qhpc_fleet_jobs_failed_total", "Fleet jobs settled failed.", nil, float64(fm.Failed))
 	pw.Counter("qhpc_fleet_jobs_cancelled_total", "Fleet jobs settled cancelled.", nil, float64(fm.Cancelled))
 	pw.Counter("qhpc_fleet_jobs_shed_total", "Fleet jobs evicted by admission control under overload.", nil, float64(fm.Shed))
+	pw.Counter("qhpc_fleet_illegal_transitions_total", "Job lifecycle moves taken that the transition table does not list (a bug if nonzero).", nil, float64(fm.IllegalTransitions))
 	pw.Histogram("qhpc_fleet_route_score", "Fidelity estimate of each routing decision.", nil, fm.ScoreHist)
 	promBus(pw, s.fleet.Events().Stats())
 	retained, drops := s.fleet.TraceStats()
@@ -230,7 +232,7 @@ func promTenants(pw *telemetry.PromWriter, ts TenantsStatus, limited bool) {
 }
 
 // promBus renders the health of the job event bus; there is one, the fleet's.
-func promBus(pw *telemetry.PromWriter, st qrm.BusStats) {
+func promBus(pw *telemetry.PromWriter, st fleet.BusStats) {
 	l := telemetry.Labels{{"bus", "fleet"}}
 	pw.Counter("qhpc_bus_events_published_total", "Lifecycle events published on the job event bus.", l, float64(st.Published))
 	pw.Counter("qhpc_bus_events_dropped_total", "Event deliveries dropped on full subscriber buffers (summed across subscribers, including closed ones).", l, float64(st.DroppedTotal))

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -22,7 +23,6 @@ import (
 
 	"repro/internal/federation"
 	"repro/internal/fleet"
-	"repro/internal/qrm"
 	"repro/internal/telemetry/trace"
 )
 
@@ -72,11 +72,19 @@ func (s *Server) v2JobRecord(id int, withRequest bool) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	var devRec *qrm.Job
-	if fj.Status == fleet.JobRouted {
-		devRec, _ = s.fleet.DeviceRecord(id)
+	return v2FromFleet(fj, withRequest), nil
+}
+
+// writeFleetError answers a failed job-addressed scheduler call.
+func writeFleetError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, fleet.ErrNoJob):
+		writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
+	case errors.Is(err, fleet.ErrJobTerminal):
+		writeV2Error(w, http.StatusConflict, CodeConflict, err.Error(), false)
+	default:
+		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 	}
-	return v2FromFleet(fj, devRec, withRequest), nil
 }
 
 // handleV2Jobs: POST = async submit, GET = cursor-paginated listing.
@@ -199,9 +207,9 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 }
 
 // v2List: GET /api/v2/jobs?user=&state=&cursor=&limit= — newest first,
-// opaque continuation cursor. state accepts a comma-separated set of v2
-// states ("running" matches routed jobs too: the fleet does not track the
-// device-level run phase in its own records).
+// opaque continuation cursor. state accepts a comma-separated set of states
+// ("running" matches routed jobs too: pages carry the stored status, which
+// does not track the device-level run phase).
 func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit := 20
@@ -226,41 +234,23 @@ func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 		}
 		before = id
 	}
-	var states []JobState
+	var filter map[JobState]bool
 	if v := q.Get("state"); v != "" {
+		filter = make(map[JobState]bool)
 		for _, part := range strings.Split(v, ",") {
-			st, err := ParseJobState(strings.TrimSpace(part))
+			st, err := fleet.ParseJobStatus(strings.TrimSpace(part))
 			if err != nil {
 				writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
 				return
 			}
-			states = append(states, st)
-		}
-	}
-
-	var filter map[fleet.JobStatus]bool
-	if states != nil {
-		filter = make(map[fleet.JobStatus]bool)
-		for _, st := range states {
-			switch st {
-			case StateQueued:
-				filter[fleet.JobPending] = true
-			case StateRouted, StateRunning:
-				filter[fleet.JobRouted] = true
-			case StateDone:
-				filter[fleet.JobDone] = true
-			case StateFailed:
-				filter[fleet.JobFailed] = true
-			case StateCancelled:
-				filter[fleet.JobCancelled] = true
-			}
+			filter[st] = true
 		}
 	}
 	page := &JobPage{Jobs: []*Job{}}
 	var lastID int
 	jobs, more := s.fleet.ListJobs(q.Get("user"), filter, before, limit)
 	for _, fj := range jobs {
-		page.Jobs = append(page.Jobs, v2FromFleet(fj, nil, false))
+		page.Jobs = append(page.Jobs, v2FromFleet(fj, false))
 		lastID = fj.ID
 	}
 	if more && lastID > 0 {
@@ -328,7 +318,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 	}
 	job, err := s.v2JobRecord(id, true)
 	if err != nil {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
+		writeFleetError(w, err)
 		return
 	}
 	if wait > 0 && !job.State.Terminal() {
@@ -349,14 +339,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 // the current record in the body.
 func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
 	if err := s.fleet.Cancel(id); err != nil {
-		switch {
-		case strings.Contains(err.Error(), "no job"):
-			writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
-		case strings.Contains(err.Error(), "already"):
-			writeV2Error(w, http.StatusConflict, CodeConflict, err.Error(), false)
-		default:
-			writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
-		}
+		writeFleetError(w, err)
 		return
 	}
 	job, err := s.v2JobRecord(id, true)
@@ -381,7 +364,7 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 
 	job, err := s.v2JobRecord(id, false)
 	if err != nil {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, err.Error(), false)
+		writeFleetError(w, err)
 		return
 	}
 

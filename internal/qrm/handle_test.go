@@ -19,64 +19,6 @@ func newPacedManager(seed int64, latency time.Duration) *Manager {
 	return NewManager(qdmi.NewDevice(qpu, nil))
 }
 
-// drainEvents collects already-delivered events without blocking.
-func drainEvents(sub *Subscription) []Event {
-	var out []Event
-	for {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return out
-			}
-			out = append(out, ev)
-		default:
-			return out
-		}
-	}
-}
-
-func TestEventBusFilteredSubscriptionAndSeq(t *testing.T) {
-	bus := NewEventBus()
-	all := bus.Subscribe(0, 8)
-	only2 := bus.Subscribe(2, 8)
-	bus.Publish(Event{JobID: 1, To: "queued"})
-	bus.Publish(Event{JobID: 2, To: "queued"})
-	bus.Publish(Event{JobID: 2, To: "done"})
-	if got := len(drainEvents(all)); got != 3 {
-		t.Errorf("all-subscription saw %d events, want 3", got)
-	}
-	evs := drainEvents(only2)
-	if len(evs) != 2 {
-		t.Fatalf("filtered subscription saw %d events, want 2", len(evs))
-	}
-	if evs[0].Seq >= evs[1].Seq || evs[0].Seq == 0 {
-		t.Errorf("sequence numbers not monotonic: %d, %d", evs[0].Seq, evs[1].Seq)
-	}
-	bus.Close()
-	if _, ok := <-all.Events(); ok {
-		t.Error("bus close should close subscriber channels")
-	}
-	// Subscribing to a closed bus yields an immediately-closed feed.
-	if _, ok := <-bus.Subscribe(0, 1).Events(); ok {
-		t.Error("subscription on a closed bus should be closed")
-	}
-}
-
-func TestEventBusSlowSubscriberDrops(t *testing.T) {
-	bus := NewEventBus()
-	defer bus.Close()
-	slow := bus.Subscribe(0, 2)
-	for i := 0; i < 10; i++ {
-		bus.Publish(Event{JobID: 1, To: "queued"})
-	}
-	if slow.Dropped() != 8 {
-		t.Errorf("dropped = %d, want 8", slow.Dropped())
-	}
-	if got := len(drainEvents(slow)); got != 2 {
-		t.Errorf("delivered = %d, want 2 (buffer size)", got)
-	}
-}
-
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	m := newManager(41)
 	late := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5, DeadlineMs: 1})

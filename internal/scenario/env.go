@@ -55,6 +55,16 @@ type Env struct {
 	chaff      []string // fault-generated v2 job IDs (exempt from SLOs, not from zero-lost)
 	injectDone chan struct{}
 	bg         sync.WaitGroup
+
+	// illegal sums IllegalTransitions over every scheduler stopFleet stopped.
+	illegal uint64
+}
+
+// stopFleet stops a scheduler the run is done with and banks its count of
+// transitions outside the lifecycle table for the runner's gate.
+func (e *Env) stopFleet(f *fleet.Scheduler) {
+	f.Stop()
+	e.illegal += f.Metrics().IllegalTransitions
 }
 
 // DeviceName returns the i-th device name ("dev-0"...), a stable handle for
@@ -223,7 +233,7 @@ func (e *Env) Crash() error {
 	e.Store.Abandon()
 	e.srv.Close() // release v2 watch streams so the listener can drain
 	e.hs.Close()
-	e.Fleet.Stop()
+	e.stopFleet(e.Fleet)
 
 	// The reboot: replay snapshot + WAL, rebuild the identical fleet, hand
 	// it the recovered jobs, and come back up on the same address.
@@ -273,7 +283,7 @@ func (e *Env) close() {
 	e.closePeers()
 	e.srv.Close()
 	e.hs.Close()
-	e.Fleet.Stop()
+	e.stopFleet(e.Fleet)
 	if e.Store != nil {
 		e.Store.Close()
 	}

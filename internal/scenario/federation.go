@@ -196,7 +196,7 @@ func (e *Env) CrashPeer(idx int) error {
 	p.fed.Close()
 	p.srv.Close()
 	p.hs.Close()
-	p.Fleet.Stop()
+	e.stopFleet(p.Fleet)
 
 	// The failure detector must notice on its own — no backchannel.
 	deadline := time.Now().Add(20 * fedLabDeadAfter)
@@ -269,7 +269,7 @@ func (e *Env) closePeers() {
 		p.fed.Close()
 		p.srv.Close()
 		p.hs.Close()
-		p.Fleet.Stop()
+		e.stopFleet(p.Fleet)
 		p.store.Close()
 		os.RemoveAll(p.dataDir)
 	}

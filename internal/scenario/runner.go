@@ -98,8 +98,11 @@ type Result struct {
 	// CheckFailures collects per-run failures of the scenario's Check hook;
 	// empty when the hook held every run (or the scenario has none).
 	CheckFailures []string `json:"check_failures,omitempty"`
-	Gates         []Gate   `json:"gates"`
-	Pass          bool     `json:"pass"`
+	// IllegalTransitions counts job moves outside fleet's lifecycle table,
+	// over all runs and every scheduler they built. Zero is a gate.
+	IllegalTransitions uint64 `json:"illegal_transitions"`
+	Gates              []Gate `json:"gates"`
+	Pass               bool   `json:"pass"`
 	// WorstJobTrace is the span tree of the slowest measured job across all
 	// runs, attached only when a gate fails: the first diagnostic an operator
 	// wants is "where did the slow job spend its time".
@@ -204,18 +207,19 @@ func (r *Runner) RunSpec(spec Spec) (*Result, error) {
 	var worst *worstJob
 	for k := 0; k < runs; k++ {
 		r.logf("scenario %s: run %d/%d", spec.Name, k+1, runs)
-		stats, e2eP95, w, checkFail, err := r.runOnce(spec, k)
+		out, err := r.runOnce(spec, k)
 		if err != nil {
 			return nil, err
 		}
-		if checkFail != "" {
-			res.CheckFailures = append(res.CheckFailures, fmt.Sprintf("run %d: %s", k+1, checkFail))
+		if out.checkFail != "" {
+			res.CheckFailures = append(res.CheckFailures, fmt.Sprintf("run %d: %s", k+1, out.checkFail))
 		}
-		perRun = append(perRun, stats)
-		if e2eP95 > res.DeviceE2EP95Ms {
-			res.DeviceE2EP95Ms = e2eP95
+		perRun = append(perRun, out.stats)
+		res.IllegalTransitions += out.illegal
+		if out.e2eP95 > res.DeviceE2EP95Ms {
+			res.DeviceE2EP95Ms = out.e2eP95
 		}
-		if w != nil && (worst == nil || w.latMs > worst.latMs) {
+		if w := out.worst; w != nil && (worst == nil || w.latMs > worst.latMs) {
 			worst = w
 		}
 	}
@@ -319,6 +323,8 @@ func evaluateGates(spec Spec, res *Result) []Gate {
 		"median recovery/warmup throughput %.2f (floor %.2f)", res.RecoveryRatio, spec.SLO.MinRecoveryRatio)
 	add("variance", res.WarmupSpreadPct <= spec.SLO.MaxSpreadPct,
 		"warmup throughput spread %.1f%% across %d runs (ceiling %.0f%%)", res.WarmupSpreadPct, res.Runs, spec.SLO.MaxSpreadPct)
+	add("legal-transitions", res.IllegalTransitions == 0,
+		"%d job transitions outside the lifecycle table across %d runs", res.IllegalTransitions, res.Runs)
 	if spec.Hooks.Check != nil {
 		if len(res.CheckFailures) == 0 {
 			add("scenario-check", true, "scenario invariant held on all %d runs", res.Runs)
@@ -337,16 +343,21 @@ type worstJob struct {
 	trace json.RawMessage
 }
 
-// runOnce executes all three phases of one seeded run and returns the
-// per-phase stats, the worst device-side e2e p95, the slowest job's trace
-// (nil when it could not be fetched), and the Check hook's failure ("" when
-// it held or the scenario has none).
-func (r *Runner) runOnce(spec Spec, run int) (map[Phase]phaseStats, float64, *worstJob, string, error) {
+// runOutcome is what one seeded run hands the aggregator.
+type runOutcome struct {
+	stats     map[Phase]phaseStats
+	e2eP95    float64   // worst device-side e2e p95
+	worst     *worstJob // slowest job's trace; nil when it could not be fetched
+	checkFail string    // the Check hook's failure; "" when it held or the scenario has none
+	illegal   uint64    // Env.illegal after teardown
+}
+
+// runOnce executes all three phases of one seeded run.
+func (r *Runner) runOnce(spec Spec, run int) (runOutcome, error) {
 	env, err := newEnv(spec, run)
 	if err != nil {
-		return nil, 0, nil, "", err
+		return runOutcome{}, err
 	}
-	defer env.close()
 
 	stats := make(map[Phase]phaseStats, 3)
 	stats[Warmup] = r.runPhase(env, Warmup, nil)
@@ -384,7 +395,10 @@ func (r *Runner) runOnce(spec Spec, run int) (map[Phase]phaseStats, float64, *wo
 			checkFail = cerr.Error()
 		}
 	}
-	return stats, e2eP95, fetchWorstTrace(env, stats), checkFail, nil
+	worst := fetchWorstTrace(env, stats)
+	// Teardown settles the stragglers, so the count is read after it.
+	env.close()
+	return runOutcome{stats, e2eP95, worst, checkFail, env.illegal}, nil
 }
 
 // fetchWorstTrace pulls the span tree of the run's slowest measured job
