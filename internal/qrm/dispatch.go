@@ -160,8 +160,10 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 	})
 	if hit {
 		compileSpan.End(trace.Str("cache", "hit"))
-	} else {
+	} else if err != nil {
 		compileSpan.End(trace.Str("cache", "miss"))
+	} else {
+		compileSpan.End(trace.Str("cache", "miss"), trace.Int("cz", res.Stats.OutputCZ), trace.Int("swaps", res.Stats.SwapsInserted))
 	}
 	m.mu.Lock()
 	if !hit {

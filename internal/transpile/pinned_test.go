@@ -60,6 +60,25 @@ func ansatzLiteral(rng *rand.Rand) *circuit.Circuit {
 	return c
 }
 
+// wideLiteral is the wide-circuit job (bench/e2e/gen.go's randomWide): 12
+// qubits, 4 layers of ry+rz on every qubit then cz brickwork along the line.
+// The greedy walk breaks the 12-chain on driftedGrid ([19 14 ... 18 3 4]),
+// which cost this circuit 5 SWAPs and 15 CZs before placement searched.
+func wideLiteral(rng *rand.Rand) *circuit.Circuit {
+	c := &circuit.Circuit{NumQubits: 12}
+	for l := 0; l < 4; l++ {
+		for q := 0; q < 12; q++ {
+			c.Gates = append(c.Gates,
+				circuit.Gate{Name: "ry", Qubits: []int{q}, Params: []float64{2 * math.Pi * rng.Float64()}},
+				circuit.Gate{Name: "rz", Qubits: []int{q}, Params: []float64{2 * math.Pi * rng.Float64()}})
+		}
+		for q := l % 2; q+1 < 12; q += 2 {
+			c.Gates = append(c.Gates, circuit.Gate{Name: "cz", Qubits: []int{q, q + 1}})
+		}
+	}
+	return c
+}
+
 type pinnedCase struct {
 	name string
 	c    *circuit.Circuit
@@ -85,13 +104,15 @@ func pinnedCases() []pinnedCase {
 		pinnedCase{"zero-angle", circuit.New(2, "zero").RZ(0, 0).RX(1, 0).RZ(1, 2*math.Pi).H(0), aware},
 		pinnedCase{"two-pi-sum", circuit.New(2, "twopi").RZ(0, math.Pi).RZ(0, math.Pi).RX(1, 1.5*math.Pi).RX(1, 0.5*math.Pi).RY(0, 0.4).RY(0, 0.5), aware},
 		pinnedCase{"cz-cz-exposes-rz-merge", circuit.New(2, "czcz").RZ(0, 0.3).PRX(1, 0.2, 0.1).CZ(0, 1).CZ(1, 0).RZ(0, 0.4).PRX(1, 0.3, 0.1), aware},
+		pinnedCase{"wide-12", wideLiteral(rand.New(rand.NewSource(7))), aware},
 	)
 	return cases
 }
 
 // TestTranspilePinnedOutputs compares Transpile's whole output — gate list,
 // parameter bits, layouts, stats — with a table recorded at the commit
-// before the flat-storage rewrite of the passes (PR 19's parent).
+// before the flat-storage rewrite of the passes (PR 19's parent); the
+// wide-12 row was added with the placement search, which it pins.
 func TestTranspilePinnedOutputs(t *testing.T) {
 	target := driftedGrid()
 	var b strings.Builder

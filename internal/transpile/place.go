@@ -2,6 +2,7 @@ package transpile
 
 import (
 	"fmt"
+	"sort"
 )
 
 // PlacementStrategy selects how logical qubits map to physical qubits.
@@ -11,9 +12,9 @@ const (
 	// PlaceStatic maps logical qubit i to physical qubit i — the layout a
 	// compiler uses when it knows nothing about the device's current state.
 	PlaceStatic PlacementStrategy = iota
-	// PlaceFidelityAware greedily selects a connected subgraph of the
-	// device with the best live fidelities (QDMI/telemetry-driven JIT
-	// placement). On a drifted or TLS-hit device this dodges bad qubits.
+	// PlaceFidelityAware searches the device for a chain of qubits with the
+	// best live fidelities (QDMI/telemetry-driven JIT placement). On a
+	// drifted or TLS-hit device this dodges bad qubits.
 	PlaceFidelityAware
 )
 
@@ -42,7 +43,8 @@ func (l Layout) Inverse(numPhysical int) []int {
 	return inv
 }
 
-// Place computes a layout for k logical qubits on the target.
+// Place computes a layout for k logical qubits on the target, once per
+// (k, strategy): later calls get a copy of the first call's layout.
 func Place(k int, t *Target, strategy PlacementStrategy) (Layout, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -50,28 +52,53 @@ func Place(k int, t *Target, strategy PlacementStrategy) (Layout, error) {
 	if k < 1 || k > t.NumQubits {
 		return nil, fmt.Errorf("transpile: cannot place %d logical qubits on %d physical", k, t.NumQubits)
 	}
-	switch strategy {
-	case PlaceStatic:
-		l := make(Layout, k)
-		for i := range l {
-			l[i] = i
+	t.placeMu.Lock()
+	defer t.placeMu.Unlock()
+	key := [2]int{k, int(strategy)}
+	l, ok := t.placed[key]
+	if !ok {
+		switch strategy {
+		case PlaceStatic:
+			l = make(Layout, k)
+			for i := range l {
+				l[i] = i
+			}
+		case PlaceFidelityAware:
+			var err error
+			if l, _, err = placeFidelityAware(k, t); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("transpile: unknown placement strategy %d", strategy)
 		}
-		return l, nil
-	case PlaceFidelityAware:
-		return placeFidelityAware(k, t)
+		if t.placed == nil {
+			t.placed = map[[2]int]Layout{}
+		}
+		t.placed[key] = l
 	}
-	return nil, fmt.Errorf("transpile: unknown placement strategy %d", strategy)
+	return append(Layout(nil), l...), nil
 }
 
-// placeFidelityAware grows a physical path from the best coupler, extending
-// whichever path end has the highest-scoring free neighbour (score = 1q
-// fidelity × readout fidelity × connecting coupler fidelity). Logical qubit
-// i maps to the i-th path element, so consecutive logical qubits are
-// physically adjacent and chain-structured circuits route without SWAPs.
-func placeFidelityAware(k int, t *Target) (Layout, error) {
+// placeBudget bounds one search, in candidates tried; each of the placeSeeds
+// best seed edges gets an equal share, so one in a corner pocket cannot
+// spend it all.
+const placeBudget, placeSeeds = 4096, 8
+
+// placeFidelityAware searches depth-first for a k-qubit physical path and
+// reports the candidates it tried. Logical qubit i maps to the i-th path
+// element, so consecutive logical qubits are physically adjacent and
+// chain-structured circuits (GHZ/VQE/QAOA) route without SWAPs — placement
+// quality must not be paid back as routing overhead. A step's candidates
+// are the free neighbours of the path's tail, then of its head, best score
+// (1q × readout × connecting coupler fidelity) first: the first descent is
+// the greedy walk at the end of this function, so a layout that walk finds
+// unbroken comes back unchanged, and a dead end backs up to the last choice
+// that had an alternative. Only when no k-chain exists or the budget runs
+// out is the result that walk's, chain break and all.
+func placeFidelityAware(k int, t *Target) (Layout, int, error) {
 	if len(t.Edges) == 0 {
 		if k > 1 {
-			return nil, fmt.Errorf("transpile: target has no couplers, cannot place %d qubits", k)
+			return nil, 0, fmt.Errorf("transpile: target has no couplers, cannot place %d qubits", k)
 		}
 		// Single qubit: pick the best one.
 		best, bestScore := 0, -1.0
@@ -80,72 +107,103 @@ func placeFidelityAware(k int, t *Target) (Layout, error) {
 				best, bestScore = q, s
 			}
 		}
-		return Layout{best}, nil
+		return Layout{best}, 0, nil
 	}
 
 	qubitScore := func(q int) float64 { return t.f1q(q) * t.fread(q) }
-
-	// Seed: the edge with the best product of coupler and endpoint scores.
-	var seed [2]int
-	bestScore := -1.0
-	for _, e := range t.Edges {
-		s := t.fcz(e[0], e[1]) * qubitScore(e[0]) * qubitScore(e[1])
-		if s > bestScore {
-			bestScore, seed = s, e
-		}
-	}
+	edgeScore := func(e [2]int) float64 { return t.fcz(e[0], e[1]) * qubitScore(e[0]) * qubitScore(e[1]) }
+	// Seed edges, best product of coupler and endpoint scores first.
+	seeds := append([][2]int(nil), t.Edges...)
+	sort.SliceStable(seeds, func(i, j int) bool { return edgeScore(seeds[i]) > edgeScore(seeds[j]) })
 
 	adj := t.adjacency()
-	// Grow a *path* from the seed edge, extending whichever end has the
-	// best-scoring unvisited neighbour. Consecutive logical qubits then sit
-	// on physically adjacent qubits, so chain-entangling circuits
-	// (GHZ/VQE/QAOA) route without SWAPs — placement quality must not be
-	// paid back as routing overhead. If both ends dead-end (odd region
-	// shapes), fall back to growing anywhere and accept a chain break.
-	path := []int{seed[0]}
-	selected := map[int]bool{seed[0]: true}
-	if k > 1 {
-		path = append(path, seed[1])
-		selected[seed[1]] = true
+	// buf[lo:hi] is the path, grown at either end; grow puts c on it.
+	type cand struct {
+		q, from int
+		s       float64
 	}
-	bestNeighbor := func(q int) (int, float64) {
-		bq, bs := -1, -1.0
-		for _, nb := range adj[q] {
-			if selected[nb] {
-				continue
-			}
-			if s := qubitScore(nb) * t.fcz(q, nb); s > bs || (s == bs && nb < bq) {
-				bs, bq = s, nb
-			}
+	buf, used, tried, limit := make([]int, 2*k), make([]bool, t.NumQubits), 0, 0
+	grow := func(lo, hi int, c cand) (int, int) {
+		used[c.q] = true
+		if c.from == 1 {
+			buf[lo-1] = c.q
+			return lo - 1, hi
 		}
-		return bq, bs
+		buf[hi] = c.q
+		return lo, hi + 1
 	}
-	for len(path) < k {
-		head, tail := path[0], path[len(path)-1]
-		hq, hs := bestNeighbor(head)
-		tq, ts := bestNeighbor(tail)
-		switch {
-		case tq >= 0 && (hq < 0 || ts >= hs):
-			path = append(path, tq)
-			selected[tq] = true
-		case hq >= 0:
-			path = append([]int{hq}, path...)
-			selected[hq] = true
-		default:
-			// Both ends stuck: grow from any path member (deterministic
-			// order), breaking the chain.
-			bq, bs := -1, -1.0
-			for _, q := range path {
-				if nq, ns := bestNeighbor(q); nq >= 0 && (ns > bs || (ns == bs && nq < bq)) {
-					bq, bs = nq, ns
+	// cands lists the free neighbours of the given path members, best score
+	// first; ties keep the order of from, then the lower index.
+	cands := func(from ...int) []cand {
+		var cs []cand
+		for i, q := range from {
+			for _, nb := range adj[q] {
+				if !used[nb] {
+					cs = append(cs, cand{nb, i, qubitScore(nb) * t.fcz(q, nb)})
 				}
 			}
-			if bq < 0 {
-				return nil, fmt.Errorf("transpile: connected region exhausted at %d of %d qubits", len(path), k)
-			}
-			path = append(path, bq)
-			selected[bq] = true
 		}
+		sort.SliceStable(cs, func(i, j int) bool { return cs[i].s > cs[j].s })
+		return cs
 	}
-	return Layout(path), nil
+	var extend func(lo, hi int) bool
+	extend = func(lo, hi int) bool {
+		if hi-lo >= k {
+			copy(buf, buf[lo:hi])
+			return true
+		}
+		// Prune: the free qubits reachable from the two ends must cover
+		// what the path still lacks.
+		seen, reach := make([]bool, t.NumQubits), 0
+		for stack := []int{buf[hi-1], buf[lo]}; len(stack) > 0; {
+			q := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, nb := range adj[q] {
+				if !used[nb] && !seen[nb] {
+					seen[nb], reach, stack = true, reach+1, append(stack, nb)
+				}
+			}
+		}
+		if reach < k-(hi-lo) {
+			return false
+		}
+		for _, c := range cands(buf[hi-1], buf[lo]) {
+			if tried == limit {
+				return false
+			}
+			tried++
+			if extend(grow(lo, hi, c)) {
+				return true
+			}
+			used[c.q] = false
+		}
+		return false
+	}
+	lo, hi := k-1, k+1
+	for _, seed := range seeds[:min(len(seeds), placeSeeds)] {
+		limit = tried + placeBudget/placeSeeds
+		buf[lo], buf[lo+1] = seed[0], seed[1]
+		used[seed[0]], used[seed[1]] = true, true
+		if extend(lo, hi) {
+			return Layout(buf[:k:k]), tried, nil
+		}
+		used[seed[0]], used[seed[1]] = false, false
+	}
+	// The greedy walk from the best seed edge: take the best candidate, never
+	// back up; when both ends are stuck, grow from any path member (best
+	// score, then lowest index) and accept a chain break.
+	buf[lo], buf[lo+1] = seeds[0][0], seeds[0][1]
+	used[buf[lo]], used[buf[lo+1]] = true, true
+	for hi-lo < k {
+		cs := cands(buf[hi-1], buf[lo])
+		if len(cs) == 0 {
+			if cs = cands(buf[lo:hi]...); len(cs) == 0 {
+				return nil, tried, fmt.Errorf("transpile: connected region exhausted at %d of %d qubits", hi-lo, k)
+			}
+			sort.Slice(cs, func(i, j int) bool { return cs[i].s > cs[j].s || cs[i].s == cs[j].s && cs[i].q < cs[j].q })
+			cs[0].from = 0
+		}
+		lo, hi = grow(lo, hi, cs[0])
+	}
+	return append(Layout(nil), buf[lo:hi]...), tried, nil
 }

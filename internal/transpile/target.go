@@ -16,9 +16,10 @@ import (
 
 // Target describes the hardware a circuit is compiled for: connectivity and
 // (optionally) live per-qubit and per-coupler fidelities delivered through
-// the QDMI interface. The transpiler only reads a Target, so one may be
-// shared by concurrent Transpile calls (QDMI hands every compile of a
-// calibration epoch the same one); do not copy a Target after first use.
+// the QDMI interface. The transpiler only reads these fields (what it
+// derives — adjacency, placements — it keeps below, synchronised), so one
+// Target may be shared by concurrent Transpile calls (QDMI hands every
+// compile of an epoch the same one); do not copy or edit it after first use.
 type Target struct {
 	NumQubits int
 	Edges     [][2]int
@@ -30,6 +31,9 @@ type Target struct {
 
 	adjOnce sync.Once
 	adj     map[int][]int
+	edgeSet map[[2]int]bool
+	placeMu sync.Mutex
+	placed  map[[2]int]Layout // Place's layouts by (k, strategy)
 }
 
 // Validate checks the target's internal consistency.
@@ -60,19 +64,17 @@ func edgeKey(a, b int) [2]int {
 
 // Connected reports whether physical qubits a and b share a coupler.
 func (t *Target) Connected(a, b int) bool {
-	for _, e := range t.Edges {
-		if e == edgeKey(a, b) {
-			return true
-		}
-	}
-	return false
+	t.adjacency()
+	return t.edgeSet[edgeKey(a, b)]
 }
 
-// adjacency builds (once) and returns the adjacency map.
+// adjacency builds (once) the adjacency map and edge set; it returns the map.
 func (t *Target) adjacency() map[int][]int {
 	t.adjOnce.Do(func() {
 		adj := make(map[int][]int, t.NumQubits)
+		t.edgeSet = make(map[[2]int]bool, len(t.Edges))
 		for _, e := range t.Edges {
+			t.edgeSet[e] = true
 			adj[e[0]] = append(adj[e[0]], e[1])
 			adj[e[1]] = append(adj[e[1]], e[0])
 		}
@@ -212,9 +214,6 @@ func logFid(f float64) float64 {
 func (t *Target) fcz(a, b int) float64 {
 	if !t.Connected(a, b) {
 		return 0
-	}
-	if t.FCZ == nil {
-		return 1
 	}
 	if f, ok := t.FCZ[edgeKey(a, b)]; ok {
 		return f
