@@ -482,8 +482,8 @@ func BenchmarkMaintenancePlanning(b *testing.B) {
 // digital twin with a 2 ms control-electronics round-trip (the paced mode),
 // so the benchmark is latency-bound the way the real integration is — the
 // host CPU compiles while the QPU round-trip is in flight, which is exactly
-// the overlap the worker pool exists to exploit. The transpile cache
-// collapses the repeated compilations to one per circuit per calibration
+// the overlap the worker pool exists to exploit. The calibration epoch's
+// compile map collapses the repeated compilations to one per circuit per
 // epoch.
 
 func benchmarkDispatchThroughput(b *testing.B, workers int) {

@@ -49,8 +49,8 @@ func main() {
 
 	// Stage 2: the same loop against the noisy 20-qubit QPU, through the
 	// concurrent dispatch pipeline. Every energy evaluation is JIT-compiled
-	// against the live calibration; the transpile cache collapses repeated
-	// measurement circuits to one compilation per calibration epoch.
+	// against the live calibration; the epoch's compile map collapses
+	// repeated measurement circuits to one compilation per calibration epoch.
 	qpuQRM := qrm.NewManager(qdmi.NewDevice(device.New20Q(11), nil))
 	if err := qpuQRM.Start(2); err != nil {
 		log.Fatal(err)
@@ -71,7 +71,7 @@ func main() {
 	// Final energy: re-measure the optimized circuit several times to
 	// average shot noise. These repeats are identical circuits, so from the
 	// second repetition on the dispatch pipeline serves the compilation
-	// from its transpile cache.
+	// from the calibration epoch's compile map.
 	prep, err := ansatz(resQPU.Params)
 	if err != nil {
 		log.Fatal(err)

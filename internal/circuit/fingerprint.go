@@ -9,8 +9,8 @@ import (
 // Fingerprint returns a structural hash of the circuit: qubit count plus
 // every gate's name, operand qubits, and parameter bit patterns, in order.
 // The circuit's display name is deliberately excluded — two identically
-// structured programs hash equal regardless of labelling. The QRM's
-// transpile cache keys on this together with the device calibration epoch.
+// structured programs hash equal regardless of labelling. A device's
+// calibration epoch keys its compile map on this.
 func (c *Circuit) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -91,17 +91,14 @@ func TestBranchTreeChiSquareEquivalence(t *testing.T) {
 // coin toss: 15 % single-qubit and 30 % CZ gate error, so a shot leaves the
 // dominant trajectory several times per circuit and no two share a prefix.
 func inflatedErrorQPU(seed int64) *QPU {
-	qpu := New20Q(seed)
-	qpu.mu.Lock()
-	for q := range qpu.calib.Qubits {
-		qpu.calib.Qubits[q].F1Q = 0.85
-	}
-	for e, cc := range qpu.calib.Couplers {
-		cc.FCZ = 0.7
-		qpu.calib.Couplers[e] = cc
-	}
-	qpu.mu.Unlock()
-	return qpu
+	return withCalibration(New20Q(seed), func(c *Calibration) {
+		for q := range c.Qubits {
+			c.Qubits[q].F1Q = 0.85
+		}
+		for e := range c.Couplers {
+			c.Couplers[e] = CouplerCalibration{FCZ: 0.7}
+		}
+	})
 }
 
 // TestDegenerateTreesChiSquareEquivalence covers the two job shapes with no
@@ -338,8 +335,9 @@ func freshAngleAnsatze(n int, seed int64) []*circuit.Circuit {
 }
 
 // TestConcurrentCompilesShareNoiseMemo: pipeline workers compile different
-// circuits on one device at once, all filling and reading the noise-channel
-// memo from cold — run under -race in CI.
+// circuits on one device at once, and every noise site of every program they
+// build holds the epoch's precomputed channel for its qubit or coupler, not
+// a recomposition of its own — run under -race in CI.
 func TestConcurrentCompilesShareNoiseMemo(t *testing.T) {
 	const workers, each = 4, 8
 	circs := freshAngleAnsatze(workers*each, 3)
@@ -361,21 +359,23 @@ func TestConcurrentCompilesShareNoiseMemo(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	// One PRX channel per qubit, two CZ channels per coupler used.
-	qpu.progMu.Lock()
-	n := len(qpu.noiseChannels)
-	qpu.progMu.Unlock()
-	if n == 0 || n > 5+2*4 {
-		t.Errorf("noise memo holds %d channels after %d jobs on 5 qubits, want 1..13", n, workers*each)
+	ep := qpu.Epoch()
+	if len(ep.progs) != len(circs) {
+		t.Fatalf("epoch holds %d programs after %d distinct circuits", len(ep.progs), len(circs))
+	}
+	for _, e := range ep.progs {
+		if bad := ep.NoiseMismatch(e); bad != "" {
+			t.Errorf("%s does not hold the epoch's channel", bad)
+		}
 	}
 }
 
 // TestFreshAngleCompileAllocs gates the compile-miss path of a hybrid loop:
-// every job is a 5-qubit ansatz with fresh angles, so the program cache
-// misses each call while the per-device noise-channel memo stays warm. What
-// is left is per circuit, not per gate: the calibration snapshot, the
-// compact circuit and its arenas, the trajectory program at its final
-// length, the readout model, the tree's bookkeeping and the result.
+// every job is a 5-qubit ansatz with fresh angles, so the epoch's compile
+// map misses each call while its noise channels are read, not built. What is
+// left is per circuit, not per gate: the map entry, the compact circuit and
+// its arenas, the trajectory program at its final length, the readout
+// model's header, the tree's bookkeeping and the result.
 func TestFreshAngleCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled states and generators at random under -race")
@@ -391,13 +391,13 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 		}
 		next++
 	}
-	exec() // warm the noise memo and the state pool
+	exec() // warm the state pool
 	allocs := testing.AllocsPerRun(runs, exec)
 	if st := qpu.ExecStats(); st.CompileHits != 0 {
 		t.Fatalf("stats = %+v, want every job a compile miss", st)
 	}
-	if allocs > 36 {
-		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 36 (measured 29; 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
+	if allocs > 28 {
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 28 (measured 21; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
 	}
 }
 
@@ -406,12 +406,11 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 // outcomes past the register dimension, and the histogram (sized by the
 // hint) must still count them all.
 func TestReadoutFlipsBeyondCompactRegister(t *testing.T) {
-	qpu := New20Q(90)
-	qpu.mu.Lock()
-	for q := range qpu.calib.Qubits {
-		qpu.calib.Qubits[q].FReadout = 0.6 // brutal readout so flips are certain
-	}
-	qpu.mu.Unlock()
+	qpu := withCalibration(New20Q(90), func(c *Calibration) {
+		for q := range c.Qubits {
+			c.Qubits[q].FReadout = 0.6 // brutal readout so flips are certain
+		}
+	})
 	c := circuit.New(12, "narrow")
 	c.PRX(0, math.Pi/2, math.Pi/2)
 	c.CZ(0, 1)

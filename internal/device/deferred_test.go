@@ -111,7 +111,7 @@ func TestZeroFloorsGiveSameCounts(t *testing.T) {
 
 // TestFloorBoundsFirstBranchWeight is the property deferral rests on: on any
 // normalised state, behind any gate, the first Kraus operator's weight is at
-// least the channel's floor — for every channel gateNoiseChannel builds on a
+// least the channel's floor — for every channel an epoch composes on a
 // fresh and on a badly drifted calibration, and for strong composed
 // 16-branch channels.
 func TestFloorBoundsFirstBranchWeight(t *testing.T) {
@@ -121,12 +121,10 @@ func TestFloorBoundsFirstBranchWeight(t *testing.T) {
 		if drift > 0 {
 			qpu.AdvanceDrift(drift)
 		}
-		calib := qpu.Calibration()
-		for q, qc := range calib.Qubits {
-			chans = append(chans, qpu.gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2))
-			for _, nb := range qpu.Topology().Neighbors(q) {
-				chans = append(chans, qpu.gateNoiseChannel((1-calib.FCZ(q, nb))/2, CZDurationUs, qc.T1, qc.T2))
-			}
+		ep := qpu.Epoch()
+		chans = append(chans, ep.prx...)
+		for _, pair := range ep.cz {
+			chans = append(chans, pair[:]...)
 		}
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -136,7 +134,7 @@ func TestFloorBoundsFirstBranchWeight(t *testing.T) {
 	}
 	for _, ch := range chans {
 		if len(ch.Kraus) == 0 {
-			t.Fatal("gateNoiseChannel built an empty channel on a noisy device")
+			t.Fatal("the epoch holds an empty channel on a noisy device")
 		}
 		floor := ch.Floor()
 		if floor <= 0 || floor > 1 {

@@ -3,7 +3,6 @@ package device
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -14,13 +13,13 @@ import (
 )
 
 // This file is the compiled-circuit execution engine: Execute lowers a
-// native circuit once into a flat program of precomputed matrices and
-// calibration-derived noise channels (cached by circuit fingerprint +
-// calibration epoch, the PR-1 transpile-cache pattern), then runs shots
-// against pooled, reset-in-place states. When the program carries no noise
-// channels — the digital twin, or a calibration with zero gate error — the
-// state is simulated exactly once and all shots are drawn from it, turning
-// an O(shots x gates) loop into O(gates + shots).
+// native circuit once into a flat program of precomputed matrices and the
+// calibration epoch's noise channels (kept in the epoch's compile map,
+// epoch.go), then runs shots against pooled, reset-in-place states. When
+// the program carries no noise channels — the digital twin, or a
+// calibration with zero gate error — the state is simulated exactly once
+// and all shots are drawn from it, turning an O(shots x gates) loop into
+// O(gates + shots).
 
 // trajKind discriminates the steps of a trajectory program.
 type trajKind uint8
@@ -102,10 +101,10 @@ type compiledJob struct {
 
 	// distOnce/dist cache the noiseless final outcome distribution as an
 	// alias sampler, built on the first execution. Because compiledJob is
-	// itself cached per (circuit fingerprint, calibration epoch), a QRM
-	// batch of identical noiseless jobs simulates once and every later job
-	// is pure O(shots) sampling. Gated to distCacheMaxQubits so a full
-	// program cache stays bounded in memory.
+	// itself cached in its epoch's compile map, a QRM batch of identical
+	// noiseless jobs simulates once and every later job is pure O(shots)
+	// sampling. Gated to distCacheMaxQubits so a full map stays bounded in
+	// memory.
 	distOnce sync.Once
 	dist     *quantum.AliasTable
 	distErr  error
@@ -114,26 +113,8 @@ type compiledJob struct {
 }
 
 // distCacheMaxQubits bounds the cached distribution: 2^16 outcomes ≈ 1 MiB
-// of table, acceptable 256 times over (maxCompiledJobs).
+// of table, acceptable maxCompiledJobs times over.
 const distCacheMaxQubits = 16
-
-// progKey identifies a compiled job: circuit structure + the calibration it
-// was compiled against.
-type progKey struct {
-	fingerprint uint64
-	epoch       uint64
-}
-
-// progEntry is a single-flight cache slot: ready closes once cj/err are set.
-type progEntry struct {
-	ready chan struct{}
-	cj    *compiledJob
-	err   error
-}
-
-// maxCompiledJobs bounds the per-device program cache. Stale-epoch entries
-// are evicted first; recompiling is always correct.
-const maxCompiledJobs = 256
 
 // ExecStats counts execution-engine activity: program-cache effectiveness
 // and which path shots took. Exposed so the QRM pipeline metrics (and
@@ -170,8 +151,10 @@ func (s ExecStats) LeavesPerShot() float64 {
 // ExecStats returns a snapshot of the engine counters.
 func (d *QPU) ExecStats() ExecStats {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.execStats
+	s := d.execStats
+	d.mu.Unlock()
+	s.CompileHits, s.CompileMisses = d.compileHits.Load(), d.compileMisses.Load()
+	return s
 }
 
 // Execute runs a native circuit for the given number of shots through the
@@ -187,8 +170,8 @@ func (d *QPU) ExecStats() ExecStats {
 //     the gate duration;
 //   - measured bits flip through the per-qubit readout confusion model.
 //
-// Compilation is cached by circuit fingerprint + calibration epoch, so a
-// batch of identical jobs (the VQE measurement loop) compiles once. Both
+// Compilation is cached in the calibration epoch's compile map, so a batch
+// of identical jobs (the VQE measurement loop) compiles once per epoch. Both
 // execution strategies make every draw from one goroutine, on one stream
 // derived from the seeded device RNG — a fixed seed reproduces identical
 // counts on any host.
@@ -197,14 +180,35 @@ func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 }
 
 // ExecuteCtx is Execute with a caller context carrying an optional trace
-// span: the engine records child spans for its compile lookup, the
-// simulation strategy it picked (with strategy/leaves attributes),
-// and the control-electronics pacing sleep. With no span in ctx the
-// overhead is a few nil checks.
+// span: the engine records child spans for its compile lookup
+// (engine-compile), the simulation strategy it picked (with strategy/leaves
+// attributes), and the control-electronics pacing sleep. With no span in ctx
+// the overhead is a few nil checks.
 func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*Result, error) {
 	if err := d.validateExecution(c, shots); err != nil {
 		return nil, err
 	}
+	_, compileSpan := trace.StartSpan(ctx, "engine-compile")
+	cp, hit, err := d.Epoch().native(c)
+	if hit {
+		compileSpan.End(trace.Str("cache", "hit"))
+	} else {
+		compileSpan.End(trace.Str("cache", "miss"))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d.Run(ctx, cp, shots)
+}
+
+// Run executes a compiled job (Epoch.Prepare) for shots shots, with the
+// noise of the epoch it was compiled on, recording the simulate and pace
+// spans under ctx's span.
+func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int) (*Result, error) {
+	if shots < 1 {
+		return nil, fmt.Errorf("device: shots must be >= 1, got %d", shots)
+	}
+	cj := cp.cj
 	d.mu.Lock()
 	if d.injectedFaults > 0 {
 		d.injectedFaults--
@@ -226,17 +230,6 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	defer rngPool.Put(rng)
 	rng.Seed(seed)
 
-	_, compileSpan := trace.StartSpan(ctx, "engine-compile")
-	cj, hit, err := d.compiledFor(c)
-	if hit {
-		compileSpan.End(trace.Str("cache", "hit"))
-	} else {
-		compileSpan.End(trace.Str("cache", "miss"))
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	// Strategy pick: noiseless programs sample a cached distribution, noisy
 	// ones ride the shot-branching tree — whatever their shot count or noise
 	// level; a tree of one shot, or one whose shots all part ways, is the
@@ -245,6 +238,7 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 		counts  map[int]int
 		stats   runStats
 		distHit bool
+		err     error
 	)
 	_, simSpan := trace.StartSpan(ctx, "simulate")
 	if cj.noiseless {
@@ -266,11 +260,6 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	d.mu.Lock()
 	d.executedJobs++
 	d.executedShots += int64(shots)
-	if hit {
-		d.execStats.CompileHits++
-	} else {
-		d.execStats.CompileMisses++
-	}
 	if cj.noiseless {
 		d.execStats.FastPathJobs++
 		d.execStats.FastPathShots += uint64(shots)
@@ -288,113 +277,26 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// compiledFor returns the compiled job for the circuit against the current
-// calibration, compiling at most once across concurrent callers
-// (single-flight, like the QRM transpile cache). hit reports whether this
-// caller reused an existing compilation, including waiting on another
-// caller's in-flight one.
-//
-// The hit path reads only the epoch (one uint64 under the device lock);
-// the miss path takes one consistent (calibration, epoch) snapshot and
-// registers the entry under the snapshot's epoch, so a cached program's
-// noise always matches the calibration its key names — a drift tick
-// landing mid-lookup can at worst cause one redundant compile, never a
-// stale-noise hit.
-func (d *QPU) compiledFor(c *circuit.Circuit) (cj *compiledJob, hit bool, err error) {
-	fp := c.Fingerprint()
-	key := progKey{fingerprint: fp, epoch: d.CalibEpoch()}
-	d.progMu.Lock()
-	if d.progs == nil {
-		d.progs = make(map[progKey]*progEntry)
-	}
-	if e, ok := d.progs[key]; ok {
-		d.progMu.Unlock()
-		<-e.ready
-		return e.cj, true, e.err
-	}
-	d.progMu.Unlock()
-
-	calib, epoch := d.CalibrationWithEpoch()
-	key = progKey{fingerprint: fp, epoch: epoch}
-	d.progMu.Lock()
-	if e, ok := d.progs[key]; ok {
-		// The snapshot's epoch differs from the first read and another
-		// caller owns that flight; wait on it.
-		d.progMu.Unlock()
-		<-e.ready
-		return e.cj, true, e.err
-	}
-	d.evictProgsLocked(epoch)
-	e := &progEntry{ready: make(chan struct{})}
-	d.progs[key] = e
-	d.progMu.Unlock()
-
-	e.cj, e.err = d.compileJob(c, calib)
-	close(e.ready)
-	if e.err != nil {
-		d.progMu.Lock()
-		if d.progs[key] == e {
-			delete(d.progs, key)
-		}
-		d.progMu.Unlock()
-	}
-	return e.cj, false, e.err
-}
-
-// evictProgsLocked keeps the program cache bounded. A full cache drops every
-// completed entry of a superseded epoch (their calibration no longer exists)
-// and then, if that was not enough, completed entries down to half the bound:
-// a loop of fresh-angle jobs keeps the cache full, and evicting one entry per
-// miss would walk all of it on every miss. In-flight entries survive —
-// evicting them would break single-flight.
-func (d *QPU) evictProgsLocked(currentEpoch uint64) {
-	if len(d.progs) < maxCompiledJobs {
-		return
-	}
-	for k, e := range d.progs {
-		if k.epoch != currentEpoch && e.completed() {
-			delete(d.progs, k)
-		}
-	}
-	for k, e := range d.progs {
-		if len(d.progs) <= maxCompiledJobs/2 {
-			return
-		}
-		if e.completed() {
-			delete(d.progs, k)
-		}
-	}
-}
-
-func (e *progEntry) completed() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-// compileJob lowers a validated native circuit against a calibration
-// snapshot into a compiledJob. The trajectory program comes first: whether it
-// holds a channel decides which of the two programs the job runs, and only
-// that one is kept.
-func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, error) {
+// compileJob lowers a validated native circuit onto the epoch's noise. The
+// trajectory program comes first: whether it holds a channel decides which
+// of the two programs the job runs, and only that one is kept.
+func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
 	compact, toPhysical := compactCircuit(c)
 	cj := &compiledJob{
 		toPhysical:   toPhysical,
-		durPerShotUs: d.estimateDurationUs(c, 1),
+		durPerShotUs: estimateDurationUs(c, 1),
 		stateBudget:  defaultBranchStateBudget,
 	}
-	if !d.twin {
-		cj.readout = nonTrivialReadout(readoutModel(calib, c.NumQubits))
+	if r := ep.readout; r != nil {
+		n := c.NumQubits
+		cj.readout = nonTrivialReadout(&quantum.ReadoutModel{P10: r.P10[:n:n], P01: r.P01[:n:n]})
 	}
 	if compact == nil {
 		cj.noiseless = true
 		return cj, nil
 	}
 	cj.compactQubits = compact.NumQubits
-	noisy, err := d.compileTrajectoryOps(compact, toPhysical, calib)
+	noisy, err := ep.compileTrajectoryOps(compact, toPhysical)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +327,7 @@ func (d *QPU) compileJob(c *circuit.Circuit, calib *Calibration) (*compiledJob, 
 // unitaries. A first pass over the gates counts the steps — a PRX is one, a
 // CZ one plus a site per qubit, an RZ run one only where it flushes — so the
 // program is allocated at its final length on a noisy device.
-func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, calib *Calibration) ([]trajStep, error) {
+func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int) ([]trajStep, error) {
 	pending := make([]quantum.Matrix2, compact.NumQubits)
 	has := make([]bool, compact.NumQubits)
 	n := 0
@@ -474,8 +376,7 @@ func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, c
 				step.m = quantum.Mul2(step.m, pending[q])
 				has[q] = false
 			}
-			qc := calib.Qubits[toPhysical[q]]
-			if ch := d.gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2); len(ch.Kraus) > 0 {
+			if ch := ep.prx[toPhysical[q]]; len(ch.Kraus) > 0 {
 				step.noiseSite(ch)
 			}
 			steps = append(steps, step)
@@ -484,10 +385,9 @@ func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, c
 			flush(a)
 			flush(b)
 			steps = append(steps, trajStep{kind: stepCZ, q: a, q2: b})
-			errRate := (1 - calib.FCZ(toPhysical[a], toPhysical[b])) / 2
-			for _, q := range [2]int{a, b} {
-				qc := calib.Qubits[toPhysical[q]]
-				if ch := d.gateNoiseChannel(errRate, CZDurationUs, qc.T1, qc.T2); len(ch.Kraus) > 0 {
+			phys := [2]int{toPhysical[a], toPhysical[b]}
+			for i, q := range [2]int{a, b} {
+				if ch := ep.czNoise(phys[i], phys[1-i]); len(ch.Kraus) > 0 {
 					step := trajStep{kind: stepNoise, q: q}
 					step.noiseSite(ch)
 					steps = append(steps, step)
@@ -501,63 +401,6 @@ func (d *QPU) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int, c
 		flush(q)
 	}
 	return steps, nil
-}
-
-// noiseKey is everything a gate's composed noise channel depends on.
-type noiseKey struct{ errRate, durUs, t1, t2 float64 }
-
-// maxNoiseChannels bounds the per-device channel memo. One calibration holds
-// at most a PRX entry per qubit and two CZ entries per coupler (82 on the
-// 20-qubit grid); past the bound the memo restarts empty, which drops the
-// superseded epochs' entries with it.
-const maxNoiseChannels = 1024
-
-// gateNoiseChannel returns the channel applyGateNoise would build per shot
-// — depolarizing gate error plus T1/T2 decoherence for the gate duration —
-// composed into a single channel, so the shot loop pays one Kraus selection
-// per gate site instead of three. Channels with zero strength are dropped
-// (they are identity); a channel with no Kraus operators means no noise at
-// all, which is what twin devices get. The composition is a pure function
-// of its four inputs, so it is memoised per device: a circuit with fresh
-// angles misses the program cache on every job, but its gates sit on the
-// same few qubits and couplers as the job before.
-func (d *QPU) gateNoiseChannel(errRate, durUs, t1, t2 float64) quantum.Channel {
-	if d.twin {
-		return quantum.Channel{}
-	}
-	key := noiseKey{errRate, durUs, t1, t2}
-	d.progMu.Lock()
-	ch, ok := d.noiseChannels[key]
-	d.progMu.Unlock()
-	if ok {
-		return ch
-	}
-	var chs []quantum.Channel
-	if errRate > 0 {
-		chs = append(chs, quantum.Depolarizing(errRate))
-	}
-	if gamma := 1 - math.Exp(-durUs/t1); gamma > 0 {
-		chs = append(chs, quantum.AmplitudeDamping(gamma))
-	}
-	// Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1).
-	if tphiInv := 1/t2 - 1/(2*t1); tphiInv > 0 {
-		if lambda := 1 - math.Exp(-durUs*tphiInv); lambda > 0 {
-			chs = append(chs, quantum.PhaseDamping(lambda))
-		}
-	}
-	if len(chs) > 0 {
-		ch = chs[0]
-		for _, next := range chs[1:] {
-			ch = quantum.Compose(ch, next)
-		}
-	}
-	d.progMu.Lock()
-	if d.noiseChannels == nil || len(d.noiseChannels) >= maxNoiseChannels {
-		d.noiseChannels = make(map[noiseKey]quantum.Channel)
-	}
-	d.noiseChannels[key] = ch
-	d.progMu.Unlock()
-	return ch
 }
 
 // nonTrivialReadout returns r, or nil when every qubit's confusion

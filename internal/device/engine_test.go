@@ -62,20 +62,17 @@ func TestNoisyCompiledMatchesNaiveStatistically(t *testing.T) {
 // perfectCalibrationQPU is a non-twin device under a hypothetically perfect
 // calibration: no gate, decoherence, or readout error.
 func perfectCalibrationQPU(seed int64) *QPU {
-	qpu := New20Q(seed)
-	qpu.mu.Lock()
-	for q := range qpu.calib.Qubits {
-		qpu.calib.Qubits[q].F1Q = 1
-		qpu.calib.Qubits[q].FReadout = 1
-		qpu.calib.Qubits[q].T1 = math.Inf(1)
-		qpu.calib.Qubits[q].T2 = math.Inf(1)
-	}
-	for e, cc := range qpu.calib.Couplers {
-		cc.FCZ = 1
-		qpu.calib.Couplers[e] = cc
-	}
-	qpu.mu.Unlock()
-	return qpu
+	return withCalibration(New20Q(seed), func(c *Calibration) {
+		for q := range c.Qubits {
+			c.Qubits[q].F1Q = 1
+			c.Qubits[q].FReadout = 1
+			c.Qubits[q].T1 = math.Inf(1)
+			c.Qubits[q].T2 = math.Inf(1)
+		}
+		for e := range c.Couplers {
+			c.Couplers[e] = CouplerCalibration{FCZ: 1}
+		}
+	})
 }
 
 // The engine must detect a perfect calibration and take the simulate-once
@@ -136,21 +133,22 @@ func TestCompileJobKeepsOnlyTheProgramItRuns(t *testing.T) {
 	}
 }
 
-// TestProgramCacheEvictionIsAmortised: a hybrid loop misses the program
-// cache on every job, so the cache is full for good after maxCompiledJobs of
-// them. Evicting must not walk the whole cache per miss: over N misses past
-// the bound, the entries walked (a full walk for each miss that evicted) stay
-// O(N). An in-flight entry is never the one to go.
+// TestProgramCacheEvictionIsAmortised: a hybrid loop misses the epoch's
+// compile map on every job, so the map is full for good after
+// maxCompiledJobs of them. Evicting must not walk the whole map per miss:
+// over N misses past the bound, the entries walked (a full walk for each
+// miss that evicted) stay O(N). An in-flight entry is never the one to go.
 func TestProgramCacheEvictionIsAmortised(t *testing.T) {
 	const past = 2 * maxCompiledJobs
 	circs := freshAngleAnsatze(maxCompiledJobs+past, 4)
 	qpu := New20Q(34)
-	inFlight := progKey{fingerprint: 1, epoch: qpu.CalibEpoch()}
-	qpu.progs = map[progKey]*progEntry{inFlight: {ready: make(chan struct{})}}
+	ep := qpu.Epoch()
+	inFlight := progKey{fingerprint: 1, placement: placeNone}
+	ep.progs[inFlight] = &Compiled{ready: make(chan struct{})}
 	size := func() int {
-		qpu.progMu.Lock()
-		defer qpu.progMu.Unlock()
-		return len(qpu.progs)
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return len(ep.progs)
 	}
 	walks := 0
 	for i, c := range circs {
@@ -170,9 +168,9 @@ func TestProgramCacheEvictionIsAmortised(t *testing.T) {
 		t.Errorf("%d misses evicted, walking ~%d entries over %d misses past the bound: want at most %d (amortised O(1) per miss)",
 			walks, walked, past, 4*past)
 	}
-	qpu.progMu.Lock()
-	defer qpu.progMu.Unlock()
-	if qpu.progs[inFlight] == nil {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.progs[inFlight] == nil {
 		t.Error("an in-flight entry was evicted: single-flight broken")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -21,25 +22,23 @@ const (
 	ResetDurationUs   = 300.0
 )
 
-// QPU is the device: a topology plus a live calibration record and the
-// drift process that ages it. It executes native circuits with
-// calibration-derived noise, or noiselessly in digital-twin mode.
+// QPU is the device: a topology plus a live calibration and the drift
+// process that ages it. It executes native circuits with calibration-derived
+// noise, or noiselessly in digital-twin mode.
 type QPU struct {
 	mu sync.Mutex
 
 	name  string
 	topo  *Topology
-	calib *Calibration
 	drift *DriftModel
 	rng   *rand.Rand
 
 	// twin disables all noise — the emulator used for onboarding (§4).
 	twin bool
 
-	// epoch counts calibration-state changes (drift advances and
-	// recalibrations). Transpile caches key on it: a compiled circuit is
-	// valid exactly as long as the calibration it was placed against.
-	epoch uint64
+	// current is the published calibration epoch (epoch.go), replaced under
+	// mu by every drift advance and recalibration.
+	current atomic.Pointer[Epoch]
 
 	// execLatency is the wall-clock control-electronics round-trip charged
 	// per Execute call (waveform upload + trigger + readback). Zero by
@@ -55,17 +54,10 @@ type QPU struct {
 	// outage tests.
 	injectedFaults int
 
-	// execStats counts execution-engine activity (engine.go), guarded by mu.
-	execStats ExecStats
-
-	// Compiled-program cache (engine.go): single-flight entries keyed on
-	// circuit fingerprint + calibration epoch, under their own lock so
-	// compilation never serializes against calibration reads.
-	progMu sync.Mutex
-	progs  map[progKey]*progEntry
-	// noiseChannels memoises the composed per-gate noise channels the
-	// compile step derives from calibration values (engine.go), under progMu.
-	noiseChannels map[noiseKey]quantum.Channel
+	// execStats counts execution-engine activity (engine.go), guarded by mu;
+	// the compile-map lookups are counted lock-free beside it.
+	execStats                  ExecStats
+	compileHits, compileMisses atomic.Uint64
 }
 
 // Config configures a QPU.
@@ -104,14 +96,15 @@ func New(cfg Config) (*QPU, error) {
 		return nil, fmt.Errorf("device: %d qubits exceeds simulator limit %d", cfg.Rows*cfg.Cols, quantum.MaxQubits)
 	}
 	topo := SquareGrid(cfg.Rows, cfg.Cols)
-	return &QPU{
+	d := &QPU{
 		name:  cfg.Name,
 		topo:  topo,
-		calib: NewFreshCalibration(topo, cfg.Seed),
 		drift: NewDriftModel(cfg.Seed + 1),
 		rng:   rand.New(rand.NewSource(cfg.Seed + 2)),
 		twin:  cfg.DigitalTwin,
-	}, nil
+	}
+	d.current.Store(newEpoch(d, 0, NewFreshCalibration(topo, cfg.Seed)))
+	return d, nil
 }
 
 // Name returns the device name.
@@ -126,37 +119,27 @@ func (d *QPU) Topology() *Topology { return d.topo }
 // IsTwin reports whether this device is the noiseless digital twin.
 func (d *QPU) IsTwin() bool { return d.twin }
 
-// Calibration returns a snapshot copy of the live calibration record.
-func (d *QPU) Calibration() *Calibration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.calib.Clone()
-}
+// Epoch returns the current calibration epoch: one atomic load. Callers must
+// not modify it or anything it holds.
+func (d *QPU) Epoch() *Epoch { return d.current.Load() }
+
+// Calibration returns a copy of the live calibration record, the caller's
+// to edit.
+func (d *QPU) Calibration() *Calibration { return d.Epoch().Calibration.Clone() }
 
 // AdvanceDrift ages the device by dtHours of simulated time.
 func (d *QPU) AdvanceDrift(dtHours float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.drift.Advance(d.calib, dtHours)
-	d.epoch++
+	next := d.Epoch().Calibration.Clone()
+	d.drift.Advance(next, dtHours)
+	d.publishLocked(next)
 }
 
-// CalibEpoch returns a counter that increments whenever the calibration
-// record changes (drift or recalibration). Equal epochs guarantee identical
-// calibration, so JIT-compilation results can be reused.
-func (d *QPU) CalibEpoch() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch
-}
-
-// CalibrationWithEpoch returns a calibration snapshot together with the
-// epoch it belongs to, read under one lock acquisition — callers keying
-// caches on the epoch need the pair to be consistent.
-func (d *QPU) CalibrationWithEpoch() (*Calibration, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.calib.Clone(), d.epoch
+// publishLocked makes calibration c, which nothing else references, the
+// next epoch. Caller holds d.mu, so epochs are numbered in publish order.
+func (d *QPU) publishLocked(c *Calibration) {
+	d.current.Store(newEpoch(d, d.Epoch().Num+1, c))
 }
 
 // SetExecLatency sets the wall-clock control-electronics round-trip charged
@@ -185,8 +168,9 @@ func (d *QPU) InjectFaults(n int) {
 func (d *QPU) Recalibrate(full bool) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.drift.Recalibrate(d.calib, d.topo, full, d.rng.Int63())
-	d.epoch++
+	next := d.Epoch().Calibration.Clone()
+	d.drift.Recalibrate(next, d.topo, full, d.rng.Int63())
+	d.publishLocked(next)
 	if full {
 		return 100
 	}
@@ -221,12 +205,17 @@ type Result struct {
 }
 
 // validateExecution checks a circuit/shot pair against the device: shot
-// count, gate validity, register fit, native gate set, and CZ connectivity
-// (the topology is immutable, so this needs no lock).
+// count, then validateNative.
 func (d *QPU) validateExecution(c *circuit.Circuit, shots int) error {
 	if shots < 1 {
 		return fmt.Errorf("device: shots must be >= 1, got %d", shots)
 	}
+	return d.validateNative(c)
+}
+
+// validateNative checks gate validity, register fit, native gate set, and CZ
+// connectivity (the topology is immutable, so this needs no lock).
+func (d *QPU) validateNative(c *circuit.Circuit) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
@@ -282,7 +271,7 @@ func (d *QPU) ExecuteNaive(c *circuit.Circuit, shots int) (*Result, error) {
 		}
 		return nil, fmt.Errorf("device: %s: control electronics fault (injected)", d.name)
 	}
-	calib := d.calib.Clone()
+	calib := d.Epoch().Calibration
 	rng := rand.New(rand.NewSource(d.rng.Int63()))
 	latency := d.execLatency
 	d.mu.Unlock()
@@ -329,7 +318,7 @@ func (d *QPU) ExecuteNaive(c *circuit.Circuit, shots int) (*Result, error) {
 	d.executedJobs++
 	d.executedShots += int64(shots)
 	d.mu.Unlock()
-	dur := d.estimateDurationUs(c, shots)
+	dur := estimateDurationUs(c, shots)
 	return &Result{Counts: counts, Shots: shots, DurationUs: dur}, nil
 }
 
@@ -463,7 +452,7 @@ func readoutModel(calib *Calibration, n int) *quantum.ReadoutModel {
 
 // estimateDurationUs estimates total execution time: per shot, the passive
 // reset dominates (300 µs), plus gate time and readout.
-func (d *QPU) estimateDurationUs(c *circuit.Circuit, shots int) float64 {
+func estimateDurationUs(c *circuit.Circuit, shots int) float64 {
 	gateUs := 0.0
 	for _, g := range c.Gates {
 		switch g.Name {

@@ -15,8 +15,11 @@ import (
 // Topology is an undirected coupling graph over physical qubits.
 type Topology struct {
 	n     int
-	edges map[[2]int]bool
-	adj   map[int][]int
+	edges [][2]int // sorted, each (low, high)
+	// coupler[a*n+b] is the index in edges of the coupler between a and b,
+	// -1 when they share none.
+	coupler []int
+	adj     map[int][]int
 }
 
 // NewTopology builds a topology over n qubits with the given edges.
@@ -24,7 +27,10 @@ func NewTopology(n int, edges [][2]int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("device: topology needs at least one qubit")
 	}
-	t := &Topology{n: n, edges: make(map[[2]int]bool), adj: make(map[int][]int)}
+	t := &Topology{n: n, coupler: make([]int, n*n), adj: make(map[int][]int)}
+	for i := range t.coupler {
+		t.coupler[i] = -1
+	}
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if a < 0 || a >= n || b < 0 || b >= n {
@@ -33,13 +39,22 @@ func NewTopology(n int, edges [][2]int) (*Topology, error) {
 		if a == b {
 			return nil, fmt.Errorf("device: self-loop on qubit %d", a)
 		}
-		key := edgeKey(a, b)
-		if t.edges[key] {
+		if t.Connected(a, b) {
 			continue
 		}
-		t.edges[key] = true
+		t.coupler[a*n+b], t.coupler[b*n+a] = 0, 0
+		t.edges = append(t.edges, edgeKey(a, b))
 		t.adj[a] = append(t.adj[a], b)
 		t.adj[b] = append(t.adj[b], a)
+	}
+	sort.Slice(t.edges, func(i, j int) bool {
+		if t.edges[i][0] != t.edges[j][0] {
+			return t.edges[i][0] < t.edges[j][0]
+		}
+		return t.edges[i][1] < t.edges[j][1]
+	})
+	for i, e := range t.edges {
+		t.coupler[e[0]*n+e[1]], t.coupler[e[1]*n+e[0]] = i, i
 	}
 	for q := range t.adj {
 		sort.Ints(t.adj[q])
@@ -81,25 +96,13 @@ func edgeKey(a, b int) [2]int {
 func (t *Topology) NumQubits() int { return t.n }
 
 // Connected reports whether qubits a and b share a coupler.
-func (t *Topology) Connected(a, b int) bool { return t.edges[edgeKey(a, b)] }
+func (t *Topology) Connected(a, b int) bool { return t.coupler[a*t.n+b] >= 0 }
 
 // Neighbors returns the sorted neighbour list of q.
 func (t *Topology) Neighbors(q int) []int { return t.adj[q] }
 
 // Edges returns all coupler edges in deterministic order.
-func (t *Topology) Edges() [][2]int {
-	out := make([][2]int, 0, len(t.edges))
-	for e := range t.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
+func (t *Topology) Edges() [][2]int { return append([][2]int(nil), t.edges...) }
 
 // ShortestPath returns a minimal-hop qubit path from a to b (inclusive), or
 // an error if none exists. BFS with deterministic neighbour order.

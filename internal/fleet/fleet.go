@@ -139,16 +139,8 @@ type deviceEntry struct {
 	failed      uint64
 	shed        uint64
 
-	scoreHist *telemetry.Histogram
-
-	// Calibration means memoized per epoch (score.go).
-	calibEpoch  uint64
-	calibValid  bool
-	meanF1Q     float64
-	meanFCZ     float64
-	meanFRead   float64
-	calibAgeH   float64
-	regionMemo  map[int]float64 // width -> mean pairwise region distance
+	scoreHist   *telemetry.Histogram
+	regionMemo  map[int]float64 // width -> mean pairwise region distance (score.go)
 	maintenance []ops.MaintenanceWindow
 }
 

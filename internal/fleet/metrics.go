@@ -79,15 +79,15 @@ func (s *Scheduler) Metrics() Metrics {
 	devs := make([]pending, 0, len(s.order))
 	for _, name := range s.order {
 		e := s.devices[name]
-		e.refreshCalibMeans()
+		ep := e.dev.QPU().Epoch()
 		devs = append(devs, pending{e: e, d: DeviceMetrics{
 			Name: e.name, State: e.state,
 			Qubits:  e.dev.Properties().NumQubits,
 			Workers: e.workers,
 			Routed:  e.routed, MigratedOut: e.migratedOut,
 			Completed: e.completed, Failed: e.failed, Shed: e.shed,
-			MeanF1Q: e.meanF1Q, MeanFCZ: e.meanFCZ, MeanFRead: e.meanFRead,
-			CalibAgeH: e.calibAgeH,
+			MeanF1Q: ep.MeanF1Q, MeanFCZ: ep.MeanFCZ, MeanFRead: ep.MeanFRead,
+			CalibAgeH: ep.Calibration.AgeHours,
 		}})
 	}
 	s.mu.Unlock()

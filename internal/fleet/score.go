@@ -133,10 +133,10 @@ func (e *deviceEntry) loadPerWorker() float64 {
 // computed from the mean pairwise coupler distance of the width-sized
 // best-connected region of the device (the topology/width fit term: a
 // circuit that fits snugly into a dense region routes with fewer SWAPs than
-// one smeared across a sparse graph). The calibration means are memoized per
-// calibration epoch so routing 200 jobs does not clone 200 records.
+// one smeared across a sparse graph). The calibration means are the device's
+// current epoch's, computed once when it was published.
 func (e *deviceEntry) estimateFidelity(c *circuit.Circuit) float64 {
-	e.refreshCalibMeans()
+	ep := e.dev.QPU().Epoch()
 	g2 := c.TwoQubitCount()
 	g1 := 0
 	for _, g := range c.Gates {
@@ -146,28 +146,13 @@ func (e *deviceEntry) estimateFidelity(c *circuit.Circuit) float64 {
 	}
 	overhead := 0.5 * math.Max(0, e.regionMeanDistance(c.NumQubits)-1)
 	effCZ := float64(g2) * (1 + 3*overhead)
-	f := math.Pow(e.meanF1Q, float64(g1)) *
-		math.Pow(e.meanFCZ, effCZ) *
-		math.Pow(e.meanFRead, float64(c.NumQubits))
+	f := math.Pow(ep.MeanF1Q, float64(g1)) *
+		math.Pow(ep.MeanFCZ, effCZ) *
+		math.Pow(ep.MeanFRead, float64(c.NumQubits))
 	if f < 0 {
 		return 0
 	}
 	return f
-}
-
-// refreshCalibMeans memoizes the calibration means per epoch.
-func (e *deviceEntry) refreshCalibMeans() {
-	epoch := e.dev.CalibrationEpoch()
-	if e.calibValid && epoch == e.calibEpoch {
-		return
-	}
-	calib := e.dev.Calibration()
-	e.meanF1Q = calib.MeanF1Q()
-	e.meanFCZ = calib.MeanFCZ()
-	e.meanFRead = calib.MeanFReadout()
-	e.calibAgeH = calib.AgeHours
-	e.calibEpoch = epoch
-	e.calibValid = true
 }
 
 // regionMeanDistance is the mean pairwise coupler distance among the w

@@ -7,7 +7,6 @@ package qdmi
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/device"
 	"repro/internal/telemetry"
@@ -43,12 +42,6 @@ type Device struct {
 	// props is built once: the topology is immutable, and the scheduler reads
 	// the width of every device on each submit.
 	props Properties
-
-	// mu guards the memoised target: one per calibration epoch, shared by
-	// every transpile of that epoch (the transpiler only reads it).
-	mu          sync.Mutex
-	target      *transpile.Target
-	targetEpoch uint64
 }
 
 // NewDevice wraps a QPU. store may be nil (no telemetry publication).
@@ -66,65 +59,16 @@ func NewDevice(qpu *device.QPU, store *telemetry.Store) *Device {
 // slice and CouplingMap: callers must not modify them.
 func (d *Device) Properties() Properties { return d.props }
 
-// Target implements Interface: it snapshots the live calibration so that the
-// transpiler's fidelity-aware placement sees the device as it is now — the
-// mechanism behind "just-in-time quantum circuit transpilation can reduce
-// noise" (§2.6).
-func (d *Device) Target() *transpile.Target {
-	t, _ := d.TargetWithEpoch()
-	return t
-}
-
-// TargetWithEpoch returns the transpilation target together with the
-// calibration epoch it was built from, as one consistent snapshot — the
-// pair the QRM's transpile cache keys on. Reading them separately would
-// allow a drift advance between the reads to cache a target under the
-// wrong epoch. The target is built once per epoch and shared: callers must
-// not modify it.
-func (d *Device) TargetWithEpoch() (*transpile.Target, uint64) {
-	epoch := d.qpu.CalibEpoch()
-	d.mu.Lock()
-	t := d.target
-	hit := t != nil && d.targetEpoch == epoch
-	d.mu.Unlock()
-	if hit {
-		return t, epoch
-	}
-	calib, epoch := d.qpu.CalibrationWithEpoch()
-	topo := d.qpu.Topology()
-	t = &transpile.Target{
-		NumQubits: topo.NumQubits(),
-		Edges:     topo.Edges(),
-		F1Q:       make([]float64, topo.NumQubits()),
-		FRead:     make([]float64, topo.NumQubits()),
-		FCZ:       make(map[[2]int]float64, len(topo.Edges())),
-	}
-	for q := 0; q < topo.NumQubits(); q++ {
-		t.F1Q[q] = calib.Qubits[q].F1Q
-		t.FRead[q] = calib.Qubits[q].FReadout
-	}
-	for _, e := range topo.Edges() {
-		t.FCZ[e] = calib.FCZ(e[0], e[1])
-	}
-	d.mu.Lock()
-	if d.target == nil || epoch >= d.targetEpoch {
-		d.target, d.targetEpoch = t, epoch
-	}
-	d.mu.Unlock()
-	return t, epoch
-}
+// Target implements Interface: the current calibration epoch's target, so
+// that the transpiler's fidelity-aware placement sees the device as it is
+// now — the mechanism behind "just-in-time quantum circuit transpilation can
+// reduce noise" (§2.6). Every caller within an epoch shares it: do not
+// modify it.
+func (d *Device) Target() *transpile.Target { return d.qpu.Epoch().Target }
 
 // Calibration implements Interface.
 func (d *Device) Calibration() *device.Calibration {
 	return d.qpu.Calibration()
-}
-
-// CalibrationEpoch returns the device's calibration-change counter: equal
-// epochs guarantee that a Target snapshot taken earlier is still exact, so
-// JIT-compilation results can be reused (the QRM transpile cache keys on
-// circuit fingerprint + this epoch).
-func (d *Device) CalibrationEpoch() uint64 {
-	return d.qpu.CalibEpoch()
 }
 
 // QPU exposes the underlying device for execution paths that hold a QDMI
@@ -137,11 +81,12 @@ func (d *Device) CollectorName() string { return "qdmi-" + d.qpu.Name() }
 
 // Collect implements telemetry.Collector.
 func (d *Device) Collect() map[string]float64 {
-	c := d.qpu.Calibration()
+	ep := d.qpu.Epoch()
+	c := ep.Calibration
 	out := map[string]float64{
-		"fidelity_1q":       c.MeanF1Q(),
-		"fidelity_readout":  c.MeanFReadout(),
-		"fidelity_cz":       c.MeanFCZ(),
+		"fidelity_1q":       ep.MeanF1Q,
+		"fidelity_readout":  ep.MeanFRead,
+		"fidelity_cz":       ep.MeanFCZ,
 		"calibration_age_h": c.AgeHours,
 		"tls_active":        float64(d.qpu.ActiveTLSCount()),
 	}

@@ -55,27 +55,31 @@ func TestTargetCarriesLiveFidelities(t *testing.T) {
 }
 
 // TestTargetMemoisedPerEpoch: within one calibration epoch every caller
-// shares one Target; a drift advance or a recalibration yields a new one
-// under the new epoch.
+// shares one Epoch and so one Target; a drift advance or a recalibration
+// publishes a new Epoch, numbered next, with a new Target.
 func TestTargetMemoisedPerEpoch(t *testing.T) {
 	qpu := device.New20Q(4)
 	d := NewDevice(qpu, nil)
-	first, e1 := d.TargetWithEpoch()
-	if again, e := d.TargetWithEpoch(); again != first || e != e1 {
-		t.Errorf("second call in epoch %d returned a different target (epoch %d)", e1, e)
+	first := qpu.Epoch()
+	if qpu.Epoch() != first || d.Target() != first.Target || d.Target() != d.Target() {
+		t.Errorf("epoch %d: a second read returned a different epoch or target", first.Num)
 	}
-	qpu.AdvanceDrift(1)
-	drifted, e2 := d.TargetWithEpoch()
-	if drifted == first || e2 == e1 {
-		t.Errorf("AdvanceDrift kept the memoised target (epochs %d -> %d)", e1, e2)
-	}
-	qpu.Recalibrate(false)
-	recal, e3 := d.TargetWithEpoch()
-	if recal == drifted || e3 == e2 {
-		t.Errorf("Recalibrate kept the memoised target (epochs %d -> %d)", e2, e3)
-	}
-	if again, _ := d.TargetWithEpoch(); again != recal {
-		t.Error("memo did not settle on the recalibrated target")
+	for _, step := range []struct {
+		name string
+		tick func()
+	}{
+		{"AdvanceDrift", func() { qpu.AdvanceDrift(1) }},
+		{"Recalibrate", func() { qpu.Recalibrate(false) }},
+	} {
+		prev := qpu.Epoch()
+		step.tick()
+		next := qpu.Epoch()
+		if next == prev || next.Num != prev.Num+1 || next.Target == prev.Target || next.Calibration == prev.Calibration {
+			t.Errorf("%s kept the epoch or its target (epochs %d -> %d)", step.name, prev.Num, next.Num)
+		}
+		if d.Target() != next.Target || qpu.Epoch() != next {
+			t.Errorf("%s: reads did not settle on epoch %d", step.name, next.Num)
+		}
 	}
 }
 

@@ -14,11 +14,10 @@ import (
 
 // This file is the dispatch pipeline: a worker pool that overlaps JIT
 // compilation and QPU round-trips for independent jobs. Workers claim the
-// next job under weighted-fair queueing, compile it through the shared
-// transpile cache (cache.go), execute, and release the handle's waiters.
-// The QPU itself stays correct under concurrent Execute calls (the device
-// snapshots calibration under its own lock), so the pipeline needs no global
-// serialization.
+// next job under weighted-fair queueing, compile it through the device's
+// current calibration epoch (device.Epoch.Prepare), execute, and release the
+// handle's waiters. An epoch never changes once published, so the pipeline
+// needs no global serialization.
 
 // Start launches nWorkers dispatch workers. It is an error to start an
 // already-running pipeline.
@@ -136,38 +135,27 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 	if j.Request.StaticPlacement {
 		placement = transpile.PlaceStatic
 	}
-	// JIT compile against the *current* device state (Fig. 3 loop), through
-	// the cache: batch workloads resubmitting the same circuit (the VQE
-	// measurement loop) compile once per calibration epoch. Only the epoch
-	// (one uint64) is read up front for the key; the full target snapshot —
-	// a calibration clone under the device lock, which QDMI builds once per
-	// epoch — is fetched in the miss path only. If a drift tick
-	// lands between the epoch read and the snapshot, the entry holds a
-	// *newer*-epoch compile under the older key, which is harmless: epochs
-	// only advance, so later jobs never read this entry, and same-flight
-	// waiters get a result at least as fresh as their key promised.
-	key := cacheKey{
-		fingerprint: j.Request.Circuit.Fingerprint(),
-		static:      j.Request.StaticPlacement,
-		epoch:       m.dev.CalibrationEpoch(),
-	}
+	// JIT compile against the device's *current* calibration epoch (Fig. 3
+	// loop). One lookup in the epoch's compile map yields both the placement
+	// and the engine program, so a repeated circuit (the VQE measurement
+	// loop) compiles once per epoch, and a drift tick mid-dispatch cannot
+	// place the job on one calibration and simulate it on the next.
+	qpu := m.dev.QPU()
+	ep := qpu.Epoch()
 	compileStart := time.Now()
 	compileSpan := j.span.StartChild("compile")
-	res, hit, err := m.cache.getOrCompile(key, func() (*transpile.Result, error) {
-		return transpile.Transpile(j.Request.Circuit, m.dev.Target(), transpile.Options{
-			Placement: placement,
-		})
-	})
+	cp, hit, err := ep.Prepare(j.Request.Circuit, placement)
+	epoch := trace.Int64("epoch", int64(ep.Num))
 	if hit {
-		compileSpan.End(trace.Str("cache", "hit"))
+		compileSpan.End(trace.Str("cache", "hit"), epoch)
 	} else if err != nil {
-		compileSpan.End(trace.Str("cache", "miss"))
+		compileSpan.End(trace.Str("cache", "miss"), epoch)
 	} else {
-		compileSpan.End(trace.Str("cache", "miss"), trace.Int("cz", res.Stats.OutputCZ), trace.Int("swaps", res.Stats.SwapsInserted))
+		compileSpan.End(trace.Str("cache", "miss"), epoch, trace.Int("cz", cp.Result().Stats.OutputCZ), trace.Int("swaps", cp.Result().Stats.SwapsInserted))
 	}
 	m.mu.Lock()
 	if !hit {
-		// The flight owner compiled (successfully or not): a real miss.
+		// This worker compiled (successfully or not): a real miss.
 		m.metrics.cacheMisses++
 		m.metrics.compile.Observe(float64(time.Since(compileStart).Microseconds()) / 1000)
 	} else if err == nil {
@@ -180,6 +168,7 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 		m.finish(j, nil, 0, fmt.Errorf("compile: %w", err))
 		return
 	}
+	res := cp.Result()
 	m.mu.Lock()
 	j.CompiledGates = res.Stats.OutputGates
 	j.CZCount = res.Stats.OutputCZ
@@ -201,7 +190,7 @@ func (m *Manager) dispatchOneLabeled(j *Job) {
 	execSpan := j.span.StartChild("execute",
 		trace.Int("shots", j.Request.Shots), trace.Int("gates", j.CompiledGates))
 	execCtx := trace.ContextWithSpan(context.Background(), execSpan)
-	out, err := m.dev.QPU().ExecuteCtx(execCtx, res.Circuit, j.Request.Shots)
+	out, err := qpu.Run(execCtx, cp, j.Request.Shots)
 	execSpan.End()
 	execMs := float64(time.Since(execStart).Microseconds()) / 1000
 	m.mu.Lock()
@@ -258,8 +247,10 @@ func (mt *metrics) observeQueueDepth(depth int) {
 }
 
 // Metrics is a point-in-time snapshot of pipeline health: queue state,
-// outcome counters, transpile-cache effectiveness, and stage latency
-// histograms (milliseconds).
+// outcome counters, compile-map effectiveness, and stage latency histograms
+// (milliseconds). CacheHits/CacheMisses count this pipeline's lookups; the
+// Sim* compile counters count the device's, which on the dispatch path are
+// the same lookups (plus any direct QPU.ExecuteCtx callers).
 type Metrics struct {
 	Workers    int `json:"workers"`
 	QueueDepth int `json:"queue_depth"`
@@ -330,8 +321,8 @@ func (m *Manager) Metrics() Metrics {
 	return out
 }
 
-// HitRatio returns the transpile-cache hit fraction (0 when the cache has
-// not been exercised).
+// HitRatio returns the compile-map hit fraction (0 when the map has not been
+// exercised).
 func (s Metrics) HitRatio() float64 {
 	total := s.CacheHits + s.CacheMisses
 	if total == 0 {

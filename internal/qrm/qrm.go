@@ -1,10 +1,10 @@
 // Package qrm is the Quantum Resource Manager of Fig. 2: the second-level
 // scheduler that sits between the MQSS client and one device. A Manager is
-// that device's weighted-fair queue (wfq.go), transpile cache (cache.go),
-// worker pool (dispatch.go) and counters: it JIT-compiles each job against
-// the device's live QDMI target at dispatch time, executes it on the QPU, and
-// an outage interrupts queued jobs so the fleet scheduler above can re-route
-// or park them ("more robust job restart tools after system outages").
+// that device's weighted-fair queue (wfq.go), worker pool (dispatch.go) and
+// counters: it JIT-compiles each job against the device's current
+// calibration epoch at dispatch time, executes it on the QPU, and an outage
+// interrupts queued jobs so the fleet scheduler above can re-route or park
+// them ("more robust job restart tools after system outages").
 //
 // Submit returns a Handle to the one party that waits on the job. A job is
 // reachable from the Manager only while it sits in the queue or in a worker's
@@ -174,7 +174,6 @@ type Manager struct {
 	inflight int
 	wg       sync.WaitGroup
 	stopCh   chan struct{} // closed when the pipeline shuts down; unblocks Handle.Wait
-	cache    *transpileCache
 	metrics  metrics
 }
 
@@ -184,7 +183,6 @@ func NewManager(dev *qdmi.Device) *Manager {
 		dev:    dev,
 		queue:  newFairQueue(),
 		online: true,
-		cache:  newTranspileCache(),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.metrics.init()

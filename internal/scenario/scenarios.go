@@ -68,8 +68,9 @@ func deviceDeathMidBatch() Spec {
 }
 
 // calibDriftMidJob ages every device's calibration repeatedly while jobs
-// stream: each epoch bump invalidates the JIT-compile cache, so the
-// pipeline must recompile under load without latency blowing the bound.
+// stream: each epoch bump publishes a new epoch with an empty compile map,
+// so the pipeline must recompile under load without latency blowing the
+// bound.
 func calibDriftMidJob() Spec {
 	return Spec{
 		Name:        "calib-drift-midjob",

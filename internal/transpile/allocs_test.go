@@ -6,7 +6,7 @@ import (
 )
 
 // TestTranspileAllocs gates the compile-miss path of a hybrid loop: a
-// fresh-angle ansatz misses the transpile cache on every job, so what one
+// fresh-angle ansatz misses the device's compile map on every job, so what one
 // Transpile allocates is paid per optimiser iteration. The passes allocate
 // per circuit (gate list plus two operand arenas), not per gate, and the
 // layout comes off the target's memo (one copy), not from a search.
