@@ -489,41 +489,41 @@ func BenchmarkMaintenancePlanning(b *testing.B) {
 func benchmarkDispatchThroughput(b *testing.B, workers int) {
 	qpu := device.NewTwin20Q(30)
 	qpu.SetExecLatency(2 * time.Millisecond)
-	m := qrm.NewManager(qdmi.NewDevice(qpu, nil))
-	if err := m.Start(workers); err != nil {
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), workers); err != nil {
 		b.Fatal(err)
 	}
-	defer m.Stop()
+	defer f.Stop()
 	circuits := []*circuit.Circuit{circuit.GHZ(3), circuit.GHZ(4), circuit.GHZ(5), circuit.GHZ(6)}
 	const repeats = 16 // 64 jobs per round
 	jobs := 0
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		hs := make([]qrm.Handle, 0, len(circuits)*repeats)
+		ids := make([]int, 0, len(circuits)*repeats)
 		for r := 0; r < repeats; r++ {
 			for _, c := range circuits {
-				h, err := m.Submit(qrm.Request{Circuit: c, Shots: 20, User: "bench"}, nil)
+				id, err := f.Submit(qrm.Request{Circuit: c, Shots: 20, User: "bench"}, fleet.SubmitOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				hs = append(hs, h)
+				ids = append(ids, id)
 			}
 		}
-		for _, h := range hs {
-			j, err := h.Wait(context.Background())
+		for _, id := range ids {
+			j, err := f.WaitContext(context.Background(), id)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if j.Status != qrm.StatusDone {
+			if j.Status != fleet.JobDone {
 				b.Fatalf("job %d: %s (%s)", j.ID, j.Status, j.Error)
 			}
 		}
-		jobs += len(hs)
+		jobs += len(ids)
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
-	snap := m.Metrics()
+	snap := f.Metrics().Devices[0].QRM
 	b.ReportMetric(float64(jobs)/elapsed.Seconds(), "jobs/s")
 	b.ReportMetric(snap.E2EMs.Quantile(0.50), "p50-ms")
 	b.ReportMetric(snap.E2EMs.Quantile(0.95), "p95-ms")

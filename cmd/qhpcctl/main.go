@@ -532,13 +532,13 @@ func printV2Job(j *mqss.Job) {
 // printFleetStatus renders the fleet snapshot as the operator table.
 func printFleetStatus(m *fleet.Metrics) {
 	fmt.Printf("fleet: %d devices, policy %s\n", len(m.Devices), m.Policy)
-	fmt.Printf("jobs: %d submitted, %d routed, %d migrated, %d completed, %d failed, %d parked now\n",
-		m.Submitted, m.Routed, m.Migrated, m.Completed, m.Failed, m.ParkedNow)
-	fmt.Printf("%-24s %-12s %6s %6s %6s %8s %8s %8s %8s %8s\n",
-		"DEVICE", "STATE", "QUBITS", "QUEUE", "INFL", "ROUTED", "MIGR-OUT", "DONE", "F1Q", "FCZ")
+	fmt.Printf("jobs: %d submitted, %d routed, %d migrated, %d completed, %d failed, %d queued now\n",
+		m.Submitted, m.Routed, m.Migrated, m.Completed, m.Failed, m.QueueDepth)
+	fmt.Printf("%-24s %-12s %6s %6s %8s %8s %8s %8s %8s\n",
+		"DEVICE", "STATE", "QUBITS", "INFL", "ROUTED", "MIGR-OUT", "DONE", "F1Q", "FCZ")
 	for _, d := range m.Devices {
-		fmt.Printf("%-24s %-12s %6d %6d %6d %8d %8d %8d %8.4f %8.4f\n",
-			d.Name, d.State, d.Qubits, d.QueueDepth, d.Inflight,
+		fmt.Printf("%-24s %-12s %6d %6d %8d %8d %8d %8.4f %8.4f\n",
+			d.Name, d.State, d.Qubits, d.Inflight,
 			d.Routed, d.MigratedOut, d.Completed, d.MeanF1Q, d.MeanFCZ)
 	}
 }

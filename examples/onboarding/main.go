@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/onboarding"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
@@ -34,14 +35,10 @@ func main() {
 	}
 
 	// 2. Training on the digital twin (Use -> Modify), then hardware.
-	twin := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(5), nil))
-	hardware := qrm.NewManager(qdmi.NewDevice(device.New20Q(5), nil))
-	for _, m := range []*qrm.Manager{twin, hardware} {
-		if err := m.Start(1); err != nil {
-			log.Fatal(err)
-		}
-		defer m.Stop()
-	}
+	twin := oneDevice(device.NewTwin20Q(5))
+	defer twin.Stop()
+	hardware := oneDevice(device.New20Q(5))
+	defer hardware.Stop()
 	user := "chem-group"
 
 	if err := reg.CanSubmit(user, true); err != nil {
@@ -53,7 +50,7 @@ func main() {
 	fmt.Println("\ntwin practice (Use-Modify stages):")
 	for i := 0; i < 6; i++ {
 		j := run(twin, qrm.Request{Circuit: circuit.GHZ(3 + i%3), Shots: 200, User: user})
-		fmt.Printf("  twin job %d: %s (%d outcomes)\n", j.ID, j.Status, len(j.Counts))
+		fmt.Printf("  twin job %d: %s (%d outcomes)\n", j.ID, j.Status, len(j.Result.Counts))
 		reg.RecordJob(user, false)
 	}
 	if err := reg.Advance(user); err != nil { // modify -> create
@@ -65,7 +62,7 @@ func main() {
 	u, _ := reg.Lookup(user)
 	fmt.Printf("\n%s reached stage %q (mentor %s) — hardware unlocked\n", user, u.Stage, u.Mentor)
 	j := run(hardware, qrm.Request{Circuit: circuit.GHZ(5), Shots: 500, User: user})
-	fmt.Printf("hardware job %d: %s — %s\n", j.ID, j.Status, j.CompileStats)
+	fmt.Printf("hardware job %d: %s — %s\n", j.ID, j.Status, j.Result.CompileStats)
 	reg.RecordJob(user, true)
 	reg.SubmitReport(user)
 
@@ -90,13 +87,22 @@ func main() {
 		st.Users, st.AtCreateStage, st.ReportsFiled, st.TwinJobs, st.HardwareJobs)
 }
 
-// run submits one job to a device's QRM and waits for its terminal record.
-func run(m *qrm.Manager, req qrm.Request) *qrm.Job {
-	h, err := m.Submit(req, nil)
+// oneDevice is the QRM of one QPU: a one-device fleet with one worker.
+func oneDevice(qpu *device.QPU) *fleet.Scheduler {
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), 1); err != nil {
+		log.Fatal(err)
+	}
+	return f
+}
+
+// run submits one job and waits for its terminal record.
+func run(f *fleet.Scheduler, req qrm.Request) *fleet.Job {
+	id, err := f.Submit(req, fleet.SubmitOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	j, err := h.Wait(context.Background())
+	j, err := f.WaitContext(context.Background(), id)
 	if err != nil {
 		log.Fatal(err)
 	}

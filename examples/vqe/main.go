@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/hybrid"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
@@ -30,12 +31,9 @@ func main() {
 	}
 
 	// Stage 1 (onboarding practice, §4): run against the digital twin.
-	twinQRM := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(11), nil))
-	if err := twinQRM.Start(1); err != nil {
-		log.Fatal(err)
-	}
-	defer twinQRM.Stop()
-	twinRunner := qrmRunner{m: twinQRM, user: "vqe-twin"}
+	twin := oneDevice(device.NewTwin20Q(11), 1)
+	defer twin.Stop()
+	twinRunner := fleetRunner{f: twin, user: "vqe-twin"}
 	vqeTwin := &hybrid.VQE{
 		Hamiltonian: h2, Ansatz: ansatz, Runner: twinRunner,
 		Shots: 4000, Optimizer: hybrid.DefaultSPSA(250, 5),
@@ -51,12 +49,9 @@ func main() {
 	// concurrent dispatch pipeline. Every energy evaluation is JIT-compiled
 	// against the live calibration; the epoch's compile map collapses
 	// repeated measurement circuits to one compilation per calibration epoch.
-	qpuQRM := qrm.NewManager(qdmi.NewDevice(device.New20Q(11), nil))
-	if err := qpuQRM.Start(2); err != nil {
-		log.Fatal(err)
-	}
-	defer qpuQRM.Stop()
-	qpuRunner := qrmRunner{m: qpuQRM, user: "vqe-qpu"}
+	qpu := oneDevice(device.New20Q(11), 2)
+	defer qpu.Stop()
+	qpuRunner := fleetRunner{f: qpu, user: "vqe-qpu"}
 	vqeQPU := &hybrid.VQE{
 		Hamiltonian: h2, Ansatz: ansatz, Runner: qpuRunner,
 		Shots: 2000, Optimizer: hybrid.DefaultSPSA(120, 5),
@@ -88,7 +83,7 @@ func main() {
 	fmt.Printf("Final energy (averaged over %d repeats): E = %.4f Hartree (error %+.4f)\n",
 		finalReps, sum/finalReps, sum/finalReps-exact)
 
-	metrics := qpuQRM.Metrics()
+	metrics := qpu.Metrics().Devices[0].QRM
 	fmt.Printf("\nQRM executed %d quantum jobs for the noisy run (%d workers).\n",
 		metrics.Completed, metrics.Workers)
 	fmt.Printf("Transpile cache: %d hits / %d misses; e2e p95 %.2f ms.\n",
@@ -96,26 +91,36 @@ func main() {
 	fmt.Println("Chemical-accuracy work would add error mitigation — the §4 training topic.")
 }
 
-// qrmRunner adapts the QRM to the hybrid.Runner interface: each expectation
-// measurement becomes one quantum job on the stack.
-type qrmRunner struct {
-	m    *qrm.Manager
+// oneDevice is the QRM of one QPU: a one-device fleet with its worker pool.
+func oneDevice(qpu *device.QPU, workers int) *fleet.Scheduler {
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), workers); err != nil {
+		log.Fatal(err)
+	}
+	return f
+}
+
+// fleetRunner adapts the scheduler to the hybrid.Runner interface: each
+// expectation measurement becomes one quantum job on the stack.
+type fleetRunner struct {
+	f    *fleet.Scheduler
 	user string
 }
 
-func (r qrmRunner) Run(c *circuit.Circuit, shots int) (map[int]int, error) {
-	h, err := r.m.Submit(qrm.Request{Circuit: c, Shots: shots, User: r.user}, nil)
+func (r fleetRunner) Run(c *circuit.Circuit, shots int) (map[int]int, error) {
+	id, err := r.f.Submit(qrm.Request{Circuit: c, Shots: shots, User: r.user}, fleet.SubmitOptions{})
 	if err != nil {
 		return nil, err
 	}
-	job, err := h.Wait(context.Background())
+	rec, err := r.f.WaitContext(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
-	if job.Status != qrm.StatusDone {
-		return nil, fmt.Errorf("job %d failed: %s", job.ID, job.Error)
+	if rec.Status != fleet.JobDone {
+		return nil, fmt.Errorf("job %d failed: %s", rec.ID, rec.Error)
 	}
 	// Project physical outcomes back onto logical qubits via the layout.
+	job := rec.Result
 	logicalCounts := make(map[int]int, len(job.Counts))
 	for outcome, count := range job.Counts {
 		logical := 0

@@ -20,7 +20,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/mqss"
 	"repro/internal/qdmi"
-	"repro/internal/qrm"
 	"repro/internal/telemetry"
 )
 
@@ -79,10 +78,9 @@ type Center struct {
 	Policy *calib.Policy
 
 	// fleet is the one scheduler both access paths land in, built once by
-	// BuildFleet (Fleet builds the one-device default on first use);
-	// primary is the manager it owns over QPU — the only one the QPU has.
-	fleet   *fleet.Scheduler
-	primary *qrm.Manager
+	// BuildFleet (Fleet builds the one-device default on first use); its
+	// simulation clock follows simTime.
+	fleet *fleet.Scheduler
 
 	simTime float64 // seconds
 }
@@ -214,8 +212,8 @@ func (c *Center) Advance(dt float64) {
 	c.QPU.AdvanceDrift(dt / 3600)
 	c.Policy.Advance(dt / 3600)
 	c.HPC.Advance(dt)
-	if c.primary != nil {
-		c.primary.SetTime(c.simTime)
+	if c.fleet != nil {
+		c.fleet.AdvanceTo(c.simTime / 86400)
 	}
 	c.Poll.Poll(c.simTime)
 
@@ -258,8 +256,9 @@ func (c *Center) Advance(dt float64) {
 // setQPUOnline is the single control point for the primary QPU's
 // availability (lesson 2): it flips the batch scheduler's QPU resource and
 // the fleet's routing state together. Offline is a fleet-level Fail — the
-// QPU's queued jobs migrate to siblings, or park until Recover when there
-// are none, and new submissions are accepted and routed the same way.
+// QPU claims nothing, so queued jobs run on siblings, or wait in the queue
+// until Recover when there are none, and new submissions are accepted and
+// queued the same way.
 // Before the fleet exists there is nothing to flip; BuildFleet reads the
 // phase when it runs.
 func (c *Center) setQPUOnline(online bool) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/ops"
 	"repro/internal/qdmi"
-	"repro/internal/telemetry"
 )
 
 // Multi-QPU integration: the paper's MQSS/QDMI split (§2.6) exists so one
@@ -116,22 +115,13 @@ func (c *Center) BuildFleet(cfg FleetConfig) (*fleet.Scheduler, error) {
 			}
 		}
 	}
-	primary, err := f.DeviceManager(c.QPU.Name())
-	if err != nil {
-		f.Stop()
-		return nil, err
-	}
-	// DCDB integration (Fig. 3): the fleet's gauges ride the center poller,
-	// and so does the primary's dispatch-pipeline health (queue depth, cache
-	// effectiveness, tail latency) — the §3.1 "without altering workflows"
+	// DCDB integration (Fig. 3): the fleet's gauges — among them every
+	// device's dispatch-pipeline health (cache effectiveness, tail latency)
+	// — ride the center poller, the §3.1 "without altering workflows"
 	// dissemination extended to the QRM.
 	c.Poll.Register(f)
-	c.Poll.Register(telemetry.FuncCollector{
-		Name: "qrm-pipeline",
-		Fn:   func() map[string]float64 { return primary.Metrics().Gauges() },
-	})
-	c.fleet, c.primary = f, primary
-	primary.SetTime(c.simTime)
+	c.fleet = f
+	f.AdvanceTo(c.simTime / 86400)
 	if !c.Operational() {
 		c.setQPUOnline(false)
 	}

@@ -110,8 +110,9 @@ func TestHybridCoSchedulingWithCalibrationSlot(t *testing.T) {
 
 // The §4 batch + pagination workflow through the REST layer is covered in
 // internal/mqss; here we confirm the center keeps work off the offline QPU
-// during an outage end to end. With no sibling to migrate to, a submission
-// is accepted and parks (DESIGN.md "Outage semantics") — nothing executes.
+// during an outage end to end. With no sibling to run it, a submission is
+// accepted and waits queued (DESIGN.md "Outage semantics") — nothing
+// executes.
 func TestJobsRejectedDuringOutage(t *testing.T) {
 	c := commissioned(t, Config{Seed: 22, DigitalTwin: true})
 	defer c.Fleet().Stop()
@@ -126,12 +127,12 @@ func TestJobsRejectedDuringOutage(t *testing.T) {
 	defer cancel()
 	_, err := c.LocalClient().Run(ctx, mqss.SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "x"})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("run during outage: err = %v, want the wait to time out with the job parked", err)
+		t.Errorf("run during outage: err = %v, want the wait to time out with the job queued", err)
 	}
 	m := c.Fleet().Metrics()
-	if m.ParkedNow != 1 || m.Devices[0].QRM.Submitted != 0 {
-		t.Errorf("parked = %d, jobs on the offline QPU = %d; want 1 parked, 0 dispatched",
-			m.ParkedNow, m.Devices[0].QRM.Submitted)
+	if m.QueueDepth != 1 || m.Devices[0].Routed != 0 {
+		t.Errorf("queued = %d, jobs on the offline QPU = %d; want 1 queued, 0 dispatched",
+			m.QueueDepth, m.Devices[0].Routed)
 	}
 }
 
@@ -139,7 +140,7 @@ func TestJobsRejectedDuringOutage(t *testing.T) {
 // that Advance never took offline, so a fleet kept executing on a QPU the
 // center had declared down. One scheduler now serves every path: an outage
 // fails the primary in the fleet RESTHandler serves, a job submitted
-// meanwhile parks, and it completes after recovery.
+// meanwhile waits queued, and it completes after recovery.
 func TestOutageParksRESTJobsUntilRecovery(t *testing.T) {
 	c := commissioned(t, Config{Seed: 23, DigitalTwin: true})
 	f, err := c.BuildFleet(FleetConfig{Devices: 1, WorkersPerDevice: 2})
@@ -177,14 +178,14 @@ func TestOutageParksRESTJobsUntilRecovery(t *testing.T) {
 	}
 	h, err := client.Submit(ctx, req, "")
 	if err != nil {
-		t.Fatalf("submit during outage should be accepted and parked: %v", err)
+		t.Fatalf("submit during outage should be accepted and queued: %v", err)
 	}
 	time.Sleep(100 * time.Millisecond) // a job routed to the dead QPU would have finished by now
 	if j, err := h.Poll(ctx); err != nil || j.State != mqss.StateQueued {
 		t.Fatalf("job during outage: %+v, %v; want queued", j, err)
 	}
-	if n := f.Metrics().Devices[0].QRM.Submitted; n != 1 {
-		t.Fatalf("offline QPU's manager saw %d jobs, want only the pre-outage one", n)
+	if n := f.Metrics().Devices[0].Routed; n != 1 {
+		t.Fatalf("offline QPU claimed %d jobs, want only the pre-outage one", n)
 	}
 
 	c.Power.Feeds()[0].Restore()
@@ -195,6 +196,6 @@ func TestOutageParksRESTJobsUntilRecovery(t *testing.T) {
 		t.Fatal("center did not recover within a week")
 	}
 	if j, err := h.Wait(ctx); err != nil || j.State != mqss.StateDone {
-		t.Fatalf("parked job after recovery: %+v, %v; want done", j, err)
+		t.Fatalf("queued job after recovery: %+v, %v; want done", j, err)
 	}
 }

@@ -13,46 +13,58 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
-	"repro/internal/telemetry/trace"
 	"repro/internal/transpile"
 )
 
-// compileAttrs runs one job through m under a fresh trace and returns its
-// record and the attributes its compile span ended with.
-func compileAttrs(m *qrm.Manager, req qrm.Request) (*qrm.Job, map[string]string, error) {
-	tr := trace.New("job")
-	h, err := m.Submit(req, tr.Root())
+// oneDevice serves qpu as a one-device fleet with the given worker count,
+// stopped when the test ends.
+func oneDevice(t *testing.T, qpu *device.QPU, workers int) *fleet.Scheduler {
+	t.Helper()
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), workers); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Stop)
+	return f
+}
+
+// compileAttrs runs one job through f and returns its device record and the
+// attributes its compile span ended with.
+func compileAttrs(f *fleet.Scheduler, req qrm.Request) (*qrm.Job, map[string]string, error) {
+	id, err := f.Submit(req, fleet.SubmitOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := h.Wait(context.Background())
+	j, err := f.WaitContext(context.Background(), id)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, sp := range tr.Snapshot().Root.Children {
-		if sp.Name == "compile" {
-			return rec, sp.Attrs, nil
+	if j.Result == nil {
+		return nil, nil, fmt.Errorf("job %d: %s (%s) without a device record", id, j.Status, j.Error)
+	}
+	for _, leg := range f.Trace(id).Snapshot().Root.Children {
+		for _, sp := range leg.Children {
+			if sp.Name == "compile" {
+				return j.Result, sp.Attrs, nil
+			}
 		}
 	}
-	return nil, nil, fmt.Errorf("job %d: no compile span", rec.ID)
+	return nil, nil, fmt.Errorf("job %d: no compile span", id)
 }
 
 // TestDriftTicksMidCompile races calibration publishes against dispatch:
 // four submitters push fresh-angle ansatze and a repeated GHZ circuit
-// through a four-worker qrm.Manager while a goroutine advances drift or
+// through a four-worker device while a goroutine advances drift or
 // recalibrates every ~100 µs. For every finished job, the epoch its compile
 // span names must be the one whose Target placed it and whose channels every
 // noise site of its program holds, and no epoch's compile map may outgrow
 // its bound — run under -race in CI.
 func TestDriftTicksMidCompile(t *testing.T) {
 	qpu := device.New20Q(41)
-	m := qrm.NewManager(qdmi.NewDevice(qpu, nil))
-	if err := m.Start(4); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	f := oneDevice(t, qpu, 4)
 
 	var mu sync.Mutex
 	epochs := map[uint64]*device.Epoch{0: qpu.Epoch()}
@@ -108,7 +120,7 @@ func TestDriftTicksMidCompile(t *testing.T) {
 					}
 				}
 				req := qrm.Request{Circuit: c, Shots: 20, User: "drift"}
-				rec, attrs, err := compileAttrs(m, req)
+				rec, attrs, err := compileAttrs(f, req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -167,14 +179,10 @@ func TestDriftTicksMidCompile(t *testing.T) {
 // which started empty.
 func TestTickStartsAnEmptyCompileMap(t *testing.T) {
 	qpu := device.New20Q(42)
-	m := qrm.NewManager(qdmi.NewDevice(qpu, nil))
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	f := oneDevice(t, qpu, 1)
 	req := qrm.Request{Circuit: circuit.GHZ(4), Shots: 20}
 	attrs := func() map[string]string {
-		_, a, err := compileAttrs(m, req)
+		_, a, err := compileAttrs(f, req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // What the package's external tests (package device_test, which may import
-// the qrm pipeline above this package) read of an epoch's internals.
+// the fleet and qrm pipeline above this package) read of an epoch's internals.
 
 // MaxCompiledJobs is the bound on one epoch's compile map.
 const MaxCompiledJobs = maxCompiledJobs

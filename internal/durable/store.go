@@ -228,7 +228,7 @@ func (s *Store) applyPayload(payload []byte, legacyIdem map[int]string) {
 }
 
 // JournalFleetJob journals the current state of a fleet job — submission
-// (with its Idempotency-Key binding), placement, migrations, parking, and
+// (with its Idempotency-Key binding), claims, failover re-queues and
 // terminal results all flow through here. The record is appended and
 // materialized under the store lock (LSN order therefore matches state
 // order); the returned LSN is what WaitDurable takes. Implements

@@ -172,6 +172,11 @@ func TestCrashPointProperty(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// Every submission is acked, so its record is at or below acked. A
+	// job's submit record can be its only one, and an acked record is never
+	// torn; the axe falls after some later record, so the final frame the
+	// cuts below tear is never the sole record of an acked job.
+	acked := st.Stats().LastLSN
 	// Let roughly half the batch finish so the WAL holds a mix of queued,
 	// running, and terminal records when the axe falls.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -182,6 +187,12 @@ func TestCrashPointProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		awaited[id] = true
+	}
+	for st.Stats().LastLSN == acked {
+		if ctx.Err() != nil {
+			t.Fatal("no transition was journaled after the last submission")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	st.Abandon() // the kill: nothing from here reaches disk
 	f.Stop()
@@ -238,7 +249,7 @@ func TestCrashPointProperty(t *testing.T) {
 		if len(seen) != jobs {
 			t.Fatalf("cut at %d: recovered %d jobs, want %d", cut, len(seen), jobs)
 		}
-		// No devices registered: re-queued jobs park instead of executing,
+		// No devices registered: re-queued jobs wait instead of executing,
 		// so each trial only exercises the restore bookkeeping.
 		f2 := fleet.New(fleet.PolicyBestFidelity, nil)
 		rs, err := f2.Restore(rec.FleetJobs)

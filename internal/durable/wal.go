@@ -1,7 +1,7 @@
 // Package durable is the crash-durable job store behind the fleet
 // scheduler: an append-only write-ahead log of job-lifecycle records plus
 // periodic snapshot compaction. Every transition the event bus publishes
-// (submit, route, park, migrate, terminal) is journaled as a full upsert of
+// (submit, claim, failover re-queue, terminal) is journaled as a full upsert of
 // the job's record — Idempotency-Key binding included, it is a field of the
 // job — so replay is a trivial last-write-wins fold and a snapshot/journal
 // overlap is harmless. The §4

@@ -22,8 +22,8 @@ type Event struct {
 	To JobStatus `json:"to"`
 	// Device names the backend involved, when the publisher knows it.
 	Device string `json:"device,omitempty"`
-	// Reason qualifies the transition (e.g. "migrated", "parked",
-	// "unparked", "recovered").
+	// Reason qualifies the transition: "migrated" (a failover re-queue) or
+	// "recovered" (a re-queue after a restart).
 	Reason string `json:"reason,omitempty"`
 	// Time is the publisher's simulation clock at the transition.
 	Time float64 `json:"time"`

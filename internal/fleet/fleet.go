@@ -1,25 +1,28 @@
 // Package fleet is the multi-QPU scheduler the MQSS/QDMI architecture
 // (§2.6, Fig. 2) was designed to enable: one HPC-side scheduler serving N
-// heterogeneous backends. Each registered device carries its own qrm.Manager
-// worker pool; submitted circuits are scored against every eligible device —
-// estimated fidelity from the live calibration snapshot, topology/width fit,
-// current queue depth — and routed to the best one under the configured
-// policy (best-fidelity, least-loaded, round-robin).
+// heterogeneous backends. Submissions enter one tenant-fair queue (wfq.go).
+// Each registered device runs a pool of workers that claim from it the first
+// job in fair order the device may take — the device is eligible (active,
+// pin, width) and the routing policy (best-fidelity, least-loaded,
+// round-robin), evaluated at claim time over every eligible device, names
+// it — and run the job inline through the device's qrm.Manager: JIT compile
+// against the live calibration epoch, execute, settle (dispatch.go). Binding
+// a job to a device at the last moment means a queued job never holds a
+// stale placement and never has to move.
 //
 // The scheduler owns the paper's operational realities at fleet scale:
-// calibration slots and §3.4 maintenance windows drain a device and
-// transparently migrate its pending jobs to siblings, device faults trigger
-// failover with the failed device excluded from routing, and jobs with no
-// eligible backend park until one returns — no submission is ever lost.
-// Per-device telemetry (queue depth, routed/migrated/failed counters,
-// fidelity-score histograms) publishes into telemetry.Store and the REST
-// metrics endpoint.
+// calibration slots and §3.4 maintenance windows drain a device — it stops
+// claiming, and what it is running finishes — device faults fail one over,
+// sending a job whose execution failed on it back to the queue, and a job
+// no device may take waits in the queue until one returns: no submission is
+// ever lost. Per-device telemetry (routed/migrated/failed counters,
+// fidelity-score histograms, pipeline latencies) publishes into
+// telemetry.Store and the REST metrics endpoint.
 package fleet
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -35,36 +38,37 @@ import (
 type DeviceState string
 
 const (
-	// DeviceActive devices accept routed work.
+	// DeviceActive devices claim queued work.
 	DeviceActive DeviceState = "active"
-	// DeviceDraining devices were drained by an operator; queued jobs have
-	// migrated to siblings and no new work routes here until Resume.
+	// DeviceDraining devices were drained by an operator: they claim
+	// nothing until Resume.
 	DeviceDraining DeviceState = "draining"
 	// DeviceMaintenance devices are inside a §3.4 maintenance (or
 	// calibration) window; AdvanceTo restores them when the window closes.
 	DeviceMaintenance DeviceState = "maintenance"
-	// DeviceFailed devices faulted; failover excluded them from routing
-	// until Recover.
+	// DeviceFailed devices faulted: they claim nothing until Recover, and a
+	// job whose execution fails on one goes back to the queue.
 	DeviceFailed DeviceState = "failed"
 )
 
 // Job is the fleet's record of one submission: the routing envelope plus
-// the device-level record under Result — final once the job is terminal,
-// the live leg on the copy Scheduler.Job returns of a routed job.
+// the device-level record under Result.
 type Job struct {
 	ID int `json:"id"`
 	// Status is written by transitionLocked only (lifecycle.go).
 	Status JobStatus `json:"status"`
-	// Device is the backend currently (or finally) holding the job.
+	// Device is the backend running (or that ran) the job; empty while the
+	// job is queued.
 	Device string `json:"device,omitempty"`
-	// Migrations counts drain/failover re-routes this job survived.
+	// Migrations counts failover re-queues this job survived.
 	Migrations int `json:"migrations,omitempty"`
-	// Score is the fidelity estimate the router computed for the chosen
-	// device at the last routing decision.
+	// Score is the fidelity estimate the router computed for the device
+	// that claimed the job.
 	Score   float64     `json:"score,omitempty"`
 	Pinned  string      `json:"pinned,omitempty"`
 	Request qrm.Request `json:"request"`
-	// Result is the device-level record (counts, layout, timings).
+	// Result is the device-level record (counts, layout, timings): final
+	// once the job is terminal, the leg as of its compile while it runs.
 	Result *qrm.Job `json:"result,omitempty"`
 	Error  string   `json:"error,omitempty"`
 
@@ -87,28 +91,43 @@ type Job struct {
 	policy Policy
 	done   chan struct{}
 	// ackLSN is the journal LSN a submitter waits on before acking this job:
-	// its submit record (which carries IdemKey) and first placement. Zero on
-	// recovered jobs — they were on disk before this process started.
+	// its submit record, which carries IdemKey. Zero on recovered jobs —
+	// they were on disk before this process started.
 	ackLSN uint64
-	// handle is the job on its current device's QRM, held for the life of
-	// the on-device leg: monitor waits on it, Cancel and Job go through it,
-	// finalizeLocked and migrateLocked drop it (zero otherwise).
-	handle qrm.Handle
+
+	// enqueued is when the job last entered the queue: its dispatch
+	// deadline, its queue wait and its WFQ aging count from there.
+	// submitTime is its submission on the simulation clock.
+	enqueued   time.Time
+	submitTime float64
+	// cancelReq marks a cancel requested while a worker holds the job; it
+	// is honoured before the QPU round-trip and again when the result is
+	// settled, so a cancel always beats a result.
+	cancelReq bool
+	// scores memoizes the router's fidelity estimate per device
+	// (score.go).
+	scores []scored
 
 	// tr is the job's span tree, owned (and retained at terminal) by the
-	// scheduler. rootSpan is its root; parkSpan covers a parked interval.
-	// Each routing attempt opens an "on-device" leg span that the device's
-	// QRM closes at the device-level terminal state, so migrations show up
-	// as successive legs under one root. All nil with tracing disabled.
+	// scheduler. rootSpan is its root; qwSpan covers the job's current wait
+	// in the queue. Each claim adds a "route" span and an "on-device" leg
+	// span under the root, so a failover shows up as successive legs. All
+	// nil with tracing disabled.
 	tr       *trace.Trace
 	rootSpan *trace.Span
-	parkSpan *trace.Span
+	qwSpan   *trace.Span
+}
+
+// expired reports whether the job's dispatch deadline passed in the queue.
+func (j *Job) expired(now time.Time) bool {
+	return j.Request.DeadlineMs > 0 &&
+		float64(now.Sub(j.enqueued).Microseconds())/1000 > j.Request.DeadlineMs
 }
 
 // SubmitOptions tune one submission.
 type SubmitOptions struct {
-	// Device pins the job to one backend; it parks rather than migrate to a
-	// sibling when that backend is unavailable.
+	// Device pins the job to one backend: only that backend may claim it,
+	// so it waits while the backend is unavailable.
 	Device string
 	// Policy overrides the scheduler default for this job.
 	Policy Policy
@@ -127,27 +146,36 @@ const idemWindow = 1024
 // deviceEntry is one registered backend.
 type deviceEntry struct {
 	name    string
+	idx     int // position in Scheduler.order; indexes Job.scores
 	dev     *qdmi.Device
 	mgr     *qrm.Manager
 	workers int
 	state   DeviceState
+	// wake is where the device's idle workers wait (bound to
+	// Scheduler.mu): signalled for a queued job the policy sends here,
+	// broadcast when any claim may have changed (wakeAllLocked).
+	wake *sync.Cond
 
-	// Routing counters (guarded by Scheduler.mu).
+	// Guarded by Scheduler.mu: jobs its workers hold, and what became of
+	// the jobs they claimed.
+	inflight    int
 	routed      uint64
 	migratedOut uint64
 	completed   uint64
-	failed      uint64
-	shed        uint64
+	failed      uint64 // includes expired
+	cancelled   uint64
+	expired     uint64
 
 	scoreHist   *telemetry.Histogram
 	regionMemo  map[int]float64 // width -> mean pairwise region distance (score.go)
 	maintenance []ops.MaintenanceWindow
 }
 
-// Scheduler is the fleet: registry + router + migration machinery.
+// Scheduler is the fleet: registry, queue and router.
 type Scheduler struct {
-	mu   sync.Mutex
-	cond *sync.Cond // signalled on job finalization (WaitSettled)
+	mu sync.Mutex
+	// settled wakes WaitSettled whenever a job finalizes (bound to mu).
+	settled *sync.Cond
 
 	policy  Policy
 	devices map[string]*deviceEntry
@@ -159,8 +187,8 @@ type Scheduler struct {
 	nodeID   string // federation ownership stamp for new jobs ("" standalone)
 	jobs     map[int]*Job
 	jobOrder []int
-	parked   map[int]*Job
-	nowDay   float64 // maintenance clock, last AdvanceTo day
+	queue    fairQueue // every queued job; the per-tenant rows live here
+	nowDay   float64   // simulation clock, last AdvanceTo day
 
 	// The Idempotency-Key dedup window: key -> job ID for the newest
 	// idemWindow keyed jobs, idemOrder their IDs in FIFO eviction order.
@@ -171,22 +199,21 @@ type Scheduler struct {
 	scoreHist *telemetry.Histogram
 	bus       *EventBus // every lifecycle transition (transitionLocked)
 
-	submitted uint64
-	routed    uint64
-	migrated  uint64
-	parkEvts  uint64
-	completed uint64
-	failures  uint64
-	cancelled uint64
-	shed      uint64
-	illegal   uint64 // transitions taken that the lifecycle table does not list
+	submitted  uint64
+	routed     uint64
+	migrated   uint64
+	completed  uint64
+	failures   uint64
+	cancelled  uint64
+	shed       uint64
+	illegal    uint64 // transitions taken that the lifecycle table does not list
+	scoreEvals uint64 // fidelity estimates computed: score memo misses
 
-	// admission is forwarded to every device manager (current and future);
-	// zero values = unbounded, the default.
+	// admission bounds the queue; zero values = unbounded, the default.
 	admission tenant.Admission
 
 	closed bool
-	wg     sync.WaitGroup // per-job monitor goroutines
+	wg     sync.WaitGroup // device workers
 
 	// Durable job store (nil = in-memory only). walTail is the LSN of the
 	// most recent record journaled under s.mu; a new job takes it as its
@@ -211,14 +238,14 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 		policy:    policy,
 		devices:   make(map[string]*deviceEntry),
 		jobs:      make(map[int]*Job),
-		parked:    make(map[int]*Job),
+		queue:     newFairQueue(),
 		idem:      make(map[string]int),
 		store:     store,
 		scoreHist: scoreHistogram(),
 		bus:       NewEventBus(),
 		traceCap:  DefaultTraceRetention,
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.settled = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -228,9 +255,9 @@ func (s *Scheduler) Events() *EventBus { return s.bus }
 
 // JobStore is the durability boundary behind the fleet scheduler (declared
 // locally so fleet stays free of a durable import). Every fleet transition —
-// submission, placement, parking, migration, terminal — is journaled as an
-// upsert of the job's full record, Idempotency-Key binding included;
-// internal/durable's WAL-backed Store implements it.
+// submission, claim, failover, terminal — is journaled as an upsert of the
+// job's full record, Idempotency-Key binding included; internal/durable's
+// WAL-backed Store implements it.
 type JobStore interface {
 	JournalFleetJob(j *Job) (lsn uint64)
 	WaitDurable(lsn uint64)
@@ -246,9 +273,8 @@ func (s *Scheduler) AttachStore(st JobStore) {
 	s.jstore = st
 }
 
-// AddDevice registers a backend under a unique name and starts its private
-// dispatch pool with the given worker count. Parked jobs that fit the new
-// device are dispatched immediately.
+// AddDevice registers a backend under a unique name and starts its workers,
+// which claim queued jobs from then on.
 func (s *Scheduler) AddDevice(name string, dev *qdmi.Device, workers int) error {
 	if name == "" {
 		return fmt.Errorf("fleet: device name must be non-empty")
@@ -256,37 +282,36 @@ func (s *Scheduler) AddDevice(name string, dev *qdmi.Device, workers int) error 
 	if workers < 1 {
 		return fmt.Errorf("fleet: device %q needs >= 1 workers, got %d", name, workers)
 	}
-	mgr := qrm.NewManager(dev)
-	if err := mgr.Start(workers); err != nil {
-		return fmt.Errorf("fleet: starting %q pool: %w", name, err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mgr.SetAdmission(s.admission)
 	if s.closed {
-		mgr.Stop()
 		return fmt.Errorf("fleet: scheduler stopped")
 	}
 	if _, dup := s.devices[name]; dup {
-		mgr.Stop()
 		return fmt.Errorf("fleet: device %q already registered", name)
 	}
-	s.devices[name] = &deviceEntry{
-		name: name, dev: dev, mgr: mgr, workers: workers,
+	e := &deviceEntry{
+		name: name, idx: len(s.order), dev: dev, mgr: qrm.NewManager(dev), workers: workers,
 		state:      DeviceActive,
+		wake:       sync.NewCond(&s.mu),
 		scoreHist:  scoreHistogram(),
 		regionMemo: make(map[int]float64),
 	}
+	s.devices[name] = e
 	s.order = append(s.order, name)
-	s.dispatchParkedLocked()
+	s.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go s.serve(e)
+	}
+	s.wakeAllLocked() // the newcomer may out-score the devices queued jobs were waiting for
 	return nil
 }
 
 // Store returns the telemetry store attached at New (may be nil).
 func (s *Scheduler) Store() *telemetry.Store { return s.store }
 
-// ActiveDevices counts backends currently accepting routed work — the cheap
-// health signal (Metrics snapshots every per-device histogram).
+// ActiveDevices counts backends currently claiming work — the cheap health
+// signal (Metrics snapshots every per-device histogram).
 func (s *Scheduler) ActiveDevices() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,42 +376,30 @@ func (s *Scheduler) NodeID() string {
 	return s.nodeID
 }
 
-// SetAdmission applies queue-depth bounds fleet-wide: the config is stored
-// for devices added later and pushed to every registered device manager,
-// where shedding is actually enforced (each device bounds its own queue).
+// SetAdmission installs the queue's depth bounds (tenant.Admission zero
+// values disable each bound). They apply to subsequent submissions; an
+// already-full queue is not retroactively shed.
 func (s *Scheduler) SetAdmission(a tenant.Admission) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.admission = a
-	for _, e := range s.devices {
-		e.mgr.SetAdmission(a)
-	}
 }
 
-// Admission returns the fleet-wide admission config.
+// Admission returns the queue's depth bounds.
 func (s *Scheduler) Admission() tenant.Admission {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.admission
 }
 
-// TenantUsage merges per-tenant accounting across every device manager.
-// A job that migrated between devices is counted once per terminal
-// outcome (the migration source never terminated it), so the merged rows
-// still conserve: submitted == completed + failed + cancelled + shed +
-// interrupted + queued once the fleet settles.
+// TenantUsage snapshots per-tenant accounting, sorted by user. Each
+// submission counts once, whatever it went through, so the rows conserve:
+// submitted == completed + failed + cancelled + shed + interrupted + queued
+// once no job is running.
 func (s *Scheduler) TenantUsage() []tenant.Usage {
 	s.mu.Lock()
-	mgrs := make([]*qrm.Manager, 0, len(s.order))
-	for _, name := range s.order {
-		mgrs = append(mgrs, s.devices[name].mgr)
-	}
-	s.mu.Unlock()
-	rows := make([][]tenant.Usage, 0, len(mgrs))
-	for _, m := range mgrs {
-		rows = append(rows, m.TenantUsage())
-	}
-	return tenant.MergeUsage(rows...)
+	defer s.mu.Unlock()
+	return s.queue.usage()
 }
 
 // maxWidthLocked is the widest registered backend.
@@ -400,8 +413,7 @@ func (s *Scheduler) maxWidthLocked() int {
 	return w
 }
 
-// Submit validates and accepts one job, routing it to the best eligible
-// device (or parking it when none is). The job ID is fleet-scoped.
+// Submit validates and queues one job. The job ID is fleet-scoped.
 func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 	id, _, err := s.SubmitKeyed(req, opts)
 	return id, err
@@ -443,19 +455,18 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 	if st != nil {
 		// Ack-after-durable: the ID is not returned until the submit record
 		// — which carries the key binding — is on stable storage, so a 202
-		// implies the job survives kill -9 still bound to its key. The
-		// routing decision journaled too, so the one LSN covers the
-		// submission and its first placement, and a replay waits on the LSN
-		// its original waited on, so it is never acked ahead of it. The wait
-		// is outside s.mu so group commit batches concurrent submitters,
-		// keyed or not, behind one fsync.
+		// implies the job survives kill -9 still bound to its key. A replay
+		// waits on the LSN its original waited on, so it is never acked
+		// ahead of it. The wait is outside s.mu so group commit batches
+		// concurrent submitters, keyed or not, behind one fsync.
 		st.WaitDurable(lsn)
 	}
 	return j.ID, replayed, nil
 }
 
-// mintLocked admits req, mints its job, binds opts.IdemKey to it and routes
-// it. Caller holds s.mu and has found the key unbound.
+// mintLocked admits req, mints its job, binds opts.IdemKey to it and queues
+// it, shedding past the admission bounds. Caller holds s.mu and has found
+// the key unbound.
 func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Policy) (*Job, error) {
 	if s.idLimit > 0 && s.nextID >= s.idLimit {
 		return nil, fmt.Errorf("fleet: job-ID space exhausted: this node's federation ID block ends at %d; minting past it would misroute owner lookups", s.idLimit)
@@ -468,6 +479,7 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 		ID: s.nextID, Request: req,
 		Pinned: opts.Device, policy: policy, done: make(chan struct{}),
 		SubmitUnixMs: time.Now().UnixMilli(), Node: s.nodeID, IdemKey: opts.IdemKey,
+		submitTime: s.nowDay * 86400,
 	}
 	j.tr = trace.New("job",
 		trace.Int("job_id", j.ID), trace.Str("user", req.User))
@@ -475,9 +487,11 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
 	s.submitted++
+	s.queue.stats(req.User).Submitted++
 	s.bindLocked(j)
 	s.transitionLocked(j, JobQueued, "")
-	s.routeLocked(j, nil, "")
+	s.enqueueLocked(j)
+	s.shedOverLimitLocked(req.User)
 	j.ackLSN = s.walTail
 	return j, nil
 }
@@ -526,135 +540,62 @@ func (s *Scheduler) admitLocked(req qrm.Request, opts SubmitOptions) error {
 	return nil
 }
 
-// routeLocked places j on the best eligible device, excluding the listed
-// names for this attempt; reason annotates the published event ("" for a
-// fresh submission, "migrated" for drain/failover re-routes, "unparked"
-// when a parked job gets another chance). With no eligible device the job
-// parks; it is re-dispatched when a device resumes (with a clean slate — a
-// previously excluded device may have recovered by then).
-func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) {
-	if s.closed {
-		s.finalizeLocked(j, JobFailed, nil, "fleet: scheduler stopped before the job could run")
-		return
-	}
-	// A re-route of a parked job closes its parked interval first.
-	j.parkSpan.End()
-	j.parkSpan = nil
-	routeSpan := j.rootSpan.StartChild("route")
-	for {
-		e, score, ok := s.pickLocked(j, exclude)
-		if !ok {
-			j.Device = ""
-			s.parked[j.ID] = j
-			s.parkEvts++
-			routeSpan.End(trace.Str("outcome", "parked"))
-			j.parkSpan = j.rootSpan.StartChild("parked")
-			s.transitionLocked(j, JobQueued, "parked")
-			return
-		}
-		req := j.Request
-		// The on-device leg nests the device QRM's queue-wait/compile/
-		// execute spans; its QRM ends it at the device-terminal state.
-		leg := j.rootSpan.StartChild("on-device", trace.Str("device", e.name))
-		h, err := e.mgr.Submit(req, leg)
-		if err != nil {
-			// The device flipped offline between scoring and submission;
-			// exclude it for this attempt and retry.
-			leg.End(trace.Str("outcome", "rejected"))
-			if exclude == nil {
-				exclude = make(map[string]bool)
-			}
-			exclude[e.name] = true
-			continue
-		}
-		routeSpan.End(trace.Str("device", e.name))
-		j.Device = e.name
-		j.handle = h
-		j.Score = score
-		s.transitionLocked(j, JobRouted, reason)
-		e.routed++
-		s.routed++
-		e.scoreHist.Observe(score)
-		s.scoreHist.Observe(score)
-		s.wg.Add(1)
-		go s.monitor(j, e, h)
-		return
+// enqueueLocked puts a queued job on the queue and wakes one idle worker
+// of the device its policy sends it to, if that device has one; a busy
+// device's workers rescan the queue before they wait again. Caller holds
+// s.mu.
+func (s *Scheduler) enqueueLocked(j *Job) {
+	j.enqueued = time.Now()
+	j.qwSpan = j.rootSpan.StartChild("queue-wait")
+	s.queue.push(j)
+	if e, _ := s.pickLocked(j); e != nil {
+		e.wake.Signal()
 	}
 }
 
-// monitor follows one routed job to its device-level terminal state and
-// decides the fleet-level outcome: finalize, or migrate to a sibling when
-// the device was drained or failed out from under it.
-func (s *Scheduler) monitor(j *Job, e *deviceEntry, h qrm.Handle) {
-	defer s.wg.Done()
-	rec, err := h.Wait(context.Background())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.Status.Terminal() {
-		return // fleet-level Cancel or Stop already settled it
-	}
-	if err != nil {
-		// The device pool stopped with the job still queued (teardown).
-		if s.closed {
-			s.finalizeLocked(j, JobFailed, nil, "fleet: stopped with job queued: "+err.Error())
-			return
-		}
-		s.migrateLocked(j, e)
-		return
-	}
-	switch rec.Status {
-	case qrm.StatusDone:
-		e.completed++
-		s.finalizeLocked(j, JobDone, rec, "")
-	case qrm.StatusFailed:
-		if rec.Error == qrm.ErrShedMsg {
-			// Admission control evicted it under overload: a deliberate,
-			// retryable refusal — attributed to shedding, not device failure,
-			// and never migrated (a sibling under the same storm would only
-			// shed it again).
-			e.shed++
-			s.finalizeLocked(j, JobFailed, rec, rec.Error)
-			return
-		}
-		if e.state == DeviceFailed {
-			// The backend faulted mid-job: failover, not a job defect.
-			s.migrateLocked(j, e)
-			return
-		}
-		e.failed++
-		s.finalizeLocked(j, JobFailed, rec, rec.Error)
-	case qrm.StatusInterrupted:
-		// Drain, maintenance window, or outage: requeue on a sibling.
-		s.migrateLocked(j, e)
-	case qrm.StatusCancelled:
-		s.finalizeLocked(j, JobCancelled, rec, "")
-	default:
-		s.finalizeLocked(j, JobFailed, rec, fmt.Sprintf("fleet: unexpected device status %q", rec.Status))
+// wakeAllLocked wakes every idle worker: a device's state or load changed,
+// so any queued job's choice of device may have. Caller holds s.mu.
+func (s *Scheduler) wakeAllLocked() {
+	for _, e := range s.devices {
+		e.wake.Broadcast()
 	}
 }
 
-// migrateLocked re-routes a displaced job. Its old device is not excluded:
-// drained, failed or offline it is ineligible anyway, and if it was resumed
-// before this monitor got the lock, excluding it would park a pinned (or
-// single-device) job beside an active device with nothing left to wake it.
-func (s *Scheduler) migrateLocked(j *Job, from *deviceEntry) {
-	j.handle = qrm.Handle{}
-	j.Migrations++
-	from.migratedOut++
-	s.migrated++
-	s.routeLocked(j, nil, "migrated")
+// shedOverLimitLocked enforces the admission bounds after a push: first
+// the submitting tenant's own depth cap, then the global high-water mark.
+// Victims are the most sheddable queued jobs (lowest priority, newest) —
+// possibly the job just submitted — failed with the retryable shed error
+// so their waiters see them fail loudly rather than vanish.
+func (s *Scheduler) shedOverLimitLocked(user string) {
+	shed := func(j *Job) {
+		s.queue.remove(j)
+		s.finalizeLocked(j, JobFailed, nil, qrm.ErrShedMsg)
+	}
+	if a := s.admission.MaxTenantQueue; a > 0 {
+		for s.queue.depth(user) > a {
+			shed(s.queue.worstOf(user))
+		}
+	}
+	if a := s.admission.HighWater; a > 0 {
+		for s.queue.Len() > a {
+			shed(s.queue.worst())
+		}
+	}
 }
 
-// finalizeLocked settles a fleet job exactly once.
+// finalizeLocked settles a fleet job exactly once, with rec as its final
+// device record (nil when it never ran to a result).
 func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg string) {
 	if j.Status.Terminal() {
 		return
 	}
-	delete(s.parked, j.ID)
-	j.handle = qrm.Handle{}
+	if rec != nil {
+		rec.EndTime = s.nowDay * 86400
+	}
 	j.Result = rec
 	j.Error = errMsg
-	j.parkSpan.End()
+	j.scores = nil
+	j.qwSpan.End() // a job settled in the queue closes its wait
 	if errMsg != "" {
 		j.rootSpan.End(trace.Str("outcome", string(st)), trace.Str("error", errMsg))
 	} else {
@@ -664,20 +605,28 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg st
 		s.retainTraceLocked(j)
 	}
 	s.transitionLocked(j, st, "")
-	switch st {
-	case JobDone:
+	// Per-tenant accounting: this is the single terminal choke point, so
+	// every outcome lands in exactly one tenant counter.
+	ts := s.queue.stats(j.Request.User)
+	switch {
+	case st == JobDone:
 		s.completed++
-	case JobFailed:
-		if errMsg == qrm.ErrShedMsg {
-			s.shed++
-		} else {
-			s.failures++
-		}
-	case JobCancelled:
+		ts.Completed++
+	case st == JobCancelled:
 		s.cancelled++
+		ts.Cancelled++
+	case errMsg == qrm.ErrShedMsg:
+		s.shed++
+		ts.Shed++
+	case errMsg == qrm.ErrInterruptedMsg:
+		s.failures++
+		ts.Interrupted++
+	default:
+		s.failures++
+		ts.Failed++
 	}
 	close(j.done)
-	s.cond.Broadcast()
+	s.settled.Broadcast()
 }
 
 // DefaultTraceRetention bounds how many terminal-job traces the scheduler
@@ -689,17 +638,22 @@ const DefaultTraceRetention = 256
 func (s *Scheduler) retainTraceLocked(j *Job) {
 	s.traceSpanDrop += j.tr.Dropped()
 	if s.traceCap < 1 {
-		j.tr, j.rootSpan, j.parkSpan = nil, nil, nil
+		j.tr, j.rootSpan, j.qwSpan = nil, nil, nil
 		return
 	}
 	if len(s.traceRing) >= s.traceCap {
-		old := s.traceRing[0]
-		s.traceRing = s.traceRing[1:]
-		if oj, ok := s.jobs[old]; ok {
-			oj.tr, oj.rootSpan, oj.parkSpan = nil, nil, nil
-		}
+		s.evictOldestTraceLocked()
 	}
 	s.traceRing = append(s.traceRing, j.ID)
+}
+
+// evictOldestTraceLocked drops the oldest retained trace. Caller holds s.mu.
+func (s *Scheduler) evictOldestTraceLocked() {
+	old := s.traceRing[0]
+	s.traceRing = s.traceRing[1:]
+	if oj, ok := s.jobs[old]; ok {
+		oj.tr, oj.rootSpan, oj.qwSpan = nil, nil, nil
+	}
 }
 
 // SetTraceRetention resizes the terminal-trace ring (0 disables retention),
@@ -709,11 +663,7 @@ func (s *Scheduler) SetTraceRetention(n int) {
 	defer s.mu.Unlock()
 	s.traceCap = n
 	for len(s.traceRing) > n {
-		old := s.traceRing[0]
-		s.traceRing = s.traceRing[1:]
-		if oj, ok := s.jobs[old]; ok {
-			oj.tr, oj.rootSpan, oj.parkSpan = nil, nil, nil
-		}
+		s.evictOldestTraceLocked()
 	}
 }
 
@@ -736,56 +686,29 @@ func (s *Scheduler) TraceStats() (retained int, spanDrops uint64) {
 	return len(s.traceRing), s.traceSpanDrop
 }
 
-// dispatchParkedLocked retries every parked job; jobs with still no eligible
-// device simply park again.
-func (s *Scheduler) dispatchParkedLocked() {
-	if len(s.parked) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(s.parked))
-	for id := range s.parked {
-		ids = append(ids, id)
-	}
-	// Oldest first: parking must not reorder a backlog indefinitely.
-	sort.Ints(ids)
-	for _, id := range ids {
-		j := s.parked[id]
-		delete(s.parked, id)
-		s.routeLocked(j, nil, "unparked")
-	}
-}
-
-// Job returns a copy of the fleet job record. A routed job comes back
-// refined from its live device leg (read after s.mu is released — Manager.mu
-// is never taken under it): Result is the leg's record as it stands and
-// Status reads running once a dispatch worker is executing it.
+// Job returns a copy of the fleet job record; a routed job whose leg is on
+// the QPU reads running.
 func (s *Scheduler) Job(id int) (*Job, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w %d", ErrNoJob, id)
 	}
-	cp, h := *j, j.handle
-	s.mu.Unlock()
-	if cp.Status != JobRouted {
-		return &cp, nil
-	}
-	return refined(cp, h.Record()), nil
+	return refined(*j), nil
 }
 
-// refined relabels a private copy of a routed job from its device leg. It
-// takes the job by value: what it writes can never be a scheduler record.
-func refined(cp Job, leg *qrm.Job) *Job {
-	cp.Result = leg
-	if leg.Status == qrm.StatusRunning {
+// refined relabels a private copy of a routed job whose leg is executing.
+// It takes the job by value: what it writes can never be a scheduler record.
+func refined(cp Job) *Job {
+	if cp.Status == JobRouted && cp.Result != nil && cp.Result.Status == qrm.StatusRunning {
 		cp.Status = JobRunning
 	}
 	return &cp
 }
 
 // Wait blocks until the job settles (done, failed, or cancelled — possibly
-// after migrations) and returns its record.
+// after failovers) and returns its record.
 func (s *Scheduler) Wait(id int) (*Job, error) {
 	return s.WaitContext(context.Background(), id)
 }
@@ -812,8 +735,8 @@ func (s *Scheduler) WaitContext(ctx context.Context, id int) (*Job, error) {
 // ListJobs returns up to limit fleet job copies with ID strictly below
 // beforeID (0 = newest first), filtered by user and status set (nil = any);
 // more reports whether older matches remain. The cursor primitive behind
-// the v2 paginated listing. Pages carry the stored status — no device leg is
-// read — so a filter naming running matches routed jobs.
+// the v2 paginated listing. Pages carry the stored status, so a filter
+// naming running matches routed jobs.
 func (s *Scheduler) ListJobs(user string, states map[JobStatus]bool, beforeID, limit int) (jobs []*Job, more bool) {
 	if limit < 1 {
 		limit = 20
@@ -840,11 +763,10 @@ func (s *Scheduler) ListJobs(user string, states map[JobStatus]bool, beforeID, l
 	return jobs, false
 }
 
-// Cancel cancels a parked job immediately, and propagates cancellation of a
-// routed job into its device's dispatch pipeline: still-queued device jobs
-// cancel at once, in-flight ones are flagged and terminate cancelled at the
-// next stage boundary (qrm.Handle.Cancel semantics). The fleet record
-// settles as cancelled either way.
+// Cancel cancels a queued job at once. A job a worker holds has the
+// cancellation requested instead: it settles cancelled at the worker's next
+// stage boundary — before the QPU round-trip, or in place of the result —
+// so Cancel returning nil means the job will end cancelled.
 func (s *Scheduler) Cancel(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -856,79 +778,53 @@ func (s *Scheduler) Cancel(id int) error {
 		return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, j.Status)
 	}
 	if j.Status == JobRouted {
-		if err := j.handle.Cancel(); err != nil {
-			// The leg settled and its monitor has not taken s.mu yet.
-			return fmt.Errorf("fleet: job %d %w settled on its device: %v", id, ErrJobTerminal, err)
-		}
+		j.cancelReq = true
+		return nil
 	}
-	// A routed job's monitor will observe the device-level cancellation, but
-	// settle the fleet record now so the caller sees it immediately.
+	s.queue.remove(j)
 	s.finalizeLocked(j, JobCancelled, nil, "")
 	return nil
 }
 
-// Drain takes a device out of routing: its queued jobs migrate to siblings
-// (in-flight circuits finish — the control electronics complete what is on
-// the wire) and no new work routes to it until Resume.
+// Drain takes a device out of routing: it claims nothing until Resume, and
+// the jobs it is running finish — the control electronics complete what is
+// on the wire. Queued jobs stay queued for the devices still claiming.
 func (s *Scheduler) Drain(name string) error {
-	return s.drainAs(name, DeviceDraining)
+	return s.setState(name, DeviceDraining)
 }
 
-// Fail marks a device faulted: same drain semantics, but jobs that fail on
-// it mid-flight are failed over to siblings instead of being reported as
-// job errors, and the device stays excluded until Recover.
+// Fail marks a device faulted: it claims nothing until Recover, and a job
+// whose execution fails on it goes back to the queue for a sibling instead
+// of being reported as a job error.
 func (s *Scheduler) Fail(name string) error {
-	return s.drainAs(name, DeviceFailed)
+	return s.setState(name, DeviceFailed)
 }
 
-func (s *Scheduler) drainAs(name string, st DeviceState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.devices[name]
-	if !ok {
-		return fmt.Errorf("fleet: unknown device %q", name)
-	}
-	e.state = st
-	// SetOnline(false) interrupts the device's queued jobs; their monitors
-	// pick the interruptions up and migrate them as soon as we release the
-	// fleet lock.
-	e.mgr.SetOnline(false)
-	return nil
-}
-
-// Resume returns a drained (or recovered) device to routing and dispatches
-// any parked jobs that now fit.
+// Resume returns a drained (or recovered) device to routing.
 func (s *Scheduler) Resume(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resumeLocked(name)
+	return s.setState(name, DeviceActive)
 }
 
 // Recover is Resume for a failed device (semantic alias, kept separate so
 // call sites read correctly).
 func (s *Scheduler) Recover(name string) error { return s.Resume(name) }
 
-func (s *Scheduler) resumeLocked(name string) error {
-	e, ok := s.devices[name]
-	if !ok {
-		return fmt.Errorf("fleet: unknown device %q", name)
-	}
-	e.state = DeviceActive
-	e.mgr.SetOnline(true)
-	s.dispatchParkedLocked()
-	return nil
-}
-
-// DeviceManager exposes a registered device's QRM (tests and local HPC-path
-// clients).
-func (s *Scheduler) DeviceManager(name string) (*qrm.Manager, error) {
+func (s *Scheduler) setState(name string, st DeviceState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.devices[name]
 	if !ok {
-		return nil, fmt.Errorf("fleet: unknown device %q", name)
+		return fmt.Errorf("fleet: unknown device %q", name)
 	}
-	return e.mgr, nil
+	s.setStateLocked(e, st)
+	return nil
+}
+
+// setStateLocked moves a device to st and wakes the workers: every queued
+// job's choice of device may have changed with it.
+func (s *Scheduler) setStateLocked(e *deviceEntry, st DeviceState) {
+	e.state = st
+	s.wakeAllLocked()
 }
 
 // DeviceHandle exposes a registered device's QDMI handle.
@@ -957,13 +853,12 @@ func (s *Scheduler) WaitSettled() {
 		if !busy {
 			return
 		}
-		s.cond.Wait()
+		s.settled.Wait()
 	}
 }
 
-// Stop shuts the fleet down: parked jobs fail, device pools drain their
-// in-flight work and stop, and every monitor goroutine exits. Stop is
-// idempotent.
+// Stop shuts the fleet down: queued jobs fail, device workers finish what
+// they hold and exit. Stop is idempotent.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	if s.closed {
@@ -971,21 +866,11 @@ func (s *Scheduler) Stop() {
 		return
 	}
 	s.closed = true
-	entries := make([]*deviceEntry, 0, len(s.devices))
-	for _, name := range s.order {
-		entries = append(entries, s.devices[name])
-	}
-	for id, j := range s.parked {
-		delete(s.parked, id)
+	for _, j := range s.queue.drain() {
 		s.finalizeLocked(j, JobFailed, nil, "fleet: scheduler stopped")
 	}
+	s.wakeAllLocked()
 	s.mu.Unlock()
-	for _, e := range entries {
-		// Interrupt queued jobs (monitors finalize them as failed under the
-		// closed flag), then stop the pool, letting in-flight jobs finish.
-		e.mgr.SetOnline(false)
-		e.mgr.Stop()
-	}
 	s.wg.Wait()
 	// Every job is settled and its terminal event published; release watch
 	// subscribers.

@@ -7,9 +7,9 @@ import (
 
 // JobStatus is the job lifecycle state — the one spelling the scheduler
 // stores, the WAL journals, the event bus publishes and the v2 API serves.
-// A queued job is parked waiting for an eligible device, a routed job sits
-// on some device's QRM queue. Running is never stored: it is how
-// Scheduler.Job relabels its copy of a routed job a worker is executing.
+// A queued job waits in the fleet's queue; a routed job is held by one
+// device's worker, compiling or on the QPU. Running is never stored: it is
+// how Scheduler.Job relabels its copy of a routed job whose leg executes.
 type JobStatus string
 
 const (
@@ -44,19 +44,14 @@ type edge struct {
 }
 
 // lifecycle is every move a job may make; a submission leaves "" (no status
-// yet). mintLocked takes the first row, routeLocked the next two blocks
-// (placements, then parking), Restore the "recovered" re-queues and
-// finalizeLocked the terminal block — DESIGN.md §Job lifecycle says when.
+// yet). mintLocked takes the first row, a device's claim the second, a
+// failover (a run that failed on a failed device) the third, Restore the
+// "recovered" re-queues and finalizeLocked the terminal block — DESIGN.md
+// §Job lifecycle says when.
 var lifecycle = map[edge]bool{
-	{"", JobQueued, ""}: true,
-
+	{"", JobQueued, ""}:                 true,
 	{JobQueued, JobRouted, ""}:          true,
-	{JobQueued, JobRouted, "unparked"}:  true,
-	{JobQueued, JobRouted, "recovered"}: true,
-	{JobRouted, JobRouted, "migrated"}:  true,
-
-	{JobQueued, JobQueued, "parked"}:    true,
-	{JobRouted, JobQueued, "parked"}:    true,
+	{JobRouted, JobQueued, "migrated"}:  true,
 	{JobQueued, JobQueued, "recovered"}: true,
 	{JobRouted, JobQueued, "recovered"}: true,
 
@@ -89,7 +84,7 @@ var (
 
 // transitionLocked moves j to status to — the only write of Job.Status in
 // the package (TestStatusHasOneWriter). The caller has already set whatever
-// else the move changes (device, handle, result, error): the whole record is
+// else the move changes (device, result, error): the whole record is
 // journaled here, then published, so the bus carries exactly the stream the
 // WAL replays. An edge missing from the table still proceeds — refusing
 // would strand the job — but is counted. Events carry the maintenance clock

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/ops"
+	"repro/internal/qdmi"
 	"repro/internal/tenant"
 )
 
@@ -114,6 +115,7 @@ func (m *memStore) revive() {
 // walkEpoch is one scheduler lifetime of the random walk.
 type walkEpoch struct {
 	s       *Scheduler
+	devs    map[string]*qdmi.Device
 	sub     *Subscription
 	audit   *lifecycleAudit
 	drained chan struct{}
@@ -121,9 +123,10 @@ type walkEpoch struct {
 
 func startWalkEpoch(t *testing.T, seed int64, names []string, st *memStore, recovered []*Job) *walkEpoch {
 	t.Helper()
-	ep := &walkEpoch{s: New(PolicyBestFidelity, nil), audit: newLifecycleAudit(t, recovered), drained: make(chan struct{})}
+	ep := &walkEpoch{s: New(PolicyBestFidelity, nil), devs: map[string]*qdmi.Device{}, audit: newLifecycleAudit(t, recovered), drained: make(chan struct{})}
 	for i, name := range names {
-		if err := ep.s.AddDevice(name, mkdev(t, name, 2, 3, seed*10+int64(i), 300*time.Microsecond), 2); err != nil {
+		ep.devs[name] = mkdev(t, name, 2, 3, seed*10+int64(i), 300*time.Microsecond)
+		if err := ep.s.AddDevice(name, ep.devs[name], 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +165,8 @@ func (ep *walkEpoch) end(t *testing.T, taken map[edge]int) {
 
 // TestLifecycleRandomWalk drives a 2–3 device fleet through a seeded random
 // sequence of every operation that moves a job — keyed, keyless, pinned and
-// deadlined submissions, cancels, drains, faults, resumes, a maintenance
+// deadlined submissions, cancels, drains, device failures under armed
+// execution faults, resumes, a maintenance
 // window opened and closed by AdvanceTo, admission shedding, kill-then-
 // Restore from an in-memory store, stop — while a firehose subscriber holds
 // the event stream to the transition table. Between them the seeds must take
@@ -219,7 +223,13 @@ func lifecycleRandomWalk(t *testing.T, seed int64, taken map[edge]int) {
 		case op < 12:
 			_ = ep.s.Drain(pick())
 		case op < 13:
-			_ = ep.s.Fail(pick())
+			// Fail a device with a fault armed: an execution it starts in
+			// between fails under the failed device and goes back to the
+			// queue; an unused fault fails some later job outright.
+			name := pick()
+			ep.devs[name].QPU().InjectFaults(1)
+			time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
+			_ = ep.s.Fail(name)
 		case op < 15:
 			_ = ep.s.Resume(pick())
 		case op < 16:
@@ -261,7 +271,7 @@ func lifecycleRandomWalk(t *testing.T, seed int64, taken map[edge]int) {
 				t.Logf("stuck: job %d %s on %q, pinned %q, %d migrations", id, j.Status, j.Device, j.Pinned, j.Migrations)
 			}
 		}
-		t.Fatalf("jobs still in flight 30 s after the walk ended (%d parked)", ep.s.Metrics().ParkedNow)
+		t.Fatalf("jobs still in flight 30 s after the walk ended (%d queued)", ep.s.Metrics().QueueDepth)
 	}
 	ep.end(t, taken)
 	for _, id := range ids {

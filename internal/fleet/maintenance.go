@@ -9,10 +9,9 @@ import (
 // Maintenance-window draining: each device can carry a §3.4 maintenance
 // plan (ops.MaintenancePlan output, or hand-built windows for calibration
 // slots). AdvanceTo drives the fleet clock in simulated days: entering a
-// window drains the device (queued jobs migrate to siblings, in-flight work
-// finishes, routing excludes it), and leaving the window restores it and
-// re-dispatches parked work. Manual Drain/Fail states are never overridden —
-// the operator owns those.
+// window drains the device (it stops claiming; in-flight work finishes), and
+// leaving the window restores it. Manual Drain/Fail states are never
+// overridden — the operator owns those.
 
 // SetMaintenancePlan attaches (or replaces) a device's maintenance windows.
 func (s *Scheduler) SetMaintenancePlan(name string, plan []ops.MaintenanceWindow) error {
@@ -47,10 +46,11 @@ func inWindow(plan []ops.MaintenanceWindow, day float64) bool {
 	return false
 }
 
-// AdvanceTo moves the fleet's maintenance clock to the given simulation day:
-// devices entering a window drain into DeviceMaintenance, devices whose
-// window has closed return to routing (and parked jobs re-dispatch). It is
-// idempotent — call it as often as the simulation ticks.
+// AdvanceTo moves the fleet's simulation clock — the one that stamps job
+// records and events — to the given day: devices entering a maintenance
+// window drain into DeviceMaintenance, devices whose window has closed
+// return to routing. It is idempotent — call it as often as the simulation
+// ticks.
 func (s *Scheduler) AdvanceTo(day float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -63,11 +63,9 @@ func (s *Scheduler) AdvanceTo(day float64) {
 		in := inWindow(e.maintenance, day)
 		switch {
 		case in && e.state == DeviceActive:
-			e.state = DeviceMaintenance
-			e.mgr.SetOnline(false) // queued jobs interrupt → monitors migrate
+			s.setStateLocked(e, DeviceMaintenance)
 		case !in && e.state == DeviceMaintenance:
-			// resumeLocked also re-dispatches parked jobs.
-			_ = s.resumeLocked(name)
+			s.setStateLocked(e, DeviceActive)
 		}
 	}
 }

@@ -14,14 +14,12 @@ type DeviceMetrics struct {
 	Qubits  int         `json:"qubits"`
 	Workers int         `json:"workers"`
 
-	QueueDepth int `json:"queue_depth"`
-	Inflight   int `json:"inflight"`
+	Inflight int `json:"inflight"`
 
 	Routed      uint64 `json:"routed"`
 	MigratedOut uint64 `json:"migrated_out"`
 	Completed   uint64 `json:"completed"`
 	Failed      uint64 `json:"failed"`
-	Shed        uint64 `json:"shed"`
 
 	MeanF1Q   float64 `json:"fidelity_1q"`
 	MeanFCZ   float64 `json:"fidelity_cz"`
@@ -30,7 +28,7 @@ type DeviceMetrics struct {
 
 	// ScoreHist buckets the fidelity estimates of jobs routed here.
 	ScoreHist telemetry.HistogramSnapshot `json:"score_hist"`
-	// QRM is the device's full dispatch-pipeline snapshot.
+	// QRM is the device's dispatch-pipeline snapshot.
 	QRM qrm.Metrics `json:"qrm"`
 }
 
@@ -39,11 +37,11 @@ type Metrics struct {
 	Policy  Policy          `json:"policy"`
 	Devices []DeviceMetrics `json:"devices"`
 
+	// QueueDepth is the number of jobs waiting in the fleet's queue.
+	QueueDepth int    `json:"queue_depth"`
 	Submitted  uint64 `json:"submitted"`
 	Routed     uint64 `json:"routed"`
 	Migrated   uint64 `json:"migrated"`
-	ParkEvents uint64 `json:"park_events"`
-	ParkedNow  int    `json:"parked_now"`
 	Completed  uint64 `json:"completed"`
 	Failed     uint64 `json:"failed"`
 	Cancelled  uint64 `json:"cancelled"`
@@ -60,11 +58,10 @@ func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	out := Metrics{
 		Policy:     s.policy,
+		QueueDepth: s.queue.Len(),
 		Submitted:  s.submitted,
 		Routed:     s.routed,
 		Migrated:   s.migrated,
-		ParkEvents: s.parkEvts,
-		ParkedNow:  len(s.parked),
 		Completed:  s.completed,
 		Failed:     s.failures,
 		Cancelled:  s.cancelled,
@@ -73,54 +70,55 @@ func (s *Scheduler) Metrics() Metrics {
 		IllegalTransitions: s.illegal,
 	}
 	type pending struct {
-		e *deviceEntry
-		d DeviceMetrics
+		e                  *deviceEntry
+		d                  DeviceMetrics
+		cancelled, expired uint64
 	}
 	devs := make([]pending, 0, len(s.order))
 	for _, name := range s.order {
 		e := s.devices[name]
 		ep := e.dev.QPU().Epoch()
-		devs = append(devs, pending{e: e, d: DeviceMetrics{
+		devs = append(devs, pending{e: e, cancelled: e.cancelled, expired: e.expired, d: DeviceMetrics{
 			Name: e.name, State: e.state,
 			Qubits:  e.dev.Properties().NumQubits,
-			Workers: e.workers,
-			Routed:  e.routed, MigratedOut: e.migratedOut,
-			Completed: e.completed, Failed: e.failed, Shed: e.shed,
+			Workers: e.workers, Inflight: e.inflight,
+			Routed: e.routed, MigratedOut: e.migratedOut,
+			Completed: e.completed, Failed: e.failed,
 			MeanF1Q: ep.MeanF1Q, MeanFCZ: ep.MeanFCZ, MeanFRead: ep.MeanFRead,
 			CalibAgeH: ep.Calibration.AgeHours,
 		}})
 	}
 	s.mu.Unlock()
-	// Histograms and QRM snapshots are internally synchronized; read them
-	// outside the fleet lock.
+	// Histograms and the QRM stages' figures are internally synchronized;
+	// read them outside the fleet lock, then add the counts kept under it.
 	out.ScoreHist = s.scoreHist.Snapshot()
 	for _, p := range devs {
 		d := p.d
 		d.ScoreHist = p.e.scoreHist.Snapshot()
 		d.QRM = p.e.mgr.Metrics()
-		d.QueueDepth = d.QRM.QueueDepth
-		d.Inflight = d.QRM.Inflight
+		d.QRM.Workers, d.QRM.Inflight = d.Workers, d.Inflight
+		d.QRM.Completed, d.QRM.Failed = d.Completed, d.Failed
+		d.QRM.Cancelled, d.QRM.Expired = p.cancelled, p.expired
 		out.Devices = append(out.Devices, d)
 	}
 	return out
 }
 
 // Gauges flattens the snapshot into telemetry sensors: fleet totals plus
-// per-device series (queue depth, counters, mean fidelity, p95 score).
+// per-device series (counters, mean fidelity, pipeline health).
 func (m Metrics) Gauges() map[string]float64 {
 	out := map[string]float64{
-		"fleet_devices":    float64(len(m.Devices)),
-		"fleet_routed":     float64(m.Routed),
-		"fleet_migrated":   float64(m.Migrated),
-		"fleet_parked_now": float64(m.ParkedNow),
-		"fleet_completed":  float64(m.Completed),
-		"fleet_failed":     float64(m.Failed),
-		"fleet_shed":       float64(m.Shed),
-		"fleet_score_p50":  m.ScoreHist.Quantile(0.50),
+		"fleet_devices":     float64(len(m.Devices)),
+		"fleet_queue_depth": float64(m.QueueDepth),
+		"fleet_routed":      float64(m.Routed),
+		"fleet_migrated":    float64(m.Migrated),
+		"fleet_completed":   float64(m.Completed),
+		"fleet_failed":      float64(m.Failed),
+		"fleet_shed":        float64(m.Shed),
+		"fleet_score_p50":   m.ScoreHist.Quantile(0.50),
 	}
 	for _, d := range m.Devices {
 		p := "fleet_" + d.Name + "_"
-		out[p+"queue_depth"] = float64(d.QueueDepth)
 		out[p+"inflight"] = float64(d.Inflight)
 		out[p+"routed"] = float64(d.Routed)
 		out[p+"migrated_out"] = float64(d.MigratedOut)
@@ -128,6 +126,8 @@ func (m Metrics) Gauges() map[string]float64 {
 		out[p+"failed"] = float64(d.Failed)
 		out[p+"fidelity_1q"] = d.MeanF1Q
 		out[p+"fidelity_cz"] = d.MeanFCZ
+		out[p+"cache_hit_ratio"] = d.QRM.HitRatio()
+		out[p+"e2e_p95_ms"] = d.QRM.E2EMs.Quantile(0.95)
 		active := 0.0
 		if d.State == DeviceActive {
 			active = 1

@@ -12,23 +12,20 @@ import (
 // RestoreStats reports what Restore did with the recovered fleet records.
 type RestoreStats struct {
 	Terminal int // re-entered history untouched
-	Requeued int // re-routed (or parked) under their original IDs
+	Requeued int // queued again under their original IDs
 	Expired  int // past deadline while down; failed with the interrupted error
 }
 
 // Restore loads recovered fleet job records into an empty scheduler.
 // Terminal jobs become history; jobs that were queued or routed when the
-// process died are re-routed from scratch under their *original* IDs — the
-// pre-crash device placement is only a hint that died with the device
-// pools, so recovery reruns the scoring loop, and a job whose terminal
-// record missed its fsync runs again (at-least-once semantics). Jobs past
-// their dispatch deadline fail with the retryable interrupted error
-// instead. Every restored job is marked Recovered and republished (reason
-// "recovered"), so re-attached watch streams and the fresh WAL segment see
-// the post-restart state. The Idempotency-Key dedup window is rebuilt from
-// the jobs' IdemKey in job-ID order, so the newest idemWindow keys survive.
-// Devices must be registered (AddDevice) before
-// calling, otherwise everything recovered parks.
+// process died go back on the queue under their *original* IDs — a device
+// claims each afresh, and a job whose terminal record missed its fsync runs
+// again (at-least-once semantics). Jobs past their dispatch deadline fail
+// with the retryable interrupted error instead. Every restored job is
+// marked Recovered and republished (reason "recovered"), so re-attached
+// watch streams and the fresh WAL segment see the post-restart state. The
+// Idempotency-Key dedup window is rebuilt from the jobs' IdemKey in job-ID
+// order, so the newest idemWindow keys survive.
 func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 	var stats RestoreStats
 	sorted := make([]*Job, len(jobs))
@@ -56,7 +53,8 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		// the per-job policy override died with the process, so recovered
 		// jobs route under the scheduler default.
 		j.policy = s.policy
-		j.tr, j.rootSpan, j.parkSpan = nil, nil, nil
+		j.submitTime = s.nowDay * 86400
+		j.tr, j.rootSpan, j.qwSpan = nil, nil, nil
 		if j.SubmitUnixMs <= 0 {
 			j.SubmitUnixMs = nowMs
 		}
@@ -78,6 +76,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		j.Result = nil
 		j.Error = ""
 		s.submitted++
+		s.queue.stats(j.Request.User).Submitted++
 		if j.Request.DeadlineMs > 0 &&
 			float64(nowMs-j.SubmitUnixMs) > j.Request.DeadlineMs {
 			// Straight from the status it crashed in: an expired job is never
@@ -90,9 +89,8 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 			trace.Int("job_id", j.ID), trace.Str("user", j.Request.User))
 		j.rootSpan = j.tr.Root()
 		s.transitionLocked(j, JobQueued, "recovered")
-		s.routeLocked(j, nil, "recovered")
+		s.enqueueLocked(j)
 		stats.Requeued++
 	}
-	s.cond.Broadcast()
 	return stats, nil
 }

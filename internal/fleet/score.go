@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/circuit"
+	"repro/internal/device"
 	"repro/internal/telemetry"
 )
 
@@ -58,54 +59,50 @@ func scoreHistogram() *telemetry.Histogram {
 	return h
 }
 
-// eligibleLocked reports whether a device can accept this job right now.
-func (s *Scheduler) eligibleLocked(e *deviceEntry, j *Job, exclude map[string]bool) bool {
-	if exclude[e.name] {
-		return false
-	}
+// eligibleLocked reports whether a device can run this job right now.
+func (s *Scheduler) eligibleLocked(e *deviceEntry, j *Job) bool {
 	if j.Pinned != "" && e.name != j.Pinned {
 		return false
 	}
 	if e.state != DeviceActive {
 		return false
 	}
-	if j.Request.Circuit.NumQubits > e.dev.Properties().NumQubits {
-		return false
-	}
-	return e.mgr.Online()
+	return j.Request.Circuit.NumQubits <= e.dev.Properties().NumQubits
 }
 
-// pickLocked selects the best eligible device for j under its policy,
-// returning the fidelity estimate the router computed for it.
-func (s *Scheduler) pickLocked(j *Job, exclude map[string]bool) (*deviceEntry, float64, bool) {
-	var eligible []*deviceEntry
+// pickLocked selects the best eligible device for j under its policy, as of
+// now, returning the fidelity estimate the router computed for it; nil when
+// no device is eligible. Round-robin's cursor advances when a device claims
+// a job, not here.
+func (s *Scheduler) pickLocked(j *Job) (*deviceEntry, float64) {
+	var buf [8]*deviceEntry // a claim scan calls this per queued job: no allocation for a typical fleet
+	eligible := buf[:0]
 	for _, name := range s.order {
-		if e := s.devices[name]; s.eligibleLocked(e, j, exclude) {
+		if e := s.devices[name]; s.eligibleLocked(e, j) {
 			eligible = append(eligible, e)
 		}
 	}
 	if len(eligible) == 0 {
-		return nil, 0, false
+		return nil, 0
 	}
 	switch j.policy {
 	case PolicyRoundRobin:
 		e := eligible[s.rr%len(eligible)]
-		s.rr++
-		return e, e.estimateFidelity(j.Request.Circuit), true
+		return e, s.fidelityLocked(j, e)
 	case PolicyLeastLoaded:
 		best, bestLoad, bestFid := eligible[0], math.Inf(1), 0.0
 		for _, e := range eligible {
 			load := e.loadPerWorker()
-			fid := e.estimateFidelity(j.Request.Circuit)
+			fid := s.fidelityLocked(j, e)
 			if load < bestLoad || (load == bestLoad && fid > bestFid) {
 				best, bestLoad, bestFid = e, load, fid
 			}
 		}
-		return best, bestFid, true
+		return best, bestFid
 	default: // PolicyBestFidelity
 		best, bestScore, bestFid := eligible[0], math.Inf(-1), 0.0
 		for _, e := range eligible {
-			fid := e.estimateFidelity(j.Request.Circuit)
+			fid := s.fidelityLocked(j, e)
 			// A small load penalty keeps a hot device from absorbing every
 			// job when a near-equal sibling sits idle.
 			score := fid - 0.002*e.loadPerWorker()
@@ -113,14 +110,37 @@ func (s *Scheduler) pickLocked(j *Job, exclude map[string]bool) (*deviceEntry, f
 				best, bestScore, bestFid = e, score, fid
 			}
 		}
-		return best, bestFid, true
+		return best, bestFid
 	}
 }
 
-// loadPerWorker is queued + in-flight jobs normalized by pool size.
+// loadPerWorker is claims in flight normalized by pool size.
 func (e *deviceEntry) loadPerWorker() float64 {
-	queued, inflight := e.mgr.Load()
-	return float64(queued+inflight) / float64(e.workers)
+	return float64(e.inflight) / float64(e.workers)
+}
+
+// scored is one device's fidelity estimate for a job, valid while the
+// device's calibration epoch is still epoch.
+type scored struct {
+	epoch uint64
+	fid   float64
+	ok    bool
+}
+
+// fidelityLocked is e's fidelity estimate for j, computed at most once per
+// published calibration epoch of e: a claim scan rereads the memo, and a
+// drift tick or recalibration makes the next read score the job afresh.
+func (s *Scheduler) fidelityLocked(j *Job, e *deviceEntry) float64 {
+	if len(j.scores) <= e.idx {
+		j.scores = append(j.scores, make([]scored, len(s.order)-len(j.scores))...)
+	}
+	ep := e.dev.QPU().Epoch()
+	m := &j.scores[e.idx]
+	if !m.ok || m.epoch != ep.Num {
+		*m = scored{epoch: ep.Num, fid: e.estimateFidelity(ep, j.Request.Circuit), ok: true}
+		s.scoreEvals++
+	}
+	return m.fid
 }
 
 // estimateFidelity is the router's deterministic fidelity model for running
@@ -134,9 +154,8 @@ func (e *deviceEntry) loadPerWorker() float64 {
 // best-connected region of the device (the topology/width fit term: a
 // circuit that fits snugly into a dense region routes with fewer SWAPs than
 // one smeared across a sparse graph). The calibration means are the device's
-// current epoch's, computed once when it was published.
-func (e *deviceEntry) estimateFidelity(c *circuit.Circuit) float64 {
-	ep := e.dev.QPU().Epoch()
+// epoch's, computed once when it was published.
+func (e *deviceEntry) estimateFidelity(ep *device.Epoch, c *circuit.Circuit) float64 {
 	g2 := c.TwoQubitCount()
 	g1 := 0
 	for _, g := range c.Gates {

@@ -1,4 +1,4 @@
-package qrm
+package fleet
 
 import (
 	"container/heap"
@@ -8,16 +8,16 @@ import (
 	"repro/internal/tenant"
 )
 
-// This file is the weighted-fair dispatch queue: instead of one global
-// priority heap that a hot tenant can flood, each tenant keeps its own
-// priority heap and claims are arbitrated by virtual-time WFQ. Every
-// claim advances the claiming tenant's virtual finish time by one slot
-// (equal weights), so a tenant with a thousand queued jobs and a tenant
-// with one alternate instead of the flood winning a thousand times.
-// Priority still matters across tenants — a head job's priority buys its
-// tenant a bounded head start — and priority *aging* (effective priority
-// grows with queue wait) guarantees a best-effort tenant is never locked
-// out by a deadline-heavy one: wait long enough and its key always wins.
+// This file is the fleet's one weighted-fair dispatch queue: instead of one
+// global priority heap that a hot tenant can flood, each tenant keeps its own
+// priority heap and claims are arbitrated by virtual-time WFQ. Every claim
+// advances the claiming tenant's virtual finish time by one slot (equal
+// weights), so a tenant with a thousand queued jobs and a tenant with one
+// alternate instead of the flood winning a thousand times. Priority still
+// matters across tenants — a job's priority buys its tenant a bounded head
+// start — and priority *aging* (effective priority grows with queue wait)
+// guarantees a best-effort tenant is never locked out by a deadline-heavy
+// one: wait long enough and its key always wins.
 
 const (
 	// wfqPrioWeight converts one priority level into virtual-time units of
@@ -28,8 +28,34 @@ const (
 	wfqAgingMs = 250.0
 )
 
+// jobQueue is one tenant's priority heap: highest priority first, then
+// lowest ID (submission order).
+type jobQueue []*Job
+
+func (q jobQueue) Len() int            { return len(q) }
+func (q jobQueue) Less(i, j int) bool  { return headLess(q[i], q[j]) }
+func (q jobQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *jobQueue) Push(x interface{}) { *q = append(*q, x.(*Job)) }
+func (q *jobQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	j := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return j
+}
+
+// headLess is the single-queue ordering (priority desc, ID asc), also the
+// deterministic tie-break between equal claim keys.
+func headLess(a, b *Job) bool {
+	if a.Request.Priority != b.Request.Priority {
+		return a.Request.Priority > b.Request.Priority
+	}
+	return a.ID < b.ID
+}
+
 // tenantQueue is one tenant's slice of the dispatch queue plus its
-// lifetime accounting (kept after the queue drains; rebuilt by Restore).
+// lifetime accounting (kept after the queue drains).
 type tenantQueue struct {
 	user    string
 	q       jobQueue
@@ -37,8 +63,8 @@ type tenantQueue struct {
 	stats   tenant.Usage
 }
 
-// fairQueue is the multi-tenant dispatch queue behind Manager.queue.
-// All methods require the manager lock.
+// fairQueue is the multi-tenant dispatch queue behind Scheduler.queue.
+// All methods require the scheduler lock.
 type fairQueue struct {
 	tenants map[string]*tenantQueue
 	size    int
@@ -90,43 +116,54 @@ func (f *fairQueue) claimKey(t *tenantQueue, now time.Time) float64 {
 	}
 	head := t.q[0]
 	eff := float64(head.Request.Priority)
-	if wait := now.Sub(head.submitWall); wait > 0 {
+	if wait := now.Sub(head.enqueued); wait > 0 {
 		eff += float64(wait.Milliseconds()) / wfqAgingMs
 	}
 	return start - wfqPrioWeight*eff
 }
 
-// headLess is the single-queue ordering (priority desc, submit asc, ID
-// asc), used as the deterministic tie-break between equal claim keys.
-func headLess(a, b *Job) bool {
-	if a.Request.Priority != b.Request.Priority {
-		return a.Request.Priority > b.Request.Priority
+// firstTaken is the index of the job of t's heap that take accepts and that
+// the heap would pop first; -1 when take accepts none. The head is tried
+// first: it is the answer whenever the device may take it.
+func (t *tenantQueue) firstTaken(take func(*Job) bool) int {
+	if take(t.q[0]) {
+		return 0
 	}
-	if a.SubmitTime != b.SubmitTime {
-		return a.SubmitTime < b.SubmitTime
+	best := -1
+	for i := 1; i < len(t.q); i++ {
+		if (best < 0 || headLess(t.q[i], t.q[best])) && take(t.q[i]) {
+			best = i
+		}
 	}
-	return a.ID < b.ID
+	return best
 }
 
-// pop claims the next job under WFQ and advances the virtual clocks.
-// Returns nil when the queue is empty.
-func (f *fairQueue) pop(now time.Time) *Job {
+// claim removes and returns the first job in fair order that take accepts:
+// the tenant whose turn comes first (lowest claim key, heads breaking ties)
+// among those holding such a job, and within it the accepted job its heap
+// would pop first. It advances the virtual clocks as every claim does.
+// Returns nil when take accepts none. take runs only for tenants that would
+// win the turn, so a claim the first candidate accepts costs one call.
+func (f *fairQueue) claim(now time.Time, take func(*Job) bool) *Job {
 	var best *tenantQueue
+	bestAt := -1
 	var bestKey float64
 	for _, t := range f.tenants {
 		if t.q.Len() == 0 {
 			continue
 		}
 		key := f.claimKey(t, now)
-		if best == nil || key < bestKey ||
-			(key == bestKey && headLess(t.q[0], best.q[0])) {
-			best, bestKey = t, key
+		if best != nil && (key > bestKey || (key == bestKey && !headLess(t.q[0], best.q[0]))) {
+			continue // its turn comes after the best so far
+		}
+		if at := t.firstTaken(take); at >= 0 {
+			best, bestAt, bestKey = t, at, key
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	j := heap.Pop(&best.q).(*Job)
+	j := heap.Remove(&best.q, bestAt).(*Job)
 	start := best.vfinish
 	if f.vclock > start {
 		start = f.vclock
@@ -137,23 +174,25 @@ func (f *fairQueue) pop(now time.Time) *Job {
 	return j
 }
 
-// remove pulls a specific queued job out (cancellation). Returns nil when
-// the job is not queued.
-func (f *fairQueue) remove(id int) *Job {
-	for _, t := range f.tenants {
-		for i, j := range t.q {
-			if j.ID == id {
-				heap.Remove(&t.q, i)
-				f.size--
-				return j
-			}
+// remove pulls a specific queued job out (cancellation, shedding). Returns
+// false when the job is not queued.
+func (f *fairQueue) remove(j *Job) bool {
+	t, ok := f.tenants[j.Request.User]
+	if !ok {
+		return false
+	}
+	for i, q := range t.q {
+		if q == j {
+			heap.Remove(&t.q, i)
+			f.size--
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // drain empties every tenant queue and returns the jobs in ID order
-// (outage semantics: deterministic interruption order).
+// (deterministic shutdown order).
 func (f *fairQueue) drain() []*Job {
 	var out []*Job
 	for _, t := range f.tenants {
@@ -166,17 +205,9 @@ func (f *fairQueue) drain() []*Job {
 }
 
 // shedWorse orders jobs by shedding preference: lowest priority first,
-// then newest submission, then highest ID — the exact inverse of the
-// claim order, so shedding always evicts what would run last.
-func shedWorse(a, b *Job) bool {
-	if a.Request.Priority != b.Request.Priority {
-		return a.Request.Priority < b.Request.Priority
-	}
-	if a.SubmitTime != b.SubmitTime {
-		return a.SubmitTime > b.SubmitTime
-	}
-	return a.ID > b.ID
-}
+// then newest submission — the exact inverse of the claim order, so
+// shedding always evicts what would run last.
+func shedWorse(a, b *Job) bool { return headLess(b, a) }
 
 // worst returns the globally most sheddable queued job (nil when empty).
 func (f *fairQueue) worst() *Job {

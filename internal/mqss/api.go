@@ -168,8 +168,8 @@ func (r SubmitRequest) submitOptions() (fleet.SubmitOptions, error) {
 }
 
 // JobEvent is one line of a v2 watch stream: the job entered State (on
-// Device, when known). Reason annotates routing decisions ("migrated",
-// "parked", "unparked").
+// Device, when known). Reason annotates the move ("migrated" for a
+// failover re-queue, "recovered" after a restart).
 type JobEvent struct {
 	Seq    uint64   `json:"seq,omitempty"`
 	JobID  string   `json:"job_id"`

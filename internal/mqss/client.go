@@ -357,7 +357,7 @@ func (h *JobHandle) waitOnce(ctx context.Context) (*Job, error) {
 	}
 }
 
-// Cancel requests cancellation: queued/parked jobs cancel immediately,
+// Cancel requests cancellation: queued jobs cancel immediately,
 // in-flight jobs settle cancelled at the pipeline's next stage boundary.
 func (h *JobHandle) Cancel(ctx context.Context) error {
 	c := h.c
@@ -659,7 +659,7 @@ func (c *Client) Device(ctx context.Context) (*DeviceInfo, error) {
 }
 
 // FleetMetrics fetches the fleet status/metrics snapshot (GET
-// /api/v1/fleet): per-device state, queue depths, routed/migrated/failed
+// /api/v1/fleet): queue depth, per-device state, routed/migrated/failed
 // counters, fidelity means, and score histograms.
 func (c *Client) FleetMetrics(ctx context.Context) (*fleet.Metrics, error) {
 	if c.localFleet != nil {

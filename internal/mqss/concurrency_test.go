@@ -5,11 +5,11 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/qdmi"
 	"repro/internal/qrm"
 )
 
@@ -23,31 +23,37 @@ func newRunningStack(t *testing.T, seed int64, workers int) (*fleet.Scheduler, *
 }
 
 func TestWaitJobUnblocksOnStop(t *testing.T) {
-	m := qrm.NewManager(qdmi.NewDevice(device.NewTwin20Q(46), nil))
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	// Flood the single worker so at least one job is still queued when we
-	// stop, then verify a blocked Wait returns an error instead of
-	// hanging.
-	var hs []qrm.Handle
+	qpu := device.NewTwin20Q(46)
+	qpu.SetExecLatency(2 * time.Millisecond)
+	f := oneDeviceFleet(t, qpu, nil, 1)
+	// Flood the single paced worker so jobs are still queued when we stop,
+	// then verify a blocked Wait returns instead of hanging: Stop fails what
+	// is still queued.
+	var ids []int
 	for i := 0; i < 30; i++ {
-		h, err := m.Submit(qrm.Request{Circuit: circuit.GHZ(4), Shots: 50}, nil)
+		id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(4), Shots: 50}, fleet.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs = append(hs, h)
+		ids = append(ids, id)
 	}
-	waited := make(chan error, len(hs))
-	for _, h := range hs {
-		go func(h qrm.Handle) {
-			_, err := h.Wait(context.Background())
-			waited <- err
-		}(h)
+	waited := make(chan *fleet.Job, len(ids))
+	for _, id := range ids {
+		go func(id int) {
+			j, _ := f.WaitContext(context.Background(), id)
+			waited <- j
+		}(id)
 	}
-	m.Stop()
-	for range hs {
-		<-waited // must all return, error or not — a hang fails the test timeout
+	f.Stop()
+	failed := 0
+	for range ids {
+		// Must all return — a hang fails the test timeout.
+		if j := <-waited; j.Status == fleet.JobFailed {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Error("no job was still queued at Stop; the test did not exercise the release path")
 	}
 }
 
@@ -109,7 +115,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("fleet metrics = %+v", fm)
 	}
 	snap := fm.Devices[0].QRM
-	if snap.Workers != 2 || snap.Completed != 1 || snap.Submitted != 1 {
+	if snap.Workers != 2 || snap.Completed != 1 || fm.Devices[0].Routed != 1 {
 		t.Errorf("device pipeline metrics = %+v", snap)
 	}
 	if snap.E2EMs.Count != 1 {

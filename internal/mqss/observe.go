@@ -101,14 +101,13 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	pw := telemetry.NewPromWriter()
 	fm := s.fleet.Metrics()
 	pw.Counter("qhpc_fleet_jobs_submitted_total", "Jobs accepted by the fleet scheduler.", nil, float64(fm.Submitted))
-	pw.Counter("qhpc_fleet_jobs_routed_total", "Routing decisions that placed a job on a device.", nil, float64(fm.Routed))
-	pw.Counter("qhpc_fleet_jobs_migrated_total", "Drain/failover re-routes.", nil, float64(fm.Migrated))
-	pw.Counter("qhpc_fleet_park_events_total", "Times a job parked waiting for an eligible device.", nil, float64(fm.ParkEvents))
-	pw.Gauge("qhpc_fleet_parked_now", "Jobs currently parked.", nil, float64(fm.ParkedNow))
+	pw.Counter("qhpc_fleet_jobs_routed_total", "Claims: a device took a queued job.", nil, float64(fm.Routed))
+	pw.Counter("qhpc_fleet_jobs_migrated_total", "Failover re-queues: runs that failed on a failed device.", nil, float64(fm.Migrated))
 	pw.Counter("qhpc_fleet_jobs_completed_total", "Fleet jobs settled done.", nil, float64(fm.Completed))
 	pw.Counter("qhpc_fleet_jobs_failed_total", "Fleet jobs settled failed.", nil, float64(fm.Failed))
 	pw.Counter("qhpc_fleet_jobs_cancelled_total", "Fleet jobs settled cancelled.", nil, float64(fm.Cancelled))
-	pw.Counter("qhpc_fleet_jobs_shed_total", "Fleet jobs evicted by admission control under overload.", nil, float64(fm.Shed))
+	pw.Gauge("qhpc_qrm_queue_depth", "Jobs waiting in the fleet's queue.", nil, float64(fm.QueueDepth))
+	pw.Counter("qhpc_qrm_jobs_shed_total", "Jobs evicted by admission control (queue over bounds).", nil, float64(fm.Shed))
 	pw.Counter("qhpc_fleet_illegal_transitions_total", "Job lifecycle moves taken that the transition table does not list (a bug if nonzero).", nil, float64(fm.IllegalTransitions))
 	pw.Histogram("qhpc_fleet_route_score", "Fidelity estimate of each routing decision.", nil, fm.ScoreHist)
 	promBus(pw, s.fleet.Events().Stats())
@@ -116,9 +115,9 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	promTraces(pw, retained, drops)
 	for _, d := range fm.Devices {
 		labels := telemetry.Labels{{"device", d.Name}}
-		pw.Gauge("qhpc_device_active", "1 when the device accepts routed work.", labels, boolGauge(d.State == "active"))
-		pw.Counter("qhpc_device_jobs_routed_total", "Jobs routed to this device.", labels, float64(d.Routed))
-		pw.Counter("qhpc_device_jobs_migrated_out_total", "Jobs migrated off this device.", labels, float64(d.MigratedOut))
+		pw.Gauge("qhpc_device_active", "1 when the device claims queued work.", labels, boolGauge(d.State == "active"))
+		pw.Counter("qhpc_device_jobs_routed_total", "Jobs this device claimed.", labels, float64(d.Routed))
+		pw.Counter("qhpc_device_jobs_migrated_out_total", "Jobs re-queued after their run failed on this device while it was failed.", labels, float64(d.MigratedOut))
 		pw.Gauge("qhpc_device_fidelity_1q", "Mean single-qubit gate fidelity (live calibration).", labels, d.MeanF1Q)
 		pw.Gauge("qhpc_device_fidelity_cz", "Mean CZ gate fidelity (live calibration).", labels, d.MeanFCZ)
 		promQRM(pw, d.Name, d.QRM)
@@ -179,17 +178,14 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-// promQRM renders one dispatch pipeline's snapshot under a device label.
+// promQRM renders one device's dispatch-pipeline snapshot under a device
+// label.
 func promQRM(pw *telemetry.PromWriter, device string, m qrm.Metrics) {
 	l := telemetry.Labels{{"device", device}}
-	pw.Counter("qhpc_qrm_jobs_submitted_total", "Jobs accepted by the QRM queue.", l, float64(m.Submitted))
 	pw.Counter("qhpc_qrm_jobs_completed_total", "Jobs finished done.", l, float64(m.Completed))
 	pw.Counter("qhpc_qrm_jobs_failed_total", "Jobs finished failed (includes expired).", l, float64(m.Failed))
-	pw.Counter("qhpc_qrm_jobs_cancelled_total", "Jobs cancelled.", l, float64(m.Cancelled))
-	pw.Counter("qhpc_qrm_jobs_interrupted_total", "Jobs interrupted by outages.", l, float64(m.Interrupted))
-	pw.Counter("qhpc_qrm_jobs_expired_total", "Jobs that hit their dispatch deadline while queued.", l, float64(m.Expired))
-	pw.Counter("qhpc_qrm_jobs_shed_total", "Jobs evicted by admission control (queue over bounds).", l, float64(m.Shed))
-	pw.Gauge("qhpc_qrm_queue_depth", "Jobs currently queued.", l, float64(m.QueueDepth))
+	pw.Counter("qhpc_qrm_jobs_cancelled_total", "Jobs cancelled while a worker held them.", l, float64(m.Cancelled))
+	pw.Counter("qhpc_qrm_jobs_expired_total", "Jobs whose dispatch deadline passed in the queue, failed at this device's claim.", l, float64(m.Expired))
 	pw.Gauge("qhpc_qrm_inflight", "Jobs currently held by dispatch workers.", l, float64(m.Inflight))
 	pw.Gauge("qhpc_qrm_workers", "Dispatch workers configured.", l, float64(m.Workers))
 	pw.Counter("qhpc_transpile_cache_hits_total", "Transpile-cache hits.", l, float64(m.CacheHits))
@@ -217,11 +213,11 @@ func promQRM(pw *telemetry.PromWriter, device string, m qrm.Metrics) {
 func promTenants(pw *telemetry.PromWriter, ts TenantsStatus, limited bool) {
 	for _, row := range ts.Tenants {
 		l := telemetry.Labels{{"tenant", row.User}}
-		pw.Counter("qhpc_tenant_jobs_submitted_total", "Jobs accepted into a dispatch queue, by submitting tenant.", l, float64(row.Submitted))
+		pw.Counter("qhpc_tenant_jobs_submitted_total", "Jobs accepted into the queue, by submitting tenant.", l, float64(row.Submitted))
 		pw.Counter("qhpc_tenant_jobs_completed_total", "Jobs finished done, by tenant.", l, float64(row.Completed))
 		pw.Counter("qhpc_tenant_jobs_failed_total", "Jobs finished failed (excluding shed), by tenant.", l, float64(row.Failed))
 		pw.Counter("qhpc_tenant_jobs_cancelled_total", "Jobs cancelled, by tenant.", l, float64(row.Cancelled))
-		pw.Counter("qhpc_tenant_jobs_interrupted_total", "Jobs interrupted by outages, by tenant.", l, float64(row.Interrupted))
+		pw.Counter("qhpc_tenant_jobs_interrupted_total", "Jobs whose dispatch deadline passed while the server was down, by tenant.", l, float64(row.Interrupted))
 		pw.Counter("qhpc_tenant_jobs_shed_total", "Jobs evicted by admission control, by tenant.", l, float64(row.Shed))
 		pw.Gauge("qhpc_tenant_queue_depth", "Jobs currently queued, by tenant.", l, float64(row.Queued))
 		if limited {

@@ -3,10 +3,10 @@
 // detects whether a job originates inside or outside the HPC environment
 // and routes it to the appropriate interface — the in-process HPC path for
 // tightly-coupled accelerator-style loops (VQE), or the REST API for remote
-// asynchronous access. Both paths land in the same fleet scheduler, which
-// routes each job to the best backend (calibration-aware) and migrates work
-// around maintenance windows and device faults; a single-QPU deployment is
-// a one-device fleet.
+// asynchronous access. Both paths land in the same fleet scheduler, whose
+// devices claim each job when the policy (calibration-aware) names them, so
+// work flows around maintenance windows and device faults; a single-QPU
+// deployment is a one-device fleet.
 package mqss
 
 import (

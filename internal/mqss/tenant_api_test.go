@@ -7,6 +7,7 @@ package mqss
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -252,15 +253,39 @@ func TestClientConvergesAcrossRestartInterruption(t *testing.T) {
 
 // TestWFQFairnessUnderOverload is the fairness property test: K tenants
 // with unequal offered load (one at triple share) submit through the real
-// HTTP stack into a backlogged single-worker device. Weighted-fair
-// claiming with equal weights must give each tenant an equal completion
-// share while everyone is backlogged — the hog's extra load waits, and no
-// tenant's share collapses to zero.
+// HTTP stack into a backlogged fleet of one-worker devices — one device, and
+// two identical ones claiming from the same queue. Weighted-fair claiming
+// with equal weights must give each tenant an equal completion share while
+// everyone is backlogged — the hog's extra load waits, and no tenant's share
+// collapses to zero.
 func TestWFQFairnessUnderOverload(t *testing.T) {
-	f, server := pacedStack(t, 95, 200*time.Millisecond, 1)
-	// Build the backlog first: with the device drained every job parks.
-	if err := f.Drain(pacedDevice); err != nil {
-		t.Fatal(err)
+	for _, devices := range []int{1, 2} {
+		t.Run(fmt.Sprintf("devices-%d", devices), func(t *testing.T) { wfqFairness(t, devices) })
+	}
+}
+
+func wfqFairness(t *testing.T, devices int) {
+	// Identical twins (one seed) score alike, so every device claims.
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	var qpus []*device.QPU
+	for i := 0; i < devices; i++ {
+		qpu, err := device.New(device.Config{Name: fmt.Sprintf("wfq-%d", i), Rows: 4, Cols: 5, Seed: 95, DigitalTwin: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qpu.SetExecLatency(200 * time.Millisecond)
+		if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), 1); err != nil {
+			t.Fatal(err)
+		}
+		qpus = append(qpus, qpu)
+	}
+	stopAndAuditAtCleanup(t, f)
+	server := NewFleetServer(f)
+	// Build the backlog first: with every device drained, every job waits.
+	for _, qpu := range qpus {
+		if err := f.Drain(qpu.Name()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
@@ -287,19 +312,18 @@ func TestWFQFairnessUnderOverload(t *testing.T) {
 	// The event bus firehose records true completion order (the simulation
 	// clock stamps identical jobs with identical EndTimes, so records alone
 	// cannot order them).
-	dev, err := f.DeviceHandle(pacedDevice)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sub := f.Events().Subscribe(0, 4096)
 	defer sub.Close()
-	// Resume routes the whole backlog into the device queue before it
-	// returns; the one job the worker may claim meanwhile is held by the
-	// long latency, which then drops so the full backlog drains under WFQ.
-	if err := f.Resume(pacedDevice); err != nil {
-		t.Fatal(err)
+	// The one job each worker claims on Resume is held by the long latency,
+	// which then drops so the full backlog drains under WFQ.
+	for _, qpu := range qpus {
+		if err := f.Resume(qpu.Name()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dev.QPU().SetExecLatency(2 * time.Millisecond)
+	for _, qpu := range qpus {
+		qpu.SetExecLatency(2 * time.Millisecond)
+	}
 	f.WaitSettled()
 
 	var finished []string // tenant per completion, in completion order
@@ -341,6 +365,11 @@ func TestWFQFairnessUnderOverload(t *testing.T) {
 	for _, u := range users {
 		if early[u] == 0 {
 			t.Errorf("tenant %s starved out of the first 20 completions (%v)", u, early)
+		}
+	}
+	for _, d := range f.Metrics().Devices {
+		if d.Completed == 0 {
+			t.Errorf("device %s claimed nothing from the shared queue", d.Name)
 		}
 	}
 }

@@ -4,8 +4,8 @@ package mqss
 // returns 202 + Location immediately (?wait= turns it into a bounded
 // long-poll), GET /jobs/{id} reads the resource (?wait= long-polls for a
 // terminal state), GET /jobs/{id}/events streams lifecycle transitions as
-// NDJSON or SSE off the backend's event bus, DELETE cancels (propagating
-// into the dispatch pipeline and fleet parking), and GET /jobs pages the
+// NDJSON or SSE off the backend's event bus, DELETE cancels (a queued job
+// at once, a running one at its next stage boundary), and GET /jobs pages the
 // history with opaque cursors. Every error is the structured envelope
 // {code, message, retryable}.
 
@@ -333,8 +333,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 	writeJSON(w, http.StatusOK, job)
 }
 
-// v2Cancel: DELETE /api/v2/jobs/{id}. Parked and queued jobs cancel
-// immediately; in-flight jobs have the cancellation requested and settle
+// v2Cancel: DELETE /api/v2/jobs/{id}. Queued jobs cancel immediately; in-flight jobs have the cancellation requested and settle
 // cancelled at the pipeline's next stage boundary — 202 covers both, with
 // the current record in the body.
 func (s *Server) v2Cancel(w http.ResponseWriter, id int) {

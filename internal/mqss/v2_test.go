@@ -133,7 +133,7 @@ func TestV2SubmitWaitReturns200(t *testing.T) {
 }
 
 func TestV2LongPollTimeoutKeepsJobQueued(t *testing.T) {
-	// The only device is drained: the job parks and nothing will execute, so
+	// The only device is drained: the job waits queued and nothing will execute, so
 	// the long-poll must time out and report it still queued — not hang,
 	// not error.
 	f, server := pacedStack(t, 52, 0, 1)
@@ -163,8 +163,8 @@ func TestV2LongPollTimeoutKeepsJobQueued(t *testing.T) {
 	if job := decodeV2Job(t, resp2.Body); job.State != StateQueued {
 		t.Errorf("state after timeout = %s, want queued", job.State)
 	}
-	if n := f.Metrics().ParkedNow; n != 1 {
-		t.Errorf("parked jobs = %d, want 1 (long-poll must not consume the job)", n)
+	if n := f.Metrics().QueueDepth; n != 1 {
+		t.Errorf("queued jobs = %d, want 1 (long-poll must not consume the job)", n)
 	}
 }
 
@@ -744,8 +744,8 @@ func TestV2FleetSubmitWatchCancel(t *testing.T) {
 		t.Fatalf("fleet v2 record = %+v", job)
 	}
 
-	// Park a pinned job by draining its device, watch it, cancel it: the
-	// cancellation must reach the fleet's parking lot.
+	// Hold a pinned job in the queue by draining its device, watch it,
+	// cancel it: the cancellation must reach the fleet's queue.
 	if err := f.Drain("beta"); err != nil {
 		t.Fatal(err)
 	}
@@ -753,12 +753,12 @@ func TestV2FleetSubmitWatchCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked, err := ph.Poll(ctx)
+	held, err := ph.Poll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parked.State != StateQueued || parked.Pinned != "beta" {
-		t.Fatalf("pinned job on drained device = %+v, want queued/pinned", parked)
+	if held.State != StateQueued || held.Pinned != "beta" {
+		t.Fatalf("pinned job on drained device = %+v, want queued/pinned", held)
 	}
 	watched := make(chan *Job, 1)
 	go func() {
@@ -776,21 +776,23 @@ func TestV2FleetSubmitWatchCancel(t *testing.T) {
 	select {
 	case job := <-watched:
 		if job == nil || job.State != StateCancelled {
-			t.Fatalf("parked-cancel final = %+v, want cancelled", job)
+			t.Fatalf("queued-cancel final = %+v, want cancelled", job)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("watch of parked job never terminated after cancel")
+		t.Fatal("watch of queued job never terminated after cancel")
 	}
 }
 
-// TestV2FleetMigrationEvents drains a device mid-stream and checks the
-// watch surface reports the migration re-route onto the sibling.
+// TestV2FleetMigrationEvents: the watch surface reports moves as they
+// happen. A drain moves nothing — the device stops claiming and the queued
+// jobs finish on the sibling with no migration and no migrated event. A
+// device that fails under a running job sends that job back to the queue
+// (the migrated event), and it finishes on the sibling.
 func TestV2FleetMigrationEvents(t *testing.T) {
 	alpha := twinDev(t, "alpha", 4, 5, 73)
 	alpha.QPU().SetExecLatency(30 * time.Millisecond)
-	// Only alpha is registered at submission time, so every job routes
-	// there deterministically; beta joins just before the drain and becomes
-	// the migration target.
+	// Only alpha is registered at submission time, so it claims the first
+	// job deterministically; beta joins before the drain and takes the rest.
 	f := newTestFleet(t, map[string]*qdmi.Device{"alpha": alpha}, 1)
 	server := NewFleetServer(f)
 	srv := httptest.NewServer(server)
@@ -798,26 +800,39 @@ func TestV2FleetMigrationEvents(t *testing.T) {
 	ctx := context.Background()
 	c := NewRemoteClient(srv.URL, srv.Client())
 
-	var handles []*JobHandle
-	for i := 0; i < 4; i++ {
+	watch := func(h *JobHandle) func() []JobEvent {
+		var mu sync.Mutex
+		var evs []JobEvent
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			wh, _ := c.Handle(h.ID)
+			_, _ = wh.Watch(ctx, func(ev JobEvent) {
+				mu.Lock()
+				evs = append(evs, ev)
+				mu.Unlock()
+			})
+		}()
+		return func() []JobEvent {
+			<-done
+			mu.Lock()
+			defer mu.Unlock()
+			return evs
+		}
+	}
+	submit := func() *JobHandle {
 		h, err := c.Submit(ctx, SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: "mig"}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		return h
 	}
-	var mu sync.Mutex
-	var evs []JobEvent
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		wh, _ := c.Handle(handles[3].ID)
-		_, _ = wh.Watch(ctx, func(ev JobEvent) {
-			mu.Lock()
-			evs = append(evs, ev)
-			mu.Unlock()
-		})
-	}()
+
+	var handles []*JobHandle
+	for i := 0; i < 4; i++ {
+		handles = append(handles, submit())
+	}
+	drained := watch(handles[3])
 	time.Sleep(10 * time.Millisecond)
 	if err := f.AddDevice("beta", twinDev(t, "beta", 4, 5, 74), 1); err != nil {
 		t.Fatal(err)
@@ -830,26 +845,61 @@ func TestV2FleetMigrationEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !job.State.Terminal() {
-			t.Errorf("job %s = %s after drain, want terminal", h.ID, job.State)
+		if job.State != StateDone || job.Migrations != 0 {
+			t.Errorf("job %s = %s after %d migrations, want done after none", h.ID, job.State, job.Migrations)
 		}
 	}
-	<-watchDone
-	mu.Lock()
-	defer mu.Unlock()
+	for _, ev := range drained() {
+		if ev.Reason == "migrated" {
+			t.Errorf("the drain published a migrated event: %+v", ev)
+		}
+	}
+	if job, _ := handles[3].Poll(ctx); job.Device != "beta" {
+		t.Errorf("job queued behind the drain ran on %q, want beta", job.Device)
+	}
+
+	// Failover: alpha back in rotation alone, a fault armed for its next
+	// execution, and the device failed while that execution is on the QPU.
+	if err := f.Drain("beta"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Resume("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	alpha.QPU().InjectFaults(1)
+	h := submit()
+	failed := watch(h)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if job, err := h.Poll(ctx); err == nil && job.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached alpha's QPU")
+		}
+	}
+	if err := f.Fail("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Resume("beta"); err != nil {
+		t.Fatal(err)
+	}
+	job, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != StateDone || job.Device != "beta" || job.Migrations != 1 {
+		t.Errorf("failed-over job = %s on %q after %d migrations, want done on beta after 1", job.State, job.Device, job.Migrations)
+	}
 	sawMigration := false
-	for _, ev := range evs {
+	for _, ev := range failed() {
 		if ev.Reason == "migrated" {
 			sawMigration = true
-			if ev.Device != "beta" {
-				t.Errorf("migration event device = %s, want beta", ev.Device)
+			if ev.Device != "alpha" || ev.State != StateQueued {
+				t.Errorf("migration event = %+v, want back to queued off alpha", ev)
 			}
 		}
 	}
 	if !sawMigration {
-		t.Errorf("no migration event in %+v", evs)
-	}
-	if job, _ := handles[3].Poll(ctx); job.Migrations == 0 && job.Device == "beta" {
-		t.Errorf("migrated record inconsistent: %+v", job)
+		t.Error("no migration event for the failed-over job")
 	}
 }

@@ -1,4 +1,4 @@
-package qrm
+package qrm_test
 
 import (
 	"context"
@@ -9,85 +9,67 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 	"repro/internal/telemetry"
 )
 
 func TestStartValidation(t *testing.T) {
-	m := newManager(20)
-	if err := m.Start(0); err == nil {
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	defer f.Stop()
+	dev := qdmi.NewDevice(device.NewTwin20Q(20), nil)
+	if err := f.AddDevice("dev", dev, 0); err == nil {
 		t.Error("zero workers should fail")
 	}
-	if err := m.Start(2); err != nil {
+	if err := f.AddDevice("dev", dev, 2); err != nil {
 		t.Fatal(err)
 	}
-	defer m.Stop()
-	if err := m.Start(2); err == nil {
+	if err := f.AddDevice("dev", dev, 2); err == nil {
 		t.Error("double start should fail")
 	}
-	if w := m.Metrics().Workers; w != 2 {
+	if w := pipeline(f).Workers; w != 2 {
 		t.Errorf("workers = %d, want 2", w)
 	}
 }
 
 func TestPipelineCompletesJobs(t *testing.T) {
-	m := newManager(22)
-	start(t, m, 4)
-	hs := make([]Handle, 0, 20)
+	f := twinFleet(t, 22, 4)
+	ids := make([]int, 0, 20)
 	for i := 0; i < 20; i++ {
-		hs = append(hs, submit(t, m, Request{Circuit: circuit.GHZ(3), Shots: 20, User: "pipe"}))
+		ids = append(ids, submit(t, f, qrm.Request{Circuit: circuit.GHZ(3), Shots: 20, User: "pipe"}))
 	}
-	for _, h := range hs {
-		j := await(t, h)
-		if j.Status != StatusDone {
-			t.Fatalf("job %d = %s (%s)", j.ID, j.Status, j.Error)
+	for _, id := range ids {
+		j := await(t, f, id)
+		if j.Status != fleet.JobDone {
+			t.Fatalf("job %d = %s (%s)", id, j.Status, j.Error)
 		}
 		total := 0
-		for _, c := range j.Counts {
+		for _, c := range j.Result.Counts {
 			total += c
 		}
 		if total != 20 {
-			t.Errorf("job %d counts = %d, want 20", j.ID, total)
+			t.Errorf("job %d counts = %d, want 20", id, total)
 		}
 	}
-	snap := m.Metrics()
-	if snap.Completed != 20 || snap.QueueDepth != 0 || snap.Inflight != 0 {
-		t.Errorf("metrics = %+v", snap)
-	}
-}
-
-func TestWaitJobWithoutWorkers(t *testing.T) {
-	m := newManager(23)
-	h := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if _, err := h.Wait(context.Background()); err == nil {
-		t.Error("Wait on a pending job without workers should fail fast")
-	}
-	// Once the job is terminal, Wait returns its record with or without a pool.
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	await(t, h)
-	m.Stop()
-	j, err := h.Wait(context.Background())
-	if err != nil || j.Status != StatusDone {
-		t.Errorf("terminal Wait = %+v, %v", j, err)
+	if m := f.Metrics(); m.QueueDepth != 0 || m.Devices[0].QRM.Completed != 20 || m.Devices[0].QRM.Inflight != 0 {
+		t.Errorf("metrics = %+v", m)
 	}
 }
 
 func TestTranspileCacheHitsOnRepeatedCircuits(t *testing.T) {
 	qpu := device.NewTwin20Q(24)
-	m := NewManager(qdmi.NewDevice(qpu, nil))
-	start(t, m, 2)
-	hs := make([]Handle, 10)
-	for i := range hs {
-		hs[i] = submit(t, m, Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"})
+	f := newFleet(t, qpu, 2)
+	ids := make([]int, 10)
+	for i := range ids {
+		ids[i] = submit(t, f, qrm.Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"})
 	}
-	for _, h := range hs {
-		if j := await(t, h); j.Status != StatusDone {
-			t.Fatalf("job %d: %+v", j.ID, j)
+	for _, id := range ids {
+		if j := await(t, f, id); j.Status != fleet.JobDone {
+			t.Fatalf("job %d: %+v", id, j)
 		}
 	}
-	snap := m.Metrics()
+	snap := pipeline(f)
 	if snap.CacheMisses != 1 {
 		t.Errorf("cache misses = %d, want 1 (single-flight across repeats)", snap.CacheMisses)
 	}
@@ -97,31 +79,32 @@ func TestTranspileCacheHitsOnRepeatedCircuits(t *testing.T) {
 
 	// A calibration-epoch bump must invalidate the cache.
 	qpu.AdvanceDrift(1)
-	await(t, submit(t, m, Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"}))
-	if snap := m.Metrics(); snap.CacheMisses != 2 {
+	await(t, f, submit(t, f, qrm.Request{Circuit: circuit.GHZ(5), Shots: 5, User: "vqe"}))
+	if snap := pipeline(f); snap.CacheMisses != 2 {
 		t.Errorf("cache misses after drift = %d, want 2", snap.CacheMisses)
 	}
 }
 
 func TestCacheKeyDistinguishesPlacement(t *testing.T) {
-	m := newManager(25)
-	start(t, m, 1)
-	a := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 5})
-	b := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 5, StaticPlacement: true})
-	await(t, a)
-	await(t, b)
-	if snap := m.Metrics(); snap.CacheMisses != 2 {
+	f := twinFleet(t, 25, 1)
+	a := submit(t, f, qrm.Request{Circuit: circuit.GHZ(4), Shots: 5})
+	b := submit(t, f, qrm.Request{Circuit: circuit.GHZ(4), Shots: 5, StaticPlacement: true})
+	await(t, f, a)
+	await(t, f, b)
+	if snap := pipeline(f); snap.CacheMisses != 2 {
 		t.Errorf("misses = %d, want 2 (per-placement cache keys)", snap.CacheMisses)
 	}
 }
 
+// TestPublishMetrics: the device's pipeline health reaches the telemetry
+// store through the fleet's gauges, beside the queue depth.
 func TestPublishMetrics(t *testing.T) {
-	m := newManager(27)
+	f := twinFleet(t, 27, 1)
 	store := telemetry.NewStore(0)
-	start(t, m, 1)
-	await(t, submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5}))
-	m.PublishMetrics(store, 42)
-	for _, sensor := range []string{"qrm_queue_depth", "qrm_inflight", "qrm_completed", "qrm_cache_hit_ratio", "qrm_e2e_p95_ms"} {
+	await(t, f, submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 5}))
+	f.PublishMetrics(store, 42)
+	p := "fleet_" + f.Devices()[0] + "_"
+	for _, sensor := range []string{"fleet_queue_depth", p + "inflight", p + "completed", p + "cache_hit_ratio", p + "e2e_p95_ms"} {
 		if _, ok := store.Latest(sensor); !ok {
 			t.Errorf("sensor %s not published", sensor)
 		}
@@ -129,17 +112,17 @@ func TestPublishMetrics(t *testing.T) {
 }
 
 // TestConcurrentDispatchStress is the -race workout: 16 workers, 200 jobs
-// from concurrent submitters, with cancellations and an outage +
-// requeue storm interleaved. Every job must land in a terminal state and
-// the manager must quiesce.
+// from concurrent submitters, with cancellations and an outage + recovery
+// interleaved. Every job must land in a terminal state and the device must
+// quiesce.
 func TestConcurrentDispatchStress(t *testing.T) {
-	m := newManager(28)
-	start(t, m, 16)
+	f := twinFleet(t, 28, 16)
+	name := f.Devices()[0]
 
 	const nSubmitters = 4
 	const jobsPerSubmitter = 50 // 200 total
 	var mu sync.Mutex
-	var hs []Handle
+	var ids []int
 
 	var wg sync.WaitGroup
 	for s := 0; s < nSubmitters; s++ {
@@ -148,17 +131,18 @@ func TestConcurrentDispatchStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(s)))
 			for i := 0; i < jobsPerSubmitter; i++ {
-				h, err := m.Submit(Request{
+				id, err := f.Submit(qrm.Request{
 					Circuit:  circuit.GHZ(2 + rng.Intn(3)),
 					Shots:    1 + rng.Intn(5),
 					Priority: rng.Intn(3),
 					User:     "stress",
-				}, nil)
+				}, fleet.SubmitOptions{})
 				if err != nil {
-					continue // offline window: the interrupter owns this race
+					t.Error(err)
+					return
 				}
 				mu.Lock()
-				hs = append(hs, h)
+				ids = append(ids, id)
 				mu.Unlock()
 			}
 		}(s)
@@ -171,116 +155,85 @@ func TestConcurrentDispatchStress(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 60; i++ {
 			mu.Lock()
-			n := len(hs)
-			var h Handle
+			n := len(ids)
+			id := 0
 			if n > 0 {
-				h = hs[rng.Intn(n)]
+				id = ids[rng.Intn(n)]
 			}
 			mu.Unlock()
 			if n > 0 {
-				_ = h.Cancel() // most will already be done; that's the point
+				_ = f.Cancel(id) // most will already be done; that's the point
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
 
-	// Interrupter: one outage + recovery + requeue mid-storm.
+	// Outage and recovery mid-storm: the device stops claiming, then
+	// resumes; nothing queued may be lost.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		time.Sleep(5 * time.Millisecond)
-		m.SetOnline(false)
+		_ = f.Fail(name)
 		time.Sleep(2 * time.Millisecond)
-		m.SetOnline(true)
-		mu.Lock()
-		interrupted := append([]Handle(nil), hs...)
-		mu.Unlock()
-		for _, h := range interrupted {
-			if j := h.Record(); j.Status == StatusInterrupted {
-				if nh, err := m.Submit(j.Request, nil); err == nil {
-					mu.Lock()
-					hs = append(hs, nh)
-					mu.Unlock()
-				}
-			}
-		}
+		_ = f.Recover(name)
 	}()
 
 	wg.Wait()
 
 	mu.Lock()
 	defer mu.Unlock()
-	for _, h := range hs {
-		j := await(t, h)
-		if !terminalStatus(j.Status) {
-			t.Errorf("job %d stuck in %s", j.ID, j.Status)
+	for _, id := range ids {
+		j := await(t, f, id)
+		if !j.Status.Terminal() {
+			t.Errorf("job %d stuck in %s", id, j.Status)
 		}
-		if j.Status == StatusDone {
+		if j.Status == fleet.JobDone {
 			total := 0
-			for _, c := range j.Counts {
+			for _, c := range j.Result.Counts {
 				total += c
 			}
 			if total != j.Request.Shots {
-				t.Errorf("job %d counts = %d, want %d", j.ID, total, j.Request.Shots)
+				t.Errorf("job %d counts = %d, want %d", id, total, j.Request.Shots)
 			}
 		}
 	}
-	// A worker closes Done under the lock and drops its in-flight count
-	// under the next one; the pool is quiet once Stop has joined it.
-	m.Stop()
-	snap := m.Metrics()
-	if snap.QueueDepth != 0 || snap.Inflight != 0 {
-		t.Errorf("not quiesced: %+v", snap)
+	// A worker settles its job before it drops its in-flight count; the
+	// pool is quiet once Stop has joined it.
+	f.Stop()
+	m := f.Metrics()
+	if m.QueueDepth != 0 || m.Devices[0].Inflight != 0 {
+		t.Errorf("not quiesced: %+v", m)
 	}
-	if snap.Completed == 0 {
+	if m.Completed == 0 {
 		t.Error("no jobs completed under stress")
 	}
 }
 
 func TestConcurrentStopsDoNotPanic(t *testing.T) {
-	m := newManager(30)
-	if err := m.Start(4); err != nil {
-		t.Fatal(err)
-	}
+	f := twinFleet(t, 30, 4)
+	var ids []int
 	for i := 0; i < 20; i++ {
-		submit(t, m, Request{Circuit: circuit.GHZ(3), Shots: 10})
+		ids = append(ids, submit(t, f, qrm.Request{Circuit: circuit.GHZ(3), Shots: 10}))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.Stop()
+			f.Stop()
 		}()
 	}
 	wg.Wait()
-	if w := m.Metrics().Workers; w != 0 {
-		t.Errorf("workers = %d after concurrent Stops, want 0", w)
+	// Every job settled — run to the end or failed in the queue — and the
+	// stopped fleet refuses new work.
+	for _, id := range ids {
+		if j := await(t, f, id); !j.Status.Terminal() {
+			t.Errorf("job %d = %s after concurrent Stops", id, j.Status)
+		}
 	}
-	// The pool restarts cleanly afterwards.
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	m.Stop()
-}
-
-func TestStopKeepsQueuedJobsAndRestarts(t *testing.T) {
-	m := newManager(29)
-	// Submit while stopped: stays queued.
-	h := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if err := m.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	await(t, h)
-	m.Stop()
-	m.Stop() // idempotent
-	h2 := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 5})
-	if queued, _ := m.Load(); queued != 1 {
-		t.Errorf("pending = %d, want 1", queued)
-	}
-	start(t, m, 2)
-	if j := await(t, h2); j.Status != StatusDone {
-		t.Errorf("restarted pipeline job = %+v", j)
+	if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5}, fleet.SubmitOptions{}); err == nil {
+		t.Error("submit after Stop should fail")
 	}
 }
 
@@ -289,38 +242,96 @@ func TestStopKeepsQueuedJobsAndRestarts(t *testing.T) {
 // jobs rides the trajectory tree, and a batch of identical noiseless jobs
 // hits the cached outcome distribution.
 func TestEngineMetricsSurfaceBranchTree(t *testing.T) {
-	noisy := NewManager(qdmi.NewDevice(device.New20Q(44), nil))
-	start(t, noisy, 2)
-	var hs []Handle
+	noisy := newFleet(t, device.New20Q(44), 2)
+	var ids []int
 	for i := 0; i < 6; i++ {
-		hs = append(hs, submit(t, noisy, Request{Circuit: circuit.GHZ(4), Shots: 100, User: "tree"}))
+		ids = append(ids, submit(t, noisy, qrm.Request{Circuit: circuit.GHZ(4), Shots: 100, User: "tree"}))
 	}
-	for _, h := range hs {
-		await(t, h)
+	for _, id := range ids {
+		await(t, noisy, id)
 	}
-	snap := noisy.Metrics()
+	snap := pipeline(noisy)
 	if snap.SimBranchTreeJobs != 6 || snap.SimBranchTreeShots != 600 {
 		t.Errorf("branch-tree counters = %d jobs / %d shots, want 6 / 600 (%+v)",
 			snap.SimBranchTreeJobs, snap.SimBranchTreeShots, snap)
 	}
-	if r := snap.BranchLeavesPerShot(); r <= 0 || r >= 1 {
+	if r := float64(snap.SimBranchLeaves) / float64(snap.SimBranchTreeShots); r <= 0 || r >= 1 {
 		t.Errorf("leaves/shot = %.3f, want in (0, 1): the tree should amortize shots", r)
 	}
-	if _, ok := snap.Gauges()["qrm_sim_leaves_per_shot"]; !ok {
-		t.Error("leaves-per-shot gauge missing from the telemetry set")
-	}
 
-	twin := newManager(45)
-	start(t, twin, 2)
-	hs = hs[:0]
+	twin := twinFleet(t, 45, 2)
+	ids = ids[:0]
 	for i := 0; i < 5; i++ {
-		hs = append(hs, submit(t, twin, Request{Circuit: circuit.GHZ(4), Shots: 100, User: "dist"}))
+		ids = append(ids, submit(t, twin, qrm.Request{Circuit: circuit.GHZ(4), Shots: 100, User: "dist"}))
 	}
-	for _, h := range hs {
-		await(t, h)
+	for _, id := range ids {
+		await(t, twin, id)
 	}
-	snap = twin.Metrics()
-	if snap.SimDistCacheHits != 4 {
+	if snap := pipeline(twin); snap.SimDistCacheHits != 4 {
 		t.Errorf("dist-cache hits = %d, want 4 (first job simulates, four sample)", snap.SimDistCacheHits)
+	}
+}
+
+func TestDeadlineExpiresInQueue(t *testing.T) {
+	f := twinFleet(t, 41, 1)
+	release := hold(t, f)
+	late := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, DeadlineMs: 1})
+	ok := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 5})
+	time.Sleep(10 * time.Millisecond) // let the 1 ms dispatch budget lapse
+	release()
+	if j := await(t, f, late); j.Status != fleet.JobFailed || j.Error != qrm.ErrDeadlineMsg {
+		t.Errorf("expired job = %s (%q), want failed with deadline message", j.Status, j.Error)
+	}
+	if j := await(t, f, ok); j.Status != fleet.JobDone {
+		t.Errorf("deadline-free job = %s, want done", j.Status)
+	}
+	if snap := pipeline(f); snap.Expired != 1 || snap.Failed != 1 {
+		t.Errorf("expired=%d failed=%d, want 1/1", snap.Expired, snap.Failed)
+	}
+}
+
+func TestCancelInFlight(t *testing.T) {
+	qpu := device.NewTwin20Q(42)
+	qpu.SetExecLatency(50 * time.Millisecond)
+	f := newFleet(t, qpu, 1)
+	id := submit(t, f, qrm.Request{Circuit: circuit.GHZ(3), Shots: 10})
+	// Wait for the worker to claim the job (it leaves the queue).
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		j, _ := f.Job(id)
+		if j.Status == fleet.JobRouted || j.Status == fleet.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never left the queue (status %s)", j.Status)
+		}
+	}
+	if err := f.Cancel(id); err != nil {
+		t.Fatalf("in-flight cancel: %v", err)
+	}
+	j := await(t, f, id)
+	if j.Status != fleet.JobCancelled {
+		t.Errorf("status = %s, want cancelled (in-flight cancel must win)", j.Status)
+	}
+	if j.Result != nil && len(j.Result.Counts) != 0 {
+		t.Error("cancelled job must not carry results")
+	}
+	if err := f.Cancel(id); err == nil {
+		t.Error("cancel of a terminal job should error")
+	}
+}
+
+func TestHandleWaitHonoursContext(t *testing.T) {
+	qpu := device.NewTwin20Q(43)
+	qpu.SetExecLatency(50 * time.Millisecond)
+	f := newFleet(t, qpu, 1)
+	id := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 5})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, err := f.WaitContext(ctx, id); err != context.DeadlineExceeded {
+		t.Errorf("Wait = %v, want context.DeadlineExceeded", err)
+	}
+	// The job itself is untouched and completes normally.
+	if j := await(t, f, id); j.Status != fleet.JobDone {
+		t.Errorf("job after abandoned wait = %+v", j)
 	}
 }

@@ -1,4 +1,9 @@
-package qrm
+package qrm_test
+
+// The QRM's queue, admission, worker pool and job lifecycle are the fleet
+// scheduler's, and qrm.Manager is the device stage its workers run claimed
+// jobs through. These tests drive both through a one-device fleet — the
+// deployment the QRM of one device is.
 
 import (
 	"context"
@@ -7,78 +12,104 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 )
 
-func newManager(seed int64) *Manager {
-	return NewManager(qdmi.NewDevice(device.NewTwin20Q(seed), nil))
-}
-
-// start launches n workers and stops them when the test ends.
-func start(t testing.TB, m *Manager, n int) {
+// newFleet serves qpu as a one-device fleet with n workers, stopped when the
+// test ends.
+func newFleet(t testing.TB, qpu *device.QPU, n int) *fleet.Scheduler {
 	t.Helper()
-	if err := m.Start(n); err != nil {
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), n); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(f.Stop)
+	return f
 }
 
-// submit enqueues an untraced job, failing the test on a refusal.
-func submit(t testing.TB, m *Manager, req Request) Handle {
+// twinFleet is newFleet over a noiseless 20-qubit twin.
+func twinFleet(t testing.TB, seed int64, n int) *fleet.Scheduler {
+	return newFleet(t, device.NewTwin20Q(seed), n)
+}
+
+// hold stops f's only device from claiming, so submissions stay queued
+// until release.
+func hold(t testing.TB, f *fleet.Scheduler) (release func()) {
 	t.Helper()
-	h, err := m.Submit(req, nil)
+	name := f.Devices()[0]
+	if err := f.Drain(name); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := f.Resume(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// submit queues a job, failing the test on a refusal.
+func submit(t testing.TB, f *fleet.Scheduler, req qrm.Request) int {
+	t.Helper()
+	id, err := f.Submit(req, fleet.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return id
 }
 
-// await waits (bounded) for the handle's terminal record.
-func await(t testing.TB, h Handle) *Job {
+// await waits (bounded) for the job's terminal record.
+func await(t testing.TB, f *fleet.Scheduler, id int) *fleet.Job {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	j, err := h.Wait(ctx)
+	j, err := f.WaitContext(ctx, id)
 	if err != nil {
-		t.Fatalf("job %d: %v", h.ID(), err)
+		t.Fatalf("job %d: %v", id, err)
 	}
 	return j
 }
 
+// pipeline is the device's dispatch-pipeline snapshot.
+func pipeline(f *fleet.Scheduler) qrm.Metrics { return f.Metrics().Devices[0].QRM }
+
 func TestSubmitValidation(t *testing.T) {
-	m := newManager(1)
-	if _, err := m.Submit(Request{Shots: 10}, nil); err == nil {
+	f := twinFleet(t, 1, 1)
+	if _, err := f.Submit(qrm.Request{Shots: 10}, fleet.SubmitOptions{}); err == nil {
 		t.Error("expected error for nil circuit")
 	}
-	if _, err := m.Submit(Request{Circuit: circuit.GHZ(3), Shots: 0}, nil); err == nil {
+	if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 0}, fleet.SubmitOptions{}); err == nil {
 		t.Error("expected error for 0 shots")
 	}
-	if _, err := m.Submit(Request{Circuit: circuit.GHZ(25), Shots: 10}, nil); err == nil {
+	if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(25), Shots: 10}, fleet.SubmitOptions{}); err == nil {
 		t.Error("expected error for oversized circuit")
 	}
 	bad := circuit.New(2, "bad")
 	bad.Gates = append(bad.Gates, circuit.Gate{Name: "bogus", Qubits: []int{0}})
-	if _, err := m.Submit(Request{Circuit: bad, Shots: 10}, nil); err == nil {
+	if _, err := f.Submit(qrm.Request{Circuit: bad, Shots: 10}, fleet.SubmitOptions{}); err == nil {
 		t.Error("expected error for invalid circuit")
 	}
 }
 
 func TestSubmitStepDone(t *testing.T) {
-	m := newManager(2)
-	h := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 200, User: "alice"})
-	if queued, _ := m.Load(); queued != 1 {
-		t.Error("queue should hold 1 job")
+	f := twinFleet(t, 2, 1)
+	release := hold(t, f)
+	id := submit(t, f, qrm.Request{Circuit: circuit.GHZ(4), Shots: 200, User: "alice"})
+	if m := f.Metrics(); m.QueueDepth != 1 {
+		t.Errorf("queue depth = %d, want 1", m.QueueDepth)
 	}
-	if rec := h.Record(); rec.Status != StatusQueued {
+	if rec, _ := f.Job(id); rec.Status != fleet.JobQueued {
 		t.Errorf("status before dispatch = %s, want queued", rec.Status)
 	}
-	start(t, m, 1)
-	j := await(t, h)
-	if j.ID != h.ID() {
-		t.Fatalf("record ID = %d, handle ID = %d", j.ID, h.ID())
+	release()
+	rec := await(t, f, id)
+	if rec.Status != fleet.JobDone {
+		t.Fatalf("status = %s, error = %s", rec.Status, rec.Error)
 	}
-	if j.Status != StatusDone {
-		t.Fatalf("status = %s, error = %s", j.Status, j.Error)
+	j := rec.Result
+	if j.ID != id {
+		t.Fatalf("record ID = %d, job ID = %d", j.ID, id)
 	}
 	if j.CompiledGates == 0 || j.CZCount == 0 || j.CompileStats == "" {
 		t.Error("compilation transparency fields not populated")
@@ -100,58 +131,80 @@ func TestSubmitStepDone(t *testing.T) {
 }
 
 func TestPriorityDispatchOrder(t *testing.T) {
-	m := newManager(4)
-	low := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, Priority: 0})
-	high := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10, Priority: 9})
-	m.mu.Lock()
-	first, second := m.claimLocked(), m.claimLocked()
-	m.mu.Unlock()
-	if first.ID != high.ID() {
-		t.Errorf("first dispatched = %d, want high-priority %d", first.ID, high.ID())
+	f := twinFleet(t, 4, 1)
+	release := hold(t, f)
+	low := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 10, Priority: 0})
+	high := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 10, Priority: 9})
+	sub := f.Events().Subscribe(0, 16)
+	defer sub.Close()
+	release()
+	var claimed []int
+	for len(claimed) < 2 {
+		if ev := <-sub.Events(); ev.To == fleet.JobRouted {
+			claimed = append(claimed, ev.JobID)
+		}
 	}
-	if second.ID != low.ID() {
-		t.Errorf("second dispatched = %d, want %d", second.ID, low.ID())
+	if claimed[0] != high || claimed[1] != low {
+		t.Errorf("claim order = %v, want high-priority %d then %d", claimed, high, low)
 	}
 }
 
 func TestCancel(t *testing.T) {
-	m := newManager(7)
-	h := submit(t, m, Request{Circuit: circuit.GHZ(2), Shots: 10})
-	if err := h.Cancel(); err != nil {
+	f := twinFleet(t, 7, 1)
+	hold(t, f)
+	id := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 10})
+	if err := f.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-h.Done():
-	default:
-		t.Error("cancelling a queued job did not close Done")
+	if j, _ := f.Job(id); j.Status != fleet.JobCancelled {
+		t.Errorf("cancelling a queued job left it %s", j.Status)
 	}
-	if j := h.Record(); j.Status != StatusCancelled {
-		t.Errorf("status = %s", j.Status)
-	}
-	if err := h.Cancel(); err == nil {
+	if err := f.Cancel(id); err == nil {
 		t.Error("double cancel should fail")
 	}
 }
 
+// TestOutageInterruptsAndRequeues: an outage (the device failed) interrupts
+// the job on its QPU — its execution faults — and sends it back to the
+// queue; the job queued behind it is untouched, a submission during the
+// outage is accepted and waits, and all three run after recovery.
 func TestOutageInterruptsAndRequeues(t *testing.T) {
-	m := newManager(9)
-	h1 := submit(t, m, Request{Circuit: circuit.GHZ(3), Shots: 50, User: "carol"})
-	h2 := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 50, User: "carol"})
-	m.SetOnline(false)
-	j1, j2 := h1.Record(), h2.Record()
-	if j1.Status != StatusInterrupted || j2.Status != StatusInterrupted {
-		t.Fatalf("statuses = %s, %s; want interrupted", j1.Status, j2.Status)
+	qpu := device.NewTwin20Q(9)
+	qpu.SetExecLatency(50 * time.Millisecond)
+	f := newFleet(t, qpu, 1)
+	qpu.InjectFaults(1)
+	running := submit(t, f, qrm.Request{Circuit: circuit.GHZ(3), Shots: 50, User: "carol"})
+	queued := submit(t, f, qrm.Request{Circuit: circuit.GHZ(4), Shots: 50, User: "carol"})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if j, _ := f.Job(running); j.Status == fleet.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never reached the QPU")
+		}
 	}
-	if _, err := m.Submit(Request{Circuit: circuit.GHZ(2), Shots: 10}, nil); err == nil {
-		t.Error("submit during outage should fail")
+	name := f.Devices()[0]
+	if err := f.Fail(name); err != nil {
+		t.Fatal(err)
 	}
-	m.SetOnline(true)
-	// Requeueing is the caller's move (the fleet scheduler re-routes
-	// interrupted work): the interrupted records keep their requests.
-	start(t, m, 1)
-	for _, j := range []*Job{j1, j2} {
-		if re := await(t, submit(t, m, j.Request)); re.Status != StatusDone {
-			t.Errorf("requeued job %d = %s", re.ID, re.Status)
+	during := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 10})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if j, _ := f.Job(running); j.Status == fleet.JobQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the interrupted job never went back to the queue")
+		}
+	}
+	if m := f.Metrics(); m.QueueDepth != 3 {
+		t.Errorf("queue depth during the outage = %d, want 3", m.QueueDepth)
+	}
+	if err := f.Recover(name); err != nil {
+		t.Fatal(err)
+	}
+	for id, migrations := range map[int]int{running: 1, queued: 0, during: 0} {
+		if j := await(t, f, id); j.Status != fleet.JobDone || j.Migrations != migrations {
+			t.Errorf("job %d = %s after %d migrations, want done after %d", id, j.Status, j.Migrations, migrations)
 		}
 	}
 }
@@ -160,17 +213,16 @@ func TestJITCompilationSeesLiveCalibration(t *testing.T) {
 	// On a noisy device with a poisoned qubit, the default fidelity-aware
 	// dispatch should avoid it; with StaticPlacement it cannot.
 	qpu := device.New20Q(10)
-	m := NewManager(qdmi.NewDevice(qpu, nil))
 	qpu.AdvanceDrift(24 * 30)
-	hJIT := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 10})
-	hStatic := submit(t, m, Request{Circuit: circuit.GHZ(4), Shots: 10, StaticPlacement: true})
-	start(t, m, 1)
-	jJIT, jStatic := await(t, hJIT), await(t, hStatic)
-	if jJIT.Status != StatusDone || jStatic.Status != StatusDone {
+	f := newFleet(t, qpu, 1)
+	jit := submit(t, f, qrm.Request{Circuit: circuit.GHZ(4), Shots: 10})
+	static := submit(t, f, qrm.Request{Circuit: circuit.GHZ(4), Shots: 10, StaticPlacement: true})
+	jJIT, jStatic := await(t, f, jit), await(t, f, static)
+	if jJIT.Status != fleet.JobDone || jStatic.Status != fleet.JobDone {
 		t.Fatalf("statuses: %s / %s", jJIT.Status, jStatic.Status)
 	}
 	// Static placement is the identity layout.
-	for i, p := range jStatic.Layout {
+	for i, p := range jStatic.Result.Layout {
 		if i != p {
 			t.Errorf("static layout[%d] = %d", i, p)
 		}

@@ -272,7 +272,7 @@ func (e *Env) Crash() error {
 }
 
 // close tears the run's stack down: background churn first, then the HTTP
-// front end, then the scheduler (parking any stragglers).
+// front end, then the scheduler (failing any stragglers still queued).
 func (e *Env) close() {
 	select {
 	case <-e.injectDone:

@@ -13,7 +13,7 @@ import (
 
 // The built-in incident suite. Each scenario replays one class of outage
 // the stack claims to survive, through the real machinery that survives
-// it: fleet failover/migration, epoch-keyed compile caches, least-loaded
+// it: fleet failover, epoch-keyed compile caches, least-loaded
 // routing, queue deadlines, watch-stream fan-out, and maintenance drains.
 // Seeds are fixed; reruns derive from them (see Provenance.SeedPolicy).
 
@@ -46,7 +46,8 @@ func conserveTenants(e *Env) error {
 
 // deviceDeathMidBatch poisons one device's control electronics with a
 // backlog in flight, then marks it failed. The failover machinery must
-// migrate every interrupted job: zero failures surface to clients. The
+// re-queue every job whose run failed under it: zero failures surface to
+// clients. The
 // negative control (React withheld) leaves the device active-and-poisoned;
 // fast failures make it look least-loaded, it attracts the batch, and the
 // error-rate gate trips.
@@ -54,7 +55,7 @@ func deviceDeathMidBatch() Spec {
 	const victim = 1
 	return Spec{
 		Name:        "device-death-midbatch",
-		Description: "one QPU's control electronics die mid-batch; failover must migrate every interrupted job",
+		Description: "one QPU's control electronics die mid-batch; failover must re-queue every job that failed under it",
 		Seed:        101,
 		Hooks: Hooks{
 			Fault: func(e *Env) { e.QPU(victim).InjectFaults(1 << 20) },
@@ -453,8 +454,9 @@ func crossNodeWatch() Spec {
 }
 
 // maintenanceDrain advances the simulation clock into a scheduled window on
-// one device while jobs stream: the drain must migrate its queue, and
-// leaving the window must restore full-fleet throughput.
+// one device while jobs stream: the drained device stops claiming, its
+// siblings take the queue, and leaving the window must restore full-fleet
+// throughput.
 func maintenanceDrain() Spec {
 	const victim = 3
 	return Spec{

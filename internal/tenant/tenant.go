@@ -1,9 +1,9 @@
 // Package tenant is the multi-tenant admission-control layer: per-user
 // token-bucket rate limiting at the API edge, queue-depth bounds that the
-// dispatch queue sheds against under overload, and the per-tenant usage
-// accounting that the WFQ claim path, the /metrics plane, and the admin
-// tenants endpoint all share. The package is dependency-free so every
-// layer (qrm, fleet, mqss) can import it without cycles.
+// fleet's dispatch queue sheds against under overload, and the per-tenant
+// usage accounting that the WFQ claim path, the /metrics plane, and the
+// admin tenants endpoint all share. The package is dependency-free so every
+// layer (fleet, mqss) can import it without cycles.
 package tenant
 
 import (
@@ -28,8 +28,10 @@ type Admission struct {
 func (a Admission) Enabled() bool { return a.MaxTenantQueue > 0 || a.HighWater > 0 }
 
 // Usage is one tenant's dispatch-queue accounting: current depth plus
-// lifetime outcome counters. The fleet merges per-device rows by user;
-// WAL replay rebuilds the rows when a node restarts.
+// lifetime outcome counters. The fleet scheduler keeps one row per user on
+// its queue and counts each submission once, whatever device ran it;
+// recovery counts the jobs a restart re-queued. Interrupted counts jobs
+// whose dispatch deadline passed while the server was down.
 type Usage struct {
 	User        string `json:"user"`
 	Queued      int    `json:"queued"`
@@ -39,35 +41,6 @@ type Usage struct {
 	Cancelled   uint64 `json:"cancelled"`
 	Interrupted uint64 `json:"interrupted"`
 	Shed        uint64 `json:"shed"`
-}
-
-// MergeUsage sums usage rows by user across devices (fleet aggregation),
-// returning one row per user sorted by user name.
-func MergeUsage(rows ...[]Usage) []Usage {
-	byUser := map[string]*Usage{}
-	for _, set := range rows {
-		for _, u := range set {
-			acc, ok := byUser[u.User]
-			if !ok {
-				cp := u
-				byUser[u.User] = &cp
-				continue
-			}
-			acc.Queued += u.Queued
-			acc.Submitted += u.Submitted
-			acc.Completed += u.Completed
-			acc.Failed += u.Failed
-			acc.Cancelled += u.Cancelled
-			acc.Interrupted += u.Interrupted
-			acc.Shed += u.Shed
-		}
-	}
-	out := make([]Usage, 0, len(byUser))
-	for _, u := range byUser {
-		out = append(out, *u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
 }
 
 // Limiter is a per-user token-bucket rate limiter: each user accrues

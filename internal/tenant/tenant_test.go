@@ -92,24 +92,6 @@ func TestLimiterIsolatesTenants(t *testing.T) {
 	}
 }
 
-func TestMergeUsage(t *testing.T) {
-	a := []Usage{{User: "x", Submitted: 2, Completed: 1, Queued: 1}, {User: "y", Shed: 3}}
-	b := []Usage{{User: "x", Submitted: 1, Failed: 1}, {User: "z", Cancelled: 2}}
-	got := MergeUsage(a, b)
-	if len(got) != 3 {
-		t.Fatalf("want 3 merged rows, got %+v", got)
-	}
-	if got[0].User != "x" || got[0].Submitted != 3 || got[0].Completed != 1 || got[0].Failed != 1 || got[0].Queued != 1 {
-		t.Fatalf("x row wrong: %+v", got[0])
-	}
-	if got[1].User != "y" || got[1].Shed != 3 {
-		t.Fatalf("y row wrong: %+v", got[1])
-	}
-	if got[2].User != "z" || got[2].Cancelled != 2 {
-		t.Fatalf("z row wrong: %+v", got[2])
-	}
-}
-
 func TestAdmissionEnabled(t *testing.T) {
 	if (Admission{}).Enabled() {
 		t.Fatal("zero admission config should be disabled")
