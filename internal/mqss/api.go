@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/fleet"
+	"repro/internal/jsonwire"
 	"repro/internal/qrm"
 	"repro/internal/transpile"
 )
@@ -101,8 +102,8 @@ type Job struct {
 	CompileStats  string           `json:"compile_stats,omitempty"`
 
 	// Results, present on done jobs.
-	Counts     map[int]int `json:"counts,omitempty"`
-	DurationUs float64     `json:"duration_us,omitempty"`
+	Counts     circuit.Counts `json:"counts,omitempty"`
+	DurationUs float64        `json:"duration_us,omitempty"`
 
 	// Timing on the backend's simulation clock.
 	SubmitTime float64 `json:"submit_time"`
@@ -121,9 +122,103 @@ type Job struct {
 	// Error is the structured envelope for failed jobs.
 	Error *APIError `json:"error,omitempty"`
 
-	// Request echoes the full submission on single-job responses; list
-	// pages omit it to keep pages light.
+	// Request echoes the full submission on GET and DELETE of one job. A
+	// POST leaves it out (the submitter already holds it), and so do list
+	// pages and watch snapshots.
 	Request *qrm.Request `json:"request,omitempty"`
+}
+
+// AppendJSON appends the record's JSON object to b, byte for byte what
+// encoding/json writes for the struct (TestJobJSONMatchesReflection holds
+// every field to that).
+func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+	var err error
+	float := func(name string, f float64) {
+		if err == nil {
+			b, err = jsonwire.AppendFloat(append(b, name...), f)
+		}
+	}
+	b = jsonwire.AppendString(append(b, `{"id":`...), j.ID)
+	b = jsonwire.AppendString(append(b, `,"state":`...), string(j.State))
+	if j.Device != "" {
+		b = jsonwire.AppendString(append(b, `,"device":`...), j.Device)
+	}
+	if j.User != "" {
+		b = jsonwire.AppendString(append(b, `,"user":`...), j.User)
+	}
+	if j.Shots != 0 {
+		b = strconv.AppendInt(append(b, `,"shots":`...), int64(j.Shots), 10)
+	}
+	if j.Priority != 0 {
+		b = strconv.AppendInt(append(b, `,"priority":`...), int64(j.Priority), 10)
+	}
+	if j.DeadlineMs != 0 {
+		float(`,"deadline_ms":`, j.DeadlineMs)
+	}
+	if j.Migrations != 0 {
+		b = strconv.AppendInt(append(b, `,"migrations":`...), int64(j.Migrations), 10)
+	}
+	if j.Score != 0 {
+		float(`,"score":`, j.Score)
+	}
+	if j.Pinned != "" {
+		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
+	}
+	if j.CompiledGates != 0 {
+		b = strconv.AppendInt(append(b, `,"compiled_gates":`...), int64(j.CompiledGates), 10)
+	}
+	if j.CZCount != 0 {
+		b = strconv.AppendInt(append(b, `,"cz_count":`...), int64(j.CZCount), 10)
+	}
+	if len(j.Layout) > 0 {
+		b = append(b, `,"layout":[`...)
+		for i, q := range j.Layout {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(q), 10)
+		}
+		b = append(b, ']')
+	}
+	if j.CompileStats != "" {
+		b = jsonwire.AppendString(append(b, `,"compile_stats":`...), j.CompileStats)
+	}
+	if len(j.Counts) > 0 {
+		b = j.Counts.AppendJSON(append(b, `,"counts":`...))
+	}
+	if j.DurationUs != 0 {
+		float(`,"duration_us":`, j.DurationUs)
+	}
+	float(`,"submit_time":`, j.SubmitTime)
+	if j.EndTime != 0 {
+		float(`,"end_time":`, j.EndTime)
+	}
+	if j.Recovered {
+		b = append(b, `,"recovered":true`...)
+	}
+	if j.Node != "" {
+		b = jsonwire.AppendString(append(b, `,"node":`...), j.Node)
+	}
+	if j.Error != nil {
+		e := j.Error
+		b = jsonwire.AppendString(append(b, `,"error":{"code":`...), e.Code)
+		b = jsonwire.AppendString(append(b, `,"message":`...), e.Message)
+		b = strconv.AppendBool(append(b, `,"retryable":`...), e.Retryable)
+		if e.TokensLeft != nil {
+			float(`,"tokens_left":`, *e.TokensLeft)
+		}
+		if e.RetryAfterSec != 0 {
+			b = strconv.AppendInt(append(b, `,"retry_after":`...), int64(e.RetryAfterSec), 10)
+		}
+		b = append(b, '}')
+	}
+	if err == nil && j.Request != nil {
+		b, err = j.Request.AppendJSON(append(b, `,"request":`...))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // SubmitRequest is the v2 submission body.
@@ -139,6 +234,42 @@ type SubmitRequest struct {
 	// routing policy.
 	Device string `json:"device,omitempty"`
 	Policy string `json:"policy,omitempty"`
+}
+
+// decodeJSON reads the submission object at the lexer's position without
+// reflection; the circuit lands in one arena (circuit.DecodeJSON). Unknown
+// keys are skipped and null leaves a field as it was, as with encoding/json.
+func (r *SubmitRequest) decodeJSON(l *jsonwire.Lexer) {
+	if !l.Begin('{') {
+		return
+	}
+	for n := 0; l.More('}', n); n++ {
+		switch key := l.Key(); {
+		case jsonwire.Is(key, "circuit"):
+			if l.Null() {
+				r.Circuit = nil
+			} else {
+				r.Circuit = new(circuit.Circuit)
+				r.Circuit.DecodeJSON(l)
+			}
+		case jsonwire.Is(key, "shots"):
+			l.Int(&r.Shots)
+		case jsonwire.Is(key, "user"):
+			l.String(&r.User)
+		case jsonwire.Is(key, "priority"):
+			l.Int(&r.Priority)
+		case jsonwire.Is(key, "deadline_ms"):
+			l.Float(&r.DeadlineMs)
+		case jsonwire.Is(key, "static_placement"):
+			l.Bool(&r.StaticPlacement)
+		case jsonwire.Is(key, "device"):
+			l.String(&r.Device)
+		case jsonwire.Is(key, "policy"):
+			l.String(&r.Policy)
+		default:
+			l.Skip()
+		}
+	}
 }
 
 // qrmRequest lowers the v2 submission onto the QRM request shape.
@@ -200,7 +331,7 @@ type JobPage struct {
 const jobIDPrefix = "j-"
 
 // FormatJobID renders a backend-scoped numeric ID as the opaque v2 handle.
-func FormatJobID(n int) string { return fmt.Sprintf("%s%d", jobIDPrefix, n) }
+func FormatJobID(n int) string { return jobIDPrefix + strconv.Itoa(n) }
 
 // ParseJobID recovers the numeric ID behind a v2 handle.
 func ParseJobID(s string) (int, error) {

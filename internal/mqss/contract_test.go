@@ -238,6 +238,13 @@ func TestContractV2(t *testing.T) {
 	// Watch stream of a terminal job: exactly the snapshot event line.
 	_, body = contractDo(t, srv, http.MethodGet, "/api/v2/jobs/j-2/events", nil, nil)
 	checkGolden(t, "v2_events_snapshot", body)
+
+	// The submission comes back on a read of the job, never on a POST.
+	status, body = contractDo(t, srv, http.MethodGet, "/api/v2/jobs/j-2", nil, nil)
+	if status != http.StatusOK {
+		t.Fatalf("v2 get = %d\n%s", status, body)
+	}
+	checkGolden(t, "v2_job_get", body)
 }
 
 // TestContractV2Trace pins the span-tree wire shape: span names, nesting,

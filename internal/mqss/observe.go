@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -45,7 +46,7 @@ func withRequestID(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get("X-Request-ID")
 		if rid == "" {
-			rid = fmt.Sprintf("req-%s-%d", ridBase, ridCounter.Add(1))
+			rid = "req-" + ridBase + "-" + strconv.FormatUint(ridCounter.Add(1), 10)
 		}
 		w.Header().Set("X-Request-ID", rid)
 		h(w, r.WithContext(context.WithValue(r.Context(), ridCtxKey{}, rid)))

@@ -113,6 +113,28 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// outPool recycles the buffers job records are written into.
+var outPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeRecord writes a job record through a pooled buffer, without
+// reflection; the bytes are what writeJSON would send.
+func writeRecord(w http.ResponseWriter, status int, job *Job) {
+	buf := outPool.Get().(*[]byte)
+	b, err := job.AppendJSON((*buf)[:0])
+	if err != nil {
+		outPool.Put(buf)
+		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(b, '\n')) // the newline json.Encoder ends a value with
+	if cap(b) <= 64<<10 {
+		*buf = b
+		outPool.Put(buf)
+	}
+}
+
 // Error rendering. Both API versions share one classification (status,
 // code, message, retryability) but render different wire shapes: v1 keeps
 // its original byte-compatible `{"error": "..."}` body, v2 sends the

@@ -15,14 +15,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/federation"
 	"repro/internal/fleet"
+	"repro/internal/jsonwire"
 	"repro/internal/telemetry/trace"
 )
 
@@ -100,14 +103,51 @@ func (s *Server) handleV2Jobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxSubmitBytes bounds a submission body, far above any circuit the
+// devices run (2 000 gates are about 100 KB of JSON); a longer body is
+// refused before it is buffered whole.
+const maxSubmitBytes = 8 << 20
+
+// bodyPool recycles submission bodies: the decode copies out what it keeps.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// releaseBody pools a body buffer unless one outsized submission grew it.
+func releaseBody(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		bodyPool.Put(b)
+	}
+}
+
+// decodeSubmission reads the first JSON value of a submission body, as
+// json.Decoder would: whatever follows it is ignored, and an empty body is
+// an error.
+func decodeSubmission(body []byte, req *SubmitRequest) error {
+	if len(bytes.TrimSpace(body)) == 0 {
+		return io.EOF
+	}
+	var l jsonwire.Lexer
+	l.Reset(body)
+	req.decodeJSON(&l)
+	return l.Err()
+}
+
 // v2Submit accepts one job and returns 202 + Location (async by default).
 // ?wait= long-polls for completion and returns 200 with the terminal
-// record when it arrives in time. An Idempotency-Key header makes retries
-// safe: the same key replays the original submission's outcome instead of
-// executing twice (bounded dedup window).
+// record when it arrives in time; the record leaves out the request the
+// caller just sent (GET returns it). An Idempotency-Key header makes
+// retries safe: the same key replays the original submission's outcome
+// instead of executing twice (bounded dedup window).
 func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer releaseBody(body)
+	body.Reset()
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBytes)); err != nil {
+		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest,
+			"decoding request: "+err.Error(), false)
+		return
+	}
+	if err := decodeSubmission(body.Bytes(), &req); err != nil {
 		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest,
 			"decoding request: "+err.Error(), false)
 		return
@@ -127,12 +167,9 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 	if s.fed != nil && r.Header.Get(federation.HeaderForwardedFrom) == "" {
 		if owner := s.fed.PlaceJob(req.User, r.Header.Get("Idempotency-Key")); owner != s.fed.Self() {
 			s.fed.NoteForwardedSubmit()
-			body, merr := json.Marshal(req)
-			if merr != nil {
-				writeV2Error(w, http.StatusInternalServerError, CodeInternal, merr.Error(), false)
-				return
-			}
-			s.fedProxy(w, r, owner, bytes.NewReader(body), false)
+			// A copy: the transport may read a request body after the round
+			// trip returns, and this buffer goes back to the pool.
+			s.fedProxy(w, r, owner, bytes.NewReader(bytes.Clone(body.Bytes())), false)
 			return
 		}
 	}
@@ -188,7 +225,7 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		_, _ = s.fleet.WaitContext(ctx, id)
 		cancel()
 	}
-	job, err := s.v2JobRecord(id, true)
+	job, err := s.v2JobRecord(id, false)
 	if err != nil {
 		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 		return
@@ -203,7 +240,7 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		// the terminal record: this response is the final word.
 		status = http.StatusOK
 	}
-	writeJSON(w, status, job)
+	writeRecord(w, status, job)
 }
 
 // v2List: GET /api/v2/jobs?user=&state=&cursor=&limit= — newest first,
@@ -330,7 +367,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, job)
+	writeRecord(w, http.StatusOK, job)
 }
 
 // v2Cancel: DELETE /api/v2/jobs/{id}. Queued jobs cancel immediately; in-flight jobs have the cancellation requested and settle
@@ -346,7 +383,7 @@ func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
 		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job)
+	writeRecord(w, http.StatusAccepted, job)
 }
 
 // v2Watch: GET /api/v2/jobs/{id}/events — the server-push stream. NDJSON

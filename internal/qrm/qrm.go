@@ -7,7 +7,10 @@
 package qrm
 
 import (
+	"strconv"
+
 	"repro/internal/circuit"
+	"repro/internal/jsonwire"
 	"repro/internal/transpile"
 )
 
@@ -45,6 +48,37 @@ type Request struct {
 	StaticPlacement bool `json:"static_placement,omitempty"`
 }
 
+// MarshalJSON implements json.Marshaler: a request is journaled with every
+// job and echoed on reads, so it writes itself.
+func (r Request) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// AppendJSON appends the request's JSON object to b, byte for byte what
+// encoding/json writes for the struct.
+func (r *Request) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"circuit":`...)
+	if r.Circuit == nil {
+		b = append(b, "null"...)
+	} else {
+		var err error
+		if b, err = r.Circuit.AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	b = strconv.AppendInt(append(b, `,"shots":`...), int64(r.Shots), 10)
+	b = strconv.AppendInt(append(b, `,"priority":`...), int64(r.Priority), 10)
+	b = jsonwire.AppendString(append(b, `,"user":`...), r.User)
+	if r.DeadlineMs != 0 {
+		var err error
+		if b, err = jsonwire.AppendFloat(append(b, `,"deadline_ms":`...), r.DeadlineMs); err != nil {
+			return nil, err
+		}
+	}
+	if r.StaticPlacement {
+		b = append(b, `,"static_placement":true`...)
+	}
+	return append(b, '}'), nil
+}
+
 // Job is the record of one device leg.
 type Job struct {
 	ID      int       `json:"id"`
@@ -59,9 +93,9 @@ type Job struct {
 	CompileStats string `json:"compile_stats,omitempty"`
 
 	// Results.
-	Counts     map[int]int `json:"counts,omitempty"`
-	DurationUs float64     `json:"duration_us,omitempty"`
-	Error      string      `json:"error,omitempty"`
+	Counts     circuit.Counts `json:"counts,omitempty"`
+	DurationUs float64        `json:"duration_us,omitempty"`
+	Error      string         `json:"error,omitempty"`
 
 	// Submission and settlement instants on the fleet's simulation clock.
 	SubmitTime float64 `json:"submit_time"`
