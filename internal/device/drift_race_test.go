@@ -31,9 +31,9 @@ func oneDevice(t *testing.T, qpu *device.QPU, workers int) *fleet.Scheduler {
 	return f
 }
 
-// compileAttrs runs one job through f and returns its device record and the
+// compileAttrs runs one job through f and returns its record and the
 // attributes its compile span ended with.
-func compileAttrs(f *fleet.Scheduler, req qrm.Request) (*qrm.Job, map[string]string, error) {
+func compileAttrs(f *fleet.Scheduler, req qrm.Request) (*fleet.Job, map[string]string, error) {
 	id, err := f.Submit(req, fleet.SubmitOptions{})
 	if err != nil {
 		return nil, nil, err
@@ -43,12 +43,12 @@ func compileAttrs(f *fleet.Scheduler, req qrm.Request) (*qrm.Job, map[string]str
 		return nil, nil, err
 	}
 	if j.Result == nil {
-		return nil, nil, fmt.Errorf("job %d: %s (%s) without a device record", id, j.Status, j.Error)
+		return nil, nil, fmt.Errorf("job %d: %s (%s) without a result", id, j.Status, j.Error)
 	}
 	for _, leg := range f.Trace(id).Snapshot().Root.Children {
 		for _, sp := range leg.Children {
 			if sp.Name == "compile" {
-				return j.Result, sp.Attrs, nil
+				return j, sp.Attrs, nil
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func TestDriftTicksMidCompile(t *testing.T) {
 
 	type finished struct {
 		req   qrm.Request
-		rec   *qrm.Job
+		rec   *fleet.Job
 		attrs map[string]string
 	}
 	const submitters, each = 4, 30
@@ -138,7 +138,7 @@ func TestDriftTicksMidCompile(t *testing.T) {
 	}
 
 	for r := range results {
-		if r.rec.Status != qrm.StatusDone {
+		if r.rec.Status != fleet.JobDone {
 			t.Errorf("job %d: %s (%s)", r.rec.ID, r.rec.Status, r.rec.Error)
 			continue
 		}
@@ -158,10 +158,10 @@ func TestDriftTicksMidCompile(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := r.req.Circuit.NumQubits
-		if !reflect.DeepEqual(e.Result().FinalLayout, placed.FinalLayout) || !reflect.DeepEqual(r.rec.Layout, placed.FinalLayout[:n]) ||
-			r.rec.CompiledGates != placed.Stats.OutputGates {
+		if !reflect.DeepEqual(e.Result().FinalLayout, placed.FinalLayout) || !reflect.DeepEqual(r.rec.Result.Layout, placed.FinalLayout[:n]) ||
+			r.rec.Result.CompiledGates != placed.Stats.OutputGates {
 			t.Errorf("job %d: layout %v (%d gates), but epoch %d's Target places it at %v (%d gates)",
-				r.rec.ID, r.rec.Layout, r.rec.CompiledGates, num, placed.FinalLayout[:n], placed.Stats.OutputGates)
+				r.rec.ID, r.rec.Result.Layout, r.rec.Result.CompiledGates, num, placed.FinalLayout[:n], placed.Stats.OutputGates)
 		}
 		if bad := ep.NoiseMismatch(e); bad != "" {
 			t.Errorf("job %d: %s does not hold the channel of the epoch that placed it", r.rec.ID, bad)

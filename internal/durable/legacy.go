@@ -12,32 +12,36 @@ import (
 // into the fleet record that replaces it. The job keeps its original ID.
 // Work the crash caught in flight (queued, compiling, running) becomes
 // queued so fleet.Scheduler.Restore re-queues it; terminal jobs carry
-// their device-level record as the result, with interrupted surfacing as
-// the retryable restart failure.
+// the record's compile artefacts, counts and times as the result, with
+// interrupted surfacing as the retryable restart failure.
 func legacyFleetJob(body []byte) (fleetJobRecord, bool) {
 	var r struct {
 		SubmitUnixMs int64 `json:"submit_unix_ms"`
 		Job          *struct {
-			qrm.Job
-			Node string `json:"node"`
+			ID      int         `json:"id"`
+			Status  string      `json:"status"`
+			Request qrm.Request `json:"request"`
+			Error   string      `json:"error"`
+			Node    string      `json:"node"`
+			fleet.Result
 		} `json:"job"`
 	}
 	if json.Unmarshal(body, &r) != nil || r.Job == nil {
 		return fleetJobRecord{}, false
 	}
-	src := r.Job.Job
+	src := r.Job
 	j := &fleet.Job{
-		ID: src.ID, Request: src.Request, Node: r.Job.Node, Error: src.Error,
+		ID: src.ID, Request: src.Request, Node: src.Node, Error: src.Error,
 	}
 	// done, failed and cancelled are spelled alike on a device leg and a job.
 	j.Status = fleet.JobStatus(src.Status)
-	if src.Status == qrm.StatusInterrupted {
+	if src.Status == "interrupted" {
 		j.Status, j.Error = fleet.JobFailed, qrm.ErrInterruptedMsg
 	} else if !j.Status.Terminal() {
 		j.Status, j.Error = fleet.JobQueued, ""
 	}
 	if j.Status.Terminal() {
-		j.Result = &src
+		j.Result = &src.Result
 	}
 	return fleetJobRecord{SubmitUnixMs: r.SubmitUnixMs, Job: j}, true
 }

@@ -3,13 +3,16 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/fleet"
 	"repro/internal/qrm"
+	"repro/internal/transpile"
 )
 
 // assertNoRecordKind fails when any snapshot or journal file in dir still
@@ -107,6 +110,32 @@ func TestLegacyQRMRecordsUpgrade(t *testing.T) {
 	}
 }
 
+// parentKeyedResults is what testdata/parent-keyed's terminal frames record
+// as each done job's result — written when the result still repeated the
+// job's id, status and request. Each must read back field for field.
+var parentKeyedResults = func() map[int]fleet.Result {
+	out := map[int]fleet.Result{}
+	for id, counts := range map[int]circuit.Counts{
+		1: {0: 2, 768: 2}, 2: {0: 1, 768: 3}, 3: {0: 2, 768: 2}, 4: {0: 4}, 5: {0: 1, 768: 3},
+	} {
+		out[id] = fleet.Result{
+			CompiledGates: 7, CZCount: 1, Layout: transpile.Layout{8, 9},
+			CompileStats: "transpile{gates 2→7, depth 2→5, 2q 1→1 cz, swaps 0}",
+			Counts:       counts, DurationUs: 1206.4, SubmitTime: 0, EndTime: 0,
+		}
+	}
+	return out
+}()
+
+// checkParentKeyedResult fails when a recovered done job of
+// testdata/parent-keyed does not carry the result its frame recorded.
+func checkParentKeyedResult(t *testing.T, stage string, j *fleet.Job) {
+	t.Helper()
+	if want := parentKeyedResults[j.ID]; j.Result == nil || !reflect.DeepEqual(*j.Result, want) {
+		t.Errorf("%s: job %d result %+v, want %+v", stage, j.ID, j.Result, want)
+	}
+}
+
 // TestLegacyIdemRecordsUpgrade opens testdata/parent-keyed — a data dir
 // written by the last commit that journaled Idempotency-Key bindings as
 // their own 'I' records (v2 keyed submits, one compaction, more keyed
@@ -140,6 +169,7 @@ func TestLegacyIdemRecordsUpgrade(t *testing.T) {
 			if j.IdemKey != want[j.ID] || j.Status != fleet.JobDone {
 				t.Errorf("%s: job %d recovered %s with key %q, want done with %q", stage, j.ID, j.Status, j.IdemKey, want[j.ID])
 			}
+			checkParentKeyedResult(t, stage, j)
 		}
 		f := fleet.New(fleet.PolicyBestFidelity, nil)
 		defer f.Stop()
@@ -261,6 +291,8 @@ func TestLegacyPendingSpelling(t *testing.T) {
 				t.Errorf("cut %d: job 5 replayed as %q, want %q", i, j.Status, want)
 			} else if j.ID != 5 && j.Status != fleet.JobDone {
 				t.Errorf("cut %d: job %d replayed as %q, want done", i, j.ID, j.Status)
+			} else if j.ID != 5 {
+				checkParentKeyedResult(t, fmt.Sprintf("cut %d", i), j)
 			}
 		}
 		// No devices: the re-queued job parks, which is all this test needs.

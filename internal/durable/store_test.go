@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,6 +64,54 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 	if rec2.Stats.Records == 0 || rec2.Stats.SkippedBytes != 0 {
 		t.Fatalf("replay stats wrong: %+v", rec2.Stats)
+	}
+}
+
+// TestDoneFrameCarriesRequestOnce: the terminal 'F' frame of a job a device
+// ran to done holds the request once, on the job; the result carries only
+// what the run produced.
+func TestDoneFrameCarriesRequestOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	f.AttachStore(st)
+	if err := f.AddDevice("a", qdmi.NewDevice(device.NewTwin20Q(3), nil), 1); err != nil {
+		t.Fatal(err)
+	}
+	id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 8, User: "u"}, fleet.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := f.Wait(id); err != nil || j.Status != fleet.JobDone {
+		t.Fatalf("job %d: %+v (%v)", id, j, err)
+	}
+	f.Stop()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []byte
+	readFrames(data, func(_ uint64, payload []byte) {
+		var r fleetJobRecord
+		if payload[0] == recFleetJob && json.Unmarshal(payload[1:], &r) == nil &&
+			r.Job.ID == id && r.Job.Status == fleet.JobDone {
+			done = payload
+		}
+	})
+	if done == nil {
+		t.Fatal("no terminal frame for the done job")
+	}
+	if n := bytes.Count(done, []byte(`"circuit":`)); n != 1 {
+		t.Errorf("done frame holds the circuit %d times, want 1: %s", n, done)
+	}
+	if !bytes.Contains(done, []byte(`"counts":`)) {
+		t.Errorf("done frame lost its counts: %s", done)
 	}
 }
 

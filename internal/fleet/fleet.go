@@ -5,10 +5,10 @@
 // job in fair order the device may take — the device is eligible (active,
 // pin, width) and the routing policy (best-fidelity, least-loaded,
 // round-robin), evaluated at claim time over every eligible device, names
-// it — and run the job inline through the device's qrm.Manager: JIT compile
-// against the live calibration epoch, execute, settle (dispatch.go). Binding
-// a job to a device at the last moment means a queued job never holds a
-// stale placement and never has to move.
+// it — and run the job inline: JIT compile against the live calibration
+// epoch, execute, settle (dispatch.go). Binding a job to a device at the
+// last moment means a queued job never holds a stale placement and never
+// has to move.
 //
 // The scheduler owns the paper's operational realities at fleet scale:
 // calibration slots and §3.4 maintenance windows drain a device — it stops
@@ -16,22 +16,25 @@
 // sending a job whose execution failed on it back to the queue, and a job
 // no device may take waits in the queue until one returns: no submission is
 // ever lost. Per-device telemetry (routed/migrated/failed counters,
-// fidelity-score histograms, pipeline latencies) publishes into
-// telemetry.Store and the REST metrics endpoint.
+// fidelity-score histograms, compile-map hits, stage latencies) publishes
+// into telemetry.Store and the REST metrics endpoint.
 package fleet
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/ops"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 	"repro/internal/tenant"
+	"repro/internal/transpile"
 )
 
 // DeviceState tracks a backend through the fleet lifecycle.
@@ -52,7 +55,7 @@ const (
 )
 
 // Job is the fleet's record of one submission: the routing envelope plus
-// the device-level record under Result.
+// what the device that ran it produced, under Result.
 type Job struct {
 	ID int `json:"id"`
 	// Status is written by transitionLocked only (lifecycle.go).
@@ -67,10 +70,12 @@ type Job struct {
 	Score   float64     `json:"score,omitempty"`
 	Pinned  string      `json:"pinned,omitempty"`
 	Request qrm.Request `json:"request"`
-	// Result is the device-level record (counts, layout, timings): final
-	// once the job is terminal, the leg as of its compile while it runs.
-	Result *qrm.Job `json:"result,omitempty"`
-	Error  string   `json:"error,omitempty"`
+	// Result is what the claiming device produced: its compile artefacts
+	// once the job compiled, final once the job is terminal. Nil before
+	// the compile (a failover re-queue clears it), and on a job cancelled
+	// or settled without a run.
+	Result *Result `json:"result,omitempty"`
+	Error  string  `json:"error,omitempty"`
 
 	// SubmitUnixMs is the wall-clock submission instant in Unix
 	// milliseconds, excluded from the wire shape; the durable store
@@ -118,6 +123,24 @@ type Job struct {
 	qwSpan   *trace.Span
 }
 
+// Result is a device run's output. Its fields keep the names of the device
+// leg records older journals carry, so those decode into it.
+type Result struct {
+	// Compilation artefacts (§4: transparency into compilation was an
+	// explicit user request).
+	CompiledGates int              `json:"compiled_gates,omitempty"`
+	CZCount       int              `json:"cz_count,omitempty"`
+	Layout        transpile.Layout `json:"layout,omitempty"`
+	CompileStats  string           `json:"compile_stats,omitempty"`
+
+	Counts     circuit.Counts `json:"counts,omitempty"`
+	DurationUs float64        `json:"duration_us,omitempty"`
+
+	// Submission and settlement instants on the fleet's simulation clock.
+	SubmitTime float64 `json:"submit_time"`
+	EndTime    float64 `json:"end_time,omitempty"`
+}
+
 // expired reports whether the job's dispatch deadline passed in the queue.
 func (j *Job) expired(now time.Time) bool {
 	return j.Request.DeadlineMs > 0 &&
@@ -148,7 +171,6 @@ type deviceEntry struct {
 	name    string
 	idx     int // position in Scheduler.order; indexes Job.scores
 	dev     *qdmi.Device
-	mgr     *qrm.Manager
 	workers int
 	state   DeviceState
 	// wake is where the device's idle workers wait (bound to
@@ -165,6 +187,15 @@ type deviceEntry struct {
 	failed      uint64 // includes expired
 	cancelled   uint64
 	expired     uint64
+
+	// The dispatch pipeline's own figures, kept with s.mu released:
+	// compile-map lookups and the stage latencies in milliseconds.
+	cacheHits   atomic.Uint64
+	cacheMisses atomic.Uint64
+	queueWait   *telemetry.Histogram // entering the queue to the claim
+	compile     *telemetry.Histogram // per compile-map miss
+	exec        *telemetry.Histogram // per device round-trip
+	e2e         *telemetry.Histogram // entering the queue to a done result
 
 	scoreHist   *telemetry.Histogram
 	regionMemo  map[int]float64 // width -> mean pairwise region distance (score.go)
@@ -290,10 +321,15 @@ func (s *Scheduler) AddDevice(name string, dev *qdmi.Device, workers int) error 
 	if _, dup := s.devices[name]; dup {
 		return fmt.Errorf("fleet: device %q already registered", name)
 	}
+	ms := telemetry.ExponentialBounds(0.01, 2, 24) // 10 µs .. ~84 s
 	e := &deviceEntry{
-		name: name, idx: len(s.order), dev: dev, mgr: qrm.NewManager(dev), workers: workers,
+		name: name, idx: len(s.order), dev: dev, workers: workers,
 		state:      DeviceActive,
 		wake:       sync.NewCond(&s.mu),
+		queueWait:  newHistogram(ms),
+		compile:    newHistogram(ms),
+		exec:       newHistogram(ms),
+		e2e:        newHistogram(ms),
 		scoreHist:  scoreHistogram(),
 		regionMemo: make(map[int]float64),
 	}
@@ -434,6 +470,9 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 	}
 	if req.Shots < 1 {
 		return 0, false, fmt.Errorf("fleet: shots must be >= 1, got %d", req.Shots)
+	}
+	if req.DeadlineMs < 0 {
+		return 0, false, fmt.Errorf("fleet: deadline_ms must be >= 0, got %g", req.DeadlineMs)
 	}
 	policy := s.policy
 	if opts.Policy != "" {
@@ -584,8 +623,8 @@ func (s *Scheduler) shedOverLimitLocked(user string) {
 }
 
 // finalizeLocked settles a fleet job exactly once, with rec as its final
-// device record (nil when it never ran to a result).
-func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg string) {
+// result (nil when it never ran to one).
+func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg string) {
 	if j.Status.Terminal() {
 		return
 	}
@@ -686,8 +725,8 @@ func (s *Scheduler) TraceStats() (retained int, spanDrops uint64) {
 	return len(s.traceRing), s.traceSpanDrop
 }
 
-// Job returns a copy of the fleet job record; a routed job whose leg is on
-// the QPU reads running.
+// Job returns a copy of the fleet job record; a routed job that compiled
+// reads running.
 func (s *Scheduler) Job(id int) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -698,10 +737,11 @@ func (s *Scheduler) Job(id int) (*Job, error) {
 	return refined(*j), nil
 }
 
-// refined relabels a private copy of a routed job whose leg is executing.
-// It takes the job by value: what it writes can never be a scheduler record.
+// refined relabels a private copy of a routed job that is past its compile
+// (its result is published then, dispatch.go). It takes the job by value:
+// what it writes can never be a scheduler record.
 func refined(cp Job) *Job {
-	if cp.Status == JobRouted && cp.Result != nil && cp.Result.Status == qrm.StatusRunning {
+	if cp.Status == JobRouted && cp.Result != nil {
 		cp.Status = JobRunning
 	}
 	return &cp

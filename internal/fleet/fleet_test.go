@@ -61,6 +61,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeDeadlineIsRefused: a deadline below zero is a malformed
+// request, refused like zero shots — keyed or not, it mints no job and
+// binds no key — not a job that silently never expires.
+func TestNegativeDeadlineIsRefused(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 1, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	bad := req(2, 10)
+	bad.DeadlineMs = -1
+	for _, key := range []string{"", "k"} {
+		if id, _, err := s.SubmitKeyed(bad, SubmitOptions{IdemKey: key}); err == nil || !strings.Contains(err.Error(), "deadline_ms") {
+			t.Errorf("deadline_ms -1 (key %q): job %d, err %v; want a deadline_ms refusal", key, id, err)
+		}
+	}
+	if m := s.Metrics(); m.Submitted != 0 {
+		t.Errorf("refused submissions minted %d jobs", m.Submitted)
+	}
+	if _, replayed, err := s.SubmitKeyed(req(2, 10), SubmitOptions{IdemKey: "k"}); err != nil || replayed {
+		t.Errorf("first valid submission under the refused key: replayed %v, err %v", replayed, err)
+	}
+}
+
 func TestBestFidelityPrefersHealthierDevice(t *testing.T) {
 	// Two same-shape devices; one has drifted uncalibrated for two weeks.
 	// Drift acts on noisy and twin devices alike (the record is the same);
@@ -320,8 +344,8 @@ func TestGenuineJobFailureIsNotFailedOver(t *testing.T) {
 	if j.Status != JobFailed || j.Error == "" {
 		t.Fatalf("want failed job with error, got %s (%q)", j.Status, j.Error)
 	}
-	if j.Result == nil || j.Result.Status != qrm.StatusFailed {
-		t.Fatalf("device-level record missing or not failed: %+v", j.Result)
+	if j.Result == nil || j.Result.CompiledGates == 0 || j.Result.Counts != nil {
+		t.Fatalf("result of a run that failed on the QPU = %+v, want its compile artefacts and no counts", j.Result)
 	}
 }
 

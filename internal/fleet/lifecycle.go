@@ -9,7 +9,7 @@ import (
 // stores, the WAL journals, the event bus publishes and the v2 API serves.
 // A queued job waits in the fleet's queue; a routed job is held by one
 // device's worker, compiling or on the QPU. Running is never stored: it is
-// how Scheduler.Job relabels its copy of a routed job whose leg executes.
+// how Scheduler.Job relabels its copy of a routed job past its compile.
 type JobStatus string
 
 const (

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"repro/internal/qrm"
 	"repro/internal/telemetry"
 )
 
@@ -29,7 +28,53 @@ type DeviceMetrics struct {
 	// ScoreHist buckets the fidelity estimates of jobs routed here.
 	ScoreHist telemetry.HistogramSnapshot `json:"score_hist"`
 	// QRM is the device's dispatch-pipeline snapshot.
-	QRM qrm.Metrics `json:"qrm"`
+	QRM PipelineMetrics `json:"qrm"`
+}
+
+// PipelineMetrics is one device's dispatch pipeline: its workers, what
+// became of the jobs they claimed, compile-map effectiveness and the stage
+// latency histograms (milliseconds). CacheHits/CacheMisses count the
+// workers' compile-map lookups; the Sim* counters are the device engine's,
+// which on the dispatch path are the same lookups (plus any direct
+// QPU.ExecuteCtx callers).
+type PipelineMetrics struct {
+	Workers  int `json:"workers"`
+	Inflight int `json:"inflight"`
+
+	Completed   uint64 `json:"completed"`
+	Failed      uint64 `json:"failed"`
+	Cancelled   uint64 `json:"cancelled"`
+	Expired     uint64 `json:"expired"`
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
+
+	// Execution-engine counters: compiled programs reused across identical
+	// jobs, noiseless jobs on the fast path, the shot-branching tree (jobs,
+	// the shots they carried, the unique leaves those collapsed into —
+	// leaves/shots << 1 is the amortization working) and noiseless jobs
+	// served from the cached outcome distribution.
+	SimCompileHits     uint64 `json:"sim_compile_hits"`
+	SimCompileMisses   uint64 `json:"sim_compile_misses"`
+	SimFastPathJobs    uint64 `json:"sim_fast_path_jobs"`
+	SimBranchTreeJobs  uint64 `json:"sim_branch_tree_jobs"`
+	SimBranchTreeShots uint64 `json:"sim_branch_tree_shots"`
+	SimBranchLeaves    uint64 `json:"sim_branch_leaves"`
+	SimDistCacheHits   uint64 `json:"sim_dist_cache_hits"`
+
+	QueueWaitMs telemetry.HistogramSnapshot `json:"queue_wait_ms"`
+	CompileMs   telemetry.HistogramSnapshot `json:"compile_ms"`
+	ExecMs      telemetry.HistogramSnapshot `json:"exec_ms"`
+	E2EMs       telemetry.HistogramSnapshot `json:"e2e_ms"`
+}
+
+// HitRatio returns the compile-map hit fraction (0 when the map has not been
+// exercised).
+func (m PipelineMetrics) HitRatio() float64 {
+	total := m.CacheHits + m.CacheMisses
+	if total == 0 {
+		return 0
+	}
+	return float64(m.CacheHits) / float64(total)
 }
 
 // Metrics is a point-in-time snapshot of fleet health.
@@ -69,16 +114,12 @@ func (s *Scheduler) Metrics() Metrics {
 
 		IllegalTransitions: s.illegal,
 	}
-	type pending struct {
-		e                  *deviceEntry
-		d                  DeviceMetrics
-		cancelled, expired uint64
-	}
-	devs := make([]pending, 0, len(s.order))
+	devs := make([]*deviceEntry, 0, len(s.order))
 	for _, name := range s.order {
 		e := s.devices[name]
 		ep := e.dev.QPU().Epoch()
-		devs = append(devs, pending{e: e, cancelled: e.cancelled, expired: e.expired, d: DeviceMetrics{
+		devs = append(devs, e)
+		out.Devices = append(out.Devices, DeviceMetrics{
 			Name: e.name, State: e.state,
 			Qubits:  e.dev.Properties().NumQubits,
 			Workers: e.workers, Inflight: e.inflight,
@@ -86,20 +127,28 @@ func (s *Scheduler) Metrics() Metrics {
 			Completed: e.completed, Failed: e.failed,
 			MeanF1Q: ep.MeanF1Q, MeanFCZ: ep.MeanFCZ, MeanFRead: ep.MeanFRead,
 			CalibAgeH: ep.Calibration.AgeHours,
-		}})
+			QRM: PipelineMetrics{
+				Workers: e.workers, Inflight: e.inflight,
+				Completed: e.completed, Failed: e.failed,
+				Cancelled: e.cancelled, Expired: e.expired,
+			},
+		})
 	}
 	s.mu.Unlock()
-	// Histograms and the QRM stages' figures are internally synchronized;
-	// read them outside the fleet lock, then add the counts kept under it.
+	// The histograms, the compile-map counters and the engine's counters
+	// are internally synchronized: read them outside the fleet lock.
 	out.ScoreHist = s.scoreHist.Snapshot()
-	for _, p := range devs {
-		d := p.d
-		d.ScoreHist = p.e.scoreHist.Snapshot()
-		d.QRM = p.e.mgr.Metrics()
-		d.QRM.Workers, d.QRM.Inflight = d.Workers, d.Inflight
-		d.QRM.Completed, d.QRM.Failed = d.Completed, d.Failed
-		d.QRM.Cancelled, d.QRM.Expired = p.cancelled, p.expired
-		out.Devices = append(out.Devices, d)
+	for i, e := range devs {
+		d := &out.Devices[i]
+		d.ScoreHist = e.scoreHist.Snapshot()
+		es := e.dev.QPU().ExecStats()
+		q := &d.QRM
+		q.CacheHits, q.CacheMisses = e.cacheHits.Load(), e.cacheMisses.Load()
+		q.SimCompileHits, q.SimCompileMisses, q.SimFastPathJobs = es.CompileHits, es.CompileMisses, es.FastPathJobs
+		q.SimBranchTreeJobs, q.SimBranchTreeShots, q.SimBranchLeaves = es.BranchTreeJobs, es.BranchTreeShots, es.BranchLeaves
+		q.SimDistCacheHits = es.DistCacheHits
+		q.QueueWaitMs, q.CompileMs = e.queueWait.Snapshot(), e.compile.Snapshot()
+		q.ExecMs, q.E2EMs = e.exec.Snapshot(), e.e2e.Snapshot()
 	}
 	return out
 }

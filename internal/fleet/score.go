@@ -52,9 +52,14 @@ func scoreHistogram() *telemetry.Histogram {
 	for i := range bounds {
 		bounds[i] = 0.05 * float64(i+1)
 	}
+	return newHistogram(bounds)
+}
+
+// newHistogram builds a histogram over static bounds, which cannot fail.
+func newHistogram(bounds []float64) *telemetry.Histogram {
 	h, err := telemetry.NewHistogram(bounds)
 	if err != nil {
-		panic(err) // static bounds cannot fail
+		panic(err)
 	}
 	return h
 }

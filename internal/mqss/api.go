@@ -390,7 +390,7 @@ func jobErrorEnvelope(msg string) *APIError {
 }
 
 // v2FromFleet lifts a fleet record (as Scheduler.Job returns it: a routed
-// job already refined from its device leg) into the unified resource.
+// job past its compile already reads running) into the unified resource.
 func v2FromFleet(j *fleet.Job, withRequest bool) *Job {
 	out := &Job{
 		ID:         FormatJobID(j.ID),

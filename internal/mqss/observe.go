@@ -7,7 +7,6 @@ package mqss
 // client-side errors correlate to server traces.
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/federation"
 	"repro/internal/fleet"
-	"repro/internal/qrm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -30,8 +28,6 @@ const pathMetricsProm = "/metrics"
 // the client's, when it sent one, or a generated id — and submissions
 // stamp it into the job's trace root span.
 
-type ridCtxKey struct{}
-
 var (
 	ridCounter atomic.Uint64
 	// ridBase distinguishes ids across server processes without needing a
@@ -39,9 +35,9 @@ var (
 	ridBase = fmt.Sprintf("%x", time.Now().UnixNano()&0xffffff)
 )
 
-// withRequestID wraps a v2 handler: it ensures a request id exists, echoes
-// it on the response, and threads it through the request context for trace
-// stamping.
+// withRequestID wraps a v2 handler: it ensures a request id exists and sets
+// it on the response header before the handler runs, where v2Submit reads
+// it back for trace stamping.
 func withRequestID(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get("X-Request-ID")
@@ -49,15 +45,8 @@ func withRequestID(h http.HandlerFunc) http.HandlerFunc {
 			rid = "req-" + ridBase + "-" + strconv.FormatUint(ridCounter.Add(1), 10)
 		}
 		w.Header().Set("X-Request-ID", rid)
-		h(w, r.WithContext(context.WithValue(r.Context(), ridCtxKey{}, rid)))
+		h(w, r)
 	}
-}
-
-// requestIDFrom returns the request id installed by withRequestID ("" when
-// the handler was reached without the middleware).
-func requestIDFrom(r *http.Request) string {
-	v, _ := r.Context().Value(ridCtxKey{}).(string)
-	return v
 }
 
 // JobTrace is the GET /api/v2/jobs/{id}/trace resource: the job identity
@@ -181,7 +170,7 @@ func boolGauge(b bool) float64 {
 
 // promQRM renders one device's dispatch-pipeline snapshot under a device
 // label.
-func promQRM(pw *telemetry.PromWriter, device string, m qrm.Metrics) {
+func promQRM(pw *telemetry.PromWriter, device string, m fleet.PipelineMetrics) {
 	l := telemetry.Labels{{"device", device}}
 	pw.Counter("qhpc_qrm_jobs_completed_total", "Jobs finished done.", l, float64(m.Completed))
 	pw.Counter("qhpc_qrm_jobs_failed_total", "Jobs finished failed (includes expired).", l, float64(m.Failed))

@@ -204,7 +204,7 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error(), false)
 		return
 	}
-	if rid := requestIDFrom(r); rid != "" && !replayed {
+	if rid := w.Header().Get("X-Request-ID"); rid != "" && !replayed {
 		// Correlate the HTTP request with the server-side trace: the root
 		// span carries the id the client saw in X-Request-ID. Replays keep
 		// the original submission's id.

@@ -234,6 +234,26 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	check(t, resp, 409, CodeConflict, false)
 }
 
+// TestV2NegativeDeadlineIsUnprocessable: deadline_ms below zero is a 422
+// that mints no job, as zero shots is.
+func TestV2NegativeDeadlineIsUnprocessable(t *testing.T) {
+	f, server := pacedStack(t, 55, 0, 1)
+	srv := httptest.NewServer(server)
+	t.Cleanup(srv.Close)
+	resp := postV2(t, srv, "/api/v2/jobs", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, DeadlineMs: -5}, nil)
+	defer resp.Body.Close()
+	var e APIError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || e.Code != CodeUnprocessable || e.Retryable {
+		t.Errorf("deadline_ms -5: %d %+v, want 422 unprocessable", resp.StatusCode, e)
+	}
+	if m := f.Metrics(); m.Submitted != 0 {
+		t.Errorf("refused submission minted %d jobs", m.Submitted)
+	}
+}
+
 func TestV2IdempotencyReplay(t *testing.T) {
 	f, server := pacedStack(t, 54, 0, 2)
 	srv := httptest.NewServer(server)

@@ -1,9 +1,8 @@
-// Package qrm is the Quantum Resource Manager of Fig. 2 at its one
-// per-device stage: a Manager JIT-compiles a claimed job against its
-// device's current calibration epoch, executes it on the QPU, and keeps that
-// device's pipeline metrics. The queue, the worker pools, admission and the
-// job lifecycle belong to fleet.Scheduler, whose device workers claim jobs
-// from one fleet-wide queue and run each one here inline (Manager.Run).
+// Package qrm holds the job request of the Quantum Resource Manager of
+// Fig. 2: what a submission asks for, and the messages its pipeline's own
+// failures carry. The QRM itself — the queue, admission, the device workers
+// that JIT-compile a claimed job against the live calibration epoch and
+// execute it, and the job lifecycle — is fleet.Scheduler.
 package qrm
 
 import (
@@ -11,23 +10,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/jsonwire"
-	"repro/internal/transpile"
-)
-
-// JobStatus is the status of one device leg: one claimed attempt to run a
-// job on one device.
-type JobStatus string
-
-const (
-	StatusCompiling JobStatus = "compiling"
-	StatusRunning   JobStatus = "running"
-	StatusDone      JobStatus = "done"
-	StatusFailed    JobStatus = "failed"
-	StatusCancelled JobStatus = "cancelled"
-	// StatusInterrupted is what single-device journals recorded for a leg
-	// an outage caught; nothing produces it now, but the durable store's
-	// legacy reader still maps it.
-	StatusInterrupted JobStatus = "interrupted"
 )
 
 // Request is a job submission.
@@ -77,29 +59,6 @@ func (r *Request) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, `,"static_placement":true`...)
 	}
 	return append(b, '}'), nil
-}
-
-// Job is the record of one device leg.
-type Job struct {
-	ID      int       `json:"id"`
-	Status  JobStatus `json:"status"`
-	Request Request   `json:"request"`
-
-	// Compilation artefacts, filled at dispatch.
-	CompiledGates int              `json:"compiled_gates,omitempty"`
-	CZCount       int              `json:"cz_count,omitempty"`
-	Layout        transpile.Layout `json:"layout,omitempty"`
-	// Transparency into compilation was an explicit user request (§4).
-	CompileStats string `json:"compile_stats,omitempty"`
-
-	// Results.
-	Counts     circuit.Counts `json:"counts,omitempty"`
-	DurationUs float64        `json:"duration_us,omitempty"`
-	Error      string         `json:"error,omitempty"`
-
-	// Submission and settlement instants on the fleet's simulation clock.
-	SubmitTime float64 `json:"submit_time"`
-	EndTime    float64 `json:"end_time,omitempty"`
 }
 
 // ErrDeadlineMsg is the error recorded on jobs that expired in the queue;
