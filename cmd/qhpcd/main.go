@@ -179,7 +179,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("qhpcd: restoring jobs: %v", err)
 		}
-		store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 		fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
 			rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
 	}

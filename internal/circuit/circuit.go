@@ -77,10 +77,8 @@ func validate(name string, params []float64, qubits []int, numQubits int) error 
 	if !ok {
 		return fmt.Errorf("circuit: unknown gate %q", name)
 	}
-	if name == OpBarrier {
-		return nil // barrier may name any subset of qubits
-	}
-	if len(qubits) != spec.qubits {
+	// A barrier may name any subset of qubits, but each must exist.
+	if len(qubits) != spec.qubits && name != OpBarrier {
 		return fmt.Errorf("circuit: gate %q wants %d qubits, got %d", name, spec.qubits, len(qubits))
 	}
 	if len(params) != spec.params {

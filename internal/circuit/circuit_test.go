@@ -29,15 +29,21 @@ func TestGateValidation(t *testing.T) {
 		{Gate{Name: OpH, Qubits: []int{5}}, "out of range"},
 		{Gate{Name: OpRZ, Qubits: []int{0}}, "missing param"},
 		{Gate{Name: OpH, Qubits: []int{0}, Params: []float64{1}}, "extra param"},
+		{Gate{Name: OpBarrier, Qubits: []int{0, 99}}, "barrier out of range"},
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(3); err == nil {
 			t.Errorf("%s: expected validation error for %+v", c.desc, c.g)
 		}
 	}
-	ok := Gate{Name: OpPRX, Qubits: []int{2}, Params: []float64{1, 2}}
-	if err := ok.Validate(3); err != nil {
-		t.Errorf("valid gate rejected: %v", err)
+	for _, ok := range []Gate{
+		{Name: OpPRX, Qubits: []int{2}, Params: []float64{1, 2}},
+		{Name: OpBarrier, Qubits: []int{0, 2}},
+		{Name: OpBarrier},
+	} {
+		if err := ok.Validate(3); err != nil {
+			t.Errorf("valid gate rejected: %v", err)
+		}
 	}
 }
 

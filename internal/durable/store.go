@@ -50,16 +50,7 @@ type ReplayStats struct {
 	DurationMs   float64       `json:"duration_ms"`
 }
 
-// RestoreOutcome is what the scheduler did with the recovered jobs; the
-// store only learns it via NoteRestore (replay hands jobs over, the
-// scheduler decides requeue vs. expire).
-type RestoreOutcome struct {
-	Terminal int `json:"terminal"`
-	Requeued int `json:"requeued"`
-	Expired  int `json:"expired"`
-}
-
-// Recovery is the materialized state Open rebuilt from snapshot + WAL,
+// Recovery is the last record of each job Open folded from snapshot + WAL,
 // ready to hand to fleet.Scheduler.Restore (each job carries its own
 // Idempotency-Key binding).
 type Recovery struct {
@@ -84,25 +75,26 @@ type Stats struct {
 	Compactions    uint64
 	LastCompaction time.Time
 
-	Replay   ReplayStats
-	Restored RestoreOutcome
+	Replay ReplayStats
 }
 
-// Store is the crash-durable job store: a WAL of job-record upserts plus a
-// last-write-wins materialized view that periodic compaction snapshots.
-// One Store serves one fleet scheduler.
+// Store is the crash-durable job store: a WAL of job-record upserts that
+// periodic compaction folds into a snapshot. The log is the store's only
+// copy of a job — once a record is appended it costs no memory here — and
+// Open and Compact read it back through the one fold. One Store serves one
+// fleet scheduler.
 type Store struct {
 	dir string
 	w   *wal
 
+	compactMu sync.Mutex // one Compact at a time; Abandon waits for it
+
 	mu          sync.Mutex
-	fleetJobs   map[int][]byte // latest journal payload per job, kind byte included
 	abandoned   bool
 	snapshotLSN uint64
 	compactions uint64
 	lastCompact time.Time
 	replay      ReplayStats
-	restored    RestoreOutcome
 	dropped     uint64 // records lost to marshal failures (should be zero)
 }
 
@@ -124,117 +116,115 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		return nil, nil, fmt.Errorf("durable: creating data dir: %w", err)
 	}
 	start := time.Now()
-	s := &Store{
-		dir:       dir,
-		fleetJobs: make(map[int][]byte),
-	}
-	var lastLSN uint64
-	legacyIdem := make(map[int]string) // job ID -> key, from 'I' records
-	apply := func(lsn uint64, payload []byte) {
-		if lsn > lastLSN {
-			lastLSN = lsn
-		}
-		s.replay.Records++
-		s.applyPayload(payload, legacyIdem)
-	}
-	if data, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
-		s.replay.SkippedBytes += readFrames(data, apply)
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("durable: reading snapshot: %w", err)
-	}
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: listing WAL segments: %w", err)
 	}
-	s.replay.Segments = len(seqs)
-	var maxSeq uint64
-	for _, seq := range seqs {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(seq)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("durable: reading WAL segment %d: %w", seq, err)
-		}
-		s.replay.SkippedBytes += readFrames(data, apply)
+	jobs, lastLSN, stats, err := fold(dir, seqs)
+	if err != nil {
+		return nil, nil, err
 	}
-	s.replay.SnapshotLSN = s.snapshotLSN
-	s.replay.Duration = time.Since(start)
-	s.replay.DurationMs = float64(s.replay.Duration.Microseconds()) / 1000
+	stats.Duration = time.Since(start)
+	stats.DurationMs = float64(stats.Duration.Microseconds()) / 1000
 
+	var maxSeq uint64
+	if len(seqs) > 0 {
+		maxSeq = seqs[len(seqs)-1]
+	}
 	w, err := openWAL(dir, mode, maxSeq+1, lastLSN)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.w = w
-
-	rec := &Recovery{Stats: s.replay}
-	for id, payload := range s.fleetJobs {
-		var r fleetJobRecord
-		if json.Unmarshal(payload[1:], &r) != nil || r.Job == nil {
-			continue
-		}
-		if key := legacyIdem[id]; key != "" && r.Job.IdemKey == "" {
-			// Upgrade path: fold the 'I' binding onto its job, in the view
-			// too, so the next Compact writes it inside the 'F' record and
-			// no 'I' frame outlives the snapshot.
-			r.Job.IdemKey = key
-			if body, err := json.Marshal(r); err == nil {
-				s.fleetJobs[id] = append([]byte{recFleetJob}, body...)
-			}
-		}
-		r.Job.SubmitUnixMs = r.SubmitUnixMs
-		rec.FleetJobs = append(rec.FleetJobs, r.Job)
+	rec := &Recovery{Stats: stats, FleetJobs: make([]*fleet.Job, 0, len(jobs))}
+	for _, j := range jobs {
+		rec.FleetJobs = append(rec.FleetJobs, j)
 	}
-	return s, rec, nil
+	return &Store{dir: dir, w: w, snapshotLSN: stats.SnapshotLSN, replay: stats}, rec, nil
 }
 
-// applyPayload folds one journal record into the materialized view.
-// Unknown kinds and undecodable bodies are skipped — replay never errors on
-// record content, only framing decides where a segment ends. Legacy 'I'
-// bindings collect in legacyIdem: later 'F' records of the same job, written
-// before jobs carried their key, would otherwise overwrite the fold.
-func (s *Store) applyPayload(payload []byte, legacyIdem map[int]string) {
-	if len(payload) == 0 {
-		return
-	}
-	body := payload[1:]
-	switch payload[0] {
-	case recLegacyQRMJob:
-		// Upgrade path: a data dir written by a single-device daemon holds
-		// 'Q' records. Each folds into the one job map as the equivalent
-		// fleet record under its original ID, so Restore re-queues it and
-		// the next Compact rewrites it as 'F'.
-		if r, ok := legacyFleetJob(body); ok {
-			if fbody, err := json.Marshal(r); err == nil {
-				s.fleetJobs[r.Job.ID] = append([]byte{recFleetJob}, fbody...)
+// fold replays snapshot.wal and then the journal segments seqs, in order,
+// into the last record of each job, the highest LSN and the replay counts.
+// It is the one reading of the log: Open
+// hands its jobs to the scheduler and Compact writes them back as the next
+// snapshot, so the legacy upgrades below reach disk at the first
+// compaction. Unknown kinds and undecodable bodies are skipped — replay
+// never errors on record content, only framing decides where a segment
+// ends. Legacy 'I' bindings are applied after the last segment: later 'F'
+// records of the same job, written before jobs carried their key, would
+// otherwise overwrite them.
+func fold(dir string, seqs []uint64) (jobs map[int]*fleet.Job, lastLSN uint64, stats ReplayStats, err error) {
+	jobs, stats.Segments = make(map[int]*fleet.Job), len(seqs)
+	legacyIdem := make(map[int]string) // job ID -> key, from 'I' records
+	apply := func(lsn uint64, payload []byte) {
+		lastLSN = max(lastLSN, lsn)
+		stats.Records++
+		if len(payload) == 0 {
+			return
+		}
+		body := payload[1:]
+		switch payload[0] {
+		case recLegacyQRMJob:
+			// Upgrade path: a data dir written by a single-device daemon
+			// holds 'Q' records. Each folds as the equivalent fleet record
+			// under its original ID, so Restore re-queues it.
+			if r, ok := legacyFleetJob(body); ok {
+				r.Job.SubmitUnixMs = r.SubmitUnixMs
+				jobs[r.Job.ID] = r.Job
+			}
+		case recFleetJob:
+			var r fleetJobRecord
+			if json.Unmarshal(body, &r) == nil && r.Job != nil {
+				r.Job.SubmitUnixMs = r.SubmitUnixMs
+				jobs[r.Job.ID] = r.Job
+			}
+		case recLegacyIdem:
+			if r, ok := legacyIdemRecord(body); ok {
+				legacyIdem[r.JobID] = r.Key
+			}
+		case recMeta:
+			var r metaRecord
+			if json.Unmarshal(body, &r) == nil {
+				stats.SnapshotLSN = max(stats.SnapshotLSN, r.SnapshotLSN)
 			}
 		}
-	case recFleetJob:
-		var r fleetJobRecord
-		if json.Unmarshal(body, &r) == nil && r.Job != nil {
-			s.fleetJobs[r.Job.ID] = append([]byte(nil), payload...)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
+		stats.SkippedBytes += readFrames(data, apply)
+	} else if !os.IsNotExist(err) {
+		return nil, 0, stats, fmt.Errorf("durable: reading snapshot: %w", err)
+	}
+	for _, seq := range seqs {
+		data, err := os.ReadFile(filepath.Join(dir, segmentName(seq)))
+		if err != nil {
+			return nil, 0, stats, fmt.Errorf("durable: reading WAL segment %d: %w", seq, err)
 		}
-	case recLegacyIdem:
-		if r, ok := legacyIdemRecord(body); ok {
-			legacyIdem[r.JobID] = r.Key
-		}
-	case recMeta:
-		var r metaRecord
-		if json.Unmarshal(body, &r) == nil && r.SnapshotLSN > s.snapshotLSN {
-			s.snapshotLSN = r.SnapshotLSN
+		stats.SkippedBytes += readFrames(data, apply)
+	}
+	for id, key := range legacyIdem {
+		if j := jobs[id]; j != nil && j.IdemKey == "" {
+			j.IdemKey = key
 		}
 	}
+	return jobs, lastLSN, stats, nil
+}
+
+// jobPayload is the journal payload of a job's current state: the kind byte
+// and its fleetJobRecord.
+func jobPayload(j *fleet.Job) ([]byte, error) {
+	body, err := json.Marshal(fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j})
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte{recFleetJob}, body...), nil
 }
 
 // JournalFleetJob journals the current state of a fleet job — submission
 // (with its Idempotency-Key binding), claims, failover re-queues and
-// terminal results all flow through here. The record is appended and
-// materialized under the store lock (LSN order therefore matches state
-// order); the returned LSN is what WaitDurable takes. Implements
-// fleet.JobStore.
+// terminal results all flow through here. The record is appended under the
+// store lock (LSN order therefore matches state order); the returned LSN is
+// what WaitDurable takes. Implements fleet.JobStore.
 func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
-	body, err := json.Marshal(fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j})
+	payload, err := jobPayload(j)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -249,10 +239,6 @@ func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
 	if s.abandoned {
 		return s.w.lastLSNSnapshot()
 	}
-	payload := make([]byte, 0, len(body)+1)
-	payload = append(payload, recFleetJob)
-	payload = append(payload, body...)
-	s.fleetJobs[j.ID] = payload
 	return s.w.append(payload)
 }
 
@@ -265,37 +251,35 @@ func (s *Store) WaitDurable(lsn uint64) {
 	}
 }
 
-// NoteRestore records what the scheduler did with the recovered jobs, for
-// the admin endpoint and metrics.
-func (s *Store) NoteRestore(terminal, requeued, expired int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.restored.Terminal += terminal
-	s.restored.Requeued += requeued
-	s.restored.Expired += expired
-}
-
-// Compact quiesces the WAL, writes the materialized view as an atomic
-// fsync'd snapshot, and deletes the sealed journal segments it supersedes.
-// Journaling is blocked for the duration (one file write + three fsyncs);
-// with compaction on a minutes cadence that pause is noise.
+// Compact folds the log into a fresh snapshot and deletes the journal
+// segments it supersedes. Journaling is blocked only while the WAL is
+// synced and its active segment sealed; the fold of the snapshot and the
+// sealed segments, the snapshot write and its fsyncs run without the store
+// lock, from disk.
 func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.abandoned {
-		return fmt.Errorf("durable: store abandoned")
-	}
-	if err := s.w.syncAll(); err != nil {
-		return fmt.Errorf("durable: pre-compaction sync: %w", err)
-	}
-	snapLSN := s.w.lastLSNSnapshot()
-	sealed, err := s.w.rotate()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	snapLSN, sealed, err := s.seal()
 	if err != nil {
 		return err
 	}
-
+	seqs, err := listSegments(s.dir)
+	if err != nil {
+		return err
+	}
+	for len(seqs) > 0 && seqs[len(seqs)-1] > sealed {
+		seqs = seqs[:len(seqs)-1]
+	}
+	jobs, _, _, err := fold(s.dir, seqs)
+	if err != nil {
+		return err
+	}
 	buf := appendFrame(nil, snapLSN, metaPayload(snapLSN))
-	for _, payload := range s.fleetJobs {
+	for _, j := range jobs {
+		payload, err := jobPayload(j)
+		if err != nil {
+			return fmt.Errorf("durable: compacting job %d: %w", j.ID, err)
+		}
 		buf = appendFrame(buf, snapLSN, payload)
 	}
 	if err := writeFileDurable(s.dir, snapshotName, buf); err != nil {
@@ -304,24 +288,37 @@ func (s *Store) Compact() error {
 
 	// The snapshot now covers everything up to and including the sealed
 	// segment; drop the journal prefix.
-	seqs, err := listSegments(s.dir)
-	if err != nil {
-		return err
-	}
 	for _, seq := range seqs {
-		if seq <= sealed {
-			if err := os.Remove(filepath.Join(s.dir, segmentName(seq))); err != nil {
-				return err
-			}
+		if err := os.Remove(filepath.Join(s.dir, segmentName(seq))); err != nil {
+			return err
 		}
 	}
 	if err := fsyncDir(s.dir); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	s.snapshotLSN = snapLSN
 	s.compactions++
 	s.lastCompact = time.Now()
+	s.mu.Unlock()
 	return nil
+}
+
+// seal is the part of Compact that holds the store lock: it drains the WAL
+// to stable storage and rotates the active segment, so every record up to
+// snapLSN sits in a segment numbered at most sealed.
+func (s *Store) seal() (snapLSN, sealed uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.abandoned {
+		return 0, 0, fmt.Errorf("durable: store abandoned")
+	}
+	if err := s.w.syncAll(); err != nil {
+		return 0, 0, fmt.Errorf("durable: pre-compaction sync: %w", err)
+	}
+	snapLSN = s.w.lastLSNSnapshot()
+	sealed, err = s.w.rotate()
+	return snapLSN, sealed, err
 }
 
 func metaPayload(snapLSN uint64) []byte {
@@ -359,9 +356,12 @@ func writeFileDurable(dir, name string, data []byte) error {
 
 // Abandon simulates kill -9 for the fault-scenario lab and crash tests:
 // unflushed records are dropped, no final fsync happens, and every
-// subsequent journal call is swallowed. The on-disk state is exactly what a
-// SIGKILL at this instant would leave.
+// subsequent journal call is swallowed. A Compact in flight finishes first,
+// so nothing reaches disk once Abandon returns. The on-disk state is
+// exactly what a SIGKILL at this instant would leave.
 func (s *Store) Abandon() {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	s.abandoned = true
 	s.mu.Unlock()
@@ -387,7 +387,6 @@ func (s *Store) Stats() Stats {
 		Compactions:    s.compactions,
 		LastCompaction: s.lastCompact,
 		Replay:         s.replay,
-		Restored:       s.restored,
 	}
 	s.mu.Unlock()
 

@@ -239,6 +239,7 @@ type Scheduler struct {
 	shed       uint64
 	illegal    uint64 // transitions taken that the lifecycle table does not list
 	scoreEvals uint64 // fidelity estimates computed: score memo misses
+	restored   RestoreStats
 
 	// admission bounds the queue; zero values = unbounded, the default.
 	admission tenant.Admission

@@ -92,5 +92,14 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		s.enqueueLocked(j)
 		stats.Requeued++
 	}
+	s.restored = stats
 	return stats, nil
+}
+
+// Restored reports what Restore did with the recovered jobs (zero without
+// a restore), for the store admin endpoint and its metric.
+func (s *Scheduler) Restored() RestoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.restored
 }

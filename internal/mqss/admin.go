@@ -37,8 +37,7 @@ type StoreStatus struct {
 	Restored *StoreRestoredStatus `json:"restored,omitempty"`
 }
 
-// StoreReplayStatus describes the startup replay that built the current
-// process's materialized view.
+// StoreReplayStatus describes the current process's startup replay.
 type StoreReplayStatus struct {
 	Records      int     `json:"records"`
 	SkippedBytes int64   `json:"skipped_bytes,omitempty"`
@@ -47,7 +46,8 @@ type StoreReplayStatus struct {
 	DurationMs   float64 `json:"duration_ms"`
 }
 
-// StoreRestoredStatus is the scheduler's disposition of recovered jobs.
+// StoreRestoredStatus is the scheduler's disposition of recovered jobs
+// (fleet.Scheduler.Restored).
 type StoreRestoredStatus struct {
 	Terminal int `json:"terminal"`
 	Requeued int `json:"requeued"`
@@ -72,7 +72,7 @@ func (s *Server) handleV2AdminStore(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, StoreStatus{Attached: false})
 		return
 	}
-	st := s.store.Stats()
+	st, restored := s.store.Stats(), s.fleet.Restored()
 	out := StoreStatus{
 		Attached:    true,
 		Dir:         st.Dir,
@@ -94,9 +94,9 @@ func (s *Server) handleV2AdminStore(w http.ResponseWriter, r *http.Request) {
 			DurationMs:   st.Replay.DurationMs,
 		},
 		Restored: &StoreRestoredStatus{
-			Terminal: st.Restored.Terminal,
-			Requeued: st.Restored.Requeued,
-			Expired:  st.Restored.Expired,
+			Terminal: restored.Terminal,
+			Requeued: restored.Requeued,
+			Expired:  restored.Expired,
 		},
 	}
 	if !st.LastCompaction.IsZero() {

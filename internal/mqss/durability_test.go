@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,11 +41,9 @@ func durableStackSync(t *testing.T, dir string, mode durable.SyncMode) (*fleet.S
 	}
 	stopAndAuditAtCleanup(t, f)
 	f.AttachStore(st)
-	rs, err := f.Restore(opened.FleetJobs)
-	if err != nil {
+	if _, err := f.Restore(opened.FleetJobs); err != nil {
 		t.Fatal(err)
 	}
-	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	server := NewFleetServer(f)
 	server.AttachStore(st)
 	hs := httptest.NewServer(server)
@@ -250,6 +250,48 @@ func TestInterruptedEnvelope(t *testing.T) {
 	env := jobErrorEnvelope("interrupted by restart: dispatch deadline passed during recovery")
 	if env == nil || env.Code != CodeInterrupted || !env.Retryable {
 		t.Fatalf("interrupted envelope wrong: %+v", env)
+	}
+}
+
+// TestRestoreOutcomeReadsTheFleet: after a kill -9 and a reboot, the store
+// admin endpoint's restored counts and qhpc_wal_recovered_jobs_total are
+// what the scheduler's Restore did — it is their one owner.
+func TestRestoreOutcomeReadsTheFleet(t *testing.T) {
+	dir := t.TempDir()
+	f1, server1, hs1, st1 := durableStack(t, dir)
+	resp := postV2(t, hs1, "/api/v2/jobs?wait=10s", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "restore"}, nil)
+	decodeV2Job(t, resp.Body)
+	resp.Body.Close()
+	st1.Abandon()
+	server1.Close()
+	hs1.Close()
+	f1.Stop()
+
+	f2, server2, hs2, _ := durableStack(t, dir)
+	defer func() { server2.Close(); hs2.Close(); f2.Stop() }()
+	if rs := f2.Restored(); rs.Terminal != 1 || rs.Requeued != 0 || rs.Expired != 0 {
+		t.Fatalf("fleet restore outcome = %+v, want 1 terminal", rs)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	status, err := NewRemoteClient(hs2.URL, hs2.Client()).StoreStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := status.Restored; r == nil || r.Terminal != 1 || r.Requeued != 0 || r.Expired != 0 {
+		t.Errorf("admin store restored = %+v, want 1 terminal", r)
+	}
+	mresp, err := hs2.Client().Get(hs2.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	body, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `qhpc_wal_recovered_jobs_total{mode="always",outcome="terminal"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %s", want)
 	}
 }
 

@@ -114,7 +114,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	}
 	promTenants(pw, s.tenantsStatus(), s.limiter != nil)
 	if s.store != nil {
-		promStore(pw, s.store.Stats())
+		promStore(pw, s.store.Stats(), s.fleet.Restored())
 	}
 	if s.fed != nil {
 		promFed(pw, s.fed.Self(), s.fed.Metrics())
@@ -125,7 +125,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 }
 
 // promStore renders durable-store health (only on servers with -data-dir).
-func promStore(pw *telemetry.PromWriter, st durable.Stats) {
+func promStore(pw *telemetry.PromWriter, st durable.Stats, restored fleet.RestoreStats) {
 	l := telemetry.Labels{{"mode", string(st.Mode)}}
 	pw.Counter("qhpc_wal_appends_total", "Records appended to the job WAL.", l, float64(st.Appends))
 	pw.Counter("qhpc_wal_fsyncs_total", "fsync calls issued by the WAL.", l, float64(st.Fsyncs))
@@ -141,9 +141,9 @@ func promStore(pw *telemetry.PromWriter, st durable.Stats) {
 	rl := func(outcome string) telemetry.Labels {
 		return telemetry.Labels{{"mode", string(st.Mode)}, {"outcome", outcome}}
 	}
-	pw.Counter("qhpc_wal_recovered_jobs_total", "Jobs recovered at startup by disposition (outcome: terminal, requeued, expired).", rl("terminal"), float64(st.Restored.Terminal))
-	pw.Counter("qhpc_wal_recovered_jobs_total", "", rl("requeued"), float64(st.Restored.Requeued))
-	pw.Counter("qhpc_wal_recovered_jobs_total", "", rl("expired"), float64(st.Restored.Expired))
+	pw.Counter("qhpc_wal_recovered_jobs_total", "Jobs recovered at startup by disposition (outcome: terminal, requeued, expired).", rl("terminal"), float64(restored.Terminal))
+	pw.Counter("qhpc_wal_recovered_jobs_total", "", rl("requeued"), float64(restored.Requeued))
+	pw.Counter("qhpc_wal_recovered_jobs_total", "", rl("expired"), float64(restored.Expired))
 }
 
 // promFed renders the federation plane (only on servers that joined a

@@ -178,11 +178,9 @@ func slowDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.S
 		}
 	}
 	f.AttachStore(st)
-	rs, err := f.Restore(opened.FleetJobs)
-	if err != nil {
+	if _, err := f.Restore(opened.FleetJobs); err != nil {
 		t.Fatal(err)
 	}
-	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	server := NewFleetServer(f)
 	server.AttachStore(st)
 	return f, server, st

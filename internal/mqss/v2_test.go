@@ -254,6 +254,28 @@ func TestV2NegativeDeadlineIsUnprocessable(t *testing.T) {
 	}
 }
 
+// TestV2OutOfRangeBarrierIsUnprocessable: a barrier naming a qubit the
+// circuit does not have is a 422 that mints no job — admitted, it would
+// reach a device worker and index past the layout.
+func TestV2OutOfRangeBarrierIsUnprocessable(t *testing.T) {
+	f, server := pacedStack(t, 56, 0, 1)
+	srv := httptest.NewServer(server)
+	t.Cleanup(srv.Close)
+	body := json.RawMessage(`{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]},{"name":"barrier","qubits":[0,99]}]},"shots":5}`)
+	resp := postV2(t, srv, "/api/v2/jobs?wait=5s", body, nil)
+	defer resp.Body.Close()
+	var e APIError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || e.Code != CodeUnprocessable || e.Retryable {
+		t.Errorf("barrier [0,99] on 2 qubits: %d %+v, want 422 unprocessable", resp.StatusCode, e)
+	}
+	if m := f.Metrics(); m.Submitted != 0 {
+		t.Errorf("refused submission minted %d jobs", m.Submitted)
+	}
+}
+
 func TestV2IdempotencyReplay(t *testing.T) {
 	f, server := pacedStack(t, 54, 0, 2)
 	srv := httptest.NewServer(server)

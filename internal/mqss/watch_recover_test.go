@@ -34,11 +34,9 @@ func pacedDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.
 		t.Fatal(err)
 	}
 	f.AttachStore(st)
-	rs, err := f.Restore(opened.FleetJobs)
-	if err != nil {
+	if _, err := f.Restore(opened.FleetJobs); err != nil {
 		t.Fatal(err)
 	}
-	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	server := NewFleetServer(f)
 	server.AttachStore(st)
 	hs := httptest.NewServer(server)

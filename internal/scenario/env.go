@@ -245,11 +245,9 @@ func (e *Env) Crash() error {
 		return err
 	}
 	e.Fleet.AttachStore(st)
-	rs, err := e.Fleet.Restore(rec.FleetJobs)
-	if err != nil {
+	if _, err := e.Fleet.Restore(rec.FleetJobs); err != nil {
 		return fmt.Errorf("scenario: restoring jobs: %w", err)
 	}
-	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
 	e.Store = st
 	e.srv = mqss.NewFleetServer(e.Fleet)
 	e.srv.AttachStore(st)

@@ -37,9 +37,6 @@ type FedPeer struct {
 	Fleet  *fleet.Scheduler
 	QPUs   map[string]*device.QPU
 	Client *mqss.Client
-	// LastRestore is what the peer's most recent WAL replay brought back —
-	// evidence for the re-admission checks after CrashPeer.
-	LastRestore fleet.RestoreStats
 
 	cfg     federation.Config
 	srv     *mqss.Server
@@ -216,12 +213,10 @@ func (e *Env) CrashPeer(idx int) error {
 		return err
 	}
 	p.Fleet.AttachStore(st)
-	rs, err := p.Fleet.Restore(rec.FleetJobs)
-	if err != nil {
+	if _, err := p.Fleet.Restore(rec.FleetJobs); err != nil {
 		return fmt.Errorf("scenario: restoring peer jobs: %w", err)
 	}
-	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
-	p.store, p.LastRestore = st, rs
+	p.store = st
 	p.srv = mqss.NewFleetServer(p.Fleet)
 	p.srv.AttachStore(st)
 	e.applyPeerAdmission(p)

@@ -372,7 +372,7 @@ func peerDeathReshard() Spec {
 					return errors.New("the dead peer never failed a heartbeat: the kill did not land")
 				}
 				p := e.Peers[0]
-				if rs := p.LastRestore; rs.Terminal+rs.Requeued+rs.Expired == 0 {
+				if rs := p.Fleet.Restored(); rs.Terminal+rs.Requeued+rs.Expired == 0 {
 					return fmt.Errorf("%s's WAL replay recovered nothing: the crash window held no acked jobs", p.Name)
 				}
 				return nil

@@ -65,7 +65,7 @@ func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 	out := circuit.NewLike(c, t.NumQubits)
 	swaps := 0
 	for i, g := range c.Gates {
-		if len(g.Qubits) == 2 {
+		if len(g.Qubits) == 2 && g.Name != circuit.OpBarrier {
 			a, b := g.Qubits[0], g.Qubits[1]
 			if pa, pb := phys[a], phys[b]; !t.Connected(pa, pb) {
 				var path []int

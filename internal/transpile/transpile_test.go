@@ -268,6 +268,23 @@ func TestRouteAdjacentGateNeedsNoSwaps(t *testing.T) {
 	}
 }
 
+// TestRouteBarrierInsertsNoSwap: a barrier orders gates and couples
+// nothing, so routing must not bring its operands together.
+func TestRouteBarrierInsertsNoSwap(t *testing.T) {
+	tgt := lineTarget(3)
+	c := circuit.New(3, "").CNOT(0, 1).CNOT(1, 2).Barrier(0, 2)
+	res, err := Route(c, tgt, Layout{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SwapsInserted != 0 {
+		t.Errorf("swaps = %d, want 0: the barrier on 0,2 was routed as a coupling", res.SwapsInserted)
+	}
+	if last := res.Circuit.Gates[len(res.Circuit.Gates)-1]; last.Name != circuit.OpBarrier || last.Qubits[0] != 0 || last.Qubits[1] != 2 {
+		t.Errorf("last gate = %v, want barrier 0,2", last)
+	}
+}
+
 func TestRouteInsertsSwapsForDistantPair(t *testing.T) {
 	tgt := lineTarget(5)
 	c := circuit.New(2, "").H(0).CNOT(0, 1)
