@@ -84,6 +84,13 @@ func validate(name string, params []float64, qubits []int, numQubits int) error 
 	if len(params) != spec.params {
 		return fmt.Errorf("circuit: gate %q wants %d params, got %d", name, spec.params, len(params))
 	}
+	// NaN and ±Inf have no JSON spelling: a job carrying one could never
+	// reach the journal, so it is refused before it is minted.
+	for _, p := range params {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return fmt.Errorf("circuit: gate %q parameter %v is not finite", name, p)
+		}
+	}
 	for i, q := range qubits {
 		if q < 0 || q >= numQubits {
 			return fmt.Errorf("circuit: gate %q qubit %d out of range [0, %d)", name, q, numQubits)

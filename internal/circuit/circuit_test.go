@@ -30,6 +30,8 @@ func TestGateValidation(t *testing.T) {
 		{Gate{Name: OpRZ, Qubits: []int{0}}, "missing param"},
 		{Gate{Name: OpH, Qubits: []int{0}, Params: []float64{1}}, "extra param"},
 		{Gate{Name: OpBarrier, Qubits: []int{0, 99}}, "barrier out of range"},
+		{Gate{Name: OpRX, Qubits: []int{0}, Params: []float64{math.NaN()}}, "NaN param"},
+		{Gate{Name: OpPRX, Qubits: []int{0}, Params: []float64{1, math.Inf(-1)}}, "infinite param"},
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(3); err == nil {

@@ -37,6 +37,16 @@ func FuzzWALReplay(f *testing.F) {
 	// wrote must re-queue too — never pass for terminal.
 	f.Add(appendFrame(nil, 1, []byte(`F{"submit_unix_ms":7,"job":{"id":2,"status":"pending","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"}}}`)))
 	f.Add(appendFrame(nil, 1, []byte(`F{"job":{"id":3,"status":"finished?","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"}}}`)))
+	// 'U' updates: an orphan (no record of its job), one journaled ahead of
+	// its job's 'F' (skipped: the 'F' then replaces the job whole), a torn
+	// one after its 'F', and one naming a status nobody writes.
+	submitted := []byte(`F{"submit_unix_ms":7,"job":{"id":4,"status":"queued","request":{"circuit":{"num_qubits":2,"gates":[{"name":"h","qubits":[0]}]},"shots":5,"priority":0,"user":"u"},"idem_key":"k"}}`)
+	done := []byte(`U{"id":4,"status":"done","device":"a","score":0.9,"result":{"counts":{"0":3,"3":2},"submit_time":0}}`)
+	f.Add(appendFrame(nil, 1, done))
+	f.Add(appendFrame(appendFrame(nil, 1, done), 2, submitted))
+	torn := appendFrame(appendFrame(nil, 1, submitted), 2, done)
+	f.Add(torn[:len(torn)-9])
+	f.Add(appendFrame(appendFrame(nil, 1, submitted), 2, []byte(`U{"id":4,"status":"finished?","recovered":true,"submit_unix_ms":9}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

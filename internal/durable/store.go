@@ -12,28 +12,6 @@ import (
 	"repro/internal/fleet"
 )
 
-// Record kinds: the first payload byte tags how the JSON body decodes.
-const (
-	recLegacyQRMJob = 'Q' // read-only: pre-fleet single-device job upsert (legacyFleetJob)
-	recFleetJob     = 'F' // fleetJobRecord — fleet scheduler job upsert
-	recLegacyIdem   = 'I' // read-only: key → job-ID binding from before Job.IdemKey (legacyIdemRecord)
-	recMeta         = 'M' // metaRecord — snapshot header
-)
-
-// fleetJobRecord wraps a fleet job for the journal. SubmitUnixMs rides
-// outside the job because fleet.Job's JSON shape excludes it (json:"-"); the
-// store persists it so the dispatch deadline keeps its original budget
-// across a restart.
-type fleetJobRecord struct {
-	SubmitUnixMs int64      `json:"submit_unix_ms,omitempty"`
-	Job          *fleet.Job `json:"job"`
-}
-
-type metaRecord struct {
-	SnapshotLSN uint64 `json:"snapshot_lsn"`
-	SavedUnixMs int64  `json:"saved_unix_ms"`
-}
-
 // Options parameterizes Open.
 type Options struct {
 	// Sync selects the fsync policy; empty defaults to SyncGroup.
@@ -78,11 +56,12 @@ type Stats struct {
 	Replay ReplayStats
 }
 
-// Store is the crash-durable job store: a WAL of job-record upserts that
-// periodic compaction folds into a snapshot. The log is the store's only
-// copy of a job — once a record is appended it costs no memory here — and
-// Open and Compact read it back through the one fold. One Store serves one
-// fleet scheduler.
+// Store is the crash-durable job store: a WAL of each job's submission
+// record and the updates of its later transitions, which periodic
+// compaction folds into a snapshot of whole records. The log is the store's
+// only copy of a job — once a record is appended it costs no memory here —
+// and Open and Compact read it back through the one fold. One Store serves
+// one fleet scheduler.
 type Store struct {
 	dir string
 	w   *wal
@@ -90,6 +69,7 @@ type Store struct {
 	compactMu sync.Mutex // one Compact at a time; Abandon waits for it
 
 	mu          sync.Mutex
+	enc         []byte // the payload being journaled, reused record to record
 	abandoned   bool
 	snapshotLSN uint64
 	compactions uint64
@@ -143,15 +123,17 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 }
 
 // fold replays snapshot.wal and then the journal segments seqs, in order,
-// into the last record of each job, the highest LSN and the replay counts.
-// It is the one reading of the log: Open
-// hands its jobs to the scheduler and Compact writes them back as the next
-// snapshot, so the legacy upgrades below reach disk at the first
-// compaction. Unknown kinds and undecodable bodies are skipped — replay
-// never errors on record content, only framing decides where a segment
-// ends. Legacy 'I' bindings are applied after the last segment: later 'F'
-// records of the same job, written before jobs carried their key, would
-// otherwise overwrite them.
+// into the current state of each job, the highest LSN and the replay
+// counts: an 'F' record replaces its job whole, and a 'U' record overlays
+// the fields it holds (fleetJobUpdate) onto the job folded so far — an
+// update whose job has no record yet is skipped. It is the one reading of
+// the log: Open hands its jobs to the scheduler and Compact writes them
+// back as the next snapshot, so the legacy upgrades below reach disk at the
+// first compaction. Unknown kinds and undecodable bodies are skipped —
+// replay never errors on record content, only framing decides where a
+// segment ends. Legacy 'I' bindings are applied after the last segment:
+// later 'F' records of the same job, written before jobs carried their key,
+// would otherwise overwrite them.
 func fold(dir string, seqs []uint64) (jobs map[int]*fleet.Job, lastLSN uint64, stats ReplayStats, err error) {
 	jobs, stats.Segments = make(map[int]*fleet.Job), len(seqs)
 	legacyIdem := make(map[int]string) // job ID -> key, from 'I' records
@@ -176,6 +158,11 @@ func fold(dir string, seqs []uint64) (jobs map[int]*fleet.Job, lastLSN uint64, s
 			if json.Unmarshal(body, &r) == nil && r.Job != nil {
 				r.Job.SubmitUnixMs = r.SubmitUnixMs
 				jobs[r.Job.ID] = r.Job
+			}
+		case recFleetUpdate:
+			var u fleetJobUpdate
+			if json.Unmarshal(body, &u) == nil && jobs[u.ID] != nil {
+				u.apply(jobs[u.ID])
 			}
 		case recLegacyIdem:
 			if r, ok := legacyIdemRecord(body); ok {
@@ -208,36 +195,42 @@ func fold(dir string, seqs []uint64) (jobs map[int]*fleet.Job, lastLSN uint64, s
 	return jobs, lastLSN, stats, nil
 }
 
-// jobPayload is the journal payload of a job's current state: the kind byte
-// and its fleetJobRecord.
-func jobPayload(j *fleet.Job) ([]byte, error) {
-	body, err := json.Marshal(fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j})
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte{recFleetJob}, body...), nil
+// JournalFleetJob journals a fleet job's whole record — the scheduler
+// journals a submission this way, request and Idempotency-Key binding
+// included. The record is appended under the store lock (LSN order
+// therefore matches state order); the returned LSN is what WaitDurable
+// takes. Implements fleet.JobStore.
+func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
+	return s.journal(j, appendJobRecord)
 }
 
-// JournalFleetJob journals the current state of a fleet job — submission
-// (with its Idempotency-Key binding), claims, failover re-queues and
-// terminal results all flow through here. The record is appended under the
-// store lock (LSN order therefore matches state order); the returned LSN is
-// what WaitDurable takes. Implements fleet.JobStore.
-func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
-	payload, err := jobPayload(j)
+// JournalFleetUpdate journals a transition after the submission — a claim,
+// a failover re-queue, a restore, a terminal result — as an update of the
+// fields it may change (fleetJobUpdate); replay overlays it onto the job's
+// record. Implements fleet.JobStore.
+func (s *Store) JournalFleetUpdate(j *fleet.Job) uint64 {
+	return s.journal(j, appendUpdateRecord)
+}
+
+// journal encodes j's record into the store's buffer and appends it.
+func (s *Store) journal(j *fleet.Job, encode func([]byte, *fleet.Job) ([]byte, error)) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.abandoned {
+		return s.w.lastLSNSnapshot()
+	}
+	payload, err := encode(s.enc[:0], j)
 	if err != nil {
-		// A job is plain data; a marshal failure is a bug, not an
-		// operational condition. Count it and keep serving.
+		// Admission refuses the values JSON cannot spell, so a failure is
+		// a bug, not an operational condition. Count it and keep serving.
 		s.dropped++
 		if s.dropped == 1 {
-			log.Printf("durable: dropping journal record: %v", err)
+			log.Printf("durable: dropping journal record of job %d: %v", j.ID, err)
 		}
 		return s.w.lastLSNSnapshot()
 	}
-	if s.abandoned {
-		return s.w.lastLSNSnapshot()
+	if cap(payload) <= maxSpareBytes {
+		s.enc = payload
 	}
 	return s.w.append(payload)
 }
@@ -274,10 +267,10 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return err
 	}
-	buf := appendFrame(nil, snapLSN, metaPayload(snapLSN))
+	payload := appendMetaRecord(nil, metaRecord{SnapshotLSN: snapLSN, SavedUnixMs: time.Now().UnixMilli()})
+	buf := appendFrame(nil, snapLSN, payload)
 	for _, j := range jobs {
-		payload, err := jobPayload(j)
-		if err != nil {
+		if payload, err = appendJobRecord(payload[:0], j); err != nil {
 			return fmt.Errorf("durable: compacting job %d: %w", j.ID, err)
 		}
 		buf = appendFrame(buf, snapLSN, payload)
@@ -319,14 +312,6 @@ func (s *Store) seal() (snapLSN, sealed uint64, err error) {
 	snapLSN = s.w.lastLSNSnapshot()
 	sealed, err = s.w.rotate()
 	return snapLSN, sealed, err
-}
-
-func metaPayload(snapLSN uint64) []byte {
-	body, err := json.Marshal(metaRecord{SnapshotLSN: snapLSN, SavedUnixMs: time.Now().UnixMilli()})
-	if err != nil {
-		panic(err) // static struct of integers cannot fail
-	}
-	return append([]byte{recMeta}, body...)
 }
 
 // writeFileDurable is the power-loss-safe file write: temp file in the same

@@ -67,9 +67,10 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 }
 
-// TestDoneFrameCarriesRequestOnce: the terminal 'F' frame of a job a device
-// ran to done holds the request once, on the job; the result carries only
-// what the run produced.
+// TestDoneFrameCarriesRequestOnce: of all the frames a job a device ran to
+// done leaves in the journal, only its 'F' submission frame holds the
+// request; the later transitions are 'U' updates, and the terminal one
+// carries the counts the run produced.
 func TestDoneFrameCarriesRequestOnce(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := Open(dir, Options{Sync: SyncOff})
@@ -96,22 +97,35 @@ func TestDoneFrameCarriesRequestOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var done []byte
+	var frames, done []byte
+	circuits := 0
 	readFrames(data, func(_ uint64, payload []byte) {
 		var r fleetJobRecord
-		if payload[0] == recFleetJob && json.Unmarshal(payload[1:], &r) == nil &&
-			r.Job.ID == id && r.Job.Status == fleet.JobDone {
-			done = payload
+		var u fleetJobUpdate
+		switch {
+		case payload[0] == recFleetJob && json.Unmarshal(payload[1:], &r) == nil && r.Job.ID == id:
+			circuits += bytes.Count(payload, []byte(`"circuit":`))
+		case payload[0] == recFleetUpdate && json.Unmarshal(payload[1:], &u) == nil && u.ID == id:
+			if bytes.Contains(payload, []byte(`"circuit":`)) {
+				t.Errorf("update frame holds the circuit: %s", payload)
+			}
+			if u.Status == fleet.JobDone {
+				done = payload
+			}
+		default:
+			return
 		}
+		frames = append(append(frames, payload...), '\n')
 	})
-	if done == nil {
-		t.Fatal("no terminal frame for the done job")
+	if circuits != 1 || bytes.Count(frames, []byte(`"circuit":`)) != 1 {
+		t.Errorf("the submission frame holds the circuit %d times, the job's frames %d times, want 1 and 1:\n%s",
+			circuits, bytes.Count(frames, []byte(`"circuit":`)), frames)
 	}
-	if n := bytes.Count(done, []byte(`"circuit":`)); n != 1 {
-		t.Errorf("done frame holds the circuit %d times, want 1: %s", n, done)
+	if done == nil {
+		t.Fatalf("no terminal update for the done job:\n%s", frames)
 	}
 	if !bytes.Contains(done, []byte(`"counts":`)) {
-		t.Errorf("done frame lost its counts: %s", done)
+		t.Errorf("terminal update lost its counts: %s", done)
 	}
 }
 

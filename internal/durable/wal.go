@@ -1,10 +1,12 @@
 // Package durable is the crash-durable job store behind the fleet
 // scheduler: an append-only write-ahead log of job-lifecycle records plus
-// periodic snapshot compaction. Every transition the event bus publishes
-// (submit, claim, failover re-queue, terminal) is journaled as a full upsert of
-// the job's record — Idempotency-Key binding included, it is a field of the
-// job — so replay is a trivial last-write-wins fold and a snapshot/journal
-// overlap is harmless. The §4
+// periodic snapshot compaction. Every transition the event bus publishes is
+// journaled: the submission as the job's whole record — request and
+// Idempotency-Key binding included, the key is a field of the job — and each
+// later one (claim, failover re-queue, restore, terminal) as an update of
+// the fields a transition may change, so a job's request reaches the log
+// once. Replay folds each update onto its job's record; a snapshot holds
+// whole records, and a snapshot/journal overlap is harmless. The §4
 // user request behind it — "more robust job restart tools after system
 // outages" — needs submission durability above all: Submit acks only after
 // the job's first record is fsync'd (see WaitDurable), so a 202 implies the
@@ -59,6 +61,11 @@ const (
 	segmentPrefix = "journal-"
 	segmentSuffix = ".wal"
 	snapshotName  = "snapshot.wal"
+
+	// maxSpareBytes bounds the buffers kept for reuse — the store's record
+	// buffer and the group flusher's batch — so one outsized record or burst
+	// does not pin its size for the life of the store.
+	maxSpareBytes = 1 << 20
 )
 
 func segmentName(seq uint64) string {
@@ -79,15 +86,13 @@ func parseSegmentName(name string) (uint64, bool) {
 // appendFrame encodes one record frame onto buf and returns the extended
 // slice.
 func appendFrame(buf []byte, lsn uint64, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[8:16])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc.Sum32())
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the CRC, once lsn+payload are in place
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	buf = append(buf, payload...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+8:]))
+	return buf
 }
 
 // readFrames folds fn over every intact frame in data, stopping at the
@@ -107,10 +112,7 @@ func readFrames(data []byte, fn func(lsn uint64, payload []byte)) (skipped int64
 		}
 		lsn := binary.LittleEndian.Uint64(rest[8:16])
 		payload := rest[frameHeader : frameHeader+n]
-		crc := crc32.NewIEEE()
-		crc.Write(rest[8:16])
-		crc.Write(payload)
-		if crc.Sum32() != binary.LittleEndian.Uint32(rest[4:8]) {
+		if crc32.ChecksumIEEE(rest[8:frameHeader+n]) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return int64(len(rest))
 		}
 		fn(lsn, payload)
@@ -146,6 +148,7 @@ type wal struct {
 	f         *os.File
 	seq       uint64 // active segment sequence number
 	buf       []byte // frames appended but not yet handed to the OS
+	spare     []byte // the group flusher's last written batch, reused as the next buf
 	lastLSN   uint64 // last assigned LSN
 	durable   uint64 // highest LSN guaranteed on stable storage
 	abandoned bool   // simulated kill -9: unflushed buffer dropped
@@ -248,7 +251,7 @@ func (w *wal) flusher() {
 			return
 		}
 		batch := w.buf
-		w.buf = nil
+		w.buf, w.spare = w.spare[:0], nil
 		upto := w.lastLSN
 		f := w.f
 		w.mu.Unlock()
@@ -257,6 +260,9 @@ func (w *wal) flusher() {
 		serr := f.Sync()
 
 		w.mu.Lock()
+		if cap(batch) <= maxSpareBytes {
+			w.spare = batch // appenders fill one buffer while the other is written
+		}
 		w.bytes += uint64(n)
 		w.fsyncs++
 		switch {

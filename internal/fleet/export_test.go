@@ -5,18 +5,19 @@ package fleet
 // between a job's claim and its compile: a window no caller can time.
 
 // claimHook journals through JobStore and runs at, under the scheduler's
-// lock, when job id's claim is journaled.
+// lock, when job id's claim is journaled (an update: only the mint journals
+// the whole record).
 type claimHook struct {
 	JobStore
 	id int
 	at func(j *Job)
 }
 
-func (h claimHook) JournalFleetJob(j *Job) uint64 {
+func (h claimHook) JournalFleetUpdate(j *Job) uint64 {
 	if j.ID == h.id && j.Status == JobRouted {
 		h.at(j)
 	}
-	return h.JobStore.JournalFleetJob(j)
+	return h.JobStore.JournalFleetUpdate(j)
 }
 
 // CancelAtClaim wraps st: a Cancel of job id lands right after its claim.

@@ -23,6 +23,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,12 +287,17 @@ func New(policy Policy, store *telemetry.Store) *Scheduler {
 func (s *Scheduler) Events() *EventBus { return s.bus }
 
 // JobStore is the durability boundary behind the fleet scheduler (declared
-// locally so fleet stays free of a durable import). Every fleet transition —
-// submission, claim, failover, terminal — is journaled as an upsert of the
-// job's full record, Idempotency-Key binding included; internal/durable's
-// WAL-backed Store implements it.
+// locally so fleet stays free of a durable import); internal/durable's
+// WAL-backed Store implements it. Every fleet transition is journaled:
+// the submission as the job's full record (JournalFleetJob, request and
+// Idempotency-Key binding included), every later one — claim, failover,
+// restore, terminal — as an update (JournalFleetUpdate) holding only the
+// fields a transition after the submission may change: status, device,
+// migrations, score, result, error, recovered, and the submission instant
+// on a recovered job. transitionLocked picks between the two.
 type JobStore interface {
 	JournalFleetJob(j *Job) (lsn uint64)
+	JournalFleetUpdate(j *Job) (lsn uint64)
 	WaitDurable(lsn uint64)
 }
 
@@ -472,8 +478,9 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 	if req.Shots < 1 {
 		return 0, false, fmt.Errorf("fleet: shots must be >= 1, got %d", req.Shots)
 	}
-	if req.DeadlineMs < 0 {
-		return 0, false, fmt.Errorf("fleet: deadline_ms must be >= 0, got %g", req.DeadlineMs)
+	// NaN and +Inf have no JSON spelling: the job could never be journaled.
+	if d := req.DeadlineMs; !(d >= 0) || math.IsInf(d, 1) {
+		return 0, false, fmt.Errorf("fleet: deadline_ms must be finite and >= 0, got %g", req.DeadlineMs)
 	}
 	policy := s.policy
 	if opts.Policy != "" {

@@ -1,0 +1,104 @@
+package fleet
+
+import (
+	"strconv"
+
+	"repro/internal/jsonwire"
+)
+
+// A job and its result write their own JSON: the durable store journals a
+// job at every transition under the scheduler's lock, so the record skips
+// reflection. The bytes are exactly what encoding/json writes for the
+// structs (the durable package's TestJobRecordJSONMatchesReflection holds
+// every field to that), so journals written before read the same.
+
+// AppendJSON appends the job's JSON object to b.
+func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+	var err error
+	b = strconv.AppendInt(append(b, `{"id":`...), int64(j.ID), 10)
+	b = jsonwire.AppendString(append(b, `,"status":`...), string(j.Status))
+	if j.Device != "" {
+		b = jsonwire.AppendString(append(b, `,"device":`...), j.Device)
+	}
+	if j.Migrations != 0 {
+		b = strconv.AppendInt(append(b, `,"migrations":`...), int64(j.Migrations), 10)
+	}
+	if j.Score != 0 {
+		if b, err = jsonwire.AppendFloat(append(b, `,"score":`...), j.Score); err != nil {
+			return nil, err
+		}
+	}
+	if j.Pinned != "" {
+		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
+	}
+	if b, err = j.Request.AppendJSON(append(b, `,"request":`...)); err != nil {
+		return nil, err
+	}
+	if j.Result != nil {
+		if b, err = j.Result.AppendJSON(append(b, `,"result":`...)); err != nil {
+			return nil, err
+		}
+	}
+	if j.Error != "" {
+		b = jsonwire.AppendString(append(b, `,"error":`...), j.Error)
+	}
+	if j.Recovered {
+		b = append(b, `,"recovered":true`...)
+	}
+	if j.Node != "" {
+		b = jsonwire.AppendString(append(b, `,"node":`...), j.Node)
+	}
+	if j.IdemKey != "" {
+		b = jsonwire.AppendString(append(b, `,"idem_key":`...), j.IdemKey)
+	}
+	return append(b, '}'), nil
+}
+
+// AppendJSON appends the result's JSON object to b.
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	var err error
+	float := func(name string, f float64) {
+		if err == nil {
+			b, err = jsonwire.AppendFloat(append(b, name...), f)
+		}
+	}
+	b = append(b, '{')
+	if r.CompiledGates != 0 {
+		b = strconv.AppendInt(append(b, `"compiled_gates":`...), int64(r.CompiledGates), 10)
+		b = append(b, ',')
+	}
+	if r.CZCount != 0 {
+		b = strconv.AppendInt(append(b, `"cz_count":`...), int64(r.CZCount), 10)
+		b = append(b, ',')
+	}
+	if len(r.Layout) > 0 {
+		b = append(b, `"layout":[`...)
+		for i, q := range r.Layout {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(q), 10)
+		}
+		b = append(b, "],"...)
+	}
+	if r.CompileStats != "" {
+		b = jsonwire.AppendString(append(b, `"compile_stats":`...), r.CompileStats)
+		b = append(b, ',')
+	}
+	if len(r.Counts) > 0 {
+		b = r.Counts.AppendJSON(append(b, `"counts":`...))
+		b = append(b, ',')
+	}
+	if r.DurationUs != 0 {
+		float(`"duration_us":`, r.DurationUs)
+		b = append(b, ',')
+	}
+	float(`"submit_time":`, r.SubmitTime)
+	if r.EndTime != 0 {
+		float(`,"end_time":`, r.EndTime)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}

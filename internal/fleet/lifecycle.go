@@ -84,19 +84,25 @@ var (
 
 // transitionLocked moves j to status to — the only write of Job.Status in
 // the package (TestStatusHasOneWriter). The caller has already set whatever
-// else the move changes (device, result, error): the whole record is
-// journaled here, then published, so the bus carries exactly the stream the
-// WAL replays. An edge missing from the table still proceeds — refusing
-// would strand the job — but is counted. Events carry the maintenance clock
-// in simulation seconds. Caller holds s.mu.
+// else the move changes (device, result, error). The move is journaled
+// here, then published, so the bus carries exactly the stream the WAL
+// replays: the table's first row (the mint) journals the whole record,
+// request included, and every other row an update of the fields a move
+// after the mint may change (JobStore). An edge missing from the table
+// still proceeds — refusing would strand the job — but is counted. Events
+// carry the maintenance clock in simulation seconds. Caller holds s.mu.
 func (s *Scheduler) transitionLocked(j *Job, to JobStatus, reason string) {
 	from := j.Status
 	if !lifecycle[edge{from, to, reason}] {
 		s.illegal++
 	}
 	j.Status = to
-	if s.jstore != nil {
+	switch {
+	case s.jstore == nil:
+	case from == "":
 		s.walTail = s.jstore.JournalFleetJob(j)
+	default:
+		s.walTail = s.jstore.JournalFleetUpdate(j)
 	}
 	s.bus.Publish(Event{
 		JobID:  j.ID,

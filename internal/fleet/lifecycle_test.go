@@ -87,6 +87,10 @@ func (m *memStore) JournalFleetJob(j *Job) uint64 {
 	return m.lsn
 }
 
+// JournalFleetUpdate keeps the whole record too: the fold of an update onto
+// its submission is the durable package's to test.
+func (m *memStore) JournalFleetUpdate(j *Job) uint64 { return m.JournalFleetJob(j) }
+
 func (m *memStore) WaitDurable(uint64) {}
 
 // kill stops accepting records and returns what survived.
