@@ -135,28 +135,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "qhpcd: site %q accepted; cooldown %.1f simulated days; phase %s\n",
 		center.SiteReport().Site, days, center.Phase())
 
-	// Crash durability: open the store (snapshot + WAL replay) before the
-	// backend exists so recovered jobs can be handed straight to it.
-	var store *durable.Store
-	var recovery *durable.Recovery
-	if *dataDir != "" {
-		mode, err := durable.ParseSyncMode(*walSync)
-		if err != nil {
-			log.Fatalf("qhpcd: %v", err)
-		}
-		replayStart := time.Now()
-		store, recovery, err = durable.Open(*dataDir, durable.Options{Sync: mode})
-		if err != nil {
-			log.Fatalf("qhpcd: opening durable store: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "qhpcd: durable store %s (wal-sync=%s): replayed %d records (%d segments, snapshot lsn %d) in %v\n",
-			*dataDir, mode, recovery.Stats.Records, recovery.Stats.Segments,
-			recovery.Stats.SnapshotLSN, time.Since(replayStart).Round(time.Millisecond))
-		if recovery.Stats.SkippedBytes > 0 {
-			log.Printf("qhpcd: WAL had a torn tail: %d trailing bytes ignored (normal after a crash)", recovery.Stats.SkippedBytes)
-		}
-	}
-
 	admission := tenant.Admission{MaxTenantQueue: *tenantQueue, HighWater: *queueHighWater}
 
 	policy, err := fleet.ParsePolicy(*policyFlag)
@@ -173,16 +151,44 @@ func main() {
 	if admission.Enabled() {
 		f.SetAdmission(admission)
 	}
-	if store != nil {
-		f.AttachStore(store)
-		rs, err := f.Restore(recovery.FleetJobs)
+	mqssServer := center.RESTHandler()
+
+	// Crash durability: replay the store (snapshot + WAL) and hand the
+	// recovered jobs to the fleet before the listener opens.
+	var store *durable.Store
+	if *dataDir != "" {
+		mode, err := durable.ParseSyncMode(*walSync)
+		if err != nil {
+			log.Fatalf("qhpcd: %v", err)
+		}
+		replayStart := time.Now()
+		st, recovery, err := durable.Open(*dataDir, durable.Options{Sync: mode})
+		if err != nil {
+			log.Fatalf("qhpcd: opening durable store: %v", err)
+		}
+		store = st
+		fmt.Fprintf(os.Stderr, "qhpcd: durable store %s (wal-sync=%s): replayed %d records (%d segments, snapshot lsn %d) in %v\n",
+			*dataDir, mode, recovery.Stats.Records, recovery.Stats.Segments,
+			recovery.Stats.SnapshotLSN, time.Since(replayStart).Round(time.Millisecond))
+		if recovery.Stats.SkippedBytes > 0 {
+			log.Printf("qhpcd: WAL had a torn tail: %d trailing bytes ignored (normal after a crash)", recovery.Stats.SkippedBytes)
+		}
+		rs, err := mqssServer.AttachStore(store, recovery)
 		if err != nil {
 			log.Fatalf("qhpcd: restoring jobs: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
 			rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
+		if *walCompactEvery > 0 {
+			go func(every time.Duration) {
+				for range time.Tick(every) {
+					if err := store.Compact(); err != nil {
+						log.Printf("qhpcd: WAL compaction: %v", err)
+					}
+				}
+			}(*walCompactEvery)
+		}
 	}
-	mqssServer := center.RESTHandler()
 	fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
 		*devices, policy, *workers, f.Devices())
 	fmt.Fprintf(os.Stderr, "qhpcd: routing: a submission's \"device\" pins a backend, \"policy\" overrides the fleet policy; GET /api/v1/fleet shows the roster\n")
@@ -217,23 +223,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qhpcd: queue admission bounds: per-tenant %d, high-water %d (0 = unbounded); overflow is shed as retryable failures\n",
 			admission.MaxTenantQueue, admission.HighWater)
 	}
-	if store != nil {
-		mqssServer.AttachStore(store)
-		if *walCompactEvery > 0 {
-			go func(every time.Duration) {
-				for range time.Tick(every) {
-					if err := store.Compact(); err != nil {
-						log.Printf("qhpcd: WAL compaction: %v", err)
-					}
-				}
-			}(*walCompactEvery)
-		}
-	}
 	// Federation: join the peer set AFTER the store restore so recovered
 	// jobs are already queryable when peers start proxying, and before the
 	// listener opens so the /api/v2/federation routes exist from the first
-	// request. The ID base keeps every member minting from its own range,
-	// which is what lets any node map a job ID to its owner.
+	// request. AttachFederation keeps the fleet minting inside this
+	// member's ID block, which is what lets any node map a job ID to its
+	// owner.
 	var fed *federation.Node
 	if *nodeID != "" {
 		peers, err := parsePeers(*peersFlag)
@@ -247,9 +242,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("qhpcd: federation: %v", err)
 		}
-		f.SetIDBase(fed.SelfBase())
-		f.SetIDLimit(fed.SelfLimit())
-		f.SetNodeID(*nodeID)
 		mqssServer.AttachFederation(fed)
 		fed.Start()
 		fmt.Fprintf(os.Stderr, "qhpcd: federation member %q (%d nodes, id range base %d): peers %s\n",

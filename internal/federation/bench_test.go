@@ -132,9 +132,6 @@ func buildFedBenchStack(t *testing.T, n int) []*fedBenchNode {
 			t.Fatal(err)
 		}
 		nd.fed = fed
-		nd.fleet.SetIDBase(fed.SelfBase())
-		nd.fleet.SetIDLimit(fed.SelfLimit())
-		nd.fleet.SetNodeID(nd.name)
 		nd.server.AttachFederation(fed)
 		nd.client = mqss.NewRemoteClient(nd.hs.URL, nd.hs.Client())
 	}

@@ -179,7 +179,8 @@ func (n *Node) SelfBase() int { return n.base[n.cfg.NodeID] }
 // SelfLimit returns the last job ID this node may mint (inclusive). An
 // ID past it falls into the next sorted member's block and OwnerOfJobID
 // would silently misroute it, so local schedulers must refuse at the
-// boundary rather than spill over (see the SetIDLimit wiring in qhpcd).
+// boundary rather than spill over (mqss.Server.AttachFederation hands the
+// limit to the fleet).
 func (n *Node) SelfLimit() int { return n.base[n.cfg.NodeID] + IDStride }
 
 // BaseOf returns the job-ID base for any member.

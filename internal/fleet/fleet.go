@@ -215,7 +215,7 @@ type Scheduler struct {
 	rr      int
 
 	nextID   int
-	idLimit  int    // last mintable ID, inclusive (0 = unbounded; federation block end)
+	idLimit  int    // last mintable ID, inclusive (0 = unbounded; SetOwner)
 	nodeID   string // federation ownership stamp for new jobs ("" standalone)
 	jobs     map[int]*Job
 	jobOrder []int
@@ -381,42 +381,20 @@ func (s *Scheduler) Policy() Policy {
 	return s.policy
 }
 
-// SetIDBase raises the ID counter so every future fleet job ID is > base.
-// Federated deployments partition the global ID space between nodes this
-// way; like Restore, the call only ever raises the counter, so composing
-// the two in either order is safe.
-func (s *Scheduler) SetIDBase(base int) {
+// SetOwner makes the scheduler federation member node, owner of the job-ID
+// block (base, limit]: every future job ID is > base, every new record is
+// stamped node, and submissions are refused once limit (inclusive) is
+// minted. Spilling past limit would land IDs in the next member's block and
+// silently misroute owner lookups, so exhaustion is a hard refusal, not a
+// wrap. Like Restore the call only ever raises the counter, so the two
+// compose in either order. mqss.Server.AttachFederation is its caller.
+func (s *Scheduler) SetOwner(node string, base, limit int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.nodeID, s.idLimit = node, limit
 	if base > s.nextID {
 		s.nextID = base
 	}
-}
-
-// SetIDLimit caps the ID counter: submissions are refused once every ID
-// up to limit (inclusive) has been minted. Federated deployments set it
-// to the end of this node's ID block — spilling past it would land IDs
-// in the next member's block and silently misroute owner lookups, so
-// exhaustion is a hard refusal, not a wrap. Zero means unbounded.
-func (s *Scheduler) SetIDLimit(limit int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idLimit = limit
-}
-
-// SetNodeID stamps every future job record with the owning federation
-// node. Empty (the default) means standalone.
-func (s *Scheduler) SetNodeID(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nodeID = id
-}
-
-// NodeID returns the federation ownership stamp set by SetNodeID.
-func (s *Scheduler) NodeID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nodeID
 }
 
 // SetAdmission installs the queue's depth bounds (tenant.Admission zero

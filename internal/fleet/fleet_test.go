@@ -568,8 +568,8 @@ func TestStopFailsOutstandingWork(t *testing.T) {
 }
 
 // TestSetIDLimitRefusesAtBlockEnd pins the federation ID-stride
-// spillover guard at the fleet layer: once every ID up to the limit has
-// been minted, submission is refused instead of silently minting into
+// spillover guard at the fleet layer: once every ID up to SetOwner's limit
+// has been minted, submission is refused instead of silently minting into
 // the next member's block (which would misroute owner lookups).
 func TestSetIDLimitRefusesAtBlockEnd(t *testing.T) {
 	s := New(PolicyBestFidelity, nil)
@@ -577,8 +577,7 @@ func TestSetIDLimitRefusesAtBlockEnd(t *testing.T) {
 	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 1, 0), 1); err != nil {
 		t.Fatal(err)
 	}
-	s.SetIDBase(40)
-	s.SetIDLimit(42) // block (40, 42]: exactly two mintable IDs
+	s.SetOwner("node-x", 40, 42) // block (40, 42]: exactly two mintable IDs
 	for want := 41; want <= 42; want++ {
 		id, err := s.Submit(req(2, 1), SubmitOptions{})
 		if err != nil {
@@ -586,6 +585,9 @@ func TestSetIDLimitRefusesAtBlockEnd(t *testing.T) {
 		}
 		if id != want {
 			t.Fatalf("minted id %d, want %d", id, want)
+		}
+		if j, err := s.Job(id); err != nil || j.Node != "node-x" {
+			t.Fatalf("job %d stamped %+v (%v), want node-x", id, j, err)
 		}
 	}
 	if _, err := s.Submit(req(2, 1), SubmitOptions{}); err == nil || !strings.Contains(err.Error(), "job-ID space exhausted") {

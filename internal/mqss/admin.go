@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/fleet"
 )
 
 // pathV2AdminStore exposes durable-store health: WAL position, sync mode,
@@ -54,12 +55,20 @@ type StoreRestoredStatus struct {
 	Expired  int `json:"expired"`
 }
 
-// AttachStore wires the durable job store into the HTTP layer: the admin
-// endpoint and qhpc_wal_* metric families start reporting. Journaling and
-// recovery — Idempotency-Key bindings included — are the scheduler's
-// (fleet AttachStore + Restore), wired separately by the daemon.
-func (s *Server) AttachStore(st *durable.Store) {
+// AttachStore boots the server's fleet on the durable job store: the fleet
+// journals every transition to st, the jobs rec recovered (Idempotency-Key
+// bindings included) go back into it through fleet Restore, and the admin
+// endpoint and qhpc_wal_* metric families start reporting. rec is what
+// durable.Open returned; a fresh directory's is empty, so a first boot and
+// a reboot are the same call. Attach before the server takes traffic.
+func (s *Server) AttachStore(st *durable.Store, rec *durable.Recovery) (fleet.RestoreStats, error) {
+	s.fleet.AttachStore(st)
+	rs, err := s.fleet.Restore(rec.FleetJobs)
+	if err != nil {
+		return rs, err
+	}
 	s.store = st
+	return rs, nil
 }
 
 func (s *Server) handleV2AdminStore(w http.ResponseWriter, r *http.Request) {

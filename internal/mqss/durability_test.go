@@ -40,12 +40,10 @@ func durableStackSync(t *testing.T, dir string, mode durable.SyncMode) (*fleet.S
 		}
 	}
 	stopAndAuditAtCleanup(t, f)
-	f.AttachStore(st)
-	if _, err := f.Restore(opened.FleetJobs); err != nil {
+	server := NewFleetServer(f)
+	if _, err := server.AttachStore(st, opened); err != nil {
 		t.Fatal(err)
 	}
-	server := NewFleetServer(f)
-	server.AttachStore(st)
 	hs := httptest.NewServer(server)
 	return f, server, hs, st
 }

@@ -42,12 +42,14 @@ var fedResponseHeaders = []string{
 	"Content-Type", "Location", "Retry-After", "Idempotency-Replayed", "Cache-Control",
 }
 
-// AttachFederation joins this server to a federation: it registers the
-// /api/v2/federation/* endpoints and turns on transparent ownership
-// routing for the v2 job API. Call it before the server starts serving
-// (it mutates the mux), and after AttachStore on restarting nodes so
-// recovered jobs are already in place when peers start proxying.
+// AttachFederation joins this server to a federation: the fleet becomes
+// member f.Self(), minting only inside its ID block, the
+// /api/v2/federation/* endpoints register, and the v2 job API turns on
+// transparent ownership routing. Call it before the server takes traffic
+// and after AttachStore on restarting nodes, so recovered jobs are already
+// in place when peers start proxying.
 func (s *Server) AttachFederation(f *federation.Node) {
+	s.fleet.SetOwner(f.Self(), f.SelfBase(), f.SelfLimit())
 	s.fed = f
 	s.fedClient = &http.Client{} // no global timeout: watch streams are long-lived
 	s.mux.HandleFunc(pathV2Federation+"/", withRequestID(s.handleV2Federation))

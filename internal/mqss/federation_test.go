@@ -60,9 +60,6 @@ func fedStack(t *testing.T, n int, hb, dead time.Duration) []*fedMember {
 			t.Fatal(err)
 		}
 		m.fed = fed
-		m.server.fleet.SetIDBase(fed.SelfBase())
-		m.server.fleet.SetIDLimit(fed.SelfLimit())
-		m.server.fleet.SetNodeID(m.name)
 		m.server.AttachFederation(fed)
 		t.Cleanup(fed.Close)
 	}

@@ -177,12 +177,10 @@ func slowDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.S
 			t.Fatal(err)
 		}
 	}
-	f.AttachStore(st)
-	if _, err := f.Restore(opened.FleetJobs); err != nil {
+	server := NewFleetServer(f)
+	if _, err := server.AttachStore(st, opened); err != nil {
 		t.Fatal(err)
 	}
-	server := NewFleetServer(f)
-	server.AttachStore(st)
 	return f, server, st
 }
 

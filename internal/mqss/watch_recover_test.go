@@ -33,12 +33,10 @@ func pacedDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.
 	if err := f.AddDevice("paced", qdmi.NewDevice(qpu, nil), 1); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachStore(st)
-	if _, err := f.Restore(opened.FleetJobs); err != nil {
+	server := NewFleetServer(f)
+	if _, err := server.AttachStore(st, opened); err != nil {
 		t.Fatal(err)
 	}
-	server := NewFleetServer(f)
-	server.AttachStore(st)
 	hs := httptest.NewServer(server)
 	return f, server, hs, st
 }

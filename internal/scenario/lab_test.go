@@ -1,9 +1,15 @@
 package scenario
 
 import (
+	"context"
 	"flag"
+	"fmt"
+	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/circuit"
+	"repro/internal/mqss"
 )
 
 var (
@@ -188,6 +194,69 @@ func TestCrossNodeWatchSmoke(t *testing.T) {
 		if !g.Pass {
 			t.Errorf("gate %s tripped: %s", g.Name, g.Detail)
 		}
+	}
+}
+
+// TestFederatedCrashSmoke: Crash reboots a federated node 0 whole. The
+// reboot runs the same boot as the first start, so the rebooted server
+// serves the federation routes again, mints inside node 0's ID block with
+// node 0's stamp, and heartbeats node 1 back to a steady alive verdict.
+func TestFederatedCrashSmoke(t *testing.T) {
+	spec := smokeSpec(t, "node-crash-recovery")
+	spec.fill()
+	spec.Hooks.Setup = func(e *Env) {
+		if err := e.EnableDurability(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EnableFederation(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := newEnv(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(e.hs.URL + "/api/v2/federation/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("rebooted node-0: GET /api/v2/federation/status = %d, want 200", resp.StatusCode)
+	}
+
+	// A key whose rendezvous owner is node-0 keeps the job on node 0.
+	key := "crash-0"
+	for i := 1; e.fed.PlaceJob("crash", key) != "node-0"; i++ {
+		key = fmt.Sprintf("crash-%d", i)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	h, err := e.Client.Submit(ctx, mqss.SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "crash"}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := h.Poll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mqss.ParseJobID(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Node != "node-0" || id <= e.fed.SelfBase() || id > e.fed.SelfLimit() {
+		t.Errorf("job %s via rebooted node-0: node %q, want node-0 and an ID in (%d, %d]",
+			job.ID, job.Node, e.fed.SelfBase(), e.fed.SelfLimit())
+	}
+
+	time.Sleep(20 * fedLabHeartbeat)
+	if !e.Peers[0].fed.Alive("node-0") {
+		t.Errorf("node-1 declared the rebooted node-0 dead after 20 heartbeats")
 	}
 }
 

@@ -349,7 +349,7 @@ type runOutcome struct {
 	e2eP95    float64   // worst device-side e2e p95
 	worst     *worstJob // slowest job's trace; nil when it could not be fetched
 	checkFail string    // the Check hook's failure; "" when it held or the scenario has none
-	illegal   uint64    // Env.illegal after teardown
+	illegal   uint64    // Env.close's count, read after teardown
 }
 
 // runOnce executes all three phases of one seeded run.
@@ -397,8 +397,8 @@ func (r *Runner) runOnce(spec Spec, run int) (runOutcome, error) {
 	}
 	worst := fetchWorstTrace(env, stats)
 	// Teardown settles the stragglers, so the count is read after it.
-	env.close()
-	return runOutcome{stats, e2eP95, worst, checkFail, env.illegal}, nil
+	illegal := env.close()
+	return runOutcome{stats, e2eP95, worst, checkFail, illegal}, nil
 }
 
 // fetchWorstTrace pulls the span tree of the run's slowest measured job

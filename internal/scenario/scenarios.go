@@ -31,14 +31,18 @@ func init() {
 	Register(crossNodeWatch())
 }
 
-// conserveTenants asserts per-tenant job conservation on the live stack:
+// conserveTenants asserts per-tenant job conservation on every node:
 // every submission is accounted exactly once across terminal states and the
-// queue — shed jobs fail loudly, they never vanish.
+// queue — shed jobs fail loudly, they never vanish. Each job lives on
+// exactly one node (its ID names the owner), so summing per-node
+// conservation covers a federation: no job lost or double-executed.
 func conserveTenants(e *Env) error {
-	for _, r := range e.Fleet.TenantUsage() {
-		total := r.Completed + r.Failed + r.Cancelled + r.Interrupted + r.Shed + uint64(r.Queued)
-		if r.Submitted != total {
-			return fmt.Errorf("tenant %s: %d submitted but %d accounted (%+v)", r.User, r.Submitted, total, r)
+	for _, n := range e.nodes() {
+		for _, r := range n.Fleet.TenantUsage() {
+			total := r.Completed + r.Failed + r.Cancelled + r.Interrupted + r.Shed + uint64(r.Queued)
+			if r.Submitted != total {
+				return fmt.Errorf("%s tenant %s: %d submitted but %d accounted (%+v)", n.Name, r.User, r.Submitted, total, r)
+			}
 		}
 	}
 	return nil
@@ -361,7 +365,7 @@ func peerDeathReshard() Spec {
 				}
 			},
 			Check: func(e *Env) error {
-				if err := fedConserve(e); err != nil {
+				if err := conserveTenants(e); err != nil {
 					return err
 				}
 				m := e.Federation().Metrics()
@@ -429,12 +433,12 @@ func crossNodeWatch() Spec {
 				}
 			},
 			Check: func(e *Env) error {
-				if err := fedConserve(e); err != nil {
+				if err := conserveTenants(e); err != nil {
 					return err
 				}
-				streams := e.Federation().Metrics().ProxiedStreams
-				for _, p := range e.Peers {
-					streams += p.fed.Metrics().ProxiedStreams
+				streams := uint64(0)
+				for _, n := range e.nodes() {
+					streams += n.Federation().Metrics().ProxiedStreams
 				}
 				if streams == 0 {
 					return errors.New("no watch stream ever crossed nodes")
