@@ -1,10 +1,12 @@
-// Command qhpcd runs the HPC+QC center as a service: it commissions the
-// center (site survey, cooldown, calibration) and then serves the MQSS REST
-// API — the remote asynchronous access path of Fig. 2.
+// Command qhpcd runs the HPC+QC center's quantum fleet as a service: it
+// serves the MQSS REST API — the remote asynchronous access path of Fig. 2 —
+// over a commissioned QPU. The site survey and the cooldown happened once,
+// before deployment (cmd/sitesurvey and core.Center simulate them); the
+// daemon starts from the calibration they leave.
 //
 // Usage:
 //
-//	qhpcd [-addr :8080] [-seed 1] [-twin] [-redundant] [-workers 4]
+//	qhpcd [-addr :8080] [-seed 1] [-twin] [-workers 4]
 //	      [-devices 1] [-fleet-policy best-fidelity] [-maintenance-days 0]
 //	      [-pprof-addr localhost:6060]
 //	      [-data-dir /var/lib/qhpcd/store] [-wal-sync group] [-wal-compact-every 1m]
@@ -20,9 +22,10 @@
 //
 // The -tenant-* flags turn on the multi-tenant admission plane (default off):
 // a per-user token bucket on v2 submits (refusals are 429 with Retry-After
-// and a retryable envelope) and queue-level load shedding — a per-tenant
-// depth bound plus a per-device high-water mark past which the lowest-
-// priority queued jobs fail loudly with a retryable "shed" envelope.
+// and a retryable envelope) and queue-level load shedding — a fleet-wide
+// per-tenant depth bound plus a fleet-wide high-water mark on the one queue,
+// past which the lowest-priority queued jobs fail loudly with a retryable
+// "shed" envelope.
 // `qhpcctl tenants` and GET /api/v2/admin/tenants show per-tenant usage.
 //
 // With -data-dir the daemon journals every job transition to a crash-durable
@@ -31,7 +34,7 @@
 // queued/running ones re-queued under their original IDs.
 //
 // Every deployment is a fleet behind the calibration-aware fleet scheduler:
-// -devices 1 (the default) serves the center's primary QPU alone, -devices N
+// -devices 1 (the default) serves the primary 20-qubit QPU alone, -devices N
 // adds N-1 simulated heterogeneous siblings (different grid shapes, seeds
 // and drift histories). Clients pin with ?device= and steer routing with
 // ?policy=; `qhpcctl fleet` shows the roster.
@@ -51,11 +54,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/facility"
 	"repro/internal/federation"
 	"repro/internal/fleet"
+	"repro/internal/mqss"
 	"repro/internal/tenant"
 )
 
@@ -63,10 +65,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address for the REST API")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	twin := flag.Bool("twin", false, "serve the noiseless digital twin instead of the noisy QPU")
-	redundant := flag.Bool("redundant", true, "redundant power and cooling feeds (lesson 3)")
-	nodes := flag.Int("nodes", 64, "classical cluster node count")
 	workers := flag.Int("workers", 4, "dispatch workers per device (>= 1)")
-	devices := flag.Int("devices", 1, "fleet size: the center's primary QPU plus N-1 simulated siblings")
+	devices := flag.Int("devices", 1, "fleet size: the primary QPU plus N-1 simulated siblings")
 	policyFlag := flag.String("fleet-policy", string(fleet.PolicyBestFidelity),
 		"fleet routing policy: best-fidelity, least-loaded, or round-robin")
 	maintDays := flag.Float64("maintenance-days", 0,
@@ -86,9 +86,9 @@ func main() {
 	tenantBurst := flag.Int("tenant-burst", 0,
 		"per-tenant token-bucket burst; defaults to ceil(-tenant-rate) when rate limiting is on")
 	tenantQueue := flag.Int("tenant-queue", 0,
-		"max queued jobs per tenant per device; overflow is shed as retryable failures (0 = unbounded)")
+		"max queued jobs per tenant, fleet-wide; overflow is shed as retryable failures (0 = unbounded)")
 	queueHighWater := flag.Int("queue-high-water", 0,
-		"per-device queue depth past which the lowest-priority queued jobs are shed (0 = unbounded)")
+		"fleet queue depth past which the lowest-priority queued jobs are shed (0 = unbounded)")
 	nodeID := flag.String("node-id", "",
 		"federation member name; joins the peers named by -peers into one sharded fleet (empty = standalone)")
 	selfURL := flag.String("self-url", "",
@@ -100,8 +100,8 @@ func main() {
 	fedDeadAfter := flag.Duration("fed-dead-after", 0,
 		"declare a silent peer dead after this long (default 3x -fed-heartbeat)")
 	flag.Parse()
-	if *workers < 1 {
-		log.Fatalf("qhpcd: -workers must be >= 1, got %d (every device runs a live dispatch pool)", *workers)
+	if err := checkFlags(*workers, *simRate, *maintDays, *tenantRate, *tenantQueue, *queueHighWater); err != nil {
+		log.Fatalf("qhpcd: %v", err)
 	}
 
 	if *pprofAddr != "" {
@@ -117,41 +117,17 @@ func main() {
 		}()
 	}
 
-	center, err := core.New(core.Config{
-		Seed: *seed, Nodes: *nodes, Redundant: *redundant, DigitalTwin: *twin,
-	})
-	if err != nil {
-		log.Fatalf("qhpcd: %v", err)
-	}
-
-	candidates := []facility.Site{
-		{Name: "ground-floor", Env: facility.NoisyUrban(), DeliveryWidthCM: 120, FloorLoadKgM2: 1500, CellTowerDistM: 300, FluorescentM: 4},
-		{Name: "basement", Env: facility.Quiet(), DeliveryWidthCM: 120, FloorLoadKgM2: 1500, CellTowerDistM: 800, FluorescentM: 6},
-	}
-	days, err := center.CommissionFast(candidates, facility.SurveyConfig{Seed: *seed})
-	if err != nil {
-		log.Fatalf("qhpcd: commissioning failed: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "qhpcd: site %q accepted; cooldown %.1f simulated days; phase %s\n",
-		center.SiteReport().Site, days, center.Phase())
-
-	admission := tenant.Admission{MaxTenantQueue: *tenantQueue, HighWater: *queueHighWater}
-
-	policy, err := fleet.ParsePolicy(*policyFlag)
-	if err != nil {
-		log.Fatalf("qhpcd: %v", err)
-	}
-	f, err := center.BuildFleet(core.FleetConfig{
-		Devices: *devices, WorkersPerDevice: *workers,
-		Policy: policy, MaintenanceEveryDays: *maintDays,
-	})
+	f, err := buildFleet(*seed, *twin, *devices, *workers, *policyFlag, *maintDays)
 	if err != nil {
 		log.Fatalf("qhpcd: building fleet: %v", err)
 	}
+	admission := tenant.Admission{MaxTenantQueue: *tenantQueue, HighWater: *queueHighWater}
 	if admission.Enabled() {
 		f.SetAdmission(admission)
 	}
-	mqssServer := center.RESTHandler()
+	mqssServer := mqss.NewFleetServer(f)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	// Crash durability: replay the store (snapshot + WAL) and hand the
 	// recovered jobs to the fleet before the listener opens.
@@ -190,7 +166,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
-		*devices, policy, *workers, f.Devices())
+		*devices, f.Policy(), *workers, f.Devices())
 	fmt.Fprintf(os.Stderr, "qhpcd: routing: a submission's \"device\" pins a backend, \"policy\" overrides the fleet policy; GET /api/v1/fleet shows the roster\n")
 	// Maintenance windows live on the simulation clock; a frozen clock
 	// would make -maintenance-days a no-op, so it defaults on.
@@ -200,15 +176,7 @@ func main() {
 	}
 	if rate > 0 {
 		fmt.Fprintf(os.Stderr, "qhpcd: simulation clock at %.3g days/s (maintenance windows will drain devices on schedule)\n", rate)
-		go func() {
-			const tick = 250 * time.Millisecond
-			day := 0.0
-			for range time.Tick(tick) {
-				day += rate * tick.Seconds()
-				f.AdvanceTo(day)
-				f.PublishMetrics(nil, day*86400)
-			}
-		}()
+		go runClock(ctx, f, commissionedDay, rate, 250*time.Millisecond)
 	}
 	if *tenantRate > 0 {
 		burst := *tenantBurst
@@ -251,7 +219,7 @@ func main() {
 		log.Fatalf("qhpcd: -peers requires -node-id (this node needs a name its peers agree on)")
 	}
 	fmt.Fprintf(os.Stderr, "qhpcd: serving MQSS REST API on %s\n", *addr)
-	fmt.Fprintf(os.Stderr, "qhpcd: read-only endpoints: GET /api/v1/device, GET /api/v1/fleet, GET /api/v1/metrics, GET /api/v1/telemetry/, GET /healthz\n")
+	fmt.Fprintf(os.Stderr, "qhpcd: read-only endpoints: GET /api/v1/device, GET /api/v1/fleet, GET /api/v1/metrics, GET /healthz\n")
 	fmt.Fprintf(os.Stderr, "qhpcd: job endpoints: POST /api/v2/jobs[?wait=], GET /api/v2/jobs[?user=&state=&cursor=], GET /api/v2/jobs/{id}[?wait=], GET /api/v2/jobs/{id}/events, GET /api/v2/jobs/{id}/trace, DELETE /api/v2/jobs/{id}\n")
 	fmt.Fprintf(os.Stderr, "qhpcd: observability: GET /metrics (Prometheus text), `qhpcctl trace <j-id>` for span waterfalls (docs/OBSERVABILITY.md)\n")
 
@@ -260,8 +228,6 @@ func main() {
 	// in-flight handlers, then stops the fleet: in-flight jobs finish, queued
 	// ones settle failed, and with -data-dir their records are on disk.
 	srv := &http.Server{Addr: *addr, Handler: mqssServer}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {

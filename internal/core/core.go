@@ -77,9 +77,8 @@ type Center struct {
 	HPC    *hpc.Scheduler
 	Policy *calib.Policy
 
-	// fleet is the one scheduler both access paths land in, built once by
-	// BuildFleet (Fleet builds the one-device default on first use); its
-	// simulation clock follows simTime.
+	// fleet is the one scheduler both access paths land in, built by Fleet
+	// on first use; its simulation clock follows simTime.
 	fleet *fleet.Scheduler
 
 	simTime float64 // seconds
@@ -259,8 +258,8 @@ func (c *Center) Advance(dt float64) {
 // QPU claims nothing, so queued jobs run on siblings, or wait in the queue
 // until Recover when there are none, and new submissions are accepted and
 // queued the same way.
-// Before the fleet exists there is nothing to flip; BuildFleet reads the
-// phase when it runs.
+// Before the fleet exists there is nothing to flip; Fleet reads the phase
+// when it builds it.
 func (c *Center) setQPUOnline(online bool) {
 	c.HPC.SetQPUOnline(online)
 	if c.fleet == nil {
@@ -277,16 +276,28 @@ func (c *Center) setQPUOnline(online bool) {
 // Operational reports whether the QPU is serving jobs.
 func (c *Center) Operational() bool { return c.phase == PhaseOperational }
 
-// Fleet returns the center's scheduler, building the default one-device
-// fleet over the primary QPU if BuildFleet has not run yet.
+// Fleet returns the center's scheduler, building it on first use: the
+// primary QPU as the one device, four dispatch workers, best-fidelity
+// routing. While the center is not operational the QPU joins failed. The
+// fleet registers as a DCDB collector on the center's poller, so its
+// gauges — among them the device's dispatch-pipeline health — land in the
+// same store as cryo and power data (Fig. 3).
 func (c *Center) Fleet() *fleet.Scheduler {
-	if c.fleet == nil {
-		if _, err := c.BuildFleet(FleetConfig{Devices: 1}); err != nil {
-			// A static, valid config: only a bug can fail it.
-			panic(fmt.Sprintf("core: building the default one-device fleet: %v", err))
-		}
+	if c.fleet != nil {
+		return c.fleet
 	}
-	return c.fleet
+	f := fleet.New(fleet.PolicyBestFidelity, c.Store)
+	if err := f.AddDevice(c.QPU.Name(), c.QDMI, 4); err != nil {
+		// A fresh fleet and a named device: only a bug can fail it.
+		panic(fmt.Sprintf("core: building the center's fleet: %v", err))
+	}
+	c.Poll.Register(f)
+	c.fleet = f
+	f.AdvanceTo(c.simTime / 86400)
+	if !c.Operational() {
+		c.setQPUOnline(false)
+	}
+	return f
 }
 
 // LocalClient returns the in-HPC accelerator client.

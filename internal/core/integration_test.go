@@ -136,24 +136,15 @@ func TestJobsRejectedDuringOutage(t *testing.T) {
 	}
 }
 
-// Regression: BuildFleet used to wrap the primary QPU in a second manager
+// Regression: the center once wrapped the primary QPU in a second manager
 // that Advance never took offline, so a fleet kept executing on a QPU the
-// center had declared down. One scheduler now serves every path: an outage
+// center had declared down. One scheduler serves every path: an outage
 // fails the primary in the fleet RESTHandler serves, a job submitted
 // meanwhile waits queued, and it completes after recovery.
 func TestOutageParksRESTJobsUntilRecovery(t *testing.T) {
 	c := commissioned(t, Config{Seed: 23, DigitalTwin: true})
-	f, err := c.BuildFleet(FleetConfig{Devices: 1, WorkersPerDevice: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := c.Fleet()
 	defer f.Stop()
-	if c.Fleet() != f {
-		t.Fatal("the center serves a different scheduler than BuildFleet returned")
-	}
-	if _, err := c.BuildFleet(FleetConfig{Devices: 2}); err == nil {
-		t.Fatal("a second BuildFleet must fail: the primary QPU gets exactly one manager")
-	}
 	srv := httptest.NewServer(c.RESTHandler())
 	defer srv.Close()
 	client := mqss.NewRemoteClient(srv.URL, srv.Client())

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
-	"repro/internal/telemetry"
 )
 
 // mkdev builds a twin QPU grid wrapped in a QDMI handle, with an optional
@@ -505,9 +504,11 @@ func TestCancelParkedAndQueued(t *testing.T) {
 	}
 }
 
+// TestTelemetryPublishing: the fleet is a DCDB collector plugin; its
+// gauges carry the fleet totals and each device's fidelity and pipeline
+// health.
 func TestTelemetryPublishing(t *testing.T) {
-	store := telemetry.NewStore(0)
-	s := New(PolicyBestFidelity, store)
+	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
 	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 1, 0), 1); err != nil {
 		t.Fatal(err)
@@ -519,21 +520,17 @@ func TestTelemetryPublishing(t *testing.T) {
 	if _, err := s.Wait(id); err != nil {
 		t.Fatal(err)
 	}
-	s.PublishMetrics(nil, 10)
-	for _, sensor := range []string{"fleet_routed", "fleet_completed", "fleet_queue_depth", "fleet_a_fidelity_cz", "fleet_a_cache_hit_ratio", "fleet_a_e2e_p95_ms"} {
-		if _, ok := store.Latest(sensor); !ok {
-			t.Fatalf("sensor %q not published (have %v)", sensor, store.Sensors())
-		}
-	}
-	if v, _ := store.Latest("fleet_completed"); v.Value != 1 {
-		t.Fatalf("fleet_completed = %v, want 1", v.Value)
-	}
-	// The fleet is also a DCDB collector plugin.
 	if s.CollectorName() != "fleet" {
 		t.Fatalf("collector name %q", s.CollectorName())
 	}
-	if g := s.Collect(); g["fleet_devices"] != 1 {
-		t.Fatalf("collector gauges: %v", g)
+	g := s.Collect()
+	for _, sensor := range []string{"fleet_routed", "fleet_completed", "fleet_queue_depth", "fleet_a_fidelity_cz", "fleet_a_cache_hit_ratio", "fleet_a_e2e_p95_ms"} {
+		if _, ok := g[sensor]; !ok {
+			t.Fatalf("sensor %q not collected (have %v)", sensor, g)
+		}
+	}
+	if g["fleet_completed"] != 1 || g["fleet_devices"] != 1 {
+		t.Fatalf("fleet_completed = %v, fleet_devices = %v; want 1, 1", g["fleet_completed"], g["fleet_devices"])
 	}
 }
 

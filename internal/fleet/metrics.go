@@ -186,21 +186,6 @@ func (m Metrics) Gauges() map[string]float64 {
 	return out
 }
 
-// PublishMetrics appends the fleet gauges to a telemetry store at simulation
-// time t (the DCDB integration for the fleet layer). With a store attached
-// at New, callers may pass nil to use it.
-func (s *Scheduler) PublishMetrics(store *telemetry.Store, t float64) {
-	if store == nil {
-		store = s.store
-	}
-	if store == nil {
-		return
-	}
-	for sensor, v := range s.Metrics().Gauges() {
-		store.Append(sensor, t, v)
-	}
-}
-
 // CollectorName implements telemetry.Collector: the fleet doubles as a DCDB
 // plugin so a poller picks its gauges up with the rest of the center.
 func (s *Scheduler) CollectorName() string { return "fleet" }

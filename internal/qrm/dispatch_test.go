@@ -12,7 +12,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
-	"repro/internal/telemetry"
 )
 
 func TestStartValidation(t *testing.T) {
@@ -96,17 +95,16 @@ func TestCacheKeyDistinguishesPlacement(t *testing.T) {
 	}
 }
 
-// TestPublishMetrics: the device's pipeline health reaches the telemetry
-// store through the fleet's gauges, beside the queue depth.
-func TestPublishMetrics(t *testing.T) {
+// TestCollectPipelineGauges: the device's pipeline health reaches the
+// telemetry collector through the fleet's gauges, beside the queue depth.
+func TestCollectPipelineGauges(t *testing.T) {
 	f := twinFleet(t, 27, 1)
-	store := telemetry.NewStore(0)
 	await(t, f, submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 5}))
-	f.PublishMetrics(store, 42)
+	g := f.Collect()
 	p := "fleet_" + f.Devices()[0] + "_"
 	for _, sensor := range []string{"fleet_queue_depth", p + "inflight", p + "completed", p + "cache_hit_ratio", p + "e2e_p95_ms"} {
-		if _, ok := store.Latest(sensor); !ok {
-			t.Errorf("sensor %s not published", sensor)
+		if _, ok := g[sensor]; !ok {
+			t.Errorf("sensor %s not collected", sensor)
 		}
 	}
 }
