@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/quantum"
@@ -20,25 +21,31 @@ import (
 // that no two shots share a prefix, the split degenerates to one trajectory
 // per shot — the per-shot Monte-Carlo loop, with nothing to pick between.
 //
-// Exactness: binning each shot with an independent uniform draw against the
-// exact branch weights is literally the per-shot categorical draw of the
-// Monte-Carlo wavefunction method — the tree merely groups shots by shared
+// Exactness: each shot takes Kraus branch i with its exact weight w_i,
+// independently of the others — the per-shot categorical draw of the
+// Monte-Carlo wavefunction method. The tree merely groups shots by shared
 // Kraus prefix, so the sampled trajectory ensemble (and hence the outcome
 // distribution) is that of one trajectory per shot. The equivalence tests
 // pin this with chi-square checks against ExecuteNaive.
 //
+// Draws are per event, not per shot: nearly every shot stays on branch 0 at
+// nearly every site, so a site draws the *run length* of shots that stay —
+// geometric with success chance w_0, ⌊log U / log w_0⌋ for one uniform U —
+// and then one uniform on [w_0, 1) to bin the shot that leaves, and a fresh
+// U for the next run. A visit no shot leaves costs one draw whatever its
+// shot count.
+//
 // Deferral: the first Kraus operator's weight Tr(K0†K0·ρ) is at least
 // λmin(K0†K0) on every normalised state — a constant of the channel, the
-// site's floor — and the branch walk gives every draw under the first weight
-// to branch 0. A draw under the floor is therefore on branch 0 without the
-// state being read, and its operator need not be applied either: it waits,
-// multiplied into the qubit's pending operator, until a CZ, an exact site or
-// the leaf needs that qubit's amplitudes. The state's norm falls meanwhile
-// (the operators wait unrenormalised); an exact site divides the density it
-// reads by its trace, which makes its weights those of the normalised state,
-// and leaves the state normalised. Draws are consumed one per shot per site
-// in program order either way, so deferral changes what a site costs and
-// never which branch a shot takes.
+// site's floor. If U ≤ floorⁿ, the run of n shots on branch 0 is certain
+// without the state being read (w_0ⁿ ≥ floorⁿ ≥ U), and the site's
+// operator need not be applied either: it waits, multiplied into the
+// qubit's pending operator, until a CZ, an exact site or the leaf needs that
+// qubit's amplitudes. The state's norm falls meanwhile (the operators wait
+// unrenormalised); an exact site divides the density it reads by its trace,
+// which makes its weights those of the normalised state, and leaves the
+// state normalised. An exact site reads the run length off the same U, so
+// deferral changes what a site costs and never which branch a shot takes.
 
 // maxKrausBranches is the widest channel a site's stack scratch holds, which
 // is the widest gateNoiseChannel composes (depolarizing × amp-damp ×
@@ -114,9 +121,9 @@ func (p *pending) flushAll(st *quantum.State) error {
 	return nil
 }
 
-// accept defers a noise site all of whose draws fell under its floor: every
-// shot of the state is on Kraus branch 0, whose operator joins the qubit's
-// pending product unrenormalised.
+// accept defers a noise site whose draw fell under floorⁿ: every shot of the
+// state is on Kraus branch 0, whose operator joins the qubit's pending
+// product unrenormalised.
 func (p *pending) accept(st *quantum.State, s *trajStep) error {
 	p.push(s.q, s.accept)
 	if p.floor *= s.floor; p.floor >= minDeferredNorm {
@@ -143,6 +150,7 @@ type branchExec struct {
 	cj     *compiledJob
 	rng    *rand.Rand
 	counts map[int]int
+	ro     readout // the leaves' samples, in the order they are drawn
 
 	live int // states currently held (root + outstanding forks)
 	runStats
@@ -153,10 +161,11 @@ type branchExec struct {
 }
 
 // runBranchTree executes shots noisy trajectory shots by shot-branching. The
-// walk is a single-goroutine DFS drawing from one rng stream, so a fixed
-// seed reproduces identical counts on any host.
+// walk is a single-goroutine DFS drawing from rng alone, so a fixed seed
+// reproduces identical counts on any host.
 func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
 	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots)), live: 1}
+	b.ro.init(cj, rng)
 	st, err := quantum.AcquireState(cj.compactQubits)
 	if err != nil {
 		return nil, runStats{}, err
@@ -251,49 +260,55 @@ func (x *exactSite) apply(st *quantum.State, bi int, w float64) error {
 	return st.ApplyKraus(x.step.q, quantum.Mul2(x.step.ch.Kraus[bi], x.op), w*x.trace)
 }
 
-// site takes the subtree's n shots through the noise site at step idx — one
-// independent uniform draw per shot, in shot order — and returns the count
-// continuing on st.
+// site takes the subtree's n shots through the noise site at step idx and
+// returns the count continuing on st.
 //
-// While the draws stay under the site's floor every shot is on branch 0 and
-// nothing is read: the site is deferred into p. The first draw at or above
-// the floor makes the site exact: the draws are binned by the exact
-// multinomial split against the state-dependent weights (taken lazily,
-// heaviest-first: the cumulative weight only grows until it covers the
-// largest draw seen — the draws already accepted are under the floor, hence
-// under the first weight), minority branches recurse into forked states,
-// and the most-populated branch continues on st in place.
+// It draws one uniform U. If U ≤ floorⁿ every shot is on branch 0 and
+// nothing is read: the site is deferred into p. Otherwise the site is
+// exact: the same U gives the run of shots staying on branch 0 against the
+// state's weight w_0, each shot that leaves is binned by a uniform on
+// [w_0, 1) against the other weights (taken lazily, heaviest-first: the
+// cumulative weight only grows until it covers the draw), and a fresh U
+// gives the next run. Minority branches recurse into forked states, and the
+// most-populated branch continues on st in place.
 func (b *branchExec) site(st *quantum.State, p *pending, idx, n int) (int, error) {
 	step := &b.cj.noisy[idx]
+	logU := logUniform(b.rng)
+	if logU <= float64(n)*math.Log(step.floor) {
+		b.deferredSites++
+		return n, p.accept(st, step)
+	}
+	x, err := b.resolve(st, p, step)
+	if err != nil {
+		return 0, err
+	}
 	var (
-		wbuf  [maxKrausBranches]float64
-		bins  [maxKrausBranches]int
-		w     = wbuf[:0]
-		x     exactSite
-		exact bool
-		err   error
+		wbuf [maxKrausBranches]float64
+		bins [maxKrausBranches]int
+		w    = append(wbuf[:0], x.rho.Weight(step.ch.Kraus[0]))
+		bi   int
 	)
-	for s := 0; s < n; s++ {
-		r := b.rng.Float64()
-		if !exact {
-			if r < step.floor {
-				bins[0]++
-				continue
-			}
-			if x, err = b.resolve(st, p, step); err != nil {
-				return 0, err
-			}
-			exact = true
+	logW0 := math.Log(w[0])
+	for left := n; left > 0; {
+		// The run of shots that stay on branch 0, geometric in w_0: all
+		// that are left when U ≤ w_0^left.
+		stay := left
+		if logU > float64(left)*logW0 {
+			stay = min(int(logU/logW0), left-1)
 		}
-		var bi int
+		bins[0] += stay
+		if left -= stay; left == 0 {
+			break
+		}
+		// The shot that ends the run leaves branch 0.
+		r := w[0] + (1-w[0])*b.rng.Float64()
 		if bi, w, err = step.ch.Branch(x.rho, r, w); err != nil {
 			return 0, err
 		}
 		bins[bi]++
-	}
-	if !exact {
-		b.deferredSites++
-		return n, p.accept(st, step)
+		if left--; left > 0 {
+			logU = logUniform(b.rng)
+		}
 	}
 	b.exactSites++
 	// The most-populated branch continues on st in place — forking it
@@ -334,6 +349,10 @@ func (b *branchExec) site(st *quantum.State, p *pending, idx, n int) (int, error
 	return bins[keep], x.apply(st, keep, w[keep])
 }
 
+// logUniform returns log U for U uniform on (0, 1]: the draw a geometric
+// run length is read from.
+func logUniform(rng *rand.Rand) float64 { return math.Log(1 - rng.Float64()) }
+
 // replayShots is the state-budget fallback: the branch's shots run one at a
 // time from the fork point, each rewinding the shared tail scratch to the
 // checkpoint and finishing the program as a one-shot subtree — the
@@ -365,12 +384,12 @@ func (b *branchExec) replayShots(src *quantum.State, p *pending, x *exactSite, i
 func (b *branchExec) sampleLeaf(st *quantum.State, n int) error {
 	b.leaves++
 	if n == 1 {
-		b.cj.tally(b.counts, st.SampleBitstring(b.rng), b.rng)
+		b.ro.tally(b.counts, st.SampleBitstring(b.rng))
 		return nil
 	}
 	b.samples = st.SampleBitstringsInto(b.samples, n, b.rng)
 	for _, s := range b.samples {
-		b.cj.tally(b.counts, s, b.rng)
+		b.ro.tally(b.counts, s)
 	}
 	return nil
 }

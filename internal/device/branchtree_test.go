@@ -374,11 +374,11 @@ func TestConcurrentCompilesShareNoiseMemo(t *testing.T) {
 // every job is a 5-qubit ansatz with fresh angles, so the epoch's compile
 // map misses each call while its noise channels are read, not built. What is
 // left is per circuit, not per gate: the map entry, the compact circuit and
-// its arenas, the trajectory program at its final length, the readout
-// model's header, the tree's bookkeeping and the result.
+// its arenas, the trajectory program at its final length, the readout plan,
+// the job's random stream, the tree's bookkeeping and the result.
 func TestFreshAngleCompileAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops pooled states and generators at random under -race")
+		t.Skip("sync.Pool drops pooled states at random under -race")
 	}
 	const runs = 20
 	circs := freshAngleAnsatze(runs+2, 2)
@@ -397,7 +397,7 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 		t.Fatalf("stats = %+v, want every job a compile miss", st)
 	}
 	if allocs > 28 {
-		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 28 (measured 21; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 28 (measured 22, one of them the job's PCG stream; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
 	}
 }
 

@@ -3,11 +3,14 @@ package device
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sync"
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/mix"
 	"repro/internal/quantum"
 	"repro/internal/telemetry/trace"
 )
@@ -46,18 +49,18 @@ const (
 // matrix, which preserves the trajectory distribution exactly.
 //
 // What a step costs at run time is decided by branchExec (branchtree.go):
-// bare gates, and noise sites whose draws all fall under the channel's
-// compile-time floor, multiply an O(1) matrix into the qubit's pending
-// operator and touch no amplitude; only a CZ, a draw at or above the floor
+// bare gates, and noise sites whose one draw per visit puts every shot under
+// the channel's compile-time floor, multiply an O(1) matrix into the
+// qubit's pending operator and touch no amplitude; only a CZ, an exact site
 // and the end of the program pass over the state.
 type trajStep struct {
 	kind  trajKind
 	q, q2 int // compact state indices; q2 is the second CZ qubit
 	m     quantum.Matrix2
 	ch    quantum.Channel
-	// floor is ch.Floor(): a draw below it is on Kraus branch 0 whatever the
-	// state. accept is what such a site does to the qubit — K0, or K0·m on a
-	// fused site — left unrenormalised.
+	// floor is ch.Floor(): a lower bound on Kraus branch 0's weight whatever
+	// the state. accept is what a site all of whose shots stay on branch 0
+	// does to the qubit — K0, or K0·m on a fused site — left unrenormalised.
 	floor  float64
 	accept quantum.Matrix2
 }
@@ -65,7 +68,7 @@ type trajStep struct {
 func (s *trajStep) hasNoise() bool { return len(s.ch.Kraus) > 0 }
 
 // noiseSite completes a step that carries channel ch: its floor and the
-// operator of a floor-accepted draw.
+// operator of a deferred visit.
 func (s *trajStep) noiseSite(ch quantum.Channel) {
 	s.ch, s.floor, s.accept = ch, ch.Floor(), ch.Kraus[0]
 	if s.kind == stepGate {
@@ -86,9 +89,9 @@ type compiledJob struct {
 	// noisy is the trajectory program the branch tree walks; nil when the
 	// calibration contributes no gate or decoherence error (noiseless).
 	noisy []trajStep
-	// readout is the classical confusion model, nil when every qubit reads
-	// out perfectly.
-	readout *quantum.ReadoutModel
+	// readout is the classical confusion model laid out for drawing per
+	// flip, nil when every qubit reads out perfectly.
+	readout *readoutPlan
 	// noiseless marks programs with no trajectory channels: one simulation
 	// serves every shot (readout corruption, being classical and
 	// per-sample, still applies).
@@ -172,9 +175,10 @@ func (d *QPU) ExecStats() ExecStats {
 //
 // Compilation is cached in the calibration epoch's compile map, so a batch
 // of identical jobs (the VQE measurement loop) compiles once per epoch. Both
-// execution strategies make every draw from one goroutine, on one stream
-// derived from the seeded device RNG — a fixed seed reproduces identical
-// counts on any host.
+// execution strategies make every draw from one goroutine, on the job's own
+// stream (Run); an in-process call takes its job seed from the seeded device
+// RNG, so a fixed device seed and call order reproduce identical counts on
+// any host.
 func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 	return d.ExecuteCtx(context.Background(), c, shots)
 }
@@ -198,13 +202,20 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	if err != nil {
 		return nil, err
 	}
-	return d.Run(ctx, cp, shots)
+	d.mu.Lock()
+	seed := d.rng.Uint64()
+	d.mu.Unlock()
+	return d.Run(ctx, cp, shots, seed)
 }
 
 // Run executes a compiled job (Epoch.Prepare) for shots shots, with the
 // noise of the epoch it was compiled on, recording the simulate and pace
-// spans under ctx's span.
-func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int) (*Result, error) {
+// spans under ctx's span. Every draw comes from the job's own stream, seeded
+// by the device seed and seed (jobRNG): the counts are a function of the
+// program, the epoch and the two seeds, whatever ran on the device before —
+// the fleet passes the job ID, so a job re-executed after a crash returns
+// the counts of its first run.
+func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*Result, error) {
 	if shots < 1 {
 		return nil, fmt.Errorf("device: shots must be >= 1, got %d", shots)
 	}
@@ -221,14 +232,9 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int) (*Result, error)
 		}
 		return nil, fmt.Errorf("device: %s: control electronics fault (injected)", d.name)
 	}
-	seed := d.rng.Int63()
 	latency := d.execLatency
 	d.mu.Unlock()
-	// A pooled generator re-seeded with the job's draw yields the stream a
-	// fresh rand.NewSource(seed) would, without its 5 KB source per job.
-	rng := rngPool.Get().(*rand.Rand)
-	defer rngPool.Put(rng)
-	rng.Seed(seed)
+	rng := d.jobRNG(seed)
 
 	// Strategy pick: noiseless programs sample a cached distribution, noisy
 	// ones ride the shot-branching tree — whatever their shot count or noise
@@ -275,7 +281,30 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int) (*Result, error)
 	return &Result{Counts: counts, Shots: shots, DurationUs: cj.durPerShotUs * float64(shots)}, nil
 }
 
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// pcgSource is a math/rand/v2 PCG behind the math/rand Source64 interface
+// the samplers draw through: 16 bytes of state, seeded in O(1).
+type pcgSource struct{ pcg randv2.PCG }
+
+func (s *pcgSource) Uint64() uint64  { return s.pcg.Uint64() }
+func (s *pcgSource) Int63() int64    { return int64(s.pcg.Uint64() >> 1) }
+func (s *pcgSource) Seed(seed int64) { s.pcg.Seed(uint64(seed), 0) }
+
+// jobStream is a job's generator and its source, one allocation.
+type jobStream struct {
+	rand.Rand
+	src pcgSource
+}
+
+// jobRNG returns the stream of the job seeded seed on this device: a PCG
+// whose two state words are the device seed and the job seed, each through
+// the finalizer, so jobs with neighbouring IDs start at unrelated states and
+// no two (device, job) pairs share one.
+func (d *QPU) jobRNG(seed uint64) *rand.Rand {
+	js := new(jobStream)
+	js.src.pcg.Seed(mix.Fmix64(d.seed), mix.Fmix64(seed))
+	js.Rand = *rand.New(&js.src)
+	return &js.Rand
+}
 
 // compileJob lowers a validated native circuit onto the epoch's noise. The
 // trajectory program comes first: whether it holds a channel decides which
@@ -288,8 +317,7 @@ func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
 		stateBudget:  defaultBranchStateBudget,
 	}
 	if r := ep.readout; r != nil {
-		n := c.NumQubits
-		cj.readout = nonTrivialReadout(&quantum.ReadoutModel{P10: r.P10[:n:n], P01: r.P01[:n:n]})
+		cj.readout = newReadoutPlan(r, c.NumQubits, toPhysical)
 	}
 	if compact == nil {
 		cj.noiseless = true
@@ -403,26 +431,135 @@ func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int
 	return steps, nil
 }
 
-// nonTrivialReadout returns r, or nil when every qubit's confusion
-// probabilities are zero (perfect readout needs no corruption pass).
-func nonTrivialReadout(r *quantum.ReadoutModel) *quantum.ReadoutModel {
-	for q := range r.P10 {
-		if r.P10[q] > 0 || r.P01[q] > 0 {
-			return r
-		}
-	}
-	return nil
+// readoutPlan is a job's readout confusion laid out for the readout pass:
+// the flip probabilities as log(1-p), the log chance a read comes out
+// right, 0 for a read that never flips.
+type readoutPlan struct {
+	// keep[i][v] is that of a read v on compact qubit i.
+	keep [quantum.MaxQubits][2]float64
+	// idle lists the register's qubits the job never touches and that can
+	// flip: they read 0, so only their P10 matters.
+	idle  [quantum.MaxQubits]idleQubit
+	nIdle int
 }
 
-// expand maps a compact-register sample to physical bit positions.
-func (cj *compiledJob) expand(sample int) int {
-	outcome := 0
-	for i, p := range cj.toPhysical {
-		if sample&(1<<uint(i)) != 0 {
-			outcome |= 1 << uint(p)
+// idleQubit is an untouched qubit of the register: its bit in the outcome
+// and log(1-P10).
+type idleQubit struct {
+	bit  int
+	keep float64
+}
+
+// newReadoutPlan lays out the first n qubits of r for a job whose compact
+// register sits at toPhysical, or returns nil when none of them can flip.
+func newReadoutPlan(r *quantum.ReadoutModel, n int, toPhysical []int) *readoutPlan {
+	plan := new(readoutPlan)
+	flips := false
+	touched := uint64(0)
+	for i, q := range toPhysical {
+		plan.keep[i] = [2]float64{math.Log1p(-r.P10[q]), math.Log1p(-r.P01[q])}
+		flips = flips || r.P10[q] > 0 || r.P01[q] > 0
+		touched |= 1 << uint(q)
+	}
+	for q := 0; q < n; q++ {
+		if touched&(1<<uint(q)) == 0 && r.P10[q] > 0 {
+			plan.idle[plan.nIdle] = idleQubit{bit: 1 << uint(q), keep: math.Log1p(-r.P10[q])}
+			plan.nIdle++
+			flips = true
 		}
 	}
-	return outcome
+	if !flips {
+		return nil
+	}
+	return plan
+}
+
+// never is the gap of a read that cannot flip: past any job's last shot.
+const never = math.MaxInt64 / 2
+
+// readout is one job's pass of its samples through the readout confusion,
+// in shot order. The flips of one (qubit, read value) pair are independent
+// trials over that pair's reads, so the reads between two flips are a
+// geometric count: it is drawn once per flip and counted down, and a job's
+// readout costs a draw per flip, not one per shot per qubit. An untouched
+// qubit always reads 0, so its countdown runs over the shot index itself
+// and a shot without a flip costs it nothing.
+type readout struct {
+	cj  *compiledJob
+	rng *rand.Rand
+	// left[i][v] counts the reads v of compact qubit i still to come out
+	// right before the next flip; -1 while no gap is drawn.
+	left [quantum.MaxQubits][2]int
+	// shot numbers the samples tallied so far; idleAt[k] is the shot at
+	// which idle qubit k next reads 1, and next is the least of them.
+	shot, next int
+	idleAt     [quantum.MaxQubits]int
+}
+
+// init readies r for cj's samples, drawn from rng: one draw per idle qubit
+// places its first flip.
+func (r *readout) init(cj *compiledJob, rng *rand.Rand) {
+	r.cj, r.rng, r.shot = cj, rng, 0
+	plan := cj.readout
+	if plan == nil {
+		return
+	}
+	for i := range cj.toPhysical {
+		r.left[i] = [2]int{-1, -1}
+	}
+	r.next = never
+	for k := 0; k < plan.nIdle; k++ {
+		r.idleAt[k] = r.gap(plan.idle[k].keep)
+		r.next = min(r.next, r.idleAt[k])
+	}
+}
+
+// gap draws how many reads with log(1-p) = keep come out right before the
+// next flip: ⌊log U / keep⌋ for U uniform on (0, 1], geometric with success
+// chance p. A read that cannot flip draws nothing.
+func (r *readout) gap(keep float64) int {
+	if keep == 0 {
+		return never
+	}
+	if g := logUniform(r.rng) / keep; g < never {
+		return int(g)
+	}
+	return never
+}
+
+// tally maps a compact-register sample to the register, reads it out and
+// counts it.
+func (r *readout) tally(counts map[int]int, sample int) {
+	plan := r.cj.readout
+	outcome := 0
+	for i, q := range r.cj.toPhysical {
+		v := sample >> uint(i) & 1
+		if plan != nil {
+			left := &r.left[i][v]
+			if *left < 0 {
+				*left = r.gap(plan.keep[i][v])
+			}
+			if *left == 0 {
+				v ^= 1
+				*left = -1
+			} else {
+				*left--
+			}
+		}
+		outcome |= v << uint(q)
+	}
+	if plan != nil && r.shot == r.next {
+		r.next = never
+		for k := 0; k < plan.nIdle; k++ {
+			if r.idleAt[k] == r.shot {
+				outcome |= plan.idle[k].bit
+				r.idleAt[k] += 1 + r.gap(plan.idle[k].keep)
+			}
+			r.next = min(r.next, r.idleAt[k])
+		}
+	}
+	r.shot++
+	counts[outcome]++
 }
 
 // countsHint sizes a counts map: outcomes are bounded by both the shot
@@ -446,6 +583,8 @@ func (cj *compiledJob) countsHint(shots int) int {
 // applies after sampling.
 func (cj *compiledJob) runFast(shots int, rng *rand.Rand) (counts map[int]int, distHit bool, err error) {
 	counts = make(map[int]int, cj.countsHint(shots))
+	var ro readout
+	ro.init(cj, rng)
 	if cj.compactQubits == 0 {
 		// No gates touch any qubit: the register stays |0...0>.
 		if cj.readout == nil {
@@ -453,7 +592,7 @@ func (cj *compiledJob) runFast(shots int, rng *rand.Rand) (counts map[int]int, d
 			return counts, false, nil
 		}
 		for shot := 0; shot < shots; shot++ {
-			counts[cj.readout.Corrupt(0, rng)]++
+			ro.tally(counts, 0)
 		}
 		return counts, false, nil
 	}
@@ -469,7 +608,7 @@ func (cj *compiledJob) runFast(shots int, rng *rand.Rand) (counts map[int]int, d
 			return nil, false, err
 		}
 		for _, sample := range st.SampleBitstrings(shots, rng) {
-			cj.tally(counts, sample, rng)
+			ro.tally(counts, sample)
 		}
 		return counts, false, nil
 	}
@@ -482,7 +621,7 @@ func (cj *compiledJob) runFast(shots int, rng *rand.Rand) (counts map[int]int, d
 		return nil, false, cj.distErr
 	}
 	for shot := 0; shot < shots; shot++ {
-		cj.tally(counts, cj.dist.Sample(rng), rng)
+		ro.tally(counts, cj.dist.Sample(rng))
 	}
 	return counts, !first, nil
 }
@@ -499,13 +638,4 @@ func (cj *compiledJob) buildDist() (*quantum.AliasTable, error) {
 		return nil, err
 	}
 	return quantum.NewAliasTable(st.Probabilities())
-}
-
-// tally expands a compact sample, applies readout corruption, and counts it.
-func (cj *compiledJob) tally(counts map[int]int, sample int, rng *rand.Rand) {
-	outcome := cj.expand(sample)
-	if cj.readout != nil {
-		outcome = cj.readout.Corrupt(outcome, rng)
-	}
-	counts[outcome]++
 }

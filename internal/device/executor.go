@@ -32,6 +32,9 @@ type QPU struct {
 	topo  *Topology
 	drift *DriftModel
 	rng   *rand.Rand
+	// seed is the configured seed, the device's half of every job's random
+	// stream (engine.go, jobRNG).
+	seed uint64
 
 	// twin disables all noise — the emulator used for onboarding (§4).
 	twin bool
@@ -101,6 +104,7 @@ func New(cfg Config) (*QPU, error) {
 		topo:  topo,
 		drift: NewDriftModel(cfg.Seed + 1),
 		rng:   rand.New(rand.NewSource(cfg.Seed + 2)),
+		seed:  uint64(cfg.Seed),
 		twin:  cfg.DigitalTwin,
 	}
 	d.current.Store(newEpoch(d, 0, NewFreshCalibration(topo, cfg.Seed)))

@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/mix"
 )
 
 const (
@@ -222,23 +224,13 @@ func (n *Node) PlaceJob(tenant, idemKey string) string {
 		io.WriteString(h, idemKey)
 		// Raw FNV barely avalanches on short trailing differences — the
 		// high bits (and so the rendezvous ordering) would be decided by
-		// the node-ID prefix alone. The fmix64 finalizer spreads every
+		// the node-ID prefix alone. The Fmix64 finalizer spreads every
 		// input bit across the digest.
-		if s := fmix64(h.Sum64()); best == "" || s > bestScore || (s == bestScore && id < best) {
+		if s := mix.Fmix64(h.Sum64()); best == "" || s > bestScore || (s == bestScore && id < best) {
 			best, bestScore = id, s
 		}
 	}
 	return best
-}
-
-// fmix64 is the MurmurHash3 64-bit finalizer: a bijective avalanche mix.
-func fmix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // PeerURL returns the base URL of a member, or "" for self/unknown.

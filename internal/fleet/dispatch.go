@@ -202,7 +202,9 @@ func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trac
 	execStart := time.Now()
 	execSpan := span.StartChild("execute",
 		trace.Int("shots", req.Shots), trace.Int("gates", out.CompiledGates))
-	run, err := qpu.Run(trace.ContextWithSpan(context.Background(), execSpan), cp, req.Shots)
+	// The job ID seeds the run's stream: the counts do not depend on what
+	// else the device ran, or on how often the job was executed before.
+	run, err := qpu.Run(trace.ContextWithSpan(context.Background(), execSpan), cp, req.Shots, uint64(j.ID))
 	execSpan.End()
 	e.exec.Observe(msSince(execStart))
 	if err != nil {
