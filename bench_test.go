@@ -466,11 +466,11 @@ func BenchmarkMaintenancePlanning(b *testing.B) {
 	var days float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		plan := ops.MaintenancePlan(730, 0)
-		if err := ops.ValidatePlan(plan, 730); err != nil {
+		plan := fleet.MaintenancePlan(730, 0)
+		if err := fleet.ValidatePlan(plan, 730); err != nil {
 			b.Fatal(err)
 		}
-		days = ops.TotalMaintenanceDays(plan)
+		days = fleet.TotalMaintenanceDays(plan)
 	}
 	b.ReportMetric(days, "maintenance-days-2y")
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/ops"
 	"repro/internal/qdmi"
 )
 
@@ -104,14 +103,14 @@ func staggerMaintenance(f *fleet.Scheduler, every float64) error {
 	const campaignDays = 365
 	names := f.Devices()
 	for i, name := range names {
-		plan := ops.MaintenancePlan(campaignDays, every)
+		plan := fleet.MaintenancePlan(campaignDays, every)
 		shift := every * float64(i) / float64(len(names)+1)
 		for w := range plan {
 			plan[w].StartDay += shift
 		}
 		// The stagger can push the final window past the nominal horizon by
 		// at most one interval; widen the validation bound to match.
-		if err := ops.ValidatePlan(plan, campaignDays+int(every)+2); err != nil {
+		if err := fleet.ValidatePlan(plan, campaignDays+int(every)+2); err != nil {
 			return fmt.Errorf("staggered maintenance plan for %s: %w", name, err)
 		}
 		if err := f.SetMaintenancePlan(name, plan); err != nil {

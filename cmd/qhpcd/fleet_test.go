@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"go/parser"
-	"go/token"
 	"math"
-	"path/filepath"
-	"strconv"
+	"os/exec"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -207,39 +205,57 @@ func TestCheckFlags(t *testing.T) {
 }
 
 // TestDaemonDoesNotCommission: the daemon serves a fleet; the site survey,
-// the cooldown and the center that runs them stay out of its own code.
+// the cooldown, the center that runs them and the rest of the paper's
+// reproduction packages stay out of its binary. It walks every package the
+// daemon links (go list -deps, non-test imports) and names the chain that
+// reaches a banned one.
 func TestDaemonDoesNotCommission(t *testing.T) {
-	forbidden := map[string]bool{}
-	for _, pkg := range []string{"core", "facility", "cryo", "hpc", "calib", "dsp"} {
-		forbidden["repro/internal/"+pkg] = true
+	banned := map[string]bool{}
+	for _, pkg := range []string{"core", "ops", "facility", "cryo", "dsp", "calib", "hpc",
+		"hybrid", "mitigation", "netmodel", "onboarding", "scenario"} {
+		banned["repro/internal/"+pkg] = true
 	}
-	files, err := filepath.Glob("*.go")
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}}{{range .Imports}} {{.}}{{end}}", ".").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go list -deps: %v", err)
 	}
-	fset := token.NewFileSet()
-	scanned := 0
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanned++
-		for _, imp := range file.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if forbidden[p] {
-				t.Errorf("%s imports %s; the daemon builds its fleet without commissioning a center",
-					fset.Position(imp.Pos()), p)
+	imports := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Fields(line)
+		imports[fields[0]] = fields[1:]
+	}
+	const daemon = "repro/cmd/qhpcd"
+	if _, ok := imports[daemon]; !ok || len(imports) < 10 {
+		t.Fatalf("go list saw %d packages and no %s", len(imports), daemon)
+	}
+	// Breadth-first from the daemon: via[p] is the package that first
+	// imported p, so each banned package is reported with its shortest
+	// chain and with every linked package that imports it.
+	via := map[string]string{daemon: ""}
+	importedBy := map[string][]string{}
+	for queue := []string{daemon}; len(queue) > 0; queue = queue[1:] {
+		for _, dep := range imports[queue[0]] {
+			importedBy[dep] = append(importedBy[dep], queue[0])
+			if _, seen := via[dep]; !seen {
+				via[dep] = queue[0]
+				queue = append(queue, dep)
 			}
 		}
 	}
-	if scanned < 2 {
-		t.Fatalf("scanned %d non-test files; the scan missed main.go or fleet.go", scanned)
+	var reached []string
+	for pkg := range banned {
+		if _, ok := via[pkg]; ok {
+			reached = append(reached, pkg)
+		}
+	}
+	sort.Strings(reached)
+	for _, pkg := range reached {
+		chain := []string{pkg}
+		for p := via[pkg]; p != ""; p = via[p] {
+			chain = append([]string{p}, chain...)
+		}
+		sort.Strings(importedBy[pkg])
+		t.Errorf("the daemon links %s (%s), imported by %s",
+			pkg, strings.Join(chain, " -> "), strings.Join(importedBy[pkg], ", "))
 	}
 }

@@ -81,11 +81,32 @@ type Center struct {
 	// on first use; its simulation clock follows simTime.
 	fleet *fleet.Scheduler
 
+	// calibLost is the §3.5 latch: the stored calibration is void because
+	// the QPU was delivered warm or has since crossed 1 K. The first
+	// calibration once the QPU is cold again is full, and clears it.
+	calibLost bool
+
 	simTime float64 // seconds
 }
 
-// New builds a center in the site-selection phase.
+// New builds a center in the site-selection phase: the cryostat is
+// delivered warm, in crates (§2.5), so the QPU holds no valid calibration
+// and is offline until commissioning.
 func New(cfg Config) (*Center, error) {
+	c, err := NewCommissioned(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.phase = PhaseSiteSelection
+	c.Cryo = cryo.NewWarm()
+	c.calibLost = true
+	c.HPC.SetQPUOnline(false)
+	return c, nil
+}
+
+// NewCommissioned builds a center past commissioning: cold, calibrated and
+// online, where an operations campaign starts.
+func NewCommissioned(cfg Config) (*Center, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 64
 	}
@@ -110,10 +131,10 @@ func New(cfg Config) (*Center, error) {
 
 	c := &Center{
 		cfg:    cfg,
-		phase:  PhaseSiteSelection,
+		phase:  PhaseOperational,
 		Power:  facility.NewPowerSystem(popts...),
 		Water:  facility.NewCoolingWater(18, cfg.Redundant),
-		Cryo:   cryo.NewWarm(), // delivered warm, in crates (§2.5)
+		Cryo:   cryo.New(),
 		QPU:    qpu,
 		QDMI:   dev,
 		Store:  store,
@@ -121,8 +142,6 @@ func New(cfg Config) (*Center, error) {
 		HPC:    sched,
 		Policy: calib.DefaultPolicy(),
 	}
-	// The QPU is not a schedulable resource until commissioned.
-	c.HPC.SetQPUOnline(false)
 
 	// Register facility collectors so DCDB sees cryo and power data (Fig 3).
 	poller.Register(telemetry.FuncCollector{
@@ -189,12 +208,15 @@ func (c *Center) Install() error {
 }
 
 // Advance moves the whole center forward by dt seconds: facility dynamics,
-// cryogenics, drift, scheduler, telemetry. It also executes the
-// commissioning transition (base temperature reached → calibrate → online)
-// and outage handling (§3.5).
-func (c *Center) Advance(dt float64) {
+// cryogenics, drift, scheduler, telemetry. The QPU serves while cooling runs
+// and the cryostat is at base; it goes offline otherwise (§3.5 outage) and
+// comes back online, commissioning included, once both hold again. Each
+// step the QPU serves, it recalibrates: fully if the calibration was lost
+// above 1 K, else as the policy decides. Advance returns the procedure it
+// ran (calib.ProcedureNone if none).
+func (c *Center) Advance(dt float64) calib.Procedure {
 	if dt <= 0 {
-		return
+		return calib.ProcedureNone
 	}
 	c.simTime += dt
 	c.Power.Advance(dt)
@@ -208,6 +230,9 @@ func (c *Center) Advance(dt float64) {
 	}
 	wasSafe := c.Cryo.CalibrationSafe()
 	c.Cryo.Advance(dt)
+	if wasSafe && !c.Cryo.CalibrationSafe() {
+		c.calibLost = true
+	}
 	c.QPU.AdvanceDrift(dt / 3600)
 	c.Policy.Advance(dt / 3600)
 	c.HPC.Advance(dt)
@@ -216,40 +241,30 @@ func (c *Center) Advance(dt float64) {
 	}
 	c.Poll.Poll(c.simTime)
 
-	switch c.phase {
-	case PhaseCommissioning:
-		if c.Cryo.AtBase() {
-			// §3.2: full calibration + benchmark verification, then online.
-			c.QPU.Recalibrate(true)
-			c.Policy.Ran(calib.ProcedureFull)
-			c.phase = PhaseOperational
-			c.setQPUOnline(true)
-		}
-	case PhaseOperational:
-		if !coolingOK || !c.Cryo.AtBase() {
+	if c.phase == PhaseSiteSelection || c.phase == PhaseInstallation {
+		return calib.ProcedureNone
+	}
+	if !coolingOK || !c.Cryo.AtBase() {
+		if c.phase == PhaseOperational {
 			c.phase = PhaseOutage
 			c.setQPUOnline(false)
-		} else {
-			proc := c.Policy.Decide(c.QPU.Calibration().AgeHours, nil)
-			if proc != calib.ProcedureNone {
-				c.QPU.Recalibrate(proc == calib.ProcedureFull)
-				c.Policy.Ran(proc)
-			}
 		}
-	case PhaseOutage:
-		if coolingOK && c.Cryo.AtBase() {
-			// §3.5 recovery: below 1 K the calibration state survives and
-			// the automated system restores it; above 1 K a full
-			// recalibration is required.
-			full := !wasSafe || !c.Cryo.CalibrationSafe()
-			c.QPU.Recalibrate(full)
-			if full {
-				c.Policy.Ran(calib.ProcedureFull)
-			}
-			c.phase = PhaseOperational
-			c.setQPUOnline(true)
-		}
+		return calib.ProcedureNone
 	}
+	proc := calib.ProcedureFull
+	if !c.calibLost {
+		proc = c.Policy.Decide(c.QPU.Calibration().AgeHours, nil)
+	}
+	c.calibLost = false
+	if proc != calib.ProcedureNone {
+		c.QPU.Recalibrate(proc == calib.ProcedureFull)
+		c.Policy.Ran(proc)
+	}
+	if c.phase != PhaseOperational {
+		c.phase = PhaseOperational
+		c.setQPUOnline(true)
+	}
+	return proc
 }
 
 // setQPUOnline is the single control point for the primary QPU's

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/circuit"
 	"repro/internal/facility"
 	"repro/internal/mqss"
@@ -147,6 +148,40 @@ func TestOutageTakesQPUOfflineAndRecovers(t *testing.T) {
 	}
 	if !c.HPC.QPUOnline() || c.Fleet().ActiveDevices() != 1 {
 		t.Error("QPU should be back online after recovery")
+	}
+}
+
+// TestWarmupForcesFullRecalibration: §3.5 — a QPU that warmed above 1 K
+// lost its calibration, so the first calibration once it is cold again is
+// full, in the very hour it comes back online.
+func TestWarmupForcesFullRecalibration(t *testing.T) {
+	c, err := NewCommissioned(Config{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if c.Advance(3600); !c.Operational() {
+			t.Fatalf("commissioned center left operation at hour %d (phase %s)", i, c.Phase())
+		}
+	}
+	c.Water.Feeds()[0].Fail()
+	for i := 0; i < 6; i++ {
+		c.Advance(3600)
+	}
+	if c.Cryo.CalibrationSafe() {
+		t.Fatalf("QPU at %.2f K after a 6 h water outage, want above 1 K", c.Cryo.QPUTemperature())
+	}
+	c.Water.Feeds()[0].Restore()
+	proc := calib.ProcedureNone
+	for hours := 0; !c.Operational(); hours++ {
+		if hours > 24*7 {
+			t.Fatal("center did not recover within a week")
+		}
+		proc = c.Advance(3600)
+	}
+	if proc != calib.ProcedureFull || c.Policy.HoursSinceFull() != 0 {
+		t.Errorf("recovery ran %s, %.0f h since the last full calibration; want full, 0 h",
+			proc, c.Policy.HoursSinceFull())
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/ops"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
 	"repro/internal/telemetry"
@@ -200,7 +199,7 @@ type deviceEntry struct {
 
 	scoreHist   *telemetry.Histogram
 	regionMemo  map[int]float64 // width -> mean pairwise region distance (score.go)
-	maintenance []ops.MaintenanceWindow
+	maintenance []MaintenanceWindow
 }
 
 // Scheduler is the fleet: registry, queue and router.

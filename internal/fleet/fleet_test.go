@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
-	"repro/internal/ops"
 	"repro/internal/qdmi"
 	"repro/internal/qrm"
 )
@@ -424,7 +423,7 @@ func TestMaintenanceWindowDrainsAndRestores(t *testing.T) {
 	if err := s.AddDevice("b", b, 1); err != nil {
 		t.Fatal(err)
 	}
-	plan := ops.MaintenancePlan(400, 100) // windows at days 100, 200, 300
+	plan := MaintenancePlan(400, 100) // windows at days 100, 200, 300
 	if err := s.SetMaintenancePlan("a", plan); err != nil {
 		t.Fatal(err)
 	}

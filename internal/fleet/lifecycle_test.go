@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ops"
 	"repro/internal/qdmi"
 	"repro/internal/tenant"
 )
@@ -238,7 +237,7 @@ func lifecycleRandomWalk(t *testing.T, seed int64, taken map[edge]int) {
 			_ = ep.s.Resume(pick())
 		case op < 16:
 			// Open a window over the coming day on one device and step into it…
-			_ = ep.s.SetMaintenancePlan(pick(), []ops.MaintenanceWindow{{StartDay: day + 1, Days: 1}})
+			_ = ep.s.SetMaintenancePlan(pick(), []MaintenanceWindow{{StartDay: day + 1, Days: 1}})
 			day += 1.5
 			ep.s.AdvanceTo(day)
 		case op < 17:

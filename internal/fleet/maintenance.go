@@ -1,43 +1,39 @@
 package fleet
 
-import (
-	"fmt"
-
-	"repro/internal/ops"
-)
+import "fmt"
 
 // Maintenance-window draining: each device can carry a §3.4 maintenance
-// plan (ops.MaintenancePlan output, or hand-built windows for calibration
+// plan (MaintenancePlan output, or hand-built windows for calibration
 // slots). AdvanceTo drives the fleet clock in simulated days: entering a
 // window drains the device (it stops claiming; in-flight work finishes), and
 // leaving the window restores it. Manual Drain/Fail states are never
 // overridden — the operator owns those.
 
 // SetMaintenancePlan attaches (or replaces) a device's maintenance windows.
-func (s *Scheduler) SetMaintenancePlan(name string, plan []ops.MaintenanceWindow) error {
+func (s *Scheduler) SetMaintenancePlan(name string, plan []MaintenanceWindow) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.devices[name]
 	if !ok {
 		return fmt.Errorf("fleet: unknown device %q", name)
 	}
-	e.maintenance = append([]ops.MaintenanceWindow(nil), plan...)
+	e.maintenance = append([]MaintenanceWindow(nil), plan...)
 	return nil
 }
 
 // MaintenancePlan returns a copy of a device's attached windows.
-func (s *Scheduler) MaintenancePlan(name string) ([]ops.MaintenanceWindow, error) {
+func (s *Scheduler) MaintenancePlan(name string) ([]MaintenanceWindow, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.devices[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown device %q", name)
 	}
-	return append([]ops.MaintenanceWindow(nil), e.maintenance...), nil
+	return append([]MaintenanceWindow(nil), e.maintenance...), nil
 }
 
 // inWindow reports whether day falls inside any window of the plan.
-func inWindow(plan []ops.MaintenanceWindow, day float64) bool {
+func inWindow(plan []MaintenanceWindow, day float64) bool {
 	for _, w := range plan {
 		if day >= w.StartDay && day < w.StartDay+w.Days {
 			return true

@@ -1,4 +1,4 @@
-package ops
+package fleet
 
 import (
 	"fmt"
@@ -79,16 +79,16 @@ func ValidatePlan(plan []MaintenanceWindow, campaignDays int) error {
 	prevEnd := 0.0
 	for i, w := range sorted {
 		if w.Days <= 0 {
-			return fmt.Errorf("ops: maintenance window %d has non-positive duration", i)
+			return fmt.Errorf("fleet: maintenance window %d has non-positive duration", i)
 		}
 		if w.StartDay < prevEnd {
-			return fmt.Errorf("ops: maintenance window %d overlaps the previous one", i)
+			return fmt.Errorf("fleet: maintenance window %d overlaps the previous one", i)
 		}
 		if w.StartDay+w.Days > float64(campaignDays) {
-			return fmt.Errorf("ops: maintenance window %d extends past the campaign", i)
+			return fmt.Errorf("fleet: maintenance window %d extends past the campaign", i)
 		}
 		if len(w.Tasks) == 0 {
-			return fmt.Errorf("ops: maintenance window %d has no tasks", i)
+			return fmt.Errorf("fleet: maintenance window %d has no tasks", i)
 		}
 		prevEnd = w.StartDay + w.Days
 	}

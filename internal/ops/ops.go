@@ -1,22 +1,21 @@
-// Package ops runs the daily-operations simulation of Section 3: qubit
-// parameters drift, the scheduler-controlled automatic calibration policy
-// keeps fidelities in band (Figure 4's 146-day series), the cryogenic plant
-// reacts to power/cooling outages (§3.5), and availability is accounted for
-// the way an HPC center would (§3.2's ">100 days of continuous operation").
+// Package ops runs the daily-operations campaign of Section 3 on a
+// commissioned core.Center: qubit parameters drift, the scheduler-controlled
+// automatic calibration policy keeps fidelities in band (Figure 4's 146-day
+// series), the cryogenic plant reacts to injected power/cooling outages
+// (§3.5), and availability is accounted for the way an HPC center would
+// (§3.2's ">100 days of continuous operation").
 package ops
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/calib"
+	"repro/internal/core"
 	"repro/internal/cryo"
-	"repro/internal/device"
-	"repro/internal/facility"
 	"repro/internal/telemetry"
 )
 
-// Sample is one point of the Figure 4 series.
+// FidelityPoint is one point of the Figure 4 series.
 type FidelityPoint struct {
 	Day      float64
 	F1Q      float64
@@ -61,9 +60,6 @@ type Config struct {
 	Outages []OutageEvent
 	// SampleEveryHours controls the fidelity series cadence (default 24).
 	SampleEveryHours float64
-	// HealthCheckShots (default 300) for the §3.2 GHZ checks; 0 disables
-	// health-check-driven escalation (faster, drift-only campaigns).
-	HealthCheckShots int
 }
 
 // Report is the outcome of a campaign.
@@ -89,19 +85,16 @@ type Report struct {
 	CooldownHours float64
 }
 
-// Simulator holds the wired subsystems for a campaign.
+// Simulator runs a campaign on a commissioned core.Center: the center steps
+// the plant, drifts and recalibrates the QPU and polls telemetry; the
+// campaign injects and repairs faults, tallies the report and samples the
+// series.
 type Simulator struct {
 	cfg    Config
-	qpu    *device.QPU
-	cry    *cryo.Cryostat
-	power  *facility.PowerSystem
-	water  *facility.CoolingWater
-	policy *calib.Policy
-	store  *telemetry.Store
-	rng    *rand.Rand
+	center *core.Center
 }
 
-// New wires a simulator.
+// New builds the campaign's center.
 func New(cfg Config) (*Simulator, error) {
 	if cfg.Days < 1 {
 		return nil, fmt.Errorf("ops: campaign needs >= 1 day, got %d", cfg.Days)
@@ -109,34 +102,25 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.SampleEveryHours == 0 {
 		cfg.SampleEveryHours = 24
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = calib.DefaultPolicy()
+	c, err := core.NewCommissioned(core.Config{Seed: cfg.Seed, Redundant: cfg.Redundant})
+	if err != nil {
+		return nil, err
 	}
-	var popts []facility.PowerOption
-	if cfg.Redundant {
-		popts = append(popts, facility.WithRedundantFeed(), facility.WithUPS(4*3600))
+	if cfg.Policy != nil {
+		c.Policy = cfg.Policy
 	}
-	return &Simulator{
-		cfg:    cfg,
-		qpu:    device.New20Q(cfg.Seed),
-		cry:    cryo.New(),
-		power:  facility.NewPowerSystem(popts...),
-		water:  facility.NewCoolingWater(18, cfg.Redundant),
-		policy: policy,
-		store:  telemetry.NewStore(0),
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-	}, nil
+	return &Simulator{cfg: cfg, center: c}, nil
 }
 
-// Store exposes the telemetry accumulated during the campaign.
-func (s *Simulator) Store() *telemetry.Store { return s.store }
+// Store exposes the telemetry the center's poller gathered in the campaign.
+func (s *Simulator) Store() *telemetry.Store { return s.center.Store }
 
 // Run executes the campaign with an hourly step.
 func (s *Simulator) Run() (*Report, error) {
 	rep := &Report{}
 	const stepHours = 1.0
 	totalHours := float64(s.cfg.Days) * 24
+	c := s.center
 
 	type activeOutage struct {
 		ev      OutageEvent
@@ -149,8 +133,6 @@ func (s *Simulator) Run() (*Report, error) {
 
 	lastSample := -s.cfg.SampleEveryHours
 	unattendedStart := 0.0
-	calibLost := false
-	coolingDown := false
 
 	for hour := 0.0; hour < totalHours; hour += stepHours {
 		day := hour / 24
@@ -164,20 +146,20 @@ func (s *Simulator) Run() (*Report, error) {
 				// precisely the ability to survive single-feed failures.
 				switch o.ev.Kind {
 				case OutagePower:
-					s.power.Feeds()[0].Fail()
+					c.Power.Feeds()[0].Fail()
 				case OutageCoolingWater:
-					s.water.Feeds()[0].Fail()
+					c.Water.Feeds()[0].Fail()
 				}
 			}
 			if hour >= o.endHour && hour < o.endHour+stepHours {
 				// Repair is a human intervention.
 				switch o.ev.Kind {
 				case OutagePower:
-					for _, f := range s.power.Feeds() {
+					for _, f := range c.Power.Feeds() {
 						f.Restore()
 					}
 				case OutageCoolingWater:
-					for _, f := range s.water.Feeds() {
+					for _, f := range c.Water.Feeds() {
 						f.Restore()
 					}
 				}
@@ -188,75 +170,31 @@ func (s *Simulator) Run() (*Report, error) {
 			}
 		}
 
-		// --- Facility dynamics.
-		s.power.Advance(stepHours * 3600)
-		s.water.Advance(stepHours * 3600)
-
-		// Cooling requires power and in-window water (§3.5: water over
-		// temperature trips the cryo pumps).
-		coolingOK := s.power.Powered() && s.water.Healthy() && s.water.InWindow()
-		if coolingOK {
-			s.cry.SetCooling(cryo.CoolingOn)
-		} else {
-			s.cry.SetCooling(cryo.CoolingOff)
-		}
-		wasSafe := s.cry.CalibrationSafe()
-		s.cry.Advance(stepHours * 3600)
-		if wasSafe && !s.cry.CalibrationSafe() {
+		// --- One hour of the center.
+		wasSafe := c.Cryo.CalibrationSafe()
+		proc := c.Advance(stepHours * 3600)
+		if wasSafe && !c.Cryo.CalibrationSafe() {
 			rep.WarmupsAbove1K++
-			calibLost = true
 		}
-
-		operational := coolingOK && s.cry.AtBase()
-		if !operational {
+		if !c.Operational() {
 			rep.DowntimeHours += stepHours
-			if coolingOK && !s.cry.AtBase() {
+			if c.Cryo.Cooling() == cryo.CoolingOn {
 				rep.CooldownHours += stepHours
-				coolingDown = true
-			}
-		} else if coolingDown {
-			coolingDown = false
-		}
-
-		// --- Drift always acts on the calibration record.
-		s.qpu.AdvanceDrift(stepHours)
-		s.policy.Advance(stepHours)
-
-		// --- Calibration decisions only when operational.
-		if operational {
-			proc := calib.ProcedureNone
-			if calibLost {
-				// §3.5: excursions above 1 K require a full calibration.
-				proc = calib.ProcedureFull
-				calibLost = false
-			} else {
-				proc = s.policy.Decide(s.qpu.Calibration().AgeHours, nil)
-			}
-			if proc != calib.ProcedureNone {
-				mins := s.qpu.Recalibrate(proc == calib.ProcedureFull)
-				rep.CalibrationHours += mins / 60
-				s.policy.Ran(proc)
-				if proc == calib.ProcedureFull {
-					rep.FullCals++
-				} else {
-					rep.QuickCals++
-				}
 			}
 		}
+		switch proc {
+		case calib.ProcedureFull:
+			rep.FullCals++
+		case calib.ProcedureQuick:
+			rep.QuickCals++
+		}
+		rep.CalibrationHours += proc.DurationMinutes() / 60
 
-		// --- Telemetry & series sampling.
+		// --- Series sampling.
 		if hour-lastSample >= s.cfg.SampleEveryHours {
 			lastSample = hour
-			c := s.qpu.Calibration()
-			pt := FidelityPoint{Day: day, F1Q: c.MeanF1Q(), FReadout: c.MeanFReadout(), FCZ: c.MeanFCZ()}
-			rep.Series = append(rep.Series, pt)
-			ts := hour * 3600
-			s.store.Append("fidelity_1q", ts, pt.F1Q)
-			s.store.Append("fidelity_readout", ts, pt.FReadout)
-			s.store.Append("fidelity_cz", ts, pt.FCZ)
-			s.store.Append("mxc_temp_k", ts, s.cry.QPUTemperature())
-			s.store.Append("power_kw", ts, s.cry.PowerDrawKW())
-			s.store.Append("water_temp_c", ts, s.water.Temperature())
+			cal := c.QPU.Calibration()
+			rep.Series = append(rep.Series, FidelityPoint{Day: day, F1Q: cal.MeanF1Q(), FReadout: cal.MeanFReadout(), FCZ: cal.MeanFCZ()})
 		}
 	}
 	if span := float64(s.cfg.Days) - unattendedStart; span > rep.UnattendedDays {

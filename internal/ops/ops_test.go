@@ -1,6 +1,10 @@
 package ops
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/calib"
@@ -204,5 +208,67 @@ func TestDeterministicForSeed(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("campaign not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestCampaignMatchesParent holds five campaigns to the reports the
+// stand-alone plant model produced before the campaign ran on core.Center:
+// every Report field and every series point, compared exactly. The
+// reports in testdata/campaigns.json were recorded once from that model
+// and are not regenerated; a change to drift, cryo, facility or the
+// calibration rule that moves a campaign fails here.
+func TestCampaignMatchesParent(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "campaigns.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]*Report
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	water := func(day, hours float64) []OutageEvent {
+		return []OutageEvent{{Kind: OutageCoolingWater, StartDay: day, DurationHours: hours}}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"146d-seed42", Config{Days: 146, Seed: 42}},
+		{"14d-seed3-water-6h-day3", Config{Days: 14, Seed: 3, Outages: water(3, 6)}},
+		{"14d-seed3-water-6h-day3-redundant", Config{Days: 14, Seed: 3, Redundant: true, Outages: water(3, 6)}},
+		{"30d-seed5-power-2h-day4", Config{Days: 30, Seed: 5, Outages: []OutageEvent{{Kind: OutagePower, StartDay: 4, DurationHours: 2}}}},
+		{"60d-seed9-water-12h-day10", Config{Days: 60, Seed: 9, Outages: water(10, 12)}},
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("testdata holds %d campaigns, the test runs %d", len(want), len(cases))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, ok := want[tc.name]
+			if !ok {
+				t.Fatalf("no recorded report for %s", tc.name)
+			}
+			sim, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(got.Series) && i < len(w.Series); i++ {
+				if got.Series[i] != w.Series[i] {
+					t.Fatalf("series point %d = %+v, recorded %+v", i, got.Series[i], w.Series[i])
+				}
+			}
+			if len(got.Series) != len(w.Series) {
+				t.Errorf("series has %d points, recorded %d", len(got.Series), len(w.Series))
+			}
+			gs, ws := *got, *w
+			gs.Series, ws.Series = nil, nil
+			if !reflect.DeepEqual(gs, ws) {
+				t.Errorf("report = %+v\nrecorded %+v", gs, ws)
+			}
+		})
 	}
 }

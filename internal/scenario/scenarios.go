@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/fleet"
 	"repro/internal/mqss"
-	"repro/internal/ops"
 )
 
 // The built-in incident suite. Each scenario replays one class of outage
@@ -470,7 +470,7 @@ func maintenanceDrain() Spec {
 		Hooks: Hooks{
 			Setup: func(e *Env) {
 				e.Fleet.SetMaintenancePlan(e.DeviceName(victim),
-					[]ops.MaintenanceWindow{{StartDay: 1, Days: 1}})
+					[]fleet.MaintenanceWindow{{StartDay: 1, Days: 1}})
 			},
 			Fault:   func(e *Env) { e.Fleet.AdvanceTo(1.5) },
 			Recover: func(e *Env) { e.Fleet.AdvanceTo(2.5) },
