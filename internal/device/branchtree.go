@@ -3,6 +3,8 @@ package device
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"math/cmplx"
 	"math/rand"
 
 	"repro/internal/quantum"
@@ -13,10 +15,11 @@ import (
 // trajectory tree. At each compiled noise site the subtree's shots are split
 // multinomially across the Kraus branches using exact state-dependent
 // weights; only branches that actually receive shots fork a pooled
-// copy-on-write state, and every unique leaf state bulk-samples its shots
-// through the O(1) Walker alias sampler. At realistic calibration error
-// rates nearly every shot rides the dominant (near-identity) branch at every
-// site, so a 200-shot job evolves a handful of trajectories instead of 200.
+// copy-on-write state, and every unique leaf state samples its shots in one
+// call of the state's sampler (O(1) Walker alias draws for a block of
+// shots). At realistic calibration error rates nearly every shot rides the
+// dominant (near-identity) branch at every site, so a 200-shot job evolves a
+// handful of trajectories instead of 200.
 // Every noisy job takes this walk: with few shots, or noise heavy enough
 // that no two shots share a prefix, the split degenerates to one trajectory
 // per shot — the per-shot Monte-Carlo loop, with nothing to pick between.
@@ -46,6 +49,16 @@ import (
 // which makes its weights those of the normalised state, and leaves the
 // state normalised. An exact site reads the run length off the same U, so
 // deferral changes what a site costs and never which branch a shot takes.
+//
+// A flush writes only what the step that needs the qubit can see (pending).
+// It writes the operator with its phases factored out and leaves the phase
+// diagonal pending, which commutes with CZ, does not change another
+// qubit's density and does not change |amp|²; so on a random circuit a flush
+// costs 20 flops per amplitude pair instead of 28, and the phases are never
+// written at all. An exact site writes its branch the same way. At the
+// leaf, a diagonal operator is not applied either: its squared magnitudes
+// weight the outcome distribution inside the probability pass the sampler
+// makes anyway.
 
 // maxKrausBranches is the widest channel a site's stack scratch holds, which
 // is the widest gateNoiseChannel composes (depolarizing × amp-damp ×
@@ -72,9 +85,23 @@ const minDeferredNorm = 1e-100
 // what makes a noise site on branch 0 free: the operators commute with
 // everything on other qubits, so they are multiplied together in O(1) and
 // applied as one pass when a CZ, an exact site or the leaf needs the qubit.
+//
+// A flush writes only what the step that needs the qubit can see. It
+// factors the waiting operator M as D·R, D = diag(M₀₀/|M₀₀|, M₁₁/|M₁₁|)
+// (1 for a zero entry), and writes R = D†M, whose diagonal is real and
+// non-negative. D stays pending, marked as phase-only, because no step
+// needs it applied: it commutes with CZ; it is unitary, so it leaves every
+// other qubit's reduced density — what an exact site reads — unchanged; and
+// |amp|², which the leaf samples, does not depend on it. A gate or a Kraus
+// operator pushed onto the qubit later multiplies into D like into any
+// pending product, and the next flush factors the phases out again. An
+// exact site's branch write (exactSite.apply) leaves its phases here too.
 type pending struct {
 	m    [quantum.MaxQubits]quantum.Matrix2
 	mask uint32 // bit q set: m[q] is waiting (quantum.MaxQubits < 32)
+	// phase marks the waiting operators that are a flush's leftover phase
+	// diagonal D, which no flush writes (a subset of mask).
+	phase uint32
 	// floor is the product of the floors of the sites accepted since the
 	// state was last normalised: a lower bound on its norm².
 	floor float64
@@ -84,37 +111,111 @@ type pending struct {
 	next *pending
 }
 
-func (p *pending) reset() { p.mask, p.floor = 0, 1 }
+func (p *pending) reset() { p.mask, p.phase, p.floor = 0, 0, 1 }
 
-// child returns the emptied pending of a state forked off p's.
+// child returns the pending of a state forked off p's: its phase-only
+// entries, which the fork's copied amplitudes lack just as p's state's do.
+// Forks are taken right after an exact site has flushed everything else.
 func (p *pending) child() *pending {
 	if p.next == nil {
 		p.next = new(pending)
 	}
-	p.next.reset()
-	return p.next
+	c := p.next
+	c.mask, c.phase, c.floor = p.phase, p.phase, 1
+	for ph := p.phase; ph != 0; ph &= ph - 1 {
+		q := bits.TrailingZeros32(ph)
+		c.m[q] = p.m[q]
+	}
+	return c
 }
 
-// push defers m on qubit q.
+// push defers m on qubit q. Onto a phase diagonal, m·D scales m's columns:
+// the values Mul2 computes, in half the multiplies.
 func (p *pending) push(q int, m quantum.Matrix2) {
-	if p.mask&(1<<uint(q)) != 0 {
+	bit := uint32(1) << uint(q)
+	switch {
+	case p.phase&bit != 0:
+		d0, d1 := p.m[q][0][0], p.m[q][1][1]
+		m[0][0], m[1][0], m[0][1], m[1][1] = m[0][0]*d0, m[1][0]*d0, m[0][1]*d1, m[1][1]*d1
+	case p.mask&bit != 0:
 		m = quantum.Mul2(m, p.m[q])
 	}
-	p.m[q], p.mask = m, p.mask|1<<uint(q)
+	p.m[q], p.mask, p.phase = m, p.mask|bit, p.phase&^bit
 }
 
-// flush applies qubit q's waiting operator, if any, to st.
-func (p *pending) flush(st *quantum.State, q int) error {
-	if p.mask&(1<<uint(q)) == 0 {
+// flushHook, when set, sees the matrix of every pass a flush makes and
+// whether the leaf made it. Only tests set it (export_test.go).
+var flushHook func(r quantum.Matrix2, leaf bool)
+
+// flush writes qubit q's waiting operator to st, all but its phases, which
+// stay pending; a phase-only entry writes nothing.
+func (p *pending) flush(st *quantum.State, q int, leaf bool) error {
+	bit := uint32(1) << uint(q)
+	if (p.mask&^p.phase)&bit == 0 {
 		return nil
 	}
-	p.mask &^= 1 << uint(q)
-	return st.Apply1Q(q, p.m[q])
+	d, r, phased := phaseSplit(p.m[q])
+	if phased {
+		p.m[q], p.phase = d, p.phase|bit
+	} else {
+		p.mask &^= bit
+	}
+	if flushHook != nil {
+		flushHook(r, leaf)
+	}
+	return st.Apply1Q(q, r)
 }
 
+// flushAll writes every waiting operator but the phase-only ones.
 func (p *pending) flushAll(st *quantum.State) error {
-	for q := 0; p.mask != 0; q++ {
-		if err := p.flush(st, q); err != nil {
+	for w := p.mask &^ p.phase; w != 0; w &= w - 1 {
+		if err := p.flush(st, bits.TrailingZeros32(w), false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// phaseSplit factors m as D·R: D = diag(m₀₀/|m₀₀|, m₁₁/|m₁₁|), 1 for a zero
+// entry, and R = D†m, whose diagonal |m₀₀|, |m₁₁| is real and non-negative —
+// the shape Apply1Q takes 20 flops per pair for instead of 28. phased is
+// false when D is the identity (then R = m). Row i of R is row i of m times
+// the conjugate of D's entry i: a negation for a negative real entry.
+func phaseSplit(m quantum.Matrix2) (d, r quantum.Matrix2, phased bool) {
+	d, r = quantum.I2, m
+	for i := range 2 {
+		z := m[i][i]
+		switch {
+		case imag(z) == 0 && real(z) >= 0:
+			continue
+		case imag(z) == 0:
+			d[i][i], r[i][i], r[i][1-i] = -1, complex(-real(z), 0), -m[i][1-i]
+		default:
+			a := math.Sqrt(real(z)*real(z) + imag(z)*imag(z))
+			if a < 1e-150 { // the squares may have underflowed
+				a = cmplx.Abs(z)
+			}
+			inv := 1 / a
+			ph := complex(real(z)*inv, imag(z)*inv)
+			d[i][i], r[i][i], r[i][1-i] = ph, complex(a, 0), cmplx.Conj(ph)*m[i][1-i]
+		}
+		phased = true
+	}
+	return d, r, phased
+}
+
+// leaf readies st for sampling: a waiting operator that is diagonal is not
+// applied but becomes w's weight on its qubit, and only the others are
+// flushed (their phases, like the phase-only entries, |amp|² does not see).
+func (p *pending) leaf(st *quantum.State, w *quantum.OutcomeWeights) error {
+	w.Mask = 0
+	for pend := p.mask &^ p.phase; pend != 0; pend &= pend - 1 {
+		q := bits.TrailingZeros32(pend)
+		if m := p.m[q]; m[0][1] == 0 && m[1][0] == 0 {
+			w.SetDiagonal(q, m)
+			continue
+		}
+		if err := p.flush(st, q, true); err != nil {
 			return err
 		}
 	}
@@ -155,16 +256,18 @@ type branchExec struct {
 	live int // states currently held (root + outstanding forks)
 	runStats
 
-	root    pending        // the pending operators of the root state
-	tail    *quantum.State // lazily acquired checkpoint-replay scratch
-	samples []int          // leaf bulk-sampling scratch
+	root    pending                // the pending operators of the root state
+	tail    *quantum.State         // lazily acquired checkpoint-replay scratch
+	samples []int                  // leaf sampling scratch, sized for every shot
+	weights quantum.OutcomeWeights // a leaf's diagonal operators, as weights
 }
 
 // runBranchTree executes shots noisy trajectory shots by shot-branching. The
 // walk is a single-goroutine DFS drawing from rng alone, so a fixed seed
 // reproduces identical counts on any host.
 func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
-	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots)), live: 1}
+	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots)), live: 1,
+		samples: make([]int, 0, shots)}
 	b.ro.init(cj, rng)
 	st, err := quantum.AcquireState(cj.compactQubits)
 	if err != nil {
@@ -192,8 +295,8 @@ func (b *branchExec) run(st *quantum.State, p *pending, from, n int) error {
 		var err error
 		switch s.kind {
 		case stepCZ:
-			if err = p.flush(st, s.q); err == nil {
-				err = p.flush(st, s.q2)
+			if err = p.flush(st, s.q, false); err == nil {
+				err = p.flush(st, s.q2, false)
 			}
 			if err == nil {
 				err = st.ApplyCZ(s.q, s.q2)
@@ -207,10 +310,7 @@ func (b *branchExec) run(st *quantum.State, p *pending, from, n int) error {
 			return err
 		}
 	}
-	if err := p.flushAll(st); err != nil {
-		return err
-	}
-	return b.sampleLeaf(st, n)
+	return b.sampleLeaf(st, p, n)
 }
 
 // exactSite is a noise site resolved from the state: the site qubit's
@@ -228,13 +328,15 @@ type exactSite struct {
 
 // resolve reads the site at step from st. The density of one qubit depends
 // on the unrenormalised operators waiting on the others, so those are
-// flushed; the site qubit's own are carried through the density in O(1) and
-// stay unapplied, to be fused with the chosen Kraus operator. p is left
-// empty, floor product included: the branch applied next normalises st.
+// flushed; their phase-only entries are unitary, so they do not change it
+// and stay pending. The site qubit's own operator, phases included, is
+// carried through the density in O(1) and stays unapplied, to be fused with
+// the chosen Kraus operator. p is left holding only phase-only entries, and
+// its floor product is reset: the branch applied next normalises st.
 func (b *branchExec) resolve(st *quantum.State, p *pending, step *trajStep) (exactSite, error) {
 	x := exactSite{step: step, op: quantum.I2}
 	if bit := uint32(1) << uint(step.q); p.mask&bit != 0 {
-		x.op, p.mask = p.m[step.q], p.mask&^bit
+		x.op, p.mask, p.phase = p.m[step.q], p.mask&^bit, p.phase&^bit
 	}
 	if step.kind == stepGateNoise {
 		x.op = quantum.Mul2(step.m, x.op)
@@ -242,7 +344,7 @@ func (b *branchExec) resolve(st *quantum.State, p *pending, step *trajStep) (exa
 	if err := p.flushAll(st); err != nil {
 		return x, err
 	}
-	p.reset()
+	p.floor = 1
 	rho, err := st.QubitDensity(step.q)
 	if err != nil {
 		return x, err
@@ -253,11 +355,20 @@ func (b *branchExec) resolve(st *quantum.State, p *pending, step *trajStep) (exa
 	return x, nil
 }
 
-// apply puts st — a copy of the state resolve read — on Kraus branch bi of
-// normalised weight w, as the one matrix K·op/√(w·trace): st comes out
-// normalised whatever norm deferral had left it with.
-func (x *exactSite) apply(st *quantum.State, bi int, w float64) error {
-	return st.ApplyKraus(x.step.q, quantum.Mul2(x.step.ch.Kraus[bi], x.op), w*x.trace)
+// apply puts st — a copy of the state resolve read, p its pending — on
+// Kraus branch bi of normalised weight w, as the one matrix K·op/√(w·trace):
+// st comes out normalised whatever norm deferral had left it with. Like a
+// flush, it writes that matrix with its phases factored out and leaves them
+// pending on the site qubit, which resolve emptied: K0 after a CZ is a real
+// diagonal, and stays on the two-multiply path with the qubit's phases
+// folded in.
+func (x *exactSite) apply(st *quantum.State, p *pending, bi int, w float64) error {
+	d, r, phased := phaseSplit(quantum.Mul2(x.step.ch.Kraus[bi], x.op))
+	if phased {
+		bit := uint32(1) << uint(x.step.q)
+		p.m[x.step.q], p.mask, p.phase = d, p.mask|bit, p.phase|bit
+	}
+	return st.ApplyKraus(x.step.q, r, w*x.trace)
 }
 
 // site takes the subtree's n shots through the noise site at step idx and
@@ -336,9 +447,10 @@ func (b *branchExec) site(st *quantum.State, p *pending, idx, n int) (int, error
 			return 0, err
 		}
 		b.live++
-		err = x.apply(fork, bi, w[bi])
+		c := p.child()
+		err = x.apply(fork, c, bi, w[bi])
 		if err == nil {
-			err = b.run(fork, p.child(), idx+1, bins[bi])
+			err = b.run(fork, c, idx+1, bins[bi])
 		}
 		quantum.ReleaseState(fork)
 		b.live--
@@ -346,7 +458,7 @@ func (b *branchExec) site(st *quantum.State, p *pending, idx, n int) (int, error
 			return 0, err
 		}
 	}
-	return bins[keep], x.apply(st, keep, w[keep])
+	return bins[keep], x.apply(st, p, keep, w[keep])
 }
 
 // logUniform returns log U for U uniform on (0, 1]: the draw a geometric
@@ -369,25 +481,26 @@ func (b *branchExec) replayShots(src *quantum.State, p *pending, x *exactSite, i
 		if err := b.tail.Set(src); err != nil {
 			return err
 		}
-		if err := x.apply(b.tail, branch, weight); err != nil {
+		c := p.child()
+		if err := x.apply(b.tail, c, branch, weight); err != nil {
 			return err
 		}
-		if err := b.run(b.tail, p.child(), idx+1, 1); err != nil {
+		if err := b.run(b.tail, c, idx+1, 1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sampleLeaf draws the leaf's n shots from its final state: single shots
-// take the one-draw linear walk, blocks go through the alias sampler.
-func (b *branchExec) sampleLeaf(st *quantum.State, n int) error {
+// sampleLeaf draws the leaf's n shots from its final state, p its pending
+// operators: the non-diagonal ones are flushed, and the diagonal ones weight
+// the one probability pass the sampler makes.
+func (b *branchExec) sampleLeaf(st *quantum.State, p *pending, n int) error {
 	b.leaves++
-	if n == 1 {
-		b.ro.tally(b.counts, st.SampleBitstring(b.rng))
-		return nil
+	if err := p.leaf(st, &b.weights); err != nil {
+		return err
 	}
-	b.samples = st.SampleBitstringsInto(b.samples, n, b.rng)
+	b.samples = st.SampleWeightedInto(b.samples, n, b.rng, &b.weights)
 	for _, s := range b.samples {
 		b.ro.tally(b.counts, s)
 	}

@@ -60,3 +60,56 @@ func (ep *Epoch) NoiseMismatch(e *Compiled) string {
 	}
 	return ""
 }
+
+// passKind classifies the matrix of a pass over the amplitudes by the
+// Apply1Q path its shape takes.
+type passKind int
+
+const (
+	passRealDiagonal    passKind = iota // two real multiplies per amplitude
+	passRemainder                       // real diagonal, complex off-diagonal: 20 flops per pair
+	passComplexDiagonal                 // diagonal with a non-real entry: the dense row
+	passDense                           // non-real diagonal and off-diagonal: the dense row
+	numPassKinds
+)
+
+func (k passKind) String() string {
+	return [...]string{"real-diagonal", "remainder", "complex-diagonal", "dense"}[k]
+}
+
+func kindOf(m quantum.Matrix2) passKind {
+	realDiag := imag(m[0][0]) == 0 && imag(m[1][1]) == 0
+	diag := m[0][1] == 0 && m[1][0] == 0
+	switch {
+	case realDiag && diag:
+		return passRealDiagonal
+	case realDiag:
+		return passRemainder
+	case diag:
+		return passComplexDiagonal
+	}
+	return passDense
+}
+
+// passCounts is what countPasses saw: passes by kind, made by the flushes
+// before the leaf (CZs, exact sites, the renormalisation guard) and by the
+// leaf's own.
+type passCounts struct {
+	flush, leaf [numPassKinds]int
+}
+
+// countPasses runs f with flushHook counting every pass a flush makes. The
+// hook is package state, so tests that call it must not run in parallel.
+func countPasses(f func()) passCounts {
+	var c passCounts
+	flushHook = func(r quantum.Matrix2, leaf bool) {
+		if leaf {
+			c.leaf[kindOf(r)]++
+		} else {
+			c.flush[kindOf(r)]++
+		}
+	}
+	defer func() { flushHook = nil }()
+	f()
+	return c
+}

@@ -253,16 +253,31 @@ func BenchmarkNoiseSite(b *testing.B) {
 	}
 }
 
-// BenchmarkApply1Q times the single-qubit kernel on its two matrix shapes —
-// a dense gate·Kraus product and the real-diagonal Kraus operator that
-// follows a CZ — on the lowest, a middle and the highest qubit, where the
-// pair stride differs.
+// withoutPhases returns m with each row multiplied by the conjugate phase of
+// its diagonal entry: the remainder, real on the diagonal, of a pending
+// flush's phase split.
+func withoutPhases(m Matrix2) Matrix2 {
+	for i := range m {
+		a := cmplx.Abs(m[i][i])
+		ph := cmplx.Conj(m[i][i]) / complex(a, 0)
+		m[i][0], m[i][1] = ph*m[i][0], ph*m[i][1]
+		m[i][i] = complex(a, 0)
+	}
+	return m
+}
+
+// BenchmarkApply1Q times the single-qubit kernel on its three matrix
+// shapes — a dense gate·Kraus product, the same product with its phases
+// factored out (the remainder a pending flush writes) and the real-diagonal
+// Kraus operator that follows a CZ — on the lowest, a middle and the highest
+// qubit, where the pair stride differs.
 func BenchmarkApply1Q(b *testing.B) {
 	shapes := []struct {
 		name string
 		m    Matrix2
 	}{
 		{"dense", Mul2(AmplitudeDamping(0.0005).Kraus[0], PRX(0.7, 1.9))},
+		{"remainder", withoutPhases(Mul2(AmplitudeDamping(0.0005).Kraus[0], Mul2(PRX(0.7, 1.9), RZ(0.4))))},
 		{"real-diagonal", scale2(AmplitudeDamping(0.0005).Kraus[0], 0.9995)},
 	}
 	for _, n := range []int{12, 16} {

@@ -30,10 +30,14 @@ const MaxQubits = 26
 type State struct {
 	n    int
 	amps []complex128
-	// probScratch is a lazily-allocated 2^n buffer reused by the sampling
-	// paths (ProbabilitiesInto callers, cumulative distributions), so
-	// repeated sampling of a long-lived (pooled) state allocates nothing.
+	// probScratch is a lazily-allocated 2^n buffer the sampler fills with
+	// the outcome distribution (and turns cumulative below the alias
+	// crossover), so repeated sampling of a long-lived (pooled) state
+	// allocates nothing.
 	probScratch []float64
+	// weightScratch holds the sampler's two half-register weight tables,
+	// 2^⌊n/2⌋ + 2^⌈n/2⌉ floats, lazily allocated like probScratch.
+	weightScratch []float64
 	// aliasScratch is the reusable Walker sampler of the bulk-sampling path;
 	// like probScratch it amortizes to zero allocations on pooled states.
 	aliasScratch AliasTable
@@ -166,12 +170,6 @@ func (s *State) ProbabilitiesInto(dst []float64) []float64 {
 	return dst
 }
 
-// scratchProbs returns the state's reusable probability buffer, filled.
-func (s *State) scratchProbs() []float64 {
-	s.probScratch = s.ProbabilitiesInto(s.probScratch)
-	return s.probScratch
-}
-
 // parallelThreshold is the state size above which gate kernels fan out
 // across goroutines. 2^14 amplitudes keeps goroutine overhead negligible.
 const parallelThreshold = 1 << 14
@@ -227,24 +225,35 @@ func (s *State) apply1QParallel(bit, half int, m Matrix2) {
 // long slices and does no index arithmetic or bounds check per amplitude. A
 // chunk of a fanned-out pass may start or end inside a block.
 //
-// A real diagonal m — the dominant Kraus operator that follows a CZ — takes
-// two real multiplies per amplitude instead of the dense row; on every
-// amplitude both paths compute what m00·a0 + m01·a1 computes, up to the sign
-// of a zero.
+// The matrix's shape picks one of three paths. A real diagonal m — the
+// dominant Kraus operator that follows a CZ — takes two real multiplies per
+// amplitude instead of the dense row. A real diagonal with off-diagonal
+// entries — the remainder a pending flush writes once it has factored the
+// phases out of its operator (device/branchtree.go) — takes 20 flops per pair
+// instead of 28: the diagonal products are real by complex. Everything else
+// takes the dense row. On every amplitude each path computes what
+// m00·a0 + m01·a1 computes, in the same order, up to the sign of a zero.
 func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
 	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
-	diag := m01 == 0 && m10 == 0 && imag(m00) == 0 && imag(m11) == 0
+	realDiag := imag(m00) == 0 && imag(m11) == 0
+	diag := realDiag && m01 == 0 && m10 == 0
 	d0, d1 := real(m00), real(m11)
+	r01, i01, r10, i10 := real(m01), imag(m01), real(m10), imag(m10)
 	if bit < 4 {
 		// Blocks of one or two amplitudes cost more to set up than to walk:
 		// the two lowest qubits index each pair instead.
 		for p := lo; p < hi; p++ {
 			i0 := (p&^(bit-1))<<1 | p&(bit-1)
 			a0, a1 := amps[i0], amps[i0|bit]
-			if diag {
+			switch {
+			case diag:
 				amps[i0] = complex(d0*real(a0), d0*imag(a0))
 				amps[i0|bit] = complex(d1*real(a1), d1*imag(a1))
-			} else {
+			case realDiag:
+				x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
+				amps[i0] = complex(d0*x0+(r01*x1-i01*y1), d0*y0+(r01*y1+i01*x1))
+				amps[i0|bit] = complex((r10*x0-i10*y0)+d1*x1, (r10*y0+i10*x0)+d1*y1)
+			default:
 				amps[i0] = m00*a0 + m01*a1
 				amps[i0|bit] = m10*a0 + m11*a1
 			}
@@ -260,14 +269,22 @@ func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
 		i0 := (p-off)<<1 | off
 		zeros := amps[i0 : i0+run]
 		ones := amps[i0+bit:][:run]
-		if diag {
+		switch {
+		case diag:
 			for i, a := range zeros {
 				zeros[i] = complex(d0*real(a), d0*imag(a))
 			}
 			for i, a := range ones {
 				ones[i] = complex(d1*real(a), d1*imag(a))
 			}
-		} else {
+		case realDiag:
+			for i, a0 := range zeros {
+				a1 := ones[i]
+				x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
+				zeros[i] = complex(d0*x0+(r01*x1-i01*y1), d0*y0+(r01*y1+i01*x1))
+				ones[i] = complex((r10*x0-i10*y0)+d1*x1, (r10*y0+i10*x0)+d1*y1)
+			}
+		default:
 			for i, a0 := range zeros {
 				a1 := ones[i]
 				zeros[i] = m00*a0 + m01*a1
@@ -499,6 +516,23 @@ func (s *State) MeasureQubit(q int, rng *rand.Rand) (int, error) {
 // cumulative table + binary search.
 const aliasMinShots = 16
 
+// OutcomeWeights reweights a state's outcome distribution by a product over
+// qubits: outcome i's probability |amp_i|² is multiplied by W[q][b] for
+// every qubit q in Mask, b being bit q of i. It is what a diagonal operator
+// waiting on a qubit does to the outcomes: applying diag(d0, d1) to qubit q
+// and then taking |amp|² is the weight {|d0|², |d1|²} on q.
+type OutcomeWeights struct {
+	Mask uint32 // bit q set: W[q] applies (MaxQubits < 32)
+	W    [MaxQubits][2]float64
+}
+
+// SetDiagonal puts the weights of the diagonal operator d on qubit q.
+func (w *OutcomeWeights) SetDiagonal(q int, d Matrix2) {
+	a, b := d[0][0], d[1][1]
+	w.W[q] = [2]float64{real(a)*real(a) + imag(a)*imag(a), real(b)*real(b) + imag(b)*imag(b)}
+	w.Mask |= 1 << uint(q)
+}
+
 // SampleBitstrings draws shots measurement outcomes from the state without
 // collapsing it. Each outcome is the integer whose bit q is qubit q's result.
 // Only the returned slice is allocated: the sampling tables live in the
@@ -508,56 +542,122 @@ func (s *State) SampleBitstrings(shots int, rng *rand.Rand) []int {
 }
 
 // SampleBitstringsInto is SampleBitstrings reusing dst's backing array when
-// its capacity suffices, so repeated bulk sampling (the shot-branching
-// leaves) allocates nothing. Each sample consumes exactly one rng draw on
-// either internal path: O(1) Walker alias sampling for bulk draws, the
-// cumulative table below the crossover.
+// its capacity suffices: SampleWeightedInto with no weights.
 func (s *State) SampleBitstringsInto(dst []int, shots int, rng *rand.Rand) []int {
+	return s.SampleWeightedInto(dst, shots, rng, nil)
+}
+
+// SampleBitstring draws one measurement outcome from the state without
+// collapsing it: SampleWeightedInto's single draw, allocating nothing once
+// the state's scratch is warm.
+func (s *State) SampleBitstring(rng *rand.Rand) int {
+	var one [1]int
+	return s.SampleWeightedInto(one[:], 1, rng, nil)[0]
+}
+
+// SampleWeightedInto draws shots outcomes from the state's distribution
+// reweighted by w (nil: unweighted) without collapsing it, reusing dst's
+// backing array when its capacity suffices. It is the one sampler: the
+// distribution is filled in one pass into the state's scratch — the
+// weights multiplied in there, from two half-register tables — and then
+// each sample consumes exactly one rng draw: a linear scan for a single
+// shot, where a table would be built for one use, the cumulative table and
+// binary search below aliasMinShots, and O(1) Walker alias draws above.
+func (s *State) SampleWeightedInto(dst []int, shots int, rng *rand.Rand, w *OutcomeWeights) []int {
 	if cap(dst) < shots {
 		dst = make([]int, shots)
 	}
 	dst = dst[:shots]
+	if shots == 0 {
+		return dst
+	}
+	probs, total := s.weightedProbs(w)
+	if shots == 1 {
+		r := rng.Float64() * total
+		acc := 0.0
+		for i, p := range probs {
+			if acc += p; r < acc {
+				dst[0] = i
+				return dst
+			}
+		}
+		dst[0] = len(probs) - 1 // rounding pushed r past the total weight
+		return dst
+	}
 	if shots >= aliasMinShots {
-		if err := s.aliasScratch.Init(s.scratchProbs()); err == nil {
+		if err := s.aliasScratch.Init(probs); err == nil {
 			for k := range dst {
 				dst[k] = s.aliasScratch.Sample(rng)
 			}
 			return dst
 		}
-		// Init only fails on a degenerate (zero-norm) state; fall through to
-		// the cumulative path, which keeps the historical behaviour there.
+		// Init only fails on a degenerate (zero-norm) distribution; fall
+		// through to the cumulative path, which keeps the historical
+		// behaviour there.
 	}
-	cum := s.scratchProbs()
 	acc := 0.0
-	for i, p := range cum {
+	for i, p := range probs {
 		acc += p
-		cum[i] = acc
+		probs[i] = acc
 	}
 	for k := range dst {
-		dst[k] = sampleCumulative(cum, acc, rng)
+		dst[k] = sampleCumulative(probs, acc, rng)
 	}
 	return dst
 }
 
-// SampleBitstring draws one measurement outcome from the state without
-// collapsing it, allocating nothing — the single-sample primitive of the
-// per-shot execution loop, where the state changes between draws and a
-// cumulative table would be rebuilt anyway. It consumes exactly one rng
-// draw, like one SampleBitstrings sample.
-func (s *State) SampleBitstring(rng *rand.Rand) int {
-	total := 0.0
-	for _, a := range s.amps {
-		total += real(a)*real(a) + imag(a)*imag(a)
+// weightedProbs fills the state's probability scratch with |amp_i|² times
+// w's weight of outcome i and returns it with its sum, taken in index
+// order. The weight is a product of two table entries: one over the low
+// ⌊n/2⌋ qubits, one over the rest, so the pass costs two multiplies per
+// amplitude whatever the number of weighted qubits.
+func (s *State) weightedProbs(w *OutcomeWeights) ([]float64, float64) {
+	if cap(s.probScratch) < len(s.amps) {
+		s.probScratch = make([]float64, len(s.amps))
 	}
-	r := rng.Float64() * total
-	acc := 0.0
-	for i, a := range s.amps {
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		if r < acc {
-			return i
+	probs := s.probScratch[:len(s.amps)]
+	total := 0.0
+	if w == nil || w.Mask == 0 {
+		for i, a := range s.amps {
+			p := real(a)*real(a) + imag(a)*imag(a)
+			probs[i] = p
+			total += p
+		}
+		return probs, total
+	}
+	nlo := 1 << uint(s.n/2)
+	if need := nlo + len(s.amps)/nlo; cap(s.weightScratch) < need {
+		s.weightScratch = make([]float64, need)
+	}
+	lo := w.table(s.weightScratch[:nlo], 0)
+	hi := w.table(s.weightScratch[nlo:nlo+len(s.amps)/nlo], s.n/2)
+	for h, wh := range hi {
+		amps, row := s.amps[h*nlo:][:nlo], probs[h*nlo:][:nlo]
+		for l, wl := range lo {
+			a := amps[l]
+			p := (real(a)*real(a) + imag(a)*imag(a)) * (wl * wh)
+			row[l] = p
+			total += p
 		}
 	}
-	return len(s.amps) - 1 // rounding pushed r past the total weight
+	return probs, total
+}
+
+// table fills t, of length 2^k, with the weights of the k qubits from q0 up:
+// t[j] is the product over those qubits of their weight for their bit of j.
+func (w *OutcomeWeights) table(t []float64, q0 int) []float64 {
+	t[0] = 1
+	for k, q := 1, q0; k < len(t); k, q = k<<1, q+1 {
+		if w.Mask&(1<<uint(q)) == 0 {
+			copy(t[k:2*k], t[:k])
+			continue
+		}
+		w0, w1 := w.W[q][0], w.W[q][1]
+		for j, v := range t[:k] {
+			t[j], t[j|k] = v*w0, v*w1
+		}
+	}
+	return t
 }
 
 // sampleCumulative binary-searches a cumulative weight table for one draw.
