@@ -58,6 +58,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/fleet"
 	"repro/internal/mqss"
+	"repro/internal/quantum"
 	"repro/internal/tenant"
 )
 
@@ -167,6 +168,10 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
 		*devices, f.Policy(), *workers, f.Devices())
+	// The engine's one-qubit passes run on the vector unit when the CPU has
+	// AVX2 and on the Go rows otherwise: the counts are the same, the speed
+	// is not, so the log names which one served this run.
+	fmt.Fprintf(os.Stderr, "qhpcd: one-qubit passes on the %s row kernel\n", quantum.RowKernel())
 	fmt.Fprintf(os.Stderr, "qhpcd: routing: a submission's \"device\" pins a backend, \"policy\" overrides the fleet policy; GET /api/v1/fleet shows the roster\n")
 	// Maintenance windows live on the simulation clock; a frozen clock
 	// would make -maintenance-days a no-op, so it defaults on.

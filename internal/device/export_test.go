@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/circuit"
 	"repro/internal/quantum"
@@ -60,6 +61,13 @@ func (ep *Epoch) NoiseMismatch(e *Compiled) string {
 	}
 	return ""
 }
+
+// vectorRows is the quantum package's row-kernel switch, set at its init
+// from CPUID: true when one-qubit passes run on the vector unit. Only tests
+// reach it, by its link name, to run a job on the Go rows too.
+//
+//go:linkname vectorRows repro/internal/quantum.vectorRows
+var vectorRows bool
 
 // passKind classifies the matrix of a pass over the amplitudes by the
 // Apply1Q path its shape takes.

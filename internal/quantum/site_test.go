@@ -269,8 +269,10 @@ func withoutPhases(m Matrix2) Matrix2 {
 // BenchmarkApply1Q times the single-qubit kernel on its three matrix
 // shapes — a dense gate·Kraus product, the same product with its phases
 // factored out (the remainder a pending flush writes) and the real-diagonal
-// Kraus operator that follows a CZ — on the lowest, a middle and the highest
-// qubit, where the pair stride differs.
+// Kraus operator that follows a CZ — on the lowest qubits (pairs adjacent,
+// then blocks of 2 and 4 amplitudes), a middle and the highest qubit, where
+// the pair stride differs, on the Go rows and on the vector rows (skipped on
+// a host without AVX2).
 func BenchmarkApply1Q(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -280,18 +282,25 @@ func BenchmarkApply1Q(b *testing.B) {
 		{"remainder", withoutPhases(Mul2(AmplitudeDamping(0.0005).Kraus[0], Mul2(PRX(0.7, 1.9), RZ(0.4))))},
 		{"real-diagonal", scale2(AmplitudeDamping(0.0005).Kraus[0], 0.9995)},
 	}
+	defer setVectorRows(true)
 	for _, n := range []int{12, 16} {
 		for _, sh := range shapes {
-			for _, q := range []int{0, 5, 11} {
-				b.Run(fmt.Sprintf("%dq/%s/q%d", n, sh.name, q), func(b *testing.B) {
-					s := benchState(n)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := s.Apply1Q(q, sh.m); err != nil {
-							b.Fatal(err)
+			for _, q := range []int{0, 1, 2, 3, 5, 11} {
+				for _, rows := range []string{"go", "vector"} {
+					b.Run(fmt.Sprintf("%dq/%s/q%d/%s", n, sh.name, q, rows), func(b *testing.B) {
+						if rows == "vector" && !hostVectorRows {
+							b.Skip("no AVX2 on this host")
 						}
-					}
-				})
+						setVectorRows(rows == "vector")
+						s := benchState(n)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := s.Apply1Q(q, sh.m); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -11,6 +11,15 @@
 // Two passes are serial at every size: QubitDensity, whose sums feed
 // trajectory branch choices and must not depend on the host, and the ApplyCZ
 // sign flip.
+//
+// Every one-qubit pass (Apply1Q, and so every gate, Kraus operator and
+// pending-operator flush the engine writes) runs on the vector unit when the
+// CPU has AVX2, two amplitudes per register: each lane does the Go row's
+// operations in its order, without FMA, so the state's bits, and every
+// count sampled from it, are the same on any host. The choice is made once,
+// at init, from CPUID; RowKernel names it. The sums stay scalar: the
+// QubitDensity reduction and the sampler's probability total add in index
+// order, and a vector sum would add in another order and round differently.
 package quantum
 
 import (
@@ -221,22 +230,61 @@ func (s *State) apply1QParallel(bit, half int, m Matrix2) {
 // apply1QPairs applies m to the amplitude pairs lo..hi-1 of the qubit whose
 // index bit is bit; pair p joins amplitude i0 — p with a zero inserted at the
 // qubit's position — and i0|bit. The pairs lie in blocks: bit consecutive low
-// amplitudes, then their bit partners, so the block loop walks two equally
-// long slices and does no index arithmetic or bounds check per amplitude. A
-// chunk of a fanned-out pass may start or end inside a block.
+// amplitudes, then their bit partners. A chunk of a fanned-out pass may start
+// or end inside a block.
 //
-// The matrix's shape picks one of three paths. A real diagonal m — the
+// The matrix's shape picks one of three rows. A real diagonal m — the
 // dominant Kraus operator that follows a CZ — takes two real multiplies per
 // amplitude instead of the dense row. A real diagonal with off-diagonal
 // entries — the remainder a pending flush writes once it has factored the
 // phases out of its operator (device/branchtree.go) — takes 20 flops per pair
 // instead of 28: the diagonal products are real by complex. Everything else
-// takes the dense row. On every amplitude each path computes what
+// takes the dense row. On every amplitude each row computes what
 // m00·a0 + m01·a1 computes, in the same order, up to the sign of a zero.
+//
+// On a CPU with AVX2 the rows run on the vector unit, two amplitudes per
+// register (vectorPairs, rows_amd64.s), every lane doing the Go row's
+// operations in its order without FMA: the two kernels are bit-identical,
+// so no count depends on the host. Elsewhere the Go rows, goPairs, run.
 func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
+	shape := shapeDense
+	if imag(m[0][0]) == 0 && imag(m[1][1]) == 0 {
+		shape = shapeRemainder
+		if m[0][1] == 0 && m[1][0] == 0 {
+			shape = shapeRealDiagonal
+		}
+	}
+	if vectorRows {
+		vectorPairs(amps, bit, lo, hi, m, shape)
+		return
+	}
+	goPairs(amps, bit, lo, hi, m, shape)
+}
+
+// RowKernel names the kernel one-qubit passes run on: "avx2" on a CPU with
+// AVX2, "go" elsewhere.
+func RowKernel() string {
+	if vectorRows {
+		return "avx2"
+	}
+	return "go"
+}
+
+// rowShape is the shape of a one-qubit matrix, which picks its row. The
+// values are the vector kernel's too.
+type rowShape int
+
+const (
+	shapeRealDiagonal rowShape = iota // real diagonal: d·a per amplitude
+	shapeRemainder                    // real diagonal, complex off-diagonal
+	shapeDense                        // anything else
+)
+
+// goPairs is apply1QPairs's Go rows. Past the two lowest qubits the block
+// loop walks two equally long slices and does no index arithmetic or bounds
+// check per amplitude.
+func goPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
 	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
-	realDiag := imag(m00) == 0 && imag(m11) == 0
-	diag := realDiag && m01 == 0 && m10 == 0
 	d0, d1 := real(m00), real(m11)
 	r01, i01, r10, i10 := real(m01), imag(m01), real(m10), imag(m10)
 	if bit < 4 {
@@ -245,11 +293,11 @@ func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
 		for p := lo; p < hi; p++ {
 			i0 := (p&^(bit-1))<<1 | p&(bit-1)
 			a0, a1 := amps[i0], amps[i0|bit]
-			switch {
-			case diag:
+			switch shape {
+			case shapeRealDiagonal:
 				amps[i0] = complex(d0*real(a0), d0*imag(a0))
 				amps[i0|bit] = complex(d1*real(a1), d1*imag(a1))
-			case realDiag:
+			case shapeRemainder:
 				x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
 				amps[i0] = complex(d0*x0+(r01*x1-i01*y1), d0*y0+(r01*y1+i01*x1))
 				amps[i0|bit] = complex((r10*x0-i10*y0)+d1*x1, (r10*y0+i10*x0)+d1*y1)
@@ -269,15 +317,15 @@ func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
 		i0 := (p-off)<<1 | off
 		zeros := amps[i0 : i0+run]
 		ones := amps[i0+bit:][:run]
-		switch {
-		case diag:
+		switch shape {
+		case shapeRealDiagonal:
 			for i, a := range zeros {
 				zeros[i] = complex(d0*real(a), d0*imag(a))
 			}
 			for i, a := range ones {
 				ones[i] = complex(d1*real(a), d1*imag(a))
 			}
-		case realDiag:
+		case shapeRemainder:
 			for i, a0 := range zeros {
 				a1 := ones[i]
 				x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
