@@ -192,14 +192,14 @@ func BenchmarkSection22PowerProfile(b *testing.B) {
 // --- E7: Figure 2 — MQSS routing, HPC path vs REST path. ---
 
 func BenchmarkFigure2MQSSRoutingHPCPath(b *testing.B) {
-	// The in-HPC client of Fig. 2: a local MQSS client on the scheduler, no
-	// HTTP in between.
+	// The in-HPC client of Fig. 2: the v2 client calling the server's handler
+	// in-process, with no socket in between.
 	f := fleet.New(fleet.PolicyBestFidelity, nil)
 	defer f.Stop()
 	if err := f.AddDevice("twin", qdmi.NewDevice(device.NewTwin20Q(1), nil), 1); err != nil {
 		b.Fatal(err)
 	}
-	client := mqss.NewLocalClient(f)
+	client := mqss.NewLocalClient(mqss.NewFleetServer(f))
 	ghz := circuit.GHZ(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -578,35 +578,6 @@ func BenchmarkNoisyExecutionGHZ5x100(b *testing.B) {
 		}
 	}
 }
-
-// --- E15/E16: compiled-circuit execution engine vs the naive shot loop. ---
-//
-// BenchmarkExecuteCompiled* time device.Execute (compile-once, pooled
-// states, noiseless fast path, shot-branching trajectory tree on noisy
-// jobs); the *Naive variants time the retained reference loop so the
-// BENCH_sim.json speedups are reproducible from the benchmark table alone.
-
-func benchmarkExecute(b *testing.B, qpu *device.QPU, naive bool, shots int) {
-	b.Helper()
-	ghz := device.NativeGHZLine(5)
-	exec := qpu.Execute
-	if naive {
-		exec = qpu.ExecuteNaive
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec(ghz, shots); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(shots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
-}
-
-func BenchmarkExecuteCompiled(b *testing.B)      { benchmarkExecute(b, device.NewTwin20Q(40), false, 200) }
-func BenchmarkExecuteNaive(b *testing.B)         { benchmarkExecute(b, device.NewTwin20Q(40), true, 200) }
-func BenchmarkExecuteCompiledNoisy(b *testing.B) { benchmarkExecute(b, device.New20Q(41), false, 200) }
-func BenchmarkExecuteNaiveNoisy(b *testing.B)    { benchmarkExecute(b, device.New20Q(41), true, 200) }
 
 // Shot-branching at depth: GHZ(10) crosses rows of the grid (snake path)
 // and a 4000-shot job shows the leaves/shots amortization at scale. The

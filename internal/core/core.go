@@ -10,7 +10,10 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"strings"
 
 	"repro/internal/calib"
 	"repro/internal/cryo"
@@ -80,6 +83,9 @@ type Center struct {
 	// fleet is the one scheduler both access paths land in, built by Fleet
 	// on first use; its simulation clock follows simTime.
 	fleet *fleet.Scheduler
+	// handler is the front end both access paths call, built by
+	// RESTHandler on first use.
+	handler http.Handler
 
 	// calibLost is the §3.5 latch: the stored calibration is void because
 	// the QPU was delivered warm or has since crossed 1 K. The first
@@ -315,12 +321,48 @@ func (c *Center) Fleet() *fleet.Scheduler {
 	return f
 }
 
-// LocalClient returns the in-HPC accelerator client.
-func (c *Center) LocalClient() *mqss.Client { return mqss.NewLocalClient(c.Fleet()) }
+// LocalClient returns the in-HPC accelerator client: it calls the handler
+// RESTHandler serves, in-process.
+func (c *Center) LocalClient() *mqss.Client { return mqss.NewLocalClient(c.RESTHandler()) }
 
-// RESTHandler returns the MQSS REST server exposing this center's stack
-// (an http.Handler; keep the concrete type for graceful-shutdown Close).
-func (c *Center) RESTHandler() *mqss.Server { return mqss.NewFleetServer(c.Fleet()) }
+const pathTelemetry = "/api/v1/telemetry/"
+
+// RESTHandler returns the center's one front end, building it on first use:
+// GET /api/v1/telemetry/{sensor} reads the DCDB store (§3.1, transparent
+// telemetry dissemination), and every other path goes to one mqss.Server
+// over the center's fleet.
+func (c *Center) RESTHandler() http.Handler {
+	if c.handler == nil {
+		mux := http.NewServeMux()
+		mux.Handle("/", mqss.NewFleetServer(c.Fleet()))
+		mux.HandleFunc(pathTelemetry, c.handleTelemetry)
+		c.handler = mux
+	}
+	return c.handler
+}
+
+// handleTelemetry lists the sensors at the route's root and answers one
+// sensor's series below it; errors take the v1 shape, {"error": "..."}.
+func (c *Center) handleTelemetry(w http.ResponseWriter, r *http.Request) {
+	status, body, err := http.StatusOK, []byte(nil), error(nil)
+	switch sensor := strings.TrimPrefix(r.URL.Path, pathTelemetry); {
+	case r.Method != http.MethodGet:
+		status, err = http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method)
+	case sensor == "":
+		body, err = json.Marshal(map[string][]string{"sensors": c.Store.Sensors()})
+	default:
+		body, err = c.Store.MarshalSeriesJSON(sensor)
+	}
+	if err != nil {
+		if status == http.StatusOK {
+			status = http.StatusInternalServerError
+		}
+		body, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
 
 // RunHealthCheck executes the §3.2 GHZ ladder.
 func (c *Center) RunHealthCheck(sizes []int, shots int) (*calib.HealthCheck, error) {

@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/calib"
 	"repro/internal/circuit"
 	"repro/internal/facility"
 	"repro/internal/mqss"
+	"repro/internal/telemetry"
 )
 
 func candidates() []facility.Site {
@@ -108,6 +112,44 @@ func TestRESTPathThroughCenter(t *testing.T) {
 	}
 	if info.Fidelity1Q < 0.99 {
 		t.Errorf("fidelity over REST = %g", info.Fidelity1Q)
+	}
+}
+
+// TestTelemetryEndpoint: the center's handler serves the DCDB store the
+// poller fills (§3.1) beside the v2 API.
+func TestTelemetryEndpoint(t *testing.T) {
+	c := commissioned(t, Config{Seed: 10, DigitalTwin: true})
+	srv := httptest.NewServer(c.RESTHandler())
+	defer srv.Close()
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	var list struct{ Sensors []string }
+	get("/api/v1/telemetry/", &list)
+	if !slices.Contains(list.Sensors, "mxc_temp_k") {
+		t.Fatalf("sensors %v lack the cryo plant's mxc_temp_k", list.Sensors)
+	}
+	var series struct {
+		Sensor  string
+		Samples []telemetry.Sample
+	}
+	get("/api/v1/telemetry/mxc_temp_k", &series)
+	if series.Sensor != "mxc_temp_k" || len(series.Samples) == 0 {
+		t.Fatalf("series = %+v, want the poller's commissioning samples", series)
+	}
+	if last := series.Samples[len(series.Samples)-1]; last.Value <= 0 || last.Value > 0.1 {
+		t.Errorf("latest mixing-chamber temperature %g K, want a cold QPU", last.Value)
 	}
 }
 

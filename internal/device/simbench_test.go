@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"testing"
 	"time"
 
 	"repro/internal/circuit"
@@ -222,3 +223,31 @@ func RunSimBench(cfg SimBenchConfig) (*SimBenchArtifact, error) {
 	}
 	return art, nil
 }
+
+// --- E15/E16: compiled-circuit execution engine vs the naive shot loop. ---
+//
+// BenchmarkExecuteCompiled* time Execute (compile-once, pooled states,
+// noiseless fast path, shot-branching trajectory tree on noisy jobs); the *Naive variants time the retained reference loop so the
+// BENCH_sim.json speedups are reproducible from the benchmark table alone.
+
+func benchmarkExecute(b *testing.B, qpu *QPU, naive bool, shots int) {
+	b.Helper()
+	ghz := NativeGHZLine(5)
+	exec := qpu.Execute
+	if naive {
+		exec = qpu.ExecuteNaive
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec(ghz, shots); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(shots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
+}
+
+func BenchmarkExecuteCompiled(b *testing.B)      { benchmarkExecute(b, NewTwin20Q(40), false, 200) }
+func BenchmarkExecuteNaive(b *testing.B)         { benchmarkExecute(b, NewTwin20Q(40), true, 200) }
+func BenchmarkExecuteCompiledNoisy(b *testing.B) { benchmarkExecute(b, New20Q(41), false, 200) }
+func BenchmarkExecuteNaiveNoisy(b *testing.B)    { benchmarkExecute(b, New20Q(41), true, 200) }

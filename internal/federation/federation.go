@@ -171,9 +171,6 @@ func (n *Node) Self() string { return n.cfg.NodeID }
 // SelfURL returns the base URL peers use to reach this node.
 func (n *Node) SelfURL() string { return n.cfg.SelfURL }
 
-// Members returns all member IDs in sorted (ID-base) order.
-func (n *Node) Members() []string { return append([]string(nil), n.ids...) }
-
 // SelfBase returns the job-ID base for this node: local schedulers must
 // mint IDs strictly greater than it.
 func (n *Node) SelfBase() int { return n.base[n.cfg.NodeID] }
@@ -184,12 +181,6 @@ func (n *Node) SelfBase() int { return n.base[n.cfg.NodeID] }
 // boundary rather than spill over (mqss.Server.AttachFederation hands the
 // limit to the fleet).
 func (n *Node) SelfLimit() int { return n.base[n.cfg.NodeID] + IDStride }
-
-// BaseOf returns the job-ID base for any member.
-func (n *Node) BaseOf(id string) (int, bool) {
-	b, ok := n.base[id]
-	return b, ok
-}
 
 // OwnerOfJobID maps a job ID to the member that owns it, or "" if the
 // ID is outside every member's range.

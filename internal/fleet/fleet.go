@@ -226,7 +226,6 @@ type Scheduler struct {
 	idem      map[string]int
 	idemOrder []int
 
-	store     *telemetry.Store
 	scoreHist *telemetry.Histogram
 	bus       *EventBus // every lifecycle transition (transitionLocked)
 
@@ -263,16 +262,15 @@ type Scheduler struct {
 	traceSpanDrop uint64
 }
 
-// New builds an empty fleet under the given default policy. store may be nil
-// (no telemetry publication).
-func New(policy Policy, store *telemetry.Store) *Scheduler {
+// New builds an empty fleet under the given default policy. The store
+// argument is unused: it stays until the layer bench stops passing one.
+func New(policy Policy, _ *telemetry.Store) *Scheduler {
 	s := &Scheduler{
 		policy:    policy,
 		devices:   make(map[string]*deviceEntry),
 		jobs:      make(map[int]*Job),
 		queue:     newFairQueue(),
 		idem:      make(map[string]int),
-		store:     store,
 		scoreHist: scoreHistogram(),
 		bus:       NewEventBus(),
 		traceCap:  DefaultTraceRetention,
@@ -348,9 +346,6 @@ func (s *Scheduler) AddDevice(name string, dev *qdmi.Device, workers int) error 
 	s.wakeAllLocked() // the newcomer may out-score the devices queued jobs were waiting for
 	return nil
 }
-
-// Store returns the telemetry store attached at New (may be nil).
-func (s *Scheduler) Store() *telemetry.Store { return s.store }
 
 // ActiveDevices counts backends currently claiming work — the cheap health
 // signal (Metrics snapshots every per-device histogram).

@@ -21,7 +21,7 @@ import (
 	"repro/internal/qdmi"
 )
 
-// AccessPath describes how a job reached the scheduler.
+// AccessPath names the transport a client reaches the server by.
 type AccessPath string
 
 const (
@@ -31,29 +31,21 @@ const (
 	PathREST AccessPath = "rest"
 )
 
-// Client is the MQSS client of Fig. 2: "without requiring any code
-// modifications from the user, the client automatically detects whether a
-// job originates inside or outside an HPC environment and routes it
-// accordingly". Inside the HPC environment the client holds a direct handle
-// on the fleet scheduler; outside, it holds only a REST endpoint.
+// Client is the MQSS client of Fig. 2, which reaches the stack "without
+// requiring any code modifications from the user" whether a job originates
+// inside or outside the HPC environment. Inside, NewLocalClient calls the
+// node's handler in-process; outside, NewRemoteClient reaches it over
+// HTTP. Both speak v2 to the same mqss.Server, so every method has one
+// implementation and the two paths differ only in the transport.
 //
 // Every method takes a context.Context: cancellation and deadlines
-// propagate into HTTP round-trips, long-polls, watch streams, and local
-// pipeline waits alike. Submit is the entry point — async submission
-// returning a JobHandle with Wait/Poll/Watch/Cancel — and Run is Submit +
-// Wait. Both paths speak the same Job resource.
+// propagate into round-trips, long-polls and watch streams alike. Submit
+// is the entry point — async submission returning a JobHandle with
+// Wait/Poll/Watch/Cancel — and Run is Submit + Wait.
 type Client struct {
-	// Direct fleet handle; non-nil when running inside the HPC environment.
-	localFleet *fleet.Scheduler
-	// REST endpoint for remote access.
+	path    AccessPath
 	baseURL string
 	httpc   *http.Client
-}
-
-// NewLocalClient returns a client wired for in-HPC accelerator-style
-// submission straight into the fleet scheduler.
-func NewLocalClient(f *fleet.Scheduler) *Client {
-	return &Client{localFleet: f}
 }
 
 // NewRemoteClient returns a client that reaches the stack over HTTP.
@@ -61,26 +53,11 @@ func NewRemoteClient(baseURL string, httpc *http.Client) *Client {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	return &Client{baseURL: baseURL, httpc: httpc}
-}
-
-// NewAutoClient performs the routing decision: if a local scheduler is
-// reachable (non-nil), the HPC path is used; otherwise the REST path. This
-// mirrors the client-side auto-detection the paper describes.
-func NewAutoClient(local *fleet.Scheduler, baseURL string, httpc *http.Client) *Client {
-	if local != nil {
-		return NewLocalClient(local)
-	}
-	return NewRemoteClient(baseURL, httpc)
+	return &Client{path: PathREST, baseURL: baseURL, httpc: httpc}
 }
 
 // Path reports which access path this client uses.
-func (c *Client) Path() AccessPath {
-	if c.localFleet != nil {
-		return PathHPC
-	}
-	return PathREST
-}
+func (c *Client) Path() AccessPath { return c.path }
 
 // --- HTTP plumbing ------------------------------------------------------
 
@@ -186,18 +163,6 @@ func retryableAPIError(err error) *APIError {
 // either path (the scheduler replays the original submission instead of
 // duplicating it, and the handle says so in Replayed).
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, idempotencyKey string) (*JobHandle, error) {
-	if c.localFleet != nil {
-		opts, err := req.submitOptions()
-		if err != nil {
-			return nil, err
-		}
-		opts.IdemKey = idempotencyKey
-		id, replayed, err := c.localFleet.SubmitKeyed(req.qrmRequest(), opts)
-		if err != nil {
-			return nil, err
-		}
-		return &JobHandle{c: c, ID: FormatJobID(id), id: id, Replayed: replayed, req: &req, idemKey: idempotencyKey}, nil
-	}
 	var hdr http.Header
 	if idempotencyKey != "" {
 		hdr = http.Header{"Idempotency-Key": {idempotencyKey}}
@@ -222,35 +187,29 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest, idempotencyKey s
 			return nil, serr
 		}
 	}
-	id, err := ParseJobID(job.ID)
-	if err != nil {
+	if _, err := ParseJobID(job.ID); err != nil {
 		return nil, fmt.Errorf("mqss: server returned %w", err)
 	}
-	return &JobHandle{c: c, ID: job.ID, id: id, Replayed: replayed, last: &job, req: &req, idemKey: idempotencyKey}, nil
+	return &JobHandle{c: c, ID: job.ID, Replayed: replayed, req: &req, idemKey: idempotencyKey}, nil
 }
 
 // Handle rebuilds a JobHandle from an opaque job ID (as returned by Submit,
 // carried in a Location header, or listed by ListJobs) — the re-attach
 // primitive: a process that crashed after submitting can resume watching.
 func (c *Client) Handle(id string) (*JobHandle, error) {
-	n, err := ParseJobID(id)
-	if err != nil {
+	if _, err := ParseJobID(id); err != nil {
 		return nil, err
 	}
-	return &JobHandle{c: c, ID: id, id: n}, nil
+	return &JobHandle{c: c, ID: id}, nil
 }
 
 // JobHandle is a submitted job's remote control.
 type JobHandle struct {
 	c  *Client
 	ID string // opaque v2 job ID
-	id int    // backend-scoped numeric ID
 	// Replayed reports that Submit's idempotency key was already bound:
 	// this handle is the original job, nothing new was submitted.
 	Replayed bool
-
-	// last is the most recent record an operation observed (may be nil).
-	last *Job
 
 	// req/idemKey echo the original submission when the handle came from
 	// Submit (nil/"" on handles rebuilt via Handle). They power transparent
@@ -292,27 +251,20 @@ func (h *JobHandle) resubmit(ctx context.Context, job *Job) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	h.ID, h.id, h.last = nh.ID, nh.id, nh.last
+	h.ID = nh.ID
 	return true, nil
 }
 
 // Poll fetches the job's current record without blocking on completion.
-func (h *JobHandle) Poll(ctx context.Context) (*Job, error) {
-	j, err := h.c.V2Job(ctx, h.ID)
-	if err == nil {
-		h.last = j
-	}
-	return j, err
-}
+func (h *JobHandle) Poll(ctx context.Context) (*Job, error) { return h.c.V2Job(ctx, h.ID) }
 
 // waitPollInterval is the long-poll budget per round trip while waiting.
 const waitPollInterval = 30 * time.Second
 
 // Wait blocks until the job reaches a terminal state (or ctx ends) and
-// returns the terminal record. Remotely it long-polls; locally it rides the
-// scheduler's completion signal. Jobs that terminate with a retryable envelope (shed
-// by admission control, interrupted by a restart) are transparently
-// resubmitted — the caller sees one slow wait, not an error.
+// returns the terminal record by long-polling the job. Jobs that terminate
+// with a retryable envelope (shed by admission control, interrupted by a
+// restart) are transparently resubmitted — the caller sees one slow wait, not an error.
 func (h *JobHandle) Wait(ctx context.Context) (*Job, error) {
 	for {
 		job, err := h.waitOnce(ctx)
@@ -331,23 +283,12 @@ func (h *JobHandle) Wait(ctx context.Context) (*Job, error) {
 
 // waitOnce brings the handle's current submission to a terminal record.
 func (h *JobHandle) waitOnce(ctx context.Context) (*Job, error) {
-	c := h.c
-	if c.localFleet != nil {
-		fj, err := c.localFleet.WaitContext(ctx, h.id)
-		if err != nil {
-			return nil, err
-		}
-		j := v2FromFleet(fj, true)
-		h.last = j
-		return j, nil
-	}
 	for {
 		var job Job
 		path := fmt.Sprintf("%s/%s?wait=%s", pathV2Jobs, h.ID, waitPollInterval)
-		if _, err := c.doJSON(ctx, http.MethodGet, path, nil, &job, nil, http.StatusOK); err != nil {
+		if _, err := h.c.doJSON(ctx, http.MethodGet, path, nil, &job, nil, http.StatusOK); err != nil {
 			return nil, err
 		}
-		h.last = &job
 		if job.State.Terminal() {
 			return &job, nil
 		}
@@ -360,17 +301,13 @@ func (h *JobHandle) waitOnce(ctx context.Context) (*Job, error) {
 // Cancel requests cancellation: queued jobs cancel immediately,
 // in-flight jobs settle cancelled at the pipeline's next stage boundary.
 func (h *JobHandle) Cancel(ctx context.Context) error {
-	c := h.c
-	if c.localFleet != nil {
-		return c.localFleet.Cancel(h.id)
-	}
-	_, err := c.doJSON(ctx, http.MethodDelete, pathV2Jobs+"/"+h.ID, nil, nil, nil,
+	_, err := h.c.doJSON(ctx, http.MethodDelete, pathV2Jobs+"/"+h.ID, nil, nil, nil,
 		http.StatusAccepted)
 	return err
 }
 
 // Watch streams the job's lifecycle events — server push over the v2
-// events endpoint (or the local event bus on the HPC path) — invoking fn
+// events endpoint — invoking fn
 // for each (fn may be nil), and returns the terminal record. The first
 // event is always a "snapshot" of the current state. Like Wait, terminal
 // records carrying a retryable envelope are transparently resubmitted and
@@ -392,10 +329,6 @@ func (h *JobHandle) Watch(ctx context.Context, fn func(JobEvent)) (*Job, error) 
 }
 
 func (h *JobHandle) watchOnce(ctx context.Context, fn func(JobEvent)) (*Job, error) {
-	c := h.c
-	if c.localFleet != nil {
-		return h.watchLocal(ctx, fn)
-	}
 	for {
 		terminal, err := h.watchStreamOnce(ctx, fn)
 		if err != nil {
@@ -462,52 +395,10 @@ func (h *JobHandle) watchStreamOnce(ctx context.Context, fn func(JobEvent)) (boo
 	return false, ctx.Err()
 }
 
-// watchLocal follows the in-process event bus.
-func (h *JobHandle) watchLocal(ctx context.Context, fn func(JobEvent)) (*Job, error) {
-	sub := h.c.localFleet.Events().Subscribe(h.id, 32)
-	defer sub.Close()
-
-	job, err := h.Poll(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if fn != nil {
-		fn(JobEvent{JobID: job.ID, State: job.State, Device: job.Device, Reason: "snapshot"})
-	}
-	if job.State.Terminal() {
-		return job, nil
-	}
-	for {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return nil, fmt.Errorf("mqss: event bus closed while watching job %s", h.ID)
-			}
-			jev := jobEventFrom(ev)
-			if fn != nil {
-				fn(jev)
-			}
-			if jev.State.Terminal() {
-				return h.Poll(ctx)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // V2Job fetches one unified job record by its opaque ID.
 func (c *Client) V2Job(ctx context.Context, id string) (*Job, error) {
-	n, err := ParseJobID(id)
-	if err != nil {
+	if _, err := ParseJobID(id); err != nil {
 		return nil, err
-	}
-	if c.localFleet != nil {
-		fj, err := c.localFleet.Job(n)
-		if err != nil {
-			return nil, err
-		}
-		return v2FromFleet(fj, true), nil
 	}
 	var job Job
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Jobs+"/"+id, nil, &job, nil, http.StatusOK); err != nil {
@@ -517,23 +408,10 @@ func (c *Client) V2Job(ctx context.Context, id string) (*Job, error) {
 }
 
 // V2JobTrace fetches a job's span tree (GET /api/v2/jobs/{id}/trace).
-// Local clients read the backend's retention ring directly. Returns an
-// error when the trace was never recorded or has been evicted.
+// Returns an error when the trace was never recorded or has been evicted.
 func (c *Client) V2JobTrace(ctx context.Context, id string) (*JobTrace, error) {
-	n, err := ParseJobID(id)
-	if err != nil {
+	if _, err := ParseJobID(id); err != nil {
 		return nil, err
-	}
-	if c.localFleet != nil {
-		fj, err := c.localFleet.Job(n)
-		if err != nil {
-			return nil, err
-		}
-		snap := c.localFleet.Trace(n).Snapshot()
-		if snap == nil {
-			return nil, fmt.Errorf("mqss: no trace retained for job %s", id)
-		}
-		return &JobTrace{JobID: id, State: fj.Status, Snapshot: *snap}, nil
 	}
 	var jt JobTrace
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Jobs+"/"+id+"/trace", nil, &jt, nil, http.StatusOK); err != nil {
@@ -543,12 +421,8 @@ func (c *Client) V2JobTrace(ctx context.Context, id string) (*JobTrace, error) {
 }
 
 // StoreStatus reads durable-store health from a v2 server
-// (GET /api/v2/admin/store). Local clients talk straight to the scheduler
-// and bypass the HTTP layer that owns the store, so this is remote-only.
+// (GET /api/v2/admin/store).
 func (c *Client) StoreStatus(ctx context.Context) (*StoreStatus, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: StoreStatus requires a remote client (the durable store is owned by the server process)")
-	}
 	var st StoreStatus
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2AdminStore, nil, &st, nil, http.StatusOK); err != nil {
 		return nil, err
@@ -558,12 +432,8 @@ func (c *Client) StoreStatus(ctx context.Context) (*StoreStatus, error) {
 
 // TenantsStatus reads the multi-tenant admission snapshot from a v2 server
 // (GET /api/v2/admin/tenants): per-tenant queue accounting, throttle
-// counters, and the configured limits. Remote-only, like StoreStatus — the
-// limiter lives in the HTTP layer.
+// counters, and the configured limits.
 func (c *Client) TenantsStatus(ctx context.Context) (*TenantsStatus, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: TenantsStatus requires a remote client (the rate limiter is owned by the server process)")
-	}
 	var ts TenantsStatus
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2AdminTenants, nil, &ts, nil, http.StatusOK); err != nil {
 		return nil, err
@@ -582,9 +452,6 @@ type ListOptions struct {
 // ListJobs pages through the v2 job listing, newest first; thread the
 // returned NextCursor back in to continue.
 func (c *Client) ListJobs(ctx context.Context, opts ListOptions) (*JobPage, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: local clients page the scheduler directly (ListJobs)")
-	}
 	q := url.Values{}
 	if opts.User != "" {
 		q.Set("user", opts.User)
@@ -636,13 +503,9 @@ type DeviceInfo struct {
 	Calibration     *device.Calibration `json:"calibration,omitempty"`
 }
 
-// Device fetches the properties of a one-device deployment's sole backend
-// over REST; against a larger roster it errors naming the devices (use
-// FleetDevice). (Local clients should use their QDMI handle directly.)
+// Device fetches the properties of a one-device deployment's sole backend;
+// against a larger roster it errors naming the devices (use FleetDevice).
 func (c *Client) Device(ctx context.Context) (*DeviceInfo, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: local clients query QDMI directly")
-	}
 	var roster map[string]*DeviceInfo
 	if _, err := c.doJSON(ctx, http.MethodGet, pathDevice, nil, &roster, nil, http.StatusOK); err != nil {
 		return nil, err
@@ -662,10 +525,6 @@ func (c *Client) Device(ctx context.Context) (*DeviceInfo, error) {
 // /api/v1/fleet): queue depth, per-device state, routed/migrated/failed
 // counters, fidelity means, and score histograms.
 func (c *Client) FleetMetrics(ctx context.Context) (*fleet.Metrics, error) {
-	if c.localFleet != nil {
-		m := c.localFleet.Metrics()
-		return &m, nil
-	}
 	var m fleet.Metrics
 	if _, err := c.doJSON(ctx, http.MethodGet, pathFleet, nil, &m, nil, http.StatusOK); err != nil {
 		return nil, err
@@ -676,9 +535,6 @@ func (c *Client) FleetMetrics(ctx context.Context) (*fleet.Metrics, error) {
 // FleetDevice fetches one fleet backend's device info (properties plus the
 // full calibration record including couplers).
 func (c *Client) FleetDevice(ctx context.Context, name string) (*DeviceInfo, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: local clients query QDMI directly")
-	}
 	var info DeviceInfo
 	path := pathDevice + "?device=" + url.QueryEscape(name)
 	if _, err := c.doJSON(ctx, http.MethodGet, path, nil, &info, nil, http.StatusOK); err != nil {

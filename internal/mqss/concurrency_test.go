@@ -16,7 +16,7 @@ import (
 // newRunningStack serves a one-device twin fleet with the given pool size.
 func newRunningStack(t *testing.T, seed int64, workers int) (*fleet.Scheduler, *httptest.Server) {
 	t.Helper()
-	f := oneDeviceFleet(t, device.NewTwin20Q(seed), nil, workers)
+	f := oneDeviceFleet(t, device.NewTwin20Q(seed), workers)
 	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
 	return f, srv
@@ -25,7 +25,7 @@ func newRunningStack(t *testing.T, seed int64, workers int) (*fleet.Scheduler, *
 func TestWaitJobUnblocksOnStop(t *testing.T) {
 	qpu := device.NewTwin20Q(46)
 	qpu.SetExecLatency(2 * time.Millisecond)
-	f := oneDeviceFleet(t, qpu, nil, 1)
+	f := oneDeviceFleet(t, qpu, 1)
 	// Flood the single paced worker so jobs are still queued when we stop,
 	// then verify a blocked Wait returns instead of hanging: Stop fails what
 	// is still queued.
@@ -70,8 +70,8 @@ func TestSubmitAgainstRunningPipeline(t *testing.T) {
 }
 
 // TestBatchEndpointConcurrentClients is the mqss half of the -race
-// workout: eight remote clients each Run a string of jobs against one
-// running pipeline at once.
+// workout: eight clients, half remote and half in-process, each Run a
+// string of jobs against one running pipeline at once.
 func TestBatchEndpointConcurrentClients(t *testing.T) {
 	f, srv := newRunningStack(t, 44, 8)
 	const clients = 8
@@ -82,6 +82,9 @@ func TestBatchEndpointConcurrentClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := NewRemoteClient(srv.URL, srv.Client())
+			if i%2 == 1 {
+				c = NewLocalClient(srv.Config.Handler)
+			}
 			for k := 0; k < perClient; k++ {
 				j, err := c.Run(context.Background(), SubmitRequest{Circuit: circuit.GHZ(2 + (i+k)%3), Shots: 5, User: "swarm"})
 				if err != nil {

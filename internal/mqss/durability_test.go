@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -340,8 +341,12 @@ func TestAdminStoreEndpoint(t *testing.T) {
 		t.Errorf("POST admin/store = %d, want 405", wresp.StatusCode)
 	}
 
-	// The local client has no store plumbing — it must say so, not lie.
-	if _, err := NewLocalClient(f2).StoreStatus(ctx); err == nil {
-		t.Error("local client StoreStatus should error")
+	// The in-process client reads the same route through the same server.
+	local, err := NewLocalClient(server2).StoreStatus(ctx)
+	if err != nil {
+		t.Fatalf("local client StoreStatus: %v", err)
+	}
+	if !reflect.DeepEqual(local, status) {
+		t.Errorf("local StoreStatus %+v, remote %+v", local, status)
 	}
 }

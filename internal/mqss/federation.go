@@ -96,12 +96,8 @@ func (s *Server) handleV2Federation(w http.ResponseWriter, r *http.Request) {
 }
 
 // FederationStatus reads the membership table from a v2 server
-// (GET /api/v2/federation/status). Remote-only, like StoreStatus — the
-// federation layer lives in the server process.
+// (GET /api/v2/federation/status).
 func (c *Client) FederationStatus(ctx context.Context) (*federation.Status, error) {
-	if c.localFleet != nil {
-		return nil, fmt.Errorf("mqss: FederationStatus requires a remote client (federation is owned by the server process)")
-	}
 	var st federation.Status
 	if _, err := c.doJSON(ctx, http.MethodGet, pathV2Federation+"/status", nil, &st, nil, http.StatusOK); err != nil {
 		return nil, err

@@ -202,7 +202,7 @@ func TestFleetServerDrainDuringStream(t *testing.T) {
 		t.Fatal("no job queued behind the mid-flight drain ran on the sibling")
 	}
 	// The local fleet client sees the same stack.
-	local := NewLocalClient(f)
+	local := NewLocalClient(srv.Config.Handler)
 	if local.Path() != PathHPC {
 		t.Fatalf("local fleet client path %s", local.Path())
 	}

@@ -1,44 +1,44 @@
 package mqss
 
 import (
+	"bufio"
 	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
-	"repro/internal/telemetry"
 )
 
 // oneDeviceFleet builds the single-QPU deployment shape: a fleet whose only
 // device is qpu, registered under its own name. The pool stops with the
 // test.
-func oneDeviceFleet(t *testing.T, qpu *device.QPU, store *telemetry.Store, workers int) *fleet.Scheduler {
+func oneDeviceFleet(t *testing.T, qpu *device.QPU, workers int) *fleet.Scheduler {
 	t.Helper()
-	f := fleet.New(fleet.PolicyBestFidelity, store)
-	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, store), workers); err != nil {
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice(qpu.Name(), qdmi.NewDevice(qpu, nil), workers); err != nil {
 		t.Fatal(err)
 	}
 	stopAndAuditAtCleanup(t, f)
 	return f
 }
 
-// newStack builds a full twin-device stack with a telemetry store. One
-// worker: jobs run in submission order, so twin counts are deterministic.
+// newStack builds a full twin-device stack. One worker: jobs run in
+// submission order, so twin counts are deterministic.
 func newStack(t *testing.T, seed int64) *fleet.Scheduler {
 	t.Helper()
-	store := telemetry.NewStore(0)
-	store.Append("fidelity_1q", 0, 0.999)
-	return oneDeviceFleet(t, device.NewTwin20Q(seed), store, 1)
+	return oneDeviceFleet(t, device.NewTwin20Q(seed), 1)
 }
 
 func TestLocalClientPath(t *testing.T) {
-	c := NewLocalClient(newStack(t, 1))
+	c := NewLocalClient(NewFleetServer(newStack(t, 1)))
 	if c.Path() != PathHPC {
 		t.Errorf("path = %s, want hpc", c.Path())
 	}
@@ -51,6 +51,90 @@ func TestLocalClientPath(t *testing.T) {
 	}
 	if len(job.Counts) != 2 {
 		t.Errorf("twin GHZ outcomes = %d", len(job.Counts))
+	}
+}
+
+// TestLocalClientGoesThroughTheHandler: the in-process client reaches the
+// scheduler through the server's v2 handler, so the tenant token bucket
+// and the request-id trace stamp apply to it as to a REST client, and its
+// watch streams the events endpoint.
+func TestLocalClientGoesThroughTheHandler(t *testing.T) {
+	qpu := device.NewTwin20Q(12)
+	qpu.SetExecLatency(20 * time.Millisecond) // the watch opens before the job ends
+	server := NewFleetServer(oneDeviceFleet(t, qpu, 1))
+	server.SetTenantLimits(0.001, 1) // one submission, then throttled for ~17 minutes
+	c := NewLocalClient(server)
+	ctx := context.Background()
+	req := SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "hpc"}
+
+	h, err := c.Submit(ctx, req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []JobEvent
+	job, err := h.Watch(ctx, func(ev JobEvent) { events = append(events, ev) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != StateDone || len(events) < 2 || events[0].Reason != "snapshot" || !events[len(events)-1].State.Terminal() {
+		t.Fatalf("local watch: job %s, events %+v", job.State, events)
+	}
+	jt, err := c.V2JobTrace(ctx, h.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jt.Root == nil || !strings.HasPrefix(jt.Root.Attrs["request_id"], "req-") {
+		t.Errorf("local job's trace root lacks a request_id: %+v", jt.Root)
+	}
+
+	// Past the burst the handler answers 429; the client backs off for the
+	// Retry-After, which outlasts this deadline.
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.Submit(short, req, ""); err == nil {
+		t.Fatal("a local submission past the tenant's burst was admitted")
+	}
+	ts, err := c.TenantsStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts.Tenants) != 1 || ts.Tenants[0].Allowed != 1 || ts.Tenants[0].Throttled != 1 {
+		t.Errorf("tenants after one admitted and one throttled local submission: %+v", ts.Tenants)
+	}
+}
+
+// TestLocalStreamCloseEndsTheHandler: closing an in-process watch stream's
+// body ends the handler's request context, so the handler returns and
+// drops its event-bus subscription, as a disconnect does over a socket.
+func TestLocalStreamCloseEndsTheHandler(t *testing.T) {
+	qpu := device.NewTwin20Q(13)
+	f := oneDeviceFleet(t, qpu, 1)
+	if err := f.Drain(qpu.Name()); err != nil { // the job stays queued
+		t.Fatal(err)
+	}
+	c := NewLocalClient(NewFleetServer(f))
+	h, err := c.Submit(context.Background(), SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: "hpc"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.httpc.Get(c.baseURL + pathV2Jobs + "/" + h.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.Contains(first, `"reason":"snapshot"`) {
+		t.Fatalf("opening event %q, %v", first, err)
+	}
+	if n := f.Events().Stats().Subscribers; n != 1 {
+		t.Fatalf("%d subscribers while the stream is open, want 1", n)
+	}
+	resp.Body.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.Events().Stats().Subscribers != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the watch handler still holds its subscription after the body closed")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -85,15 +169,6 @@ func TestRemoteClientPath(t *testing.T) {
 	}
 }
 
-func TestAutoClientRouting(t *testing.T) {
-	if NewAutoClient(newStack(t, 3), "", nil).Path() != PathHPC {
-		t.Error("auto client with a local scheduler should pick the HPC path")
-	}
-	if NewAutoClient(nil, "http://example", nil).Path() != PathREST {
-		t.Error("auto client without a local scheduler should pick the REST path")
-	}
-}
-
 func TestBothPathsProduceSameDistribution(t *testing.T) {
 	// The same job via HPC path and REST path on identical twin devices
 	// must produce identical histograms up to sampling noise — the "no
@@ -101,7 +176,7 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 	srv := httptest.NewServer(NewFleetServer(newStack(t, 4)))
 	defer srv.Close()
 
-	local := NewLocalClient(newStack(t, 4))
+	local := NewLocalClient(NewFleetServer(newStack(t, 4)))
 	remote := NewRemoteClient(srv.URL, srv.Client())
 	req := SubmitRequest{Circuit: circuit.GHZ(5), Shots: 2000, User: "x"}
 	jl, err := local.Run(context.Background(), req)
@@ -125,7 +200,7 @@ func TestBothPathsProduceSameDistribution(t *testing.T) {
 func TestBothPathsDedup(t *testing.T) {
 	for _, name := range []string{"local", "remote"} {
 		f := newStack(t, 5)
-		c := NewLocalClient(f)
+		c := NewLocalClient(NewFleetServer(f))
 		if name == "remote" {
 			srv := httptest.NewServer(NewFleetServer(f))
 			defer srv.Close()
@@ -159,8 +234,8 @@ func TestBothPathsDedup(t *testing.T) {
 }
 
 func TestRemoteDeviceInfo(t *testing.T) {
-	f := newStack(t, 8)
-	srv := httptest.NewServer(NewFleetServer(f))
+	server := NewFleetServer(newStack(t, 8))
+	srv := httptest.NewServer(server)
 	defer srv.Close()
 	c := NewRemoteClient(srv.URL, srv.Client())
 	info, err := c.Device(context.Background())
@@ -176,9 +251,13 @@ func TestRemoteDeviceInfo(t *testing.T) {
 	if len(info.Properties.CouplingMap) != 20 {
 		t.Error("coupling map missing")
 	}
-	// Local clients don't implement Device().
-	if _, err := NewLocalClient(f).Device(context.Background()); err == nil {
-		t.Error("local Device() should direct users to QDMI")
+	// The in-process client reads the same route through the same server.
+	local, err := NewLocalClient(server).Device(context.Background())
+	if err != nil {
+		t.Fatalf("local Device(): %v", err)
+	}
+	if !reflect.DeepEqual(local, info) {
+		t.Errorf("local Device() %+v, remote %+v", local, info)
 	}
 	// Against a larger roster Device() refuses to guess and names the devices.
 	multi := httptest.NewServer(NewFleetServer(newTestFleet(t, map[string]*qdmi.Device{
@@ -226,19 +305,6 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
-func TestTelemetryEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewFleetServer(newStack(t, 10)))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/api/v1/telemetry/fidelity_1q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("telemetry status = %d", resp.StatusCode)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	srv := httptest.NewServer(NewFleetServer(newStack(t, 11)))
 	defer srv.Close()
@@ -249,82 +315,5 @@ func TestHealthz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Errorf("healthz = %d", resp.StatusCode)
-	}
-}
-
-func TestQASMAdapter(t *testing.T) {
-	a := QASMAdapter{}
-	if a.AdapterName() != "qasm" {
-		t.Error("adapter name")
-	}
-	c, err := a.Build("qreg q[2];\nh q[0];\ncx q[0],q[1];\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumQubits != 2 || len(c.Gates) != 2 {
-		t.Errorf("adapted circuit: %d qubits, %d gates", c.NumQubits, len(c.Gates))
-	}
-	if _, err := a.Build("garbage"); err == nil {
-		t.Error("expected parse error")
-	}
-}
-
-func TestQPIBuilder(t *testing.T) {
-	c, err := NewQPI(3, "qpi-demo").H(0).CNOT(0, 1).RY(2, 0.5).RZ(2, 0.25).CZ(1, 2).X(0).Circuit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Gates) != 6 {
-		t.Errorf("gates = %d", len(c.Gates))
-	}
-	if _, err := NewQPI(0, "bad").Circuit(); err == nil {
-		t.Error("expected error for 0 qubits")
-	}
-	if _, err := NewQPI(2, "bad").H(7).Circuit(); err == nil {
-		t.Error("expected error for out-of-range qubit")
-	}
-	// Error sticks: further calls do not panic.
-	if _, err := NewQPI(2, "bad").H(7).CNOT(0, 1).Circuit(); err == nil {
-		t.Error("builder error should persist")
-	}
-}
-
-func TestPulseProgramCompilesToPRX(t *testing.T) {
-	// A pi-pulse: Rabi 10 MHz for 0.05 µs -> theta = 2π·0.5 = π.
-	p := &PulseProgram{
-		NumQubits: 1,
-		Pulses:    []Pulse{{Qubit: 0, AmplitudeMHz: 10, DurationUs: 0.05, PhaseRad: 0}},
-	}
-	c, err := p.Compile("pi-pulse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Gates) != 1 || c.Gates[0].Name != circuit.OpPRX {
-		t.Fatalf("compiled = %+v", c.Gates)
-	}
-	if math.Abs(c.Gates[0].Params[0]-math.Pi) > 1e-12 {
-		t.Errorf("theta = %g, want pi", c.Gates[0].Params[0])
-	}
-	// Ideal simulation flips |0> to |1>.
-	s, err := c.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr := s.Probability(1); math.Abs(pr-1) > 1e-9 {
-		t.Errorf("pi-pulse P(1) = %g", pr)
-	}
-}
-
-func TestPulseProgramValidation(t *testing.T) {
-	if _, err := (&PulseProgram{NumQubits: 0}).Compile("x"); err == nil {
-		t.Error("expected error for 0 qubits")
-	}
-	bad := &PulseProgram{NumQubits: 1, Pulses: []Pulse{{Qubit: 5, AmplitudeMHz: 1, DurationUs: 1}}}
-	if _, err := bad.Compile("x"); err == nil {
-		t.Error("expected error for out-of-range qubit")
-	}
-	bad2 := &PulseProgram{NumQubits: 1, Pulses: []Pulse{{Qubit: 0, AmplitudeMHz: 0, DurationUs: 1}}}
-	if _, err := bad2.Compile("x"); err == nil {
-		t.Error("expected error for zero amplitude")
 	}
 }

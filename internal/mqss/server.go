@@ -1,19 +1,17 @@
 // Package mqss reproduces the Munich Quantum Software Stack architecture of
-// Fig. 2: frontend adapters submit circuits to a client, which automatically
-// detects whether a job originates inside or outside the HPC environment
-// and routes it to the appropriate interface — the in-process HPC path for
-// tightly-coupled accelerator-style loops (VQE), or the REST API for remote
-// asynchronous access. Both paths land in the same fleet scheduler, whose
-// devices claim each job when the policy (calibration-aware) names them, so
-// work flows around maintenance windows and device faults; a single-QPU
-// deployment is a one-device fleet.
+// Fig. 2: a client submits circuits from inside or outside the HPC
+// environment — in-process for tightly-coupled accelerator-style loops
+// (VQE), over REST for remote asynchronous access — and both reach the
+// same Server, whose one handler decodes, admits and routes every job into
+// the fleet scheduler. Its devices claim each job when the policy
+// (calibration-aware) names them, so work flows around maintenance windows
+// and device faults; a single-QPU deployment is a one-device fleet.
 package mqss
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/durable"
@@ -29,7 +27,6 @@ const (
 	pathV1JobsGone = "/api/v1/jobs"
 	pathDevice     = "/api/v1/device"
 	pathFleet      = "/api/v1/fleet"
-	pathTelemetry  = "/api/v1/telemetry/"
 	pathMetrics    = "/api/v1/metrics"
 	pathHealthz    = "/healthz"
 )
@@ -83,7 +80,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc(pathV1JobsGone+"/", handleV1JobsGone)
 	s.mux.HandleFunc(pathDevice, s.handleDevice)
 	s.mux.HandleFunc(pathFleet, s.handleMetrics)
-	s.mux.HandleFunc(pathTelemetry, s.handleTelemetry)
 	s.mux.HandleFunc(pathMetrics, s.handleMetrics)
 	s.mux.HandleFunc(pathHealthz, s.handleHealthz)
 	s.mux.HandleFunc(pathMetricsProm, s.handleMetricsProm)
@@ -217,33 +213,6 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 		out[name] = deviceInfoJSON(dev)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handleTelemetry: GET /api/v1/telemetry/{sensor} — transparent telemetry
-// dissemination (§3.1).
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		v1MethodNotAllowed(w, r.Method)
-		return
-	}
-	store := s.fleet.Store()
-	if store == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("telemetry store not attached"))
-		return
-	}
-	sensor := strings.TrimPrefix(r.URL.Path, pathTelemetry)
-	if sensor == "" {
-		writeJSON(w, http.StatusOK, map[string]interface{}{"sensors": store.Sensors()})
-		return
-	}
-	data, err := store.MarshalSeriesJSON(sensor)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

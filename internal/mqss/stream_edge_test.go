@@ -25,7 +25,7 @@ func newPacedStack(t *testing.T, latency time.Duration, workers int) (*fleet.Sch
 	if latency > 0 {
 		qpu.SetExecLatency(latency)
 	}
-	f := oneDeviceFleet(t, qpu, nil, workers)
+	f := oneDeviceFleet(t, qpu, workers)
 	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
 	return f, qpu, srv
@@ -104,7 +104,7 @@ func TestRunSurfacesJobFailureEnvelope(t *testing.T) {
 			f, qpu, srv := newPacedStack(t, 0, 1)
 			client := NewRemoteClient(srv.URL, srv.Client())
 			if path == PathHPC {
-				client = NewLocalClient(f)
+				client = NewLocalClient(NewFleetServer(f))
 			}
 			// One worker executes in submission order; fault exactly the
 			// first execution so precisely one job fails.

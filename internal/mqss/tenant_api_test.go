@@ -103,7 +103,7 @@ func TestNoUnmeteredSubmitRoute(t *testing.T) {
 		}
 	}
 	for _, path := range []string{
-		pathDevice, pathFleet, pathTelemetry, pathMetrics, pathHealthz, pathMetricsProm,
+		pathDevice, pathFleet, pathMetrics, pathHealthz, pathMetricsProm,
 		pathV2AdminStore, pathV2AdminTenants, pathV2Federation + "/status",
 	} {
 		post(path, one) // whatever it answers, the counter below must not move

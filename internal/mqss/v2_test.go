@@ -33,7 +33,7 @@ func pacedStack(t *testing.T, seed int64, latency time.Duration, workers int) (*
 	if latency > 0 {
 		qpu.SetExecLatency(latency)
 	}
-	f := oneDeviceFleet(t, qpu, nil, workers)
+	f := oneDeviceFleet(t, qpu, workers)
 	return f, NewFleetServer(f)
 }
 

@@ -34,19 +34,20 @@ type Interface interface {
 	Calibration() *device.Calibration
 }
 
-// Device implements Interface over a QPU, optionally publishing calibration
-// metrics into a telemetry store (the DCDB/QDMI integration of Fig. 3).
+// Device implements Interface over a QPU. It is a telemetry.Collector: a
+// poller publishes its calibration metrics into the DCDB store (the
+// DCDB/QDMI integration of Fig. 3).
 type Device struct {
-	qpu   *device.QPU
-	store *telemetry.Store
+	qpu *device.QPU
 	// props is built once: the topology is immutable, and the scheduler reads
 	// the width of every device on each submit.
 	props Properties
 }
 
-// NewDevice wraps a QPU. store may be nil (no telemetry publication).
-func NewDevice(qpu *device.QPU, store *telemetry.Store) *Device {
-	return &Device{qpu: qpu, store: store, props: Properties{
+// NewDevice wraps a QPU. The store argument is unused: it stays until the
+// layer bench stops passing one.
+func NewDevice(qpu *device.QPU, _ *telemetry.Store) *Device {
+	return &Device{qpu: qpu, props: Properties{
 		Name:        qpu.Name(),
 		NumQubits:   qpu.NumQubits(),
 		NativeOps:   []string{"prx", "rz", "cz", "measure"},
@@ -96,9 +97,6 @@ func (d *Device) Collect() map[string]float64 {
 	}
 	return out
 }
-
-// Store returns the attached telemetry store (may be nil).
-func (d *Device) Store() *telemetry.Store { return d.store }
 
 var _ Interface = (*Device)(nil)
 var _ telemetry.Collector = (*Device)(nil)

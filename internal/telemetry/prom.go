@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -131,12 +130,4 @@ func (w *PromWriter) WriteTo(out io.Writer) (int64, error) {
 	}
 	n, err := io.WriteString(out, b.String())
 	return int64(n), err
-}
-
-// FamilyNames returns the metric family names added so far, sorted — used
-// by the docs cross-check test.
-func (w *PromWriter) FamilyNames() []string {
-	names := append([]string(nil), w.order...)
-	sort.Strings(names)
-	return names
 }
