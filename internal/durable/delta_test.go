@@ -94,6 +94,10 @@ func TestUpdateRoundTrip(t *testing.T) {
 		// run drives job 1 to the state checked, through the row named.
 		run   func(t *testing.T, f *fleet.Scheduler, qpu *device.QPU) int
 		state fleet.JobStatus
+		// submitted, when set, undoes on the scheduler's copy what run did
+		// to the request after admission: the journal holds the request as
+		// it was submitted.
+		submitted func(j *fleet.Job)
 	}{
 		{
 			name: "mint", state: fleet.JobQueued,
@@ -111,10 +115,10 @@ func TestUpdateRoundTrip(t *testing.T) {
 			},
 		},
 		{
-			// The fleet keeps the submitter's circuit: corrupting it after
-			// admission makes a healthy device's compile fail. The name is
-			// put back afterwards — the journal holds the request as it was
-			// submitted.
+			// The fleet keeps the submitter's circuit while the job is
+			// live: corrupting it after admission makes a healthy device's
+			// compile fail. The job is sealed with the corrupted name, so
+			// the name is put back on the copy compared.
 			name: "compile failure", state: fleet.JobFailed,
 			run: func(t *testing.T, f *fleet.Scheduler, _ *device.QPU) int {
 				mustOK(t, f.Drain("a"))
@@ -123,9 +127,9 @@ func TestUpdateRoundTrip(t *testing.T) {
 				j.Request.Circuit.Gates[0].Name = "bogus"
 				mustOK(t, f.Resume("a"))
 				wait(t, f, id)
-				j.Request.Circuit.Gates[0].Name = circuit.OpH
 				return id
 			},
+			submitted: func(j *fleet.Job) { j.Request.Circuit.Gates[0].Name = circuit.OpH },
 		},
 		{
 			name: "execute failure", state: fleet.JobFailed,
@@ -213,6 +217,9 @@ func TestUpdateRoundTrip(t *testing.T) {
 			mustOK(t, err)
 			if live.Status != tc.state {
 				t.Fatalf("job %d is %s (%q), want %s", id, live.Status, live.Error, tc.state)
+			}
+			if tc.submitted != nil {
+				tc.submitted(live)
 			}
 			sameJournaledFields(t, tc.name, reopen(t, dir, st, f)[id], live)
 		})

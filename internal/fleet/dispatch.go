@@ -19,20 +19,31 @@ import (
 // calibration and the load of that moment, and a device that drains or
 // fails simply stops claiming — nothing queued has to move.
 
-// serve is one of e's workers: claim, run, settle, repeat, until Stop.
+// serve is one of e's workers: claim, run, settle, seal, repeat, until
+// Stop.
 func (s *Scheduler) serve(e *deviceEntry) {
 	defer s.wg.Done()
+	var buf []byte // the worker's record buffer
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
 		if j := s.claimLocked(e); j != nil {
-			s.runLocked(e, j)
+			settled := s.runLocked(e, j)
 			// Settling j readied its waiters (Wait callers, event
 			// subscribers) on this worker's P, where they would sit for the
-			// whole next job unless another P happens to be idle: let them
-			// run before claiming again.
+			// whole next job — and its record's encode — unless another P
+			// happens to be idle: let them run first.
 			s.mu.Unlock()
 			runtime.Gosched()
+			if settled {
+				// Nothing writes a settled job: its record is written
+				// outside the lock, then sealed.
+				rec := encodeRecord(j, buf[:0])
+				buf = spare(rec.b)
+				s.mu.Lock()
+				s.sealLocked(j, rec)
+				continue
+			}
 			s.mu.Lock()
 			continue
 		}
@@ -67,8 +78,9 @@ func (s *Scheduler) claimLocked(e *deviceEntry) *Job {
 }
 
 // runLocked routes a claimed job to e, runs it on e with s.mu released,
-// and settles it. Caller holds s.mu.
-func (s *Scheduler) runLocked(e *deviceEntry, j *Job) {
+// and settles it; it reports whether j settled, and so is the caller's to
+// seal, or went back to the queue. Caller holds s.mu.
+func (s *Scheduler) runLocked(e *deviceEntry, j *Job) (settled bool) {
 	score := s.fidelityLocked(j, e)
 	if j.policy == PolicyRoundRobin {
 		s.rr++
@@ -114,11 +126,11 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job) {
 		// Discarding the result is what cancellation means.
 		span.End(trace.Str("outcome", string(JobCancelled)))
 		e.cancelled++
-		s.finalizeLocked(j, JobCancelled, nil, "")
+		return s.settleLocked(j, JobCancelled, nil, "")
 	case errMsg == "":
 		span.End(trace.Str("outcome", string(JobDone)))
 		e.completed++
-		s.finalizeLocked(j, JobDone, rec, "")
+		return s.settleLocked(j, JobDone, rec, "")
 	case e.state == DeviceFailed && !s.closed:
 		// The backend faulted under the job: failover, not a job defect.
 		// The job goes back to the queue — the one move back it can make.
@@ -130,10 +142,11 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job) {
 		s.transitionLocked(j, JobQueued, "migrated")
 		j.Device = ""
 		s.enqueueLocked(j)
+		return false
 	default:
 		span.End(trace.Str("outcome", string(JobFailed)), trace.Str("error", errMsg))
 		e.failed++
-		s.finalizeLocked(j, JobFailed, rec, errMsg)
+		return s.settleLocked(j, JobFailed, rec, errMsg)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,7 +206,7 @@ type deviceEntry struct {
 // Scheduler is the fleet: registry, queue and router.
 type Scheduler struct {
 	mu sync.Mutex
-	// settled wakes WaitSettled whenever a job finalizes (bound to mu).
+	// settled wakes WaitSettled whenever a job is sealed (bound to mu).
 	settled *sync.Cond
 
 	policy  Policy
@@ -213,18 +214,26 @@ type Scheduler struct {
 	order   []string // registration order; round-robin walks it
 	rr      int
 
-	nextID   int
-	idLimit  int    // last mintable ID, inclusive (0 = unbounded; SetOwner)
-	nodeID   string // federation ownership stamp for new jobs ("" standalone)
-	jobs     map[int]*Job
-	jobOrder []int
-	queue    fairQueue // every queued job; the per-tenant rows live here
-	nowDay   float64   // simulation clock, last AdvanceTo day
+	nextID  int
+	idLimit int    // last mintable ID, inclusive (0 = unbounded; SetOwner)
+	nodeID  string // federation ownership stamp for new jobs ("" standalone)
+	// jobs holds the live jobs; a terminal job leaves it when it is sealed
+	// (sealed.go). index has every job in ID order, arena the sealed ones'
+	// records, sealBuf the buffer a record is encoded into under s.mu;
+	// users numbers the users jobs were submitted under, so an index entry
+	// names its user without a pointer.
+	jobs    map[int]*Job
+	index   []entry
+	arena   arena
+	sealBuf []byte
+	users   map[string]uint32
+	queue   fairQueue // every queued job; the per-tenant rows live here
+	nowDay  float64   // simulation clock, last AdvanceTo day
 
 	// The Idempotency-Key dedup window: key -> job ID for the newest
-	// idemWindow keyed jobs, idemOrder their IDs in FIFO eviction order.
+	// idemWindow keyed jobs, idemOrder the bindings in FIFO eviction order.
 	idem      map[string]int
-	idemOrder []int
+	idemOrder []binding
 
 	scoreHist *telemetry.Histogram
 	bus       *EventBus // every lifecycle transition (transitionLocked)
@@ -253,13 +262,24 @@ type Scheduler struct {
 	jstore  JobStore
 	walTail uint64
 
-	// Trace retention: a FIFO of the last traceCap terminal job IDs.
-	// Eviction drops the job's trace reference; in-flight snapshot readers
-	// keep evicted traces alive via their own pointer, so no coordination
-	// beyond s.mu is needed.
-	traceRing     []int
+	// Trace retention: the traces of the last traceCap terminal jobs, oldest
+	// first. In-flight snapshot readers keep evicted traces alive via their
+	// own pointer, so no coordination beyond s.mu is needed.
+	traceRing     []retainedTrace
 	traceCap      int
 	traceSpanDrop uint64
+}
+
+// binding is one Idempotency-Key of the dedup window and the job it names.
+type binding struct {
+	key string
+	id  int
+}
+
+// retainedTrace is one terminal job's trace in the retention ring.
+type retainedTrace struct {
+	id int
+	tr *trace.Trace
 }
 
 // New builds an empty fleet under the given default policy. The store
@@ -269,6 +289,7 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 		policy:    policy,
 		devices:   make(map[string]*deviceEntry),
 		jobs:      make(map[int]*Job),
+		users:     make(map[string]uint32),
 		queue:     newFairQueue(),
 		idem:      make(map[string]int),
 		scoreHist: scoreHistogram(),
@@ -428,7 +449,9 @@ func (s *Scheduler) maxWidthLocked() int {
 	return w
 }
 
-// Submit validates and queues one job. The job ID is fleet-scoped.
+// Submit validates and queues one job. The job ID is fleet-scoped. The
+// scheduler keeps req.Circuit and reads it until the job is sealed, which
+// may be after Wait returns: a caller must not modify a submitted circuit.
 func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 	id, _, err := s.SubmitKeyed(req, opts)
 	return id, err
@@ -462,14 +485,18 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 		policy = opts.Policy
 	}
 	s.mu.Lock()
-	var j *Job
+	var lsn uint64
 	if bound, ok := s.idem[opts.IdemKey]; ok { // "" is never bound
-		j, replayed = s.jobs[bound], true
-	} else if j, err = s.mintLocked(req, opts, policy); err != nil {
-		s.mu.Unlock()
-		return 0, false, err
+		id, lsn, replayed = bound, s.ackLSNLocked(bound), true
+	} else {
+		j, err := s.mintLocked(req, opts, policy)
+		if err != nil {
+			s.mu.Unlock()
+			return 0, false, err
+		}
+		id, lsn = j.ID, j.ackLSN
 	}
-	st, lsn := s.jstore, j.ackLSN
+	st := s.jstore
 	s.mu.Unlock()
 	if st != nil {
 		// Ack-after-durable: the ID is not returned until the submit record
@@ -480,7 +507,15 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 		// concurrent submitters, keyed or not, behind one fsync.
 		st.WaitDurable(lsn)
 	}
-	return j.ID, replayed, nil
+	return id, replayed, nil
+}
+
+// ackLSNLocked is the ack LSN of job id, live or sealed. Caller holds s.mu.
+func (s *Scheduler) ackLSNLocked(id int) uint64 {
+	if j, ok := s.jobs[id]; ok {
+		return j.ackLSN
+	}
+	return s.index[s.findLocked(id)].ackLSN
 }
 
 // mintLocked admits req, mints its job, binds opts.IdemKey to it and queues
@@ -503,16 +538,33 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 	j.tr = trace.New("job",
 		trace.Int("job_id", j.ID), trace.Str("user", req.User))
 	j.rootSpan = j.tr.Root()
-	s.jobs[j.ID] = j
-	s.jobOrder = append(s.jobOrder, j.ID)
+	s.addLocked(j)
 	s.submitted++
 	s.queue.stats(req.User).Submitted++
 	s.bindLocked(j)
 	s.transitionLocked(j, JobQueued, "")
 	s.enqueueLocked(j)
 	s.shedOverLimitLocked(req.User)
+	// The submitter acks once everything the mint journaled is durable, a
+	// shed included, and a replay waits on the same LSN. A job shed at its
+	// own submission is sealed already, so its index entry takes it too.
 	j.ackLSN = s.walTail
+	if j.Status.Terminal() {
+		s.index[s.findLocked(j.ID)].ackLSN = j.ackLSN
+	}
 	return j, nil
+}
+
+// addLocked enters a new live job into the table and the index. Caller
+// holds s.mu.
+func (s *Scheduler) addLocked(j *Job) {
+	s.jobs[j.ID] = j
+	user, ok := s.users[j.Request.User]
+	if !ok {
+		user = uint32(len(s.users))
+		s.users[j.Request.User] = user
+	}
+	s.index = append(s.index, entry{id: j.ID, user: user})
 }
 
 // bindLocked enters a keyed job into the dedup window, evicting the oldest
@@ -522,14 +574,14 @@ func (s *Scheduler) bindLocked(j *Job) {
 		return
 	}
 	s.idem[j.IdemKey] = j.ID
-	s.idemOrder = append(s.idemOrder, j.ID)
+	s.idemOrder = append(s.idemOrder, binding{j.IdemKey, j.ID})
 	for len(s.idemOrder) > idemWindow {
 		// A key that aged out and was submitted fresh is carried by two
 		// recovered jobs; evicting the older one must not unbind the newer.
-		old := s.idemOrder[0]
-		if key := s.jobs[old].IdemKey; s.idem[key] == old {
-			delete(s.idem, key)
+		if old := s.idemOrder[0]; s.idem[old.key] == old.id {
+			delete(s.idem, old.key)
 		}
+		s.idemOrder[0] = binding{}
 		s.idemOrder = s.idemOrder[1:]
 	}
 }
@@ -603,10 +655,19 @@ func (s *Scheduler) shedOverLimitLocked(user string) {
 }
 
 // finalizeLocked settles a fleet job exactly once, with rec as its final
-// result (nil when it never ran to one).
+// result (nil when it never ran to one), and seals it.
 func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg string) {
+	if s.settleLocked(j, st, rec, errMsg) {
+		s.sealLocked(j, s.recordLocked(j))
+	}
+}
+
+// settleLocked is finalizeLocked short of the seal: it releases j's waiters,
+// and j stays live, terminal, until its caller seals it. It reports false,
+// doing nothing, when j had already settled.
+func (s *Scheduler) settleLocked(j *Job, st JobStatus, rec *Result, errMsg string) bool {
 	if j.Status.Terminal() {
-		return
+		return false
 	}
 	if rec != nil {
 		rec.EndTime = s.nowDay * 86400
@@ -645,7 +706,7 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg str
 		ts.Failed++
 	}
 	close(j.done)
-	s.settled.Broadcast()
+	return true
 }
 
 // DefaultTraceRetention bounds how many terminal-job traces the scheduler
@@ -663,16 +724,13 @@ func (s *Scheduler) retainTraceLocked(j *Job) {
 	if len(s.traceRing) >= s.traceCap {
 		s.evictOldestTraceLocked()
 	}
-	s.traceRing = append(s.traceRing, j.ID)
+	s.traceRing = append(s.traceRing, retainedTrace{j.ID, j.tr})
 }
 
 // evictOldestTraceLocked drops the oldest retained trace. Caller holds s.mu.
 func (s *Scheduler) evictOldestTraceLocked() {
-	old := s.traceRing[0]
+	s.traceRing[0] = retainedTrace{}
 	s.traceRing = s.traceRing[1:]
-	if oj, ok := s.jobs[old]; ok {
-		oj.tr, oj.rootSpan, oj.qwSpan = nil, nil, nil
-	}
 }
 
 // SetTraceRetention resizes the terminal-trace ring (0 disables retention),
@@ -694,6 +752,11 @@ func (s *Scheduler) Trace(id int) *trace.Trace {
 	if j, ok := s.jobs[id]; ok {
 		return j.tr
 	}
+	for i := len(s.traceRing) - 1; i >= 0; i-- {
+		if s.traceRing[i].id == id {
+			return s.traceRing[i].tr
+		}
+	}
 	return nil
 }
 
@@ -705,26 +768,50 @@ func (s *Scheduler) TraceStats() (retained int, spanDrops uint64) {
 	return len(s.traceRing), s.traceSpanDrop
 }
 
-// Job returns a copy of the fleet job record; a routed job that compiled
-// reads running.
+// Job returns a copy of the fleet job record, a sealed job's decoded from
+// its record; a routed job that compiled reads running.
 func (s *Scheduler) Job(id int) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w %d", ErrNoJob, id)
+	v, err := s.View(id)
+	if err != nil || v.Live != nil {
+		return v.Live, err
 	}
-	return refined(*j), nil
+	return v.Sealed.Job()
 }
 
 // refined relabels a private copy of a routed job that is past its compile
 // (its result is published then, dispatch.go). It takes the job by value:
 // what it writes can never be a scheduler record.
 func refined(cp Job) *Job {
-	if cp.Status == JobRouted && cp.Result != nil {
-		cp.Status = JobRunning
-	}
+	cp.Status = cp.shownStatus()
 	return &cp
+}
+
+// shownStatus is j's status as Job reports it.
+func (j *Job) shownStatus() JobStatus {
+	if j.Status == JobRouted && j.Result != nil {
+		return JobRunning
+	}
+	return j.Status
+}
+
+// Peek reads what a watch stream opens with — job id's status as Job
+// reports it, its device, and whether it was recovered — without copying a
+// live job or decoding a sealed one.
+func (s *Scheduler) Peek(id int) (st JobStatus, device string, recovered bool, err error) {
+	s.mu.Lock()
+	if j, ok := s.jobs[id]; ok {
+		defer s.mu.Unlock()
+		return j.shownStatus(), j.Device, j.Recovered, nil
+	}
+	i := s.findLocked(id)
+	if i < 0 {
+		s.mu.Unlock()
+		return "", "", false, fmt.Errorf("%w %d", ErrNoJob, id)
+	}
+	rec := s.viewLocked(&s.index[i]).Sealed
+	s.mu.Unlock()
+	h, err := rec.Head()
+	return rec.Status, h.Device, h.Recovered, err
 }
 
 // Wait blocks until the job settles (done, failed, or cancelled — possibly
@@ -736,51 +823,86 @@ func (s *Scheduler) Wait(id int) (*Job, error) {
 // WaitContext is Wait with caller-controlled cancellation: it returns the
 // context's error as soon as ctx is done, leaving the job in flight.
 func (s *Scheduler) WaitContext(ctx context.Context, id int) (*Job, error) {
+	j, err := s.await(ctx, id)
+	switch {
+	case err != nil:
+		return nil, err
+	case j == nil: // sealed before the call
+		return s.Job(id)
+	}
+	// Nothing writes a job once it is terminal (sealing drops it instead),
+	// and its done channel closed when it settled.
+	cp := *j
+	return &cp, nil
+}
+
+// Await blocks until job id is terminal, or returns ctx's error once ctx is
+// done first. It reads nothing of the job: View does, after it.
+func (s *Scheduler) Await(ctx context.Context, id int) error {
+	_, err := s.await(ctx, id)
+	return err
+}
+
+// await is Await that returns the live job it waited on, nil when the job
+// was sealed before the call.
+func (s *Scheduler) await(ctx context.Context, id int) (*Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
+		sealed := s.findLocked(id) >= 0
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w %d", ErrNoJob, id)
+		if !sealed {
+			return nil, fmt.Errorf("%w %d", ErrNoJob, id)
+		}
+		return nil, nil
 	}
 	ch := j.done
 	s.mu.Unlock()
 	select {
 	case <-ch:
-		return s.Job(id)
+		return j, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// ListJobs returns up to limit fleet job copies with ID strictly below
-// beforeID (0 = newest first), filtered by user and status set (nil = any);
-// more reports whether older matches remain. The cursor primitive behind
-// the v2 paginated listing. Pages carry the stored status, so a filter
-// naming running matches routed jobs.
-func (s *Scheduler) ListJobs(user string, states map[JobStatus]bool, beforeID, limit int) (jobs []*Job, more bool) {
+// ListViews returns up to limit job views with ID strictly below beforeID
+// (0 = newest first), filtered by user and status set (nil = any); more
+// reports whether older matches remain. Views carry the stored status, so a
+// filter naming running matches routed jobs. It is the cursor primitive
+// behind the v2 paginated listing.
+func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, limit int) (views []View, more bool) {
 	if limit < 1 {
 		limit = 20
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := len(s.jobOrder) - 1; i >= 0; i-- {
-		j := s.jobs[s.jobOrder[i]]
-		if beforeID > 0 && j.ID >= beforeID {
-			continue
-		}
-		if user != "" && j.Request.User != user {
-			continue
-		}
-		if states != nil && !states[j.Status] && !(j.Status == JobRouted && states[JobRunning]) {
-			continue
-		}
-		if len(jobs) == limit {
-			return jobs, true
-		}
-		cp := *j
-		jobs = append(jobs, &cp)
+	num, known := s.users[user]
+	if user != "" && !known {
+		return nil, false
 	}
-	return jobs, false
+	top := len(s.index)
+	if beforeID > 0 {
+		top = sort.Search(len(s.index), func(i int) bool { return s.index[i].id >= beforeID })
+	}
+	for i := top - 1; i >= 0; i-- {
+		e := &s.index[i]
+		if user != "" && e.user != num {
+			continue
+		}
+		st := sealedStates[e.state]
+		if e.state == 0 {
+			st = s.jobs[e.id].Status
+		}
+		if states != nil && !states[st] && !(st == JobRouted && states[JobRunning]) {
+			continue
+		}
+		if len(views) == limit {
+			return views, true
+		}
+		views = append(views, s.viewLocked(e))
+	}
+	return views, false
 }
 
 // Cancel cancels a queued job at once. A job a worker holds has the
@@ -792,6 +914,9 @@ func (s *Scheduler) Cancel(id int) error {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		if i := s.findLocked(id); i >= 0 {
+			return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, sealedStates[s.index[i].state])
+		}
 		return fmt.Errorf("%w %d", ErrNoJob, id)
 	}
 	if j.Status.Terminal() {
@@ -858,21 +983,12 @@ func (s *Scheduler) DeviceHandle(name string) (*qdmi.Device, error) {
 	return e.dev, nil
 }
 
-// WaitSettled blocks until no job is queued or routed.
+// WaitSettled blocks until every job is sealed: none is queued or routed,
+// and every terminal one is kept as its record.
 func (s *Scheduler) WaitSettled() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		busy := false
-		for _, j := range s.jobs {
-			if !j.Status.Terminal() {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return
-		}
+	for len(s.jobs) > 0 {
 		s.settled.Wait()
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"strconv"
 
 	"repro/internal/jsonwire"
@@ -14,7 +15,17 @@ import (
 
 // AppendJSON appends the job's JSON object to b.
 func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+	b, _, err := j.appendRecord(b)
+	return b, err
+}
+
+// appendRecord is AppendJSON that also says where the request and the
+// result lie in what it appended (recordAt).
+func (j *Job) appendRecord(b []byte) ([]byte, recordAt, error) {
 	var err error
+	var at recordAt
+	start := len(b)
+	mark := func() uint32 { return uint32(len(b) - start) }
 	b = strconv.AppendInt(append(b, `{"id":`...), int64(j.ID), 10)
 	b = jsonwire.AppendString(append(b, `,"status":`...), string(j.Status))
 	if j.Device != "" {
@@ -25,19 +36,28 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 	}
 	if j.Score != 0 {
 		if b, err = jsonwire.AppendFloat(append(b, `,"score":`...), j.Score); err != nil {
-			return nil, err
+			return nil, at, err
 		}
 	}
 	if j.Pinned != "" {
 		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
 	}
-	if b, err = j.Request.AppendJSON(append(b, `,"request":`...)); err != nil {
-		return nil, err
+	b = append(b, `,"request":`...)
+	at.req = mark()
+	if b, err = j.Request.AppendJSON(b); err != nil {
+		return nil, at, err
 	}
+	at.reqEnd = mark()
+	// The request's fields after its circuit start at its last `,"shots":`:
+	// no JSON string holds those bytes unescaped, so none follows them.
+	at.shots = at.req + uint32(bytes.LastIndex(b[start+int(at.req):], []byte(`,"shots":`)))
 	if j.Result != nil {
-		if b, err = j.Result.AppendJSON(append(b, `,"result":`...)); err != nil {
-			return nil, err
+		b = append(b, `,"result":`...)
+		at.res = mark()
+		if b, err = j.Result.AppendJSON(b); err != nil {
+			return nil, at, err
 		}
+		at.resEnd = mark()
 	}
 	if j.Error != "" {
 		b = jsonwire.AppendString(append(b, `,"error":`...), j.Error)
@@ -51,7 +71,7 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 	if j.IdemKey != "" {
 		b = jsonwire.AppendString(append(b, `,"idem_key":`...), j.IdemKey)
 	}
-	return append(b, '}'), nil
+	return append(b, '}'), at, nil
 }
 
 // AppendJSON appends the result's JSON object to b.

@@ -37,8 +37,8 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 	if s.closed {
 		return stats, fmt.Errorf("fleet: scheduler stopped")
 	}
-	if len(s.jobs) > 0 {
-		return stats, fmt.Errorf("fleet: restore into a non-empty scheduler (%d jobs present)", len(s.jobs))
+	if len(s.index) > 0 {
+		return stats, fmt.Errorf("fleet: restore into a non-empty scheduler (%d jobs present)", len(s.index))
 	}
 	nowMs := time.Now().UnixMilli()
 	for _, src := range sorted {
@@ -62,12 +62,11 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		if j.ID > s.nextID {
 			s.nextID = j.ID
 		}
-		s.jobs[j.ID] = j
-		s.jobOrder = append(s.jobOrder, j.ID)
+		s.addLocked(j)
 		s.bindLocked(j)
 
 		if j.Status.Terminal() {
-			close(j.done)
+			s.sealLocked(j, s.recordLocked(j))
 			stats.Terminal++
 			continue
 		}

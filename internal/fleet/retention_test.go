@@ -3,9 +3,14 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"runtime/metrics"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/qrm"
 	"repro/internal/telemetry/trace"
 )
 
@@ -81,4 +86,146 @@ func TestTraceRetentionIsBounded(t *testing.T) {
 	if extra := ringOff - untraced; extra > maxExtra {
 		t.Errorf("with retention 0 tracing still retains %.0f B/job more than no tracing, want <= %.0f", extra, maxExtra)
 	}
+}
+
+// heapNow forces a collection and reads the heap it left: the bytes of the
+// objects it marked live, and the scannable part of them.
+func heapNow() (live, scan uint64) {
+	runtime.GC()
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(samples)
+	return samples[0].Value.Uint64(), samples[1].Value.Uint64()
+}
+
+// TestTerminalJobsAreNotScanned is the gate on what a finished job costs the
+// collector: 10 000 hybrid-loop-shaped jobs (one caller, a fresh-angle
+// 5-qubit ansatz x 100 shots each) through the daemon's two noisy devices.
+// The scheduler keeps a terminal job as its record in a pointer-free arena,
+// so the scannable heap may grow by at most 64 B per retained job, and the
+// live heap by at most 2.6 KB: the ~2.1 KB record, its index entry, and the
+// slack of the arena's last chunk and the index's last growth. Keeping the
+// *Job instead, with its circuit and counts, costs ~4.8 KB a job here, of
+// which ~2.9 KB is scanned at every cycle.
+func TestTerminalJobsAreNotScanned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap; CI runs this gate as its own non-race step")
+	}
+	const (
+		jobs    = 10000
+		maxScan = 64.0   // B per retained job
+		maxLive = 2600.0 // B per retained job
+	)
+	s := hybridFleet(t)
+	rng := rand.New(rand.NewSource(11))
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			id, err := s.Submit(qrm.Request{Circuit: ansatz(rng), Shots: 100, User: fmt.Sprintf("u%d", i%4)}, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j, err := s.WaitContext(context.Background(), id); err != nil || j.Status != JobDone {
+				t.Fatalf("job %d: %v, record %+v", id, err, j)
+			}
+		}
+		s.WaitSettled()
+	}
+	run(1000) // tenant rows, full compile maps, warm pools
+	live0, scan0 := heapNow()
+	run(jobs)
+	live1, scan1 := heapNow()
+	scan := (float64(scan1) - float64(scan0)) / jobs
+	live := (float64(live1) - float64(live0)) / jobs
+	r := s.Retained()
+	t.Logf("per retained job: %.0f B live heap, %.0f B scannable; record %.0f B", live, scan, float64(r.RecordBytes)/float64(r.Sealed))
+	if scan > maxScan {
+		t.Errorf("scannable heap grows %.0f B per retained job, want <= %.0f: a finished job is kept as pointers", scan, maxScan)
+	}
+	if live > maxLive {
+		t.Errorf("live heap grows %.0f B per retained job, want <= %.0f", live, maxLive)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestWaitSettledSettles10000Jobs settles a backlog of 10 000 jobs: the wait
+// ends once the live table is empty, every job sealed, whatever the history.
+func TestWaitSettledSettles10000Jobs(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 5, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 10000
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit(req(2, 5), SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WaitSettled()
+	r := s.Retained()
+	if len(r.Live) != 0 || r.Sealed != jobs {
+		t.Fatalf("after WaitSettled: live %v, sealed %d; want none live, %d sealed", r.Live, r.Sealed, jobs)
+	}
+	if m := s.Metrics(); m.Completed != jobs {
+		t.Fatalf("completed %d of %d", m.Completed, jobs)
+	}
+}
+
+// TestSealedReadsRaceSealing reads sealed records — by ID, by page and
+// decoded — from several goroutines while workers keep sealing more into
+// the same arena chunk: a reader holds record bytes with the lock released
+// (run it under -race).
+func TestSealedReadsRaceSealing(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("a", mkdev(t, "a", 2, 2, 8, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 500
+	var last atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := int(last.Load())
+				if n == 0 {
+					continue
+				}
+				v, err := s.View(1 + rng.Intn(n))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v.Live == nil {
+					if h, err := v.Sealed.Head(); err != nil || h.ID != v.ID || h.Shots != 5 {
+						t.Errorf("job %d head %+v, %v", v.ID, h, err)
+						return
+					}
+					if j, err := v.Sealed.Job(); err != nil || j.Status != JobDone || len(j.Result.Counts) == 0 {
+						t.Errorf("job %d decodes to %+v, %v", v.ID, j, err)
+						return
+					}
+				}
+				s.ListViews("", nil, 0, 5)
+			}
+		}(r)
+	}
+	for i := 0; i < jobs; i++ {
+		id, err := s.Submit(req(2, 5), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last.Store(int64(id))
+	}
+	s.WaitSettled()
+	close(done)
+	wg.Wait()
 }

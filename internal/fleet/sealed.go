@@ -1,0 +1,309 @@
+package fleet
+
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+	"unsafe"
+
+	"repro/internal/jsonwire"
+)
+
+// This file is how the scheduler keeps a job once it is terminal: as its
+// record, the bytes Job.AppendJSON writes (the shape the WAL journals), in an
+// append-only arena of large byte chunks, with a pointer-free index entry.
+// A live job is a *Job in Scheduler.jobs; sealing it drops the decoded
+// circuit, the counts, the result, the scores and the done channel, so the
+// garbage collector never scans a finished job again: a retained job costs
+// its record plus an index entry, and neither holds a pointer.
+
+// recordAt locates a record's parts by offset into its bytes: the request
+// object [req, reqEnd), whose fields after the circuit start at shots, and
+// the result object [res, resEnd), res == 0 when the job has none.
+type recordAt struct{ req, shots, reqEnd, res, resEnd uint32 }
+
+// sealedStates are the statuses an index entry stores, by code; code 0 is a
+// live job, found in Scheduler.jobs.
+var sealedStates = [...]JobStatus{"", JobDone, JobFailed, JobCancelled}
+
+func stateCode(st JobStatus) uint8 {
+	for i, s := range sealedStates {
+		if s == st {
+			return uint8(i)
+		}
+	}
+	panic("fleet: sealing a job in status " + string(st))
+}
+
+// entry is one job of the index, in ID order. It holds no pointer.
+type entry struct {
+	id       int
+	ackLSN   uint64
+	submitMs int64
+	chunk    uint32 // arena chunk, offset and length of the record
+	off, n   uint32
+	at       recordAt
+	user     uint32 // the job's user, by its Scheduler.users number
+	state    uint8  // sealedStates code; 0 while live
+}
+
+// arenaChunk is the size of one arena allocation; a record longer than it
+// gets a chunk of its own.
+const arenaChunk = 1 << 20
+
+// arena is append-only: a record's bytes never change once written, so a
+// reader may keep a slice of them after the scheduler's lock is released.
+type arena struct {
+	chunks [][]byte
+	bytes  int64 // record bytes held
+}
+
+func (a *arena) add(rec []byte) (chunk, off uint32) {
+	last := len(a.chunks) - 1
+	if last < 0 || len(a.chunks[last])+len(rec) > cap(a.chunks[last]) {
+		a.chunks = append(a.chunks, make([]byte, 0, max(arenaChunk, len(rec))))
+		last++
+	}
+	c := a.chunks[last]
+	a.chunks[last] = append(c, rec...)
+	a.bytes += int64(len(rec))
+	return uint32(last), uint32(len(c))
+}
+
+// Record is a sealed job: the record Job.AppendJSON wrote when the job turned
+// terminal. Its bytes are read-only and stay valid for as long as the caller
+// keeps them.
+type Record struct {
+	JSON         []byte
+	Status       JobStatus
+	SubmitUnixMs int64
+	at           recordAt
+}
+
+// Request is the record's request object.
+func (r Record) Request() []byte { return r.JSON[r.at.req:r.at.reqEnd] }
+
+// ResultFields are the members of the record's result object, without its
+// braces; nil when the job has no result.
+func (r Record) ResultFields() []byte {
+	if r.at.res == 0 {
+		return nil
+	}
+	return r.JSON[r.at.res+1 : r.at.resEnd-1]
+}
+
+// Head is a record's scalar fields: all of it but the circuit and the result.
+// Its strings share the record's bytes.
+type Head struct {
+	ID         int
+	Device     string
+	Migrations int
+	Score      float64
+	Pinned     string
+	User       string
+	Shots      int
+	Priority   int
+	DeadlineMs float64
+	Error      string
+	Recovered  bool
+	Node       string
+}
+
+// Head lexes the record's scalar fields. It jumps over the circuit and the
+// result: their offsets are known.
+func (r Record) Head() (Head, error) {
+	var h Head
+	var l jsonwire.Lexer
+	str := func(dst *string) {
+		if b, ok := l.StringBytes(); ok && len(b) > 0 {
+			*dst = unsafe.String(&b[0], len(b))
+		}
+	}
+	// An error stops the lexer; a jump must not restart it.
+	jump := func(to uint32) {
+		if l.Err() == nil {
+			l.Reset(r.JSON[to:])
+		}
+	}
+	l.Reset(r.JSON)
+	if !l.Begin('{') {
+		return h, l.Err()
+	}
+	for n := 0; l.More('}', n); n++ {
+		switch key := l.Key(); string(key) {
+		case "id":
+			l.Int(&h.ID)
+		case "device":
+			str(&h.Device)
+		case "migrations":
+			l.Int(&h.Migrations)
+		case "score":
+			l.Float(&h.Score)
+		case "pinned":
+			str(&h.Pinned)
+		case "request":
+			if l.Err() == nil {
+				l.Reset(r.JSON[r.at.shots:r.at.reqEnd])
+			}
+			for n := 1; l.More('}', n); n++ {
+				switch key := l.Key(); string(key) {
+				case "shots":
+					l.Int(&h.Shots)
+				case "priority":
+					l.Int(&h.Priority)
+				case "user":
+					str(&h.User)
+				case "deadline_ms":
+					l.Float(&h.DeadlineMs)
+				default:
+					l.Skip()
+				}
+			}
+			jump(r.at.reqEnd)
+		case "result":
+			jump(r.at.resEnd)
+		case "error":
+			str(&h.Error)
+		case "recovered":
+			l.Bool(&h.Recovered)
+		case "node":
+			str(&h.Node)
+		default:
+			l.Skip()
+		}
+	}
+	if err := l.Err(); err != nil {
+		return h, fmt.Errorf("fleet: sealed record: %w", err)
+	}
+	return h, nil
+}
+
+// Job decodes the record into the job it was written from.
+func (r Record) Job() (*Job, error) {
+	j := new(Job)
+	if err := json.Unmarshal(r.JSON, j); err != nil {
+		return nil, fmt.Errorf("fleet: sealed record: %w", err)
+	}
+	j.SubmitUnixMs = r.SubmitUnixMs
+	return j, nil
+}
+
+// View is one job as the scheduler holds it: Live, a private copy of a job
+// that is not sealed yet, or else Sealed, a terminal job's record.
+type View struct {
+	ID     int
+	Live   *Job
+	Sealed Record
+}
+
+// findLocked is the index position of job id, or -1. IDs are minted in
+// ascending order and Restore enters them sorted, so the index is sorted.
+// Caller holds s.mu.
+func (s *Scheduler) findLocked(id int) int {
+	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].id >= id })
+	if i < len(s.index) && s.index[i].id == id {
+		return i
+	}
+	return -1
+}
+
+// viewLocked is entry e's view; a live copy is taken as it is stored.
+// Caller holds s.mu.
+func (s *Scheduler) viewLocked(e *entry) View {
+	if e.state == 0 {
+		cp := *s.jobs[e.id]
+		return View{ID: e.id, Live: &cp}
+	}
+	return View{ID: e.id, Sealed: Record{
+		JSON:         s.arena.chunks[e.chunk][e.off : e.off+e.n : e.off+e.n],
+		Status:       sealedStates[e.state],
+		SubmitUnixMs: e.submitMs,
+		at:           e.at,
+	}}
+}
+
+// encoded is a record as Job.appendRecord wrote it.
+type encoded struct {
+	b  []byte
+	at recordAt
+}
+
+// encodeRecord writes terminal job j's record into buf. Every float of a job
+// was checked finite at submission or computed by the engine, so a record
+// that cannot be written is a bug.
+func encodeRecord(j *Job, buf []byte) encoded {
+	b, at, err := j.appendRecord(buf)
+	if err != nil {
+		panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
+	}
+	return encoded{b, at}
+}
+
+// maxSpareRecord bounds the record buffers kept for reuse (the scheduler's
+// and each worker's): one outsized record does not pin its buffer for the
+// life of the process.
+const maxSpareRecord = 64 << 10
+
+// spare is buffer b kept for the next record: b itself, or nil when it grew
+// past maxSpareRecord.
+func spare(b []byte) []byte {
+	if cap(b) > maxSpareRecord {
+		return nil
+	}
+	return b
+}
+
+// recordLocked encodes terminal job j's record into the scheduler's buffer.
+// Caller holds s.mu.
+func (s *Scheduler) recordLocked(j *Job) encoded {
+	rec := encodeRecord(j, s.sealBuf[:0])
+	s.sealBuf = spare(rec.b)
+	return rec
+}
+
+// sealLocked turns settled job j into rec, its record, copied into the
+// arena. j leaves s.jobs, so nothing of the scheduler references it any
+// more, and j itself is not written, so a waiter still holding it reads it
+// as it settled. Caller holds s.mu.
+func (s *Scheduler) sealLocked(j *Job, rec encoded) {
+	e := &s.index[s.findLocked(j.ID)]
+	e.chunk, e.off = s.arena.add(rec.b)
+	e.n, e.at = uint32(len(rec.b)), rec.at
+	e.ackLSN, e.submitMs = j.ackLSN, j.SubmitUnixMs
+	e.state = stateCode(j.Status)
+	delete(s.jobs, j.ID)
+	s.settled.Broadcast()
+}
+
+// View returns job id as the scheduler holds it, a live job relabelled as
+// Job relabels it.
+func (s *Scheduler) View(id int) (View, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok {
+		return View{ID: id, Live: refined(*j)}, nil
+	}
+	if i := s.findLocked(id); i >= 0 {
+		return s.viewLocked(&s.index[i]), nil
+	}
+	return View{}, fmt.Errorf("%w %d", ErrNoJob, id)
+}
+
+// Retention is what the scheduler holds: live jobs by stored status, sealed
+// jobs, and the bytes of their records.
+type Retention struct {
+	Live        map[JobStatus]int
+	Sealed      int
+	RecordBytes int64
+}
+
+// Retained reports what the scheduler holds.
+func (s *Scheduler) Retained() Retention {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := Retention{Live: make(map[JobStatus]int), Sealed: len(s.index) - len(s.jobs), RecordBytes: s.arena.bytes}
+	for _, j := range s.jobs {
+		r.Live[j.Status]++
+	}
+	return r
+}

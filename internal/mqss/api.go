@@ -126,7 +126,16 @@ type Job struct {
 	// POST leaves it out (the submitter already holds it), and so do list
 	// pages and watch snapshots.
 	Request *qrm.Request `json:"request,omitempty"`
+
+	// A record read from a sealed job (v2FromRecord) carries its result's
+	// members and its request as the JSON the job was sealed with, which
+	// AppendJSON copies in place of the fields above.
+	result, request []byte
 }
+
+// MarshalJSON implements json.Marshaler: list pages go through
+// encoding/json, and a sealed record's parts are not struct fields.
+func (j *Job) MarshalJSON() ([]byte, error) { return j.AppendJSON(nil) }
 
 // AppendJSON appends the record's JSON object to b, byte for byte what
 // encoding/json writes for the struct (TestJobJSONMatchesReflection holds
@@ -164,34 +173,39 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 	if j.Pinned != "" {
 		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
 	}
-	if j.CompiledGates != 0 {
-		b = strconv.AppendInt(append(b, `,"compiled_gates":`...), int64(j.CompiledGates), 10)
-	}
-	if j.CZCount != 0 {
-		b = strconv.AppendInt(append(b, `,"cz_count":`...), int64(j.CZCount), 10)
-	}
-	if len(j.Layout) > 0 {
-		b = append(b, `,"layout":[`...)
-		for i, q := range j.Layout {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(q), 10)
+	if j.result != nil {
+		// Result.AppendJSON writes the same members in the same order.
+		b = append(append(b, ','), j.result...)
+	} else {
+		if j.CompiledGates != 0 {
+			b = strconv.AppendInt(append(b, `,"compiled_gates":`...), int64(j.CompiledGates), 10)
 		}
-		b = append(b, ']')
-	}
-	if j.CompileStats != "" {
-		b = jsonwire.AppendString(append(b, `,"compile_stats":`...), j.CompileStats)
-	}
-	if len(j.Counts) > 0 {
-		b = j.Counts.AppendJSON(append(b, `,"counts":`...))
-	}
-	if j.DurationUs != 0 {
-		float(`,"duration_us":`, j.DurationUs)
-	}
-	float(`,"submit_time":`, j.SubmitTime)
-	if j.EndTime != 0 {
-		float(`,"end_time":`, j.EndTime)
+		if j.CZCount != 0 {
+			b = strconv.AppendInt(append(b, `,"cz_count":`...), int64(j.CZCount), 10)
+		}
+		if len(j.Layout) > 0 {
+			b = append(b, `,"layout":[`...)
+			for i, q := range j.Layout {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, int64(q), 10)
+			}
+			b = append(b, ']')
+		}
+		if j.CompileStats != "" {
+			b = jsonwire.AppendString(append(b, `,"compile_stats":`...), j.CompileStats)
+		}
+		if len(j.Counts) > 0 {
+			b = j.Counts.AppendJSON(append(b, `,"counts":`...))
+		}
+		if j.DurationUs != 0 {
+			float(`,"duration_us":`, j.DurationUs)
+		}
+		float(`,"submit_time":`, j.SubmitTime)
+		if j.EndTime != 0 {
+			float(`,"end_time":`, j.EndTime)
+		}
 	}
 	if j.Recovered {
 		b = append(b, `,"recovered":true`...)
@@ -212,7 +226,9 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 		}
 		b = append(b, '}')
 	}
-	if err == nil && j.Request != nil {
+	if j.request != nil {
+		b = append(append(b, `,"request":`...), j.request...)
+	} else if err == nil && j.Request != nil {
 		b, err = j.Request.AppendJSON(append(b, `,"request":`...))
 	}
 	if err != nil {
@@ -309,13 +325,23 @@ type JobEvent struct {
 	Reason string   `json:"reason,omitempty"`
 }
 
-// jobEventFrom renders one fleet bus event as its watch-stream line, for
-// the server's events endpoint and the local client's Watch.
-func jobEventFrom(ev fleet.Event) JobEvent {
-	return JobEvent{
-		Seq: ev.Seq, JobID: FormatJobID(ev.JobID),
-		State: ev.To, Device: ev.Device, Reason: ev.Reason,
+// AppendJSON appends the event's JSON object to b, byte for byte what
+// encoding/json writes for the struct (TestJobEventJSONMatchesReflection).
+func (e *JobEvent) AppendJSON(b []byte) []byte {
+	b = append(b, '{')
+	if e.Seq != 0 {
+		b = strconv.AppendUint(append(b, `"seq":`...), e.Seq, 10)
+		b = append(b, ',')
 	}
+	b = jsonwire.AppendString(append(b, `"job_id":`...), e.JobID)
+	b = jsonwire.AppendString(append(b, `,"state":`...), string(e.State))
+	if e.Device != "" {
+		b = jsonwire.AppendString(append(b, `,"device":`...), e.Device)
+	}
+	if e.Reason != "" {
+		b = jsonwire.AppendString(append(b, `,"reason":`...), e.Reason)
+	}
+	return append(b, '}')
 }
 
 // JobPage is one cursor-paginated slice of the v2 job listing, newest
@@ -424,4 +450,45 @@ func v2FromFleet(j *fleet.Job, withRequest bool) *Job {
 		out.Request = &req
 	}
 	return out
+}
+
+// v2FromRecord is v2FromFleet for a sealed job: the header fields are lexed
+// from its record, and the result's members and the request are copied as
+// they are, so the bytes AppendJSON writes are those v2FromFleet's record
+// wrote before the job was sealed (TestSealedRecordMatchesLive).
+func v2FromRecord(rec fleet.Record, withRequest bool) (*Job, error) {
+	h, err := rec.Head()
+	if err != nil {
+		return nil, err
+	}
+	out := &Job{
+		ID:         FormatJobID(h.ID),
+		State:      rec.Status,
+		Device:     h.Device,
+		User:       h.User,
+		Shots:      h.Shots,
+		Priority:   h.Priority,
+		DeadlineMs: h.DeadlineMs,
+		Migrations: h.Migrations,
+		Score:      h.Score,
+		Pinned:     h.Pinned,
+		Recovered:  h.Recovered,
+		Node:       h.Node,
+		result:     rec.ResultFields(),
+	}
+	if out.State == StateFailed {
+		out.Error = jobErrorEnvelope(h.Error)
+	}
+	if withRequest {
+		out.request = rec.Request()
+	}
+	return out, nil
+}
+
+// v2FromView is the record of a job as the scheduler holds it.
+func v2FromView(v fleet.View, withRequest bool) (*Job, error) {
+	if v.Live != nil {
+		return v2FromFleet(v.Live, withRequest), nil
+	}
+	return v2FromRecord(v.Sealed, withRequest)
 }

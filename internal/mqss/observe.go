@@ -9,6 +9,7 @@ package mqss
 import (
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,8 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	promBus(pw, s.fleet.Events().Stats())
 	retained, drops := s.fleet.TraceStats()
 	promTraces(pw, retained, drops)
+	promRetention(pw, s.fleet.Retained())
+	promRuntime(pw)
 	for _, d := range fm.Devices {
 		labels := telemetry.Labels{{"device", d.Name}}
 		pw.Gauge("qhpc_device_active", "1 when the device claims queued work.", labels, boolGauge(d.State == "active"))
@@ -230,4 +233,56 @@ func promTraces(pw *telemetry.PromWriter, retained int, spanDrops uint64) {
 	l := telemetry.Labels{{"scope", "fleet"}}
 	pw.Gauge("qhpc_traces_retained", "Terminal-job traces currently held in the retention ring.", l, float64(retained))
 	pw.Counter("qhpc_trace_spans_dropped_total", "Spans lost to per-job slab exhaustion, summed at terminal.", l, float64(spanDrops))
+}
+
+// promRetention renders what the scheduler holds: its live jobs by stored
+// status (a terminal one only between its settle and its seal) and its
+// sealed jobs, kept as records, with the records' bytes.
+func promRetention(pw *telemetry.PromWriter, r fleet.Retention) {
+	help := "Jobs the scheduler holds, by state: a live job's stored status, or sealed (a terminal job kept as its record)."
+	for _, st := range []fleet.JobStatus{fleet.JobQueued, fleet.JobRouted, fleet.JobDone, fleet.JobFailed, fleet.JobCancelled} {
+		pw.Gauge("qhpc_jobs_retained", help, telemetry.Labels{{"state", string(st)}}, float64(r.Live[st]))
+		help = ""
+	}
+	pw.Gauge("qhpc_jobs_retained", "", telemetry.Labels{{"state", "sealed"}}, float64(r.Sealed))
+	pw.Gauge("qhpc_job_records_bytes", "Bytes of the sealed jobs' records.", nil, float64(r.RecordBytes))
+}
+
+// runtimeFamilies are the Go runtime's own figures /metrics exports, read
+// from runtime/metrics at scrape time.
+var runtimeFamilies = []struct {
+	sample, name, help string
+	counter            bool
+}{
+	{"/gc/heap/live:bytes", "qhpc_go_heap_live_bytes", "Heap bytes the last GC marked live.", false},
+	{"/gc/scan/heap:bytes", "qhpc_go_gc_scan_heap_bytes", "Scannable heap bytes as of the last GC: the heap every cycle marks.", false},
+	{"/cpu/classes/gc/total:cpu-seconds", "qhpc_go_gc_cpu_seconds_total", "CPU time the runtime estimates it spent on GC.", true},
+	{"/gc/cycles/total:gc-cycles", "qhpc_go_gc_cycles_total", "Completed GC cycles.", true},
+	{"/sched/goroutines:goroutines", "qhpc_go_goroutines", "Live goroutines.", false},
+}
+
+// promRuntime renders runtimeFamilies; a sample this runtime does not have
+// is left out.
+func promRuntime(pw *telemetry.PromWriter) {
+	samples := make([]metrics.Sample, len(runtimeFamilies))
+	for i, f := range runtimeFamilies {
+		samples[i].Name = f.sample
+	}
+	metrics.Read(samples)
+	for i, f := range runtimeFamilies {
+		var v float64
+		switch samples[i].Value.Kind() {
+		case metrics.KindUint64:
+			v = float64(samples[i].Value.Uint64())
+		case metrics.KindFloat64:
+			v = samples[i].Value.Float64()
+		default:
+			continue
+		}
+		if f.counter {
+			pw.Counter(f.name, f.help, nil, v)
+		} else {
+			pw.Gauge(f.name, f.help, nil, v)
+		}
+	}
 }

@@ -12,7 +12,6 @@ package mqss
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -71,11 +70,11 @@ func retryAfterSeconds(d time.Duration) int {
 
 // v2JobRecord fetches the unified record for a backend job ID.
 func (s *Server) v2JobRecord(id int, withRequest bool) (*Job, error) {
-	fj, err := s.fleet.Job(id)
+	v, err := s.fleet.View(id)
 	if err != nil {
 		return nil, err
 	}
-	return v2FromFleet(fj, withRequest), nil
+	return v2FromView(v, withRequest)
 }
 
 // writeFleetError answers a failed job-addressed scheduler call.
@@ -222,7 +221,7 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		// Returning without the job terminal is not an error — the response
 		// reports the current state.
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		_, _ = s.fleet.WaitContext(ctx, id)
+		_ = s.fleet.Await(ctx, id)
 		cancel()
 	}
 	job, err := s.v2JobRecord(id, false)
@@ -285,10 +284,15 @@ func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 	}
 	page := &JobPage{Jobs: []*Job{}}
 	var lastID int
-	jobs, more := s.fleet.ListJobs(q.Get("user"), filter, before, limit)
-	for _, fj := range jobs {
-		page.Jobs = append(page.Jobs, v2FromFleet(fj, false))
-		lastID = fj.ID
+	views, more := s.fleet.ListViews(q.Get("user"), filter, before, limit)
+	for _, v := range views {
+		job, err := v2FromView(v, false)
+		if err != nil {
+			writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
+			return
+		}
+		page.Jobs = append(page.Jobs, job)
+		lastID = v.ID
 	}
 	if more && lastID > 0 {
 		page.NextCursor = encodeCursor(lastID)
@@ -360,7 +364,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 	}
 	if wait > 0 && !job.State.Terminal() {
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		_, _ = s.fleet.WaitContext(ctx, id)
+		_ = s.fleet.Await(ctx, id)
 		cancel()
 		if job, err = s.v2JobRecord(id, true); err != nil {
 			writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
@@ -398,43 +402,31 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 	sub := s.fleet.Events().Subscribe(id, 32)
 	defer sub.Close()
 
-	job, err := s.v2JobRecord(id, false)
+	state, device, recovered, err := s.fleet.Peek(id)
 	if err != nil {
 		writeFleetError(w, err)
 		return
 	}
 
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
+	out := watchWriter{w: w, sse: strings.Contains(r.Header.Get("Accept"), "text/event-stream")}
+	if out.sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(ev JobEvent) {
-		if sse {
-			_, _ = fmt.Fprint(w, "data: ")
-		}
-		_ = enc.Encode(ev)
-		if sse {
-			_, _ = fmt.Fprint(w, "\n")
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	out.flusher, _ = w.(http.Flusher)
 
 	// Watchers re-attaching after a restart learn they are looking at a
 	// recovered job from the opening event's reason.
+	jobID := FormatJobID(id)
 	snapReason := "snapshot"
-	if job.Recovered && !job.State.Terminal() {
+	if recovered && !state.Terminal() {
 		snapReason = "recovered"
 	}
-	emit(JobEvent{JobID: job.ID, State: job.State, Device: job.Device, Reason: snapReason})
-	if job.State.Terminal() {
+	out.line(&JobEvent{JobID: jobID, State: state, Device: device, Reason: snapReason})
+	if state.Terminal() {
 		return
 	}
 	for {
@@ -443,9 +435,8 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 			if !ok {
 				return // bus closed (backend shutting down)
 			}
-			jev := jobEventFrom(ev)
-			emit(jev)
-			if jev.State.Terminal() {
+			out.line(&JobEvent{Seq: ev.Seq, JobID: jobID, State: ev.To, Device: ev.Device, Reason: ev.Reason})
+			if ev.To.Terminal() {
 				return
 			}
 		case <-r.Context().Done():
@@ -453,8 +444,35 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 		case <-s.closing:
 			// Graceful shutdown: end the stream cleanly so http.Server's
 			// Shutdown can drain this handler.
-			emit(JobEvent{JobID: job.ID, State: job.State, Reason: "server-closing"})
+			out.line(&JobEvent{JobID: jobID, State: state, Reason: "server-closing"})
 			return
 		}
 	}
+}
+
+// watchWriter writes a watch stream's lines, NDJSON or SSE, each with one
+// write and one flush, through a buffer it reuses.
+type watchWriter struct {
+	w       io.Writer
+	flusher http.Flusher
+	sse     bool
+	buf     []byte
+}
+
+// line writes one event: its JSON and a newline, framed as an SSE data
+// field under SSE.
+func (o *watchWriter) line(ev *JobEvent) {
+	b := o.buf[:0]
+	if o.sse {
+		b = append(b, "data: "...)
+	}
+	b = append(ev.AppendJSON(b), '\n')
+	if o.sse {
+		b = append(b, '\n')
+	}
+	_, _ = o.w.Write(b)
+	if o.flusher != nil {
+		o.flusher.Flush()
+	}
+	o.buf = b
 }
