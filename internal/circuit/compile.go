@@ -9,10 +9,9 @@ import (
 // Compile lowers a circuit into a flat quantum.Program of precomputed
 // unitaries, fusing runs of adjacent single-qubit gates on the same qubit
 // into one 2x2 matrix. The compiled program applies no per-gate name
-// dispatch or matrix construction, so executing it many times (the shot
-// loop) pays the lowering cost once — the compile-once/execute-many split
-// behind the device's execution engine. Barriers carry no simulation
-// semantics and are dropped.
+// dispatch or matrix construction, so executing it many times pays the
+// lowering cost once. Barriers carry no simulation semantics and are
+// dropped.
 //
 // Fusion is exact: single-qubit gates on distinct qubits commute, so
 // deferring a qubit's accumulated product until a multi-qubit gate touches

@@ -20,9 +20,11 @@ import (
 // shots). At realistic calibration error rates nearly every shot rides the
 // dominant (near-identity) branch at every site, so a 200-shot job evolves a
 // handful of trajectories instead of 200.
-// Every noisy job takes this walk: with few shots, or noise heavy enough
-// that no two shots share a prefix, the split degenerates to one trajectory
-// per shot — the per-shot Monte-Carlo loop, with nothing to pick between.
+// Every job takes this walk: a program with no noise site is one
+// trajectory whose leaf samples every shot, and with few shots, or noise
+// heavy enough that no two shots share a prefix, the split degenerates to
+// one trajectory per shot — the per-shot Monte-Carlo loop, with nothing to
+// pick between.
 //
 // Exactness: each shot takes Kraus branch i with its exact weight w_i,
 // independently of the others — the per-shot categorical draw of the
@@ -237,7 +239,7 @@ func (p *pending) accept(st *quantum.State, s *trajStep) error {
 	return st.Normalize()
 }
 
-// runStats is what a noisy execution reports besides its histogram: the
+// runStats is what an execution reports besides its histogram: the
 // unique leaf states it sampled (the leaves/shots ratio is the
 // redundancy-collapse metric) and how its noise sites were resolved — in
 // O(1) under the floor, or exactly, from the qubit's density.
@@ -245,7 +247,7 @@ type runStats struct {
 	leaves, exactSites, deferredSites int
 }
 
-// branchExec is the state of one noisy execution. The scratch buffers live
+// branchExec is the state of one execution. The scratch buffers live
 // here so the recursion allocates nothing per node.
 type branchExec struct {
 	cj     *compiledJob
@@ -262,13 +264,22 @@ type branchExec struct {
 	weights quantum.OutcomeWeights // a leaf's diagonal operators, as weights
 }
 
-// runBranchTree executes shots noisy trajectory shots by shot-branching. The
-// walk is a single-goroutine DFS drawing from rng alone, so a fixed seed
+// runBranchTree executes shots trajectory shots by shot-branching. The walk
+// is a single-goroutine DFS drawing from rng alone, so a fixed seed
 // reproduces identical counts on any host.
 func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, runStats, error) {
-	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots)), live: 1,
-		samples: make([]int, 0, shots)}
+	b := &branchExec{cj: cj, rng: rng, counts: make(map[int]int, cj.countsHint(shots)), live: 1}
 	b.ro.init(cj, rng)
+	if cj.compactQubits == 0 {
+		// No gate touches a qubit: the one leaf is |0...0>, and every shot
+		// reads it out.
+		b.leaves = 1
+		for range shots {
+			b.ro.tally(b.counts, 0)
+		}
+		return b.counts, b.runStats, nil
+	}
+	b.samples = make([]int, 0, shots)
 	st, err := quantum.AcquireState(cj.compactQubits)
 	if err != nil {
 		return nil, runStats{}, err
@@ -285,7 +296,7 @@ func (cj *compiledJob) runBranchTree(shots int, rng *rand.Rand) (map[int]int, ru
 
 // run evolves one subtree: st, with p its pending operators, carries n shots
 // and is positioned before step from. Reaching the end of the program makes
-// st a leaf. It is the one routine every noisy shot goes through — tree
+// st a leaf. It is the one routine every shot goes through — tree
 // blocks, their single-shot tails (n == 1: the split degenerates to the
 // per-shot draw) and the replay fallback.
 func (b *branchExec) run(st *quantum.State, p *pending, from, n int) error {

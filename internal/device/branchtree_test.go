@@ -443,31 +443,3 @@ func TestReadoutFlipsBeyondCompactRegister(t *testing.T) {
 		t.Error("no outcome beyond the compact register dimension despite 40% readout error on 12 qubits")
 	}
 }
-
-// TestNoiselessDistributionCache checks the pure-sampling path: repeated
-// noiseless jobs on one compiled program simulate once, and a calibration
-// epoch bump invalidates the cached distribution with the program.
-func TestNoiselessDistributionCache(t *testing.T) {
-	qpu := NewTwin20Q(91)
-	c := NativeGHZLine(4)
-	for i := 0; i < 3; i++ {
-		res, err := qpu.Execute(c, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Counts[0]+res.Counts[15] != 500 {
-			t.Fatalf("twin GHZ(4) counts = %v, want all mass on |0000> and |1111>", res.Counts)
-		}
-	}
-	st := qpu.ExecStats()
-	if st.DistCacheHits != 2 {
-		t.Errorf("dist-cache hits = %d, want 2 (first job builds, two sample)", st.DistCacheHits)
-	}
-	qpu.AdvanceDrift(1) // epoch bump: fresh compiled job, fresh distribution
-	if _, err := qpu.Execute(c, 500); err != nil {
-		t.Fatal(err)
-	}
-	if st = qpu.ExecStats(); st.DistCacheHits != 2 {
-		t.Errorf("post-drift dist-cache hits = %d, want still 2", st.DistCacheHits)
-	}
-}

@@ -97,7 +97,7 @@ func TestDrawsScaleWithEvents(t *testing.T) {
 		}
 		const shots = 10000
 		rng, src := countingRNG(3)
-		counts, _, err := cj.runFast(shots, rng)
+		counts, _, err := cj.runBranchTree(shots, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
-	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -18,11 +17,11 @@ import (
 // This file is the compiled-circuit execution engine: Execute lowers a
 // native circuit once into a flat program of precomputed matrices and the
 // calibration epoch's noise channels (kept in the epoch's compile map,
-// epoch.go), then runs shots against pooled, reset-in-place states. When
-// the program carries no noise channels — the digital twin, or a
-// calibration with zero gate error — the state is simulated exactly once
-// and all shots are drawn from it, turning an O(shots x gates) loop into
-// O(gates + shots).
+// epoch.go), then runs its shots down the shot-branching tree
+// (branchtree.go). A program with no noise channel — the digital twin, or a
+// calibration with zero gate error — is one trajectory: the state is
+// simulated exactly once and its one leaf samples every shot, O(gates +
+// shots) instead of O(shots x gates).
 
 // trajKind discriminates the steps of a trajectory program.
 type trajKind uint8
@@ -83,62 +82,36 @@ type compiledJob struct {
 	compactQubits int   // simulated register size; 0 when no qubit is touched
 	toPhysical    []int // compact index -> physical qubit
 
-	// unitary is the fully fused pure program; nil unless noiseless, whose
-	// fast path is its only reader.
-	unitary *quantum.Program
-	// noisy is the trajectory program the branch tree walks; nil when the
-	// calibration contributes no gate or decoherence error (noiseless).
+	// noisy is the trajectory program the branch tree walks, for every job:
+	// it holds no noise site when the calibration contributes no gate or
+	// decoherence error, and is empty when no gate touches a qubit.
 	noisy []trajStep
 	// readout is the classical confusion model laid out for drawing per
 	// flip, nil when every qubit reads out perfectly.
 	readout *readoutPlan
-	// noiseless marks programs with no trajectory channels: one simulation
-	// serves every shot (readout corruption, being classical and
-	// per-sample, still applies).
-	noiseless bool
 
 	// stateBudget caps the live states a branch-tree run of this job may
 	// hold (defaultBranchStateBudget; a field so a test can squeeze its own
 	// job onto the replay path).
 	stateBudget int
 
-	// distOnce/dist cache the noiseless final outcome distribution as an
-	// alias sampler, built on the first execution. Because compiledJob is
-	// itself cached in its epoch's compile map, a QRM batch of identical
-	// noiseless jobs simulates once and every later job is pure O(shots)
-	// sampling. Gated to distCacheMaxQubits so a full map stays bounded in
-	// memory.
-	distOnce sync.Once
-	dist     *quantum.AliasTable
-	distErr  error
-
 	durPerShotUs float64
 }
 
-// distCacheMaxQubits bounds the cached distribution: 2^16 outcomes ≈ 1 MiB
-// of table, acceptable maxCompiledJobs times over.
-const distCacheMaxQubits = 16
-
 // ExecStats counts execution-engine activity: program-cache effectiveness
-// and which path shots took. Exposed so the QRM pipeline metrics (and
+// and what the shots cost. Exposed so the QRM pipeline metrics (and
 // benches) can see engine behaviour without instrumenting the hot loop.
 type ExecStats struct {
 	CompileHits   uint64 `json:"compile_hits"`
 	CompileMisses uint64 `json:"compile_misses"`
-	FastPathJobs  uint64 `json:"fast_path_jobs"`
-	FastPathShots uint64 `json:"fast_path_shots"`
 
-	// Shot-branching: the noisy jobs/shots, all of which ride the trajectory
-	// tree, and the unique leaf states those shots collapsed into —
-	// leaves/shots is the redundancy the tree removed (1.0 would be
-	// per-shot simulation).
+	// Shot-branching: the jobs/shots, every one of which rides the
+	// trajectory tree, and the unique leaf states those shots collapsed
+	// into — leaves/shots is the redundancy the tree removed (1.0 would be
+	// per-shot simulation; a noiseless job is one leaf).
 	BranchTreeJobs  uint64 `json:"branch_tree_jobs"`
 	BranchTreeShots uint64 `json:"branch_tree_shots"`
 	BranchLeaves    uint64 `json:"branch_leaves"`
-	// DistCacheHits counts noiseless jobs that skipped simulation entirely
-	// because the compiled program's outcome distribution was already
-	// cached (pure-sampling jobs).
-	DistCacheHits uint64 `json:"dist_cache_hits"`
 }
 
 // LeavesPerShot returns the mean unique-leaf fraction of branch-tree shots:
@@ -174,9 +147,9 @@ func (d *QPU) ExecStats() ExecStats {
 //   - measured bits flip through the per-qubit readout confusion model.
 //
 // Compilation is cached in the calibration epoch's compile map, so a batch
-// of identical jobs (the VQE measurement loop) compiles once per epoch. Both
-// execution strategies make every draw from one goroutine, on the job's own
-// stream (Run); an in-process call takes its job seed from the seeded device
+// of identical jobs (the VQE measurement loop) compiles once per epoch. The
+// branch tree makes every draw from one goroutine, on the job's own stream
+// (Run); an in-process call takes its job seed from the seeded device
 // RNG, so a fixed device seed and call order reproduce identical counts on
 // any host.
 func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
@@ -185,9 +158,9 @@ func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 
 // ExecuteCtx is Execute with a caller context carrying an optional trace
 // span: the engine records child spans for its compile lookup
-// (engine-compile), the simulation strategy it picked (with strategy/leaves
-// attributes), and the control-electronics pacing sleep. With no span in ctx
-// the overhead is a few nil checks.
+// (engine-compile), the simulation (with its leaves and site counts), and
+// the control-electronics pacing sleep. With no span in ctx the overhead is
+// a few nil checks.
 func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*Result, error) {
 	if err := d.validateExecution(c, shots); err != nil {
 		return nil, err
@@ -234,27 +207,14 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*R
 	}
 	latency := d.execLatency
 	d.mu.Unlock()
-	rng := d.jobRNG(seed)
-
-	// Strategy pick: noiseless programs sample a cached distribution, noisy
-	// ones ride the shot-branching tree — whatever their shot count or noise
-	// level; a tree of one shot, or one whose shots all part ways, is the
-	// per-shot Monte-Carlo loop.
-	var (
-		counts  map[int]int
-		stats   runStats
-		distHit bool
-		err     error
-	)
+	// Every job rides the shot-branching tree, whatever its shot count or
+	// noise level: a noiseless program is one trajectory, and a tree of one
+	// shot, or one whose shots all part ways, is the per-shot Monte-Carlo
+	// loop.
 	_, simSpan := trace.StartSpan(ctx, "simulate")
-	if cj.noiseless {
-		counts, distHit, err = cj.runFast(shots, rng)
-		simSpan.End(trace.Str("strategy", "fast-path"), trace.Bool("dist_cache", distHit))
-	} else {
-		counts, stats, err = cj.runBranchTree(shots, rng)
-		simSpan.End(trace.Str("strategy", "branch-tree"), trace.Int("leaves", stats.leaves),
-			trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
-	}
+	counts, stats, err := cj.runBranchTree(shots, d.jobRNG(seed))
+	simSpan.End(trace.Int("leaves", stats.leaves),
+		trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
 	if err != nil {
 		return nil, err
 	}
@@ -264,19 +224,9 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*R
 		paceSpan.End()
 	}
 	d.mu.Lock()
-	d.executedJobs++
-	d.executedShots += int64(shots)
-	if cj.noiseless {
-		d.execStats.FastPathJobs++
-		d.execStats.FastPathShots += uint64(shots)
-		if distHit {
-			d.execStats.DistCacheHits++
-		}
-	} else {
-		d.execStats.BranchTreeJobs++
-		d.execStats.BranchTreeShots += uint64(shots)
-		d.execStats.BranchLeaves += uint64(stats.leaves)
-	}
+	d.execStats.BranchTreeJobs++
+	d.execStats.BranchTreeShots += uint64(shots)
+	d.execStats.BranchLeaves += uint64(stats.leaves)
 	d.mu.Unlock()
 	return &Result{Counts: counts, Shots: shots, DurationUs: cj.durPerShotUs * float64(shots)}, nil
 }
@@ -306,9 +256,8 @@ func (d *QPU) jobRNG(seed uint64) *rand.Rand {
 	return &js.Rand
 }
 
-// compileJob lowers a validated native circuit onto the epoch's noise. The
-// trajectory program comes first: whether it holds a channel decides which
-// of the two programs the job runs, and only that one is kept.
+// compileJob lowers a validated native circuit onto the epoch's noise: its
+// trajectory program and its readout plan.
 func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
 	compact, toPhysical := compactCircuit(c)
 	cj := &compiledJob{
@@ -320,7 +269,6 @@ func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
 		cj.readout = newReadoutPlan(r, c.NumQubits, toPhysical)
 	}
 	if compact == nil {
-		cj.noiseless = true
 		return cj, nil
 	}
 	cj.compactQubits = compact.NumQubits
@@ -328,33 +276,23 @@ func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Refuse channels wider than a site's scratch, and detect the noiseless
-	// case.
+	// Refuse channels wider than a site's scratch.
 	for i := range noisy {
-		if s := &noisy[i]; s.hasNoise() {
-			if len(s.ch.Kraus) > maxKrausBranches {
-				return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
-			}
-			cj.noisy = noisy // at least one channel: trajectories needed
+		if s := &noisy[i]; len(s.ch.Kraus) > maxKrausBranches {
+			return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
 		}
 	}
-	if cj.noisy != nil {
-		return cj, nil
-	}
-	cj.noiseless = true
-	if cj.unitary, err = circuit.Compile(compact); err != nil {
-		return nil, err
-	}
+	cj.noisy = noisy
 	return cj, nil
 }
 
-// compileTrajectoryOps builds the noisy per-shot program: precomputed gate
+// compileTrajectoryOps builds the trajectory program: precomputed gate
 // matrices with their calibration-derived channels. Virtual RZ runs fuse
 // into the following PRX matrix (RZ is error-free, so fusion does not move
 // any noise site); runs cut off by a CZ or the circuit end flush as bare
 // unitaries. A first pass over the gates counts the steps — a PRX is one, a
-// CZ one plus a site per qubit, an RZ run one only where it flushes — so the
-// program is allocated at its final length on a noisy device.
+// CZ one plus a site per endpoint its coupler leaves noise on, an RZ run one
+// only where it flushes — so the program is allocated at its final length.
 func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int) ([]trajStep, error) {
 	pending := make([]quantum.Matrix2, compact.NumQubits)
 	has := make([]bool, compact.NumQubits)
@@ -373,7 +311,14 @@ func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int
 			n++
 			has[g.Qubits[0]] = false
 		case circuit.OpCZ:
-			n += 3
+			n++
+			a, b := toPhysical[g.Qubits[0]], toPhysical[g.Qubits[1]]
+			if len(ep.czNoise(a, b).Kraus) > 0 {
+				n++
+			}
+			if len(ep.czNoise(b, a).Kraus) > 0 {
+				n++
+			}
 			countFlush(g.Qubits[0])
 			countFlush(g.Qubits[1])
 		}
@@ -573,69 +518,4 @@ func (cj *compiledJob) countsHint(shots int) int {
 		hint = 1024
 	}
 	return hint
-}
-
-// runFast is the noiseless path: simulate the program exactly once per
-// compiled job, cache the final outcome distribution as an alias sampler,
-// and draw every shot from it — so across a batch of identical jobs only
-// the first simulates at all and the rest are pure sampling (distHit).
-// Readout corruption, when present, is a classical per-sample map and
-// applies after sampling.
-func (cj *compiledJob) runFast(shots int, rng *rand.Rand) (counts map[int]int, distHit bool, err error) {
-	counts = make(map[int]int, cj.countsHint(shots))
-	var ro readout
-	ro.init(cj, rng)
-	if cj.compactQubits == 0 {
-		// No gates touch any qubit: the register stays |0...0>.
-		if cj.readout == nil {
-			counts[0] = shots
-			return counts, false, nil
-		}
-		for shot := 0; shot < shots; shot++ {
-			ro.tally(counts, 0)
-		}
-		return counts, false, nil
-	}
-	if cj.compactQubits > distCacheMaxQubits {
-		// Too wide to pin a 2^n table per cached program: simulate once per
-		// job (still amortized over its shots).
-		st, err := quantum.AcquireState(cj.compactQubits)
-		if err != nil {
-			return nil, false, err
-		}
-		defer quantum.ReleaseState(st)
-		if err := cj.unitary.RunOn(st); err != nil {
-			return nil, false, err
-		}
-		for _, sample := range st.SampleBitstrings(shots, rng) {
-			ro.tally(counts, sample)
-		}
-		return counts, false, nil
-	}
-	first := false
-	cj.distOnce.Do(func() {
-		first = true
-		cj.dist, cj.distErr = cj.buildDist()
-	})
-	if cj.distErr != nil {
-		return nil, false, cj.distErr
-	}
-	for shot := 0; shot < shots; shot++ {
-		ro.tally(counts, cj.dist.Sample(rng))
-	}
-	return counts, !first, nil
-}
-
-// buildDist simulates the noiseless program once and freezes its outcome
-// distribution into an alias sampler.
-func (cj *compiledJob) buildDist() (*quantum.AliasTable, error) {
-	st, err := quantum.AcquireState(cj.compactQubits)
-	if err != nil {
-		return nil, err
-	}
-	defer quantum.ReleaseState(st)
-	if err := cj.unitary.RunOn(st); err != nil {
-		return nil, err
-	}
-	return quantum.NewAliasTable(st.Probabilities())
 }

@@ -2,17 +2,18 @@ package device
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 )
 
-// TestFastPathDistributionMatchesNaive is the noiseless distribution-
-// equivalence check: the fast path now samples the cached alias-table
-// distribution while the naive loop binary-searches a cumulative table, so
-// the fixed-seed histograms are compared statistically (chi-square) rather
-// than draw-for-draw.
-func TestFastPathDistributionMatchesNaive(t *testing.T) {
+// TestNoiselessDistributionMatchesNaive is the noiseless distribution-
+// equivalence check: the twin's one trajectory samples its leaf while the
+// naive loop binary-searches a cumulative table, so the fixed-seed
+// histograms are compared statistically (chi-square) rather than
+// draw-for-draw.
+func TestNoiselessDistributionMatchesNaive(t *testing.T) {
 	const shots = 4000
 	c := NativeGHZLine(4)
 	fast, err := NewTwin20Q(77).Execute(c, shots)
@@ -75,60 +76,74 @@ func perfectCalibrationQPU(seed int64) *QPU {
 	})
 }
 
-// The engine must detect a perfect calibration and take the simulate-once
-// path even though the device is not a twin.
-func TestZeroErrorCalibrationUsesFastPath(t *testing.T) {
-	qpu := perfectCalibrationQPU(30)
-	res, err := qpu.Execute(NativeGHZLine(5), 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := GHZPopulationFidelity(res, 5); f != 1 {
-		t.Errorf("perfect-calibration GHZ fidelity = %g, want exactly 1", f)
-	}
-	st := qpu.ExecStats()
-	if st.FastPathJobs != 1 || st.BranchTreeJobs != 0 {
-		t.Errorf("stats = %+v, want the job on the fast path", st)
-	}
-	if st.FastPathShots != 2000 {
-		t.Errorf("fast-path shots = %d, want 2000", st.FastPathShots)
+// TestNoiselessJobIsOneTrajectory: a program with no noise site — the
+// twin's, or a non-twin device's under a zero-error calibration — rides the
+// branch tree like every job, as one trajectory whose one leaf samples every
+// shot.
+func TestNoiselessJobIsOneTrajectory(t *testing.T) {
+	const jobs, shots = 3, 2000
+	for _, tc := range []struct {
+		name string
+		qpu  *QPU
+	}{
+		{"twin", NewTwin20Q(30)},
+		{"zero-error calibration", perfectCalibrationQPU(30)},
+	} {
+		c := NativeGHZLine(5)
+		for i := 0; i < jobs; i++ {
+			res, err := tc.qpu.Execute(c, shots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := GHZPopulationFidelity(res, 5); f != 1 {
+				t.Errorf("%s: GHZ fidelity = %g, want exactly 1", tc.name, f)
+			}
+		}
+		if st := tc.qpu.ExecStats(); st.BranchTreeJobs != jobs || st.BranchTreeShots != jobs*shots || st.BranchLeaves != jobs {
+			t.Errorf("%s: stats = %+v, want %d jobs of %d shots on the branch tree, one leaf each", tc.name, st, jobs, shots)
+		}
+		cj, _, err := tc.qpu.compiledFor(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := cj.runBranchTree(shots, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != (runStats{leaves: 1}) {
+			t.Errorf("%s: run stats = %+v, want one leaf and no noise site", tc.name, stats)
+		}
 	}
 }
 
-// TestCompileJobKeepsOnlyTheProgramItRuns: a compiled job holds the fused
-// unitary program exactly when it is noiseless (the fast path and its cached
-// distribution are that program's only readers) and the trajectory program
-// exactly when it is not.
+// TestCompileJobKeepsOnlyTheProgramItRuns: every compiled job holds the
+// trajectory program the branch tree walks, with noise sites exactly when
+// its epoch is noisy, allocated at its final length.
 func TestCompileJobKeepsOnlyTheProgramItRuns(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		qpu       *QPU
-		noiseless bool
+		name  string
+		qpu   *QPU
+		noisy bool
 	}{
-		{"twin", NewTwin20Q(33), true},
-		{"zero-error calibration", perfectCalibrationQPU(33), true},
-		{"noisy", New20Q(33), false},
+		{"twin", NewTwin20Q(33), false},
+		{"zero-error calibration", perfectCalibrationQPU(33), false},
+		{"noisy", New20Q(33), true},
 	} {
-		c := NativeGHZLine(5)
-		cj, _, err := tc.qpu.compiledFor(c)
+		cj, _, err := tc.qpu.compiledFor(NativeGHZLine(5))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if cj.noiseless != tc.noiseless || (cj.unitary != nil) != tc.noiseless || (cj.noisy != nil) == tc.noiseless {
-			t.Errorf("%s: noiseless=%v unitary=%v noisy=%d steps, want the unitary iff noiseless and the trajectory program iff not",
-				tc.name, cj.noiseless, cj.unitary != nil, len(cj.noisy))
+		sites := 0
+		for i := range cj.noisy {
+			if cj.noisy[i].hasNoise() {
+				sites++
+			}
+		}
+		if len(cj.noisy) == 0 || (sites > 0) != tc.noisy {
+			t.Errorf("%s: %d steps, %d noise sites; want the trajectory program, with sites iff the epoch is noisy", tc.name, len(cj.noisy), sites)
 		}
 		if len(cj.noisy) != cap(cj.noisy) {
 			t.Errorf("%s: trajectory program holds %d steps in room for %d, want it allocated at its final length", tc.name, len(cj.noisy), cap(cj.noisy))
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := tc.qpu.Execute(c, 50); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-		}
-		st := tc.qpu.ExecStats()
-		if want := map[bool]uint64{true: 2, false: 0}[tc.noiseless]; st.DistCacheHits != want {
-			t.Errorf("%s: dist-cache hits = %d over three jobs, want %d", tc.name, st.DistCacheHits, want)
 		}
 	}
 }
@@ -183,7 +198,7 @@ func TestNoisyStrategyPick(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := qpu.ExecStats()
-	if st.BranchTreeJobs != 1 || st.FastPathJobs != 0 {
+	if st.BranchTreeJobs != 1 {
 		t.Errorf("stats = %+v, want the 100-shot job on the branch tree", st)
 	}
 	if st.BranchLeaves == 0 || st.BranchLeaves >= st.BranchTreeShots {

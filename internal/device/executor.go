@@ -48,9 +48,6 @@ type QPU struct {
 	// model the latency-bound pipeline the QRM overlaps.
 	execLatency time.Duration
 
-	executedShots int64
-	executedJobs  int64
-
 	// injectedFaults makes the next N Execute calls fail with a control-
 	// electronics error — the fault-injection hook behind fleet failover and
 	// outage tests.
@@ -192,7 +189,7 @@ func (d *QPU) ActiveTLSCount() int {
 func (d *QPU) Counters() (jobs, shots int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.executedJobs, d.executedShots
+	return int64(d.execStats.BranchTreeJobs), int64(d.execStats.BranchTreeShots)
 }
 
 // Result is the outcome of executing a circuit.

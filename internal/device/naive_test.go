@@ -93,10 +93,6 @@ func (d *QPU) ExecuteNaive(c *circuit.Circuit, shots int) (*Result, error) {
 	if latency > 0 {
 		time.Sleep(latency)
 	}
-	d.mu.Lock()
-	d.executedJobs++
-	d.executedShots += int64(shots)
-	d.mu.Unlock()
 	dur := estimateDurationUs(c, shots)
 	return &Result{Counts: counts, Shots: shots, DurationUs: dur}, nil
 }

@@ -18,8 +18,8 @@ const checkedInSimBench = "../../BENCH_sim.json"
 // TestSimBenchArtifact measures the naive per-shot loop against the
 // compiled execution engine and writes BENCH_sim.json. Gated behind
 // -sim.bench so the regular test run stays timing-free; CI runs it as the
-// sim-bench smoke step and fails loudly if the noiseless fast path drops
-// below 3x the naive loop or the noisy shot-branching path below 6x.
+// sim-bench smoke step and fails loudly if noiseless jobs drop below 3x
+// the naive loop or noisy jobs below 6x.
 //
 // It also fails if a noisy row's branch_leaves_per_shot differs from the
 // checked-in artifact: the rows run fixed circuits on fixed seeds, so the
@@ -42,9 +42,9 @@ func TestSimBenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range art.Rows {
-		t.Logf("%s: naive %.0f jobs/s -> compiled %.0f jobs/s (%.1fx, median of %d, spread %.1f%%); compiled p50 %.3f ms, p95 %.3f ms; leaves/shot %.3f, dist-cache hits %d",
+		t.Logf("%s: naive %.0f jobs/s -> compiled %.0f jobs/s (%.1fx, median of %d, spread %.1f%%); compiled p50 %.3f ms, p95 %.3f ms; leaves/shot %.3f",
 			row.Name, row.NaiveJobsPerSec, row.CompiledJobsPerSec, row.Speedup, row.Reruns, row.SpreadPct,
-			row.CompiledP50Ms, row.CompiledP95Ms, row.BranchLeavesPerShot, row.DistCacheHits)
+			row.CompiledP50Ms, row.CompiledP95Ms, row.BranchLeavesPerShot)
 	}
 	data, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
@@ -66,11 +66,11 @@ func TestSimBenchArtifact(t *testing.T) {
 		}
 	}
 	if art.SpeedupNoiseless < 3 {
-		t.Fatalf("execution-engine regression: noiseless fast path %.2fx over naive loop, want >= 3x",
+		t.Fatalf("execution-engine regression: noiseless jobs %.2fx over naive loop, want >= 3x",
 			art.SpeedupNoiseless)
 	}
 	if art.SpeedupNoisy < 6 {
-		t.Fatalf("execution-engine regression: noisy shot-branching path %.2fx over naive loop, want >= 6x",
+		t.Fatalf("execution-engine regression: noisy jobs %.2fx over naive loop, want >= 6x",
 			art.SpeedupNoisy)
 	}
 }

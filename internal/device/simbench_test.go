@@ -64,12 +64,9 @@ type SimBenchRow struct {
 	Speedup float64 `json:"speedup"`
 
 	// BranchLeavesPerShot is the shot-branching amortization on this row's
-	// compiled runs: unique trajectory leaves per shot (0 when the row did
-	// not take the branch tree).
+	// compiled runs: unique trajectory leaves per shot (1/shots on a
+	// noiseless row, whose every job is one leaf).
 	BranchLeavesPerShot float64 `json:"branch_leaves_per_shot,omitempty"`
-	// DistCacheHits counts this row's compiled jobs that skipped simulation
-	// entirely (noiseless distribution cache).
-	DistCacheHits uint64 `json:"dist_cache_hits,omitempty"`
 }
 
 // SimBenchArtifact is the BENCH_sim.json schema: the execution-engine perf
@@ -202,7 +199,6 @@ func RunSimBench(cfg SimBenchConfig) (*SimBenchArtifact, error) {
 			// jobs), so the last rerun's stats describe them all.
 			es := compiled.ExecStats()
 			row.BranchLeavesPerShot = es.LeavesPerShot()
-			row.DistCacheHits = es.DistCacheHits
 		}
 		row.NaiveJobsPerSec = telemetry.Median(naiveJPS)
 		row.NaiveP50Ms = telemetry.Median(naiveP50)
@@ -226,9 +222,10 @@ func RunSimBench(cfg SimBenchConfig) (*SimBenchArtifact, error) {
 
 // --- E15/E16: compiled-circuit execution engine vs the naive shot loop. ---
 //
-// BenchmarkExecuteCompiled* time Execute (compile-once, pooled states,
-// noiseless fast path, shot-branching trajectory tree on noisy jobs); the *Naive variants time the retained reference loop so the
-// BENCH_sim.json speedups are reproducible from the benchmark table alone.
+// BenchmarkExecuteCompiled* time Execute (compile-once, pooled states, the
+// shot-branching trajectory tree every job rides); the *Naive variants time
+// the retained reference loop so the BENCH_sim.json speedups are
+// reproducible from the benchmark table alone.
 
 func benchmarkExecute(b *testing.B, qpu *QPU, naive bool, shots int) {
 	b.Helper()

@@ -90,7 +90,6 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job) (settled bool) {
 	j.Device, j.Score = e.name, score
 	s.transitionLocked(j, JobRouted, "")
 	e.routed++
-	s.routed++
 	e.scoreHist.Observe(score)
 	s.scoreHist.Observe(score)
 	e.inflight++
@@ -137,7 +136,6 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job) (settled bool) {
 		span.End(trace.Str("outcome", string(JobFailed)), trace.Str("error", errMsg))
 		j.Migrations++
 		e.migratedOut++
-		s.migrated++
 		j.Result = nil
 		s.transitionLocked(j, JobQueued, "migrated")
 		j.Device = ""

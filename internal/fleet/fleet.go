@@ -238,13 +238,6 @@ type Scheduler struct {
 	scoreHist *telemetry.Histogram
 	bus       *EventBus // every lifecycle transition (transitionLocked)
 
-	submitted  uint64
-	routed     uint64
-	migrated   uint64
-	completed  uint64
-	failures   uint64
-	cancelled  uint64
-	shed       uint64
 	illegal    uint64 // transitions taken that the lifecycle table does not list
 	scoreEvals uint64 // fidelity estimates computed: score memo misses
 	restored   RestoreStats
@@ -539,7 +532,6 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 		trace.Int("job_id", j.ID), trace.Str("user", req.User))
 	j.rootSpan = j.tr.Root()
 	s.addLocked(j)
-	s.submitted++
 	s.queue.stats(req.User).Submitted++
 	s.bindLocked(j)
 	s.transitionLocked(j, JobQueued, "")
@@ -690,19 +682,14 @@ func (s *Scheduler) settleLocked(j *Job, st JobStatus, rec *Result, errMsg strin
 	ts := s.queue.stats(j.Request.User)
 	switch {
 	case st == JobDone:
-		s.completed++
 		ts.Completed++
 	case st == JobCancelled:
-		s.cancelled++
 		ts.Cancelled++
 	case errMsg == qrm.ErrShedMsg:
-		s.shed++
 		ts.Shed++
 	case errMsg == qrm.ErrInterruptedMsg:
-		s.failures++
 		ts.Interrupted++
 	default:
-		s.failures++
 		ts.Failed++
 	}
 	close(j.done)

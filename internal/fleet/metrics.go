@@ -49,17 +49,14 @@ type PipelineMetrics struct {
 	CacheMisses uint64 `json:"cache_misses"`
 
 	// Execution-engine counters: compiled programs reused across identical
-	// jobs, noiseless jobs on the fast path, the shot-branching tree (jobs,
-	// the shots they carried, the unique leaves those collapsed into —
-	// leaves/shots << 1 is the amortization working) and noiseless jobs
-	// served from the cached outcome distribution.
+	// jobs, and the shot-branching tree every job rides (jobs, the shots
+	// they carried, the unique leaves those collapsed into — leaves/shots
+	// << 1 is the amortization working).
 	SimCompileHits     uint64 `json:"sim_compile_hits"`
 	SimCompileMisses   uint64 `json:"sim_compile_misses"`
-	SimFastPathJobs    uint64 `json:"sim_fast_path_jobs"`
 	SimBranchTreeJobs  uint64 `json:"sim_branch_tree_jobs"`
 	SimBranchTreeShots uint64 `json:"sim_branch_tree_shots"`
 	SimBranchLeaves    uint64 `json:"sim_branch_leaves"`
-	SimDistCacheHits   uint64 `json:"sim_dist_cache_hits"`
 
 	QueueWaitMs telemetry.HistogramSnapshot `json:"queue_wait_ms"`
 	CompileMs   telemetry.HistogramSnapshot `json:"compile_ms"`
@@ -98,27 +95,31 @@ type Metrics struct {
 	ScoreHist telemetry.HistogramSnapshot `json:"score_hist"`
 }
 
-// Metrics returns the fleet snapshot.
+// Metrics returns the fleet snapshot. The fleet totals are sums of the
+// rows: job outcomes of the tenant rows, claims and failover re-queues of
+// the device rows.
 func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	out := Metrics{
 		Policy:     s.policy,
 		QueueDepth: s.queue.Len(),
-		Submitted:  s.submitted,
-		Routed:     s.routed,
-		Migrated:   s.migrated,
-		Completed:  s.completed,
-		Failed:     s.failures,
-		Cancelled:  s.cancelled,
-		Shed:       s.shed,
 
 		IllegalTransitions: s.illegal,
+	}
+	for _, t := range s.queue.tenants {
+		out.Submitted += t.stats.Submitted
+		out.Completed += t.stats.Completed
+		out.Failed += t.stats.Failed + t.stats.Interrupted
+		out.Cancelled += t.stats.Cancelled
+		out.Shed += t.stats.Shed
 	}
 	devs := make([]*deviceEntry, 0, len(s.order))
 	for _, name := range s.order {
 		e := s.devices[name]
 		ep := e.dev.QPU().Epoch()
 		devs = append(devs, e)
+		out.Routed += e.routed
+		out.Migrated += e.migratedOut
 		out.Devices = append(out.Devices, DeviceMetrics{
 			Name: e.name, State: e.state,
 			Qubits:  e.dev.Properties().NumQubits,
@@ -144,9 +145,8 @@ func (s *Scheduler) Metrics() Metrics {
 		es := e.dev.QPU().ExecStats()
 		q := &d.QRM
 		q.CacheHits, q.CacheMisses = e.cacheHits.Load(), e.cacheMisses.Load()
-		q.SimCompileHits, q.SimCompileMisses, q.SimFastPathJobs = es.CompileHits, es.CompileMisses, es.FastPathJobs
+		q.SimCompileHits, q.SimCompileMisses = es.CompileHits, es.CompileMisses
 		q.SimBranchTreeJobs, q.SimBranchTreeShots, q.SimBranchLeaves = es.BranchTreeJobs, es.BranchTreeShots, es.BranchLeaves
-		q.SimDistCacheHits = es.DistCacheHits
 		q.QueueWaitMs, q.CompileMs = e.queueWait.Snapshot(), e.compile.Snapshot()
 		q.ExecMs, q.E2EMs = e.exec.Snapshot(), e.e2e.Snapshot()
 	}

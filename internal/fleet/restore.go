@@ -74,7 +74,6 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		j.Device = ""
 		j.Result = nil
 		j.Error = ""
-		s.submitted++
 		s.queue.stats(j.Request.User).Submitted++
 		if j.Request.DeadlineMs > 0 &&
 			float64(nowMs-j.SubmitUnixMs) > j.Request.DeadlineMs {

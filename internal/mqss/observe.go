@@ -185,10 +185,8 @@ func promQRM(pw *telemetry.PromWriter, device string, m fleet.PipelineMetrics) {
 	pw.Counter("qhpc_transpile_cache_misses_total", "Transpile-cache misses.", l, float64(m.CacheMisses))
 	pw.Counter("qhpc_engine_compile_hits_total", "Compiled-program cache hits in the execution engine.", l, float64(m.SimCompileHits))
 	pw.Counter("qhpc_engine_compile_misses_total", "Compiled-program cache misses in the execution engine.", l, float64(m.SimCompileMisses))
-	pw.Counter("qhpc_engine_fast_path_jobs_total", "Noiseless jobs served by the distribution fast path.", l, float64(m.SimFastPathJobs))
-	pw.Counter("qhpc_engine_branch_tree_jobs_total", "Noisy jobs executed on the shot-branching tree.", l, float64(m.SimBranchTreeJobs))
+	pw.Counter("qhpc_engine_branch_tree_jobs_total", "Jobs executed on the shot-branching tree: every job.", l, float64(m.SimBranchTreeJobs))
 	pw.Counter("qhpc_engine_branch_leaves_total", "Unique leaf states across branch-tree jobs.", l, float64(m.SimBranchLeaves))
-	pw.Counter("qhpc_engine_dist_cache_hits_total", "Noiseless jobs served from a cached outcome distribution.", l, float64(m.SimDistCacheHits))
 	stage := func(st string, h telemetry.HistogramSnapshot) {
 		pw.Histogram("qhpc_stage_latency_ms",
 			"Per-stage job latency in milliseconds (stage: queue-wait, compile, execute, e2e).",

@@ -237,8 +237,8 @@ func TestConcurrentStopsDoNotPanic(t *testing.T) {
 
 // TestEngineMetricsSurfaceBranchTree checks that shot-branching engine
 // counters reach the pipeline metrics snapshot: a batch of identical noisy
-// jobs rides the trajectory tree, and a batch of identical noiseless jobs
-// hits the cached outcome distribution.
+// jobs rides the trajectory tree, and so does a batch of noiseless jobs,
+// one leaf each.
 func TestEngineMetricsSurfaceBranchTree(t *testing.T) {
 	noisy := newFleet(t, device.New20Q(44), 2)
 	var ids []int
@@ -260,13 +260,14 @@ func TestEngineMetricsSurfaceBranchTree(t *testing.T) {
 	twin := twinFleet(t, 45, 2)
 	ids = ids[:0]
 	for i := 0; i < 5; i++ {
-		ids = append(ids, submit(t, twin, qrm.Request{Circuit: circuit.GHZ(4), Shots: 100, User: "dist"}))
+		ids = append(ids, submit(t, twin, qrm.Request{Circuit: circuit.GHZ(4), Shots: 100, User: "twin"}))
 	}
 	for _, id := range ids {
 		await(t, twin, id)
 	}
-	if snap := pipeline(twin); snap.SimDistCacheHits != 4 {
-		t.Errorf("dist-cache hits = %d, want 4 (first job simulates, four sample)", snap.SimDistCacheHits)
+	if snap := pipeline(twin); snap.SimBranchTreeJobs != 5 || snap.SimBranchTreeShots != 500 || snap.SimBranchLeaves != 5 {
+		t.Errorf("twin branch-tree counters = %d jobs / %d shots / %d leaves, want 5 / 500 / 5 (%+v)",
+			snap.SimBranchTreeJobs, snap.SimBranchTreeShots, snap.SimBranchLeaves, snap)
 	}
 }
 

@@ -19,19 +19,6 @@ type AliasTable struct {
 	small, large []int32
 }
 
-// NewAliasTable builds a sampler over weights (need not be normalized).
-// Tables built this way are assumed one-shot (e.g. a distribution cached
-// per compiled program), so the construction worklists are released; use
-// Init on a long-lived table to rebuild allocation-free instead.
-func NewAliasTable(weights []float64) (*AliasTable, error) {
-	t := &AliasTable{}
-	if err := t.Init(weights); err != nil {
-		return nil, err
-	}
-	t.small, t.large = nil, nil
-	return t, nil
-}
-
 // Init (re)builds the table over weights, reusing the table's buffers when
 // their capacity suffices. It fails on an empty vector, on negative or NaN
 // entries, and on a non-positive or non-finite total — a zero distribution

@@ -18,13 +18,14 @@ func TestAliasTableEdgeCases(t *testing.T) {
 		{"infinite-total", []float64{1, math.Inf(1)}},
 	}
 	for _, tc := range cases {
-		if _, err := NewAliasTable(tc.weights); err == nil {
-			t.Errorf("%s: NewAliasTable(%v) accepted a degenerate distribution", tc.name, tc.weights)
+		var tab AliasTable
+		if err := tab.Init(tc.weights); err == nil {
+			t.Errorf("%s: Init(%v) accepted a degenerate distribution", tc.name, tc.weights)
 		}
 	}
 
-	single, err := NewAliasTable([]float64{3.5})
-	if err != nil {
+	var single, sparse AliasTable
+	if err := single.Init([]float64{3.5}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -35,8 +36,7 @@ func TestAliasTableEdgeCases(t *testing.T) {
 	}
 
 	// Zero-weight outcomes must never be drawn.
-	sparse, err := NewAliasTable([]float64{0, 5, 0, 0, 1, 0})
-	if err != nil {
+	if err := sparse.Init([]float64{0, 5, 0, 0, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
@@ -65,8 +65,8 @@ func TestAliasMatchesCumulative(t *testing.T) {
 	}
 
 	const draws = 200000
-	alias, err := NewAliasTable(weights)
-	if err != nil {
+	var alias AliasTable
+	if err := alias.Init(weights); err != nil {
 		t.Fatal(err)
 	}
 	aliasCounts := make([]int, len(weights))
@@ -106,8 +106,8 @@ func TestAliasMatchesCumulative(t *testing.T) {
 }
 
 func TestAliasInitReusesBuffers(t *testing.T) {
-	tab, err := NewAliasTable([]float64{1, 2, 3, 4})
-	if err != nil {
+	var tab AliasTable
+	if err := tab.Init([]float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))

@@ -5,12 +5,11 @@ import (
 	"sync"
 )
 
-// This file is the flat-program substrate of the compiled-circuit execution
-// engine: a Program is a circuit lowered to precomputed gate matrices that
-// apply with zero per-gate decoding, and the state pool recycles amplitude
-// buffers so repeated shots allocate nothing. The compile step itself lives
-// in internal/circuit (it needs the gate IR); the device executor composes
-// both with calibration-derived noise.
+// This file holds a flat program — a circuit lowered to precomputed gate
+// matrices that apply with zero per-gate decoding; the compile step lives in
+// internal/circuit, which has the gate IR — and the state pool that
+// recycles amplitude buffers, so the execution engine's repeated runs
+// allocate nothing.
 
 // ProgOpKind discriminates the operation classes a Program can hold.
 type ProgOpKind uint8
@@ -35,8 +34,7 @@ type ProgOp struct {
 }
 
 // Program is a circuit lowered to a flat list of precomputed operations over
-// a fixed register — the unit the execution engine compiles once per job and
-// runs once per shot.
+// a fixed register, applied in one pass by RunOn.
 type Program struct {
 	NumQubits int
 	Ops       []ProgOp

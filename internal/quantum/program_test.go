@@ -78,7 +78,7 @@ func TestProbabilitiesIntoReusesBuffer(t *testing.T) {
 	if err := st.Apply1Q(0, H); err != nil {
 		t.Fatal(err)
 	}
-	want := st.Probabilities()
+	want := st.ProbabilitiesInto(nil)
 	buf := make([]float64, 0, 8)
 	got := st.ProbabilitiesInto(buf)
 	if len(got) != len(want) {

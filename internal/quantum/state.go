@@ -158,16 +158,9 @@ func (s *State) Probability(idx int) float64 {
 	return real(a)*real(a) + imag(a)*imag(a)
 }
 
-// Probabilities returns the full probability vector. The slice is freshly
-// allocated; use ProbabilitiesInto on hot paths.
-func (s *State) Probabilities() []float64 {
-	return s.ProbabilitiesInto(nil)
-}
-
 // ProbabilitiesInto fills dst with the full probability vector and returns
 // it, reusing dst's backing array when its capacity suffices (allocating
-// otherwise). The scratch-buffer variant exists so repeated sampling stops
-// allocating 2^n floats per call.
+// otherwise), so repeated sampling stops allocating 2^n floats per call.
 func (s *State) ProbabilitiesInto(dst []float64) []float64 {
 	if cap(dst) < len(s.amps) {
 		dst = make([]float64, len(s.amps))

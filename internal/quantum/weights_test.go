@@ -71,7 +71,7 @@ func TestLeafWeightsMatchAppliedDiagonals(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := applied.Probabilities()
+			want := applied.ProbabilitiesInto(nil)
 			got, total := s.weightedProbs(&w)
 			sum := 0.0
 			for i, p := range want {

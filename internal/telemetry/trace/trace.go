@@ -73,14 +73,6 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: itoa(int64(v))} }
 // Int64 builds an integer attribute from an int64.
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: itoa(v)} }
 
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr {
-	if v {
-		return Attr{Key: k, Value: "true"}
-	}
-	return Attr{Key: k, Value: "false"}
-}
-
 // itoa avoids strconv to keep the hot path allocation-free for small ints.
 func itoa(v int64) string {
 	if v == 0 {
