@@ -78,3 +78,31 @@ func partialBlock(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape
 		goPairs(amps, bit, hi-1, hi, m, shape)
 	}
 }
+
+// czAVX2 flips the sign bits of the amplitudes of blocks blocks, each stride
+// amplitudes after the previous one: in each, runs runs of run amplitudes
+// (run even) from z, each gap amplitudes after the previous one. With odd
+// set it flips only the odd amplitude of each register, through a
+// [0, 0, sign, sign] mask.
+//
+//go:noescape
+func czAVX2(z *complex128, blocks, stride, runs, gap, run int, odd bool)
+
+// vectorCZ is ApplyCZ's sign flip on the vector unit for qubits lo < hi, in
+// one kernel call. The amplitudes with both bits set lie in runs of 2^lo,
+// 2^(lo+1) apart, in the half of each 2^(hi+1) block that has bit hi set;
+// for lo = 0 they are the odd amplitudes of that half, one in each register.
+// A block that holds one run is walked as one row of runs.
+func vectorCZ(amps []complex128, lo, hi int) {
+	lb, hb := 1<<uint(lo), 1<<uint(hi)
+	blocks, runs := len(amps)/(2*hb), hb/(2*lb)
+	z, run, odd := &amps[hb|lb], lb, false
+	if lo == 0 {
+		z, runs, run, odd = &amps[hb], 1, hb, true
+	}
+	if runs == 1 {
+		czAVX2(z, 1, 0, blocks, 2*hb, run, odd)
+		return
+	}
+	czAVX2(z, blocks, 2*hb, runs, 2*lb, run, odd)
+}

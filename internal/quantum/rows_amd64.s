@@ -141,6 +141,72 @@ diagAdjacent:
 remAdjacent:
 	ADJACENT(remAdjRow, REMAINDER)
 
+// func czAVX2(z *complex128, blocks, stride, runs, gap, run int, odd bool)
+//
+// ApplyCZ's sign flip: Y7 holds the sign bit of every lane, or of the odd
+// amplitude's two lanes only, and each register of a run is XORed with it.
+// Runs of one register take a loop of their own.
+TEXT ·czAVX2(SB), NOSPLIT, $0-49
+	MOVQ     z+0(FP), SI
+	MOVQ     blocks+8(FP), BX
+	MOVQ     stride+16(FP), DX
+	MOVQ     runs+24(FP), R10
+	MOVQ     gap+32(FP), R12
+	MOVQ     run+40(FP), CX
+	MOVBQZX  odd+48(FP), AX
+	SHLQ     $4, DX
+	SHLQ     $4, R12
+	SHLQ     $4, CX
+	VPCMPEQQ Y7, Y7, Y7
+	VPSLLQ   $63, Y7, Y7
+	TESTQ    AX, AX
+	JZ       czMasked
+	VXORPD   Y6, Y6, Y6
+	VBLENDPD $12, Y7, Y6, Y7
+
+czMasked:
+	CMPQ CX, $32
+	JEQ  czSingle
+
+czBlock:
+	MOVQ SI, R9
+	MOVQ R10, R11
+
+czRun:
+	MOVQ R9, R8
+	LEAQ (R9)(CX*1), DI
+
+czFlip:
+	VXORPD  (R8), Y7, Y0
+	VMOVUPD Y0, (R8)
+	ADDQ    $32, R8
+	CMPQ    R8, DI
+	JB      czFlip
+	ADDQ    R12, R9
+	DECQ    R11
+	JNZ     czRun
+	ADDQ    DX, SI
+	DECQ    BX
+	JNZ     czBlock
+	VZEROUPPER
+	RET
+
+czSingle:
+	MOVQ SI, R9
+	MOVQ R10, R11
+
+czSingleRun:
+	VXORPD  (R9), Y7, Y0
+	VMOVUPD Y0, (R9)
+	ADDQ    R12, R9
+	DECQ    R11
+	JNZ     czSingleRun
+	ADDQ    DX, SI
+	DECQ    BX
+	JNZ     czSingle
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -9,3 +9,7 @@ var vectorRows = false
 func vectorPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
 	goPairs(amps, bit, lo, hi, m, shape)
 }
+
+func vectorCZ(amps []complex128, lo, hi int) {
+	goCZ(amps, 1<<uint(lo)|1<<uint(hi))
+}

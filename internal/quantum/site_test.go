@@ -208,7 +208,7 @@ func benchState(n int) *State {
 }
 
 func BenchmarkQubitDensity(b *testing.B) {
-	for _, n := range []int{12, 16} {
+	for _, n := range []int{5, 12, 16} {
 		b.Run(fmt.Sprintf("%dq", n), func(b *testing.B) {
 			s := benchState(n)
 			b.ResetTimer()
@@ -221,7 +221,7 @@ func BenchmarkQubitDensity(b *testing.B) {
 }
 
 func BenchmarkApplyCZ(b *testing.B) {
-	for _, n := range []int{12, 16} {
+	for _, n := range []int{5, 12, 16} {
 		b.Run(fmt.Sprintf("%dq", n), func(b *testing.B) {
 			s := benchState(n)
 			b.ResetTimer()
