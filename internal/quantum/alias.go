@@ -19,23 +19,19 @@ type AliasTable struct {
 	small, large []int32
 }
 
-// Init (re)builds the table over weights, reusing the table's buffers when
-// their capacity suffices. It fails on an empty vector, on negative or NaN
-// entries, and on a non-positive or non-finite total — a zero distribution
-// has no sampling semantics, so callers must handle it explicitly.
-func (t *AliasTable) Init(weights []float64) error {
+// Init (re)builds the table over weights, whose sum is total, reusing the
+// table's buffers when their capacity suffices. The caller has summed the
+// weights (the sampler's probability pass does), so Init does not sum them
+// again. It fails on an empty vector, on a non-positive or non-finite total,
+// and on negative or NaN entries — a zero distribution has no sampling
+// semantics, so callers must handle it explicitly; a failed Init leaves the
+// table to be rebuilt.
+func (t *AliasTable) Init(weights []float64, total float64) error {
 	n := len(weights)
 	if n == 0 {
 		return fmt.Errorf("quantum: alias table needs at least one weight")
 	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return fmt.Errorf("quantum: alias weight %d is %v", i, w)
-		}
-		total += w
-	}
-	if total <= 0 || math.IsInf(total, 0) {
+	if !(total > 0) || math.IsInf(total, 0) {
 		return fmt.Errorf("quantum: alias weights sum to %v, want positive and finite", total)
 	}
 	if cap(t.prob) < n {
@@ -52,6 +48,9 @@ func (t *AliasTable) Init(weights []float64) error {
 	// then pair each under-full bucket with an over-full donor.
 	scale := float64(n) / total
 	for i, w := range weights {
+		if !(w >= 0) {
+			return fmt.Errorf("quantum: alias weight %d is %v", i, w)
+		}
 		p := w * scale
 		t.prob[i] = p
 		t.alias[i] = int32(i)

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// sum adds weights in index order.
+func sum(weights []float64) float64 {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	return total
+}
+
 func TestAliasTableEdgeCases(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -19,13 +28,13 @@ func TestAliasTableEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var tab AliasTable
-		if err := tab.Init(tc.weights); err == nil {
+		if err := tab.Init(tc.weights, sum(tc.weights)); err == nil {
 			t.Errorf("%s: Init(%v) accepted a degenerate distribution", tc.name, tc.weights)
 		}
 	}
 
 	var single, sparse AliasTable
-	if err := single.Init([]float64{3.5}); err != nil {
+	if err := single.Init([]float64{3.5}, 3.5); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -36,7 +45,7 @@ func TestAliasTableEdgeCases(t *testing.T) {
 	}
 
 	// Zero-weight outcomes must never be drawn.
-	if err := sparse.Init([]float64{0, 5, 0, 0, 1, 0}); err != nil {
+	if err := sparse.Init([]float64{0, 5, 0, 0, 1, 0}, 6); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
@@ -66,7 +75,7 @@ func TestAliasMatchesCumulative(t *testing.T) {
 
 	const draws = 200000
 	var alias AliasTable
-	if err := alias.Init(weights); err != nil {
+	if err := alias.Init(weights, total); err != nil {
 		t.Fatal(err)
 	}
 	aliasCounts := make([]int, len(weights))
@@ -107,7 +116,7 @@ func TestAliasMatchesCumulative(t *testing.T) {
 
 func TestAliasInitReusesBuffers(t *testing.T) {
 	var tab AliasTable
-	if err := tab.Init([]float64{1, 2, 3, 4}); err != nil {
+	if err := tab.Init([]float64{1, 2, 3, 4}, 10); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -116,7 +125,7 @@ func TestAliasInitReusesBuffers(t *testing.T) {
 	}
 	w := []float64{4, 3, 2, 1}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := tab.Init(w); err != nil {
+		if err := tab.Init(w, 10); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -169,26 +169,46 @@ type QubitDensity struct {
 }
 
 // QubitDensity reads qubit q's reduced density matrix in one read-only pass
-// of real arithmetic. The sum runs serially in index order on every host:
-// it feeds trajectory branch choices, which must not depend on GOMAXPROCS.
+// of real arithmetic. Its four sums feed trajectory branch choices, so they
+// add in one fixed order on every host and at every GOMAXPROCS: the pair p,
+// counted in index order, adds into lane p mod 4, and the lanes combine as
+// (s0+s1)+(s2+s3). On a CPU with AVX2 the pass runs on the vector unit
+// (vectorDensity, rows_amd64.s) in that order, so it reads goDensity's bits.
 func (s *State) QubitDensity(q int) (QubitDensity, error) {
 	if err := s.checkQubit(q); err != nil {
 		return QubitDensity{}, err
 	}
-	bit := 1 << uint(q)
-	var p0, p1, cr, ci float64
-	amps := s.amps
+	var d [4]float64
+	if vectorRows {
+		vectorDensity(s.amps, 1<<uint(q), &d)
+	} else {
+		goDensity(s.amps, 1<<uint(q), &d)
+	}
+	return QubitDensity{P0: d[0], P1: d[1], C: complex(d[2], d[3])}, nil
+}
+
+// goDensity is QubitDensity's Go pass, and the reference for the vector
+// pass's bits: it writes P0, P1, Re C and Im C of the qubit whose index bit
+// is bit to d. Each product is rounded on its own (float64(x*y)), so no
+// compiler fuses it into a multiply-add.
+func goDensity(amps []complex128, bit int, d *[4]float64) {
+	var lanes [4][4]float64 // lanes[p%4]: the four sums over pairs p
+	p := 0
 	for base := 0; base < len(amps); base += 2 * bit {
 		for i := base; i < base+bit; i++ {
 			a0, a1 := amps[i], amps[i+bit]
 			r0, i0, r1, i1 := real(a0), imag(a0), real(a1), imag(a1)
-			p0 += r0*r0 + i0*i0
-			p1 += r1*r1 + i1*i1
-			cr += r0*r1 + i0*i1
-			ci += r0*i1 - i0*r1
+			l := &lanes[p&3]
+			l[0] += float64(r0*r0) + float64(i0*i0)
+			l[1] += float64(r1*r1) + float64(i1*i1)
+			l[2] += float64(r0*r1) + float64(i0*i1)
+			l[3] += float64(r0*i1) - float64(i0*r1)
+			p++
 		}
 	}
-	return QubitDensity{P0: p0, P1: p1, C: complex(cr, ci)}, nil
+	for k := range d {
+		d[k] = (lanes[0][k] + lanes[1][k]) + (lanes[2][k] + lanes[3][k])
+	}
 }
 
 // After returns the density after applying the single-qubit operator u to

@@ -106,3 +106,51 @@ func vectorCZ(amps []complex128, lo, hi int) {
 	}
 	czAVX2(z, blocks, 2*hb, runs, 2*lb, run, odd)
 }
+
+// densityAVX2 is QubitDensity's pass over the n amplitudes from z (n ≥ 8)
+// for the qubit whose index bit is bit, in goDensity's lane order: it writes
+// P0, P1, Re C and Im C to d.
+//
+//go:noescape
+func densityAVX2(z *complex128, n, bit int, d *[4]float64)
+
+// vectorDensity is goDensity on the vector unit. A register of fewer than
+// four pairs, which fills no vector of lanes, takes the Go pass.
+func vectorDensity(amps []complex128, bit int, d *[4]float64) {
+	if len(amps) < 8 {
+		goDensity(amps, bit, d)
+		return
+	}
+	densityAVX2(&amps[0], len(amps), bit, d)
+}
+
+// probsAVX2 writes |z[i]|² to probs[i] for the n amplitudes from z (n a
+// multiple of 4) and returns their sum in goProbs's lane order.
+//
+//go:noescape
+func probsAVX2(z *complex128, probs *float64, n int) float64
+
+// weightedAVX2 writes |z[i]|²·lo[l]·hi[h], i = h·nlo+l, to probs[i] for the
+// nhi rows of nlo amplitudes from z (nlo a multiple of 4) and returns their
+// sum in goWeighted's lane order.
+//
+//go:noescape
+func weightedAVX2(z *complex128, probs, lo *float64, nlo int, hi *float64, nhi int) float64
+
+// vectorProbs is goProbs on the vector unit; a one-qubit register takes the
+// Go pass.
+func vectorProbs(amps []complex128, probs []float64) float64 {
+	if len(amps) < 4 {
+		return goProbs(amps, probs)
+	}
+	return probsAVX2(&amps[0], &probs[0], len(amps))
+}
+
+// vectorWeighted is goWeighted on the vector unit; rows shorter than four
+// outcomes (registers under four qubits) take the Go pass.
+func vectorWeighted(amps []complex128, probs, lo, hi []float64) float64 {
+	if len(lo) < 4 {
+		return goWeighted(amps, probs, lo, hi)
+	}
+	return weightedAVX2(&amps[0], &probs[0], &lo[0], len(lo), &hi[0], len(hi))
+}

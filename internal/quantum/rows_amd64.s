@@ -207,6 +207,190 @@ czSingleRun:
 	VZEROUPPER
 	RET
 
+// The sums of QubitDensity and of the sampler's probability pass. Each adds
+// its terms into four lanes, term k into lane k mod 4, and combines the
+// lanes as (s0+s1)+(s2+s3): the order of the Go passes goDensity, goProbs
+// and goWeighted, whose bits they are. A term is what the Go pass computes,
+// in its order: |a|² is VMULPD of [re, im] by itself, then VHADDPD adds
+// re² + im²; x − y is computed as x + (−y), which IEEE 754 defines to be
+// the same.
+
+// DENSITY adds the terms of two pairs of a qubit, 0 sides A and 1 sides B,
+// into accX ([P0, P1] of each pair) and accY ([Re C, Im C] of each pair).
+// Y15 holds [0, sign, 0, sign].
+#define DENSITY(A, B, accX, accY) \
+	VMULPD    A, A, Y4; \
+	VMULPD    B, B, Y5; \
+	VHADDPD   Y5, Y4, Y4; \
+	VADDPD    Y4, accX, accX; \
+	VMULPD    B, A, Y4; \
+	VPERMILPD $5, B, Y5; \
+	VMULPD    Y5, A, Y5; \
+	VXORPD    Y15, Y5, Y5; \
+	VHADDPD   Y5, Y4, Y4; \
+	VADDPD    Y4, accY, accY
+
+// DENSITY4 adds the terms of four pairs: Y0/Y1 (pairs of lanes 0 and 1) and
+// Y2/Y3 (lanes 2 and 3).
+#define DENSITY4 \
+	DENSITY(Y0, Y1, Y8, Y9); \
+	DENSITY(Y2, Y3, Y10, Y11)
+
+// func densityAVX2(z *complex128, n, bit int, d *[4]float64)
+TEXT ·densityAVX2(SB), NOSPLIT, $0-32
+	MOVQ     z+0(FP), SI
+	MOVQ     n+8(FP), CX
+	MOVQ     bit+16(FP), DX
+	MOVQ     d+24(FP), AX
+	SHLQ     $4, CX
+	SHLQ     $4, DX
+	LEAQ     (SI)(CX*1), DI
+	VXORPD   Y8, Y8, Y8
+	VXORPD   Y9, Y9, Y9
+	VXORPD   Y10, Y10, Y10
+	VXORPD   Y11, Y11, Y11
+	VPCMPEQQ Y15, Y15, Y15
+	VPSLLQ   $63, Y15, Y15
+	VXORPD   Y6, Y6, Y6
+	VBLENDPD $10, Y15, Y6, Y15
+	CMPQ     DX, $16
+	JEQ      densityAdjacent
+	CMPQ     DX, $32
+	JEQ      densityQubit1
+
+	// Blocks of bit pairs: the 0 sides from SI, their partners DX on.
+densityBlock:
+	MOVQ SI, R9
+	LEAQ (SI)(DX*1), R8
+
+densityRow:
+	VMOVUPD (R9), Y0
+	VMOVUPD (R9)(DX*1), Y1
+	VMOVUPD 32(R9), Y2
+	VMOVUPD 32(R9)(DX*1), Y3
+	DENSITY4
+	ADDQ    $64, R9
+	CMPQ    R9, R8
+	JB      densityRow
+	LEAQ    (SI)(DX*2), SI
+	CMPQ    SI, DI
+	JB      densityBlock
+	JMP     densityDone
+
+	// Qubit 1: blocks of two pairs, one register a side; two blocks a step.
+densityQubit1:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	DENSITY4
+	ADDQ    $128, SI
+	CMPQ    SI, DI
+	JB      densityQubit1
+	JMP     densityDone
+
+	// Qubit 0: each register is one pair; gather two 0 sides and two 1 sides.
+densityAdjacent:
+	VMOVUPD     (SI), X0
+	VINSERTF128 $1, 32(SI), Y0, Y0
+	VMOVUPD     16(SI), X1
+	VINSERTF128 $1, 48(SI), Y1, Y1
+	VMOVUPD     64(SI), X2
+	VINSERTF128 $1, 96(SI), Y2, Y2
+	VMOVUPD     80(SI), X3
+	VINSERTF128 $1, 112(SI), Y3, Y3
+	DENSITY4
+	ADDQ        $128, SI
+	CMPQ        SI, DI
+	JB          densityAdjacent
+
+densityDone:
+	VEXTRACTF128 $1, Y8, X4
+	VADDPD       X4, X8, X8
+	VEXTRACTF128 $1, Y10, X4
+	VADDPD       X4, X10, X10
+	VADDPD       X10, X8, X8
+	VEXTRACTF128 $1, Y9, X4
+	VADDPD       X4, X9, X9
+	VEXTRACTF128 $1, Y11, X4
+	VADDPD       X4, X11, X11
+	VADDPD       X11, X9, X9
+	VMOVUPD      X8, (AX)
+	VMOVUPD      X9, 16(AX)
+	VZEROUPPER
+	RET
+
+// PROBS4 loads four amplitudes from SI into Y0 as [|a0|², |a1|², |a2|²,
+// |a3|²]: VHADDPD leaves them in the order 0, 2, 1, 3 and VPERMPD restores it.
+#define PROBS4 \
+	VMOVUPD (SI), Y0; \
+	VMOVUPD 32(SI), Y1; \
+	VMULPD  Y0, Y0, Y0; \
+	VMULPD  Y1, Y1, Y1; \
+	VHADDPD Y1, Y0, Y0; \
+	VPERMPD $0xd8, Y0, Y0
+
+// LANETOTAL leaves (s0+s1)+(s2+s3) of the lanes of Y8 in X0.
+#define LANETOTAL \
+	VEXTRACTF128 $1, Y8, X1; \
+	VHADDPD      X1, X8, X0; \
+	VHADDPD      X0, X0, X0
+
+// func probsAVX2(z *complex128, probs *float64, n int) float64
+TEXT ·probsAVX2(SB), NOSPLIT, $0-32
+	MOVQ   z+0(FP), SI
+	MOVQ   probs+8(FP), DI
+	MOVQ   n+16(FP), CX
+	LEAQ   (DI)(CX*8), R8
+	VXORPD Y8, Y8, Y8
+
+probsRow:
+	PROBS4
+	VMOVUPD Y0, (DI)
+	VADDPD  Y0, Y8, Y8
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	CMPQ    DI, R8
+	JB      probsRow
+	LANETOTAL
+	VZEROUPPER
+	MOVSD   X0, ret+24(FP)
+	RET
+
+// func weightedAVX2(z *complex128, probs, lo *float64, nlo int, hi *float64, nhi int) float64
+TEXT ·weightedAVX2(SB), NOSPLIT, $0-56
+	MOVQ   z+0(FP), SI
+	MOVQ   probs+8(FP), DI
+	MOVQ   lo+16(FP), R10
+	MOVQ   nlo+24(FP), CX
+	MOVQ   hi+32(FP), R11
+	MOVQ   nhi+40(FP), BX
+	VXORPD Y8, Y8, Y8
+
+weightedRow:
+	VBROADCASTSD (R11), Y7
+	MOVQ         R10, DX
+	LEAQ         (DI)(CX*8), R8
+
+weightedCol:
+	PROBS4
+	VMULPD  (DX), Y7, Y2
+	VMULPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)
+	VADDPD  Y0, Y8, Y8
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	CMPQ    DI, R8
+	JB      weightedCol
+	ADDQ    $8, R11
+	DECQ    BX
+	JNZ     weightedRow
+	LANETOTAL
+	VZEROUPPER
+	MOVSD   X0, ret+48(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

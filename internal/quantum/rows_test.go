@@ -117,6 +117,68 @@ func TestVectorCZMatchesGoWalk(t *testing.T) {
 	}
 }
 
+// TestVectorSumsMatchGoSums is the summed kernels' exactness gate: on
+// registers of 1 to 16 qubits the vector passes read the Go passes' bits —
+// QubitDensity on every qubit, and the sampler's plain and weighted
+// probability passes, every probability and the total.
+func TestVectorSumsMatchGoSums(t *testing.T) {
+	if !hostVectorRows {
+		t.Skip("no AVX2 on this host: the Go sums are the only sums")
+	}
+	defer setVectorRows(true)
+	rng := rand.New(rand.NewSource(49))
+	for n := 1; n <= 16; n++ {
+		s := randomState(n, rng)
+		for q := 0; q < n; q++ {
+			setVectorRows(true)
+			vec, err := s.QubitDensity(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			setVectorRows(false)
+			ref, err := s.QubitDensity(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloats([]float64{vec.P0, vec.P1, real(vec.C), imag(vec.C)}, []float64{ref.P0, ref.P1, real(ref.C), imag(ref.C)}) {
+				t.Fatalf("n=%d QubitDensity(%d): vector %+v, Go %+v", n, q, vec, ref)
+			}
+		}
+		var w OutcomeWeights
+		for q := 0; q < n; q++ {
+			if q == 0 || rng.Intn(3) > 0 {
+				w.SetDiagonal(q, Matrix2{{complex(rng.NormFloat64(), rng.NormFloat64()), 0}, {0, complex(rng.NormFloat64(), 0)}})
+			}
+		}
+		for _, pass := range []struct {
+			name string
+			w    *OutcomeWeights
+		}{{"plain", nil}, {"weighted", &w}} {
+			setVectorRows(true)
+			probs, total := s.weightedProbs(pass.w)
+			vec := append([]float64(nil), probs...)
+			setVectorRows(false)
+			ref, refTotal := s.weightedProbs(pass.w)
+			if !sameFloats(vec, ref) || !sameFloats([]float64{total}, []float64{refTotal}) {
+				t.Fatalf("n=%d %s probabilities: vector total %v, Go total %v (or a probability differs)", n, pass.name, total, refTotal)
+			}
+		}
+	}
+}
+
+// sameFloats reports whether a and b hold the same bits.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // sameBits reports whether a and b hold the same bits in every amplitude,
 // and the first index where they do not.
 func sameBits(a, b *State) (int, bool) {

@@ -234,6 +234,26 @@ func BenchmarkApplyCZ(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleWeighted times a leaf's sampling: the weighted probability
+// pass with every qubit weighted, then 50 alias draws.
+func BenchmarkSampleWeighted(b *testing.B) {
+	for _, n := range []int{5, 12, 16} {
+		b.Run(fmt.Sprintf("%dq", n), func(b *testing.B) {
+			s := benchState(n)
+			var w OutcomeWeights
+			for q := 0; q < n; q++ {
+				w.SetDiagonal(q, Matrix2{{1, 0}, {0, complex(0.9, 0.1)}})
+			}
+			rng := rand.New(rand.NewSource(1))
+			dst := make([]int, 50)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = s.SampleWeightedInto(dst, 50, rng, &w)
+			}
+		})
+	}
+}
+
 // BenchmarkNoiseSite times one fused PRX + composed-channel site, the unit
 // of work of the trajectory engine.
 func BenchmarkNoiseSite(b *testing.B) {

@@ -641,7 +641,7 @@ func (s *State) SampleWeightedInto(dst []int, shots int, rng *rand.Rand, w *Outc
 		return dst
 	}
 	if shots >= aliasMinShots {
-		if err := s.aliasScratch.Init(probs); err == nil {
+		if err := s.aliasScratch.Init(probs, total); err == nil {
 			for k := range dst {
 				dst[k] = s.aliasScratch.Sample(rng)
 			}
@@ -663,23 +663,23 @@ func (s *State) SampleWeightedInto(dst []int, shots int, rng *rand.Rand, w *Outc
 }
 
 // weightedProbs fills the state's probability scratch with |amp_i|² times
-// w's weight of outcome i and returns it with its sum, taken in index
-// order. The weight is a product of two table entries: one over the low
-// ⌊n/2⌋ qubits, one over the rest, so the pass costs two multiplies per
-// amplitude whatever the number of weighted qubits.
+// w's weight of outcome i and returns it with its sum. The weight is a
+// product of two table entries: one over the low ⌊n/2⌋ qubits, one over the
+// rest, so the pass costs two multiplies per amplitude whatever the number
+// of weighted qubits. The sum takes one fixed order on every host: outcome i
+// adds into lane i mod 4, and the lanes combine as (s0+s1)+(s2+s3). On a CPU
+// with AVX2 both passes run on the vector unit in that order
+// (vectorProbs, vectorWeighted), so they read the Go passes' bits.
 func (s *State) weightedProbs(w *OutcomeWeights) ([]float64, float64) {
 	if cap(s.probScratch) < len(s.amps) {
 		s.probScratch = make([]float64, len(s.amps))
 	}
 	probs := s.probScratch[:len(s.amps)]
-	total := 0.0
 	if w == nil || w.Mask == 0 {
-		for i, a := range s.amps {
-			p := real(a)*real(a) + imag(a)*imag(a)
-			probs[i] = p
-			total += p
+		if vectorRows {
+			return probs, vectorProbs(s.amps, probs)
 		}
-		return probs, total
+		return probs, goProbs(s.amps, probs)
 	}
 	nlo := 1 << uint(s.n/2)
 	if need := nlo + len(s.amps)/nlo; cap(s.weightScratch) < need {
@@ -687,16 +687,41 @@ func (s *State) weightedProbs(w *OutcomeWeights) ([]float64, float64) {
 	}
 	lo := w.table(s.weightScratch[:nlo], 0)
 	hi := w.table(s.weightScratch[nlo:nlo+len(s.amps)/nlo], s.n/2)
-	for h, wh := range hi {
-		amps, row := s.amps[h*nlo:][:nlo], probs[h*nlo:][:nlo]
-		for l, wl := range lo {
-			a := amps[l]
-			p := (real(a)*real(a) + imag(a)*imag(a)) * (wl * wh)
-			row[l] = p
-			total += p
+	if vectorRows {
+		return probs, vectorWeighted(s.amps, probs, lo, hi)
+	}
+	return probs, goWeighted(s.amps, probs, lo, hi)
+}
+
+// goProbs is weightedProbs's plain Go pass, and the reference for the
+// vector pass's bits: probs[i] = |amps[i]|², and their sum in lane order.
+// Each product is rounded on its own (float64(x*y)), so no compiler fuses it
+// into a multiply-add.
+func goProbs(amps []complex128, probs []float64) float64 {
+	var lanes [4]float64
+	for i, a := range amps {
+		p := float64(real(a)*real(a)) + float64(imag(a)*imag(a))
+		probs[i] = p
+		lanes[i&3] += p
+	}
+	return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+// goWeighted is weightedProbs's weighted Go pass, and the reference for the
+// vector pass's bits: outcome h·len(lo)+l has weight lo[l]·hi[h].
+func goWeighted(amps []complex128, probs, lo, hi []float64) float64 {
+	var lanes [4]float64
+	i := 0
+	for _, wh := range hi {
+		for _, wl := range lo {
+			a := amps[i]
+			p := float64((float64(real(a)*real(a)) + float64(imag(a)*imag(a))) * float64(wl*wh))
+			probs[i] = p
+			lanes[i&3] += p
+			i++
 		}
 	}
-	return probs, total
+	return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 // table fills t, of length 2^k, with the weights of the k qubits from q0 up:
