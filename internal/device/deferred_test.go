@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,6 +19,15 @@ import (
 // ten forks carries one shot, so the budget-1 run, which replays every fork
 // shot by shot from its checkpoint, takes the same decisions and reaches the
 // same histogram and leaf total through the replay path.
+//
+// The sums the engine reads — each qubit density and the sampler's
+// probability total — add in one fixed lane order: term k into lane k mod 4,
+// the lanes combined as (s0+s1)+(s2+s3), on the vector unit and in Go alike.
+// They added in index order when this fixture was recorded. The two orders
+// differ only in the last bits of a sum, and the fixture and its leaf total
+// held through the change unedited: no draw of this job lands within those
+// bits of a branch or bucket edge. TestLaneOrderMatchesIndexOrder compares
+// the two orders over many seeds.
 
 var pinnedWide = map[int]int{
 	163: 1, 215: 1, 351: 1, 385: 1, 450: 1, 684: 1, 733: 1, 734: 1, 749: 1, 867: 1,
@@ -69,6 +79,34 @@ func TestSeededCountsMatchParent(t *testing.T) {
 			t.Errorf("%s: %d deferred / %d exact sites, want both kinds on a fresh calibration", tc.name, stats.deferredSites, stats.exactSites)
 		}
 	}
+}
+
+// indexOrderWide is the pinned wide job's outcomes by Hamming weight, pooled
+// over rng seeds 1..200 at 50 shots each (the tree), recorded when the
+// engine's sums added in index order; those runs took 2 649 leaves.
+var indexOrderWide = [13]int{1, 4, 61, 278, 820, 1595, 2050, 2088, 1649, 943, 426, 81, 4}
+
+// TestLaneOrderMatchesIndexOrder is the lane order's chi-square row: pooled
+// over the same seeds, the pinned wide job's outcomes by Hamming weight
+// under the lane-order sums are distributed as the index-order ones were.
+func TestLaneOrderMatchesIndexOrder(t *testing.T) {
+	lane, index := map[int]int{}, map[int]int{}
+	for w, n := range indexOrderWide {
+		index[w] = n
+	}
+	leaves := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		counts, stats, err := pinnedWideJob(t).runBranchTree(50, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, n := range counts {
+			lane[bits.OnesCount(uint(o))] += n
+		}
+		leaves += stats.leaves
+	}
+	assertChiSquareEquivalent(t, "pinned wide job, lane-order vs index-order sums", lane, index)
+	t.Logf("lane order: %v over %d leaves; index order: %v over 2649 leaves", lane, leaves, indexOrderWide)
 }
 
 // TestZeroFloorsGiveSameCounts forces every site exact — a floor of zero

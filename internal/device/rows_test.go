@@ -9,11 +9,13 @@ import (
 	"repro/internal/transpile"
 )
 
-// TestCountsDoNotDependOnRows runs jobs with the one-qubit passes on the
-// vector unit and on the Go rows: the pinned wide job down the tree and
-// down the replay fallback, and a transpiled 5-qubit ansatz, read the same
-// counts over the same leaves either way. The two row kernels write the
-// same bits, so a job's histogram does not depend on the host.
+// TestCountsDoNotDependOnRows runs jobs with the engine's passes on the
+// vector unit and on the Go kernels — the one-qubit rows, the CZ sign flip,
+// the qubit-density reduction and the sampler's probability pass all follow
+// the one switch: the pinned wide job down the tree and down the replay
+// fallback, and a transpiled 5-qubit ansatz, read the same counts over the
+// same leaves either way. The two kernels of each pass write the same bits,
+// so a job's histogram does not depend on the host.
 func TestCountsDoNotDependOnRows(t *testing.T) {
 	if !vectorRows {
 		t.Skip("no AVX2 on this host: the Go rows are the only rows")

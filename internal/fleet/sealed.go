@@ -290,18 +290,20 @@ func (s *Scheduler) View(id int) (View, error) {
 }
 
 // Retention is what the scheduler holds: live jobs by stored status, sealed
-// jobs, and the bytes of their records.
+// jobs, the bytes of their records, and the Idempotency-Keys bound in the
+// dedup window (at most idemWindow).
 type Retention struct {
 	Live        map[JobStatus]int
 	Sealed      int
 	RecordBytes int64
+	IdemKeys    int
 }
 
 // Retained reports what the scheduler holds.
 func (s *Scheduler) Retained() Retention {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := Retention{Live: make(map[JobStatus]int), Sealed: len(s.index) - len(s.jobs), RecordBytes: s.arena.bytes}
+	r := Retention{Live: make(map[JobStatus]int), Sealed: len(s.index) - len(s.jobs), RecordBytes: s.arena.bytes, IdemKeys: len(s.idem)}
 	for _, j := range s.jobs {
 		r.Live[j.Status]++
 	}

@@ -348,15 +348,20 @@ func TestWatchLineAllocs(t *testing.T) {
 	}
 }
 
-// TestMetricsReportRetention pushes 10 000 jobs through a server's fleet and
-// reads what the node holds from its Prometheus text alone.
+// TestMetricsReportRetention pushes 10 000 jobs through a server's fleet,
+// the last 1 500 of them keyed, and reads what the node holds from its
+// Prometheus text alone.
 func TestMetricsReportRetention(t *testing.T) {
 	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 2)
 	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
-	const jobs = 10000
+	const jobs, keyed, window = 10000, 1500, 1024
 	for i := 0; i < jobs; i++ {
-		if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "m"}, fleet.SubmitOptions{}); err != nil {
+		var opts fleet.SubmitOptions
+		if i >= jobs-keyed {
+			opts.IdemKey = fmt.Sprintf("k-%d", i)
+		}
+		if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "m"}, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,6 +390,9 @@ func TestMetricsReportRetention(t *testing.T) {
 		if got := sample(fmt.Sprintf(`qhpc_jobs_retained{state=%q}`, st)); got != 0 {
 			t.Errorf("live %s jobs = %v, want 0 once settled", st, got)
 		}
+	}
+	if got := sample("qhpc_idempotency_keys_retained"); got != window {
+		t.Errorf("idempotency keys retained = %v after %d keyed jobs, want the window's %d", got, keyed, window)
 	}
 	records := sample("qhpc_job_records_bytes")
 	if per := records / jobs; per < 100 || per > 1000 {

@@ -425,33 +425,40 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 	if recovered && !state.Terminal() {
 		snapReason = "recovered"
 	}
-	out.line(&JobEvent{JobID: jobID, State: state, Device: device, Reason: snapReason})
+	// A stream's last line is written without a flush: it leaves with the
+	// stream's end, in the one write net/http makes when the handler returns.
 	if state.Terminal() {
+		out.last(&JobEvent{JobID: jobID, State: state, Device: device, Reason: snapReason})
 		return
 	}
+	out.line(&JobEvent{JobID: jobID, State: state, Device: device, Reason: snapReason})
 	for {
 		select {
 		case ev, ok := <-sub.Events():
 			if !ok {
 				return // bus closed (backend shutting down)
 			}
-			out.line(&JobEvent{Seq: ev.Seq, JobID: jobID, State: ev.To, Device: ev.Device, Reason: ev.Reason})
+			line := &JobEvent{Seq: ev.Seq, JobID: jobID, State: ev.To, Device: ev.Device, Reason: ev.Reason}
 			if ev.To.Terminal() {
+				out.last(line)
 				return
 			}
+			out.line(line)
+			state, device = ev.To, ev.Device
 		case <-r.Context().Done():
 			return
 		case <-s.closing:
 			// Graceful shutdown: end the stream cleanly so http.Server's
-			// Shutdown can drain this handler.
-			out.line(&JobEvent{JobID: jobID, State: state, Reason: "server-closing"})
+			// Shutdown can drain this handler. The line repeats the state
+			// and device of the last line written.
+			out.last(&JobEvent{JobID: jobID, State: state, Device: device, Reason: "server-closing"})
 			return
 		}
 	}
 }
 
 // watchWriter writes a watch stream's lines, NDJSON or SSE, each with one
-// write and one flush, through a buffer it reuses.
+// write, through a buffer it reuses.
 type watchWriter struct {
 	w       io.Writer
 	flusher http.Flusher
@@ -459,9 +466,18 @@ type watchWriter struct {
 	buf     []byte
 }
 
-// line writes one event: its JSON and a newline, framed as an SSE data
-// field under SSE.
+// line writes one event and flushes it, so the watcher reads it at once.
 func (o *watchWriter) line(ev *JobEvent) {
+	o.last(ev)
+	if o.flusher != nil {
+		o.flusher.Flush()
+	}
+}
+
+// last writes one event, its JSON and a newline, framed as an SSE data
+// field under SSE, without a flush: the stream's last line leaves with the
+// stream's end.
+func (o *watchWriter) last(ev *JobEvent) {
 	b := o.buf[:0]
 	if o.sse {
 		b = append(b, "data: "...)
@@ -471,8 +487,5 @@ func (o *watchWriter) line(ev *JobEvent) {
 		b = append(b, '\n')
 	}
 	_, _ = o.w.Write(b)
-	if o.flusher != nil {
-		o.flusher.Flush()
-	}
 	o.buf = b
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -760,6 +761,122 @@ func TestV2ServerCloseEndsWatch(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("watch stream did not end on server Close")
+	}
+}
+
+// TestV2ServerClosingLineReportsLastState watches a job that is queued when
+// the stream opens and routed before the server closes: the closing line
+// repeats the state and device of the last line written, not the snapshot.
+func TestV2ServerClosingLineReportsLastState(t *testing.T) {
+	_, server := pacedStack(t, 63, 300*time.Millisecond, 1)
+	srv := httptest.NewServer(server)
+	t.Cleanup(srv.Close)
+
+	// The one worker runs the first job while the second waits in the queue.
+	for _, want := range []string{"j-1", "j-2"} {
+		resp := postV2(t, srv, "/api/v2/jobs", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5}, nil)
+		if job := decodeV2Job(t, resp.Body); job.ID != want {
+			t.Fatalf("submitted %s, want %s", job.ID, want)
+		}
+		resp.Body.Close()
+	}
+	wresp, err := srv.Client().Get(srv.URL + "/api/v2/jobs/j-2/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wresp.Body.Close()
+	sc := bufio.NewScanner(wresp.Body)
+	var evs []JobEvent
+	closed := false
+	for sc.Scan() {
+		var ev JobEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Text(), err)
+		}
+		evs = append(evs, ev)
+		if ev.State == StateRouted && !closed {
+			server.Close()
+			closed = true
+		}
+	}
+	if len(evs) < 3 || evs[0].State != StateQueued {
+		t.Fatalf("events %+v, want a queued snapshot, routed, then the closing line", evs)
+	}
+	last := evs[len(evs)-1]
+	if last.Reason != "server-closing" || last.State != StateRouted || last.Device != pacedDevice {
+		t.Errorf("closing line %+v, want state routed on %s", last, pacedDevice)
+	}
+}
+
+// countingListener counts the writes the server makes on its connections.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: c, writes: l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestWatchOfFinishedJobIsOneWrite watches a finished job, NDJSON and SSE:
+// the snapshot line is the stream's last, so it leaves with the stream's
+// end in one write, and the body reads the same as a flushed line's.
+func TestWatchOfFinishedJobIsOneWrite(t *testing.T) {
+	_, server := pacedStack(t, 64, 0, 1)
+	var writes atomic.Int64
+	srv := httptest.NewUnstartedServer(server)
+	srv.Listener = countingListener{Listener: srv.Listener, writes: &writes}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	resp := postV2(t, srv, "/api/v2/jobs?wait=5s", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5}, nil)
+	job := decodeV2Job(t, resp.Body)
+	resp.Body.Close()
+	if job.State != StateDone {
+		t.Fatalf("job %s is %s, want done", job.ID, job.State)
+	}
+	for _, accept := range []string{"", "text/event-stream"} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/api/v2/jobs/"+job.ID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		before := writes.Load()
+		wresp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(wresp.Body)
+		wresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Errorf("accept %q: the watch took %d writes, want 1", accept, n)
+		}
+		want := `{"job_id":"` + job.ID + `","state":"done","device":"` + pacedDevice + `","reason":"snapshot"}` + "\n"
+		if accept != "" {
+			want = "data: " + want + "\n"
+		}
+		if string(body) != want {
+			t.Errorf("accept %q: body %q, want %q", accept, body, want)
+		}
 	}
 }
 

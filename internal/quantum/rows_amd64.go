@@ -2,10 +2,11 @@
 
 package quantum
 
-// vectorRows says whether apply1QPairs runs its rows on the vector unit. It
-// is chosen once, here, from what the CPU reports; the tests flip it to
-// compare the two row kernels (the device package's tests by its link name,
-// internal/device/export_test.go).
+// vectorRows says whether the engine's passes — apply1QPairs's rows, the CZ
+// sign flip, the density reduction and the sampler's probability pass — run
+// on the vector unit. It is chosen once, here, from what the CPU reports;
+// the tests flip it to compare the vector and the Go kernels (the device
+// package's tests by its link name, internal/device/export_test.go).
 var vectorRows = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM state

@@ -2,8 +2,8 @@
 
 package quantum
 
-// vectorRows is false off amd64: apply1QPairs runs the Go rows. It stays a
-// variable for the tests that reach it by name (rows_amd64.go).
+// vectorRows is false off amd64: the engine's passes run the Go kernels. It
+// stays a variable for the tests that reach it by name (rows_amd64.go).
 var vectorRows = false
 
 func vectorPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {

@@ -12,14 +12,16 @@
 // trajectory branch choices and must not depend on the host, and the ApplyCZ
 // sign flip.
 //
-// Every one-qubit pass (Apply1Q, and so every gate, Kraus operator and
-// pending-operator flush the engine writes) runs on the vector unit when the
-// CPU has AVX2, two amplitudes per register: each lane does the Go row's
-// operations in its order, without FMA, so the state's bits, and every
-// count sampled from it, are the same on any host. The choice is made once,
-// at init, from CPUID; RowKernel names it. The sums stay scalar: the
-// QubitDensity reduction and the sampler's probability total add in index
-// order, and a vector sum would add in another order and round differently.
+// On a CPU with AVX2 the engine's passes run on the vector unit, two
+// amplitudes per register: every one-qubit pass (Apply1Q, and so every gate,
+// Kraus operator and pending-operator flush the engine writes), the ApplyCZ
+// sign flip (on states of vectorCZMin amplitudes or more), the QubitDensity
+// reduction and the sampler's probability pass. Each lane does the Go
+// kernel's operations in its order, without FMA, so the state's bits, and
+// every count sampled from it, are the same on any host. The sums add in
+// one fixed lane order, on both paths: term k into lane k mod 4, the lanes
+// combined as (s0+s1)+(s2+s3). The choice is made once, at init, from
+// CPUID; RowKernel names it.
 package quantum
 
 import (
