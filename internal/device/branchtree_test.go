@@ -309,7 +309,7 @@ func TestNoisyHotPathAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 16 {
-		t.Errorf("branch tree: %.0f allocs per 200-shot job, want <= 16 (measured 6)", allocs)
+		t.Errorf("branch tree: %.0f allocs per 200-shot job, want <= 16 (measured 4; 6 before the job's scratch was pooled)", allocs)
 	}
 }
 
@@ -397,7 +397,7 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 		t.Fatalf("stats = %+v, want every job a compile miss", st)
 	}
 	if allocs > 28 {
-		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 28 (measured 22, one of them the job's PCG stream; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 28 (measured 19, one of them the job's PCG stream, 21 before the branch tree's scratch was pooled; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
 	}
 }
 

@@ -27,6 +27,20 @@ func countingRNG(seed int64) (*rand.Rand, *countingSource) {
 	return rand.New(c), c
 }
 
+// countForkStreams counts the draws of every forked subtree's stream
+// until the test ends: it wraps each stream as it is seeded, and returns
+// the wrappers. The job must run on one goroutine (no helper).
+func countForkStreams(t *testing.T) *[]*countingSource {
+	var forks []*countingSource
+	streamHook = func(r *rand.Rand) *rand.Rand {
+		c := &countingSource{src: r}
+		forks = append(forks, c)
+		return rand.New(c)
+	}
+	t.Cleanup(func() { streamHook = nil })
+	return &forks
+}
+
 // commissionedQPU is the primary a daemon started with -seed seed serves:
 // 81 hourly drift steps (the cooldown) and then a full recalibration.
 func commissionedQPU(seed int64) *QPU {
@@ -41,9 +55,10 @@ func commissionedQPU(seed int64) *QPU {
 // TestDrawsScaleWithEvents holds the engine to drawing per noise event, not
 // per shot: a site visit no shot leaves costs one uniform whatever its shot
 // count, a transpiled GHZ(6) x 100 job a few hundred draws (one per shot
-// per site and per qubit at readout made it 4 200), and a qubit the job
-// never touches draws once for its first readout flip and once per flip
-// after that.
+// per site and per qubit at readout made it 4 200) — counted on the job's
+// stream and on every fork's, whose first readout gaps are draws of their
+// own — and a qubit the job never touches draws once for its first readout
+// flip and once per flip after that.
 func TestDrawsScaleWithEvents(t *testing.T) {
 	t.Run("site-under-floor", func(t *testing.T) {
 		step := trajStep{kind: stepNoise}
@@ -51,14 +66,13 @@ func TestDrawsScaleWithEvents(t *testing.T) {
 		cj := &compiledJob{compactQubits: 1, noisy: []trajStep{step}, stateBudget: defaultBranchStateBudget}
 		for _, n := range []int{1, 100, 10000} {
 			rng, src := countingRNG(int64(n))
-			b := &branchExec{cj: cj, rng: rng, live: 1}
-			b.root.reset()
-			got, err := b.site(quantum.MustNewState(1), &b.root, 0, n)
+			w, root := rootWalker(cj, rng)
+			got, err := w.site(quantum.MustNewState(1), root, 0, n, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != n || b.deferredSites != 1 {
-				t.Fatalf("n=%d: %d shots continue, %d deferred sites; want all %d on a deferred site", n, got, b.deferredSites, n)
+			if got != n || w.deferredSites != 1 {
+				t.Fatalf("n=%d: %d shots continue, %d deferred sites; want all %d on a deferred site", n, got, w.deferredSites, n)
 			}
 			if src.draws != 1 {
 				t.Errorf("n=%d: the site drew %d uniforms, want 1", n, src.draws)
@@ -72,13 +86,22 @@ func TestDrawsScaleWithEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(1); seed <= 5; seed++ {
-			rng, src := countingRNG(seed)
-			if _, _, err := cp.cj.runBranchTree(100, rng); err != nil {
+			rng, root := countingRNG(seed)
+			forks := countForkStreams(t)
+			_, stats, err := cp.cj.runBranchTree(100, rng)
+			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("stream seed %d: %d draws", seed, src.draws)
-			if src.draws > 400 {
-				t.Errorf("stream seed %d: GHZ(6) x 100 drew %d values, want <= 400", seed, src.draws)
+			if len(*forks) != stats.forks {
+				t.Fatalf("stream seed %d: %d fork streams seen, %d forks run", seed, len(*forks), stats.forks)
+			}
+			draws := root.draws
+			for _, f := range *forks {
+				draws += f.draws
+			}
+			t.Logf("stream seed %d: %d draws, %d of them on %d fork streams", seed, draws, draws-root.draws, stats.forks)
+			if draws > 400 {
+				t.Errorf("stream seed %d: GHZ(6) x 100 drew %d values, want <= 400", seed, draws)
 			}
 		}
 	})

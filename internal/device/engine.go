@@ -47,7 +47,7 @@ const (
 // Error-free single-qubit runs (RZ is virtual) are fused into the next PRX's
 // matrix, which preserves the trajectory distribution exactly.
 //
-// What a step costs at run time is decided by branchExec (branchtree.go):
+// What a step costs at run time is decided by the walk (branchtree.go):
 // bare gates, and noise sites whose one draw per visit puts every shot under
 // the channel's compile-time floor, multiply an O(1) matrix into the
 // qubit's pending operator and touch no amplitude; only a CZ, an exact site
@@ -90,9 +90,9 @@ type compiledJob struct {
 	// flip, nil when every qubit reads out perfectly.
 	readout *readoutPlan
 
-	// stateBudget caps the live states a branch-tree run of this job may
-	// hold (defaultBranchStateBudget; a field so a test can squeeze its own
-	// job onto the replay path).
+	// stateBudget caps the states along one path of a branch-tree run of
+	// this job (defaultBranchStateBudget; a field so a test can squeeze its
+	// own job onto the replay path).
 	stateBudget int
 
 	durPerShotUs float64
@@ -148,19 +148,20 @@ func (d *QPU) ExecStats() ExecStats {
 //
 // Compilation is cached in the calibration epoch's compile map, so a batch
 // of identical jobs (the VQE measurement loop) compiles once per epoch. The
-// branch tree makes every draw from one goroutine, on the job's own stream
-// (Run); an in-process call takes its job seed from the seeded device
-// RNG, so a fixed device seed and call order reproduce identical counts on
-// any host.
+// branch tree draws the root's decisions from the job's own stream (Run)
+// and each forked subtree's from a stream seeded by one draw of its
+// parent's, so the counts do not depend on which goroutine ran a subtree;
+// an in-process call takes its job seed from the seeded device RNG, so a
+// fixed device seed and call order reproduce identical counts on any host.
 func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 	return d.ExecuteCtx(context.Background(), c, shots)
 }
 
 // ExecuteCtx is Execute with a caller context carrying an optional trace
 // span: the engine records child spans for its compile lookup
-// (engine-compile), the simulation (with its leaves and site counts), and
-// the control-electronics pacing sleep. With no span in ctx the overhead is
-// a few nil checks.
+// (engine-compile), the simulation (with its leaves, site and fork
+// counts), and the control-electronics pacing sleep. With no span in ctx
+// the overhead is a few nil checks.
 func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*Result, error) {
 	if err := d.validateExecution(c, shots); err != nil {
 		return nil, err
@@ -184,10 +185,11 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 // Run executes a compiled job (Epoch.Prepare) for shots shots, with the
 // noise of the epoch it was compiled on, recording the simulate and pace
 // spans under ctx's span. Every draw comes from the job's own stream, seeded
-// by the device seed and seed (jobRNG): the counts are a function of the
-// program, the epoch and the two seeds, whatever ran on the device before —
-// the fleet passes the job ID, so a job re-executed after a crash returns
-// the counts of its first run.
+// by the device seed and seed (jobRNG), or from a fork's stream seeded off
+// it: the counts are a function of the program, the epoch and the two
+// seeds, whatever ran on the device before and whether a helper goroutine
+// ran part of the tree — the fleet passes the job ID, so a job re-executed
+// after a crash returns the counts of its first run.
 func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*Result, error) {
 	if shots < 1 {
 		return nil, fmt.Errorf("device: shots must be >= 1, got %d", shots)
@@ -214,7 +216,8 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*R
 	_, simSpan := trace.StartSpan(ctx, "simulate")
 	counts, stats, err := cj.runBranchTree(shots, d.jobRNG(seed))
 	simSpan.End(trace.Int("leaves", stats.leaves),
-		trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites))
+		trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites),
+		trace.Int("forks", stats.forks), trace.Int("forks_helped", stats.helped))
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +242,8 @@ func (s *pcgSource) Uint64() uint64  { return s.pcg.Uint64() }
 func (s *pcgSource) Int63() int64    { return int64(s.pcg.Uint64() >> 1) }
 func (s *pcgSource) Seed(seed int64) { s.pcg.Seed(uint64(seed), 0) }
 
-// jobStream is a job's generator and its source, one allocation.
+// jobStream is a generator and its source in one value: a job's stream,
+// one allocation, or a forked subtree's, kept in its frame (branchtree.go).
 type jobStream struct {
 	rand.Rand
 	src pcgSource
@@ -422,13 +426,14 @@ func newReadoutPlan(r *quantum.ReadoutModel, n int, toPhysical []int) *readoutPl
 // never is the gap of a read that cannot flip: past any job's last shot.
 const never = math.MaxInt64 / 2
 
-// readout is one job's pass of its samples through the readout confusion,
-// in shot order. The flips of one (qubit, read value) pair are independent
-// trials over that pair's reads, so the reads between two flips are a
-// geometric count: it is drawn once per flip and counted down, and a job's
-// readout costs a draw per flip, not one per shot per qubit. An untouched
-// qubit always reads 0, so its countdown runs over the shot index itself
-// and a shot without a flip costs it nothing.
+// readout is one job's pass of its samples through the readout confusion:
+// the root leaf's in shot order, then the forked subtrees' in the order of
+// their outcomes (branchJob.readForked). The flips of one (qubit, read
+// value) pair are independent trials over that pair's reads, so the reads
+// between two flips are a geometric count: it is drawn once per flip and
+// counted down, and a job's readout costs a draw per flip, not one per shot
+// per qubit. An untouched qubit always reads 0, so its countdown runs over
+// the shot index itself and a shot without a flip costs it nothing.
 type readout struct {
 	cj  *compiledJob
 	rng *rand.Rand

@@ -2,6 +2,8 @@ package device
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	_ "unsafe" // go:linkname
 
 	"repro/internal/circuit"
@@ -106,11 +108,17 @@ type passCounts struct {
 	flush, leaf [numPassKinds]int
 }
 
-// countPasses runs f with flushHook counting every pass a flush makes. The
-// hook is package state, so tests that call it must not run in parallel.
+// countPasses runs f with flushHook counting every pass a flush makes, on
+// either goroutine of a helped job. The hook is package state, so tests
+// that call it must not run in parallel.
 func countPasses(f func()) passCounts {
-	var c passCounts
+	var (
+		c  passCounts
+		mu sync.Mutex
+	)
 	flushHook = func(r quantum.Matrix2, leaf bool) {
+		mu.Lock()
+		defer mu.Unlock()
 		if leaf {
 			c.leaf[kindOf(r)]++
 		} else {
@@ -120,4 +128,13 @@ func countPasses(f func()) passCounts {
 	defer func() { flushHook = nil }()
 	f()
 	return c
+}
+
+// rootWalker returns the walker of a job of cj and the job's root frame,
+// drawing from rng, for a test that drives one step of the walk.
+func rootWalker(cj *compiledJob, rng *rand.Rand) (*walker, *frame) {
+	j := &branchJob{cj: cj}
+	j.main.job, j.root.rng = j, rng
+	j.root.p.reset()
+	return &j.main, &j.root
 }

@@ -113,7 +113,7 @@ func maxEntryDiff(a, b quantum.Matrix2) float64 {
 // writes a matrix with a non-real diagonal — phases stay pending through
 // CZs and density reads — and no leaf applies a diagonal operator, which
 // weights the sampler's probability pass instead; and the job still reads
-// the recorded histogram over the recorded 11 leaves. The pass counts are
+// the recorded histogram over the recorded leaves. The pass counts are
 // logged by kind.
 func TestFlushWritesOnlyWhatDoesNotCommute(t *testing.T) {
 	for _, budget := range []int{defaultBranchStateBudget, 1} {
@@ -139,8 +139,8 @@ func TestFlushWritesOnlyWhatDoesNotCommute(t *testing.T) {
 		if n := c.leaf[passRealDiagonal] + c.leaf[passComplexDiagonal]; n != 0 {
 			t.Errorf("budget %d: %d leaf passes applied a diagonal operator", budget, n)
 		}
-		if !reflect.DeepEqual(counts, pinnedWide) || stats.leaves != 11 {
-			t.Errorf("budget %d: counts %v over %d leaves, want the recorded %v over 11", budget, counts, stats.leaves, pinnedWide)
+		if !reflect.DeepEqual(counts, pinnedWide) || stats.leaves != pinnedWideLeaves {
+			t.Errorf("budget %d: counts %v over %d leaves, want the recorded %v over %d", budget, counts, stats.leaves, pinnedWide, pinnedWideLeaves)
 		}
 	}
 }

@@ -112,10 +112,21 @@ func Mul2(a, b Matrix2) Matrix2 {
 	var out Matrix2
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			out[i][j] = a[i][0]*b[0][j] + a[i][1]*b[1][j]
+			out[i][j] = cmul(a[i][0], b[0][j]) + cmul(a[i][1], b[1][j])
 		}
 	}
 	return out
+}
+
+// cmul returns x·y as Go's complex multiply computes it — real part
+// xr·yr − xi·yi, imaginary part xr·yi + xi·yr — with each product rounded
+// on its own (float64(…)), so no compiler fuses one into a multiply-add.
+// An arm64 build fuses x*y + z otherwise and writes other bits than an
+// amd64 one, which never fuses; the arithmetic the engine's branch weights
+// and state depend on goes through cmul, so it reads the same bits on both.
+func cmul(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
 }
 
 // Dagger2 returns the conjugate transpose of m.

@@ -216,14 +216,14 @@ func goDensity(amps []complex128, bit int, d *[4]float64) {
 // through without touching the state.
 func (d QubitDensity) After(u Matrix2) QubitDensity {
 	r00, r01, r10, r11 := complex(d.P0, 0), cmplx.Conj(d.C), d.C, complex(d.P1, 0)
-	m00 := u[0][0]*r00 + u[0][1]*r10
-	m01 := u[0][0]*r01 + u[0][1]*r11
-	m10 := u[1][0]*r00 + u[1][1]*r10
-	m11 := u[1][0]*r01 + u[1][1]*r11
+	m00 := cmul(u[0][0], r00) + cmul(u[0][1], r10)
+	m01 := cmul(u[0][0], r01) + cmul(u[0][1], r11)
+	m10 := cmul(u[1][0], r00) + cmul(u[1][1], r10)
+	m11 := cmul(u[1][0], r01) + cmul(u[1][1], r11)
 	return QubitDensity{
-		P0: real(m00*cmplx.Conj(u[0][0]) + m01*cmplx.Conj(u[0][1])),
-		P1: real(m10*cmplx.Conj(u[1][0]) + m11*cmplx.Conj(u[1][1])),
-		C:  m10*cmplx.Conj(u[0][0]) + m11*cmplx.Conj(u[0][1]),
+		P0: real(cmul(m00, cmplx.Conj(u[0][0])) + cmul(m01, cmplx.Conj(u[0][1]))),
+		P1: real(cmul(m10, cmplx.Conj(u[1][0])) + cmul(m11, cmplx.Conj(u[1][1]))),
+		C:  cmul(m10, cmplx.Conj(u[0][0])) + cmul(m11, cmplx.Conj(u[0][1])),
 	}
 }
 
@@ -243,7 +243,7 @@ func (d QubitDensity) Normalized() (QubitDensity, float64) {
 // Mul2/Dagger2 cost a noisy GHZ(5) job ~20 %.
 func (d QubitDensity) Weight(k Matrix2) float64 {
 	g00, g11, g01 := gram(k)
-	w := g00*d.P0 + g11*d.P1 + 2*real(g01*d.C)
+	w := float64(g00*d.P0) + float64(g11*d.P1) + float64(2*real(cmul(g01, d.C)))
 	if w < 0 {
 		return 0 // cancellation on a zero-weight branch
 	}
@@ -254,11 +254,11 @@ func (d QubitDensity) Weight(k Matrix2) float64 {
 func gram(k Matrix2) (g00, g11 float64, g01 complex128) {
 	g00 = abs2(k[0][0]) + abs2(k[1][0])
 	g11 = abs2(k[0][1]) + abs2(k[1][1])
-	g01 = cmplx.Conj(k[0][0])*k[0][1] + cmplx.Conj(k[1][0])*k[1][1]
+	g01 = cmul(cmplx.Conj(k[0][0]), k[0][1]) + cmul(cmplx.Conj(k[1][0]), k[1][1])
 	return
 }
 
-func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
+func abs2(z complex128) float64 { return float64(real(z)*real(z)) + float64(imag(z)*imag(z)) }
 
 // Branch resolves one uniform draw r against the channel's branch weights on
 // the normalised density rho: the first Kraus operator whose cumulative

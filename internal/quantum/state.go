@@ -21,7 +21,11 @@
 // every count sampled from it, are the same on any host. The sums add in
 // one fixed lane order, on both paths: term k into lane k mod 4, the lanes
 // combined as (s0+s1)+(s2+s3). The choice is made once, at init, from
-// CPUID; RowKernel names it.
+// CPUID; RowKernel names it. The Go kernels, and the O(1) arithmetic the
+// engine's branch weights go through (Mul2, QubitDensity.After and
+// Weight), round every product on its own (float64(…)), so a port that
+// fuses multiply-adds, as arm64 does, computes their bits as amd64 does;
+// other functions of the package still fuse there.
 package quantum
 
 import (
@@ -293,12 +297,10 @@ func goPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
 				amps[i0] = complex(d0*real(a0), d0*imag(a0))
 				amps[i0|bit] = complex(d1*real(a1), d1*imag(a1))
 			case shapeRemainder:
-				x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
-				amps[i0] = complex(d0*x0+(r01*x1-i01*y1), d0*y0+(r01*y1+i01*x1))
-				amps[i0|bit] = complex((r10*x0-i10*y0)+d1*x1, (r10*y0+i10*x0)+d1*y1)
+				amps[i0], amps[i0|bit] = remainderPair(a0, a1, d0, d1, r01, i01, r10, i10)
 			default:
-				amps[i0] = m00*a0 + m01*a1
-				amps[i0|bit] = m10*a0 + m11*a1
+				amps[i0] = cmul(m00, a0) + cmul(m01, a1)
+				amps[i0|bit] = cmul(m10, a0) + cmul(m11, a1)
 			}
 		}
 		return
@@ -322,20 +324,26 @@ func goPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
 			}
 		case shapeRemainder:
 			for i, a0 := range zeros {
-				a1 := ones[i]
-				x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
-				zeros[i] = complex(d0*x0+(r01*x1-i01*y1), d0*y0+(r01*y1+i01*x1))
-				ones[i] = complex((r10*x0-i10*y0)+d1*x1, (r10*y0+i10*x0)+d1*y1)
+				zeros[i], ones[i] = remainderPair(a0, ones[i], d0, d1, r01, i01, r10, i10)
 			}
 		default:
 			for i, a0 := range zeros {
 				a1 := ones[i]
-				zeros[i] = m00*a0 + m01*a1
-				ones[i] = m10*a0 + m11*a1
+				zeros[i] = cmul(m00, a0) + cmul(m01, a1)
+				ones[i] = cmul(m10, a0) + cmul(m11, a1)
 			}
 		}
 		p += run
 	}
+}
+
+// remainderPair is the remainder row on one pair: the real diagonal d0, d1
+// times a0, a1, plus the complex off-diagonal r01+i·i01, r10+i·i10 — 20
+// flops, each product rounded on its own so none fuses into a multiply-add.
+func remainderPair(a0, a1 complex128, d0, d1, r01, i01, r10, i10 float64) (complex128, complex128) {
+	x0, y0, x1, y1 := real(a0), imag(a0), real(a1), imag(a1)
+	return complex(float64(d0*x0)+(float64(r01*x1)-float64(i01*y1)), float64(d0*y0)+(float64(r01*y1)+float64(i01*x1))),
+		complex((float64(r10*x0)-float64(i10*y0))+float64(d1*x1), (float64(r10*y0)+float64(i10*x0))+float64(d1*y1))
 }
 
 // Apply2Q applies a two-qubit unitary m (4x4, row-major, basis order

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -17,7 +18,8 @@ import (
 // TestCountsArePureInJobID is the determinism gate of the per-job random
 // stream: a job's counts are a function of its request, the calibration
 // epoch and its job ID — not of which jobs the device ran before it, in
-// what order, or how many times the job itself was executed.
+// what order, whether a helper goroutine ran part of it, or how many times
+// the job itself was executed.
 func TestCountsArePureInJobID(t *testing.T) {
 	t.Run("order", func(t *testing.T) {
 		// The same eight jobs (IDs 1-8, noisy device, 2 workers) claimed in
@@ -29,6 +31,20 @@ func TestCountsArePureInJobID(t *testing.T) {
 			if got := reversed[id]; !reflect.DeepEqual(got, want) {
 				t.Errorf("job %d: counts %v claimed in reverse among other jobs, %v in order", id, got, want)
 			}
+		}
+	})
+
+	t.Run("sibling", func(t *testing.T) {
+		// A 12-qubit job, wide enough to take a helper goroutine, run once
+		// beside a sibling job too small for one and once beside a wider
+		// job claimed just before it, which mostly takes the process's
+		// helper slot first where GOMAXPROCS allows only one: the job's
+		// forks run on a helper in the first run and, mostly, inline in
+		// the second.
+		idle := runBesideSibling(t, false)
+		busy := runBesideSibling(t, true)
+		if !reflect.DeepEqual(idle, busy) {
+			t.Errorf("12-qubit job: counts %v beside a busy sibling worker, %v beside an idle one", busy, idle)
 		}
 	})
 
@@ -125,6 +141,56 @@ func runOrdered(t *testing.T, reverse bool) map[int]map[int]int {
 	close(stop)
 	<-done
 	return counts
+}
+
+// wideCircuit is n qubits in layers of random rotations, each followed by
+// CZ brickwork along the line: the wide-circuit benchmark's job shape.
+func wideCircuit(n, layers int, seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	c := circuit.New(n, "wide")
+	for l := 0; l < layers; l++ {
+		for q := 0; q < n; q++ {
+			c.RZ(q, 2*math.Pi*rng.Float64())
+			c.RY(q, 2*math.Pi*rng.Float64())
+		}
+		for q := l % 2; q+1 < n; q += 2 {
+			c.CZ(q, q+1)
+		}
+	}
+	return c
+}
+
+// runBesideSibling runs a 12-qubit depth-4 job, ID 2, on a fresh noisy
+// two-worker device and returns its counts. Job 1, claimed by the other
+// worker a moment before, is a 2-qubit GHZ job, or with busy a 14-qubit
+// depth-6 400-shot job.
+func runBesideSibling(t *testing.T, busy bool) map[int]int {
+	t.Helper()
+	f := fleet.New(fleet.PolicyLeastLoaded, nil)
+	defer f.Stop()
+	qpu := device.New20Q(5)
+	if err := f.AddDevice("dev", qdmi.NewDevice(qpu, nil), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Drain("dev"); err != nil {
+		t.Fatal(err)
+	}
+	sibling := qrm.Request{Circuit: circuit.GHZ(2), Shots: 10, User: "u"}
+	if busy {
+		sibling = qrm.Request{Circuit: wideCircuit(14, 6, 8), Shots: 400, User: "u"}
+	}
+	var ids [2]int
+	for i, req := range []qrm.Request{sibling, {Circuit: wideCircuit(12, 4, 7), Shots: 50, User: "u"}} {
+		id, err := f.Submit(req, fleet.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	if err := f.Resume("dev"); err != nil {
+		t.Fatal(err)
+	}
+	return waitCounts(t, f, ids[:])[ids[1]]
 }
 
 // runCrashNode runs jobs 1-4 on a durable one-device node. With crash,
