@@ -268,9 +268,9 @@ func TestNoisyExecutionDeterministic(t *testing.T) {
 		t.Errorf("same-seed branch-tree runs differ: %v vs %v", a, b)
 	}
 
-	// Host independence: a 14-qubit register runs the fanned-out gate
-	// kernels, and the branch weights come from a reduction over the state;
-	// neither may let GOMAXPROCS into the counts.
+	// Host independence: a 14-qubit register takes a helper goroutine when
+	// one is free, and the branch weights come from a reduction over the
+	// state; neither may let GOMAXPROCS into the counts.
 	wide := NativeRandom45(14, 2, 5)
 	runWide := func(procs int) map[int]int {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -21,8 +21,9 @@ import (
 // NativeRandom45 builds a pseudo-random native circuit over the first n
 // snake qubits of the 4x5 grid: layers of RZ+PRX rotations on every qubit
 // followed by CZ brickwork along the snake path. Deterministic in seed. At
-// n = 16 the state crosses quantum's parallel-kernel threshold, so the
-// bench measures the fan-out kernels and the branch tree together.
+// n = 16 it is the bench's widest register: every pass runs inline over
+// 2^16 amplitudes, and only the branch tree's helper puts a second core on
+// the job.
 func NativeRandom45(n, layers int, seed int64) *circuit.Circuit {
 	path := snakePath45(n)
 	rng := rand.New(rand.NewSource(seed))
@@ -138,17 +139,18 @@ func measure(fn executeFn, c *circuit.Circuit, shots, jobs int) (jobsPerSec, p50
 // RunSimBench measures the naive per-shot loop against the compiled engine
 // on the baseline GHZ workloads (noiseless twin + noisy device) plus two
 // wide noisy workloads — GHZ(10) and a random 16-qubit brickwork circuit —
-// where the parallel gate kernels and the shot-branching tree are measured
-// at sizes that exercise them. It returns the artifact record.
+// where the gate kernels and the shot-branching tree are measured at sizes
+// that exercise them. It returns the artifact record.
 func RunSimBench(cfg SimBenchConfig) (*SimBenchArtifact, error) {
 	cfg.fill()
 	wideJobs := cfg.NoisyJobs / 3
 	if wideJobs < 1 {
 		wideJobs = 1
 	}
-	// The 16-qubit row exists to exercise the parallel kernels inside the
-	// branch tree, not to soak: the naive baseline costs ~300 ms *per shot*
-	// there, so the row runs one job at an eighth of the shots.
+	// The 16-qubit row, the widest serial row, exists to exercise the
+	// kernels on a large state inside the branch tree, not to soak: the
+	// naive baseline costs ~300 ms *per shot* there, so the row runs one job
+	// at an eighth of the shots.
 	randShots := cfg.Shots / 8
 	if randShots < 1 {
 		randShots = 1

@@ -41,42 +41,18 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func rowsAVX2(z *complex128, bit, blocks, run int, m *Matrix2, shape rowShape)
 
-// vectorPairs is apply1QPairs on the vector unit. The rows of whole blocks
-// run in one kernel call; a chunk that starts or ends inside a block runs
-// its partial blocks in a call each; an odd amplitude left at the end of a
-// partial block, or an odd pair of qubit 0, takes the Go row.
-func vectorPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
-	if bit == 1 {
-		if n := (hi - lo) / 2; n > 0 {
-			rowsAVX2(&amps[2*lo], 1, n, 2, m, shape)
-		}
-		if (hi-lo)&1 != 0 {
-			goPairs(amps, bit, hi-1, hi, m, shape)
-		}
-		return
-	}
-	if off := lo & (bit - 1); off != 0 {
-		end := min(lo-off+bit, hi)
-		partialBlock(amps, bit, lo, end, m, shape)
-		lo = end
-	}
-	if blocks := (hi - lo) / bit; blocks > 0 {
-		rowsAVX2(&amps[lo<<1], bit, blocks, bit, m, shape)
-		lo += blocks * bit
-	}
-	if lo < hi {
-		partialBlock(amps, bit, lo, hi, m, shape)
-	}
-}
-
-// partialBlock applies m to the pairs lo..hi-1, which lie in one block.
-func partialBlock(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
-	off := lo & (bit - 1)
-	if even := (hi - lo) &^ 1; even > 0 {
-		rowsAVX2(&amps[(lo-off)<<1|off], bit, 1, even, m, shape)
-	}
-	if (hi-lo)&1 != 0 {
-		goPairs(amps, bit, hi-1, hi, m, shape)
+// vectorPairs is apply1QPairs on the vector unit: the rows of every block
+// run in one kernel call. The one pair of a 1-qubit register takes the Go
+// row.
+func vectorPairs(amps []complex128, bit int, m *Matrix2, shape rowShape) {
+	half := len(amps) / 2
+	switch {
+	case half == 1:
+		goPairs(amps, bit, m, shape)
+	case bit == 1:
+		rowsAVX2(&amps[0], 1, half/2, 2, m, shape)
+	default:
+		rowsAVX2(&amps[0], bit, half/bit, bit, m, shape)
 	}
 }
 

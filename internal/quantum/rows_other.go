@@ -6,8 +6,8 @@ package quantum
 // stays a variable for the tests that reach it by name (rows_amd64.go).
 var vectorRows = false
 
-func vectorPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
-	goPairs(amps, bit, lo, hi, m, shape)
+func vectorPairs(amps []complex128, bit int, m *Matrix2, shape rowShape) {
+	goPairs(amps, bit, m, shape)
 }
 
 func vectorCZ(amps []complex128, lo, hi int) {

@@ -117,13 +117,13 @@ func TestApplyCZMatchesGenericKernel(t *testing.T) {
 // TestApply1QKernelsMatchPairFormula pins both single-qubit kernels to the
 // per-pair definition a0' = m00·a0 + m01·a1, a1' = m10·a0 + m11·a1 with
 // exact equality (== does not tell a zero's sign): the block walk on every
-// qubit of a serial and of a fanned-out register, the real-diagonal fast
-// path, and chunks that start and end inside a block.
+// qubit of 1-, 2-, 5- and 15-qubit registers, and the real-diagonal fast
+// path.
 func TestApply1QKernelsMatchPairFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	reference := func(amps []complex128, q, lo, hi int, m Matrix2) {
+	reference := func(amps []complex128, q int, m Matrix2) {
 		bit := 1 << uint(q)
-		for p := lo; p < hi; p++ {
+		for p := 0; p < len(amps)/2; p++ {
 			i0 := ((p &^ (bit - 1)) << 1) | (p & (bit - 1))
 			a0, a1 := amps[i0], amps[i0|bit]
 			amps[i0] = m[0][0]*a0 + m[0][1]*a1
@@ -135,7 +135,7 @@ func TestApply1QKernelsMatchPairFormula(t *testing.T) {
 		"real-diagonal": {{complex(0.9995, 0), 0}, {0, complex(0.9990, 0)}},
 		"diagonal":      RZ(1.3), // complex entries: stays on the dense path
 	}
-	for _, n := range []int{1, 2, 5, 15} { // 15 qubits: above parallelThreshold
+	for _, n := range []int{1, 2, 5, 15} { // 15 qubits: blocks of up to 2^14 amplitudes
 		for name, m := range mats {
 			for q := 0; q < n; q++ {
 				s := randomState(n, rng)
@@ -143,24 +143,9 @@ func TestApply1QKernelsMatchPairFormula(t *testing.T) {
 				if err := s.Apply1Q(q, m); err != nil {
 					t.Fatal(err)
 				}
-				reference(want.amps, q, 0, len(want.amps)/2, m)
+				reference(want.amps, q, m)
 				if d := maxAmpDiff(s, want); d != 0 {
 					t.Errorf("n=%d q=%d %s: kernel differs from the pair formula by %g", n, q, name, d)
-				}
-			}
-		}
-	}
-	for name, m := range mats {
-		for q := 0; q < 5; q++ {
-			for trial := 0; trial < 8; trial++ {
-				s := randomState(5, rng)
-				want := s.Clone()
-				lo := rng.Intn(16)
-				hi := lo + rng.Intn(17-lo)
-				apply1QPairs(s.amps, 1<<uint(q), lo, hi, &m)
-				reference(want.amps, q, lo, hi, m)
-				if d := maxAmpDiff(s, want); d != 0 {
-					t.Errorf("q=%d %s pairs [%d, %d): chunk differs from the pair formula by %g", q, name, lo, hi, d)
 				}
 			}
 		}

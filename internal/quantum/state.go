@@ -5,12 +5,10 @@
 // noise layer (quantum-trajectory Kraus channels plus readout confusion)
 // reproduces the imperfections that calibration exists to manage.
 //
-// The dense kernels (Apply1Q, Apply2Q, ApplyToffoli) fan out across
-// goroutines from 2^14 amplitudes up, so 20-qubit workloads use the host's
-// cores; smaller states stay single-threaded to avoid scheduling overhead.
-// Two passes are serial at every size: QubitDensity, whose sums feed
-// trajectory branch choices and must not depend on the host, and the ApplyCZ
-// sign flip.
+// Every pass runs inline, at every size, on the goroutine that owns the
+// state: the package starts no goroutines. How many cores a job takes is
+// the caller's decision (the device engine's helper goroutine runs a wide
+// job's forked trajectories on a second core), not the kernels'.
 //
 // On a CPU with AVX2 the engine's passes run on the vector unit, two
 // amplitudes per register: every one-qubit pass (Apply1Q, and so every gate,
@@ -33,8 +31,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // MaxQubits bounds state allocation: 2^26 amplitudes = 1 GiB of complex128.
@@ -178,19 +174,6 @@ func (s *State) ProbabilitiesInto(dst []float64) []float64 {
 	return dst
 }
 
-// parallelThreshold is the state size above which gate kernels fan out
-// across goroutines. 2^14 amplitudes keeps goroutine overhead negligible.
-const parallelThreshold = 1 << 14
-
-// numWorkers returns the fan-out width for the current host.
-func numWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // checkQubit validates a qubit index.
 func (s *State) checkQubit(q int) error {
 	if q < 0 || q >= s.n {
@@ -206,31 +189,14 @@ func (s *State) Apply1Q(q int, m Matrix2) error {
 	if err := s.checkQubit(q); err != nil {
 		return err
 	}
-	bit := 1 << uint(q)
-	half := len(s.amps) / 2
-	if len(s.amps) < parallelThreshold {
-		// Small states run the kernel inline, in a function free of escaping
-		// closures: a fanned-out variant in the same frame would force the
-		// matrix to the heap on every call, which dominates the pooled,
-		// otherwise allocation-free shot loop.
-		apply1QPairs(s.amps, bit, 0, half, &m)
-		return nil
-	}
-	s.apply1QParallel(bit, half, m)
+	apply1QPairs(s.amps, 1<<uint(q), &m)
 	return nil
 }
 
-// apply1QParallel fans the single-qubit kernel out across workers. It lives
-// in its own frame so the escaping closure only costs on large states.
-func (s *State) apply1QParallel(bit, half int, m Matrix2) {
-	parallelFor(half, func(lo, hi int) { apply1QPairs(s.amps, bit, lo, hi, &m) })
-}
-
-// apply1QPairs applies m to the amplitude pairs lo..hi-1 of the qubit whose
-// index bit is bit; pair p joins amplitude i0 — p with a zero inserted at the
+// apply1QPairs applies m to every amplitude pair of the qubit whose index
+// bit is bit; pair p joins amplitude i0 — p with a zero inserted at the
 // qubit's position — and i0|bit. The pairs lie in blocks: bit consecutive low
-// amplitudes, then their bit partners. A chunk of a fanned-out pass may start
-// or end inside a block.
+// amplitudes, then their bit partners.
 //
 // The matrix's shape picks one of three rows. A real diagonal m — the
 // dominant Kraus operator that follows a CZ — takes two real multiplies per
@@ -245,7 +211,7 @@ func (s *State) apply1QParallel(bit, half int, m Matrix2) {
 // register (vectorPairs, rows_amd64.s), every lane doing the Go row's
 // operations in its order without FMA: the two kernels are bit-identical,
 // so no count depends on the host. Elsewhere the Go rows, goPairs, run.
-func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
+func apply1QPairs(amps []complex128, bit int, m *Matrix2) {
 	shape := shapeDense
 	if imag(m[0][0]) == 0 && imag(m[1][1]) == 0 {
 		shape = shapeRemainder
@@ -254,10 +220,10 @@ func apply1QPairs(amps []complex128, bit, lo, hi int, m *Matrix2) {
 		}
 	}
 	if vectorRows {
-		vectorPairs(amps, bit, lo, hi, m, shape)
+		vectorPairs(amps, bit, m, shape)
 		return
 	}
-	goPairs(amps, bit, lo, hi, m, shape)
+	goPairs(amps, bit, m, shape)
 }
 
 // RowKernel names the kernel one-qubit passes run on: "avx2" on a CPU with
@@ -282,14 +248,14 @@ const (
 // goPairs is apply1QPairs's Go rows. Past the two lowest qubits the block
 // loop walks two equally long slices and does no index arithmetic or bounds
 // check per amplitude.
-func goPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
+func goPairs(amps []complex128, bit int, m *Matrix2, shape rowShape) {
 	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
 	d0, d1 := real(m00), real(m11)
 	r01, i01, r10, i10 := real(m01), imag(m01), real(m10), imag(m10)
 	if bit < 4 {
 		// Blocks of one or two amplitudes cost more to set up than to walk:
 		// the two lowest qubits index each pair instead.
-		for p := lo; p < hi; p++ {
+		for p := 0; p < len(amps)/2; p++ {
 			i0 := (p&^(bit-1))<<1 | p&(bit-1)
 			a0, a1 := amps[i0], amps[i0|bit]
 			switch shape {
@@ -305,15 +271,9 @@ func goPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
 		}
 		return
 	}
-	for p := lo; p < hi; {
-		off := p & (bit - 1)
-		run := bit - off
-		if run > hi-p {
-			run = hi - p
-		}
-		i0 := (p-off)<<1 | off
-		zeros := amps[i0 : i0+run]
-		ones := amps[i0+bit:][:run]
+	for i0 := 0; i0 < len(amps); i0 += 2 * bit {
+		zeros := amps[i0 : i0+bit]
+		ones := amps[i0+bit:][:bit]
 		switch shape {
 		case shapeRealDiagonal:
 			for i, a := range zeros {
@@ -333,7 +293,6 @@ func goPairs(amps []complex128, bit, lo, hi int, m *Matrix2, shape rowShape) {
 				ones[i] = cmul(m10, a0) + cmul(m11, a1)
 			}
 		}
-		p += run
 	}
 }
 
@@ -364,50 +323,16 @@ func (s *State) Apply2Q(q1, q2 int, m Matrix4) error {
 	if lowBit > highBit {
 		lowBit, highBit = highBit, lowBit
 	}
-	dim := len(s.amps)
-	quarter := dim / 4
-	if dim < parallelThreshold {
-		// Small states run the kernel inline (see Apply1Q): the parallel
-		// closure would heap-allocate per gate application.
-		applySmall2Q(s.amps, &m, b1, b2, lowBit, highBit, quarter)
-		return nil
-	}
-	s.apply2QParallel(b1, b2, lowBit, highBit, quarter, m)
+	apply2Q(s.amps, &m, b1, b2, lowBit, highBit)
 	return nil
 }
 
-// apply2QParallel fans the two-qubit kernel out across workers, isolated in
-// its own frame so the closure's heap capture of m only costs on large
-// states.
-func (s *State) apply2QParallel(b1, b2, lowBit, highBit, quarter int, m Matrix4) {
-	parallelFor(quarter, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			// Expand k into an index with zeros at both gate-qubit positions.
-			i := k
-			low := i & (lowBit - 1)
-			i = (i &^ (lowBit - 1)) << 1
-			mid := i & (highBit - 1)
-			i = (i &^ (highBit - 1)) << 1
-			base := i | mid | low
-
-			i00 := base
-			i01 := base | b1
-			i10 := base | b2
-			i11 := base | b1 | b2
-			a00, a01, a10, a11 := s.amps[i00], s.amps[i01], s.amps[i10], s.amps[i11]
-			s.amps[i00] = m[0][0]*a00 + m[0][1]*a01 + m[0][2]*a10 + m[0][3]*a11
-			s.amps[i01] = m[1][0]*a00 + m[1][1]*a01 + m[1][2]*a10 + m[1][3]*a11
-			s.amps[i10] = m[2][0]*a00 + m[2][1]*a01 + m[2][2]*a10 + m[2][3]*a11
-			s.amps[i11] = m[3][0]*a00 + m[3][1]*a01 + m[3][2]*a10 + m[3][3]*a11
-		}
-	})
-}
-
-// applySmall2Q is the inline small-state two-qubit kernel: a plain function
-// instead of the escaping closure above, so per-gate application allocates
-// nothing on the pooled shot loop.
-func applySmall2Q(amps []complex128, m *Matrix4, b1, b2, lowBit, highBit, quarter int) {
-	for k := 0; k < quarter; k++ {
+// apply2Q is Apply2Q's kernel: m applied to each of the len(amps)/4
+// quadruples of amplitudes that differ only in the bits b1 and b2. Each
+// product goes through cmul, so no port fuses one into a multiply-add; the
+// bits are those m[r][0]*a00 + … + m[r][3]*a11 computes on amd64.
+func apply2Q(amps []complex128, m *Matrix4, b1, b2, lowBit, highBit int) {
+	for k := 0; k < len(amps)/4; k++ {
 		i := k
 		low := i & (lowBit - 1)
 		i = (i &^ (lowBit - 1)) << 1
@@ -420,18 +345,17 @@ func applySmall2Q(amps []complex128, m *Matrix4, b1, b2, lowBit, highBit, quarte
 		i10 := base | b2
 		i11 := base | b1 | b2
 		a00, a01, a10, a11 := amps[i00], amps[i01], amps[i10], amps[i11]
-		amps[i00] = m[0][0]*a00 + m[0][1]*a01 + m[0][2]*a10 + m[0][3]*a11
-		amps[i01] = m[1][0]*a00 + m[1][1]*a01 + m[1][2]*a10 + m[1][3]*a11
-		amps[i10] = m[2][0]*a00 + m[2][1]*a01 + m[2][2]*a10 + m[2][3]*a11
-		amps[i11] = m[3][0]*a00 + m[3][1]*a01 + m[3][2]*a10 + m[3][3]*a11
+		amps[i00] = cmul(m[0][0], a00) + cmul(m[0][1], a01) + cmul(m[0][2], a10) + cmul(m[0][3], a11)
+		amps[i01] = cmul(m[1][0], a00) + cmul(m[1][1], a01) + cmul(m[1][2], a10) + cmul(m[1][3], a11)
+		amps[i10] = cmul(m[2][0], a00) + cmul(m[2][1], a01) + cmul(m[2][2], a10) + cmul(m[2][3], a11)
+		amps[i11] = cmul(m[3][0], a00) + cmul(m[3][1], a01) + cmul(m[3][2], a10) + cmul(m[3][3], a11)
 	}
 }
 
 // ApplyCZ applies the controlled-Z gate to qubits a and b by negating the
 // quarter of amplitudes with both bits set — equivalent to
 // Apply2Q(a, b, CZ) without the sixteen complex multiplies per four
-// amplitudes. It runs inline at every size: a quarter-state sign flip stays
-// cheaper than one fanned-out generic pass. On a CPU with AVX2 a state of
+// amplitudes. On a CPU with AVX2 a state of
 // vectorCZMin amplitudes or more has the sign bits of whole runs flipped on
 // the vector unit (vectorCZ, rows_amd64.s); negation is exact, so the two
 // kernels write the same bits.
@@ -465,32 +389,6 @@ func goCZ(amps []complex128, mask int) {
 	}
 }
 
-// parallelFor splits [0, n) across workers and waits for completion.
-func parallelFor(n int, f func(lo, hi int)) {
-	w := numWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // ApplyToffoli applies the CCX gate: the target bit flips on basis states
 // where both control bits are set. Implemented as a direct amplitude
 // permutation — cheaper and simpler than an 8x8 matrix kernel.
@@ -506,19 +404,12 @@ func (s *State) ApplyToffoli(c1, c2, t int) error {
 	b1 := 1 << uint(c1)
 	b2 := 1 << uint(c2)
 	bt := 1 << uint(t)
-	swap := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i&b1 != 0 && i&b2 != 0 && i&bt == 0 {
-				j := i | bt
-				s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
-			}
+	for i := range s.amps {
+		if i&b1 != 0 && i&b2 != 0 && i&bt == 0 {
+			j := i | bt
+			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
 		}
 	}
-	if len(s.amps) < parallelThreshold {
-		swap(0, len(s.amps))
-		return nil
-	}
-	parallelFor(len(s.amps), swap)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -152,19 +153,87 @@ func TestGHZPreparationAndFidelity(t *testing.T) {
 	}
 }
 
+// TestParallelKernelMatchesSerial checks the kernels on a 15-qubit state,
+// wider than any benchmark job: a GHZ preparation keeps the norm and reaches
+// the GHZ state, and Apply2Q writes, bit for bit, what the quadruple formula
+// m[r][0]*a00 + … + m[r][3]*a11 computes with Go's complex multiply (on
+// amd64, which never fuses a multiply-add), for every ordered qubit pair of
+// 2- and 5-qubit registers and for random pairs of the 15-qubit one.
 func TestParallelKernelMatchesSerial(t *testing.T) {
-	// A 15-qubit state exceeds parallelThreshold; verify the parallel path
-	// produces the same result as gate-by-gate small-state logic by
-	// checking norm preservation and a known outcome.
 	s := MustNewState(15)
 	if err := PrepareGHZ(s); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s.Norm()-1) > 1e-10 {
-		t.Errorf("norm after parallel GHZ = %g", s.Norm())
+		t.Errorf("norm after 15-qubit GHZ = %g", s.Norm())
 	}
 	if f := GHZFidelity(s); math.Abs(f-1) > 1e-10 {
-		t.Errorf("parallel GHZ fidelity = %g", f)
+		t.Errorf("15-qubit GHZ fidelity = %g", f)
+	}
+	rng := rand.New(rand.NewSource(46))
+	check := func(n, q1, q2 int) {
+		var m Matrix4
+		for r := range m {
+			for c := range m[r] {
+				m[r][c] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+		got := randomState(n, rng)
+		want := got.Clone()
+		if err := got.Apply2Q(q1, q2, m); err != nil {
+			t.Fatal(err)
+		}
+		b1, b2 := 1<<uint(q1), 1<<uint(q2)
+		for i, a := range want.amps {
+			if i&(b1|b2) != 0 {
+				continue
+			}
+			a00, a01, a10, a11 := a, want.amps[i|b1], want.amps[i|b2], want.amps[i|b1|b2]
+			for r, j := range [4]int{i, i | b1, i | b2, i | b1 | b2} {
+				want.amps[j] = m[r][0]*a00 + m[r][1]*a01 + m[r][2]*a10 + m[r][3]*a11
+			}
+		}
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("n=%d Apply2Q(%d, %d): amplitude %d is %v, the quadruple formula wrote %v", n, q1, q2, i, got.amps[i], want.amps[i])
+		}
+	}
+	for _, n := range []int{2, 5} {
+		for q1 := 0; q1 < n; q1++ {
+			for q2 := 0; q2 < n; q2++ {
+				if q1 != q2 {
+					check(n, q1, q2)
+				}
+			}
+		}
+	}
+	for k := 0; k < 6; k++ {
+		q1 := rng.Intn(15)
+		check(15, q1, (q1+1+rng.Intn(14))%15)
+	}
+}
+
+// TestLargePassesAllocateNothing holds the dense passes to zero allocations
+// on a 15-qubit state with more than one core available: a pass runs inline
+// on the caller's goroutine at every size.
+func TestLargePassesAllocateNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	s := randomState(15, rand.New(rand.NewSource(50)))
+	passes := []struct {
+		name string
+		f    func() error
+	}{
+		{"Apply1Q", func() error { return s.Apply1Q(7, H) }},
+		{"Apply2Q", func() error { return s.Apply2Q(3, 11, CNOT01) }},
+		{"ApplyToffoli", func() error { return s.ApplyToffoli(2, 9, 14) }},
+	}
+	for _, p := range passes {
+		var err error
+		if allocs := testing.AllocsPerRun(20, func() { err = p.f() }); allocs != 0 {
+			t.Errorf("%s on 15 qubits allocates %.1f objects/op, want 0", p.name, allocs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

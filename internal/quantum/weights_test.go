@@ -10,8 +10,8 @@ import (
 // single-qubit kernel — a real diagonal with complex off-diagonal entries,
 // what a pending flush writes once it has factored out the phases — to the
 // dense pair formula for the same matrix, with exact equality (== does not
-// tell a zero's sign), on every qubit of a serial 6-qubit register and of a
-// 14-qubit one, whose pass fans out.
+// tell a zero's sign), on every qubit of a 6-qubit register and of a
+// 14-qubit one.
 func TestRemainderPathMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, n := range []int{6, 14} {
