@@ -115,10 +115,11 @@ func TestApplyCZMatchesGenericKernel(t *testing.T) {
 }
 
 // TestApply1QKernelsMatchPairFormula pins both single-qubit kernels to the
-// per-pair definition a0' = m00·a0 + m01·a1, a1' = m10·a0 + m11·a1 with
-// exact equality (== does not tell a zero's sign): the block walk on every
-// qubit of 1-, 2-, 5- and 15-qubit registers, and the real-diagonal fast
-// path.
+// per-pair definition a0' = m00·a0 + m01·a1, a1' = m10·a0 + m11·a1, each
+// product rounded on its own (mulRounded, so the reference is the same on
+// every port), with exact equality (== does not tell a zero's sign): the
+// block walk on every qubit of 1-, 2-, 5- and 15-qubit registers, and the
+// real-diagonal fast path.
 func TestApply1QKernelsMatchPairFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	reference := func(amps []complex128, q int, m Matrix2) {
@@ -126,8 +127,8 @@ func TestApply1QKernelsMatchPairFormula(t *testing.T) {
 		for p := 0; p < len(amps)/2; p++ {
 			i0 := ((p &^ (bit - 1)) << 1) | (p & (bit - 1))
 			a0, a1 := amps[i0], amps[i0|bit]
-			amps[i0] = m[0][0]*a0 + m[0][1]*a1
-			amps[i0|bit] = m[1][0]*a0 + m[1][1]*a1
+			amps[i0] = mulRounded(m[0][0], a0) + mulRounded(m[0][1], a1)
+			amps[i0|bit] = mulRounded(m[1][0], a0) + mulRounded(m[1][1], a1)
 		}
 	}
 	mats := map[string]Matrix2{

@@ -155,10 +155,14 @@ func TestGHZPreparationAndFidelity(t *testing.T) {
 
 // TestParallelKernelMatchesSerial checks the kernels on a 15-qubit state,
 // wider than any benchmark job: a GHZ preparation keeps the norm and reaches
-// the GHZ state, and Apply2Q writes, bit for bit, what the quadruple formula
-// m[r][0]*a00 + … + m[r][3]*a11 computes with Go's complex multiply (on
-// amd64, which never fuses a multiply-add), for every ordered qubit pair of
-// 2- and 5-qubit registers and for random pairs of the 15-qubit one.
+// the GHZ state, and Apply2Q writes, bit for bit, the quadruple formula
+// m[r][0]·a00 + … + m[r][3]·a11 with every product rounded on its own
+// (mulRounded, which no port fuses), for every ordered qubit pair of 2- and
+// 5-qubit registers and for random pairs of the 15-qubit one. On amd64,
+// which never fuses a multiply-add, that formula is also what Go's complex
+// multiply m[r][0]*a00 + … writes, so the kernel keeps the bits it wrote
+// before it rounded its products; other ports fuse that expression, so the
+// second comparison runs on amd64 only.
 func TestParallelKernelMatchesSerial(t *testing.T) {
 	s := MustNewState(15)
 	if err := PrepareGHZ(s); err != nil {
@@ -190,7 +194,13 @@ func TestParallelKernelMatchesSerial(t *testing.T) {
 			}
 			a00, a01, a10, a11 := a, want.amps[i|b1], want.amps[i|b2], want.amps[i|b1|b2]
 			for r, j := range [4]int{i, i | b1, i | b2, i | b1 | b2} {
-				want.amps[j] = m[r][0]*a00 + m[r][1]*a01 + m[r][2]*a10 + m[r][3]*a11
+				want.amps[j] = mulRounded(m[r][0], a00) + mulRounded(m[r][1], a01) + mulRounded(m[r][2], a10) + mulRounded(m[r][3], a11)
+				if runtime.GOARCH == "amd64" {
+					goMul, w := m[r][0]*a00+m[r][1]*a01+m[r][2]*a10+m[r][3]*a11, want.amps[j]
+					if math.Float64bits(real(goMul)) != math.Float64bits(real(w)) || math.Float64bits(imag(goMul)) != math.Float64bits(imag(w)) {
+						t.Fatalf("n=%d amplitude %d: Go's complex multiply wrote %v, the rounded formula %v", n, j, goMul, want.amps[j])
+					}
+				}
 			}
 		}
 		if i, ok := sameBits(got, want); !ok {
@@ -210,6 +220,14 @@ func TestParallelKernelMatchesSerial(t *testing.T) {
 		q1 := rng.Intn(15)
 		check(15, q1, (q1+1+rng.Intn(14))%15)
 	}
+}
+
+// mulRounded is x*y with each of its four real products rounded on its own,
+// summed in the order Go's complex multiply takes: the reference the kernel
+// exactness tests compare against on every port.
+func mulRounded(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
 }
 
 // TestLargePassesAllocateNothing holds the dense passes to zero allocations

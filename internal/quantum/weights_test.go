@@ -9,9 +9,9 @@ import (
 // TestRemainderPathMatchesDense pins the real-diagonal-remainder path of the
 // single-qubit kernel — a real diagonal with complex off-diagonal entries,
 // what a pending flush writes once it has factored out the phases — to the
-// dense pair formula for the same matrix, with exact equality (== does not
-// tell a zero's sign), on every qubit of a 6-qubit register and of a
-// 14-qubit one.
+// dense pair formula for the same matrix, each product rounded on its own
+// (mulRounded), with exact equality (== does not tell a zero's sign), on
+// every qubit of a 6-qubit register and of a 14-qubit one.
 func TestRemainderPathMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, n := range []int{6, 14} {
@@ -34,8 +34,8 @@ func TestRemainderPathMatchesDense(t *testing.T) {
 					continue
 				}
 				a1 := want.amps[i0|bit]
-				want.amps[i0] = r[0][0]*a0 + r[0][1]*a1
-				want.amps[i0|bit] = r[1][0]*a0 + r[1][1]*a1
+				want.amps[i0] = mulRounded(r[0][0], a0) + mulRounded(r[0][1], a1)
+				want.amps[i0|bit] = mulRounded(r[1][0], a0) + mulRounded(r[1][1], a1)
 			}
 			if d := maxAmpDiff(s, want); d != 0 {
 				t.Errorf("n=%d q=%d: remainder path differs from the dense formula by %g", n, q, d)
