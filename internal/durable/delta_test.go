@@ -213,6 +213,12 @@ func TestUpdateRoundTrip(t *testing.T) {
 			f.AttachStore(st)
 			f.AdvanceTo(1) // a recorded submit_time is not zero
 			id := tc.run(t, f, qpu)
+			if tc.submitted != nil {
+				// submitted writes the copy Job returns: once the job is
+				// sealed that is a private decoded copy, not the request
+				// its worker may still be encoding into the record.
+				until(t, "the seal", func() bool { v, _ := f.View(id, nil); return v.Live == nil })
+			}
 			live, err := f.Job(id)
 			mustOK(t, err)
 			if live.Status != tc.state {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,7 +225,7 @@ type Scheduler struct {
 	// names its user without a pointer.
 	jobs    map[int]*Job
 	index   []entry
-	arena   arena
+	arena   *arena
 	sealBuf []byte
 	users   map[string]uint32
 	queue   fairQueue // every queued job; the per-tenant rows live here
@@ -287,6 +288,7 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 		idem:      make(map[string]int),
 		scoreHist: scoreHistogram(),
 		bus:       NewEventBus(),
+		arena:     newArena(),
 		traceCap:  DefaultTraceRetention,
 	}
 	s.settled = sync.NewCond(&s.mu)
@@ -758,7 +760,7 @@ func (s *Scheduler) TraceStats() (retained int, spanDrops uint64) {
 // Job returns a copy of the fleet job record, a sealed job's decoded from
 // its record; a routed job that compiled reads running.
 func (s *Scheduler) Job(id int) (*Job, error) {
-	v, err := s.View(id)
+	v, err := s.View(id, nil)
 	if err != nil || v.Live != nil {
 		return v.Live, err
 	}
@@ -783,22 +785,21 @@ func (j *Job) shownStatus() JobStatus {
 
 // Peek reads what a watch stream opens with — job id's status as Job
 // reports it, its device, and whether it was recovered — without copying a
-// live job or decoding a sealed one.
+// live job or decoding a sealed one: a sealed record's head is lexed in the
+// arena, under the lock, and only the device name is copied out.
 func (s *Scheduler) Peek(id int) (st JobStatus, device string, recovered bool, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
-		defer s.mu.Unlock()
 		return j.shownStatus(), j.Device, j.Recovered, nil
 	}
 	i := s.findLocked(id)
 	if i < 0 {
-		s.mu.Unlock()
 		return "", "", false, fmt.Errorf("%w %d", ErrNoJob, id)
 	}
-	rec := s.viewLocked(&s.index[i]).Sealed
-	s.mu.Unlock()
-	h, err := rec.Head()
-	return rec.Status, h.Device, h.Recovered, err
+	e := &s.index[i]
+	h, err := Record{JSON: s.arena.chunks[e.chunk][e.off : e.off+e.n], at: e.at}.Head()
+	return sealedStates[e.state], strings.Clone(h.Device), h.Recovered, err
 }
 
 // Wait blocks until the job settles (done, failed, or cancelled — possibly
@@ -856,11 +857,16 @@ func (s *Scheduler) await(ctx context.Context, id int) (*Job, error) {
 // ListViews returns up to limit job views with ID strictly below beforeID
 // (0 = newest first), filtered by user and status set (nil = any); more
 // reports whether older matches remain. Views carry the stored status, so a
-// filter naming running matches routed jobs. It is the cursor primitive
+// filter naming running matches routed jobs. The sealed views' records are
+// copied into *buf from its start, as View copies one; a view copied before
+// an append grew *buf keeps the earlier array. It is the cursor primitive
 // behind the v2 paginated listing.
-func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, limit int) (views []View, more bool) {
+func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, limit int, buf *[]byte) (views []View, more bool) {
 	if limit < 1 {
 		limit = 20
+	}
+	if buf != nil {
+		*buf = (*buf)[:0]
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -887,7 +893,7 @@ func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, 
 		if len(views) == limit {
 			return views, true
 		}
-		views = append(views, s.viewLocked(e))
+		views = append(views, s.viewLocked(e, buf))
 	}
 	return views, false
 }

@@ -97,24 +97,12 @@ func heapNow() (live, scan uint64) {
 	return samples[0].Value.Uint64(), samples[1].Value.Uint64()
 }
 
-// TestTerminalJobsAreNotScanned is the gate on what a finished job costs the
-// collector: 10 000 hybrid-loop-shaped jobs (one caller, a fresh-angle
-// 5-qubit ansatz x 100 shots each) through the daemon's two noisy devices.
-// The scheduler keeps a terminal job as its record in a pointer-free arena,
-// so the scannable heap may grow by at most 64 B per retained job, and the
-// live heap by at most 2.6 KB: the ~2.1 KB record, its index entry, and the
-// slack of the arena's last chunk and the index's last growth. Keeping the
-// *Job instead, with its circuit and counts, costs ~4.8 KB a job here, of
-// which ~2.9 KB is scanned at every cycle.
-func TestTerminalJobsAreNotScanned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's shadow memory inflates the heap; CI runs this gate as its own non-race step")
-	}
-	const (
-		jobs    = 10000
-		maxScan = 64.0   // B per retained job
-		maxLive = 2600.0 // B per retained job
-	)
+// sealHybridJobs runs hybrid-loop-shaped jobs (one caller, a fresh-angle
+// 5-qubit ansatz x 100 shots each) through the daemon's two noisy devices:
+// 1 000 to warm the tenant rows, compile maps and pools, then n more. It
+// returns the growth of the live and the scannable heap per job over the n,
+// and the average record.
+func sealHybridJobs(t *testing.T, n int) (live, scan, record float64) {
 	s := hybridFleet(t)
 	rng := rand.New(rand.NewSource(11))
 	run := func(n int) {
@@ -129,21 +117,40 @@ func TestTerminalJobsAreNotScanned(t *testing.T) {
 		}
 		s.WaitSettled()
 	}
-	run(1000) // tenant rows, full compile maps, warm pools
+	run(1000)
 	live0, scan0 := heapNow()
-	run(jobs)
+	run(n)
 	live1, scan1 := heapNow()
-	scan := (float64(scan1) - float64(scan0)) / jobs
-	live := (float64(live1) - float64(live0)) / jobs
 	r := s.Retained()
-	t.Logf("per retained job: %.0f B live heap, %.0f B scannable; record %.0f B", live, scan, float64(r.RecordBytes)/float64(r.Sealed))
+	runtime.KeepAlive(s)
+	return (float64(live1) - float64(live0)) / float64(n), (float64(scan1) - float64(scan0)) / float64(n),
+		float64(r.RecordBytes) / float64(r.Sealed)
+}
+
+// TestTerminalJobsAreNotScanned is the gate on what a finished job costs the
+// collector: 10 000 hybrid-loop-shaped jobs. The scheduler keeps a terminal
+// job as its record in a pointer-free arena, so the scannable heap may grow
+// by at most 64 B per retained job, and the live heap by at most 2.6 KB: on
+// a platform whose arena is on the heap (arena_heap.go), the ~2.1 KB record,
+// its index entry, and the slack of the arena's last chunk and the index's
+// last growth. Keeping the *Job instead, with its circuit and counts, costs
+// ~4.8 KB a job here, of which ~2.9 KB is scanned at every cycle.
+func TestTerminalJobsAreNotScanned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap; CI runs this gate as its own non-race step")
+	}
+	const (
+		maxScan = 64.0   // B per retained job
+		maxLive = 2600.0 // B per retained job
+	)
+	live, scan, record := sealHybridJobs(t, 10000)
+	t.Logf("per retained job: %.0f B live heap, %.0f B scannable; record %.0f B", live, scan, record)
 	if scan > maxScan {
 		t.Errorf("scannable heap grows %.0f B per retained job, want <= %.0f: a finished job is kept as pointers", scan, maxScan)
 	}
 	if live > maxLive {
 		t.Errorf("live heap grows %.0f B per retained job, want <= %.0f", live, maxLive)
 	}
-	runtime.KeepAlive(s)
 }
 
 // TestWaitSettledSettles10000Jobs settles a backlog of 10 000 jobs: the wait
@@ -189,6 +196,7 @@ func TestSealedReadsRaceSealing(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
+			var buf []byte
 			for {
 				select {
 				case <-done:
@@ -199,7 +207,7 @@ func TestSealedReadsRaceSealing(t *testing.T) {
 				if n == 0 {
 					continue
 				}
-				v, err := s.View(1 + rng.Intn(n))
+				v, err := s.View(1+rng.Intn(n), &buf)
 				if err != nil {
 					t.Error(err)
 					return
@@ -214,7 +222,7 @@ func TestSealedReadsRaceSealing(t *testing.T) {
 						return
 					}
 				}
-				s.ListViews("", nil, 0, 5)
+				s.ListViews("", nil, 0, 5, &buf)
 			}
 		}(r)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"unsafe"
 
@@ -51,17 +52,30 @@ type entry struct {
 // gets a chunk of its own.
 const arenaChunk = 1 << 20
 
-// arena is append-only: a record's bytes never change once written, so a
-// reader may keep a slice of them after the scheduler's lock is released.
+// arena is append-only: a record's bytes never change once written. Its
+// chunks come from mapChunk, outside the garbage-collected heap where the
+// platform allows it (arena_mmap.go), so the records neither count toward
+// the collector's heap goal nor are marked. No slice of a chunk leaves
+// Scheduler.mu: a reader copies a record out under the lock, so the chunks
+// can be unmapped once the scheduler is unreachable.
 type arena struct {
 	chunks [][]byte
 	bytes  int64 // record bytes held
 }
 
+// newArena is an empty arena whose chunks are unmapped when it becomes
+// unreachable. The finalizer sits on the arena, not the Scheduler: the
+// scheduler's cond references its mutex, a cycle a finalizer never runs on.
+func newArena() *arena {
+	a := new(arena)
+	runtime.SetFinalizer(a, (*arena).free)
+	return a
+}
+
 func (a *arena) add(rec []byte) (chunk, off uint32) {
 	last := len(a.chunks) - 1
 	if last < 0 || len(a.chunks[last])+len(rec) > cap(a.chunks[last]) {
-		a.chunks = append(a.chunks, make([]byte, 0, max(arenaChunk, len(rec))))
+		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec))))
 		last++
 	}
 	c := a.chunks[last]
@@ -70,9 +84,17 @@ func (a *arena) add(rec []byte) (chunk, off uint32) {
 	return uint32(last), uint32(len(c))
 }
 
+// free returns every chunk to the system. Nothing reads the arena after it.
+func (a *arena) free() {
+	for _, c := range a.chunks {
+		unmapChunk(c)
+	}
+	a.chunks = nil
+}
+
 // Record is a sealed job: the record Job.AppendJSON wrote when the job turned
-// terminal. Its bytes are read-only and stay valid for as long as the caller
-// keeps them.
+// terminal, copied out of the arena into a buffer of the caller's. Its bytes
+// stay valid until the caller reuses that buffer.
 type Record struct {
 	JSON         []byte
 	Status       JobStatus
@@ -93,7 +115,7 @@ func (r Record) ResultFields() []byte {
 }
 
 // Head is a record's scalar fields: all of it but the circuit and the result.
-// Its strings share the record's bytes.
+// Its strings share the record's bytes, so they last as long as those do.
 type Head struct {
 	ID         int
 	Device     string
@@ -207,15 +229,20 @@ func (s *Scheduler) findLocked(id int) int {
 	return -1
 }
 
-// viewLocked is entry e's view; a live copy is taken as it is stored.
-// Caller holds s.mu.
-func (s *Scheduler) viewLocked(e *entry) View {
+// viewLocked is entry e's view; a live copy is taken as it is stored, a
+// sealed record is appended to *buf (nil: a new buffer). Caller holds s.mu.
+func (s *Scheduler) viewLocked(e *entry, buf *[]byte) View {
 	if e.state == 0 {
 		cp := *s.jobs[e.id]
 		return View{ID: e.id, Live: &cp}
 	}
+	if buf == nil {
+		buf = new([]byte)
+	}
+	start := len(*buf)
+	*buf = append(*buf, s.arena.chunks[e.chunk][e.off:e.off+e.n]...)
 	return View{ID: e.id, Sealed: Record{
-		JSON:         s.arena.chunks[e.chunk][e.off : e.off+e.n : e.off+e.n],
+		JSON:         (*buf)[start:len(*buf):len(*buf)],
 		Status:       sealedStates[e.state],
 		SubmitUnixMs: e.submitMs,
 		at:           e.at,
@@ -276,15 +303,20 @@ func (s *Scheduler) sealLocked(j *Job, rec encoded) {
 }
 
 // View returns job id as the scheduler holds it, a live job relabelled as
-// Job relabels it.
-func (s *Scheduler) View(id int) (View, error) {
+// Job relabels it. A sealed job's record is copied into *buf from its start
+// (nil: a new buffer), so it is the caller's: it stays valid until the
+// caller reuses *buf.
+func (s *Scheduler) View(id int, buf *[]byte) (View, error) {
+	if buf != nil {
+		*buf = (*buf)[:0]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
 		return View{ID: id, Live: refined(*j)}, nil
 	}
 	if i := s.findLocked(id); i >= 0 {
-		return s.viewLocked(&s.index[i]), nil
+		return s.viewLocked(&s.index[i], buf), nil
 	}
 	return View{}, fmt.Errorf("%w %d", ErrNoJob, id)
 }

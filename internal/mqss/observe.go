@@ -67,7 +67,7 @@ func (s *Server) v2Trace(w http.ResponseWriter, r *http.Request, id int) {
 			fmt.Sprintf("method %s not allowed", r.Method), false)
 		return
 	}
-	job, err := s.v2JobRecord(id, false)
+	job, err := s.v2JobRecord(id, false, nil)
 	if err != nil {
 		writeFleetError(w, err)
 		return

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -264,7 +266,7 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 	page := &JobPage{}
 	for _, id := range ids {
 		live := want[id]
-		v, err := f.View(id)
+		v, err := f.View(id, nil)
 		if err != nil || v.Live != nil {
 			t.Fatalf("job %d: view %+v, %v; want it sealed", id, v, err)
 		}
@@ -348,15 +350,57 @@ func TestWatchLineAllocs(t *testing.T) {
 	}
 }
 
+// TestWatchOfFinishedJobSubscribesNothing: a watch of a terminal job is its
+// snapshot line alone, so it takes no bus subscription, whose 32-event
+// channel was most of what such a watch allocated.
+func TestWatchOfFinishedJobSubscribesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race; CI runs this gate as its own non-race step")
+	}
+	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 1)
+	server := NewFleetServer(f)
+	id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5}, fleet.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WaitSettled()
+	r := httptest.NewRequest(http.MethodGet, pathV2Jobs+"/"+FormatJobID(id)+"/events", nil)
+	w := &discardWriter{h: http.Header{}}
+	server.ServeHTTP(w, r)
+	const runs = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		server.ServeHTTP(w, r)
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	channel := float64(32 * unsafe.Sizeof(fleet.Event{}))
+	t.Logf("watch of a done job: %.0f B allocated; a subscription's channel is %.0f B", per, channel)
+	if per >= channel {
+		t.Errorf("watch of a done job allocates %.0f B, want < %.0f B, the channel of the subscription it should not take", per, channel)
+	}
+}
+
 // TestMetricsReportRetention pushes 10 000 jobs through a server's fleet,
 // the last 1 500 of them keyed, and reads what the node holds from its
-// Prometheus text alone.
+// Prometheus text alone. The first 2 000 fill the bounded tables (the trace
+// ring above all); over the other 8 000 the live heap grows by the index
+// entries and not by the records, which are off the collector's heap (the
+// arena's chunks are mapped, fleet/arena_mmap.go).
 func TestMetricsReportRetention(t *testing.T) {
 	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 2)
 	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
-	const jobs, keyed, window = 10000, 1500, 1024
+	const jobs, keyed, window, warm = 10000, 1500, 1024, 2000
+	var live0, records0 float64
 	for i := 0; i < jobs; i++ {
+		if i == warm {
+			f.WaitSettled()
+			runtime.GC()
+			body := scrapeMetrics(t, srv)
+			live0, records0 = sampleOf(t, body, "qhpc_go_heap_live_bytes"), sampleOf(t, body, "qhpc_job_records_bytes")
+		}
 		var opts fleet.SubmitOptions
 		if i >= jobs-keyed {
 			opts.IdemKey = fmt.Sprintf("k-%d", i)
@@ -371,17 +415,7 @@ func TestMetricsReportRetention(t *testing.T) {
 	checkExposition(t, body)
 	sample := func(series string) float64 {
 		t.Helper()
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, series+" "); ok {
-				x, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				return x
-			}
-		}
-		t.Fatalf("no sample %s in /metrics", series)
-		return 0
+		return sampleOf(t, body, series)
 	}
 	if got := sample(`qhpc_jobs_retained{state="sealed"}`); got != jobs {
 		t.Errorf("sealed jobs = %v, want %d", got, jobs)
@@ -398,8 +432,13 @@ func TestMetricsReportRetention(t *testing.T) {
 	if per := records / jobs; per < 100 || per > 1000 {
 		t.Errorf("record bytes per GHZ(2) job = %.0f, want a few hundred", per)
 	}
-	if live := sample("qhpc_go_heap_live_bytes"); live < records {
-		t.Errorf("live heap %v < the records' %v bytes", live, records)
+	live, added := sample("qhpc_go_heap_live_bytes")-live0, records-records0
+	t.Logf("over the last %d jobs: live heap +%.0f B, records +%.0f B", jobs-warm, live, added)
+	// Where there is no anonymous mmap the arena is on the heap
+	// (fleet/arena_heap.go).
+	offHeap := !slices.Contains([]string{"windows", "plan9", "js", "wasip1"}, runtime.GOOS)
+	if offHeap && live >= added/2 {
+		t.Errorf("live heap grew %.0f B over the last %d jobs, want < half their records' %.0f B: the records are on the heap", live, jobs-warm, added)
 	}
 	if scan := sample("qhpc_go_gc_scan_heap_bytes"); scan <= 0 {
 		t.Errorf("scannable heap = %v, want > 0", scan)
@@ -413,4 +452,20 @@ func TestMetricsReportRetention(t *testing.T) {
 	if cpu := sample("qhpc_go_gc_cpu_seconds_total"); cpu < 0 {
 		t.Errorf("GC CPU seconds = %v", cpu)
 	}
+}
+
+// sampleOf is the value of series in Prometheus text body.
+func sampleOf(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			x, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return x
+		}
+	}
+	t.Fatalf("no sample %s in /metrics", series)
+	return 0
 }

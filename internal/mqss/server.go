@@ -109,26 +109,32 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// outPool recycles the buffers job records are written into.
+// outPool recycles the buffers of the response path: those job records
+// are written into, and those a sealed job's record is copied into out of
+// the scheduler's arena (fleet.Scheduler.View).
 var outPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putOut pools buf unless one outsized record grew it.
+func putOut(buf *[]byte) {
+	if cap(*buf) <= 64<<10 {
+		outPool.Put(buf)
+	}
+}
 
 // writeRecord writes a job record through a pooled buffer, without
 // reflection; the bytes are what writeJSON would send.
 func writeRecord(w http.ResponseWriter, status int, job *Job) {
 	buf := outPool.Get().(*[]byte)
+	defer putOut(buf)
 	b, err := job.AppendJSON((*buf)[:0])
 	if err != nil {
-		outPool.Put(buf)
 		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(append(b, '\n')) // the newline json.Encoder ends a value with
-	if cap(b) <= 64<<10 {
-		*buf = b
-		outPool.Put(buf)
-	}
+	*buf = b
 }
 
 // Error rendering. Both API versions share one classification (status,

@@ -35,7 +35,9 @@ const pathV2Jobs = "/api/v2/jobs"
 const maxWait = 60 * time.Second
 
 // parseWait reads the ?wait= long-poll budget: a Go duration ("500ms",
-// "3s") or a bare number of seconds. Zero means "don't wait".
+// "3s") or a bare number of seconds. Zero means "don't wait". Seconds are
+// checked and capped before they become a Duration: Go leaves the
+// conversion of a float out of int64's range to the platform.
 func parseWait(r *http.Request) (time.Duration, error) {
 	v := r.URL.Query().Get("wait")
 	if v == "" {
@@ -44,10 +46,15 @@ func parseWait(r *http.Request) (time.Duration, error) {
 	d, err := time.ParseDuration(v)
 	if err != nil {
 		secs, serr := strconv.ParseFloat(v, 64)
-		if serr != nil {
+		switch {
+		case serr != nil:
 			return 0, fmt.Errorf("malformed wait %q (want a duration like 3s)", v)
+		case math.IsNaN(secs) || math.IsInf(secs, 0):
+			return 0, fmt.Errorf("malformed wait %q (want a finite number of seconds)", v)
+		case secs < 0:
+			return 0, fmt.Errorf("malformed wait %q (must be >= 0)", v)
 		}
-		d = time.Duration(secs * float64(time.Second))
+		d = time.Duration(min(secs, maxWait.Seconds()) * float64(time.Second))
 	}
 	if d < 0 {
 		return 0, fmt.Errorf("malformed wait %q (must be >= 0)", v)
@@ -68,9 +75,11 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// v2JobRecord fetches the unified record for a backend job ID.
-func (s *Server) v2JobRecord(id int, withRequest bool) (*Job, error) {
-	v, err := s.fleet.View(id)
+// v2JobRecord fetches the unified record for a backend job ID. A sealed
+// job's record is copied into *buf and the Job shares its bytes, so the
+// caller keeps *buf until the Job is written.
+func (s *Server) v2JobRecord(id int, withRequest bool, buf *[]byte) (*Job, error) {
+	v, err := s.fleet.View(id, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +233,9 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		_ = s.fleet.Await(ctx, id)
 		cancel()
 	}
-	job, err := s.v2JobRecord(id, false)
+	buf := outPool.Get().(*[]byte)
+	defer putOut(buf)
+	job, err := s.v2JobRecord(id, false, buf)
 	if err != nil {
 		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 		return
@@ -284,7 +295,9 @@ func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 	}
 	page := &JobPage{Jobs: []*Job{}}
 	var lastID int
-	views, more := s.fleet.ListViews(q.Get("user"), filter, before, limit)
+	buf := outPool.Get().(*[]byte)
+	defer putOut(buf)
+	views, more := s.fleet.ListViews(q.Get("user"), filter, before, limit, buf)
 	for _, v := range views {
 		job, err := v2FromView(v, false)
 		if err != nil {
@@ -357,7 +370,9 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 		writeV2Error(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), false)
 		return
 	}
-	job, err := s.v2JobRecord(id, true)
+	buf := outPool.Get().(*[]byte)
+	defer putOut(buf)
+	job, err := s.v2JobRecord(id, true, buf)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -366,7 +381,7 @@ func (s *Server) v2Get(w http.ResponseWriter, r *http.Request, id int) {
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
 		_ = s.fleet.Await(ctx, id)
 		cancel()
-		if job, err = s.v2JobRecord(id, true); err != nil {
+		if job, err = s.v2JobRecord(id, true, buf); err != nil {
 			writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 			return
 		}
@@ -382,7 +397,9 @@ func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
 		writeFleetError(w, err)
 		return
 	}
-	job, err := s.v2JobRecord(id, true)
+	buf := outPool.Get().(*[]byte)
+	defer putOut(buf)
+	job, err := s.v2JobRecord(id, true, buf)
 	if err != nil {
 		writeV2Error(w, http.StatusInternalServerError, CodeInternal, err.Error(), false)
 		return
@@ -395,17 +412,24 @@ func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
 // synthetic snapshot event for the job's current state (so late watchers
 // see where they stand), then follows the event bus until the job goes
 // terminal, the client disconnects, or the server begins a graceful
-// shutdown. Because the subscription starts before the snapshot read, a
-// transition can appear twice (snapshot + live); consumers key on state,
-// not event count.
+// shutdown. A terminal job's stream is its snapshot alone, read without a
+// subscription. A live job's subscription starts before its snapshot is
+// read again, so no transition is missed but one can appear twice
+// (snapshot + live); consumers key on state, not event count.
 func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
-	sub := s.fleet.Events().Subscribe(id, 32)
-	defer sub.Close()
-
 	state, device, recovered, err := s.fleet.Peek(id)
 	if err != nil {
 		writeFleetError(w, err)
 		return
+	}
+	var sub *fleet.Subscription
+	if !state.Terminal() {
+		sub = s.fleet.Events().Subscribe(id, 32)
+		defer sub.Close()
+		if state, device, recovered, err = s.fleet.Peek(id); err != nil {
+			writeFleetError(w, err)
+			return
+		}
 	}
 
 	out := watchWriter{w: w, sse: strings.Contains(r.Header.Get("Accept"), "text/event-stream")}

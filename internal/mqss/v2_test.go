@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 )
 
 // pacedDevice is the name pacedStack's sole device registers under.
@@ -1061,5 +1063,54 @@ func TestV2FleetMigrationEvents(t *testing.T) {
 	}
 	if !sawMigration {
 		t.Error("no migration event for the failed-over job")
+	}
+}
+
+// TestWaitSecondsAreCheckedBeforeConversion: a bare-seconds ?wait= that is
+// not finite is refused, a negative one too, and a finite one past the cap
+// waits maxWait, on POST and GET alike. The seconds never become a Duration
+// out of its range, a conversion Go leaves to the platform (amd64 made
+// 1e300, NaN and Inf all -2^63 and refused them as negative).
+func TestWaitSecondsAreCheckedBeforeConversion(t *testing.T) {
+	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 1)
+	srv := httptest.NewServer(NewFleetServer(f))
+	t.Cleanup(srv.Close)
+	id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5}, fleet.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WaitSettled()
+	for _, tc := range []struct {
+		wait   string
+		d      time.Duration // parseWait's budget, when accepted
+		status int           // POST's and GET's
+		msg    string        // in a refusal's message
+	}{
+		{"1e300", maxWait, http.StatusOK, ""},
+		{"61", maxWait, http.StatusOK, ""},
+		{"0.5", 500 * time.Millisecond, http.StatusOK, ""},
+		{"NaN", 0, http.StatusBadRequest, "finite"},
+		{"Inf", 0, http.StatusBadRequest, "finite"},
+		{"-Inf", 0, http.StatusBadRequest, "finite"},
+		{"-1e300", 0, http.StatusBadRequest, "must be"},
+		{"-1", 0, http.StatusBadRequest, "must be"},
+	} {
+		query := "?wait=" + url.QueryEscape(tc.wait)
+		d, err := parseWait(httptest.NewRequest(http.MethodGet, "/"+query, nil))
+		if tc.status == http.StatusOK && (err != nil || d != tc.d) {
+			t.Errorf("wait %s: parsed %v, %v; want %v", tc.wait, d, err, tc.d)
+		}
+		post := postV2(t, srv, pathV2Jobs+query, SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5}, nil)
+		get, err := srv.Client().Get(srv.URL + pathV2Jobs + "/" + FormatJobID(id) + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for method, resp := range map[string]*http.Response{"POST": post, "GET": get} {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.msg) {
+				t.Errorf("%s wait %s: %d %s; want %d with %q", method, tc.wait, resp.StatusCode, body, tc.status, tc.msg)
+			}
+		}
 	}
 }

@@ -89,7 +89,7 @@ func (t *AliasTable) Len() int { return len(t.prob) }
 // integer part of u·n picks the bucket, the fractional part decides between
 // the bucket's own outcome and its alias.
 func (t *AliasTable) Sample(rng *rand.Rand) int {
-	u := rng.Float64() * float64(len(t.prob))
+	u := float64(rng.Float64() * float64(len(t.prob))) // rounded: u-i must not fuse
 	i := int(u)
 	if i >= len(t.prob) {
 		i = len(t.prob) - 1 // fp guard; Float64 < 1 makes this unreachable

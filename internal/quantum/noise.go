@@ -62,7 +62,7 @@ func AmplitudeDamping(gamma float64) Channel {
 // individual trajectory, not just on ensemble average.
 func PhaseDamping(lambda float64) Channel {
 	l := clamp01(lambda)
-	p := (1 - math.Sqrt(1-l)) / 2
+	p := float64((1 - math.Sqrt(1-l)) / 2) // x/2 is x·0.5: rounded, it does not fuse into 1-p
 	s0 := complex(math.Sqrt(1-p), 0)
 	s1 := complex(math.Sqrt(p), 0)
 	return Channel{
@@ -89,11 +89,11 @@ func Depolarizing(p float64) Channel {
 	}
 }
 
-// scale2 returns f·m.
+// scale2 returns f·m, each product through cmul.
 func scale2(m Matrix2, f complex128) Matrix2 {
 	for i := range m {
 		for j := range m[i] {
-			m[i][j] *= f
+			m[i][j] = cmul(m[i][j], f)
 		}
 	}
 	return m
@@ -140,7 +140,7 @@ func (c Channel) Floor() float64 {
 	}
 	g00, g11, g01 := gram(c.Kraus[0])
 	// The smaller eigenvalue of the Hermitian 2x2 matrix [[g00 g01] [g01* g11]].
-	f := (g00+g11)/2 - math.Hypot((g00-g11)/2, cmplx.Abs(g01))
+	f := float64((g00+g11)/2) - math.Hypot((g00-g11)/2, cmplx.Abs(g01))
 	if f < 0 {
 		return 0 // rounding on a singular K0
 	}
@@ -152,7 +152,7 @@ func frobNorm2(m Matrix2) float64 {
 	sum := 0.0
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			sum += real(m[i][j])*real(m[i][j]) + imag(m[i][j])*imag(m[i][j])
+			sum += float64(real(m[i][j])*real(m[i][j])) + float64(imag(m[i][j])*imag(m[i][j]))
 		}
 	}
 	return sum

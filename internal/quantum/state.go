@@ -109,11 +109,12 @@ func (s *State) Reset() {
 	s.amps[0] = 1
 }
 
-// Norm returns the 2-norm of the state (1 for a normalized state).
+// Norm returns the 2-norm of the state (1 for a normalized state). Each
+// square is rounded on its own, so no port fuses it into the sum.
 func (s *State) Norm() float64 {
 	sum := 0.0
 	for _, a := range s.amps {
-		sum += real(a)*real(a) + imag(a)*imag(a)
+		sum += float64(real(a)*real(a)) + float64(imag(a)*imag(a))
 	}
 	return math.Sqrt(sum)
 }
@@ -127,7 +128,7 @@ func (s *State) Normalize() error {
 	}
 	inv := complex(1/n, 0)
 	for i := range s.amps {
-		s.amps[i] *= inv
+		s.amps[i] = cmul(s.amps[i], inv)
 	}
 	return nil
 }
@@ -483,10 +484,11 @@ type OutcomeWeights struct {
 	W    [MaxQubits][2]float64
 }
 
-// SetDiagonal puts the weights of the diagonal operator d on qubit q.
+// SetDiagonal puts the weights of the diagonal operator d on qubit q, each
+// square rounded on its own.
 func (w *OutcomeWeights) SetDiagonal(q int, d Matrix2) {
 	a, b := d[0][0], d[1][1]
-	w.W[q] = [2]float64{real(a)*real(a) + imag(a)*imag(a), real(b)*real(b) + imag(b)*imag(b)}
+	w.W[q] = [2]float64{float64(real(a)*real(a)) + float64(imag(a)*imag(a)), float64(real(b)*real(b)) + float64(imag(b)*imag(b))}
 	w.Mask |= 1 << uint(q)
 }
 
