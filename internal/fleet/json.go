@@ -76,13 +76,23 @@ func (j *Job) appendRecord(b []byte) ([]byte, recordAt, error) {
 
 // AppendJSON appends the result's JSON object to b.
 func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	b, err := r.AppendFields(append(b, '{'))
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// AppendFields appends the members of the result's JSON object to b, without
+// its braces: the v2 job record writes them inline among its own. On an
+// error it returns b as far as it got, as jsonwire.AppendFloat does.
+func (r *Result) AppendFields(b []byte) ([]byte, error) {
 	var err error
 	float := func(name string, f float64) {
 		if err == nil {
 			b, err = jsonwire.AppendFloat(append(b, name...), f)
 		}
 	}
-	b = append(b, '{')
 	if r.CompiledGates != 0 {
 		b = strconv.AppendInt(append(b, `"compiled_gates":`...), int64(r.CompiledGates), 10)
 		b = append(b, ',')
@@ -117,8 +127,5 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 	if r.EndTime != 0 {
 		float(`,"end_time":`, r.EndTime)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '}'), nil
+	return b, err
 }

@@ -114,8 +114,8 @@ func (r Record) ResultFields() []byte {
 	return r.JSON[r.at.res+1 : r.at.resEnd-1]
 }
 
-// Head is a record's scalar fields: all of it but the circuit and the result.
-// Its strings share the record's bytes, so they last as long as those do.
+// Head is the scalar fields a job's v2 record shows, of a live job (Job.Head)
+// or a sealed one (Record.Head, whose strings share the record's bytes).
 type Head struct {
 	ID         int
 	Device     string
@@ -129,6 +129,13 @@ type Head struct {
 	Error      string
 	Recovered  bool
 	Node       string
+}
+
+// Head is the job's scalar fields, as Record.Head reads them from its record.
+func (j *Job) Head() Head {
+	return Head{ID: j.ID, Device: j.Device, Migrations: j.Migrations, Score: j.Score, Pinned: j.Pinned,
+		User: j.Request.User, Shots: j.Request.Shots, Priority: j.Request.Priority, DeadlineMs: j.Request.DeadlineMs,
+		Error: j.Error, Recovered: j.Recovered, Node: j.Node}
 }
 
 // Head lexes the record's scalar fields. It jumps over the circuit and the
@@ -164,9 +171,7 @@ func (r Record) Head() (Head, error) {
 		case "pinned":
 			str(&h.Pinned)
 		case "request":
-			if l.Err() == nil {
-				l.Reset(r.JSON[r.at.shots:r.at.reqEnd])
-			}
+			jump(r.at.shots)
 			for n := 1; l.More('}', n); n++ {
 				switch key := l.Key(); string(key) {
 				case "shots":

@@ -17,7 +17,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/jsonwire"
 	"repro/internal/qrm"
-	"repro/internal/transpile"
 )
 
 // JobState is the scheduler's job status, served as-is: the lifecycle and
@@ -95,19 +94,10 @@ type Job struct {
 	// Pinned names the backend the submission was pinned to, if any.
 	Pinned string `json:"pinned,omitempty"`
 
-	// Compilation artefacts, present once the job was dispatched.
-	CompiledGates int              `json:"compiled_gates,omitempty"`
-	CZCount       int              `json:"cz_count,omitempty"`
-	Layout        transpile.Layout `json:"layout,omitempty"`
-	CompileStats  string           `json:"compile_stats,omitempty"`
-
-	// Results, present on done jobs.
-	Counts     circuit.Counts `json:"counts,omitempty"`
-	DurationUs float64        `json:"duration_us,omitempty"`
-
-	// Timing on the backend's simulation clock.
-	SubmitTime float64 `json:"submit_time"`
-	EndTime    float64 `json:"end_time,omitempty"`
+	// The result's members, inline: compilation artefacts once the job was
+	// dispatched, counts and duration once it is done, and its timing on
+	// the backend's simulation clock.
+	fleet.Result
 
 	// Recovered marks a job restored from the durable store after a
 	// restart; absent on jobs submitted to the current process.
@@ -127,9 +117,9 @@ type Job struct {
 	// pages and watch snapshots.
 	Request *qrm.Request `json:"request,omitempty"`
 
-	// A record read from a sealed job (v2FromRecord) carries its result's
-	// members and its request as the JSON the job was sealed with, which
-	// AppendJSON copies in place of the fields above.
+	// A record read from a sealed job carries its result's members and its
+	// request as the JSON the job was sealed with, which AppendJSON copies
+	// in place of Result and Request.
 	result, request []byte
 }
 
@@ -174,38 +164,10 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
 	}
 	if j.result != nil {
-		// Result.AppendJSON writes the same members in the same order.
+		// Result.AppendFields wrote these members when the job was sealed.
 		b = append(append(b, ','), j.result...)
-	} else {
-		if j.CompiledGates != 0 {
-			b = strconv.AppendInt(append(b, `,"compiled_gates":`...), int64(j.CompiledGates), 10)
-		}
-		if j.CZCount != 0 {
-			b = strconv.AppendInt(append(b, `,"cz_count":`...), int64(j.CZCount), 10)
-		}
-		if len(j.Layout) > 0 {
-			b = append(b, `,"layout":[`...)
-			for i, q := range j.Layout {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendInt(b, int64(q), 10)
-			}
-			b = append(b, ']')
-		}
-		if j.CompileStats != "" {
-			b = jsonwire.AppendString(append(b, `,"compile_stats":`...), j.CompileStats)
-		}
-		if len(j.Counts) > 0 {
-			b = j.Counts.AppendJSON(append(b, `,"counts":`...))
-		}
-		if j.DurationUs != 0 {
-			float(`,"duration_us":`, j.DurationUs)
-		}
-		float(`,"submit_time":`, j.SubmitTime)
-		if j.EndTime != 0 {
-			float(`,"end_time":`, j.EndTime)
-		}
+	} else if err == nil {
+		b, err = j.Result.AppendFields(append(b, ','))
 	}
 	if j.Recovered {
 		b = append(b, `,"recovered":true`...)
@@ -415,80 +377,39 @@ func jobErrorEnvelope(msg string) *APIError {
 	return &env
 }
 
-// v2FromFleet lifts a fleet record (as Scheduler.Job returns it: a routed
-// job past its compile already reads running) into the unified resource.
-func v2FromFleet(j *fleet.Job, withRequest bool) *Job {
-	out := &Job{
-		ID:         FormatJobID(j.ID),
-		State:      j.Status,
-		Device:     j.Device,
-		User:       j.Request.User,
-		Shots:      j.Request.Shots,
-		Priority:   j.Request.Priority,
-		DeadlineMs: j.Request.DeadlineMs,
-		Migrations: j.Migrations,
-		Score:      j.Score,
-		Pinned:     j.Pinned,
-		Recovered:  j.Recovered,
-		Node:       j.Node,
+// v2FromView is the record of a job as the scheduler holds it: a live job
+// as Scheduler.View relabels it (a routed job past its compile reads
+// running), or a sealed one, whose result's members and request are copied
+// as they were written, so its record has the bytes the live job's had
+// (TestSealedRecordMatchesLive).
+func v2FromView(v fleet.View, withRequest bool) (*Job, error) {
+	out := new(Job)
+	var h fleet.Head
+	if j := v.Live; j != nil {
+		h, out.State = j.Head(), j.Status
+		if j.Result != nil {
+			out.Result = *j.Result
+		}
+		if withRequest {
+			req := j.Request
+			out.Request = &req
+		}
+	} else {
+		var err error
+		if h, err = v.Sealed.Head(); err != nil {
+			return nil, err
+		}
+		out.State, out.result = v.Sealed.Status, v.Sealed.ResultFields()
+		if withRequest {
+			out.request = v.Sealed.Request()
+		}
 	}
-	if rec := j.Result; rec != nil {
-		out.CompiledGates = rec.CompiledGates
-		out.CZCount = rec.CZCount
-		out.Layout = rec.Layout
-		out.CompileStats = rec.CompileStats
-		out.Counts = rec.Counts
-		out.DurationUs = rec.DurationUs
-		out.SubmitTime = rec.SubmitTime
-		out.EndTime = rec.EndTime
-	}
-	if out.State == StateFailed {
-		out.Error = jobErrorEnvelope(j.Error)
-	}
-	if withRequest {
-		req := j.Request
-		out.Request = &req
-	}
-	return out
-}
-
-// v2FromRecord is v2FromFleet for a sealed job: the header fields are lexed
-// from its record, and the result's members and the request are copied as
-// they are, so the bytes AppendJSON writes are those v2FromFleet's record
-// wrote before the job was sealed (TestSealedRecordMatchesLive).
-func v2FromRecord(rec fleet.Record, withRequest bool) (*Job, error) {
-	h, err := rec.Head()
-	if err != nil {
-		return nil, err
-	}
-	out := &Job{
-		ID:         FormatJobID(h.ID),
-		State:      rec.Status,
-		Device:     h.Device,
-		User:       h.User,
-		Shots:      h.Shots,
-		Priority:   h.Priority,
-		DeadlineMs: h.DeadlineMs,
-		Migrations: h.Migrations,
-		Score:      h.Score,
-		Pinned:     h.Pinned,
-		Recovered:  h.Recovered,
-		Node:       h.Node,
-		result:     rec.ResultFields(),
-	}
+	out.ID = FormatJobID(h.ID)
+	out.Device, out.Migrations, out.Score, out.Pinned = h.Device, h.Migrations, h.Score, h.Pinned
+	out.User, out.Shots, out.Priority, out.DeadlineMs = h.User, h.Shots, h.Priority, h.DeadlineMs
+	out.Recovered, out.Node = h.Recovered, h.Node
 	if out.State == StateFailed {
 		out.Error = jobErrorEnvelope(h.Error)
 	}
-	if withRequest {
-		out.request = rec.Request()
-	}
 	return out, nil
-}
-
-// v2FromView is the record of a job as the scheduler holds it.
-func v2FromView(v fleet.View, withRequest bool) (*Job, error) {
-	if v.Live != nil {
-		return v2FromFleet(v.Live, withRequest), nil
-	}
-	return v2FromRecord(v.Sealed, withRequest)
 }

@@ -67,7 +67,7 @@ func (s *Server) v2Trace(w http.ResponseWriter, r *http.Request, id int) {
 			fmt.Sprintf("method %s not allowed", r.Method), false)
 		return
 	}
-	job, err := s.v2JobRecord(id, false, nil)
+	st, _, _, err := s.fleet.Peek(id)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -75,10 +75,10 @@ func (s *Server) v2Trace(w http.ResponseWriter, r *http.Request, id int) {
 	snap := s.fleet.Trace(id).Snapshot()
 	if snap == nil {
 		writeV2Error(w, http.StatusNotFound, CodeNotFound,
-			fmt.Sprintf("no trace retained for job %s (tracing off, or evicted from the retention ring)", job.ID), false)
+			fmt.Sprintf("no trace retained for job %s (tracing off, or evicted from the retention ring)", FormatJobID(id)), false)
 		return
 	}
-	writeJSON(w, http.StatusOK, &JobTrace{JobID: job.ID, State: job.State, Snapshot: *snap})
+	writeJSON(w, http.StatusOK, &JobTrace{JobID: FormatJobID(id), State: st, Snapshot: *snap})
 }
 
 // handleMetricsProm: GET /metrics — the text exposition. Metric families

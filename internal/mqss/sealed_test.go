@@ -251,6 +251,13 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 		}
 		return append(b, '\n')
 	}
+	fromLive := func(j fleet.Job, withRequest bool) *Job {
+		out, err := v2FromView(fleet.View{Live: &j}, withRequest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	same := func(what string, id int, got, want []byte) {
 		t.Helper()
 		if !bytes.Equal(got, want) {
@@ -271,13 +278,13 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 			t.Fatalf("job %d: view %+v, %v; want it sealed", id, v, err)
 		}
 		path := "/api/v2/jobs/" + FormatJobID(id)
-		same("GET", id, get(path, nil), record(v2FromFleet(&live, true)))
+		same("GET", id, get(path, nil), record(fromLive(live, true)))
 
 		sealed, err := v2FromView(v, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		same("POST record", id, record(sealed), record(v2FromFleet(&live, false)))
+		same("POST record", id, record(sealed), record(fromLive(live, false)))
 		if live.IdemKey != "" {
 			resp := postV2(t, srv, pathV2Jobs, SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: live.Request.User},
 				map[string]string{"Idempotency-Key": live.IdemKey})
@@ -286,7 +293,7 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 			if resp.Header.Get("Idempotency-Replayed") != "true" {
 				t.Errorf("job %d: POST under its key was not replayed", id)
 			}
-			same("POST replay", id, body, record(v2FromFleet(&live, false)))
+			same("POST replay", id, body, record(fromLive(live, false)))
 		}
 
 		ev, _ := json.Marshal(JobEvent{JobID: FormatJobID(id), State: live.Status, Device: live.Device, Reason: "snapshot"})
@@ -307,7 +314,7 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 		if !reflect.DeepEqual(decoded.Result, live.Result) {
 			t.Errorf("job %d Job: result %+v, want %+v", id, decoded.Result, live.Result)
 		}
-		page.Jobs = append(page.Jobs, v2FromFleet(&live, false))
+		page.Jobs = append(page.Jobs, fromLive(live, false))
 	}
 	var wantPage bytes.Buffer
 	if err := json.NewEncoder(&wantPage).Encode(page); err != nil {

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,10 +35,14 @@ const pathV2Jobs = "/api/v2/jobs"
 // goroutine forever; longer waits re-poll.
 const maxWait = 60 * time.Second
 
+// digitRuns cuts a ?wait= value down to its shape (parseWait).
+var digitRuns = regexp.MustCompile(`[0-9]+`)
+
 // parseWait reads the ?wait= long-poll budget: a Go duration ("500ms",
 // "3s") or a bare number of seconds. Zero means "don't wait". Seconds are
 // checked and capped before they become a Duration: Go leaves the
-// conversion of a float out of int64's range to the platform.
+// conversion of a float out of int64's range to the platform. A Go duration
+// past that range is capped too, or refused when negative.
 func parseWait(r *http.Request) (time.Duration, error) {
 	v := r.URL.Query().Get("wait")
 	if v == "" {
@@ -46,6 +51,16 @@ func parseWait(r *http.Request) (time.Duration, error) {
 	d, err := time.ParseDuration(v)
 	if err != nil {
 		secs, serr := strconv.ParseFloat(v, 64)
+		if serr != nil {
+			// Nothing but its size makes a duration's digits malformed: a v
+			// that parses with each run of them cut to "1" is past int64's
+			// range.
+			if _, derr := time.ParseDuration(digitRuns.ReplaceAllString(v, "1")); derr == nil {
+				if secs, serr = math.MaxFloat64, nil; v[0] == '-' {
+					secs = -secs
+				}
+			}
+		}
 		switch {
 		case serr != nil:
 			return 0, fmt.Errorf("malformed wait %q (want a duration like 3s)", v)

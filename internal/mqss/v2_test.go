@@ -1068,7 +1068,8 @@ func TestV2FleetMigrationEvents(t *testing.T) {
 
 // TestWaitSecondsAreCheckedBeforeConversion: a bare-seconds ?wait= that is
 // not finite is refused, a negative one too, and a finite one past the cap
-// waits maxWait, on POST and GET alike. The seconds never become a Duration
+// waits maxWait, on POST and GET alike; so does a Go duration past int64's
+// range, which time.ParseDuration refuses. The seconds never become a Duration
 // out of its range, a conversion Go leaves to the platform (amd64 made
 // 1e300, NaN and Inf all -2^63 and refused them as negative).
 func TestWaitSecondsAreCheckedBeforeConversion(t *testing.T) {
@@ -1094,6 +1095,8 @@ func TestWaitSecondsAreCheckedBeforeConversion(t *testing.T) {
 		{"-Inf", 0, http.StatusBadRequest, "finite"},
 		{"-1e300", 0, http.StatusBadRequest, "must be"},
 		{"-1", 0, http.StatusBadRequest, "must be"},
+		{"3000000h", maxWait, http.StatusOK, ""},
+		{"-3000000h", 0, http.StatusBadRequest, "must be"},
 	} {
 		query := "?wait=" + url.QueryEscape(tc.wait)
 		d, err := parseWait(httptest.NewRequest(http.MethodGet, "/"+query, nil))

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/fleet"
 	"repro/internal/jsonwire"
 	"repro/internal/qrm"
 )
@@ -84,6 +85,30 @@ func TestJobJSONMatchesReflection(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("record %d encodes\n%s\nencoding/json writes\n%s", i, got, want)
+		}
+	}
+}
+
+// TestJobJSONRoundTrip: a client decoding a record with encoding/json gets
+// every field back, the result's members into the embedded fleet.Result, so
+// writing the decoded job again gives the same bytes. A method the embedded
+// struct gains (an UnmarshalJSON) is promoted onto Job and fails this.
+func TestJobJSONRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 3000; i++ {
+		var j Job
+		fillRandom(rng, reflect.ValueOf(&j).Elem())
+		data, err := j.AppendJSON(nil)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		var back Job
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("record %d: decode: %v\n%s", i, err, data)
+		}
+		again, err := back.AppendJSON(nil)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("record %d decodes and encodes again as (%v)\n%s\nwas\n%s", i, err, again, data)
 		}
 	}
 }
@@ -241,9 +266,9 @@ func TestSubmissionCodecAllocs(t *testing.T) {
 	}
 
 	job := &Job{ID: "j-1234", State: StateDone, Device: "garnet-20", User: "u0", Shots: 100,
-		Score: 0.912, CompiledGates: 51, CZCount: 6, Layout: []int{7, 8, 12, 13, 17},
-		CompileStats: "1q 20→20, 2q 6→6 cz, swaps 0", Counts: circuit.Counts{}, DurationUs: 812.5,
-		SubmitTime: 1.25, EndTime: 1.2508}
+		Score: 0.912, Result: fleet.Result{CompiledGates: 51, CZCount: 6, Layout: []int{7, 8, 12, 13, 17},
+			CompileStats: "1q 20→20, 2q 6→6 cz, swaps 0", Counts: circuit.Counts{}, DurationUs: 812.5,
+			SubmitTime: 1.25, EndTime: 1.2508}}
 	for k := 0; k < 32; k++ {
 		job.Counts[k<<7] = 3
 	}
