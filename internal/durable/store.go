@@ -70,7 +70,6 @@ type Store struct {
 
 	mu          sync.Mutex
 	enc         []byte // the payload being journaled, reused record to record
-	abandoned   bool
 	snapshotLSN uint64
 	compactions uint64
 	lastCompact time.Time
@@ -216,9 +215,6 @@ func (s *Store) JournalFleetUpdate(j *fleet.Job) uint64 {
 func (s *Store) journal(j *fleet.Job, encode func([]byte, *fleet.Job) ([]byte, error)) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.abandoned {
-		return s.w.lastLSNSnapshot()
-	}
 	payload, err := encode(s.enc[:0], j)
 	if err != nil {
 		// Admission refuses the values JSON cannot spell, so a failure is
@@ -297,19 +293,17 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// seal is the part of Compact that holds the store lock: it drains the WAL
-// to stable storage and rotates the active segment, so every record up to
-// snapLSN sits in a segment numbered at most sealed.
+// seal is the part of Compact that holds the store lock: it waits until
+// the WAL's last record is on stable storage and rotates the active
+// segment, so every record up to snapLSN sits in a segment numbered at most
+// sealed. An abandoned WAL refuses the rotation.
 func (s *Store) seal() (snapLSN, sealed uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.abandoned {
-		return 0, 0, fmt.Errorf("durable: store abandoned")
-	}
-	if err := s.w.syncAll(); err != nil {
+	snapLSN = s.w.lastLSNSnapshot()
+	if err := s.w.waitDurable(snapLSN); err != nil {
 		return 0, 0, fmt.Errorf("durable: pre-compaction sync: %w", err)
 	}
-	snapLSN = s.w.lastLSNSnapshot()
 	sealed, err = s.w.rotate()
 	return snapLSN, sealed, err
 }
@@ -347,9 +341,6 @@ func writeFileDurable(dir, name string, data []byte) error {
 func (s *Store) Abandon() {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	s.mu.Lock()
-	s.abandoned = true
-	s.mu.Unlock()
 	s.w.abandon()
 }
 

@@ -29,15 +29,17 @@ import (
 type SyncMode string
 
 const (
-	// SyncAlways fsyncs inline on every append: strongest guarantee,
-	// one fsync per record.
+	// SyncAlways returns from each append once the flusher has written
+	// and fsync'd its record: strongest guarantee, one fsync per record.
 	SyncAlways SyncMode = "always"
-	// SyncGroup batches appends behind a background flusher that fsyncs
-	// once per batch (group commit): submissions still block until their
-	// record is durable, but concurrent submitters share one fsync.
+	// SyncGroup returns from append at once and lets the flusher fsync
+	// once per batch (group commit): submissions still block in
+	// WaitDurable until their record is durable, but concurrent
+	// submitters share one fsync.
 	SyncGroup SyncMode = "group"
-	// SyncOff never fsyncs: records are written to the OS immediately but
-	// survive only process crashes, not power loss.
+	// SyncOff never fsyncs: append returns once the flusher has written
+	// its record to the OS, so it survives process crashes, not power
+	// loss.
 	SyncOff SyncMode = "off"
 )
 
@@ -63,7 +65,7 @@ const (
 	snapshotName  = "snapshot.wal"
 
 	// maxSpareBytes bounds the buffers kept for reuse — the store's record
-	// buffer and the group flusher's batch — so one outsized record or burst
+	// buffer and the flusher's batch — so one outsized record or burst
 	// does not pin its size for the life of the store.
 	maxSpareBytes = 1 << 20
 )
@@ -138,6 +140,8 @@ func fsyncDir(dir string) error {
 
 // wal is the append-only journal: one active segment file, an in-memory
 // frame buffer, and a durability watermark that WaitDurable blocks on.
+// While the WAL is open the flusher goroutine is the segment's one writer,
+// in every sync mode, and the only code that advances the watermark.
 type wal struct {
 	dir  string
 	mode SyncMode
@@ -148,7 +152,7 @@ type wal struct {
 	f         *os.File
 	seq       uint64 // active segment sequence number
 	buf       []byte // frames appended but not yet handed to the OS
-	spare     []byte // the group flusher's last written batch, reused as the next buf
+	spare     []byte // the flusher's last written batch, reused as the next buf
 	lastLSN   uint64 // last assigned LSN
 	durable   uint64 // highest LSN guaranteed on stable storage
 	abandoned bool   // simulated kill -9: unflushed buffer dropped
@@ -164,7 +168,7 @@ type wal struct {
 
 // openWAL creates the next journal segment (never appending to an old one:
 // a torn tail in segment k is harmless exactly because post-recovery records
-// land in k+1) and starts the group-commit flusher when the mode needs it.
+// land in k+1) and starts the flusher.
 func openWAL(dir string, mode SyncMode, nextSeq, lastLSN uint64) (*wal, error) {
 	f, err := os.OpenFile(filepath.Join(dir, segmentName(nextSeq)),
 		os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -179,16 +183,17 @@ func openWAL(dir string, mode SyncMode, nextSeq, lastLSN uint64) (*wal, error) {
 	}
 	w := &wal{dir: dir, mode: mode, f: f, seq: nextSeq, lastLSN: lastLSN, durable: lastLSN}
 	w.cond = sync.NewCond(&w.mu)
-	if mode == SyncGroup {
-		w.flusherWG.Add(1)
-		go w.flusher()
-	}
+	w.flusherWG.Add(1)
+	go w.flusher()
 	return w, nil
 }
 
-// append journals one payload and returns its LSN. Appends on an abandoned
-// or closed WAL are swallowed (the process is "dead"); the returned LSN is
-// then the last assigned one, and WaitDurable on it returns immediately.
+// append journals one payload and returns its LSN. Under always and off it
+// returns only once the flusher has written the record (and, under always,
+// fsync'd it); under group it hands the record over and returns at once.
+// Appends on an abandoned or closed WAL are swallowed (the process is
+// "dead"); the returned LSN is then the last assigned one, and WaitDurable
+// on it returns immediately.
 func (w *wal) append(payload []byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -199,46 +204,18 @@ func (w *wal) append(payload []byte) uint64 {
 	lsn := w.lastLSN
 	w.buf = appendFrame(w.buf, lsn, payload)
 	w.appends++
-	switch w.mode {
-	case SyncAlways:
-		w.flushLocked(true)
-	case SyncOff:
-		w.flushLocked(false)
-	default: // group: hand the buffer to the flusher
-		w.cond.Broadcast()
+	w.cond.Broadcast()
+	if w.mode != SyncGroup {
+		w.waitLocked(lsn)
 	}
 	return lsn
-}
-
-// flushLocked writes the pending buffer to the segment (and optionally
-// fsyncs) inline, advancing the durable watermark. Caller holds w.mu. Used
-// by the always/off modes, where no flusher goroutine owns the file.
-func (w *wal) flushLocked(sync bool) {
-	if len(w.buf) == 0 {
-		return
-	}
-	upto := w.lastLSN
-	n, err := w.f.Write(w.buf)
-	w.bytes += uint64(n)
-	w.buf = w.buf[:0]
-	if err == nil && sync {
-		err = w.f.Sync()
-		w.fsyncs++
-	}
-	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
-	} else if upto > w.durable {
-		w.durable = upto
-	}
-	w.cond.Broadcast()
 }
 
 // flusher is the group-commit loop: it swaps the pending buffer out under
 // the lock, writes and fsyncs outside it (appenders keep queuing frames
 // meanwhile — that batching is the group commit), then publishes the new
-// durable watermark.
+// durable watermark. Under off it skips the fsync. Once the WAL is closed it
+// drains the buffer before it exits.
 func (w *wal) flusher() {
 	defer w.flusherWG.Done()
 	w.mu.Lock()
@@ -256,23 +233,26 @@ func (w *wal) flusher() {
 		f := w.f
 		w.mu.Unlock()
 
-		n, werr := f.Write(batch)
-		serr := f.Sync()
+		n, err := f.Write(batch)
+		synced := w.mode != SyncOff
+		if synced {
+			if serr := f.Sync(); err == nil {
+				err = serr
+			}
+		}
 
 		w.mu.Lock()
 		if cap(batch) <= maxSpareBytes {
 			w.spare = batch // appenders fill one buffer while the other is written
 		}
 		w.bytes += uint64(n)
-		w.fsyncs++
+		if synced {
+			w.fsyncs++
+		}
 		switch {
-		case werr != nil || serr != nil:
+		case err != nil:
 			if w.err == nil {
-				if werr != nil {
-					w.err = werr
-				} else {
-					w.err = serr
-				}
+				w.err = err
 			}
 		case upto > w.durable:
 			w.durable = upto
@@ -294,32 +274,21 @@ func (w *wal) lastLSNSnapshot() uint64 {
 func (w *wal) waitDurable(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.waitLocked(lsn)
+}
+
+// waitLocked is waitDurable with w.mu held.
+func (w *wal) waitLocked(lsn uint64) error {
 	for w.durable < lsn && !w.abandoned && !w.closed && w.err == nil {
 		w.cond.Wait()
 	}
 	return w.err
 }
 
-// syncAll drains everything appended so far to stable storage — the
-// pre-compaction quiescence barrier.
-func (w *wal) syncAll() error {
-	w.mu.Lock()
-	if w.mode != SyncGroup {
-		w.flushLocked(w.mode == SyncAlways)
-	}
-	target := w.lastLSN
-	w.cond.Broadcast()
-	for w.durable < target && !w.abandoned && !w.closed && w.err == nil {
-		w.cond.Wait()
-	}
-	err := w.err
-	w.mu.Unlock()
-	return err
-}
-
 // rotate seals the active segment and opens the next one, returning the
 // sealed segment's sequence number. Callers must have quiesced the WAL
-// (syncAll) first so no flusher write is in flight against the old file.
+// (waited on its last LSN, with no append in between) first so no flusher
+// write is in flight against the old file.
 func (w *wal) rotate() (sealed uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -362,7 +331,8 @@ func (w *wal) abandon() {
 	w.mu.Unlock()
 }
 
-// close flushes, fsyncs, and closes the active segment — graceful shutdown.
+// close lets the flusher drain the buffer, then fsyncs and closes the active
+// segment — graceful shutdown.
 func (w *wal) close() error {
 	w.mu.Lock()
 	if w.abandoned || w.closed {
@@ -375,17 +345,6 @@ func (w *wal) close() error {
 	w.flusherWG.Wait()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.buf) > 0 {
-		upto := w.lastLSN
-		n, err := w.f.Write(w.buf)
-		w.bytes += uint64(n)
-		w.buf = nil
-		if err == nil && upto > w.durable {
-			w.durable = upto
-		} else if err != nil && w.err == nil {
-			w.err = err
-		}
-	}
 	if err := w.f.Sync(); err == nil {
 		w.fsyncs++
 	} else if w.err == nil {

@@ -3,8 +3,12 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -86,7 +90,10 @@ func TestTornTailEveryOffset(t *testing.T) {
 }
 
 // TestWALSyncModes drives each sync mode through append → waitDurable →
-// close and replays the segment from disk.
+// close and replays the segment from disk. Each row also holds append to its
+// mode's promise the moment it returns, before any waitDurable: under
+// always the record is fsync'd, under off it is written and nothing is
+// fsync'd until close, and under group append promises nothing.
 func TestWALSyncModes(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAlways, SyncGroup, SyncOff} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -95,9 +102,19 @@ func TestWALSyncModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var last uint64
+			var last, fsyncs uint64
 			for i := 0; i < 20; i++ {
 				last = w.append([]byte(fmt.Sprintf("payload-%d", i)))
+				w.mu.Lock()
+				durable, synced := w.durable, w.fsyncs
+				w.mu.Unlock()
+				switch {
+				case mode == SyncAlways && (durable < last || synced <= fsyncs):
+					t.Fatalf("append %d returned at durable %d with %d fsyncs (before: %d)", last, durable, synced, fsyncs)
+				case mode == SyncOff && (durable < last || synced != 0):
+					t.Fatalf("append %d returned at durable %d with %d fsyncs, want written and none", last, durable, synced)
+				}
+				fsyncs = synced
 			}
 			if last != 20 {
 				t.Fatalf("last lsn %d, want 20", last)
@@ -107,6 +124,9 @@ func TestWALSyncModes(t *testing.T) {
 			}
 			if err := w.close(); err != nil {
 				t.Fatalf("close: %v", err)
+			}
+			if mode == SyncOff && w.fsyncs != 1 {
+				t.Fatalf("off: %d fsyncs after close, want close's one", w.fsyncs)
 			}
 			data, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
 			if err != nil {
@@ -120,6 +140,100 @@ func TestWALSyncModes(t *testing.T) {
 				t.Fatalf("replayed %d frames, want 20", n)
 			}
 		})
+	}
+}
+
+// TestSegmentHasOneWriter parses the package's non-test source and fails on
+// any write to the active segment outside the flusher: only flusher calls
+// Write on it, only flusher and close (the last fsync) call Sync on it, and
+// only flusher advances the durable watermark — besides openWAL's wal
+// literal, which sets its start. The segment is w.f, or a local assigned
+// from it.
+func TestSegmentHasOneWriter(t *testing.T) {
+	allowed := map[string]map[string]bool{
+		"Write":   {"flusher": true},
+		"Sync":    {"flusher": true, "close": true},
+		"durable": {"flusher": true},
+	}
+	ents, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{} // "what in fn" for every allowed write found
+	for _, ent := range ents {
+		if !strings.HasSuffix(ent.Name(), ".go") || strings.HasSuffix(ent.Name(), "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, ent.Name(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			segment := map[string]bool{} // locals assigned from .f
+			isSegment := func(e ast.Expr) bool {
+				switch e := e.(type) {
+				case *ast.SelectorExpr:
+					return e.Sel.Name == "f"
+				case *ast.Ident:
+					return segment[e.Name]
+				}
+				return false
+			}
+			note := func(pos token.Pos, what string) {
+				if allowed[what][fn.Name.Name] {
+					seen[what+" in "+fn.Name.Name] = true
+					return
+				}
+				t.Errorf("%s: %s writes the segment (%s); only the flusher may", fset.Position(pos), fn.Name.Name, what)
+			}
+			isDurable := func(e ast.Expr) bool {
+				sel, ok := e.(*ast.SelectorExpr)
+				return ok && sel.Sel.Name == "durable"
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if isDurable(lhs) {
+							note(n.Pos(), "durable")
+						}
+						if id, ok := lhs.(*ast.Ident); ok && len(n.Rhs) == len(n.Lhs) && isSegment(n.Rhs[i]) {
+							segment[id.Name] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if isDurable(n.X) {
+						note(n.Pos(), "durable")
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Write" || sel.Sel.Name == "Sync") && isSegment(sel.X) {
+						note(n.Pos(), sel.Sel.Name)
+					}
+				case *ast.CompositeLit:
+					if id, ok := n.Type.(*ast.Ident); !ok || id.Name != "wal" || fn.Name.Name == "openWAL" {
+						break
+					}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "durable" {
+								t.Errorf("%s: %s builds a wal with durable set; only openWAL may", fset.Position(kv.Pos()), fn.Name.Name)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, want := range []string{"Write in flusher", "Sync in flusher", "Sync in close", "durable in flusher"} {
+		if !seen[want] {
+			t.Errorf("found no %s (did it move?)", want)
+		}
 	}
 }
 
@@ -156,7 +270,7 @@ func TestWALRotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.append([]byte("one"))
-	if err := w.syncAll(); err != nil {
+	if err := w.waitDurable(w.lastLSNSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	sealed, err := w.rotate()

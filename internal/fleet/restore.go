@@ -11,9 +11,9 @@ import (
 
 // RestoreStats reports what Restore did with the recovered fleet records.
 type RestoreStats struct {
-	Terminal int // re-entered history untouched
-	Requeued int // queued again under their original IDs
-	Expired  int // past deadline while down; failed with the interrupted error
+	Terminal int `json:"terminal"` // re-entered history untouched
+	Requeued int `json:"requeued"` // queued again under their original IDs
+	Expired  int `json:"expired"`  // past deadline while down; failed with the interrupted error
 }
 
 // Restore loads recovered fleet job records into an empty scheduler.

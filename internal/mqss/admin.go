@@ -34,25 +34,11 @@ type StoreStatus struct {
 	Compactions    uint64 `json:"compactions,omitempty"`
 	LastCompaction string `json:"last_compaction,omitempty"` // RFC 3339; empty when never
 
-	Replay   *StoreReplayStatus   `json:"replay,omitempty"`
-	Restored *StoreRestoredStatus `json:"restored,omitempty"`
-}
-
-// StoreReplayStatus describes the current process's startup replay.
-type StoreReplayStatus struct {
-	Records      int     `json:"records"`
-	SkippedBytes int64   `json:"skipped_bytes,omitempty"`
-	SnapshotLSN  uint64  `json:"snapshot_lsn"`
-	Segments     int     `json:"segments"`
-	DurationMs   float64 `json:"duration_ms"`
-}
-
-// StoreRestoredStatus is the scheduler's disposition of recovered jobs
-// (fleet.Scheduler.Restored).
-type StoreRestoredStatus struct {
-	Terminal int `json:"terminal"`
-	Requeued int `json:"requeued"`
-	Expired  int `json:"expired"`
+	// Replay is the current process's startup replay; Restored is the
+	// scheduler's disposition of the jobs it recovered
+	// (fleet.Scheduler.Restored).
+	Replay   *durable.ReplayStats `json:"replay,omitempty"`
+	Restored *fleet.RestoreStats  `json:"restored,omitempty"`
 }
 
 // AttachStore boots the server's fleet on the durable job store: the fleet
@@ -95,18 +81,8 @@ func (s *Server) handleV2AdminStore(w http.ResponseWriter, r *http.Request) {
 		WALBytes:    st.WALBytes,
 		SnapshotLSN: st.SnapshotLSN,
 		Compactions: st.Compactions,
-		Replay: &StoreReplayStatus{
-			Records:      st.Replay.Records,
-			SkippedBytes: st.Replay.SkippedBytes,
-			SnapshotLSN:  st.Replay.SnapshotLSN,
-			Segments:     st.Replay.Segments,
-			DurationMs:   st.Replay.DurationMs,
-		},
-		Restored: &StoreRestoredStatus{
-			Terminal: restored.Terminal,
-			Requeued: restored.Requeued,
-			Expired:  restored.Expired,
-		},
+		Replay:      &st.Replay,
+		Restored:    &restored,
 	}
 	if !st.LastCompaction.IsZero() {
 		out.LastCompaction = st.LastCompaction.UTC().Format(time.RFC3339)

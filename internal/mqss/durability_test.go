@@ -296,7 +296,9 @@ func TestRestoreOutcomeReadsTheFleet(t *testing.T) {
 
 // TestAdminStoreEndpoint covers /api/v2/admin/store in both states: a
 // storeless server reports attached=false, an attached one reports live WAL
-// counters, and writes are rejected.
+// counters, and writes are rejected. After a reboot from the same dir its
+// replay and restored objects carry the keys qhpcctl store status reads,
+// with what the first incarnation left.
 func TestAdminStoreEndpoint(t *testing.T) {
 	// Storeless server.
 	f := newTestFleet(t, map[string]*qdmi.Device{"solo": twinDev(t, "solo", 4, 5, 3)}, 2)
@@ -311,7 +313,8 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	}
 
 	// Attached server, after real traffic.
-	f2, server2, hs2, _ := durableStack(t, t.TempDir())
+	dir := t.TempDir()
+	f2, server2, hs2, st2 := durableStack(t, dir)
 	t.Cleanup(func() { server2.Close(); hs2.Close(); f2.Stop() })
 	resp := postV2(t, hs2, "/api/v2/jobs?wait=10s", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "admin"}, nil)
 	decodeV2Job(t, resp.Body)
@@ -348,5 +351,27 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(local, status) {
 		t.Errorf("local StoreStatus %+v, remote %+v", local, status)
+	}
+
+	// kill -9 and reboot from the same dir: one segment of LastLSN records
+	// replayed, no snapshot, and the one job back as history.
+	records := st2.Stats().LastLSN
+	st2.Abandon()
+	f3, server3, hs3, _ := durableStack(t, dir)
+	t.Cleanup(func() { server3.Close(); hs3.Close(); f3.Stop() })
+	body, err = httpGetJSON(hs3.URL + "/api/v2/admin/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, _ := body["replay"].(map[string]interface{})
+	if ms, ok := replay["duration_ms"].(float64); !ok || ms < 0 {
+		t.Errorf("replay duration_ms = %v", replay["duration_ms"])
+	}
+	delete(replay, "duration_ms")
+	if want := map[string]interface{}{"records": float64(records), "snapshot_lsn": 0.0, "segments": 1.0}; !reflect.DeepEqual(replay, want) {
+		t.Errorf("replay = %v, want %v and duration_ms", replay, want)
+	}
+	if want := map[string]interface{}{"terminal": 1.0, "requeued": 0.0, "expired": 0.0}; !reflect.DeepEqual(body["restored"], want) {
+		t.Errorf("restored = %v, want %v", body["restored"], want)
 	}
 }

@@ -156,6 +156,43 @@ func TestClientResubmitsShedJob(t *testing.T) {
 	}
 }
 
+// TestPlainPostOfSettledJobIs202: a POST without ?wait answers 202 even when
+// its job is terminal by the time the handler reads the record back. Here
+// the device is drained and the tenant's queue holds one job, so the second
+// job is shed at its own mint. A ?wait POST of the same kind answers 200:
+// the long-poll caught the final word.
+func TestPlainPostOfSettledJobIs202(t *testing.T) {
+	f := newTestFleet(t, map[string]*qdmi.Device{"solo": twinDev(t, "solo", 4, 5, 1)}, 1)
+	if err := f.Drain("solo"); err != nil {
+		t.Fatal(err)
+	}
+	f.SetAdmission(tenant.Admission{MaxTenantQueue: 1})
+	srv := httptest.NewServer(NewFleetServer(f))
+	t.Cleanup(srv.Close)
+	req := SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "one"}
+	for _, c := range []struct {
+		path    string
+		status  int
+		state   JobState
+		errCode string
+	}{
+		{"/api/v2/jobs", http.StatusAccepted, StateQueued, ""},
+		{"/api/v2/jobs", http.StatusAccepted, StateFailed, CodeShed},
+		{"/api/v2/jobs?wait=5s", http.StatusOK, StateFailed, CodeShed},
+	} {
+		resp := postV2(t, srv, c.path, req, nil)
+		job := decodeV2Job(t, resp.Body)
+		resp.Body.Close()
+		errCode := ""
+		if job.Error != nil {
+			errCode = job.Error.Code
+		}
+		if resp.StatusCode != c.status || job.State != c.state || errCode != c.errCode {
+			t.Errorf("POST %s: %d %s %q, want %d %s %q", c.path, resp.StatusCode, job.State, errCode, c.status, c.state, c.errCode)
+		}
+	}
+}
+
 // slowDurableStack is durableStack with an execution latency on the
 // devices, so jobs are still in flight when the test kills the node.
 func slowDurableStack(t *testing.T, dir string, latency time.Duration) (*fleet.Scheduler, *Server, *durable.Store) {

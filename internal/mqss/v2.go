@@ -260,9 +260,11 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Idempotency-Replayed", "true")
 	}
 	status := http.StatusAccepted
-	if job.State.Terminal() {
+	if job.State.Terminal() && (wait > 0 || replayed) {
 		// The long-poll (or a replayed already-finished submission) caught
-		// the terminal record: this response is the final word.
+		// the terminal record: this response is the final word. A plain
+		// POST stays 202 even when its job settled before the read-back
+		// (shed at its own mint, or simply fast).
 		status = http.StatusOK
 	}
 	writeRecord(w, status, job)
