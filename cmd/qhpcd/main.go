@@ -232,7 +232,7 @@ func main() {
 	// active v2 watch streams cleanly (mqss.Server.Close), waits for
 	// in-flight handlers, then stops the fleet: in-flight jobs finish, queued
 	// ones settle failed, and with -data-dir their records are on disk.
-	srv := &http.Server{Addr: *addr, Handler: mqssServer}
+	srv := newHTTPServer(*addr, mqssServer)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {
@@ -264,4 +264,21 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "qhpcd: drained; bye\n")
 	}
+}
+
+// The daemon's connection timeouts: how long a client may take to send a
+// request's headers, and how long a keep-alive connection may sit between
+// requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's server on addr. A connection that never
+// finishes its headers, or idles, is closed after a fixed time. A request's
+// body and its response are not timed (ReadTimeout and WriteTimeout stay
+// zero): NDJSON and SSE watches and ?wait long-polls of up to a minute
+// hold their connection for as long as they need.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -797,9 +797,8 @@ func (s *Scheduler) Peek(id int) (st JobStatus, device string, recovered bool, e
 	if i < 0 {
 		return "", "", false, fmt.Errorf("%w %d", ErrNoJob, id)
 	}
-	e := &s.index[i]
-	h, err := Record{JSON: s.arena.chunks[e.chunk][e.off : e.off+e.n], at: e.at}.Head()
-	return sealedStates[e.state], strings.Clone(h.Device), h.Recovered, err
+	h, err := s.headLocked(&s.index[i])
+	return sealedStates[s.index[i].state], strings.Clone(h.Device), h.Recovered, err
 }
 
 // Wait blocks until the job settles (done, failed, or cancelled — possibly

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"sort"
 	"unsafe"
@@ -17,6 +19,12 @@ import (
 // circuit, the counts, the result, the scores and the done channel, so the
 // garbage collector never scans a finished job again: a retained job costs
 // its record plus an index entry, and neither holds a pointer.
+//
+// Traffic repeats circuits (a recalibration's characterisation set, a
+// variational loop's fixed ansatz), so a record is stored without its
+// request circuit, and each distinct circuit once per arena chunk: the
+// stored form. Only this file knows it. viewLocked, the one copy-out,
+// splices the circuit back, so every reader sees the record's bytes.
 
 // recordAt locates a record's parts by offset into its bytes: the request
 // object [req, reqEnd), whose fields after the circuit start at shots, and
@@ -36,21 +44,53 @@ func stateCode(st JobStatus) uint8 {
 	panic("fleet: sealing a job in status " + string(st))
 }
 
+// circuitAt is where a record's request circuit starts: right after the
+// request's opening key, which Request.AppendJSON writes first.
+func (at recordAt) circuitAt() uint32 { return at.req + uint32(len(`{"circuit":`)) }
+
+// span is a run of bytes in one arena chunk.
+type span struct{ off, n uint32 }
+
 // entry is one job of the index, in ID order. It holds no pointer.
 type entry struct {
 	id       int
 	ackLSN   uint64
 	submitMs int64
-	chunk    uint32 // arena chunk, offset and length of the record
-	off, n   uint32
-	at       recordAt
-	user     uint32 // the job's user, by its Scheduler.users number
-	state    uint8  // sealedStates code; 0 while live
+	chunk    uint32 // arena chunk of the stored record and its circuit
+	rec      span   // the record without its request circuit
+	circ     span   // the request circuit, shared by the chunk's records that repeat it
+	// The record's request and result offsets (recordAt), in the whole
+	// record: the others follow from them and the circuit's length.
+	req, reqEnd, resEnd uint32
+	user                uint32 // the job's user, by its Scheduler.users number
+	state               uint8  // sealedStates code; 0 while live
+}
+
+// recordAt is where the parts of e's whole record lie: its circuit runs from
+// the request's opening key to the request's shots, and a result follows the
+// request's end.
+func (e *entry) recordAt() recordAt {
+	at := recordAt{req: e.req, reqEnd: e.reqEnd, resEnd: e.resEnd}
+	at.shots = at.circuitAt() + e.circ.n
+	if e.resEnd != 0 {
+		at.res = e.reqEnd + uint32(len(`,"result":`))
+	}
+	return at
 }
 
 // arenaChunk is the size of one arena allocation; a record longer than it
 // gets a chunk of its own.
 const arenaChunk = 1 << 20
+
+// circuitSlots is the size of the arena's circuit table, and circuitProbes
+// how many slots from a circuit's home a lookup tries. A chunk holds a few
+// thousand records at most, and a workload that repeats circuits repeats a
+// few of them; the probes keep two of those whose hashes share a home slot
+// from evicting each other, storing each again per job.
+const (
+	circuitSlots  = 1024
+	circuitProbes = 4
+)
 
 // arena is append-only: a record's bytes never change once written. Its
 // chunks come from mapChunk, outside the garbage-collected heap where the
@@ -58,30 +98,80 @@ const arenaChunk = 1 << 20
 // the collector's heap goal nor are marked. No slice of a chunk leaves
 // Scheduler.mu: a reader copies a record out under the lock, so the chunks
 // can be unmapped once the scheduler is unreachable.
+//
+// A chunk is self-contained: the circuits its records share are in it, so
+// dropping a whole chunk drops nothing another chunk reads.
 type arena struct {
 	chunks [][]byte
-	bytes  int64 // record bytes held
+	bytes  int64 // stored bytes: records without their circuits, and the circuits
+
+	// circuits maps a circuit's hash to its bytes in the last chunk; a
+	// zero span is an empty slot. It is cleared when a chunk starts, and a
+	// slot is taken as a match only when its bytes equal the circuit's.
+	circuits [circuitSlots]span
+	seed     maphash.Seed
+	mask     uint64 // a hash's home slot is hash & mask
 }
 
 // newArena is an empty arena whose chunks are unmapped when it becomes
 // unreachable. The finalizer sits on the arena, not the Scheduler: the
 // scheduler's cond references its mutex, a cycle a finalizer never runs on.
 func newArena() *arena {
-	a := new(arena)
+	a := &arena{seed: maphash.MakeSeed(), mask: circuitSlots - 1}
 	runtime.SetFinalizer(a, (*arena).free)
 	return a
 }
 
-func (a *arena) add(rec []byte) (chunk, off uint32) {
+// add stores rec: its request circuit once in the last chunk, unless the
+// chunk holds those bytes already, and the rest of it after. It returns the
+// chunk and the two spans.
+func (a *arena) add(rec encoded) (chunk uint32, body, circ span) {
+	cut := rec.at.circuitAt()
+	c := rec.b[cut:rec.at.shots]
 	last := len(a.chunks) - 1
-	if last < 0 || len(a.chunks[last])+len(rec) > cap(a.chunks[last]) {
-		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec))))
-		last++
+	var slot *span
+	found := false
+	if last >= 0 {
+		slot, found = a.lookup(a.chunks[last], c)
 	}
-	c := a.chunks[last]
-	a.chunks[last] = append(c, rec...)
-	a.bytes += int64(len(rec))
-	return uint32(last), uint32(len(c))
+	need := len(rec.b)
+	if found {
+		need -= len(c)
+	}
+	if last < 0 || len(a.chunks[last])+need > cap(a.chunks[last]) {
+		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec.b))))
+		last++
+		a.circuits = [circuitSlots]span{}
+		slot, found = a.lookup(nil, c)
+	}
+	ch := a.chunks[last]
+	start := len(ch)
+	if !found {
+		*slot = span{uint32(len(ch)), uint32(len(c))}
+		ch = append(ch, c...)
+	}
+	body = span{uint32(len(ch)), uint32(len(rec.b) - len(c))}
+	ch = append(append(ch, rec.b[:cut]...), rec.b[rec.at.shots:]...)
+	a.chunks[last] = ch
+	a.bytes += int64(len(ch) - start)
+	return uint32(last), body, *slot
+}
+
+// lookup finds circuit c among chunk ch's circuits. It probes from c's home
+// slot and reports the slot holding c's bytes, found, or else the slot add
+// fills: the first empty one, or c's home.
+func (a *arena) lookup(ch, c []byte) (slot *span, found bool) {
+	home := maphash.Bytes(a.seed, c)
+	for i := uint64(0); i < circuitProbes; i++ {
+		s := &a.circuits[(home+i)&a.mask]
+		if s.n == 0 {
+			return s, false
+		}
+		if bytes.Equal(ch[s.off:s.off+s.n], c) {
+			return s, true
+		}
+	}
+	return &a.circuits[home&a.mask], false
 }
 
 // free returns every chunk to the system. Nothing reads the arena after it.
@@ -245,13 +335,29 @@ func (s *Scheduler) viewLocked(e *entry, buf *[]byte) View {
 		buf = new([]byte)
 	}
 	start := len(*buf)
-	*buf = append(*buf, s.arena.chunks[e.chunk][e.off:e.off+e.n]...)
+	at := e.recordAt()
+	ch := s.arena.chunks[e.chunk]
+	rec, cut := ch[e.rec.off:e.rec.off+e.rec.n], at.circuitAt()
+	*buf = append(append(append(*buf, rec[:cut]...), ch[e.circ.off:e.circ.off+e.circ.n]...), rec[cut:]...)
 	return View{ID: e.id, Sealed: Record{
 		JSON:         (*buf)[start:len(*buf):len(*buf)],
 		Status:       sealedStates[e.state],
 		SubmitUnixMs: e.submitMs,
-		at:           e.at,
+		at:           at,
 	}}
+}
+
+// headLocked lexes sealed entry e's head where it is stored, circuit elided:
+// Record.Head never reads the circuit, so it reads the stored form once the
+// offsets past the cut are moved back by the circuit's length. The strings
+// share the arena. Caller holds s.mu.
+func (s *Scheduler) headLocked(e *entry) (Head, error) {
+	at, d := e.recordAt(), e.circ.n
+	at.shots, at.reqEnd = at.shots-d, at.reqEnd-d
+	if at.res != 0 {
+		at.res, at.resEnd = at.res-d, at.resEnd-d
+	}
+	return Record{JSON: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n], at: at}.Head()
 }
 
 // encoded is a record as Job.appendRecord wrote it.
@@ -299,8 +405,8 @@ func (s *Scheduler) recordLocked(j *Job) encoded {
 // as it settled. Caller holds s.mu.
 func (s *Scheduler) sealLocked(j *Job, rec encoded) {
 	e := &s.index[s.findLocked(j.ID)]
-	e.chunk, e.off = s.arena.add(rec.b)
-	e.n, e.at = uint32(len(rec.b)), rec.at
+	e.chunk, e.rec, e.circ = s.arena.add(rec)
+	e.req, e.reqEnd, e.resEnd = rec.at.req, rec.at.reqEnd, rec.at.resEnd
 	e.ackLSN, e.submitMs = j.ackLSN, j.SubmitUnixMs
 	e.state = stateCode(j.Status)
 	delete(s.jobs, j.ID)
@@ -327,7 +433,8 @@ func (s *Scheduler) View(id int, buf *[]byte) (View, error) {
 }
 
 // Retention is what the scheduler holds: live jobs by stored status, sealed
-// jobs, the bytes of their records, and the Idempotency-Keys bound in the
+// jobs, the bytes their records are stored in (a circuit repeated within an
+// arena chunk counts once), and the Idempotency-Keys bound in the
 // dedup window (at most idemWindow).
 type Retention struct {
 	Live        map[JobStatus]int

@@ -1,0 +1,190 @@
+package fleet
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"repro/internal/circuit"
+	"repro/internal/qrm"
+)
+
+// wide is a wide-circuit job's circuit: 12 qubits, depth 4, ry+rz on every
+// qubit then cz brickwork along the line.
+func wide(rng *rand.Rand) *circuit.Circuit {
+	c := &circuit.Circuit{NumQubits: 12}
+	for l := 0; l < 4; l++ {
+		for q := 0; q < 12; q++ {
+			c.Gates = append(c.Gates,
+				circuit.Gate{Name: "ry", Qubits: []int{q}, Params: []float64{2 * math.Pi * rng.Float64()}},
+				circuit.Gate{Name: "rz", Qubits: []int{q}, Params: []float64{2 * math.Pi * rng.Float64()}})
+		}
+		for q := l % 2; q+1 < 12; q += 2 {
+			c.Gates = append(c.Gates, circuit.Gate{Name: "cz", Qubits: []int{q, q + 1}})
+		}
+	}
+	return c
+}
+
+// TestRepeatedCircuitStoredOncePerChunk: 2 000 jobs cycle eight 12-qubit
+// depth-4 circuits, as wide-circuit traffic does. A circuit is ~6.1 KB of a
+// ~6.9 KB record. Stored once per arena chunk, a job costs the ~0.8 KB
+// left of its record and its share of the chunk's eight circuits; stored
+// per job, ~6.9 KB.
+func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
+	const (
+		jobs    = 2000
+		maxMean = 1500.0 // stored bytes per sealed job
+	)
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("a", mkdev(t, "a", 4, 4, 3, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	circs := make([]*circuit.Circuit, 8)
+	for i := range circs {
+		circs[i] = wide(rng)
+	}
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit(qrm.Request{Circuit: circs[rng.Intn(len(circs))], Shots: 50, User: "w"}, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WaitSettled()
+	r := s.Retained()
+	if r.Sealed != jobs {
+		t.Fatalf("sealed %d jobs, want %d", r.Sealed, jobs)
+	}
+	v, err := s.View(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := float64(r.RecordBytes) / float64(r.Sealed)
+	t.Logf("stored %.0f B per sealed job; job 1's record is %d B, its circuit %d B",
+		mean, len(v.Sealed.JSON), v.Sealed.at.shots-v.Sealed.at.circuitAt())
+	if mean > maxMean {
+		t.Errorf("stored %.0f B per sealed job, want <= %.0f: a repeated circuit is stored per job", mean, maxMean)
+	}
+	if size := unsafe.Sizeof(entry{}); size > 64 {
+		t.Errorf("an index entry is %d B, want <= 64", size)
+	}
+}
+
+// recordingStore is a JobStore that keeps, for each job, what encodeRecord
+// wrote of the job as it turned terminal: the record the arena must give
+// back.
+type recordingStore struct {
+	mu   sync.Mutex
+	want map[int]encoded
+}
+
+func (m *recordingStore) JournalFleetJob(*Job) uint64 { return 0 }
+
+func (m *recordingStore) JournalFleetUpdate(j *Job) uint64 {
+	if j.Status.Terminal() {
+		rec := encodeRecord(j, nil)
+		m.mu.Lock()
+		m.want[j.ID] = rec
+		m.mu.Unlock()
+	}
+	return 0
+}
+
+func (m *recordingStore) WaitDurable(uint64) {}
+
+// TestInternedRecordsReadBack seals repeated, unique and colliding circuits
+// over more than two arena chunks and reads every job back every way the
+// scheduler offers: View, ListViews, Peek and Job each give what
+// encodeRecord wrote for it, and every stored span lies inside its own
+// chunk. Halfway, every circuit is sent to one slot of the circuit table
+// (OneCircuitSlot), so two circuits of one length share a slot and only the
+// byte compare tells them apart.
+func TestInternedRecordsReadBack(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	st := &recordingStore{want: make(map[int]encoded)}
+	s.AttachStore(st)
+	if err := s.AddDevice("a", mkdev(t, "a", 4, 4, 5, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	repeated := []*circuit.Circuit{wide(rng), wide(rng), circuit.GHZ(3)}
+	// Two circuits of one byte length: a hash collision between them is
+	// told apart only by their bytes.
+	left := &circuit.Circuit{NumQubits: 2, Gates: []circuit.Gate{{Name: "h", Qubits: []int{0}}, {Name: "cx", Qubits: []int{0, 1}}}}
+	right := &circuit.Circuit{NumQubits: 2, Gates: []circuit.Gate{{Name: "h", Qubits: []int{1}}, {Name: "cx", Qubits: []int{1, 0}}}}
+	const jobs = 1400
+	submit := func(c *circuit.Circuit) {
+		if _, err := s.Submit(qrm.Request{Circuit: c, Shots: 20, User: "u"}, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < jobs; i++ {
+		if i == jobs/2 {
+			s.WaitSettled()
+			s.OneCircuitSlot()
+		}
+		switch i % 4 {
+		case 0:
+			submit(wide(rng)) // unique
+		case 1:
+			submit(repeated[rng.Intn(len(repeated))])
+		default:
+			submit([]*circuit.Circuit{left, right}[rng.Intn(2)])
+		}
+	}
+	s.WaitSettled()
+
+	s.mu.Lock()
+	chunks := len(s.arena.chunks)
+	for _, e := range s.index {
+		n := uint32(len(s.arena.chunks[e.chunk]))
+		if e.rec.off+e.rec.n > n || e.circ.off+e.circ.n > n {
+			t.Errorf("job %d: record %+v, circuit %+v outside its %d-B chunk %d", e.id, e.rec, e.circ, n, e.chunk)
+		}
+	}
+	s.mu.Unlock()
+	t.Logf("%d jobs in %d arena chunks", jobs, chunks)
+	if chunks < 3 {
+		t.Fatalf("the records filled %d arena chunks, want >= 3 (two rollovers)", chunks)
+	}
+
+	var buf []byte
+	views, more := s.ListViews("", nil, 0, jobs, &buf)
+	if len(views) != jobs || more {
+		t.Fatalf("listed %d jobs (more %v), want %d", len(views), more, jobs)
+	}
+	for _, lv := range views {
+		want := st.want[lv.ID].b
+		if !bytes.Equal(lv.Sealed.JSON, want) || lv.Sealed.at != st.want[lv.ID].at {
+			t.Fatalf("ListViews: job %d reads %+v\n%s\nencodeRecord wrote %+v\n%s", lv.ID, lv.Sealed.at, lv.Sealed.JSON, st.want[lv.ID].at, want)
+		}
+		v, err := s.View(lv.ID, nil)
+		if err != nil || !bytes.Equal(v.Sealed.JSON, want) || v.Sealed.at != st.want[lv.ID].at {
+			t.Fatalf("View: job %d reads %+v (%v)\n%s\nencodeRecord wrote\n%s", lv.ID, v.Sealed.at, err, v.Sealed.JSON, want)
+		}
+		wantJob, err := Record{JSON: want}.Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Job(lv.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := j.AppendJSON(nil); !bytes.Equal(got, want) || j.Status != wantJob.Status {
+			t.Fatalf("Job: job %d decodes to\n%s\nencodeRecord wrote\n%s", lv.ID, got, want)
+		}
+		status, device, recovered, err := s.Peek(lv.ID)
+		if err != nil || status != wantJob.Status || device != wantJob.Device || recovered != wantJob.Recovered {
+			t.Fatalf("Peek: job %d reads %s on %q (recovered %v, %v), want %s on %q", lv.ID, status, device, recovered, err, wantJob.Status, wantJob.Device)
+		}
+		h, err := v.Sealed.Head()
+		if err != nil || h.ID != lv.ID || h.Shots != 20 || h.User != "u" {
+			t.Fatalf("Head: job %d reads %+v, %v", lv.ID, h, err)
+		}
+	}
+}

@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/fleet"
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 )
 
 var promSampleRe = regexp.MustCompile(
@@ -153,5 +155,32 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(string(doc), "`"+name+"`") {
 			t.Errorf("metric %s is exported but not documented in docs/OBSERVABILITY.md", name)
 		}
+	}
+}
+
+// TestMetricsScrapeAllocs pins what one in-process GET /metrics allocates on
+// a two-device fleet with four tenants: ~3 400 objects, a few per sample
+// line, and none per label value. A strings.Replacer built for every label
+// value made it ~8 500, and was a third of the scrape's CPU.
+func TestMetricsScrapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race; CI runs this gate as its own non-race step")
+	}
+	const ceiling = 3600
+	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9), "b": twinDev(t, "b", 2, 2, 10)}, 1)
+	server := NewFleetServer(f)
+	for i := 0; i < 12; i++ {
+		if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: fmt.Sprintf("u%d", i%4)}, fleet.SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.WaitSettled()
+	r := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	w := &discardWriter{h: http.Header{}}
+	server.ServeHTTP(w, r)
+	allocs := testing.AllocsPerRun(20, func() { server.ServeHTTP(w, r) })
+	t.Logf("one /metrics render: %.0f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("one /metrics render: %.0f allocs, ceiling %d", allocs, ceiling)
 	}
 }

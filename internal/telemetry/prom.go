@@ -61,10 +61,11 @@ func (ls Labels) String() string {
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value. A Replacer is safe for concurrent use,
+// and one returns a value with nothing to escape as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 func formatValue(v float64) string {
 	switch {
