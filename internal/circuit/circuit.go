@@ -138,8 +138,9 @@ type Circuit struct {
 
 	// qubits and params are the arenas Append carves gate operands from, so
 	// a built or copied circuit costs a few allocations, not two per gate.
-	// Nil arenas are valid: the gates of a literal or a decoded circuit own
-	// their slices.
+	// Nil arenas are valid: the gates of a literal own their slices. A
+	// decoded circuit's arenas hold its gates' operands, and the next
+	// UnmarshalBinary into it reuses them.
 	qubits []int
 	params []float64
 }

@@ -151,23 +151,36 @@ func (c *Circuit) DecodeJSON(l *jsonwire.Lexer) {
 	if l.Err() != nil || !gates {
 		return
 	}
-	// The arenas stay off c.qubits/c.params: the gates own them, and an
-	// Append after the decode starts a chunk of its own.
-	c.Gates = make([]Gate, len(s.gates))
-	qubits := make([]int, len(s.qubits))
-	params := make([]float64, len(s.params))
-	copy(qubits, s.qubits)
-	copy(params, s.params)
+	s.build(c)
+}
+
+// build gives c the scratch's gates: a gate list and two operand arrays of
+// exactly their size, or c's own when they have room (a decode into a
+// zeroed circuit allocates all three). The arrays are kept as c's arenas,
+// full, so an Append after the decode starts a chunk of its own.
+func (s *decodeScratch) build(c *Circuit) {
+	c.Gates = reuse(c.Gates, len(s.gates))
+	c.qubits = append(reuse(c.qubits, len(s.qubits))[:0], s.qubits...)
+	c.params = append(reuse(c.params, len(s.params))[:0], s.params...)
 	for i, r := range s.gates {
 		g := &c.Gates[i]
-		g.Name = r.name
+		*g = Gate{Name: r.name}
 		if r.hasQubits {
-			g.Qubits = qubits[r.q0:r.q1:r.q1]
+			g.Qubits = c.qubits[r.q0:r.q1:r.q1]
 		}
 		if r.hasParams {
-			g.Params = params[r.p0:r.p1:r.p1]
+			g.Params = c.params[r.p0:r.p1:r.p1]
 		}
 	}
+}
+
+// reuse is s resliced to n when it has the room, else a new slice of n;
+// never nil, so an empty gate list or operand range stays apart from null.
+func reuse[T any](s []T, n int) []T {
+	if s != nil && cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // decodeGates reads a gates array into the scratch, reporting false for null.

@@ -38,8 +38,8 @@ func (s *Scheduler) serve(e *deviceEntry) {
 			if settled {
 				// Nothing writes a settled job: its record is written
 				// outside the lock, then sealed.
-				rec := encodeRecord(j, buf[:0])
-				buf = spare(rec.b)
+				rec := encodeStored(j, buf[:0])
+				buf = spare(rec.body)
 				s.mu.Lock()
 				s.sealLocked(j, rec)
 				continue

@@ -1,5 +1,7 @@
 package fleet
 
+import "fmt"
+
 // What the package's external tests (package fleet_test, which may import
 // the API and durable layers above this package) use to land an event
 // between a job's claim and its compile: a window no caller can time.
@@ -38,4 +40,20 @@ func (s *Scheduler) OneCircuitSlot() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arena.mask = 0
+}
+
+// encoded is a record as Job.appendRecord wrote it: what a sealed job's
+// view must read back.
+type encoded struct {
+	b  []byte
+	at recordAt
+}
+
+// encodeRecord writes terminal job j's whole record into buf.
+func encodeRecord(j *Job, buf []byte) encoded {
+	b, at, err := j.appendRecord(buf)
+	if err != nil {
+		panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
+	}
+	return encoded{b, at}
 }

@@ -220,16 +220,18 @@ type Scheduler struct {
 	nodeID  string // federation ownership stamp for new jobs ("" standalone)
 	// jobs holds the live jobs; a terminal job leaves it when it is sealed
 	// (sealed.go). index has every job in ID order, arena the sealed ones'
-	// records, sealBuf the buffer a record is encoded into under s.mu;
-	// users numbers the users jobs were submitted under, so an index entry
-	// names its user without a pointer.
-	jobs    map[int]*Job
-	index   []entry
-	arena   *arena
-	sealBuf []byte
-	users   map[string]uint32
-	queue   fairQueue // every queued job; the per-tenant rows live here
-	nowDay  float64   // simulation clock, last AdvanceTo day
+	// records, sealBuf the buffer a record is encoded into under s.mu,
+	// viewCircuit the circuit a sealed record's stored circuit is decoded
+	// into to be rendered; users numbers the users jobs were submitted
+	// under, so an index entry names its user without a pointer.
+	jobs        map[int]*Job
+	index       []entry
+	arena       *arena
+	sealBuf     []byte
+	viewCircuit circuit.Circuit
+	users       map[string]uint32
+	queue       fairQueue // every queued job; the per-tenant rows live here
+	nowDay      float64   // simulation clock, last AdvanceTo day
 
 	// The Idempotency-Key dedup window: key -> job ID for the newest
 	// idemWindow keyed jobs, idemOrder the bindings in FIFO eviction order.

@@ -22,6 +22,12 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 // appendRecord is AppendJSON that also says where the request and the
 // result lie in what it appended (recordAt).
 func (j *Job) appendRecord(b []byte) ([]byte, recordAt, error) {
+	return j.writeRecord(b, true)
+}
+
+// writeRecord is appendRecord that, without circuit, writes the request's
+// circuit null, for the arena to cut out (sealed.go).
+func (j *Job) writeRecord(b []byte, circuit bool) ([]byte, recordAt, error) {
 	var err error
 	var at recordAt
 	start := len(b)
@@ -44,7 +50,11 @@ func (j *Job) appendRecord(b []byte) ([]byte, recordAt, error) {
 	}
 	b = append(b, `,"request":`...)
 	at.req = mark()
-	if b, err = j.Request.AppendJSON(b); err != nil {
+	req := j.Request
+	if !circuit {
+		req.Circuit = nil
+	}
+	if b, err = req.AppendJSON(b); err != nil {
 		return nil, at, err
 	}
 	at.reqEnd = mark()

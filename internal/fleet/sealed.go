@@ -20,11 +20,14 @@ import (
 // garbage collector never scans a finished job again: a retained job costs
 // its record plus an index entry, and neither holds a pointer.
 //
-// Traffic repeats circuits (a recalibration's characterisation set, a
-// variational loop's fixed ansatz), so a record is stored without its
-// request circuit, and each distinct circuit once per arena chunk: the
-// stored form. Only this file knows it. viewLocked, the one copy-out,
-// splices the circuit back, so every reader sees the record's bytes.
+// A record is stored without its request circuit, and the circuit in its
+// binary form (circuit.AppendBinary): a variational loop's fresh angles take
+// 8 bytes each, not ~18 of JSON digits. Traffic also repeats circuits (a
+// recalibration's characterisation set, a fixed ansatz), so each distinct
+// circuit is stored once per arena chunk. That is the stored form, and only
+// this file and the circuit codec know it. viewLocked, the one copy-out,
+// renders the circuit back through circuit.AppendJSON and splices it in, so
+// every reader sees the record's bytes.
 
 // recordAt locates a record's parts by offset into its bytes: the request
 // object [req, reqEnd), whose fields after the circuit start at shots, and
@@ -48,6 +51,17 @@ func stateCode(st JobStatus) uint8 {
 // request's opening key, which Request.AppendJSON writes first.
 func (at recordAt) circuitAt() uint32 { return at.req + uint32(len(`{"circuit":`)) }
 
+// shift moves at's offsets past the request circuit by d bytes: the record
+// at describes with a circuit d bytes longer at the cut (d < 0: shorter).
+func (at recordAt) shift(d int) recordAt {
+	u := uint32(d)
+	at.shots, at.reqEnd = at.shots+u, at.reqEnd+u
+	if at.res != 0 {
+		at.res, at.resEnd = at.res+u, at.resEnd+u
+	}
+	return at
+}
+
 // span is a run of bytes in one arena chunk.
 type span struct{ off, n uint32 }
 
@@ -58,20 +72,19 @@ type entry struct {
 	submitMs int64
 	chunk    uint32 // arena chunk of the stored record and its circuit
 	rec      span   // the record without its request circuit
-	circ     span   // the request circuit, shared by the chunk's records that repeat it
-	// The record's request and result offsets (recordAt), in the whole
-	// record: the others follow from them and the circuit's length.
+	circ     span   // the request circuit's binary form, shared by the chunk's records that repeat it; empty for none
+	// The record's request and result offsets (recordAt) in rec, the
+	// record without its circuit: the others follow from them.
 	req, reqEnd, resEnd uint32
 	user                uint32 // the job's user, by its Scheduler.users number
 	state               uint8  // sealedStates code; 0 while live
 }
 
-// recordAt is where the parts of e's whole record lie: its circuit runs from
-// the request's opening key to the request's shots, and a result follows the
-// request's end.
-func (e *entry) recordAt() recordAt {
+// storedAt is where the parts of e's stored record lie: the request's fields
+// after its circuit start at the cut, and a result follows the request's end.
+func (e *entry) storedAt() recordAt {
 	at := recordAt{req: e.req, reqEnd: e.reqEnd, resEnd: e.resEnd}
-	at.shots = at.circuitAt() + e.circ.n
+	at.shots = at.circuitAt()
 	if e.resEnd != 0 {
 		at.res = e.reqEnd + uint32(len(`,"result":`))
 	}
@@ -79,12 +92,14 @@ func (e *entry) recordAt() recordAt {
 }
 
 // arenaChunk is the size of one arena allocation; a record longer than it
-// gets a chunk of its own.
-const arenaChunk = 1 << 20
+// gets a chunk of its own. It holds ~550 hybrid-loop records (~0.95 KB
+// stored each), about half the circuit table's slots, as a 1-MiB chunk
+// did when a circuit was stored as its JSON.
+const arenaChunk = 1 << 19
 
 // circuitSlots is the size of the arena's circuit table, and circuitProbes
-// how many slots from a circuit's home a lookup tries. A chunk holds a few
-// thousand records at most, and a workload that repeats circuits repeats a
+// how many slots from a circuit's home a lookup tries. A chunk holds about
+// a thousand records at most, and a workload that repeats circuits repeats a
 // few of them; the probes keep two of those whose hashes share a home slot
 // from evicting each other, storing each again per job.
 const (
@@ -103,10 +118,10 @@ const (
 // dropping a whole chunk drops nothing another chunk reads.
 type arena struct {
 	chunks [][]byte
-	bytes  int64 // stored bytes: records without their circuits, and the circuits
+	bytes  int64 // stored bytes: records without their circuits, and the circuits' binary forms
 
-	// circuits maps a circuit's hash to its bytes in the last chunk; a
-	// zero span is an empty slot. It is cleared when a chunk starts, and a
+	// circuits maps a circuit's hash to its binary form in the last chunk;
+	// a zero span is an empty slot. It is cleared when a chunk starts, and a
 	// slot is taken as a match only when its bytes equal the circuit's.
 	circuits [circuitSlots]span
 	seed     maphash.Seed
@@ -122,24 +137,23 @@ func newArena() *arena {
 	return a
 }
 
-// add stores rec: its request circuit once in the last chunk, unless the
-// chunk holds those bytes already, and the rest of it after. It returns the
-// chunk and the two spans.
-func (a *arena) add(rec encoded) (chunk uint32, body, circ span) {
-	cut := rec.at.circuitAt()
-	c := rec.b[cut:rec.at.shots]
+// add stores rec: its circuit once in the last chunk, unless the chunk
+// holds those bytes already, and its body after. It returns the chunk and
+// the two spans.
+func (a *arena) add(rec stored) (chunk uint32, body, circ span) {
+	c := rec.circ
 	last := len(a.chunks) - 1
 	var slot *span
 	found := false
 	if last >= 0 {
 		slot, found = a.lookup(a.chunks[last], c)
 	}
-	need := len(rec.b)
-	if found {
-		need -= len(c)
+	need := len(rec.body)
+	if !found {
+		need += len(c)
 	}
 	if last < 0 || len(a.chunks[last])+need > cap(a.chunks[last]) {
-		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec.b))))
+		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec.body)+len(c))))
 		last++
 		a.circuits = [circuitSlots]span{}
 		slot, found = a.lookup(nil, c)
@@ -150,8 +164,8 @@ func (a *arena) add(rec encoded) (chunk uint32, body, circ span) {
 		*slot = span{uint32(len(ch)), uint32(len(c))}
 		ch = append(ch, c...)
 	}
-	body = span{uint32(len(ch)), uint32(len(rec.b) - len(c))}
-	ch = append(append(ch, rec.b[:cut]...), rec.b[rec.at.shots:]...)
+	body = span{uint32(len(ch)), uint32(len(rec.body))}
+	ch = append(ch, rec.body...)
 	a.chunks[last] = ch
 	a.bytes += int64(len(ch) - start)
 	return uint32(last), body, *slot
@@ -335,10 +349,14 @@ func (s *Scheduler) viewLocked(e *entry, buf *[]byte) View {
 		buf = new([]byte)
 	}
 	start := len(*buf)
-	at := e.recordAt()
+	at := e.storedAt()
 	ch := s.arena.chunks[e.chunk]
 	rec, cut := ch[e.rec.off:e.rec.off+e.rec.n], at.circuitAt()
-	*buf = append(append(append(*buf, rec[:cut]...), ch[e.circ.off:e.circ.off+e.circ.n]...), rec[cut:]...)
+	*buf = append(*buf, rec[:cut]...)
+	n := len(*buf)
+	*buf = s.appendCircuitLocked(*buf, ch[e.circ.off:e.circ.off+e.circ.n])
+	at = at.shift(len(*buf) - n)
+	*buf = append(*buf, rec[cut:]...)
 	return View{ID: e.id, Sealed: Record{
 		JSON:         (*buf)[start:len(*buf):len(*buf)],
 		Status:       sealedStates[e.state],
@@ -347,34 +365,57 @@ func (s *Scheduler) viewLocked(e *entry, buf *[]byte) View {
 	}}
 }
 
-// headLocked lexes sealed entry e's head where it is stored, circuit elided:
-// Record.Head never reads the circuit, so it reads the stored form once the
-// offsets past the cut are moved back by the circuit's length. The strings
-// share the arena. Caller holds s.mu.
-func (s *Scheduler) headLocked(e *entry) (Head, error) {
-	at, d := e.recordAt(), e.circ.n
-	at.shots, at.reqEnd = at.shots-d, at.reqEnd-d
-	if at.res != 0 {
-		at.res, at.resEnd = at.res-d, at.resEnd-d
+// appendCircuitLocked appends the JSON Request.AppendJSON wrote for the
+// circuit whose stored form is bin: null for an empty one (no circuit),
+// else what circuit.AppendJSON writes of the circuit decoded into
+// s.viewCircuit. Caller holds s.mu.
+func (s *Scheduler) appendCircuitLocked(b, bin []byte) []byte {
+	if len(bin) == 0 {
+		return append(b, "null"...)
 	}
-	return Record{JSON: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n], at: at}.Head()
+	err := s.viewCircuit.UnmarshalBinary(bin)
+	if err == nil {
+		b, err = s.viewCircuit.AppendJSON(b)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("fleet: a stored circuit does not read back: %v", err))
+	}
+	return b
 }
 
-// encoded is a record as Job.appendRecord wrote it.
-type encoded struct {
-	b  []byte
-	at recordAt
+// headLocked lexes sealed entry e's head where it is stored, circuit cut
+// out: Record.Head never reads the circuit. The strings share the arena.
+// Caller holds s.mu.
+func (s *Scheduler) headLocked(e *entry) (Head, error) {
+	return Record{JSON: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n], at: e.storedAt()}.Head()
 }
 
-// encodeRecord writes terminal job j's record into buf. Every float of a job
-// was checked finite at submission or computed by the engine, so a record
-// that cannot be written is a bug.
-func encodeRecord(j *Job, buf []byte) encoded {
-	b, at, err := j.appendRecord(buf)
+// stored is a terminal job as the arena stores it: body, its record with
+// the request circuit cut out (at locates the parts there, at.shots ==
+// at.circuitAt()), and circ, the circuit's binary form, empty for a job
+// without one. Both share one buffer, body's capacity.
+type stored struct {
+	body, circ []byte
+	at         recordAt
+}
+
+// encodeStored writes terminal job j's stored form into buf. Every float of
+// a job was checked finite at submission or computed by the engine, so a
+// record that cannot be written is a bug.
+func encodeStored(j *Job, buf []byte) stored {
+	b, at, err := j.writeRecord(buf, false)
 	if err != nil {
 		panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
 	}
-	return encoded{b, at}
+	// writeRecord wrote the circuit null: cut it out.
+	cut := at.circuitAt()
+	b = append(b[:len(buf)+int(cut)], b[len(buf)+int(at.shots):]...)
+	at = at.shift(int(cut) - int(at.shots))
+	n := len(b)
+	if c := j.Request.Circuit; c != nil {
+		b = c.AppendBinary(b)
+	}
+	return stored{body: b[len(buf):n], circ: b[n:], at: at}
 }
 
 // maxSpareRecord bounds the record buffers kept for reuse (the scheduler's
@@ -391,19 +432,19 @@ func spare(b []byte) []byte {
 	return b
 }
 
-// recordLocked encodes terminal job j's record into the scheduler's buffer.
-// Caller holds s.mu.
-func (s *Scheduler) recordLocked(j *Job) encoded {
-	rec := encodeRecord(j, s.sealBuf[:0])
-	s.sealBuf = spare(rec.b)
+// recordLocked encodes terminal job j's stored form into the scheduler's
+// buffer. Caller holds s.mu.
+func (s *Scheduler) recordLocked(j *Job) stored {
+	rec := encodeStored(j, s.sealBuf[:0])
+	s.sealBuf = spare(rec.body)
 	return rec
 }
 
-// sealLocked turns settled job j into rec, its record, copied into the
+// sealLocked turns settled job j into rec, its stored form, copied into the
 // arena. j leaves s.jobs, so nothing of the scheduler references it any
 // more, and j itself is not written, so a waiter still holding it reads it
 // as it settled. Caller holds s.mu.
-func (s *Scheduler) sealLocked(j *Job, rec encoded) {
+func (s *Scheduler) sealLocked(j *Job, rec stored) {
 	e := &s.index[s.findLocked(j.ID)]
 	e.chunk, e.rec, e.circ = s.arena.add(rec)
 	e.req, e.reqEnd, e.resEnd = rec.at.req, rec.at.reqEnd, rec.at.resEnd
@@ -433,9 +474,9 @@ func (s *Scheduler) View(id int, buf *[]byte) (View, error) {
 }
 
 // Retention is what the scheduler holds: live jobs by stored status, sealed
-// jobs, the bytes their records are stored in (a circuit repeated within an
-// arena chunk counts once), and the Idempotency-Keys bound in the
-// dedup window (at most idemWindow).
+// jobs, the bytes their records are stored in (the circuits in binary form,
+// one repeated within an arena chunk counted once), and the
+// Idempotency-Keys bound in the dedup window (at most idemWindow).
 type Retention struct {
 	Live        map[JobStatus]int
 	Sealed      int

@@ -74,6 +74,41 @@ func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	}
 }
 
+// TestHybridRecordsStoredCompact: a hybrid-loop job's circuit never
+// repeats, so it is stored per job, in its binary form: twenty rx angles
+// take 8 B each instead of ~18 B of JSON digits, and a job's stored record
+// falls from ~2.1 KB (the circuit's JSON ~1.4 KB of it) to ~0.96 KB.
+func TestHybridRecordsStoredCompact(t *testing.T) {
+	const maxMean = 1100.0 // stored bytes per sealed job
+	_, _, mean := sealHybridJobs(t, 2000)
+	t.Logf("stored %.0f B per sealed hybrid-loop job", mean)
+	if mean > maxMean {
+		t.Errorf("stored %.0f B per sealed hybrid-loop job, want <= %.0f: the request circuit is stored as its JSON", mean, maxMean)
+	}
+}
+
+// TestSealedJobWithoutCircuitReadsBack: a recovered terminal job whose
+// request has no circuit (Restore takes what the journal held) is stored
+// with an empty circuit span and reads back with "circuit":null.
+func TestSealedJobWithoutCircuitReadsBack(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	j := &Job{ID: 4, Status: JobFailed, Request: qrm.Request{Shots: 3, User: "u"}, Error: "lost"}
+	if _, err := s.Restore([]*Job{j}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.View(4, nil)
+	if err != nil || v.Live != nil {
+		t.Fatalf("job 4: %+v, %v; want it sealed", v, err)
+	}
+	cp := *j
+	cp.Recovered, cp.SubmitUnixMs = true, v.Sealed.SubmitUnixMs
+	want := encodeRecord(&cp, nil)
+	if !bytes.Equal(v.Sealed.JSON, want.b) || v.Sealed.at != want.at || !bytes.Contains(v.Sealed.JSON, []byte(`{"circuit":null,`)) {
+		t.Fatalf("job 4 reads %+v\n%s\nwant %+v\n%s", v.Sealed.at, v.Sealed.JSON, want.at, want.b)
+	}
+}
+
 // recordingStore is a JobStore that keeps, for each job, what encodeRecord
 // wrote of the job as it turned terminal: the record the arena must give
 // back.

@@ -1,9 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -20,7 +20,7 @@ type PromWriter struct {
 type promFamily struct {
 	help  string
 	kind  string // "counter", "gauge", "histogram"
-	lines []string
+	lines []byte // the sample lines, each ending in a newline
 }
 
 // NewPromWriter returns an empty exposition builder.
@@ -42,23 +42,16 @@ func (w *PromWriter) family(name, help, kind string) *promFamily {
 // verbatim so output stays deterministic.
 type Labels [][2]string
 
-func (ls Labels) String() string {
-	if len(ls) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
+// appendPairs appends the pairs as k="v",k="v", values escaped.
+func (ls Labels) appendPairs(b []byte) []byte {
 	for i, kv := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(kv[0])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(kv[1]))
-		b.WriteByte('"')
+		b = append(append(b, kv[0]...), `="`...)
+		b = append(append(b, escapeLabel(kv[1])...), '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return b
 }
 
 // labelEscaper escapes a label value. A Replacer is safe for concurrent use,
@@ -67,31 +60,43 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
-func formatValue(v float64) string {
+// appendValue appends a sample value: an integral one below 1e15 in
+// decimal, any other in %g's shortest form.
+func appendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	case v == math.Trunc(v) && math.Abs(v) < 1e15:
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(b, int64(v), 10)
 	default:
-		return fmt.Sprintf("%g", v)
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
+}
+
+// line starts a sample line after f's lines: name, suffix, the labels
+// (none: no braces) and the space before the value.
+func (f *promFamily) line(name, suffix string, labels Labels) []byte {
+	b := append(append(f.lines, name...), suffix...)
+	if len(labels) > 0 {
+		b = append(labels.appendPairs(append(b, '{')), '}')
+	}
+	return append(b, ' ')
 }
 
 // Counter adds one cumulative counter sample to the named family.
 func (w *PromWriter) Counter(name, help string, labels Labels, value float64) {
 	f := w.family(name, help, "counter")
-	f.lines = append(f.lines, fmt.Sprintf("%s%s %s", name, labels, formatValue(value)))
+	f.lines = append(appendValue(f.line(name, "", labels), value), '\n')
 }
 
 // Gauge adds one gauge sample to the named family.
 func (w *PromWriter) Gauge(name, help string, labels Labels, value float64) {
 	f := w.family(name, help, "gauge")
-	f.lines = append(f.lines, fmt.Sprintf("%s%s %s", name, labels, formatValue(value)))
+	f.lines = append(appendValue(f.line(name, "", labels), value), '\n')
 }
 
 // Histogram renders a HistogramSnapshot as cumulative le-buckets plus
@@ -100,35 +105,43 @@ func (w *PromWriter) Gauge(name, help string, labels Labels, value float64) {
 // this accumulates them into the required cumulative form.
 func (w *PromWriter) Histogram(name, help string, labels Labels, h HistogramSnapshot) {
 	f := w.family(name, help, "histogram")
+	bucket := func(le float64, n uint64) {
+		b := append(append(f.lines, name...), "_bucket{"...)
+		if len(labels) > 0 {
+			b = append(labels.appendPairs(b), ',')
+		}
+		b = append(appendValue(append(b, `le="`...), le), `"} `...)
+		f.lines = append(strconv.AppendUint(b, n, 10), '\n')
+	}
 	cum := uint64(0)
 	for i, bound := range h.Bounds {
 		if i < len(h.Counts) {
 			cum += h.Counts[i]
 		}
-		ls := append(append(Labels{}, labels...), [2]string{"le", formatValue(bound)})
-		f.lines = append(f.lines, fmt.Sprintf("%s_bucket%s %d", name, ls, cum))
+		bucket(bound, cum)
 	}
-	ls := append(append(Labels{}, labels...), [2]string{"le", "+Inf"})
-	f.lines = append(f.lines, fmt.Sprintf("%s_bucket%s %d", name, ls, h.Count))
-	f.lines = append(f.lines, fmt.Sprintf("%s_sum%s %s", name, labels, formatValue(h.Sum)))
-	f.lines = append(f.lines, fmt.Sprintf("%s_count%s %d", name, labels, h.Count))
+	bucket(math.Inf(1), h.Count)
+	f.lines = append(appendValue(f.line(name, "_sum", labels), h.Sum), '\n')
+	f.lines = append(strconv.AppendUint(f.line(name, "_count", labels), h.Count, 10), '\n')
 }
 
 // WriteTo emits the full exposition. Families appear in first-seen order;
 // samples within a family in insertion order.
 func (w *PromWriter) WriteTo(out io.Writer) (int64, error) {
-	var b strings.Builder
+	n := 0
+	for _, f := range w.families {
+		n += len(f.lines) + len(f.help) + 64
+	}
+	b := make([]byte, 0, n)
 	for _, name := range w.order {
 		f := w.families[name]
 		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", name, f.help)
+			b = append(append(append(append(b, "# HELP "...), name...), ' '), f.help...)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", name, f.kind)
-		for _, l := range f.lines {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
+		b = append(append(append(append(b, "# TYPE "...), name...), ' '), f.kind...)
+		b = append(append(b, '\n'), f.lines...)
 	}
-	n, err := io.WriteString(out, b.String())
-	return int64(n), err
+	m, err := out.Write(b)
+	return int64(m), err
 }
