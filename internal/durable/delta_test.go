@@ -217,7 +217,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 				// submitted writes the copy Job returns: once the job is
 				// sealed that is a private decoded copy, not the request
 				// its worker may still be encoding into the record.
-				until(t, "the seal", func() bool { v, _ := f.View(id, nil); return v.Live == nil })
+				until(t, "the seal", func() bool { v, _ := f.View(id, true, nil); return v.Live == nil })
 			}
 			live, err := f.Job(id)
 			mustOK(t, err)

@@ -1,6 +1,6 @@
 // Package durable is the crash-durable job store behind the fleet
 // scheduler: an append-only write-ahead log of job-lifecycle records plus
-// periodic snapshot compaction. Every transition the event bus publishes is
+// periodic snapshot compaction. Every transition the scheduler publishes is
 // journaled: the submission as the job's whole record — request and
 // Idempotency-Key binding included, the key is a field of the job — and each
 // later one (claim, failover re-queue, restore, terminal) as an update of

@@ -41,11 +41,11 @@ func TestViewsOutliveTheArena(t *testing.T) {
 	s.WaitSettled()
 
 	var one, page []byte
-	v, err := s.View(3, &one)
+	v, err := s.View(3, true, &one)
 	if err != nil || v.Live != nil {
 		t.Fatalf("view of job 3: %+v, %v; want it sealed", v, err)
 	}
-	views, _ := s.ListViews("", nil, 0, jobs, &page)
+	views, _ := s.ListViews("", nil, 0, jobs, true, &page)
 	if len(views) != jobs {
 		t.Fatalf("listed %d jobs, want %d", len(views), jobs)
 	}

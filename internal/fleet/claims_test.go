@@ -54,15 +54,8 @@ func runClaimChaos(t *testing.T, seed int64) {
 		qpus[name] = d.QPU()
 	}
 
-	sub := s.Events().Subscribe(0, 1<<14)
 	var events []Event
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		for ev := range sub.Events() {
-			events = append(events, ev)
-		}
-	}()
+	s.observeAll(func(ev Event) { events = append(events, ev) })
 
 	// Concurrent submitters.
 	var (
@@ -163,12 +156,8 @@ func runClaimChaos(t *testing.T, seed int64) {
 			deviceDone, m.Completed)
 	}
 
-	// Conservation law 3: the event stream.
-	sub.Close()
-	<-collectorDone
-	if n := sub.Dropped(); n != 0 {
-		t.Fatalf("event collector dropped %d; widen the buffer (accounting needs every event)", n)
-	}
+	// Conservation law 3: the event stream, complete once WaitSettled has
+	// seen every job sealed.
 	audit := newLifecycleAudit(t, nil)
 	for _, ev := range events {
 		audit.observe(ev)

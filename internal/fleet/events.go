@@ -1,18 +1,19 @@
 package fleet
 
-import "sync"
+import "slices"
 
-// This file is the job event bus behind the v2 watch API. The scheduler
-// owns the one instance: transitionLocked publishes every lifecycle
-// transition as an Event, and subscribers — REST watch streams, local
-// JobHandle.Watch, tests — receive it without polling the job record. The
-// bus is deliberately lossy for slow consumers: Publish never blocks the
-// publisher, so a subscriber that stops draining its channel drops events
-// (counted per subscription) instead of wedging the scheduler.
+// This file is how a job's transitions reach its watchers — v2 watch
+// streams and tests — without polling the job record. A live job holds its
+// own watchers, under Scheduler.mu, and transitionLocked hands each event
+// to that job's watchers only, so a publish costs what its own job is
+// watched by. Delivery never blocks the scheduler: a watcher that stops
+// draining its feed loses events (counted) instead. The terminal event
+// closes the job's feeds, so no watcher outlives its job.
 
 // Event is one job lifecycle transition, an edge of the lifecycle table.
 type Event struct {
-	// Seq is the bus-assigned publication order (monotonic, starts at 1).
+	// Seq is the scheduler-assigned publication order (monotonic, starts
+	// at 1), across all jobs.
 	Seq uint64 `json:"seq"`
 	// JobID is the fleet-scoped job ID.
 	JobID int `json:"job_id"`
@@ -29,138 +30,88 @@ type Event struct {
 	Time float64 `json:"time"`
 }
 
-// Subscription is one consumer's feed. Read from Events(); Close when done.
+// Subscription is one watcher's feed of one job's events. Read from
+// Events(); Close when done.
 type Subscription struct {
-	bus   *EventBus
-	id    int
-	jobID int // 0 = all jobs
-	ch    chan Event
-
-	mu      sync.Mutex
-	dropped uint64
-	closed  bool
+	s   *Scheduler
+	job *Job // nil once the feed is closed
+	ch  chan Event
 }
 
-// Events returns the subscription's channel. The bus closes it when either
-// the subscription or the bus itself is closed.
-func (s *Subscription) Events() <-chan Event { return s.ch }
+// Events returns the feed. It closes after the job's terminal event, or on
+// Close.
+func (w *Subscription) Events() <-chan Event { return w.ch }
 
-// Dropped reports how many events this subscription lost to a full buffer.
-func (s *Subscription) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Close detaches the subscription and closes its channel. Idempotent.
-func (s *Subscription) Close() {
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	s.closeLocked()
-}
-
-// closeLocked requires bus.mu.
-func (s *Subscription) closeLocked() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
+// Close detaches the watcher and closes its feed. Idempotent.
+func (w *Subscription) Close() {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	if j := w.job; j != nil {
+		j.watchers = slices.DeleteFunc(j.watchers, func(o *Subscription) bool { return o == w })
+		w.s.watches--
+		w.job = nil
+		close(w.ch)
 	}
-	s.closed = true
-	delete(s.bus.subs, s.id)
-	close(s.ch)
 }
 
-// EventBus fans job lifecycle events out to subscribers.
-type EventBus struct {
-	mu      sync.Mutex
-	nextSeq uint64
-	nextSub int
-	subs    map[int]*Subscription
-	closed  bool
-	// droppedTotal accumulates every per-subscriber drop, including those
-	// of subscriptions that have since closed — the /metrics counter needs
-	// history, not just the currently-attached set.
-	droppedTotal uint64
-}
-
-// BusStats is a point-in-time view of bus health for the metrics plane.
-type BusStats struct {
+// EventStats is a point-in-time view of event delivery for the metrics
+// plane.
+type EventStats struct {
 	Published    uint64 // events assigned a sequence number
-	DroppedTotal uint64 // deliveries lost to full subscriber buffers, ever
-	Subscribers  int    // currently attached subscriptions
+	DroppedTotal uint64 // deliveries lost to full watcher buffers, ever
+	Watches      int    // open feeds
 }
 
-// Stats snapshots publication, drop and subscriber counters.
-func (b *EventBus) Stats() BusStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BusStats{Published: b.nextSeq, DroppedTotal: b.droppedTotal, Subscribers: len(b.subs)}
+// EventStats snapshots publication, drop and open-watch counters.
+func (s *Scheduler) EventStats() EventStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return EventStats{Published: s.published, DroppedTotal: s.dropped, Watches: s.watches}
 }
 
-// NewEventBus builds an empty bus.
-func NewEventBus() *EventBus {
-	return &EventBus{subs: make(map[int]*Subscription)}
-}
-
-// Subscribe attaches a consumer. jobID filters to one job (0 = every job);
-// buffer sizes the delivery channel (minimum 1) — a terminal-state watcher
-// needs only a handful of slots, a firehose consumer should size up.
-func (b *EventBus) Subscribe(jobID, buffer int) *Subscription {
-	if buffer < 1 {
-		buffer = 1
+// Watch reads what a watch stream opens with, as Peek does, and for a job
+// that is not terminal attaches a feed of its later events, buffered to
+// buffer (minimum 1). Both are taken under one lock, so the feed starts
+// with the first transition after the snapshot: none is missed and none
+// repeats it. A terminal job yields a nil subscription.
+func (s *Scheduler) Watch(id, buffer int) (st JobStatus, device string, recovered bool, sub *Subscription, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, device, recovered, err = s.peekLocked(id)
+	if err != nil || st.Terminal() {
+		return st, device, recovered, nil, err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nextSub++
-	s := &Subscription{bus: b, id: b.nextSub, jobID: jobID, ch: make(chan Event, buffer)}
-	if b.closed {
-		// A closed bus yields an already-closed feed: the consumer's range
-		// loop exits immediately instead of hanging.
-		s.closed = true
-		close(s.ch)
-		return s
-	}
-	b.subs[s.id] = s
-	return s
+	j := s.jobs[id]
+	sub = &Subscription{s: s, job: j, ch: make(chan Event, max(buffer, 1))}
+	j.watchers = append(j.watchers, sub)
+	s.watches++
+	return st, device, recovered, sub, nil
 }
 
-// Publish assigns the event its sequence number and delivers it to every
-// matching subscriber without blocking: a full buffer drops the event for
-// that subscriber only.
-func (b *EventBus) Publish(ev Event) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
+// publishLocked stamps ev with the next Seq and hands it to the test
+// observer, if one is set, and to j's watchers without blocking: a full
+// buffer loses the event for that watcher only. The terminal event closes
+// j's feeds. Caller holds s.mu.
+func (s *Scheduler) publishLocked(j *Job, ev Event) {
+	s.published++
+	ev.Seq = s.published
+	if s.observe != nil {
+		s.observe(ev)
 	}
-	b.nextSeq++
-	ev.Seq = b.nextSeq
-	for _, s := range b.subs {
-		if s.jobID != 0 && s.jobID != ev.JobID {
-			continue
-		}
+	for _, w := range j.watchers {
+		s.visits++
 		select {
-		case s.ch <- ev:
+		case w.ch <- ev:
 		default:
-			s.mu.Lock()
 			s.dropped++
-			s.mu.Unlock()
-			b.droppedTotal++
 		}
 	}
-}
-
-// Close shuts the bus down, closing every subscriber channel. Further
-// Publish calls are no-ops and further Subscribes return closed feeds.
-func (b *EventBus) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for _, s := range b.subs {
-		s.closeLocked()
+	if ev.To.Terminal() {
+		for _, w := range j.watchers {
+			w.job = nil
+			close(w.ch)
+		}
+		s.watches -= len(j.watchers)
+		j.watchers = nil
 	}
 }

@@ -57,3 +57,18 @@ func encodeRecord(j *Job, buf []byte) encoded {
 	}
 	return encoded{b, at}
 }
+
+// observeAll hands f every event as it is published, under the scheduler's
+// lock: an audit sees each one, in Seq order, and none is dropped.
+func (s *Scheduler) observeAll(f func(Event)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.observe = f
+}
+
+// watcherVisits is how many watchers publishes have visited.
+func (s *Scheduler) watcherVisits() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.visits
+}

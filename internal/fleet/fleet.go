@@ -123,6 +123,10 @@ type Job struct {
 	tr       *trace.Trace
 	rootSpan *trace.Span
 	qwSpan   *trace.Span
+
+	// watchers are the feeds Watch attached to the job, guarded by
+	// Scheduler.mu; its terminal event closes them (events.go).
+	watchers []*Subscription
 }
 
 // Result is a device run's output. Its fields keep the names of the device
@@ -239,7 +243,14 @@ type Scheduler struct {
 	idemOrder []binding
 
 	scoreHist *telemetry.Histogram
-	bus       *EventBus // every lifecycle transition (transitionLocked)
+
+	// Event delivery (events.go): published numbers the events, dropped
+	// counts deliveries lost to full feeds, watches the open feeds and
+	// visits the feeds a publish went through. observe, set by tests only,
+	// sees every event as it is published.
+	published, dropped, visits uint64
+	watches                    int
+	observe                    func(Event)
 
 	illegal    uint64 // transitions taken that the lifecycle table does not list
 	scoreEvals uint64 // fidelity estimates computed: score memo misses
@@ -289,17 +300,12 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 		queue:     newFairQueue(),
 		idem:      make(map[string]int),
 		scoreHist: scoreHistogram(),
-		bus:       NewEventBus(),
 		arena:     newArena(),
 		traceCap:  DefaultTraceRetention,
 	}
 	s.settled = sync.NewCond(&s.mu)
 	return s
 }
-
-// Events returns the job event bus: one event per lifecycle transition, the
-// feed the v2 watch endpoint serves.
-func (s *Scheduler) Events() *EventBus { return s.bus }
 
 // JobStore is the durability boundary behind the fleet scheduler (declared
 // locally so fleet stays free of a durable import); internal/durable's
@@ -762,7 +768,7 @@ func (s *Scheduler) TraceStats() (retained int, spanDrops uint64) {
 // Job returns a copy of the fleet job record, a sealed job's decoded from
 // its record; a routed job that compiled reads running.
 func (s *Scheduler) Job(id int) (*Job, error) {
-	v, err := s.View(id, nil)
+	v, err := s.View(id, true, nil)
 	if err != nil || v.Live != nil {
 		return v.Live, err
 	}
@@ -792,6 +798,11 @@ func (j *Job) shownStatus() JobStatus {
 func (s *Scheduler) Peek(id int) (st JobStatus, device string, recovered bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.peekLocked(id)
+}
+
+// peekLocked is Peek. Caller holds s.mu.
+func (s *Scheduler) peekLocked(id int) (st JobStatus, device string, recovered bool, err error) {
 	if j, ok := s.jobs[id]; ok {
 		return j.shownStatus(), j.Device, j.Recovered, nil
 	}
@@ -859,10 +870,10 @@ func (s *Scheduler) await(ctx context.Context, id int) (*Job, error) {
 // (0 = newest first), filtered by user and status set (nil = any); more
 // reports whether older matches remain. Views carry the stored status, so a
 // filter naming running matches routed jobs. The sealed views' records are
-// copied into *buf from its start, as View copies one; a view copied before
-// an append grew *buf keeps the earlier array. It is the cursor primitive
-// behind the v2 paginated listing.
-func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, limit int, buf *[]byte) (views []View, more bool) {
+// copied into *buf from its start, as View copies one, with or without
+// their requests; a view copied before an append grew *buf keeps the earlier
+// array. It is the cursor primitive behind the v2 paginated listing.
+func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, limit int, withRequest bool, buf *[]byte) (views []View, more bool) {
 	if limit < 1 {
 		limit = 20
 	}
@@ -894,7 +905,7 @@ func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, 
 		if len(views) == limit {
 			return views, true
 		}
-		views = append(views, s.viewLocked(e, buf))
+		views = append(views, s.viewLocked(e, withRequest, buf))
 	}
 	return views, false
 }
@@ -1001,8 +1012,7 @@ func (s *Scheduler) Stop() {
 	}
 	s.wakeAllLocked()
 	s.mu.Unlock()
+	// Every job settles before its worker exits, and its terminal event
+	// closes its watchers' feeds.
 	s.wg.Wait()
-	// Every job is settled and its terminal event published; release watch
-	// subscribers.
-	s.bus.Close()
 }

@@ -231,8 +231,12 @@ func TestDrainLeavesQueuedJobsToSiblings(t *testing.T) {
 	if err := s.Drain("b"); err != nil {
 		t.Fatal(err)
 	}
-	sub := s.Events().Subscribe(0, 256)
-	defer sub.Close()
+	var migrated []Event
+	s.observeAll(func(ev Event) {
+		if ev.Reason == "migrated" {
+			migrated = append(migrated, ev)
+		}
+	})
 	// Only a claims (b is draining); a's single paced worker leaves a backlog.
 	var ids []int
 	for i := 0; i < 8; i++ {
@@ -273,10 +277,9 @@ func TestDrainLeavesQueuedJobsToSiblings(t *testing.T) {
 	if m := s.Metrics(); m.Migrated != 0 || m.Failed != 0 {
 		t.Fatalf("metrics after drain: migrated=%d failed=%d, want 0/0", m.Migrated, m.Failed)
 	}
-	for len(sub.Events()) > 0 {
-		if ev := <-sub.Events(); ev.Reason == "migrated" {
-			t.Fatalf("drain published a migrated event: %+v", ev)
-		}
+	s.WaitSettled()
+	if len(migrated) > 0 {
+		t.Fatalf("drain published a migrated event: %+v", migrated[0])
 	}
 }
 

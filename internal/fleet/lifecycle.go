@@ -6,7 +6,7 @@ import (
 )
 
 // JobStatus is the job lifecycle state — the one spelling the scheduler
-// stores, the WAL journals, the event bus publishes and the v2 API serves.
+// stores, the WAL journals, watch feeds carry and the v2 API serves.
 // A queued job waits in the fleet's queue; a routed job is held by one
 // device's worker, compiling or on the QPU. Running is never stored: it is
 // how Scheduler.Job relabels its copy of a routed job past its compile.
@@ -85,7 +85,7 @@ var (
 // transitionLocked moves j to status to — the only write of Job.Status in
 // the package (TestStatusHasOneWriter). The caller has already set whatever
 // else the move changes (device, result, error). The move is journaled
-// here, then published, so the bus carries exactly the stream the WAL
+// here, then published, so a job's watchers see exactly the stream the WAL
 // replays: the table's first row (the mint) journals the whole record,
 // request included, and every other row an update of the fields a move
 // after the mint may change (JobStore). An edge missing from the table
@@ -104,7 +104,7 @@ func (s *Scheduler) transitionLocked(j *Job, to JobStatus, reason string) {
 	default:
 		s.walTail = s.jstore.JournalFleetUpdate(j)
 	}
-	s.bus.Publish(Event{
+	s.publishLocked(j, Event{
 		JobID:  j.ID,
 		From:   from,
 		To:     to,

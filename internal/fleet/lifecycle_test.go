@@ -117,16 +117,14 @@ func (m *memStore) revive() {
 
 // walkEpoch is one scheduler lifetime of the random walk.
 type walkEpoch struct {
-	s       *Scheduler
-	devs    map[string]*qdmi.Device
-	sub     *Subscription
-	audit   *lifecycleAudit
-	drained chan struct{}
+	s     *Scheduler
+	devs  map[string]*qdmi.Device
+	audit *lifecycleAudit
 }
 
 func startWalkEpoch(t *testing.T, seed int64, names []string, st *memStore, recovered []*Job) *walkEpoch {
 	t.Helper()
-	ep := &walkEpoch{s: New(PolicyBestFidelity, nil), devs: map[string]*qdmi.Device{}, audit: newLifecycleAudit(t, recovered), drained: make(chan struct{})}
+	ep := &walkEpoch{s: New(PolicyBestFidelity, nil), devs: map[string]*qdmi.Device{}, audit: newLifecycleAudit(t, recovered)}
 	for i, name := range names {
 		ep.devs[name] = mkdev(t, name, 2, 3, seed*10+int64(i), 300*time.Microsecond)
 		if err := ep.s.AddDevice(name, ep.devs[name], 2); err != nil {
@@ -134,30 +132,19 @@ func startWalkEpoch(t *testing.T, seed int64, names []string, st *memStore, reco
 		}
 	}
 	ep.s.AttachStore(st)
-	// Attached before Restore, so the "recovered" edges are audited too.
-	ep.sub = ep.s.Events().Subscribe(0, 1<<15)
-	go func() {
-		defer close(ep.drained)
-		for ev := range ep.sub.Events() {
-			ep.audit.observe(ev)
-		}
-	}()
+	// Set before Restore, so the "recovered" edges are audited too.
+	ep.s.observeAll(ep.audit.observe)
 	if _, err := ep.s.Restore(recovered); err != nil {
 		t.Fatal(err)
 	}
 	return ep
 }
 
-// end stops the scheduler (closing the bus, which ends the collector),
-// holds the epoch to the counters every epoch owes and adds the edges it
-// took to taken.
+// end stops the scheduler, holds the epoch to the counters every epoch
+// owes and adds the edges it took to taken.
 func (ep *walkEpoch) end(t *testing.T, taken map[edge]int) {
 	t.Helper()
 	ep.s.Stop()
-	<-ep.drained
-	if n := ep.sub.Dropped(); n != 0 {
-		t.Fatalf("firehose dropped %d events; widen the buffer (the audit needs every one)", n)
-	}
 	if n := ep.s.Metrics().IllegalTransitions; n != 0 {
 		t.Errorf("IllegalTransitions = %d, want 0", n)
 	}
@@ -171,8 +158,8 @@ func (ep *walkEpoch) end(t *testing.T, taken map[edge]int) {
 // deadlined submissions, cancels, drains, device failures under armed
 // execution faults, resumes, a maintenance
 // window opened and closed by AdvanceTo, admission shedding, kill-then-
-// Restore from an in-memory store, stop — while a firehose subscriber holds
-// the event stream to the transition table. Between them the seeds must take
+// Restore from an in-memory store, stop — while an observer holds every
+// event to the transition table. Between them the seeds must take
 // every edge of the table: a row nothing can reach is not specification. Run
 // under -race.
 func TestLifecycleRandomWalk(t *testing.T) {

@@ -207,7 +207,7 @@ func TestSealedReadsRaceSealing(t *testing.T) {
 				if n == 0 {
 					continue
 				}
-				v, err := s.View(1+rng.Intn(n), &buf)
+				v, err := s.View(1+rng.Intn(n), true, &buf)
 				if err != nil {
 					t.Error(err)
 					return
@@ -222,7 +222,7 @@ func TestSealedReadsRaceSealing(t *testing.T) {
 						return
 					}
 				}
-				s.ListViews("", nil, 0, 5, &buf)
+				s.ListViews("", nil, 0, 5, true, &buf)
 			}
 		}(r)
 	}

@@ -26,8 +26,9 @@ import (
 // recalibration's characterisation set, a fixed ansatz), so each distinct
 // circuit is stored once per arena chunk. That is the stored form, and only
 // this file and the circuit codec know it. viewLocked, the one copy-out,
-// renders the circuit back through circuit.AppendJSON and splices it in, so
-// every reader sees the record's bytes.
+// renders the circuit back through circuit.AppendJSON and splices it in for
+// a reader that shows the request, so it sees the record's bytes; a reader
+// that does not (a listing, a POST's read-back) gets the stored form.
 
 // recordAt locates a record's parts by offset into its bytes: the request
 // object [req, reqEnd), whose fields after the circuit start at shots, and
@@ -206,8 +207,14 @@ type Record struct {
 	at           recordAt
 }
 
-// Request is the record's request object.
-func (r Record) Request() []byte { return r.JSON[r.at.req:r.at.reqEnd] }
+// Request is the record's request object; nil when the record was copied
+// without it, its circuit cut out.
+func (r Record) Request() []byte {
+	if r.at.shots == r.at.circuitAt() {
+		return nil
+	}
+	return r.JSON[r.at.req:r.at.reqEnd]
+}
 
 // ResultFields are the members of the record's result object, without its
 // braces; nil when the job has no result.
@@ -339,8 +346,11 @@ func (s *Scheduler) findLocked(id int) int {
 }
 
 // viewLocked is entry e's view; a live copy is taken as it is stored, a
-// sealed record is appended to *buf (nil: a new buffer). Caller holds s.mu.
-func (s *Scheduler) viewLocked(e *entry, buf *[]byte) View {
+// sealed record is appended to *buf (nil: a new buffer). Without its
+// request, the record is copied as it is stored, circuit cut out: Head and
+// ResultFields read that form, Request is nil and JSON is no JSON document.
+// Caller holds s.mu.
+func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 	if e.state == 0 {
 		cp := *s.jobs[e.id]
 		return View{ID: e.id, Live: &cp}
@@ -351,12 +361,16 @@ func (s *Scheduler) viewLocked(e *entry, buf *[]byte) View {
 	start := len(*buf)
 	at := e.storedAt()
 	ch := s.arena.chunks[e.chunk]
-	rec, cut := ch[e.rec.off:e.rec.off+e.rec.n], at.circuitAt()
-	*buf = append(*buf, rec[:cut]...)
-	n := len(*buf)
-	*buf = s.appendCircuitLocked(*buf, ch[e.circ.off:e.circ.off+e.circ.n])
-	at = at.shift(len(*buf) - n)
-	*buf = append(*buf, rec[cut:]...)
+	rec := ch[e.rec.off : e.rec.off+e.rec.n]
+	if withRequest {
+		cut := at.circuitAt()
+		*buf = append(*buf, rec[:cut]...)
+		n := len(*buf)
+		*buf = s.appendCircuitLocked(*buf, ch[e.circ.off:e.circ.off+e.circ.n])
+		at = at.shift(len(*buf) - n)
+		rec = rec[cut:]
+	}
+	*buf = append(*buf, rec...)
 	return View{ID: e.id, Sealed: Record{
 		JSON:         (*buf)[start:len(*buf):len(*buf)],
 		Status:       sealedStates[e.state],
@@ -456,9 +470,10 @@ func (s *Scheduler) sealLocked(j *Job, rec stored) {
 
 // View returns job id as the scheduler holds it, a live job relabelled as
 // Job relabels it. A sealed job's record is copied into *buf from its start
-// (nil: a new buffer), so it is the caller's: it stays valid until the
-// caller reuses *buf.
-func (s *Scheduler) View(id int, buf *[]byte) (View, error) {
+// (nil: a new buffer), its request rendered only when withRequest is set
+// (viewLocked), so it is the caller's: it stays valid until the caller
+// reuses *buf.
+func (s *Scheduler) View(id int, withRequest bool, buf *[]byte) (View, error) {
 	if buf != nil {
 		*buf = (*buf)[:0]
 	}
@@ -468,7 +483,7 @@ func (s *Scheduler) View(id int, buf *[]byte) (View, error) {
 		return View{ID: id, Live: refined(*j)}, nil
 	}
 	if i := s.findLocked(id); i >= 0 {
-		return s.viewLocked(&s.index[i], buf), nil
+		return s.viewLocked(&s.index[i], withRequest, buf), nil
 	}
 	return View{}, fmt.Errorf("%w %d", ErrNoJob, id)
 }

@@ -59,7 +59,7 @@ func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	if r.Sealed != jobs {
 		t.Fatalf("sealed %d jobs, want %d", r.Sealed, jobs)
 	}
-	v, err := s.View(1, nil)
+	v, err := s.View(1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +71,54 @@ func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(entry{}); size > 64 {
 		t.Errorf("an index entry is %d B, want <= 64", size)
+	}
+}
+
+// TestListCopiesNoCircuit: a listing shows no request, so it copies each
+// sealed record as it is stored, circuit cut out, and renders no circuit.
+// A page of 20 wide-circuit jobs (each circuit ~6.1 KB of JSON) then fits in
+// the bytes the arena stores them in, and each view reads the head and the
+// result a full View reads.
+func TestListCopiesNoCircuit(t *testing.T) {
+	const jobs = 20
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	if err := s.AddDevice("a", mkdev(t, "a", 3, 4, 3, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit(qrm.Request{Circuit: wide(rng), Shots: 5, User: "w"}, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WaitSettled()
+	var buf []byte
+	views, more := s.ListViews("", nil, 0, jobs, false, &buf)
+	if len(views) != jobs || more {
+		t.Fatalf("listed %d jobs (more %v), want %d", len(views), more, jobs)
+	}
+	stored := s.Retained().RecordBytes
+	t.Logf("a page of %d sealed 12-qubit jobs copied %d B; the arena stores them in %d B", jobs, len(buf), stored)
+	if int64(len(buf)) > stored {
+		t.Errorf("a page of %d jobs copied %d B, more than the %d B they are stored in: the listing renders their circuits", jobs, len(buf), stored)
+	}
+	for _, lv := range views {
+		if r := lv.Sealed.Request(); r != nil {
+			t.Fatalf("job %d: listed view has a request %.40s…", lv.ID, r)
+		}
+		full, err := s.View(lv.ID, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := lv.Sealed.Head()
+		want, werr := full.Sealed.Head()
+		if err != nil || werr != nil || h != want {
+			t.Fatalf("job %d: listed head %+v (%v), full view's %+v (%v)", lv.ID, h, err, want, werr)
+		}
+		if !bytes.Equal(lv.Sealed.ResultFields(), full.Sealed.ResultFields()) || lv.Sealed.Status != full.Sealed.Status {
+			t.Fatalf("job %d: listed result or status differs from the full view's", lv.ID)
+		}
 	}
 }
 
@@ -97,7 +145,7 @@ func TestSealedJobWithoutCircuitReadsBack(t *testing.T) {
 	if _, err := s.Restore([]*Job{j}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.View(4, nil)
+	v, err := s.View(4, true, nil)
 	if err != nil || v.Live != nil {
 		t.Fatalf("job 4: %+v, %v; want it sealed", v, err)
 	}
@@ -189,7 +237,7 @@ func TestInternedRecordsReadBack(t *testing.T) {
 	}
 
 	var buf []byte
-	views, more := s.ListViews("", nil, 0, jobs, &buf)
+	views, more := s.ListViews("", nil, 0, jobs, true, &buf)
 	if len(views) != jobs || more {
 		t.Fatalf("listed %d jobs (more %v), want %d", len(views), more, jobs)
 	}
@@ -198,7 +246,7 @@ func TestInternedRecordsReadBack(t *testing.T) {
 		if !bytes.Equal(lv.Sealed.JSON, want) || lv.Sealed.at != st.want[lv.ID].at {
 			t.Fatalf("ListViews: job %d reads %+v\n%s\nencodeRecord wrote %+v\n%s", lv.ID, lv.Sealed.at, lv.Sealed.JSON, st.want[lv.ID].at, want)
 		}
-		v, err := s.View(lv.ID, nil)
+		v, err := s.View(lv.ID, true, nil)
 		if err != nil || !bytes.Equal(v.Sealed.JSON, want) || v.Sealed.at != st.want[lv.ID].at {
 			t.Fatalf("View: job %d reads %+v (%v)\n%s\nencodeRecord wrote\n%s", lv.ID, v.Sealed.at, err, v.Sealed.JSON, want)
 		}

@@ -105,7 +105,7 @@ func TestLocalClientGoesThroughTheHandler(t *testing.T) {
 
 // TestLocalStreamCloseEndsTheHandler: closing an in-process watch stream's
 // body ends the handler's request context, so the handler returns and
-// drops its event-bus subscription, as a disconnect does over a socket.
+// closes its job watch, as a disconnect does over a socket.
 func TestLocalStreamCloseEndsTheHandler(t *testing.T) {
 	qpu := device.NewTwin20Q(13)
 	f := oneDeviceFleet(t, qpu, 1)
@@ -125,12 +125,12 @@ func TestLocalStreamCloseEndsTheHandler(t *testing.T) {
 	if err != nil || !strings.Contains(first, `"reason":"snapshot"`) {
 		t.Fatalf("opening event %q, %v", first, err)
 	}
-	if n := f.Events().Stats().Subscribers; n != 1 {
+	if n := f.EventStats().Watches; n != 1 {
 		t.Fatalf("%d subscribers while the stream is open, want 1", n)
 	}
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for f.Events().Stats().Subscribers != 0 {
+	for f.EventStats().Watches != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the watch handler still holds its subscription after the body closed")
 		}

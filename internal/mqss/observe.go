@@ -101,7 +101,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("qhpc_qrm_jobs_shed_total", "Jobs evicted by admission control (queue over bounds).", nil, float64(fm.Shed))
 	pw.Counter("qhpc_fleet_illegal_transitions_total", "Job lifecycle moves taken that the transition table does not list (a bug if nonzero).", nil, float64(fm.IllegalTransitions))
 	pw.Histogram("qhpc_fleet_route_score", "Fidelity estimate of each routing decision.", nil, fm.ScoreHist)
-	promBus(pw, s.fleet.Events().Stats())
+	promBus(pw, s.fleet.EventStats())
 	retained, drops := s.fleet.TraceStats()
 	promTraces(pw, retained, drops)
 	promRetention(pw, s.fleet.Retained())
@@ -218,12 +218,13 @@ func promTenants(pw *telemetry.PromWriter, ts TenantsStatus, limited bool) {
 	}
 }
 
-// promBus renders the health of the job event bus; there is one, the fleet's.
-func promBus(pw *telemetry.PromWriter, st fleet.BusStats) {
+// promBus renders the health of the fleet's job event delivery, under the
+// qhpc_bus_ family names the benchmark and dashboards read.
+func promBus(pw *telemetry.PromWriter, st fleet.EventStats) {
 	l := telemetry.Labels{{"bus", "fleet"}}
-	pw.Counter("qhpc_bus_events_published_total", "Lifecycle events published on the job event bus.", l, float64(st.Published))
-	pw.Counter("qhpc_bus_events_dropped_total", "Event deliveries dropped on full subscriber buffers (summed across subscribers, including closed ones).", l, float64(st.DroppedTotal))
-	pw.Gauge("qhpc_bus_subscribers", "Currently attached bus subscriptions.", l, float64(st.Subscribers))
+	pw.Counter("qhpc_bus_events_published_total", "Job lifecycle events published.", l, float64(st.Published))
+	pw.Counter("qhpc_bus_events_dropped_total", "Event deliveries dropped on full watcher buffers (summed across watches, including closed ones).", l, float64(st.DroppedTotal))
+	pw.Gauge("qhpc_bus_subscribers", "Open job watches.", l, float64(st.Watches))
 }
 
 // promTraces renders the health of the scheduler's trace-retention ring.

@@ -273,7 +273,7 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 	page := &JobPage{}
 	for _, id := range ids {
 		live := want[id]
-		v, err := f.View(id, nil)
+		v, err := f.View(id, true, nil)
 		if err != nil || v.Live != nil {
 			t.Fatalf("job %d: view %+v, %v; want it sealed", id, v, err)
 		}

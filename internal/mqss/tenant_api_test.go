@@ -333,20 +333,30 @@ func wfqFairness(t *testing.T, devices int) {
 	}
 	sort.Strings(users)
 	total := 0
+	var subs []*fleet.Subscription
 	for _, u := range users {
 		for i := 0; i < load[u]; i++ {
-			if _, err := client.Submit(ctx, SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: u}, ""); err != nil {
+			h, err := client.Submit(ctx, SubmitRequest{Circuit: circuit.GHZ(3), Shots: 5, User: u}, "")
+			if err != nil {
 				t.Fatal(err)
 			}
 			total++
+			// A watch of each job records its true completion order by the
+			// event's Seq (the simulation clock stamps identical jobs with
+			// identical EndTimes, so records alone cannot order them).
+			id, err := ParseJobID(h.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, sub, err := f.Watch(id, 4)
+			if err != nil || sub == nil {
+				t.Fatalf("watch of queued job %d: %v, %v", id, sub, err)
+			}
+			defer sub.Close()
+			subs = append(subs, sub)
 		}
 	}
 
-	// The event bus firehose records true completion order (the simulation
-	// clock stamps identical jobs with identical EndTimes, so records alone
-	// cannot order them).
-	sub := f.Events().Subscribe(0, 4096)
-	defer sub.Close()
 	// The one job each worker claims on Resume is held by the long latency,
 	// which then drops so the full backlog drains under WFQ.
 	for _, qpu := range qpus {
@@ -359,22 +369,26 @@ func wfqFairness(t *testing.T, devices int) {
 	}
 	f.WaitSettled()
 
-	var finished []string // tenant per completion, in completion order
-	deadline := time.After(10 * time.Second)
-	for len(finished) < total {
-		select {
-		case ev := <-sub.Events():
-			if ev.To != "done" {
-				continue
+	// Every job is sealed, so every feed is closed after its terminal event.
+	var dones []fleet.Event
+	for _, sub := range subs {
+		for ev := range sub.Events() {
+			if ev.To == fleet.JobDone {
+				dones = append(dones, ev)
 			}
-			j, err := f.Job(ev.JobID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			finished = append(finished, j.Request.User)
-		case <-deadline:
-			t.Fatalf("only %d/%d completions observed", len(finished), total)
 		}
+	}
+	if len(dones) < total {
+		t.Fatalf("only %d/%d completions observed", len(dones), total)
+	}
+	sort.Slice(dones, func(i, j int) bool { return dones[i].Seq < dones[j].Seq })
+	var finished []string // tenant per completion, in completion order
+	for _, ev := range dones {
+		j, err := f.Job(ev.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finished = append(finished, j.Request.User)
 	}
 
 	// Measure each tenant's share of the first 40 completions — the window

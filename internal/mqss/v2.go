@@ -4,7 +4,7 @@ package mqss
 // returns 202 + Location immediately (?wait= turns it into a bounded
 // long-poll), GET /jobs/{id} reads the resource (?wait= long-polls for a
 // terminal state), GET /jobs/{id}/events streams lifecycle transitions as
-// NDJSON or SSE off the backend's event bus, DELETE cancels (a queued job
+// NDJSON or SSE off the job's event feed, DELETE cancels (a queued job
 // at once, a running one at its next stage boundary), and GET /jobs pages the
 // history with opaque cursors. Every error is the structured envelope
 // {code, message, retryable}.
@@ -90,11 +90,12 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// v2JobRecord fetches the unified record for a backend job ID. A sealed
-// job's record is copied into *buf and the Job shares its bytes, so the
-// caller keeps *buf until the Job is written.
+// v2JobRecord fetches the unified record for a backend job ID, with its
+// request when withRequest is set. A sealed job's record is copied into
+// *buf and the Job shares its bytes, so the caller keeps *buf until the Job
+// is written.
 func (s *Server) v2JobRecord(id int, withRequest bool, buf *[]byte) (*Job, error) {
-	v, err := s.fleet.View(id, buf)
+	v, err := s.fleet.View(id, withRequest, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +315,7 @@ func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 	var lastID int
 	buf := outPool.Get().(*[]byte)
 	defer putOut(buf)
-	views, more := s.fleet.ListViews(q.Get("user"), filter, before, limit, buf)
+	views, more := s.fleet.ListViews(q.Get("user"), filter, before, limit, false, buf)
 	for _, v := range views {
 		job, err := v2FromView(v, false)
 		if err != nil {
@@ -427,26 +428,19 @@ func (s *Server) v2Cancel(w http.ResponseWriter, id int) {
 // v2Watch: GET /api/v2/jobs/{id}/events — the server-push stream. NDJSON
 // by default, SSE under Accept: text/event-stream. The stream opens with a
 // synthetic snapshot event for the job's current state (so late watchers
-// see where they stand), then follows the event bus until the job goes
+// see where they stand), then follows the job's events until it goes
 // terminal, the client disconnects, or the server begins a graceful
-// shutdown. A terminal job's stream is its snapshot alone, read without a
-// subscription. A live job's subscription starts before its snapshot is
-// read again, so no transition is missed but one can appear twice
-// (snapshot + live); consumers key on state, not event count.
+// shutdown. The snapshot and the feed are taken under one scheduler lock,
+// so the stream neither misses nor repeats a transition. A terminal job's
+// stream is its snapshot alone, read without a feed.
 func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
-	state, device, recovered, err := s.fleet.Peek(id)
+	state, device, recovered, sub, err := s.fleet.Watch(id, 32)
 	if err != nil {
 		writeFleetError(w, err)
 		return
 	}
-	var sub *fleet.Subscription
-	if !state.Terminal() {
-		sub = s.fleet.Events().Subscribe(id, 32)
+	if sub != nil {
 		defer sub.Close()
-		if state, device, recovered, err = s.fleet.Peek(id); err != nil {
-			writeFleetError(w, err)
-			return
-		}
 	}
 
 	out := watchWriter{w: w, sse: strings.Contains(r.Header.Get("Accept"), "text/event-stream")}
@@ -477,7 +471,12 @@ func (s *Server) v2Watch(w http.ResponseWriter, r *http.Request, id int) {
 		select {
 		case ev, ok := <-sub.Events():
 			if !ok {
-				return // bus closed (backend shutting down)
+				// The job went terminal but its event was dropped on the
+				// full feed: end with the terminal state as Peek reads it.
+				if state, device, _, err = s.fleet.Peek(id); err == nil {
+					out.last(&JobEvent{JobID: jobID, State: state, Device: device, Reason: "snapshot"})
+				}
+				return
 			}
 			line := &JobEvent{Seq: ev.Seq, JobID: jobID, State: ev.To, Device: ev.Device, Reason: ev.Reason}
 			if ev.To.Terminal() {

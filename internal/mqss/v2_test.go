@@ -707,6 +707,93 @@ func TestV2ConcurrentWatchersCancelStress(t *testing.T) {
 	}
 }
 
+// TestWatchStreamNeverRepeatsAState: 64 streams open on queued jobs of a
+// drained device, which then resumes. A stream's snapshot and its feed are
+// taken in one read, so every stream's lines follow the lifecycle table,
+// none repeats a state an earlier line showed (the snapshot included), and
+// the stream ends with its one terminal line.
+func TestWatchStreamNeverRepeatsAState(t *testing.T) {
+	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 5)}, 2)
+	if err := f.Drain("a"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewFleetServer(f))
+	t.Cleanup(srv.Close)
+	// The lifecycle table's moves, reasons aside.
+	moves := map[[2]JobState]bool{
+		{StateQueued, StateRouted}: true, {StateRouted, StateQueued}: true, {StateQueued, StateQueued}: true,
+		{StateQueued, StateFailed}: true, {StateQueued, StateCancelled}: true,
+		{StateRouted, StateDone}: true, {StateRouted, StateFailed}: true, {StateRouted, StateCancelled}: true,
+	}
+
+	const jobs = 64
+	streams := make([]*bufio.Reader, jobs)
+	firsts := make([]string, jobs)
+	for i := range streams {
+		id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2 + i%3), Shots: 5}, fleet.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Get(srv.URL + pathV2Jobs + "/" + FormatJobID(id) + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		streams[i] = bufio.NewReader(resp.Body)
+		// The snapshot is written after the feed is attached: once it is
+		// read, the stream follows every later transition.
+		if firsts[i], err = streams[i].ReadString('\n'); err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+	}
+	if err := f.Resume("a"); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, r := range streams {
+		rest, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		lines := append([]string{firsts[i]}, strings.SplitAfter(strings.TrimSuffix(string(rest), "\n"), "\n")...)
+		var evs []JobEvent
+		for _, l := range lines {
+			var ev JobEvent
+			if err := json.Unmarshal([]byte(l), &ev); err != nil {
+				t.Fatalf("stream %d: line %q: %v", i, l, err)
+			}
+			evs = append(evs, ev)
+		}
+		if evs[0].Reason != "snapshot" || evs[0].State != StateQueued {
+			t.Fatalf("stream %d opens with %+v, want the queued snapshot", i, evs[0])
+		}
+		seen := map[JobState]bool{evs[0].State: true}
+		terminal := 0
+		for k := 1; k < len(evs); k++ {
+			prev, ev := evs[k-1], evs[k]
+			if !moves[[2]JobState{prev.State, ev.State}] {
+				t.Errorf("stream %d: line %d moves %s→%s, not a lifecycle move (%q)", i, k, prev.State, ev.State, lines)
+			}
+			if seen[ev.State] {
+				t.Errorf("stream %d: line %d repeats state %s (%q)", i, k, ev.State, lines)
+			}
+			seen[ev.State] = true
+			if k > 1 && ev.Seq <= prev.Seq {
+				t.Errorf("stream %d: line %d's seq %d does not follow %d", i, k, ev.Seq, prev.Seq)
+			}
+			if ev.State.Terminal() {
+				terminal++
+			}
+		}
+		if last := evs[len(evs)-1]; terminal != 1 || !last.State.Terminal() {
+			t.Errorf("stream %d: %d terminal lines, last %s; want exactly one, last (%q)", i, terminal, last.State, lines)
+		}
+	}
+	if n := f.EventStats().Watches; n != 0 {
+		t.Errorf("%d watches open after every stream ended, want 0", n)
+	}
+}
+
 func TestV2DeadlineExceededEnvelope(t *testing.T) {
 	// One paced worker: the filler holds it well past the second job's 1 ms
 	// dispatch budget, so that job expires in the device queue.

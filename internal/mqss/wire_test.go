@@ -239,7 +239,7 @@ func TestSubmitBodyIsBounded(t *testing.T) {
 			t.Errorf("%d-byte body: status %d, want %d\n%s", tc.size, rec.Code, tc.status, rec.Body)
 		}
 	}
-	if jobs, _ := f.ListViews("", nil, 0, 10, nil); len(jobs) != 1 {
+	if jobs, _ := f.ListViews("", nil, 0, 10, true, nil); len(jobs) != 1 {
 		t.Errorf("%d jobs submitted, want 1 (the body at the bound)", len(jobs))
 	}
 }

@@ -7,6 +7,7 @@ package qrm_test
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 
@@ -135,16 +136,32 @@ func TestPriorityDispatchOrder(t *testing.T) {
 	release := hold(t, f)
 	low := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 10, Priority: 0})
 	high := submit(t, f, qrm.Request{Circuit: circuit.GHZ(2), Shots: 10, Priority: 9})
-	sub := f.Events().Subscribe(0, 16)
-	defer sub.Close()
+	var subs []*fleet.Subscription
+	for _, id := range []int{low, high} {
+		_, _, _, sub, err := f.Watch(id, 4)
+		if err != nil || sub == nil {
+			t.Fatalf("watch of queued job %d: %v, %v", id, sub, err)
+		}
+		defer sub.Close()
+		subs = append(subs, sub)
+	}
 	release()
-	var claimed []int
-	for len(claimed) < 2 {
-		if ev := <-sub.Events(); ev.To == fleet.JobRouted {
-			claimed = append(claimed, ev.JobID)
+	// Each feed closes after its job's terminal event; Seq orders the
+	// claims across the two.
+	var claims []fleet.Event
+	for _, sub := range subs {
+		for ev := range sub.Events() {
+			if ev.To == fleet.JobRouted {
+				claims = append(claims, ev)
+			}
 		}
 	}
-	if claimed[0] != high || claimed[1] != low {
+	sort.Slice(claims, func(i, j int) bool { return claims[i].Seq < claims[j].Seq })
+	var claimed []int
+	for _, ev := range claims {
+		claimed = append(claimed, ev.JobID)
+	}
+	if len(claimed) != 2 || claimed[0] != high || claimed[1] != low {
 		t.Errorf("claim order = %v, want high-priority %d then %d", claimed, high, low)
 	}
 }

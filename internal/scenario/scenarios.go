@@ -129,7 +129,7 @@ func slowStraggler() Spec {
 }
 
 // watchChurn hammers the v2 watch endpoint with short-lived clients that
-// subscribe to live jobs and abandon the stream. The lossy event bus and
+// subscribe to live jobs and abandon the stream. The lossy watch feeds and
 // the server's stream teardown must keep the measured watchers' terminal
 // delivery intact.
 func watchChurn() Spec {
