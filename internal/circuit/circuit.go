@@ -154,15 +154,34 @@ func New(n int, name string) *Circuit {
 // src's gates: a pass whose output is about the size of its input allocates
 // once per circuit.
 func NewLike(src *Circuit, n int) *Circuit {
+	c := new(Circuit)
+	c.Reuse(src, n)
+	return c
+}
+
+// Reuse empties c for a pass that writes a circuit over n qubits named like
+// src and about src's size: the gate list and the operand arenas keep their
+// storage, grown to src's gates and operands when they hold less, so a
+// circuit reused pass after pass stops allocating once it has grown. Every
+// gate c held before is gone, and its operands are overwritten as the new
+// gates are appended.
+func (c *Circuit) Reuse(src *Circuit, n int) {
 	qubits, params := 0, 0
 	for i := range src.Gates {
 		qubits += len(src.Gates[i].Qubits)
 		params += len(src.Gates[i].Params)
 	}
-	return &Circuit{
-		Name: src.Name, NumQubits: n, Gates: make([]Gate, 0, len(src.Gates)),
-		qubits: make([]int, 0, qubits), params: make([]float64, 0, params),
+	c.Name, c.NumQubits = src.Name, n
+	if c.Gates == nil || cap(c.Gates) < len(src.Gates) { // an empty pass output is [], not null
+		c.Gates = make([]Gate, 0, len(src.Gates))
 	}
+	if cap(c.qubits) < qubits {
+		c.qubits = make([]int, 0, qubits)
+	}
+	if cap(c.params) < params {
+		c.params = make([]float64, 0, params)
+	}
+	c.Gates, c.qubits, c.params = c.Gates[:0], c.qubits[:0], c.params[:0]
 }
 
 // Validate checks every gate against the register size.
@@ -273,7 +292,11 @@ func GHZ(n int) *Circuit {
 // Depth returns the circuit depth: the number of layers when gates that act
 // on disjoint qubits are packed greedily. Barriers seal layers.
 func (c *Circuit) Depth() int {
-	level := make([]int, c.NumQubits)
+	var stack [64]int // a register this small keeps its levels off the heap
+	level := stack[:]
+	if c.NumQubits > len(stack) {
+		level = make([]int, c.NumQubits)
+	}
 	depth := 0
 	barrier := 0
 	for _, g := range c.Gates {

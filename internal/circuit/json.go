@@ -8,8 +8,8 @@ package circuit
 // same values, so journals and fixtures written before read the same.
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -245,41 +245,78 @@ func (h Counts) AppendJSON(b []byte) []byte {
 	if h == nil {
 		return append(b, "null"...)
 	}
-	// Keys are basis-state indices, never negative. Decimal strings of
-	// non-negative integers sort like the integers left-aligned to 19
-	// digits, the shorter first on a tie ("1" < "10").
-	type key struct {
-		aligned uint64
-		digits  int
-		k, n    int
-	}
-	var stack [64]key
-	keys := stack[:0]
+	// Decimal strings of non-negative integers sort like the integers
+	// left-aligned to the widest key's digits, the shorter first on a tie
+	// ("1" < "10"). Each entry packs into one word, high bits first: the
+	// aligned key, its digit count, the count. A plain integer sort of the
+	// words is then the string order of the keys.
+	// Up to 128 outcomes, a 100-shot job's whole histogram, sort on the stack.
+	var stack, countStack [128]uint64
+	words, counts := stack[:0], countStack[:0]
+	maxK, maxN, neg := 0, 0, false
 	for k, n := range h {
-		d, a := 1, uint64(k)
-		for x := k; x >= 10; x /= 10 {
-			d++
-		}
-		for i := d; i < 19; i++ {
-			a *= 10
-		}
-		keys = append(keys, key{a, d, k, n})
+		words, counts = append(words, uint64(k)), append(counts, uint64(n))
+		maxK, maxN, neg = max(maxK, k), max(maxN, n), neg || k < 0 || n < 0
 	}
-	slices.SortFunc(keys, func(x, y key) int {
-		if c := cmp.Compare(x.aligned, y.aligned); c != 0 {
-			return c
-		}
-		return x.digits - y.digits
-	})
+	width := digits(uint64(maxK))
+	nBits := bits.Len64(uint64(maxN))
+	if neg || bits.Len64(pow10[width]-1)+5+nBits > 64 {
+		return h.appendJSONByString(b)
+	}
+	for i, k := range words {
+		d := digits(k)
+		words[i] = (k*pow10[width-d]<<5|uint64(d))<<nBits | counts[i]
+	}
+	slices.Sort(words)
 	b = append(b, '{')
-	for i, k := range keys {
+	for i, w := range words {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		key := w >> nBits
+		d := int(key & 31)
 		b = append(b, '"')
-		b = strconv.AppendInt(b, int64(k.k), 10)
+		b = strconv.AppendUint(b, key>>5/pow10[width-d], 10)
 		b = append(b, `":`...)
-		b = strconv.AppendInt(b, int64(k.n), 10)
+		b = strconv.AppendUint(b, w&(1<<nBits-1), 10)
 	}
 	return append(b, '}')
+}
+
+// appendJSONByString is AppendJSON for a histogram whose entries do not pack
+// into a word: it sorts the keys' decimal strings, as encoding/json does.
+func (h Counts) appendJSONByString(b []byte) []byte {
+	keys := make([]string, 0, len(h))
+	for k := range h {
+		keys = append(keys, strconv.Itoa(k))
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, key := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		k, _ := strconv.Atoi(key)
+		b = append(append(append(b, '"'), key...), `":`...)
+		b = strconv.AppendInt(b, int64(h[k]), 10)
+	}
+	return append(b, '}')
+}
+
+// pow10[i] is 10^i, up to the 19 digits of the widest uint64 key.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// digits returns the number of decimal digits of x.
+func digits(x uint64) int {
+	d := 1
+	for d < 20 && x >= pow10[d] {
+		d++
+	}
+	return d
 }

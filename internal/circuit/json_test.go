@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -180,6 +181,40 @@ func TestCountsJSONMatchesReflection(t *testing.T) {
 		want, _ := json.Marshal(map[int]int(h))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("counts encode\n%s\nencoding/json writes\n%s", got, want)
+		}
+	}
+}
+
+// TestCountsMatchStringKeyedJSON holds the counts writer to what
+// encoding/json writes for the same histogram keyed by decimal strings: the
+// keys' byte order, whatever their digit counts, and null for a nil map.
+func TestCountsMatchStringKeyedJSON(t *testing.T) {
+	keys := []int{0, 1, 2, 10, 100, 1 << 20, 1<<31 - 1}
+	cases := []Counts{nil, {}}
+	for i := range keys {
+		h := Counts{}
+		for j, k := range keys[:i+1] {
+			h[k] = j + 1
+		}
+		cases = append(cases, h)
+	}
+	// Past 10^10, a count too wide to pack beside its key, and a key too
+	// wide for any count.
+	cases = append(cases, Counts{1 << 40: 1, 10: 2, 1: 3}, Counts{1 << 31: 1 << 40, 3: 1}, Counts{math.MaxInt64: 5, 9: 1})
+	for _, h := range cases {
+		var m map[string]int
+		if h != nil {
+			m = map[string]int{}
+			for k, n := range h {
+				m[strconv.Itoa(k)] = n
+			}
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("counts encode\n%s\nencoding/json writes\n%s", got, want)
 		}
 	}
 }

@@ -702,7 +702,8 @@ func (w *walker) run(st *quantum.State, f *frame, from, n, depth int) error {
 // exactSite is a noise site resolved from the state: the site qubit's
 // density as the channel sees it, and what it takes to apply a branch.
 type exactSite struct {
-	step *trajStep
+	step  *trajStep
+	kraus []quantum.Matrix2 // the step's channel
 	// rho is the qubit's reduced density after op, normalised; trace is what
 	// it was divided by — the norm² the state will have once op is applied.
 	rho   quantum.QubitDensity
@@ -749,7 +750,7 @@ func resolve(st *quantum.State, p *pending, step *trajStep) (exactSite, error) {
 // diagonal, and stays on the two-multiply path with the qubit's phases
 // folded in.
 func (x *exactSite) apply(st *quantum.State, p *pending, bi int, w float64) error {
-	d, r, phased := phaseSplit(quantum.Mul2(x.step.ch.Kraus[bi], x.op))
+	d, r, phased := phaseSplit(quantum.Mul2(x.kraus[bi], x.op))
 	if phased {
 		bit := uint32(1) << uint(x.step.q)
 		p.m[x.step.q], p.mask, p.phase = d, p.mask|bit, p.phase|bit
@@ -782,10 +783,12 @@ func (w *walker) site(st *quantum.State, f *frame, idx, n, depth int) (int, erro
 	if err != nil {
 		return 0, err
 	}
+	ch := &cj.chans[step.ch]
+	x.kraus = ch.Kraus
 	var (
 		wbuf [maxKrausBranches]float64
 		bins [maxKrausBranches]int
-		wt   = append(wbuf[:0], x.rho.Weight(step.ch.Kraus[0]))
+		wt   = append(wbuf[:0], x.rho.Weight(ch.Kraus[0]))
 		bi   int
 	)
 	logW0 := math.Log(wt[0])
@@ -802,7 +805,7 @@ func (w *walker) site(st *quantum.State, f *frame, idx, n, depth int) (int, erro
 		}
 		// The shot that ends the run leaves branch 0.
 		r := wt[0] + (1-wt[0])*f.rng.Float64()
-		if bi, wt, err = step.ch.Branch(x.rho, r, wt); err != nil {
+		if bi, wt, err = ch.Branch(x.rho, r, wt); err != nil {
 			return 0, err
 		}
 		bins[bi]++

@@ -164,10 +164,7 @@ func TestFloorBoundsFirstBranchWeight(t *testing.T) {
 			qpu.AdvanceDrift(drift)
 		}
 		ep := qpu.Epoch()
-		chans = append(chans, ep.prx...)
-		for _, pair := range ep.cz {
-			chans = append(chans, pair[:]...)
-		}
+		chans = append(chans, ep.chans...)
 	}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {

@@ -61,9 +61,10 @@ func commissionedQPU(seed int64) *QPU {
 // flip and once per flip after that.
 func TestDrawsScaleWithEvents(t *testing.T) {
 	t.Run("site-under-floor", func(t *testing.T) {
+		chans := []quantum.Channel{quantum.Depolarizing(1e-12)}
 		step := trajStep{kind: stepNoise}
-		step.noiseSite(quantum.Depolarizing(1e-12))
-		cj := &compiledJob{compactQubits: 1, noisy: []trajStep{step}, stateBudget: defaultBranchStateBudget}
+		step.noiseSite(chans, 0)
+		cj := &compiledJob{compactQubits: 1, noisy: []trajStep{step}, chans: chans, stateBudget: defaultBranchStateBudget}
 		for _, n := range []int{1, 100, 10000} {
 			rng, src := countingRNG(int64(n))
 			w, root := rootWalker(cj, rng)
@@ -81,7 +82,7 @@ func TestDrawsScaleWithEvents(t *testing.T) {
 	})
 
 	t.Run("ghz6", func(t *testing.T) {
-		cp, _, err := commissionedQPU(1).Epoch().Prepare(circuit.GHZ(6), transpile.PlaceFidelityAware)
+		cp, _, err := commissionedQPU(1).Epoch().Prepare(circuit.GHZ(6), transpile.PlaceFidelityAware, new(transpile.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

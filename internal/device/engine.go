@@ -52,24 +52,30 @@ const (
 // the channel's compile-time floor, multiply an O(1) matrix into the
 // qubit's pending operator and touch no amplitude; only a CZ, an exact site
 // and the end of the program pass over the state.
+//
+// A step holds no pointer: a site names its channel by index in the
+// program's channel table (the epoch's), so the programs the compile map
+// keeps are memory the garbage collector does not scan.
 type trajStep struct {
 	kind  trajKind
-	q, q2 int // compact state indices; q2 is the second CZ qubit
+	ch    int32 // a noise site's channel: its index in compiledJob.chans
+	q, q2 int   // compact state indices; q2 is the second CZ qubit
 	m     quantum.Matrix2
-	ch    quantum.Channel
-	// floor is ch.Floor(): a lower bound on Kraus branch 0's weight whatever
-	// the state. accept is what a site all of whose shots stay on branch 0
-	// does to the qubit — K0, or K0·m on a fused site — left unrenormalised.
+	// floor is the channel's Floor(): a lower bound on Kraus branch 0's
+	// weight whatever the state. accept is what a site all of whose shots
+	// stay on branch 0 does to the qubit — K0, or K0·m on a fused site — left
+	// unrenormalised.
 	floor  float64
 	accept quantum.Matrix2
 }
 
-func (s *trajStep) hasNoise() bool { return len(s.ch.Kraus) > 0 }
+func (s *trajStep) hasNoise() bool { return s.kind == stepNoise || s.kind == stepGateNoise }
 
-// noiseSite completes a step that carries channel ch: its floor and the
-// operator of a deferred visit.
-func (s *trajStep) noiseSite(ch quantum.Channel) {
-	s.ch, s.floor, s.accept = ch, ch.Floor(), ch.Kraus[0]
+// noiseSite completes a step that carries channel chans[i]: its floor and
+// the operator of a deferred visit.
+func (s *trajStep) noiseSite(chans []quantum.Channel, i int32) {
+	ch := &chans[i]
+	s.ch, s.floor, s.accept = i, ch.Floor(), ch.Kraus[0]
 	if s.kind == stepGate {
 		s.kind, s.accept = stepGateNoise, quantum.Mul2(s.accept, s.m)
 	}
@@ -84,8 +90,10 @@ type compiledJob struct {
 
 	// noisy is the trajectory program the branch tree walks, for every job:
 	// it holds no noise site when the calibration contributes no gate or
-	// decoherence error, and is empty when no gate touches a qubit.
+	// decoherence error, and is empty when no gate touches a qubit. Its sites
+	// index chans, the epoch's channel table.
 	noisy []trajStep
+	chans []quantum.Channel
 	// readout is the classical confusion model laid out for drawing per
 	// flip, nil when every qubit reads out perfectly.
 	readout *readoutPlan
@@ -263,43 +271,79 @@ func (d *QPU) jobRNG(seed uint64) *rand.Rand {
 // compileJob lowers a validated native circuit onto the epoch's noise: its
 // trajectory program and its readout plan.
 func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
-	compact, toPhysical := compactCircuit(c)
+	var toCompact [quantum.MaxQubits]int
+	toPhysical := compactRegister(c, &toCompact)
 	cj := &compiledJob{
 		toPhysical:   toPhysical,
+		chans:        ep.chans,
 		durPerShotUs: estimateDurationUs(c, 1),
 		stateBudget:  defaultBranchStateBudget,
 	}
 	if r := ep.readout; r != nil {
 		cj.readout = newReadoutPlan(r, c.NumQubits, toPhysical)
 	}
-	if compact == nil {
+	if toPhysical == nil {
 		return cj, nil
 	}
-	cj.compactQubits = compact.NumQubits
-	noisy, err := ep.compileTrajectoryOps(compact, toPhysical)
+	cj.compactQubits = len(toPhysical)
+	noisy, err := ep.compileTrajectoryOps(c, &toCompact, toPhysical)
 	if err != nil {
 		return nil, err
 	}
 	// Refuse channels wider than a site's scratch.
 	for i := range noisy {
-		if s := &noisy[i]; len(s.ch.Kraus) > maxKrausBranches {
-			return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", s.ch.Name, len(s.ch.Kraus), maxKrausBranches)
+		if s := &noisy[i]; s.hasNoise() {
+			if ch := &ep.chans[s.ch]; len(ch.Kraus) > maxKrausBranches {
+				return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", ch.Name, len(ch.Kraus), maxKrausBranches)
+			}
 		}
 	}
 	cj.noisy = noisy
 	return cj, nil
 }
 
-// compileTrajectoryOps builds the trajectory program: precomputed gate
-// matrices with their calibration-derived channels. Virtual RZ runs fuse
-// into the following PRX matrix (RZ is error-free, so fusion does not move
-// any noise site); runs cut off by a CZ or the circuit end flush as bare
-// unitaries. A first pass over the gates counts the steps — a PRX is one, a
-// CZ one plus a site per endpoint its coupler leaves noise on, an RZ run one
-// only where it flushes — so the program is allocated at its final length.
-func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int) ([]trajStep, error) {
-	pending := make([]quantum.Matrix2, compact.NumQubits)
-	has := make([]bool, compact.NumQubits)
+// compactRegister maps a validated c onto a register of only the qubits its
+// gates touch (barriers carry no execution semantics here): toCompact[q]
+// becomes physical qubit q's compact index plus one, zero for an untouched
+// qubit. It returns the compact -> physical map, nil when no gate touches a
+// qubit.
+func compactRegister(c *circuit.Circuit, toCompact *[quantum.MaxQubits]int) []int {
+	used := 0
+	for _, g := range c.Gates {
+		if g.Name == circuit.OpBarrier {
+			continue
+		}
+		for _, q := range g.Qubits {
+			if toCompact[q] == 0 {
+				toCompact[q] = 1
+				used++
+			}
+		}
+	}
+	if used == 0 {
+		return nil
+	}
+	toPhysical := make([]int, 0, used)
+	for q, u := range toCompact[:c.NumQubits] {
+		if u != 0 {
+			toPhysical = append(toPhysical, q)
+			toCompact[q] = len(toPhysical)
+		}
+	}
+	return toPhysical
+}
+
+// compileTrajectoryOps builds the trajectory program of the physical circuit
+// c over its compact register (compactRegister): precomputed gate matrices
+// with their calibration-derived channels. Virtual RZ runs fuse into the
+// following PRX matrix (RZ is error-free, so fusion does not move any noise
+// site); runs cut off by a CZ or the circuit end flush as bare unitaries. A
+// first pass over the gates counts the steps — a PRX is one, a CZ one plus a
+// site per endpoint its coupler leaves noise on, an RZ run one only where it
+// flushes — so the program is allocated at its final length.
+func (ep *Epoch) compileTrajectoryOps(c *circuit.Circuit, toCompact *[quantum.MaxQubits]int, toPhysical []int) ([]trajStep, error) {
+	var pending [quantum.MaxQubits]quantum.Matrix2
+	var has [quantum.MaxQubits]bool
 	n := 0
 	countFlush := func(q int) {
 		if has[q] {
@@ -307,27 +351,27 @@ func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int
 			has[q] = false
 		}
 	}
-	for _, g := range compact.Gates {
+	for _, g := range c.Gates {
 		switch g.Name {
 		case circuit.OpRZ:
-			has[g.Qubits[0]] = true
+			has[toCompact[g.Qubits[0]]-1] = true
 		case circuit.OpPRX:
 			n++
-			has[g.Qubits[0]] = false
+			has[toCompact[g.Qubits[0]]-1] = false
 		case circuit.OpCZ:
 			n++
-			a, b := toPhysical[g.Qubits[0]], toPhysical[g.Qubits[1]]
-			if len(ep.czNoise(a, b).Kraus) > 0 {
+			a, b := g.Qubits[0], g.Qubits[1]
+			if len(ep.chans[ep.czNoise(a, b)].Kraus) > 0 {
 				n++
 			}
-			if len(ep.czNoise(b, a).Kraus) > 0 {
+			if len(ep.chans[ep.czNoise(b, a)].Kraus) > 0 {
 				n++
 			}
-			countFlush(g.Qubits[0])
-			countFlush(g.Qubits[1])
+			countFlush(toCompact[a] - 1)
+			countFlush(toCompact[b] - 1)
 		}
 	}
-	for q := range has {
+	for q := range toPhysical {
 		countFlush(q)
 	}
 	steps := make([]trajStep, 0, n)
@@ -337,36 +381,37 @@ func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int
 			has[q] = false
 		}
 	}
-	for _, g := range compact.Gates {
+	for _, g := range c.Gates {
 		switch g.Name {
+		case circuit.OpBarrier:
 		case circuit.OpRZ:
-			q := g.Qubits[0]
+			q := toCompact[g.Qubits[0]] - 1
 			m := quantum.RZ(g.Params[0])
 			if has[q] {
 				m = quantum.Mul2(m, pending[q])
 			}
 			pending[q], has[q] = m, true
 		case circuit.OpPRX:
-			q := g.Qubits[0]
+			q := toCompact[g.Qubits[0]] - 1
 			step := trajStep{kind: stepGate, q: q, m: quantum.PRX(g.Params[0], g.Params[1])}
 			if has[q] {
 				step.m = quantum.Mul2(step.m, pending[q])
 				has[q] = false
 			}
-			if ch := ep.prx[toPhysical[q]]; len(ch.Kraus) > 0 {
-				step.noiseSite(ch)
+			if ch := ep.prxNoise(g.Qubits[0]); len(ep.chans[ch].Kraus) > 0 {
+				step.noiseSite(ep.chans, ch)
 			}
 			steps = append(steps, step)
 		case circuit.OpCZ:
-			a, b := g.Qubits[0], g.Qubits[1]
+			phys := [2]int{g.Qubits[0], g.Qubits[1]}
+			a, b := toCompact[phys[0]]-1, toCompact[phys[1]]-1
 			flush(a)
 			flush(b)
 			steps = append(steps, trajStep{kind: stepCZ, q: a, q2: b})
-			phys := [2]int{toPhysical[a], toPhysical[b]}
 			for i, q := range [2]int{a, b} {
-				if ch := ep.czNoise(phys[i], phys[1-i]); len(ch.Kraus) > 0 {
+				if ch := ep.czNoise(phys[i], phys[1-i]); len(ep.chans[ch].Kraus) > 0 {
 					step := trajStep{kind: stepNoise, q: q}
-					step.noiseSite(ch)
+					step.noiseSite(ep.chans, ch)
 					steps = append(steps, step)
 				}
 			}
@@ -374,7 +419,7 @@ func (ep *Epoch) compileTrajectoryOps(compact *circuit.Circuit, toPhysical []int
 			return nil, fmt.Errorf("device: non-native gate %q reached executor", g.Name)
 		}
 	}
-	for q := 0; q < compact.NumQubits; q++ {
+	for q := range toPhysical {
 		flush(q)
 	}
 	return steps, nil

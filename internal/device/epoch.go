@@ -27,11 +27,12 @@ type Epoch struct {
 	MeanF1Q, MeanFCZ, MeanFRead float64
 
 	dev *QPU
-	// The composed gate-noise channels the engine compiles in: prx by
-	// physical qubit, cz by coupler (topology edge order) and endpoint (the
-	// lower-numbered qubit first). All empty on the digital twin.
-	prx []quantum.Channel
-	cz  [][2]quantum.Channel
+	// chans holds the composed gate-noise channels the engine compiles in:
+	// the PRX channel of each physical qubit, then each coupler's (topology
+	// edge order) CZ channel on its endpoints, the lower-numbered qubit
+	// first (prxNoise, czNoise). All empty on the digital twin. A program's
+	// noise sites name their channel by its index here.
+	chans []quantum.Channel
 	// readout is the confusion model of the whole register, nil on the twin.
 	readout *quantum.ReadoutModel
 
@@ -54,8 +55,7 @@ func newEpoch(d *QPU, num uint64, c *Calibration) *Epoch {
 		},
 		MeanF1Q: c.MeanF1Q(), MeanFCZ: c.MeanFCZ(), MeanFRead: c.MeanFReadout(),
 		dev:   d,
-		prx:   make([]quantum.Channel, n),
-		cz:    make([][2]quantum.Channel, len(edges)),
+		chans: make([]quantum.Channel, n+2*len(edges)),
 		progs: make(map[progKey]*Compiled),
 	}
 	for q, qc := range c.Qubits {
@@ -69,25 +69,30 @@ func newEpoch(d *QPU, num uint64, c *Calibration) *Epoch {
 	}
 	ep.readout = readoutModel(c, n)
 	for q, qc := range c.Qubits {
-		ep.prx[q] = gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2)
+		ep.chans[ep.prxNoise(q)] = gateNoiseChannel(1-qc.F1Q, PRXDurationUs, qc.T1, qc.T2)
 	}
 	for i, e := range edges {
 		errRate := (1 - c.FCZ(e[0], e[1])) / 2
 		for k, q := range e {
 			qc := c.Qubits[q]
-			ep.cz[i][k] = gateNoiseChannel(errRate, CZDurationUs, qc.T1, qc.T2)
+			ep.chans[n+2*i+k] = gateNoiseChannel(errRate, CZDurationUs, qc.T1, qc.T2)
 		}
 	}
 	return ep
 }
 
-// czNoise is the channel a CZ on the coupler between a and b leaves on a.
-func (ep *Epoch) czNoise(a, b int) quantum.Channel {
-	i := ep.dev.topo.coupler[a*ep.dev.topo.n+b]
+// prxNoise is the index in chans of the channel a PRX leaves on qubit q.
+func (ep *Epoch) prxNoise(q int) int32 { return int32(q) }
+
+// czNoise is the index in chans of the channel a CZ on the coupler between a
+// and b leaves on a.
+func (ep *Epoch) czNoise(a, b int) int32 {
+	topo := ep.dev.topo
+	i := int32(topo.n + 2*topo.coupler[a*topo.n+b])
 	if a > b {
-		return ep.cz[i][1]
+		return i + 1
 	}
-	return ep.cz[i][0]
+	return i
 }
 
 // gateNoiseChannel returns the channel applyGateNoise would build per shot
@@ -136,12 +141,17 @@ const placeNone transpile.PlacementStrategy = -1
 type Compiled struct {
 	ready chan struct{}
 	res   *transpile.Result
+	stats string // res.Stats.String(), formatted once per compile
 	cj    *compiledJob
 	err   error
 }
 
 // Result is the transpilation the job's layout and compile stats come from.
 func (e *Compiled) Result() *transpile.Result { return e.res }
+
+// CompileStats is the transpilation's stats as text (transpile.Stats.String),
+// "" for a native circuit.
+func (e *Compiled) CompileStats() string { return e.stats }
 
 // maxCompiledJobs bounds an epoch's compile map; recompiling is always
 // correct.
@@ -153,12 +163,19 @@ const maxCompiledJobs = 256
 // compiles (single flight). hit reports that this caller did not compile.
 // QPU.Run executes the entry, so a job's layout and its noise always come
 // from the same calibration.
-func (ep *Epoch) Prepare(c *circuit.Circuit, placement transpile.PlacementStrategy) (e *Compiled, hit bool, err error) {
+//
+// The transpiler's passes run in sc, which only the owner's compile touches:
+// the entry keeps what the compile copied out of it (the routed circuit at
+// its exact size), never sc's own storage, so the caller may reuse sc for its
+// next compile at once. A fleet worker passes its own; a caller with none
+// passes new(transpile.Scratch).
+func (ep *Epoch) Prepare(c *circuit.Circuit, placement transpile.PlacementStrategy, sc *transpile.Scratch) (e *Compiled, hit bool, err error) {
 	key := progKey{c.Fingerprint(), placement}
 	e, owner := ep.entry(key)
 	if owner {
-		e.res, e.err = transpile.Transpile(c, ep.Target, transpile.Options{Placement: placement})
+		e.res, e.err = sc.Transpile(c, ep.Target, transpile.Options{Placement: placement})
 		if e.err == nil {
+			e.stats = e.res.Stats.String()
 			if e.err = ep.dev.validateNative(e.res.Circuit); e.err == nil {
 				e.cj, e.err = ep.compileJob(e.res.Circuit)
 			}

@@ -233,48 +233,6 @@ func (d *QPU) validateNative(c *circuit.Circuit) error {
 	return nil
 }
 
-// compactCircuit rewrites a validated c onto a register containing only the
-// qubits it touches. It returns the compact circuit and the compact→physical
-// index map, or (nil, nil) when the circuit touches no qubits.
-func compactCircuit(c *circuit.Circuit) (*circuit.Circuit, []int) {
-	// toCompact[q] is q's compact index plus one; zero marks an untouched qubit.
-	toCompact := make([]int, c.NumQubits)
-	used := 0
-	for _, g := range c.Gates {
-		if g.Name == circuit.OpBarrier {
-			continue
-		}
-		for _, q := range g.Qubits {
-			if toCompact[q] == 0 {
-				toCompact[q] = 1
-				used++
-			}
-		}
-	}
-	if used == 0 {
-		return nil, nil
-	}
-	toPhysical := make([]int, 0, used)
-	for q, u := range toCompact {
-		if u != 0 {
-			toPhysical = append(toPhysical, q)
-			toCompact[q] = len(toPhysical)
-		}
-	}
-	out := circuit.NewLike(c, used)
-	for _, g := range c.Gates {
-		if g.Name == circuit.OpBarrier {
-			continue // barriers carry no execution semantics here
-		}
-		out.Append(g.Name, g.Params, g.Qubits...)
-		qs := out.Gates[len(out.Gates)-1].Qubits
-		for i, q := range qs {
-			qs[i] = toCompact[q] - 1
-		}
-	}
-	return out, toPhysical
-}
-
 // readoutModel builds the classical confusion model from a calibration
 // snapshot.
 func readoutModel(calib *Calibration, n int) *quantum.ReadoutModel {

@@ -41,7 +41,7 @@ func (ep *Epoch) NoiseMismatch(e *Compiled) string {
 	var cz *trajStep
 	for i := range cj.noisy {
 		s := &cj.noisy[i]
-		var want quantum.Channel
+		var want int32
 		switch s.kind {
 		case stepCZ:
 			cz = s
@@ -49,7 +49,7 @@ func (ep *Epoch) NoiseMismatch(e *Compiled) string {
 		case stepGate:
 			continue
 		case stepGateNoise:
-			want = ep.prx[cj.toPhysical[s.q]]
+			want = ep.prxNoise(cj.toPhysical[s.q])
 		case stepNoise:
 			other := cz.q2
 			if s.q == cz.q2 {
@@ -57,7 +57,7 @@ func (ep *Epoch) NoiseMismatch(e *Compiled) string {
 			}
 			want = ep.czNoise(cj.toPhysical[s.q], cj.toPhysical[other])
 		}
-		if len(s.ch.Kraus) != len(want.Kraus) || &s.ch.Kraus[0] != &want.Kraus[0] {
+		if s.ch != want || &cj.chans[0] != &ep.chans[0] {
 			return fmt.Sprintf("step %d (kind %d, compact qubit %d) of epoch %d's program", i, s.kind, s.q, ep.Num)
 		}
 	}

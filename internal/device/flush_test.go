@@ -20,13 +20,8 @@ import (
 func TestPhaseSplitFactorsOperators(t *testing.T) {
 	ep := New20Q(7).Epoch()
 	var k0s []quantum.Matrix2
-	for _, ch := range ep.prx {
+	for _, ch := range ep.chans {
 		k0s = append(k0s, ch.Kraus[0])
-	}
-	for _, pair := range ep.cz {
-		for _, ch := range pair {
-			k0s = append(k0s, ch.Kraus[0])
-		}
 	}
 	rng := rand.New(rand.NewSource(47))
 	angle := func() float64 { return 2 * math.Pi * rng.Float64() }

@@ -13,7 +13,7 @@ import (
 // hybrid-loop shape, transpiled onto the commissioned primary.
 func transpiledAnsatz(t *testing.T) *compiledJob {
 	t.Helper()
-	cp, _, err := commissionedQPU(1).Epoch().Prepare(freshAngleAnsatze(1, 5)[0], transpile.PlaceFidelityAware)
+	cp, _, err := commissionedQPU(1).Epoch().Prepare(freshAngleAnsatze(1, 5)[0], transpile.PlaceFidelityAware, new(transpile.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,3 +168,26 @@ func applyGateNoise(st *quantum.State, q, physQ int, errRate, durUs float64, cal
 	}
 	return nil
 }
+
+// compactCircuit rewrites a validated c onto the register compactRegister
+// maps it to. It returns the compact circuit and the compact→physical index
+// map, or (nil, nil) when the circuit touches no qubits.
+func compactCircuit(c *circuit.Circuit) (*circuit.Circuit, []int) {
+	var toCompact [quantum.MaxQubits]int
+	toPhysical := compactRegister(c, &toCompact)
+	if toPhysical == nil {
+		return nil, nil
+	}
+	out := circuit.NewLike(c, len(toPhysical))
+	for _, g := range c.Gates {
+		if g.Name == circuit.OpBarrier {
+			continue // barriers carry no execution semantics here
+		}
+		out.Append(g.Name, g.Params, g.Qubits...)
+		qs := out.Gates[len(out.Gates)-1].Qubits
+		for i, q := range qs {
+			qs[i] = toCompact[q] - 1
+		}
+	}
+	return out, toPhysical
+}

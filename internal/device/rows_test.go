@@ -21,7 +21,7 @@ func TestCountsDoNotDependOnRows(t *testing.T) {
 		t.Skip("no AVX2 on this host: the Go rows are the only rows")
 	}
 	defer func() { vectorRows = true }()
-	ansatz, _, err := commissionedQPU(1).Epoch().Prepare(freshAngleAnsatze(1, 5)[0], transpile.PlaceFidelityAware)
+	ansatz, _, err := commissionedQPU(1).Epoch().Prepare(freshAngleAnsatze(1, 5)[0], transpile.PlaceFidelityAware, new(transpile.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,10 @@ func FuzzWALReplay(f *testing.F) {
 	torn := appendFrame(appendFrame(nil, 1, submitted), 2, done)
 	f.Add(torn[:len(torn)-9])
 	f.Add(appendFrame(appendFrame(nil, 1, submitted), 2, []byte(`U{"id":4,"status":"finished?","recovered":true,"submit_unix_ms":9}`)))
+	// A done job is sealed, so its histogram is written again: keys of one
+	// to eleven digits, tied prefixes and a count past 2^20.
+	wide := []byte(`U{"id":4,"status":"done","device":"a","score":0.9,"result":{"counts":{"0":1,"1":2,"10":3,"100":4,"1048576":5,"2":1048577,"2147483647":6,"21474836470":7},"submit_time":0}}`)
+	f.Add(appendFrame(appendFrame(nil, 1, submitted), 2, wide))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

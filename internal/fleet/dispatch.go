@@ -23,12 +23,13 @@ import (
 // Stop.
 func (s *Scheduler) serve(e *deviceEntry) {
 	defer s.wg.Done()
-	var buf []byte // the worker's record buffer
+	var buf []byte           // the worker's record buffer
+	var sc transpile.Scratch // the worker's compile scratch (execute)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
 		if j := s.claimLocked(e); j != nil {
-			settled := s.runLocked(e, j)
+			settled := s.runLocked(e, j, &sc)
 			// Settling j readied its waiters (Wait callers, event
 			// subscribers) on this worker's P, where they would sit for the
 			// whole next job — and its record's encode — unless another P
@@ -79,8 +80,9 @@ func (s *Scheduler) claimLocked(e *deviceEntry) *Job {
 
 // runLocked routes a claimed job to e, runs it on e with s.mu released,
 // and settles it; it reports whether j settled, and so is the caller's to
-// seal, or went back to the queue. Caller holds s.mu.
-func (s *Scheduler) runLocked(e *deviceEntry, j *Job) (settled bool) {
+// seal, or went back to the queue. sc is the worker's compile scratch.
+// Caller holds s.mu.
+func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) (settled bool) {
 	score := s.fidelityLocked(j, e)
 	if j.policy == PolicyRoundRobin {
 		s.rr++
@@ -104,7 +106,7 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job) (settled bool) {
 	var errMsg string
 	labels := pprof.Labels("qrm_job", strconv.Itoa(j.ID), "device", e.dev.QPU().Name())
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		rec, errMsg = s.execute(e, j, &req, span)
+		rec, errMsg = s.execute(e, j, &req, span, sc)
 	})
 	if rec != nil && errMsg == "" {
 		e.e2e.Observe(msSince(enqueued))
@@ -154,8 +156,9 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job) (settled bool) {
 // it. It returns a result the scheduler has not seen, with the counts on
 // success or an error message on failure; a compile failure's result
 // carries only the submission instant. The compile and execute spans nest
-// under span. Runs with s.mu released.
-func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trace.Span) (*Result, string) {
+// under span. A compile this worker owns runs in its scratch sc. Runs with
+// s.mu released.
+func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trace.Span, sc *transpile.Scratch) (*Result, string) {
 	placement := transpile.PlaceFidelityAware
 	if req.StaticPlacement {
 		placement = transpile.PlaceStatic
@@ -168,7 +171,7 @@ func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trac
 	ep := qpu.Epoch()
 	compileStart := time.Now()
 	compileSpan := span.StartChild("compile")
-	cp, hit, err := ep.Prepare(req.Circuit, placement)
+	cp, hit, err := ep.Prepare(req.Circuit, placement, sc)
 	epoch := trace.Int64("epoch", int64(ep.Num))
 	switch {
 	case hit:
@@ -195,7 +198,7 @@ func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trac
 		CompiledGates: tr.Stats.OutputGates,
 		CZCount:       tr.Stats.OutputCZ,
 		Layout:        tr.FinalLayout[:req.Circuit.NumQubits],
-		CompileStats:  tr.Stats.String(),
+		CompileStats:  cp.CompileStats(),
 		SubmitTime:    j.submitTime,
 	}
 	s.mu.Lock()

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"strings"
-	"time"
-)
+import "time"
 
 // SpanSnapshot is one node of a rendered span tree. Times are relative to
 // the trace root in microseconds so waterfalls line up without clock math.
@@ -60,24 +57,6 @@ func (t *Trace) Snapshot() *Snapshot {
 		if node.DurationUs < 0 {
 			node.DurationUs = 0
 		}
-		na := int(sp.attrClaim.Load())
-		if na > maxAttrs {
-			na = maxAttrs
-		}
-		for a := 0; a < na; a++ {
-			cell := &sp.attrs[a]
-			if cell.ready.Load() != 1 {
-				continue
-			}
-			sep := strings.IndexByte(cell.kv, 0)
-			if sep < 0 {
-				continue
-			}
-			if node.Attrs == nil {
-				node.Attrs = make(map[string]string, na)
-			}
-			node.Attrs[cell.kv[:sep]] = cell.kv[sep+1:]
-		}
 		nodes[i] = node
 		if sp.parent < 0 {
 			root = node
@@ -88,6 +67,22 @@ func (t *Trace) Snapshot() *Snapshot {
 	}
 	if root == nil {
 		return nil
+	}
+	// Cells are in claim order, so of two writes of one key the later wins.
+	nc := min(int(t.cellClaim.Load()), maxCells)
+	for c := 0; c < nc; c++ {
+		cell := &t.cells[c]
+		if cell.ready.Load() != 1 {
+			continue
+		}
+		if int(cell.span) >= n || nodes[cell.span] == nil {
+			continue // its span was not visible when the walk above ran
+		}
+		node := nodes[cell.span]
+		if node.Attrs == nil {
+			node.Attrs = make(map[string]string, min(int(t.spans[cell.span].attrs.Load()), maxAttrs))
+		}
+		node.Attrs[cell.key] = cell.value
 	}
 	snap := &Snapshot{
 		DurationUs:   root.DurationUs,

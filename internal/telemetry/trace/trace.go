@@ -20,6 +20,7 @@ package trace
 
 import (
 	"context"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -39,16 +40,24 @@ func SetEnabled(on bool) { enabled.Store(on) }
 func Enabled() bool { return enabled.Load() }
 
 const (
-	// maxSpans bounds the slab: a fleet job's deepest timeline today is
-	// root + route/park/on-device legs + queue-wait/compile/execute +
-	// engine-compile/simulate/pace (~10 spans), plus headroom for a few
-	// migration retries (+2 spans per leg). Kept tight on purpose — the
-	// whole slab is allocated and zeroed per job, and its size is the
-	// dominant tracing cost against the ≤5% throughput budget.
-	maxSpans = 24
-	// maxAttrs bounds per-span attributes; the widest span today carries 5
-	// (root: job_id, user, request_id, outcome, error) — one slot spare.
+	// maxSpans bounds the slab. A fleet job records 7 spans — the root,
+	// queue-wait, route, on-device, compile, execute, simulate — and 8 when
+	// the device paces; each failover leg adds its own queue-wait, route,
+	// on-device, compile and execute. 16 holds a paced job, its federation
+	// fed-forward leg and the five handler-side stages still to be traced
+	// (decode, admit, journal, settle, respond). The whole slab is
+	// allocated, zeroed and scanned per job, so it is kept to what a job
+	// records; past it, spans are dropped and counted.
+	maxSpans = 16
+	// maxAttrs bounds one span's attributes; the widest today carry 5 (the
+	// root: job_id, user, request_id, outcome, error; simulate's counters).
 	maxAttrs = 6
+	// maxCells bounds the whole trace's attributes. Cells are pooled per
+	// trace, not held per span: most spans carry 0–2, a done fleet job
+	// stamps 18 in all and a failover leg 10 more. 36 keep a job's last
+	// attribute, the root's outcome, through two failovers, by which time
+	// the slab drops the final leg's simulate span.
+	maxCells = 36
 )
 
 // span states, published via release-store on span.state.
@@ -73,72 +82,62 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: itoa(int64(v))} }
 // Int64 builds an integer attribute from an int64.
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: itoa(v)} }
 
-// itoa avoids strconv to keep the hot path allocation-free for small ints.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+// itoa formats v; strconv hands back 0..99 without allocating.
+func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
-// attrCell is one attribute slot. Cells are claimed with an atomic counter
-// and individually published via ready, so two goroutines annotating the
-// same span concurrently (e.g. the HTTP handler stamping request_id while
-// the worker stamps outcome) never tear each other's writes. Key and value
-// are packed into one NUL-separated string: the whole slab is allocated
-// per job, so every field here is paid maxSpans*maxAttrs times.
+// attrCell is one attribute slot of the trace's pool. Cells are claimed with
+// an atomic counter and individually published via ready, so two goroutines
+// annotating the same span concurrently (e.g. the HTTP handler stamping
+// request_id while the worker stamps outcome) never tear each other's
+// writes. The cell keeps the attribute's own strings: stamping one copies
+// no bytes and allocates nothing.
 type attrCell struct {
-	kv    string // key + "\x00" + value
-	ready atomic.Uint32
+	key, value string
+	span       int32 // slab index of the span the attribute belongs to
+	ready      atomic.Uint32
 }
 
 // span is one slab entry. name/parent/start are written once by the
 // claiming goroutine before the release-store on state; readers
 // acquire-load state first. end is atomic because End may race with
-// snapshot readers (and a second, losing End call).
+// snapshot readers (and a second, losing End call). attrs counts the
+// attributes the span claimed, kept ones and ones past maxAttrs alike.
 type span struct {
-	name      string
-	parent    int32 // slab index of parent, -1 for root
-	start     int64 // ns since trace epoch (monotonic)
-	end       atomic.Int64
-	attrs     [maxAttrs]attrCell
-	attrClaim atomic.Int32
-	state     atomic.Uint32
+	name   string
+	parent int32 // slab index of parent, -1 for root
+	attrs  atomic.Int32
+	start  int64 // ns since trace epoch (monotonic)
+	end    atomic.Int64
+	state  atomic.Uint32
 }
 
-func (s *span) addAttrs(attrs []Attr) {
+// addAttrs stamps attrs on span i: each takes one of the span's maxAttrs
+// and one cell of the trace's pool, and is dropped when either is spent.
+func (t *Trace) addAttrs(i int32, attrs []Attr) {
+	sp := &t.spans[i]
 	for _, a := range attrs {
-		i := s.attrClaim.Add(1) - 1
-		if int(i) >= maxAttrs {
+		if sp.attrs.Add(1) > maxAttrs {
 			return
 		}
-		s.attrs[i].kv = a.Key + "\x00" + a.Value
-		s.attrs[i].ready.Store(1)
+		c := t.cellClaim.Add(1) - 1
+		if int(c) >= maxCells {
+			return
+		}
+		cell := &t.cells[c]
+		cell.key, cell.value, cell.span = a.Key, a.Value, i
+		cell.ready.Store(1)
 	}
 }
 
-// Trace is one job's span tree. Safe for concurrent use: span slots are
-// claimed atomically and snapshots never block writers.
+// Trace is one job's span tree. Safe for concurrent use: span slots and
+// attribute cells are claimed atomically and snapshots never block writers.
 type Trace struct {
-	epoch   time.Time // monotonic base for all span timestamps
-	spans   [maxSpans]span
-	claim   atomic.Int32
-	dropped atomic.Uint64
+	epoch     time.Time // monotonic base for all span timestamps
+	spans     [maxSpans]span
+	cells     [maxCells]attrCell
+	claim     atomic.Int32
+	cellClaim atomic.Int32
+	dropped   atomic.Uint64
 }
 
 // New allocates a trace with a root span of the given name, or nil when
@@ -153,7 +152,7 @@ func New(rootName string, attrs ...Attr) *Trace {
 	root.name = rootName
 	root.parent = -1
 	root.start = 0
-	root.addAttrs(attrs)
+	t.addAttrs(0, attrs)
 	root.state.Store(spanStarted)
 	return t
 }
@@ -198,7 +197,7 @@ func (s *Span) StartChild(name string, attrs ...Attr) *Span {
 	sp.name = name
 	sp.parent = s.idx
 	sp.start = int64(time.Since(t.epoch))
-	sp.addAttrs(attrs)
+	t.addAttrs(i, attrs)
 	sp.state.Store(spanStarted)
 	return &Span{t: t, idx: i}
 }
@@ -213,7 +212,7 @@ func (s *Span) End(attrs ...Attr) {
 	}
 	sp := &s.t.spans[s.idx]
 	if len(attrs) > 0 {
-		sp.addAttrs(attrs)
+		s.t.addAttrs(s.idx, attrs)
 	}
 	end := int64(time.Since(s.t.epoch))
 	if end == 0 {
@@ -228,7 +227,7 @@ func (s *Span) SetAttr(k, v string) {
 	if s == nil || s.t == nil {
 		return
 	}
-	s.t.spans[s.idx].addAttrs([]Attr{{Key: k, Value: v}})
+	s.t.addAttrs(s.idx, []Attr{{Key: k, Value: v}})
 }
 
 type ctxKey struct{}

@@ -196,3 +196,63 @@ func TestAttrOverflow(t *testing.T) {
 		t.Errorf("attrs = %d, want cap %d", n, maxAttrs)
 	}
 }
+
+// TestAttrCellsArePooled pins the pool: attributes take cells in claim order
+// whichever span they land on, each span keeps at most maxAttrs, and past
+// maxCells the rest are dropped without touching what the spans already hold.
+func TestAttrCellsArePooled(t *testing.T) {
+	tr := New("job", Str("user", "alice"))
+	root := tr.Root()
+	for i := 0; i < maxSpans-1; i++ {
+		root.StartChild(fmt.Sprintf("s%d", i), Int("a", i), Int("b", i), Int("c", i)).End()
+	}
+	snap := tr.Snapshot()
+	if tr.Dropped() != 0 || len(snap.Root.Children) != maxSpans-1 {
+		t.Fatalf("%d children, %d dropped: the slab holds %d spans", len(snap.Root.Children), tr.Dropped(), maxSpans)
+	}
+	kept := len(snap.Root.Attrs)
+	for i, c := range snap.Root.Children {
+		kept += len(c.Attrs)
+		if want := min(3, max(0, maxCells-1-3*i)); len(c.Attrs) != want {
+			t.Errorf("span %d kept %d attrs, want %d", i, len(c.Attrs), want)
+		}
+	}
+	if kept != maxCells {
+		t.Errorf("%d attributes kept, want the pool's %d", kept, maxCells)
+	}
+}
+
+// TestTwoFailoversKeepTheOutcome stamps what the fleet stamps on a job that
+// fails over twice and then completes: the slab drops the last leg's
+// simulate span, and the pool still holds the root's outcome, stamped last.
+func TestTwoFailoversKeepTheOutcome(t *testing.T) {
+	tr := New("job", Int("job_id", 7), Str("user", "u"))
+	root := tr.Root()
+	root.SetAttr("request_id", "r")
+	leg := func(outcome string) {
+		root.StartChild("queue-wait").End()
+		root.StartChild("route", Str("device", "d")).End()
+		on := root.StartChild("on-device", Str("device", "d"))
+		on.StartChild("compile").End(Str("cache", "miss"), Int("epoch", 0), Int("cz", 6), Int("swaps", 0))
+		ex := on.StartChild("execute", Int("shots", 100), Int("gates", 26))
+		if outcome == "done" {
+			ex.StartChild("simulate", Int("leaves", 1), Int("exact_sites", 0), Int("deferred_sites", 0), Int("forks", 0), Int("forks_helped", 0)).End()
+			ex.End()
+			on.End(Str("outcome", outcome))
+			return
+		}
+		ex.End()
+		on.End(Str("outcome", outcome), Str("error", "execute: fault"))
+	}
+	leg("failed")
+	leg("failed")
+	leg("done")
+	root.End(Str("outcome", "done"))
+	snap := tr.Snapshot()
+	if tr.Dropped() != 1 {
+		t.Errorf("dropped %d spans, want the last leg's simulate", tr.Dropped())
+	}
+	if got := snap.Root.Attrs["outcome"]; got != "done" {
+		t.Errorf("root outcome %q, want done: the attribute pool ran out", got)
+	}
+}

@@ -24,12 +24,13 @@ func Decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return decompose(c)
+	return decompose(c, new(Scratch))
 }
 
-// decompose is Decompose for a circuit its caller has validated.
-func decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
-	out := circuit.NewLike(c, c.NumQubits)
+// decompose is Decompose for a circuit its caller has validated, written into
+// s.
+func decompose(c *circuit.Circuit, s *Scratch) (*circuit.Circuit, error) {
+	out := s.circuit(c, c.NumQubits)
 	for _, g := range c.Gates {
 		if err := lowerGate(out, g); err != nil {
 			return nil, err

@@ -22,8 +22,13 @@ const angleEps = 1e-12
 // Barriers block all merging across them. The input is only read: every pass
 // writes a circuit of its own.
 func Optimize(c *circuit.Circuit) *circuit.Circuit {
+	return optimize(c, new(Scratch))
+}
+
+// optimize is Optimize with its passes written into s.
+func optimize(c *circuit.Circuit, s *Scratch) *circuit.Circuit {
 	for {
-		next, changed := optimizeOnce(c)
+		next, changed := optimizeOnce(c, s)
 		if !changed {
 			return next
 		}
@@ -31,11 +36,11 @@ func Optimize(c *circuit.Circuit) *circuit.Circuit {
 	}
 }
 
-func optimizeOnce(c *circuit.Circuit) (*circuit.Circuit, bool) {
-	out := circuit.NewLike(c, c.NumQubits)
+func optimizeOnce(c *circuit.Circuit, s *Scratch) (*circuit.Circuit, bool) {
+	out := s.circuit(c, c.NumQubits)
 	// lastGate[q] is the index in out.Gates of the last gate touching q,
 	// or -1.
-	lastGate := make([]int, c.NumQubits)
+	lastGate := s.ints(c.NumQubits)
 	for i := range lastGate {
 		lastGate[i] = -1
 	}

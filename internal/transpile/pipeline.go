@@ -2,6 +2,7 @@ package transpile
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/circuit"
 )
@@ -16,7 +17,10 @@ type Options struct {
 
 // Result is the output of the full pipeline.
 type Result struct {
-	Circuit       *circuit.Circuit // native gates over the physical register
+	Circuit *circuit.Circuit // native gates over the physical register
+	// The layouts are read-only: InitialLayout is the target's placement,
+	// shared by every result placed the same way, and FinalLayout is it too
+	// when routing inserted no SWAP.
 	InitialLayout Layout
 	FinalLayout   Layout
 	Stats         Stats
@@ -33,10 +37,52 @@ type Stats struct {
 	SwapsInserted int
 }
 
+// String is the stats line a job's compile_stats carries:
+// "transpile{gates 28→25, depth 8→8, 2q 8→8 cz, swaps 0}". Every compile
+// miss formats one, so it is appended by hand rather than through fmt.
 func (s Stats) String() string {
-	return fmt.Sprintf("transpile{gates %d→%d, depth %d→%d, 2q %d→%d cz, swaps %d}",
-		s.InputGates, s.OutputGates, s.InputDepth, s.OutputDepth,
-		s.Input2Q, s.OutputCZ, s.SwapsInserted)
+	var buf [96]byte
+	b := append(buf[:0], "transpile{gates "...)
+	b = strconv.AppendInt(b, int64(s.InputGates), 10)
+	b = strconv.AppendInt(append(b, "→"...), int64(s.OutputGates), 10)
+	b = strconv.AppendInt(append(b, ", depth "...), int64(s.InputDepth), 10)
+	b = strconv.AppendInt(append(b, "→"...), int64(s.OutputDepth), 10)
+	b = strconv.AppendInt(append(b, ", 2q "...), int64(s.Input2Q), 10)
+	b = strconv.AppendInt(append(b, "→"...), int64(s.OutputCZ), 10)
+	b = strconv.AppendInt(append(b, " cz, swaps "...), int64(s.SwapsInserted), 10)
+	return string(append(b, '}'))
+}
+
+// Scratch is a compile's working memory: the two circuits the passes
+// ping-pong between, each pass writing the one its input is not, and the
+// per-qubit tables they index. A fleet worker keeps one for its lifetime, so
+// once its circuits have grown a fresh-angle loop's passes allocate nothing;
+// a caller without a worker passes new(Scratch). A compile copies only its
+// final circuit out, at its exact size: nothing it returns points into the
+// scratch, and the next compile overwrites all of it. A Scratch serves one
+// compile at a time.
+type Scratch struct {
+	circs [2]circuit.Circuit
+	next  int // the circuit the next pass writes
+	tab   []int
+}
+
+// circuit hands a pass its output: the scratch circuit the previous pass did
+// not write, emptied for a circuit over n qubits about the size of src.
+func (s *Scratch) circuit(src *circuit.Circuit, n int) *circuit.Circuit {
+	out := &s.circs[s.next]
+	s.next ^= 1
+	out.Reuse(src, n)
+	return out
+}
+
+// ints returns n ints of the scratch's table, for a pass's per-qubit
+// bookkeeping; their values are whatever the last pass left.
+func (s *Scratch) ints(n int) []int {
+	if cap(s.tab) < n {
+		s.tab = make([]int, n)
+	}
+	return s.tab[:n]
 }
 
 // Transpile runs the full pipeline: decompose → place → route → decompose
@@ -45,6 +91,12 @@ func (s Stats) String() string {
 // build. The result is a native circuit over the physical register,
 // executable by the device.
 func Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
+	return new(Scratch).Transpile(c, t, opts)
+}
+
+// Transpile is the package's Transpile with every pass written into s: the
+// result shares no storage with it.
+func (s *Scratch) Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,27 +109,27 @@ func Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
 		Input2Q:    c.TwoQubitCount(),
 	}
 
-	lowered, err := decompose(c)
+	lowered, err := decompose(c, s)
 	if err != nil {
 		return nil, err
 	}
-	layout, err := Place(c.NumQubits, t, opts.Placement)
+	layout, err := place(c.NumQubits, t, opts.Placement)
 	if err != nil {
 		return nil, err
 	}
-	routed, err := routeWith(lowered, t, layout, opts.Routing)
+	routed, err := routeWith(lowered, t, layout, opts.Routing, s)
 	if err != nil {
 		return nil, err
 	}
 	native := routed.Circuit
 	if routed.SwapsInserted > 0 {
-		if native, err = decompose(native); err != nil {
+		if native, err = decompose(native, s); err != nil {
 			return nil, err
 		}
 	}
 	final := native
 	if !opts.SkipOptimize {
-		final = Optimize(native)
+		final = optimize(native, s)
 	}
 	if !final.IsNative() {
 		return nil, fmt.Errorf("transpile: internal error: pipeline output is not native")
@@ -87,7 +139,7 @@ func Transpile(c *circuit.Circuit, t *Target, opts Options) (*Result, error) {
 	stats.OutputCZ = final.CountOp(circuit.OpCZ)
 	stats.SwapsInserted = routed.SwapsInserted
 	return &Result{
-		Circuit:       final,
+		Circuit:       final.Clone(),
 		InitialLayout: routed.InitialLayout,
 		FinalLayout:   routed.FinalLayout,
 		Stats:         stats,

@@ -34,13 +34,19 @@ type Layout []int
 // Inverse returns the physical -> logical map (-1 for unused physicals).
 func (l Layout) Inverse(numPhysical int) []int {
 	inv := make([]int, numPhysical)
+	l.inverseInto(inv)
+	return inv
+}
+
+// inverseInto writes the physical -> logical map into inv, one entry per
+// physical qubit.
+func (l Layout) inverseInto(inv []int) {
 	for i := range inv {
 		inv[i] = -1
 	}
 	for logical, phys := range l {
 		inv[phys] = logical
 	}
-	return inv
 }
 
 // Place computes a layout for k logical qubits on the target, once per
@@ -49,6 +55,16 @@ func Place(k int, t *Target, strategy PlacementStrategy) (Layout, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	l, err := place(k, t, strategy)
+	if err != nil {
+		return nil, err
+	}
+	return append(Layout(nil), l...), nil
+}
+
+// place is Place for a validated target, returning the target's own copy of
+// the layout: nobody may write it.
+func place(k int, t *Target, strategy PlacementStrategy) (Layout, error) {
 	if k < 1 || k > t.NumQubits {
 		return nil, fmt.Errorf("transpile: cannot place %d logical qubits on %d physical", k, t.NumQubits)
 	}
@@ -76,7 +92,7 @@ func Place(k int, t *Target, strategy PlacementStrategy) (Layout, error) {
 		}
 		t.placed[key] = l
 	}
-	return append(Layout(nil), l...), nil
+	return l, nil
 }
 
 // placeBudget bounds one search, in candidates tried; each of the placeSeeds

@@ -30,7 +30,8 @@ type RouteResult struct {
 	// Circuit operates on the physical register (target.NumQubits wide).
 	Circuit *circuit.Circuit
 	// InitialLayout and FinalLayout map logical -> physical before and
-	// after routing (SWAPs permute the mapping).
+	// after routing (SWAPs permute the mapping). With no SWAP inserted,
+	// FinalLayout is InitialLayout, the layout the router was handed.
 	InitialLayout Layout
 	FinalLayout   Layout
 	SwapsInserted int
@@ -50,19 +51,27 @@ func RouteWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return routeWith(c, t, layout, strategy)
+	r, err := routeWith(c, t, layout, strategy, new(Scratch))
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
-// routeWith is RouteWith for a circuit its caller has validated.
-func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStrategy) (*RouteResult, error) {
+// routeWith is RouteWith for a circuit its caller has validated, written into
+// s. The final layout is the initial one when no SWAP moved a qubit.
+func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStrategy, s *Scratch) (RouteResult, error) {
 	if len(layout) < c.NumQubits {
-		return nil, fmt.Errorf("transpile: layout covers %d qubits, circuit needs %d", len(layout), c.NumQubits)
+		return RouteResult{}, fmt.Errorf("transpile: layout covers %d qubits, circuit needs %d", len(layout), c.NumQubits)
 	}
-	phys := make(Layout, len(layout))
+	// phys is logical -> physical as the SWAPs leave it, inv its inverse
+	// (-1 for an unused physical qubit).
+	tab := s.ints(len(layout) + t.NumQubits)
+	phys, inv := Layout(tab[:len(layout)]), tab[len(layout):]
 	copy(phys, layout)
-	inv := phys.Inverse(t.NumQubits)
+	phys.inverseInto(inv)
 
-	out := circuit.NewLike(c, t.NumQubits)
+	out := s.circuit(c, t.NumQubits)
 	swaps := 0
 	for i, g := range c.Gates {
 		if len(g.Qubits) == 2 && g.Name != circuit.OpBarrier {
@@ -76,7 +85,7 @@ func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 					path, err = t.shortestPath(pa, pb)
 				}
 				if err != nil {
-					return nil, fmt.Errorf("transpile: gate %d: %w", i, err)
+					return RouteResult{}, fmt.Errorf("transpile: gate %d: %w", i, err)
 				}
 				// Walk pa along the path until adjacent to pb.
 				for step := 0; step < len(path)-2; step++ {
@@ -94,7 +103,7 @@ func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 					inv[from], inv[to] = lb, la
 				}
 				if pa, pb = phys[a], phys[b]; !t.Connected(pa, pb) {
-					return nil, fmt.Errorf("transpile: gate %d: routing failed to make %d,%d adjacent", i, pa, pb)
+					return RouteResult{}, fmt.Errorf("transpile: gate %d: routing failed to make %d,%d adjacent", i, pa, pb)
 				}
 			}
 		}
@@ -106,10 +115,14 @@ func routeWith(c *circuit.Circuit, t *Target, layout Layout, strategy RoutingStr
 			qs[j] = phys[q]
 		}
 	}
-	return &RouteResult{
+	final := layout
+	if swaps > 0 {
+		final = append(Layout(nil), phys...)
+	}
+	return RouteResult{
 		Circuit:       out,
 		InitialLayout: layout,
-		FinalLayout:   phys,
+		FinalLayout:   final,
 		SwapsInserted: swaps,
 	}, nil
 }
