@@ -158,7 +158,7 @@ func TestProgramCacheEvictionIsAmortised(t *testing.T) {
 	circs := freshAngleAnsatze(maxCompiledJobs+past, 4)
 	qpu := New20Q(34)
 	ep := qpu.Epoch()
-	inFlight := progKey{fingerprint: 1, placement: placeNone}
+	inFlight := string(compileKey(nil, circuit.GHZ(1), placeNone))
 	ep.progs[inFlight] = &Compiled{ready: make(chan struct{})}
 	size := func() int {
 		ep.mu.Lock()

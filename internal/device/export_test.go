@@ -28,7 +28,7 @@ func (ep *Epoch) Entries() int {
 func (ep *Epoch) Lookup(c *circuit.Circuit, placement transpile.PlacementStrategy) *Compiled {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.progs[progKey{c.Fingerprint(), placement}]
+	return ep.progs[string(compileKey(nil, c, placement))]
 }
 
 // NoiseMismatch names the first noise site of e's program that does not

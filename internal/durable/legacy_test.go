@@ -176,11 +176,15 @@ func TestLegacyIdemRecordsUpgrade(t *testing.T) {
 		if _, err := f.Restore(rec.FleetJobs); err != nil {
 			t.Fatal(err)
 		}
+		user := map[int]string{}
+		for _, j := range rec.FleetJobs {
+			user[j.ID] = j.Request.User
+		}
 		for id, key := range want {
 			if key == "" {
 				continue
 			}
-			got, replayed, err := f.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4}, fleet.SubmitOptions{IdemKey: key})
+			got, replayed, err := f.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4, User: user[id]}, fleet.SubmitOptions{IdemKey: key})
 			if err != nil || !replayed || got != id {
 				t.Errorf("%s: retry of %q = job %d replayed %v (%v), want job %d replayed", stage, key, got, replayed, err, id)
 			}
@@ -305,7 +309,13 @@ func TestLegacyPendingSpelling(t *testing.T) {
 		if j, err := f.Job(5); err != nil || j.Status != fleet.JobQueued || !j.Recovered {
 			t.Errorf("cut %d: job 5 after restore = %+v (%v), want queued and recovered", i, j, err)
 		}
-		if id, replayed, err := f.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4}, fleet.SubmitOptions{IdemKey: "wal-key-1"}); err != nil || !replayed || id != 4 {
+		var user string // job 4's tenant
+		for _, j := range rec.FleetJobs {
+			if j.ID == 4 {
+				user = j.Request.User
+			}
+		}
+		if id, replayed, err := f.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4, User: user}, fleet.SubmitOptions{IdemKey: "wal-key-1"}); err != nil || !replayed || id != 4 {
 			t.Errorf("cut %d: retry of wal-key-1 = job %d replayed %v (%v), want job 4 replayed", i, id, replayed, err)
 		}
 		if m := f.Metrics(); m.IllegalTransitions != 0 {

@@ -77,8 +77,10 @@ func appendJobRecord(b []byte, j *fleet.Job) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendUpdateRecord appends the 'U' record of j's latest transition.
-func appendUpdateRecord(b []byte, j *fleet.Job) ([]byte, error) {
+// appendUpdateRecord appends the 'U' record of j's latest transition, with
+// result, j.Result's JSON object as the scheduler rendered it, spliced in
+// (nil: the move has none).
+func appendUpdateRecord(b []byte, j *fleet.Job, result []byte) ([]byte, error) {
 	b = strconv.AppendInt(append(b, `U{"id":`...), int64(j.ID), 10)
 	b = jsonwire.AppendString(append(b, `,"status":`...), string(j.Status))
 	if j.Device != "" {
@@ -93,10 +95,8 @@ func appendUpdateRecord(b []byte, j *fleet.Job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if j.Result != nil {
-		if b, err = j.Result.AppendJSON(append(b, `,"result":`...)); err != nil {
-			return nil, err
-		}
+	if result != nil {
+		b = append(append(b, `,"result":`...), result...)
 	}
 	if j.Error != "" {
 		b = jsonwire.AppendString(append(b, `,"error":`...), j.Error)

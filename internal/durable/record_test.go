@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -92,8 +93,13 @@ func TestJobRecordJSONMatchesReflection(t *testing.T) {
 		if j.Recovered {
 			u.SubmitUnixMs = j.SubmitUnixMs
 		}
-		got, err = appendUpdateRecord(nil, &j)
-		check(recFleetUpdate, got, err, u)
+		var res []byte
+		var rerr error
+		if j.Result != nil {
+			res, rerr = j.Result.AppendJSON(nil)
+		}
+		got, err = appendUpdateRecord(nil, &j, res)
+		check(recFleetUpdate, got, errors.Join(rerr, err), u)
 	}
 	meta := metaRecord{SnapshotLSN: 1 << 40, SavedUnixMs: 1792206531784}
 	want, _ := json.Marshal(meta)
@@ -145,12 +151,16 @@ func TestJournalAllocs(t *testing.T) {
 	}
 	defer st.Close()
 	j := hybridLoopJob()
+	res, err := j.Result.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		journal func(*fleet.Job) uint64
 	}{
 		{"submit", st.JournalFleetJob},
-		{"update", st.JournalFleetUpdate},
+		{"update", func(j *fleet.Job) uint64 { return st.JournalFleetUpdate(j, res) }},
 	} {
 		got := testing.AllocsPerRun(500, func() { tc.journal(j) })
 		t.Logf("%s record: %.2f allocs", tc.name, got)

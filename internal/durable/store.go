@@ -205,10 +205,13 @@ func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
 
 // JournalFleetUpdate journals a transition after the submission — a claim,
 // a failover re-queue, a restore, a terminal result — as an update of the
-// fields it may change (fleetJobUpdate); replay overlays it onto the job's
+// fields it may change (fleetJobUpdate), with result, the scheduler's
+// rendering of j.Result, spliced in; replay overlays it onto the job's
 // record. Implements fleet.JobStore.
-func (s *Store) JournalFleetUpdate(j *fleet.Job) uint64 {
-	return s.journal(j, appendUpdateRecord)
+func (s *Store) JournalFleetUpdate(j *fleet.Job, result []byte) uint64 {
+	return s.journal(j, func(b []byte, j *fleet.Job) ([]byte, error) {
+		return appendUpdateRecord(b, j, result)
+	})
 }
 
 // journal encodes j's record into the store's buffer and appends it.

@@ -19,32 +19,21 @@ import (
 // calibration and the load of that moment, and a device that drains or
 // fails simply stops claiming — nothing queued has to move.
 
-// serve is one of e's workers: claim, run, settle, seal, repeat, until
-// Stop.
+// serve is one of e's workers: claim, run, settle, repeat, until Stop.
 func (s *Scheduler) serve(e *deviceEntry) {
 	defer s.wg.Done()
-	var buf []byte           // the worker's record buffer
 	var sc transpile.Scratch // the worker's compile scratch (execute)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
 		if j := s.claimLocked(e); j != nil {
-			settled := s.runLocked(e, j, &sc)
+			s.runLocked(e, j, &sc)
 			// Settling j readied its waiters (Wait callers, event
 			// subscribers) on this worker's P, where they would sit for the
-			// whole next job — and its record's encode — unless another P
-			// happens to be idle: let them run first.
+			// whole next job unless another P happens to be idle: let them
+			// run first.
 			s.mu.Unlock()
 			runtime.Gosched()
-			if settled {
-				// Nothing writes a settled job: its record is written
-				// outside the lock, then sealed.
-				rec := encodeStored(j, buf[:0])
-				buf = spare(rec.body)
-				s.mu.Lock()
-				s.sealLocked(j, rec)
-				continue
-			}
 			s.mu.Lock()
 			continue
 		}
@@ -79,10 +68,9 @@ func (s *Scheduler) claimLocked(e *deviceEntry) *Job {
 }
 
 // runLocked routes a claimed job to e, runs it on e with s.mu released,
-// and settles it; it reports whether j settled, and so is the caller's to
-// seal, or went back to the queue. sc is the worker's compile scratch.
-// Caller holds s.mu.
-func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) (settled bool) {
+// and settles it, or sends it back to the queue. sc is the worker's compile
+// scratch. Caller holds s.mu.
+func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) {
 	score := s.fidelityLocked(j, e)
 	if j.policy == PolicyRoundRobin {
 		s.rr++
@@ -90,7 +78,7 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) (se
 	j.qwSpan.End()
 	j.rootSpan.StartChild("route", trace.Str("device", e.name)).End()
 	j.Device, j.Score = e.name, score
-	s.transitionLocked(j, JobRouted, "")
+	s.transitionLocked(j, JobRouted, "", nil)
 	e.routed++
 	e.scoreHist.Observe(score)
 	s.scoreHist.Observe(score)
@@ -127,11 +115,11 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) (se
 		// Discarding the result is what cancellation means.
 		span.End(trace.Str("outcome", string(JobCancelled)))
 		e.cancelled++
-		return s.settleLocked(j, JobCancelled, nil, "")
+		s.finalizeLocked(j, JobCancelled, nil, "")
 	case errMsg == "":
 		span.End(trace.Str("outcome", string(JobDone)))
 		e.completed++
-		return s.settleLocked(j, JobDone, rec, "")
+		s.finalizeLocked(j, JobDone, rec, "")
 	case e.state == DeviceFailed && !s.closed:
 		// The backend faulted under the job: failover, not a job defect.
 		// The job goes back to the queue — the one move back it can make.
@@ -139,14 +127,13 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) (se
 		j.Migrations++
 		e.migratedOut++
 		j.Result = nil
-		s.transitionLocked(j, JobQueued, "migrated")
+		s.transitionLocked(j, JobQueued, "migrated", nil)
 		j.Device = ""
 		s.enqueueLocked(j)
-		return false
 	default:
 		span.End(trace.Str("outcome", string(JobFailed)), trace.Str("error", errMsg))
 		e.failed++
-		return s.settleLocked(j, JobFailed, rec, errMsg)
+		s.finalizeLocked(j, JobFailed, rec, errMsg)
 	}
 }
 

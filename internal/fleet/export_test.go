@@ -1,6 +1,9 @@
 package fleet
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // What the package's external tests (package fleet_test, which may import
 // the API and durable layers above this package) use to land an event
@@ -15,11 +18,11 @@ type claimHook struct {
 	at func(j *Job)
 }
 
-func (h claimHook) JournalFleetUpdate(j *Job) uint64 {
+func (h claimHook) JournalFleetUpdate(j *Job, res []byte) uint64 {
 	if j.ID == h.id && j.Status == JobRouted {
 		h.at(j)
 	}
-	return h.JobStore.JournalFleetUpdate(j)
+	return h.JobStore.JournalFleetUpdate(j, res)
 }
 
 // CancelAtClaim wraps st: a Cancel of job id lands right after its claim.
@@ -71,4 +74,22 @@ func (s *Scheduler) watcherVisits() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.visits
+}
+
+// CountRenders counts result renders — Result.AppendFields calls, which
+// Result.AppendJSON makes too — until the returned function restores the
+// renderer and reports the count. Swap it in before the jobs it counts are
+// submitted and read it once they are done; tests that call it must not run
+// in parallel.
+func CountRenders() (stop func() int64) {
+	var n atomic.Int64
+	render := renderFields
+	renderFields = func(r *Result, b []byte) ([]byte, error) {
+		n.Add(1)
+		return render(r, b)
+	}
+	return func() int64 {
+		renderFields = render
+		return n.Load()
+	}
 }

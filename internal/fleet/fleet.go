@@ -161,8 +161,9 @@ type SubmitOptions struct {
 	// Policy overrides the scheduler default for this job.
 	Policy Policy
 	// IdemKey makes the submission replay-safe: a second submission under
-	// the same key, within the dedup window, returns the first one's job
-	// instead of minting another. Empty never dedups.
+	// the same key by the same tenant (Request.User), within the dedup
+	// window, returns the first one's job instead of minting another.
+	// Another tenant's same key is its own. Empty never dedups.
 	IdemKey string
 }
 
@@ -222,9 +223,10 @@ type Scheduler struct {
 	nextID  int
 	idLimit int    // last mintable ID, inclusive (0 = unbounded; SetOwner)
 	nodeID  string // federation ownership stamp for new jobs ("" standalone)
-	// jobs holds the live jobs; a terminal job leaves it when it is sealed
-	// (sealed.go). index has every job in ID order, arena the sealed ones'
-	// records, sealBuf the buffer a record is encoded into under s.mu,
+	// jobs holds the live jobs, none of them terminal: a job is sealed
+	// (sealed.go) in the lock hold that ends it (finalizeLocked). index has
+	// every job in ID order, arena the sealed ones' records, sealBuf the
+	// buffer a terminal job's result and record are rendered into under s.mu,
 	// viewCircuit the circuit a sealed record's stored circuit is decoded
 	// into to be rendered; users numbers the users jobs were submitted
 	// under, so an index entry names its user without a pointer.
@@ -237,9 +239,10 @@ type Scheduler struct {
 	queue       fairQueue // every queued job; the per-tenant rows live here
 	nowDay      float64   // simulation clock, last AdvanceTo day
 
-	// The Idempotency-Key dedup window: key -> job ID for the newest
-	// idemWindow keyed jobs, idemOrder the bindings in FIFO eviction order.
-	idem      map[string]int
+	// The Idempotency-Key dedup window: (tenant, key) -> job ID for the
+	// newest idemWindow keyed jobs, idemOrder the bindings in FIFO eviction
+	// order.
+	idem      map[idemKey]int
 	idemOrder []binding
 
 	scoreHist *telemetry.Histogram
@@ -277,9 +280,13 @@ type Scheduler struct {
 	traceSpanDrop uint64
 }
 
+// idemKey is what an Idempotency-Key binds: the key as one tenant sent it.
+// Another tenant's same key is another binding.
+type idemKey struct{ user, key string }
+
 // binding is one Idempotency-Key of the dedup window and the job it names.
 type binding struct {
-	key string
+	key idemKey
 	id  int
 }
 
@@ -298,7 +305,7 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 		jobs:      make(map[int]*Job),
 		users:     make(map[string]uint32),
 		queue:     newFairQueue(),
-		idem:      make(map[string]int),
+		idem:      make(map[idemKey]int),
 		scoreHist: scoreHistogram(),
 		arena:     newArena(),
 		traceCap:  DefaultTraceRetention,
@@ -316,9 +323,14 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 // fields a transition after the submission may change: status, device,
 // migrations, score, result, error, recovered, and the submission instant
 // on a recovered job. transitionLocked picks between the two.
+//
+// An update's result is j.Result as the scheduler rendered it once for the
+// terminal move (its JSON object, the bytes Result.AppendJSON writes), nil
+// for a move without one: only a terminal move carries a result, and the
+// store splices it in rather than render the counts again.
 type JobStore interface {
 	JournalFleetJob(j *Job) (lsn uint64)
-	JournalFleetUpdate(j *Job) (lsn uint64)
+	JournalFleetUpdate(j *Job, result []byte) (lsn uint64)
 	WaitDurable(lsn uint64)
 }
 
@@ -453,19 +465,19 @@ func (s *Scheduler) maxWidthLocked() int {
 }
 
 // Submit validates and queues one job. The job ID is fleet-scoped. The
-// scheduler keeps req.Circuit and reads it until the job is sealed, which
-// may be after Wait returns: a caller must not modify a submitted circuit.
+// scheduler keeps req.Circuit and reads it until the job is sealed, before
+// Wait returns: a caller must not modify a submitted circuit until then.
 func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 	id, _, err := s.SubmitKeyed(req, opts)
 	return id, err
 }
 
 // SubmitKeyed is Submit that also reports whether opts.IdemKey replayed an
-// earlier submission: replayed means the returned ID is the job that key
-// was first bound to and nothing new was minted. Only successful
-// submissions bind — a refused one created no job, so there is nothing to
-// protect from duplication, and binding a transient refusal would turn a
-// retryable response into a permanently replayed failure.
+// earlier submission of req.User's: replayed means the returned ID is the
+// job that tenant's key was first bound to and nothing new was minted.
+// Only successful submissions bind — a refused one created no job, so there
+// is nothing to protect from duplication, and binding a transient refusal
+// would turn a retryable response into a permanently replayed failure.
 func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, replayed bool, err error) {
 	if req.Circuit == nil {
 		return 0, false, fmt.Errorf("fleet: request has no circuit")
@@ -489,7 +501,7 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 	}
 	s.mu.Lock()
 	var lsn uint64
-	if bound, ok := s.idem[opts.IdemKey]; ok { // "" is never bound
+	if bound, ok := s.idem[idemKey{req.User, opts.IdemKey}]; ok { // "" is never bound
 		id, lsn, replayed = bound, s.ackLSNLocked(bound), true
 	} else {
 		j, err := s.mintLocked(req, opts, policy)
@@ -544,7 +556,7 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 	s.addLocked(j)
 	s.queue.stats(req.User).Submitted++
 	s.bindLocked(j)
-	s.transitionLocked(j, JobQueued, "")
+	s.transitionLocked(j, JobQueued, "", nil)
 	s.enqueueLocked(j)
 	s.shedOverLimitLocked(req.User)
 	// The submitter acks once everything the mint journaled is durable, a
@@ -569,14 +581,15 @@ func (s *Scheduler) addLocked(j *Job) {
 	s.index = append(s.index, entry{id: j.ID, user: user})
 }
 
-// bindLocked enters a keyed job into the dedup window, evicting the oldest
-// binding past idemWindow. Caller holds s.mu.
+// bindLocked enters a keyed job into the dedup window under its tenant and
+// key, evicting the oldest binding past idemWindow. Caller holds s.mu.
 func (s *Scheduler) bindLocked(j *Job) {
 	if j.IdemKey == "" {
 		return
 	}
-	s.idem[j.IdemKey] = j.ID
-	s.idemOrder = append(s.idemOrder, binding{j.IdemKey, j.ID})
+	k := idemKey{j.Request.User, j.IdemKey}
+	s.idem[k] = j.ID
+	s.idemOrder = append(s.idemOrder, binding{k, j.ID})
 	for len(s.idemOrder) > idemWindow {
 		// A key that aged out and was submitted fresh is carried by two
 		// recovered jobs; evicting the older one must not unbind the newer.
@@ -656,23 +669,22 @@ func (s *Scheduler) shedOverLimitLocked(user string) {
 	}
 }
 
-// finalizeLocked settles a fleet job exactly once, with rec as its final
-// result (nil when it never ran to one), and seals it.
+// finalizeLocked makes live job j terminal, with rec as its final result
+// (nil when it never ran to one), in one hold of s.mu: the result is
+// rendered once, into s.sealBuf; the move is journaled with those bytes,
+// published and counted in the tenant's row; the record is built around
+// the same bytes and sealed; and only then are j's waiters released. So no
+// reader ever finds a terminal job live. Caller holds s.mu.
 func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg string) {
-	if s.settleLocked(j, st, rec, errMsg) {
-		s.sealLocked(j, s.recordLocked(j))
-	}
-}
-
-// settleLocked is finalizeLocked short of the seal: it releases j's waiters,
-// and j stays live, terminal, until its caller seals it. It reports false,
-// doing nothing, when j had already settled.
-func (s *Scheduler) settleLocked(j *Job, st JobStatus, rec *Result, errMsg string) bool {
-	if j.Status.Terminal() {
-		return false
-	}
+	var res []byte
 	if rec != nil {
 		rec.EndTime = s.nowDay * 86400
+		var err error
+		if res, err = rec.AppendJSON(s.sealBuf[:0]); err != nil {
+			// Every float of a result was computed by the engine or checked
+			// finite at submission: a result that cannot be written is a bug.
+			panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
+		}
 	}
 	j.Result = rec
 	j.Error = errMsg
@@ -686,7 +698,7 @@ func (s *Scheduler) settleLocked(j *Job, st JobStatus, rec *Result, errMsg strin
 	if j.tr != nil {
 		s.retainTraceLocked(j)
 	}
-	s.transitionLocked(j, st, "")
+	s.transitionLocked(j, st, "", res)
 	// Per-tenant accounting: this is the single terminal choke point, so
 	// every outcome lands in exactly one tenant counter.
 	ts := s.queue.stats(j.Request.User)
@@ -702,8 +714,8 @@ func (s *Scheduler) settleLocked(j *Job, st JobStatus, rec *Result, errMsg strin
 	default:
 		ts.Failed++
 	}
+	s.sealLocked(j, res)
 	close(j.done)
-	return true
 }
 
 // DefaultTraceRetention bounds how many terminal-job traces the scheduler
@@ -831,7 +843,7 @@ func (s *Scheduler) WaitContext(ctx context.Context, id int) (*Job, error) {
 		return s.Job(id)
 	}
 	// Nothing writes a job once it is terminal (sealing drops it instead),
-	// and its done channel closed when it settled.
+	// and its done channel closed once it was sealed.
 	cp := *j
 	return &cp, nil
 }
@@ -923,9 +935,6 @@ func (s *Scheduler) Cancel(id int) error {
 			return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, sealedStates[s.index[i].state])
 		}
 		return fmt.Errorf("%w %d", ErrNoJob, id)
-	}
-	if j.Status.Terminal() {
-		return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, j.Status)
 	}
 	if j.Status == JobRouted {
 		j.cancelReq = true

@@ -80,7 +80,9 @@ func TestRestoreRebindsNewestKey(t *testing.T) {
 	if _, err := s.Restore(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if id, replayed, err := s.SubmitKeyed(req(2, 1), SubmitOptions{IdemKey: "dup"}); err != nil || !replayed || id != idemWindow+1 {
+	retry := req(2, 1)
+	retry.User = "" // the tenant of the restored jobs
+	if id, replayed, err := s.SubmitKeyed(retry, SubmitOptions{IdemKey: "dup"}); err != nil || !replayed || id != idemWindow+1 {
 		t.Fatalf("rebound key: id %d replayed %v err %v, want %d replayed", id, replayed, err, idemWindow+1)
 	}
 }

@@ -22,12 +22,13 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 // appendRecord is AppendJSON that also says where the request and the
 // result lie in what it appended (recordAt).
 func (j *Job) appendRecord(b []byte) ([]byte, recordAt, error) {
-	return j.writeRecord(b, true)
+	return j.writeRecord(b, true, nil)
 }
 
 // writeRecord is appendRecord that, without circuit, writes the request's
-// circuit null, for the arena to cut out (sealed.go).
-func (j *Job) writeRecord(b []byte, circuit bool) ([]byte, recordAt, error) {
+// circuit null, for the arena to cut out (sealed.go), and that splices res,
+// j.Result rendered already, in place of rendering it (nil: render it).
+func (j *Job) writeRecord(b []byte, circuit bool, res []byte) ([]byte, recordAt, error) {
 	var err error
 	var at recordAt
 	start := len(b)
@@ -64,7 +65,9 @@ func (j *Job) writeRecord(b []byte, circuit bool) ([]byte, recordAt, error) {
 	if j.Result != nil {
 		b = append(b, `,"result":`...)
 		at.res = mark()
-		if b, err = j.Result.AppendJSON(b); err != nil {
+		if res != nil {
+			b = append(b, res...)
+		} else if b, err = j.Result.AppendJSON(b); err != nil {
 			return nil, at, err
 		}
 		at.resEnd = mark()
@@ -96,7 +99,13 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 // AppendFields appends the members of the result's JSON object to b, without
 // its braces: the v2 job record writes them inline among its own. On an
 // error it returns b as far as it got, as jsonwire.AppendFloat does.
-func (r *Result) AppendFields(b []byte) ([]byte, error) {
+func (r *Result) AppendFields(b []byte) ([]byte, error) { return renderFields(r, b) }
+
+// renderFields is AppendFields' body, a variable only so that a test can
+// count renders (export_test.go).
+var renderFields = (*Result).appendFields
+
+func (r *Result) appendFields(b []byte) ([]byte, error) {
 	var err error
 	float := func(name string, f float64) {
 		if err == nil {

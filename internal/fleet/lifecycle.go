@@ -84,14 +84,16 @@ var (
 
 // transitionLocked moves j to status to — the only write of Job.Status in
 // the package (TestStatusHasOneWriter). The caller has already set whatever
-// else the move changes (device, result, error). The move is journaled
-// here, then published, so a job's watchers see exactly the stream the WAL
-// replays: the table's first row (the mint) journals the whole record,
-// request included, and every other row an update of the fields a move
-// after the mint may change (JobStore). An edge missing from the table
-// still proceeds — refusing would strand the job — but is counted. Events
-// carry the maintenance clock in simulation seconds. Caller holds s.mu.
-func (s *Scheduler) transitionLocked(j *Job, to JobStatus, reason string) {
+// else the move changes (device, result, error); res is j.Result as
+// finalizeLocked rendered it, nil for a move without a result. The move is
+// journaled here, then published, so a job's watchers see exactly the
+// stream the WAL replays: the table's first row (the mint) journals the
+// whole record, request included, and every other row an update of the
+// fields a move after the mint may change (JobStore). An edge missing from
+// the table still proceeds — refusing would strand the job — but is
+// counted. Events carry the maintenance clock in simulation seconds.
+// Caller holds s.mu.
+func (s *Scheduler) transitionLocked(j *Job, to JobStatus, reason string, res []byte) {
 	from := j.Status
 	if !lifecycle[edge{from, to, reason}] {
 		s.illegal++
@@ -102,7 +104,7 @@ func (s *Scheduler) transitionLocked(j *Job, to JobStatus, reason string) {
 	case from == "":
 		s.walTail = s.jstore.JournalFleetJob(j)
 	default:
-		s.walTail = s.jstore.JournalFleetUpdate(j)
+		s.walTail = s.jstore.JournalFleetUpdate(j, res)
 	}
 	s.publishLocked(j, Event{
 		JobID:  j.ID,

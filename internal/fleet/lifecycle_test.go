@@ -88,7 +88,7 @@ func (m *memStore) JournalFleetJob(j *Job) uint64 {
 
 // JournalFleetUpdate keeps the whole record too: the fold of an update onto
 // its submission is the durable package's to test.
-func (m *memStore) JournalFleetUpdate(j *Job) uint64 { return m.JournalFleetJob(j) }
+func (m *memStore) JournalFleetUpdate(j *Job, _ []byte) uint64 { return m.JournalFleetJob(j) }
 
 func (m *memStore) WaitDurable(uint64) {}
 

@@ -20,9 +20,9 @@ import (
 // nopStore is a JobStore that keeps nothing: the claim hooks need one to wrap.
 type nopStore struct{}
 
-func (nopStore) JournalFleetJob(*fleet.Job) uint64    { return 0 }
-func (nopStore) JournalFleetUpdate(*fleet.Job) uint64 { return 0 }
-func (nopStore) WaitDurable(uint64)                   {}
+func (nopStore) JournalFleetJob(*fleet.Job) uint64            { return 0 }
+func (nopStore) JournalFleetUpdate(*fleet.Job, []byte) uint64 { return 0 }
+func (nopStore) WaitDurable(uint64)                           {}
 
 // resultFields are the v2 record's fields a device run fills in.
 var resultFields = []string{"compiled_gates", "cz_count", "layout", "compile_stats", "counts", "duration_us", "submit_time", "end_time"}

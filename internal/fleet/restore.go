@@ -24,8 +24,9 @@ type RestoreStats struct {
 // with the retryable interrupted error instead. Every restored job is
 // marked Recovered and republished (reason "recovered"), so re-attached
 // watch streams and the fresh WAL segment see the post-restart state. The
-// Idempotency-Key dedup window is rebuilt from the jobs' IdemKey in job-ID
-// order, so the newest idemWindow keys survive.
+// Idempotency-Key dedup window is rebuilt from the jobs' IdemKey, each
+// under its job's tenant, in job-ID order, so the newest idemWindow keys
+// survive.
 func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 	var stats RestoreStats
 	sorted := make([]*Job, len(jobs))
@@ -66,7 +67,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		s.bindLocked(j)
 
 		if j.Status.Terminal() {
-			s.sealLocked(j, s.recordLocked(j))
+			s.sealLocked(j, nil)
 			stats.Terminal++
 			continue
 		}
@@ -86,7 +87,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		j.tr = trace.New("job",
 			trace.Int("job_id", j.ID), trace.Str("user", j.Request.User))
 		j.rootSpan = j.tr.Root()
-		s.transitionLocked(j, JobQueued, "recovered")
+		s.transitionLocked(j, JobQueued, "recovered", nil)
 		s.enqueueLocked(j)
 		stats.Requeued++
 	}

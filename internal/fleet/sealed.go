@@ -138,23 +138,22 @@ func newArena() *arena {
 	return a
 }
 
-// add stores rec: its circuit once in the last chunk, unless the chunk
-// holds those bytes already, and its body after. It returns the chunk and
-// the two spans.
-func (a *arena) add(rec stored) (chunk uint32, body, circ span) {
-	c := rec.circ
+// add stores a record: c, its circuit's binary form, once in the last
+// chunk, unless the chunk holds those bytes already, and rec, the record
+// with the circuit cut out, after. It returns the chunk and the two spans.
+func (a *arena) add(rec, c []byte) (chunk uint32, body, circ span) {
 	last := len(a.chunks) - 1
 	var slot *span
 	found := false
 	if last >= 0 {
 		slot, found = a.lookup(a.chunks[last], c)
 	}
-	need := len(rec.body)
+	need := len(rec)
 	if !found {
 		need += len(c)
 	}
 	if last < 0 || len(a.chunks[last])+need > cap(a.chunks[last]) {
-		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec.body)+len(c))))
+		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec)+len(c))))
 		last++
 		a.circuits = [circuitSlots]span{}
 		slot, found = a.lookup(nil, c)
@@ -165,8 +164,8 @@ func (a *arena) add(rec stored) (chunk uint32, body, circ span) {
 		*slot = span{uint32(len(ch)), uint32(len(c))}
 		ch = append(ch, c...)
 	}
-	body = span{uint32(len(ch)), uint32(len(rec.body))}
-	ch = append(ch, rec.body...)
+	body = span{uint32(len(ch)), uint32(len(rec))}
+	ch = append(ch, rec...)
 	a.chunks[last] = ch
 	a.bytes += int64(len(ch) - start)
 	return uint32(last), body, *slot
@@ -404,20 +403,25 @@ func (s *Scheduler) headLocked(e *entry) (Head, error) {
 	return Record{JSON: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n], at: e.storedAt()}.Head()
 }
 
-// stored is a terminal job as the arena stores it: body, its record with
-// the request circuit cut out (at locates the parts there, at.shots ==
-// at.circuitAt()), and circ, the circuit's binary form, empty for a job
-// without one. Both share one buffer, body's capacity.
-type stored struct {
-	body, circ []byte
-	at         recordAt
-}
+// maxSpareRecord bounds the seal buffer kept for reuse: one outsized record
+// does not pin its buffer for the life of the process.
+const maxSpareRecord = 64 << 10
 
-// encodeStored writes terminal job j's stored form into buf. Every float of
-// a job was checked finite at submission or computed by the engine, so a
-// record that cannot be written is a bug.
-func encodeStored(j *Job, buf []byte) stored {
-	b, at, err := j.writeRecord(buf, false)
+// sealLocked turns terminal job j into its stored form — its record with
+// the request circuit cut out, and the circuit's binary form — copied into
+// the arena. res is j.Result as finalizeLocked rendered it into s.sealBuf, and
+// the record is written after it there, around the same bytes; nil renders
+// j.Result, if any, here (a job Restore hands in terminal). j leaves s.jobs,
+// so nothing of the scheduler references it any more, and j itself is not
+// written, so a waiter still holding it reads it as it settled. Every float
+// of a job was checked finite at submission or computed by the engine, so a
+// record that cannot be written is a bug. Caller holds s.mu.
+func (s *Scheduler) sealLocked(j *Job, res []byte) {
+	buf := s.sealBuf[:0]
+	if res != nil {
+		buf = res
+	}
+	b, at, err := j.writeRecord(buf, false, res)
 	if err != nil {
 		panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
 	}
@@ -429,39 +433,14 @@ func encodeStored(j *Job, buf []byte) stored {
 	if c := j.Request.Circuit; c != nil {
 		b = c.AppendBinary(b)
 	}
-	return stored{body: b[len(buf):n], circ: b[n:], at: at}
-}
-
-// maxSpareRecord bounds the record buffers kept for reuse (the scheduler's
-// and each worker's): one outsized record does not pin its buffer for the
-// life of the process.
-const maxSpareRecord = 64 << 10
-
-// spare is buffer b kept for the next record: b itself, or nil when it grew
-// past maxSpareRecord.
-func spare(b []byte) []byte {
-	if cap(b) > maxSpareRecord {
-		return nil
+	if cap(b) <= maxSpareRecord {
+		s.sealBuf = b[:0]
+	} else {
+		s.sealBuf = nil
 	}
-	return b
-}
-
-// recordLocked encodes terminal job j's stored form into the scheduler's
-// buffer. Caller holds s.mu.
-func (s *Scheduler) recordLocked(j *Job) stored {
-	rec := encodeStored(j, s.sealBuf[:0])
-	s.sealBuf = spare(rec.body)
-	return rec
-}
-
-// sealLocked turns settled job j into rec, its stored form, copied into the
-// arena. j leaves s.jobs, so nothing of the scheduler references it any
-// more, and j itself is not written, so a waiter still holding it reads it
-// as it settled. Caller holds s.mu.
-func (s *Scheduler) sealLocked(j *Job, rec stored) {
 	e := &s.index[s.findLocked(j.ID)]
-	e.chunk, e.rec, e.circ = s.arena.add(rec)
-	e.req, e.reqEnd, e.resEnd = rec.at.req, rec.at.reqEnd, rec.at.resEnd
+	e.chunk, e.rec, e.circ = s.arena.add(b[len(buf):n], b[n:])
+	e.req, e.reqEnd, e.resEnd = at.req, at.reqEnd, at.resEnd
 	e.ackLSN, e.submitMs = j.ackLSN, j.SubmitUnixMs
 	e.state = stateCode(j.Status)
 	delete(s.jobs, j.ID)

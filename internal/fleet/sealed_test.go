@@ -167,7 +167,7 @@ type recordingStore struct {
 
 func (m *recordingStore) JournalFleetJob(*Job) uint64 { return 0 }
 
-func (m *recordingStore) JournalFleetUpdate(j *Job) uint64 {
+func (m *recordingStore) JournalFleetUpdate(j *Job, _ []byte) uint64 {
 	if j.Status.Terminal() {
 		rec := encodeRecord(j, nil)
 		m.mu.Lock()

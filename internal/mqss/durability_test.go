@@ -184,7 +184,7 @@ func TestCrashPrefixKeepsKeyBound(t *testing.T) {
 				t.Errorf("prefix %d: job %d recovered with key %q, want %q", cut, j.ID, j.IdemKey, keyOf[j.ID])
 				continue
 			}
-			id, replayed, err := f2.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4},
+			id, replayed, err := f2.SubmitKeyed(qrm.Request{Circuit: circuit.GHZ(2), Shots: 4, User: "prefix"},
 				fleet.SubmitOptions{IdemKey: keyOf[j.ID]})
 			if err != nil || !replayed || id != j.ID {
 				t.Errorf("prefix %d: retry of %q = job %d replayed %v (%v), want job %d replayed",
@@ -373,5 +373,55 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	}
 	if want := map[string]interface{}{"terminal": 1.0, "requeued": 0.0, "expired": 0.0}; !reflect.DeepEqual(body["restored"], want) {
 		t.Errorf("restored = %v, want %v", body["restored"], want)
+	}
+}
+
+// TestIdempotencyKeyBelongsToOneTenant: an Idempotency-Key binds within the
+// tenant that sent it. Tenant v reusing tenant u's key mints a job of its
+// own, for its own request, and u's retry still replays u's job; after a
+// kill -9 and a reboot from the same directory both keys replay their own
+// tenant's job, and a third tenant's same key is again a fresh job.
+func TestIdempotencyKeyBelongsToOneTenant(t *testing.T) {
+	dir := t.TempDir()
+	hdr := map[string]string{"Idempotency-Key": "shared-key"}
+	post := func(hs *httptest.Server, user string, shots int) (*Job, bool) {
+		t.Helper()
+		resp := postV2(t, hs, "/api/v2/jobs?wait=10s", SubmitRequest{Circuit: circuit.GHZ(2), Shots: shots, User: user}, hdr)
+		defer resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("tenant %s: status %d", user, resp.StatusCode)
+		}
+		return decodeV2Job(t, resp.Body), resp.Header.Get("Idempotency-Replayed") == "true"
+	}
+	f1, server1, hs1, st1 := durableStack(t, dir)
+	u, replayed := post(hs1, "u", 10)
+	if replayed || u.User != "u" || u.Shots != 10 {
+		t.Fatalf("tenant u's first submit: %+v, replayed %v", u, replayed)
+	}
+	v, replayed := post(hs1, "v", 7)
+	if replayed || v.ID == u.ID || v.User != "v" || v.Shots != 7 || v.State != StateDone {
+		t.Fatalf("tenant v reusing u's key got %+v, replayed %v; want a fresh job of its own", v, replayed)
+	}
+	check := func(stage string, hs *httptest.Server) {
+		t.Helper()
+		for _, want := range []*Job{u, v} {
+			got, replayed := post(hs, want.User, 1)
+			if !replayed || got.ID != want.ID || got.User != want.User || got.Shots != want.Shots {
+				t.Errorf("%s: tenant %s's retry got %s (user %s, %d shots), replayed %v; want its own %s replayed",
+					stage, want.User, got.ID, got.User, got.Shots, replayed, want.ID)
+			}
+		}
+	}
+	check("before the crash", hs1)
+
+	st1.Abandon() // kill -9
+	server1.Close()
+	hs1.Close()
+	f1.Stop()
+	f2, server2, hs2, _ := durableStack(t, dir)
+	defer func() { server2.Close(); hs2.Close(); f2.Stop() }()
+	check("after the reboot", hs2)
+	if w, replayed := post(hs2, "w", 3); replayed || w.ID == u.ID || w.ID == v.ID || w.User != "w" {
+		t.Fatalf("tenant w after the reboot got %+v, replayed %v; want a fresh job", w, replayed)
 	}
 }

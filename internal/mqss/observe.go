@@ -235,7 +235,7 @@ func promTraces(pw *telemetry.PromWriter, retained int, spanDrops uint64) {
 }
 
 // promRetention renders what the scheduler holds: its live jobs by stored
-// status (a terminal one only between its settle and its seal), its sealed
+// status (never a terminal one, so those rows read 0), its sealed
 // jobs, kept as records, with the records' bytes, and the fill of its
 // Idempotency-Key window.
 func promRetention(pw *telemetry.PromWriter, r fleet.Retention) {

@@ -37,7 +37,7 @@ type liveCapture struct {
 }
 
 func (c *liveCapture) JournalFleetJob(*fleet.Job) uint64 { return 0 }
-func (c *liveCapture) JournalFleetUpdate(j *fleet.Job) uint64 {
+func (c *liveCapture) JournalFleetUpdate(j *fleet.Job, _ []byte) uint64 {
 	if j.Status.Terminal() {
 		c.mu.Lock()
 		c.live[j.ID] = *j

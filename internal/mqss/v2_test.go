@@ -358,8 +358,8 @@ type gatedStore struct {
 
 func (g *gatedStore) open() { g.once.Do(func() { close(g.release) }) }
 
-func (g *gatedStore) JournalFleetJob(*fleet.Job) uint64    { return g.lsn.Add(1) }
-func (g *gatedStore) JournalFleetUpdate(*fleet.Job) uint64 { return g.lsn.Add(1) }
+func (g *gatedStore) JournalFleetJob(*fleet.Job) uint64            { return g.lsn.Add(1) }
+func (g *gatedStore) JournalFleetUpdate(*fleet.Job, []byte) uint64 { return g.lsn.Add(1) }
 func (g *gatedStore) WaitDurable(uint64) {
 	g.waiting.Add(1)
 	<-g.release
