@@ -373,9 +373,10 @@ func TestConcurrentCompilesShareNoiseMemo(t *testing.T) {
 // TestFreshAngleCompileAllocs gates the compile-miss path of a hybrid loop:
 // every job is a 5-qubit ansatz with fresh angles, so the epoch's compile
 // map misses each call while its noise channels are read, not built. What is
-// left is per circuit, not per gate: the map entry, the compact register's
-// map, the trajectory program at its final length, the readout plan, the
-// job's random stream, the tree's bookkeeping and the result.
+// left is per circuit, not per gate: the map entry (holding its program and
+// its own completion) and its key, the compact register's map, the
+// trajectory program at its final length, the readout plan, the job's
+// random stream, the counts and the result.
 func TestFreshAngleCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled states at random under -race")
@@ -398,7 +399,7 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 	}
 	t.Logf("fresh-angle ansatz job: %.0f allocs", allocs)
 	if allocs > 14 {
-		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 14 (measured 12, one of them the job's PCG stream; 19 with a compact circuit and per-compile qubit tables, 21 before the branch tree's scratch was pooled; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 14 (measured 12-13: the entry and its key copy, 4 for the counts map, 1 each for the compact register, the trajectory program, the readout plan, the job's PCG stream and the result, and the forked subtrees' draws; 14-15 with a separate completion channel and engine program per entry, and 12 before the entry copied its key; 19 with a compact circuit and per-compile qubit tables, 21 before the branch tree's scratch was pooled; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
 	}
 }
 

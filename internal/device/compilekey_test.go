@@ -1,12 +1,12 @@
 package device
 
 import (
-	"context"
 	"maps"
 	"math"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/telemetry/trace"
 	"repro/internal/transpile"
 )
 
@@ -24,7 +24,6 @@ func TestCompileMapComparesCircuits(t *testing.T) {
 		return c.CNOT(0, 1).CNOT(1, 2).CNOT(2, 3)
 	}
 	base := build(4, "base", circuit.OpRY, 0, 0.5)
-	ctx := context.Background()
 	var sc transpile.Scratch
 	qpu := New20Q(seed)
 	ep := qpu.Epoch()
@@ -61,7 +60,7 @@ func TestCompileMapComparesCircuits(t *testing.T) {
 			if again, hit := prepare(tc.c); !hit || again != e {
 				t.Fatalf("a second compile: hit %v, same entry %v", hit, again == e)
 			}
-			got, err := qpu.Run(ctx, e, shots, jobID)
+			got, err := qpu.Run(trace.Span{}, e, shots, jobID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +69,7 @@ func TestCompileMapComparesCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := alone.Run(ctx, solo, shots, jobID)
+			want, err := alone.Run(trace.Span{}, solo, shots, jobID)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -166,15 +166,16 @@ func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 }
 
 // ExecuteCtx is Execute with a caller context carrying an optional trace
-// span: the engine records child spans for its compile lookup
-// (engine-compile), the simulation (with its leaves, site and fork
-// counts), and the control-electronics pacing sleep. With no span in ctx
-// the overhead is a few nil checks.
+// span (trace.ContextWithSpan): the engine records child spans for its
+// compile lookup (engine-compile), the simulation (with its leaves, site
+// and fork counts), and the control-electronics pacing sleep. With no span
+// in ctx the overhead is a few nil checks.
 func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*Result, error) {
 	if err := d.validateExecution(c, shots); err != nil {
 		return nil, err
 	}
-	_, compileSpan := trace.StartSpan(ctx, "engine-compile")
+	span := trace.FromContext(ctx)
+	compileSpan := span.StartChild("engine-compile")
 	cp, hit, err := d.Epoch().native(c)
 	if hit {
 		compileSpan.End(trace.Str("cache", "hit"))
@@ -187,22 +188,22 @@ func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*R
 	d.mu.Lock()
 	seed := d.rng.Uint64()
 	d.mu.Unlock()
-	return d.Run(ctx, cp, shots, seed)
+	return d.Run(span, cp, shots, seed)
 }
 
 // Run executes a compiled job (Epoch.Prepare) for shots shots, with the
 // noise of the epoch it was compiled on, recording the simulate and pace
-// spans under ctx's span. Every draw comes from the job's own stream, seeded
+// spans under span. Every draw comes from the job's own stream, seeded
 // by the device seed and seed (jobRNG), or from a fork's stream seeded off
 // it: the counts are a function of the program, the epoch and the two
 // seeds, whatever ran on the device before and whether a helper goroutine
 // ran part of the tree — the fleet passes the job ID, so a job re-executed
 // after a crash returns the counts of its first run.
-func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*Result, error) {
+func (d *QPU) Run(span trace.Span, cp *Compiled, shots int, seed uint64) (*Result, error) {
 	if shots < 1 {
 		return nil, fmt.Errorf("device: shots must be >= 1, got %d", shots)
 	}
-	cj := cp.cj
+	cj := &cp.cj
 	d.mu.Lock()
 	if d.injectedFaults > 0 {
 		d.injectedFaults--
@@ -221,7 +222,7 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*R
 	// noise level: a noiseless program is one trajectory, and a tree of one
 	// shot, or one whose shots all part ways, is the per-shot Monte-Carlo
 	// loop.
-	_, simSpan := trace.StartSpan(ctx, "simulate")
+	simSpan := span.StartChild("simulate")
 	counts, stats, err := cj.runBranchTree(shots, d.jobRNG(seed))
 	simSpan.End(trace.Int("leaves", stats.leaves),
 		trace.Int("exact_sites", stats.exactSites), trace.Int("deferred_sites", stats.deferredSites),
@@ -230,7 +231,7 @@ func (d *QPU) Run(ctx context.Context, cp *Compiled, shots int, seed uint64) (*R
 		return nil, err
 	}
 	if latency > 0 {
-		_, paceSpan := trace.StartSpan(ctx, "pace")
+		paceSpan := span.StartChild("pace")
 		time.Sleep(latency)
 		paceSpan.End()
 	}
@@ -268,12 +269,13 @@ func (d *QPU) jobRNG(seed uint64) *rand.Rand {
 	return &js.Rand
 }
 
-// compileJob lowers a validated native circuit onto the epoch's noise: its
-// trajectory program and its readout plan.
-func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
+// compileJob lowers a validated native circuit onto the epoch's noise, into
+// cj (the program of a compile-map entry): its trajectory program and its
+// readout plan.
+func (ep *Epoch) compileJob(cj *compiledJob, c *circuit.Circuit) error {
 	var toCompact [quantum.MaxQubits]int
 	toPhysical := compactRegister(c, &toCompact)
-	cj := &compiledJob{
+	*cj = compiledJob{
 		toPhysical:   toPhysical,
 		chans:        ep.chans,
 		durPerShotUs: estimateDurationUs(c, 1),
@@ -283,23 +285,23 @@ func (ep *Epoch) compileJob(c *circuit.Circuit) (*compiledJob, error) {
 		cj.readout = newReadoutPlan(r, c.NumQubits, toPhysical)
 	}
 	if toPhysical == nil {
-		return cj, nil
+		return nil
 	}
 	cj.compactQubits = len(toPhysical)
 	noisy, err := ep.compileTrajectoryOps(c, &toCompact, toPhysical)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Refuse channels wider than a site's scratch.
 	for i := range noisy {
 		if s := &noisy[i]; s.hasNoise() {
 			if ch := &ep.chans[s.ch]; len(ch.Kraus) > maxKrausBranches {
-				return nil, fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", ch.Name, len(ch.Kraus), maxKrausBranches)
+				return fmt.Errorf("device: noise channel %q has %d Kraus operators, the engine holds %d", ch.Name, len(ch.Kraus), maxKrausBranches)
 			}
 		}
 	}
 	cj.noisy = noisy
-	return cj, nil
+	return nil
 }
 
 // compactRegister maps a validated c onto a register of only the qubits its

@@ -159,7 +159,7 @@ func TestProgramCacheEvictionIsAmortised(t *testing.T) {
 	qpu := New20Q(34)
 	ep := qpu.Epoch()
 	inFlight := string(compileKey(nil, circuit.GHZ(1), placeNone))
-	ep.progs[inFlight] = &Compiled{ready: make(chan struct{})}
+	ep.progs[inFlight] = new(Compiled) // not filled: in flight
 	size := func() int {
 		ep.mu.Lock()
 		defer ep.mu.Unlock()

@@ -145,14 +145,17 @@ const placeNone transpile.PlacementStrategy = -1
 
 // Compiled is one entry of an epoch's compile map: a circuit transpiled
 // against the epoch's Target (no transpile result for a native circuit) and
-// the engine program lowered from that onto the epoch's noise. ready closes
-// once the entry is filled; it never changes afterwards.
+// the engine program lowered from that onto the epoch's noise, held in the
+// entry itself. Its owner fills it and then ends its flight, which releases
+// the waiters; it never changes afterwards. filled, under the epoch's mu,
+// marks the end of the flight for eviction.
 type Compiled struct {
-	ready chan struct{}
-	res   *transpile.Result
-	stats string // res.Stats.String(), formatted once per compile
-	cj    *compiledJob
-	err   error
+	flight sync.WaitGroup
+	filled bool
+	res    *transpile.Result
+	stats  string // res.Stats.String(), formatted once per compile
+	cj     compiledJob
+	err    error
 }
 
 // Result is the transpilation the job's layout and compile stats come from.
@@ -187,7 +190,7 @@ func (ep *Epoch) Prepare(c *circuit.Circuit, placement transpile.PlacementStrate
 		if e.err == nil {
 			e.stats = e.res.Stats.String()
 			if e.err = ep.dev.validateNative(e.res.Circuit); e.err == nil {
-				e.cj, e.err = ep.compileJob(e.res.Circuit)
+				e.err = ep.compileJob(&e.cj, e.res.Circuit)
 			}
 		}
 		ep.done(key, e)
@@ -202,7 +205,7 @@ func (ep *Epoch) native(c *circuit.Circuit) (*Compiled, bool, error) {
 	key := compileKey(kb[:0], c, placeNone)
 	e, owner := ep.entry(key)
 	if owner {
-		e.cj, e.err = ep.compileJob(c)
+		e.err = ep.compileJob(&e.cj, c)
 		ep.done(key, e)
 	}
 	return ep.settled(e, owner)
@@ -218,7 +221,8 @@ func (ep *Epoch) entry(key []byte) (e *Compiled, owner bool) {
 		return e, false
 	}
 	ep.evictLocked()
-	e = &Compiled{ready: make(chan struct{})}
+	e = new(Compiled)
+	e.flight.Add(1)
 	ep.progs[string(key)] = e
 	return e, true
 }
@@ -226,20 +230,19 @@ func (ep *Epoch) entry(key []byte) (e *Compiled, owner bool) {
 // done releases an owner's waiters. A failed compile leaves the map, so a
 // later job retries it.
 func (ep *Epoch) done(key []byte, e *Compiled) {
-	close(e.ready)
-	if e.err != nil {
-		ep.mu.Lock()
-		if ep.progs[string(key)] == e {
-			delete(ep.progs, string(key))
-		}
-		ep.mu.Unlock()
+	ep.mu.Lock()
+	e.filled = true
+	if e.err != nil && ep.progs[string(key)] == e {
+		delete(ep.progs, string(key))
 	}
+	ep.mu.Unlock()
+	e.flight.Done()
 }
 
 // settled waits for e and counts the lookup: the owner's compile is a miss
 // whatever its outcome, a waiter's a hit only when it got a program.
 func (ep *Epoch) settled(e *Compiled, owner bool) (*Compiled, bool, error) {
-	<-e.ready
+	e.flight.Wait()
 	if owner {
 		ep.dev.compileMisses.Add(1)
 	} else if e.err == nil {
@@ -263,17 +266,8 @@ func (ep *Epoch) evictLocked() {
 		if len(ep.progs) <= maxCompiledJobs/2 {
 			return
 		}
-		if e.completed() {
+		if e.filled {
 			delete(ep.progs, k)
 		}
-	}
-}
-
-func (e *Compiled) completed() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
 	}
 }

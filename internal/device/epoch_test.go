@@ -32,7 +32,7 @@ func (d *QPU) compiledFor(c *circuit.Circuit) (*compiledJob, bool, error) {
 	if err != nil {
 		return nil, hit, err
 	}
-	return e.cj, hit, nil
+	return &e.cj, hit, nil
 }
 
 // TestEpochIsWrittenOnlyByItsConstructor type-checks the package's non-test

@@ -17,7 +17,7 @@ func transpiledAnsatz(t *testing.T) *compiledJob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp.cj
+	return &cp.cj
 }
 
 // ansatzRNGSeed is a job seed at which every fork of the transpiled ansatz

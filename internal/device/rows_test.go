@@ -33,7 +33,7 @@ func TestCountsDoNotDependOnRows(t *testing.T) {
 	}{
 		{"wide tree", pinnedWideJob(t), defaultBranchStateBudget, 50},
 		{"wide replay", pinnedWideJob(t), 1, 50},
-		{"ansatz", ansatz.cj, defaultBranchStateBudget, 200},
+		{"ansatz", &ansatz.cj, defaultBranchStateBudget, 200},
 	}
 	for _, job := range jobs {
 		job.cj.stateBudget = job.budget

@@ -2,7 +2,7 @@ package device
 
 import (
 	"bytes"
-	"context"
+
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/telemetry/trace"
 	"repro/internal/transpile"
 )
 
@@ -26,7 +27,6 @@ func TestCompiledEntryOwnsItsCircuit(t *testing.T) {
 	ep := qpu.Epoch()
 	rng := rand.New(rand.NewSource(17))
 	var sc transpile.Scratch
-	ctx := context.Background()
 
 	kept := []*circuit.Circuit{scratchJob(rng, true), scratchJob(rng, false)}
 	entries := make([]*Compiled, len(kept))
@@ -37,7 +37,7 @@ func TestCompiledEntryOwnsItsCircuit(t *testing.T) {
 		if err != nil || hit {
 			t.Fatalf("job %d: hit %v, %v", i, hit, err)
 		}
-		res, err := qpu.Run(ctx, e, 200, 7)
+		res, err := qpu.Run(trace.Span{}, e, 200, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestCompiledEntryOwnsItsCircuit(t *testing.T) {
 		if err != nil || !hit || again != e {
 			t.Fatalf("entry %d: hit %v, same entry %v, %v", i, hit, again == e, err)
 		}
-		res, err := qpu.Run(ctx, e, 200, 7)
+		res, err := qpu.Run(trace.Span{}, e, 200, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

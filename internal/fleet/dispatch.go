@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/qrm"
@@ -19,9 +18,12 @@ import (
 // calibration and the load of that moment, and a device that drains or
 // fails simply stops claiming — nothing queued has to move.
 
-// serve is one of e's workers: claim, run, settle, repeat, until Stop.
+// serve is one of e's workers: claim, run, settle, repeat, until Stop. The
+// goroutine carries e's device as its profile label, which the engine's
+// fork helpers inherit.
 func (s *Scheduler) serve(e *deviceEntry) {
 	defer s.wg.Done()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("device", e.dev.QPU().Name())))
 	var sc transpile.Scratch // the worker's compile scratch (execute)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -90,12 +92,7 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) {
 	req, enqueued := j.Request, j.enqueued
 	s.mu.Unlock()
 	e.queueWait.Observe(msSince(enqueued))
-	var rec *Result
-	var errMsg string
-	labels := pprof.Labels("qrm_job", strconv.Itoa(j.ID), "device", e.dev.QPU().Name())
-	pprof.Do(context.Background(), labels, func(context.Context) {
-		rec, errMsg = s.execute(e, j, &req, span, sc)
-	})
+	rec, errMsg := s.execute(e, j, &req, span, sc)
 	if rec != nil && errMsg == "" {
 		e.e2e.Observe(msSince(enqueued))
 	}
@@ -145,7 +142,7 @@ func (s *Scheduler) runLocked(e *deviceEntry, j *Job, sc *transpile.Scratch) {
 // carries only the submission instant. The compile and execute spans nest
 // under span. A compile this worker owns runs in its scratch sc. Runs with
 // s.mu released.
-func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trace.Span, sc *transpile.Scratch) (*Result, string) {
+func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span trace.Span, sc *transpile.Scratch) (*Result, string) {
 	placement := transpile.PlaceFidelityAware
 	if req.StaticPlacement {
 		placement = transpile.PlaceStatic
@@ -205,7 +202,7 @@ func (s *Scheduler) execute(e *deviceEntry, j *Job, req *qrm.Request, span *trac
 		trace.Int("shots", req.Shots), trace.Int("gates", out.CompiledGates))
 	// The job ID seeds the run's stream: the counts do not depend on what
 	// else the device ran, or on how often the job was executed before.
-	run, err := qpu.Run(trace.ContextWithSpan(context.Background(), execSpan), cp, req.Shots, uint64(j.ID))
+	run, err := qpu.Run(execSpan, cp, req.Shots, uint64(j.ID))
 	execSpan.End()
 	e.exec.Observe(msSince(execStart))
 	if err != nil {

@@ -119,10 +119,10 @@ type Job struct {
 	// scheduler. rootSpan is its root; qwSpan covers the job's current wait
 	// in the queue. Each claim adds a "route" span and an "on-device" leg
 	// span under the root, so a failover shows up as successive legs. All
-	// nil with tracing disabled.
+	// zero with tracing disabled.
 	tr       *trace.Trace
-	rootSpan *trace.Span
-	qwSpan   *trace.Span
+	rootSpan trace.Span
+	qwSpan   trace.Span
 
 	// watchers are the feeds Watch attached to the job, guarded by
 	// Scheduler.mu; its terminal event closes them (events.go).
@@ -160,10 +160,11 @@ type SubmitOptions struct {
 	Device string
 	// Policy overrides the scheduler default for this job.
 	Policy Policy
-	// IdemKey makes the submission replay-safe: a second submission under
-	// the same key by the same tenant (Request.User), within the dedup
-	// window, returns the first one's job instead of minting another.
-	// Another tenant's same key is its own. Empty never dedups.
+	// IdemKey makes the submission replay-safe: a second submission of the
+	// same request under the same key by the same tenant (Request.User),
+	// within the dedup window, returns the first one's job instead of
+	// minting another; another request under it is ErrKeyReused. Another
+	// tenant's same key is its own. Empty never dedups.
 	IdemKey string
 }
 
@@ -226,10 +227,11 @@ type Scheduler struct {
 	// jobs holds the live jobs, none of them terminal: a job is sealed
 	// (sealed.go) in the lock hold that ends it (finalizeLocked). index has
 	// every job in ID order, arena the sealed ones' records, sealBuf the
-	// buffer a terminal job's result and record are rendered into under s.mu,
-	// viewCircuit the circuit a sealed record's stored circuit is decoded
-	// into to be rendered; users numbers the users jobs were submitted
-	// under, so an index entry names its user without a pointer.
+	// buffer a terminal job's result and record are rendered into under s.mu
+	// (and, between seals, a keyed replay's circuit), viewCircuit the circuit
+	// a sealed record's stored circuit is decoded into to be rendered; users
+	// numbers the users jobs were submitted under, so an index entry names
+	// its user without a pointer.
 	jobs        map[int]*Job
 	index       []entry
 	arena       *arena
@@ -474,7 +476,8 @@ func (s *Scheduler) Submit(req qrm.Request, opts SubmitOptions) (int, error) {
 
 // SubmitKeyed is Submit that also reports whether opts.IdemKey replayed an
 // earlier submission of req.User's: replayed means the returned ID is the
-// job that tenant's key was first bound to and nothing new was minted.
+// job that tenant's key was first bound to and nothing new was minted. The
+// same key with another request is ErrKeyReused (sameRequestLocked).
 // Only successful submissions bind — a refused one created no job, so there
 // is nothing to protect from duplication, and binding a transient refusal
 // would turn a retryable response into a permanently replayed failure.
@@ -502,6 +505,10 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 	s.mu.Lock()
 	var lsn uint64
 	if bound, ok := s.idem[idemKey{req.User, opts.IdemKey}]; ok { // "" is never bound
+		if !s.sameRequestLocked(bound, &req, opts.Device) {
+			s.mu.Unlock()
+			return 0, false, fmt.Errorf("%w: the key is bound to job %d", ErrKeyReused, bound)
+		}
 		id, lsn, replayed = bound, s.ackLSNLocked(bound), true
 	} else {
 		j, err := s.mintLocked(req, opts, policy)
@@ -727,7 +734,7 @@ const DefaultTraceRetention = 256
 func (s *Scheduler) retainTraceLocked(j *Job) {
 	s.traceSpanDrop += j.tr.Dropped()
 	if s.traceCap < 1 {
-		j.tr, j.rootSpan, j.qwSpan = nil, nil, nil
+		j.tr, j.rootSpan, j.qwSpan = nil, trace.Span{}, trace.Span{}
 		return
 	}
 	if len(s.traceRing) >= s.traceCap {

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -629,5 +632,52 @@ func TestResumeBeforeMonitorDoesNotStrandJobs(t *testing.T) {
 		if j.Status != JobDone || j.Migrations != 0 {
 			t.Errorf("job %d = %s (%s) after %d migrations, want done after none", id, j.Status, j.Error, j.Migrations)
 		}
+	}
+}
+
+// TestWorkersCarryTheirDeviceLabel: every device worker goroutine carries
+// its device's profile label, set once when it starts, so a CPU profile
+// attributes the jobs it runs per device with no per-job label.
+func TestWorkersCarryTheirDeviceLabel(t *testing.T) {
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	devices := []string{"alpha", "beta"}
+	for _, name := range devices {
+		if err := s.AddDevice(name, mkdev(t, name, 2, 2, 1, 0), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	labelled := func() map[string]int {
+		var b strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+			t.Fatal(err)
+		}
+		n := map[string]int{}
+		// One block per distinct stack: "<count> @ <pcs>", then "# labels:
+		// {...}" when the goroutines carry any, then the frames.
+		for _, block := range strings.Split(b.String(), "\n\n") {
+			count, labels := 0, ""
+			for _, line := range strings.Split(block, "\n") {
+				if l, ok := strings.CutPrefix(line, "# labels: "); ok {
+					labels = l
+				} else if strings.Contains(line, " @ ") {
+					fmt.Sscanf(line, "%d @", &count)
+				}
+			}
+			if strings.Contains(block, "fleet.(*Scheduler).serve") {
+				n[labels] += count
+			}
+		}
+		return n
+	}
+	want := map[string]int{`{"device":"alpha"}`: 2, `{"device":"beta"}`: 2}
+	deadline := time.Now().Add(5 * time.Second)
+	got := labelled()
+	for !maps.Equal(got, want) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		got = labelled()
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("worker goroutines by label: %v, want %v", got, want)
 	}
 }

@@ -77,9 +77,12 @@ func ParseJobStatus(v string) (JobStatus, error) {
 // ErrNoJob (the ID names no job) and ErrJobTerminal (it settled; nothing is
 // left to cancel) classify job-addressed failures for errors.Is. Their texts
 // are the words the messages wrap: "fleet: no job 7", "… job 7 already done".
+// ErrKeyReused refuses a submission whose Idempotency-Key the tenant already
+// bound to another request (sameRequestLocked): nothing is minted or bound.
 var (
 	ErrNoJob       = errors.New("fleet: no job")
 	ErrJobTerminal = errors.New("already")
+	ErrKeyReused   = errors.New("fleet: Idempotency-Key reused with another request")
 )
 
 // transitionLocked moves j to status to — the only write of Job.Status in

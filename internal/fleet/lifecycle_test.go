@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 	"repro/internal/tenant"
 )
 
@@ -183,6 +184,7 @@ func lifecycleRandomWalk(t *testing.T, seed int64, taken map[edge]int) {
 	ep := startWalkEpoch(t, seed, names, st, nil)
 
 	var ids []int
+	bound := map[string]qrm.Request{} // a tenant's key -> the request it was first sent with
 	day, kills := 0.0, 0
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(20); {
@@ -193,6 +195,12 @@ func lifecycleRandomWalk(t *testing.T, seed int64, taken map[edge]int) {
 			switch rng.Intn(4) {
 			case 0:
 				opts.IdemKey = fmt.Sprintf("k%d", rng.Intn(12))
+				// A keyed retry resends its request: another one is refused.
+				if first, ok := bound[r.User+"/"+opts.IdemKey]; ok {
+					r = first
+				} else {
+					bound[r.User+"/"+opts.IdemKey] = r
+				}
 			case 1:
 				opts.Device = pick()
 			case 2:

@@ -55,7 +55,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		// jobs route under the scheduler default.
 		j.policy = s.policy
 		j.submitTime = s.nowDay * 86400
-		j.tr, j.rootSpan, j.qwSpan = nil, nil, nil
+		j.tr, j.rootSpan, j.qwSpan = nil, trace.Span{}, trace.Span{}
 		if j.SubmitUnixMs <= 0 {
 			j.SubmitUnixMs = nowMs
 		}

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/jsonwire"
+	"repro/internal/qrm"
 )
 
 // This file is how the scheduler keeps a job once it is terminal: as its
@@ -227,25 +228,26 @@ func (r Record) ResultFields() []byte {
 // Head is the scalar fields a job's v2 record shows, of a live job (Job.Head)
 // or a sealed one (Record.Head, whose strings share the record's bytes).
 type Head struct {
-	ID         int
-	Device     string
-	Migrations int
-	Score      float64
-	Pinned     string
-	User       string
-	Shots      int
-	Priority   int
-	DeadlineMs float64
-	Error      string
-	Recovered  bool
-	Node       string
+	ID              int
+	Device          string
+	Migrations      int
+	Score           float64
+	Pinned          string
+	User            string
+	Shots           int
+	Priority        int
+	DeadlineMs      float64
+	StaticPlacement bool
+	Error           string
+	Recovered       bool
+	Node            string
 }
 
 // Head is the job's scalar fields, as Record.Head reads them from its record.
 func (j *Job) Head() Head {
 	return Head{ID: j.ID, Device: j.Device, Migrations: j.Migrations, Score: j.Score, Pinned: j.Pinned,
 		User: j.Request.User, Shots: j.Request.Shots, Priority: j.Request.Priority, DeadlineMs: j.Request.DeadlineMs,
-		Error: j.Error, Recovered: j.Recovered, Node: j.Node}
+		StaticPlacement: j.Request.StaticPlacement, Error: j.Error, Recovered: j.Recovered, Node: j.Node}
 }
 
 // Head lexes the record's scalar fields. It jumps over the circuit and the
@@ -292,6 +294,8 @@ func (r Record) Head() (Head, error) {
 					str(&h.User)
 				case "deadline_ms":
 					l.Float(&h.DeadlineMs)
+				case "static_placement":
+					l.Bool(&h.StaticPlacement)
 				default:
 					l.Skip()
 				}
@@ -445,6 +449,36 @@ func (s *Scheduler) sealLocked(j *Job, res []byte) {
 	e.state = stateCode(j.Status)
 	delete(s.jobs, j.ID)
 	s.settled.Broadcast()
+}
+
+// sameRequestLocked reports whether req, pinned to device pinned, is the
+// request job id was minted for, read where the job lives: a live job's
+// Request and Pinned, a sealed one's stored circuit and head. Circuits
+// compare by their binary form. The routing policy is not part of the job,
+// so it is not compared. Caller holds s.mu.
+func (s *Scheduler) sameRequestLocked(id int, req *qrm.Request, pinned string) bool {
+	b := req.Circuit.AppendBinary(s.sealBuf[:0])
+	n := len(b)
+	var bound []byte
+	var h Head
+	if j, ok := s.jobs[id]; ok {
+		if c := j.Request.Circuit; c != nil {
+			b = c.AppendBinary(b)
+		}
+		bound, h = b[n:], j.Head()
+	} else {
+		e := &s.index[s.findLocked(id)]
+		bound = s.arena.chunks[e.chunk][e.circ.off : e.circ.off+e.circ.n]
+		var err error
+		if h, err = s.headLocked(e); err != nil {
+			return false
+		}
+	}
+	if cap(b) <= maxSpareRecord {
+		s.sealBuf = b[:0]
+	}
+	return bytes.Equal(b[:n], bound) && h.Shots == req.Shots && h.Priority == req.Priority &&
+		h.DeadlineMs == req.DeadlineMs && h.StaticPlacement == req.StaticPlacement && h.Pinned == pinned
 }
 
 // View returns job id as the scheduler holds it, a live job relabelled as

@@ -39,14 +39,15 @@ const (
 	CodeInvalidRequest   = "invalid_request" // malformed body, ID, or query
 	CodeNotFound         = "not_found"       // no such resource
 	CodeMethodNotAllowed = "method_not_allowed"
-	CodeConflict         = "conflict"          // e.g. cancelling a terminal job
-	CodeUnprocessable    = "unprocessable"     // well-formed but unrunnable submission
-	CodeUnavailable      = "unavailable"       // transient capacity loss; retryable
-	CodeDeadlineExceeded = "deadline_exceeded" // expired before dispatch; retryable
-	CodeExecutionFailed  = "execution_failed"  // the device rejected or failed the job
-	CodeInterrupted      = "interrupted"       // lost to a crash/restart; retryable
-	CodeRateLimited      = "rate_limited"      // over the tenant's token bucket; retryable
-	CodeShed             = "shed"              // evicted by overload shedding; retryable
+	CodeConflict         = "conflict"               // e.g. cancelling a terminal job
+	CodeUnprocessable    = "unprocessable"          // well-formed but unrunnable submission
+	CodeKeyReused        = "idempotency_key_reused" // the tenant's key is bound to another request
+	CodeUnavailable      = "unavailable"            // transient capacity loss; retryable
+	CodeDeadlineExceeded = "deadline_exceeded"      // expired before dispatch; retryable
+	CodeExecutionFailed  = "execution_failed"       // the device rejected or failed the job
+	CodeInterrupted      = "interrupted"            // lost to a crash/restart; retryable
+	CodeRateLimited      = "rate_limited"           // over the tenant's token bucket; retryable
+	CodeShed             = "shed"                   // evicted by overload shedding; retryable
 	CodeInternal         = "internal"
 )
 

@@ -3,6 +3,7 @@ package mqss
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -376,6 +377,84 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	}
 }
 
+// TestIdempotencyKeyBoundToTenantAndRequest: an Idempotency-Key binds one
+// tenant's one request. Over v2 on a durable stack, another tenant's same key
+// mints a job of its own, the same tenant's key with another body is a 422
+// idempotency_key_reused that mints nothing, and the identical body replays;
+// all three hold again after a kill -9 and a reopen of the same directory.
+func TestIdempotencyKeyBoundToTenantAndRequest(t *testing.T) {
+	dir := t.TempDir()
+	hdr := map[string]string{"Idempotency-Key": "bound-key"}
+	body := func(user string, shots int) SubmitRequest {
+		return SubmitRequest{Circuit: circuit.GHZ(3), Shots: shots, User: user}
+	}
+	post := func(hs *httptest.Server, req SubmitRequest) (*http.Response, *Job) {
+		t.Helper()
+		resp := postV2(t, hs, "/api/v2/jobs?wait=10s", req, hdr)
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode/100 != 2 {
+			var e APIError
+			if err := json.Unmarshal(raw, &e); err != nil || e.Code != CodeKeyReused || e.Retryable {
+				t.Errorf("status %d body %s: want an idempotency_key_reused envelope, not retryable", resp.StatusCode, raw)
+			}
+			return resp, nil
+		}
+		var j Job
+		if err := json.Unmarshal(raw, &j); err != nil {
+			t.Fatal(err)
+		}
+		return resp, &j
+	}
+	count := func(hs *httptest.Server) int {
+		t.Helper()
+		list, err := httpGetJSON(hs.URL + "/api/v2/jobs?limit=100")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, _ := list["jobs"].([]interface{})
+		return len(jobs)
+	}
+	replayed := func(resp *http.Response) bool { return resp.Header.Get("Idempotency-Replayed") == "true" }
+
+	f1, server1, hs1, st1 := durableStack(t, dir)
+	_, u := post(hs1, body("u", 10))
+	if u == nil || u.State != StateDone {
+		t.Fatalf("tenant u's first submit: %+v", u)
+	}
+	check := func(stage string, hs *httptest.Server, tenant string) {
+		t.Helper()
+		before := count(hs)
+		resp, other := post(hs, body(tenant, 5))
+		if replayed(resp) || other == nil || other.ID == u.ID || other.User != tenant {
+			t.Errorf("%s: tenant %s reusing u's key got %+v, replayed %v; want a fresh job of its own", stage, tenant, other, replayed(resp))
+		}
+		for _, diff := range []SubmitRequest{body("u", 11), {Circuit: circuit.GHZ(2), Shots: 10, User: "u"}, {Circuit: circuit.GHZ(3), Shots: 10, User: "u", Priority: 2}} {
+			if resp, j := post(hs, diff); resp.StatusCode != http.StatusUnprocessableEntity || j != nil {
+				t.Errorf("%s: tenant u's key with another body: status %d, job %+v; want 422", stage, resp.StatusCode, j)
+			}
+		}
+		if got := count(hs); got != before+1 {
+			t.Errorf("%s: %d jobs, want %d: a refused reuse minted a job", stage, got, before+1)
+		}
+		if resp, again := post(hs, body("u", 10)); !replayed(resp) || again == nil || again.ID != u.ID {
+			t.Errorf("%s: tenant u's identical retry got %+v, replayed %v; want %s replayed", stage, again, replayed(resp), u.ID)
+		}
+	}
+	check("before the crash", hs1, "v")
+
+	st1.Abandon() // kill -9
+	server1.Close()
+	hs1.Close()
+	f1.Stop()
+	f2, server2, hs2, _ := durableStack(t, dir)
+	defer func() { server2.Close(); hs2.Close(); f2.Stop() }()
+	check("after the reboot", hs2, "w")
+}
+
 // TestIdempotencyKeyBelongsToOneTenant: an Idempotency-Key binds within the
 // tenant that sent it. Tenant v reusing tenant u's key mints a job of its
 // own, for its own request, and u's retry still replays u's job; after a
@@ -405,7 +484,7 @@ func TestIdempotencyKeyBelongsToOneTenant(t *testing.T) {
 	check := func(stage string, hs *httptest.Server) {
 		t.Helper()
 		for _, want := range []*Job{u, v} {
-			got, replayed := post(hs, want.User, 1)
+			got, replayed := post(hs, want.User, want.Shots)
 			if !replayed || got.ID != want.ID || got.User != want.User || got.Shots != want.Shots {
 				t.Errorf("%s: tenant %s's retry got %s (user %s, %d shots), replayed %v; want its own %s replayed",
 					stage, want.User, got.ID, got.User, got.Shots, replayed, want.ID)

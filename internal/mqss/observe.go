@@ -235,12 +235,12 @@ func promTraces(pw *telemetry.PromWriter, retained int, spanDrops uint64) {
 }
 
 // promRetention renders what the scheduler holds: its live jobs by stored
-// status (never a terminal one, so those rows read 0), its sealed
+// status (queued or routed: a live job is never terminal), its sealed
 // jobs, kept as records, with the records' bytes, and the fill of its
 // Idempotency-Key window.
 func promRetention(pw *telemetry.PromWriter, r fleet.Retention) {
 	help := "Jobs the scheduler holds, by state: a live job's stored status, or sealed (a terminal job kept as its record)."
-	for _, st := range []fleet.JobStatus{fleet.JobQueued, fleet.JobRouted, fleet.JobDone, fleet.JobFailed, fleet.JobCancelled} {
+	for _, st := range []fleet.JobStatus{fleet.JobQueued, fleet.JobRouted} {
 		pw.Gauge("qhpc_jobs_retained", help, telemetry.Labels{{"state", string(st)}}, float64(r.Live[st]))
 		help = ""
 	}

@@ -286,7 +286,9 @@ func checkSealed(t *testing.T, f *fleet.Scheduler, srv *httptest.Server, want ma
 		}
 		same("POST record", id, record(sealed), record(fromLive(live, false)))
 		if live.IdemKey != "" {
-			resp := postV2(t, srv, pathV2Jobs, SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: live.Request.User},
+			r := live.Request // a keyed retry resends the request the key is bound to
+			resp := postV2(t, srv, pathV2Jobs, SubmitRequest{Circuit: r.Circuit, Shots: r.Shots, User: r.User, Priority: r.Priority,
+				DeadlineMs: r.DeadlineMs, StaticPlacement: r.StaticPlacement, Device: live.Pinned},
 				map[string]string{"Idempotency-Key": live.IdemKey})
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
@@ -427,9 +429,14 @@ func TestMetricsReportRetention(t *testing.T) {
 	if got := sample(`qhpc_jobs_retained{state="sealed"}`); got != jobs {
 		t.Errorf("sealed jobs = %v, want %d", got, jobs)
 	}
-	for _, st := range []string{"queued", "routed", "done", "failed", "cancelled"} {
+	for _, st := range []string{"queued", "routed"} {
 		if got := sample(fmt.Sprintf(`qhpc_jobs_retained{state=%q}`, st)); got != 0 {
 			t.Errorf("live %s jobs = %v, want 0 once settled", st, got)
+		}
+	}
+	for _, st := range []string{"done", "failed", "cancelled"} {
+		if series := fmt.Sprintf(`qhpc_jobs_retained{state=%q}`, st); strings.Contains(body, series) {
+			t.Errorf("/metrics writes %s: no live job is terminal, so it can only read 0", series)
 		}
 	}
 	if got := sample("qhpc_idempotency_keys_retained"); got != window {

@@ -225,7 +225,11 @@ func (s *Server) v2Submit(w http.ResponseWriter, r *http.Request) {
 	opts.IdemKey = r.Header.Get("Idempotency-Key")
 	id, replayed, err := s.fleet.SubmitKeyed(req.qrmRequest(), opts)
 	if err != nil {
-		writeV2Error(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error(), false)
+		code := CodeUnprocessable
+		if errors.Is(err, fleet.ErrKeyReused) {
+			code = CodeKeyReused
+		}
+		writeV2Error(w, http.StatusUnprocessableEntity, code, err.Error(), false)
 		return
 	}
 	if rid := w.Header().Get("X-Request-ID"); rid != "" && !replayed {

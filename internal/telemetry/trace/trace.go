@@ -32,8 +32,8 @@ var enabled atomic.Bool
 func init() { enabled.Store(true) }
 
 // SetEnabled turns trace collection on or off globally. With tracing off,
-// New returns nil and every Span/Trace method is a nil-safe no-op, so the
-// instrumented call sites pay only a pointer nil-check.
+// New returns nil, whose Root is the inert zero Span, so the instrumented
+// call sites pay only a pointer nil-check.
 func SetEnabled(on bool) { enabled.Store(on) }
 
 // Enabled reports whether trace collection is currently on.
@@ -157,41 +157,30 @@ func New(rootName string, attrs ...Attr) *Trace {
 	return t
 }
 
-// Root returns the root span handle, or nil for a nil trace.
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{t: t, idx: 0}
+// Root returns the root span handle, the zero Span for a nil trace.
+func (t *Trace) Root() Span {
+	return Span{t: t}
 }
 
-// Span is a handle to one slab entry. The zero value and nil are inert.
+// Span is a value handle to one slab entry. The zero Span is inert: every
+// method on it is a no-op and its children are zero Spans too.
 type Span struct {
 	t   *Trace
 	idx int32
 }
 
-// Trace returns the trace this span belongs to (nil for a nil span) —
-// how a layer handed only a parent span reaches the tree for retention.
-func (s *Span) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.t
-}
-
 // StartChild claims a new span under s. On slab exhaustion it counts a
-// drop and returns nil, which End/SetAttr/StartChild all tolerate, so
-// call sites need no branch between start and end.
-func (s *Span) StartChild(name string, attrs ...Attr) *Span {
-	if s == nil || s.t == nil {
-		return nil
-	}
+// drop and returns the zero Span, which End/SetAttr/StartChild all
+// tolerate, so call sites need no branch between start and end.
+func (s Span) StartChild(name string, attrs ...Attr) Span {
 	t := s.t
+	if t == nil {
+		return Span{}
+	}
 	i := t.claim.Add(1) - 1
 	if int(i) >= maxSpans {
 		t.dropped.Add(1)
-		return nil
+		return Span{}
 	}
 	sp := &t.spans[i]
 	sp.name = name
@@ -199,15 +188,15 @@ func (s *Span) StartChild(name string, attrs ...Attr) *Span {
 	sp.start = int64(time.Since(t.epoch))
 	t.addAttrs(i, attrs)
 	sp.state.Store(spanStarted)
-	return &Span{t: t, idx: i}
+	return Span{t: t, idx: i}
 }
 
 // End marks the span finished, optionally attaching final attributes.
 // Idempotent: the first caller to land the end time wins; later End
 // calls only contribute their attrs. The end store precedes the state
 // flip, so any reader that observes spanEnded also sees the end time.
-func (s *Span) End(attrs ...Attr) {
-	if s == nil || s.t == nil {
+func (s Span) End(attrs ...Attr) {
+	if s.t == nil {
 		return
 	}
 	sp := &s.t.spans[s.idx]
@@ -223,8 +212,8 @@ func (s *Span) End(attrs ...Attr) {
 }
 
 // SetAttr attaches an attribute to a live or ended span.
-func (s *Span) SetAttr(k, v string) {
-	if s == nil || s.t == nil {
+func (s Span) SetAttr(k, v string) {
+	if s.t == nil {
 		return
 	}
 	s.t.addAttrs(s.idx, []Attr{{Key: k, Value: v}})
@@ -232,31 +221,17 @@ func (s *Span) SetAttr(k, v string) {
 
 type ctxKey struct{}
 
-// ContextWithSpan returns a context carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
+// ContextWithSpan returns a context carrying the span, for callers that
+// reach the engine through a context (device.QPU.ExecuteCtx).
+func ContextWithSpan(ctx context.Context, s Span) context.Context {
+	if s.t == nil {
 		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, s)
 }
 
-// FromContext extracts the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
+// FromContext extracts the span carried by ctx, or the zero Span.
+func FromContext(ctx context.Context) Span {
+	s, _ := ctx.Value(ctxKey{}).(Span)
 	return s
-}
-
-// StartSpan begins a child of the span carried in ctx and returns both a
-// context carrying the new span and its handle. With no span in ctx (or
-// tracing off) it returns ctx unchanged and a nil handle.
-func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	child := parent.StartChild(name, attrs...)
-	if child == nil {
-		return ctx, nil
-	}
-	return ContextWithSpan(ctx, child), child
 }

@@ -55,33 +55,38 @@ func TestDisabled(t *testing.T) {
 	if tr != nil {
 		t.Fatal("New should return nil when disabled")
 	}
-	// Everything downstream must be nil-safe.
+	// Everything downstream must be inert.
 	root := tr.Root()
+	if root != (Span{}) {
+		t.Fatal("a nil trace's root should be the zero Span")
+	}
 	c := root.StartChild("x")
+	if c != (Span{}) {
+		t.Fatal("the zero Span's child should be the zero Span")
+	}
 	c.SetAttr("k", "v")
 	c.End()
 	root.End()
 	if snap := tr.Snapshot(); snap != nil {
 		t.Fatal("nil trace snapshot should be nil")
 	}
-	ctx, sp := StartSpan(context.Background(), "y")
-	if sp != nil || FromContext(ctx) != nil {
-		t.Fatal("StartSpan on empty ctx should be inert")
+	ctx := ContextWithSpan(context.Background(), c)
+	if ctx != context.Background() || FromContext(ctx) != (Span{}) {
+		t.Fatal("a zero Span should not ride a context")
 	}
 }
 
+// TestContextThreading: a span handed over by value, or through a context
+// for the callers that reach a layer that way, grows the same tree.
 func TestContextThreading(t *testing.T) {
 	tr := New("job")
 	ctx := ContextWithSpan(context.Background(), tr.Root())
-	ctx2, sp := StartSpan(ctx, "stage", Int("n", 3))
-	if sp == nil {
+	sp := FromContext(ctx).StartChild("stage", Int("n", 3))
+	if sp == (Span{}) {
 		t.Fatal("expected live span")
 	}
-	if FromContext(ctx2) == nil {
-		t.Fatal("child not in ctx")
-	}
-	_, sub := StartSpan(ctx2, "sub")
-	sub.End()
+	passed := func(parent Span) { parent.StartChild("sub").End() }
+	passed(sp)
 	sp.End()
 	snap := tr.Snapshot()
 	if len(snap.Root.Children) != 1 || snap.Root.Children[0].Attrs["n"] != "3" {
@@ -95,12 +100,15 @@ func TestContextThreading(t *testing.T) {
 func TestSlabExhaustion(t *testing.T) {
 	tr := New("job")
 	root := tr.Root()
-	spans := make([]*Span, 0, maxSpans*2)
+	spans := make([]Span, 0, maxSpans*2)
 	for i := 0; i < maxSpans*2; i++ {
 		spans = append(spans, root.StartChild(fmt.Sprintf("s%d", i)))
 	}
-	for _, s := range spans {
-		s.End() // nil-safe past the cap
+	for i, s := range spans {
+		if dropped := i >= maxSpans-1; dropped != (s == Span{}) {
+			t.Errorf("span %d is the zero Span: %v, want %v", i, !dropped, dropped)
+		}
+		s.End() // inert past the cap
 	}
 	if tr.Dropped() != maxSpans+1 {
 		t.Errorf("dropped = %d, want %d", tr.Dropped(), maxSpans+1)
