@@ -165,30 +165,21 @@ func (d *QPU) Execute(c *circuit.Circuit, shots int) (*Result, error) {
 	return d.ExecuteCtx(context.Background(), c, shots)
 }
 
-// ExecuteCtx is Execute with a caller context carrying an optional trace
-// span (trace.ContextWithSpan): the engine records child spans for its
-// compile lookup (engine-compile), the simulation (with its leaves, site
-// and fork counts), and the control-electronics pacing sleep. With no span
-// in ctx the overhead is a few nil checks.
+// ExecuteCtx is Execute for callers that hold a context; the engine does
+// not read it. A direct call records no trace: a traced caller compiles
+// with Epoch.Prepare and hands its span to Run.
 func (d *QPU) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int) (*Result, error) {
 	if err := d.validateExecution(c, shots); err != nil {
 		return nil, err
 	}
-	span := trace.FromContext(ctx)
-	compileSpan := span.StartChild("engine-compile")
-	cp, hit, err := d.Epoch().native(c)
-	if hit {
-		compileSpan.End(trace.Str("cache", "hit"))
-	} else {
-		compileSpan.End(trace.Str("cache", "miss"))
-	}
+	cp, _, err := d.Epoch().native(c)
 	if err != nil {
 		return nil, err
 	}
 	d.mu.Lock()
 	seed := d.rng.Uint64()
 	d.mu.Unlock()
-	return d.Run(span, cp, shots, seed)
+	return d.Run(trace.Span{}, cp, shots, seed)
 }
 
 // Run executes a compiled job (Epoch.Prepare) for shots shots, with the

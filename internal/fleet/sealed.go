@@ -455,7 +455,8 @@ func (s *Scheduler) sealLocked(j *Job, res []byte) {
 // request job id was minted for, read where the job lives: a live job's
 // Request and Pinned, a sealed one's stored circuit and head. Circuits
 // compare by their binary form. The routing policy is not part of the job,
-// so it is not compared. Caller holds s.mu.
+// so it is not compared. The scheduler wrote every stored record, so one
+// that does not lex is a bug. Caller holds s.mu.
 func (s *Scheduler) sameRequestLocked(id int, req *qrm.Request, pinned string) bool {
 	b := req.Circuit.AppendBinary(s.sealBuf[:0])
 	n := len(b)
@@ -471,7 +472,7 @@ func (s *Scheduler) sameRequestLocked(id int, req *qrm.Request, pinned string) b
 		bound = s.arena.chunks[e.chunk][e.circ.off : e.circ.off+e.circ.n]
 		var err error
 		if h, err = s.headLocked(e); err != nil {
-			return false
+			panic(fmt.Sprintf("fleet: job %d: a stored record does not read back: %v", id, err))
 		}
 	}
 	if cap(b) <= maxSpareRecord {

@@ -19,7 +19,6 @@
 package trace
 
 import (
-	"context"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -217,21 +216,4 @@ func (s Span) SetAttr(k, v string) {
 		return
 	}
 	s.t.addAttrs(s.idx, []Attr{{Key: k, Value: v}})
-}
-
-type ctxKey struct{}
-
-// ContextWithSpan returns a context carrying the span, for callers that
-// reach the engine through a context (device.QPU.ExecuteCtx).
-func ContextWithSpan(ctx context.Context, s Span) context.Context {
-	if s.t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext extracts the span carried by ctx, or the zero Span.
-func FromContext(ctx context.Context) Span {
-	s, _ := ctx.Value(ctxKey{}).(Span)
-	return s
 }

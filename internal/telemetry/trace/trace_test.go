@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -70,18 +69,13 @@ func TestDisabled(t *testing.T) {
 	if snap := tr.Snapshot(); snap != nil {
 		t.Fatal("nil trace snapshot should be nil")
 	}
-	ctx := ContextWithSpan(context.Background(), c)
-	if ctx != context.Background() || FromContext(ctx) != (Span{}) {
-		t.Fatal("a zero Span should not ride a context")
-	}
 }
 
-// TestContextThreading: a span handed over by value, or through a context
-// for the callers that reach a layer that way, grows the same tree.
+// TestContextThreading: a span handed down the stack by value grows one
+// tree under the root it came from.
 func TestContextThreading(t *testing.T) {
 	tr := New("job")
-	ctx := ContextWithSpan(context.Background(), tr.Root())
-	sp := FromContext(ctx).StartChild("stage", Int("n", 3))
+	sp := tr.Root().StartChild("stage", Int("n", 3))
 	if sp == (Span{}) {
 		t.Fatal("expected live span")
 	}
