@@ -24,9 +24,9 @@ package circuit
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
+
+	"repro/internal/binwire"
 )
 
 // binaryOps are the gate names the binary form writes as one byte. The
@@ -50,7 +50,7 @@ var binaryOp = func() map[string]byte {
 // one: a float is kept as its bits, NaN and ±Inf too.
 func (c *Circuit) AppendBinary(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(c.NumQubits))
-	b = append(binary.AppendUvarint(b, uint64(len(c.Name))), c.Name...)
+	b = binwire.AppendString(b, c.Name)
 	if c.Gates == nil {
 		return append(b, 0)
 	}
@@ -60,7 +60,7 @@ func (c *Circuit) AppendBinary(b []byte) []byte {
 		if op, ok := binaryOp[g.Name]; ok {
 			b = append(b, op)
 		} else {
-			b = append(binary.AppendUvarint(append(b, 0), uint64(len(g.Name))), g.Name...)
+			b = binwire.AppendString(append(b, 0), g.Name)
 		}
 		if g.Qubits == nil {
 			b = append(b, 0)
@@ -72,67 +72,10 @@ func (c *Circuit) AppendBinary(b []byte) []byte {
 		}
 		b = binary.AppendUvarint(b, uint64(len(g.Params)))
 		for _, p := range g.Params {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+			b = binwire.AppendFloat(b, p)
 		}
 	}
 	return b
-}
-
-// errBinary is what UnmarshalBinary reports of bytes AppendBinary did not
-// write.
-var errBinary = errors.New("circuit: malformed binary form")
-
-// binaryReader reads the binary form; the first fault sticks in err and
-// every read after it returns zero.
-type binaryReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binaryReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.err = errBinary
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// varint reads a varint that must fit an int.
-func (r *binaryReader) varint() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 || int64(int(v)) != v {
-		r.err = errBinary
-		return 0
-	}
-	r.b = r.b[n:]
-	return int(v)
-}
-
-// next is the next n bytes.
-func (r *binaryReader) next(n uint64) []byte {
-	if r.err != nil || n > uint64(len(r.b)) {
-		r.err = errBinary
-		return nil
-	}
-	p := r.b[:n:n]
-	r.b = r.b[n:]
-	return p
-}
-
-// float reads a float64's bits.
-func (r *binaryReader) float() float64 {
-	if p := r.next(8); p != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(p))
-	}
-	return 0
 }
 
 // UnmarshalBinary replaces c with the circuit whose binary form is data.
@@ -140,44 +83,44 @@ func (r *binaryReader) float() float64 {
 // reused when they are large enough, so a gate of the circuit c held before
 // may change; a repeated name is not copied again.
 func (c *Circuit) UnmarshalBinary(data []byte) error {
-	r := binaryReader{b: data}
-	num := r.varint()
-	name := r.next(r.uvarint())
-	gates := r.uvarint()
+	r := binwire.Reader{B: data}
+	num := r.Int()
+	name := r.Next(r.Uvarint())
+	gates := r.Uvarint()
 	s := scratchPool.Get().(*decodeScratch)
 	defer s.release()
 	s.gates, s.qubits, s.params = s.gates[:0], s.qubits[:0], s.params[:0]
 	// Each gate takes 3 bytes at least, so a count past the input ends the
 	// loop at the input's end, not at the count.
-	for i := uint64(1); i < gates && r.err == nil; i++ {
+	for i := uint64(1); i < gates && r.Err == nil; i++ {
 		g := gateRef{q0: len(s.qubits), p0: len(s.params)}
-		switch op := r.next(1); {
-		case r.err != nil:
+		switch op := r.Next(1); {
+		case r.Err != nil:
 		case op[0] == 0:
-			g.name = string(r.next(r.uvarint()))
+			g.name = string(r.Next(r.Uvarint()))
 		case int(op[0]) <= len(binaryOps):
 			g.name = binaryOps[op[0]-1]
 		default:
-			r.err = errBinary
+			r.Fail(binwire.ErrMalformed)
 		}
-		if nq := r.uvarint(); nq > 0 {
+		if nq := r.Uvarint(); nq > 0 {
 			g.hasQubits = true
-			for k := uint64(1); k < nq && r.err == nil; k++ {
-				s.qubits = append(s.qubits, r.varint())
+			for k := uint64(1); k < nq && r.Err == nil; k++ {
+				s.qubits = append(s.qubits, r.Int())
 			}
 		}
-		np := r.uvarint()
-		for k := uint64(0); k < np && r.err == nil; k++ {
-			s.params = append(s.params, r.float())
+		np := r.Uvarint()
+		for k := uint64(0); k < np && r.Err == nil; k++ {
+			s.params = append(s.params, r.Float())
 		}
 		g.q1, g.p1, g.hasParams = len(s.qubits), len(s.params), np > 0
 		s.gates = append(s.gates, g)
 	}
-	if r.err == nil && len(r.b) > 0 {
-		return fmt.Errorf("%w: %d bytes past its end", errBinary, len(r.b))
+	if r.Err == nil && len(r.B) > 0 {
+		return fmt.Errorf("circuit: %w: %d bytes past its end", binwire.ErrMalformed, len(r.B))
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err != nil {
+		return fmt.Errorf("circuit: %w", r.Err)
 	}
 	c.NumQubits = num
 	if string(name) != c.Name {

@@ -245,6 +245,21 @@ func (h Counts) AppendJSON(b []byte) []byte {
 	if h == nil {
 		return append(b, "null"...)
 	}
+	b = append(b, '{')
+	open := len(b)
+	h.Range(func(outcome, n int) {
+		if len(b) > open {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, '"'), int64(outcome), 10)
+		b = strconv.AppendInt(append(b, `":`...), int64(n), 10)
+	})
+	return append(b, '}')
+}
+
+// Range calls f with each outcome and its count, in the order AppendJSON
+// writes them: the byte order of the decimal keys.
+func (h Counts) Range(f func(outcome, n int)) {
 	// Decimal strings of non-negative integers sort like the integers
 	// left-aligned to the widest key's digits, the shorter first on a tie
 	// ("1" < "10"). Each entry packs into one word, high bits first: the
@@ -261,46 +276,33 @@ func (h Counts) AppendJSON(b []byte) []byte {
 	width := digits(uint64(maxK))
 	nBits := bits.Len64(uint64(maxN))
 	if neg || bits.Len64(pow10[width]-1)+5+nBits > 64 {
-		return h.appendJSONByString(b)
+		h.rangeByString(f)
+		return
 	}
 	for i, k := range words {
 		d := digits(k)
 		words[i] = (k*pow10[width-d]<<5|uint64(d))<<nBits | counts[i]
 	}
 	slices.Sort(words)
-	b = append(b, '{')
-	for i, w := range words {
-		if i > 0 {
-			b = append(b, ',')
-		}
+	for _, w := range words {
 		key := w >> nBits
 		d := int(key & 31)
-		b = append(b, '"')
-		b = strconv.AppendUint(b, key>>5/pow10[width-d], 10)
-		b = append(b, `":`...)
-		b = strconv.AppendUint(b, w&(1<<nBits-1), 10)
+		f(int(key>>5/pow10[width-d]), int(w&(1<<nBits-1)))
 	}
-	return append(b, '}')
 }
 
-// appendJSONByString is AppendJSON for a histogram whose entries do not pack
-// into a word: it sorts the keys' decimal strings, as encoding/json does.
-func (h Counts) appendJSONByString(b []byte) []byte {
+// rangeByString is Range for a histogram whose entries do not pack into a
+// word: it sorts the keys' decimal strings, as encoding/json does.
+func (h Counts) rangeByString(f func(outcome, n int)) {
 	keys := make([]string, 0, len(h))
 	for k := range h {
 		keys = append(keys, strconv.Itoa(k))
 	}
 	slices.Sort(keys)
-	b = append(b, '{')
-	for i, key := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
+	for _, key := range keys {
 		k, _ := strconv.Atoi(key)
-		b = append(append(append(b, '"'), key...), `":`...)
-		b = strconv.AppendInt(b, int64(h[k]), 10)
+		f(k, h[k])
 	}
-	return append(b, '}')
 }
 
 // pow10[i] is 10^i, up to the 19 digits of the widest uint64 key.

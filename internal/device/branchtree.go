@@ -775,7 +775,7 @@ func (w *walker) site(st *quantum.State, f *frame, idx, n, depth int) (int, erro
 	step := &cj.noisy[idx]
 	p := &f.p
 	logU := logUniform(f.rng)
-	if logU <= float64(n)*math.Log(step.floor) {
+	if logU <= float64(n)*step.logFloor {
 		w.deferredSites++
 		return n, p.accept(st, step)
 	}

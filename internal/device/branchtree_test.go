@@ -392,14 +392,17 @@ func TestFreshAngleCompileAllocs(t *testing.T) {
 		}
 		next++
 	}
-	exec() // warm the state pool
+	// Warm the state pool on the one P AllocsPerRun measures on: a pool's
+	// objects are per P, and a GOMAXPROCS change drops them.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	exec()
 	allocs := testing.AllocsPerRun(runs, exec)
 	if st := qpu.ExecStats(); st.CompileHits != 0 {
 		t.Fatalf("stats = %+v, want every job a compile miss", st)
 	}
 	t.Logf("fresh-angle ansatz job: %.0f allocs", allocs)
 	if allocs > 14 {
-		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 14 (measured 12-13: the entry and its key copy, 4 for the counts map, 1 each for the compact register, the trajectory program, the readout plan, the job's PCG stream and the result, and the forked subtrees' draws; 14-15 with a separate completion channel and engine program per entry, and 12 before the entry copied its key; 19 with a compact circuit and per-compile qubit tables, 21 before the branch tree's scratch was pooled; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
+		t.Errorf("fresh-angle ansatz job: %.0f allocs, want <= 14 (measured 12 with the pools warmed on the one P it measures on, 12-13 warmed at the default GOMAXPROCS: the entry and its key copy, 4 for the counts map, 1 each for the compact register, the trajectory program, the readout plan, the job's PCG stream and the result, and the forked subtrees' draws; 14-15 with a separate completion channel and engine program per entry, and 12 before the entry copied its key; 19 with a compact circuit and per-compile qubit tables, 21 before the branch tree's scratch was pooled; 29 with a calibration clone and a readout model per miss, 93 with per-gate operand slices, a dead unitary program and a fresh rand source per job)", allocs)
 	}
 }
 

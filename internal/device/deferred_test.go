@@ -129,7 +129,7 @@ func TestZeroFloorsGiveSameCounts(t *testing.T) {
 		deferred, exact := pinnedWideJob(t), pinnedWideJob(t)
 		deferred.stateBudget, exact.stateBudget = budget, budget
 		for i := range exact.noisy {
-			exact.noisy[i].floor = 0
+			exact.noisy[i].floor, exact.noisy[i].logFloor = 0, math.Inf(-1)
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			got, gs, err := deferred.runBranchTree(50, rand.New(rand.NewSource(seed)))

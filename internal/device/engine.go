@@ -62,11 +62,12 @@ type trajStep struct {
 	q, q2 int   // compact state indices; q2 is the second CZ qubit
 	m     quantum.Matrix2
 	// floor is the channel's Floor(): a lower bound on Kraus branch 0's
-	// weight whatever the state. accept is what a site all of whose shots
+	// weight whatever the state, and logFloor its log, which every visit
+	// compares its draw against. accept is what a site all of whose shots
 	// stay on branch 0 does to the qubit — K0, or K0·m on a fused site — left
 	// unrenormalised.
-	floor  float64
-	accept quantum.Matrix2
+	floor, logFloor float64
+	accept          quantum.Matrix2
 }
 
 func (s *trajStep) hasNoise() bool { return s.kind == stepNoise || s.kind == stepGateNoise }
@@ -76,6 +77,7 @@ func (s *trajStep) hasNoise() bool { return s.kind == stepNoise || s.kind == ste
 func (s *trajStep) noiseSite(chans []quantum.Channel, i int32) {
 	ch := &chans[i]
 	s.ch, s.floor, s.accept = i, ch.Floor(), ch.Kraus[0]
+	s.logFloor = math.Log(s.floor)
 	if s.kind == stepGate {
 		s.kind, s.accept = stepGateNoise, quantum.Mul2(s.accept, s.m)
 	}

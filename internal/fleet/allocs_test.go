@@ -24,11 +24,14 @@ func TestHybridLoopJobAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops pooled objects at random under -race; CI runs this gate as its own non-race step")
 	}
 	const runs = 50
+	// Warm the pools on the one P AllocsPerRun measures on: a pool's objects
+	// are per P, and a GOMAXPROCS change drops them.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	job := hybridLoop(t, runs)
 	allocs := testing.AllocsPerRun(runs, job)
 	t.Logf("hybrid-loop job through the fleet: %.0f allocs", allocs)
 	if allocs > 30 {
-		t.Errorf("hybrid-loop job through the fleet: %.0f allocs, want <= 30 (measured 26, trace spans as value handles, the engine handed its span and the worker's profile label set once, and a compile-map entry holding its program and its own completion; 41 with a heap handle per span, 3 context values, per-job pprof labels and a separate completion channel and engine program per entry; 40 before the compile map copied its key, with the transpiler's passes in the claiming worker's scratch and trace attributes stamped without a copy; 83 with a circuit per pass and a concatenated string per attribute, with the device stage run by the claiming worker; 84 behind qrm.Manager.Run; 87 with a per-device queue behind a handle and a monitor goroutine per job, 100 with a second compile cache and a calibration clone per miss, 407 before the miss path allocated per circuit)", allocs)
+		t.Errorf("hybrid-loop job through the fleet: %.0f allocs, want <= 30 (measured 26, the pools warmed on the one P it measures on, trace spans as value handles, the engine handed its span and the worker's profile label set once, and a compile-map entry holding its program and its own completion; 41 with a heap handle per span, 3 context values, per-job pprof labels and a separate completion channel and engine program per entry; 40 before the compile map copied its key, with the transpiler's passes in the claiming worker's scratch and trace attributes stamped without a copy; 83 with a circuit per pass and a concatenated string per attribute, with the device stage run by the claiming worker; 84 behind qrm.Manager.Run; 87 with a per-device queue behind a handle and a monitor goroutine per job, 100 with a second compile cache and a calibration clone per miss, 407 before the miss path allocated per circuit)", allocs)
 	}
 }
 
@@ -114,4 +117,38 @@ func ansatz(rng *rand.Rand) *circuit.Circuit {
 		}
 	}
 	return c
+}
+
+// TestWaitContextOfSealedJobAllocs gates reading a sealed job in process:
+// WaitContext on a hybrid-loop job sealed before the call, and Scheduler.Job
+// of one, copy its stored record out of the arena and decode it into a Job
+// field by field.
+func TestWaitContextOfSealedJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow state of its own; CI runs this gate as its own non-race step")
+	}
+	s := hybridFleet(t)
+	id, err := s.Submit(qrm.Request{Circuit: ansatz(rand.New(rand.NewSource(5))), Shots: 100, User: "vqe"}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WaitSettled()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		read func() (*Job, error)
+	}{
+		{"WaitContext", func() (*Job, error) { return s.WaitContext(ctx, id) }},
+		{"Job", func() (*Job, error) { return s.Job(id) }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if j, err := tc.read(); err != nil || j.Status != JobDone || len(j.Result.Counts) == 0 || len(j.Request.Circuit.Gates) == 0 {
+				t.Fatalf("%s of sealed job %d: %v, record %+v", tc.name, id, err, j)
+			}
+		})
+		t.Logf("%s of a sealed hybrid-loop job: %.0f allocs", tc.name, allocs)
+		if allocs > 15 {
+			t.Errorf("%s of a sealed hybrid-loop job: %.0f allocs, want <= 15 (measured 13 decoding the stored record by hand: the copy out of the arena, the job, its strings, its result, layout and counts, and its circuit; 87 through encoding/json's reflection decode of the record's JSON)", tc.name, allocs)
+		}
+	}
 }

@@ -61,11 +61,18 @@ func TestViewsOutliveTheArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	read := func(r Record) []byte {
+		b, err := recordJSON(r)
+		if err != nil {
+			t.Fatalf("job %d: %v", r.ID, err)
+		}
+		return b
+	}
 	want := make([][]byte, len(views))
 	for i, lv := range views {
-		want[i] = bytes.Clone(lv.Sealed.JSON)
+		want[i] = read(lv.Sealed)
 	}
-	wantOne := bytes.Clone(v.Sealed.JSON)
+	wantOne := read(v.Sealed)
 
 	s.Stop()
 	s.arena.free()
@@ -75,11 +82,11 @@ func TestViewsOutliveTheArena(t *testing.T) {
 			t.Fatalf("a read after the arena was unmapped faulted: %v", r)
 		}
 	}()
-	if !bytes.Equal(v.Sealed.JSON, wantOne) || h.ID != 3 || h.Device != "a" || h.Shots != 5 {
+	if !bytes.Equal(read(v.Sealed), wantOne) || h.ID != 3 || h.Device != "a" || h.Shots != 5 {
 		t.Errorf("View's record changed: head %+v", h)
 	}
 	for i, lv := range views {
-		if !bytes.Equal(lv.Sealed.JSON, want[i]) {
+		if !bytes.Equal(read(lv.Sealed), want[i]) {
 			t.Errorf("ListViews' record of job %d changed", lv.ID)
 		}
 	}

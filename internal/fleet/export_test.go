@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sync/atomic"
 )
 
@@ -45,20 +44,14 @@ func (s *Scheduler) OneCircuitSlot() {
 	s.arena.mask = 0
 }
 
-// encoded is a record as Job.appendRecord wrote it: what a sealed job's
-// view must read back.
-type encoded struct {
-	b  []byte
-	at recordAt
-}
-
-// encodeRecord writes terminal job j's whole record into buf.
-func encodeRecord(j *Job, buf []byte) encoded {
-	b, at, err := j.appendRecord(buf)
+// recordJSON is what a sealed view reads back of the whole job: its
+// record decoded into the job and written as Job.AppendJSON writes it.
+func recordJSON(r Record) ([]byte, error) {
+	j, err := r.Job()
 	if err != nil {
-		panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
+		return nil, err
 	}
-	return encoded{b, at}
+	return j.AppendJSON(nil)
 }
 
 // observeAll hands f every event as it is published, under the scheduler's
@@ -76,20 +69,20 @@ func (s *Scheduler) watcherVisits() uint64 {
 	return s.visits
 }
 
-// CountRenders counts result renders — Result.AppendFields calls, which
-// Result.AppendJSON makes too — until the returned function restores the
-// renderer and reports the count. Swap it in before the jobs it counts are
-// submitted and read it once they are done; tests that call it must not run
-// in parallel.
-func CountRenders() (stop func() int64) {
+// CountEncodes counts encodes of a result into its stored form — the
+// seal's, and those Result.AppendFields and Result.AppendJSON make to render
+// a live one — until the returned function restores the encoder and reports
+// the count. Swap it in before the jobs it counts are submitted and read it
+// once they are done; tests that call it must not run in parallel.
+func CountEncodes() (stop func() int64) {
 	var n atomic.Int64
-	render := renderFields
-	renderFields = func(r *Result, b []byte) ([]byte, error) {
+	encode := encodeResult
+	encodeResult = func(r *Result, b []byte) []byte {
 		n.Add(1)
-		return render(r, b)
+		return encode(r, b)
 	}
 	return func() int64 {
-		renderFields = render
+		encodeResult = encode
 		return n.Load()
 	}
 }

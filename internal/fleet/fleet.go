@@ -227,19 +227,17 @@ type Scheduler struct {
 	// jobs holds the live jobs, none of them terminal: a job is sealed
 	// (sealed.go) in the lock hold that ends it (finalizeLocked). index has
 	// every job in ID order, arena the sealed ones' records, sealBuf the
-	// buffer a terminal job's result and record are rendered into under s.mu
-	// (and, between seals, a keyed replay's circuit), viewCircuit the circuit
-	// a sealed record's stored circuit is decoded into to be rendered; users
-	// numbers the users jobs were submitted under, so an index entry names
-	// its user without a pointer.
-	jobs        map[int]*Job
-	index       []entry
-	arena       *arena
-	sealBuf     []byte
-	viewCircuit circuit.Circuit
-	users       map[string]uint32
-	queue       fairQueue // every queued job; the per-tenant rows live here
-	nowDay      float64   // simulation clock, last AdvanceTo day
+	// buffer a terminal job's stored record is encoded into under s.mu (and,
+	// between seals, a keyed replay's circuit); users numbers the users jobs
+	// were submitted under, so an index entry names its user without a
+	// pointer.
+	jobs    map[int]*Job
+	index   []entry
+	arena   *arena
+	sealBuf []byte
+	users   map[string]uint32
+	queue   fairQueue // every queued job; the per-tenant rows live here
+	nowDay  float64   // simulation clock, last AdvanceTo day
 
 	// The Idempotency-Key dedup window: (tenant, key) -> job ID for the
 	// newest idemWindow keyed jobs, idemOrder the bindings in FIFO eviction
@@ -326,10 +324,11 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 // migrations, score, result, error, recovered, and the submission instant
 // on a recovered job. transitionLocked picks between the two.
 //
-// An update's result is j.Result as the scheduler rendered it once for the
-// terminal move (its JSON object, the bytes Result.AppendJSON writes), nil
-// for a move without one: only a terminal move carries a result, and the
-// store splices it in rather than render the counts again.
+// An update's result is j.Result's JSON object, the bytes
+// Result.AppendJSON writes, as the scheduler rendered it for the terminal
+// move from the job's stored record, nil for a move without one: only a
+// terminal move carries a result, and the store splices it in rather than
+// render the counts again.
 type JobStore interface {
 	JournalFleetJob(j *Job) (lsn uint64)
 	JournalFleetUpdate(j *Job, result []byte) (lsn uint64)
@@ -677,21 +676,14 @@ func (s *Scheduler) shedOverLimitLocked(user string) {
 }
 
 // finalizeLocked makes live job j terminal, with rec as its final result
-// (nil when it never ran to one), in one hold of s.mu: the result is
-// rendered once, into s.sealBuf; the move is journaled with those bytes,
-// published and counted in the tenant's row; the record is built around
-// the same bytes and sealed; and only then are j's waiters released. So no
-// reader ever finds a terminal job live. Caller holds s.mu.
+// (nil when it never ran to one), in one hold of s.mu: the job's stored
+// record is encoded once, into s.sealBuf; the move is journaled with the
+// result's JSON rendered from those bytes, published and counted in the
+// tenant's row; the same bytes are sealed; and only then are j's waiters
+// released. So no reader ever finds a terminal job live. Caller holds s.mu.
 func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg string) {
-	var res []byte
 	if rec != nil {
 		rec.EndTime = s.nowDay * 86400
-		var err error
-		if res, err = rec.AppendJSON(s.sealBuf[:0]); err != nil {
-			// Every float of a result was computed by the engine or checked
-			// finite at submission: a result that cannot be written is a bug.
-			panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
-		}
 	}
 	j.Result = rec
 	j.Error = errMsg
@@ -704,6 +696,21 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg str
 	}
 	if j.tr != nil {
 		s.retainTraceLocked(j)
+	}
+	b := j.appendStored(s.sealBuf[:0])
+	n := len(b)
+	var res []byte
+	if rec != nil && s.jstore != nil {
+		// The render appends past n, so it never writes the bytes it reads.
+		r := readStored(b[:n])
+		r.toResult()
+		var err error
+		if b, err = appendResultFields(append(b, '{'), &r); err != nil {
+			// Every float of a result was computed by the engine or checked
+			// finite at submission: a result that cannot be written is a bug.
+			panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
+		}
+		res = append(b, '}')[n:]
 	}
 	s.transitionLocked(j, st, "", res)
 	// Per-tenant accounting: this is the single terminal choke point, so
@@ -721,7 +728,7 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg str
 	default:
 		ts.Failed++
 	}
-	s.sealLocked(j, res)
+	s.sealLocked(j, b[:n])
 	close(j.done)
 }
 

@@ -62,13 +62,10 @@ func TestJobHeadMatchesRecordHead(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		var j Job
 		fillRandom(rng, reflect.ValueOf(&j).Elem())
-		rec, at, err := j.appendRecord(nil)
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		got, err := Record{JSON: rec, at: at}.Head()
+		rec := j.appendStored(nil)
+		got, err := Record{ID: j.ID, stored: rec}.Head()
 		if want := j.Head(); err != nil || got != want {
-			t.Fatalf("job %d: record head %+v (%v), job head %+v\n%s", i, got, err, want, rec)
+			t.Fatalf("job %d: record head %+v (%v), job head %+v\n%x", i, got, err, want, rec)
 		}
 	}
 }

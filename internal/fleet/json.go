@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"strconv"
 
 	"repro/internal/jsonwire"
@@ -15,24 +14,7 @@ import (
 
 // AppendJSON appends the job's JSON object to b.
 func (j *Job) AppendJSON(b []byte) ([]byte, error) {
-	b, _, err := j.appendRecord(b)
-	return b, err
-}
-
-// appendRecord is AppendJSON that also says where the request and the
-// result lie in what it appended (recordAt).
-func (j *Job) appendRecord(b []byte) ([]byte, recordAt, error) {
-	return j.writeRecord(b, true, nil)
-}
-
-// writeRecord is appendRecord that, without circuit, writes the request's
-// circuit null, for the arena to cut out (sealed.go), and that splices res,
-// j.Result rendered already, in place of rendering it (nil: render it).
-func (j *Job) writeRecord(b []byte, circuit bool, res []byte) ([]byte, recordAt, error) {
 	var err error
-	var at recordAt
-	start := len(b)
-	mark := func() uint32 { return uint32(len(b) - start) }
 	b = strconv.AppendInt(append(b, `{"id":`...), int64(j.ID), 10)
 	b = jsonwire.AppendString(append(b, `,"status":`...), string(j.Status))
 	if j.Device != "" {
@@ -43,34 +25,19 @@ func (j *Job) writeRecord(b []byte, circuit bool, res []byte) ([]byte, recordAt,
 	}
 	if j.Score != 0 {
 		if b, err = jsonwire.AppendFloat(append(b, `,"score":`...), j.Score); err != nil {
-			return nil, at, err
+			return nil, err
 		}
 	}
 	if j.Pinned != "" {
 		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
 	}
-	b = append(b, `,"request":`...)
-	at.req = mark()
-	req := j.Request
-	if !circuit {
-		req.Circuit = nil
+	if b, err = j.Request.AppendJSON(append(b, `,"request":`...)); err != nil {
+		return nil, err
 	}
-	if b, err = req.AppendJSON(b); err != nil {
-		return nil, at, err
-	}
-	at.reqEnd = mark()
-	// The request's fields after its circuit start at its last `,"shots":`:
-	// no JSON string holds those bytes unescaped, so none follows them.
-	at.shots = at.req + uint32(bytes.LastIndex(b[start+int(at.req):], []byte(`,"shots":`)))
 	if j.Result != nil {
-		b = append(b, `,"result":`...)
-		at.res = mark()
-		if res != nil {
-			b = append(b, res...)
-		} else if b, err = j.Result.AppendJSON(b); err != nil {
-			return nil, at, err
+		if b, err = j.Result.AppendJSON(append(b, `,"result":`...)); err != nil {
+			return nil, err
 		}
-		at.resEnd = mark()
 	}
 	if j.Error != "" {
 		b = jsonwire.AppendString(append(b, `,"error":`...), j.Error)
@@ -84,7 +51,7 @@ func (j *Job) writeRecord(b []byte, circuit bool, res []byte) ([]byte, recordAt,
 	if j.IdemKey != "" {
 		b = jsonwire.AppendString(append(b, `,"idem_key":`...), j.IdemKey)
 	}
-	return append(b, '}'), at, nil
+	return append(b, '}'), nil
 }
 
 // AppendJSON appends the result's JSON object to b.
@@ -97,54 +64,75 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 }
 
 // AppendFields appends the members of the result's JSON object to b, without
-// its braces: the v2 job record writes them inline among its own. On an
-// error it returns b as far as it got, as jsonwire.AppendFloat does.
-func (r *Result) AppendFields(b []byte) ([]byte, error) { return renderFields(r, b) }
+// its braces: the v2 job record writes them inline among its own. The
+// result is encoded into its stored form (sealed.go) past b's end and
+// rendered from those bytes, as a sealed job's is (Record.AppendResultFields),
+// so live and sealed jobs show the bytes of one writer. On an error it
+// returns b as far as it got, as jsonwire.AppendFloat does.
+func (r *Result) AppendFields(b []byte) ([]byte, error) {
+	n := len(b)
+	b = encodeResult(r, b)
+	m := len(b)
+	// The render appends past m, so it never writes the bytes it reads.
+	rd := readStored(b[n:m])
+	b, err := appendResultFields(b, &rd)
+	return append(b[:n], b[m:]...), err
+}
 
-// renderFields is AppendFields' body, a variable only so that a test can
-// count renders (export_test.go).
-var renderFields = (*Result).appendFields
-
-func (r *Result) appendFields(b []byte) ([]byte, error) {
+// appendResultFields renders the stored result r reads as the members of
+// its JSON object, the bytes encoding/json writes for the Result struct
+// without its braces. It is the one writer of a result's JSON. On an error
+// it returns b as far as it got.
+func appendResultFields(b []byte, r *storedReader) ([]byte, error) {
 	var err error
 	float := func(name string, f float64) {
 		if err == nil {
 			b, err = jsonwire.AppendFloat(append(b, name...), f)
 		}
 	}
-	if r.CompiledGates != 0 {
-		b = strconv.AppendInt(append(b, `"compiled_gates":`...), int64(r.CompiledGates), 10)
+	if n := r.Int(); n != 0 {
+		b = strconv.AppendInt(append(b, `"compiled_gates":`...), int64(n), 10)
 		b = append(b, ',')
 	}
-	if r.CZCount != 0 {
-		b = strconv.AppendInt(append(b, `"cz_count":`...), int64(r.CZCount), 10)
+	if n := r.Int(); n != 0 {
+		b = strconv.AppendInt(append(b, `"cz_count":`...), int64(n), 10)
 		b = append(b, ',')
 	}
-	if len(r.Layout) > 0 {
+	if n := r.Count(1); n > 0 {
 		b = append(b, `"layout":[`...)
-		for i, q := range r.Layout {
+		for i := 0; i < n; i++ {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(b, int64(q), 10)
+			b = strconv.AppendInt(b, int64(r.Int()), 10)
 		}
 		b = append(b, "],"...)
 	}
-	if r.CompileStats != "" {
-		b = jsonwire.AppendString(append(b, `"compile_stats":`...), r.CompileStats)
+	if s := r.Str(); s != "" {
+		b = jsonwire.AppendString(append(b, `"compile_stats":`...), s)
 		b = append(b, ',')
 	}
-	if len(r.Counts) > 0 {
-		b = r.Counts.AppendJSON(append(b, `"counts":`...))
+	if n := r.Count(2); n > 0 {
+		b = append(b, `"counts":{`...)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, '"'), int64(r.Int()), 10)
+			b = strconv.AppendInt(append(b, `":`...), int64(r.Int()), 10)
+		}
+		b = append(b, "},"...)
+	}
+	if f := r.Float(); f != 0 {
+		float(`"duration_us":`, f)
 		b = append(b, ',')
 	}
-	if r.DurationUs != 0 {
-		float(`"duration_us":`, r.DurationUs)
-		b = append(b, ',')
+	float(`"submit_time":`, r.Float())
+	if f := r.Float(); f != 0 {
+		float(`,"end_time":`, f)
 	}
-	float(`"submit_time":`, r.SubmitTime)
-	if r.EndTime != 0 {
-		float(`,"end_time":`, r.EndTime)
+	if err == nil {
+		err = r.Err
 	}
 	return b, err
 }

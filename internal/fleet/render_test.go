@@ -15,10 +15,11 @@ import (
 	"repro/internal/qdmi"
 )
 
-// TestResultRenderedOnce counts the renders of a job's result on its way
-// from the worker to a ?wait reply, the sealed record and, with a durable
-// store attached, the terminal journal frame: the worker renders it once,
-// and the frame, the seal and the reply all take those bytes.
+// TestResultRenderedOnce counts the encodes of a job's result into its
+// stored form on its way from the worker to a ?wait reply, the sealed
+// record and, with a durable store attached, the terminal journal frame:
+// the result is encoded once, as the job is sealed, and the frame's JSON and
+// the reply's are rendered from those stored bytes.
 func TestResultRenderedOnce(t *testing.T) {
 	const jobs = 20
 	body := []byte(`{"circuit":{"num_qubits":3,"gates":[{"name":"h","qubits":[0]},{"name":"cx","qubits":[0,1]},{"name":"cx","qubits":[1,2]}]},"shots":100,"user":"u0"}`)
@@ -38,7 +39,7 @@ func TestResultRenderedOnce(t *testing.T) {
 				_, err = srv.AttachStore(st, rec)
 				must(t, err)
 			}
-			renders := fleet.CountRenders()
+			encodes := fleet.CountEncodes()
 			for i := 0; i < jobs; i++ {
 				w := httptest.NewRecorder()
 				srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v2/jobs?wait=10s", bytes.NewReader(body)))
@@ -51,10 +52,10 @@ func TestResultRenderedOnce(t *testing.T) {
 					t.Fatalf("job %d: %d %s", i, w.Code, w.Body.Bytes())
 				}
 			}
-			n := renders()
-			t.Logf("%d result renders for %d jobs", n, jobs)
+			n := encodes()
+			t.Logf("%d result encodes for %d jobs", n, jobs)
 			if n != jobs {
-				t.Fatalf("%d result renders for %d jobs: want one per job", n, jobs)
+				t.Fatalf("%d result encodes for %d jobs: want one per job", n, jobs)
 			}
 		})
 	}

@@ -2,39 +2,59 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"runtime"
 	"sort"
-	"unsafe"
+	"sync"
 
-	"repro/internal/jsonwire"
+	"repro/internal/binwire"
+	"repro/internal/circuit"
 	"repro/internal/qrm"
 )
 
 // This file is how the scheduler keeps a job once it is terminal: as its
-// record, the bytes Job.AppendJSON writes (the shape the WAL journals), in an
-// append-only arena of large byte chunks, with a pointer-free index entry.
-// A live job is a *Job in Scheduler.jobs; sealing it drops the decoded
-// circuit, the counts, the result, the scores and the done channel, so the
-// garbage collector never scans a finished job again: a retained job costs
-// its record plus an index entry, and neither holds a pointer.
+// stored record, in an append-only arena of large byte chunks, with a
+// pointer-free index entry. A live job is a *Job in Scheduler.jobs; sealing
+// it drops the decoded circuit, the counts, the result, the scores and the
+// done channel, so the garbage collector never scans a finished job again: a
+// retained job costs its record plus an index entry, and neither holds a
+// pointer.
 //
-// A record is stored without its request circuit, and the circuit in its
+// The stored record is binary, and only this file knows it. Its fields are
+// internal/binwire's primitives (varint the zig-zag signed form, uvarint the
+// unsigned one, a string its uvarint length then its bytes, a float its
+// float64 bits, a bool one byte):
+//
+//	byte     recordVersion
+//	head     device string, migrations varint, score float, pinned string,
+//	         user string, shots varint, priority varint, deadline_ms float,
+//	         static_placement bool, error string, recovered bool,
+//	         node string, idem_key string
+//	byte     1 when the job has a result, then the result; 0 for none
+//	result   compiled_gates varint, cz_count varint, uvarint len(layout)
+//	         then each qubit as a varint, compile_stats string, uvarint
+//	         len(counts) then each (outcome, count) as two varints in the
+//	         byte order circuit.Counts.AppendJSON writes the keys in,
+//	         duration_us float, submit_time float, end_time float
+//
+// The ID, the status, the submission instant and the journal LSN are the
+// index entry's. The request circuit is stored beside the record in its
 // binary form (circuit.AppendBinary): a variational loop's fresh angles take
 // 8 bytes each, not ~18 of JSON digits. Traffic also repeats circuits (a
 // recalibration's characterisation set, a fixed ansatz), so each distinct
-// circuit is stored once per arena chunk. That is the stored form, and only
-// this file and the circuit codec know it. viewLocked, the one copy-out,
-// renders the circuit back through circuit.AppendJSON and splices it in for
-// a reader that shows the request, so it sees the record's bytes; a reader
-// that does not (a listing, a POST's read-back) gets the stored form.
+// circuit is stored once per arena chunk.
+//
+// Nothing reads the record as JSON: Record.Head and Record.Job decode it
+// field by field, and the JSON a reader shows of its result and request is
+// rendered from the stored bytes by the one writer a live job's goes
+// through (Result.AppendFields encodes a live result into this form first).
 
-// recordAt locates a record's parts by offset into its bytes: the request
-// object [req, reqEnd), whose fields after the circuit start at shots, and
-// the result object [res, resEnd), res == 0 when the job has none.
-type recordAt struct{ req, shots, reqEnd, res, resEnd uint32 }
+// recordVersion leads every stored record: a change of the layout takes the
+// next one.
+const recordVersion = 1
 
 // sealedStates are the statuses an index entry stores, by code; code 0 is a
 // live job, found in Scheduler.jobs.
@@ -49,21 +69,6 @@ func stateCode(st JobStatus) uint8 {
 	panic("fleet: sealing a job in status " + string(st))
 }
 
-// circuitAt is where a record's request circuit starts: right after the
-// request's opening key, which Request.AppendJSON writes first.
-func (at recordAt) circuitAt() uint32 { return at.req + uint32(len(`{"circuit":`)) }
-
-// shift moves at's offsets past the request circuit by d bytes: the record
-// at describes with a circuit d bytes longer at the cut (d < 0: shorter).
-func (at recordAt) shift(d int) recordAt {
-	u := uint32(d)
-	at.shots, at.reqEnd = at.shots+u, at.reqEnd+u
-	if at.res != 0 {
-		at.res, at.resEnd = at.res+u, at.resEnd+u
-	}
-	return at
-}
-
 // span is a run of bytes in one arena chunk.
 type span struct{ off, n uint32 }
 
@@ -73,31 +78,16 @@ type entry struct {
 	ackLSN   uint64
 	submitMs int64
 	chunk    uint32 // arena chunk of the stored record and its circuit
-	rec      span   // the record without its request circuit
+	rec      span   // the stored record
 	circ     span   // the request circuit's binary form, shared by the chunk's records that repeat it; empty for none
-	// The record's request and result offsets (recordAt) in rec, the
-	// record without its circuit: the others follow from them.
-	req, reqEnd, resEnd uint32
-	user                uint32 // the job's user, by its Scheduler.users number
-	state               uint8  // sealedStates code; 0 while live
-}
-
-// storedAt is where the parts of e's stored record lie: the request's fields
-// after its circuit start at the cut, and a result follows the request's end.
-func (e *entry) storedAt() recordAt {
-	at := recordAt{req: e.req, reqEnd: e.reqEnd, resEnd: e.resEnd}
-	at.shots = at.circuitAt()
-	if e.resEnd != 0 {
-		at.res = e.reqEnd + uint32(len(`,"result":`))
-	}
-	return at
+	user     uint32 // the job's user, by its Scheduler.users number
+	state    uint8  // sealedStates code; 0 while live
 }
 
 // arenaChunk is the size of one arena allocation; a record longer than it
-// gets a chunk of its own. It holds ~550 hybrid-loop records (~0.95 KB
-// stored each), about half the circuit table's slots, as a 1-MiB chunk
-// did when a circuit was stored as its JSON.
-const arenaChunk = 1 << 19
+// gets a chunk of its own. It holds ~500 hybrid-loop records (~0.5 KB
+// stored each, circuit included), about half the circuit table's slots.
+const arenaChunk = 1 << 18
 
 // circuitSlots is the size of the arena's circuit table, and circuitProbes
 // how many slots from a circuit's home a lookup tries. A chunk holds about
@@ -120,7 +110,7 @@ const (
 // dropping a whole chunk drops nothing another chunk reads.
 type arena struct {
 	chunks [][]byte
-	bytes  int64 // stored bytes: records without their circuits, and the circuits' binary forms
+	bytes  int64 // stored bytes: the records, and their circuits' binary forms
 
 	// circuits maps a circuit's hash to its binary form in the last chunk;
 	// a zero span is an empty slot. It is cleared when a chunk starts, and a
@@ -140,8 +130,8 @@ func newArena() *arena {
 }
 
 // add stores a record: c, its circuit's binary form, once in the last
-// chunk, unless the chunk holds those bytes already, and rec, the record
-// with the circuit cut out, after. It returns the chunk and the two spans.
+// chunk, unless the chunk holds those bytes already, and rec, the stored
+// record, after. It returns the chunk and the two spans.
 func (a *arena) add(rec, c []byte) (chunk uint32, body, circ span) {
 	last := len(a.chunks) - 1
 	var slot *span
@@ -197,32 +187,115 @@ func (a *arena) free() {
 	a.chunks = nil
 }
 
-// Record is a sealed job: the record Job.AppendJSON wrote when the job turned
-// terminal, copied out of the arena into a buffer of the caller's. Its bytes
-// stay valid until the caller reuses that buffer.
+// storedReader reads a stored record.
+type storedReader struct{ binwire.Reader }
+
+// readStored is a reader at the start of stored bytes b.
+func readStored(b []byte) storedReader { return storedReader{binwire.Reader{B: b}} }
+
+// appendStored appends j's stored record to b.
+func (j *Job) appendStored(b []byte) []byte {
+	b = binwire.AppendString(append(b, recordVersion), j.Device)
+	b = binary.AppendVarint(b, int64(j.Migrations))
+	b = binwire.AppendString(binwire.AppendFloat(b, j.Score), j.Pinned)
+	b = binwire.AppendString(b, j.Request.User)
+	b = binary.AppendVarint(b, int64(j.Request.Shots))
+	b = binary.AppendVarint(b, int64(j.Request.Priority))
+	b = binwire.AppendBool(binwire.AppendFloat(b, j.Request.DeadlineMs), j.Request.StaticPlacement)
+	b = binwire.AppendBool(binwire.AppendString(b, j.Error), j.Recovered)
+	b = binwire.AppendString(binwire.AppendString(b, j.Node), j.IdemKey)
+	if j.Result == nil {
+		return append(b, 0)
+	}
+	return encodeResult(j.Result, append(b, 1))
+}
+
+// encodeResult is Result.appendStored, a variable only so that a test can
+// count encodes (export_test.go).
+var encodeResult = (*Result).appendStored
+
+// appendStored appends the result's stored form to b.
+func (r *Result) appendStored(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(r.CompiledGates))
+	b = binary.AppendVarint(b, int64(r.CZCount))
+	b = binary.AppendUvarint(b, uint64(len(r.Layout)))
+	for _, q := range r.Layout {
+		b = binary.AppendVarint(b, int64(q))
+	}
+	b = binwire.AppendString(b, r.CompileStats)
+	b = binary.AppendUvarint(b, uint64(len(r.Counts)))
+	r.Counts.Range(func(outcome, n int) {
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(outcome)), int64(n))
+	})
+	b = binwire.AppendFloat(b, r.DurationUs)
+	b = binwire.AppendFloat(b, r.SubmitTime)
+	return binwire.AppendFloat(b, r.EndTime)
+}
+
+// head reads a stored record's version and head, up to the idempotency key.
+func (r *storedReader) head() (h Head) {
+	if v := r.Next(1); v != nil && v[0] != recordVersion {
+		r.Fail(fmt.Errorf("stored record version %d, want %d", v[0], recordVersion))
+	}
+	h.Device = r.Str()
+	h.Migrations = r.Int()
+	h.Score = r.Float()
+	h.Pinned = r.Str()
+	h.User = r.Str()
+	h.Shots = r.Int()
+	h.Priority = r.Int()
+	h.DeadlineMs = r.Float()
+	h.StaticPlacement = r.Bool()
+	h.Error = r.Str()
+	h.Recovered = r.Bool()
+	h.Node = r.Str()
+	return h
+}
+
+// toResult moves a reader at a record's start past its head to its result,
+// and reports whether the job has one.
+func (r *storedReader) toResult() bool {
+	r.head()
+	r.Str() // the idempotency key
+	return r.Bool()
+}
+
+// result decodes a stored result.
+func (r *storedReader) result() *Result {
+	res := new(Result)
+	res.CompiledGates = r.Int()
+	res.CZCount = r.Int()
+	if n := r.Count(1); n > 0 {
+		res.Layout = make([]int, n)
+		for i := range res.Layout {
+			res.Layout[i] = r.Int()
+		}
+	}
+	res.CompileStats = r.Str()
+	if n := r.Count(2); n > 0 {
+		res.Counts = make(circuit.Counts, n)
+		for i := 0; i < n; i++ {
+			k := r.Int()
+			res.Counts[k] = r.Int()
+		}
+	}
+	res.DurationUs = r.Float()
+	res.SubmitTime = r.Float()
+	res.EndTime = r.Float()
+	return res
+}
+
+// Record is a sealed job: its stored record copied out of the arena into a
+// buffer of the caller's, with its request circuit's binary form when it was
+// copied with its request. Its bytes stay valid until the caller reuses
+// that buffer.
 type Record struct {
-	JSON         []byte
+	ID           int
 	Status       JobStatus
 	SubmitUnixMs int64
-	at           recordAt
-}
 
-// Request is the record's request object; nil when the record was copied
-// without it, its circuit cut out.
-func (r Record) Request() []byte {
-	if r.at.shots == r.at.circuitAt() {
-		return nil
-	}
-	return r.JSON[r.at.req:r.at.reqEnd]
-}
-
-// ResultFields are the members of the record's result object, without its
-// braces; nil when the job has no result.
-func (r Record) ResultFields() []byte {
-	if r.at.res == 0 {
-		return nil
-	}
-	return r.JSON[r.at.res+1 : r.at.resEnd-1]
+	stored, circuit []byte
+	withRequest     bool
 }
 
 // Head is the scalar fields a job's v2 record shows, of a live job (Job.Head)
@@ -250,83 +323,105 @@ func (j *Job) Head() Head {
 		StaticPlacement: j.Request.StaticPlacement, Error: j.Error, Recovered: j.Recovered, Node: j.Node}
 }
 
-// Head lexes the record's scalar fields. It jumps over the circuit and the
-// result: their offsets are known.
+// request is the request h was read from, without its circuit.
+func (h *Head) request() qrm.Request {
+	return qrm.Request{Shots: h.Shots, Priority: h.Priority, User: h.User, DeadlineMs: h.DeadlineMs, StaticPlacement: h.StaticPlacement}
+}
+
+// Head reads the record's scalar fields.
 func (r Record) Head() (Head, error) {
-	var h Head
-	var l jsonwire.Lexer
-	str := func(dst *string) {
-		if b, ok := l.StringBytes(); ok && len(b) > 0 {
-			*dst = unsafe.String(&b[0], len(b))
-		}
-	}
-	// An error stops the lexer; a jump must not restart it.
-	jump := func(to uint32) {
-		if l.Err() == nil {
-			l.Reset(r.JSON[to:])
-		}
-	}
-	l.Reset(r.JSON)
-	if !l.Begin('{') {
-		return h, l.Err()
-	}
-	for n := 0; l.More('}', n); n++ {
-		switch key := l.Key(); string(key) {
-		case "id":
-			l.Int(&h.ID)
-		case "device":
-			str(&h.Device)
-		case "migrations":
-			l.Int(&h.Migrations)
-		case "score":
-			l.Float(&h.Score)
-		case "pinned":
-			str(&h.Pinned)
-		case "request":
-			jump(r.at.shots)
-			for n := 1; l.More('}', n); n++ {
-				switch key := l.Key(); string(key) {
-				case "shots":
-					l.Int(&h.Shots)
-				case "priority":
-					l.Int(&h.Priority)
-				case "user":
-					str(&h.User)
-				case "deadline_ms":
-					l.Float(&h.DeadlineMs)
-				case "static_placement":
-					l.Bool(&h.StaticPlacement)
-				default:
-					l.Skip()
-				}
-			}
-			jump(r.at.reqEnd)
-		case "result":
-			jump(r.at.resEnd)
-		case "error":
-			str(&h.Error)
-		case "recovered":
-			l.Bool(&h.Recovered)
-		case "node":
-			str(&h.Node)
-		default:
-			l.Skip()
-		}
-	}
-	if err := l.Err(); err != nil {
-		return h, fmt.Errorf("fleet: sealed record: %w", err)
+	rd := readStored(r.stored)
+	h := rd.head()
+	h.ID = r.ID
+	if rd.Err != nil {
+		return h, fmt.Errorf("fleet: job %d: stored record: %w", r.ID, rd.Err)
 	}
 	return h, nil
 }
 
-// Job decodes the record into the job it was written from.
-func (r Record) Job() (*Job, error) {
-	j := new(Job)
-	if err := json.Unmarshal(r.JSON, j); err != nil {
-		return nil, fmt.Errorf("fleet: sealed record: %w", err)
+// zeroResult is a zero Result's stored form.
+var zeroResult = new(Result).appendStored(nil)
+
+// AppendResultFields appends the members of the job's result object, the
+// bytes Result.AppendFields wrote of it live; of a zero Result when the job
+// has none, as the v2 record shows one.
+func (r Record) AppendResultFields(b []byte) ([]byte, error) {
+	rd := readStored(r.stored)
+	if !rd.toResult() && rd.Err == nil {
+		rd = readStored(zeroResult)
 	}
-	j.SubmitUnixMs = r.SubmitUnixMs
-	return j, nil
+	b, err := appendResultFields(b, &rd)
+	if err != nil {
+		return b, fmt.Errorf("fleet: job %d: stored record: %w", r.ID, err)
+	}
+	return b, nil
+}
+
+// errNoRequest is what AppendRequest reports of a record copied without its
+// request.
+var errNoRequest = errors.New("fleet: sealed record copied without its request")
+
+// viewCircuits are the circuits AppendRequest decodes a stored circuit into
+// to render it: a decode reuses the last one's arrays.
+var viewCircuits = sync.Pool{New: func() any { return new(circuit.Circuit) }}
+
+// AppendRequest appends the request's JSON object, the bytes
+// Request.AppendJSON wrote of it live, its circuit decoded from its binary
+// form. The record must be copied with its request.
+func (r Record) AppendRequest(b []byte) ([]byte, error) {
+	if !r.withRequest {
+		return b, errNoRequest
+	}
+	h, err := r.Head()
+	if err != nil {
+		return b, err
+	}
+	req := h.request()
+	if len(r.circuit) > 0 {
+		c := viewCircuits.Get().(*circuit.Circuit)
+		defer viewCircuits.Put(c)
+		if err := c.UnmarshalBinary(r.circuit); err != nil {
+			return b, fmt.Errorf("fleet: job %d: %w", r.ID, err)
+		}
+		req.Circuit = c
+	}
+	return req.AppendJSON(b)
+}
+
+// Job decodes the record into the job it was stored from, with its request
+// circuit when the record was copied with its request. The job shares no
+// bytes with the record.
+func (r Record) Job() (*Job, error) {
+	// The job's strings share one copy of the record.
+	rd := readStored(bytes.Clone(r.stored))
+	h := rd.head()
+	j := Job{ID: r.ID, Device: h.Device, Migrations: h.Migrations, Score: h.Score, Pinned: h.Pinned, Error: h.Error,
+		SubmitUnixMs: r.SubmitUnixMs, Recovered: h.Recovered, Node: h.Node, IdemKey: rd.Str()}
+	j.Request = h.request()
+	if rd.Bool() {
+		j.Result = rd.result()
+	}
+	if len(rd.B) > 0 {
+		rd.Fail(fmt.Errorf("%w: %d bytes past its end", binwire.ErrMalformed, len(rd.B)))
+	}
+	if rd.Err != nil {
+		return nil, fmt.Errorf("fleet: job %d: stored record: %w", r.ID, rd.Err)
+	}
+	if len(r.circuit) > 0 {
+		j.Request.Circuit = new(circuit.Circuit)
+		if err := j.Request.Circuit.UnmarshalBinary(r.circuit); err != nil {
+			return nil, fmt.Errorf("fleet: job %d: %w", r.ID, err)
+		}
+	}
+	return withStatus(j, r.Status), nil
+}
+
+// withStatus is a job decoded from a sealed record, given the status its
+// index entry holds. It takes the job by value: what it writes can never be
+// a scheduler record.
+func withStatus(cp Job, st JobStatus) *Job {
+	cp.Status = st
+	return &cp
 }
 
 // View is one job as the scheduler holds it: Live, a private copy of a job
@@ -349,91 +444,57 @@ func (s *Scheduler) findLocked(id int) int {
 }
 
 // viewLocked is entry e's view; a live copy is taken as it is stored, a
-// sealed record is appended to *buf (nil: a new buffer). Without its
-// request, the record is copied as it is stored, circuit cut out: Head and
-// ResultFields read that form, Request is nil and JSON is no JSON document.
-// Caller holds s.mu.
+// sealed record is appended to *buf (nil: a new buffer), with its request
+// circuit when withRequest is set. Caller holds s.mu.
 func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 	if e.state == 0 {
 		cp := *s.jobs[e.id]
 		return View{ID: e.id, Live: &cp}
 	}
+	ch := s.arena.chunks[e.chunk]
+	rec, circ := ch[e.rec.off:e.rec.off+e.rec.n], ch[e.circ.off:e.circ.off+e.circ.n]
+	if !withRequest {
+		circ = nil
+	}
+	var own []byte
 	if buf == nil {
-		buf = new([]byte)
+		own = make([]byte, 0, len(rec)+len(circ))
+		buf = &own
 	}
 	start := len(*buf)
-	at := e.storedAt()
-	ch := s.arena.chunks[e.chunk]
-	rec := ch[e.rec.off : e.rec.off+e.rec.n]
-	if withRequest {
-		cut := at.circuitAt()
-		*buf = append(*buf, rec[:cut]...)
-		n := len(*buf)
-		*buf = s.appendCircuitLocked(*buf, ch[e.circ.off:e.circ.off+e.circ.n])
-		at = at.shift(len(*buf) - n)
-		rec = rec[cut:]
-	}
-	*buf = append(*buf, rec...)
+	*buf = append(append(*buf, rec...), circ...)
+	b := (*buf)[start:len(*buf):len(*buf)]
 	return View{ID: e.id, Sealed: Record{
-		JSON:         (*buf)[start:len(*buf):len(*buf)],
+		ID:           e.id,
 		Status:       sealedStates[e.state],
 		SubmitUnixMs: e.submitMs,
-		at:           at,
+		stored:       b[:len(rec):len(rec)],
+		circuit:      b[len(rec):],
+		withRequest:  withRequest,
 	}}
 }
 
-// appendCircuitLocked appends the JSON Request.AppendJSON wrote for the
-// circuit whose stored form is bin: null for an empty one (no circuit),
-// else what circuit.AppendJSON writes of the circuit decoded into
-// s.viewCircuit. Caller holds s.mu.
-func (s *Scheduler) appendCircuitLocked(b, bin []byte) []byte {
-	if len(bin) == 0 {
-		return append(b, "null"...)
-	}
-	err := s.viewCircuit.UnmarshalBinary(bin)
-	if err == nil {
-		b, err = s.viewCircuit.AppendJSON(b)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("fleet: a stored circuit does not read back: %v", err))
-	}
-	return b
-}
-
-// headLocked lexes sealed entry e's head where it is stored, circuit cut
-// out: Record.Head never reads the circuit. The strings share the arena.
-// Caller holds s.mu.
+// headLocked reads sealed entry e's head where it is stored: its strings
+// share the arena. Caller holds s.mu.
 func (s *Scheduler) headLocked(e *entry) (Head, error) {
-	return Record{JSON: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n], at: e.storedAt()}.Head()
+	return Record{ID: e.id, stored: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n]}.Head()
 }
 
 // maxSpareRecord bounds the seal buffer kept for reuse: one outsized record
 // does not pin its buffer for the life of the process.
 const maxSpareRecord = 64 << 10
 
-// sealLocked turns terminal job j into its stored form — its record with
-// the request circuit cut out, and the circuit's binary form — copied into
-// the arena. res is j.Result as finalizeLocked rendered it into s.sealBuf, and
-// the record is written after it there, around the same bytes; nil renders
-// j.Result, if any, here (a job Restore hands in terminal). j leaves s.jobs,
-// so nothing of the scheduler references it any more, and j itself is not
-// written, so a waiter still holding it reads it as it settled. Every float
-// of a job was checked finite at submission or computed by the engine, so a
-// record that cannot be written is a bug. Caller holds s.mu.
-func (s *Scheduler) sealLocked(j *Job, res []byte) {
-	buf := s.sealBuf[:0]
-	if res != nil {
-		buf = res
+// sealLocked turns terminal job j into its stored form — rec, its stored
+// record as finalizeLocked encoded it into s.sealBuf (nil: encode it here,
+// for a job Restore hands in terminal), and the request circuit's binary
+// form — copied into the arena. j leaves s.jobs, so nothing of the scheduler
+// references it any more, and j itself is not written, so a waiter still
+// holding it reads it as it settled. Caller holds s.mu.
+func (s *Scheduler) sealLocked(j *Job, rec []byte) {
+	if rec == nil {
+		rec = j.appendStored(s.sealBuf[:0])
 	}
-	b, at, err := j.writeRecord(buf, false, res)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: job %d: %v", j.ID, err))
-	}
-	// writeRecord wrote the circuit null: cut it out.
-	cut := at.circuitAt()
-	b = append(b[:len(buf)+int(cut)], b[len(buf)+int(at.shots):]...)
-	at = at.shift(int(cut) - int(at.shots))
-	n := len(b)
+	b, n := rec, len(rec)
 	if c := j.Request.Circuit; c != nil {
 		b = c.AppendBinary(b)
 	}
@@ -443,8 +504,7 @@ func (s *Scheduler) sealLocked(j *Job, res []byte) {
 		s.sealBuf = nil
 	}
 	e := &s.index[s.findLocked(j.ID)]
-	e.chunk, e.rec, e.circ = s.arena.add(b[len(buf):n], b[n:])
-	e.req, e.reqEnd, e.resEnd = at.req, at.reqEnd, at.resEnd
+	e.chunk, e.rec, e.circ = s.arena.add(b[:n], b[n:])
 	e.ackLSN, e.submitMs = j.ackLSN, j.SubmitUnixMs
 	e.state = stateCode(j.Status)
 	delete(s.jobs, j.ID)

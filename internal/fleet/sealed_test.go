@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -30,14 +31,15 @@ func wide(rng *rand.Rand) *circuit.Circuit {
 }
 
 // TestRepeatedCircuitStoredOncePerChunk: 2 000 jobs cycle eight 12-qubit
-// depth-4 circuits, as wide-circuit traffic does. A circuit is ~6.1 KB of a
-// ~6.9 KB record. Stored once per arena chunk, a job costs the ~0.8 KB
-// left of its record and its share of the chunk's eight circuits; stored
-// per job, ~6.9 KB.
+// depth-4 circuits, as wide-circuit traffic does. A circuit's binary form is
+// ~1.2 KB, its JSON ~6.1 KB. Stored once per arena chunk, a job costs its
+// stored record and its share of the chunk's eight circuits: ~0.3 KB in
+// the binary record, ~0.9 KB when the record was JSON; stored per job,
+// ~1.5 KB.
 func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	const (
 		jobs    = 2000
-		maxMean = 1500.0 // stored bytes per sealed job
+		maxMean = 450.0 // stored bytes per sealed job
 	)
 	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
@@ -65,20 +67,20 @@ func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	}
 	mean := float64(r.RecordBytes) / float64(r.Sealed)
 	t.Logf("stored %.0f B per sealed job; job 1's record is %d B, its circuit %d B",
-		mean, len(v.Sealed.JSON), v.Sealed.at.shots-v.Sealed.at.circuitAt())
+		mean, len(v.Sealed.stored), len(v.Sealed.circuit))
 	if mean > maxMean {
 		t.Errorf("stored %.0f B per sealed job, want <= %.0f: a repeated circuit is stored per job", mean, maxMean)
 	}
-	if size := unsafe.Sizeof(entry{}); size > 64 {
-		t.Errorf("an index entry is %d B, want <= 64", size)
+	if size := unsafe.Sizeof(entry{}); size > 56 {
+		t.Errorf("an index entry is %d B, want <= 56", size)
 	}
 }
 
 // TestListCopiesNoCircuit: a listing shows no request, so it copies each
-// sealed record as it is stored, circuit cut out, and renders no circuit.
-// A page of 20 wide-circuit jobs (each circuit ~6.1 KB of JSON) then fits in
-// the bytes the arena stores them in, and each view reads the head and the
-// result a full View reads.
+// sealed record without its circuit. A page of 20 wide-circuit jobs (each
+// circuit ~1.2 KB stored, ~6.1 KB of JSON) then fits in the bytes the arena
+// stores them in, and each view reads the head and the result a full View
+// reads.
 func TestListCopiesNoCircuit(t *testing.T) {
 	const jobs = 20
 	s := New(PolicyBestFidelity, nil)
@@ -104,7 +106,7 @@ func TestListCopiesNoCircuit(t *testing.T) {
 		t.Errorf("a page of %d jobs copied %d B, more than the %d B they are stored in: the listing renders their circuits", jobs, len(buf), stored)
 	}
 	for _, lv := range views {
-		if r := lv.Sealed.Request(); r != nil {
+		if r, err := lv.Sealed.AppendRequest(nil); err == nil {
 			t.Fatalf("job %d: listed view has a request %.40s…", lv.ID, r)
 		}
 		full, err := s.View(lv.ID, true, nil)
@@ -116,7 +118,9 @@ func TestListCopiesNoCircuit(t *testing.T) {
 		if err != nil || werr != nil || h != want {
 			t.Fatalf("job %d: listed head %+v (%v), full view's %+v (%v)", lv.ID, h, err, want, werr)
 		}
-		if !bytes.Equal(lv.Sealed.ResultFields(), full.Sealed.ResultFields()) || lv.Sealed.Status != full.Sealed.Status {
+		res, err := lv.Sealed.AppendResultFields(nil)
+		wantRes, werr := full.Sealed.AppendResultFields(nil)
+		if err != nil || werr != nil || len(res) == 0 || !bytes.Equal(res, wantRes) || lv.Sealed.Status != full.Sealed.Status {
 			t.Fatalf("job %d: listed result or status differs from the full view's", lv.ID)
 		}
 	}
@@ -124,10 +128,12 @@ func TestListCopiesNoCircuit(t *testing.T) {
 
 // TestHybridRecordsStoredCompact: a hybrid-loop job's circuit never
 // repeats, so it is stored per job, in its binary form: twenty rx angles
-// take 8 B each instead of ~18 B of JSON digits, and a job's stored record
-// falls from ~2.1 KB (the circuit's JSON ~1.4 KB of it) to ~0.96 KB.
+// take 8 B each instead of ~18 B of JSON digits. The record beside it is
+// binary too: its counts are varint pairs, its floats 8 B each, and it
+// names no field. A job is stored in ~0.5 KB; ~0.96 KB with the record as
+// JSON and the circuit binary, ~2.1 KB with both JSON.
 func TestHybridRecordsStoredCompact(t *testing.T) {
-	const maxMean = 1100.0 // stored bytes per sealed job
+	const maxMean = 580.0 // stored bytes per sealed job
 	_, _, mean := sealHybridJobs(t, 2000)
 	t.Logf("stored %.0f B per sealed hybrid-loop job", mean)
 	if mean > maxMean {
@@ -137,7 +143,8 @@ func TestHybridRecordsStoredCompact(t *testing.T) {
 
 // TestSealedJobWithoutCircuitReadsBack: a recovered terminal job whose
 // request has no circuit (Restore takes what the journal held) is stored
-// with an empty circuit span and reads back with "circuit":null.
+// with an empty circuit span, decodes with no circuit and renders its
+// request with "circuit":null.
 func TestSealedJobWithoutCircuitReadsBack(t *testing.T) {
 	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
@@ -151,25 +158,36 @@ func TestSealedJobWithoutCircuitReadsBack(t *testing.T) {
 	}
 	cp := *j
 	cp.Recovered, cp.SubmitUnixMs = true, v.Sealed.SubmitUnixMs
-	want := encodeRecord(&cp, nil)
-	if !bytes.Equal(v.Sealed.JSON, want.b) || v.Sealed.at != want.at || !bytes.Contains(v.Sealed.JSON, []byte(`{"circuit":null,`)) {
-		t.Fatalf("job 4 reads %+v\n%s\nwant %+v\n%s", v.Sealed.at, v.Sealed.JSON, want.at, want.b)
+	want, err := cp.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := recordJSON(v.Sealed)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("job 4 reads %s (%v)\nwant %s", got, err, want)
+	}
+	req, err := v.Sealed.AppendRequest(nil)
+	if wantReq, _ := cp.Request.AppendJSON(nil); err != nil || !bytes.Equal(req, wantReq) || !bytes.HasPrefix(req, []byte(`{"circuit":null,`)) {
+		t.Fatalf("job 4's request renders %s (%v), want %s", req, err, wantReq)
 	}
 }
 
-// recordingStore is a JobStore that keeps, for each job, what encodeRecord
-// wrote of the job as it turned terminal: the record the arena must give
-// back.
+// recordingStore is a JobStore that keeps, for each job, what
+// Job.AppendJSON wrote of the job as it turned terminal: the record a
+// sealed view must read back.
 type recordingStore struct {
 	mu   sync.Mutex
-	want map[int]encoded
+	want map[int][]byte
 }
 
 func (m *recordingStore) JournalFleetJob(*Job) uint64 { return 0 }
 
 func (m *recordingStore) JournalFleetUpdate(j *Job, _ []byte) uint64 {
 	if j.Status.Terminal() {
-		rec := encodeRecord(j, nil)
+		rec, err := j.AppendJSON(nil)
+		if err != nil {
+			panic(err)
+		}
 		m.mu.Lock()
 		m.want[j.ID] = rec
 		m.mu.Unlock()
@@ -182,14 +200,14 @@ func (m *recordingStore) WaitDurable(uint64) {}
 // TestInternedRecordsReadBack seals repeated, unique and colliding circuits
 // over more than two arena chunks and reads every job back every way the
 // scheduler offers: View, ListViews, Peek and Job each give what
-// encodeRecord wrote for it, and every stored span lies inside its own
+// Job.AppendJSON wrote of it live, and every stored span lies inside its own
 // chunk. Halfway, every circuit is sent to one slot of the circuit table
 // (OneCircuitSlot), so two circuits of one length share a slot and only the
 // byte compare tells them apart.
 func TestInternedRecordsReadBack(t *testing.T) {
 	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
-	st := &recordingStore{want: make(map[int]encoded)}
+	st := &recordingStore{want: make(map[int][]byte)}
 	s.AttachStore(st)
 	if err := s.AddDevice("a", mkdev(t, "a", 4, 4, 5, 0), 2); err != nil {
 		t.Fatal(err)
@@ -242,16 +260,19 @@ func TestInternedRecordsReadBack(t *testing.T) {
 		t.Fatalf("listed %d jobs (more %v), want %d", len(views), more, jobs)
 	}
 	for _, lv := range views {
-		want := st.want[lv.ID].b
-		if !bytes.Equal(lv.Sealed.JSON, want) || lv.Sealed.at != st.want[lv.ID].at {
-			t.Fatalf("ListViews: job %d reads %+v\n%s\nencodeRecord wrote %+v\n%s", lv.ID, lv.Sealed.at, lv.Sealed.JSON, st.want[lv.ID].at, want)
+		want := st.want[lv.ID]
+		if got, err := recordJSON(lv.Sealed); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ListViews: job %d reads (%v)\n%s\nthe live job wrote\n%s", lv.ID, err, got, want)
 		}
 		v, err := s.View(lv.ID, true, nil)
-		if err != nil || !bytes.Equal(v.Sealed.JSON, want) || v.Sealed.at != st.want[lv.ID].at {
-			t.Fatalf("View: job %d reads %+v (%v)\n%s\nencodeRecord wrote\n%s", lv.ID, v.Sealed.at, err, v.Sealed.JSON, want)
-		}
-		wantJob, err := Record{JSON: want}.Job()
 		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := recordJSON(v.Sealed); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("View: job %d reads (%v)\n%s\nthe live job wrote\n%s", lv.ID, err, got, want)
+		}
+		var wantJob Job
+		if err := json.Unmarshal(want, &wantJob); err != nil {
 			t.Fatal(err)
 		}
 		j, err := s.Job(lv.ID)
@@ -259,7 +280,7 @@ func TestInternedRecordsReadBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, _ := j.AppendJSON(nil); !bytes.Equal(got, want) || j.Status != wantJob.Status {
-			t.Fatalf("Job: job %d decodes to\n%s\nencodeRecord wrote\n%s", lv.ID, got, want)
+			t.Fatalf("Job: job %d decodes to\n%s\nthe live job wrote\n%s", lv.ID, got, want)
 		}
 		status, device, recovered, err := s.Peek(lv.ID)
 		if err != nil || status != wantJob.Status || device != wantJob.Device || recovered != wantJob.Recovered {

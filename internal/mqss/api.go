@@ -118,10 +118,11 @@ type Job struct {
 	// pages and watch snapshots.
 	Request *qrm.Request `json:"request,omitempty"`
 
-	// A record read from a sealed job carries its result's members and its
-	// request as the JSON the job was sealed with, which AppendJSON copies
-	// in place of Result and Request.
-	result, request []byte
+	// A record read from a sealed job renders its result's members and, when
+	// it shows the request, its request from the job's stored record, in
+	// place of Result and Request.
+	sealed                fleet.Record
+	isSealed, withRequest bool
 }
 
 // MarshalJSON implements json.Marshaler: list pages go through
@@ -164,11 +165,12 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 	if j.Pinned != "" {
 		b = jsonwire.AppendString(append(b, `,"pinned":`...), j.Pinned)
 	}
-	if j.result != nil {
-		// Result.AppendFields wrote these members when the job was sealed.
-		b = append(append(b, ','), j.result...)
-	} else if err == nil {
-		b, err = j.Result.AppendFields(append(b, ','))
+	if err == nil {
+		if j.isSealed {
+			b, err = j.sealed.AppendResultFields(append(b, ','))
+		} else {
+			b, err = j.Result.AppendFields(append(b, ','))
+		}
 	}
 	if j.Recovered {
 		b = append(b, `,"recovered":true`...)
@@ -189,8 +191,8 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 		}
 		b = append(b, '}')
 	}
-	if j.request != nil {
-		b = append(append(b, `,"request":`...), j.request...)
+	if err == nil && j.withRequest {
+		b, err = j.sealed.AppendRequest(append(b, `,"request":`...))
 	} else if err == nil && j.Request != nil {
 		b, err = j.Request.AppendJSON(append(b, `,"request":`...))
 	}
@@ -380,9 +382,9 @@ func jobErrorEnvelope(msg string) *APIError {
 
 // v2FromView is the record of a job as the scheduler holds it: a live job
 // as Scheduler.View relabels it (a routed job past its compile reads
-// running), or a sealed one, whose result's members and request are copied
-// as they were written, so its record has the bytes the live job's had
-// (TestSealedRecordMatchesLive).
+// running), or a sealed one, whose result's members and request are rendered
+// from its stored record by the writers the live job's went through, so its
+// record has the bytes the live job's had (TestSealedRecordMatchesLive).
 func v2FromView(v fleet.View, withRequest bool) (*Job, error) {
 	out := new(Job)
 	var h fleet.Head
@@ -400,10 +402,7 @@ func v2FromView(v fleet.View, withRequest bool) (*Job, error) {
 		if h, err = v.Sealed.Head(); err != nil {
 			return nil, err
 		}
-		out.State, out.result = v.Sealed.Status, v.Sealed.ResultFields()
-		if withRequest {
-			out.request = v.Sealed.Request()
-		}
+		out.State, out.sealed, out.isSealed, out.withRequest = v.Sealed.Status, v.Sealed, true, withRequest
 	}
 	out.ID = FormatJobID(h.ID)
 	out.Device, out.Migrations, out.Score, out.Pinned = h.Device, h.Migrations, h.Score, h.Pinned

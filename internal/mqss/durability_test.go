@@ -1,6 +1,7 @@
 package mqss
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/device"
 	"repro/internal/durable"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
@@ -502,5 +504,118 @@ func TestIdempotencyKeyBelongsToOneTenant(t *testing.T) {
 	check("after the reboot", hs2)
 	if w, replayed := post(hs2, "w", 3); replayed || w.ID == u.ID || w.ID == v.ID || w.User != "w" {
 		t.Fatalf("tenant w after the reboot got %+v, replayed %v; want a fresh job", w, replayed)
+	}
+}
+
+// TestTerminalRecordSurvivesRestart: a terminal job reads the same after a
+// kill -9 and a reopen of its data directory — journaled, folded back by
+// Restore, sealed into its stored record and rendered from it — save the
+// "recovered":true the restore adds. The jobs are one done with a histogram
+// of 40 or more outcomes, one failed with an error that holds a quote and a
+// non-ASCII rune (the device's own name, in its fault), and one cancelled,
+// each keyed and unkeyed, under the group-commit and the always-fsync WAL.
+func TestTerminalRecordSurvivesRestart(t *testing.T) {
+	const qpuName = `ké"lvin`
+	open := func(t *testing.T, dir string, mode durable.SyncMode) (*fleet.Scheduler, *httptest.Server, *durable.Store, *device.QPU) {
+		t.Helper()
+		st, opened, err := durable.Open(dir, durable.Options{Sync: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qpu, err := device.New(device.Config{Name: qpuName, Rows: 3, Cols: 3, Seed: 4, DigitalTwin: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fleet.New(fleet.PolicyBestFidelity, nil)
+		if err := f.AddDevice("kelvin", qdmi.NewDevice(qpu, nil), 1); err != nil {
+			t.Fatal(err)
+		}
+		stopAndAuditAtCleanup(t, f)
+		server := NewFleetServer(f)
+		if _, err := server.AttachStore(st, opened); err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(server)
+		t.Cleanup(hs.Close)
+		return f, hs, st, qpu
+	}
+	get := func(t *testing.T, hs *httptest.Server, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/api/v2/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s (%v)", id, resp.StatusCode, b, err)
+		}
+		return b
+	}
+	wide := circuit.New(6, "uniform")
+	for q := 0; q < 6; q++ {
+		wide.H(q)
+	}
+	for _, mode := range []durable.SyncMode{durable.SyncGroup, durable.SyncAlways} {
+		t.Run(string(mode), func(t *testing.T) {
+			dir := t.TempDir()
+			f, hs, st, qpu := open(t, dir, mode)
+			submit := func(req SubmitRequest, key, query string) *Job {
+				t.Helper()
+				var hdr map[string]string
+				if key != "" {
+					hdr = map[string]string{"Idempotency-Key": key}
+				}
+				resp := postV2(t, hs, "/api/v2/jobs"+query, req, hdr)
+				defer resp.Body.Close()
+				return decodeV2Job(t, resp.Body)
+			}
+			var ids []string
+			for _, key := range []string{"", "k"} {
+				done := submit(SubmitRequest{Circuit: wide, Shots: 1000, User: "u"}, key+"done", "?wait=10s")
+				if done.State != StateDone || len(done.Counts) < 40 {
+					t.Fatalf("done job: %s with %d outcomes, want done with >= 40", done.State, len(done.Counts))
+				}
+				qpu.InjectFaults(1)
+				failed := submit(SubmitRequest{Circuit: circuit.GHZ(3), Shots: 10, User: "u"}, key+"failed", "?wait=10s")
+				if failed.State != StateFailed || failed.Error == nil || !strings.Contains(failed.Error.Message, qpuName) {
+					t.Fatalf("failed job: %s, error %+v; want failed naming %s", failed.State, failed.Error, qpuName)
+				}
+				if err := f.Drain("kelvin"); err != nil {
+					t.Fatal(err)
+				}
+				cancelled := submit(SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "v", Priority: 3}, key+"cancelled", "")
+				id, err := ParseJobID(cancelled.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Cancel(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Resume("kelvin"); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, done.ID, failed.ID, cancelled.ID)
+			}
+			before := make(map[string][]byte)
+			for _, id := range ids {
+				before[id] = get(t, hs, id)
+			}
+			// Frames reach the disk in LSN order, so an ack of a later
+			// submission covers every terminal frame before it.
+			submit(SubmitRequest{Circuit: circuit.GHZ(2), Shots: 5, User: "w"}, "", "")
+
+			st.Abandon() // kill -9
+			hs.Close()
+			f.Stop()
+			_, hs2, _, _ := open(t, dir, mode)
+			for _, id := range ids {
+				after := get(t, hs2, id)
+				recovered := bytes.Replace(after, []byte(`,"recovered":true`), nil, 1)
+				if bytes.Equal(recovered, after) || !bytes.Equal(recovered, before[id]) {
+					t.Errorf("job %s after the restart:\n%s\nbefore it, with \"recovered\":true added:\n%s", id, after, before[id])
+				}
+			}
+		})
 	}
 }

@@ -449,10 +449,13 @@ func TestMetricsReportRetention(t *testing.T) {
 	live, added := sample("qhpc_go_heap_live_bytes")-live0, records-records0
 	t.Logf("over the last %d jobs: live heap +%.0f B, records +%.0f B", jobs-warm, live, added)
 	// Where there is no anonymous mmap the arena is on the heap
-	// (fleet/arena_heap.go).
+	// (fleet/arena_heap.go). A job's index entry, its share of the index's
+	// growth and of the idempotency window take ~120 B of live heap; a
+	// GHZ(2) job's ~125-B record would add as much again.
+	const maxLivePerJob = 160.0
 	offHeap := !slices.Contains([]string{"windows", "plan9", "js", "wasip1"}, runtime.GOOS)
-	if offHeap && live >= added/2 {
-		t.Errorf("live heap grew %.0f B over the last %d jobs, want < half their records' %.0f B: the records are on the heap", live, jobs-warm, added)
+	if per := live / (jobs - warm); offHeap && per >= maxLivePerJob {
+		t.Errorf("live heap grew %.0f B per job over the last %d jobs, want < %.0f (records %.0f B per job): the records are on the heap", per, jobs-warm, maxLivePerJob, added/(jobs-warm))
 	}
 	if scan := sample("qhpc_go_gc_scan_heap_bytes"); scan <= 0 {
 		t.Errorf("scannable heap = %v, want > 0", scan)
