@@ -15,9 +15,10 @@ import (
 // site survey is a one-time step before deployment and the cooldown a
 // multi-day physical event (cmd/sitesurvey and core.Center reproduce both);
 // neither changes what a job sees. What commissioning leaves on the QPU is
-// its drift history — one AdvanceDrift per simulated cooldown hour — and a
-// full calibration once the cryostat reaches base temperature. buildFleet
-// replays exactly that, and TestServedFleetMatchesCommissioning holds it
+// its drift history — one AdvanceDrift(1) per simulated cooldown hour — and
+// a full calibration once the cryostat reaches base temperature. buildFleet
+// replays exactly that, the drift hours in one AdvanceDriftHours (one epoch
+// built, not 81), and TestServedFleetMatchesCommissioning holds it
 // equal to core.Center.CommissionFast.
 
 // cooldownHours is how long the simulated cryostat takes from warm to base
@@ -57,9 +58,7 @@ func buildFleet(seed int64, twin bool, devices, workers int, policy string, main
 	} else {
 		primary = device.New20Q(seed)
 	}
-	for h := 0; h < cooldownHours; h++ {
-		primary.AdvanceDrift(1)
-	}
+	primary.AdvanceDriftHours(cooldownHours)
 	primary.Recalibrate(true)
 
 	f := fleet.New(p, nil)

@@ -51,55 +51,31 @@ func (r *Reader) Fail(err error) {
 	r.B = nil
 }
 
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	// Most lengths and counts take one byte: read it without the general
-	// decode. A fault leaves B empty, so this never reads past one.
-	if len(r.B) > 0 && r.B[0] < 0x80 {
-		v := uint64(r.B[0])
-		r.B = r.B[1:]
-		return v
+// Uvarint reads an unsigned varint, as binary.Uvarint does: past ten bytes,
+// or a tenth byte over 1, is an overflow and a fault. It is written as one
+// loop, without a call, so that the compiler inlines it (and Int) into
+// every reader: most lengths, counts and small ints take one byte. A fault
+// leaves B empty, so a read after one returns 0.
+func (r *Reader) Uvarint() (v uint64) {
+	for i, c := range r.B {
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			break
+		}
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			r.B = r.B[i+1:]
+			return v
+		}
 	}
-	return r.uvarint()
+	r.Fail(ErrMalformed)
+	return 0
 }
 
-func (r *Reader) uvarint() uint64 {
-	if r.Err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.B)
-	if n <= 0 {
-		r.Fail(ErrMalformed)
-		return 0
-	}
-	r.B = r.B[n:]
-	return v
-}
-
-// Int reads a zig-zag varint that must fit an int.
+// Int reads a zig-zag varint (binary.AppendVarint's form). An int is 64
+// bits on every platform the node is built for, so any such varint fits.
 func (r *Reader) Int() int {
-	// Most small ints (an outcome, a count, a qubit) take one byte: read it
-	// without the general decode. A fault leaves B empty, so this never
-	// reads past one.
-	if len(r.B) > 0 && r.B[0] < 0x80 {
-		x := int(r.B[0])
-		r.B = r.B[1:]
-		return x>>1 ^ -(x & 1)
-	}
-	return r.int()
-}
-
-func (r *Reader) int() int {
-	if r.Err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.B)
-	if n <= 0 || int64(int(v)) != v {
-		r.Fail(ErrMalformed)
-		return 0
-	}
-	r.B = r.B[n:]
-	return int(v)
+	u := r.Uvarint()
+	return int(u>>1) ^ -int(u&1)
 }
 
 // Next is the next n bytes, capped at their length.

@@ -136,6 +136,25 @@ func (d *QPU) AdvanceDrift(dtHours float64) {
 	d.publishLocked(next)
 }
 
+// AdvanceDriftHours takes n one-hour drift steps, the ones n calls of
+// AdvanceDrift(1) take, on one copy of the calibration, and publishes it
+// once, as epoch Num+n: the calibration and the epoch number n such calls
+// leave, without building the n-1 epochs between them (each one's noise
+// channels), which nothing could read. n <= 0 does nothing.
+func (d *QPU) AdvanceDriftHours(n int) {
+	if n <= 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	cur := d.Epoch()
+	next := cur.Calibration.Clone()
+	for i := 0; i < n; i++ {
+		d.drift.Advance(next, 1)
+	}
+	d.current.Store(newEpoch(d, cur.Num+uint64(n), next))
+}
+
 // publishLocked makes calibration c, which nothing else references, the
 // next epoch. Caller holds d.mu, so epochs are numbered in publish order.
 func (d *QPU) publishLocked(c *Calibration) {

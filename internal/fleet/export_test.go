@@ -35,13 +35,33 @@ func (s *Scheduler) FailAtClaim(st JobStore, id int) JobStore {
 	return claimHook{st, id, func(j *Job) { s.setStateLocked(s.devices[j.Device], DeviceFailed) }}
 }
 
-// OneCircuitSlot sends every circuit the arena stores from now on to one
-// slot of its circuit table, as if all their hashes collided: a circuit then
-// matches a stored one only by the byte compare.
+// OneCircuitSlot sends every circuit and every record's shared part the
+// arena stores from now on to one slot of its table, as if all their hashes
+// collided: one then matches a stored one only by the byte compare.
 func (s *Scheduler) OneCircuitSlot() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arena.mask = 0
+}
+
+// sharedFound counts the sealed records, and those whose shared part the
+// arena found in their chunk rather than storing it just before the
+// record's own part.
+func (s *Scheduler) sharedFound() (sealed, found int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.index {
+		if e.state == 0 {
+			continue
+		}
+		sealed++
+		ch := s.arena.chunks[e.chunk]
+		shared, _ := record(ch, e.rec)
+		if &ch[e.rec.off-1] != &shared[len(shared)-1] {
+			found++
+		}
+	}
+	return sealed, found
 }
 
 // recordJSON is what a sealed view reads back of the whole job: its
@@ -77,7 +97,7 @@ func (s *Scheduler) watcherVisits() uint64 {
 func CountEncodes() (stop func() int64) {
 	var n atomic.Int64
 	encode := encodeResult
-	encodeResult = func(r *Result, b []byte) []byte {
+	encodeResult = func(r *Result, b []byte) ([]byte, int) {
 		n.Add(1)
 		return encode(r, b)
 	}

@@ -697,7 +697,7 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg str
 	if j.tr != nil {
 		s.retainTraceLocked(j)
 	}
-	b := j.appendStored(s.sealBuf[:0])
+	b, own := j.appendStored(s.sealBuf[:0])
 	n := len(b)
 	var res []byte
 	if rec != nil && s.jstore != nil {
@@ -728,7 +728,7 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *Result, errMsg str
 	default:
 		ts.Failed++
 	}
-	s.sealLocked(j, b[:n])
+	s.sealLocked(j, b[:n], own)
 	close(j.done)
 }
 

@@ -62,8 +62,9 @@ func TestJobHeadMatchesRecordHead(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		var j Job
 		fillRandom(rng, reflect.ValueOf(&j).Elem())
-		rec := j.appendStored(nil)
-		got, err := Record{ID: j.ID, stored: rec}.Head()
+		rec, _ := j.appendStored(nil)
+		r := Record{ID: j.ID, stored: rec}
+		got, err := r.Head()
 		if want := j.Head(); err != nil || got != want {
 			t.Fatalf("job %d: record head %+v (%v), job head %+v\n%x", i, got, err, want, rec)
 		}

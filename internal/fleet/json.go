@@ -71,7 +71,7 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 // returns b as far as it got, as jsonwire.AppendFloat does.
 func (r *Result) AppendFields(b []byte) ([]byte, error) {
 	n := len(b)
-	b = encodeResult(r, b)
+	b, _ = encodeResult(r, b)
 	m := len(b)
 	// The render appends past m, so it never writes the bytes it reads.
 	rd := readStored(b[n:m])
@@ -112,6 +112,9 @@ func appendResultFields(b []byte, r *storedReader) ([]byte, error) {
 		b = jsonwire.AppendString(append(b, `"compile_stats":`...), s)
 		b = append(b, ',')
 	}
+	// The record stores duration_us before the counts, among the members
+	// its jobs share; the JSON writes it after them.
+	duration := r.Float()
 	if n := r.Count(2); n > 0 {
 		b = append(b, `"counts":{`...)
 		for i := 0; i < n; i++ {
@@ -123,8 +126,8 @@ func appendResultFields(b []byte, r *storedReader) ([]byte, error) {
 		}
 		b = append(b, "},"...)
 	}
-	if f := r.Float(); f != 0 {
-		float(`"duration_us":`, f)
+	if duration != 0 {
+		float(`"duration_us":`, duration)
 		b = append(b, ',')
 	}
 	float(`"submit_time":`, r.Float())

@@ -67,7 +67,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 		s.bindLocked(j)
 
 		if j.Status.Terminal() {
-			s.sealLocked(j, nil)
+			s.sealLocked(j, nil, 0)
 			stats.Terminal++
 			continue
 		}

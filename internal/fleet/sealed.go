@@ -26,26 +26,35 @@ import (
 // The stored record is binary, and only this file knows it. Its fields are
 // internal/binwire's primitives (varint the zig-zag signed form, uvarint the
 // unsigned one, a string its uvarint length then its bytes, a float its
-// float64 bits, a bool one byte):
+// float64 bits, a bool one byte). It is two parts, the fields jobs of one
+// kind repeat and then the fields each job has of its own:
 //
-//	byte     recordVersion
-//	head     device string, migrations varint, score float, pinned string,
-//	         user string, shots varint, priority varint, deadline_ms float,
-//	         static_placement bool, error string, recovered bool,
-//	         node string, idem_key string
-//	byte     1 when the job has a result, then the result; 0 for none
-//	result   compiled_gates varint, cz_count varint, uvarint len(layout)
-//	         then each qubit as a varint, compile_stats string, uvarint
-//	         len(counts) then each (outcome, count) as two varints in the
-//	         byte order circuit.Counts.AppendJSON writes the keys in,
-//	         duration_us float, submit_time float, end_time float
+//	shared   byte recordVersion, then the head: device string, migrations
+//	         varint, score float, pinned string, user string, shots varint,
+//	         priority varint, deadline_ms float, static_placement bool,
+//	         error string, recovered bool, node string; then a byte, 1
+//	         when the job has a result, 0 for none, and with a result its
+//	         compiled_gates varint, cz_count varint, uvarint len(layout)
+//	         then each qubit as a varint, compile_stats string and
+//	         duration_us float
+//	own      with a result, uvarint len(counts) then each (outcome, count)
+//	         as two varints in the byte order circuit.Counts.AppendJSON
+//	         writes the keys in, submit_time float and end_time float;
+//	         then idem_key string
 //
 // The ID, the status, the submission instant and the journal LSN are the
-// index entry's. The request circuit is stored beside the record in its
-// binary form (circuit.AppendBinary): a variational loop's fresh angles take
-// 8 bytes each, not ~18 of JSON digits. Traffic also repeats circuits (a
+// index entry's. Traffic repeats the shared part: a user's jobs of one
+// circuit on one device are placed, compiled and timed alike. So the arena
+// stores each distinct shared part once per chunk, led by its uvarint
+// length, and a job's own part after it, led by a uvarint back-reference:
+// how many bytes back from the back-reference that length starts. A reader
+// gets the two parts as one record again (viewLocked), in the order above.
+//
+// The request circuit is stored beside the record in its binary form
+// (circuit.AppendBinary): a variational loop's fresh angles take 8 bytes
+// each, not ~18 of JSON digits. Traffic also repeats circuits (a
 // recalibration's characterisation set, a fixed ansatz), so each distinct
-// circuit is stored once per arena chunk.
+// circuit is stored once per arena chunk too.
 //
 // Nothing reads the record as JSON: Record.Head and Record.Job decode it
 // field by field, and the JSON a reader shows of its result and request is
@@ -53,8 +62,9 @@ import (
 // through (Result.AppendFields encodes a live result into this form first).
 
 // recordVersion leads every stored record: a change of the layout takes the
-// next one.
-const recordVersion = 1
+// next one. Version 1 kept the idempotency key in the head and the whole
+// result after it; it was never written outside a process's memory.
+const recordVersion = 2
 
 // sealedStates are the statuses an index entry stores, by code; code 0 is a
 // live job, found in Scheduler.jobs.
@@ -78,26 +88,32 @@ type entry struct {
 	ackLSN   uint64
 	submitMs int64
 	chunk    uint32 // arena chunk of the stored record and its circuit
-	rec      span   // the stored record
+	rec      span   // the record's own part, led by the back-reference to its shared part
 	circ     span   // the request circuit's binary form, shared by the chunk's records that repeat it; empty for none
 	user     uint32 // the job's user, by its Scheduler.users number
 	state    uint8  // sealedStates code; 0 while live
 }
 
 // arenaChunk is the size of one arena allocation; a record longer than it
-// gets a chunk of its own. It holds ~500 hybrid-loop records (~0.5 KB
-// stored each, circuit included), about half the circuit table's slots.
+// gets a chunk of its own. It holds ~600 hybrid-loop records (~0.4 KB
+// stored each, circuit included), about 60 % of the circuit table's slots.
 const arenaChunk = 1 << 18
 
-// circuitSlots is the size of the arena's circuit table, and circuitProbes
-// how many slots from a circuit's home a lookup tries. A chunk holds about
-// a thousand records at most, and a workload that repeats circuits repeats a
-// few of them; the probes keep two of those whose hashes share a home slot
-// from evicting each other, storing each again per job.
+// internSlots is the size of each of the arena's intern tables, and
+// internProbes how many slots from a string's home a lookup tries. A chunk
+// holds a few thousand records at most, and a workload that repeats
+// circuits or shared parts repeats a few of them; the probes keep two of
+// those whose hashes share a home slot from evicting each other, storing
+// each again per job.
 const (
-	circuitSlots  = 1024
-	circuitProbes = 4
+	internSlots  = 1024
+	internProbes = 4
 )
+
+// internTable finds the byte strings of one kind stored in the arena's last
+// chunk by their bytes. A slot is the span of one; the zero span is an
+// empty slot.
+type internTable [internSlots]span
 
 // arena is append-only: a record's bytes never change once written. Its
 // chunks come from mapChunk, outside the garbage-collected heap where the
@@ -106,69 +122,112 @@ const (
 // Scheduler.mu: a reader copies a record out under the lock, so the chunks
 // can be unmapped once the scheduler is unreachable.
 //
-// A chunk is self-contained: the circuits its records share are in it, so
-// dropping a whole chunk drops nothing another chunk reads.
+// A chunk is self-contained: the circuits and the shared parts its records
+// read are in it, so dropping a whole chunk drops nothing another chunk
+// reads.
 type arena struct {
 	chunks [][]byte
-	bytes  int64 // stored bytes: the records, and their circuits' binary forms
+	bytes  int64 // stored bytes: the records' shared and own parts, and their circuits' binary forms
 
-	// circuits maps a circuit's hash to its binary form in the last chunk;
-	// a zero span is an empty slot. It is cleared when a chunk starts, and a
-	// slot is taken as a match only when its bytes equal the circuit's.
-	circuits [circuitSlots]span
-	seed     maphash.Seed
-	mask     uint64 // a hash's home slot is hash & mask
+	// circuits and shared intern the last chunk's circuits and records'
+	// shared parts, in tables of their own: a chunk of fresh-angle
+	// circuits fills its circuit table without evicting the few shared
+	// parts its records repeat. Both are cleared when a chunk starts, and
+	// a slot is taken as a match only when its bytes equal the string's.
+	circuits, shared internTable
+	seed             maphash.Seed
+	mask             uint64 // a hash's home slot is hash & mask
 }
 
 // newArena is an empty arena whose chunks are unmapped when it becomes
 // unreachable. The finalizer sits on the arena, not the Scheduler: the
 // scheduler's cond references its mutex, a cycle a finalizer never runs on.
 func newArena() *arena {
-	a := &arena{seed: maphash.MakeSeed(), mask: circuitSlots - 1}
+	a := &arena{seed: maphash.MakeSeed(), mask: internSlots - 1}
 	runtime.SetFinalizer(a, (*arena).free)
 	return a
 }
 
-// add stores a record: c, its circuit's binary form, once in the last
-// chunk, unless the chunk holds those bytes already, and rec, the stored
-// record, after. It returns the chunk and the two spans.
-func (a *arena) add(rec, c []byte) (chunk uint32, body, circ span) {
+// add stores a record, its shared part and its own part, and c, its
+// circuit's binary form, in the last chunk: c and the shared part each once
+// per chunk (a uvarint length leads the shared part), unless the chunk
+// holds those bytes already, then the own part, led by its back-reference.
+// It returns the chunk, the own part's span and the circuit's.
+func (a *arena) add(shared, own, c []byte) (chunk uint32, rec, circ span) {
 	last := len(a.chunks) - 1
-	var slot *span
-	found := false
+	var ch []byte
+	var cslot, sslot *span
+	cfound, sfound := false, false
 	if last >= 0 {
-		slot, found = a.lookup(a.chunks[last], c)
+		ch = a.chunks[last]
+		cslot, cfound = a.lookup(&a.circuits, ch, c)
+		sslot, sfound = a.lookup(&a.shared, ch, shared)
 	}
-	need := len(rec)
-	if !found {
+	// The back-reference takes at most MaxVarintLen32 bytes: no chunk is
+	// 4 GiB.
+	need := binary.MaxVarintLen32 + len(own)
+	if !cfound {
 		need += len(c)
 	}
-	if last < 0 || len(a.chunks[last])+need > cap(a.chunks[last]) {
-		a.chunks = append(a.chunks, mapChunk(max(arenaChunk, len(rec)+len(c))))
-		last++
-		a.circuits = [circuitSlots]span{}
-		slot, found = a.lookup(nil, c)
+	if !sfound {
+		need += binary.MaxVarintLen32 + len(shared)
 	}
-	ch := a.chunks[last]
+	if last < 0 || len(ch)+need > cap(ch) {
+		ch = mapChunk(max(arenaChunk, 2*binary.MaxVarintLen32+len(shared)+len(own)+len(c)))
+		a.chunks = append(a.chunks, ch)
+		last++
+		a.circuits, a.shared = internTable{}, internTable{}
+		cslot, cfound = a.lookup(&a.circuits, nil, c)
+		sslot, sfound = a.lookup(&a.shared, nil, shared)
+	}
 	start := len(ch)
-	if !found {
-		*slot = span{uint32(len(ch)), uint32(len(c))}
+	if !cfound {
+		*cslot = span{uint32(len(ch)), uint32(len(c))}
 		ch = append(ch, c...)
 	}
-	body = span{uint32(len(ch)), uint32(len(rec))}
-	ch = append(ch, rec...)
+	if !sfound {
+		ch = binary.AppendUvarint(ch, uint64(len(shared)))
+		*sslot = span{uint32(len(ch)), uint32(len(shared))}
+		ch = append(ch, shared...)
+	}
+	at := len(ch)
+	ch = binary.AppendUvarint(ch, uint64(at-sharedStart(*sslot)))
+	ch = append(ch, own...)
 	a.chunks[last] = ch
 	a.bytes += int64(len(ch) - start)
-	return uint32(last), body, *slot
+	return uint32(last), span{uint32(at), uint32(len(ch) - at)}, *cslot
 }
 
-// lookup finds circuit c among chunk ch's circuits. It probes from c's home
-// slot and reports the slot holding c's bytes, found, or else the slot add
-// fills: the first empty one, or c's home.
-func (a *arena) lookup(ch, c []byte) (slot *span, found bool) {
+// sharedStart is the offset of the length that leads shared part s.
+func sharedStart(s span) int {
+	n := 1
+	for x := s.n; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return int(s.off) - n
+}
+
+// record is the two parts of the record whose own part, led by its
+// back-reference, is rec of chunk ch.
+func record(ch []byte, rec span) (shared, own []byte) {
+	r := binwire.Reader{B: ch[rec.off : rec.off+rec.n]}
+	back := r.Uvarint()
+	own = r.B
+	r = binwire.Reader{B: ch[uint64(rec.off)-back:]}
+	shared = r.Next(r.Uvarint())
+	if r.Err != nil || back == 0 {
+		panic(fmt.Sprintf("fleet: a stored record's back-reference %d at %d does not read back", back, rec.off))
+	}
+	return shared, own
+}
+
+// lookup finds string c among table t's strings of the last chunk, ch. It
+// probes from c's home slot and reports the slot holding c's bytes, found,
+// or else the slot add fills: the first empty one, or c's home.
+func (a *arena) lookup(t *internTable, ch, c []byte) (slot *span, found bool) {
 	home := maphash.Bytes(a.seed, c)
-	for i := uint64(0); i < circuitProbes; i++ {
-		s := &a.circuits[(home+i)&a.mask]
+	for i := uint64(0); i < internProbes; i++ {
+		s := &t[(home+i)&a.mask]
 		if s.n == 0 {
 			return s, false
 		}
@@ -176,7 +235,7 @@ func (a *arena) lookup(ch, c []byte) (slot *span, found bool) {
 			return s, true
 		}
 	}
-	return &a.circuits[home&a.mask], false
+	return &t[home&a.mask], false
 }
 
 // free returns every chunk to the system. Nothing reads the arena after it.
@@ -193,8 +252,9 @@ type storedReader struct{ binwire.Reader }
 // readStored is a reader at the start of stored bytes b.
 func readStored(b []byte) storedReader { return storedReader{binwire.Reader{B: b}} }
 
-// appendStored appends j's stored record to b.
-func (j *Job) appendStored(b []byte) []byte {
+// appendStored appends j's stored record to b, and reports where its own
+// part starts in the bytes it returns.
+func (j *Job) appendStored(b []byte) (_ []byte, own int) {
 	b = binwire.AppendString(append(b, recordVersion), j.Device)
 	b = binary.AppendVarint(b, int64(j.Migrations))
 	b = binwire.AppendString(binwire.AppendFloat(b, j.Score), j.Pinned)
@@ -203,19 +263,24 @@ func (j *Job) appendStored(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(j.Request.Priority))
 	b = binwire.AppendBool(binwire.AppendFloat(b, j.Request.DeadlineMs), j.Request.StaticPlacement)
 	b = binwire.AppendBool(binwire.AppendString(b, j.Error), j.Recovered)
-	b = binwire.AppendString(binwire.AppendString(b, j.Node), j.IdemKey)
+	b = binwire.AppendString(b, j.Node)
 	if j.Result == nil {
-		return append(b, 0)
+		b = append(b, 0)
+		own = len(b)
+	} else {
+		b, own = encodeResult(j.Result, append(b, 1))
 	}
-	return encodeResult(j.Result, append(b, 1))
+	return binwire.AppendString(b, j.IdemKey), own
 }
 
 // encodeResult is Result.appendStored, a variable only so that a test can
 // count encodes (export_test.go).
 var encodeResult = (*Result).appendStored
 
-// appendStored appends the result's stored form to b.
-func (r *Result) appendStored(b []byte) []byte {
+// appendStored appends the result's stored form to b, the members a
+// record's shared part holds and then those of its own part, and reports
+// where the latter start in the bytes it returns.
+func (r *Result) appendStored(b []byte) (_ []byte, own int) {
 	b = binary.AppendVarint(b, int64(r.CompiledGates))
 	b = binary.AppendVarint(b, int64(r.CZCount))
 	b = binary.AppendUvarint(b, uint64(len(r.Layout)))
@@ -223,16 +288,17 @@ func (r *Result) appendStored(b []byte) []byte {
 		b = binary.AppendVarint(b, int64(q))
 	}
 	b = binwire.AppendString(b, r.CompileStats)
+	b = binwire.AppendFloat(b, r.DurationUs)
+	own = len(b)
 	b = binary.AppendUvarint(b, uint64(len(r.Counts)))
 	r.Counts.Range(func(outcome, n int) {
 		b = binary.AppendVarint(binary.AppendVarint(b, int64(outcome)), int64(n))
 	})
-	b = binwire.AppendFloat(b, r.DurationUs)
 	b = binwire.AppendFloat(b, r.SubmitTime)
-	return binwire.AppendFloat(b, r.EndTime)
+	return binwire.AppendFloat(b, r.EndTime), own
 }
 
-// head reads a stored record's version and head, up to the idempotency key.
+// head reads a stored record's version and head.
 func (r *storedReader) head() (h Head) {
 	if v := r.Next(1); v != nil && v[0] != recordVersion {
 		r.Fail(fmt.Errorf("stored record version %d, want %d", v[0], recordVersion))
@@ -256,7 +322,6 @@ func (r *storedReader) head() (h Head) {
 // and reports whether the job has one.
 func (r *storedReader) toResult() bool {
 	r.head()
-	r.Str() // the idempotency key
 	return r.Bool()
 }
 
@@ -272,6 +337,7 @@ func (r *storedReader) result() *Result {
 		}
 	}
 	res.CompileStats = r.Str()
+	res.DurationUs = r.Float()
 	if n := r.Count(2); n > 0 {
 		res.Counts = make(circuit.Counts, n)
 		for i := 0; i < n; i++ {
@@ -279,7 +345,6 @@ func (r *storedReader) result() *Result {
 			res.Counts[k] = r.Int()
 		}
 	}
-	res.DurationUs = r.Float()
 	res.SubmitTime = r.Float()
 	res.EndTime = r.Float()
 	return res
@@ -296,6 +361,11 @@ type Record struct {
 
 	stored, circuit []byte
 	withRequest     bool
+
+	// afterHead is where Head stopped reading stored, 0 until it is called,
+	// and req the request fields it read.
+	afterHead int
+	req       qrm.Request
 }
 
 // Head is the scalar fields a job's v2 record shows, of a live job (Job.Head)
@@ -328,26 +398,32 @@ func (h *Head) request() qrm.Request {
 	return qrm.Request{Shots: h.Shots, Priority: h.Priority, User: h.User, DeadlineMs: h.DeadlineMs, StaticPlacement: h.StaticPlacement}
 }
 
-// Head reads the record's scalar fields.
-func (r Record) Head() (Head, error) {
+// Head reads the record's scalar fields. It remembers where they end, so
+// AppendResultFields and AppendRequest, called on r after it, start there
+// instead of reading them again.
+func (r *Record) Head() (Head, error) {
 	rd := readStored(r.stored)
 	h := rd.head()
 	h.ID = r.ID
 	if rd.Err != nil {
 		return h, fmt.Errorf("fleet: job %d: stored record: %w", r.ID, rd.Err)
 	}
+	r.afterHead, r.req = len(r.stored)-len(rd.B), h.request()
 	return h, nil
 }
 
 // zeroResult is a zero Result's stored form.
-var zeroResult = new(Result).appendStored(nil)
+var zeroResult, _ = new(Result).appendStored(nil)
 
 // AppendResultFields appends the members of the job's result object, the
 // bytes Result.AppendFields wrote of it live; of a zero Result when the job
 // has none, as the v2 record shows one.
 func (r Record) AppendResultFields(b []byte) ([]byte, error) {
-	rd := readStored(r.stored)
-	if !rd.toResult() && rd.Err == nil {
+	rd := readStored(r.stored[r.afterHead:])
+	if r.afterHead == 0 {
+		rd.head()
+	}
+	if !rd.Bool() && rd.Err == nil {
 		rd = readStored(zeroResult)
 	}
 	b, err := appendResultFields(b, &rd)
@@ -372,11 +448,12 @@ func (r Record) AppendRequest(b []byte) ([]byte, error) {
 	if !r.withRequest {
 		return b, errNoRequest
 	}
-	h, err := r.Head()
-	if err != nil {
-		return b, err
+	if r.afterHead == 0 {
+		if _, err := r.Head(); err != nil {
+			return b, err
+		}
 	}
-	req := h.request()
+	req := r.req
 	if len(r.circuit) > 0 {
 		c := viewCircuits.Get().(*circuit.Circuit)
 		defer viewCircuits.Put(c)
@@ -396,11 +473,12 @@ func (r Record) Job() (*Job, error) {
 	rd := readStored(bytes.Clone(r.stored))
 	h := rd.head()
 	j := Job{ID: r.ID, Device: h.Device, Migrations: h.Migrations, Score: h.Score, Pinned: h.Pinned, Error: h.Error,
-		SubmitUnixMs: r.SubmitUnixMs, Recovered: h.Recovered, Node: h.Node, IdemKey: rd.Str()}
+		SubmitUnixMs: r.SubmitUnixMs, Recovered: h.Recovered, Node: h.Node}
 	j.Request = h.request()
 	if rd.Bool() {
 		j.Result = rd.result()
 	}
+	j.IdemKey = rd.Str()
 	if len(rd.B) > 0 {
 		rd.Fail(fmt.Errorf("%w: %d bytes past its end", binwire.ErrMalformed, len(rd.B)))
 	}
@@ -444,40 +522,44 @@ func (s *Scheduler) findLocked(id int) int {
 }
 
 // viewLocked is entry e's view; a live copy is taken as it is stored, a
-// sealed record is appended to *buf (nil: a new buffer), with its request
-// circuit when withRequest is set. Caller holds s.mu.
+// sealed record is appended to *buf (nil: a new buffer), its shared part and
+// its own part as one record, with its request circuit when withRequest is
+// set. Caller holds s.mu.
 func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 	if e.state == 0 {
 		cp := *s.jobs[e.id]
 		return View{ID: e.id, Live: &cp}
 	}
 	ch := s.arena.chunks[e.chunk]
-	rec, circ := ch[e.rec.off:e.rec.off+e.rec.n], ch[e.circ.off:e.circ.off+e.circ.n]
+	shared, own := record(ch, e.rec)
+	circ := ch[e.circ.off : e.circ.off+e.circ.n]
 	if !withRequest {
 		circ = nil
 	}
-	var own []byte
+	n := len(shared) + len(own)
 	if buf == nil {
-		own = make([]byte, 0, len(rec)+len(circ))
-		buf = &own
+		b := make([]byte, 0, n+len(circ))
+		buf = &b
 	}
 	start := len(*buf)
-	*buf = append(append(*buf, rec...), circ...)
+	*buf = append(append(append(*buf, shared...), own...), circ...)
 	b := (*buf)[start:len(*buf):len(*buf)]
 	return View{ID: e.id, Sealed: Record{
 		ID:           e.id,
 		Status:       sealedStates[e.state],
 		SubmitUnixMs: e.submitMs,
-		stored:       b[:len(rec):len(rec)],
-		circuit:      b[len(rec):],
+		stored:       b[:n:n],
+		circuit:      b[n:],
 		withRequest:  withRequest,
 	}}
 }
 
-// headLocked reads sealed entry e's head where it is stored: its strings
-// share the arena. Caller holds s.mu.
+// headLocked reads sealed entry e's head where it is stored, in its shared
+// part: its strings share the arena. Caller holds s.mu.
 func (s *Scheduler) headLocked(e *entry) (Head, error) {
-	return Record{ID: e.id, stored: s.arena.chunks[e.chunk][e.rec.off : e.rec.off+e.rec.n]}.Head()
+	shared, _ := record(s.arena.chunks[e.chunk], e.rec)
+	r := Record{ID: e.id, stored: shared}
+	return r.Head()
 }
 
 // maxSpareRecord bounds the seal buffer kept for reuse: one outsized record
@@ -485,14 +567,15 @@ func (s *Scheduler) headLocked(e *entry) (Head, error) {
 const maxSpareRecord = 64 << 10
 
 // sealLocked turns terminal job j into its stored form — rec, its stored
-// record as finalizeLocked encoded it into s.sealBuf (nil: encode it here,
-// for a job Restore hands in terminal), and the request circuit's binary
-// form — copied into the arena. j leaves s.jobs, so nothing of the scheduler
-// references it any more, and j itself is not written, so a waiter still
-// holding it reads it as it settled. Caller holds s.mu.
-func (s *Scheduler) sealLocked(j *Job, rec []byte) {
+// record as finalizeLocked encoded it into s.sealBuf, its own part from
+// offset own (rec nil: encode it here, for a job Restore hands in
+// terminal), and the request circuit's binary form — copied into the arena.
+// j leaves s.jobs, so nothing of the scheduler references it any more, and j
+// itself is not written, so a waiter still holding it reads it as it
+// settled. Caller holds s.mu.
+func (s *Scheduler) sealLocked(j *Job, rec []byte, own int) {
 	if rec == nil {
-		rec = j.appendStored(s.sealBuf[:0])
+		rec, own = j.appendStored(s.sealBuf[:0])
 	}
 	b, n := rec, len(rec)
 	if c := j.Request.Circuit; c != nil {
@@ -504,7 +587,7 @@ func (s *Scheduler) sealLocked(j *Job, rec []byte) {
 		s.sealBuf = nil
 	}
 	e := &s.index[s.findLocked(j.ID)]
-	e.chunk, e.rec, e.circ = s.arena.add(b[:n], b[n:])
+	e.chunk, e.rec, e.circ = s.arena.add(b[:own], b[own:n], b[n:])
 	e.ackLSN, e.submitMs = j.ackLSN, j.SubmitUnixMs
 	e.state = stateCode(j.Status)
 	delete(s.jobs, j.ID)

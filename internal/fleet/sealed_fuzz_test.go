@@ -13,7 +13,9 @@ import (
 )
 
 // FuzzSealedRecord seals random terminal jobs through the scheduler's own
-// seal and reads each back: the sealed record renders the result's members
+// seal and reads each back: the record a view copies out of the arena, its
+// shared part and its own part joined, is the bytes the live job encodes
+// to; the sealed record renders the result's members
 // and the request with the bytes the live job writes, Record.Job decodes the
 // job the record was stored from (the job encoding/json decodes from the
 // live record's JSON), and Record.Head, read from the copy and where the
@@ -24,6 +26,13 @@ import (
 // nil, 1 empty, else built from layout's and counts' bytes: a signed qubit
 // per byte, and per 4 bytes a 20-bit outcome, negative when bit 7 of the
 // third byte is set, and its count).
+//
+// One scheduler seals every input a fuzz worker runs, so the seeds share an
+// arena chunk: the last seeds repeat the one before them but for the own
+// part (a key, counts, the clock), so their records find its shared part,
+// or differ from it in one field of the shared part, so theirs do not. Every
+// circuit and shared part goes to one slot of its table (OneCircuitSlot),
+// so only the byte compare tells those apart.
 func FuzzSealedRecord(f *testing.F) {
 	sub := math.Float64frombits(1) // the smallest subnormal
 	f.Add("garnet-20", "", "u0", "", "", "", "", 0, 100, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, false, false, uint8(0x08), []byte(nil), []byte(nil))
@@ -31,8 +40,19 @@ func FuzzSealedRecord(f *testing.F) {
 	f.Add("d", "", `a "quoted" <user>`, "fail: \"q\" é   \x01", "node-a", "k\\1", "2q 2→2 cz\t", 2, 7, -3, 5, 2, math.Copysign(0, -1), sub, -sub, 0.0, math.Copysign(0, -1), true, true, uint8(0xae), []byte{1, 0, 0xfe}, []byte{0xff, 0xff, 0x0f, 9, 0, 0, 0, 1, 0x34, 0x12, 0x8a, 200})
 	f.Add("b", "b", "w", "", "", "key", "", 1, 1<<40, 1, 99, 12, 0.875, 2.5, 12.25, 86400.0, 86400.5, false, true, uint8(0xfd), []byte{3, 2, 1, 0}, []byte{0, 0, 0x10, 1, 1, 0, 0, 2, 2, 0, 0, 3})
 	f.Add("", "", "", "deadline exceeded before dispatch", "", "", "", 0, 0, 0, 0, 0, 1e-300, 1e308, 5e-324, -1.5, 0.0, true, false, uint8(0x01), []byte(nil), []byte(nil))
+	// A shared part, then jobs that share it and jobs that differ from it
+	// in one field: the user, the score, the duration, the layout, the node.
+	f.Add("garnet-20", "", "u0", "", "", "k-1", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.5, 86400.0, 86400.25, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{0, 0, 0, 40, 7, 0, 0, 60})
+	f.Add("garnet-20", "", "u0", "", "", "k-2", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.5, 86400.5, 86400.75, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{0, 0, 0, 52, 7, 0, 0, 48})
+	f.Add("garnet-20", "", "u0", "", "", "", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.5, 86401.0, 86401.25, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{1, 0, 0, 100})
+	f.Add("garnet-20", "", "u1", "", "", "k-1", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.5, 86400.0, 86400.25, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{0, 0, 0, 40, 7, 0, 0, 60})
+	f.Add("garnet-20", "", "u0", "", "", "k-1", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.94, 0.0, 1234.5, 86400.0, 86400.25, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{0, 0, 0, 40, 7, 0, 0, 60})
+	f.Add("garnet-20", "", "u0", "", "", "k-1", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.75, 86400.0, 86400.25, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{0, 0, 0, 40, 7, 0, 0, 60})
+	f.Add("garnet-20", "", "u0", "", "", "k-1", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.5, 86400.0, 86400.25, false, false, uint8(0xec), []byte{0, 1, 3, 2}, []byte{0, 0, 0, 40, 7, 0, 0, 60})
+	f.Add("garnet-20", "", "u0", "", "node-b", "k-1", "2q 4→4 cz", 0, 100, 0, 9, 4, 0.93, 0.0, 1234.5, 86400.0, 86400.25, false, false, uint8(0xec), []byte{0, 1, 2, 3}, []byte{0, 0, 0, 40, 7, 0, 0, 60})
 	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
+	s.OneCircuitSlot()
 	id := 0
 	f.Fuzz(func(t *testing.T, device, pinned, user, errMsg, node, idemKey, stats string,
 		migrations, shots, priority, gates, cz int, score, deadline, duration, submit, end float64,
@@ -79,7 +99,7 @@ func FuzzSealedRecord(f *testing.F) {
 		id++
 		j.ID = id
 		s.addLocked(j)
-		s.sealLocked(j, nil)
+		s.sealLocked(j, nil, 0)
 		e := &s.index[s.findLocked(j.ID)]
 		stored, err := s.headLocked(e)
 		s.mu.Unlock()
@@ -91,12 +111,16 @@ func FuzzSealedRecord(f *testing.F) {
 			t.Fatalf("view: %+v, %v; want it sealed", v, err)
 		}
 		r := v.Sealed
+		if want, _ := j.appendStored(nil); !bytes.Equal(r.stored, want) {
+			t.Fatalf("the sealed record reads\n%x\nthe live job encodes\n%x", r.stored, want)
+		}
 		if h, err := r.Head(); err != nil || h != j.Head() {
 			t.Fatalf("Record.Head %+v (%v), Job.Head %+v", h, err, j.Head())
 		}
 
 		// The v2 record's parts the scheduler renders: the result's members
-		// and the request.
+		// and the request, from the record r, which Head has read, and from
+		// v's copy of it, which reads its head itself.
 		res := j.Result
 		if res == nil {
 			res = new(Result) // what the v2 record shows of no result
@@ -105,15 +129,17 @@ func FuzzSealedRecord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := r.AppendResultFields(nil); err != nil || !bytes.Equal(got, wantRes) {
-			t.Fatalf("sealed result members %s (%v), live %s", got, err, wantRes)
-		}
 		wantReq, err := j.Request.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := r.AppendRequest(nil); err != nil || !bytes.Equal(got, wantReq) {
-			t.Fatalf("sealed request %s (%v), live %s", got, err, wantReq)
+		for _, rec := range []Record{r, v.Sealed} {
+			if got, err := rec.AppendResultFields(nil); err != nil || !bytes.Equal(got, wantRes) {
+				t.Fatalf("sealed result members %s (%v), live %s", got, err, wantRes)
+			}
+			if got, err := rec.AppendRequest(nil); err != nil || !bytes.Equal(got, wantReq) {
+				t.Fatalf("sealed request %s (%v), live %s", got, err, wantReq)
+			}
 		}
 
 		live, err := j.AppendJSON(nil)

@@ -3,13 +3,17 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"repro/internal/binwire"
 	"repro/internal/circuit"
+	"repro/internal/device"
+	"repro/internal/qdmi"
 	"repro/internal/qrm"
 )
 
@@ -33,13 +37,14 @@ func wide(rng *rand.Rand) *circuit.Circuit {
 // TestRepeatedCircuitStoredOncePerChunk: 2 000 jobs cycle eight 12-qubit
 // depth-4 circuits, as wide-circuit traffic does. A circuit's binary form is
 // ~1.2 KB, its JSON ~6.1 KB. Stored once per arena chunk, a job costs its
-// stored record and its share of the chunk's eight circuits: ~0.3 KB in
-// the binary record, ~0.9 KB when the record was JSON; stored per job,
-// ~1.5 KB.
+// record's own part and its share of the chunk's eight circuits and of the
+// shared parts its records repeat: ~0.21 KB; ~0.33 KB with the whole binary
+// record stored per job, ~0.9 KB when the record was JSON; with the circuit
+// stored per job too, ~1.5 KB.
 func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	const (
 		jobs    = 2000
-		maxMean = 450.0 // stored bytes per sealed job
+		maxMean = 260.0 // stored bytes per sealed job
 	)
 	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
@@ -73,6 +78,79 @@ func TestRepeatedCircuitStoredOncePerChunk(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(entry{}); size > 56 {
 		t.Errorf("an index entry is %d B, want <= 56", size)
+	}
+}
+
+// sealGHZJobs seals n sweep-burst-shaped jobs — GHZ(3..6) × 100 shots,
+// submitted in bursts of 64, from user(i) — on one noisy 20-qubit device.
+// It reports the bytes stored per job and the share of records whose shared
+// part the arena found in their chunk.
+func sealGHZJobs(t *testing.T, n int, user func(i int) string) (mean, found float64) {
+	t.Helper()
+	s := New(PolicyBestFidelity, nil)
+	defer s.Stop()
+	qpu, err := device.New(device.Config{Name: "garnet-20", Rows: 4, Cols: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDevice("garnet-20", qdmi.NewDevice(qpu, nil), 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if i%64 == 0 {
+			s.WaitSettled()
+		}
+		if _, err := s.Submit(qrm.Request{Circuit: circuit.GHZ(3 + i%4), Shots: 100, User: user(i)}, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WaitSettled()
+	r := s.Retained()
+	sealed, shared := s.sharedFound()
+	if r.Sealed != n || sealed != n {
+		t.Fatalf("sealed %d jobs (%d in the index), want %d", r.Sealed, sealed, n)
+	}
+	return float64(r.RecordBytes) / float64(n), float64(shared) / float64(n)
+}
+
+// TestRepeatedHeadStoredOncePerChunk: sweep-burst traffic, GHZ(3..6) from 8
+// users, repeats 32 shared parts — a user's jobs of one circuit are placed,
+// compiled and timed alike — so a job stores its own part alone: its
+// counts, its two clock readings, an empty idempotency key and the
+// back-reference, ~100 B. Stored per job, the whole record took 213 B.
+func TestRepeatedHeadStoredOncePerChunk(t *testing.T) {
+	const (
+		jobs     = 4000
+		maxMean  = 130.0 // stored bytes per sealed job
+		minShare = 0.95  // of records whose shared part is found in their chunk
+	)
+	mean, found := sealGHZJobs(t, jobs, func(i int) string { return fmt.Sprintf("u%d", i/4%8) })
+	t.Logf("stored %.0f B per sealed job; %.1f %% of the records found their shared part in their chunk", mean, 100*found)
+	if mean > maxMean {
+		t.Errorf("stored %.0f B per sealed job, want <= %.0f: a repeated shared part is stored per job", mean, maxMean)
+	}
+	if found < minShare {
+		t.Errorf("%.1f %% of the records found their shared part in their chunk, want >= %.0f %%", 100*found, 100*minShare)
+	}
+}
+
+// TestUnsharedRecordsCostTheirBackReference: when nothing repeats — every
+// job from a user of its own — each record stores its shared part, and
+// pays for the layout the length that leads it and the back-reference, a
+// few bytes. The same jobs stored 220.2 B each as version-1 records, the
+// whole record per job; the bound allows 6 B more.
+func TestUnsharedRecordsCostTheirBackReference(t *testing.T) {
+	const (
+		v1Mean  = 220.2 // stored bytes per job of these jobs as version-1 records
+		maxMean = v1Mean + 6
+	)
+	mean, found := sealGHZJobs(t, 2000, func(i int) string { return fmt.Sprintf("user-%04d", i) })
+	t.Logf("stored %.1f B per sealed job; %.1f %% of the records found their shared part in their chunk", mean, 100*found)
+	if mean > maxMean {
+		t.Errorf("stored %.1f B per sealed job, want <= %.0f: a record that shares nothing costs more than its back-reference", mean, maxMean)
+	}
+	if found != 0 {
+		t.Errorf("%.1f %% of the records found their shared part in their chunk; no two jobs share a user", 100*found)
 	}
 }
 
@@ -130,10 +208,12 @@ func TestListCopiesNoCircuit(t *testing.T) {
 // repeats, so it is stored per job, in its binary form: twenty rx angles
 // take 8 B each instead of ~18 B of JSON digits. The record beside it is
 // binary too: its counts are varint pairs, its floats 8 B each, and it
-// names no field. A job is stored in ~0.5 KB; ~0.96 KB with the record as
-// JSON and the circuit binary, ~2.1 KB with both JSON.
+// names no field; and its shared part, which the loop's fresh angles do not
+// change, is stored once per chunk for its user and device. A job is stored
+// in ~0.42 KB; ~0.54 KB with the whole record stored per job, ~0.96 KB with
+// the record as JSON and the circuit binary, ~2.1 KB with both JSON.
 func TestHybridRecordsStoredCompact(t *testing.T) {
-	const maxMean = 580.0 // stored bytes per sealed job
+	const maxMean = 470.0 // stored bytes per sealed job
 	_, _, mean := sealHybridJobs(t, 2000)
 	t.Logf("stored %.0f B per sealed hybrid-loop job", mean)
 	if mean > maxMean {
@@ -200,10 +280,13 @@ func (m *recordingStore) WaitDurable(uint64) {}
 // TestInternedRecordsReadBack seals repeated, unique and colliding circuits
 // over more than two arena chunks and reads every job back every way the
 // scheduler offers: View, ListViews, Peek and Job each give what
-// Job.AppendJSON wrote of it live, and every stored span lies inside its own
-// chunk. Halfway, every circuit is sent to one slot of the circuit table
+// Job.AppendJSON wrote of it live, and every stored span, and the shared
+// part each record reads, lies inside its own chunk. Halfway, every circuit
+// and every record's shared part is sent to one slot of its table
 // (OneCircuitSlot), so two circuits of one length share a slot and only the
-// byte compare tells them apart.
+// byte compare tells them apart; from there, every fourth job's request
+// differs from the one before it in exactly one field of the record's shared
+// part, so the shared parts that collide differ in one field too.
 func TestInternedRecordsReadBack(t *testing.T) {
 	s := New(PolicyBestFidelity, nil)
 	defer s.Stop()
@@ -224,16 +307,49 @@ func TestInternedRecordsReadBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each of these requests differs from the one before it (the last from
+	// the first) in one field the record's shared part holds: the pin, the
+	// user, the priority, the deadline, the shots.
+	type variant struct {
+		user           string
+		shots, prio    int
+		deadline       float64
+		pinned, static bool
+	}
+	variants := []variant{
+		{user: "u", shots: 20},
+		{user: "u", shots: 20, pinned: true},
+		{user: "v", shots: 20, pinned: true},
+		{user: "v", shots: 20, prio: 1, pinned: true},
+		{user: "v", shots: 20, prio: 1, deadline: 60_000, pinned: true},
+		{user: "v", shots: 20, prio: 1, deadline: 60_000},
+		{user: "v", shots: 21, prio: 1, deadline: 60_000},
+		{user: "v", shots: 21, prio: 1, deadline: 60_000, static: true},
+		{user: "v", shots: 21, prio: 1, static: true},
+		{user: "v", shots: 21, static: true},
+		{user: "u", shots: 21, static: true},
+		{user: "u", shots: 21},
+	}
 	for i := 0; i < jobs; i++ {
 		if i == jobs/2 {
 			s.WaitSettled()
 			s.OneCircuitSlot()
 		}
-		switch i % 4 {
-		case 0:
+		switch {
+		case i%4 == 0:
 			submit(wide(rng)) // unique
-		case 1:
+		case i%4 == 1:
 			submit(repeated[rng.Intn(len(repeated))])
+		case i%4 == 3 && i >= jobs/2:
+			v := variants[(i/4)%len(variants)]
+			r := qrm.Request{Circuit: left, Shots: v.shots, User: v.user, Priority: v.prio, DeadlineMs: v.deadline, StaticPlacement: v.static}
+			var opts SubmitOptions
+			if v.pinned {
+				opts.Device = "a"
+			}
+			if _, err := s.Submit(r, opts); err != nil {
+				t.Fatal(err)
+			}
 		default:
 			submit([]*circuit.Circuit{left, right}[rng.Intn(2)])
 		}
@@ -243,9 +359,17 @@ func TestInternedRecordsReadBack(t *testing.T) {
 	s.mu.Lock()
 	chunks := len(s.arena.chunks)
 	for _, e := range s.index {
-		n := uint32(len(s.arena.chunks[e.chunk]))
+		ch := s.arena.chunks[e.chunk]
+		n := uint32(len(ch))
 		if e.rec.off+e.rec.n > n || e.circ.off+e.circ.n > n {
 			t.Errorf("job %d: record %+v, circuit %+v outside its %d-B chunk %d", e.id, e.rec, e.circ, n, e.chunk)
+			continue
+		}
+		// The back-reference leads to a shared part before the own part,
+		// in the same chunk.
+		r := binwire.Reader{B: ch[e.rec.off : e.rec.off+e.rec.n]}
+		if back := r.Uvarint(); r.Err != nil || back == 0 || back > uint64(e.rec.off) {
+			t.Errorf("job %d: back-reference %d (%v) from offset %d of chunk %d", e.id, back, r.Err, e.rec.off, e.chunk)
 		}
 	}
 	s.mu.Unlock()
@@ -287,8 +411,9 @@ func TestInternedRecordsReadBack(t *testing.T) {
 			t.Fatalf("Peek: job %d reads %s on %q (recovered %v, %v), want %s on %q", lv.ID, status, device, recovered, err, wantJob.Status, wantJob.Device)
 		}
 		h, err := v.Sealed.Head()
-		if err != nil || h.ID != lv.ID || h.Shots != 20 || h.User != "u" {
-			t.Fatalf("Head: job %d reads %+v, %v", lv.ID, h, err)
+		if wr := wantJob.Request; err != nil || h.ID != lv.ID || h.Shots != wr.Shots || h.User != wr.User || h.Priority != wr.Priority ||
+			h.DeadlineMs != wr.DeadlineMs || h.StaticPlacement != wr.StaticPlacement || h.Pinned != wantJob.Pinned {
+			t.Fatalf("Head: job %d reads %+v, %v; want the request %+v pinned to %q", lv.ID, h, err, wr, wantJob.Pinned)
 		}
 	}
 }
