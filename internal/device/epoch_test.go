@@ -21,7 +21,7 @@ func withCalibration(qpu *QPU, edit func(*Calibration)) *QPU {
 	defer qpu.mu.Unlock()
 	next := qpu.Epoch().Calibration.Clone()
 	edit(next)
-	qpu.publishLocked(next)
+	qpu.publishLocked(next, 1)
 	return qpu
 }
 

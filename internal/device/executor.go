@@ -133,7 +133,7 @@ func (d *QPU) AdvanceDrift(dtHours float64) {
 	defer d.mu.Unlock()
 	next := d.Epoch().Calibration.Clone()
 	d.drift.Advance(next, dtHours)
-	d.publishLocked(next)
+	d.publishLocked(next, 1)
 }
 
 // AdvanceDriftHours takes n one-hour drift steps, the ones n calls of
@@ -147,18 +147,19 @@ func (d *QPU) AdvanceDriftHours(n int) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cur := d.Epoch()
-	next := cur.Calibration.Clone()
+	next := d.Epoch().Calibration.Clone()
 	for i := 0; i < n; i++ {
 		d.drift.Advance(next, 1)
 	}
-	d.current.Store(newEpoch(d, cur.Num+uint64(n), next))
+	d.publishLocked(next, n)
 }
 
 // publishLocked makes calibration c, which nothing else references, the
-// next epoch. Caller holds d.mu, so epochs are numbered in publish order.
-func (d *QPU) publishLocked(c *Calibration) {
-	d.current.Store(newEpoch(d, d.Epoch().Num+1, c))
+// epoch steps after the current one: 1 for one change, n for n drift hours
+// folded into one publish. Caller holds d.mu, so epochs are numbered in
+// publish order.
+func (d *QPU) publishLocked(c *Calibration, steps int) {
+	d.current.Store(newEpoch(d, d.Epoch().Num+uint64(steps), c))
 }
 
 // SetExecLatency sets the wall-clock control-electronics round-trip charged
@@ -189,7 +190,7 @@ func (d *QPU) Recalibrate(full bool) float64 {
 	defer d.mu.Unlock()
 	next := d.Epoch().Calibration.Clone()
 	d.drift.Recalibrate(next, d.topo, full, d.rng.Int63())
-	d.publishLocked(next)
+	d.publishLocked(next, 1)
 	if full {
 		return 100
 	}

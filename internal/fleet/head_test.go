@@ -63,8 +63,7 @@ func TestJobHeadMatchesRecordHead(t *testing.T) {
 		var j Job
 		fillRandom(rng, reflect.ValueOf(&j).Elem())
 		rec, _ := j.appendStored(nil)
-		r := Record{ID: j.ID, stored: rec}
-		got, err := r.Head()
+		got, err := Record{ID: j.ID, stored: rec}.Head()
 		if want := j.Head(); err != nil || got != want {
 			t.Fatalf("job %d: record head %+v (%v), job head %+v\n%x", i, got, err, want, rec)
 		}

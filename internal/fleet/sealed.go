@@ -361,11 +361,6 @@ type Record struct {
 
 	stored, circuit []byte
 	withRequest     bool
-
-	// afterHead is where Head stopped reading stored, 0 until it is called,
-	// and req the request fields it read.
-	afterHead int
-	req       qrm.Request
 }
 
 // Head is the scalar fields a job's v2 record shows, of a live job (Job.Head)
@@ -398,17 +393,14 @@ func (h *Head) request() qrm.Request {
 	return qrm.Request{Shots: h.Shots, Priority: h.Priority, User: h.User, DeadlineMs: h.DeadlineMs, StaticPlacement: h.StaticPlacement}
 }
 
-// Head reads the record's scalar fields. It remembers where they end, so
-// AppendResultFields and AppendRequest, called on r after it, start there
-// instead of reading them again.
-func (r *Record) Head() (Head, error) {
+// Head reads the record's scalar fields.
+func (r Record) Head() (Head, error) {
 	rd := readStored(r.stored)
 	h := rd.head()
 	h.ID = r.ID
 	if rd.Err != nil {
 		return h, fmt.Errorf("fleet: job %d: stored record: %w", r.ID, rd.Err)
 	}
-	r.afterHead, r.req = len(r.stored)-len(rd.B), h.request()
 	return h, nil
 }
 
@@ -419,11 +411,8 @@ var zeroResult, _ = new(Result).appendStored(nil)
 // bytes Result.AppendFields wrote of it live; of a zero Result when the job
 // has none, as the v2 record shows one.
 func (r Record) AppendResultFields(b []byte) ([]byte, error) {
-	rd := readStored(r.stored[r.afterHead:])
-	if r.afterHead == 0 {
-		rd.head()
-	}
-	if !rd.Bool() && rd.Err == nil {
+	rd := readStored(r.stored)
+	if !rd.toResult() && rd.Err == nil {
 		rd = readStored(zeroResult)
 	}
 	b, err := appendResultFields(b, &rd)
@@ -448,12 +437,11 @@ func (r Record) AppendRequest(b []byte) ([]byte, error) {
 	if !r.withRequest {
 		return b, errNoRequest
 	}
-	if r.afterHead == 0 {
-		if _, err := r.Head(); err != nil {
-			return b, err
-		}
+	h, err := r.Head()
+	if err != nil {
+		return b, err
 	}
-	req := r.req
+	req := h.request()
 	if len(r.circuit) > 0 {
 		c := viewCircuits.Get().(*circuit.Circuit)
 		defer viewCircuits.Put(c)
@@ -558,8 +546,7 @@ func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 // part: its strings share the arena. Caller holds s.mu.
 func (s *Scheduler) headLocked(e *entry) (Head, error) {
 	shared, _ := record(s.arena.chunks[e.chunk], e.rec)
-	r := Record{ID: e.id, stored: shared}
-	return r.Head()
+	return Record{ID: e.id, stored: shared}.Head()
 }
 
 // maxSpareRecord bounds the seal buffer kept for reuse: one outsized record

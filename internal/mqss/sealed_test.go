@@ -392,16 +392,20 @@ func TestWatchOfFinishedJobSubscribesNothing(t *testing.T) {
 }
 
 // TestMetricsReportRetention pushes 10 000 jobs through a server's fleet,
-// the last 1 500 of them keyed, and reads what the node holds from its
-// Prometheus text alone. The first 2 000 fill the bounded tables (the trace
-// ring above all); over the other 8 000 the live heap grows by the index
-// entries and not by the records, which are off the collector's heap (the
-// arena's chunks are mapped, fleet/arena_mmap.go).
+// each with its own 200-B Idempotency-Key, and reads what the node holds
+// from its Prometheus text alone. The first 2 000 fill the bounded tables
+// (the trace ring and the idempotency window above all); over the other
+// 8 000 the live heap grows by the index entries and not by the records,
+// which are off the collector's heap (the arena's chunks are mapped,
+// fleet/arena_mmap.go). The key is stored in each record's own part, so a
+// record is too large to hide under the live-heap bound if it were on the
+// heap.
 func TestMetricsReportRetention(t *testing.T) {
 	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 2)
 	srv := httptest.NewServer(NewFleetServer(f))
 	t.Cleanup(srv.Close)
-	const jobs, keyed, window, warm = 10000, 1500, 1024, 2000
+	const jobs, window, warm, keyLen = 10000, 1024, 2000, 200
+	pad := strings.Repeat("k", keyLen)
 	var live0, records0 float64
 	for i := 0; i < jobs; i++ {
 		if i == warm {
@@ -410,11 +414,8 @@ func TestMetricsReportRetention(t *testing.T) {
 			body := scrapeMetrics(t, srv)
 			live0, records0 = sampleOf(t, body, "qhpc_go_heap_live_bytes"), sampleOf(t, body, "qhpc_job_records_bytes")
 		}
-		var opts fleet.SubmitOptions
-		if i >= jobs-keyed {
-			opts.IdemKey = fmt.Sprintf("k-%d", i)
-		}
-		if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "m"}, opts); err != nil {
+		key := fmt.Sprintf("%d-%s", i, pad)[:keyLen] // unique: the index leads
+		if _, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(2), Shots: 5, User: "m"}, fleet.SubmitOptions{IdemKey: key}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -440,23 +441,21 @@ func TestMetricsReportRetention(t *testing.T) {
 		}
 	}
 	if got := sample("qhpc_idempotency_keys_retained"); got != window {
-		t.Errorf("idempotency keys retained = %v after %d keyed jobs, want the window's %d", got, keyed, window)
+		t.Errorf("idempotency keys retained = %v after %d keyed jobs, want the window's %d", got, jobs, window)
 	}
-	// A GHZ(2) job stores its record's own part — two counts, two clock
-	// readings, its key, the back-reference to the shared part — in ~26 B;
-	// the shared parts, one a chunk, add a fraction of a byte.
+	// A job stores its record's own part — its key, two counts, two clock
+	// readings, the back-reference to the shared part — in ~226 B; the
+	// shared parts, one a chunk, add a fraction of a byte.
 	records := sample("qhpc_job_records_bytes")
-	if per := records / jobs; per < 16 || per > 1000 {
-		t.Errorf("record bytes per GHZ(2) job = %.0f, want a few tens", per)
+	if per := records / jobs; per < keyLen || per > 1000 {
+		t.Errorf("record bytes per job = %.0f, want its %d-B key and a few tens more", per, keyLen)
 	}
 	live, added := sample("qhpc_go_heap_live_bytes")-live0, records-records0
 	t.Logf("over the last %d jobs: live heap +%.0f B, records +%.0f B", jobs-warm, live, added)
 	// Where there is no anonymous mmap the arena is on the heap
-	// (fleet/arena_heap.go). A job's index entry, its share of the index's
-	// growth and of the idempotency window take ~120 B of live heap. A
-	// GHZ(2) job's ~26-B record is too small for this bound to tell it on
-	// the heap from off it; fleet's TestSealedRecordsAreOffTheHeap does, on
-	// ~0.42-KB hybrid-loop records.
+	// (fleet/arena_heap.go). A job's index entry and its share of the
+	// index's growth take ~100 B of live heap; its ~226-B record would add
+	// more than the bound leaves.
 	const maxLivePerJob = 160.0
 	offHeap := !slices.Contains([]string{"windows", "plan9", "js", "wasip1"}, runtime.GOOS)
 	if per := live / (jobs - warm); offHeap && per >= maxLivePerJob {
