@@ -8,18 +8,23 @@ import (
 	"testing"
 )
 
-// TestSealedRecordsAreOffTheHeap: the arena's chunks are mapped outside the
-// Go heap, so a sealed job adds its index entry to the live heap and not
-// its record: less than a quarter of the record per job. With the chunks
-// on the heap it grew by the record and ~100 B more.
+// TestSealedRecordsAreOffTheHeap: the arena's chunks and the job index's
+// pages are mapped outside the Go heap, so a sealed job adds neither its
+// record nor its index entry to the live heap: at most 32 B per job, none
+// of it the scheduler's (~22 B over 5 000 hybrid-loop jobs, most of it the
+// devices' compile maps, which are bounded, filling). With the index a
+// slice on the heap it grew ~90 B per job, its 56-B entry and the slack of
+// the slice's last doubling; with the chunks on the heap too, by the
+// ~420-B record more.
 func TestSealedRecordsAreOffTheHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates the heap; CI runs this gate as its own non-race step")
 	}
+	const maxLive = 32.0 // B per sealed job
 	live, _, record := sealHybridJobs(t, 5000)
 	t.Logf("per sealed job: %.0f B live heap; record %.0f B", live, record)
-	if live >= record/4 {
-		t.Errorf("live heap grows %.0f B per sealed job, want < %.0f (a quarter of the %.0f-B record): the records are on the heap", live, record/4, record)
+	if live > maxLive {
+		t.Errorf("live heap grows %.0f B per sealed job, want <= %.0f (the record is %.0f B): the records or the index are on the heap", live, maxLive, record)
 	}
 }
 

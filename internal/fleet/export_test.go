@@ -44,19 +44,31 @@ func (s *Scheduler) OneCircuitSlot() {
 	s.arena.mask = 0
 }
 
+// smallIndexPages makes the index's pages hold 1<<shift entries each, so a
+// few jobs span several pages. Call it before the scheduler's first job.
+func (s *Scheduler) smallIndexPages(shift uint) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arena.index.len() > 0 {
+		panic("fleet: resizing the pages of a non-empty index")
+	}
+	s.arena.index.shift = shift
+}
+
 // sharedFound counts the sealed records, and those whose shared part the
 // arena found in their chunk rather than storing it just before the
 // record's own part.
 func (s *Scheduler) sharedFound() (sealed, found int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.index {
+	for i := 0; i < s.arena.index.len(); i++ {
+		e := s.arena.index.at(i)
 		if e.state == 0 {
 			continue
 		}
 		sealed++
 		ch := s.arena.chunks[e.chunk]
-		shared, _ := record(ch, e.rec)
+		shared, _, _ := record(ch, e.rec)
 		if &ch[e.rec.off-1] != &shared[len(shared)-1] {
 			found++
 		}

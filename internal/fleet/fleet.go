@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,10 +96,6 @@ type Job struct {
 
 	policy Policy
 	done   chan struct{}
-	// ackLSN is the journal LSN a submitter waits on before acking this job:
-	// its submit record, which carries IdemKey. Zero on recovered jobs —
-	// they were on disk before this process started.
-	ackLSN uint64
 
 	// enqueued is when the job last entered the queue: its dispatch
 	// deadline, its queue wait and its WFQ aging count from there.
@@ -225,24 +220,23 @@ type Scheduler struct {
 	idLimit int    // last mintable ID, inclusive (0 = unbounded; SetOwner)
 	nodeID  string // federation ownership stamp for new jobs ("" standalone)
 	// jobs holds the live jobs, none of them terminal: a job is sealed
-	// (sealed.go) in the lock hold that ends it (finalizeLocked). index has
-	// every job in ID order, arena the sealed ones' records, sealBuf the
-	// buffer a terminal job's stored record is encoded into under s.mu (and,
-	// between seals, a keyed replay's circuit); users numbers the users jobs
-	// were submitted under, so an index entry names its user without a
-	// pointer.
+	// (sealed.go) in the lock hold that ends it (finalizeLocked). arena has
+	// the sealed ones' records and the index of every job in ID order
+	// (index.go), sealBuf the buffer a terminal job's stored record is
+	// encoded into under s.mu (and, between seals, a keyed replay's
+	// circuit); users numbers the users jobs were submitted under, so an
+	// index entry names its user without a pointer.
 	jobs    map[int]*Job
-	index   []entry
 	arena   *arena
 	sealBuf []byte
 	users   map[string]uint32
 	queue   fairQueue // every queued job; the per-tenant rows live here
 	nowDay  float64   // simulation clock, last AdvanceTo day
 
-	// The Idempotency-Key dedup window: (tenant, key) -> job ID for the
-	// newest idemWindow keyed jobs, idemOrder the bindings in FIFO eviction
-	// order.
-	idem      map[idemKey]int
+	// The Idempotency-Key dedup window: (tenant, key) -> the job it is bound
+	// to for the newest idemWindow keyed jobs, idemOrder the bindings in FIFO
+	// eviction order.
+	idem      map[idemKey]keyed
 	idemOrder []binding
 
 	scoreHist *telemetry.Histogram
@@ -266,9 +260,9 @@ type Scheduler struct {
 	wg     sync.WaitGroup // device workers
 
 	// Durable job store (nil = in-memory only). walTail is the LSN of the
-	// most recent record journaled under s.mu; a new job takes it as its
-	// ackLSN, which Submit waits on after unlocking so a returned ID implies
-	// the submission is on disk.
+	// most recent record journaled under s.mu; a new job's submitter takes it
+	// as the LSN to wait on after unlocking, so a returned ID implies the
+	// submission is on disk.
 	jstore  JobStore
 	walTail uint64
 
@@ -283,6 +277,15 @@ type Scheduler struct {
 // idemKey is what an Idempotency-Key binds: the key as one tenant sent it.
 // Another tenant's same key is another binding.
 type idemKey struct{ user, key string }
+
+// keyed is the job an Idempotency-Key is bound to and the journal LSN its
+// submitter waited on before acking it, the mint's last record: a replay of
+// the key waits on the same LSN. Zero for a restored job: it was on disk
+// before this process started.
+type keyed struct {
+	id     int
+	ackLSN uint64
+}
 
 // binding is one Idempotency-Key of the dedup window and the job it names.
 type binding struct {
@@ -305,7 +308,7 @@ func New(policy Policy, _ *telemetry.Store) *Scheduler {
 		jobs:      make(map[int]*Job),
 		users:     make(map[string]uint32),
 		queue:     newFairQueue(),
-		idem:      make(map[idemKey]int),
+		idem:      make(map[idemKey]keyed),
 		scoreHist: scoreHistogram(),
 		arena:     newArena(),
 		traceCap:  DefaultTraceRetention,
@@ -502,20 +505,16 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 		policy = opts.Policy
 	}
 	s.mu.Lock()
-	var lsn uint64
-	if bound, ok := s.idem[idemKey{req.User, opts.IdemKey}]; ok { // "" is never bound
-		if !s.sameRequestLocked(bound, &req, opts.Device) {
-			s.mu.Unlock()
-			return 0, false, fmt.Errorf("%w: the key is bound to job %d", ErrKeyReused, bound)
-		}
-		id, lsn, replayed = bound, s.ackLSNLocked(bound), true
-	} else {
-		j, err := s.mintLocked(req, opts, policy)
-		if err != nil {
+	bound, replayed := s.idem[idemKey{req.User, opts.IdemKey}] // "" is never bound
+	if replayed && !s.sameRequestLocked(bound.id, &req, opts.Device) {
+		s.mu.Unlock()
+		return 0, false, fmt.Errorf("%w: the key is bound to job %d", ErrKeyReused, bound.id)
+	}
+	if !replayed {
+		if bound, err = s.mintLocked(req, opts, policy); err != nil {
 			s.mu.Unlock()
 			return 0, false, err
 		}
-		id, lsn = j.ID, j.ackLSN
 	}
 	st := s.jstore
 	s.mu.Unlock()
@@ -526,28 +525,21 @@ func (s *Scheduler) SubmitKeyed(req qrm.Request, opts SubmitOptions) (id int, re
 		// waits on the LSN its original waited on, so it is never acked
 		// ahead of it. The wait is outside s.mu so group commit batches
 		// concurrent submitters, keyed or not, behind one fsync.
-		st.WaitDurable(lsn)
+		st.WaitDurable(bound.ackLSN)
 	}
-	return id, replayed, nil
+	return bound.id, replayed, nil
 }
 
-// ackLSNLocked is the ack LSN of job id, live or sealed. Caller holds s.mu.
-func (s *Scheduler) ackLSNLocked(id int) uint64 {
-	if j, ok := s.jobs[id]; ok {
-		return j.ackLSN
-	}
-	return s.index[s.findLocked(id)].ackLSN
-}
-
-// mintLocked admits req, mints its job, binds opts.IdemKey to it and queues
-// it, shedding past the admission bounds. Caller holds s.mu and has found
-// the key unbound.
-func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Policy) (*Job, error) {
+// mintLocked admits req, mints its job, queues it, shedding past the
+// admission bounds, and binds opts.IdemKey to it. It returns the job and
+// the LSN its submitter acks after. Caller holds s.mu and has found the key
+// unbound.
+func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Policy) (keyed, error) {
 	if s.idLimit > 0 && s.nextID >= s.idLimit {
-		return nil, fmt.Errorf("fleet: job-ID space exhausted: this node's federation ID block ends at %d; minting past it would misroute owner lookups", s.idLimit)
+		return keyed{}, fmt.Errorf("fleet: job-ID space exhausted: this node's federation ID block ends at %d; minting past it would misroute owner lookups", s.idLimit)
 	}
 	if err := s.admitLocked(req, opts); err != nil {
-		return nil, err
+		return keyed{}, err
 	}
 	s.nextID++
 	j := &Job{
@@ -561,18 +553,14 @@ func (s *Scheduler) mintLocked(req qrm.Request, opts SubmitOptions, policy Polic
 	j.rootSpan = j.tr.Root()
 	s.addLocked(j)
 	s.queue.stats(req.User).Submitted++
-	s.bindLocked(j)
 	s.transitionLocked(j, JobQueued, "", nil)
 	s.enqueueLocked(j)
 	s.shedOverLimitLocked(req.User)
 	// The submitter acks once everything the mint journaled is durable, a
-	// shed included, and a replay waits on the same LSN. A job shed at its
-	// own submission is sealed already, so its index entry takes it too.
-	j.ackLSN = s.walTail
-	if j.Status.Terminal() {
-		s.index[s.findLocked(j.ID)].ackLSN = j.ackLSN
-	}
-	return j, nil
+	// shed included, and a replay of its key waits on the same LSN.
+	k := keyed{j.ID, s.walTail}
+	s.bindLocked(j, k.ackLSN)
+	return k, nil
 }
 
 // addLocked enters a new live job into the table and the index. Caller
@@ -584,22 +572,23 @@ func (s *Scheduler) addLocked(j *Job) {
 		user = uint32(len(s.users))
 		s.users[j.Request.User] = user
 	}
-	s.index = append(s.index, entry{id: j.ID, user: user})
+	s.arena.index.push(entry{id: j.ID, user: user})
 }
 
 // bindLocked enters a keyed job into the dedup window under its tenant and
-// key, evicting the oldest binding past idemWindow. Caller holds s.mu.
-func (s *Scheduler) bindLocked(j *Job) {
+// key, with the LSN a replay of the key waits on, evicting the oldest
+// binding past idemWindow. Caller holds s.mu.
+func (s *Scheduler) bindLocked(j *Job, ackLSN uint64) {
 	if j.IdemKey == "" {
 		return
 	}
 	k := idemKey{j.Request.User, j.IdemKey}
-	s.idem[k] = j.ID
+	s.idem[k] = keyed{j.ID, ackLSN}
 	s.idemOrder = append(s.idemOrder, binding{k, j.ID})
 	for len(s.idemOrder) > idemWindow {
 		// A key that aged out and was submitted fresh is carried by two
 		// recovered jobs; evicting the older one must not unbind the newer.
-		if old := s.idemOrder[0]; s.idem[old.key] == old.id {
+		if old := s.idemOrder[0]; s.idem[old.key].id == old.id {
 			delete(s.idem, old.key)
 		}
 		s.idemOrder[0] = binding{}
@@ -832,12 +821,12 @@ func (s *Scheduler) peekLocked(id int) (st JobStatus, device string, recovered b
 	if j, ok := s.jobs[id]; ok {
 		return j.shownStatus(), j.Device, j.Recovered, nil
 	}
-	i := s.findLocked(id)
-	if i < 0 {
+	e := s.findLocked(id)
+	if e == nil {
 		return "", "", false, fmt.Errorf("%w %d", ErrNoJob, id)
 	}
-	h, err := s.headLocked(&s.index[i])
-	return sealedStates[s.index[i].state], strings.Clone(h.Device), h.Recovered, err
+	h, err := s.headLocked(e)
+	return sealedStates[e.state], strings.Clone(h.Device), h.Recovered, err
 }
 
 // Wait blocks until the job settles (done, failed, or cancelled — possibly
@@ -875,7 +864,7 @@ func (s *Scheduler) await(ctx context.Context, id int) (*Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
-		sealed := s.findLocked(id) >= 0
+		sealed := s.findLocked(id) != nil
 		s.mu.Unlock()
 		if !sealed {
 			return nil, fmt.Errorf("%w %d", ErrNoJob, id)
@@ -912,12 +901,13 @@ func (s *Scheduler) ListViews(user string, states map[JobStatus]bool, beforeID, 
 	if user != "" && !known {
 		return nil, false
 	}
-	top := len(s.index)
+	x := &s.arena.index
+	top := x.len()
 	if beforeID > 0 {
-		top = sort.Search(len(s.index), func(i int) bool { return s.index[i].id >= beforeID })
+		top = x.search(beforeID)
 	}
 	for i := top - 1; i >= 0; i-- {
-		e := &s.index[i]
+		e := x.at(i)
 		if user != "" && e.user != num {
 			continue
 		}
@@ -945,8 +935,8 @@ func (s *Scheduler) Cancel(id int) error {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		if i := s.findLocked(id); i >= 0 {
-			return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, sealedStates[s.index[i].state])
+		if e := s.findLocked(id); e != nil {
+			return fmt.Errorf("fleet: job %d %w %s", id, ErrJobTerminal, sealedStates[e.state])
 		}
 		return fmt.Errorf("%w %d", ErrNoJob, id)
 	}

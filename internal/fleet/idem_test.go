@@ -125,7 +125,7 @@ func TestKeyReusedWithAnotherRequest(t *testing.T) {
 	minted := func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.index)
+		return s.arena.index.len()
 	}
 	check := func(phase string, want int) {
 		t.Helper()

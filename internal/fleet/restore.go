@@ -38,8 +38,8 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 	if s.closed {
 		return stats, fmt.Errorf("fleet: scheduler stopped")
 	}
-	if len(s.index) > 0 {
-		return stats, fmt.Errorf("fleet: restore into a non-empty scheduler (%d jobs present)", len(s.index))
+	if n := s.arena.index.len(); n > 0 {
+		return stats, fmt.Errorf("fleet: restore into a non-empty scheduler (%d jobs present)", n)
 	}
 	nowMs := time.Now().UnixMilli()
 	for _, src := range sorted {
@@ -64,7 +64,7 @@ func (s *Scheduler) Restore(jobs []*Job) (RestoreStats, error) {
 			s.nextID = j.ID
 		}
 		s.addLocked(j)
-		s.bindLocked(j)
+		s.bindLocked(j, 0)
 
 		if j.Status.Terminal() {
 			s.sealLocked(j, nil, 0)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/binwire"
@@ -17,11 +16,12 @@ import (
 
 // This file is how the scheduler keeps a job once it is terminal: as its
 // stored record, in an append-only arena of large byte chunks, with a
-// pointer-free index entry. A live job is a *Job in Scheduler.jobs; sealing
-// it drops the decoded circuit, the counts, the result, the scores and the
-// done channel, so the garbage collector never scans a finished job again: a
-// retained job costs its record plus an index entry, and neither holds a
-// pointer.
+// pointer-free index entry (index.go) in a page the arena maps too. A live
+// job is a *Job in Scheduler.jobs; sealing it drops the decoded circuit, the
+// counts, the result, the scores and the done channel, so the garbage
+// collector never scans a finished job again: a retained job costs its
+// record plus its index entry, neither holds a pointer, and where the
+// platform allows it neither is on the Go heap.
 //
 // The stored record is binary, and only this file knows it. Its fields are
 // internal/binwire's primitives (varint the zig-zag signed form, uvarint the
@@ -42,13 +42,16 @@ import (
 //	         writes the keys in, submit_time float and end_time float;
 //	         then idem_key string
 //
-// The ID, the status, the submission instant and the journal LSN are the
-// index entry's. Traffic repeats the shared part: a user's jobs of one
-// circuit on one device are placed, compiled and timed alike. So the arena
-// stores each distinct shared part once per chunk, led by its uvarint
-// length, and a job's own part after it, led by a uvarint back-reference:
-// how many bytes back from the back-reference that length starts. A reader
-// gets the two parts as one record again (viewLocked), in the order above.
+// The ID and the status are the index entry's. Traffic repeats the shared
+// part: a user's jobs of one circuit on one device are placed, compiled and
+// timed alike. So the arena stores each distinct shared part once per chunk,
+// led by its uvarint length, and a job's own part after it, led by a
+// uvarint back-reference — how many bytes back from the back-reference that
+// length starts — and by the job's submission instant, in Unix milliseconds,
+// as a varint difference from the instant that leads its chunk: 2 bytes
+// within 8 s of it, 3 within 17 minutes, where the Unix instant takes 6. A
+// reader gets the two parts as one record again (viewLocked), in the order
+// above, and the instant beside it.
 //
 // The request circuit is stored beside the record in its binary form
 // (circuit.AppendBinary): a variational loop's fresh angles take 8 bytes
@@ -82,18 +85,6 @@ func stateCode(st JobStatus) uint8 {
 // span is a run of bytes in one arena chunk.
 type span struct{ off, n uint32 }
 
-// entry is one job of the index, in ID order. It holds no pointer.
-type entry struct {
-	id       int
-	ackLSN   uint64
-	submitMs int64
-	chunk    uint32 // arena chunk of the stored record and its circuit
-	rec      span   // the record's own part, led by the back-reference to its shared part
-	circ     span   // the request circuit's binary form, shared by the chunk's records that repeat it; empty for none
-	user     uint32 // the job's user, by its Scheduler.users number
-	state    uint8  // sealedStates code; 0 while live
-}
-
 // arenaChunk is the size of one arena allocation; a record longer than it
 // gets a chunk of its own. It holds ~600 hybrid-loop records (~0.4 KB
 // stored each, circuit included), about 60 % of the circuit table's slots.
@@ -122,12 +113,17 @@ type internTable [internSlots]span
 // Scheduler.mu: a reader copies a record out under the lock, so the chunks
 // can be unmapped once the scheduler is unreachable.
 //
-// A chunk is self-contained: the circuits and the shared parts its records
-// read are in it, so dropping a whole chunk drops nothing another chunk
-// reads.
+// A chunk is self-contained: it starts with the submission instant its
+// records' instants are stored as differences from, and the circuits and
+// the shared parts its records read are in it, so dropping a whole chunk
+// drops nothing another chunk reads.
+//
+// The job index's pages are the arena's too: mapped as its chunks are and
+// freed with them.
 type arena struct {
 	chunks [][]byte
-	bytes  int64 // stored bytes: the records' shared and own parts, and their circuits' binary forms
+	bytes  int64 // stored bytes: the records' shared and own parts, their circuits' binary forms and the chunks' instants
+	index  jobIndex
 
 	// circuits and shared intern the last chunk's circuits and records'
 	// shared parts, in tables of their own: a chunk of fresh-angle
@@ -143,17 +139,22 @@ type arena struct {
 // unreachable. The finalizer sits on the arena, not the Scheduler: the
 // scheduler's cond references its mutex, a cycle a finalizer never runs on.
 func newArena() *arena {
-	a := &arena{seed: maphash.MakeSeed(), mask: internSlots - 1}
+	a := &arena{seed: maphash.MakeSeed(), mask: internSlots - 1, index: jobIndex{shift: indexPageShift}}
 	runtime.SetFinalizer(a, (*arena).free)
 	return a
 }
 
+// chunkInstant is the bytes of the submission instant that leads a chunk.
+const chunkInstant = 8
+
 // add stores a record, its shared part and its own part, and c, its
 // circuit's binary form, in the last chunk: c and the shared part each once
 // per chunk (a uvarint length leads the shared part), unless the chunk
-// holds those bytes already, then the own part, led by its back-reference.
-// It returns the chunk, the own part's span and the circuit's.
-func (a *arena) add(shared, own, c []byte) (chunk uint32, rec, circ span) {
+// holds those bytes already, then the own part, led by its back-reference
+// and by submitMs, the job's submission instant, as a difference from the
+// chunk's. A new chunk takes submitMs as its instant. It returns the chunk,
+// the own part's span and the circuit's.
+func (a *arena) add(shared, own, c []byte, submitMs int64) (chunk uint32, rec, circ span) {
 	last := len(a.chunks) - 1
 	var ch []byte
 	var cslot, sslot *span
@@ -165,7 +166,7 @@ func (a *arena) add(shared, own, c []byte) (chunk uint32, rec, circ span) {
 	}
 	// The back-reference takes at most MaxVarintLen32 bytes: no chunk is
 	// 4 GiB.
-	need := binary.MaxVarintLen32 + len(own)
+	need := binary.MaxVarintLen32 + binary.MaxVarintLen64 + len(own)
 	if !cfound {
 		need += len(c)
 	}
@@ -173,7 +174,9 @@ func (a *arena) add(shared, own, c []byte) (chunk uint32, rec, circ span) {
 		need += binary.MaxVarintLen32 + len(shared)
 	}
 	if last < 0 || len(ch)+need > cap(ch) {
-		ch = mapChunk(max(arenaChunk, 2*binary.MaxVarintLen32+len(shared)+len(own)+len(c)))
+		ch = mapChunk(max(arenaChunk, chunkInstant+2*binary.MaxVarintLen32+binary.MaxVarintLen64+len(shared)+len(own)+len(c)))
+		ch = binary.LittleEndian.AppendUint64(ch, uint64(submitMs))
+		a.bytes += chunkInstant
 		a.chunks = append(a.chunks, ch)
 		last++
 		a.circuits, a.shared = internTable{}, internTable{}
@@ -192,6 +195,7 @@ func (a *arena) add(shared, own, c []byte) (chunk uint32, rec, circ span) {
 	}
 	at := len(ch)
 	ch = binary.AppendUvarint(ch, uint64(at-sharedStart(*sslot)))
+	ch = binary.AppendVarint(ch, submitMs-leadingInstant(ch))
 	ch = append(ch, own...)
 	a.chunks[last] = ch
 	a.bytes += int64(len(ch) - start)
@@ -207,18 +211,25 @@ func sharedStart(s span) int {
 	return int(s.off) - n
 }
 
+// leadingInstant is the submission instant that leads chunk ch. The
+// difference from it wraps around as int64 arithmetic does, so any instant
+// reads back.
+func leadingInstant(ch []byte) int64 { return int64(binary.LittleEndian.Uint64(ch)) }
+
 // record is the two parts of the record whose own part, led by its
-// back-reference, is rec of chunk ch.
-func record(ch []byte, rec span) (shared, own []byte) {
+// back-reference and its submission instant, is rec of chunk ch, and that
+// instant.
+func record(ch []byte, rec span) (shared, own []byte, submitMs int64) {
 	r := binwire.Reader{B: ch[rec.off : rec.off+rec.n]}
 	back := r.Uvarint()
+	submitMs = leadingInstant(ch) + int64(r.Int())
 	own = r.B
 	r = binwire.Reader{B: ch[uint64(rec.off)-back:]}
 	shared = r.Next(r.Uvarint())
 	if r.Err != nil || back == 0 {
 		panic(fmt.Sprintf("fleet: a stored record's back-reference %d at %d does not read back", back, rec.off))
 	}
-	return shared, own
+	return shared, own, submitMs
 }
 
 // lookup finds string c among table t's strings of the last chunk, ch. It
@@ -238,12 +249,14 @@ func (a *arena) lookup(t *internTable, ch, c []byte) (slot *span, found bool) {
 	return &t[home&a.mask], false
 }
 
-// free returns every chunk to the system. Nothing reads the arena after it.
+// free returns every chunk and every index page to the system. Nothing
+// reads the arena after it.
 func (a *arena) free() {
 	for _, c := range a.chunks {
 		unmapChunk(c)
 	}
 	a.chunks = nil
+	a.index.free()
 }
 
 // storedReader reads a stored record.
@@ -498,15 +511,13 @@ type View struct {
 	Sealed Record
 }
 
-// findLocked is the index position of job id, or -1. IDs are minted in
-// ascending order and Restore enters them sorted, so the index is sorted.
-// Caller holds s.mu.
-func (s *Scheduler) findLocked(id int) int {
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].id >= id })
-	if i < len(s.index) && s.index[i].id == id {
-		return i
+// findLocked is job id's index entry, or nil. Caller holds s.mu.
+func (s *Scheduler) findLocked(id int) *entry {
+	x := &s.arena.index
+	if i := x.search(id); i < x.len() && x.at(i).id == id {
+		return x.at(i)
 	}
-	return -1
+	return nil
 }
 
 // viewLocked is entry e's view; a live copy is taken as it is stored, a
@@ -519,7 +530,7 @@ func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 		return View{ID: e.id, Live: &cp}
 	}
 	ch := s.arena.chunks[e.chunk]
-	shared, own := record(ch, e.rec)
+	shared, own, submitMs := record(ch, e.rec)
 	circ := ch[e.circ.off : e.circ.off+e.circ.n]
 	if !withRequest {
 		circ = nil
@@ -535,7 +546,7 @@ func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 	return View{ID: e.id, Sealed: Record{
 		ID:           e.id,
 		Status:       sealedStates[e.state],
-		SubmitUnixMs: e.submitMs,
+		SubmitUnixMs: submitMs,
 		stored:       b[:n:n],
 		circuit:      b[n:],
 		withRequest:  withRequest,
@@ -545,7 +556,7 @@ func (s *Scheduler) viewLocked(e *entry, withRequest bool, buf *[]byte) View {
 // headLocked reads sealed entry e's head where it is stored, in its shared
 // part: its strings share the arena. Caller holds s.mu.
 func (s *Scheduler) headLocked(e *entry) (Head, error) {
-	shared, _ := record(s.arena.chunks[e.chunk], e.rec)
+	shared, _, _ := record(s.arena.chunks[e.chunk], e.rec)
 	return Record{ID: e.id, stored: shared}.Head()
 }
 
@@ -573,9 +584,8 @@ func (s *Scheduler) sealLocked(j *Job, rec []byte, own int) {
 	} else {
 		s.sealBuf = nil
 	}
-	e := &s.index[s.findLocked(j.ID)]
-	e.chunk, e.rec, e.circ = s.arena.add(b[:own], b[own:n], b[n:])
-	e.ackLSN, e.submitMs = j.ackLSN, j.SubmitUnixMs
+	e := s.findLocked(j.ID)
+	e.chunk, e.rec, e.circ = s.arena.add(b[:own], b[own:n], b[n:], j.SubmitUnixMs)
 	e.state = stateCode(j.Status)
 	delete(s.jobs, j.ID)
 	s.settled.Broadcast()
@@ -598,7 +608,7 @@ func (s *Scheduler) sameRequestLocked(id int, req *qrm.Request, pinned string) b
 		}
 		bound, h = b[n:], j.Head()
 	} else {
-		e := &s.index[s.findLocked(id)]
+		e := s.findLocked(id)
 		bound = s.arena.chunks[e.chunk][e.circ.off : e.circ.off+e.circ.n]
 		var err error
 		if h, err = s.headLocked(e); err != nil {
@@ -626,20 +636,22 @@ func (s *Scheduler) View(id int, withRequest bool, buf *[]byte) (View, error) {
 	if j, ok := s.jobs[id]; ok {
 		return View{ID: id, Live: refined(*j)}, nil
 	}
-	if i := s.findLocked(id); i >= 0 {
-		return s.viewLocked(&s.index[i], withRequest, buf), nil
+	if e := s.findLocked(id); e != nil {
+		return s.viewLocked(e, withRequest, buf), nil
 	}
 	return View{}, fmt.Errorf("%w %d", ErrNoJob, id)
 }
 
 // Retention is what the scheduler holds: live jobs by stored status, sealed
 // jobs, the bytes their records are stored in (the circuits in binary form,
-// one repeated within an arena chunk counted once), and the
+// one repeated within an arena chunk counted once), the bytes the job
+// index's entries fill (every job's, live or sealed), and the
 // Idempotency-Keys bound in the dedup window (at most idemWindow).
 type Retention struct {
 	Live        map[JobStatus]int
 	Sealed      int
 	RecordBytes int64
+	IndexBytes  int64
 	IdemKeys    int
 }
 
@@ -647,7 +659,8 @@ type Retention struct {
 func (s *Scheduler) Retained() Retention {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := Retention{Live: make(map[JobStatus]int), Sealed: len(s.index) - len(s.jobs), RecordBytes: s.arena.bytes, IdemKeys: len(s.idem)}
+	x := &s.arena.index
+	r := Retention{Live: make(map[JobStatus]int), Sealed: x.len() - len(s.jobs), RecordBytes: s.arena.bytes, IndexBytes: x.bytes(), IdemKeys: len(s.idem)}
 	for _, j := range s.jobs {
 		r.Live[j.Status]++
 	}

@@ -236,8 +236,8 @@ func promTraces(pw *telemetry.PromWriter, retained int, spanDrops uint64) {
 
 // promRetention renders what the scheduler holds: its live jobs by stored
 // status (queued or routed: a live job is never terminal), its sealed
-// jobs, kept as records, with the records' bytes, and the fill of its
-// Idempotency-Key window.
+// jobs, kept as records, with the records' bytes, the bytes of the job
+// index, and the fill of its Idempotency-Key window.
 func promRetention(pw *telemetry.PromWriter, r fleet.Retention) {
 	help := "Jobs the scheduler holds, by state: a live job's stored status, or sealed (a terminal job kept as its record)."
 	for _, st := range []fleet.JobStatus{fleet.JobQueued, fleet.JobRouted} {
@@ -246,6 +246,7 @@ func promRetention(pw *telemetry.PromWriter, r fleet.Retention) {
 	}
 	pw.Gauge("qhpc_jobs_retained", "", telemetry.Labels{{"state", "sealed"}}, float64(r.Sealed))
 	pw.Gauge("qhpc_job_records_bytes", "Bytes of the sealed jobs' records.", nil, float64(r.RecordBytes))
+	pw.Gauge("qhpc_job_index_bytes", "Bytes of the job index's entries, one per job held, live or sealed.", nil, float64(r.IndexBytes))
 	pw.Gauge("qhpc_idempotency_keys_retained", "Idempotency-Keys bound in the scheduler's dedup window: the newest keyed jobs, at most 1024.", nil, float64(r.IdemKeys))
 }
 

@@ -148,7 +148,9 @@ func TestSealedRecordMatchesLive(t *testing.T) {
 		}},
 		{name: "compile failure", run: func(t *testing.T, f *fleet.Scheduler, _ *device.QPU) map[int]fleet.Job {
 			must(t, f.Drain("a"))
-			id := submit(t, f, ghz("u"), fleet.SubmitOptions{})
+			// Pinned, so that "b" cannot claim the job while its circuit is
+			// written.
+			id := submit(t, f, ghz("u"), fleet.SubmitOptions{Device: "a"})
 			j, _ := f.Job(id) // shares the queued job's circuit
 			j.Request.Circuit.Gates[0].Name = "bogus"
 			must(t, f.Resume("a"))
@@ -157,7 +159,8 @@ func TestSealedRecordMatchesLive(t *testing.T) {
 		}},
 		{name: "cancelled while queued", run: func(t *testing.T, f *fleet.Scheduler, _ *device.QPU) map[int]fleet.Job {
 			must(t, f.Drain("a"))
-			must(t, f.Cancel(submit(t, f, ghz("u"), fleet.SubmitOptions{})))
+			// Pinned, so that "b" cannot claim and finish it first.
+			must(t, f.Cancel(submit(t, f, ghz("u"), fleet.SubmitOptions{Device: "a"})))
 			must(t, f.Resume("a"))
 			return nil
 		}},
@@ -395,11 +398,11 @@ func TestWatchOfFinishedJobSubscribesNothing(t *testing.T) {
 // each with its own 200-B Idempotency-Key, and reads what the node holds
 // from its Prometheus text alone. The first 2 000 fill the bounded tables
 // (the trace ring and the idempotency window above all); over the other
-// 8 000 the live heap grows by the index entries and not by the records,
-// which are off the collector's heap (the arena's chunks are mapped,
-// fleet/arena_mmap.go). The key is stored in each record's own part, so a
-// record is too large to hide under the live-heap bound if it were on the
-// heap.
+// 8 000 the live heap grows by neither the records nor the index entries,
+// which are off the collector's heap (the arena's chunks and the index's
+// pages are mapped, fleet/arena_mmap.go). The key is stored in each
+// record's own part, so a record is too large to hide under the live-heap
+// bound if it were on the heap.
 func TestMetricsReportRetention(t *testing.T) {
 	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 2)
 	srv := httptest.NewServer(NewFleetServer(f))
@@ -450,12 +453,14 @@ func TestMetricsReportRetention(t *testing.T) {
 	if per := records / jobs; per < keyLen || per > 1000 {
 		t.Errorf("record bytes per job = %.0f, want its %d-B key and a few tens more", per, keyLen)
 	}
+	if idx := sample("qhpc_job_index_bytes"); idx <= 0 || idx > 40*jobs {
+		t.Errorf("index bytes = %v after %d jobs, want at most a 40-B entry each", idx, jobs)
+	}
 	live, added := sample("qhpc_go_heap_live_bytes")-live0, records-records0
 	t.Logf("over the last %d jobs: live heap +%.0f B, records +%.0f B", jobs-warm, live, added)
 	// Where there is no anonymous mmap the arena is on the heap
-	// (fleet/arena_heap.go). A job's index entry and its share of the
-	// index's growth take ~100 B of live heap; its ~226-B record would add
-	// more than the bound leaves.
+	// (fleet/arena_heap.go). There a job's 40-B index entry takes live heap
+	// too; its ~226-B record would add more than the bound leaves.
 	const maxLivePerJob = 160.0
 	offHeap := !slices.Contains([]string{"windows", "plan9", "js", "wasip1"}, runtime.GOOS)
 	if per := live / (jobs - warm); offHeap && per >= maxLivePerJob {
