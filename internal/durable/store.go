@@ -45,9 +45,9 @@ type Stats struct {
 	Durable  uint64
 	Appends  uint64
 	Fsyncs   uint64
-	Bytes    uint64 // journal bytes written since open
+	Bytes    uint64 // journal frame bytes written since open
 	Segments int    // journal segment files on disk
-	WALBytes int64  // journal + snapshot bytes on disk
+	WALBytes int64  // journal + snapshot bytes on disk, the zeros segments are grown by included
 
 	SnapshotLSN    uint64
 	Compactions    uint64

@@ -203,14 +203,42 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
+// crashAt turns the segment copy at path into the state a crash at byte cut
+// of its last frame, which ends at end, leaves: a segment that ends at the
+// frame, as one written before segments were grown by zeros does, is
+// truncated at cut; a pre-zeroed one keeps its size, with the frame's bytes
+// from cut zero.
+func crashAt(t *testing.T, path string, size int64, cut, end int) {
+	t.Helper()
+	if int64(end) == size {
+		if err := os.Truncate(path, int64(cut)); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt(make([]byte, end-cut), int64(cut))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashPointProperty is the crash-point property test: run a real
 // one-device fleet against the store, abandon it mid-flight (kill -9),
-// then truncate the WAL at EVERY byte offset inside the final record and
-// replay each truncation. At every cut: replay must not panic, every acked
-// job must be recovered exactly once (conservation — the submit ack waited
-// for durability, and only the final record is cut), jobs whose terminal
-// record survived must restore as terminal (never double-run), and a fresh
-// scheduler must accept the restore. Runs under -race in the regular suite.
+// then cut the WAL at EVERY byte offset inside the final record and replay
+// each cut (crashAt: the segment keeps its size and the record's bytes from
+// the cut on are zero, as in a segment grown by zeros). At every cut:
+// replay must not panic, every acked job must be recovered exactly once
+// (conservation — the submit ack waited for durability, and only the final
+// record is cut), jobs whose terminal record survived must restore as
+// terminal (never double-run), and a fresh scheduler must accept the
+// restore. Runs under -race in the regular suite.
 func TestCrashPointProperty(t *testing.T) {
 	dir := t.TempDir()
 	qpu, err := device.New(device.Config{Name: "crash-0", Rows: 4, Cols: 5, Seed: 11, DigitalTwin: true})
@@ -272,27 +300,25 @@ func TestCrashPointProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := 0
-	lastStart := 0
+	frames, lastStart, lastEnd := 0, 0, 0
 	readFrames(data, func(lsn uint64, payload []byte) {
 		frames++
-		if off := lastStart + frameHeader + len(payload); off < len(data) {
-			lastStart = off
-		}
+		lastStart, lastEnd = lastEnd, lastEnd+frameHeader+len(payload)
 	})
 	if frames < 2 {
 		t.Fatalf("final segment has only %d frames; crash left too little to truncate", frames)
+	}
+	if !allZero(data[lastEnd:]) {
+		t.Fatalf("final segment holds non-zero bytes past its last frame (%d of %d)", lastEnd, len(data))
 	}
 
 	submitted := map[int]bool{}
 	for _, id := range ids {
 		submitted[id] = true
 	}
-	for cut := lastStart; cut <= len(data); cut++ {
+	for cut := lastStart; cut <= lastEnd; cut++ {
 		trial := copyDir(t, dir)
-		if err := os.Truncate(filepath.Join(trial, lastSeg), int64(cut)); err != nil {
-			t.Fatal(err)
-		}
+		crashAt(t, filepath.Join(trial, lastSeg), int64(len(data)), cut, lastEnd)
 		st2, rec, err := Open(trial, Options{Sync: SyncOff})
 		if err != nil {
 			t.Fatalf("cut at %d: open failed: %v", cut, err)
@@ -342,6 +368,7 @@ func TestCrashPointProperty(t *testing.T) {
 			t.Fatalf("cut at %d: %d terminal restores, want >= %d", cut, rs.Terminal, len(awaited)-1)
 		}
 		st2.Close()
+		os.RemoveAll(trial) // one trial's copy on disk at a time
 	}
 
 	// Untruncated replay: every awaited job restores terminal.

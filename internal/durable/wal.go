@@ -14,6 +14,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -23,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // SyncMode selects when appended records are fsync'd.
@@ -32,10 +34,11 @@ const (
 	// SyncAlways returns from each append once the flusher has written
 	// and fsync'd its record: strongest guarantee, one fsync per record.
 	SyncAlways SyncMode = "always"
-	// SyncGroup returns from append at once and lets the flusher fsync
+	// SyncGroup returns from append at once and lets the flusher sync
 	// once per batch (group commit): submissions still block in
 	// WaitDurable until their record is durable, but concurrent
-	// submitters share one fsync.
+	// submitters share one sync, and frames nobody waits on ride the next
+	// waited flush or go down groupCommitDelay after they were appended.
 	SyncGroup SyncMode = "group"
 	// SyncOff never fsyncs: append returns once the flusher has written
 	// its record to the OS, so it survives process crashes, not power
@@ -68,7 +71,22 @@ const (
 	// buffer and the flusher's batch — so one outsized record or burst
 	// does not pin its size for the life of the store.
 	maxSpareBytes = 1 << 20
+
+	// groupCommitDelay bounds how long, under group, a frame nobody waits
+	// on (a routed or terminal update) stays unflushed: the flusher starts
+	// a flush for a waiter, or once the oldest unflushed frame is this old.
+	groupCommitDelay = 2 * time.Millisecond
+
+	// The flusher grows the active segment by writing zeros ahead of its
+	// frames, in steps that start at firstGrowth and double up to
+	// maxGrowth, so a frame lands in blocks the file already has and a
+	// data-only sync (fdatasync) makes it durable.
+	firstGrowth = 64 << 10
+	maxGrowth   = 4 << 20
 )
+
+// zeroChunk is the source of the zeros a segment is grown by.
+var zeroChunk [64 << 10]byte
 
 func segmentName(seq uint64) string {
 	return fmt.Sprintf("%s%08d%s", segmentPrefix, seq, segmentSuffix)
@@ -100,32 +118,59 @@ func appendFrame(buf []byte, lsn uint64, payload []byte) []byte {
 // readFrames folds fn over every intact frame in data, stopping at the
 // first short or corrupt one (the torn tail kill -9 leaves behind). It
 // returns how many bytes of data were unreadable; 0 means the segment was
-// clean.
+// clean. The zeros a segment was grown by are not damage: a segment ends
+// cleanly where only zeros follow (no frame is all zero: the CRC of a zero
+// LSN is not 0), and a torn frame followed by zeros counts the extent its
+// length field declares.
 func readFrames(data []byte, fn func(lsn uint64, payload []byte)) (skipped int64) {
 	off := 0
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeader {
-			return int64(len(rest))
+			return damage(rest, len(rest))
 		}
 		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if n < 0 || n > maxFrameBytes || len(rest) < frameHeader+n {
-			return int64(len(rest))
+		if n < 0 || n > maxFrameBytes {
+			return damage(rest, len(rest))
 		}
-		lsn := binary.LittleEndian.Uint64(rest[8:16])
-		payload := rest[frameHeader : frameHeader+n]
-		if crc32.ChecksumIEEE(rest[8:frameHeader+n]) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return int64(len(rest))
+		if len(rest) < frameHeader+n || crc32.ChecksumIEEE(rest[8:frameHeader+n]) != binary.LittleEndian.Uint32(rest[4:8]) {
+			return damage(rest, min(frameHeader+n, len(rest)))
 		}
-		fn(lsn, payload)
+		fn(binary.LittleEndian.Uint64(rest[8:16]), rest[frameHeader:frameHeader+n])
 		off += frameHeader + n
 	}
 }
 
+// damage is how many bytes of rest, the unreadable tail of a segment whose
+// first frame spans rest[:extent], are damage: none if rest is all zero,
+// the frame's extent if only zeros follow it, all of rest otherwise.
+func damage(rest []byte, extent int) int64 {
+	switch {
+	case !allZero(rest[extent:]):
+		return int64(len(rest))
+	case allZero(rest[:extent]):
+		return 0
+	}
+	return int64(extent)
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroChunk))
+		if !bytes.Equal(b[:n], zeroChunk[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
 // fsyncDir flushes a directory's entry table so a just-created, renamed, or
 // deleted file survives power loss: rename is atomic against torn writes
-// but not durable until the directory itself is synced.
-func fsyncDir(dir string) error {
+// but not durable until the directory itself is synced. It is a variable so
+// that a test can see which directory syncs happen.
+var fsyncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -148,14 +193,22 @@ type wal struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcasts durable-watermark advances and state flips
+	kick *sync.Cond // wakes the flusher: a waiter, the delay bound or a state flip
 
 	f         *os.File
-	seq       uint64 // active segment sequence number
-	buf       []byte // frames appended but not yet handed to the OS
-	spare     []byte // the flusher's last written batch, reused as the next buf
-	lastLSN   uint64 // last assigned LSN
-	durable   uint64 // highest LSN guaranteed on stable storage
-	abandoned bool   // simulated kill -9: unflushed buffer dropped
+	seq       uint64      // active segment sequence number
+	off       int64       // where the flusher writes the segment's next frame
+	size      int64       // how far the segment has been grown by zeros
+	step      int64       // the segment's next growth step
+	buf       []byte      // frames appended but not yet handed to the OS
+	spare     []byte      // the flusher's last written batch, reused as the next buf
+	lastLSN   uint64      // last assigned LSN
+	durable   uint64      // highest LSN guaranteed on stable storage
+	want      uint64      // highest LSN a waiter has asked to be durable
+	oldest    time.Time   // when buf's first frame was appended, under group
+	due       bool        // buf's oldest frame has waited groupCommitDelay
+	timer     *time.Timer // sets due, armed when a frame enters an empty buf under group
+	abandoned bool        // simulated kill -9: unflushed buffer dropped
 	closed    bool
 	err       error // sticky first write/sync error
 
@@ -166,31 +219,46 @@ type wal struct {
 	flusherWG sync.WaitGroup
 }
 
-// openWAL creates the next journal segment (never appending to an old one:
-// a torn tail in segment k is harmless exactly because post-recovery records
-// land in k+1) and starts the flusher.
+// openWAL creates segment nextSeq as the active one and starts the
+// flusher.
 func openWAL(dir string, mode SyncMode, nextSeq, lastLSN uint64) (*wal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(nextSeq)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("durable: creating WAL segment: %w", err)
+	w := &wal{dir: dir, mode: mode, lastLSN: lastLSN, durable: lastLSN}
+	if err := w.createSegment(nextSeq); err != nil {
+		return nil, err
 	}
-	if mode != SyncOff {
-		if err := fsyncDir(dir); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("durable: syncing WAL dir: %w", err)
-		}
-	}
-	w := &wal{dir: dir, mode: mode, f: f, seq: nextSeq, lastLSN: lastLSN, durable: lastLSN}
 	w.cond = sync.NewCond(&w.mu)
+	w.kick = sync.NewCond(&w.mu)
+	w.timer = time.AfterFunc(groupCommitDelay, w.expire)
+	w.timer.Stop()
 	w.flusherWG.Add(1)
 	go w.flusher()
 	return w, nil
 }
 
+// createSegment creates segment seq and makes it the active one, to be
+// written from offset 0 and grown from the first step. It never appends to
+// an old segment: a torn tail in segment k is harmless exactly because
+// post-recovery records land in k+1. Under always and group it syncs the
+// directory, so the segment's entry is on stable storage before any record
+// in it is acked. Callers hold w.mu or have not shared w yet.
+func (w *wal) createSegment(seq uint64) error {
+	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("durable: creating WAL segment: %w", err)
+	}
+	if w.mode != SyncOff {
+		if err := fsyncDir(w.dir); err != nil {
+			f.Close()
+			return fmt.Errorf("durable: syncing WAL dir: %w", err)
+		}
+	}
+	w.f, w.seq, w.off, w.size, w.step = f, seq, 0, 0, firstGrowth
+	return nil
+}
+
 // append journals one payload and returns its LSN. Under always and off it
 // returns only once the flusher has written the record (and, under always,
-// fsync'd it); under group it hands the record over and returns at once.
+// synced it); under group it hands the record over and returns at once.
 // Appends on an abandoned or closed WAL are swallowed (the process is
 // "dead"); the returned LSN is then the last assigned one, and WaitDurable
 // on it returns immediately.
@@ -200,51 +268,89 @@ func (w *wal) append(payload []byte) uint64 {
 	if w.abandoned || w.closed || w.err != nil {
 		return w.lastLSN
 	}
+	if len(w.buf) == 0 && w.mode == SyncGroup {
+		w.oldest = time.Now()
+		w.timer.Reset(groupCommitDelay)
+	}
 	w.lastLSN++
 	lsn := w.lastLSN
 	w.buf = appendFrame(w.buf, lsn, payload)
 	w.appends++
-	w.cond.Broadcast()
 	if w.mode != SyncGroup {
 		w.waitLocked(lsn)
 	}
 	return lsn
 }
 
-// flusher is the group-commit loop: it swaps the pending buffer out under
-// the lock, writes and fsyncs outside it (appenders keep queuing frames
-// meanwhile — that batching is the group commit), then publishes the new
-// durable watermark. Under off it skips the fsync. Once the WAL is closed it
-// drains the buffer before it exits.
+// expire is the group-commit timer: once the oldest unflushed frame has
+// waited groupCommitDelay, the flusher writes it without a waiter.
+func (w *wal) expire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.buf) > 0 && time.Since(w.oldest) >= groupCommitDelay {
+		w.due = true
+		w.kick.Signal()
+	}
+}
+
+// flusher is the group-commit loop. It starts a flush only when one is
+// needed: a waiter (waitLocked: WaitDurable, Compact's seal, an append under
+// always or off) needs an LSN above the watermark, the oldest unflushed
+// frame is groupCommitDelay old, or the WAL is closing. It swaps the
+// pending buffer out under the lock and writes it outside it (appenders
+// keep queuing frames meanwhile — that batching is the group commit): it
+// grows the segment by zeros when the batch would pass its end, writes the
+// batch at its own offset, syncs — fdatasync, or fsync when the segment
+// grew — and publishes the new durable watermark. Under off it skips the
+// sync. Once the WAL is closed it drains the buffer before it exits.
 func (w *wal) flusher() {
 	defer w.flusherWG.Done()
 	w.mu.Lock()
 	for {
-		for !w.closed && !w.abandoned && w.err == nil && len(w.buf) == 0 {
-			w.cond.Wait()
+		for !w.closed && !w.abandoned && w.err == nil && (len(w.buf) == 0 || !w.due && w.want <= w.durable) {
+			w.kick.Wait()
 		}
-		if w.abandoned || w.err != nil || (w.closed && len(w.buf) == 0) {
+		if w.abandoned || w.err != nil || len(w.buf) == 0 {
 			w.mu.Unlock()
 			return
 		}
 		batch := w.buf
 		w.buf, w.spare = w.spare[:0], nil
+		w.due = false
 		upto := w.lastLSN
-		f := w.f
+		f, off, size, step := w.f, w.off, w.size, w.step
 		w.mu.Unlock()
 
-		n, err := f.Write(batch)
-		synced := w.mode != SyncOff
-		if synced {
-			if serr := f.Sync(); err == nil {
-				err = serr
-			}
+		grown := size
+		for grown < off+int64(len(batch)) {
+			grown += step
+			step = min(2*step, maxGrowth)
+		}
+		grew := grown > size
+		var err error
+		for size < grown && err == nil {
+			var n int
+			n, err = f.WriteAt(zeroChunk[:min(grown-size, int64(len(zeroChunk)))], size)
+			size += int64(n)
+		}
+		n := 0
+		if err == nil {
+			n, err = f.WriteAt(batch, off)
+		}
+		synced := w.mode != SyncOff && err == nil
+		switch {
+		case !synced:
+		case grew:
+			err = f.Sync() // the new size too
+		default:
+			err = fdatasync(f)
 		}
 
 		w.mu.Lock()
 		if cap(batch) <= maxSpareBytes {
 			w.spare = batch // appenders fill one buffer while the other is written
 		}
+		w.off, w.size, w.step = off+int64(n), size, step
 		w.bytes += uint64(n)
 		if synced {
 			w.fsyncs++
@@ -277,9 +383,14 @@ func (w *wal) waitDurable(lsn uint64) error {
 	return w.waitLocked(lsn)
 }
 
-// waitLocked is waitDurable with w.mu held.
+// waitLocked is waitDurable with w.mu held. A waiter is what makes the
+// flusher start a flush before the delay bound.
 func (w *wal) waitLocked(lsn uint64) error {
 	for w.durable < lsn && !w.abandoned && !w.closed && w.err == nil {
+		if lsn > w.want {
+			w.want = lsn
+			w.kick.Signal()
+		}
 		w.cond.Wait()
 	}
 	return w.err
@@ -299,14 +410,10 @@ func (w *wal) rotate() (sealed uint64, err error) {
 	if cerr := w.f.Close(); cerr != nil && w.err == nil {
 		w.err = cerr
 	}
-	w.seq++
-	f, ferr := os.OpenFile(filepath.Join(w.dir, segmentName(w.seq)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
-	if ferr != nil {
-		w.err = ferr
-		return sealed, fmt.Errorf("durable: rotating WAL segment: %w", ferr)
+	if err := w.createSegment(sealed + 1); err != nil {
+		w.err = err
+		return sealed, err
 	}
-	w.f = f
 	return sealed, nil
 }
 
@@ -323,6 +430,8 @@ func (w *wal) abandon() {
 	}
 	w.abandoned = true
 	w.buf = nil
+	w.timer.Stop()
+	w.kick.Signal()
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	w.flusherWG.Wait()
@@ -340,6 +449,8 @@ func (w *wal) close() error {
 		return nil
 	}
 	w.closed = true
+	w.timer.Stop()
+	w.kick.Signal()
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	w.flusherWG.Wait()

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -45,9 +46,12 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
-// TestTornTailEveryOffset is the byte-by-byte torn-tail property: truncating
-// the buffer at EVERY offset inside the final record must yield exactly the
-// preceding frames — never a panic, never a corrupt record surfaced.
+// TestTornTailEveryOffset is the byte-by-byte torn-tail property: a crash at
+// EVERY offset inside the final record must yield exactly the preceding
+// frames — never a panic, never a corrupt record surfaced. A segment written
+// before segments were grown by zeros ends where the crash cut it; a
+// pre-zeroed one keeps its size, and the crash leaves the frame's unwritten
+// bytes zero.
 func TestTornTailEveryOffset(t *testing.T) {
 	var buf []byte
 	const frames = 5
@@ -72,6 +76,27 @@ func TestTornTailEveryOffset(t *testing.T) {
 		}
 		if skipped != int64(cut-lastStart) {
 			t.Fatalf("cut at %d: skipped %d bytes, want %d", cut, skipped, cut-lastStart)
+		}
+	}
+	seg := append(append([]byte(nil), buf...), make([]byte, firstGrowth-len(buf))...)
+	for cut := lastStart; cut < len(buf); cut++ {
+		zeroed := append([]byte(nil), seg...)
+		clear(zeroed[cut:len(buf)])
+		n := 0
+		skipped := readFrames(zeroed, func(lsn uint64, payload []byte) { n++ })
+		if n != frames-1 {
+			t.Fatalf("zeroed from %d: read %d frames, want %d", cut, n, frames-1)
+		}
+		// The torn frame counts the extent its written length field
+		// declares (the whole frame once the field is in), never the zeros
+		// the segment was grown by; a frame none of which was written is a
+		// clean end.
+		want := int64(frameHeader + binary.LittleEndian.Uint32(zeroed[lastStart:]))
+		if cut == lastStart {
+			want = 0
+		}
+		if skipped != want || cut >= lastStart+4 && skipped != int64(len(buf)-lastStart) {
+			t.Fatalf("zeroed from %d: skipped %d bytes, want %d of a %d-B frame", cut, skipped, want, len(buf)-lastStart)
 		}
 	}
 	// Flip one byte anywhere in the last frame: CRC must reject it.
@@ -144,17 +169,21 @@ func TestWALSyncModes(t *testing.T) {
 }
 
 // TestSegmentHasOneWriter parses the package's non-test source and fails on
-// any write to the active segment outside the flusher: only flusher calls
-// Write on it, only flusher and close (the last fsync) call Sync on it, and
+// any write to the active segment outside the flusher: only flusher writes
+// it (WriteAt, the frames and the zeros it grows the segment by; no other
+// write method is called on it anywhere), only flusher syncs its data
+// (fdatasync), only flusher and close (the last fsync) call Sync on it, and
 // only flusher advances the durable watermark — besides openWAL's wal
 // literal, which sets its start. The segment is w.f, or a local assigned
 // from it.
 func TestSegmentHasOneWriter(t *testing.T) {
 	allowed := map[string]map[string]bool{
-		"Write":   {"flusher": true},
-		"Sync":    {"flusher": true, "close": true},
-		"durable": {"flusher": true},
+		"WriteAt":   {"flusher": true},
+		"Sync":      {"flusher": true, "close": true},
+		"fdatasync": {"flusher": true},
+		"durable":   {"flusher": true},
 	}
+	writes := map[string]bool{"Write": true, "WriteAt": true, "WriteString": true, "ReadFrom": true, "Truncate": true, "Sync": true}
 	ents, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +240,11 @@ func TestSegmentHasOneWriter(t *testing.T) {
 						note(n.Pos(), "durable")
 					}
 				case *ast.CallExpr:
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Write" || sel.Sel.Name == "Sync") && isSegment(sel.X) {
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && writes[sel.Sel.Name] && isSegment(sel.X) {
 						note(n.Pos(), sel.Sel.Name)
+					}
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "fdatasync" && len(n.Args) == 1 && isSegment(n.Args[0]) {
+						note(n.Pos(), id.Name)
 					}
 				case *ast.CompositeLit:
 					if id, ok := n.Type.(*ast.Ident); !ok || id.Name != "wal" || fn.Name.Name == "openWAL" {
@@ -230,7 +262,7 @@ func TestSegmentHasOneWriter(t *testing.T) {
 			})
 		}
 	}
-	for _, want := range []string{"Write in flusher", "Sync in flusher", "Sync in close", "durable in flusher"} {
+	for _, want := range []string{"WriteAt in flusher", "fdatasync in flusher", "Sync in flusher", "Sync in close", "durable in flusher"} {
 		if !seen[want] {
 			t.Errorf("found no %s (did it move?)", want)
 		}

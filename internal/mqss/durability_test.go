@@ -156,19 +156,26 @@ func TestCrashPrefixKeepsKeyBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame = [length u32][crc u32][lsn u64][payload]; walk the boundaries.
+	// Frame = [length u32][crc u32][lsn u64][payload]; walk the boundaries
+	// up to a zero header: the segment is grown by zeros ahead of its
+	// frames, and nothing but zeros may follow the last one.
+	zeroHeader := make([]byte, 16)
 	cuts := []int{0}
-	for off := 0; off+16 <= len(data); {
+	for off := 0; off+16 <= len(data) && !bytes.Equal(data[off:off+16], zeroHeader); {
 		off += 16 + int(binary.LittleEndian.Uint32(data[off:]))
 		cuts = append(cuts, off)
 	}
-	if last := cuts[len(cuts)-1]; last != len(data) || len(cuts) < 1+3*len(keyOf) {
-		t.Fatalf("journal framing: %d boundaries ending at %d of %d bytes", len(cuts), last, len(data))
+	last := cuts[len(cuts)-1]
+	if last > len(data) || len(bytes.Trim(data[last:], "\x00")) != 0 || len(cuts) < 1+3*len(keyOf) {
+		t.Fatalf("journal framing: %d boundaries ending at %d of %d bytes, then not only zeros", len(cuts), last, len(data))
 	}
 	recoveredAtSomePrefix := 0
 	for _, cut := range cuts {
+		// A crash at a frame boundary leaves the frames before it and the
+		// segment's zeros after it.
 		trial := t.TempDir()
-		if err := os.WriteFile(filepath.Join(trial, filepath.Base(segs[0])), data[:cut], 0o644); err != nil {
+		prefix := append(data[:cut:cut], make([]byte, len(data)-cut)...)
+		if err := os.WriteFile(filepath.Join(trial, filepath.Base(segs[0])), prefix, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st2, rec, err := durable.Open(trial, durable.Options{Sync: durable.SyncOff})
@@ -196,6 +203,7 @@ func TestCrashPrefixKeepsKeyBound(t *testing.T) {
 		}
 		f2.Stop()
 		st2.Close()
+		os.RemoveAll(trial) // one prefix on disk at a time
 	}
 	if recoveredAtSomePrefix == 0 {
 		t.Fatal("no prefix recovered any job; the property was never exercised")

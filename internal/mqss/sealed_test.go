@@ -402,7 +402,8 @@ func TestWatchOfFinishedJobSubscribesNothing(t *testing.T) {
 // which are off the collector's heap (the arena's chunks and the index's
 // pages are mapped, fleet/arena_mmap.go). The key is stored in each
 // record's own part, so a record is too large to hide under the live-heap
-// bound if it were on the heap.
+// bound if it were on the heap, and the bound is low enough that the
+// index's 40-B entries fail it too.
 func TestMetricsReportRetention(t *testing.T) {
 	f := newTestFleet(t, map[string]*qdmi.Device{"a": twinDev(t, "a", 2, 2, 9)}, 2)
 	srv := httptest.NewServer(NewFleetServer(f))
@@ -460,11 +461,13 @@ func TestMetricsReportRetention(t *testing.T) {
 	t.Logf("over the last %d jobs: live heap +%.0f B, records +%.0f B", jobs-warm, live, added)
 	// Where there is no anonymous mmap the arena is on the heap
 	// (fleet/arena_heap.go). There a job's 40-B index entry takes live heap
-	// too; its ~226-B record would add more than the bound leaves.
-	const maxLivePerJob = 160.0
+	// too; its ~226-B record would add more than the bound leaves. On unix
+	// the rest of the node reads 25–53 B a job here, and index pages on the
+	// heap 64–96 B.
+	const maxLivePerJob = 60.0
 	offHeap := !slices.Contains([]string{"windows", "plan9", "js", "wasip1"}, runtime.GOOS)
 	if per := live / (jobs - warm); offHeap && per >= maxLivePerJob {
-		t.Errorf("live heap grew %.0f B per job over the last %d jobs, want < %.0f (records %.0f B per job): the records are on the heap", per, jobs-warm, maxLivePerJob, added/(jobs-warm))
+		t.Errorf("live heap grew %.0f B per job over the last %d jobs, want < %.0f (records %.0f B per job): the records or the index are on the heap", per, jobs-warm, maxLivePerJob, added/(jobs-warm))
 	}
 	if scan := sample("qhpc_go_gc_scan_heap_bytes"); scan <= 0 {
 		t.Errorf("scannable heap = %v, want > 0", scan)
