@@ -1,72 +1,9 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
-	"time"
 )
-
-// TestGroupFlushesForAWaiter pins group commit's flush rule: the flusher
-// starts a flush for a waiter, or once the oldest unflushed frame is
-// groupCommitDelay old, not for every frame. N jobs each append a mint and
-// two updates, and only the mints are waited on. The updates sit unwaited
-// for a quarter of the bound, time enough for a flush, as they do while a
-// job runs; they ride the next mint's flush, so the jobs take at most N
-// syncs (a flush that grows the segment syncs once, with fsync), plus one
-// for each job whose updates a slow scheduler left unflushed past the
-// bound. The last job's updates, which nobody waits on, still go down in
-// one flush after the bound.
-func TestGroupFlushesForAWaiter(t *testing.T) {
-	const jobs = 200
-	w, err := openWAL(t.TempDir(), SyncGroup, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.close()
-	payload := bytes.Repeat([]byte{'u'}, 700)
-	late := 0 // jobs whose updates stayed unflushed long enough to expire
-	for i := 0; i < jobs; i++ {
-		start := time.Now()
-		if i > 0 {
-			w.append(payload)
-			w.append(payload)
-			time.Sleep(groupCommitDelay / 4)
-		}
-		if err := w.waitDurable(w.append([]byte(fmt.Sprintf("mint-%d", i)))); err != nil {
-			t.Fatal(err)
-		}
-		if time.Since(start) >= groupCommitDelay {
-			late++
-		}
-	}
-	w.mu.Lock()
-	fsyncs, grown := w.fsyncs, w.size
-	w.mu.Unlock()
-	if fsyncs > uint64(jobs+late) {
-		t.Fatalf("%d jobs, %d of them late, took %d syncs; want at most one per waited mint", jobs, late, fsyncs)
-	}
-	t.Logf("%d jobs: %d syncs, %d late, segment grown to %d B", jobs, fsyncs, late, grown)
-
-	w.append(payload)
-	last := w.append(payload)
-	deadline := time.Now().Add(groupCommitDelay + time.Second) // the bound, then the device
-	for {
-		w.mu.Lock()
-		durable, synced := w.durable, w.fsyncs
-		w.mu.Unlock()
-		if durable >= last {
-			if synced != fsyncs+1 {
-				t.Fatalf("the unwaited frames took %d syncs, want 1", synced-fsyncs)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("unwaited lsn %d not durable %v after it was appended (durable %d)", last, groupCommitDelay+time.Second, durable)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
 
 // TestRotationSyncsItsDirectory holds a rotation to what opening the WAL
 // does: under always and group the new segment's directory entry is synced

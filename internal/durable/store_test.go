@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -203,37 +204,26 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// crashAt turns the segment copy at path into the state a crash at byte cut
-// of its last frame, which ends at end, leaves: a segment that ends at the
-// frame, as one written before segments were grown by zeros does, is
-// truncated at cut; a pre-zeroed one keeps its size, with the frame's bytes
-// from cut zero.
-func crashAt(t *testing.T, path string, size int64, cut, end int) {
-	t.Helper()
-	if int64(end) == size {
-		if err := os.Truncate(path, int64(cut)); err != nil {
-			t.Fatal(err)
-		}
-		return
+// crashAt is segment data as a crash at byte cut of its last frame, which
+// ends at end, leaves it. With truncate the segment ends at cut: the crash
+// came while the flusher grew the segment, before the new size was synced,
+// or the segment was written before segments were grown by zeros. Without
+// it the segment keeps its size and the frame's bytes from cut on are zero.
+func crashAt(data []byte, cut, end int, truncate bool) []byte {
+	if truncate {
+		return data[:cut]
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.WriteAt(make([]byte, end-cut), int64(cut))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	crashed := bytes.Clone(data)
+	clear(crashed[cut:end])
+	return crashed
 }
 
 // TestCrashPointProperty is the crash-point property test: run a real
 // one-device fleet against the store, abandon it mid-flight (kill -9),
 // then cut the WAL at EVERY byte offset inside the final record and replay
-// each cut (crashAt: the segment keeps its size and the record's bytes from
-// the cut on are zero, as in a segment grown by zeros). At every cut:
+// each cut in both of crashAt's shapes (the segment truncated at the cut,
+// and the segment at its size with the record's bytes from the cut on
+// zero, as in a segment grown by zeros). At every cut:
 // replay must not panic, every acked job must be recovered exactly once
 // (conservation — the submit ack waited for durability, and only the final
 // record is cut), jobs whose terminal record survived must restore as
@@ -316,59 +306,88 @@ func TestCrashPointProperty(t *testing.T) {
 	for _, id := range ids {
 		submitted[id] = true
 	}
-	for cut := lastStart; cut <= lastEnd; cut++ {
-		trial := copyDir(t, dir)
-		crashAt(t, filepath.Join(trial, lastSeg), int64(len(data)), cut, lastEnd)
-		st2, rec, err := Open(trial, Options{Sync: SyncOff})
-		if err != nil {
-			t.Fatalf("cut at %d: open failed: %v", cut, err)
+	// Each trial writes the store directory as the crash left it, its last
+	// segment cut by crashAt, and removes it after: one trial's copy is on
+	// disk at a time.
+	files := map[string][]byte{}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if files[ent.Name()], err = os.ReadFile(filepath.Join(dir, ent.Name())); err != nil {
+			t.Fatal(err)
 		}
-		seen := map[int]bool{}
-		for _, j := range rec.FleetJobs {
-			if seen[j.ID] {
-				t.Fatalf("cut at %d: job %d recovered twice", cut, j.ID)
+	}
+	trial := filepath.Join(t.TempDir(), "trial")
+	for _, truncate := range []bool{true, false} {
+		for cut := lastStart; cut <= lastEnd; cut++ {
+			files[lastSeg] = crashAt(data, cut, lastEnd, truncate)
+			if err := os.Mkdir(trial, 0o755); err != nil {
+				t.Fatal(err)
 			}
-			seen[j.ID] = true
-			if !submitted[j.ID] {
-				t.Fatalf("cut at %d: recovered unknown job %d", cut, j.ID)
+			for name, b := range files {
+				if err := os.WriteFile(filepath.Join(trial, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			at := fmt.Sprintf("cut at %d (zeroed)", cut)
+			if truncate {
+				at = fmt.Sprintf("cut at %d (truncated)", cut)
+			}
+			st2, rec, err := Open(trial, Options{Sync: SyncOff})
+			if err != nil {
+				t.Fatalf("%s: open failed: %v", at, err)
+			}
+			seen := map[int]bool{}
+			for _, j := range rec.FleetJobs {
+				if seen[j.ID] {
+					t.Fatalf("%s: job %d recovered twice", at, j.ID)
+				}
+				seen[j.ID] = true
+				if !submitted[j.ID] {
+					t.Fatalf("%s: recovered unknown job %d", at, j.ID)
+				}
+			}
+			// Conservation: every submit was acked only after its record was
+			// fsynced, and the cut only ever removes the final record — so all
+			// acked jobs must survive every truncation.
+			if len(seen) != jobs {
+				t.Fatalf("%s: recovered %d jobs, want %d", at, len(seen), jobs)
+			}
+			// No devices registered: re-queued jobs wait instead of executing,
+			// so each trial only exercises the restore bookkeeping.
+			f2 := fleet.New(fleet.PolicyBestFidelity, nil)
+			rs, err := f2.Restore(rec.FleetJobs)
+			f2.Stop()
+			if err != nil {
+				t.Fatalf("%s: restore failed: %v", at, err)
+			}
+			if rs.Terminal+rs.Requeued+rs.Expired != jobs {
+				t.Fatalf("%s: restore stats %+v do not conserve %d jobs", at, rs, jobs)
+			}
+			// Never double-run: a job whose terminal record survived the cut must
+			// restore as terminal, not re-enter the queue.
+			terminalRecovered := 0
+			for _, j := range rec.FleetJobs {
+				switch j.Status {
+				case fleet.JobDone, fleet.JobFailed, fleet.JobCancelled:
+					terminalRecovered++
+				}
+			}
+			if rs.Terminal != terminalRecovered {
+				t.Fatalf("%s: %d terminal records but %d terminal restores", at, terminalRecovered, rs.Terminal)
+			}
+			if rs.Terminal < len(awaited)-1 {
+				// At most the single truncated record can demote an awaited job
+				// back to requeued (at-least-once, not at-most-once).
+				t.Fatalf("%s: %d terminal restores, want >= %d", at, rs.Terminal, len(awaited)-1)
+			}
+			st2.Close()
+			if err := os.RemoveAll(trial); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// Conservation: every submit was acked only after its record was
-		// fsynced, and the cut only ever removes the final record — so all
-		// acked jobs must survive every truncation.
-		if len(seen) != jobs {
-			t.Fatalf("cut at %d: recovered %d jobs, want %d", cut, len(seen), jobs)
-		}
-		// No devices registered: re-queued jobs wait instead of executing,
-		// so each trial only exercises the restore bookkeeping.
-		f2 := fleet.New(fleet.PolicyBestFidelity, nil)
-		rs, err := f2.Restore(rec.FleetJobs)
-		f2.Stop()
-		if err != nil {
-			t.Fatalf("cut at %d: restore failed: %v", cut, err)
-		}
-		if rs.Terminal+rs.Requeued+rs.Expired != jobs {
-			t.Fatalf("cut at %d: restore stats %+v do not conserve %d jobs", cut, rs, jobs)
-		}
-		// Never double-run: a job whose terminal record survived the cut must
-		// restore as terminal, not re-enter the queue.
-		terminalRecovered := 0
-		for _, j := range rec.FleetJobs {
-			switch j.Status {
-			case fleet.JobDone, fleet.JobFailed, fleet.JobCancelled:
-				terminalRecovered++
-			}
-		}
-		if rs.Terminal != terminalRecovered {
-			t.Fatalf("cut at %d: %d terminal records but %d terminal restores", cut, terminalRecovered, rs.Terminal)
-		}
-		if rs.Terminal < len(awaited)-1 {
-			// At most the single truncated record can demote an awaited job
-			// back to requeued (at-least-once, not at-most-once).
-			t.Fatalf("cut at %d: %d terminal restores, want >= %d", cut, rs.Terminal, len(awaited)-1)
-		}
-		st2.Close()
-		os.RemoveAll(trial) // one trial's copy on disk at a time
 	}
 
 	// Untruncated replay: every awaited job restores terminal.

@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // SyncMode selects when appended records are fsync'd.
@@ -34,11 +33,10 @@ const (
 	// SyncAlways returns from each append once the flusher has written
 	// and fsync'd its record: strongest guarantee, one fsync per record.
 	SyncAlways SyncMode = "always"
-	// SyncGroup returns from append at once and lets the flusher sync
+	// SyncGroup returns from append at once and lets the flusher fsync
 	// once per batch (group commit): submissions still block in
 	// WaitDurable until their record is durable, but concurrent
-	// submitters share one sync, and frames nobody waits on ride the next
-	// waited flush or go down groupCommitDelay after they were appended.
+	// submitters share one fsync.
 	SyncGroup SyncMode = "group"
 	// SyncOff never fsyncs: append returns once the flusher has written
 	// its record to the OS, so it survives process crashes, not power
@@ -72,15 +70,10 @@ const (
 	// does not pin its size for the life of the store.
 	maxSpareBytes = 1 << 20
 
-	// groupCommitDelay bounds how long, under group, a frame nobody waits
-	// on (a routed or terminal update) stays unflushed: the flusher starts
-	// a flush for a waiter, or once the oldest unflushed frame is this old.
-	groupCommitDelay = 2 * time.Millisecond
-
 	// The flusher grows the active segment by writing zeros ahead of its
 	// frames, in steps that start at firstGrowth and double up to
-	// maxGrowth, so a frame lands in blocks the file already has and a
-	// data-only sync (fdatasync) makes it durable.
+	// maxGrowth, so a frame lands in blocks the file already has and its
+	// sync commits no new size or extent.
 	firstGrowth = 64 << 10
 	maxGrowth   = 4 << 20
 )
@@ -192,23 +185,18 @@ type wal struct {
 	mode SyncMode
 
 	mu   sync.Mutex
-	cond *sync.Cond // broadcasts durable-watermark advances and state flips
-	kick *sync.Cond // wakes the flusher: a waiter, the delay bound or a state flip
+	cond *sync.Cond // broadcasts appends, durable-watermark advances and state flips
 
 	f         *os.File
-	seq       uint64      // active segment sequence number
-	off       int64       // where the flusher writes the segment's next frame
-	size      int64       // how far the segment has been grown by zeros
-	step      int64       // the segment's next growth step
-	buf       []byte      // frames appended but not yet handed to the OS
-	spare     []byte      // the flusher's last written batch, reused as the next buf
-	lastLSN   uint64      // last assigned LSN
-	durable   uint64      // highest LSN guaranteed on stable storage
-	want      uint64      // highest LSN a waiter has asked to be durable
-	oldest    time.Time   // when buf's first frame was appended, under group
-	due       bool        // buf's oldest frame has waited groupCommitDelay
-	timer     *time.Timer // sets due, armed when a frame enters an empty buf under group
-	abandoned bool        // simulated kill -9: unflushed buffer dropped
+	seq       uint64 // active segment sequence number
+	off       int64  // where the flusher writes the segment's next frame
+	size      int64  // how far the segment has been grown by zeros
+	step      int64  // the segment's next growth step
+	buf       []byte // frames appended but not yet handed to the OS
+	spare     []byte // the flusher's last written batch, reused as the next buf
+	lastLSN   uint64 // last assigned LSN
+	durable   uint64 // highest LSN guaranteed on stable storage
+	abandoned bool   // simulated kill -9: unflushed buffer dropped
 	closed    bool
 	err       error // sticky first write/sync error
 
@@ -227,9 +215,6 @@ func openWAL(dir string, mode SyncMode, nextSeq, lastLSN uint64) (*wal, error) {
 		return nil, err
 	}
 	w.cond = sync.NewCond(&w.mu)
-	w.kick = sync.NewCond(&w.mu)
-	w.timer = time.AfterFunc(groupCommitDelay, w.expire)
-	w.timer.Stop()
 	w.flusherWG.Add(1)
 	go w.flusher()
 	return w, nil
@@ -258,7 +243,7 @@ func (w *wal) createSegment(seq uint64) error {
 
 // append journals one payload and returns its LSN. Under always and off it
 // returns only once the flusher has written the record (and, under always,
-// synced it); under group it hands the record over and returns at once.
+// fsync'd it); under group it hands the record over and returns at once.
 // Appends on an abandoned or closed WAL are swallowed (the process is
 // "dead"); the returned LSN is then the last assigned one, and WaitDurable
 // on it returns immediately.
@@ -268,55 +253,37 @@ func (w *wal) append(payload []byte) uint64 {
 	if w.abandoned || w.closed || w.err != nil {
 		return w.lastLSN
 	}
-	if len(w.buf) == 0 && w.mode == SyncGroup {
-		w.oldest = time.Now()
-		w.timer.Reset(groupCommitDelay)
-	}
 	w.lastLSN++
 	lsn := w.lastLSN
 	w.buf = appendFrame(w.buf, lsn, payload)
 	w.appends++
+	w.cond.Broadcast()
 	if w.mode != SyncGroup {
 		w.waitLocked(lsn)
 	}
 	return lsn
 }
 
-// expire is the group-commit timer: once the oldest unflushed frame has
-// waited groupCommitDelay, the flusher writes it without a waiter.
-func (w *wal) expire() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.buf) > 0 && time.Since(w.oldest) >= groupCommitDelay {
-		w.due = true
-		w.kick.Signal()
-	}
-}
-
-// flusher is the group-commit loop. It starts a flush only when one is
-// needed: a waiter (waitLocked: WaitDurable, Compact's seal, an append under
-// always or off) needs an LSN above the watermark, the oldest unflushed
-// frame is groupCommitDelay old, or the WAL is closing. It swaps the
-// pending buffer out under the lock and writes it outside it (appenders
-// keep queuing frames meanwhile — that batching is the group commit): it
-// grows the segment by zeros when the batch would pass its end, writes the
-// batch at its own offset, syncs — fdatasync, or fsync when the segment
-// grew — and publishes the new durable watermark. Under off it skips the
-// sync. Once the WAL is closed it drains the buffer before it exits.
+// flusher is the group-commit loop: it swaps the pending buffer out under
+// the lock and writes it outside it (appenders keep queuing frames
+// meanwhile — that batching is the group commit): it grows the segment by
+// zeros when the batch would pass its end, writes the batch at its own
+// offset, fsyncs, and publishes the new durable watermark. Under off it
+// skips the fsync. Once the WAL is closed it drains the buffer before it
+// exits.
 func (w *wal) flusher() {
 	defer w.flusherWG.Done()
 	w.mu.Lock()
 	for {
-		for !w.closed && !w.abandoned && w.err == nil && (len(w.buf) == 0 || !w.due && w.want <= w.durable) {
-			w.kick.Wait()
+		for !w.closed && !w.abandoned && w.err == nil && len(w.buf) == 0 {
+			w.cond.Wait()
 		}
-		if w.abandoned || w.err != nil || len(w.buf) == 0 {
+		if w.abandoned || w.err != nil || (w.closed && len(w.buf) == 0) {
 			w.mu.Unlock()
 			return
 		}
 		batch := w.buf
 		w.buf, w.spare = w.spare[:0], nil
-		w.due = false
 		upto := w.lastLSN
 		f, off, size, step := w.f, w.off, w.size, w.step
 		w.mu.Unlock()
@@ -326,7 +293,6 @@ func (w *wal) flusher() {
 			grown += step
 			step = min(2*step, maxGrowth)
 		}
-		grew := grown > size
 		var err error
 		for size < grown && err == nil {
 			var n int
@@ -338,12 +304,8 @@ func (w *wal) flusher() {
 			n, err = f.WriteAt(batch, off)
 		}
 		synced := w.mode != SyncOff && err == nil
-		switch {
-		case !synced:
-		case grew:
-			err = f.Sync() // the new size too
-		default:
-			err = fdatasync(f)
+		if synced {
+			err = f.Sync()
 		}
 
 		w.mu.Lock()
@@ -383,14 +345,9 @@ func (w *wal) waitDurable(lsn uint64) error {
 	return w.waitLocked(lsn)
 }
 
-// waitLocked is waitDurable with w.mu held. A waiter is what makes the
-// flusher start a flush before the delay bound.
+// waitLocked is waitDurable with w.mu held.
 func (w *wal) waitLocked(lsn uint64) error {
 	for w.durable < lsn && !w.abandoned && !w.closed && w.err == nil {
-		if lsn > w.want {
-			w.want = lsn
-			w.kick.Signal()
-		}
 		w.cond.Wait()
 	}
 	return w.err
@@ -430,8 +387,6 @@ func (w *wal) abandon() {
 	}
 	w.abandoned = true
 	w.buf = nil
-	w.timer.Stop()
-	w.kick.Signal()
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	w.flusherWG.Wait()
@@ -449,8 +404,6 @@ func (w *wal) close() error {
 		return nil
 	}
 	w.closed = true
-	w.timer.Stop()
-	w.kick.Signal()
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	w.flusherWG.Wait()

@@ -171,17 +171,15 @@ func TestWALSyncModes(t *testing.T) {
 // TestSegmentHasOneWriter parses the package's non-test source and fails on
 // any write to the active segment outside the flusher: only flusher writes
 // it (WriteAt, the frames and the zeros it grows the segment by; no other
-// write method is called on it anywhere), only flusher syncs its data
-// (fdatasync), only flusher and close (the last fsync) call Sync on it, and
-// only flusher advances the durable watermark — besides openWAL's wal
-// literal, which sets its start. The segment is w.f, or a local assigned
-// from it.
+// write method is called on it anywhere), only flusher and close (the last
+// fsync) call Sync on it, and only flusher advances the durable watermark —
+// besides openWAL's wal literal, which sets its start. The segment is w.f,
+// or a local assigned from it.
 func TestSegmentHasOneWriter(t *testing.T) {
 	allowed := map[string]map[string]bool{
-		"WriteAt":   {"flusher": true},
-		"Sync":      {"flusher": true, "close": true},
-		"fdatasync": {"flusher": true},
-		"durable":   {"flusher": true},
+		"WriteAt": {"flusher": true},
+		"Sync":    {"flusher": true, "close": true},
+		"durable": {"flusher": true},
 	}
 	writes := map[string]bool{"Write": true, "WriteAt": true, "WriteString": true, "ReadFrom": true, "Truncate": true, "Sync": true}
 	ents, err := os.ReadDir(".")
@@ -243,9 +241,6 @@ func TestSegmentHasOneWriter(t *testing.T) {
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && writes[sel.Sel.Name] && isSegment(sel.X) {
 						note(n.Pos(), sel.Sel.Name)
 					}
-					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "fdatasync" && len(n.Args) == 1 && isSegment(n.Args[0]) {
-						note(n.Pos(), id.Name)
-					}
 				case *ast.CompositeLit:
 					if id, ok := n.Type.(*ast.Ident); !ok || id.Name != "wal" || fn.Name.Name == "openWAL" {
 						break
@@ -262,7 +257,7 @@ func TestSegmentHasOneWriter(t *testing.T) {
 			})
 		}
 	}
-	for _, want := range []string{"WriteAt in flusher", "fdatasync in flusher", "Sync in flusher", "Sync in close", "durable in flusher"} {
+	for _, want := range []string{"WriteAt in flusher", "Sync in flusher", "Sync in close", "durable in flusher"} {
 		if !seen[want] {
 			t.Errorf("found no %s (did it move?)", want)
 		}

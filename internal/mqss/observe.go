@@ -131,7 +131,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 func promStore(pw *telemetry.PromWriter, st durable.Stats, restored fleet.RestoreStats) {
 	l := telemetry.Labels{{"mode", string(st.Mode)}}
 	pw.Counter("qhpc_wal_appends_total", "Records appended to the job WAL.", l, float64(st.Appends))
-	pw.Counter("qhpc_wal_fsyncs_total", "Syncs issued by the WAL: one per flush (fdatasync, or fsync when the flush grew the segment) and one at close.", l, float64(st.Fsyncs))
+	pw.Counter("qhpc_wal_fsyncs_total", "Fsyncs issued by the WAL: one per flush, growth of the segment included, and one at close.", l, float64(st.Fsyncs))
 	pw.Counter("qhpc_wal_bytes_written_total", "Journal frame bytes written since process start, without the zeros segments are grown by.", l, float64(st.Bytes))
 	pw.Gauge("qhpc_wal_segments", "Journal segment files on disk.", l, float64(st.Segments))
 	pw.Gauge("qhpc_wal_disk_bytes", "Journal plus snapshot bytes on disk, the zeros segments are grown by included.", l, float64(st.WALBytes))
